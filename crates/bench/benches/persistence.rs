@@ -7,13 +7,16 @@
 //! * **mem**       — the [`MemBackend`] default (the pre-refactor
 //!   baseline: journaling compiles to nothing);
 //! * **seg**       — [`SegmentFactory`] with a `flush_backends` after
-//!   every chunk (process-crash durable per burst: journal encode +
-//!   OS write on the ingest path);
+//!   every chunk (process-crash durable per burst: journal encode on
+//!   the ingest path, then one write of the shard's buffer and one
+//!   watermark record per touched key);
 //! * **seg-fsync** — the same, with the factory's `fsync(true)`
-//!   power-loss tier (one `fdatasync` per touched key per flush);
+//!   power-loss tier (one `fdatasync` of the shard journal per
+//!   touched key per flush);
 //! * **seg-lazy**  — flushed once at the end (write-behind: the
-//!   ingest path only encodes into the pending buffer, the way
-//!   timer-driven flushing batches durability).
+//!   ingest path only encodes into the shard buffers, which write
+//!   through every 4 KiB, the way timer-driven flushing batches
+//!   durability).
 //!
 //! After the durable ingest the store is dropped (**kill**) and
 //! `UcStore::reopen` rebuilds every key as `fold(base) + replay(tail)`
@@ -260,10 +263,11 @@ fn main() {
     );
     json.push_str(
         "  \"note\": \"digest-verified every rep: mem == seg == seg-fsync == seg-lazy == \
-         reopened; seg_vs_mem is the process-crash-durable per-burst overhead (encode + \
-         OS write per touched key per chunk), fsync_vs_mem adds one fdatasync per touched \
-         key per flush (power-loss tier), lazy_vs_mem is pure write-behind; reopen \
-         rebuilds every key as fold(base) + replay(tail)\"\n",
+         reopened; seg_vs_mem is the process-crash-durable per-burst overhead (encode, one \
+         write per shard buffer and one watermark record per touched key per chunk), \
+         fsync_vs_mem adds one fdatasync of the shard journal per touched key per flush \
+         (power-loss tier), lazy_vs_mem is pure write-behind; reopen scans one journal \
+         per shard and rebuilds every key as fold(base) + replay(tail)\"\n",
     );
     json.push_str("}\n");
 

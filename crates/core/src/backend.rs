@@ -20,30 +20,34 @@
 //! exactly as before. The backend is a *write-behind journal*: every
 //! fresh entry is appended in arrival order, and when the
 //! [`StableGc`](crate::gc::StableGc) strategy folds a stable prefix
-//! into its base state, the backend persists that base and rewrites
-//! the live tail (LSM-style compaction — the stable prefix is exactly
-//! the part that is safe to fold away, cf. the causal-consistency
-//! generalization in arXiv:1802.00706).
+//! into its base state, the backend persists that base and may drop
+//! the journal entries it covers (LSM-style compaction — the stable
+//! prefix is exactly the part that is safe to fold away, cf. the
+//! causal-consistency generalization in arXiv:1802.00706).
 //!
 //! Two families of implementations exist:
 //!
 //! * [`MemBackend`] — the zero-regression default: every operation is
 //!   a no-op, so a `MemBackend` log is byte-for-byte today's
 //!   `Vec`-backed `UpdateLog` (the sorted index *is* the store);
-//! * `SegmentBackend` (crate `uc-storage`) — append-only binary log
-//!   segments on disk with CRC-framed records, a per-key manifest,
-//!   base-state snapshots, and crash recovery that rebuilds a key's
-//!   engine as `fold(base) + replay(tail)`.
+//! * `SegmentBackend` (crate `uc-storage`) — one key's handle on its
+//!   shard's on-disk journal: CRC-framed, key-tagged update, base and
+//!   watermark records appended to one file per shard, and crash
+//!   recovery that rebuilds a key's engine as
+//!   `fold(base) + replay(tail)`.
 //!
 //! [`BackendFactory`] is the store-level companion: it opens one
 //! backend per `(shard, key)` (engines are created lazily on first
-//! touch) and enumerates persisted keys on
+//! touch; a factory is free to back a shard's keys by one shared
+//! file) and enumerates persisted keys on
 //! [`UcStore::reopen`](crate::store::UcStore::reopen).
 //!
 //! # Durability contract
 //!
-//! Appends are journaled immediately but only *durable* after
-//! [`LogBackend::flush`] (the runtimes hang flushing off the virtual
+//! Appends are journaled immediately but only guaranteed *durable*
+//! after [`LogBackend::flush`] — a backend may write some of them
+//! earlier, and recovery must then accept any prefix of the journal
+//! (the runtimes hang flushing off the virtual
 //! timer wheel via `Protocol::on_tick`; the ingest pool flushes before
 //! every worker join, including the poison path). `flush` also
 //! persists the owning engine's Lamport-clock watermark, so a reopened
@@ -81,8 +85,10 @@ pub trait LogBackend<A: UqAdt> {
     /// Compaction: `state` is the fold of every update with
     /// `ts.clock <= bound`; `tail` is the complete retained suffix
     /// (everything above the bound, in timestamp order). A persistent
-    /// backend snapshots the base, rewrites the tail into a fresh
-    /// segment, and drops segments that predate it.
+    /// backend records the base and is then free to drop what it
+    /// journaled at or below the bound. It need not record every base
+    /// it is handed: the last one it did record plus the journal
+    /// above *that* bound recover the same state.
     fn truncate_to_base(&mut self, bound: u64, state: &A::State, tail: &[(Timestamp, A::Update)]);
 
     /// Durability point: everything journaled so far must survive a
@@ -94,9 +100,9 @@ pub trait LogBackend<A: UqAdt> {
     /// compaction ever ran — `(bound, fold of the stable prefix)`.
     fn load_base(&mut self) -> Option<(u64, A::State)>;
 
-    /// Recovery: every journaled entry above the base bound, in
-    /// journal order (may contain duplicates across segment rewrites;
-    /// replay deduplicates by timestamp).
+    /// Recovery: every journaled entry above the bound of the base
+    /// [`LogBackend::load_base`] returns, in journal order (may
+    /// contain duplicates; replay deduplicates by timestamp).
     fn scan_suffix(&mut self) -> Vec<(Timestamp, A::Update)>;
 
     /// Recovery: the highest clock watermark persisted by

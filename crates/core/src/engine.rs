@@ -525,11 +525,11 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// The retained suffix stamped strictly above `since`, as
     /// broadcast messages in timestamp order — the unit of
     /// anti-entropy reconciliation-on-heal. The backend is flushed
-    /// first (heal is a durability point), then asked to stream the
-    /// suffix straight from storage ([`LogBackend::stream_suffix`] —
-    /// segment-backed engines read their live segment files and never
-    /// clone the in-memory log wholesale); backends that cannot
-    /// stream fall back to filtering the in-memory sorted log.
+    /// first (heal is a durability point), then offered the request
+    /// ([`LogBackend::stream_suffix`], for a backend that keeps a
+    /// cheaper sorted copy than this one); every backend in the
+    /// workspace declines, and the suffix is filtered out of the
+    /// in-memory sorted log, which always holds all of it.
     ///
     /// Completeness leans on stability: a compacting strategy's bound
     /// can only advance past `since` once *every* peer's clock
@@ -558,10 +558,11 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// read primitive of chunked heal streaming: up to `limit` suffix
     /// entries strictly above `since` and (when set) strictly after
     /// the resume cursor `after`, in timestamp order, plus whether
-    /// more remain. Peak memory is O(`limit`) on every path: segment
-    /// backends answer straight out of their segment files
-    /// ([`LogBackend::stream_suffix_window`]) and the in-memory
-    /// fallback clones one contiguous window of the sorted log.
+    /// more remain. Peak memory is O(`limit`): unless the backend
+    /// answers itself ([`LogBackend::stream_suffix_window`]; none in
+    /// the workspace does), one contiguous window of the in-memory
+    /// sorted log is cloned ([`UpdateLog::suffix_window`], O(`limit`)
+    /// after a binary search).
     ///
     /// Completeness across calls leans on the same stability argument
     /// as [`ReplicaEngine::suffix_since`]: while the healed peer's
@@ -604,8 +605,8 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// (`f(ts, entry_hash)`) without cloning any payload — the
     /// digest-exchange primitive of the chunked heal path. Served
     /// from the in-memory sorted log on every backend: the log always
-    /// holds the full retained suffix (backends only avoid wholesale
-    /// *cloning*), so no storage round-trip is needed to hash it.
+    /// holds the full retained suffix, so no storage round-trip is
+    /// needed to hash it.
     pub fn digest_suffix(&mut self, since: u64, mut f: impl FnMut(Timestamp, u64)) {
         self.log
             .for_suffix(since, |ts, u| f(ts, crate::heal::entry_hash(ts, u)));

@@ -304,8 +304,7 @@ pub enum StoreInput<A: UqAdt> {
     /// heal. Answered with [`StoreOutput::Membership`].
     PeerDown(Pid),
     /// `peer` is reachable again: reconcile-on-heal. The store streams
-    /// the suffix the peer missed (straight out of per-key segment
-    /// files where the backend supports it) as a
+    /// the suffix the peer missed as a
     /// [`StoreMsg::Repair`] burst addressed to the peer, and lifts the
     /// minority-partition posture if this was the last down peer.
     PeerUp(Pid),
@@ -1913,9 +1912,8 @@ where
 
     /// Emit as many chunks to `peer`'s session as its window allows,
     /// reading payloads through the bounded-window engine cursors
-    /// (O(chunk) peak memory — segment backends serve straight from
-    /// their files) and accounting every emitted chunk's estimated
-    /// bytes in the in-flight gauge and heal counters.
+    /// (O(chunk) peak memory) and accounting every emitted chunk's
+    /// estimated bytes in the in-flight gauge and heal counters.
     fn pump_heal_session(&mut self, peer: Pid) -> Vec<(Pid, StoreMsg<A::Update>)> {
         let Some(mut sess) = self.heal_sessions.remove(&peer) else {
             return Vec::new();

@@ -225,9 +225,10 @@ fn heal_converges_to_reference_gc() {
 }
 
 /// Segment-backed heal source and sink: the repair burst a
-/// segment-backed replica streams (straight out of its per-key
-/// journal segments) must be identical to the burst an in-memory
-/// replica holding the same log produces — and a crash halfway
+/// segment-backed replica streams (after the flush that makes heal a
+/// durability point, out of the same in-memory sorted log) must be
+/// identical to the burst an in-memory replica holding the same log
+/// produces — and a crash halfway
 /// through *applying* a heal burst, followed by recovery from disk
 /// and a redelivered (overlapping) burst, must still converge.
 #[test]
@@ -268,9 +269,9 @@ fn segment_heal_stream_matches_memory_and_survives_crash_mid_heal() {
     }
 
     // Heal-source differential: the segment-backed replica's burst
-    // (served by LogBackend::stream_suffix from its journal segments)
-    // must equal the in-memory replica's (served by filtering the
-    // sorted log).
+    // must equal the in-memory replica's. Both filter the sorted log
+    // (the journal keeps arrival order and is never read back while
+    // the store lives); the segment side journals and flushes first.
     let Some(StoreMsg::Repair { updates: from_seg }) = a.peer_up_monolithic(2) else {
         panic!("segment-backed heal must stream a burst");
     };

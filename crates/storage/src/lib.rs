@@ -1,4 +1,4 @@
-//! # uc-storage — persistent segment backend for the update log
+//! # uc-storage — persistent journal backend for the update log
 //!
 //! The disk half of the storage refactor: `uc-core` defines the
 //! [`LogBackend`](uc_core::backend::LogBackend) /
@@ -9,12 +9,16 @@
 //! * [`codec`] — a dependency-free binary codec for update and state
 //!   types ([`Codec`]);
 //! * [`frame`] — CRC-32 record framing (torn final records fail
-//!   closed);
-//! * [`segment`] — [`SegmentBackend`]: append-only log segments,
-//!   LSM-style base snapshots written when `StableGc` advances its
-//!   stable prefix, per-key manifests, crash recovery as
-//!   `fold(base) + replay(tail)`; and [`SegmentFactory`], the
-//!   per-shard factory a [`UcStore`](uc_core::UcStore) plugs in via
+//!   closed), in memory ([`FrameScanner`]) and streamed from a file
+//!   ([`FrameReader`]);
+//! * [`segment`] — one append-only journal per shard, group-committed
+//!   on flush: key-tagged update records, base records staged when
+//!   `StableGc` advances its stable prefix, clock watermarks,
+//!   generation rewrites once dead records outweigh live ones, and
+//!   crash recovery as `fold(base) + replay(tail)`.
+//!   [`SegmentBackend`] is one key's handle on its shard's journal;
+//!   [`SegmentFactory`] is the per-store factory a
+//!   [`UcStore`](uc_core::UcStore) plugs in via
 //!   `UcStore::with_persistence` / `UcStore::reopen`;
 //! * [`scratch`] — [`ScratchDir`], hermetic temp directories for
 //!   tests and CI.
@@ -45,6 +49,6 @@ pub mod scratch;
 pub mod segment;
 
 pub use codec::{Codec, Reader};
-pub use frame::{crc32, FrameScanner};
+pub use frame::{crc32, FrameReader, FrameScanner};
 pub use scratch::ScratchDir;
 pub use segment::{SegmentBackend, SegmentFactory};

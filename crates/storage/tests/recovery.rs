@@ -1,5 +1,5 @@
 //! Crash-recovery integration tests: the whole stack (store → engine
-//! → log → segment backend) killed and reopened.
+//! → log → shard journal) killed and reopened.
 //!
 //! * a torn final record (the classic crash shape) is detected via
 //!   CRC and dropped cleanly on reopen;
@@ -7,8 +7,11 @@
 //!   `fold(base) + replay(tail)`, observable via `query_fold_steps`;
 //! * the ingest pool's drain-on-drop flushes backends before joining
 //!   its workers, so a dropped pool loses nothing that was queued;
+//! * a heartbeat-only tick costs idle keys one small journal record
+//!   each, not a file each, and a non-compacting strategy never earns
+//!   its journal a rewrite;
 //! * the pool's poison path flushes too: a panicking fold must never
-//!   leave an unsynced segment behind (regression for the
+//!   leave an unwritten journal buffer behind (regression for the
 //!   flush-before-join fix).
 
 use std::collections::BTreeSet;
@@ -27,21 +30,28 @@ fn checkpoint() -> CheckpointFactory {
     CheckpointFactory { every: 4 }
 }
 
-/// The segment files of one key in one shard dir, sorted.
-fn key_segments(root: &std::path::Path, shard: usize, key: u64) -> Vec<PathBuf> {
-    let dir = root.join(format!("shard-{shard}"));
-    let mut out: Vec<PathBuf> = fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&format!("k{key}.")) && n.ends_with(".seg"))
-        })
-        .collect();
+/// Names and sizes of every file under `dir`, sorted.
+fn files_of(dir: &std::path::Path) -> Vec<(PathBuf, u64)> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir).unwrap().flatten() {
+        let meta = entry.metadata().unwrap();
+        if meta.is_dir() {
+            out.extend(files_of(&entry.path()));
+        } else {
+            out.push((entry.path(), meta.len()));
+        }
+    }
     out.sort();
     out
+}
+
+/// The journal generations of one shard dir, sorted.
+fn shard_journal(root: &std::path::Path, shard: usize) -> Vec<PathBuf> {
+    files_of(&root.join(format!("shard-{shard}")))
+        .into_iter()
+        .map(|(path, _)| path)
+        .filter(|p| p.extension().is_some_and(|ext| ext == "log"))
+        .collect()
 }
 
 #[test]
@@ -59,11 +69,13 @@ fn torn_final_record_is_detected_and_dropped_on_reopen() {
     drop(store);
 
     // Tear into the middle of the last update record (the classic
-    // crash shape: a prefix of the final write persisted).
-    let segs = key_segments(tmp.path(), 0, 5);
-    assert_eq!(segs.len(), 1, "one segment per process lifetime");
-    let bytes = fs::read(&segs[0]).unwrap();
-    fs::write(&segs[0], &bytes[..bytes.len() - 20]).unwrap();
+    // crash shape: a prefix of the final write persisted). The second
+    // flush wrote that record and, behind it, the key's 25-byte
+    // watermark record.
+    let journal = shard_journal(tmp.path(), 0);
+    assert_eq!(journal.len(), 1, "one generation, never rewritten");
+    let bytes = fs::read(&journal[0]).unwrap();
+    fs::write(&journal[0], &bytes[..bytes.len() - 25 - 20]).unwrap();
 
     let mut back: UcStore<Adt, CheckpointFactory, SegmentFactory> =
         UcStore::reopen(SetAdt::new(), 0, 1, checkpoint(), persist);
@@ -116,6 +128,88 @@ fn reopen_after_compaction_replays_only_the_tail() {
         folds, 3,
         "the first query folds exactly the 3-entry tail over the base, not all 13 updates"
     );
+}
+
+#[test]
+fn heartbeat_only_tick_costs_idle_keys_one_watermark_record_each() {
+    // Regression: a heartbeat merges into every engine's clock, so
+    // every key's flush saw a moved clock on every tick and rewrote a
+    // watermark file of its own (an open, a write and a close per idle
+    // key per tick).
+    const KEYS: u64 = 40;
+    let tmp = ScratchDir::new("idle-tick");
+    let persist = SegmentFactory::at(tmp.path()).unwrap();
+    let mut store: UcStore<Adt, GcFactory, SegmentFactory> =
+        UcStore::with_persistence(SetAdt::new(), 0, 2, GcFactory { n: 2 }, persist.clone());
+    for key in 0..KEYS {
+        store.update(key, SetUpdate::Insert(key as u32));
+    }
+    store.flush_backends();
+    let before = files_of(tmp.path());
+    let journals = before
+        .iter()
+        .filter(|(p, _)| p.extension().is_some_and(|e| e == "log"));
+    assert_eq!(journals.count(), 2, "one journal per shard: {before:?}");
+
+    // The peer is ahead of every update above, so nothing compacts:
+    // the tick moves clocks and nothing else.
+    let clock = store.clock() + 10;
+    store.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+    store.tick_maintenance();
+    store.flush_backends();
+    let after = files_of(tmp.path());
+    let names = |files: &[(PathBuf, u64)]| files.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&after), names(&before), "the tick created a file");
+    let grown: u64 = after.iter().zip(&before).map(|(a, b)| a.1 - b.1).sum();
+    // A watermark record is 25 bytes: frame header, tag, key, clock.
+    assert_eq!(grown, KEYS * 25, "one watermark record per idle key");
+
+    // No heartbeat since: no clock moved, nothing is written.
+    store.tick_maintenance();
+    store.flush_backends();
+    assert_eq!(files_of(tmp.path()), after, "an idle tick wrote something");
+
+    // And the watermarks are exact: every engine reopens at its clock.
+    let clocks: Vec<u64> = (0..KEYS)
+        .map(|k| store.engine(k).unwrap().clock())
+        .collect();
+    drop(store);
+    let back: UcStore<Adt, GcFactory, SegmentFactory> =
+        UcStore::reopen(SetAdt::new(), 0, 2, GcFactory { n: 2 }, persist);
+    for (key, clock) in clocks.iter().enumerate() {
+        assert_eq!(
+            back.engine(key as u64).unwrap().clock(),
+            *clock,
+            "key {key}"
+        );
+    }
+}
+
+#[test]
+fn non_compacting_strategy_never_rewrites_its_journal() {
+    // Nothing a full-log strategy journals is ever superseded except
+    // its watermarks, which stay far below the live updates here: the
+    // journal stays in its first generation however long it grows.
+    let tmp = ScratchDir::new("no-rewrite");
+    let persist = SegmentFactory::at(tmp.path()).unwrap();
+    let mut store: UcStore<Adt, CheckpointFactory, SegmentFactory> =
+        UcStore::with_persistence(SetAdt::new(), 0, 1, checkpoint(), persist.clone());
+    for i in 0..6_000u32 {
+        store.update(u64::from(i % 16), SetUpdate::Insert(i));
+        if i % 50 == 0 {
+            store.tick_maintenance();
+            store.flush_backends();
+        }
+    }
+    store.flush_backends();
+    let journal = shard_journal(tmp.path(), 0);
+    assert_eq!(journal.len(), 1);
+    assert!(journal[0].ends_with("j0000000001.log"), "{journal:?}");
+    assert!(fs::metadata(&journal[0]).unwrap().len() > 6_000 * 30);
+    drop(store);
+    let back: UcStore<Adt, CheckpointFactory, SegmentFactory> =
+        UcStore::reopen(SetAdt::new(), 0, 1, checkpoint(), persist);
+    assert_eq!(back.total_log_len(), 6_000);
 }
 
 /// A remote producer's keyed insert burst.
@@ -374,7 +468,7 @@ fn concurrent_pool_stamps_stay_unique_across_crash_and_reopen() {
             .collect::<Vec<_>>()
     };
     let first = stamp_round(&pool, 1);
-    // Quiesce the workers (so no segment write races the reopen
+    // Quiesce the workers (so no journal write races the reopen
     // below), then crash: no finish, no drop — the floor lease
     // written during stamping is all recovery has.
     pool.handle().flush().unwrap();
