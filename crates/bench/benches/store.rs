@@ -18,6 +18,12 @@
 //!   multiplexed into a *single* Algorithm 1 log (keys erased by
 //!   element re-encoding) refolds every key's updates.
 //!
+//! * **idle keys** — what one heartbeat + `tick_maintenance` +
+//!   `flush_backends` costs a GC store with 64 keys holding
+//!   un-compacted entries beside 1 k, 16 k and 128 k keys whose logs
+//!   are fully compacted. The sweeps visit the 64, so the rows sit
+//!   together; a store that walked every engine would grow linearly.
+//!
 //! Run with `cargo bench -p uc-bench --bench store`. Results are also
 //! written to `BENCH_store.json` at the workspace root so successive
 //! PRs accumulate a perf trajectory.
@@ -25,7 +31,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use uc_core::{
-    CachedReplica, CheckpointFactory, NaiveFactory, Replica, StoreMsg, UcStore, UpdateMsg,
+    CachedReplica, CheckpointFactory, GcFactory, NaiveFactory, Replica, StoreMsg, UcStore,
+    UpdateMsg,
 };
 use uc_sim::{generate_keyed, perturb_order, KeyedWorkloadSpec, SetOpKind};
 use uc_spec::{SetAdt, SetUpdate};
@@ -36,6 +43,9 @@ const REPS: usize = 7;
 const CHUNK: usize = 4096;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const EVERY: usize = 32;
+const HOT_KEYS: u64 = 64;
+const IDLE_KEY_COUNTS: [u64; 3] = [1 << 10, 1 << 14, 1 << 17];
+const IDLE_REPS: usize = 31;
 
 fn spec() -> KeyedWorkloadSpec {
     KeyedWorkloadSpec {
@@ -100,6 +110,49 @@ fn single_log_stream(spec: &KeyedWorkloadSpec) -> Vec<UpdateMsg<SetUpdate<u32>>>
 fn median(mut samples: Vec<u64>) -> u64 {
     samples.sort_unstable();
     samples[samples.len() / 2]
+}
+
+/// Median time of one heartbeat + maintenance tick + backend flush on
+/// a two-replica GC store holding `idle` fully compacted keys, with
+/// [`HOT_KEYS`] more made live (one fresh entry each) before every
+/// timed round. The round compacts the hot keys again, so each
+/// repetition starts from the same store.
+fn idle_keys_round_ns(idle: u64) -> u64 {
+    let mut peer: UcStore<SetAdt<u32>, NaiveFactory> =
+        UcStore::new(SetAdt::new(), 1, 1, NaiveFactory);
+    let mut store: UcStore<SetAdt<u32>, GcFactory> =
+        UcStore::new(SetAdt::new(), 0, 8, GcFactory { n: 2 });
+    let preload: Vec<Msg> = (0..idle + HOT_KEYS)
+        .map(|key| peer.update(key, SetUpdate::Insert(key as u32)))
+        .collect();
+    store.apply_batch_owned(preload);
+    // Own clock at the tick, the peer's by heartbeat: everything
+    // delivered is stable and folds into the bases.
+    store.tick_maintenance();
+    store.apply_message(&peer.heartbeat());
+    assert_eq!(store.total_log_len(), 0, "preload must compact away");
+    assert_eq!(store.key_count() as u64, idle + HOT_KEYS);
+
+    let mut samples = Vec::with_capacity(IDLE_REPS);
+    for rep in 0..IDLE_REPS {
+        let hot: Vec<Msg> = (0..HOT_KEYS)
+            .map(|key| peer.update(idle + key, SetUpdate::Insert(rep as u32)))
+            .collect();
+        store.apply_batch_owned(hot);
+        assert_eq!(store.live_keys() as u64, HOT_KEYS);
+        let heartbeat = peer.heartbeat();
+        let t0 = Instant::now();
+        store.tick_maintenance();
+        store.apply_message(&heartbeat);
+        store.flush_backends();
+        samples.push(t0.elapsed().as_nanos() as u64);
+        assert_eq!(
+            store.total_log_len(),
+            0,
+            "the round must compact the hot keys"
+        );
+    }
+    median(samples)
 }
 
 fn main() {
@@ -219,6 +272,19 @@ fn main() {
          {single_late_steps} steps in {single_late_ns} ns ({locality_factor:.1}x less repair)"
     );
 
+    // Idle keys: the cost of a heartbeat + tick + flush must follow
+    // the keys holding entries, not the key count.
+    let idle_rows: Vec<(u64, u64)> = IDLE_KEY_COUNTS
+        .into_iter()
+        .map(|idle| (idle, idle_keys_round_ns(idle)))
+        .collect();
+    println!(
+        "\nidle keys (one heartbeat + tick_maintenance + flush_backends, {HOT_KEYS} live keys):"
+    );
+    for (idle, ns) in &idle_rows {
+        println!("{idle:>8} idle keys {ns:>10} ns");
+    }
+
     let one_shard = rows[0].throughput_mops;
     let best_sharded = rows[1..]
         .iter()
@@ -264,7 +330,16 @@ fn main() {
         "  \"repair_locality\": {{\"late_burst\": {late_burst}, \
          \"per_key_log_steps\": {keyed_late_steps}, \"per_key_log_ns\": {keyed_late_ns}, \
          \"single_log_steps\": {single_late_steps}, \"single_log_ns\": {single_late_ns}, \
-         \"locality_factor\": {locality_factor:.1}}}"
+         \"locality_factor\": {locality_factor:.1}}},"
+    );
+    let _ = writeln!(
+        json,
+        "  \"idle_keys\": {{\"live_keys\": {HOT_KEYS}, \"reps\": {IDLE_REPS}, \"rows\": [{}]}}",
+        idle_rows
+            .iter()
+            .map(|(idle, ns)| format!("{{\"idle_keys\": {idle}, \"round_ns\": {ns}}}"))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
     json.push_str("}\n");
 

@@ -466,10 +466,18 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// Advances the Lamport clock and the strategy's stability
     /// knowledge, then lets the strategy compact.
     pub fn observe_peer_clock(&mut self, pid: u32, clock: u64) {
-        self.clock.merge(clock);
-        self.strategy.observe_clock(pid, clock);
+        self.hear_peer_clock(pid, clock);
         let ctx = self.ctx();
         self.strategy.maintain(&self.adt, &mut self.log, &ctx);
+    }
+
+    /// [`ReplicaEngine::observe_peer_clock`] without the compaction
+    /// pass: what the store replays, at the next insertion, into an
+    /// engine whose empty log let it sit out the heartbeats since (the
+    /// insertion's own repair hook compacts).
+    pub(crate) fn hear_peer_clock(&mut self, pid: u32, clock: u64) {
+        self.clock.merge(clock);
+        self.strategy.observe_clock(pid, clock);
     }
 
     /// Pin or release the strategy's compaction retention cap — see

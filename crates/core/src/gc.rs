@@ -13,6 +13,18 @@
 //! hook, which the engine feeds from updates, queries, and heartbeats
 //! alike.
 //!
+//! Under a [`UcStore`](crate::store::UcStore) or an
+//! [`IngestPool`](crate::pool::IngestPool) the heartbeats and the
+//! tick's own-clock observation reach a key's strategy at once only
+//! while its log holds entries — those are the observations that can
+//! compact something. A key whose log has emptied is skipped by the
+//! sweeps; its shard keeps the highest clock each pid announced and
+//! feeds them to `observe_clock` just before the key's next
+//! insertion, so `last_seen` and the bound of an idle key lag, and
+//! are exact again by the time an entry can depend on them. A lagging
+//! bound is a lower bound: over an empty log it refuses no cut that
+//! the current one would answer, and answers from the same base.
+//!
 //! Silent processes block stability (their `last_seen` stays low), so
 //! replicas broadcast periodic clock [`GcMsg::Heartbeat`]s via
 //! [`Replica::tick`] — the practical reading of the paper's "after

@@ -248,6 +248,10 @@ pub struct WorkerStats {
     /// only that shard's keys, not the whole store (the 10k-key
     /// first-query latency test asserts the bound).
     pub snapshots_published: u64,
+    /// Keys on this worker whose log holds un-compacted entries (a
+    /// gauge, as of the worker's last finished job) — the pooled
+    /// [`UcStore::live_keys`].
+    pub live_keys: usize,
 }
 
 /// Point-in-time counters for the whole pool (observability and the
@@ -287,6 +291,11 @@ impl PoolStats {
     pub fn total_snapshots_published(&self) -> u64 {
         self.workers.iter().map(|w| w.snapshots_published).sum()
     }
+
+    /// Keys holding un-compacted log entries, across workers.
+    pub fn total_live_keys(&self) -> usize {
+        self.workers.iter().map(|w| w.live_keys).sum()
+    }
 }
 
 /// Counters shared between the handles and one worker.
@@ -298,6 +307,7 @@ struct SharedCounters {
     messages: AtomicU64,
     shed: AtomicU64,
     snaps_published: AtomicU64,
+    live_keys: AtomicUsize,
 }
 
 impl SharedCounters {
@@ -411,9 +421,10 @@ enum Job<A: UqAdt> {
         q: A::QueryIn,
         reply: Sender<A::QueryOut>,
     },
-    /// A peer clock announcement: sweep every engine on this worker.
+    /// A peer clock announcement: every owned shard records it and
+    /// sweeps it over its live engines.
     Heartbeat { pid: u32, clock: u64 },
-    /// Run per-key maintenance (compaction) on every engine.
+    /// Run per-key maintenance (compaction) on every live engine.
     /// Carries the shared clock's value so an attached monitor can
     /// fold its own node's progress into the stability watermark.
     Maintain {
@@ -431,7 +442,8 @@ enum Job<A: UqAdt> {
         /// Handle-side mirror the worker publishes stats into.
         cells: Arc<MonitorCells>,
     },
-    /// Flush every engine's storage backend (durability point).
+    /// Flush the storage backend of every engine that journaled or
+    /// moved its clock since the last flush (durability point).
     FlushBackends,
     /// Flush barrier: ack once every earlier job on this inbox is done.
     Barrier(Sender<()>),
@@ -716,8 +728,9 @@ where
                 if let Some(mon) = monitor.as_mut() {
                     mon.observe_update(key, msg.ts.clock, msg.ts.pid, &msg.update);
                 }
-                sh.engine_mut(key, adt, *pid, factory, persist)
-                    .local_update_at(msg.ts, msg.update);
+                sh.insert_into(key, adt, *pid, factory, persist, |engine| {
+                    engine.local_update_at(msg.ts, msg.update)
+                });
             }
             Job::Query {
                 shard,
@@ -727,8 +740,7 @@ where
                 reply,
             } => {
                 let sh = shard_mut(shards, shard);
-                let out = if sh.objects.contains_key(&key) {
-                    let engine = sh.engine_mut(key, adt, *pid, factory, persist);
+                let out = if let Some(engine) = sh.engine_mut(key) {
                     let out = engine.do_query_at(now, &q);
                     if let Some(mon) = monitor.as_mut() {
                         if mon.sampled(key) {
@@ -768,10 +780,10 @@ where
                     mon.observe_heartbeat(*pid, clock);
                     mon.tick();
                     for (_, shard) in shards.iter_mut() {
-                        for (key, engine) in shard.objects.iter_mut() {
-                            if mon.sampled(*key) {
+                        for (key, engine) in shard.engines_mut() {
+                            if mon.sampled(key) {
                                 let state = engine.materialize();
-                                mon.check_tick_state(*key, &state);
+                                mon.check_tick_state(key, &state);
                             }
                         }
                     }
@@ -790,9 +802,9 @@ where
                 let mut out = Vec::new();
                 let mut failed = None;
                 'shards: for (_, shard) in shards.iter_mut() {
-                    for (key, engine) in shard.objects.iter_mut() {
+                    for (key, engine) in shard.engines_mut() {
                         match engine.state_at_cut(cut) {
-                            Ok(state) => out.push((*key, state)),
+                            Ok(state) => out.push((key, state)),
                             Err(e) => {
                                 failed = Some(e);
                                 break 'shards;
@@ -824,10 +836,10 @@ where
                     if shard.high_water <= since {
                         continue;
                     }
-                    for (key, engine) in shard.objects.iter_mut() {
+                    for (key, engine) in shard.engines_mut() {
                         for msg in engine.suffix_since(since) {
                             if msg.ts.pid != exclude_pid {
-                                out.push((*key, msg));
+                                out.push((key, msg));
                             }
                         }
                     }
@@ -848,8 +860,8 @@ where
                     if shard.high_water <= since {
                         continue;
                     }
-                    for (key, engine) in shard.objects.iter_mut() {
-                        let slot = digest_slot(*key, groups, ranges) as usize;
+                    for (key, engine) in shard.engines_mut() {
+                        let slot = digest_slot(key, groups, ranges) as usize;
                         engine.digest_suffix(since, |ts, hash| {
                             if ts.pid != exclude_pid {
                                 slots[slot].fold(hash);
@@ -865,7 +877,7 @@ where
                     if shard.high_water <= since {
                         continue;
                     }
-                    out.extend(shard.objects.keys().map(|k| (*idx, *k)));
+                    out.extend(shard.keys().map(|k| (*idx, k)));
                 }
                 let _ = reply.send(out);
             }
@@ -878,7 +890,7 @@ where
                 reply,
             } => {
                 let sh = shard_mut(shards, shard);
-                let out = match sh.objects.get_mut(&key) {
+                let out = match sh.engine_mut(key) {
                     Some(engine) => engine.suffix_since_window(since, after, limit),
                     // The key vanished mid-plan (cannot happen while
                     // the session pins retention, but stay total).
@@ -894,7 +906,7 @@ where
             Job::AttachMonitor { cfg, cells } => {
                 let mut mon = OnlineMonitor::new(adt.clone(), cfg);
                 for (_, shard) in shards.iter() {
-                    mon.exclude_keys(shard.objects.keys().copied());
+                    mon.exclude_keys(shard.keys());
                 }
                 *monitor = Some(mon);
                 *monitor_cells = Some(cells);
@@ -905,6 +917,14 @@ where
         if let (Some(mon), Some(cells)) = (monitor.as_ref(), monitor_cells.as_ref()) {
             cells.publish(mon.stats());
         }
+        self.publish_live_keys(counters);
+    }
+
+    /// Mirror the owned shards' live-list lengths for the handle
+    /// (relaxed: a gauge; a barrier's ack orders it for the reader).
+    fn publish_live_keys(&self, counters: &SharedCounters) {
+        let live = self.shards.iter().map(|(_, s)| s.live_keys()).sum();
+        counters.live_keys.store(live, Ordering::Relaxed);
     }
 }
 
@@ -964,7 +984,7 @@ impl<A: UqAdt> SnapPublisher<A> {
         P: BackendFactory<A>,
     {
         let sh = shard_mut(&mut state.shards, shard_idx);
-        let Some(engine) = sh.objects.get_mut(&key) else {
+        let Some(engine) = sh.engine_mut(key) else {
             return;
         };
         let snapshot = Arc::new(SnapEntry {
@@ -1013,11 +1033,7 @@ impl<A: UqAdt> SnapPublisher<A> {
         F: StrategyFactory<A>,
         P: BackendFactory<A>,
     {
-        let keys: Vec<Key> = shard_mut(&mut state.shards, shard_idx)
-            .objects
-            .keys()
-            .copied()
-            .collect();
+        let keys: Vec<Key> = shard_mut(&mut state.shards, shard_idx).keys().collect();
         for key in keys {
             self.publish_key(core, state, shard_idx, key, dirty_registries, counters);
         }
@@ -1093,6 +1109,8 @@ where
     let inbox = &core.inboxes[widx];
     let counters = &core.counters[widx];
     inbox.register_consumer(std::thread::current());
+    // A store may arrive with live keys (a respawned pool, a reopen).
+    state.publish_live_keys(counters);
     let mut batch: Vec<Job<A>> = Vec::new();
     let mut touched: BTreeSet<(usize, Key)> = BTreeSet::new();
     let mut dirty_registries: BTreeSet<usize> = BTreeSet::new();
@@ -2042,6 +2060,8 @@ where
         let mut shed = 0;
         let mut snaps = 0;
         let mut high_water = 0u64;
+        reg.gauge("uc_store_live_keys")
+            .set(stats.total_live_keys() as i64);
         for w in &stats.workers {
             batches += w.batches;
             messages += w.messages;
@@ -2455,6 +2475,7 @@ where
                     queue_high_water: c.high_water.load(Ordering::Relaxed),
                     shed: c.shed.load(Ordering::Relaxed),
                     snapshots_published: c.snaps_published.load(Ordering::Relaxed),
+                    live_keys: c.live_keys.load(Ordering::Relaxed),
                 })
                 .collect(),
         }
@@ -2736,6 +2757,50 @@ mod tests {
         assert_eq!(pool.query(99, &SetQuery::Read).unwrap(), BTreeSet::new());
         let s = pool.finish().unwrap();
         assert_eq!(s.key_count(), 1, "queries alone do not materialize keys");
+    }
+
+    #[test]
+    fn pooled_idle_key_hears_missed_heartbeats_before_its_next_insertion() {
+        use crate::store::GcFactory;
+        // Replica 0 of 3; key 7 takes one entry from peer 1, which
+        // compacts away: the key is idle at stability bound 1.
+        let gc = GcFactory { n: 3 };
+        let mut peer: UcStore<SetAdt<u32>, GcFactory> = UcStore::new(SetAdt::new(), 1, 2, gc);
+        let store: UcStore<SetAdt<u32>, GcFactory> = UcStore::new(SetAdt::new(), 0, 2, gc);
+        let mut pool = store.into_pool(cfg(2));
+        let hb = |pid, clock| StoreMsg::Heartbeat { pid, clock };
+        pool.submit_batch(vec![peer.update(7, SetUpdate::Insert(1))])
+            .unwrap();
+        pool.flush().unwrap();
+        assert_eq!(pool.stats().total_live_keys(), 1);
+        pool.tick_maintenance().unwrap();
+        pool.submit_batch(vec![hb(1, 1), hb(2, 1)]).unwrap();
+        pool.flush().unwrap();
+        assert_eq!(pool.stats().total_live_keys(), 0);
+        let reg = Registry::new();
+        pool.export_metrics(&reg);
+        assert_eq!(reg.snapshot().gauge("uc_store_live_keys"), Some(0));
+
+        // Two heartbeats and a tick pass the idle key by ...
+        pool.submit_batch(vec![hb(1, 100), hb(2, 100)]).unwrap();
+        pool.tick_maintenance().unwrap();
+        let mut idle = pool.finish().unwrap();
+        let engine = idle.engine(7).unwrap();
+        assert_eq!(engine.clock(), 1, "an idle key is not visited");
+        assert_eq!(engine.strategy().stability_bound(), 1);
+        assert_eq!(idle.materialize_key(7), BTreeSet::from([1]));
+
+        // ... and it hears both before a local update goes in.
+        let mut pool = idle.into_pool(cfg(2));
+        pool.update(7, SetUpdate::Insert(2)).unwrap();
+        pool.tick_maintenance().unwrap();
+        pool.flush().unwrap();
+        assert_eq!(pool.stats().total_live_keys(), 1);
+        let caught_up = pool.finish().unwrap();
+        let engine = caught_up.engine(7).unwrap();
+        assert!(engine.clock() > 100);
+        assert_eq!(engine.strategy().stability_bound(), 100);
+        assert_eq!(engine.log_len(), 1, "stamped above 100");
     }
 
     #[test]

@@ -38,6 +38,12 @@
 //!   [`ReplicaEngine::on_deliver_batch`] /
 //!   [`UpdateLog::insert_batch`](crate::log::UpdateLog::insert_batch)
 //!   — one repair per key per burst;
+//! * **live keys** — a received heartbeat, a maintenance tick and a
+//!   backend flush visit only the keys whose log still holds
+//!   un-compacted entries (each shard's *live list*); a key with an
+//!   empty log hears the clocks it missed just before its next
+//!   insertion, so what a tick costs follows the unstable keys, not
+//!   the key count ([`UcStore::live_keys`]);
 //! * **Protocol impl** — the store is a
 //!   [`Protocol`](uc_sim::Protocol) node and runs unchanged under the
 //!   deterministic simulator and the threaded cluster.
@@ -595,9 +601,10 @@ impl<A: UqAdt> fmt::Debug for StoreSnapshot<A> {
 
 /// Collapse a burst's heartbeats to one per announcing pid (the max
 /// clock). `observe_clock` is a running max, so the end state is
-/// identical — but each applied heartbeat sweeps every engine in every
-/// shard, so a burst carrying one heartbeat per peer would otherwise
-/// repeat that full sweep per peer redundancy-free.
+/// identical — but each applied heartbeat sweeps every live engine
+/// (one holding un-compacted entries) in every shard, so a burst
+/// carrying several heartbeats of one peer would otherwise repeat that
+/// sweep for each.
 pub(crate) fn collapse_heartbeats(mut hbs: Vec<(u32, u64)>) -> Vec<(u32, u64)> {
     hbs.sort_unstable();
     hbs.dedup_by(|later, earlier| {
@@ -613,15 +620,47 @@ pub(crate) fn collapse_heartbeats(mut hbs: Vec<(u32, u64)>) -> Vec<(u32, u64)> {
     hbs
 }
 
+/// One key's engine, with its membership in its shard's two work
+/// lists kept beside it: the insertion path tests a flag on the slot
+/// it already holds instead of probing a side set.
+#[derive(Clone, Debug)]
+struct Slot<A: UqAdt, S, B> {
+    engine: ReplicaEngine<A, S, B>,
+    /// On [`Shard::live`].
+    live: bool,
+    /// On [`Shard::unflushed`].
+    unflushed: bool,
+}
+
 /// One shard: the keys (and their engines) that hash to it, plus its
 /// own global index (the coordinate backend factories open per-key
 /// storage under). Crate visibility: shards are the unit of ownership
 /// the [`IngestPool`](crate::pool::IngestPool) hands to its persistent
 /// workers.
+///
+/// Heartbeats, maintenance ticks and flushes visit the **live** keys
+/// only — those whose log still holds un-compacted entries. An engine
+/// whose log has emptied has nothing to compact and answers queries
+/// from its base, so it sits the sweeps out; the shard remembers the
+/// highest clock each pid announced ([`Shard::heard`]) and the engine
+/// hears them, late, just before its next insertion
+/// ([`Shard::insert_into`]). Both lists hold a key at most once (the
+/// slot flags), so they are bounded by the key count.
 #[derive(Clone, Debug)]
 pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     pub(crate) idx: usize,
-    pub(crate) objects: HashMap<Key, ReplicaEngine<A, S, B>, BuildHasherDefault<FxHasher>>,
+    objects: HashMap<Key, Slot<A, S, B>, BuildHasherDefault<FxHasher>>,
+    /// Keys whose log held entries when last looked at. A log that an
+    /// insertion's own compaction emptied stays listed until the next
+    /// sweep finds it so.
+    live: Vec<Key>,
+    /// Keys that journaled or moved their clock while off the live
+    /// list since the last [`Shard::flush_backends`]: they were idle
+    /// when an insertion began, or they left the live list.
+    unflushed: Vec<Key>,
+    /// Highest clock each pid has announced by heartbeat, ascending
+    /// by pid (a cluster's worth of entries).
+    heard: Vec<(u32, u64)>,
     /// Highest update-timestamp clock this shard has ingested or
     /// issued — the per-shard divergence high-water mark. Heal skips
     /// shards whose high water never passed the outage-start
@@ -638,6 +677,9 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
         Shard {
             idx,
             objects: HashMap::default(),
+            live: Vec::new(),
+            unflushed: Vec::new(),
+            heard: Vec::new(),
             high_water: 0,
             retention_cap: None,
         }
@@ -647,33 +689,128 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
     pub(crate) fn note_clock(&mut self, clock: u64) {
         self.high_water = self.high_water.max(clock);
     }
+
+    /// Number of keys with engines.
+    pub(crate) fn key_count(&self) -> usize {
+        self.objects.len()
+    }
+
+    /// The keys with engines, in no particular order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = Key> + '_ {
+        self.objects.keys().copied()
+    }
+
+    /// `key`'s engine, if it has one.
+    pub(crate) fn engine(&self, key: Key) -> Option<&ReplicaEngine<A, S, B>> {
+        self.objects.get(&key).map(|slot| &slot.engine)
+    }
+
+    /// `key`'s engine for a read (query, cut, suffix window): reads
+    /// never create an engine and never need the heard clocks.
+    pub(crate) fn engine_mut(&mut self, key: Key) -> Option<&mut ReplicaEngine<A, S, B>> {
+        self.objects.get_mut(&key).map(|slot| &mut slot.engine)
+    }
+
+    /// Every engine, for the store-wide reads (cuts, heal digests and
+    /// suffixes, counters).
+    pub(crate) fn engines(&self) -> impl Iterator<Item = &ReplicaEngine<A, S, B>> {
+        self.objects.values().map(|slot| &slot.engine)
+    }
+
+    /// [`Shard::engines`], keyed and mutable.
+    pub(crate) fn engines_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (Key, &mut ReplicaEngine<A, S, B>)> {
+        self.objects
+            .iter_mut()
+            .map(|(key, slot)| (*key, &mut slot.engine))
+    }
+
+    /// Keys on the live list — how many keys hold unstable entries
+    /// (a few may have been emptied by their last insertion's own
+    /// compaction and not been swept since).
+    pub(crate) fn live_keys(&self) -> usize {
+        self.live.len()
+    }
 }
 
 impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
-    pub(crate) fn engine_mut<F, P>(
+    /// Run an insertion `f` against `key`'s engine, created on first
+    /// touch. An engine that sat out heartbeats first hears every
+    /// [`Shard::heard`] clock — the `clock.merge` + `observe_clock`
+    /// calls the sweeps would have made, made now — and rejoins the
+    /// live list if the insertion left entries in its log.
+    pub(crate) fn insert_into<F, P, R>(
         &mut self,
         key: Key,
         adt: &A,
         pid: u32,
         factory: &F,
         persist: &P,
-    ) -> &mut ReplicaEngine<A, S, B>
+        f: impl FnOnce(&mut ReplicaEngine<A, S, B>) -> R,
+    ) -> R
     where
         F: StrategyFactory<A, Strategy = S>,
         P: BackendFactory<A, Backend = B>,
     {
-        let idx = self.idx;
-        let cap = self.retention_cap;
-        self.objects.entry(key).or_insert_with(|| {
+        let Shard {
+            idx,
+            objects,
+            live,
+            unflushed,
+            heard,
+            retention_cap,
+            ..
+        } = self;
+        let slot = objects.entry(key).or_insert_with(|| {
             let mut engine = ReplicaEngine::with_backend(
                 adt.clone(),
                 pid,
                 factory.make(adt),
-                persist.open(idx, key),
+                persist.open(*idx, key),
             );
-            engine.set_retention_cap(cap);
-            engine
-        })
+            engine.set_retention_cap(*retention_cap);
+            Slot {
+                engine,
+                live: false,
+                unflushed: false,
+            }
+        });
+        if !slot.live {
+            for (peer, clock) in heard.iter() {
+                slot.engine.hear_peer_clock(*peer, *clock);
+            }
+            // Owed a flush from here on, whatever `f` does: a fold
+            // that panics after journaling must leave the entries
+            // where the pool's poison-path flush finds them.
+            if !slot.unflushed {
+                slot.unflushed = true;
+                unflushed.push(key);
+            }
+        }
+        let out = f(&mut slot.engine);
+        if !slot.live && slot.engine.log_len() > 0 {
+            slot.live = true;
+            live.push(key);
+        }
+        out
+    }
+
+    /// Adopt an engine rebuilt by [`UcStore::reopen`]; one that
+    /// recovered a non-empty tail is live.
+    pub(crate) fn adopt(&mut self, key: Key, engine: ReplicaEngine<A, S, B>) {
+        let live = engine.log_len() > 0;
+        if live {
+            self.live.push(key);
+        }
+        self.objects.insert(
+            key,
+            Slot {
+                engine,
+                live,
+                unflushed: false,
+            },
+        );
     }
 
     /// Ingest one shard's sub-batch: stable-sort by key (preserving
@@ -702,38 +839,91 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             while let Some((_, m)) = iter.next_if(|(k, _)| *k == key) {
                 msgs.push(m);
             }
-            self.engine_mut(key, adt, pid, factory, persist)
-                .on_deliver_batch_owned(msgs);
+            self.insert_into(key, adt, pid, factory, persist, |engine| {
+                engine.on_deliver_batch_owned(msgs)
+            });
         }
+    }
+
+    /// Retained log entries, summed over the live keys (every other
+    /// log is empty).
+    pub(crate) fn live_log_len(&self) -> usize {
+        self.live
+            .iter()
+            .filter_map(|key| self.engine(*key))
+            .map(|engine| engine.log_len())
+            .sum()
     }
 
     /// Pin (or release) compaction on every engine in this shard and
     /// remember the cap for engines created later.
     pub(crate) fn set_retention_cap(&mut self, cap: Option<u64>) {
         self.retention_cap = cap;
-        for engine in self.objects.values_mut() {
-            engine.set_retention_cap(cap);
+        for slot in self.objects.values_mut() {
+            slot.engine.set_retention_cap(cap);
         }
     }
 
-    /// Sweep a heartbeat over every engine in this shard.
+    /// Run `f` on every live engine; one whose log `f` left empty
+    /// leaves the live list, owing one last flush.
+    fn sweep_live(&mut self, mut f: impl FnMut(&mut ReplicaEngine<A, S, B>)) {
+        let Shard {
+            objects,
+            live,
+            unflushed,
+            ..
+        } = self;
+        live.retain(|key| {
+            let slot = objects.get_mut(key).expect("a live key has an engine");
+            f(&mut slot.engine);
+            if slot.engine.log_len() > 0 {
+                return true;
+            }
+            slot.live = false;
+            if !slot.unflushed {
+                slot.unflushed = true;
+                unflushed.push(*key);
+            }
+            false
+        });
+    }
+
+    /// A peer announced its clock: remember it for the idle engines
+    /// and sweep it over the live ones.
     pub(crate) fn observe_peer_clock(&mut self, pid: u32, clock: u64) {
-        for engine in self.objects.values_mut() {
-            engine.observe_peer_clock(pid, clock);
+        match self.heard.binary_search_by_key(&pid, |(p, _)| *p) {
+            Ok(at) => self.heard[at].1 = self.heard[at].1.max(clock),
+            Err(at) => self.heard.insert(at, (pid, clock)),
         }
+        self.sweep_live(|engine| engine.observe_peer_clock(pid, clock));
     }
 
-    /// Run per-key maintenance (compaction) on every engine.
+    /// Run per-key maintenance (compaction) on every live engine.
     pub(crate) fn tick_maintenance(&mut self) {
-        for engine in self.objects.values_mut() {
-            engine.tick_maintenance();
-        }
+        self.sweep_live(|engine| engine.tick_maintenance());
     }
 
-    /// Flush every engine's storage backend (durability point).
+    /// Flush the storage backend of every engine that can have
+    /// journaled or moved its clock since the last flush: the live
+    /// ones and the unflushed idle ones (durability point).
     pub(crate) fn flush_backends(&mut self) {
-        for engine in self.objects.values_mut() {
-            engine.flush_backend();
+        let Shard {
+            objects,
+            live,
+            unflushed,
+            ..
+        } = self;
+        for key in live.iter() {
+            let slot = objects.get_mut(key).expect("a live key has an engine");
+            slot.engine.flush_backend();
+        }
+        for key in unflushed.drain(..) {
+            let slot = objects.get_mut(&key).expect("a listed key has an engine");
+            slot.unflushed = false;
+            // Back on the live list since: flushed just above.
+            if !slot.live {
+                slot.engine.flush_backend();
+            }
         }
     }
 }
@@ -854,7 +1044,7 @@ impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> fmt::Debug for UcSto
             .field("shards", &self.shards.len())
             .field(
                 "keys",
-                &self.shards.iter().map(|s| s.objects.len()).sum::<usize>(),
+                &self.shards.iter().map(|s| s.key_count()).sum::<usize>(),
             )
             .finish_non_exhaustive()
     }
@@ -982,18 +1172,21 @@ where
                     backend,
                 );
                 clock = clock.max(engine.clock());
-                store.shards[si].objects.insert(key, engine);
+                store.shards[si].adopt(key, engine);
             }
         }
         store.clock.merge(clock);
         store
     }
 
-    /// Flush every engine's storage backend and persist the shared
-    /// clock watermark — the durability point. The runtimes call this
-    /// from [`Protocol::on_tick`], so segment flushing rides the
-    /// virtual timer wheel with no dedicated threads; a no-op for
-    /// in-memory stores.
+    /// Flush the storage backend of every engine that journaled or
+    /// moved its clock since the last flush — the live keys and those
+    /// that went idle meanwhile — and persist the shared clock
+    /// watermark: the durability point. The runtimes call this from
+    /// [`Protocol::on_tick`], so segment flushing rides the virtual
+    /// timer wheel with no dedicated threads; a no-op for in-memory
+    /// stores. An idle key writes nothing: the clocks it has yet to
+    /// hear are covered by the store-level floor below.
     ///
     /// The persisted clock floor is collapsed from its lease back to
     /// the actual clock: every timestamp issued so far just became
@@ -1100,7 +1293,15 @@ where
         }
     }
 
-    fn engine_mut(&mut self, key: Key) -> &mut ReplicaEngine<A, F::Strategy, P::Backend> {
+    /// Run an insertion against `key`'s engine (created, caught up on
+    /// heard clocks and listed live as needed — see
+    /// [`Shard::insert_into`]), noting its clock on the shard.
+    fn insert_into<R>(
+        &mut self,
+        key: Key,
+        clock: u64,
+        f: impl FnOnce(&mut ReplicaEngine<A, F::Strategy, P::Backend>) -> R,
+    ) -> R {
         let si = self.shard_of(key);
         let UcStore {
             adt,
@@ -1110,7 +1311,14 @@ where
             shards,
             ..
         } = self;
-        shards[si].engine_mut(key, adt, *pid, factory, persist)
+        shards[si].note_clock(clock);
+        shards[si].insert_into(key, adt, *pid, factory, persist, f)
+    }
+
+    /// `key`'s engine for a read, if the key has one.
+    fn engine_mut(&mut self, key: Key) -> Option<&mut ReplicaEngine<A, F::Strategy, P::Backend>> {
+        let si = self.shard_of(key);
+        self.shards[si].engine_mut(key)
     }
 
     /// Perform a local update on `key`: tick the shared clock, stamp
@@ -1125,9 +1333,7 @@ where
         if let Some(tr) = &self.trace {
             tr.record(TraceKind::Update, key, ts.clock);
         }
-        let si = self.shard_of(key);
-        self.shards[si].note_clock(ts.clock);
-        let msg = self.engine_mut(key).local_update_at(ts, u);
+        let msg = self.insert_into(key, ts.clock, |engine| engine.local_update_at(ts, u));
         StoreMsg::Update { key, msg }
     }
 
@@ -1138,19 +1344,18 @@ where
         let now = self.clock.tick();
         // An untouched key answers from the initial state without
         // instantiating an engine.
-        let si = self.shard_of(key);
-        if !self.shards[si].objects.contains_key(&key) {
+        let Some(engine) = self.engine_mut(key) else {
             if let Some(mon) = &mut self.monitor {
                 mon.check_query_state(key, &self.adt.initial());
             }
             return self.adt.observe(&self.adt.initial(), q);
-        }
-        let out = self.engine_mut(key).do_query_at(now, q);
+        };
+        let out = engine.do_query_at(now, q);
         // Sampled keys verify the served state against the monitor's
         // shadow fold (the online UC check); unsampled keys pay one
         // branch.
         if self.monitor.as_ref().is_some_and(|m| m.sampled(key)) {
-            let state = self.engine_mut(key).materialize();
+            let state = self.materialize_key(key);
             if let Some(mon) = &mut self.monitor {
                 mon.check_query_state(key, &state);
             }
@@ -1185,8 +1390,8 @@ where
     fn snapshot_no_tick(&mut self, cut: u64) -> Result<StoreSnapshot<A>, CutError> {
         let mut states = std::collections::BTreeMap::new();
         for shard in &mut self.shards {
-            for (key, engine) in shard.objects.iter_mut() {
-                states.insert(*key, engine.state_at_cut(cut)?);
+            for (key, engine) in shard.engines_mut() {
+                states.insert(key, engine.state_at_cut(cut)?);
             }
         }
         if let Some(mon) = &mut self.monitor {
@@ -1211,9 +1416,7 @@ where
                 if let Some(mon) = &mut self.monitor {
                     mon.observe_update(*key, msg.ts.clock, msg.ts.pid, &msg.update);
                 }
-                let si = self.shard_of(*key);
-                self.shards[si].note_clock(msg.ts.clock);
-                self.engine_mut(*key).on_deliver(msg);
+                self.insert_into(*key, msg.ts.clock, |engine| engine.on_deliver(msg));
             }
             StoreMsg::Heartbeat { pid, clock } => {
                 self.clock.merge(*clock);
@@ -1230,9 +1433,7 @@ where
                     if let Some(mon) = &mut self.monitor {
                         mon.observe_update(*key, msg.ts.clock, msg.ts.pid, &msg.update);
                     }
-                    let si = self.shard_of(*key);
-                    self.shards[si].note_clock(msg.ts.clock);
-                    self.engine_mut(*key).on_deliver(msg);
+                    self.insert_into(*key, msg.ts.clock, |engine| engine.on_deliver(msg));
                 }
                 if let Some(tr) = &self.trace {
                     tr.record(TraceKind::Heal, 0, updates.len() as u64);
@@ -1456,8 +1657,8 @@ where
         }
     }
 
-    /// Run per-key maintenance (compaction) on every engine, then the
-    /// monitor's window maintenance (stability compaction plus the
+    /// Run per-key maintenance (compaction) on every live engine, then
+    /// the monitor's window maintenance (stability compaction plus the
     /// online EC convergence sweep over sampled keys).
     pub fn tick_maintenance(&mut self) {
         for shard in &mut self.shards {
@@ -1481,12 +1682,12 @@ where
             mon.tick();
             self.shards
                 .iter()
-                .flat_map(|s| s.objects.keys().copied())
+                .flat_map(|s| s.keys())
                 .filter(|k| mon.sampled(*k))
                 .collect()
         };
         for key in sampled {
-            let state = self.engine_mut(key).materialize();
+            let state = self.materialize_key(key);
             if let Some(mon) = &mut self.monitor {
                 mon.check_tick_state(key, &state);
             }
@@ -1520,20 +1721,15 @@ where
     /// The state `key` would converge to with no further input
     /// (initial state for untouched keys).
     pub fn materialize_key(&mut self, key: Key) -> A::State {
-        let si = self.shard_of(key);
-        if !self.shards[si].objects.contains_key(&key) {
-            return self.adt.initial();
+        match self.engine_mut(key) {
+            Some(engine) => engine.materialize(),
+            None => self.adt.initial(),
         }
-        self.engine_mut(key).materialize()
     }
 
     /// All keys this store has engines for, sorted.
     pub fn keys(&self) -> Vec<Key> {
-        let mut out: Vec<Key> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.objects.keys().copied())
-            .collect();
+        let mut out: Vec<Key> = self.shards.iter().flat_map(|s| s.keys()).collect();
         out.sort_unstable();
         out
     }
@@ -1555,16 +1751,21 @@ where
 
     /// Number of keys with instantiated engines.
     pub fn key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.objects.len()).sum()
+        self.shards.iter().map(|s| s.key_count()).sum()
     }
 
-    /// Retained log entries summed over all keys.
+    /// Retained log entries summed over all keys — a walk of the
+    /// live keys only, an idle key's log being empty by definition.
     pub fn total_log_len(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.objects.values())
-            .map(|e| e.log_len())
-            .sum()
+        self.shards.iter().map(|s| s.live_log_len()).sum()
+    }
+
+    /// Keys whose log holds un-compacted entries: the keys that are
+    /// holding GC open, and the ones a heartbeat, tick or flush
+    /// visits. (A log emptied by its last insertion's own compaction
+    /// is counted until the next sweep.)
+    pub fn live_keys(&self) -> usize {
+        self.shards.iter().map(|s| s.live_keys()).sum()
     }
 
     /// Repair events summed over all keys (at most one per key per
@@ -1572,7 +1773,7 @@ where
     pub fn total_repair_events(&self) -> u64 {
         self.shards
             .iter()
-            .flat_map(|s| s.objects.values())
+            .flat_map(|s| s.engines())
             .map(|e| e.repair_events())
             .sum()
     }
@@ -1583,14 +1784,14 @@ where
     pub fn total_repair_steps(&self) -> u64 {
         self.shards
             .iter()
-            .flat_map(|s| s.objects.values())
+            .flat_map(|s| s.engines())
             .map(|e| e.repair_steps())
             .sum()
     }
 
     /// Access one key's engine (observability, tests).
     pub fn engine(&self, key: Key) -> Option<&ReplicaEngine<A, F::Strategy, P::Backend>> {
-        self.shards[self.shard_of(key)].objects.get(&key)
+        self.shards[self.shard_of(key)].engine(key)
     }
 
     /// Choose how this replica answers reads while it sits in a
@@ -1675,6 +1876,7 @@ where
         reg.gauge("uc_store_keys").set(self.key_count() as i64);
         reg.gauge("uc_store_log_len")
             .set(self.total_log_len() as i64);
+        reg.gauge("uc_store_live_keys").set(self.live_keys() as i64);
         reg.gauge("uc_store_clock").set(self.clock.now() as i64);
         reg.counter("uc_store_repair_events_total")
             .set(self.total_repair_events());
@@ -1838,8 +2040,8 @@ where
             if shard.high_water <= since {
                 continue;
             }
-            for (key, engine) in shard.objects.iter_mut() {
-                let slot = crate::heal::digest_slot(*key, groups, ranges) as usize;
+            for (key, engine) in shard.engines_mut() {
+                let slot = crate::heal::digest_slot(key, groups, ranges) as usize;
                 engine.digest_suffix(since, |ts, hash| {
                     if ts.pid != exclude {
                         slots[slot].fold(hash);
@@ -1875,7 +2077,7 @@ where
             if shard.high_water <= since {
                 continue;
             }
-            candidates.extend(shard.objects.keys().map(|k| (si, *k)));
+            candidates.extend(shard.keys().map(|k| (si, k)));
         }
         let sess = self.heal_sessions.get_mut(&from).expect("checked above");
         if let Some(skipped) = sess.begin_streaming(mismatched, candidates) {
@@ -1923,7 +2125,7 @@ where
         let chunks = {
             let shards = &mut self.shards;
             sess.fill_chunks(&cfg, per_entry, |si, key, since, after, limit| {
-                match shards[si].objects.get_mut(&key) {
+                match shards[si].engine_mut(key) {
                     Some(engine) => engine.suffix_since_window(since, after, limit),
                     // The key vanished mid-plan (cannot happen while
                     // the session pins retention, but stay total).
@@ -2089,9 +2291,7 @@ where
             if shard.high_water <= since {
                 continue;
             }
-            let keys: Vec<Key> = shard.objects.keys().copied().collect();
-            for key in keys {
-                let engine = shard.objects.get_mut(&key).expect("key just listed");
+            for (key, engine) in shard.engines_mut() {
                 for msg in engine.suffix_since(since) {
                     if msg.ts.pid != exclude_pid {
                         out.push((key, msg));
@@ -2263,11 +2463,15 @@ where
 
     /// Timer-driven maintenance: announce the shared clock (one
     /// heartbeat advances every key's stability knowledge on every
-    /// peer), advance stalled heal sessions (digest re-sends, window
-    /// expiry), compact every key's stable prefix, and flush the
-    /// storage backends. On a timer-driven runtime this is what keeps
-    /// GC stores compacting — and segment-backed stores durable —
-    /// without any dedicated heartbeat or flusher thread.
+    /// peer — at once for the keys holding un-compacted entries, at
+    /// their next insertion for the rest), advance stalled heal
+    /// sessions (digest re-sends, window expiry), compact every live
+    /// key's stable prefix, and flush the storage backends of the keys
+    /// that journaled or moved their clock. The cost follows the keys
+    /// with unstable entries, not the key count. On a timer-driven
+    /// runtime this is what keeps GC stores compacting — and
+    /// segment-backed stores durable — without any dedicated heartbeat
+    /// or flusher thread.
     fn on_tick(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
         ctx.broadcast_others(self.heartbeat());
         for (to, m) in self.heal_tick() {
@@ -2440,6 +2644,101 @@ mod tests {
         for k in 0..3u64 {
             assert_eq!(a.materialize_key(k), b.materialize_key(k));
         }
+    }
+
+    type GcStore = UcStore<SetAdt<u32>, GcFactory>;
+
+    /// Replica 0 of 3, with key 7 compacted and idle: one entry from
+    /// peer 1, folded into the base at stability bound 1.
+    fn store_with_idle_key() -> (GcStore, GcStore) {
+        let mut s: GcStore = UcStore::new(SetAdt::new(), 0, 2, GcFactory { n: 3 });
+        let mut peer: GcStore = UcStore::new(SetAdt::new(), 1, 2, GcFactory { n: 3 });
+        s.apply_message(&peer.update(7, SetUpdate::Insert(1)));
+        assert_eq!(s.live_keys(), 1);
+        s.tick_maintenance();
+        s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock: 1 });
+        s.apply_message(&StoreMsg::Heartbeat { pid: 2, clock: 1 });
+        assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
+        assert_eq!(s.engine(7).unwrap().strategy().stability_bound(), 1);
+        (s, peer)
+    }
+
+    #[test]
+    fn idle_key_sits_heartbeats_out_and_hears_them_before_its_next_insertion() {
+        for path in 0..3 {
+            let (mut s, mut peer) = store_with_idle_key();
+            let clock_when_idle = s.engine(7).unwrap().clock();
+            s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock: 90 });
+            s.apply_message(&StoreMsg::Heartbeat { pid: 2, clock: 100 });
+            s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock: 100 });
+            s.tick_maintenance();
+            s.flush_backends();
+            let idle = s.engine(7).unwrap();
+            assert_eq!(idle.clock(), clock_when_idle, "an idle key is not visited");
+            assert_eq!(idle.strategy().stability_bound(), 1);
+            // A query needs none of it: the base is the state.
+            assert_eq!(s.query(7, &SetQuery::Read), BTreeSet::from([1]));
+
+            peer.apply_message(&StoreMsg::Heartbeat { pid: 0, clock: 150 });
+            let from_peer = peer.update(7, SetUpdate::Insert(2));
+            match path {
+                0 => drop(s.update(7, SetUpdate::Insert(2))),
+                1 => s.apply_message(&from_peer),
+                _ => s.apply_batch(&[from_peer]),
+            }
+            assert_eq!(s.live_keys(), 1, "path {path}: the key is live again");
+            // Its own clock at the tick is the last it lacks: with
+            // both peers' 100 heard, that is the new bound.
+            s.tick_maintenance();
+            let caught_up = s.engine(7).unwrap();
+            assert!(caught_up.clock() > 100, "path {path}");
+            assert_eq!(caught_up.strategy().stability_bound(), 100, "path {path}");
+            assert_eq!(caught_up.log_len(), 1, "path {path}: stamped above 100");
+        }
+    }
+
+    #[test]
+    fn sweeps_visit_live_keys_only_and_retire_the_compacted() {
+        let mut s: GcStore = UcStore::new(SetAdt::new(), 0, 4, GcFactory { n: 2 });
+        let mut peer: GcStore = UcStore::new(SetAdt::new(), 1, 1, GcFactory { n: 2 });
+        let burst: Vec<_> = (0..100u64)
+            .map(|k| peer.update(k, SetUpdate::Insert(k as u32)))
+            .collect();
+        s.apply_batch(&burst);
+        assert_eq!((s.live_keys(), s.total_log_len()), (100, 100));
+        s.tick_maintenance();
+        s.apply_message(&peer.heartbeat());
+        assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
+        // Ten keys take one more entry each: ten are live, ninety sit
+        // the next round out at the clock they went idle with.
+        let idle_clock = s.engine(50).unwrap().clock();
+        let more: Vec<_> = (0..10u64)
+            .map(|k| peer.update(k, SetUpdate::Delete(k as u32)))
+            .collect();
+        s.apply_batch(&more);
+        assert_eq!((s.live_keys(), s.total_log_len()), (10, 10));
+        let reg = Registry::new();
+        s.export_metrics(&reg);
+        assert_eq!(reg.snapshot().gauge("uc_store_live_keys"), Some(10));
+        assert_eq!(reg.snapshot().gauge("uc_store_log_len"), Some(10));
+        s.tick_maintenance();
+        s.apply_message(&peer.heartbeat());
+        s.flush_backends();
+        assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
+        assert_eq!(s.engine(50).unwrap().clock(), idle_clock);
+        assert!(s.engine(5).unwrap().clock() > idle_clock);
+        for k in 0..10u64 {
+            assert_eq!(s.materialize_key(k), BTreeSet::new(), "key {k}");
+        }
+    }
+
+    #[test]
+    fn duplicate_delivery_to_an_idle_key_does_not_list_it_live() {
+        let (mut s, _) = store_with_idle_key();
+        // The same timestamp again: at or below the log's floor.
+        let mut replay: GcStore = UcStore::new(SetAdt::new(), 1, 2, GcFactory { n: 3 });
+        s.apply_message(&replay.update(7, SetUpdate::Insert(1)));
+        assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
     }
 
     #[test]

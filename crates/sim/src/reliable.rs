@@ -281,14 +281,13 @@ impl<P: Protocol> ReliableLink<P> {
         }
     }
 
-    fn rto(&mut self, attempt: u32) -> u64 {
+    /// Retransmit timeout for `attempt`: capped exponential backoff
+    /// plus one jitter draw. Takes the config and the RNG apart from
+    /// `self` so a caller can hold a send channel borrowed meanwhile.
+    fn rto(cfg: &RetryConfig, rng: &mut SplitMix64, attempt: u32) -> u64 {
         let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        let backoff = self
-            .cfg
-            .base
-            .saturating_mul(factor)
-            .min(self.cfg.max_backoff);
-        backoff + self.rng.next_below(self.cfg.jitter + 1)
+        let backoff = cfg.base.saturating_mul(factor).min(cfg.max_backoff);
+        backoff + rng.next_below(cfg.jitter + 1)
     }
 
     /// Queue and transmit one inner message toward `to`. A queue
@@ -298,7 +297,7 @@ impl<P: Protocol> ReliableLink<P> {
     fn send_data(&mut self, ctx: &mut Ctx<'_, LinkMsg<P::Msg>>, to: Pid, payload: P::Msg) {
         self.ensure(ctx.n());
         let now = ctx.now();
-        let rto = self.rto(0);
+        let rto = Self::rto(&self.cfg, &mut self.rng, 0);
         let ch = &mut self.out[to as usize];
         ch.next_seq += 1;
         let seq = ch.next_seq;
@@ -362,7 +361,12 @@ impl<P: Protocol> Protocol for ReliableLink<P> {
         self.ensure(ctx.n());
         match msg {
             LinkMsg::Ack { cum } => {
-                self.out[from as usize].unacked.retain(|p| p.seq > cum);
+                // The queue is in sequence order: what a cumulative
+                // ack covers is a prefix.
+                let unacked = &mut self.out[from as usize].unacked;
+                while unacked.front().is_some_and(|p| p.seq <= cum) {
+                    unacked.pop_front();
+                }
             }
             LinkMsg::Data { seq, skip, payload } => {
                 let mut ready = Vec::new();
@@ -393,40 +397,23 @@ impl<P: Protocol> Protocol for ReliableLink<P> {
     fn on_tick(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
         self.ensure(ctx.n());
         let now = ctx.now();
-        for peer in 0..self.out.len() {
-            let mut due: Vec<(u64, P::Msg)> = Vec::new();
-            {
-                let ch = &mut self.out[peer];
-                for p in ch.unacked.iter_mut() {
-                    if p.next_retry <= now {
-                        p.attempt += 1;
-                        due.push((p.seq, p.payload.clone()));
-                    }
-                }
-            }
-            if due.is_empty() {
-                continue;
-            }
-            // Re-arm with backoff (separate pass: rto() needs &mut
-            // self.rng while the channel is borrowed above).
-            for (seq, _) in &due {
-                let attempt = self.out[peer]
-                    .unacked
-                    .iter()
-                    .find(|p| p.seq == *seq)
-                    .map_or(0, |p| p.attempt);
-                let rto = self.rto(attempt);
-                if let Some(p) = self.out[peer].unacked.iter_mut().find(|p| p.seq == *seq) {
-                    p.next_retry = now + rto;
-                }
-            }
-            self.stats.retransmits += due.len() as u64;
-            if let Some(c) = &self.counters {
-                LinkCounters::add(&c.retransmits, due.len() as u64);
-            }
-            let skip = self.out[peer].shed_floor;
-            for (seq, payload) in due {
+        let mut due = 0u64;
+        for (peer, ch) in self.out.iter_mut().enumerate() {
+            let skip = ch.shed_floor;
+            // One pass per queue: retransmit and re-arm each due entry
+            // where it lies, drawing jitter in queue order.
+            for p in ch.unacked.iter_mut().filter(|p| p.next_retry <= now) {
+                p.attempt += 1;
+                p.next_retry = now + Self::rto(&self.cfg, &mut self.rng, p.attempt);
+                due += 1;
+                let (seq, payload) = (p.seq, p.payload.clone());
                 ctx.send(peer as Pid, LinkMsg::Data { seq, skip, payload });
+            }
+        }
+        if due > 0 {
+            self.stats.retransmits += due;
+            if let Some(c) = &self.counters {
+                LinkCounters::add(&c.retransmits, due);
             }
         }
         // The inner protocol gets its tick too (heartbeats, GC, …).
@@ -648,6 +635,69 @@ mod tests {
             tx.on_message(1, m, &mut ctx);
         }
         assert_eq!(tx.pending_to(1), 0, "acks resumed past the shed gap");
+    }
+
+    /// The retransmit schedule is part of what a seeded simulation
+    /// replays: which entries are due at a tick, and the jitter each
+    /// one draws when re-armed, in queue order, peer by peer. The
+    /// expected values were recorded from the two-pass `on_tick`
+    /// (collect the due entries, then `find` each one again to re-arm
+    /// it) that the single pass replaced.
+    #[test]
+    fn retransmit_schedule_replays_bit_for_bit() {
+        let cfg = RetryConfig {
+            base: 4,
+            max_backoff: 64,
+            jitter: 7,
+            queue_cap: 6,
+        };
+        let mut tx: ReliableLink<Collector> =
+            ReliableLink::new(Collector::default(), cfg, 0xC0FFEE);
+        let mut wire = Vec::new();
+        // FNV-1a over every (tick, peer, seq, next_retry, attempt).
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |x: u64| {
+            for b in x.to_le_bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut last = Vec::new();
+        for tick in 0..50u64 {
+            let now = tick * 3;
+            // Sends keep arriving for a while (the cap-6 queues shed),
+            // and peer 1 acknowledges a prefix now and then.
+            if tick < 12 {
+                let mut ctx = Ctx::new(0, 3, now, &mut wire);
+                tx.on_invoke(tick as u32, &mut ctx);
+            }
+            if tick % 9 == 4 {
+                let mut ctx = Ctx::new(0, 3, now, &mut wire);
+                tx.on_message(1, LinkMsg::Ack { cum: tick / 3 }, &mut ctx);
+            }
+            let mut ctx = Ctx::new(0, 3, now, &mut wire);
+            tx.on_tick(&mut ctx);
+            last.clear();
+            for (peer, ch) in tx.out.iter().enumerate() {
+                for p in &ch.unacked {
+                    for x in [tick, peer as u64, p.seq, p.next_retry, u64::from(p.attempt)] {
+                        fold(x);
+                    }
+                    last.push((peer, p.seq, p.next_retry, p.attempt));
+                }
+            }
+        }
+        assert_eq!(tx.stats().retransmits, 56);
+        assert_eq!(wire.len(), 80, "first transmissions and retransmissions");
+        let still_owed_to_peer_2 = vec![
+            (2, 7, 161, 4),
+            (2, 8, 164, 4),
+            (2, 9, 176, 4),
+            (2, 10, 172, 4),
+            (2, 11, 180, 4),
+            (2, 12, 175, 4),
+        ];
+        assert_eq!(last, still_owed_to_peer_2, "after the last tick");
+        assert_eq!(digest, 0x198a_0b69_e6bb_53fa, "over all 50 ticks");
     }
 
     #[test]

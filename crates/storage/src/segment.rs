@@ -43,10 +43,13 @@
 //!
 //! Superseded records (updates at or below a staged base, older bases,
 //! older watermarks) are dead bytes. When a generation's dead bytes
-//! exceed both its live bytes and `REWRITE_FLOOR` (64 KiB), the next flush
+//! exceed both its live bytes and `REWRITE_FLOOR` (256 KiB), the next flush
 //! streams the live records through a bounded buffer into
 //! `j<gen+1>.log.tmp`, closes them with a seal record, syncs, renames
-//! the file into place and unlinks the old generation.
+//! the file into place and unlinks the old generation. A rewrite reads
+//! the whole generation twice, so what it costs per retired byte does
+//! not depend on the floor; the floor sets how often a flush pays it
+//! (and how many dead bytes a recovery scan may have to read past).
 //!
 //! # Recovery and crash consistency
 //!
@@ -103,8 +106,11 @@ const TMP_SUFFIX: &str = ".tmp";
 const BUFFER_LIMIT: usize = 4 << 10;
 
 /// Dead bytes a generation must hold before it is worth rewriting,
-/// however small its live part.
-const REWRITE_FLOOR: u64 = 64 << 10;
+/// however small its live part. A rewrite costs the same per retired
+/// byte whatever the floor (~4 us per KiB); a low floor only cuts
+/// that cost into more pieces, and each flush that carries one then
+/// costs a step more than the flushes around it.
+const REWRITE_FLOOR: u64 = 256 << 10;
 
 /// Framed length of a watermark record: tag, key, clock.
 const WATERMARK_LEN: u64 = (FRAME_HEADER + 1 + 8 + 8) as u64;
@@ -977,15 +983,18 @@ mod tests {
         lock(&b.journal).len
     }
 
-    /// Enough dead bytes for a rewrite: `n` updates of key `b`, all
-    /// folded into a staged base, flushed at clock `n`.
-    fn retire_updates(b: &mut B, n: u32) -> BTreeSet<u32> {
-        let entries: Vec<Entry> = (1..=n).map(|i| entry(u64::from(i), 0, i % 50)).collect();
+    /// Updates whose records outweigh [`REWRITE_FLOOR`].
+    const RETIRED: u64 = 8_000;
+
+    /// Enough dead bytes for a rewrite: [`RETIRED`] updates of key
+    /// `b`, all folded into a staged base, flushed at that clock.
+    fn retire_updates(b: &mut B) -> BTreeSet<u32> {
+        let entries: Vec<Entry> = (1..=RETIRED).map(|i| entry(i, 0, i as u32 % 50)).collect();
         assert!(entries.len() as u64 * 34 > REWRITE_FLOOR);
         b.append_batch(&entries);
-        let base: BTreeSet<u32> = (0..50.min(n + 1)).collect();
-        b.truncate_to_base(u64::from(n), &base, &[]);
-        b.flush(u64::from(n));
+        let base: BTreeSet<u32> = (0..50).collect();
+        b.truncate_to_base(RETIRED, &base, &[]);
+        b.flush(RETIRED);
         base
     }
 
@@ -1059,18 +1068,18 @@ mod tests {
         // the winning base, the live tail and the watermark only.
         let before = shard_files(&tmp);
         assert_eq!(before[0].0, generation_name(1));
-        let base = retire_updates(&mut r, 2500);
-        r.append(Timestamp::new(2501, 0), &SetUpdate::Insert(77));
-        r.flush(2501);
+        let base = retire_updates(&mut r);
+        r.append(Timestamp::new(RETIRED + 1, 0), &SetUpdate::Insert(77));
+        r.flush(RETIRED + 1);
         drop(r);
         let after = shard_files(&tmp);
         assert_eq!(after.len(), 1, "old generation unlinked: {after:?}");
         assert_eq!(after[0].0, generation_name(2));
         assert!(after[0].1 < 1024, "dead records dropped: {after:?}");
         let mut r = open(&f, 2);
-        assert_eq!(r.load_base(), Some((2500, base)));
-        assert_eq!(r.scan_suffix(), vec![entry(2501, 0, 77)]);
-        assert_eq!(r.clock_watermark(), 2501);
+        assert_eq!(r.load_base(), Some((RETIRED, base)));
+        assert_eq!(r.scan_suffix(), vec![entry(RETIRED + 1, 0, 77)]);
+        assert_eq!(r.clock_watermark(), RETIRED + 1);
     }
 
     #[test]
@@ -1181,9 +1190,9 @@ mod tests {
         let tmp = ScratchDir::new("seg-lost-base");
         let f = factory(&tmp);
         let mut b = open(&f, 8);
-        retire_updates(&mut b, 2500);
-        b.append(Timestamp::new(2501, 0), &SetUpdate::Insert(77));
-        b.flush(2501);
+        retire_updates(&mut b);
+        b.append(Timestamp::new(RETIRED + 1, 0), &SetUpdate::Insert(77));
+        b.flush(RETIRED + 1);
         drop(b);
         let path = generation_path(&shard_dir(&tmp), 2);
         let bytes = fs::read(&path).unwrap();
@@ -1205,10 +1214,10 @@ mod tests {
         fs::write(&path, &torn).unwrap();
         let mut r = open(&f, 8);
         assert!(r.load_base().is_some());
-        assert_eq!(r.scan_suffix(), vec![entry(2501, 0, 77)]);
+        assert_eq!(r.scan_suffix(), vec![entry(RETIRED + 1, 0, 77)]);
         assert_eq!(
             r.clock_watermark(),
-            2500,
+            RETIRED,
             "the torn record was the watermark"
         );
     }
@@ -1256,11 +1265,11 @@ mod tests {
         assert_eq!(open(&f, 9).clock_watermark(), 50);
         // ... and a rewrite, which keeps each key's last watermark.
         let mut big = open(&f, 10);
-        retire_updates(&mut big, 2500);
+        retire_updates(&mut big);
         drop(big);
         assert_eq!(shard_files(&tmp)[0].0, generation_name(2));
         assert_eq!(open(&f, 9).clock_watermark(), 50, "lost across the rewrite");
-        assert_eq!(open(&f, 10).clock_watermark(), 2500);
+        assert_eq!(open(&f, 10).clock_watermark(), RETIRED);
     }
 
     #[test]
@@ -1272,8 +1281,10 @@ mod tests {
         let mut b = open(&f, 2);
         b.append(Timestamp::new(1, 0), &SetUpdate::Insert(1));
         b.flush(1);
+        // Enough superseded watermarks for a rewrite, and some more.
+        const CLOCKS: u64 = REWRITE_FLOOR / WATERMARK_LEN + 2_000;
         let mut largest = 0;
-        for clock in 2..10_000u64 {
+        for clock in 2..CLOCKS {
             b.flush(clock);
             let before = shard_files(&tmp);
             b.flush(clock); // unchanged clock: nothing to write
@@ -1289,7 +1300,7 @@ mod tests {
         drop(b);
         let mut r = open(&f, 2);
         assert_eq!(r.scan_suffix(), vec![entry(1, 0, 1)]);
-        assert_eq!(r.clock_watermark(), 9_999);
+        assert_eq!(r.clock_watermark(), CLOCKS - 1);
     }
 
     #[test]
@@ -1581,8 +1592,9 @@ mod tests {
         let f = factory(&tmp);
         let mut m = Model::new(&f);
         // Enough retired updates on key 0 for a rewrite at the next
-        // flush; keys 1 and 2 keep live tails and an unstaged bound.
-        while (m.updates.len() as u64) * 34 <= REWRITE_FLOOR + 4096 {
+        // flush; keys 1 and 2 keep live tails and an unstaged bound
+        // (which take one record in fifty, hence the margin).
+        while (m.updates.len() as u64) * 34 <= REWRITE_FLOOR + REWRITE_FLOOR / 16 {
             m.update(0);
             if m.clock.is_multiple_of(97) {
                 m.update(1);

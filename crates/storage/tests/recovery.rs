@@ -7,9 +7,10 @@
 //!   `fold(base) + replay(tail)`, observable via `query_fold_steps`;
 //! * the ingest pool's drain-on-drop flushes backends before joining
 //!   its workers, so a dropped pool loses nothing that was queued;
-//! * a heartbeat-only tick costs idle keys one small journal record
-//!   each, not a file each, and a non-compacting strategy never earns
-//!   its journal a rewrite;
+//! * a heartbeat-only tick costs the keys holding un-compacted
+//!   entries one small journal record each, not a file each, and the
+//!   fully compacted keys nothing at all; a non-compacting strategy
+//!   never earns its journal a rewrite;
 //! * the pool's poison path flushes too: a panicking fold must never
 //!   leave an unwritten journal buffer behind (regression for the
 //!   flush-before-join fix).
@@ -136,6 +137,12 @@ fn heartbeat_only_tick_costs_idle_keys_one_watermark_record_each() {
     // every key's flush saw a moved clock on every tick and rewrote a
     // watermark file of its own (an open, a write and a close per idle
     // key per tick).
+    //
+    // "Idle" here means without traffic: every key holds an entry the
+    // heartbeat has yet to make stable, so all forty are on their
+    // shard's live list when it arrives, and each still pays its one
+    // record. The keys a tick costs nothing are the compacted ones:
+    // `compacted_keys_cost_a_tick_nothing` below.
     const KEYS: u64 = 40;
     let tmp = ScratchDir::new("idle-tick");
     let persist = SegmentFactory::at(tmp.path()).unwrap();
@@ -182,6 +189,84 @@ fn heartbeat_only_tick_costs_idle_keys_one_watermark_record_each() {
             *clock,
             "key {key}"
         );
+    }
+}
+
+#[test]
+fn compacted_keys_cost_a_tick_nothing() {
+    // 4096 keys whose logs are fully compacted beside 8 that hold an
+    // entry each: a heartbeat, a tick and a flush visit the 8.
+    const IDLE: u64 = 4096;
+    const LIVE: u64 = 8;
+    let tmp = ScratchDir::new("compacted-tick");
+    let persist = SegmentFactory::at(tmp.path()).unwrap();
+    let gc = GcFactory { n: 3 };
+    let mut store: UcStore<Adt, GcFactory, SegmentFactory> =
+        UcStore::with_persistence(SetAdt::new(), 0, 4, gc, persist.clone());
+    let mut peer: UcStore<Adt, CheckpointFactory> = UcStore::new(SetAdt::new(), 1, 1, checkpoint());
+    let heartbeat = |pid, clock| StoreMsg::Heartbeat { pid, clock };
+    let preload: Vec<Msg> = (0..IDLE)
+        .map(|key| peer.update(key, SetUpdate::Insert(key as u32)))
+        .collect();
+    store.apply_batch_owned(preload);
+    store.tick_maintenance();
+    store.apply_message(&peer.heartbeat());
+    store.apply_message(&heartbeat(2, peer.clock()));
+    assert_eq!((store.live_keys(), store.total_log_len()), (0, 0));
+    // Replica 2 says nothing more, so these stay unstable — and
+    // live — through the round.
+    let fresh: Vec<Msg> = (IDLE..IDLE + LIVE)
+        .map(|key| peer.update(key, SetUpdate::Insert(key as u32)))
+        .collect();
+    store.apply_batch_owned(fresh);
+    assert_eq!(store.live_keys() as u64, LIVE);
+    store.flush_backends();
+    let before = files_of(tmp.path());
+    let idle_clock = store.engine(0).unwrap().clock();
+
+    store.apply_message(&heartbeat(1, peer.clock() + 5));
+    store.tick_maintenance();
+    store.flush_backends();
+    let after = files_of(tmp.path());
+    let grown: u64 = after.iter().zip(&before).map(|(a, b)| a.1 - b.1).sum();
+    assert_eq!(after.len(), before.len(), "the round created a file");
+    assert_eq!(
+        grown,
+        LIVE * 25,
+        "one watermark record per live key, not a byte for the compacted ones"
+    );
+    assert_eq!(store.live_keys() as u64, LIVE);
+    assert_eq!(store.total_log_len() as u64, LIVE);
+    assert_eq!(
+        store.engine(0).unwrap().clock(),
+        idle_clock,
+        "a compacted key was visited"
+    );
+
+    // What the compacted keys did not write down, the store did: it
+    // reopens at no less than the clock it went down with, which
+    // covers every heartbeat it heard or announced.
+    let clock = store.clock();
+    let states: Vec<BTreeSet<u32>> = (0..IDLE + LIVE).map(|k| store.materialize_key(k)).collect();
+    drop(store);
+    let mut back: UcStore<Adt, GcFactory, SegmentFactory> =
+        UcStore::reopen(SetAdt::new(), 0, 4, gc, persist);
+    assert!(back.clock() >= clock, "{} < {clock}", back.clock());
+    assert_eq!(back.key_count() as u64, IDLE + LIVE);
+    // A recovered tail makes its key live (a key whose one update
+    // never earned a base record recovers it as a tail), and the live
+    // keys are all there is to a walk of the logs.
+    let tails: Vec<usize> = (0..IDLE + LIVE)
+        .map(|k| back.engine(k).unwrap().log_len())
+        .collect();
+    assert!(tails[IDLE as usize..].iter().all(|len| *len == 1));
+    assert_eq!(
+        back.live_keys(),
+        tails.iter().filter(|len| **len > 0).count()
+    );
+    assert_eq!(back.total_log_len(), tails.iter().sum::<usize>());
+    for (key, state) in states.iter().enumerate() {
+        assert_eq!(&back.materialize_key(key as u64), state, "key {key}");
     }
 }
 
