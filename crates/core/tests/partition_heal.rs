@@ -22,8 +22,8 @@ use uc_core::{
     StoreMsg, StoreOutput, StrategyFactory, UcStore, UndoFactory,
 };
 use uc_sim::{
-    Ctx, HeartbeatDetector, LatencyModel, LinkCounters, LinkModel, Pid, Protocol, ReliableLink,
-    RetryConfig, SimConfig, Simulation, SplitMix64, Topology,
+    Ctx, DeliveryMode, HeartbeatDetector, LatencyModel, LinkCounters, LinkModel, Pid, Protocol,
+    ReliableLink, RetryConfig, SimConfig, Simulation, SplitMix64, Topology,
 };
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
 use uc_storage::{ScratchDir, SegmentFactory};
@@ -402,8 +402,18 @@ fn chunked_heal_crash_mid_stream_reopens_and_reheals() {
 /// asserts convergence *after compaction genuinely advanced*. Every
 /// inserted value is unique, so one silently rejected update shows up
 /// as a missing element on the receiving side.
+///
+/// Run per message and again on a batch window: inside one
+/// `ReliableLink::on_batch` a heartbeat can sit ahead of the
+/// retransmission of the same sender's earlier update, and must still
+/// be released after it.
 #[test]
 fn gc_store_survives_reordered_heartbeats_without_silent_rejection() {
+    gc_store_under_reordered_heartbeats(DeliveryMode::PerMessage);
+    gc_store_under_reordered_heartbeats(DeliveryMode::Batched { window: 12 });
+}
+
+fn gc_store_under_reordered_heartbeats(mode: DeliveryMode) {
     type Node = ReliableLink<UcStore<Adt, GcFactory>>;
     let n = 3;
     let mut sim: Simulation<Node> = Simulation::new(
@@ -442,6 +452,7 @@ fn gc_store_survives_reordered_heartbeats_without_silent_rejection() {
     // Frequent ticks: every one broadcasts the shared clock, so the
     // stability bound chases the in-flight updates as closely as the
     // delivery layer allows.
+    sim.set_delivery_mode(mode);
     sim.schedule_ticks(20, 8_000);
     let mut rng = SplitMix64::new(0x0DD6);
     for i in 0..120u64 {
@@ -466,13 +477,17 @@ fn gc_store_survives_reordered_heartbeats_without_silent_rejection() {
         })
         .sum();
     assert!(compacted > 0, "heartbeats must have driven compaction");
+    assert_eq!(
+        uc_sim::ClusterHarness::metrics(&sim).batches_delivered > 0,
+        mode.is_batched()
+    );
     for k in 0..KEYS {
         let expect = sim.process_mut(0).inner_mut().materialize_key(k);
         for p in 1..n as Pid {
             assert_eq!(
                 expect,
                 sim.process_mut(p).inner_mut().materialize_key(k),
-                "key {k} diverged on replica {p}: an update was silently rejected"
+                "{mode:?}: key {k} diverged on replica {p}: an update was silently rejected"
             );
         }
     }
@@ -628,8 +643,16 @@ fn reliable_link_store_converges_through_lossy_partition() {
 /// the divergence watermark, recovery opens the digest-guided chunked
 /// heal, and the second outage exercises cancel-and-reheal — all
 /// driven by the detector, and every replica still converges.
+///
+/// Run per message and again on a batch window, so the link's batch
+/// receive carries the detector's heartbeats and the heal dialogue.
 #[test]
 fn heartbeat_detector_drives_chunked_heal_through_flapping_partition() {
+    detector_driven_heal_through_flapping_partition(DeliveryMode::PerMessage);
+    detector_driven_heal_through_flapping_partition(DeliveryMode::Batched { window: 10 });
+}
+
+fn detector_driven_heal_through_flapping_partition(mode: DeliveryMode) {
     type Node = ReliableLink<HeartbeatDetector<UcStore<Adt, CheckpointFactory>>>;
     let n = 3;
     let counters = LinkCounters::new();
@@ -667,6 +690,7 @@ fn heartbeat_detector_drives_chunked_heal_through_flapping_partition() {
     );
     sim.set_topology(topo);
     sim.attach_link_counters(counters.clone());
+    sim.set_delivery_mode(mode);
     sim.schedule_ticks(50, 10_000);
 
     let mut rng = SplitMix64::new(0xBEA8);
@@ -722,4 +746,5 @@ fn heartbeat_detector_drives_chunked_heal_through_flapping_partition() {
         m.heal_replay_bytes > 0,
         "detector-driven heals must stream chunks"
     );
+    assert_eq!(m.batches_delivered > 0, mode.is_batched());
 }

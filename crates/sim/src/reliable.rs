@@ -22,6 +22,27 @@
 //! one (the compaction floor would silently reject the update on
 //! arrival, diverging the replica forever).
 //!
+//! A receive activation — [`Protocol::on_batch`] with a delivery
+//! round's frames, or [`Protocol::on_message`] with one; both run the
+//! same routine — is taken in **one pass**. `Ack`s pop the acked
+//! prefix of their retry queue as they are met. A `Data` that is next
+//! in sequence, with nothing buffered behind it and no new shed
+//! advertisement, only bumps the floor and releases its payload: that
+//! is nearly every frame of a healthy link, and it never touches the
+//! out-of-order buffer. Every other `Data` (a gap, a duplicate, a
+//! `skip` that raises the floor, a frame that fills a gap) goes
+//! through the buffer exactly as before, because that path is where
+//! the ordering argument above lives and it is not the hot one. The
+//! released payloads are handed to the inner protocol in arrival order
+//! (sequence order per sender) inside one inner activation, one
+//! `on_message` each — not the inner `on_batch`, which for `UcStore` is
+//! the slower path on a round's scattered frames (see ROADMAP). Then
+//! **one cumulative ack per sender** that contributed a `Data` goes
+//! out, carrying that channel's floor: acks are per activation, not
+//! per frame. A sender whose frames were all duplicates is still
+//! acked, since a duplicate means its previous ack was lost. A frame
+//! from a pid outside the cluster is dropped.
+//!
 //! The retry queue is bounded: when full, the *oldest* unacked entry
 //! is shed and counted — delivery degrades observably instead of
 //! memory growing without bound. A shed leaves a permanent gap in the
@@ -170,7 +191,7 @@ impl<M> RecvChannel<M> {
     /// skip point are released in order first, then the floor jumps
     /// the gap and the contiguous run above it drains. Returns how
     /// many sequence numbers were abandoned without ever arriving.
-    fn skip_to(&mut self, skip: u64, ready: &mut Vec<M>) -> u64 {
+    fn skip_to(&mut self, skip: u64, from: Pid, ready: &mut Vec<(Pid, M)>) -> u64 {
         if skip <= self.floor {
             return 0;
         }
@@ -180,33 +201,37 @@ impl<M> RecvChannel<M> {
                 break;
             }
             buffered += 1;
-            ready.push(e.remove());
+            ready.push((from, e.remove()));
         }
         let skipped = (skip - self.floor) - buffered;
         self.floor = skip;
-        self.drain_run(ready);
+        self.drain_run(from, ready);
         skipped
     }
 
     /// Record receipt of `seq`, releasing every payload that became
     /// contiguously deliverable (in sequence order) into `ready`.
     /// `false` if `seq` is a duplicate.
-    fn admit(&mut self, seq: u64, payload: M, ready: &mut Vec<M>) -> bool {
+    fn admit(&mut self, seq: u64, payload: M, from: Pid, ready: &mut Vec<(Pid, M)>) -> bool {
         if seq <= self.floor || self.ahead.contains_key(&seq) {
             return false;
         }
         self.ahead.insert(seq, payload);
-        self.drain_run(ready);
+        self.drain_run(from, ready);
         true
     }
 
-    fn drain_run(&mut self, ready: &mut Vec<M>) {
+    fn drain_run(&mut self, from: Pid, ready: &mut Vec<(Pid, M)>) {
         while let Some(p) = self.ahead.remove(&(self.floor + 1)) {
-            ready.push(p);
+            ready.push((from, p));
             self.floor += 1;
         }
     }
 }
+
+/// Largest released-payload buffer a link keeps between receive
+/// activations, in entries.
+const READY_KEEP: usize = 256;
 
 /// A reliable-delivery wrapper around an inner [`Protocol`]. See the
 /// [module docs](self).
@@ -215,6 +240,12 @@ pub struct ReliableLink<P: Protocol> {
     cfg: RetryConfig,
     out: Vec<SendChannel<P::Msg>>,
     rin: Vec<RecvChannel<P::Msg>>,
+    /// Scratch of one receive activation, kept for its capacity (up
+    /// to [`READY_KEEP`]): the payloads released, in arrival order,
+    /// and the senders owed an ack (at most one entry per peer), in
+    /// order of their first `Data`.
+    ready: Vec<(Pid, P::Msg)>,
+    ack_to: Vec<Pid>,
     rng: SplitMix64,
     counters: Option<Arc<LinkCounters>>,
     stats: LinkStats,
@@ -230,6 +261,8 @@ impl<P: Protocol> ReliableLink<P> {
             cfg,
             out: Vec::new(),
             rin: Vec::new(),
+            ready: Vec::new(),
+            ack_to: Vec::new(),
             rng: SplitMix64::new(seed),
             counters: None,
             stats: LinkStats::default(),
@@ -337,6 +370,72 @@ impl<P: Protocol> ReliableLink<P> {
             self.send_data(ctx, to, m);
         }
     }
+
+    /// The link's one receive path, for a delivery round's batch or a
+    /// single message: one pass over the frames, one inner activation
+    /// for everything they release, then one cumulative ack to each
+    /// sender of a `Data` — duplicates included, in case the previous
+    /// ack was lost (see the module docs).
+    fn receive(
+        &mut self,
+        msgs: impl IntoIterator<Item = (Pid, LinkMsg<P::Msg>)>,
+        ctx: &mut Ctx<'_, LinkMsg<P::Msg>>,
+    ) {
+        self.ensure(ctx.n());
+        let mut ready = std::mem::take(&mut self.ready);
+        for (from, msg) in msgs {
+            // A pid outside the cluster has no channel here.
+            if from as usize >= ctx.n() {
+                continue;
+            }
+            match msg {
+                LinkMsg::Ack { cum } => {
+                    // The queue is in sequence order: what a
+                    // cumulative ack covers is a prefix.
+                    let unacked = &mut self.out[from as usize].unacked;
+                    while unacked.front().is_some_and(|p| p.seq <= cum) {
+                        unacked.pop_front();
+                    }
+                }
+                LinkMsg::Data { seq, skip, payload } => {
+                    if !self.ack_to.contains(&from) {
+                        self.ack_to.push(from);
+                    }
+                    let ch = &mut self.rin[from as usize];
+                    if skip <= ch.floor && seq == ch.floor + 1 && ch.ahead.is_empty() {
+                        // Next in sequence with nothing waiting behind
+                        // it: no reason to pass through the buffer.
+                        ch.floor = seq;
+                        ready.push((from, payload));
+                    } else {
+                        self.stats.gaps_skipped += ch.skip_to(skip, from, &mut ready);
+                        if !ch.admit(seq, payload, from, &mut ready) {
+                            self.stats.duplicates_suppressed += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // Per-channel FIFO is what the store's stability tracking
+        // relies on (see the module docs).
+        self.stats.delivered += ready.len() as u64;
+        if !ready.is_empty() {
+            self.with_inner(ctx, |inner, ictx| {
+                for (from, p) in ready.drain(..) {
+                    inner.on_message(from, p, ictx);
+                }
+            });
+        }
+        // A round's buffer stays warm for the next round; a burst's
+        // (a heal stream) is given back rather than pinned for good.
+        if ready.capacity() <= READY_KEEP {
+            self.ready = ready;
+        }
+        for from in self.ack_to.drain(..) {
+            let cum = self.rin[from as usize].floor;
+            ctx.send(from, LinkMsg::Ack { cum });
+        }
+    }
 }
 
 impl<P: Protocol> Protocol for ReliableLink<P> {
@@ -358,40 +457,11 @@ impl<P: Protocol> Protocol for ReliableLink<P> {
     }
 
     fn on_message(&mut self, from: Pid, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
-        self.ensure(ctx.n());
-        match msg {
-            LinkMsg::Ack { cum } => {
-                // The queue is in sequence order: what a cumulative
-                // ack covers is a prefix.
-                let unacked = &mut self.out[from as usize].unacked;
-                while unacked.front().is_some_and(|p| p.seq <= cum) {
-                    unacked.pop_front();
-                }
-            }
-            LinkMsg::Data { seq, skip, payload } => {
-                let mut ready = Vec::new();
-                let ch = &mut self.rin[from as usize];
-                let skipped = ch.skip_to(skip, &mut ready);
-                let fresh = ch.admit(seq, payload, &mut ready);
-                self.stats.gaps_skipped += skipped;
-                if !fresh {
-                    self.stats.duplicates_suppressed += 1;
-                }
-                // Release the contiguous run in sequence order —
-                // per-channel FIFO is what the store's stability
-                // tracking relies on (see the module docs).
-                self.stats.delivered += ready.len() as u64;
-                for p in ready {
-                    self.with_inner(ctx, |inner, ictx| {
-                        inner.on_message(from, p, ictx);
-                    });
-                }
-                // Ack every Data — duplicates re-ack in case the
-                // previous ack was lost.
-                let cum = self.rin[from as usize].floor;
-                ctx.send(from, LinkMsg::Ack { cum });
-            }
-        }
+        self.receive(std::iter::once((from, msg)), ctx);
+    }
+
+    fn on_batch(&mut self, msgs: Vec<(Pid, Self::Msg)>, ctx: &mut Ctx<'_, Self::Msg>) {
+        self.receive(msgs, ctx);
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
@@ -424,7 +494,7 @@ impl<P: Protocol> Protocol for ReliableLink<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::LatencyModel;
+    use crate::network::{DeliveryMode, LatencyModel};
     use crate::scheduler::{SimConfig, Simulation};
     use crate::topology::{LinkModel, Topology};
 
@@ -474,8 +544,15 @@ mod tests {
         sim
     }
 
+    /// Per message, then again with the simulator flushing on a batch
+    /// window, so `on_batch` meets loss, duplication and reorder too.
     #[test]
     fn recovers_every_message_under_heavy_loss() {
+        recovers_every_message(DeliveryMode::PerMessage);
+        recovers_every_message(DeliveryMode::Batched { window: 8 });
+    }
+
+    fn recovers_every_message(mode: DeliveryMode) {
         let cfg = RetryConfig {
             base: 8,
             max_backoff: 64,
@@ -483,6 +560,7 @@ mod tests {
             queue_cap: 1024,
         };
         let mut sim = lossy_sim(3, 42, 0.4, cfg);
+        sim.set_delivery_mode(mode);
         for i in 0..50u32 {
             sim.schedule_invoke(i as u64 * 3, (i % 3) as Pid, i);
         }
@@ -518,6 +596,7 @@ mod tests {
         }
         assert!(retransmits > 0, "40% loss must force retransmissions");
         assert!(sim.metrics.messages_dropped > 0);
+        assert_eq!(sim.metrics.batches_delivered > 0, mode.is_batched());
     }
 
     #[test]
@@ -581,6 +660,25 @@ mod tests {
     /// sender's queue drains.
     #[test]
     fn shed_gap_is_skipped_and_acks_resume() {
+        shed_gap_is_skipped(false);
+        shed_gap_is_skipped(true);
+    }
+
+    /// Each burst frame by frame, or as one batch.
+    fn shed_gap_is_skipped(batched: bool) {
+        let deliver = |link: &mut ReliableLink<Collector>,
+                       from: Pid,
+                       frames: Vec<(Pid, LinkMsg<u32>)>,
+                       ctx: &mut Ctx<'_, LinkMsg<u32>>| {
+            let frames: Vec<_> = frames.into_iter().map(|(_, m)| (from, m)).collect();
+            if batched {
+                link.on_batch(frames, ctx);
+            } else {
+                for (from, m) in frames {
+                    link.on_message(from, m, ctx);
+                }
+            }
+        };
         let cfg = RetryConfig {
             base: 4,
             max_backoff: 8,
@@ -603,11 +701,11 @@ mod tests {
         // (seq 6, advertising skip = 2): the receiver must jump the
         // shed gap but still hold seq 6 back — seqs 3..5 were not
         // shed and are still coming.
-        let (_, last) = wire.pop().expect("six transmissions");
+        let last = wire.pop().expect("six transmissions");
         let mut rx_out = Vec::new();
         {
             let mut ctx = Ctx::new(1, 2, 0, &mut rx_out);
-            rx.on_message(0, last, &mut ctx);
+            deliver(&mut rx, 0, vec![last], &mut ctx);
         }
         assert_eq!(rx.stats().gaps_skipped, 2, "seqs 1 and 2 abandoned");
         assert!(rx.inner().got.is_empty(), "seq 6 buffered behind 3..5");
@@ -619,9 +717,9 @@ mod tests {
             let mut ctx = Ctx::new(0, 2, 1_000, &mut retrans);
             tx.on_tick(&mut ctx);
         }
-        for (_, m) in retrans {
+        {
             let mut ctx = Ctx::new(1, 2, 1_000, &mut rx_out);
-            rx.on_message(0, m, &mut ctx);
+            deliver(&mut rx, 0, retrans, &mut ctx);
         }
         assert_eq!(rx.inner().got, vec![2, 3, 4, 5], "in order, gap skipped");
         assert!(rx.ahead_len(0) == 0, "ahead buffer fully drained");
@@ -630,10 +728,8 @@ mod tests {
         // so the sender's retry queue empties (this is what used to
         // stall forever).
         let mut sink = Vec::new();
-        for (_, m) in rx_out {
-            let mut ctx = Ctx::new(0, 2, 1_001, &mut sink);
-            tx.on_message(1, m, &mut ctx);
-        }
+        let mut ctx = Ctx::new(0, 2, 1_001, &mut sink);
+        deliver(&mut tx, 1, rx_out, &mut ctx);
         assert_eq!(tx.pending_to(1), 0, "acks resumed past the shed gap");
     }
 
@@ -698,6 +794,218 @@ mod tests {
         ];
         assert_eq!(last, still_owed_to_peer_2, "after the last tick");
         assert_eq!(digest, 0x198a_0b69_e6bb_53fa, "over all 50 ticks");
+    }
+
+    /// A frame claiming a sender outside the cluster has no channel to
+    /// land on; it used to index past the channel table and panic the
+    /// node. It is dropped, and the rest of its batch is unaffected.
+    #[test]
+    fn frame_from_a_stray_pid_is_dropped_and_the_batch_goes_on() {
+        let mut rx: ReliableLink<Collector> =
+            ReliableLink::new(Collector::default(), RetryConfig::default(), 1);
+        let data = |seq: u64, payload: u32| LinkMsg::Data {
+            seq,
+            skip: 0,
+            payload,
+        };
+        let mut out = Vec::new();
+        let mut ctx = Ctx::new(1, 2, 0, &mut out);
+        rx.on_batch(
+            vec![
+                (0, data(1, 10)),
+                (2, data(1, 99)),
+                (7, LinkMsg::Ack { cum: 5 }),
+                (0, data(2, 11)),
+            ],
+            &mut ctx,
+        );
+        rx.on_message(2, data(2, 98), &mut ctx);
+        assert_eq!(rx.inner().got, vec![10, 11]);
+        assert_eq!(out, vec![(0, LinkMsg::Ack { cum: 2 })]);
+        assert_eq!(rx.stats().delivered, 2);
+    }
+
+    /// One sender's side of a differential run: seqs issued in order,
+    /// some held back and released late (reorder), some abandoned for
+    /// good and advertised as a `skip`, earlier ones repeated, `Ack`s
+    /// for the reverse channel in between.
+    fn sender_stream(from: Pid, rng: &mut SplitMix64, reverse_depth: u64) -> Vec<LinkMsg<u32>> {
+        let data = |seq: u64, skip: u64| LinkMsg::Data {
+            seq,
+            skip,
+            payload: from * 1_000 + seq as u32,
+        };
+        let (mut seq, mut skip, mut cum) = (0u64, 0u64, 0u64);
+        let mut frames = Vec::new();
+        let mut held = Vec::new();
+        while seq < 150 {
+            match rng.next_below(12) {
+                0 => {
+                    // Now and then a stale frame from inside the gap
+                    // follows the advertisement that abandoned it.
+                    let stale = seq + 1;
+                    seq += 1 + rng.next_below(3);
+                    skip = seq;
+                    if rng.next_below(2) == 0 {
+                        frames.push(data(stale, skip));
+                    }
+                }
+                1 => {
+                    seq += 1;
+                    held.push(data(seq, skip));
+                }
+                2 if !held.is_empty() => {
+                    let at = rng.next_below(held.len() as u64) as usize;
+                    frames.push(held.swap_remove(at));
+                }
+                3 if seq > 0 => frames.push(data(1 + rng.next_below(seq), skip)),
+                4 => {
+                    cum = (cum + rng.next_below(4)).min(reverse_depth);
+                    frames.push(LinkMsg::Ack { cum });
+                }
+                _ => {
+                    seq += 1;
+                    frames.push(data(seq, skip));
+                }
+            }
+        }
+        frames.extend(held);
+        frames
+    }
+
+    /// `on_batch` against `on_message`, frame for frame: the same
+    /// seeded traffic from four senders — two with the full mix of
+    /// [`sender_stream`], one that only repeats what it already
+    /// delivered, one that only acknowledges — goes through one link in
+    /// slices of random length and through another a frame at a time.
+    /// After every slice both must have delivered the same sequence
+    /// and hold the same channel state, and the batched link must have
+    /// answered the slice with exactly one cumulative ack per sender
+    /// of a `Data`. Both share the in-order fast path, so the sequence
+    /// is also checked against receive channels that put every frame
+    /// through the buffer.
+    #[test]
+    fn batch_receive_equals_frame_by_frame_receive() {
+        const N: usize = 5;
+        const RX: Pid = 0;
+        const DUPS_ONLY: Pid = 3;
+        const ACKS_ONLY: Pid = 4;
+        const REVERSE_DEPTH: u64 = 40;
+        for seed in 0..20u64 {
+            let mut rng = SplitMix64::new(0xD1FF ^ seed);
+            let mut streams: Vec<Vec<LinkMsg<u32>>> = vec![Vec::new(); N];
+            for from in [1, 2] {
+                streams[from as usize] = sender_stream(from, &mut rng, REVERSE_DEPTH);
+            }
+            for _ in 0..60 {
+                streams[DUPS_ONLY as usize].push(LinkMsg::Data {
+                    seq: 1 + rng.next_below(10),
+                    skip: 0,
+                    payload: 0,
+                });
+                let cum = rng.next_below(REVERSE_DEPTH + 1);
+                streams[ACKS_ONLY as usize].push(LinkMsg::Ack { cum });
+            }
+            // Interleave the senders, each stream in its own order.
+            let mut streams: Vec<_> = streams.into_iter().map(Vec::into_iter).collect();
+            let mut left: Vec<Pid> = (1..N as Pid).collect();
+            let mut traffic = Vec::new();
+            while !left.is_empty() {
+                let at = rng.next_below(left.len() as u64) as usize;
+                match streams[left[at] as usize].next() {
+                    Some(m) => traffic.push((left[at], m)),
+                    None => {
+                        left.swap_remove(at);
+                    }
+                }
+            }
+
+            let mut links: [ReliableLink<Collector>; 2] = std::array::from_fn(|_| {
+                ReliableLink::new(Collector::default(), RetryConfig::default(), seed)
+            });
+            let mut sink = Vec::new();
+            for link in &mut links {
+                let mut ctx = Ctx::new(RX, N, 0, &mut sink);
+                // Something for the `Ack`s to pop, and ten payloads
+                // for the duplicates to repeat.
+                for i in 0..REVERSE_DEPTH {
+                    link.on_invoke(i as u32, &mut ctx);
+                }
+                for seq in 1..=10 {
+                    let first = LinkMsg::Data {
+                        seq,
+                        skip: 0,
+                        payload: DUPS_ONLY * 1_000 + seq as u32,
+                    };
+                    link.on_message(DUPS_ONLY, first, &mut ctx);
+                }
+            }
+            let [by_frame, by_batch] = &mut links;
+            let mut buffered: Vec<RecvChannel<u32>> = Vec::new();
+            buffered.resize_with(N, RecvChannel::default);
+            buffered[DUPS_ONLY as usize].floor = 10;
+            let mut want: Vec<(Pid, u32)> = Vec::new();
+
+            let mut traffic = traffic.into_iter().peekable();
+            while traffic.peek().is_some() {
+                let len = 1 + rng.next_below(24) as usize;
+                let slice: Vec<_> = traffic.by_ref().take(len).collect();
+                let mut data_from = [false; N];
+                for &(from, ref m) in &slice {
+                    if let LinkMsg::Data { seq, skip, payload } = *m {
+                        data_from[from as usize] = true;
+                        let ch = &mut buffered[from as usize];
+                        ch.skip_to(skip, from, &mut want);
+                        ch.admit(seq, payload, from, &mut want);
+                    }
+                }
+                let mut ctx = Ctx::new(RX, N, 0, &mut sink);
+                for (from, m) in slice.clone() {
+                    by_frame.on_message(from, m, &mut ctx);
+                }
+                let mut acks = Vec::new();
+                let mut ctx = Ctx::new(RX, N, 0, &mut acks);
+                by_batch.on_batch(slice, &mut ctx);
+
+                assert_eq!(by_batch.inner().got, by_frame.inner().got, "seed {seed}");
+                let want = want.iter().map(|(_, payload)| *payload);
+                assert!(
+                    by_batch.inner().got[10..].iter().copied().eq(want),
+                    "seed {seed}"
+                );
+                assert_eq!(by_batch.stats(), by_frame.stats(), "seed {seed}");
+                for peer in 0..N as Pid {
+                    assert_eq!(by_batch.ahead_len(peer), by_frame.ahead_len(peer));
+                    assert_eq!(
+                        by_batch.ahead_len(peer),
+                        buffered[peer as usize].ahead.len()
+                    );
+                    assert_eq!(by_batch.pending_to(peer), by_frame.pending_to(peer));
+                }
+                acks.sort_unstable_by_key(|(to, _)| *to);
+                let want: Vec<_> = (0..N as Pid)
+                    .filter(|from| data_from[*from as usize])
+                    .map(|from| {
+                        let cum = buffered[from as usize].floor;
+                        (from, LinkMsg::Ack { cum })
+                    })
+                    .collect();
+                assert_eq!(acks, want, "seed {seed}: one ack per sender of a Data");
+                assert!(!data_from[ACKS_ONLY as usize]);
+            }
+
+            // Exactly once and FIFO per sender, and the run met every
+            // kind of frame it set out to.
+            let got = &by_batch.inner().got;
+            for from in 1..N as u32 {
+                let of_sender: Vec<u32> =
+                    got.iter().copied().filter(|v| v / 1_000 == from).collect();
+                assert!(of_sender.windows(2).all(|w| w[0] < w[1]), "seed {seed}");
+            }
+            let stats = by_batch.stats();
+            assert!(stats.gaps_skipped > 0 && stats.duplicates_suppressed >= 60);
+            assert!(by_batch.pending_to(1) < REVERSE_DEPTH as usize);
+        }
     }
 
     #[test]
