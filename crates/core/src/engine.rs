@@ -32,7 +32,7 @@
 //! | [`NaiveReplay`](crate::generic::NaiveReplay) | [`GenericReplica`](crate::generic::GenericReplica) | none — every query replays the log |
 //! | [`CheckpointRepair`](crate::cached::CheckpointRepair) | [`CachedReplica`](crate::cached::CachedReplica) | roll back to nearest checkpoint ≤ pos, refold |
 //! | [`UndoRepair`](crate::undo::UndoRepair) | [`UndoReplica`](crate::undo::UndoReplica) | undo suffix (LIFO), apply, redo |
-//! | [`StableGc`](crate::gc::StableGc) | [`GcReplica`](crate::gc::GcReplica) | naive fold over a stability-compacted log |
+//! | [`StableGc`](crate::gc::StableGc) | [`GcReplica`](crate::gc::GcReplica) | none on insertion — the kept fold of base + retained log advances by the tail at the next read, refolds only after a late message |
 //!
 //! # Batched delivery
 //!

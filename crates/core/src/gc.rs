@@ -25,6 +25,10 @@
 //! bound is a lower bound: over an empty log it refuses no cut that
 //! the current one would answer, and answers from the same base.
 //!
+//! Reads do not refold: the strategy keeps the fold of base and
+//! retained log and advances it by what arrived since — the cold/warm
+//! contract and its three invalidation rules are on [`StableGc`].
+//!
 //! Silent processes block stability (their `last_seen` stays low), so
 //! replicas broadcast periodic clock [`GcMsg::Heartbeat`]s via
 //! [`Replica::tick`] — the practical reading of the paper's "after
@@ -40,23 +44,36 @@ use crate::replica::Replica;
 use crate::timestamp::Timestamp;
 use uc_spec::UqAdt;
 
-/// Naive fold over a stability-compacted log: the stable prefix is
-/// folded into `base` and dropped; queries fold the retained suffix
-/// over a clone of `base`.
+/// A kept fold over a stability-compacted log: the stable prefix is
+/// folded into `base` and dropped; queries keep the fold of `base` and
+/// the retained log in `scratch` and advance it by what arrived since.
+///
+/// The cache is **cold** (`folded` is `None`: `scratch` means nothing)
+/// or **warm** (`scratch` folds every update this replica ever held
+/// stamped at or below `folded`, compacted or retained). A warm read
+/// applies only the log's tail above `folded`; a cold read clones
+/// `base` and replays the whole retained log; a read of an empty log
+/// answers from `base` and leaves the cache as it was. The cache
+/// starts cold, and three events send it cold again:
+///
+/// 1. an insertion stamped at or below `folded` — the late message of
+///    §VII-C, the only arrival that reorders what was folded;
+/// 2. [`install_base`](RepairStrategy::install_base) — recovery
+///    replaces the history under the cache;
+/// 3. a compaction that drains an entry stamped above `folded` —
+///    `base` would then hold an update `scratch` lacks and the tail no
+///    longer carries. Compaction never writes to `scratch`, so a key
+///    nobody reads keeps one copy of its state.
 #[derive(Clone, Debug)]
 pub struct StableGc<A: UqAdt> {
     /// Fold of the compacted stable prefix.
     base: A::State,
-    /// Scratch for query-time folds (base + retained suffix). Kept
-    /// until the log gains entries: repeated queries against an
-    /// unchanged log reuse the cached fold instead of refolding the
-    /// whole unstable suffix every time. Compaction moves entries from
-    /// the suffix into `base` without changing their fold, so it does
-    /// not invalidate the cache.
+    /// The cached query-time fold; meaningful only while `folded` is
+    /// `Some`.
     scratch: A::State,
-    /// Is `scratch` stale relative to `base` + the retained log?
-    scratch_dirty: bool,
-    /// Fold steps spent answering queries (cache-effectiveness metric).
+    /// Highest timestamp folded into `scratch`; `None` = cold.
+    folded: Option<Timestamp>,
+    /// Updates applied to the cached fold, by refold or by tail apply.
     fold_steps: u64,
     /// Number of updates folded into `base`.
     compacted: u64,
@@ -81,7 +98,7 @@ impl<A: UqAdt> StableGc<A> {
         StableGc {
             base: adt.initial(),
             scratch: adt.initial(),
-            scratch_dirty: false,
+            folded: None,
             fold_steps: 0,
             compacted: 0,
             last_seen: vec![0; n],
@@ -100,9 +117,11 @@ impl<A: UqAdt> StableGc<A> {
         self.bound
     }
 
-    /// Cumulative fold steps spent answering queries. Stays flat
-    /// across repeated queries of an unchanged log (the query-time
-    /// fold is cached) and grows only after new insertions.
+    /// Cumulative updates applied to the cached query fold: one step
+    /// per update, whether a cold read replayed it or a warm read
+    /// applied it from the tail. Stays flat across repeated queries of
+    /// an unchanged log, grows by one per in-order arrival read, and
+    /// by the retained log's length after a late one.
     pub fn query_fold_steps(&self) -> u64 {
         self.fold_steps
     }
@@ -113,13 +132,15 @@ impl<A: UqAdt> StableGc<A> {
             new_bound = new_bound.min(cap);
         }
         self.bound = self.bound.max(new_bound);
-        let stable = log.drain_stable_prefix(self.bound);
-        if stable.is_empty() {
+        let (base, compacted) = (&mut self.base, &mut self.compacted);
+        let Some(last) = log.drain_stable_prefix(self.bound, |u| {
+            adt.apply(base, u);
+            *compacted += 1;
+        }) else {
             return;
-        }
-        for (_, u) in &stable {
-            adt.apply(&mut self.base, u);
-            self.compacted += 1;
+        };
+        if self.folded.is_some_and(|folded| last > folded) {
+            self.folded = None;
         }
         // LSM-style persistence: snapshot the new base and hand the
         // retained suffix to the backend as the live tail (a no-op on
@@ -143,7 +164,11 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
             "stability violated: insert at or below bound {}",
             self.bound
         );
-        self.scratch_dirty = true;
+        if let (Some(folded), Some((ts, _))) = (self.folded, log.get(pos)) {
+            if *ts <= folded {
+                self.folded = None;
+            }
+        }
         self.try_compact(adt, log);
     }
 
@@ -166,11 +191,24 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     }
 
     fn current_state<B: LogBackend<A>>(&mut self, adt: &A, log: &UpdateLog<A, B>) -> &A::State {
-        if self.scratch_dirty {
-            self.fold_steps += log.len() as u64;
-            self.scratch = adt.run_updates_from(self.base.clone(), log.iter().map(|(_, u)| u));
-            self.scratch_dirty = false;
+        let Some(newest) = log.last_timestamp() else {
+            return &self.base;
+        };
+        match self.folded {
+            Some(folded) if folded == newest => return &self.scratch,
+            Some(folded) => {
+                let (tail, _) = log.suffix_window(0, Some(folded), usize::MAX);
+                self.fold_steps += tail.len() as u64;
+                for (_, u) in tail {
+                    adt.apply(&mut self.scratch, u);
+                }
+            }
+            None => {
+                self.fold_steps += log.len() as u64;
+                self.scratch = adt.run_updates_from(self.base.clone(), log.iter().map(|(_, u)| u));
+            }
         }
+        self.folded = Some(newest);
         &self.scratch
     }
 
@@ -179,8 +217,8 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     /// unanswerable ([`CutError`]) and a cut at or above it folds only
     /// the retained prefix `(bound, cut]` over the base. When the cut
     /// covers the whole retained log this *is* the current state, so
-    /// the cached query fold is reused — a stable-prefix cut costs
-    /// zero fold steps while the cache is warm.
+    /// the cached query fold is reused — such a cut costs only the
+    /// unfolded tail while the cache is warm.
     fn state_at_cut<B: LogBackend<A>>(
         &mut self,
         adt: &A,
@@ -210,7 +248,7 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     fn install_base(&mut self, _adt: &A, bound: u64, state: A::State) -> bool {
         self.base = state;
         self.bound = bound;
-        self.scratch_dirty = true;
+        self.folded = None;
         true
     }
 }
@@ -256,7 +294,7 @@ impl<A: UqAdt> GcReplica<A> {
         self.engine.strategy().stability_bound()
     }
 
-    /// Answer a query: fold the retained suffix over the base.
+    /// Answer a query from the kept fold of base and retained log.
     pub fn do_query(&mut self, q: &A::QueryIn) -> A::QueryOut {
         self.engine.do_query(q)
     }
@@ -504,8 +542,7 @@ mod tests {
     #[test]
     fn repeated_queries_reuse_the_cached_fold() {
         // Regression: `current_state` used to refold the whole
-        // unstable suffix from `base` on every query. The fold is now
-        // cached and invalidated only when the log gains entries.
+        // unstable suffix from `base` on every query.
         let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
         for i in 0..32u32 {
             a.update(SetUpdate::Insert(i));
@@ -521,10 +558,114 @@ mod tests {
             after_first,
             "repeated queries of an unchanged log must do zero extra fold steps"
         );
-        // A new insertion dirties the cache; the next query refolds.
+        // A new insertion is folded in by the next query.
         a.update(SetUpdate::Insert(99));
         let _ = a.do_query(&SetQuery::Read);
         assert!(a.engine().strategy().query_fold_steps() > after_first);
+    }
+
+    fn fold_steps(r: &R) -> u64 {
+        r.engine().strategy().query_fold_steps()
+    }
+
+    #[test]
+    fn in_order_appends_cost_one_fold_step_each() {
+        // Peer 1 stays silent, so nothing compacts: the log grows to N
+        // and a refold per read would cost N²/2.
+        const N: u32 = 64;
+        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
+        for i in 0..N {
+            a.update(SetUpdate::Insert(i));
+            assert_eq!(a.do_query(&SetQuery::Read).len(), i as usize + 1);
+        }
+        assert_eq!(fold_steps(&a), u64::from(N));
+    }
+
+    #[test]
+    fn a_late_insert_costs_exactly_one_full_refold() {
+        // Process 2 stays silent, so the retained log is the full log.
+        let mut a: R = GcReplica::new(SetAdt::new(), 0, 3);
+        for i in 0..16u32 {
+            a.update(SetUpdate::Insert(i));
+        }
+        let _ = a.do_query(&SetQuery::Read);
+        assert_eq!(fold_steps(&a), 16);
+        // Stamped below the folded point: the cache goes cold.
+        a.on_gc_message(&GcMsg::Update(UpdateMsg {
+            ts: Timestamp::new(3, 1),
+            update: SetUpdate::Delete(2),
+        }));
+        assert!(!a.do_query(&SetQuery::Read).contains(&2));
+        assert_eq!(fold_steps(&a), 16 + 17);
+        let _ = a.do_query(&SetQuery::Read);
+        // Warm again: the next in-order arrival is one step.
+        a.update(SetUpdate::Insert(99));
+        let _ = a.do_query(&SetQuery::Read);
+        assert_eq!(fold_steps(&a), 16 + 17 + 1);
+    }
+
+    #[test]
+    fn an_empty_log_answers_from_the_base_for_free() {
+        // Alone in its cluster a replica is self-stable: every update
+        // compacts on insertion and the log is always empty.
+        let mut a: R = GcReplica::new(SetAdt::new(), 0, 1);
+        for i in 0..10u32 {
+            a.update(SetUpdate::Insert(i));
+            assert_eq!(a.do_query(&SetQuery::Read).len(), i as usize + 1);
+        }
+        assert_eq!(Replica::log_len(&a), 0);
+        assert_eq!(fold_steps(&a), 0);
+    }
+
+    #[test]
+    fn a_key_nobody_reads_keeps_one_copy_of_its_state() {
+        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
+        for i in 0..16u32 {
+            a.update(SetUpdate::Insert(i));
+        }
+        a.on_gc_message(&GcMsg::Heartbeat { pid: 1, clock: 12 });
+        assert_eq!(a.compacted(), 12);
+        let strategy = a.engine().strategy();
+        assert_eq!(strategy.fold_steps, 0);
+        assert_eq!(strategy.folded, None);
+        assert!(strategy.scratch.is_empty(), "compaction wrote to scratch");
+    }
+
+    #[test]
+    fn compaction_overtaking_the_cache_sends_it_cold() {
+        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
+        for i in 0..8u32 {
+            a.update(SetUpdate::Insert(i));
+        }
+        let _ = a.do_query(&SetQuery::Read); // folded up to clock 8, query ticks to 9
+        for i in 8..16u32 {
+            a.update(SetUpdate::Insert(i)); // clocks 10..=17, unfolded
+        }
+        // Drains clocks 1..=12: four entries the cache never folded.
+        a.on_gc_message(&GcMsg::Heartbeat { pid: 1, clock: 12 });
+        assert_eq!(a.engine().strategy().folded, None);
+        assert_eq!(
+            a.do_query(&SetQuery::Read),
+            (0..16).collect::<BTreeSet<u32>>()
+        );
+    }
+
+    #[test]
+    fn install_base_sends_the_cache_cold() {
+        let adt = SetAdt::<u32>::new();
+        let mut log: UpdateLog<SetAdt<u32>> = UpdateLog::new();
+        let mut s = StableGc::new(&adt, 2);
+        let ctx = EngineCtx { pid: 0, clock: 1 };
+        let pos = log
+            .insert(&UpdateMsg {
+                ts: Timestamp::new(9, 0),
+                update: SetUpdate::Insert(1),
+            })
+            .expect("fresh");
+        s.on_insert(&adt, &mut log, pos, &ctx);
+        assert_eq!(s.current_state(&adt, &log), &BTreeSet::from([1]));
+        assert!(s.install_base(&adt, 4, BTreeSet::from([7])));
+        assert_eq!(s.current_state(&adt, &log), &BTreeSet::from([1, 7]));
     }
 
     #[test]

@@ -277,6 +277,11 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
         self.entries.iter().map(|(ts, _)| *ts)
     }
 
+    /// The newest retained timestamp, `None` over an empty log.
+    pub fn last_timestamp(&self) -> Option<Timestamp> {
+        self.entries.last().map(|(ts, _)| *ts)
+    }
+
     /// A bounded window of the retained suffix: up to `limit` entries
     /// stamped strictly above `since` — and, when `after` is set,
     /// strictly after `after` (the resume cursor of a chunked heal) —
@@ -294,7 +299,8 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
             Some(a) => self.entries.partition_point(|(ts, _)| *ts <= a),
             None => self.entries.partition_point(|(ts, _)| ts.clock <= since),
         };
-        let end = (start + limit).min(self.entries.len());
+        // `usize::MAX` is a caller's "no limit".
+        let end = start.saturating_add(limit).min(self.entries.len());
         (&self.entries[start..end], end < self.entries.len())
     }
 
@@ -308,14 +314,25 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
         }
     }
 
-    /// Remove and return the prefix of entries with `ts.clock ≤ bound`
-    /// — the stable prefix for garbage collection. Callers that folded
-    /// the prefix into a base must follow up with
+    /// Remove the prefix of entries with `ts.clock ≤ bound` — the
+    /// stable prefix for garbage collection — handing each to `fold`
+    /// in timestamp order before it is dropped. Returns the last
+    /// timestamp drained, `None` when nothing was stable. Callers
+    /// that folded the prefix into a base must follow up with
     /// [`UpdateLog::persist_base`] so a persistent backend can compact.
-    pub fn drain_stable_prefix(&mut self, bound: u64) -> Vec<(Timestamp, A::Update)> {
+    pub fn drain_stable_prefix(
+        &mut self,
+        bound: u64,
+        mut fold: impl FnMut(&A::Update),
+    ) -> Option<Timestamp> {
         self.floor = self.floor.max(bound);
         let cut = self.entries.partition_point(|(ts, _)| ts.clock <= bound);
-        self.entries.drain(..cut).collect()
+        let mut last = None;
+        for (ts, u) in self.entries.drain(..cut) {
+            fold(&u);
+            last = Some(ts);
+        }
+        last
     }
 
     /// Raise the duplicate-rejection floor without draining —
@@ -515,10 +532,33 @@ mod tests {
         log.insert(&msg(1, 0, "a"));
         log.insert(&msg(2, 1, "b"));
         log.insert(&msg(5, 0, "c"));
-        let stable = log.drain_stable_prefix(2);
-        assert_eq!(stable.len(), 2);
+        let mut stable = Vec::new();
+        let last = log.drain_stable_prefix(2, |u| stable.push(*u));
+        assert_eq!(stable, vec!["a", "b"]);
+        assert_eq!(last, Some(Timestamp::new(2, 1)));
         assert_eq!(log.len(), 1);
         assert_eq!(log.get(0).unwrap().1, "c");
+        assert_eq!(
+            log.drain_stable_prefix(4, |_| panic!("nothing is stable")),
+            None
+        );
+    }
+
+    #[test]
+    fn suffix_window_takes_usize_max_as_no_limit() {
+        // Regression: `start + limit` overflowed (debug panic; in
+        // release `end` wrapped below `start` and the slice panicked).
+        let mut log = Log::new();
+        for c in 1..=4u64 {
+            log.insert(&msg(c, 0, "x"));
+        }
+        let (all, more) = log.suffix_window(1, None, usize::MAX);
+        assert_eq!(all.len(), 3);
+        assert!(!more);
+        let (rest, more) = log.suffix_window(0, Some(Timestamp::new(3, 0)), usize::MAX);
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].0, Timestamp::new(4, 0));
+        assert!(!more);
     }
 
     /// A backend that records what it was asked to journal, so the
@@ -593,8 +633,9 @@ mod tests {
         for c in 1..=5u64 {
             log.insert(&msg(c, 0, "x"));
         }
-        let drained = log.drain_stable_prefix(3);
-        assert_eq!(drained.len(), 3);
+        let mut drained = 0;
+        log.drain_stable_prefix(3, |_| drained += 1);
+        assert_eq!(drained, 3);
         log.persist_base(3, &());
         log.flush_backend(9);
         let b = log.backend_mut();

@@ -36,7 +36,12 @@
 //!   same reason;
 //! * **wait-free reads** — after each drain the worker publishes the
 //!   post-repair state of every touched key behind an RCU-style
-//!   [`Published`](crate::snapshot::Published) cell;
+//!   [`Published`](crate::snapshot::Published) cell. The drain notes
+//!   `(shard, key)` per applied update in a `Vec`, sorted and
+//!   deduplicated at publication (and whenever it fills), so a key
+//!   written many times in a drain is published once; under
+//!   [`StableGc`](crate::gc::StableGc) that publication advances the
+//!   key's kept fold by the drain's entries and clones it — no refold;
 //!   [`PoolHandle::query_snapshot`] is then a wait-free load that
 //!   never blocks behind a repair or a queued burst (and never ticks
 //!   the clock — it is a *weak* read of the latest published state;
@@ -97,8 +102,9 @@ use crate::store::{
     StrategyFactory, UcStore,
 };
 use crate::timestamp::{LamportClock, Timestamp};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -106,6 +112,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use uc_criteria::online::{MonitorConfig, MonitorStats, OnlineMonitor};
+use uc_history::fxhash::FxHasher;
 use uc_obs::{Health, Registry};
 use uc_sim::{Ctx, LinkCounters, Pid, Protocol};
 use uc_spec::UqAdt;
@@ -523,8 +530,9 @@ struct SnapEntry<A: UqAdt> {
 /// The key → snapshot-cell registry for one shard. The registry map
 /// itself is epoch-published (its writer is the shard's owning
 /// worker), so readers discover new keys with the same wait-free load
-/// they use for the states.
-type SnapMap<A> = HashMap<Key, Arc<Published<SnapEntry<A>>>>;
+/// they use for the states. Hashed like the shard's own key map
+/// (`FxHasher`): a published read is one lookup here plus two loads.
+type SnapMap<A> = HashMap<Key, Arc<Published<SnapEntry<A>>>, BuildHasherDefault<FxHasher>>;
 
 struct ShardSnapshots<A: UqAdt> {
     keys: Published<SnapMap<A>>,
@@ -670,16 +678,20 @@ where
     }
 }
 
-/// Find `global` among a worker's owned shards (a handful of entries;
-/// linear scan beats hashing).
+/// The slot of shard `global` among a worker's owned shards (a handful
+/// of entries; linear scan beats hashing).
+fn shard_slot<A: UqAdt, S, B>(shards: &[(usize, Shard<A, S, B>)], global: usize) -> usize {
+    shards
+        .iter()
+        .position(|(idx, _)| *idx == global)
+        .expect("shard routed to its owning worker")
+}
+
 fn shard_mut<A: UqAdt, S, B>(
     shards: &mut [(usize, Shard<A, S, B>)],
     global: usize,
 ) -> &mut Shard<A, S, B> {
-    let slot = shards
-        .iter()
-        .position(|(idx, _)| *idx == global)
-        .expect("shard routed to its owning worker");
+    let slot = shard_slot(shards, global);
     &mut shards[slot].1
 }
 
@@ -928,42 +940,79 @@ where
     }
 }
 
-/// Which `(shard, key)` states a job will dirty (for snapshot
-/// republication after the drain).
-fn note_touched<A: UqAdt>(job: &Job<A>, touched: &mut BTreeSet<(usize, Key)>) {
-    match job {
-        Job::Ingest(buckets) => {
-            for (shard, bucket) in buckets {
-                for (key, _) in bucket {
-                    touched.insert((*shard, *key));
-                }
-            }
-        }
-        Job::Update { shard, key, .. } => {
-            touched.insert((*shard, *key));
-        }
-        // Queries, heartbeats, maintenance, flushes, and barriers
-        // never change a key's folded state (compaction moves log
-        // entries into the base without changing the fold).
-        _ => {}
-    }
+/// The worker's copy of one owned shard's key → cell registry.
+struct Mirror<A: UqAdt> {
+    /// The shard's global index.
+    shard: usize,
+    cells: SnapMap<A>,
+    /// Has the shard's arming backfill run?
+    backfilled: bool,
+    /// Did `cells` gain a key since the registry was last published?
+    dirty: bool,
 }
 
-/// Worker-local snapshot publisher: mirrors of each owned shard's
+/// Worker-local snapshot publisher: a mirror of each owned shard's
 /// key→cell registry, plus the per-worker epoch sequence. Each cell
 /// and each registry has exactly one writer (this worker), which is
 /// what [`Published::publish`]'s single-writer contract needs.
 struct SnapPublisher<A: UqAdt> {
-    mirrors: HashMap<usize, SnapMap<A>>,
+    /// One per owned shard, in `WorkerState::shards` order.
+    mirrors: Vec<Mirror<A>>,
     seq: u64,
+    /// `(global shard, key)` of the updates applied since the last
+    /// publication; repeats are removed when it fills and when it is
+    /// published.
+    touched: Vec<(usize, Key)>,
 }
 
 impl<A: UqAdt> SnapPublisher<A> {
-    fn new() -> Self {
+    fn new(owned_shards: impl Iterator<Item = usize>) -> Self {
         SnapPublisher {
-            mirrors: HashMap::new(),
+            mirrors: owned_shards
+                .map(|shard| Mirror {
+                    shard,
+                    cells: SnapMap::<A>::default(),
+                    backfilled: false,
+                    dirty: false,
+                })
+                .collect(),
             seq: 0,
+            touched: Vec::new(),
         }
+    }
+
+    /// Note which `(shard, key)` states `job` will dirty, for
+    /// republication after the drain.
+    fn note_touched(&mut self, job: &Job<A>) {
+        match job {
+            Job::Ingest(buckets) => {
+                for (shard, bucket) in buckets {
+                    for (key, _) in bucket {
+                        self.touch(*shard, *key);
+                    }
+                }
+            }
+            Job::Update { shard, key, .. } => self.touch(*shard, *key),
+            // Queries, heartbeats, maintenance, flushes, and barriers
+            // never change a key's folded state (compaction moves log
+            // entries into the base without changing the fold).
+            _ => {}
+        }
+    }
+
+    /// A full list is sorted and deduplicated before it may grow, so
+    /// it holds O(distinct keys) however many messages a drain
+    /// carries (a preload queues dozens of bursts before its flush).
+    fn touch(&mut self, shard: usize, key: Key) {
+        let touched = &mut self.touched;
+        if touched.len() == touched.capacity() {
+            touched.sort_unstable();
+            touched.dedup();
+            if touched.len() > touched.capacity() / 2 {
+                touched.reserve(touched.capacity());
+            }
+        }
+        touched.push((shard, key));
     }
 
     /// Publish `key`'s current engine state (if the key has an
@@ -974,17 +1023,15 @@ impl<A: UqAdt> SnapPublisher<A> {
         &mut self,
         core: &PoolCore<A>,
         state: &mut WorkerState<A, F, P>,
-        shard_idx: usize,
+        slot: usize,
         key: Key,
-        dirty_registries: &mut BTreeSet<usize>,
         counters: &SharedCounters,
     ) where
         A: Clone,
         F: StrategyFactory<A>,
         P: BackendFactory<A>,
     {
-        let sh = shard_mut(&mut state.shards, shard_idx);
-        let Some(engine) = sh.engine_mut(key) else {
+        let Some(engine) = state.shards[slot].1.engine_mut(key) else {
             return;
         };
         let snapshot = Arc::new(SnapEntry {
@@ -993,93 +1040,74 @@ impl<A: UqAdt> SnapPublisher<A> {
         });
         self.seq += 1;
         counters.snaps_published.fetch_add(1, Ordering::Relaxed);
-        let mirror = self.mirrors.entry(shard_idx).or_default();
-        match mirror.get(&key) {
+        let mirror = &mut self.mirrors[slot];
+        match mirror.cells.get(&key) {
             Some(cell) => cell.publish(self.seq, snapshot),
             None => {
                 let cell = Arc::new(Published::new());
                 cell.publish(self.seq, snapshot);
-                mirror.insert(key, cell);
-                dirty_registries.insert(shard_idx);
+                mirror.cells.insert(key, cell);
+                mirror.dirty = true;
             }
         }
     }
 
     /// Publish the registries that gained keys this drain.
-    fn flush_registries(&mut self, core: &PoolCore<A>, dirty: &mut BTreeSet<usize>) {
-        for shard_idx in std::mem::take(dirty) {
-            if let Some(mirror) = self.mirrors.get(&shard_idx) {
+    fn flush_registries(&mut self, core: &PoolCore<A>) {
+        for mirror in &mut self.mirrors {
+            if std::mem::take(&mut mirror.dirty) {
                 self.seq += 1;
-                core.snaps[shard_idx]
+                core.snaps[mirror.shard]
                     .keys
-                    .publish(self.seq, Arc::new(mirror.clone()));
+                    .publish(self.seq, Arc::new(mirror.cells.clone()));
             }
-        }
-    }
-
-    /// Backfill one shard: publish every key it currently holds (run
-    /// once per shard, when the worker first observes that shard
-    /// armed). Incremental by construction — other owned shards pay
-    /// nothing until a snapshot read arms them too.
-    fn publish_shard<F, P>(
-        &mut self,
-        core: &PoolCore<A>,
-        state: &mut WorkerState<A, F, P>,
-        shard_idx: usize,
-        dirty_registries: &mut BTreeSet<usize>,
-        counters: &SharedCounters,
-    ) where
-        A: Clone,
-        F: StrategyFactory<A>,
-        P: BackendFactory<A>,
-    {
-        let keys: Vec<Key> = shard_mut(&mut state.shards, shard_idx).keys().collect();
-        for key in keys {
-            self.publish_key(core, state, shard_idx, key, dirty_registries, counters);
         }
     }
 }
 
-/// Publish whatever snapshot work is pending, **per armed shard**: a
-/// shard observed armed for the first time gets a one-off backfill of
-/// its keys; shards backfilled earlier publish only the keys touched
-/// since the last publication; unarmed shards publish nothing (their
-/// touched entries are dropped — arming them later triggers their own
-/// backfill). Runs at the end of every drain *and* immediately before
-/// a barrier/cut ack, so a completed [`IngestPool::flush`] guarantees
-/// the published snapshots cover every earlier submission.
-#[allow(clippy::too_many_arguments)]
+/// Publish whatever snapshot work is pending, **per armed shard**:
+/// shards backfilled earlier publish the keys touched since the last
+/// publication, each once however often the drain wrote it; a shard
+/// observed armed for the first time gets a one-off backfill of its
+/// keys (which covers whatever the drain touched there); unarmed
+/// shards publish nothing (their touched entries are dropped — arming
+/// them later triggers their own backfill). Runs at the end of every
+/// drain *and* immediately before a barrier/cut ack, so a completed
+/// [`IngestPool::flush`] guarantees the published snapshots cover
+/// every earlier submission.
 fn publish_pending<A, F, P>(
     core: &PoolCore<A>,
     state: &mut WorkerState<A, F, P>,
     publisher: &mut SnapPublisher<A>,
-    backfilled: &mut BTreeSet<usize>,
-    touched: &mut BTreeSet<(usize, Key)>,
-    dirty_registries: &mut BTreeSet<usize>,
     counters: &SharedCounters,
 ) where
     A: UqAdt + Clone,
     F: StrategyFactory<A>,
     P: BackendFactory<A>,
 {
-    let mut newly: Vec<usize> = Vec::new();
-    for (idx, _) in &state.shards {
-        if core.armed[*idx].load(Ordering::SeqCst) && !backfilled.contains(idx) {
-            newly.push(*idx);
+    let mut touched = std::mem::take(&mut publisher.touched);
+    touched.sort_unstable();
+    touched.dedup();
+    for (shard_idx, key) in touched.drain(..) {
+        let slot = shard_slot(&state.shards, shard_idx);
+        if publisher.mirrors[slot].backfilled {
+            publisher.publish_key(core, state, slot, key, counters);
         }
     }
-    for &idx in &newly {
-        publisher.publish_shard(core, state, idx, dirty_registries, counters);
-        backfilled.insert(idx);
-    }
-    for (shard_idx, key) in std::mem::take(touched) {
-        // A just-backfilled shard already published this key's current
-        // state; an unarmed shard waits for its own arming backfill.
-        if backfilled.contains(&shard_idx) && !newly.contains(&shard_idx) {
-            publisher.publish_key(core, state, shard_idx, key, dirty_registries, counters);
+    publisher.touched = touched;
+    for slot in 0..publisher.mirrors.len() {
+        let mirror = &publisher.mirrors[slot];
+        if !mirror.backfilled && core.armed[mirror.shard].load(Ordering::SeqCst) {
+            // Incremental by construction: other owned shards pay
+            // nothing until a snapshot read arms them too.
+            let keys: Vec<Key> = state.shards[slot].1.keys().collect();
+            for key in keys {
+                publisher.publish_key(core, state, slot, key, counters);
+            }
+            publisher.mirrors[slot].backfilled = true;
         }
     }
-    publisher.flush_registries(core, dirty_registries);
+    publisher.flush_registries(core);
 }
 
 /// Worker main loop: claim-and-drain the inbox until it is closed and
@@ -1112,11 +1140,8 @@ where
     // A store may arrive with live keys (a respawned pool, a reopen).
     state.publish_live_keys(counters);
     let mut batch: Vec<Job<A>> = Vec::new();
-    let mut touched: BTreeSet<(usize, Key)> = BTreeSet::new();
-    let mut dirty_registries: BTreeSet<usize> = BTreeSet::new();
-    let mut publisher: SnapPublisher<A> = SnapPublisher::new();
-    // Owned shards already backfilled into the snapshot registries.
-    let mut backfilled: BTreeSet<usize> = BTreeSet::new();
+    let mut publisher: SnapPublisher<A> =
+        SnapPublisher::new(state.shards.iter().map(|(idx, _)| *idx));
     let any_armed = |state: &WorkerState<A, F, P>| {
         state
             .shards
@@ -1140,17 +1165,9 @@ where
         }
         for job in std::mem::take(&mut batch) {
             if matches!(job, Job::Barrier(_) | Job::Cut { .. }) && any_armed(&state) {
-                publish_pending(
-                    &core,
-                    &mut state,
-                    &mut publisher,
-                    &mut backfilled,
-                    &mut touched,
-                    &mut dirty_registries,
-                    counters,
-                );
+                publish_pending(&core, &mut state, &mut publisher, counters);
             }
-            note_touched(&job, &mut touched);
+            publisher.note_touched(&job);
             let outcome = catch_unwind(AssertUnwindSafe(|| state.run(job, counters)));
             counters.on_done();
             if let Err(payload) = outcome {
@@ -1182,17 +1199,9 @@ where
             }
         }
         if any_armed(&state) {
-            publish_pending(
-                &core,
-                &mut state,
-                &mut publisher,
-                &mut backfilled,
-                &mut touched,
-                &mut dirty_registries,
-                counters,
-            );
+            publish_pending(&core, &mut state, &mut publisher, counters);
         } else {
-            touched.clear();
+            publisher.touched.clear();
         }
     }
     // Drain-on-drop / finish: everything queued has been applied; make
@@ -1355,6 +1364,17 @@ where
         answer.recv().map_err(|_| self.err_for(worker))
     }
 
+    /// Arm snapshot publication for `shard`. Test-then-set: the flag
+    /// only ever goes up, and the worker polls its cache line once per
+    /// drain and per barrier, so a read of an armed shard must not
+    /// write to it.
+    fn arm(&self, shard: usize) {
+        let armed = &self.core.armed[shard];
+        if !armed.load(Ordering::SeqCst) {
+            armed.store(true, Ordering::SeqCst);
+        }
+    }
+
     /// Wait-free weak read: a load of the latest epoch-published
     /// post-repair snapshot. Never blocks behind a repair, a queued
     /// burst, or a poisoned pool; never ticks the clock. Keys without
@@ -1376,7 +1396,7 @@ where
     /// ever increase — the monotonic-read regression tests assert it.
     pub fn query_snapshot_versioned(&self, key: Key, q: &A::QueryIn) -> (u64, A::QueryOut) {
         let shard = shard_index(key, self.core.num_shards);
-        self.core.armed[shard].store(true, Ordering::SeqCst);
+        self.arm(shard);
         if let Some((_, map)) = self.core.snaps[shard].keys.load() {
             if let Some(cell) = map.get(&key) {
                 if let Some((epoch, entry)) = cell.load() {
@@ -1401,8 +1421,7 @@ where
     /// initial state.
     pub fn query_snapshot_multi(&self, reqs: &[(Key, A::QueryIn)]) -> Vec<(Key, A::QueryOut)> {
         for (key, _) in reqs {
-            let shard = shard_index(*key, self.core.num_shards);
-            self.core.armed[shard].store(true, Ordering::SeqCst);
+            self.arm(shard_index(*key, self.core.num_shards));
         }
         for _ in 0..SNAP_READ_RETRIES {
             let era = self.core.cut_seq.load(Ordering::SeqCst);
@@ -2901,16 +2920,49 @@ mod tests {
         let before = pool.clock();
         let _ = reader.query_snapshot(7, &SetQuery::Read);
         assert_eq!(pool.clock(), before);
+        // A burst that writes six keys five times each is one job per
+        // worker, so one drain: each key is published once, and what
+        // is published is what the key holds.
+        let mut producer = store(1, 1);
+        let burst: Vec<_> = (0..30u64)
+            .map(|i| producer.update(100 + i % 6, SetUpdate::Insert(i as u32)))
+            .collect();
+        for k in 100..106 {
+            let _ = reader.query_snapshot(k, &SetQuery::Read);
+        }
+        pool.flush().unwrap(); // every touched shard armed and backfilled
+        let published = pool.stats().total_snapshots_published();
+        pool.submit_batch(burst).unwrap();
+        pool.flush().unwrap();
+        assert_eq!(pool.stats().total_snapshots_published() - published, 6);
         // Handles survive finish; snapshots keep answering.
-        drop(pool.finish().unwrap());
-        assert_eq!(
-            reader.query_snapshot(7, &SetQuery::Read),
-            BTreeSet::from([1, 2])
-        );
+        let mut finished = pool.finish().unwrap();
+        for k in (100..106).chain([7]) {
+            assert_eq!(
+                reader.query_snapshot(k, &SetQuery::Read),
+                finished.materialize_key(k),
+                "key {k}"
+            );
+        }
+        assert_eq!(finished.materialize_key(7), BTreeSet::from([1, 2]));
         let err = reader
             .update(7, SetUpdate::Insert(3))
             .expect_err("updates after finish must fail");
         assert!(err.to_string().contains("closed"));
+    }
+
+    #[test]
+    fn touched_list_is_bounded_by_distinct_keys_not_messages() {
+        // A preload queues many bursts before its first flush; the
+        // list of what they touched must not grow with their length.
+        let mut publisher: SnapPublisher<SetAdt<u32>> = SnapPublisher::new(0..1);
+        for i in 0..100_000u64 {
+            publisher.touch(0, i % 10);
+        }
+        assert!(publisher.touched.capacity() <= 32);
+        publisher.touched.sort_unstable();
+        publisher.touched.dedup();
+        assert_eq!(publisher.touched.len(), 10);
     }
 
     #[test]

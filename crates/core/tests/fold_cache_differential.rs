@@ -1,0 +1,227 @@
+//! Differential test of [`StableGc`]'s kept fold: whatever happens
+//! between two reads — in-order and late insertions, heartbeats and
+//! maintenance ticks compacting under the cache, a retention cap going
+//! on and off, cut reads, an engine `Clone`, a crash and
+//! [`ReplicaEngine::recover`] — the next read must equal a naive
+//! replay of the full log.
+//!
+//! `strategy_differential` reads after every delivery, which keeps the
+//! cache warm and current and so never lets compaction overtake it.
+//! Here every step is checked too, but half of the checks read a
+//! *clone* of the engine, so the original's cache stays as far behind
+//! its log as the schedule left it.
+
+use std::cell::RefCell;
+use std::collections::{BTreeSet, VecDeque};
+use std::rc::Rc;
+use uc_core::{GenericReplica, LogBackend, ReplicaEngine, StableGc, Timestamp, UpdateMsg};
+use uc_sim::SplitMix64;
+use uc_spec::{SetAdt, SetQuery, SetUpdate};
+
+type Adt = SetAdt<u32>;
+type Upd = SetUpdate<u32>;
+type Msg = UpdateMsg<Upd>;
+type Gc = ReplicaEngine<Adt, StableGc<Adt>, Disk>;
+
+/// What a persistent backend keeps, held outside the engine so that a
+/// "crash" can drop the engine and recover from it.
+#[derive(Default)]
+struct DiskState {
+    base: Option<(u64, BTreeSet<u32>)>,
+    journal: Vec<(Timestamp, Upd)>,
+    watermark: u64,
+}
+
+#[derive(Clone, Default)]
+struct Disk(Rc<RefCell<DiskState>>);
+
+impl LogBackend<Adt> for Disk {
+    fn append(&mut self, ts: Timestamp, u: &Upd) {
+        self.0.borrow_mut().journal.push((ts, *u));
+    }
+
+    fn truncate_to_base(&mut self, bound: u64, state: &BTreeSet<u32>, tail: &[(Timestamp, Upd)]) {
+        let mut disk = self.0.borrow_mut();
+        disk.base = Some((bound, state.clone()));
+        disk.journal = tail.to_vec();
+    }
+
+    fn flush(&mut self, clock: u64) {
+        self.0.borrow_mut().watermark = clock;
+    }
+
+    fn load_base(&mut self) -> Option<(u64, BTreeSet<u32>)> {
+        self.0.borrow().base.clone()
+    }
+
+    fn scan_suffix(&mut self) -> Vec<(Timestamp, Upd)> {
+        self.0.borrow().journal.clone()
+    }
+
+    fn clock_watermark(&self) -> u64 {
+        self.0.borrow().watermark
+    }
+}
+
+fn random_update(rng: &mut SplitMix64) -> Upd {
+    let v = (rng.next_u64() % 8) as u32;
+    if rng.next_u64().is_multiple_of(3) {
+        SetUpdate::Delete(v)
+    } else {
+        SetUpdate::Insert(v)
+    }
+}
+
+/// One FIFO stream per producer (pids `1..=producers`), with gossip
+/// between producers so that their clocks interleave and a delivery
+/// from one lands below what another already delivered.
+fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<VecDeque<Msg>> {
+    let mut peers: Vec<GenericReplica<Adt>> = (0..producers)
+        .map(|i| GenericReplica::new(SetAdt::new(), i as u32 + 1))
+        .collect();
+    let mut streams = vec![VecDeque::new(); producers];
+    for _ in 0..40 + rng.next_u64() % 40 {
+        let p = (rng.next_u64() % producers as u64) as usize;
+        let m = peers[p].update(random_update(rng));
+        let q = (rng.next_u64() % producers as u64) as usize;
+        if q != p && rng.next_u64().is_multiple_of(2) {
+            peers[q].on_deliver(&m);
+        }
+        streams[p].push_back(m);
+    }
+    streams
+}
+
+fn check(gc: &mut Gc, naive: &mut GenericReplica<Adt>, on_clone: bool, what: &str, seed: u64) {
+    let expect = naive.materialize();
+    let got = if on_clone {
+        gc.clone().materialize()
+    } else {
+        gc.materialize()
+    };
+    assert_eq!(got, expect, "after {what}, seed {seed}");
+}
+
+fn scenario(seed: u64) -> u64 {
+    let mut rng = SplitMix64::new(seed);
+    let producers = 2 + (rng.next_u64() % 3) as usize;
+    let cluster = producers + 1;
+    let mut queues = produce_streams(&mut rng, producers);
+    // Highest clock delivered from each producer: what its heartbeat
+    // may announce without overtaking its own undelivered updates.
+    let mut delivered = vec![0u64; producers];
+
+    let adt: Adt = SetAdt::new();
+    let disk = Disk::default();
+    let mut gc: Gc =
+        ReplicaEngine::with_backend(adt, 0, StableGc::new(&adt, cluster), disk.clone());
+    let mut naive: GenericReplica<Adt> = GenericReplica::new(adt, 0);
+    let mut compacted = 0;
+
+    let mut idle_steps = 0;
+    while idle_steps < 24 {
+        let p = (rng.next_u64() % producers as u64) as usize;
+        let what = match rng.next_u64() % 12 {
+            0..=3 => {
+                let take = 1 + (rng.next_u64() % 4) as usize;
+                let burst: Vec<Msg> = (0..take).filter_map(|_| queues[p].pop_front()).collect();
+                if let Some(last) = burst.last() {
+                    delivered[p] = last.ts.clock;
+                }
+                for m in &burst {
+                    naive.on_deliver(m);
+                }
+                if rng.next_u64().is_multiple_of(2) {
+                    gc.on_deliver_batch_owned(burst);
+                    "a batched delivery"
+                } else {
+                    for m in &burst {
+                        gc.on_deliver(m);
+                    }
+                    "a per-message delivery"
+                }
+            }
+            4 => {
+                let m = gc.update(random_update(&mut rng));
+                naive.on_deliver(&m);
+                "a local update"
+            }
+            5 => {
+                let _ = gc.do_query(&SetQuery::Read);
+                "a query"
+            }
+            6 => {
+                gc.observe_peer_clock(p as u32 + 1, delivered[p]);
+                "a heartbeat"
+            }
+            7 => {
+                gc.tick_maintenance();
+                "a maintenance tick"
+            }
+            8 => {
+                let cap = rng
+                    .next_u64()
+                    .is_multiple_of(2)
+                    .then(|| rng.next_u64() % (gc.clock() + 1));
+                gc.set_retention_cap(cap);
+                "a retention cap change"
+            }
+            9 => {
+                let cut = rng.next_u64() % (gc.clock() + 2);
+                let expect = naive
+                    .state_at_cut(cut)
+                    .expect("the full log answers any cut");
+                match gc.state_at_cut(cut) {
+                    Ok(state) => assert_eq!(state, expect, "cut {cut}, seed {seed}"),
+                    Err(e) => assert!(
+                        cut < e.bound && e.bound == gc.strategy().stability_bound(),
+                        "cut {cut} refused at bound {}, seed {seed}",
+                        e.bound
+                    ),
+                }
+                "a cut read"
+            }
+            10 => {
+                gc = gc.clone();
+                "an engine clone"
+            }
+            _ => {
+                // Crash after a flush: everything but the disk is
+                // lost, stability knowledge and retention cap included.
+                gc.flush_backend();
+                compacted += gc.strategy().compacted();
+                gc = ReplicaEngine::recover(adt, 0, StableGc::new(&adt, cluster), disk.clone());
+                "a recovery"
+            }
+        };
+        check(
+            &mut gc,
+            &mut naive,
+            rng.next_u64().is_multiple_of(2),
+            what,
+            seed,
+        );
+        if queues.iter().all(VecDeque::is_empty) {
+            idle_steps += 1;
+        }
+    }
+
+    // Full stability, then the log must be gone and the answer intact.
+    gc.set_retention_cap(None);
+    let clock = gc.clock();
+    for pid in 0..cluster as u32 {
+        gc.observe_peer_clock(pid, clock);
+    }
+    assert_eq!(gc.log_len(), 0, "seed {seed}");
+    check(&mut gc, &mut naive, false, "full stability", seed);
+    compacted + gc.strategy().compacted()
+}
+
+#[test]
+fn kept_fold_matches_naive_replay_after_every_step() {
+    let mut compacted = 0;
+    for seed in 0..200 {
+        compacted += scenario(seed);
+    }
+    assert!(compacted > 0, "the schedules must compact under the cache");
+}
