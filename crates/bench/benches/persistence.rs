@@ -8,14 +8,14 @@
 //!   baseline: journaling compiles to nothing);
 //! * **seg**       — [`SegmentFactory`] with a `flush_backends` after
 //!   every chunk (process-crash durable per burst: journal encode on
-//!   the ingest path, then one write of the shard's buffer and one
-//!   watermark record per touched key);
+//!   the ingest path, one watermark record per touched key, then one
+//!   write of each shard's buffer);
 //! * **seg-fsync** — the same, with the factory's `fsync(true)`
-//!   power-loss tier (one `fdatasync` of the shard journal per
-//!   touched key per flush);
+//!   power-loss tier (one `fdatasync` per shard journal per flush,
+//!   however many of the shard's keys were touched);
 //! * **seg-lazy**  — flushed once at the end (write-behind: the
 //!   ingest path only encodes into the shard buffers, which write
-//!   through every 4 KiB, the way timer-driven flushing batches
+//!   through every 16 KiB, the way timer-driven flushing batches
 //!   durability).
 //!
 //! After the durable ingest the store is dropped (**kill**) and
@@ -25,6 +25,11 @@
 //! byte-identical per-key digests every rep — the CI smoke step
 //! (`UC_BENCH_SMOKE=1`) is exactly this ingest → kill → reopen →
 //! digest-assert loop under a hermetic tempdir.
+//!
+//! The seg-fsync store's `SegmentFactory::io_counts()` are printed per
+//! `flush_backends` (`writes_per_flush`, `syncs_per_flush`). They are
+//! counts, so they repeat exactly, smoke mode included, and CI gates
+//! on `syncs_per_flush <= shards`: one commit per shard per flush.
 //!
 //! Run with `cargo bench -p uc-bench --bench persistence`. Results are
 //! written to `BENCH_persistence.json` at the workspace root; every
@@ -36,7 +41,7 @@ use std::time::Instant;
 use uc_core::{state_digest, CheckpointFactory, NaiveFactory, StoreMsg, UcStore};
 use uc_sim::{generate_keyed, perturb_order, KeyedWorkloadSpec};
 use uc_spec::{SetAdt, SetUpdate};
-use uc_storage::{ScratchDir, SegmentFactory};
+use uc_storage::{IoCounts, ScratchDir, SegmentFactory};
 
 type Msg = StoreMsg<SetUpdate<u32>>;
 type Adt = SetAdt<u32>;
@@ -143,6 +148,7 @@ fn main() {
     let mut reopen_samples = Vec::new();
     let mut reopen_keys = 0usize;
     let mut disk = 0u64;
+    let mut io = IoCounts::default();
     for rep in 0..reps {
         // In-memory baseline (and the digest reference).
         let mut mem: MemStore = UcStore::new(SetAdt::new(), 0, SHARDS, factory);
@@ -187,7 +193,7 @@ fn main() {
             .expect("scratch store")
             .fsync(true);
         let mut synced: SegStore =
-            UcStore::with_persistence(SetAdt::new(), 0, SHARDS, factory, persist);
+            UcStore::with_persistence(SetAdt::new(), 0, SHARDS, factory, persist.clone());
         let t0 = Instant::now();
         for chunk in stream.chunks(CHUNK) {
             synced.apply_batch(chunk);
@@ -195,6 +201,7 @@ fn main() {
         }
         fsync_samples.push(t0.elapsed().as_nanos() as u64);
         assert_eq!(reference, digest_seg(&mut synced), "fsync ingest diverged");
+        io = persist.io_counts();
         drop(synced);
 
         // Segment-backed, write-behind (one final flush).
@@ -232,14 +239,22 @@ fn main() {
         "\nreopen: {reopen_ns} ns for {reopen_keys} keys ({us_per_key:.1} µs/key cold), \
          {disk} bytes on disk"
     );
+    let flushes = total.div_ceil(CHUNK) as f64;
+    let writes_per_flush = io.writes as f64 / flushes;
+    let syncs_per_flush = io.syncs as f64 / flushes;
+    println!(
+        "seg-fsync journal io per flush_backends: writes_per_flush={writes_per_flush} \
+         syncs_per_flush={syncs_per_flush}"
+    );
 
     let mut json = String::from("{\n  \"bench\": \"persistence\",\n");
     let _ = writeln!(
         json,
         "  \"config\": {{\"updates\": {total}, \"keys\": {}, \"chunk\": {CHUNK}, \
          \"shards\": {SHARDS}, \"checkpoint_every\": {EVERY}, \"reps\": {reps}, \
-         \"smoke\": {smoke}}},",
-        spec.keys
+         \"parallelism\": {}, \"smoke\": {smoke}}},",
+        spec.keys,
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     );
     let _ = writeln!(
         json,
@@ -261,13 +276,20 @@ fn main() {
         "  \"reopen\": {{\"reopen_ns\": {reopen_ns}, \"keys\": {reopen_keys}, \
          \"us_per_key\": {us_per_key:.2}, \"disk_bytes\": {disk}}},"
     );
+    let _ = writeln!(
+        json,
+        "  \"io\": {{\"writes_per_flush\": {writes_per_flush}, \
+         \"syncs_per_flush\": {syncs_per_flush}}},"
+    );
     json.push_str(
         "  \"note\": \"digest-verified every rep: mem == seg == seg-fsync == seg-lazy == \
          reopened; seg_vs_mem is the process-crash-durable per-burst overhead (encode, one \
-         write per shard buffer and one watermark record per touched key per chunk), \
-         fsync_vs_mem adds one fdatasync of the shard journal per touched key per flush \
-         (power-loss tier), lazy_vs_mem is pure write-behind; reopen scans one journal \
-         per shard and rebuilds every key as fold(base) + replay(tail)\"\n",
+         watermark record per touched key and one write per shard buffer per chunk), \
+         fsync_vs_mem adds one fdatasync per shard journal per flush (power-loss tier), \
+         lazy_vs_mem is pure write-behind; io is the seg-fsync store's journal writes \
+         (commits plus 16 KiB write-throughs) and fdatasyncs per flush_backends, exact \
+         counts; reopen scans one journal per shard and rebuilds every key as \
+         fold(base) + replay(tail)\"\n",
     );
     json.push_str("}\n");
 

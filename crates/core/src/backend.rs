@@ -54,6 +54,21 @@
 //! replica's clock is `max(watermark, base bound, tail timestamps)` —
 //! identical to the pre-crash clock whenever the crash happened after
 //! a flush.
+//!
+//! The store flushes a shard at a time, and a factory is free to back
+//! a shard's keys by one file, so the walk has a commit boundary:
+//! [`LogBackend::stage_flush`] on every key of the shard that is owed
+//! a flush but the last, `flush` on the last. `stage_flush` promises
+//! what `flush` does, later: its entries and watermark are durable
+//! once the next `flush` of any backend *the same factory opened for
+//! the same shard* has returned (nothing is promised across shards or
+//! factories). Its default body is `flush`, so a backend that shares
+//! no storage with its neighbours, and a wrapper that forwards only
+//! the methods it knows, keep the per-key durability point. Only a
+//! backend whose `flush` commits everything its shard has staged may
+//! override it. A crash between the staging calls and the commit
+//! loses at most what a crash just before the walk would have lost:
+//! recovery accepts any prefix of the journal.
 
 use crate::store::Key;
 use crate::timestamp::Timestamp;
@@ -95,6 +110,22 @@ pub trait LogBackend<A: UqAdt> {
     /// process kill. `clock` is the owning engine's current Lamport
     /// clock, persisted as the recovery watermark.
     fn flush(&mut self, clock: u64);
+
+    /// [`LogBackend::flush`] with the durability deferred: the same
+    /// bookkeeping (the clock watermark is recorded), but what this
+    /// backend journaled need only be durable once the next `flush`
+    /// of *any* backend the same factory opened for the same shard
+    /// returns. The store's flush walk calls this on every key of a
+    /// shard but the last and `flush` on the last, so a factory that
+    /// backs a shard's keys by one file pays one commit per shard.
+    ///
+    /// The default is `flush` itself, which is always a correct
+    /// answer: a backend that shares nothing with its shard's other
+    /// keys — or a wrapper that does not forward this method — stays
+    /// durable per key.
+    fn stage_flush(&mut self, clock: u64) {
+        self.flush(clock);
+    }
 
     /// Recovery: the most recent durable base snapshot, if any
     /// compaction ever ran — `(bound, fold of the stable prefix)`.

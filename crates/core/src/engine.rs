@@ -317,6 +317,15 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         self.log.flush_backend(clock);
     }
 
+    /// [`ReplicaEngine::flush_backend`] with the durability left to
+    /// the next flush of a backend of the same shard
+    /// ([`LogBackend::stage_flush`]): what a shard's flush walk calls
+    /// on every key but its last.
+    pub fn stage_backend_flush(&mut self) {
+        let clock = self.clock.now();
+        self.log.stage_backend_flush(clock);
+    }
+
     fn ctx(&self) -> EngineCtx {
         EngineCtx {
             pid: self.pid,

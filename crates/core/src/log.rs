@@ -372,6 +372,12 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
         self.backend.flush(clock);
     }
 
+    /// [`UpdateLog::flush_backend`] with the durability left to the
+    /// shard's next flush ([`LogBackend::stage_flush`]).
+    pub fn stage_backend_flush(&mut self, clock: u64) {
+        self.backend.stage_flush(clock);
+    }
+
     /// Direct backend access (recovery and tests).
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend

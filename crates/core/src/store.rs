@@ -658,6 +658,11 @@ pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     /// list since the last [`Shard::flush_backends`]: they were idle
     /// when an insertion began, or they left the live list.
     unflushed: Vec<Key>,
+    /// How many keys on `unflushed` are off the live list. The flush
+    /// walk visits them after the live keys, so this tells it which
+    /// key is its last (the one that commits for the shard) without
+    /// a second look at any slot.
+    idle_unflushed: usize,
     /// Highest clock each pid has announced by heartbeat, ascending
     /// by pid (a cluster's worth of entries).
     heard: Vec<(u32, u64)>,
@@ -679,6 +684,7 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
             objects: HashMap::default(),
             live: Vec::new(),
             unflushed: Vec::new(),
+            idle_unflushed: 0,
             heard: Vec::new(),
             high_water: 0,
             retention_cap: None,
@@ -758,6 +764,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             objects,
             live,
             unflushed,
+            idle_unflushed,
             heard,
             retention_cap,
             ..
@@ -786,12 +793,14 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             if !slot.unflushed {
                 slot.unflushed = true;
                 unflushed.push(key);
+                *idle_unflushed += 1;
             }
         }
         let out = f(&mut slot.engine);
         if !slot.live && slot.engine.log_len() > 0 {
             slot.live = true;
             live.push(key);
+            *idle_unflushed -= 1;
         }
         out
     }
@@ -871,6 +880,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             objects,
             live,
             unflushed,
+            idle_unflushed,
             ..
         } = self;
         live.retain(|key| {
@@ -884,6 +894,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 slot.unflushed = true;
                 unflushed.push(*key);
             }
+            *idle_unflushed += 1;
             false
         });
     }
@@ -905,26 +916,45 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
 
     /// Flush the storage backend of every engine that can have
     /// journaled or moved its clock since the last flush: the live
-    /// ones and the unflushed idle ones (durability point).
+    /// ones and the unflushed idle ones (durability point). One
+    /// commit for the shard: every key but the walk's last only
+    /// stages its flush ([`LogBackend::stage_flush`]), and the last
+    /// key's `flush` makes all of them durable.
     pub(crate) fn flush_backends(&mut self) {
         let Shard {
             objects,
             live,
             unflushed,
+            idle_unflushed,
             ..
         } = self;
-        for key in live.iter() {
+        let flush = |engine: &mut ReplicaEngine<A, S, B>, last: bool| {
+            if last {
+                engine.flush_backend();
+            } else {
+                engine.stage_backend_flush();
+            }
+        };
+        // The walk ends on the last idle key owed a flush, or, with
+        // none, on the last live one.
+        let mut idle_left = std::mem::take(idle_unflushed);
+        let last_live = live.len().checked_sub(1).filter(|_| idle_left == 0);
+        for (at, key) in live.iter().enumerate() {
             let slot = objects.get_mut(key).expect("a live key has an engine");
-            slot.engine.flush_backend();
+            flush(&mut slot.engine, Some(at) == last_live);
         }
         for key in unflushed.drain(..) {
             let slot = objects.get_mut(&key).expect("a listed key has an engine");
             slot.unflushed = false;
             // Back on the live list since: flushed just above.
             if !slot.live {
-                slot.engine.flush_backend();
+                idle_left -= 1;
+                flush(&mut slot.engine, idle_left == 0);
             }
         }
+        // Staged flushes are durable only because the last key's
+        // `flush` ran.
+        assert_eq!(idle_left, 0, "an idle key owed a flush was not listed");
     }
 }
 
@@ -2486,6 +2516,7 @@ where
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::Mutex;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
 
     type Store = UcStore<SetAdt<u32>, CheckpointFactory>;
@@ -2739,6 +2770,109 @@ mod tests {
         let mut replay: GcStore = UcStore::new(SetAdt::new(), 1, 2, GcFactory { n: 3 });
         s.apply_message(&replay.update(7, SetUpdate::Insert(1)));
         assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
+    }
+
+    /// (shard, key, committed) per flush call, in call order.
+    type FlushCalls = Arc<Mutex<Vec<(usize, Key, bool)>>>;
+
+    /// A backend that records which of the two flush calls it got.
+    struct Recording {
+        at: (usize, Key),
+        calls: FlushCalls,
+    }
+
+    impl LogBackend<SetAdt<u32>> for Recording {
+        fn append(&mut self, _ts: Timestamp, _u: &SetUpdate<u32>) {}
+
+        fn truncate_to_base(
+            &mut self,
+            _bound: u64,
+            _state: &BTreeSet<u32>,
+            _tail: &[(Timestamp, SetUpdate<u32>)],
+        ) {
+        }
+
+        fn flush(&mut self, _clock: u64) {
+            let (shard, key) = self.at;
+            self.calls.lock().unwrap().push((shard, key, true));
+        }
+
+        fn stage_flush(&mut self, _clock: u64) {
+            let (shard, key) = self.at;
+            self.calls.lock().unwrap().push((shard, key, false));
+        }
+
+        fn load_base(&mut self) -> Option<(u64, BTreeSet<u32>)> {
+            None
+        }
+
+        fn scan_suffix(&mut self) -> Vec<(Timestamp, SetUpdate<u32>)> {
+            Vec::new()
+        }
+    }
+
+    #[derive(Clone, Default)]
+    struct RecordingFactory(FlushCalls);
+
+    impl BackendFactory<SetAdt<u32>> for RecordingFactory {
+        type Backend = Recording;
+
+        fn open(&self, shard: usize, key: Key) -> Recording {
+            Recording {
+                at: (shard, key),
+                calls: Arc::clone(&self.0),
+            }
+        }
+    }
+
+    #[test]
+    fn the_flush_walk_stages_every_key_of_a_shard_and_commits_on_its_last() {
+        let calls = RecordingFactory::default();
+        let mut s: UcStore<SetAdt<u32>, GcFactory, RecordingFactory> =
+            UcStore::with_persistence(SetAdt::new(), 0, 2, GcFactory { n: 2 }, calls.clone());
+        // Flush, and check the calls: every key of `want` once, and in
+        // each shard every call staged but the last.
+        let flush = |s: &mut UcStore<_, _, RecordingFactory>, want: &[Key], when: &str| {
+            s.flush_backends();
+            let calls = std::mem::take(&mut *calls.0.lock().unwrap());
+            let mut keys: Vec<Key> = calls.iter().map(|(_, key, _)| *key).collect();
+            keys.sort_unstable();
+            assert_eq!(keys, want, "{when}");
+            for shard in 0..2 {
+                let of_shard: Vec<bool> = calls
+                    .iter()
+                    .filter(|(at, ..)| *at == shard)
+                    .map(|(.., committed)| *committed)
+                    .collect();
+                if let Some((last, staged)) = of_shard.split_last() {
+                    assert!(*last, "{when}: shard {shard} never committed");
+                    assert!(!staged.contains(&true), "{when}: shard {shard}");
+                }
+            }
+        };
+        let keys: Vec<Key> = (0..10).collect();
+        for key in &keys {
+            s.update(*key, SetUpdate::Insert(1));
+        }
+        flush(&mut s, &keys, "every key live");
+        flush(&mut s, &keys, "still live: the clock may have moved");
+        let clock = s.clock();
+        s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+        assert_eq!(s.live_keys(), 0);
+        flush(&mut s, &keys, "every key idle, owed its last flush");
+        flush(&mut s, &[], "nothing owed");
+        // Keys 0..4 compact again and go idle; 7 and 8 are idle when
+        // their insertion begins and live at the flush.
+        for key in &keys[..4] {
+            s.update(*key, SetUpdate::Insert(2));
+        }
+        let clock = s.clock();
+        s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+        s.update(7, SetUpdate::Insert(3));
+        s.update(8, SetUpdate::Insert(3));
+        assert_eq!(s.live_keys(), 2);
+        flush(&mut s, &[0, 1, 2, 3, 7, 8], "live and idle keys");
+        flush(&mut s, &[7, 8], "the live ones again");
     }
 
     #[test]

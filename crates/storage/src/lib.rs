@@ -51,4 +51,4 @@ pub mod segment;
 pub use codec::{Codec, Reader};
 pub use frame::{crc32, FrameReader, FrameScanner};
 pub use scratch::ScratchDir;
-pub use segment::{SegmentBackend, SegmentFactory};
+pub use segment::{IoCounts, SegmentBackend, SegmentFactory};

@@ -21,15 +21,23 @@
 //! |-----------|-------------------------------|-----------------------------------|
 //! | update    | key, clock, pid, update       | `append` / `append_batch`, in arrival order |
 //! | base      | key, bound, fold of `≤ bound` | `truncate_to_base`, when it pays  |
-//! | watermark | key, engine clock             | `flush`, when the clock moved     |
+//! | watermark | key, engine clock             | `flush` / `stage_flush`, when the clock moved |
 //! | seal      | —                             | a rewrite, after what it copied   |
 //!
 //! Records are *staged* in the shard's buffer and reach the file on
-//! [`LogBackend::flush`] — one `write` on a long-lived descriptor, one
-//! `fdatasync` on the fsync tier — or earlier, once the buffer holds
-//! `BUFFER_LIMIT` (4 KiB) (early bytes are harmless: recovery accepts
-//! any prefix of the journal). No call other than a flush, a
-//! write-through or the first touch of a shard does any file work.
+//! [`LogBackend::flush`] of any of the shard's handles — one `write`
+//! on a long-lived descriptor, one `fdatasync` on the fsync tier, for
+//! everything the shard has staged — or earlier, once the buffer holds
+//! `BUFFER_LIMIT` (16 KiB) (early bytes are harmless: recovery accepts
+//! any prefix of the journal). [`LogBackend::stage_flush`] stages the
+//! key's watermark and stops there, so a store's flush walk — which
+//! stages every key of the shard but its last and flushes that one —
+//! costs a dirty shard one commit, whatever its key count. A key's
+//! watermark is staged by its flush call, hence behind every update
+//! the key journaled before it: a torn commit can lose a watermark,
+//! never recover one ahead of its updates. No call other than a
+//! flush, a write-through or the first touch of a shard does any file
+//! work.
 //!
 //! # Compaction ([`LogBackend::truncate_to_base`])
 //!
@@ -102,8 +110,13 @@ const TAG_SEAL: u8 = 3;
 const TMP_SUFFIX: &str = ".tmp";
 
 /// Staged bytes past which a shard's buffer is written through
-/// without waiting for the flush: bounds memory per shard.
-const BUFFER_LIMIT: usize = 4 << 10;
+/// without waiting for the flush: bounds memory per shard. Sized so
+/// that a shard of the end-to-end benchmark's `replicate-seg` stream
+/// (512 updates a tick over 8 shards, each replica journaling all of
+/// them) reaches its tick's commit without one: at 4 KiB one write in
+/// three there was a write-through, at 16 KiB none is, and the
+/// process's peak memory did not move.
+const BUFFER_LIMIT: usize = 16 << 10;
 
 /// Dead bytes a generation must hold before it is worth rewriting,
 /// however small its live part. A rewrite costs the same per retired
@@ -279,6 +292,19 @@ impl Recovered {
     }
 }
 
+/// File operations the shard journals of one [`SegmentFactory`] have
+/// issued on their live generations (see
+/// [`SegmentFactory::io_counts`]). A generation rewrite's own copy is
+/// not counted, nor is the store's `CLOCK` file: it is not a journal.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IoCounts {
+    /// `write` calls: one per commit that had records staged, one per
+    /// write-through of a full buffer.
+    pub writes: u64,
+    /// `fdatasync` calls (the fsync tier's commits).
+    pub syncs: u64,
+}
+
 /// One shard's journal: the live generation, its staging buffer, and
 /// the accounting that decides when to rewrite it. Shared by the
 /// shard's key handles behind an `Arc<Mutex<_>>` that a shard's one
@@ -306,6 +332,8 @@ struct Journal {
     dead: u64,
     /// Written since the last `fdatasync`.
     unsynced: bool,
+    /// What [`SegmentFactory::io_counts`] sums.
+    io: IoCounts,
     /// Recovery results not yet claimed by a key's handle.
     recovered: BTreeMap<Key, Box<Recovered>>,
 }
@@ -342,6 +370,7 @@ impl Journal {
             len: 0,
             dead: 0,
             unsynced: false,
+            io: IoCounts::default(),
             recovered: BTreeMap::new(),
         };
         for &generation in &generations {
@@ -482,6 +511,7 @@ impl Journal {
         }
         self.staged.clear();
         self.unsynced = true;
+        self.io.writes += 1;
     }
 
     /// The durability point: write what is staged, sync it on the
@@ -495,6 +525,7 @@ impl Journal {
                 }
             }
             self.unsynced = false;
+            self.io.syncs += 1;
         }
         if self.dead > REWRITE_FLOOR && self.dead > self.len.saturating_sub(self.dead) {
             if let Err(err) = self.rewrite() {
@@ -705,15 +736,23 @@ where
     }
 
     fn flush(&mut self, clock: u64) {
-        let mut journal = lock(&self.journal);
-        if self.watermark != clock {
-            let framed = journal.stage(TAG_WATERMARK, self.key, |out| clock.encode(out));
-            if self.watermark != 0 {
-                journal.dead += framed;
-            }
-            self.watermark = clock;
+        self.stage_flush(clock);
+        lock(&self.journal).commit();
+    }
+
+    /// Stage the watermark and leave the commit to the next `flush`
+    /// of any handle on this journal, which writes everything the
+    /// shard has staged.
+    fn stage_flush(&mut self, clock: u64) {
+        if self.watermark == clock {
+            return;
         }
-        journal.commit();
+        let mut journal = lock(&self.journal);
+        let framed = journal.stage(TAG_WATERMARK, self.key, |out| clock.encode(out));
+        if self.watermark != 0 {
+            journal.dead += framed;
+        }
+        self.watermark = clock;
     }
 
     fn load_base(&mut self) -> Option<(u64, A::State)> {
@@ -815,6 +854,27 @@ impl SegmentFactory {
         &self.root
     }
 
+    /// [`IoCounts`] summed over the journals this factory (or a clone
+    /// of it) holds open — a dropped store's journals, and their
+    /// counts, are gone. A flush of `d` shards with something staged
+    /// adds `d` writes, and `d` syncs on the fsync tier; tests and
+    /// benches read the difference across the call.
+    pub fn io_counts(&self) -> IoCounts {
+        let mut sum = IoCounts::default();
+        for journal in self.registry().values().filter_map(Weak::upgrade) {
+            let io = lock(&journal).io;
+            sum.writes += io.writes;
+            sum.syncs += io.syncs;
+        }
+        sum
+    }
+
+    fn registry(&self) -> MutexGuard<'_, HashMap<usize, Weak<Mutex<Journal>>>> {
+        self.journals
+            .lock()
+            .expect("a shard journal failed to open (and panicked)")
+    }
+
     /// Read the journal of `shard` from disk.
     fn recover(&self, shard: usize) -> Journal {
         let dir = self.root.join(format!("shard-{shard}"));
@@ -826,10 +886,7 @@ impl SegmentFactory {
     /// — with `fresh`, and when no handle is left — one newly
     /// recovered from disk, which later handles then join.
     fn journal(&self, shard: usize, fresh: bool) -> Arc<Mutex<Journal>> {
-        let mut journals = self
-            .journals
-            .lock()
-            .expect("a shard journal failed to open (and panicked)");
+        let mut journals = self.registry();
         let open = journals.get(&shard).and_then(Weak::upgrade);
         if let Some(journal) = open.filter(|_| !fresh) {
             return journal;
@@ -1031,7 +1088,8 @@ mod tests {
         let tmp = ScratchDir::new("seg-writethrough");
         let f = factory(&tmp);
         let mut b = open(&f, 1);
-        let entries: Vec<Entry> = (1..=400).map(|i| entry(i, 0, i as u32)).collect();
+        let entries: Vec<Entry> = (1..=1_600).map(|i| entry(i, 0, i as u32)).collect();
+        assert!(entries.len() * 34 > 3 * BUFFER_LIMIT);
         b.append_batch(&entries);
         let staged = lock(&b.journal).staged.len();
         assert!(staged < BUFFER_LIMIT + 64, "{staged} bytes held back");
@@ -1459,12 +1517,18 @@ mod tests {
             self.handles[key].truncate_to_base(bound, base, log);
         }
 
-        /// A maintenance tick: every key flushes at the shared clock.
+        /// A maintenance tick: every key flushes at the shared clock,
+        /// the way a shard's flush walk has them — staged, and the
+        /// last one commits.
         fn flush(&mut self) {
             self.clock += 1;
             for key in 0..KEYS {
                 let moved = self.handles[key].watermark != self.clock;
-                self.handles[key].flush(self.clock);
+                if key + 1 < KEYS {
+                    self.handles[key].stage_flush(self.clock);
+                } else {
+                    self.handles[key].flush(self.clock);
+                }
                 if moved {
                     // The watermark is the only record a flush stages.
                     self.watermarks
@@ -1584,6 +1648,70 @@ mod tests {
             }
             assert_eq!(whole[key], (state, m.clock), "key {key}");
         }
+    }
+
+    #[test]
+    fn every_cut_of_one_shard_commit_recovers_each_key_whole() {
+        // One write carries the whole shard's tick: an update of each
+        // of three keys, a base that folds one of them, and — staged
+        // by the walk, behind all of them — three watermarks. Nothing
+        // but that staging order keeps a key's watermark behind the
+        // key's own updates, and a base behind the updates it folds.
+        let tmp = ScratchDir::new("seg-shard-commit");
+        let f = factory(&tmp);
+        let mut m = Model::new(&f);
+        for i in 0..9 {
+            m.update(i % KEYS);
+        }
+        m.flush();
+        let empty: Recovery = vec![Default::default(); KEYS];
+        let previous = m.expect(&empty, u64::MAX);
+        let start = journal_len(&m.handles[0]) as usize;
+        let writes = f.io_counts().writes;
+        for key in 0..KEYS {
+            m.update(key);
+        }
+        m.compact(1, m.clock);
+        m.flush();
+        assert_eq!(f.io_counts().writes, writes + 1, "one write for the shard");
+        let this = m.expect(&empty, u64::MAX);
+        let path = generation_path(&shard_dir(&tmp), 1);
+        let bytes = fs::read(&path).unwrap();
+        let tags: Vec<u8> = FrameScanner::new(&bytes[start..]).map(|p| p[0]).collect();
+        let count = |tag| tags.iter().filter(|t| **t == tag).count();
+        assert_eq!(
+            (count(TAG_UPDATE), count(TAG_BASE), count(TAG_WATERMARK)),
+            (KEYS, 1, KEYS)
+        );
+
+        let mut cuts = frame_ends(&bytes);
+        cuts.extend(start..=bytes.len());
+        for cut in cuts {
+            fs::write(&path, &bytes[..cut]).unwrap();
+            let got = recover(tmp.path());
+            // Exactly the records that arrived whole ...
+            assert_eq!(got, m.expect(&empty, cut as u64), "cut at byte {cut}");
+            if cut < start {
+                continue;
+            }
+            // ... so each key is at one flush or the other, and none
+            // holds this flush's watermark without this flush's state.
+            for key in 0..KEYS {
+                let (state, watermark) = &got[key];
+                let at_this = *state == this[key].0;
+                assert!(at_this || *state == previous[key].0, "key {key}, cut {cut}");
+                let marked = *watermark == this[key].1;
+                assert!(
+                    marked || *watermark == previous[key].1,
+                    "key {key}, cut {cut}"
+                );
+                assert!(at_this || !marked, "key {key}, cut {cut}: watermark ahead");
+            }
+            if cut == start {
+                assert_eq!(got, previous, "the previous flush");
+            }
+        }
+        assert_eq!(recover(tmp.path()), this, "this flush");
     }
 
     #[test]

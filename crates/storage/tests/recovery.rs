@@ -13,16 +13,24 @@
 //!   never earns its journal a rewrite;
 //! * the pool's poison path flushes too: a panicking fold must never
 //!   leave an unwritten journal buffer behind (regression for the
-//!   flush-before-join fix).
+//!   flush-before-join fix), whichever of the shard's keys it was
+//!   staged for;
+//! * a store flush commits each dirty shard's journal once — one
+//!   `write`, one `fdatasync` on the fsync tier — however many keys
+//!   the shard flushes, and a backend wrapper that does not forward
+//!   `LogBackend::stage_flush` falls back to a commit per key with
+//!   the same bytes on disk.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use uc_core::{CheckpointFactory, GcFactory, PoolConfig, StoreMsg, UcStore};
+use uc_core::backend::{BackendFactory, LogBackend};
+use uc_core::store::Key;
+use uc_core::{CheckpointFactory, GcFactory, PoolConfig, StoreMsg, Timestamp, UcStore};
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
-use uc_storage::{ScratchDir, SegmentFactory};
+use uc_storage::{IoCounts, ScratchDir, SegmentBackend, SegmentFactory};
 
 type Adt = SetAdt<u32>;
 type Msg = StoreMsg<SetUpdate<u32>>;
@@ -378,10 +386,14 @@ fn poisoned_pool_flushes_the_journal_before_dying() {
         pill: PILL,
         armed: Arc::clone(&armed),
     };
-    // One worker, one shard, one key: every message rides the burst
-    // whose fold panics, so nothing would survive without the
-    // poison-path flush.
-    let mut msgs = burst(1, 40);
+    // One worker, one shard, three keys: every message rides the
+    // burst whose fold panics, so nothing would survive without the
+    // poison-path flush. The shard ingests a burst key by key, so the
+    // pill goes to the last key: keys 0 and 1 are journaled and
+    // folded, key 2 is journaled when its fold panics, and the one
+    // commit the poison path ends in has to carry all three.
+    const KEYS: u64 = 3;
+    let mut msgs = burst(KEYS, 40);
     let mut producer: UcStore<Adt, CheckpointFactory> =
         UcStore::new(SetAdt::new(), 2, 1, checkpoint());
     // Re-stamp the pill from a second producer so timestamps stay
@@ -389,7 +401,7 @@ fn poisoned_pool_flushes_the_journal_before_dying() {
     for m in &msgs {
         producer.apply_message(m);
     }
-    msgs.push(producer.update(0, SetUpdate::Insert(PILL)));
+    msgs.push(producer.update(KEYS - 1, SetUpdate::Insert(PILL)));
 
     let store: UcStore<ArmedSet, CheckpointFactory, SegmentFactory> =
         UcStore::with_persistence(adt.clone(), 0, 1, checkpoint(), persist.clone());
@@ -414,13 +426,265 @@ fn poisoned_pool_flushes_the_journal_before_dying() {
     armed.store(false, Ordering::SeqCst);
     let mut back: UcStore<ArmedSet, CheckpointFactory, SegmentFactory> =
         UcStore::reopen(adt, 0, 1, checkpoint(), persist);
-    let mut expect: BTreeSet<u32> = (0..40).collect();
-    expect.insert(PILL);
-    assert_eq!(
-        back.materialize_key(0),
-        expect,
-        "poison path failed to flush the journal before the worker died"
-    );
+    for key in 0..KEYS {
+        let mut expect: BTreeSet<u32> = (0..40).filter(|i| u64::from(*i) % KEYS == key).collect();
+        if key == KEYS - 1 {
+            expect.insert(PILL);
+        }
+        assert_eq!(
+            back.materialize_key(key),
+            expect,
+            "poison path failed to flush key {key}'s journal records before the worker died"
+        );
+    }
+}
+
+/// `flush_backends` and the `IoCounts` it added.
+fn counted_flush<F>(store: &mut UcStore<Adt, GcFactory, F>, persist: &SegmentFactory) -> IoCounts
+where
+    F: BackendFactory<Adt>,
+{
+    let before = persist.io_counts();
+    store.flush_backends();
+    let after = persist.io_counts();
+    IoCounts {
+        writes: after.writes - before.writes,
+        syncs: after.syncs - before.syncs,
+    }
+}
+
+/// How many shards `keys` route to.
+fn shards_of(store: &UcStore<Adt, GcFactory, SegmentFactory>, keys: &[Key]) -> u64 {
+    let shards: BTreeSet<usize> = keys.iter().map(|key| store.shard_of(*key)).collect();
+    shards.len() as u64
+}
+
+#[test]
+fn a_store_flush_commits_each_dirty_shard_once() {
+    const SHARDS: usize = 8;
+    let gc = GcFactory { n: 2 };
+    for fsync in [false, true] {
+        let tmp = ScratchDir::new(&format!("shard-commit-{fsync}"));
+        let persist = SegmentFactory::at(tmp.path()).unwrap().fsync(fsync);
+        let mut store: UcStore<Adt, GcFactory, SegmentFactory> =
+            UcStore::with_persistence(SetAdt::new(), 0, SHARDS, gc, persist.clone());
+        // 24 keys over three of the eight shards.
+        let keys: Vec<Key> = (0..)
+            .filter(|key| store.shard_of(*key) < 3)
+            .take(24)
+            .collect();
+        assert_eq!(shards_of(&store, &keys), 3);
+        let commits = |shards: u64| IoCounts {
+            writes: shards,
+            syncs: if fsync { shards } else { 0 },
+        };
+
+        // Every key live: the walk ends on a live key.
+        for key in &keys {
+            store.update(*key, SetUpdate::Insert(1));
+        }
+        assert_eq!(store.live_keys(), keys.len());
+        assert_eq!(
+            persist.io_counts(),
+            IoCounts::default(),
+            "write-behind: nothing reaches a journal before the flush"
+        );
+        assert_eq!(counted_flush(&mut store, &persist), commits(3));
+        // The store clock went out beside them, to its own file: not
+        // a journal, so not in the counts.
+        assert_eq!(
+            BackendFactory::<Adt>::load_store_clock(&persist),
+            store.clock()
+        );
+        assert_eq!(
+            counted_flush(&mut store, &persist),
+            commits(0),
+            "nothing new"
+        );
+
+        // Every key compacted off the live list, owing its last flush:
+        // the walk ends on an idle key.
+        let clock = store.clock();
+        store.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+        store.tick_maintenance();
+        assert_eq!(store.live_keys(), 0);
+        assert_eq!(counted_flush(&mut store, &persist), commits(3));
+
+        // Live and idle keys in one shard, idle ones alone in another,
+        // and keys that were idle when their insertion began and are
+        // live at the flush (listed twice, flushed once).
+        let (again, rest) = keys.split_at(5);
+        for key in again {
+            store.update(*key, SetUpdate::Insert(2));
+        }
+        let clock = store.clock();
+        store.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+        store.tick_maintenance();
+        for key in &rest[..2] {
+            store.update(*key, SetUpdate::Insert(3));
+        }
+        assert_eq!(store.live_keys(), 2);
+        let touched: Vec<Key> = again.iter().chain(&rest[..2]).copied().collect();
+        assert_eq!(
+            counted_flush(&mut store, &persist),
+            commits(shards_of(&store, &touched))
+        );
+        assert_eq!(counted_flush(&mut store, &persist), commits(0));
+
+        let flushed: Vec<BTreeSet<u32>> =
+            keys.iter().map(|key| store.materialize_key(*key)).collect();
+        let clocks: Vec<u64> = keys
+            .iter()
+            .map(|key| store.engine(*key).unwrap().clock())
+            .collect();
+        drop(store);
+        let mut back: UcStore<Adt, GcFactory, SegmentFactory> =
+            UcStore::reopen(SetAdt::new(), 0, SHARDS, gc, persist);
+        for (at, key) in keys.iter().enumerate() {
+            assert_eq!(back.materialize_key(*key), flushed[at], "key {key}");
+            assert_eq!(back.engine(*key).unwrap().clock(), clocks[at], "key {key}");
+        }
+    }
+}
+
+/// The shape of a tracing shim written before `LogBackend` had
+/// `stage_flush`: it forwards every method the trait had then, and so
+/// takes the new one's default.
+struct Shim(SegmentBackend<Adt>);
+
+impl LogBackend<Adt> for Shim {
+    fn append(&mut self, ts: Timestamp, u: &SetUpdate<u32>) {
+        self.0.append(ts, u);
+    }
+
+    fn append_batch(&mut self, entries: &[(Timestamp, SetUpdate<u32>)]) {
+        self.0.append_batch(entries);
+    }
+
+    fn truncate_to_base(
+        &mut self,
+        bound: u64,
+        state: &BTreeSet<u32>,
+        tail: &[(Timestamp, SetUpdate<u32>)],
+    ) {
+        self.0.truncate_to_base(bound, state, tail);
+    }
+
+    fn flush(&mut self, clock: u64) {
+        self.0.flush(clock);
+    }
+
+    fn load_base(&mut self) -> Option<(u64, BTreeSet<u32>)> {
+        self.0.load_base()
+    }
+
+    fn scan_suffix(&mut self) -> Vec<(Timestamp, SetUpdate<u32>)> {
+        self.0.scan_suffix()
+    }
+
+    fn clock_watermark(&self) -> u64 {
+        self.0.clock_watermark()
+    }
+}
+
+#[derive(Clone)]
+struct ShimFactory(SegmentFactory);
+
+impl BackendFactory<Adt> for ShimFactory {
+    type Backend = Shim;
+
+    fn open(&self, shard: usize, key: Key) -> Shim {
+        Shim(self.0.open(shard, key))
+    }
+
+    fn open_all(&self, shard: usize) -> Vec<(Key, Shim)> {
+        let opened: Vec<(Key, SegmentBackend<Adt>)> = self.0.open_all(shard);
+        opened.into_iter().map(|(key, b)| (key, Shim(b))).collect()
+    }
+
+    fn bind_replica(&self, pid: u32, shards: usize, fresh: bool) {
+        BackendFactory::<Adt>::bind_replica(&self.0, pid, shards, fresh);
+    }
+
+    fn load_store_clock(&self) -> u64 {
+        BackendFactory::<Adt>::load_store_clock(&self.0)
+    }
+
+    fn persist_store_clock(&self, clock: u64) {
+        BackendFactory::<Adt>::persist_store_clock(&self.0, clock);
+    }
+}
+
+/// Three rounds of updates over twelve keys, each followed by a
+/// heartbeat that makes the round before it stable, a tick and a
+/// flush; returns what each flush added to the journals' counts.
+fn run_rounds<F>(store: &mut UcStore<Adt, GcFactory, F>, persist: &SegmentFactory) -> Vec<IoCounts>
+where
+    F: BackendFactory<Adt>,
+{
+    let mut counts = Vec::new();
+    let mut stable = 0;
+    for round in 0..3u32 {
+        for key in 0..12u64 {
+            for i in 0..=key as u32 % 3 {
+                store.update(key, SetUpdate::Insert(round * 10 + i));
+            }
+        }
+        store.apply_message(&StoreMsg::Heartbeat {
+            pid: 1,
+            clock: stable,
+        });
+        stable = store.clock();
+        store.tick_maintenance();
+        counts.push(counted_flush(store, persist));
+    }
+    counts
+}
+
+#[test]
+fn a_wrapper_that_does_not_forward_stage_flush_commits_per_key() {
+    let gc = GcFactory { n: 2 };
+    let (tmp_shim, tmp_direct) = (ScratchDir::new("shim"), ScratchDir::new("shim-direct"));
+    let shim = ShimFactory(SegmentFactory::at(tmp_shim.path()).unwrap());
+    let direct = SegmentFactory::at(tmp_direct.path()).unwrap();
+    let mut wrapped: UcStore<Adt, GcFactory, ShimFactory> =
+        UcStore::with_persistence(SetAdt::new(), 0, 2, gc, shim.clone());
+    let mut plain: UcStore<Adt, GcFactory, SegmentFactory> =
+        UcStore::with_persistence(SetAdt::new(), 0, 2, gc, direct.clone());
+    let per_key = run_rounds(&mut wrapped, &shim.0);
+    let per_shard = run_rounds(&mut plain, &direct);
+    // Every flush visits all twelve keys, and every one of them has
+    // records staged: the shim's default commits for each, the shard
+    // walk once for each of the two shards.
+    for (round, (shim, direct)) in per_key.iter().zip(&per_shard).enumerate() {
+        assert_eq!(shim.writes, 12, "round {round}");
+        assert_eq!(direct.writes, 2, "round {round}");
+    }
+    // The commit boundary moves writes, not bytes.
+    for shard in 0..2 {
+        let (a, b) = (
+            shard_journal(tmp_shim.path(), shard),
+            shard_journal(tmp_direct.path(), shard),
+        );
+        assert_eq!((a.len(), b.len()), (1, 1));
+        assert!(
+            fs::read(&a[0]).unwrap() == fs::read(&b[0]).unwrap(),
+            "shard {shard}: the journals differ"
+        );
+    }
+
+    // More updates that no flush follows: lost, as in a crash.
+    let flushed: Vec<BTreeSet<u32>> = (0..12).map(|key| wrapped.materialize_key(key)).collect();
+    for key in 0..12 {
+        wrapped.update(key, SetUpdate::Insert(777));
+    }
+    drop(wrapped);
+    let mut back: UcStore<Adt, GcFactory, ShimFactory> =
+        UcStore::reopen(SetAdt::new(), 0, 2, gc, shim);
+    assert_eq!(back.key_count(), 12);
+    for (key, state) in flushed.iter().enumerate() {
+        assert_eq!(&back.materialize_key(key as u64), state, "key {key}");
+    }
 }
 
 #[test]
