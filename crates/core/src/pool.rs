@@ -14,8 +14,8 @@
 //!          │ shard = hash(key) % S,  worker = shard % W     stamping)
 //!          ▼
 //!   ┌ inbox 0 ─▶ Worker 0 {shards 0, W, 2W, …}   (long-lived thread)
-//!   ├ inbox 1 ─▶ Worker 1 {shards 1, W+1, …}          │ per drain
-//!   └ inbox W-1 ▶ …                                   ▼
+//!   ├ inbox 1 ─▶ Worker 1 {shards 1, W+1, …}          │ between
+//!   └ inbox W-1 ▶ …                                   ▼ claims
 //!     lock-free claim-pattern              epoch-published snapshots
 //!     Treiber push + swap-claim            (wait-free query_snapshot)
 //! ```
@@ -34,21 +34,39 @@
 //!   event/step counts — the differential tests assert both). Each
 //!   claimed job is processed separately, never coalesced, for the
 //!   same reason;
-//! * **wait-free reads** — after each drain the worker publishes the
-//!   post-repair state of every touched key behind an RCU-style
-//!   [`Published`](crate::snapshot::Published) cell. The drain notes
-//!   `(shard, key)` per applied update in a `Vec`, sorted and
-//!   deduplicated at publication (and whenever it fills), so a key
-//!   written many times in a drain is published once; under
+//! * **wait-free reads** — the worker republishes the post-repair
+//!   state of every touched key behind an RCU-style
+//!   [`Published`](crate::snapshot::Published) cell, as *background*
+//!   work: after a claimed batch it publishes one key at a time and
+//!   looks at its inbox between keys; when a job is waiting it leaves
+//!   the rest on a worklist, claims, and resumes afterwards (ingest
+//!   first, publish in the gaps — a slow publication never holds the
+//!   bounded inbox shut, so an `update()` never waits for readers'
+//!   snapshots). Each applied update notes its `(shard, key)`; the
+//!   worklist is sorted and deduplicated when a pass begins (and
+//!   whenever the notes fill), and a key still waiting in a suspended
+//!   pass is not noted again, so a key written many times before its
+//!   turn is published once; under
 //!   [`StableGc`](crate::gc::StableGc) that publication advances the
-//!   key's kept fold by the drain's entries and clones it — no refold;
+//!   key's kept fold by the new entries and clones it — no refold;
 //!   [`PoolHandle::query_snapshot`] is then a wait-free load that
 //!   never blocks behind a repair or a queued burst (and never ticks
-//!   the clock — it is a *weak* read of the latest published state;
-//!   the strong FIFO read-your-writes read is [`PoolHandle::query`]).
+//!   the clock — it is a *weak* read of the latest **published**
+//!   state: between flushes it may miss updates the worker has
+//!   applied and not yet republished — see *starvation* below; the
+//!   strong FIFO read-your-writes read is [`PoolHandle::query`]).
 //!   Publishing is armed **per shard** by the first snapshot read
 //!   touching it; an [`IngestPool::flush`] after arming backfills the
 //!   armed shards' keys (untouched shards pay nothing);
+//! * **starvation** — the price of ingest-first: under an inbox that
+//!   is never empty, ingest wins. Publication still moves (at least
+//!   one key per claim) and the worklist holds a key at most once —
+//!   it is bounded by the worker's distinct keys, not by messages —
+//!   but a snapshot read may trail the applied state for as long as
+//!   the pressure lasts. [`WorkerStats::publish_backlog`] and
+//!   [`WorkerStats::publish_yields`] (`uc_pool_publish_backlog`,
+//!   `uc_pool_publish_yields_total`) make it visible; the remedy is a
+//!   flush (see *barriers*);
 //! * **cut snapshots** — [`PoolHandle::snapshot_at`] pushes a
 //!   [`Job::Cut`] barrier to every worker; each folds its keys' log
 //!   prefixes stamped `≤ cut` without stopping ingest, and the handle
@@ -58,11 +76,17 @@
 //!   can detect a concurrent cut republishing around it and retry;
 //! * **barriers** — [`IngestPool::flush`] enqueues a barrier job on
 //!   every worker and waits for all acks; because a producer's pushes
-//!   are FIFO, a completed flush has observed every prior submission;
+//!   are FIFO, a completed flush has observed every prior submission.
+//!   Before it acks a barrier (or a cut) a worker runs publication to
+//!   completion, whatever is queued behind it: after a flush the
+//!   published snapshots cover every earlier submission, and
+//!   [`WorkerStats::publish_backlog`] reads zero;
 //! * **drain-on-drop** — dropping the handle closes the inboxes;
-//!   workers finish every queued job before exiting, so submitted
-//!   bursts are never silently discarded. [`IngestPool::finish`]
-//!   additionally reassembles and returns the [`UcStore`];
+//!   workers finish every queued job — and every owed publication —
+//!   before exiting, so submitted bursts are never silently discarded
+//!   and surviving handles keep reading the final states.
+//!   [`IngestPool::finish`] additionally reassembles and returns the
+//!   [`UcStore`];
 //! * **poisoning** — a panic inside a worker (e.g. a panicking ADT
 //!   fold) is caught and recorded in a lock-free `OnceLock`, so the
 //!   per-call poison check is a plain load; every subsequent
@@ -255,6 +279,21 @@ pub struct WorkerStats {
     /// only that shard's keys, not the whole store (the 10k-key
     /// first-query latency test asserts the bound).
     pub snapshots_published: u64,
+    /// Keys touched and not yet republished (a gauge, as of the end of
+    /// the worker's last publication pass): non-zero while a pass is
+    /// suspended for queued jobs, zero after every
+    /// [`IngestPool::flush`]. Bounded by the worker's distinct keys —
+    /// a key waits on the worklist once however often it is written.
+    /// An upper bound while a pass is suspended: a key written twice
+    /// *after* that pass published it is listed twice until the next
+    /// pass sorts the list.
+    pub publish_backlog: usize,
+    /// Publication passes suspended with keys still pending because a
+    /// job was waiting in the inbox (ingest first, publish in the
+    /// gaps). Rising together with a [`WorkerStats::publish_backlog`]
+    /// that never returns to zero means snapshot readers are being
+    /// starved by ingest; a flush forces publication to completion.
+    pub publish_yields: u64,
     /// Keys on this worker whose log holds un-compacted entries (a
     /// gauge, as of the worker's last finished job) — the pooled
     /// [`UcStore::live_keys`].
@@ -314,6 +353,8 @@ struct SharedCounters {
     messages: AtomicU64,
     shed: AtomicU64,
     snaps_published: AtomicU64,
+    publish_backlog: AtomicUsize,
+    publish_yields: AtomicU64,
     live_keys: AtomicUsize,
 }
 
@@ -329,6 +370,19 @@ impl SharedCounters {
 
     fn on_shed(&self) {
         self.shed.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn stats(&self) -> WorkerStats {
+        WorkerStats {
+            batches: self.batches.load(Ordering::Relaxed),
+            messages: self.messages.load(Ordering::Relaxed),
+            queue_high_water: self.high_water.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+            snapshots_published: self.snaps_published.load(Ordering::Relaxed),
+            publish_backlog: self.publish_backlog.load(Ordering::Relaxed),
+            publish_yields: self.publish_yields.load(Ordering::Relaxed),
+            live_keys: self.live_keys.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -952,17 +1006,31 @@ struct Mirror<A: UqAdt> {
 }
 
 /// Worker-local snapshot publisher: a mirror of each owned shard's
-/// key→cell registry, plus the per-worker epoch sequence. Each cell
-/// and each registry has exactly one writer (this worker), which is
-/// what [`Published::publish`]'s single-writer contract needs.
+/// key→cell registry, the per-worker epoch sequence, and the worklist
+/// of keys owed a republication. Each cell and each registry has
+/// exactly one writer (this worker), which is what
+/// [`Published::publish`]'s single-writer contract needs.
+///
+/// The worklist is two lists. `pending[cursor..]` is what is left of
+/// the pass in progress: sorted, without repeats, never re-sorted
+/// while the pass is suspended. `touched` collects what is written
+/// meanwhile; it becomes the next pass when this one is through. A
+/// key already waiting in `pending[cursor..]` is not noted again (its
+/// publication will read the state of the moment), so between them
+/// the lists hold a key once, and one publication covers however
+/// many writes came before it.
 struct SnapPublisher<A: UqAdt> {
     /// One per owned shard, in `WorkerState::shards` order.
     mirrors: Vec<Mirror<A>>,
     seq: u64,
-    /// `(global shard, key)` of the updates applied since the last
-    /// publication; repeats are removed when it fills and when it is
-    /// published.
+    /// `(global shard, key)` of the updates applied since the pass in
+    /// progress began, less those still waiting in it; repeats are
+    /// removed when it fills and when it becomes the next pass.
     touched: Vec<(usize, Key)>,
+    /// The pass in progress, sorted and deduplicated.
+    pending: Vec<(usize, Key)>,
+    /// `pending[..cursor]` has been published.
+    cursor: usize,
 }
 
 impl<A: UqAdt> SnapPublisher<A> {
@@ -978,6 +1046,8 @@ impl<A: UqAdt> SnapPublisher<A> {
                 .collect(),
             seq: 0,
             touched: Vec::new(),
+            pending: Vec::new(),
+            cursor: 0,
         }
     }
 
@@ -1000,10 +1070,18 @@ impl<A: UqAdt> SnapPublisher<A> {
         }
     }
 
-    /// A full list is sorted and deduplicated before it may grow, so
-    /// it holds O(distinct keys) however many messages a drain
-    /// carries (a preload queues dozens of bursts before its flush).
+    /// A key the suspended pass has yet to reach is already owed its
+    /// publication. A full list is sorted and deduplicated before it
+    /// may grow, so it holds O(distinct keys) however many messages a
+    /// drain carries (a preload queues dozens of bursts before its
+    /// flush).
     fn touch(&mut self, shard: usize, key: Key) {
+        if self.pending[self.cursor..]
+            .binary_search(&(shard, key))
+            .is_ok()
+        {
+            return;
+        }
         let touched = &mut self.touched;
         if touched.len() == touched.capacity() {
             touched.sort_unstable();
@@ -1015,31 +1093,51 @@ impl<A: UqAdt> SnapPublisher<A> {
         touched.push((shard, key));
     }
 
-    /// Publish `key`'s current engine state (if the key has an
-    /// engine), tagged with the current cut era. Registry publication
-    /// for brand-new keys is deferred to `flush_registries` so a
-    /// backfill costs one map clone per shard, not per key.
+    /// Entries owed a publication (see [`WorkerStats::publish_backlog`]).
+    fn backlog(&self) -> usize {
+        self.pending.len() - self.cursor + self.touched.len()
+    }
+
+    /// Take the next entry off the worklist; when the pass in progress
+    /// is through, what was touched since becomes the next one.
+    /// Requires a non-zero [`SnapPublisher::backlog`].
+    fn next_key(&mut self) -> (usize, Key) {
+        if self.cursor == self.pending.len() {
+            std::mem::swap(&mut self.pending, &mut self.touched);
+            self.touched.clear();
+            self.pending.sort_unstable();
+            self.pending.dedup();
+            self.cursor = 0;
+        }
+        self.cursor += 1;
+        self.pending[self.cursor - 1]
+    }
+
+    /// Publish `key`'s current engine state, tagged with the current
+    /// cut era; `false` when the key has no engine. Registry
+    /// publication for brand-new keys is deferred to
+    /// `flush_registries` so a backfill costs one map clone per shard,
+    /// not per key.
     fn publish_key<F, P>(
         &mut self,
         core: &PoolCore<A>,
         state: &mut WorkerState<A, F, P>,
         slot: usize,
         key: Key,
-        counters: &SharedCounters,
-    ) where
+    ) -> bool
+    where
         A: Clone,
         F: StrategyFactory<A>,
         P: BackendFactory<A>,
     {
         let Some(engine) = state.shards[slot].1.engine_mut(key) else {
-            return;
+            return false;
         };
         let snapshot = Arc::new(SnapEntry {
             state: engine.materialize(),
             cut_epoch: core.cut_seq.load(Ordering::SeqCst),
         });
         self.seq += 1;
-        counters.snaps_published.fetch_add(1, Ordering::Relaxed);
         let mirror = &mut self.mirrors[slot];
         match mirror.cells.get(&key) {
             Some(cell) => cell.publish(self.seq, snapshot),
@@ -1050,9 +1148,10 @@ impl<A: UqAdt> SnapPublisher<A> {
                 mirror.dirty = true;
             }
         }
+        true
     }
 
-    /// Publish the registries that gained keys this drain.
+    /// Publish the registries that gained keys since the last call.
     fn flush_registries(&mut self, core: &PoolCore<A>) {
         for mirror in &mut self.mirrors {
             if std::mem::take(&mut mirror.dirty) {
@@ -1065,110 +1164,142 @@ impl<A: UqAdt> SnapPublisher<A> {
     }
 }
 
-/// Publish whatever snapshot work is pending, **per armed shard**:
-/// shards backfilled earlier publish the keys touched since the last
-/// publication, each once however often the drain wrote it; a shard
-/// observed armed for the first time gets a one-off backfill of its
-/// keys (which covers whatever the drain touched there); unarmed
-/// shards publish nothing (their touched entries are dropped — arming
-/// them later triggers their own backfill). Runs at the end of every
-/// drain *and* immediately before a barrier/cut ack, so a completed
-/// [`IngestPool::flush`] guarantees the published snapshots cover
-/// every earlier submission.
-fn publish_pending<A, F, P>(
-    core: &PoolCore<A>,
-    state: &mut WorkerState<A, F, P>,
-    publisher: &mut SnapPublisher<A>,
-    counters: &SharedCounters,
-) where
-    A: UqAdt + Clone,
-    F: StrategyFactory<A>,
-    P: BackendFactory<A>,
-{
-    let mut touched = std::mem::take(&mut publisher.touched);
-    touched.sort_unstable();
-    touched.dedup();
-    for (shard_idx, key) in touched.drain(..) {
-        let slot = shard_slot(&state.shards, shard_idx);
-        if publisher.mirrors[slot].backfilled {
-            publisher.publish_key(core, state, slot, key, counters);
-        }
-    }
-    publisher.touched = touched;
-    for slot in 0..publisher.mirrors.len() {
-        let mirror = &publisher.mirrors[slot];
-        if !mirror.backfilled && core.armed[mirror.shard].load(Ordering::SeqCst) {
-            // Incremental by construction: other owned shards pay
-            // nothing until a snapshot read arms them too.
-            let keys: Vec<Key> = state.shards[slot].1.keys().collect();
-            for key in keys {
-                publisher.publish_key(core, state, slot, key, counters);
-            }
-            publisher.mirrors[slot].backfilled = true;
-        }
-    }
-    publisher.flush_registries(core);
+/// What one [`Worker::turn`] came to.
+#[derive(Debug, PartialEq, Eq)]
+enum Turn {
+    /// Jobs ran or snapshots were published: take another turn.
+    Worked,
+    /// Nothing queued and nothing owed: park until a push.
+    Idle,
+    /// The inbox is closed and drained and nothing is owed: hand the
+    /// shards back.
+    Done,
+    /// A job panicked: the pool is poisoned and the inbox closed.
+    Poisoned,
 }
 
-/// Worker main loop: claim-and-drain the inbox until it is closed and
-/// drained (finish/drop), flush every owned backend, then hand the
-/// shards back through the join handle. Each claimed job runs
-/// separately (identical repair accounting to the sequential path);
-/// after each drain — and before each barrier ack — the worker
-/// epoch-publishes the post-repair states of the touched keys if
-/// snapshot reads are armed.
-///
-/// A panicking job records its payload in the shared `OnceLock`
-/// poison slot, **flushes the backends** (the journal entries
-/// appended before the panic are valid — only the in-memory fold is
-/// suspect, and recovery refolds from the journal anyway), closes its
-/// inbox (so parked producers fail fast instead of deadlocking), and
-/// exits.
-fn worker_loop<A, F, P>(
-    mut state: WorkerState<A, F, P>,
+/// One worker thread's world: its shards, its inbox (by index into the
+/// shared core) and its snapshot publisher.
+struct Worker<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
+    state: WorkerState<A, F, P>,
     core: Arc<PoolCore<A>>,
     widx: usize,
-) -> OwnedShards<A, F::Strategy, P::Backend>
+    publisher: SnapPublisher<A>,
+    /// Claimed and not yet run.
+    batch: Vec<Job<A>>,
+}
+
+impl<A, F, P> Worker<A, F, P>
 where
     A: UqAdt + Clone,
     F: StrategyFactory<A>,
     P: BackendFactory<A>,
 {
-    let inbox = &core.inboxes[widx];
-    let counters = &core.counters[widx];
-    inbox.register_consumer(std::thread::current());
-    // A store may arrive with live keys (a respawned pool, a reopen).
-    state.publish_live_keys(counters);
-    let mut batch: Vec<Job<A>> = Vec::new();
-    let mut publisher: SnapPublisher<A> =
-        SnapPublisher::new(state.shards.iter().map(|(idx, _)| *idx));
-    let any_armed = |state: &WorkerState<A, F, P>| {
-        state
+    fn new(state: WorkerState<A, F, P>, core: Arc<PoolCore<A>>, widx: usize) -> Self {
+        // A store may arrive with live keys (a respawned pool, a reopen).
+        state.publish_live_keys(&core.counters[widx]);
+        let publisher = SnapPublisher::new(state.shards.iter().map(|(idx, _)| *idx));
+        Worker {
+            state,
+            core,
+            widx,
+            publisher,
+            batch: Vec::new(),
+        }
+    }
+
+    fn any_armed(&self) -> bool {
+        self.state
             .shards
             .iter()
-            .any(|(idx, _)| core.armed[*idx].load(Ordering::SeqCst))
-    };
-    loop {
-        inbox.claim(&mut batch);
-        if batch.is_empty() {
-            if inbox.closed_and_drained() {
-                // One more claim is guaranteed to see every push that
-                // ever succeeded (the close gate drained).
-                inbox.claim(&mut batch);
-                if batch.is_empty() {
-                    break;
+            .any(|(idx, _)| self.core.armed[*idx].load(Ordering::SeqCst))
+    }
+
+    /// Publish snapshot work that is owed, **per armed shard**: shards
+    /// backfilled earlier publish the keys on the worklist, each once
+    /// however often it was written; once the worklist is empty a
+    /// shard observed armed for the first time gets a one-off backfill
+    /// of its keys (which covers whatever was touched there); unarmed
+    /// shards publish nothing (their entries are dropped — arming them
+    /// later triggers their own backfill).
+    ///
+    /// Publication is the worker's *background* work. Unless `force`d
+    /// the pass looks at the inbox between keys and, when a job is
+    /// waiting, stops where it is — after at least one key, so a
+    /// producer that never lets the inbox run empty slows publication
+    /// down to a key per claim but cannot stop it. What is left stays
+    /// on the worklist for the next call. `force` is for the points
+    /// that promise coverage: before a barrier or cut ack, so a
+    /// completed [`IngestPool::flush`] guarantees the published
+    /// snapshots cover every earlier submission.
+    fn publish(&mut self, force: bool) {
+        let Worker {
+            state,
+            core,
+            widx,
+            publisher,
+            ..
+        } = self;
+        let core: &PoolCore<A> = core;
+        let inbox = &core.inboxes[*widx];
+        let counters = &core.counters[*widx];
+        let mut published = 0u64;
+        let mut taken = false;
+        let drained = loop {
+            if publisher.backlog() == 0 {
+                break true;
+            }
+            if taken && !force && !inbox.is_empty() {
+                break false;
+            }
+            let (shard_idx, key) = publisher.next_key();
+            taken = true;
+            let slot = shard_slot(&state.shards, shard_idx);
+            if publisher.mirrors[slot].backfilled {
+                published += u64::from(publisher.publish_key(core, state, slot, key));
+            }
+        };
+        if drained {
+            for slot in 0..publisher.mirrors.len() {
+                let mirror = &publisher.mirrors[slot];
+                if !mirror.backfilled && core.armed[mirror.shard].load(Ordering::SeqCst) {
+                    // Incremental by construction: other owned shards
+                    // pay nothing until a snapshot read arms them too.
+                    let keys: Vec<Key> = state.shards[slot].1.keys().collect();
+                    for key in keys {
+                        published += u64::from(publisher.publish_key(core, state, slot, key));
+                    }
+                    publisher.mirrors[slot].backfilled = true;
                 }
-            } else {
-                inbox.wait();
-                continue;
             }
+            // A registry costs a clone of its shard's map: once per
+            // completed pass, not once per suspension. A key first
+            // written under a suspended pass answers from the initial
+            // state until then, like any key before its first flush.
+            publisher.flush_registries(core);
+        } else {
+            counters.publish_yields.fetch_add(1, Ordering::Relaxed);
         }
-        for job in std::mem::take(&mut batch) {
-            if matches!(job, Job::Barrier(_) | Job::Cut { .. }) && any_armed(&state) {
-                publish_pending(&core, &mut state, &mut publisher, counters);
+        counters
+            .snaps_published
+            .fetch_add(published, Ordering::Relaxed);
+        counters
+            .publish_backlog
+            .store(publisher.backlog(), Ordering::Relaxed);
+    }
+
+    /// Run the claimed batch, each job separately (identical repair
+    /// accounting to the sequential path), then publish in the gap
+    /// before the next claim.
+    fn run_claimed(&mut self) -> Turn {
+        let mut batch = std::mem::take(&mut self.batch);
+        for job in batch.drain(..) {
+            if matches!(job, Job::Barrier(_) | Job::Cut { .. }) && self.any_armed() {
+                self.publish(true);
             }
-            publisher.note_touched(&job);
-            let outcome = catch_unwind(AssertUnwindSafe(|| state.run(job, counters)));
+            self.publisher.note_touched(&job);
+            let counters = &self.core.counters[self.widx];
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.state.run(job, counters)));
             counters.on_done();
             if let Err(payload) = outcome {
                 let message = payload
@@ -1176,38 +1307,114 @@ where
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                let _ = core.poison.set(PoolError {
-                    worker: widx,
+                let _ = self.core.poison.set(PoolError {
+                    worker: self.widx,
                     message,
                 });
                 // A panicking shard must never leave an unsynced
                 // segment: flush before abandoning (under
                 // catch_unwind — a second panic must not tear the
                 // whole process down mid-poison).
-                let _ = catch_unwind(AssertUnwindSafe(|| state.flush_backends()));
+                let _ = catch_unwind(AssertUnwindSafe(|| self.state.flush_backends()));
                 // Refuse further pushes (parked producers fail fast)
                 // and drop whatever is queued: dropping query reply
                 // senders unblocks waiting handles.
+                let inbox = &self.core.inboxes[self.widx];
                 inbox.close();
                 let mut rest = Vec::new();
                 inbox.claim(&mut rest);
-                drop(rest);
-                // The shards may hold a half-repaired engine; abandon
-                // them rather than hand corrupt state back to
-                // `finish`.
-                return Vec::new();
+                return Turn::Poisoned;
             }
         }
-        if any_armed(&state) {
-            publish_pending(&core, &mut state, &mut publisher, counters);
+        self.batch = batch;
+        if self.any_armed() {
+            self.publish(false);
         } else {
-            publisher.touched.clear();
+            self.publisher.touched.clear();
+        }
+        Turn::Worked
+    }
+
+    /// One step of the worker loop: ingest first, publish in the gaps,
+    /// park only with nothing queued *and* nothing owed.
+    fn turn(&mut self) -> Turn {
+        self.core.inboxes[self.widx].claim(&mut self.batch);
+        if self.batch.is_empty() {
+            if self.publisher.backlog() > 0 {
+                // Owed keys and an empty inbox: this is a gap. (A pass
+                // suspends only for a waiting job and the next claim
+                // takes that job, so no pass is left like this today;
+                // the park and exit rules do not lean on it.)
+                self.publish(false);
+                return Turn::Worked;
+            }
+            let inbox = &self.core.inboxes[self.widx];
+            if !inbox.closed_and_drained() {
+                return Turn::Idle;
+            }
+            // One more claim is guaranteed to see every push that ever
+            // succeeded (the close gate drained).
+            inbox.claim(&mut self.batch);
+            if self.batch.is_empty() {
+                return Turn::Done;
+            }
+        }
+        self.run_claimed()
+    }
+}
+
+/// Worker main loop: claim-and-drain the inbox until it is closed and
+/// drained (finish/drop), flush every owned backend, then hand the
+/// shards back through the join handle.
+///
+/// **Ingest first, publish in the gaps.** After a claimed batch the
+/// worker republishes the touched keys' snapshots one key at a time
+/// and looks at its inbox between keys; when a job is waiting it
+/// leaves the rest on the worklist, claims, and resumes afterwards
+/// (at least one key per resumed pass). It parks only when the inbox
+/// is empty *and* nothing is owed, and it exits only then too, so the
+/// shards it hands back have every snapshot published. A slow
+/// publication therefore never holds the bounded inbox shut: an
+/// `update()` waits for ingest at most, never for readers' snapshots.
+///
+/// **Starvation.** The other side of that choice: under an inbox that
+/// is never empty, ingest wins. Publication still moves (a key per
+/// claim), the worklist holds a key at most once so it is bounded by
+/// the worker's distinct keys, not by messages, and
+/// [`WorkerStats::publish_backlog`] / [`WorkerStats::publish_yields`]
+/// show it happening — but a [`PoolHandle::query_snapshot`] may trail
+/// the applied state for as long as the pressure lasts. The remedy is
+/// [`IngestPool::flush`]: before a barrier or cut ack the worker runs
+/// publication to completion whatever is queued behind it.
+///
+/// A panicking job records its payload in the shared `OnceLock`
+/// poison slot, **flushes the backends** (the journal entries
+/// appended before the panic are valid — only the in-memory fold is
+/// suspect, and recovery refolds from the journal anyway), closes its
+/// inbox (so parked producers fail fast instead of deadlocking), and
+/// exits; the shards may hold a half-repaired engine, so they are
+/// abandoned rather than handed back to `finish`.
+fn worker_loop<A, F, P>(mut worker: Worker<A, F, P>) -> OwnedShards<A, F::Strategy, P::Backend>
+where
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
+{
+    let core = Arc::clone(&worker.core);
+    let inbox = &core.inboxes[worker.widx];
+    inbox.register_consumer(std::thread::current());
+    loop {
+        match worker.turn() {
+            Turn::Worked => {}
+            Turn::Idle => inbox.wait(),
+            Turn::Done => break,
+            Turn::Poisoned => return Vec::new(),
         }
     }
     // Drain-on-drop / finish: everything queued has been applied; make
     // it durable before the join completes.
-    state.flush_backends();
-    state.shards
+    worker.state.flush_backends();
+    worker.state.shards
 }
 
 /// A cloneable, `&self` handle to a pooled store: lock-free stamping
@@ -1794,9 +2001,14 @@ where
     P: BackendFactory<A> + Send + Sync + 'static,
     P::Backend: Send + 'static,
 {
-    /// Move `store`'s shards onto `cfg.workers` long-lived threads
-    /// (shard `i` pins to worker `i % workers`) and return the handle.
-    pub fn spawn(store: UcStore<A, F, P>, cfg: PoolConfig) -> Self {
+    /// Take `store` apart into the shared core and one [`Worker`] per
+    /// worker thread (shard `i` pins to worker `i % workers`) — the
+    /// pool before any thread runs.
+    #[allow(clippy::type_complexity)]
+    fn assemble(
+        store: UcStore<A, F, P>,
+        cfg: PoolConfig,
+    ) -> (PoolHandle<A, P>, F, Vec<Worker<A, F, P>>) {
         let (adt, pid, clock, factory, persist, shards) = store.into_parts();
         let num_shards = shards.len();
         let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -1823,7 +2035,7 @@ where
             armed: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
             cut_seq: AtomicU64::new(0),
         });
-        let joins = owned
+        let workers = owned
             .into_iter()
             .enumerate()
             .map(|(widx, shards)| {
@@ -1836,15 +2048,24 @@ where
                     monitor: None,
                     monitor_cells: None,
                 };
-                let core = Arc::clone(&core);
-                let thread = std::thread::spawn(move || worker_loop(state, core, widx));
-                WorkerJoin {
-                    thread: Some(thread),
-                }
+                Worker::new(state, Arc::clone(&core), widx)
+            })
+            .collect();
+        (PoolHandle { core, adt, persist }, factory, workers)
+    }
+
+    /// Move `store`'s shards onto `cfg.workers` long-lived threads
+    /// (shard `i` pins to worker `i % workers`) and return the handle.
+    pub fn spawn(store: UcStore<A, F, P>, cfg: PoolConfig) -> Self {
+        let (handle, factory, workers) = Self::assemble(store, cfg);
+        let joins = workers
+            .into_iter()
+            .map(|worker| WorkerJoin {
+                thread: Some(std::thread::spawn(move || worker_loop(worker))),
             })
             .collect();
         IngestPool {
-            handle: PoolHandle { core, adt, persist },
+            handle,
             factory,
             workers: joins,
             partition: PartitionTracker::default(),
@@ -2078,6 +2299,8 @@ where
         let mut messages = 0;
         let mut shed = 0;
         let mut snaps = 0;
+        let mut backlog = 0;
+        let mut yields = 0;
         let mut high_water = 0u64;
         reg.gauge("uc_store_live_keys")
             .set(stats.total_live_keys() as i64);
@@ -2086,12 +2309,16 @@ where
             messages += w.messages;
             shed += w.shed;
             snaps += w.snapshots_published;
+            backlog += w.publish_backlog;
+            yields += w.publish_yields;
             high_water = high_water.max(w.queue_high_water as u64);
         }
         reg.counter("uc_pool_batches_total").set(batches);
         reg.counter("uc_pool_messages_total").set(messages);
         reg.counter("uc_pool_shed_total").set(shed);
         reg.counter("uc_pool_snapshots_published_total").set(snaps);
+        reg.gauge("uc_pool_publish_backlog").set(backlog as i64);
+        reg.counter("uc_pool_publish_yields_total").set(yields);
         reg.gauge("uc_pool_queue_high_water").set(high_water as i64);
         reg.gauge("uc_pool_heal_replay_bytes")
             .set(self.heal_replay_bytes as i64);
@@ -2482,21 +2709,9 @@ where
 
     /// Snapshot the per-worker queue/throughput counters.
     pub fn stats(&self) -> PoolStats {
+        let counters = &self.handle.core.counters;
         PoolStats {
-            workers: self
-                .handle
-                .core
-                .counters
-                .iter()
-                .map(|c| WorkerStats {
-                    batches: c.batches.load(Ordering::Relaxed),
-                    messages: c.messages.load(Ordering::Relaxed),
-                    queue_high_water: c.high_water.load(Ordering::Relaxed),
-                    shed: c.shed.load(Ordering::Relaxed),
-                    snapshots_published: c.snaps_published.load(Ordering::Relaxed),
-                    live_keys: c.live_keys.load(Ordering::Relaxed),
-                })
-                .collect(),
+            workers: counters.iter().map(SharedCounters::stats).collect(),
         }
     }
 
@@ -2935,6 +3150,12 @@ mod tests {
         pool.submit_batch(burst).unwrap();
         pool.flush().unwrap();
         assert_eq!(pool.stats().total_snapshots_published() - published, 6);
+        // A completed flush leaves nothing owed, and the scrape says so.
+        let reg = Registry::new();
+        pool.export_metrics(&reg);
+        let scrape = reg.snapshot();
+        assert_eq!(scrape.gauge("uc_pool_publish_backlog"), Some(0));
+        assert!(scrape.counter("uc_pool_publish_yields_total").is_some());
         // Handles survive finish; snapshots keep answering.
         let mut finished = pool.finish().unwrap();
         for k in (100..106).chain([7]) {
@@ -2960,9 +3181,148 @@ mod tests {
             publisher.touch(0, i % 10);
         }
         assert!(publisher.touched.capacity() <= 32);
-        publisher.touched.sort_unstable();
-        publisher.touched.dedup();
-        assert_eq!(publisher.touched.len(), 10);
+        assert_eq!(publisher.next_key(), (0, 0), "the pass begins: sorted");
+        assert_eq!(publisher.backlog(), 9, "and deduplicated");
+        assert_eq!(publisher.next_key(), (0, 1));
+        // The pass is suspended with keys 2..10 left. Whatever is
+        // written now, a key waits on the worklist once: those the
+        // pass has yet to reach are not noted again, those it has
+        // published (0, 1) and new ones (10..20) go to the next pass.
+        for i in 0..100_000u64 {
+            publisher.touch(0, i % 20);
+        }
+        assert!(publisher.touched.capacity() <= 32);
+        assert!(publisher.touched.iter().all(|(_, k)| !(2..10).contains(k)));
+        let mut order = Vec::new();
+        while publisher.backlog() > 0 {
+            order.push(publisher.next_key().1);
+        }
+        let expected: Vec<Key> = (2..10).chain([0, 1]).chain(10..20).collect();
+        assert_eq!(order, expected, "each key once, the suspended pass first");
+    }
+
+    type HandWorker = Worker<SetAdt<u32>, CheckpointFactory, MemFactory>;
+
+    /// A one-worker, one-shard pool taken apart before any thread
+    /// runs — the tests below take the worker's turns by hand, so what
+    /// sits in the inbox at each step is theirs to decide — with keys
+    /// 0..6 and 9 written, armed and backfilled.
+    fn hand_worker() -> (PoolHandle<SetAdt<u32>>, HandWorker) {
+        let (handle, _, mut workers) = IngestPool::assemble(store(0, 1), cfg(1));
+        let mut worker = workers.remove(0);
+        assert_eq!(worker.turn(), Turn::Idle);
+        for key in (0..6).chain([9]) {
+            assert!(handle.query_snapshot(key, &SetQuery::Read).is_empty());
+            handle.update(key, SetUpdate::Insert(0)).unwrap();
+        }
+        assert_eq!(worker.turn(), Turn::Worked);
+        let w = stats_of(&worker);
+        assert_eq!((w.snapshots_published, w.publish_backlog), (7, 0));
+        (handle, worker)
+    }
+
+    fn stats_of(worker: &HandWorker) -> WorkerStats {
+        worker.core.counters[worker.widx].stats()
+    }
+
+    /// Claim a burst that writes keys 0..6 five times each, let one
+    /// more job arrive (a local update of `waiting`), and run the
+    /// claimed burst: its publication pass meets a non-empty inbox.
+    fn suspend_a_pass(handle: &PoolHandle<SetAdt<u32>>, worker: &mut HandWorker, waiting: Key) {
+        let mut producer = store(1, 1);
+        let burst: Vec<_> = (0..30u64)
+            .map(|i| producer.update(i % 6, SetUpdate::Insert(1 + i as u32)))
+            .collect();
+        handle.submit_batch(burst).unwrap();
+        let inbox = &worker.core.inboxes[worker.widx];
+        inbox.claim(&mut worker.batch);
+        handle.update(waiting, SetUpdate::Insert(100)).unwrap();
+        assert_eq!(worker.run_claimed(), Turn::Worked);
+    }
+
+    fn read(handle: &PoolHandle<SetAdt<u32>>, key: Key) -> BTreeSet<u32> {
+        handle.query_snapshot(key, &SetQuery::Read)
+    }
+
+    #[test]
+    fn a_waiting_job_suspends_the_pass_after_one_key_and_a_barrier_forces_the_rest() {
+        let (handle, mut worker) = hand_worker();
+        suspend_a_pass(&handle, &mut worker, 3);
+        let w = stats_of(&worker);
+        assert_eq!(w.snapshots_published, 7 + 1, "one key, whoever is waiting");
+        assert_eq!((w.publish_yields, w.publish_backlog), (1, 5));
+        // Between flushes a snapshot read is a read of the latest
+        // *published* state: key 0 shows the burst, key 5 not yet.
+        assert_eq!(read(&handle, 0).len(), 6);
+        assert_eq!(read(&handle, 5), BTreeSet::from([0]));
+
+        // A barrier behind the waiting update, and one more job behind
+        // the barrier: the ack still waits for the whole backlog.
+        let (reply, ack) = channel();
+        handle
+            .push_job(0, Job::Barrier(reply), Backpressure::Park)
+            .unwrap();
+        let inbox = &worker.core.inboxes[worker.widx];
+        inbox.claim(&mut worker.batch);
+        handle.update(9, SetUpdate::Insert(100)).unwrap();
+        assert_eq!(worker.run_claimed(), Turn::Worked);
+        assert!(ack.try_recv().is_ok());
+        assert!(!worker.core.inboxes[worker.widx].is_empty());
+        let w = stats_of(&worker);
+        // Key 3 was written by the burst and by the local update and
+        // is published once.
+        assert_eq!(w.snapshots_published, 7 + 1 + 5);
+        assert_eq!((w.publish_yields, w.publish_backlog), (1, 0));
+        for key in 0..6 {
+            let expected = 6 + usize::from(key == 3);
+            assert_eq!(read(&handle, key).len(), expected, "key {key}");
+        }
+    }
+
+    #[test]
+    fn keys_touched_under_a_suspended_pass_are_merged_and_published_once() {
+        let (handle, mut worker) = hand_worker();
+        suspend_a_pass(&handle, &mut worker, 0);
+        assert_eq!(stats_of(&worker).publish_backlog, 5);
+        // Key 0 has been published by the suspended pass and is owed
+        // another; key 3 is still waiting in it; key 9 is new to it.
+        handle.update(3, SetUpdate::Insert(100)).unwrap();
+        handle.update(9, SetUpdate::Insert(100)).unwrap();
+        handle.update(9, SetUpdate::Insert(101)).unwrap();
+        assert_eq!(worker.turn(), Turn::Worked);
+        let w = stats_of(&worker);
+        assert_eq!(w.snapshots_published, 7 + 1 + 5 + 2);
+        assert_eq!((w.publish_yields, w.publish_backlog), (1, 0));
+        assert_eq!(read(&handle, 0).len(), 7);
+        assert_eq!(read(&handle, 3).len(), 7);
+        assert_eq!(read(&handle, 9), BTreeSet::from([0, 100, 101]));
+        assert_eq!(worker.turn(), Turn::Idle);
+    }
+
+    #[test]
+    fn a_worker_with_a_backlog_neither_parks_nor_exits() {
+        let (handle, mut worker) = hand_worker();
+        // An empty inbox and keys owed a publication, however the last
+        // pass was left: the turn publishes, the next one may park.
+        worker.publisher.touch(0, 2);
+        worker.publisher.touch(0, 4);
+        assert_eq!(worker.turn(), Turn::Worked);
+        let w = stats_of(&worker);
+        assert_eq!((w.snapshots_published, w.publish_backlog), (7 + 2, 0));
+        assert_eq!(worker.turn(), Turn::Idle);
+        // The same at the exit: a closed and drained inbox ends the
+        // worker only once nothing is owed.
+        handle.update(5, SetUpdate::Insert(100)).unwrap();
+        let inbox = &worker.core.inboxes[worker.widx];
+        inbox.claim(&mut worker.batch);
+        worker.batch.clear();
+        worker.publisher.touch(0, 5);
+        inbox.close();
+        assert_eq!(worker.turn(), Turn::Worked);
+        assert_eq!(stats_of(&worker).snapshots_published, 7 + 3);
+        assert_eq!(worker.turn(), Turn::Done);
+        assert_eq!(worker.publisher.backlog(), 0);
+        assert_eq!(read(&handle, 5), BTreeSet::from([0]));
     }
 
     #[test]

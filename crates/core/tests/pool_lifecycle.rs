@@ -8,7 +8,7 @@
 //! the pool — the pool under test is the production code path.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use uc_core::{CheckpointFactory, PoolConfig, StoreMsg, UcStore};
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
@@ -227,4 +227,110 @@ fn healthy_shards_survive_until_finish_even_under_load() {
         .map(|k| store.materialize_key(k).len())
         .sum();
     assert_eq!(total, 60);
+}
+
+/// Differential under forced preemption: a second handle never lets
+/// the one worker's inbox run empty, so every multi-key publication
+/// pass is suspended for ingest again and again. The barriers still
+/// mean what they say: after each `flush()` — and after each cut
+/// barrier, which must cover as much — every key the bursts touched
+/// reads, through the published snapshots, exactly what a sequential
+/// store holds; and the barriers return although the producer never
+/// pauses.
+#[test]
+fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
+    const BURST_KEYS: u64 = 192;
+    const PRODUCER_KEYS: u64 = 4;
+    let factory = CheckpointFactory { every: 8 };
+    let mut seq = UcStore::new(SetAdt::<u32>::new(), 0, 4, factory);
+    let mut pool = UcStore::new(SetAdt::<u32>::new(), 0, 4, factory).into_pool(PoolConfig {
+        workers: 1,
+        queue_depth: 16,
+        ..PoolConfig::default()
+    });
+    let stop = Arc::new(AtomicBool::new(false));
+    let producer = {
+        let handle = pool.handle();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut sent = Vec::new();
+            for i in 0u64.. {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let key = BURST_KEYS + i % PRODUCER_KEYS;
+                sent.push(
+                    handle
+                        .update(key, SetUpdate::Insert(i as u32 % 64))
+                        .unwrap(),
+                );
+            }
+            sent
+        })
+    };
+
+    let mut remote = UcStore::new(SetAdt::<u32>::new(), 1, 1, factory);
+    let reqs: Vec<(u64, SetQuery)> = (0..BURST_KEYS).map(|k| (k, SetQuery::Read)).collect();
+    let yields = |pool: &uc_core::IngestPool<SetAdt<u32>, CheckpointFactory>| -> u64 {
+        pool.stats().workers.iter().map(|w| w.publish_yields).sum()
+    };
+    let mut round = 0u32;
+    // Keep going until the schedule has provably preempted a pass (a
+    // couple of rounds in practice; the cap only bounds a failure).
+    while round < 24 || (yields(&pool) == 0 && round < 2_000) {
+        let msgs: Vec<_> = (0..2 * BURST_KEYS)
+            .map(|i| remote.update(i % BURST_KEYS, SetUpdate::Insert(round % 16)))
+            .collect();
+        seq.apply_batch(&msgs);
+        pool.submit_batch(msgs).unwrap();
+        // Arms every shard on the first round (the flush backfills).
+        let _ = pool.query_snapshot_multi(&reqs);
+        let cut = if round.is_multiple_of(2) {
+            pool.flush().unwrap();
+            None
+        } else {
+            let clock = pool.clock();
+            Some(pool.snapshot_at(clock).expect("a full log answers any cut"))
+        };
+        // The multi-key view is not left behind a cut barrier on any
+        // key: it is the cut's state everywhere, not a mix of sides.
+        let view = pool.query_snapshot_multi(&reqs);
+        for (key, out) in view {
+            let expected = seq.materialize_key(key);
+            assert_eq!(out, expected, "round {round}, key {key}: multi view");
+            assert_eq!(pool.query_snapshot(key, &SetQuery::Read), expected);
+            if let Some(cut) = &cut {
+                assert_eq!(
+                    cut.state(key),
+                    Some(&expected),
+                    "round {round}, key {key}: cut"
+                );
+            }
+        }
+        round += 1;
+    }
+    assert!(
+        yields(&pool) > 0,
+        "no publication pass was ever suspended in {round} rounds: the \
+         producer did not preempt and this test checked nothing new"
+    );
+
+    stop.store(true, Ordering::SeqCst);
+    let sent = producer.join().unwrap();
+    assert!(!sent.is_empty());
+    seq.apply_batch(&sent);
+    pool.flush().unwrap();
+    let stats = pool.stats();
+    assert!(stats.workers.iter().all(|w| w.publish_backlog == 0));
+    let reader = pool.handle();
+    let mut pooled = pool.finish().unwrap();
+    for key in 0..BURST_KEYS + PRODUCER_KEYS {
+        let expected = seq.materialize_key(key);
+        assert_eq!(pooled.materialize_key(key), expected, "key {key}: store");
+        assert_eq!(
+            reader.query_snapshot(key, &SetQuery::Read),
+            expected,
+            "key {key}: published"
+        );
+    }
 }
