@@ -1,32 +1,24 @@
-//! E17 — reconciliation-on-heal: anti-entropy suffix streaming vs a
-//! full-log replay, and the digest-guided **chunked** heal vs the
-//! monolithic burst, as the partition-era divergence grows.
+//! E17 — reconciliation-on-heal: the digest-guided **chunked** heal
+//! as the partition-era divergence grows.
 //!
 //! A majority replica and a partitioned (minority) replica share a
 //! common prefix; the majority then ingests `D` further updates the
 //! minority never sees. Heal streams exactly the suffix above the
-//! outage-start watermark ([`UcStore::collect_suffix_since`], which
-//! skips shards whose divergence high water never passed it), and the
-//! minority ingests the burst through the same deduplicating batch
-//! path as ordinary delivery. The naive alternative — what a
-//! state-transfer protocol without watermarks pays — replays the
-//! *entire* log.
+//! outage-start watermark (shards whose divergence high water never
+//! passed it are skipped), and the minority ingests each chunk through
+//! the same deduplicating batch path as ordinary delivery.
 //!
-//! Three phases per run:
+//! Two phases per run:
 //!
-//! 1. **stream vs full-replay** — the PR 8 columns: collecting the
-//!    watermarked suffix vs collecting the whole log.
-//! 2. **chunked vs monolithic** — the same heal driven end to end
-//!    through the digest-guided, flow-controlled chunk dialogue
-//!    ([`UcStore::heal_peer`]) and through the one-shot
-//!    [`UcStore::peer_up_monolithic`] burst. Reports wall-clock for
-//!    both and the chunked path's *peak in-flight entries* (sampled
+//! 1. **chunked heal** — the heal driven end to end through the
+//!    digest-guided, flow-controlled chunk dialogue
+//!    ([`UcStore::peer_up`] and [`UcStore::apply_message_from`]).
+//!    Reports wall-clock and the *peak in-flight entries* (sampled
 //!    off the `heal_bytes_in_flight` gauge every protocol step),
-//!    asserting it stays ≤ `window * chunk` — O(chunk) peak memory —
-//!    while the monolithic burst holds the entire divergence at once.
-//!    Every rep asserts chunk-healed == monolithic-healed ==
+//!    asserting it stays ≤ `window * chunk` — O(chunk) peak memory
+//!    however large the divergence. Every rep asserts chunk-healed ==
 //!    never-partitioned, per key.
-//! 3. **digest skip** — a 16-shard pair diverging in exactly one key:
+//! 2. **digest skip** — a 16-shard pair diverging in exactly one key:
 //!    the digest exchange must skip ≥ 90% of its slots (asserted),
 //!    and the diverged key must still stream (equality-asserted) —
 //!    the O(divergence) win and its collision-resistance gate.
@@ -48,10 +40,6 @@ type Store = UcStore<Adt, CheckpointFactory>;
 
 const EVERY: usize = 32;
 const SHARDS: usize = 4;
-/// A pid no replica uses: passing it as `exclude_pid` makes
-/// `collect_suffix_since` stream *everything* — the full-replay
-/// baseline.
-const NOBODY: u32 = 99;
 /// Chunked-heal tuning under test: peak in-flight payload is bounded
 /// by `CHUNK * WINDOW` entries regardless of divergence size.
 const CHUNK: usize = 256;
@@ -147,19 +135,8 @@ fn assert_equal_stores(a: &mut Store, b: &mut Store, label: &str) {
     }
 }
 
-struct Row {
-    divergence: usize,
-    stream_ns: u64,
-    apply_ns: u64,
-    full_replay_ns: u64,
-    burst_entries: usize,
-    full_entries: usize,
-    burst_bytes: u64,
-}
-
 struct ChunkRow {
     divergence: usize,
-    mono_ns: u64,
     chunked_ns: u64,
     chunks: u64,
     peak_inflight_entries: u64,
@@ -181,7 +158,6 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    let mut rows: Vec<Row> = Vec::new();
     let mut chunk_rows: Vec<ChunkRow> = Vec::new();
     for (i, &divergence) in divergences.iter().enumerate() {
         let spec = spec(prefix, divergence, 0xBEA7 ^ i as u64);
@@ -202,73 +178,31 @@ fn main() {
             minority.apply_message(&m);
         }
         majority.peer_down(2);
-        let watermark = majority
-            .partition()
-            .down_peers()
-            .next()
-            .expect("just marked down")
-            .1;
         for (key, u) in &stream[prefix..] {
             majority.update(*key, *u);
         }
 
-        // Repeatable reads of the two collection paths (collection
-        // never mutates partition state, so it can be sampled).
-        let mut stream_samples = Vec::new();
-        let mut full_samples = Vec::new();
-        let mut burst_entries = 0;
-        let mut full_entries = 0;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let suffix = majority.collect_suffix_since(watermark, 2);
-            stream_samples.push(t0.elapsed().as_nanos() as u64);
-            burst_entries = suffix.len();
-
-            let t0 = Instant::now();
-            let everything = majority.collect_suffix_since(0, NOBODY);
-            full_samples.push(t0.elapsed().as_nanos() as u64);
-            full_entries = everything.len();
-        }
-        assert_eq!(
-            burst_entries, divergence,
-            "suffix must be exactly the partition-era updates"
-        );
-        assert_eq!(
-            full_entries,
-            prefix + divergence,
-            "full replay must carry the whole log"
-        );
-
-        // Chunked vs monolithic, end to end on cloned pairs so every
-        // rep heals the same frozen divergence. The equality gate runs
-        // every rep: chunk-healed == monolithic-healed == the
-        // never-partitioned majority (it saw each update exactly once,
-        // locally).
-        let mut mono_samples = Vec::new();
+        // End to end on cloned pairs, so every rep heals the same
+        // frozen divergence. The equality gate runs every rep:
+        // chunk-healed == the never-partitioned majority (it saw each
+        // update exactly once, locally).
         let mut chunked_samples = Vec::new();
         let mut chunks_streamed = 0u64;
         let mut peak_inflight = 0u64;
         for _ in 0..reps {
-            let mut mono_healer = majority.clone();
-            let mut mono_healed = minority.clone();
+            let mut healer = majority.clone();
+            let mut healed = minority.clone();
             let t0 = Instant::now();
-            let burst = mono_healer
-                .peer_up_monolithic(2)
-                .expect("divergence must heal");
-            mono_healed.apply_batch(std::slice::from_ref(&burst));
-            mono_samples.push(t0.elapsed().as_nanos() as u64);
-
-            let mut chunk_healer = majority.clone();
-            let mut chunk_healed = minority.clone();
-            let t0 = Instant::now();
-            let (chunks, peak) = drive_chunked(&mut chunk_healer, &mut chunk_healed);
+            let (chunks, peak) = drive_chunked(&mut healer, &mut healed);
             chunked_samples.push(t0.elapsed().as_nanos() as u64);
             chunks_streamed = chunks;
             peak_inflight = peak_inflight.max(peak);
-
-            assert_equal_stores(&mut mono_healer, &mut mono_healed, "monolithic heal");
-            assert_equal_stores(&mut mono_healer, &mut chunk_healed, "chunked heal");
-            assert_equal_stores(&mut chunk_healer, &mut chunk_healed, "chunked healer");
+            assert_equal_stores(&mut healer, &mut healed, "chunked heal");
+            assert_eq!(
+                healer.heal_replay_bytes(),
+                divergence as u64 * per_entry,
+                "the stream must be exactly the partition-era updates"
+            );
         }
         let peak_entries = peak_inflight / per_entry;
         assert!(
@@ -283,34 +217,8 @@ fn main() {
             divergence.div_ceil(CHUNK)
         );
 
-        // The one-shot real heal on the live pair: time the burst
-        // apply, then redeliver it to exercise dedup.
-        let burst = majority
-            .peer_up_monolithic(2)
-            .expect("divergence must heal");
-        let burst_bytes = majority.heal_replay_bytes();
-        let t0 = Instant::now();
-        minority.apply_batch(std::slice::from_ref(&burst));
-        let apply_ns = t0.elapsed().as_nanos() as u64;
-        for _ in 1..reps {
-            // Redelivered bursts (retry overlap) must be absorbed by
-            // dedup — exercised untimed.
-            minority.apply_batch(std::slice::from_ref(&burst));
-        }
-        assert_equal_stores(&mut majority, &mut minority, "healed live pair");
-
-        rows.push(Row {
-            divergence,
-            stream_ns: median(stream_samples),
-            apply_ns,
-            full_replay_ns: median(full_samples),
-            burst_entries,
-            full_entries,
-            burst_bytes,
-        });
         chunk_rows.push(ChunkRow {
             divergence,
-            mono_ns: median(mono_samples),
             chunked_ns: median(chunked_samples),
             chunks: chunks_streamed,
             peak_inflight_entries: peak_entries,
@@ -359,33 +267,13 @@ fn main() {
     );
 
     println!(
-        "\n{:<11} {:>11} {:>10} {:>15} {:>9} {:>11}",
-        "divergence", "stream ns", "apply ns", "full-replay ns", "entries", "full/strm"
-    );
-    for r in &rows {
-        println!(
-            "{:<11} {:>11} {:>10} {:>15} {:>9} {:>10.2}x",
-            r.divergence,
-            r.stream_ns,
-            r.apply_ns,
-            r.full_replay_ns,
-            r.burst_entries,
-            r.full_replay_ns as f64 / r.stream_ns.max(1) as f64
-        );
-    }
-    println!(
-        "\n{:<11} {:>11} {:>12} {:>7} {:>14} {:>12}",
-        "divergence", "mono ns", "chunked ns", "chunks", "peak-inflight", "chunk/mono"
+        "\n{:<11} {:>12} {:>7} {:>14}",
+        "divergence", "chunked ns", "chunks", "peak-inflight"
     );
     for r in &chunk_rows {
         println!(
-            "{:<11} {:>11} {:>12} {:>7} {:>14} {:>11.2}x",
-            r.divergence,
-            r.mono_ns,
-            r.chunked_ns,
-            r.chunks,
-            r.peak_inflight_entries,
-            r.chunked_ns as f64 / r.mono_ns.max(1) as f64
+            "{:<11} {:>12} {:>7} {:>14}",
+            r.divergence, r.chunked_ns, r.chunks, r.peak_inflight_entries
         );
     }
     println!(
@@ -394,11 +282,10 @@ fn main() {
         skip_ratio * 100.0
     );
     println!(
-        "\nnote: stream = collect the suffix above the outage watermark (shards \
-         whose high water never passed it are skipped); full-replay = what a \
-         watermark-less state transfer collects; chunked = the digest-guided \
-         flow-controlled heal dialogue end to end (peak in-flight bounded by \
-         window * chunk = {}); healed state is equality-verified against the \
+        "\nnote: chunked = the digest-guided flow-controlled heal dialogue end to \
+         end, streaming the suffix above the outage watermark (shards whose high \
+         water never passed it are skipped; peak in-flight bounded by window * \
+         chunk = {}); healed state is equality-verified against the \
          never-partitioned control every rep.",
         CHUNK * WINDOW
     );
@@ -410,36 +297,13 @@ fn main() {
          \"checkpoint_every\": {EVERY}, \"reps\": {reps}, \"chunk\": {CHUNK}, \
          \"window\": {WINDOW}, \"smoke\": {smoke}}},"
     );
-    json.push_str("  \"heals\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"divergence\": {}, \"stream_ns\": {}, \"apply_ns\": {}, \
-             \"full_replay_ns\": {}, \"burst_entries\": {}, \"full_entries\": {}, \
-             \"burst_bytes\": {}, \"full_vs_stream\": {:.2}}}",
-            r.divergence,
-            r.stream_ns,
-            r.apply_ns,
-            r.full_replay_ns,
-            r.burst_entries,
-            r.full_entries,
-            r.burst_bytes,
-            r.full_replay_ns as f64 / r.stream_ns.max(1) as f64
-        );
-        json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ],\n  \"chunked\": [\n");
+    json.push_str("  \"chunked\": [\n");
     for (i, r) in chunk_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"divergence\": {}, \"mono_ns\": {}, \"chunked_ns\": {}, \
-             \"chunks\": {}, \"peak_inflight_entries\": {}, \"chunked_vs_mono\": {:.2}}}",
-            r.divergence,
-            r.mono_ns,
-            r.chunked_ns,
-            r.chunks,
-            r.peak_inflight_entries,
-            r.chunked_ns as f64 / r.mono_ns.max(1) as f64
+            "    {{\"divergence\": {}, \"chunked_ns\": {}, \"chunks\": {}, \
+             \"peak_inflight_entries\": {}}}",
+            r.divergence, r.chunked_ns, r.chunks, r.peak_inflight_entries
         );
         json.push_str(if i + 1 == chunk_rows.len() {
             "\n"
@@ -455,11 +319,10 @@ fn main() {
          \"chunks\": {digest_chunks}, \"heal_ns\": {digest_ns}}},"
     );
     json.push_str(
-        "  \"note\": \"equality-verified every rep: chunk-healed == monolithic-healed \
-         == never-partitioned majority per key; stream collects only the suffix above \
-         the outage-start watermark, full_replay collects the whole log (the \
-         watermark-less baseline); chunked drives the digest-guided flow-controlled \
-         dialogue end to end with peak in-flight asserted <= window * chunk; \
+        "  \"note\": \"equality-verified every rep: chunk-healed == never-partitioned \
+         majority per key; chunked drives the digest-guided flow-controlled dialogue \
+         end to end, streaming exactly the suffix above the outage-start watermark, \
+         with peak in-flight asserted <= window * chunk; \
          digest_skip diverges one key of 128 across 16 shards and asserts >= 90% of \
          slots skipped with the diverged key still streamed\"\n",
     );

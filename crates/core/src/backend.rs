@@ -151,7 +151,9 @@ pub trait LogBackend<A: UqAdt> {
     /// the in-memory sorted log. Unlike [`LogBackend::scan_suffix`]
     /// (a one-shot recovery drain), this may be called repeatedly on
     /// a live backend. Callers flush first so the journal covers
-    /// every accepted entry.
+    /// every accepted entry. (Nothing in the workspace calls it since
+    /// the one-shot heal burst went; it stays declared while the
+    /// end-to-end benchmark's backend wrapper forwards it.)
     fn stream_suffix(&mut self, since: u64) -> Option<Vec<(Timestamp, A::Update)>> {
         let _ = since;
         None

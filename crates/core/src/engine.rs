@@ -539,52 +539,24 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         Ok(self.adt.observe(&state, q))
     }
 
-    /// The retained suffix stamped strictly above `since`, as
-    /// broadcast messages in timestamp order — the unit of
-    /// anti-entropy reconciliation-on-heal. The backend is flushed
-    /// first (heal is a durability point), then offered the request
-    /// ([`LogBackend::stream_suffix`], for a backend that keeps a
-    /// cheaper sorted copy than this one); every backend in the
-    /// workspace declines, and the suffix is filtered out of the
-    /// in-memory sorted log, which always holds all of it.
+    /// The read primitive of chunked heal streaming: up to `limit`
+    /// retained entries stamped strictly above `since` and (when set)
+    /// strictly after the resume cursor `after`, as broadcast messages
+    /// in timestamp order, plus whether more remain. The backend is
+    /// flushed first (heal is a durability point). Peak memory is
+    /// O(`limit`): unless the backend answers itself
+    /// ([`LogBackend::stream_suffix_window`]; none in the workspace
+    /// does), one contiguous window of the in-memory sorted log —
+    /// which always holds the whole retained suffix — is cloned
+    /// ([`UpdateLog::suffix_window`], O(`limit`) after a binary
+    /// search).
     ///
     /// Completeness leans on stability: a compacting strategy's bound
     /// can only advance past `since` once *every* peer's clock
     /// exceeds it, and a peer that has been unreachable since `since`
     /// froze its observed clock at or below it — so while that peer
-    /// is down, no entry above `since` is ever folded away.
-    pub fn suffix_since(&mut self, since: u64) -> Vec<UpdateMsg<A::Update>> {
-        self.flush_backend();
-        if let Some(entries) = self.log.backend_mut().stream_suffix(since) {
-            return entries
-                .into_iter()
-                .map(|(ts, update)| UpdateMsg { ts, update })
-                .collect();
-        }
-        self.log
-            .iter()
-            .filter(|(ts, _)| ts.clock > since)
-            .map(|(ts, update)| UpdateMsg {
-                ts: *ts,
-                update: update.clone(),
-            })
-            .collect()
-    }
-
-    /// Bounded-window form of [`ReplicaEngine::suffix_since`] — the
-    /// read primitive of chunked heal streaming: up to `limit` suffix
-    /// entries strictly above `since` and (when set) strictly after
-    /// the resume cursor `after`, in timestamp order, plus whether
-    /// more remain. Peak memory is O(`limit`): unless the backend
-    /// answers itself ([`LogBackend::stream_suffix_window`]; none in
-    /// the workspace does), one contiguous window of the in-memory
-    /// sorted log is cloned ([`UpdateLog::suffix_window`], O(`limit`)
-    /// after a binary search).
-    ///
-    /// Completeness across calls leans on the same stability argument
-    /// as [`ReplicaEngine::suffix_since`]: while the healed peer's
-    /// session pins retention at `since`, no entry above it is folded
-    /// away between windows.
+    /// is down, or its heal session pins retention at `since`, no
+    /// entry above `since` is folded away, between windows included.
     pub fn suffix_since_window(
         &mut self,
         since: u64,

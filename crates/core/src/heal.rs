@@ -1,12 +1,24 @@
 //! **O(divergence) reconciliation**: digest-guided anti-entropy with
-//! chunked, flow-controlled heal streaming.
+//! chunked, flow-controlled heal streaming, and the replica's
+//! partition posture.
 //!
-//! PR 8's heal path shipped a healed peer's entire missed suffix as
-//! one monolithic [`StoreMsg::Repair`](crate::store::StoreMsg) burst:
-//! a long outage materializes the whole divergence window in memory
-//! on both sides and dumps it onto the link queue at once. This
-//! module makes heal cost proportional to *actual divergence* with
-//! bounded peak memory, in two coordinated moves:
+//! This module owns everything a replica does about an unreachable
+//! peer, once, whoever runs the shards:
+//!
+//! * `Healer` — the [`PartitionTracker`], the [`HealConfig`], the
+//!   live [`HealSession`]s and the heal counters of one replica, with
+//!   the posture half of its health report and the `uc_*_heal_*`
+//!   metric export. [`UcStore`](crate::store::UcStore) and
+//!   [`IngestPool`](crate::pool::IngestPool) each hold one.
+//! * `Dialogue` — a `Healer` beside the executor of its replica:
+//!   `peer_down`, `peer_up`, the handlers of the heal control frames,
+//!   the stall tick and the retention pin.
+//! * `ShardAccess` — the only thing the two differ in: who touches
+//!   the shards. The store implements it inline over its shard slice
+//!   (`Error = Infallible`), the pool by a job to the owning worker and
+//!   a reply back (`Error = PoolError`).
+//!
+//! The dialogue, in two coordinated moves:
 //!
 //! 1. **Digest exchange.** On `peer_up` the healing side first sends
 //!    a compact per-(group, key-range) [`HealDigest`] of everything
@@ -14,16 +26,15 @@
 //!    above the outage watermark. The healed peer answers with the
 //!    slots whose digests differ from its own view; slots that agree
 //!    are **skipped entirely**. Two peers that converged through
-//!    other paths exchange O(groups) bytes, not O(suffix).
+//!    other paths exchange O(groups) bytes, not O(suffix). A peer
+//!    whose digests are all empty gets no session at all.
 //! 2. **Chunked streaming with flow control.** The mismatched slots
 //!    become a key-by-key streaming plan driven by a resumable
 //!    [`HealSession`] state machine: one bounded
-//!    [`StoreMsg::RepairChunk`](crate::store::StoreMsg) at a time,
-//!    read through bounded-window engine cursors
-//!    ([`ReplicaEngine::suffix_since_window`](crate::engine::ReplicaEngine::suffix_since_window)
-//!    — segment backends answer straight out of segment files without
-//!    materializing the tail), paced by
-//!    [`StoreMsg::RepairAck`](crate::store::StoreMsg)s so at most
+//!    [`StoreMsg::RepairChunk`] at a time, read through
+//!    bounded-window engine cursors
+//!    ([`ReplicaEngine::suffix_since_window`](crate::engine::ReplicaEngine::suffix_since_window)),
+//!    paced by [`StoreMsg::RepairAck`]s so at most
 //!    [`HealConfig::window`] chunks are in flight per peer. The
 //!    window composes with `ReliableLink`'s queue cap: a heal can
 //!    never flood the retry queue and shed live traffic.
@@ -31,19 +42,30 @@
 //! Chunk delivery stays idempotent (receivers ingest through the
 //! deduplicating batch path), so redelivered or overlapping chunks —
 //! including a whole re-heal after a crash mid-stream — are no-ops.
+//!
+//! # The `ShardAccess` contract
+//!
+//! Required of every implementation: calls on one executor take effect
+//! **in the order they are made**. A `set_retention` is in force for
+//! every `digest_suffix` or `collect_window` issued after it, and not
+//! before. The dialogue leans on this whenever a pin is about to
+//! relax: it reads under the outgoing, tighter pin and only then sets
+//! the looser one, so no compaction can fold a suffix between the
+//! decision to stream it and the read that streams it. Inline
+//! execution orders calls trivially; the pool's per-worker inboxes are
+//! FIFO.
 
 use crate::message::UpdateMsg;
+use crate::store::{AvailabilityPolicy, Key, PartitionTracker, StoreMsg};
 use crate::timestamp::Timestamp;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+use uc_criteria::online::MonitorStats;
 use uc_history::fxhash::FxHasher;
-use uc_sim::Pid;
-
-/// Object identifier within a store (mirror of
-/// [`crate::store::Key`], redeclared to keep this module free of a
-/// store dependency cycle).
-type Key = u64;
+use uc_obs::{Health, Registry};
+use uc_sim::{LinkCounters, Pid};
 
 /// Tuning knobs of the chunked heal protocol, per store.
 #[derive(Clone, Debug)]
@@ -276,6 +298,18 @@ impl HealSession {
         matches!(self.phase, Phase::AwaitDigest)
     }
 
+    /// The `DigestRequest` that opens this session (and is re-sent
+    /// when the response stalls).
+    pub(crate) fn digest_request<U>(&self) -> StoreMsg<U> {
+        StoreMsg::DigestRequest {
+            session: self.id,
+            since: self.since,
+            groups: self.groups,
+            ranges: self.ranges,
+            digests: self.digests.clone(),
+        }
+    }
+
     /// Estimated bytes currently in flight (unacknowledged chunks).
     pub fn inflight_bytes(&self) -> u64 {
         match &self.phase {
@@ -420,7 +454,7 @@ impl HealSession {
     /// control for liveness on a raw lossy link: the expired chunk's
     /// *data* is not lost when heal runs over `ReliableLink` (which
     /// retransmits it); without a reliable link the next heal cycle
-    /// re-covers it, exactly as PR 8's monolithic burst relied on.
+    /// re-covers it.
     pub fn on_tick(&mut self, stall_ticks: u32) -> HealTick {
         self.idle_ticks += 1;
         if self.idle_ticks < stall_ticks.max(1) {
@@ -458,6 +492,356 @@ impl fmt::Debug for HealSession {
             "heal(p{} s{} since={} {phase} inflight={extra})",
             self.peer, self.id, self.since
         )
+    }
+}
+
+/// Who touches the shards: everything the dialogue needs of the
+/// replica it heals for. Calls take effect in the order they are made
+/// — see the [module docs](self) for why the dialogue needs that.
+pub(crate) trait ShardAccess {
+    /// The ADT's update type (what chunks carry).
+    type Update;
+    /// What a shard operation can fail with.
+    type Error;
+
+    fn pid(&self) -> Pid;
+
+    /// The shared Lamport clock's current value.
+    fn clock_now(&self) -> u64;
+
+    /// The digest group count of the sessions this replica opens.
+    fn num_shards(&self) -> usize;
+
+    /// Per-(group, key-range) digests of the retained suffix above
+    /// `since`, excluding `exclude`'s own updates — what a
+    /// [`StoreMsg::DigestRequest`] carries and what its receiver
+    /// recomputes locally. Shards whose high water never passed
+    /// `since` contribute nothing without touching their engines.
+    fn digest_suffix(
+        &mut self,
+        since: u64,
+        exclude: Pid,
+        groups: u32,
+        ranges: u32,
+    ) -> Result<Vec<HealDigest>, Self::Error>;
+
+    /// Every `(shard, key)` in shards whose divergence high water
+    /// passed `since` — the same pre-filter the digests use, so plan
+    /// and digest always cover the same universe.
+    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Self::Error>;
+
+    /// One bounded-window suffix read of one key: O(limit) payload,
+    /// never the whole tail.
+    #[allow(clippy::type_complexity)]
+    fn collect_window(
+        &mut self,
+        shard: usize,
+        key: Key,
+        since: u64,
+        after: Option<Timestamp>,
+        limit: usize,
+    ) -> Result<(Vec<UpdateMsg<Self::Update>>, bool), Self::Error>;
+
+    /// Pin (or release) compaction on every engine, present and
+    /// future.
+    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Self::Error>;
+}
+
+/// One replica's partition posture and heal state: which peers are
+/// down since when, the sessions streaming to the ones that came
+/// back, and the counters both leave behind. Every step that reads or
+/// pins the shards runs as a [`Dialogue`].
+#[derive(Clone, Default)]
+pub(crate) struct Healer {
+    pub(crate) partition: PartitionTracker,
+    /// Applies to sessions opened afterwards.
+    pub(crate) cfg: HealConfig,
+    /// One per healing peer. A session pins compaction at its
+    /// watermark exactly like a down peer.
+    sessions: BTreeMap<Pid, HealSession>,
+    /// Ids disambiguate replies from cancelled sessions after a flap.
+    next_session: u64,
+    /// Heal chunks emitted (counter).
+    pub(crate) chunks: u64,
+    /// Digest slots skipped because both sides agreed (counter).
+    pub(crate) digest_skips: u64,
+    /// Estimated bytes in unacknowledged chunks (gauge): the sum of
+    /// the live sessions' [`HealSession::inflight_bytes`].
+    bytes_in_flight: u64,
+    /// Estimated wire bytes of every chunk emitted (counter).
+    pub(crate) replay_bytes: u64,
+    /// Folded into the owning runtime's [`uc_sim::Metrics`] when
+    /// attached.
+    pub(crate) link_counters: Option<Arc<LinkCounters>>,
+}
+
+impl Healer {
+    /// Live heal sessions, keyed by healing peer.
+    pub(crate) fn sessions(&self) -> impl Iterator<Item = (&Pid, &HealSession)> {
+        self.sessions.iter()
+    }
+
+    pub(crate) fn bytes_in_flight(&self) -> u64 {
+        self.bytes_in_flight
+    }
+
+    /// Drop `peer`'s live session (flap), releasing its in-flight
+    /// gauge contribution; its watermark, so the caller can re-open
+    /// the outage there.
+    fn cancel_heal_session(&mut self, peer: Pid) -> Option<u64> {
+        let sess = self.sessions.remove(&peer)?;
+        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(sess.inflight_bytes());
+        Some(sess.since)
+    }
+
+    /// Availability posture, down-peer watermarks and the monitor
+    /// verdict folded into one (unresolved) health report. `n` is the
+    /// cluster size (what the protocol reads off `Ctx::n`).
+    pub(crate) fn health(&self, n: usize, monitor: Option<&MonitorStats>) -> Health {
+        let policy = self.partition.policy();
+        let mut h = Health::new(format!("{policy:?}"));
+        h.down_peers = self.partition.down_peers().collect();
+        // "Unavailable" means reads are actually refused: a minority
+        // under `Refuse`. The wait-free postures keep serving and
+        // degrade through the down-peer list instead.
+        h.in_minority = self.partition.in_minority(n) && policy == AvailabilityPolicy::Refuse;
+        if let Some(stats) = monitor {
+            h.monitor_clean = Some(stats.clean());
+            h.monitor_violations = stats.total_violations();
+            h.stable_bound = stats.stable_bound;
+        }
+        h
+    }
+
+    /// Mirror the heal counters and gauges into `reg` as
+    /// `{prefix}_heal_*`.
+    pub(crate) fn export_metrics(&self, prefix: &str, reg: &Registry) {
+        let counter = |name: &str, v: u64| reg.counter(&format!("{prefix}_heal_{name}")).set(v);
+        counter("replay_bytes_total", self.replay_bytes);
+        counter("chunks_total", self.chunks);
+        counter("digest_skips_total", self.digest_skips);
+        let gauge = |name: &str, v: i64| reg.gauge(&format!("{prefix}_heal_{name}")).set(v);
+        gauge("bytes_in_flight", self.bytes_in_flight as i64);
+        gauge("sessions", self.sessions.len() as i64);
+    }
+}
+
+/// A replica's [`Healer`] beside the executor that touches its shards:
+/// one step of the heal dialogue. What a step wants sent comes back
+/// addressed per recipient.
+pub(crate) struct Dialogue<'a, X> {
+    pub(crate) heal: &'a mut Healer,
+    pub(crate) shards: X,
+}
+
+/// What a step of the dialogue returns: the messages to send.
+pub(crate) type Sent<X> =
+    Result<Vec<(Pid, StoreMsg<<X as ShardAccess>::Update>)>, <X as ShardAccess>::Error>;
+
+impl<X: ShardAccess> Dialogue<'_, X> {
+    /// `peer` became unreachable: record the outage-start watermark
+    /// and pin compaction there.
+    pub(crate) fn peer_down(&mut self, peer: Pid) -> Result<(), X::Error> {
+        // A flap mid-heal cancels the peer's session; the outage
+        // re-opens at the *session's* watermark (not the current
+        // clock), so the unacknowledged remainder of the cancelled
+        // stream is re-covered by the next heal — resumability through
+        // idempotent chunk ingest.
+        let now = self.shards.clock_now();
+        let since = self.heal.cancel_heal_session(peer);
+        let watermark = since.map_or(now, |since| since.min(now));
+        self.heal.partition.mark_down(peer, watermark);
+        self.apply_retention()
+    }
+
+    /// Re-derive the compaction pin from the down set *and* the live
+    /// heal sessions: while any peer is marked down — or any session
+    /// is still streaming its suffix — no engine may compact past the
+    /// earliest watermark involved. Otherwise an *incoming* heal
+    /// burst (carrying the majority's high clocks) would advance
+    /// stability and fold this replica's own partition-era updates
+    /// into the base before they were streamed back out.
+    fn apply_retention(&mut self) -> Result<(), X::Error> {
+        let down = self.heal.partition.down_peers().map(|(_, w)| w);
+        let streaming = self.heal.sessions.values().map(|s| s.since);
+        self.shards.set_retention(down.chain(streaming).min())
+    }
+
+    /// `peer` is reachable again. If it was down and this replica
+    /// holds anything it could stream above the outage watermark,
+    /// open a session and return its [`StoreMsg::DigestRequest`];
+    /// `None` when the peer was not down or every digest slot is
+    /// empty (then the pin lifts if this was the last down peer).
+    pub(crate) fn peer_up(&mut self, peer: Pid) -> Result<Option<StoreMsg<X::Update>>, X::Error> {
+        let Some(since) = self.heal.partition.mark_up(peer) else {
+            return Ok(None);
+        };
+        // A session to this peer cannot exist (a session is cancelled
+        // when its peer goes down), but clear defensively so a stale
+        // one can never absorb the new session's replies.
+        self.heal.cancel_heal_session(peer);
+        let groups = self.shards.num_shards() as u32;
+        let ranges = self.heal.cfg.ranges.max(1);
+        // Folded under the outgoing pin; the release below is ordered
+        // after it.
+        let digests = self.shards.digest_suffix(since, peer, groups, ranges)?;
+        let opener = if digests.iter().any(|d| d.count > 0) {
+            let id = self.heal.next_session;
+            self.heal.next_session += 1;
+            let session = HealSession::new(peer, since, id, groups, ranges, digests);
+            let opener = session.digest_request();
+            self.heal.sessions.insert(peer, session);
+            Some(opener)
+        } else {
+            None
+        };
+        // With a session, the pin stays at the same watermark until
+        // its last chunk is acknowledged.
+        self.apply_retention()?;
+        Ok(opener)
+    }
+
+    /// A [`StoreMsg::DigestRequest`] arrived from a healer: compare
+    /// its view against our own (excluding our own updates — exactly
+    /// what it excluded too) and name the slots that differ.
+    pub(crate) fn on_digest_request(
+        &mut self,
+        from: Pid,
+        session: u64,
+        since: u64,
+        groups: u32,
+        ranges: u32,
+        digests: &[HealDigest],
+    ) -> Sent<X> {
+        let me = self.shards.pid();
+        let ours = self.shards.digest_suffix(since, me, groups, ranges)?;
+        let mismatched = mismatched_slots(digests, &ours);
+        let response = StoreMsg::DigestResponse {
+            session,
+            since,
+            mismatched,
+        };
+        Ok(vec![(from, response)])
+    }
+
+    /// A [`StoreMsg::DigestResponse`] arrived: build the streaming
+    /// plan from the mismatched slots and emit the first window of
+    /// chunks. Replies carrying a stale session id (or arriving with
+    /// no session at all) are dropped.
+    pub(crate) fn on_digest_response(
+        &mut self,
+        from: Pid,
+        session: u64,
+        since: u64,
+        mismatched: &[u32],
+    ) -> Sent<X> {
+        let live = |s: &HealSession| s.id == session && s.since == since;
+        if !self.heal.sessions.get(&from).is_some_and(live) {
+            return Ok(Vec::new());
+        }
+        let candidates = self.shards.heal_candidates(since)?;
+        let sess = self.heal.sessions.get_mut(&from).expect("checked above");
+        if let Some(skipped) = sess.begin_streaming(mismatched, candidates) {
+            self.heal.digest_skips += skipped;
+        }
+        self.pump_heal_session(from)
+    }
+
+    /// A [`StoreMsg::RepairAck`] arrived: release its chunk from the
+    /// flow-control window and either refill the window or, when the
+    /// final chunk is acknowledged, complete the session (lifting its
+    /// retention pin).
+    pub(crate) fn on_repair_ack(&mut self, from: Pid, session: u64, seq: u64) -> Sent<X> {
+        let heal = &mut *self.heal;
+        let Some(sess) = heal.sessions.get_mut(&from).filter(|s| s.id == session) else {
+            return Ok(Vec::new());
+        };
+        let (released, complete) = sess.on_ack(seq);
+        heal.bytes_in_flight = heal.bytes_in_flight.saturating_sub(released);
+        if complete {
+            heal.sessions.remove(&from);
+            self.apply_retention()?;
+            return Ok(Vec::new());
+        }
+        self.pump_heal_session(from)
+    }
+
+    /// Emit as many chunks to `peer`'s session as its window allows,
+    /// reading payloads through bounded-window cursors (O(chunk) peak
+    /// memory) and accounting every emitted chunk's estimated bytes
+    /// in the in-flight gauge and heal counters.
+    fn pump_heal_session(&mut self, peer: Pid) -> Sent<X> {
+        let Dialogue { heal, shards } = self;
+        let Some(mut sess) = heal.sessions.remove(&peer) else {
+            return Ok(Vec::new());
+        };
+        // Per entry: 8 (key) + 12 (timestamp clock+pid) + the update's
+        // in-memory size. An estimate — the real encoding varies — but
+        // monotone in chunk size, which is what the metric is for.
+        let per_entry = 8 + 12 + std::mem::size_of::<X::Update>() as u64;
+        // The fill closure cannot return `Result`: a failed read ends
+        // its key and is surfaced after the fill.
+        let mut failed = None;
+        let chunks = sess.fill_chunks(&heal.cfg, per_entry, |si, key, since, after, limit| {
+            let read = shards.collect_window(si, key, since, after, limit);
+            read.unwrap_or_else(|e| {
+                failed = Some(e);
+                (Vec::new(), false)
+            })
+        });
+        let session = sess.id;
+        heal.sessions.insert(peer, sess);
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let mut out = Vec::with_capacity(chunks.len());
+        for c in chunks {
+            let bytes = per_entry * c.updates.len() as u64;
+            heal.chunks += 1;
+            heal.replay_bytes += bytes;
+            heal.bytes_in_flight += bytes;
+            if let Some(cnt) = &heal.link_counters {
+                LinkCounters::add(&cnt.heal_replay_bytes, bytes);
+            }
+            let chunk = StoreMsg::RepairChunk {
+                session,
+                seq: c.seq,
+                last: c.last,
+                updates: c.updates,
+            };
+            out.push((peer, chunk));
+        }
+        Ok(out)
+    }
+
+    /// Advance every live heal session one tick: stalled sessions
+    /// re-send their digest request or expire their oldest
+    /// unacknowledged chunk to reopen the window (liveness on raw
+    /// lossy links — over `ReliableLink` the expired chunk's data
+    /// still arrives; without one the next heal cycle re-covers it).
+    pub(crate) fn heal_tick(&mut self) -> Sent<X> {
+        let peers: Vec<Pid> = self.heal.sessions.keys().copied().collect();
+        let mut out = Vec::new();
+        for peer in peers {
+            let heal = &mut *self.heal;
+            let Some(sess) = heal.sessions.get_mut(&peer) else {
+                continue;
+            };
+            match sess.on_tick(heal.cfg.stall_ticks) {
+                HealTick::Wait => {}
+                HealTick::ResendDigest => out.push((peer, sess.digest_request())),
+                HealTick::Expired { released, complete } => {
+                    heal.bytes_in_flight = heal.bytes_in_flight.saturating_sub(released);
+                    if complete {
+                        heal.sessions.remove(&peer);
+                        self.apply_retention()?;
+                    } else {
+                        out.extend(self.pump_heal_session(peer)?);
+                    }
+                }
+            }
+        }
+        Ok(out)
     }
 }
 

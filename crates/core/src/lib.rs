@@ -48,6 +48,7 @@ pub mod inbox;
 pub mod log;
 pub mod memory;
 pub mod message;
+mod node;
 pub mod observe;
 pub mod pool;
 pub mod replica;

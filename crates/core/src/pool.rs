@@ -112,18 +112,21 @@
 //!
 //! The pool implements [`Protocol`], so a pooled store runs unchanged
 //! under the threaded cluster (real ingest concurrency) and the
-//! deterministic simulator.
+//! deterministic simulator. It is the same replica as the sequential
+//! [`UcStore`]: the protocol bodies (`node`) and the partition posture
+//! and heal dialogue ([`heal`](crate::heal)) are shared code, which
+//! the pool runs over worker jobs (`ShardAccess` on its handle).
 
 use crate::backend::{BackendFactory, MemFactory};
 use crate::engine::CutError;
-use crate::heal::{digest_slot, mismatched_slots, HealConfig, HealDigest, HealSession, HealTick};
+use crate::heal::{Dialogue, HealConfig, HealDigest, HealSession, Healer, ShardAccess};
 use crate::inbox::{Inbox, PushError};
 use crate::message::UpdateMsg;
+use crate::node::{self, Node};
 use crate::snapshot::Published;
 use crate::store::{
-    collapse_heartbeats, repair_bytes_estimate, shard_index, split_by_shard, AvailabilityPolicy,
-    Key, PartitionTracker, Shard, StoreInput, StoreMsg, StoreOutput, StoreSnapshot,
-    StrategyFactory, UcStore,
+    collapse_heartbeats, shard_index, split_by_shard, AvailabilityPolicy, Key, PartitionTracker,
+    Shard, StoreInput, StoreMsg, StoreOutput, StoreSnapshot, StrategyFactory, UcStore,
 };
 use crate::timestamp::{LamportClock, Timestamp};
 use std::collections::{BTreeMap, HashMap};
@@ -519,22 +522,9 @@ enum Job<A: UqAdt> {
         #[allow(clippy::type_complexity)]
         reply: Sender<Result<Vec<(Key, <A as UqAdt>::State)>, CutError>>,
     },
-    /// Anti-entropy heal: collect every owned update stamped strictly
-    /// above `since` — skipping shards whose divergence high water
-    /// never passed it, and excluding `exclude_pid`'s own updates —
-    /// and reply with the keyed suffix. Flushes each touched engine's
-    /// backend first (heal is a durability point).
-    CollectSuffix {
-        since: u64,
-        exclude_pid: u32,
-        #[allow(clippy::type_complexity)]
-        reply: Sender<Vec<(Key, UpdateMsg<<A as UqAdt>::Update>)>>,
-    },
-    /// Digest-guided heal, step 1: fold every owned suffix entry
-    /// above `since` (excluding `exclude_pid`'s own updates) into a
-    /// `groups * ranges` slot array. Workers own disjoint shards, so
-    /// the handle xor-merges the per-worker arrays into the exact
-    /// digests a sequential [`UcStore::digest_suffix`] would produce.
+    /// [`ShardAccess::digest_suffix`] over this worker's shards. Workers
+    /// own disjoint shards, so the handle merges the per-worker slot
+    /// arrays into exactly the digests the inline executor folds.
     DigestSuffix {
         since: u64,
         exclude_pid: u32,
@@ -542,19 +532,13 @@ enum Job<A: UqAdt> {
         ranges: u32,
         reply: Sender<Vec<HealDigest>>,
     },
-    /// Digest-guided heal, step 2: every owned `(shard, key)` whose
-    /// shard's divergence high water passed `since` — the candidate
-    /// universe a [`HealSession`] filters down to its mismatched
-    /// slots.
+    /// [`ShardAccess::heal_candidates`] over this worker's shards.
     HealCandidates {
         since: u64,
         #[allow(clippy::type_complexity)]
         reply: Sender<Vec<(usize, Key)>>,
     },
-    /// Digest-guided heal, step 3: one bounded-window suffix read for
-    /// one key (the pooled
-    /// [`ReplicaEngine::suffix_since_window`](crate::engine::ReplicaEngine::suffix_since_window)
-    /// cursor) — O(limit) payload per job, never the whole tail.
+    /// [`ShardAccess::collect_window`] on the worker that owns `shard`.
     CollectWindow {
         shard: usize,
         key: Key,
@@ -564,8 +548,7 @@ enum Job<A: UqAdt> {
         #[allow(clippy::type_complexity)]
         reply: Sender<(Vec<UpdateMsg<<A as UqAdt>::Update>>, bool)>,
     },
-    /// Pin (or release) every owned engine's compaction at a
-    /// retention cap while partitioned peers are marked down — see
+    /// [`ShardAccess::set_retention`] on this worker's shards — see
     /// [`RepairStrategy::set_retention_cap`](crate::engine::RepairStrategy::set_retention_cap).
     Retention { cap: Option<u64> },
 }
@@ -892,28 +875,6 @@ where
                     None => Ok(out),
                 });
             }
-            Job::CollectSuffix {
-                since,
-                exclude_pid,
-                reply,
-            } => {
-                let mut out = Vec::new();
-                for (_, shard) in shards.iter_mut() {
-                    if shard.high_water <= since {
-                        continue;
-                    }
-                    for (key, engine) in shard.engines_mut() {
-                        for msg in engine.suffix_since(since) {
-                            if msg.ts.pid != exclude_pid {
-                                out.push((key, msg));
-                            }
-                        }
-                    }
-                }
-                // A dead reply channel (caller gave up on a poisoned
-                // pool) is not this worker's problem.
-                let _ = reply.send(out);
-            }
             Job::DigestSuffix {
                 since,
                 exclude_pid,
@@ -923,27 +884,14 @@ where
             } => {
                 let mut slots = vec![HealDigest::default(); (groups as usize) * (ranges as usize)];
                 for (_, shard) in shards.iter_mut() {
-                    if shard.high_water <= since {
-                        continue;
-                    }
-                    for (key, engine) in shard.engines_mut() {
-                        let slot = digest_slot(key, groups, ranges) as usize;
-                        engine.digest_suffix(since, |ts, hash| {
-                            if ts.pid != exclude_pid {
-                                slots[slot].fold(hash);
-                            }
-                        });
-                    }
+                    shard.fold_digest(since, exclude_pid, groups, ranges, &mut slots);
                 }
                 let _ = reply.send(slots);
             }
             Job::HealCandidates { since, reply } => {
                 let mut out = Vec::new();
-                for (idx, shard) in shards.iter() {
-                    if shard.high_water <= since {
-                        continue;
-                    }
-                    out.extend(shard.keys().map(|k| (*idx, k)));
+                for (_, shard) in shards.iter() {
+                    shard.heal_candidates(since, &mut out);
                 }
                 let _ = reply.send(out);
             }
@@ -955,13 +903,7 @@ where
                 limit,
                 reply,
             } => {
-                let sh = shard_mut(shards, shard);
-                let out = match sh.engine_mut(key) {
-                    Some(engine) => engine.suffix_since_window(since, after, limit),
-                    // The key vanished mid-plan (cannot happen while
-                    // the session pins retention, but stay total).
-                    None => (Vec::new(), false),
-                };
+                let out = shard_mut(shards, shard).suffix_window(key, since, after, limit);
                 let _ = reply.send(out);
             }
             Job::Retention { cap } => {
@@ -1522,6 +1464,24 @@ where
         }
     }
 
+    /// Push one reply-carrying job to every worker (parking on a full
+    /// inbox) and wait for all the replies, in worker order. A
+    /// worker's FIFO inbox orders its job after every earlier
+    /// submission from this handle.
+    fn scatter<R>(&self, job: impl Fn(Sender<R>) -> Job<A>) -> Result<Vec<R>, PoolError> {
+        let workers = self.core.inboxes.len();
+        let mut acks = Vec::with_capacity(workers);
+        for worker in 0..workers {
+            let (reply, ack) = channel();
+            self.push_job(worker, job(reply), Backpressure::Park)?;
+            acks.push(ack);
+        }
+        acks.into_iter()
+            .enumerate()
+            .map(|(worker, ack)| ack.recv().map_err(|_| self.err_for(worker)))
+            .collect()
+    }
+
     /// Perform a local update on `key`: tick the shared atomic clock
     /// (wait-free), reserve the crash floor (one load on the fast
     /// path), CAS-push onto the owning worker, and return the
@@ -1699,25 +1659,12 @@ where
 
     fn snapshot_no_tick(&self, cut: u64) -> Result<StoreSnapshot<A>, SnapshotError> {
         self.core.cut_seq.fetch_add(1, Ordering::SeqCst);
-        let workers = self.core.inboxes.len();
-        let mut acks = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (reply, ack) = channel();
-            self.push_job(worker, Job::Cut { cut, reply }, Backpressure::Park)
-                .map_err(SnapshotError::Pool)?;
-            acks.push((worker, ack));
-        }
+        let parts = self
+            .scatter(|reply| Job::Cut { cut, reply })
+            .map_err(SnapshotError::Pool)?;
         let mut states = BTreeMap::new();
-        let mut cut_err: Option<CutError> = None;
-        for (worker, ack) in acks {
-            match ack.recv() {
-                Ok(Ok(part)) => states.extend(part),
-                Ok(Err(e)) => cut_err = Some(e),
-                Err(_) => return Err(SnapshotError::Pool(self.err_for(worker))),
-            }
-        }
-        if let Some(e) = cut_err {
-            return Err(SnapshotError::Cut(e));
+        for part in parts {
+            states.extend(part.map_err(SnapshotError::Cut)?);
         }
         Ok(StoreSnapshot::new(self.adt.clone(), cut, states))
     }
@@ -1760,134 +1707,84 @@ where
     /// has been fully applied by its worker (and, if snapshot reads
     /// are armed, its post-repair state published).
     pub fn flush(&self) -> Result<(), PoolError> {
-        let workers = self.core.inboxes.len();
-        let mut acks = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (reply, ack) = channel();
-            self.push_job(worker, Job::Barrier(reply), Backpressure::Park)?;
-            acks.push((worker, ack));
-        }
-        for (worker, ack) in acks {
-            ack.recv().map_err(|_| self.err_for(worker))?;
-        }
-        Ok(())
+        self.scatter(Job::Barrier).map(drop)
     }
 
-    /// Collect every update stamped strictly above `since` across all
-    /// workers, excluding those issued by `exclude_pid`, in timestamp
-    /// order — the pooled heal path. Each worker's FIFO inbox orders
-    /// the collection after every earlier submission from this
-    /// handle, so the suffix covers everything submitted before the
-    /// call.
-    #[allow(clippy::type_complexity)]
-    pub fn collect_suffix(
-        &self,
-        since: u64,
-        exclude_pid: u32,
-    ) -> Result<Vec<(Key, UpdateMsg<A::Update>)>, PoolError> {
-        let workers = self.core.inboxes.len();
-        let mut acks = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (reply, ack) = channel();
-            self.push_job(
-                worker,
-                Job::CollectSuffix {
-                    since,
-                    exclude_pid,
-                    reply,
-                },
-                Backpressure::Park,
-            )?;
-            acks.push((worker, ack));
-        }
-        let mut out = Vec::new();
-        for (worker, ack) in acks {
-            match ack.recv() {
-                Ok(part) => out.extend(part),
-                Err(_) => return Err(self.err_for(worker)),
-            }
-        }
-        out.sort_by_key(|(_, m)| m.ts);
-        Ok(out)
+    /// This replica's process id.
+    pub fn pid(&self) -> u32 {
+        self.core.pid
     }
 
-    /// Per-(group, key-range) digests of the retained suffix above
-    /// `since`, excluding `exclude_pid`'s updates — the pooled mirror
-    /// of [`UcStore::digest_suffix`]. Each worker folds its disjoint
-    /// shard set; the slot arrays xor-merge exactly (xor commutes and
-    /// counts add), so the result is independent of worker layout.
-    pub fn digest_suffix(
-        &self,
+    /// The shared Lamport clock's current value.
+    pub fn clock(&self) -> u64 {
+        self.core.clock.now()
+    }
+}
+
+/// The pooled executor: each operation is a job to the owning
+/// worker(s) and a reply back. A worker's FIFO inbox runs this
+/// handle's jobs in push order, which is the ordering
+/// [`ShardAccess`] asks for.
+impl<A, P> ShardAccess for &PoolHandle<A, P>
+where
+    A: UqAdt + Clone + Send + 'static,
+    A::Update: Send,
+    A::QueryIn: Send,
+    A::QueryOut: Send,
+    A::State: Send + Sync,
+    P: BackendFactory<A> + Send + Sync + 'static,
+{
+    type Update = A::Update;
+    type Error = PoolError;
+
+    fn pid(&self) -> Pid {
+        self.core.pid
+    }
+
+    fn clock_now(&self) -> u64 {
+        self.core.clock.now()
+    }
+
+    fn num_shards(&self) -> usize {
+        self.core.num_shards
+    }
+
+    /// Each worker folds its disjoint shard set; the slot arrays
+    /// merge exactly (xor commutes and counts add), so the result is
+    /// independent of worker layout.
+    fn digest_suffix(
+        &mut self,
         since: u64,
-        exclude_pid: u32,
+        exclude_pid: Pid,
         groups: u32,
         ranges: u32,
     ) -> Result<Vec<HealDigest>, PoolError> {
-        let workers = self.core.inboxes.len();
-        let mut acks = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (reply, ack) = channel();
-            self.push_job(
-                worker,
-                Job::DigestSuffix {
-                    since,
-                    exclude_pid,
-                    groups,
-                    ranges,
-                    reply,
-                },
-                Backpressure::Park,
-            )?;
-            acks.push((worker, ack));
-        }
+        let parts = self.scatter(|reply| Job::DigestSuffix {
+            since,
+            exclude_pid,
+            groups,
+            ranges,
+            reply,
+        })?;
         let mut slots = vec![HealDigest::default(); (groups as usize) * (ranges as usize)];
-        for (worker, ack) in acks {
-            match ack.recv() {
-                Ok(part) => {
-                    for (slot, d) in slots.iter_mut().zip(part) {
-                        slot.count += d.count;
-                        slot.xor ^= d.xor;
-                    }
-                }
-                Err(_) => return Err(self.err_for(worker)),
+        for part in parts {
+            for (slot, d) in slots.iter_mut().zip(part) {
+                slot.count += d.count;
+                slot.xor ^= d.xor;
             }
         }
         Ok(slots)
     }
 
-    /// Every `(shard, key)` in shards whose divergence high water
-    /// passed `since` — the candidate universe for a heal session's
-    /// streaming plan (same pre-filter the digests use).
-    #[allow(clippy::type_complexity)]
-    pub fn heal_candidates(&self, since: u64) -> Result<Vec<(usize, Key)>, PoolError> {
-        let workers = self.core.inboxes.len();
-        let mut acks = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (reply, ack) = channel();
-            self.push_job(
-                worker,
-                Job::HealCandidates { since, reply },
-                Backpressure::Park,
-            )?;
-            acks.push((worker, ack));
-        }
-        let mut out = Vec::new();
-        for (worker, ack) in acks {
-            match ack.recv() {
-                Ok(part) => out.extend(part),
-                Err(_) => return Err(self.err_for(worker)),
-            }
-        }
+    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, PoolError> {
+        let parts = self.scatter(|reply| Job::HealCandidates { since, reply })?;
+        let mut out: Vec<(usize, Key)> = parts.into_iter().flatten().collect();
         out.sort_unstable();
         Ok(out)
     }
 
-    /// One bounded-window suffix read against `key`'s owning worker —
-    /// the pooled chunk reader (see
-    /// [`ReplicaEngine::suffix_since_window`](crate::engine::ReplicaEngine::suffix_since_window)).
-    #[allow(clippy::type_complexity)]
-    pub fn collect_window(
-        &self,
+    fn collect_window(
+        &mut self,
         shard: usize,
         key: Key,
         since: u64,
@@ -1911,24 +1808,11 @@ where
         ack.recv().map_err(|_| self.err_for(worker))
     }
 
-    /// Pin (or release) compaction on every worker's engines. FIFO
-    /// inboxes order the pin before any later submission, so a
-    /// following [`PoolHandle::collect_suffix`] streams under it.
-    pub fn set_retention(&self, cap: Option<u64>) -> Result<(), PoolError> {
+    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), PoolError> {
         for worker in 0..self.core.inboxes.len() {
             self.push_job(worker, Job::Retention { cap }, Backpressure::Park)?;
         }
         Ok(())
-    }
-
-    /// This replica's process id.
-    pub fn pid(&self) -> u32 {
-        self.core.pid
-    }
-
-    /// The shared Lamport clock's current value.
-    pub fn clock(&self) -> u64 {
-        self.core.clock.now()
     }
 }
 
@@ -1961,25 +1845,9 @@ where
     handle: PoolHandle<A, P>,
     factory: F,
     workers: Vec<WorkerJoin<A, F, P>>,
-    /// Down-peer bookkeeping and the minority-read policy (protocol
-    /// state — lives on the owning handle, not the workers).
-    partition: PartitionTracker,
-    /// Estimated wire bytes of every [`StoreMsg::Repair`] burst this
-    /// pool has emitted on heal.
-    heal_replay_bytes: u64,
-    /// Chunked-heal tuning (see [`HealConfig`]).
-    heal_cfg: HealConfig,
-    /// Live digest-guided heal sessions, keyed by healing peer —
-    /// protocol state on the owning handle, exactly like the
-    /// sequential store's.
-    heal_sessions: BTreeMap<Pid, HealSession>,
-    heal_next_session: u64,
-    heal_chunks: u64,
-    heal_digest_skips: u64,
-    heal_bytes_in_flight: u64,
-    /// Shared protocol-side counters, folded into the owning
-    /// runtime's [`uc_sim::Metrics`] when attached.
-    link_counters: Option<Arc<LinkCounters>>,
+    /// Partition posture and the heal dialogue (protocol state —
+    /// lives on the owning handle, not the workers).
+    heal: Healer,
     /// One mirror per worker of that worker's streaming-monitor
     /// counters; empty until [`IngestPool::attach_monitor`].
     monitor_cells: Vec<Arc<MonitorCells>>,
@@ -2068,15 +1936,7 @@ where
             handle,
             factory,
             workers: joins,
-            partition: PartitionTracker::default(),
-            heal_replay_bytes: 0,
-            heal_cfg: HealConfig::default(),
-            heal_sessions: BTreeMap::new(),
-            heal_next_session: 0,
-            heal_chunks: 0,
-            heal_digest_skips: 0,
-            heal_bytes_in_flight: 0,
-            link_counters: None,
+            heal: Healer::default(),
             monitor_cells: Vec::new(),
         }
     }
@@ -2200,19 +2060,19 @@ where
     /// [`AvailabilityPolicy`](crate::store::AvailabilityPolicy).
     /// Updates are never refused (writes stay wait-free).
     pub fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
-        self.partition.set_policy(policy);
+        self.heal.partition.set_policy(policy);
     }
 
     /// The partition tracker: down peers, outage-start watermarks,
     /// and the active read policy.
     pub fn partition(&self) -> &PartitionTracker {
-        &self.partition
+        &self.heal.partition
     }
 
     /// Attach shared link counters so heal-replay traffic is folded
     /// into the owning runtime's [`uc_sim::Metrics`].
     pub fn attach_link_counters(&mut self, counters: Arc<LinkCounters>) {
-        self.link_counters = Some(counters);
+        self.heal.link_counters = Some(counters);
     }
 
     /// Attach a streaming consistency monitor to every worker (same
@@ -2277,16 +2137,8 @@ where
     /// poisoning, and (when a monitor is attached) streaming-checker
     /// cleanliness. Same shape as [`UcStore::health`].
     pub fn health(&self, n: usize) -> Health {
-        let mut h = Health::new(format!("{:?}", self.partition.policy()));
-        h.down_peers = self.partition.down_peers().collect();
-        h.in_minority =
-            self.partition.in_minority(n) && self.partition.policy() == AvailabilityPolicy::Refuse;
+        let mut h = self.heal.health(n, self.monitor_stats().as_ref());
         h.poisoned = self.handle.core.poison.get().map(|e| e.to_string());
-        if let Some(stats) = self.monitor_stats() {
-            h.monitor_clean = Some(stats.total_violations() == 0);
-            h.monitor_violations = stats.total_violations();
-            h.stable_bound = stats.stable_bound;
-        }
         h.resolve()
     }
 
@@ -2320,25 +2172,15 @@ where
         reg.gauge("uc_pool_publish_backlog").set(backlog as i64);
         reg.counter("uc_pool_publish_yields_total").set(yields);
         reg.gauge("uc_pool_queue_high_water").set(high_water as i64);
-        reg.gauge("uc_pool_heal_replay_bytes")
-            .set(self.heal_replay_bytes as i64);
-        reg.counter("uc_pool_heal_chunks_total")
-            .set(self.heal_chunks);
-        reg.counter("uc_pool_heal_digest_skips_total")
-            .set(self.heal_digest_skips);
-        reg.gauge("uc_pool_heal_bytes_in_flight")
-            .set(self.heal_bytes_in_flight as i64);
-        reg.gauge("uc_pool_heal_sessions")
-            .set(self.heal_sessions.len() as i64);
+        self.heal.export_metrics("uc_pool", reg);
         if let Some(mon) = self.monitor_stats() {
             crate::observe::export_monitor_stats(&mon, reg);
         }
     }
 
-    /// Estimated wire bytes this pool has streamed in
-    /// [`StoreMsg::Repair`] bursts on heal.
+    /// Estimated wire bytes this pool has streamed in heal chunks.
     pub fn heal_replay_bytes(&self) -> u64 {
-        self.heal_replay_bytes
+        self.heal.replay_bytes
     }
 
     /// Report `peer` unreachable (idempotent; the earliest
@@ -2346,105 +2188,24 @@ where
     /// Pins every worker's compaction at the earliest outage
     /// watermark so the missed suffix stays available for heal.
     pub fn peer_down(&mut self, peer: Pid) -> Result<(), PoolError> {
-        // A flap mid-heal cancels the peer's session; the outage
-        // re-opens at the *session's* watermark so the unacknowledged
-        // remainder of the cancelled stream is re-covered next heal
-        // (same resumability contract as [`UcStore::peer_down`]).
-        let watermark = match self.cancel_heal_session(peer) {
-            Some(session_since) => session_since.min(self.handle.core.clock.now()),
-            None => self.handle.core.clock.now(),
-        };
-        self.partition.mark_down(peer, watermark);
-        self.apply_retention()
+        self.dialogue().peer_down(peer)
     }
 
-    /// Re-derive the workers' compaction pin from the down set *and*
-    /// the live heal sessions (see [`UcStore::peer_down`] /
-    /// `UcStore::apply_retention` for why healing requires both).
-    fn apply_retention(&self) -> Result<(), PoolError> {
-        let down = self.partition.down_peers().map(|(_, w)| w).min();
-        let streaming = self.heal_sessions.values().map(|s| s.since).min();
-        let cap = match (down, streaming) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
-        self.handle.set_retention(cap)
-    }
-
-    /// Report `peer` reachable again: if it was down and anything
-    /// here diverged past its watermark, open a chunked heal session
-    /// and return the [`StoreMsg::DigestRequest`] opener — the pooled
-    /// mirror of [`UcStore::peer_up`]. The session then advances
-    /// through [`IngestPool::apply_message_from`] (or the `Protocol`
-    /// impl) as responses and acks arrive; it pins the workers'
-    /// compaction at the watermark until its final chunk is
-    /// acknowledged. Digests are folded under the outgoing (tighter)
-    /// retention pin — the FIFO inboxes order the digest jobs before
-    /// any release.
+    /// Report `peer` reachable again: if it was down and this replica
+    /// holds anything it could stream above the outage watermark, open
+    /// a chunked heal session and return its
+    /// [`StoreMsg::DigestRequest`] opener (see [`UcStore::peer_up`]).
+    /// The session then advances through
+    /// [`IngestPool::apply_message_from`] (or the `Protocol` impl) as
+    /// responses and acks arrive; it pins the workers' compaction at
+    /// the watermark until its final chunk is acknowledged.
     pub fn peer_up(&mut self, peer: Pid) -> Result<Option<StoreMsg<A::Update>>, PoolError> {
-        let Some(since) = self.partition.mark_up(peer) else {
-            return Ok(None);
-        };
-        self.cancel_heal_session(peer);
-        let groups = self.handle.core.num_shards as u32;
-        let ranges = self.heal_cfg.ranges.max(1);
-        let digests = self.handle.digest_suffix(since, peer, groups, ranges)?;
-        if digests.iter().all(|d| d.count == 0) {
-            // Nothing streamable outran the watermark: no session,
-            // and the retention pin (if this was the last down peer)
-            // lifts.
-            self.apply_retention()?;
-            return Ok(None);
-        }
-        let id = self.heal_next_session;
-        self.heal_next_session += 1;
-        self.heal_sessions.insert(
-            peer,
-            HealSession::new(peer, since, id, groups, ranges, digests.clone()),
-        );
-        // The peer left the down set but its session now pins
-        // retention at the same watermark — net effect: no change
-        // until the session completes.
-        self.apply_retention()?;
-        Ok(Some(StoreMsg::DigestRequest {
-            session: id,
-            since,
-            groups,
-            ranges,
-            digests,
-        }))
-    }
-
-    /// PR 8's monolithic heal (one [`StoreMsg::Repair`] carrying the
-    /// whole suffix) — kept as the baseline the chunked path is
-    /// benchmarked against; see [`UcStore::peer_up_monolithic`].
-    pub fn peer_up_monolithic(
-        &mut self,
-        peer: Pid,
-    ) -> Result<Option<StoreMsg<A::Update>>, PoolError> {
-        let Some(since) = self.partition.mark_up(peer) else {
-            return Ok(None);
-        };
-        // Collect under the outgoing (tighter) retention pin, *then*
-        // relax it — the FIFO inboxes order the release after the
-        // collection on every worker.
-        let updates = self.handle.collect_suffix(since, peer)?;
-        self.apply_retention()?;
-        if updates.is_empty() {
-            return Ok(None);
-        }
-        let bytes = repair_bytes_estimate::<A>(&updates);
-        self.heal_replay_bytes += bytes;
-        if let Some(c) = &self.link_counters {
-            LinkCounters::add(&c.heal_replay_bytes, bytes);
-        }
-        Ok(Some(StoreMsg::Repair { updates }))
+        self.dialogue().peer_up(peer)
     }
 
     /// Apply one peer message, advancing any heal dialogue it belongs
-    /// to, and return the messages to send back — the pooled mirror
-    /// of [`UcStore::apply_message_from`]. Non-heal traffic takes the
+    /// to, and return the messages to send back (see
+    /// [`UcStore::apply_message_from`]). Non-heal traffic takes the
     /// ordinary [`IngestPool::submit_batch`] path.
     #[allow(clippy::type_complexity)]
     pub fn apply_message_from(
@@ -2452,167 +2213,7 @@ where
         from: Pid,
         msg: StoreMsg<A::Update>,
     ) -> Result<Vec<(Pid, StoreMsg<A::Update>)>, PoolError> {
-        match msg {
-            StoreMsg::DigestRequest {
-                session,
-                since,
-                groups,
-                ranges,
-                digests,
-            } => {
-                let ours = self
-                    .handle
-                    .digest_suffix(since, self.pid(), groups, ranges)?;
-                let mismatched = mismatched_slots(&digests, &ours);
-                Ok(vec![(
-                    from,
-                    StoreMsg::DigestResponse {
-                        session,
-                        since,
-                        mismatched,
-                    },
-                )])
-            }
-            StoreMsg::DigestResponse {
-                session,
-                since,
-                mismatched,
-            } => self.on_digest_response(from, session, since, &mismatched),
-            StoreMsg::RepairChunk {
-                session,
-                seq,
-                last: _,
-                updates,
-            } => {
-                // Chunk payloads ride the deduplicating batch path —
-                // redelivery and overlap are no-ops — then the ack
-                // reopens the sender's window.
-                self.submit_batch(vec![StoreMsg::Repair { updates }])?;
-                Ok(vec![(from, StoreMsg::RepairAck { session, seq })])
-            }
-            StoreMsg::RepairAck { session, seq } => self.on_repair_ack(from, session, seq),
-            other => {
-                self.submit_batch(vec![other])?;
-                Ok(Vec::new())
-            }
-        }
-    }
-
-    /// A [`StoreMsg::DigestResponse`] arrived: build the streaming
-    /// plan and emit the first window of chunks (see
-    /// `UcStore::on_digest_response`).
-    #[allow(clippy::type_complexity)]
-    fn on_digest_response(
-        &mut self,
-        from: Pid,
-        session: u64,
-        since: u64,
-        mismatched: &[u32],
-    ) -> Result<Vec<(Pid, StoreMsg<A::Update>)>, PoolError> {
-        let Some(sess) = self.heal_sessions.get(&from) else {
-            return Ok(Vec::new());
-        };
-        if sess.id != session || sess.since != since {
-            return Ok(Vec::new());
-        }
-        let candidates = self.handle.heal_candidates(since)?;
-        let sess = self.heal_sessions.get_mut(&from).expect("checked above");
-        if let Some(skipped) = sess.begin_streaming(mismatched, candidates) {
-            self.heal_digest_skips += skipped;
-        }
-        self.pump_heal_session(from)
-    }
-
-    /// A [`StoreMsg::RepairAck`] arrived: release its chunk from the
-    /// flow-control window; refill it, or complete the session.
-    #[allow(clippy::type_complexity)]
-    fn on_repair_ack(
-        &mut self,
-        from: Pid,
-        session: u64,
-        seq: u64,
-    ) -> Result<Vec<(Pid, StoreMsg<A::Update>)>, PoolError> {
-        let Some(sess) = self.heal_sessions.get_mut(&from) else {
-            return Ok(Vec::new());
-        };
-        if sess.id != session {
-            return Ok(Vec::new());
-        }
-        let (released, complete) = sess.on_ack(seq);
-        self.heal_bytes_in_flight = self.heal_bytes_in_flight.saturating_sub(released);
-        if complete {
-            self.heal_sessions.remove(&from);
-            self.apply_retention()?;
-            return Ok(Vec::new());
-        }
-        self.pump_heal_session(from)
-    }
-
-    /// Emit as many chunks to `peer`'s session as its window allows,
-    /// pulling payloads through per-key bounded-window worker reads
-    /// ([`PoolHandle::collect_window`]) — peak payload memory is
-    /// O(chunk), never the whole suffix.
-    #[allow(clippy::type_complexity)]
-    fn pump_heal_session(
-        &mut self,
-        peer: Pid,
-    ) -> Result<Vec<(Pid, StoreMsg<A::Update>)>, PoolError> {
-        let Some(mut sess) = self.heal_sessions.remove(&peer) else {
-            return Ok(Vec::new());
-        };
-        let per_entry = 8 + 12 + std::mem::size_of::<A::Update>() as u64;
-        let cfg = self.heal_cfg.clone();
-        // The fill closure cannot return `Result`; a worker failure
-        // is captured and surfaced after the drive (the pool is
-        // poisoned at that point anyway).
-        let mut failed: Option<PoolError> = None;
-        let chunks = {
-            let handle = &self.handle;
-            sess.fill_chunks(&cfg, per_entry, |si, key, since, after, limit| match handle
-                .collect_window(si, key, since, after, limit)
-            {
-                Ok(out) => out,
-                Err(e) => {
-                    failed = Some(e);
-                    (Vec::new(), false)
-                }
-            })
-        };
-        self.heal_sessions.insert(peer, sess);
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        let mut out = Vec::with_capacity(chunks.len());
-        for c in chunks {
-            let bytes = per_entry * c.updates.len() as u64;
-            self.heal_chunks += 1;
-            self.heal_replay_bytes += bytes;
-            self.heal_bytes_in_flight += bytes;
-            if let Some(cnt) = &self.link_counters {
-                LinkCounters::add(&cnt.heal_replay_bytes, bytes);
-            }
-            let sess = self.heal_sessions.get(&peer).expect("reinserted above");
-            out.push((
-                peer,
-                StoreMsg::RepairChunk {
-                    session: sess.id,
-                    seq: c.seq,
-                    last: c.last,
-                    updates: c.updates,
-                },
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Drop `peer`'s live heal session (flap, shutdown), releasing
-    /// its in-flight gauge contribution; returns its watermark.
-    fn cancel_heal_session(&mut self, peer: Pid) -> Option<u64> {
-        let sess = self.heal_sessions.remove(&peer)?;
-        self.heal_bytes_in_flight = self
-            .heal_bytes_in_flight
-            .saturating_sub(sess.inflight_bytes());
-        Some(sess.since)
+        node::apply_message_from(self, from, msg)
     }
 
     /// Advance every live heal session one tick — stalled sessions
@@ -2620,91 +2221,38 @@ where
     /// reopen the window (see [`UcStore::heal_tick`]).
     #[allow(clippy::type_complexity)]
     pub fn heal_tick(&mut self) -> Result<Vec<(Pid, StoreMsg<A::Update>)>, PoolError> {
-        let peers: Vec<Pid> = self.heal_sessions.keys().copied().collect();
-        let mut out = Vec::new();
-        for peer in peers {
-            let stall = self.heal_cfg.stall_ticks;
-            let Some(sess) = self.heal_sessions.get_mut(&peer) else {
-                continue;
-            };
-            match sess.on_tick(stall) {
-                HealTick::Wait => {}
-                HealTick::ResendDigest => {
-                    out.push((
-                        peer,
-                        StoreMsg::DigestRequest {
-                            session: sess.id,
-                            since: sess.since,
-                            groups: sess.groups,
-                            ranges: sess.ranges,
-                            digests: sess.digests.clone(),
-                        },
-                    ));
-                }
-                HealTick::Expired { released, complete } => {
-                    self.heal_bytes_in_flight = self.heal_bytes_in_flight.saturating_sub(released);
-                    if complete {
-                        self.heal_sessions.remove(&peer);
-                        self.apply_retention()?;
-                    } else {
-                        out.extend(self.pump_heal_session(peer)?);
-                    }
-                }
-            }
-        }
-        Ok(out)
+        self.dialogue().heal_tick()
     }
 
     /// Tune the chunked heal protocol; applies to sessions opened
     /// after the call.
     pub fn set_heal_config(&mut self, cfg: HealConfig) {
-        self.heal_cfg = cfg;
+        self.heal.cfg = cfg;
     }
 
     /// The chunked-heal tuning in force.
     pub fn heal_config(&self) -> &HealConfig {
-        &self.heal_cfg
+        &self.heal.cfg
     }
 
     /// Heal chunks emitted by this pool (counter).
     pub fn heal_chunks(&self) -> u64 {
-        self.heal_chunks
+        self.heal.chunks
     }
 
     /// Digest slots skipped because both sides agreed (counter).
     pub fn heal_digest_skips(&self) -> u64 {
-        self.heal_digest_skips
+        self.heal.digest_skips
     }
 
     /// Estimated bytes in unacknowledged heal chunks right now.
     pub fn heal_bytes_in_flight(&self) -> u64 {
-        self.heal_bytes_in_flight
+        self.heal.bytes_in_flight()
     }
 
     /// Live heal sessions, keyed by healing peer (observability).
     pub fn heal_sessions(&self) -> impl Iterator<Item = (&Pid, &HealSession)> {
-        self.heal_sessions.iter()
-    }
-
-    /// Answer a read under the active partition policy: same contract
-    /// as `UcStore::minority_read` — `DegradedMarked` wraps the
-    /// answer, `Refuse` rejects without computing it.
-    fn minority_read(
-        &mut self,
-        n: usize,
-        answer: impl FnOnce(&mut Self) -> StoreOutput<A>,
-    ) -> StoreOutput<A> {
-        if !self.partition.in_minority(n) {
-            return answer(self);
-        }
-        match self.partition.policy() {
-            AvailabilityPolicy::Available => answer(self),
-            AvailabilityPolicy::DegradedMarked => StoreOutput::Degraded(Box::new(answer(self))),
-            AvailabilityPolicy::Refuse => StoreOutput::Refused {
-                live: n.saturating_sub(self.partition.down_count()),
-                cluster: n,
-            },
-        }
+        self.heal.sessions()
     }
 
     /// Snapshot the per-worker queue/throughput counters.
@@ -2803,10 +2351,66 @@ where
     }
 }
 
+impl<A, F, P> Node<A> for IngestPool<A, F, P>
+where
+    A: UqAdt + Clone + Send + 'static,
+    A::Update: Send,
+    A::QueryIn: Send,
+    A::QueryOut: Send,
+    A::State: Send + Sync,
+    F: StrategyFactory<A> + Send + 'static,
+    F::Strategy: Send + 'static,
+    P: BackendFactory<A> + Send + Sync + 'static,
+    P::Backend: Send + 'static,
+{
+    type Error = PoolError;
+
+    fn dialogue(
+        &mut self,
+    ) -> Dialogue<'_, impl ShardAccess<Update = A::Update, Error = PoolError>> {
+        Dialogue {
+            heal: &mut self.heal,
+            shards: &self.handle,
+        }
+    }
+
+    fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
+        self.handle.update(key, u)
+    }
+
+    fn query(&mut self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, PoolError> {
+        self.handle.query(key, q)
+    }
+
+    fn consistent_snapshot(&mut self) -> Result<StoreSnapshot<A>, PoolError> {
+        self.handle.consistent_snapshot().map_err(|e| match e {
+            SnapshotError::Pool(e) => e,
+            SnapshotError::Cut(e) => unreachable!("a cut at the current clock: {e}"),
+        })
+    }
+
+    fn deliver(&mut self, msg: StoreMsg<A::Update>) -> Result<(), PoolError> {
+        self.handle.submit_batch(vec![msg])
+    }
+
+    fn ingest(&mut self, burst: Vec<StoreMsg<A::Update>>) -> Result<(), PoolError> {
+        self.handle.submit_batch(burst)
+    }
+
+    /// Enqueue a compaction sweep plus a backend flush on every
+    /// worker, behind everything submitted so far.
+    fn maintain_and_flush(&mut self) -> Result<(), PoolError> {
+        self.tick_maintenance()?;
+        self.flush_backends()
+    }
+}
+
 /// A pooled store is a [`Protocol`] node: invocations stamp on the
 /// shared atomic clock and push to the owning worker, peer bursts
 /// land on [`IngestPool::submit_batch`] — so the pool runs unchanged
-/// under the threaded cluster and the deterministic simulator.
+/// under the threaded cluster and the deterministic simulator. The
+/// bodies are the shared ones in `node`; segment flushing rides the
+/// runtime's timer wheel, no flusher thread.
 ///
 /// # Panics
 ///
@@ -2829,105 +2433,19 @@ where
     type Output = StoreOutput<A>;
 
     fn on_invoke(&mut self, input: Self::Input, ctx: &mut Ctx<'_, Self::Msg>) -> Self::Output {
-        match input {
-            StoreInput::Update(key, u) => {
-                let m = self.update(key, u).unwrap_or_else(|e| panic!("{e}"));
-                let StoreMsg::Update { msg, .. } = &m else {
-                    unreachable!("update produces an update message");
-                };
-                let ts = msg.ts;
-                ctx.broadcast_others(m);
-                StoreOutput::Ack { key, ts }
-            }
-            StoreInput::Query(key, q) => self.minority_read(ctx.n(), |s| StoreOutput::Value {
-                key,
-                out: s.query(key, &q).unwrap_or_else(|e| panic!("{e}")),
-            }),
-            StoreInput::Snapshot(reqs) => self.minority_read(ctx.n(), |s| {
-                let snap = s.consistent_snapshot().unwrap_or_else(|e| panic!("{e}"));
-                StoreOutput::Snapshot {
-                    cut: snap.cut(),
-                    outs: reqs
-                        .into_iter()
-                        .map(|(key, q)| {
-                            let out = snap.query(key, &q);
-                            (key, out)
-                        })
-                        .collect(),
-                }
-            }),
-            StoreInput::PeerDown(p) => {
-                if let Err(e) = self.peer_down(p) {
-                    panic!("pooled replica lost workers marking a peer down: {e}");
-                }
-                StoreOutput::Membership {
-                    peer: p,
-                    down: true,
-                }
-            }
-            StoreInput::PeerUp(p) => {
-                match self.peer_up(p) {
-                    Ok(Some(repair)) => ctx.send(p, repair),
-                    Ok(None) => {}
-                    Err(e) => panic!("{e}"),
-                }
-                StoreOutput::Membership {
-                    peer: p,
-                    down: false,
-                }
-            }
-        }
+        node::on_invoke(self, input, ctx).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn on_message(&mut self, from: Pid, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
-        let replies = self
-            .apply_message_from(from, msg)
-            .unwrap_or_else(|e| panic!("{e}"));
-        for (to, reply) in replies {
-            ctx.send(to, reply);
-        }
+        node::on_message(self, from, msg, ctx).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn on_batch(&mut self, msgs: Vec<(Pid, Self::Msg)>, ctx: &mut Ctx<'_, Self::Msg>) {
-        // Ingest the burst's plain traffic first, then answer its
-        // heal control frames: a digest request answered after the
-        // burst's updates are enqueued sees them (FIFO inboxes), so
-        // converged-through-the-burst slots are skipped.
-        let mut ingest = Vec::with_capacity(msgs.len());
-        let mut frames = Vec::new();
-        for (from, m) in msgs {
-            match m {
-                StoreMsg::Update { .. } | StoreMsg::Heartbeat { .. } | StoreMsg::Repair { .. } => {
-                    ingest.push(m)
-                }
-                frame => frames.push((from, frame)),
-            }
-        }
-        if !ingest.is_empty() {
-            self.submit_batch(ingest).unwrap_or_else(|e| panic!("{e}"));
-        }
-        for (from, frame) in frames {
-            let replies = self
-                .apply_message_from(from, frame)
-                .unwrap_or_else(|e| panic!("{e}"));
-            for (to, reply) in replies {
-                ctx.send(to, reply);
-            }
-        }
+        node::on_batch(self, msgs, ctx).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Timer-driven maintenance: announce the handle's clock to every
-    /// peer, advance stalled heal sessions, and enqueue a compaction
-    /// sweep plus a backend flush on every worker (same poisoning
-    /// contract as the other `Protocol` entry points) — segment
-    /// flushing rides the runtime's timer wheel, no flusher thread.
     fn on_tick(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        ctx.broadcast_others(self.heartbeat());
-        for (to, m) in self.heal_tick().unwrap_or_else(|e| panic!("{e}")) {
-            ctx.send(to, m);
-        }
-        self.tick_maintenance().unwrap_or_else(|e| panic!("{e}"));
-        self.flush_backends().unwrap_or_else(|e| panic!("{e}"));
+        node::on_tick(self, ctx).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -3156,6 +2674,11 @@ mod tests {
         let scrape = reg.snapshot();
         assert_eq!(scrape.gauge("uc_pool_publish_backlog"), Some(0));
         assert!(scrape.counter("uc_pool_publish_yields_total").is_some());
+        // A pool that never healed exports the heal metrics at zero,
+        // the monotone totals as counters.
+        assert_eq!(scrape.counter("uc_pool_heal_replay_bytes_total"), Some(0));
+        assert_eq!(scrape.counter("uc_pool_heal_chunks_total"), Some(0));
+        assert_eq!(scrape.gauge("uc_pool_heal_sessions"), Some(0));
         // Handles survive finish; snapshots keep answering.
         let mut finished = pool.finish().unwrap();
         for k in (100..106).chain([7]) {
@@ -3356,90 +2879,45 @@ mod tests {
     }
 
     #[test]
-    fn pooled_heal_matches_sequential() {
-        // Same traffic, same outage window: the pooled monolithic
-        // heal burst must carry exactly the updates the sequential
-        // store would stream.
-        let mut seq = store(0, 4);
-        let mut pool = store(0, 4).into_pool(cfg(2));
-        for i in 0..20u64 {
-            let m = seq.update(i % 5, SetUpdate::Insert(i as u32));
-            let StoreMsg::Update { key, msg } = &m else {
-                unreachable!()
-            };
-            // Mirror the stamp into the pool via the peer-ingest path
-            // so both sides hold identical timestamps.
-            pool.submit_batch(vec![StoreMsg::Update {
-                key: *key,
-                msg: msg.clone(),
-            }])
-            .unwrap();
-        }
-        pool.flush().unwrap();
-        seq.peer_down(1);
-        pool.peer_down(1).expect("live pool");
-        let watermark = seq.clock();
-        assert_eq!(pool.partition().down_peers().next(), Some((1, watermark)));
-        for i in 20..30u64 {
-            let m = seq.update(i % 5, SetUpdate::Insert(i as u32));
-            let StoreMsg::Update { key, msg } = &m else {
-                unreachable!()
-            };
-            pool.submit_batch(vec![StoreMsg::Update {
-                key: *key,
-                msg: msg.clone(),
-            }])
-            .unwrap();
-        }
-        let seq_burst = seq
-            .peer_up_monolithic(1)
-            .expect("sequential heal streams a burst");
-        let pool_burst = pool
-            .peer_up_monolithic(1)
-            .unwrap()
-            .expect("pooled heal streams a burst");
-        let (StoreMsg::Repair { updates: a }, StoreMsg::Repair { updates: b }) =
-            (&seq_burst, &pool_burst)
-        else {
-            panic!("heal produces repair bursts");
-        };
-        assert_eq!(a, b);
-        assert!(pool.heal_replay_bytes() > 0);
-        assert!(
-            pool.peer_up_monolithic(1).unwrap().is_none(),
-            "heal is one-shot"
-        );
-        pool.finish().unwrap();
-    }
-
-    #[test]
     fn pooled_chunked_heal_streams_digest_guided_chunks() {
         // Drive a full digest-guided chunked heal from a pool to a
-        // sequential healed peer by ping-ponging the protocol frames —
-        // the pooled mirror of `UcStore::heal_peer`.
-        let mut pool = store(0, 4).into_pool(cfg(2));
-        pool.set_heal_config(HealConfig {
+        // sequential healed peer by ping-ponging the protocol frames,
+        // beside a sequential healer holding the same log: the pooled
+        // executor must stream exactly what the inline one streams.
+        let heal_cfg = HealConfig {
             chunk: 4,
             window: 2,
             ..HealConfig::default()
-        });
+        };
+        let mut seq = store(0, 4);
+        seq.set_heal_config(heal_cfg.clone());
+        let mut pool = store(0, 4).into_pool(cfg(2));
+        pool.set_heal_config(heal_cfg);
         let mut peer = store(1, 4);
+        seq.peer_down(1);
         pool.peer_down(1).unwrap();
+        let watermark = seq.clock();
+        assert_eq!(pool.partition().down_peers().next(), Some((1, watermark)));
         for i in 0..30u64 {
-            pool.update(i % 5, SetUpdate::Insert(i as u32)).unwrap();
+            // Stamped once, mirrored into the pool by the peer-ingest
+            // path: both healers hold identical timestamps.
+            let m = seq.update(i % 5, SetUpdate::Insert(i as u32));
+            pool.submit_batch(vec![m]).unwrap();
         }
         let opener = pool
             .peer_up(1)
             .unwrap()
             .expect("divergence opens a session");
         assert!(matches!(opener, StoreMsg::DigestRequest { .. }));
+        let mut streamed = Vec::new();
         let mut chunks = 0u64;
         let mut to_peer = vec![opener];
         while !to_peer.is_empty() {
             let mut to_pool = Vec::new();
             for m in to_peer.drain(..) {
-                if matches!(m, StoreMsg::RepairChunk { .. }) {
+                if let StoreMsg::RepairChunk { updates, .. } = &m {
                     chunks += 1;
+                    streamed.extend(updates.iter().map(|(key, m)| (*key, m.ts)));
                 }
                 to_pool.extend(peer.apply_message_from(0, m).into_iter().map(|(_, m)| m));
             }
@@ -3460,6 +2938,45 @@ mod tests {
             "session completes on the last ack"
         );
         assert_eq!(pool.partition().down_count(), 0);
+        // The scrape carries the heal under the same names as the
+        // sequential store's, `uc_pool_`-prefixed.
+        let reg = Registry::new();
+        pool.export_metrics(&reg);
+        let scrape = reg.snapshot();
+        assert_eq!(scrape.counter("uc_pool_heal_chunks_total"), Some(chunks));
+        assert_eq!(
+            scrape.counter("uc_pool_heal_replay_bytes_total"),
+            Some(pool.heal_replay_bytes())
+        );
+        assert!(scrape.counter("uc_pool_heal_digest_skips_total").is_some());
+        assert_eq!(scrape.gauge("uc_pool_heal_bytes_in_flight"), Some(0));
+        assert_eq!(scrape.gauge("uc_pool_heal_sessions"), Some(0));
+        assert_eq!(scrape.gauge("uc_pool_heal_replay_bytes"), None);
+        // Pooled == sequential, entry for entry.
+        let mut seq_peer = store(1, 4);
+        let mut seq_streamed = Vec::new();
+        let mut to_peer: Vec<_> = seq.peer_up(1).into_iter().collect();
+        while !to_peer.is_empty() {
+            let mut to_seq = Vec::new();
+            for m in to_peer.drain(..) {
+                if let StoreMsg::RepairChunk { updates, .. } = &m {
+                    seq_streamed.extend(updates.iter().map(|(key, m)| (*key, m.ts)));
+                }
+                to_seq.extend(seq_peer.apply_message_from(0, m));
+            }
+            for (_, m) in to_seq {
+                to_peer.extend(seq.apply_message_from(1, m).into_iter().map(|(_, m)| m));
+            }
+        }
+        streamed.sort_unstable();
+        seq_streamed.sort_unstable();
+        assert_eq!(streamed.len(), 30);
+        assert_eq!(streamed, seq_streamed);
+        assert_eq!(pool.heal_replay_bytes(), seq.heal_replay_bytes());
+        // One-shot: with nothing new above the next watermark a second
+        // heal opens no session.
+        pool.peer_down(1).unwrap();
+        assert!(pool.peer_up(1).unwrap().is_none(), "heal is one-shot");
         let mut healer = pool.finish().unwrap();
         for k in 0..5u64 {
             assert_eq!(

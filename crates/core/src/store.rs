@@ -46,7 +46,12 @@
 //!   the key count ([`UcStore::live_keys`]);
 //! * **Protocol impl** — the store is a
 //!   [`Protocol`](uc_sim::Protocol) node and runs unchanged under the
-//!   deterministic simulator and the threaded cluster.
+//!   deterministic simulator and the threaded cluster. What it does as
+//!   a replica — answer invocations, take frames, bursts and ticks,
+//!   track partitions and heal peers — is not written here: it is the
+//!   shared code of `node` and [`heal`](crate::heal), which this store
+//!   runs inline over its shards and the
+//!   [`IngestPool`](crate::pool::IngestPool) runs over worker jobs.
 //!
 //! Strategies are chosen per store through a [`StrategyFactory`]
 //! (engines are created lazily on first touch of a key): all four
@@ -57,10 +62,14 @@ use crate::backend::{BackendFactory, LogBackend, MemFactory};
 use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
 use crate::gc::StableGc;
 use crate::generic::NaiveReplay;
-use crate::heal::{mismatched_slots, HealConfig, HealDigest, HealSession, HealTick};
+use crate::heal::{
+    digest_slot, Dialogue, HealConfig, HealDigest, HealSession, Healer, ShardAccess,
+};
 use crate::message::UpdateMsg;
+use crate::node::{self, Node};
 use crate::timestamp::{LamportClock, Timestamp};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -187,12 +196,11 @@ pub enum StoreMsg<U> {
         /// Its clock at send time.
         clock: u64,
     },
-    /// An anti-entropy reconciliation burst sent to a healed peer: the
-    /// keyed updates it missed while unreachable (everything stamped
-    /// above the sender's clock watermark at outage start, excluding
-    /// the peer's own updates). Delivery is idempotent — receivers
-    /// ingest through the normal deduplicating batch path, so repair
-    /// bursts may overlap retransmissions or each other freely.
+    /// Keyed updates a healed peer missed while unreachable, in bulk:
+    /// the carrier a [`StoreMsg::RepairChunk`]'s payload is ingested
+    /// as. Delivery is idempotent — receivers ingest through the
+    /// normal deduplicating batch path, so repair bursts may overlap
+    /// retransmissions or each other freely.
     Repair {
         /// The missed keyed updates, in timestamp order.
         updates: Vec<(Key, UpdateMsg<U>)>,
@@ -233,9 +241,9 @@ pub enum StoreMsg<U> {
         /// Flat indices of the differing digest slots, ascending.
         mismatched: Vec<u32>,
     },
-    /// One bounded chunk of a heal stream — the flow-controlled
-    /// successor of [`StoreMsg::Repair`]. Receivers ingest the
-    /// payload through the same deduplicating batch path (so
+    /// One bounded chunk of a heal stream: updates stamped above the
+    /// outage-start watermark, the receiver's own excluded. Receivers
+    /// ingest the payload through the deduplicating batch path (so
     /// redelivered or overlapping chunks are no-ops) and acknowledge
     /// with [`StoreMsg::RepairAck`]; the sender keeps at most
     /// `HealConfig::window` chunks unacknowledged.
@@ -309,10 +317,11 @@ pub enum StoreInput<A: UqAdt> {
     /// above it is the divergence the peer must be repaired with on
     /// heal. Answered with [`StoreOutput::Membership`].
     PeerDown(Pid),
-    /// `peer` is reachable again: reconcile-on-heal. The store streams
-    /// the suffix the peer missed as a
-    /// [`StoreMsg::Repair`] burst addressed to the peer, and lifts the
-    /// minority-partition posture if this was the last down peer.
+    /// `peer` is reachable again: reconcile-on-heal. The store opens
+    /// the chunked heal dialogue with the peer (a
+    /// [`StoreMsg::DigestRequest`], when it holds anything the peer
+    /// missed), and lifts the minority-partition posture if this was
+    /// the last down peer.
     PeerUp(Pid),
 }
 
@@ -873,6 +882,57 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         }
     }
 
+    /// Fold this shard's retained suffix above `since` (less
+    /// `exclude`'s own updates) into the digest `slots`, straight off
+    /// each engine's in-memory sorted log. A shard whose high water
+    /// never passed `since` contributes nothing without touching its
+    /// engines.
+    pub(crate) fn fold_digest(
+        &mut self,
+        since: u64,
+        exclude: Pid,
+        groups: u32,
+        ranges: u32,
+        slots: &mut [HealDigest],
+    ) {
+        if self.high_water <= since {
+            return;
+        }
+        for (key, engine) in self.engines_mut() {
+            let slot = digest_slot(key, groups, ranges) as usize;
+            engine.digest_suffix(since, |ts, hash| {
+                if ts.pid != exclude {
+                    slots[slot].fold(hash);
+                }
+            });
+        }
+    }
+
+    /// This shard's keys as heal-plan candidates, if its high water
+    /// passed `since` — the same pre-filter as [`Shard::fold_digest`].
+    pub(crate) fn heal_candidates(&self, since: u64, out: &mut Vec<(usize, Key)>) {
+        if self.high_water > since {
+            out.extend(self.keys().map(|k| (self.idx, k)));
+        }
+    }
+
+    /// One bounded-window suffix read of `key` (the chunk reader).
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn suffix_window(
+        &mut self,
+        key: Key,
+        since: u64,
+        after: Option<Timestamp>,
+        limit: usize,
+    ) -> (Vec<UpdateMsg<A::Update>>, bool) {
+        match self.engine_mut(key) {
+            Some(engine) => engine.suffix_since_window(since, after, limit),
+            // The key vanished mid-plan (cannot happen while the
+            // session pins retention, but stay total).
+            None => (Vec::new(), false),
+        }
+    }
+
     /// Run `f` on every live engine; one whose log `f` left empty
     /// leaves the live list, owing one last flush.
     fn sweep_live(&mut self, mut f: impl FnMut(&mut ReplicaEngine<A, S, B>)) {
@@ -1026,31 +1086,8 @@ pub struct UcStore<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A> = MemFa
     /// [`BackendFactory::persist_store_clock`] — see
     /// [`UcStore::reserve_clock`]. `None` until the first persist.
     persisted_floor: Option<u64>,
-    /// Down-peer bookkeeping and the minority-read policy.
-    partition: PartitionTracker,
-    /// Estimated wire bytes of every heal burst or chunk this store
-    /// has emitted (observability; also folded into runtime metrics
-    /// via the attached [`LinkCounters`]).
-    heal_replay_bytes: u64,
-    /// Chunked-heal tuning (chunk size, flow-control window, digest
-    /// range fan-out).
-    heal_cfg: HealConfig,
-    /// Live chunked-heal sessions, one per healing peer. A session
-    /// pins compaction at its watermark exactly like a down peer
-    /// (see [`UcStore::apply_retention`]).
-    heal_sessions: std::collections::BTreeMap<Pid, HealSession>,
-    /// Monotone session-id source (ids disambiguate replies from
-    /// cancelled sessions after a flap).
-    heal_next_session: u64,
-    /// Heal chunks emitted (counter).
-    heal_chunks: u64,
-    /// Digest slots skipped because both sides agreed (counter).
-    heal_digest_skips: u64,
-    /// Estimated bytes currently in unacknowledged chunks (gauge).
-    heal_bytes_in_flight: u64,
-    /// Shared protocol-side counters, folded into the owning
-    /// runtime's [`uc_sim::Metrics`] when attached.
-    link_counters: Option<Arc<LinkCounters>>,
+    /// Partition posture and the heal dialogue (see [`heal`](crate::heal)).
+    heal: Healer,
     /// Streaming consistency monitor ([`UcStore::attach_monitor`]):
     /// shadows a sampled fraction of keys and streams UC/EC/SEC/SNAP
     /// verdicts as counters.
@@ -1096,15 +1133,7 @@ where
             factory: self.factory.clone(),
             persist: self.persist.clone(),
             persisted_floor: self.persisted_floor,
-            partition: self.partition.clone(),
-            heal_replay_bytes: self.heal_replay_bytes,
-            heal_cfg: self.heal_cfg.clone(),
-            heal_sessions: self.heal_sessions.clone(),
-            heal_next_session: self.heal_next_session,
-            heal_chunks: self.heal_chunks,
-            heal_digest_skips: self.heal_digest_skips,
-            heal_bytes_in_flight: self.heal_bytes_in_flight,
-            link_counters: self.link_counters.clone(),
+            heal: self.heal.clone(),
             monitor: self.monitor.clone(),
             trace: self.trace.clone(),
             shards: self.shards.clone(),
@@ -1163,15 +1192,7 @@ where
             factory,
             persist,
             persisted_floor: None,
-            partition: PartitionTracker::default(),
-            heal_replay_bytes: 0,
-            heal_cfg: HealConfig::default(),
-            heal_sessions: std::collections::BTreeMap::new(),
-            heal_next_session: 0,
-            heal_chunks: 0,
-            heal_digest_skips: 0,
-            heal_bytes_in_flight: 0,
-            link_counters: None,
+            heal: Healer::default(),
             monitor: None,
             trace: None,
             shards: (0..shards).map(Shard::empty).collect(),
@@ -1306,15 +1327,7 @@ where
             // Partition bookkeeping stays with whoever ran the
             // protocol (the pool tracks its own); a reassembled store
             // starts with a clean membership view.
-            partition: PartitionTracker::default(),
-            heal_replay_bytes: 0,
-            heal_cfg: HealConfig::default(),
-            heal_sessions: std::collections::BTreeMap::new(),
-            heal_next_session: 0,
-            heal_chunks: 0,
-            heal_digest_skips: 0,
-            heal_bytes_in_flight: 0,
-            link_counters: None,
+            heal: Healer::default(),
             // Observability attachments stay with whoever ran the
             // protocol; the pool streams its own monitor counters.
             monitor: None,
@@ -1491,55 +1504,8 @@ where
         from: Pid,
         msg: StoreMsg<A::Update>,
     ) -> Vec<(Pid, StoreMsg<A::Update>)> {
-        match msg {
-            StoreMsg::DigestRequest {
-                session,
-                since,
-                groups,
-                ranges,
-                digests,
-            } => {
-                // Compare the healing side's view against our own
-                // (excluding our own updates — those are exactly what
-                // it excluded too) and name the slots that differ.
-                let ours = self.digest_suffix(since, self.pid, groups, ranges);
-                let mismatched = mismatched_slots(&digests, &ours);
-                vec![(
-                    from,
-                    StoreMsg::DigestResponse {
-                        session,
-                        since,
-                        mismatched,
-                    },
-                )]
-            }
-            StoreMsg::DigestResponse {
-                session,
-                since,
-                mismatched,
-            } => self.on_digest_response(from, session, since, &mismatched),
-            StoreMsg::RepairChunk {
-                session,
-                seq,
-                last: _,
-                updates,
-            } => {
-                // Chunk payloads ride the deduplicating batch path —
-                // redelivery and overlap are no-ops — then the ack
-                // reopens the sender's window.
-                let n = updates.len() as u64;
-                self.ingest_burst(std::iter::once(StoreMsg::Repair { updates }));
-                if let Some(tr) = &self.trace {
-                    tr.record(TraceKind::Heal, 0, n);
-                }
-                vec![(from, StoreMsg::RepairAck { session, seq })]
-            }
-            StoreMsg::RepairAck { session, seq } => self.on_repair_ack(from, session, seq),
-            other => {
-                self.apply_message(&other);
-                Vec::new()
-            }
-        }
+        let Ok(replies) = node::apply_message_from(self, from, msg);
+        replies
     }
 
     /// Ingest a whole burst with per-shard batched delivery: updates
@@ -1828,25 +1794,24 @@ where
     /// minority partition — see [`AvailabilityPolicy`]. Updates are
     /// never refused (the store stays wait-free / AP for writes).
     pub fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
-        self.partition.set_policy(policy);
+        self.heal.partition.set_policy(policy);
     }
 
     /// The partition tracker: which peers are reported down, since
     /// which clock watermark, and the active read policy.
     pub fn partition(&self) -> &PartitionTracker {
-        &self.partition
+        &self.heal.partition
     }
 
     /// Attach shared link counters so heal-replay traffic is folded
     /// into the owning runtime's [`uc_sim::Metrics`].
     pub fn attach_link_counters(&mut self, counters: Arc<LinkCounters>) {
-        self.link_counters = Some(counters);
+        self.heal.link_counters = Some(counters);
     }
 
-    /// Estimated wire bytes this store has streamed in
-    /// [`StoreMsg::Repair`] bursts on heal.
+    /// Estimated wire bytes this store has streamed in heal chunks.
     pub fn heal_replay_bytes(&self) -> u64 {
-        self.heal_replay_bytes
+        self.heal.replay_bytes
     }
 
     /// Attach a streaming consistency monitor. Keys that already have
@@ -1884,19 +1849,7 @@ where
     /// monitor verdict into one health report. `n` is the cluster
     /// size (what the protocol reads off `Ctx::n`).
     pub fn health(&self, n: usize) -> Health {
-        let mut h = Health::new(format!("{:?}", self.partition.policy()));
-        h.down_peers = self.partition.down_peers().collect();
-        // "Unavailable" means reads are actually refused: a minority
-        // under `Refuse`. The wait-free postures keep serving and
-        // degrade through the down-peer list instead.
-        h.in_minority =
-            self.partition.in_minority(n) && self.partition.policy() == AvailabilityPolicy::Refuse;
-        if let Some(stats) = self.monitor_stats() {
-            h.monitor_clean = Some(stats.clean());
-            h.monitor_violations = stats.total_violations();
-            h.stable_bound = stats.stable_bound;
-        }
-        h.resolve()
+        self.heal.health(n, self.monitor_stats()).resolve()
     }
 
     /// Mirror this store's counters (and the monitor's, when
@@ -1912,16 +1865,7 @@ where
             .set(self.total_repair_events());
         reg.counter("uc_store_repair_steps_total")
             .set(self.total_repair_steps());
-        reg.counter("uc_store_heal_replay_bytes_total")
-            .set(self.heal_replay_bytes);
-        reg.counter("uc_store_heal_chunks_total")
-            .set(self.heal_chunks);
-        reg.counter("uc_store_heal_digest_skips_total")
-            .set(self.heal_digest_skips);
-        reg.gauge("uc_store_heal_bytes_in_flight")
-            .set(self.heal_bytes_in_flight as i64);
-        reg.gauge("uc_store_heal_sessions")
-            .set(self.heal_sessions.len() as i64);
+        self.heal.export_metrics("uc_store", reg);
         if let Some(stats) = self.monitor_stats() {
             crate::observe::export_monitor_stats(stats, reg);
         }
@@ -1946,297 +1890,32 @@ where
     /// (`LinkStats::shed` / `gaps_skipped`, `Metrics::
     /// messages_dropped`) rather than silent.
     pub fn peer_down(&mut self, peer: Pid) {
-        // A flap mid-heal cancels the peer's session; the outage
-        // watermark re-opens at the *session's* watermark (not the
-        // current clock), so the unacknowledged remainder of the
-        // cancelled stream is re-covered by the next heal —
-        // resumability through idempotent chunk ingest.
-        let watermark = match self.cancel_heal_session(peer) {
-            Some(session_since) => session_since.min(self.clock.now()),
-            None => self.clock.now(),
-        };
-        self.partition.mark_down(peer, watermark);
-        self.apply_retention();
+        let Ok(()) = self.dialogue().peer_down(peer);
     }
 
-    /// Re-derive the compaction pin from the down set *and* the live
-    /// heal sessions: while any peer is marked down — or any session
-    /// is still streaming its suffix — no engine may compact past the
-    /// earliest watermark involved. Otherwise an *incoming* heal
-    /// burst (carrying the majority's high clocks) would advance
-    /// stability and fold this replica's own partition-era updates
-    /// into the base before they were streamed back out.
-    fn apply_retention(&mut self) {
-        let down = self.partition.down_peers().map(|(_, w)| w).min();
-        let streaming = self.heal_sessions.values().map(|s| s.since).min();
-        let cap = match (down, streaming) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
-        for shard in &mut self.shards {
-            shard.set_retention_cap(cap);
-        }
-    }
-
-    /// Report `peer` reachable again. If it was down and anything
-    /// here moved past its outage-start watermark, opens a chunked
-    /// heal session and returns the [`StoreMsg::DigestRequest`] to
-    /// send it — the opener of the digest-guided, flow-controlled
-    /// heal dialogue (see [`heal`](crate::heal)). The session then
-    /// advances through [`UcStore::apply_message_from`] (or the
-    /// `Protocol` impl) as responses and acks arrive, and keeps
-    /// compaction pinned at the watermark until its final chunk is
-    /// acknowledged. `None` when the peer was not down or no shard's
-    /// high water passed the watermark (nothing to reconcile).
-    ///
-    /// For the pre-digest monolithic burst (one
-    /// [`StoreMsg::Repair`] carrying the whole suffix), see
-    /// [`UcStore::peer_up_monolithic`].
+    /// Report `peer` reachable again. If it was down and this store
+    /// holds anything it could stream above the outage-start
+    /// watermark, opens a chunked heal session and returns the
+    /// [`StoreMsg::DigestRequest`] to send it — the opener of the
+    /// digest-guided, flow-controlled heal dialogue (see
+    /// [`heal`](crate::heal)). The session then advances through
+    /// [`UcStore::apply_message_from`] (or the `Protocol` impl) as
+    /// responses and acks arrive, and keeps compaction pinned at the
+    /// watermark until its final chunk is acknowledged. `None` when
+    /// the peer was not down or there is nothing to stream (every
+    /// digest slot is empty: nothing above the watermark, or only the
+    /// peer's own updates).
     pub fn peer_up(&mut self, peer: Pid) -> Option<StoreMsg<A::Update>> {
-        let since = self.partition.mark_up(peer)?;
-        // A cancelled session to this peer cannot exist (sessions are
-        // cancelled when the peer goes down), but clear defensively
-        // so a stale one can never absorb the new session's replies.
-        self.cancel_heal_session(peer);
-        if self.shards.iter().all(|s| s.high_water <= since) {
-            // Nothing here outran the watermark: no session, and the
-            // retention pin (if this was the last down peer) lifts.
-            self.apply_retention();
-            return None;
-        }
-        let groups = self.shards.len() as u32;
-        let ranges = self.heal_cfg.ranges.max(1);
-        let digests = self.digest_suffix(since, peer, groups, ranges);
-        let id = self.heal_next_session;
-        self.heal_next_session += 1;
-        self.heal_sessions.insert(
-            peer,
-            HealSession::new(peer, since, id, groups, ranges, digests.clone()),
-        );
-        // The peer left the down set but its session now pins
-        // retention at the same watermark — net effect: no change
-        // until the session completes.
-        self.apply_retention();
-        Some(StoreMsg::DigestRequest {
-            session: id,
-            since,
-            groups,
-            ranges,
-            digests,
-        })
-    }
-
-    /// PR 8's monolithic heal: collect the peer's entire missed
-    /// suffix and return it as one [`StoreMsg::Repair`] burst. Kept
-    /// as the baseline the chunked path is benchmarked against (peak
-    /// memory here is O(suffix)) and for callers that want the
-    /// one-shot semantics in tests. `None` when the peer was not down
-    /// or nothing diverged.
-    pub fn peer_up_monolithic(&mut self, peer: Pid) -> Option<StoreMsg<A::Update>> {
-        let since = self.partition.mark_up(peer)?;
-        // Collect under the outgoing (tighter) retention pin, *then*
-        // relax it — releasing first would let an interleaved
-        // compaction fold the very suffix being streamed.
-        let updates = self.collect_suffix_since(since, peer);
-        self.apply_retention();
-        if updates.is_empty() {
-            return None;
-        }
-        let bytes = repair_bytes_estimate::<A>(&updates);
-        self.heal_replay_bytes += bytes;
-        if let Some(c) = &self.link_counters {
-            LinkCounters::add(&c.heal_replay_bytes, bytes);
-        }
-        Some(StoreMsg::Repair { updates })
-    }
-
-    /// Per-(group, key-range) digests of the retained suffix above
-    /// `since`, excluding `exclude`'s own updates — what
-    /// [`StoreMsg::DigestRequest`] carries and what its receiver
-    /// recomputes locally. Folded straight off each engine's
-    /// in-memory sorted log (no cloning, no storage round-trip);
-    /// shards whose high water never passed `since` contribute
-    /// nothing without touching their engines.
-    pub fn digest_suffix(
-        &mut self,
-        since: u64,
-        exclude: Pid,
-        groups: u32,
-        ranges: u32,
-    ) -> Vec<HealDigest> {
-        let mut slots = vec![HealDigest::default(); (groups as usize) * (ranges as usize)];
-        for shard in &mut self.shards {
-            if shard.high_water <= since {
-                continue;
-            }
-            for (key, engine) in shard.engines_mut() {
-                let slot = crate::heal::digest_slot(key, groups, ranges) as usize;
-                engine.digest_suffix(since, |ts, hash| {
-                    if ts.pid != exclude {
-                        slots[slot].fold(hash);
-                    }
-                });
-            }
-        }
-        slots
-    }
-
-    /// A [`StoreMsg::DigestResponse`] arrived: build the streaming
-    /// plan from the mismatched slots and emit the first window of
-    /// chunks. Replies carrying a stale session id (or arriving with
-    /// no session at all) are dropped.
-    fn on_digest_response(
-        &mut self,
-        from: Pid,
-        session: u64,
-        since: u64,
-        mismatched: &[u32],
-    ) -> Vec<(Pid, StoreMsg<A::Update>)> {
-        let Some(sess) = self.heal_sessions.get(&from) else {
-            return Vec::new();
-        };
-        if sess.id != session || sess.since != since {
-            return Vec::new();
-        }
-        // Candidate keys: everything in shards whose high water
-        // passed the watermark — the same pre-filter the digests
-        // used, so plan and digest always cover the same universe.
-        let mut candidates: Vec<(usize, Key)> = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            if shard.high_water <= since {
-                continue;
-            }
-            candidates.extend(shard.keys().map(|k| (si, k)));
-        }
-        let sess = self.heal_sessions.get_mut(&from).expect("checked above");
-        if let Some(skipped) = sess.begin_streaming(mismatched, candidates) {
-            self.heal_digest_skips += skipped;
-        }
-        self.pump_heal_session(from)
-    }
-
-    /// A [`StoreMsg::RepairAck`] arrived: release its chunk from the
-    /// flow-control window and either refill the window or, when the
-    /// final chunk is acknowledged, complete the session (lifting its
-    /// retention pin).
-    fn on_repair_ack(
-        &mut self,
-        from: Pid,
-        session: u64,
-        seq: u64,
-    ) -> Vec<(Pid, StoreMsg<A::Update>)> {
-        let Some(sess) = self.heal_sessions.get_mut(&from) else {
-            return Vec::new();
-        };
-        if sess.id != session {
-            return Vec::new();
-        }
-        let (released, complete) = sess.on_ack(seq);
-        self.heal_bytes_in_flight = self.heal_bytes_in_flight.saturating_sub(released);
-        if complete {
-            self.heal_sessions.remove(&from);
-            self.apply_retention();
-            return Vec::new();
-        }
-        self.pump_heal_session(from)
-    }
-
-    /// Emit as many chunks to `peer`'s session as its window allows,
-    /// reading payloads through the bounded-window engine cursors
-    /// (O(chunk) peak memory) and accounting every emitted chunk's
-    /// estimated bytes in the in-flight gauge and heal counters.
-    fn pump_heal_session(&mut self, peer: Pid) -> Vec<(Pid, StoreMsg<A::Update>)> {
-        let Some(mut sess) = self.heal_sessions.remove(&peer) else {
-            return Vec::new();
-        };
-        let per_entry = 8 + 12 + std::mem::size_of::<A::Update>() as u64;
-        let cfg = self.heal_cfg.clone();
-        let chunks = {
-            let shards = &mut self.shards;
-            sess.fill_chunks(&cfg, per_entry, |si, key, since, after, limit| {
-                match shards[si].engine_mut(key) {
-                    Some(engine) => engine.suffix_since_window(since, after, limit),
-                    // The key vanished mid-plan (cannot happen while
-                    // the session pins retention, but stay total).
-                    None => (Vec::new(), false),
-                }
-            })
-        };
-        let mut out = Vec::with_capacity(chunks.len());
-        for c in chunks {
-            let bytes = per_entry * c.updates.len() as u64;
-            self.heal_chunks += 1;
-            self.heal_replay_bytes += bytes;
-            self.heal_bytes_in_flight += bytes;
-            if let Some(cnt) = &self.link_counters {
-                LinkCounters::add(&cnt.heal_replay_bytes, bytes);
-            }
-            out.push((
-                peer,
-                StoreMsg::RepairChunk {
-                    session: sess.id,
-                    seq: c.seq,
-                    last: c.last,
-                    updates: c.updates,
-                },
-            ));
-        }
-        self.heal_sessions.insert(peer, sess);
-        out
-    }
-
-    /// Drop `peer`'s live heal session (flap, shutdown), releasing
-    /// its in-flight gauge contribution; returns its watermark so the
-    /// caller can re-open the outage there.
-    fn cancel_heal_session(&mut self, peer: Pid) -> Option<u64> {
-        let sess = self.heal_sessions.remove(&peer)?;
-        self.heal_bytes_in_flight = self
-            .heal_bytes_in_flight
-            .saturating_sub(sess.inflight_bytes());
-        Some(sess.since)
+        let Ok(opener) = self.dialogue().peer_up(peer);
+        opener
     }
 
     /// Advance every live heal session one tick: stalled sessions
     /// re-send their digest request or expire their oldest
-    /// unacknowledged chunk to reopen the window (liveness on raw
-    /// lossy links — over [`ReliableLink`](uc_sim) the expired
-    /// chunk's data still arrives; without one the next heal cycle
-    /// re-covers it). Returns the messages to send, like
-    /// [`UcStore::apply_message_from`].
+    /// unacknowledged chunk to reopen the window. Returns the messages
+    /// to send, like [`UcStore::apply_message_from`].
     pub fn heal_tick(&mut self) -> Vec<(Pid, StoreMsg<A::Update>)> {
-        let peers: Vec<Pid> = self.heal_sessions.keys().copied().collect();
-        let mut out = Vec::new();
-        for peer in peers {
-            let stall = self.heal_cfg.stall_ticks;
-            let Some(sess) = self.heal_sessions.get_mut(&peer) else {
-                continue;
-            };
-            match sess.on_tick(stall) {
-                HealTick::Wait => {}
-                HealTick::ResendDigest => {
-                    out.push((
-                        peer,
-                        StoreMsg::DigestRequest {
-                            session: sess.id,
-                            since: sess.since,
-                            groups: sess.groups,
-                            ranges: sess.ranges,
-                            digests: sess.digests.clone(),
-                        },
-                    ));
-                }
-                HealTick::Expired { released, complete } => {
-                    self.heal_bytes_in_flight = self.heal_bytes_in_flight.saturating_sub(released);
-                    if complete {
-                        self.heal_sessions.remove(&peer);
-                        self.apply_retention();
-                    } else {
-                        out.extend(self.pump_heal_session(peer));
-                    }
-                }
-            }
-        }
+        let Ok(out) = self.dialogue().heal_tick();
         out
     }
 
@@ -2277,60 +1956,34 @@ where
     /// range fan-out, stall threshold). Applies to sessions opened
     /// after the call.
     pub fn set_heal_config(&mut self, cfg: HealConfig) {
-        self.heal_cfg = cfg;
+        self.heal.cfg = cfg;
     }
 
     /// The chunked-heal tuning in force.
     pub fn heal_config(&self) -> &HealConfig {
-        &self.heal_cfg
+        &self.heal.cfg
     }
 
     /// Heal chunks emitted by this store (counter).
     pub fn heal_chunks(&self) -> u64 {
-        self.heal_chunks
+        self.heal.chunks
     }
 
     /// Digest slots skipped because both sides agreed (counter) —
     /// the O(divergence) win made visible.
     pub fn heal_digest_skips(&self) -> u64 {
-        self.heal_digest_skips
+        self.heal.digest_skips
     }
 
     /// Estimated bytes in unacknowledged heal chunks right now
     /// (gauge; bounded by `window * chunk * entry-size` per session).
     pub fn heal_bytes_in_flight(&self) -> u64 {
-        self.heal_bytes_in_flight
+        self.heal.bytes_in_flight()
     }
 
     /// Live heal sessions, keyed by healing peer (observability).
     pub fn heal_sessions(&self) -> impl Iterator<Item = (&Pid, &HealSession)> {
-        self.heal_sessions.iter()
-    }
-
-    /// Every update stamped strictly above `since`, across all keys,
-    /// excluding those issued by `exclude_pid`, in timestamp order.
-    /// Shards whose divergence high water never passed `since` are
-    /// skipped without touching their engines.
-    pub fn collect_suffix_since(
-        &mut self,
-        since: u64,
-        exclude_pid: Pid,
-    ) -> Vec<(Key, UpdateMsg<A::Update>)> {
-        let mut out: Vec<(Key, UpdateMsg<A::Update>)> = Vec::new();
-        for shard in &mut self.shards {
-            if shard.high_water <= since {
-                continue;
-            }
-            for (key, engine) in shard.engines_mut() {
-                for msg in engine.suffix_since(since) {
-                    if msg.ts.pid != exclude_pid {
-                        out.push((key, msg));
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|(_, m)| m.ts);
-        out
+        self.heal.sessions()
     }
 
     /// Per-down-peer divergence: `(peer, outage-start watermark,
@@ -2338,7 +1991,8 @@ where
     /// dashboards and tests; the heal path recomputes from the same
     /// high-water marks.
     pub fn divergence(&self) -> Vec<(Pid, u64, usize)> {
-        self.partition
+        self.heal
+            .partition
             .down_peers()
             .map(|(peer, since)| {
                 let shards = self.shards.iter().filter(|s| s.high_water > since).count();
@@ -2348,43 +2002,153 @@ where
     }
 }
 
-/// Estimated wire bytes of a repair burst: per entry, 8 (key) + 12
-/// (timestamp clock+pid) + the update's in-memory size. An estimate —
-/// the real encoding varies per backend — but monotone in burst size,
-/// which is what the metric is for.
-pub(crate) fn repair_bytes_estimate<A: UqAdt>(updates: &[(Key, UpdateMsg<A::Update>)]) -> u64 {
-    let per = 8 + 12 + std::mem::size_of::<A::Update>() as u64;
-    per * updates.len() as u64
+/// The inline executor: a store's shards, touched on the caller's
+/// thread. Operations run in call order and cannot fail.
+struct InlineShards<'a, A: UqAdt, S, B> {
+    pid: u32,
+    clock: u64,
+    shards: &'a mut [Shard<A, S, B>],
 }
 
-impl<A: UqAdt + Clone, F: StrategyFactory<A>, P: BackendFactory<A>> UcStore<A, F, P> {
-    /// Answer a read under the active [`AvailabilityPolicy`]: in a
-    /// majority (or with the default `Available` policy) `answer` runs
-    /// as-is; in a minority, `DegradedMarked` wraps the answer and
-    /// `Refuse` rejects without computing it. `n` is the cluster size
-    /// (the protocol reads it off [`Ctx::n`]).
-    pub(crate) fn minority_read(
+impl<A, S, B> ShardAccess for InlineShards<'_, A, S, B>
+where
+    A: UqAdt + Clone,
+    S: RepairStrategy<A>,
+    B: LogBackend<A>,
+{
+    type Update = A::Update;
+    type Error = Infallible;
+
+    fn pid(&self) -> Pid {
+        self.pid
+    }
+
+    fn clock_now(&self) -> u64 {
+        self.clock
+    }
+
+    fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn digest_suffix(
         &mut self,
-        n: usize,
-        answer: impl FnOnce(&mut Self) -> StoreOutput<A>,
-    ) -> StoreOutput<A> {
-        if !self.partition.in_minority(n) {
-            return answer(self);
+        since: u64,
+        exclude: Pid,
+        groups: u32,
+        ranges: u32,
+    ) -> Result<Vec<HealDigest>, Infallible> {
+        let mut slots = vec![HealDigest::default(); (groups as usize) * (ranges as usize)];
+        for shard in self.shards.iter_mut() {
+            shard.fold_digest(since, exclude, groups, ranges, &mut slots);
         }
-        match self.partition.policy() {
-            AvailabilityPolicy::Available => answer(self),
-            AvailabilityPolicy::DegradedMarked => StoreOutput::Degraded(Box::new(answer(self))),
-            AvailabilityPolicy::Refuse => StoreOutput::Refused {
-                live: n.saturating_sub(self.partition.down_count()),
-                cluster: n,
-            },
+        Ok(slots)
+    }
+
+    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Infallible> {
+        let mut out = Vec::new();
+        for shard in self.shards.iter() {
+            shard.heal_candidates(since, &mut out);
         }
+        Ok(out)
+    }
+
+    fn collect_window(
+        &mut self,
+        shard: usize,
+        key: Key,
+        since: u64,
+        after: Option<Timestamp>,
+        limit: usize,
+    ) -> Result<(Vec<UpdateMsg<A::Update>>, bool), Infallible> {
+        Ok(self.shards[shard].suffix_window(key, since, after, limit))
+    }
+
+    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Infallible> {
+        for shard in self.shards.iter_mut() {
+            shard.set_retention_cap(cap);
+        }
+        Ok(())
+    }
+}
+
+impl<A, F, P> Node<A> for UcStore<A, F, P>
+where
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
+{
+    type Error = Infallible;
+
+    fn dialogue(
+        &mut self,
+    ) -> Dialogue<'_, impl ShardAccess<Update = A::Update, Error = Infallible>> {
+        let shards = InlineShards {
+            pid: self.pid,
+            clock: self.clock.now(),
+            shards: &mut self.shards,
+        };
+        Dialogue {
+            heal: &mut self.heal,
+            shards,
+        }
+    }
+
+    fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, Infallible> {
+        Ok(UcStore::update(self, key, u))
+    }
+
+    fn query(&mut self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, Infallible> {
+        Ok(UcStore::query(self, key, q))
+    }
+
+    fn consistent_snapshot(&mut self) -> Result<StoreSnapshot<A>, Infallible> {
+        Ok(UcStore::consistent_snapshot(self))
+    }
+
+    fn deliver(&mut self, msg: StoreMsg<A::Update>) -> Result<(), Infallible> {
+        self.apply_message(&msg);
+        Ok(())
+    }
+
+    /// The per-shard batched ingest path, moving (never cloning) the
+    /// burst's messages.
+    fn ingest(&mut self, burst: Vec<StoreMsg<A::Update>>) -> Result<(), Infallible> {
+        if let Some(tr) = &self.trace {
+            for m in &burst {
+                if let StoreMsg::Repair { updates } = m {
+                    tr.record(TraceKind::Heal, 0, updates.len() as u64);
+                }
+            }
+        }
+        self.ingest_burst(burst);
+        Ok(())
+    }
+
+    /// Compact every live key's stable prefix, then flush the storage
+    /// backends of the keys that journaled or moved their clock.
+    fn maintain_and_flush(&mut self) -> Result<(), Infallible> {
+        self.tick_maintenance();
+        self.flush_backends();
+        Ok(())
     }
 }
 
 /// The store is a wait-free [`Protocol`] node: invocations complete
 /// locally, peer traffic flows through (batched) message delivery —
-/// so it runs unchanged under both `uc-sim` runtimes.
+/// so it runs unchanged under both `uc-sim` runtimes. The bodies are
+/// the shared ones in `node`; nothing here can fail.
+///
+/// A runtime flush ([`Protocol::on_batch`]) lands on the per-shard
+/// batched ingest path. A maintenance tick ([`Protocol::on_tick`])
+/// announces the shared clock — one heartbeat advances every key's
+/// stability knowledge on every peer, at once for the keys holding
+/// un-compacted entries, at their next insertion for the rest —
+/// advances stalled heal sessions, compacts every live key's stable
+/// prefix and flushes the storage backends: its cost follows the keys
+/// with unstable entries, not the key count, and it is what keeps GC
+/// stores compacting and segment-backed stores durable with no
+/// dedicated heartbeat or flusher thread.
 impl<A, F, P> Protocol for UcStore<A, F, P>
 where
     A: UqAdt + Clone,
@@ -2396,125 +2160,27 @@ where
     type Output = StoreOutput<A>;
 
     fn on_invoke(&mut self, input: Self::Input, ctx: &mut Ctx<'_, Self::Msg>) -> Self::Output {
-        match input {
-            StoreInput::Update(key, u) => {
-                let m = self.update(key, u);
-                let StoreMsg::Update { msg, .. } = &m else {
-                    unreachable!("update produces an update message");
-                };
-                let ts = msg.ts;
-                ctx.broadcast_others(m);
-                StoreOutput::Ack { key, ts }
-            }
-            StoreInput::Query(key, q) => self.minority_read(ctx.n(), |s| StoreOutput::Value {
-                key,
-                out: s.query(key, &q),
-            }),
-            StoreInput::Snapshot(reqs) => self.minority_read(ctx.n(), |s| {
-                let snap = s.consistent_snapshot();
-                StoreOutput::Snapshot {
-                    cut: snap.cut(),
-                    outs: reqs
-                        .into_iter()
-                        .map(|(key, q)| {
-                            let out = snap.query(key, &q);
-                            (key, out)
-                        })
-                        .collect(),
-                }
-            }),
-            StoreInput::PeerDown(p) => {
-                self.peer_down(p);
-                StoreOutput::Membership {
-                    peer: p,
-                    down: true,
-                }
-            }
-            StoreInput::PeerUp(p) => {
-                if let Some(opener) = self.peer_up(p) {
-                    ctx.send(p, opener);
-                }
-                StoreOutput::Membership {
-                    peer: p,
-                    down: false,
-                }
-            }
-        }
+        let Ok(out) = node::on_invoke(self, input, ctx);
+        out
     }
 
     fn on_message(&mut self, from: Pid, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
-        for (to, reply) in self.apply_message_from(from, msg) {
-            ctx.send(to, reply);
-        }
+        let Ok(()) = node::on_message(self, from, msg, ctx);
     }
 
-    /// Runtime flushes land on the per-shard batched ingest path,
-    /// moving (never cloning) the flushed messages. Heal-protocol
-    /// control frames are peeled off first and answered through
-    /// [`UcStore::apply_message_from`] — *after* the ingest, so a
-    /// digest response computed for a request sharing the burst
-    /// reflects the burst's own updates (maximizing skips); chunk
-    /// payloads join the batch and their acks follow it.
     fn on_batch(&mut self, msgs: Vec<(Pid, Self::Msg)>, ctx: &mut Ctx<'_, Self::Msg>) {
-        let mut ingest: Vec<Self::Msg> = Vec::with_capacity(msgs.len());
-        let mut acks: Vec<(Pid, Self::Msg)> = Vec::new();
-        let mut frames: Vec<(Pid, Self::Msg)> = Vec::new();
-        for (from, m) in msgs {
-            match m {
-                StoreMsg::Update { .. } | StoreMsg::Heartbeat { .. } | StoreMsg::Repair { .. } => {
-                    ingest.push(m)
-                }
-                StoreMsg::RepairChunk {
-                    session,
-                    seq,
-                    last: _,
-                    updates,
-                } => {
-                    let n = updates.len() as u64;
-                    ingest.push(StoreMsg::Repair { updates });
-                    if let Some(tr) = &self.trace {
-                        tr.record(TraceKind::Heal, 0, n);
-                    }
-                    acks.push((from, StoreMsg::RepairAck { session, seq }));
-                }
-                other => frames.push((from, other)),
-            }
-        }
-        self.ingest_burst(ingest);
-        for (to, ack) in acks {
-            ctx.send(to, ack);
-        }
-        for (from, m) in frames {
-            for (to, reply) in self.apply_message_from(from, m) {
-                ctx.send(to, reply);
-            }
-        }
+        let Ok(()) = node::on_batch(self, msgs, ctx);
     }
 
-    /// Timer-driven maintenance: announce the shared clock (one
-    /// heartbeat advances every key's stability knowledge on every
-    /// peer — at once for the keys holding un-compacted entries, at
-    /// their next insertion for the rest), advance stalled heal
-    /// sessions (digest re-sends, window expiry), compact every live
-    /// key's stable prefix, and flush the storage backends of the keys
-    /// that journaled or moved their clock. The cost follows the keys
-    /// with unstable entries, not the key count. On a timer-driven
-    /// runtime this is what keeps GC stores compacting — and
-    /// segment-backed stores durable — without any dedicated heartbeat
-    /// or flusher thread.
     fn on_tick(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        ctx.broadcast_others(self.heartbeat());
-        for (to, m) in self.heal_tick() {
-            ctx.send(to, m);
-        }
-        self.tick_maintenance();
-        self.flush_backends();
+        let Ok(()) = node::on_tick(self, ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{IngestPool, PoolConfig};
     use std::collections::BTreeSet;
     use std::sync::Mutex;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
@@ -2938,102 +2604,142 @@ mod tests {
         assert!(even.in_minority(4));
     }
 
-    #[test]
-    fn monolithic_peer_up_streams_missed_suffix_and_skips_own_updates() {
-        let mut s = store(0, 4);
-        let mut peer = store(1, 4);
-        // Pre-outage traffic reaches the peer normally.
-        let pre = s.update(1, SetUpdate::Insert(1));
-        peer.apply_message(&pre);
-        s.peer_down(1);
-        let watermark = s.clock();
-        // Updates stamped after the outage start — this is the
-        // divergence peer 1 must be repaired with.
-        s.update(1, SetUpdate::Insert(2));
-        s.update(2, SetUpdate::Insert(3));
-        // A delivered update *from* peer 1 itself: it already has it.
-        peer.apply_message(&StoreMsg::Heartbeat {
-            pid: 0,
-            clock: s.clock(),
-        });
-        let from_peer = peer.update(3, SetUpdate::Insert(9));
-        s.apply_message(&from_peer);
-        let expected_shards: BTreeSet<usize> =
-            [1u64, 2, 3].iter().map(|k| s.shard_of(*k)).collect();
-        assert_eq!(s.divergence(), vec![(1, watermark, expected_shards.len())]);
-        let Some(StoreMsg::Repair { updates }) = s.peer_up_monolithic(1) else {
-            panic!("expected a repair burst");
-        };
-        assert_eq!(updates.len(), 2);
-        assert!(updates.iter().all(|(_, m)| m.ts.clock > watermark));
-        assert!(updates.iter().all(|(_, m)| m.ts.pid == 0));
-        assert!(updates.windows(2).all(|w| w[0].1.ts < w[1].1.ts));
-        assert!(s.heal_replay_bytes() > 0);
-        // Heal delivered: the peer converges to the full state.
-        peer.apply_message(&StoreMsg::Repair { updates });
-        assert_eq!(peer.materialize_key(1), BTreeSet::from([1, 2]));
-        assert_eq!(peer.materialize_key(2), BTreeSet::from([3]));
-        // Nothing diverged since: a second heal has nothing to send.
-        s.peer_down(1);
-        assert!(s.peer_up_monolithic(1).is_none());
-        assert!(s.heal_sessions().next().is_none());
+    type Adt = SetAdt<u32>;
+    type Msg = StoreMsg<SetUpdate<u32>>;
+    type Chunk = Vec<(Key, UpdateMsg<SetUpdate<u32>>)>;
+
+    /// `store(pid, shards)` behind two pool workers: the heal tests
+    /// below run one body against both node kinds.
+    fn pool(pid: u32, shards: usize) -> IngestPool<Adt, CheckpointFactory> {
+        store(pid, shards).into_pool(PoolConfig {
+            workers: 2,
+            ..PoolConfig::default()
+        })
+    }
+
+    fn healer<N: Node<Adt>>(n: &mut N) -> &mut Healer {
+        n.dialogue().heal
+    }
+
+    fn down<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, peer: Pid) {
+        n.dialogue().peer_down(peer).unwrap();
+    }
+
+    fn up<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, peer: Pid) -> Option<Msg> {
+        n.dialogue().peer_up(peer).unwrap()
+    }
+
+    fn tick<N: Node<Adt, Error: fmt::Debug>>(n: &mut N) -> Vec<(Pid, Msg)> {
+        n.dialogue().heal_tick().unwrap()
+    }
+
+    fn frame<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, from: Pid, m: Msg) -> Vec<(Pid, Msg)> {
+        node::apply_message_from(n, from, m).unwrap()
+    }
+
+    fn write<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, key: Key, v: u32) -> Msg {
+        n.update(key, SetUpdate::Insert(v)).unwrap()
+    }
+
+    fn read<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, key: Key) -> BTreeSet<u32> {
+        n.query(key, &SetQuery::Read).unwrap()
+    }
+
+    /// Heal `healed` from `healer` (pid 0) by ping-ponging the frames
+    /// until the dialogue ends; the payload of every chunk streamed.
+    fn heal<N: Node<Adt, Error: fmt::Debug>>(healer: &mut N, healed: &mut Store) -> Vec<Chunk> {
+        let peer = healed.pid();
+        let mut chunks = Vec::new();
+        let mut to_peer: Vec<Msg> = up(healer, peer).into_iter().collect();
+        while !to_peer.is_empty() {
+            let mut to_me = Vec::new();
+            for m in to_peer.drain(..) {
+                if let StoreMsg::RepairChunk { updates, .. } = &m {
+                    chunks.push(updates.clone());
+                }
+                to_me.extend(healed.apply_message_from(0, m));
+            }
+            for (_, m) in to_me {
+                to_peer.extend(frame(healer, peer, m).into_iter().map(|(_, m)| m));
+            }
+        }
+        chunks
     }
 
     #[test]
     fn chunked_peer_up_opens_digest_session_and_heals() {
-        let mut s = store(0, 4);
+        chunked_heal(store(0, 4));
+        chunked_heal(pool(0, 4));
+    }
+
+    fn chunked_heal<N: Node<Adt, Error: fmt::Debug>>(mut s: N) {
         let mut peer = store(1, 4);
-        let pre = s.update(1, SetUpdate::Insert(1));
+        // Pre-outage traffic reaches the peer normally.
+        let pre = write(&mut s, 1, 1);
         peer.apply_message(&pre);
-        s.peer_down(1);
-        let watermark = s.clock();
+        down(&mut s, 1);
+        let watermark = healer(&mut s).partition.down_peers().next().unwrap().1;
         // 30 diverging updates over several keys, chunk size 4: the
         // heal must stream multiple flow-controlled chunks.
-        s.set_heal_config(HealConfig {
+        healer(&mut s).cfg = HealConfig {
             chunk: 4,
             window: 2,
             ..HealConfig::default()
-        });
+        };
         for i in 0..30u64 {
-            s.update(i % 5, SetUpdate::Insert(100 + i as u32));
+            write(&mut s, i % 5, 100 + i as u32);
         }
         // An update from peer 1 itself: excluded from the stream.
         peer.apply_message(&StoreMsg::Heartbeat {
             pid: 0,
-            clock: s.clock(),
+            clock: watermark + 30,
         });
         let from_peer = peer.update(3, SetUpdate::Insert(9));
-        s.apply_message(&from_peer);
+        frame(&mut s, 1, from_peer);
 
-        let chunks = s.heal_peer(&mut peer);
-        assert!(chunks >= 8, "30 entries / chunk=4 needs ≥ 8, got {chunks}");
-        assert_eq!(s.heal_chunks(), chunks);
-        assert!(s.heal_replay_bytes() > 0);
-        assert_eq!(s.heal_bytes_in_flight(), 0, "all chunks acked");
+        let chunks = heal(&mut s, &mut peer);
         assert!(
-            s.heal_sessions().next().is_none(),
+            chunks.len() >= 8,
+            "30 entries / chunk=4 needs ≥ 8, got {}",
+            chunks.len()
+        );
+        // Exactly the divergence: stamped strictly above the
+        // watermark, none of the peer's own, each once, and in
+        // timestamp order within a key.
+        let streamed = chunks.concat();
+        assert_eq!(streamed.len(), 30);
+        assert!(streamed.iter().all(|(_, m)| m.ts.clock > watermark));
+        assert!(streamed.iter().all(|(_, m)| m.ts.pid == 0));
+        for k in 0..5u64 {
+            let of_key: Vec<_> = streamed.iter().filter(|(key, _)| *key == k).collect();
+            assert!(of_key.windows(2).all(|w| w[0].1.ts < w[1].1.ts), "key {k}");
+        }
+        let heal_state = healer(&mut s);
+        assert_eq!(heal_state.chunks, chunks.len() as u64);
+        assert!(heal_state.replay_bytes > 0);
+        assert_eq!(heal_state.bytes_in_flight(), 0, "all chunks acked");
+        assert!(
+            heal_state.sessions().next().is_none(),
             "session completes on the last ack"
         );
-        assert_eq!(s.partition().down_count(), 0);
-        // Convergence: the healed peer matches the healer everywhere,
-        // and nothing below the watermark was re-streamed (dedup
-        // would hide it, so check convergence is the invariant).
+        assert_eq!(heal_state.partition.down_count(), 0);
+        // Convergence: the healed peer matches the healer everywhere.
         for k in 0..5u64 {
-            assert_eq!(s.materialize_key(k), peer.materialize_key(k), "key {k}");
+            assert_eq!(read(&mut s, k), peer.materialize_key(k), "key {k}");
         }
         assert_eq!(
             peer.materialize_key(3),
             BTreeSet::from([9, 103, 108, 113, 118, 123, 128]),
             "peer's own insert survives alongside the streamed run"
         );
-        let _ = watermark;
-        // Re-heal with nothing new: peer_up returns None (fast path —
-        // no shard outran the watermark), no session, no chunks.
-        s.peer_down(1);
-        let before = s.heal_chunks();
-        assert_eq!(s.heal_peer(&mut peer), 0);
-        assert_eq!(s.heal_chunks(), before);
-        assert_eq!(s.partition().down_count(), 0);
+        // Nothing diverged since: a second heal has nothing to send —
+        // no session, no chunks.
+        down(&mut s, 1);
+        assert!(heal(&mut s, &mut peer).is_empty());
+        let heal_state = healer(&mut s);
+        assert_eq!(heal_state.chunks, chunks.len() as u64);
+        assert!(heal_state.sessions().next().is_none());
+        assert_eq!(heal_state.partition.down_count(), 0);
     }
 
     #[test]
@@ -3064,80 +2770,153 @@ mod tests {
 
     #[test]
     fn digest_never_skips_differing_contents_of_same_shape() {
-        // Same keys, same update *count*, different payloads: digests
-        // must mismatch (payload hash reaches the digest), so the
-        // heal streams the real suffix — the collision-resistance
-        // gate of the skip decision.
-        let mut s = store(0, 2);
+        same_shape_differing_contents(store(0, 2));
+        same_shape_differing_contents(pool(0, 2));
+    }
+
+    /// Same keys, same update *count*, different payloads: digests
+    /// must mismatch (payload hash reaches the digest), so the heal
+    /// streams the real suffix — the collision-resistance gate of the
+    /// skip decision.
+    fn same_shape_differing_contents<N: Node<Adt, Error: fmt::Debug>>(mut s: N) {
         let mut peer = store(1, 2);
-        s.peer_down(1);
-        s.update(7, SetUpdate::Insert(1));
+        down(&mut s, 1);
+        write(&mut s, 7, 1);
         // The peer holds a different update under an identical shape
         // (one entry on the same key, from a third replica).
         let mut other = store(2, 2);
         other.update(7, SetUpdate::Insert(999));
-        let StoreMsg::Update { key, msg } = other.update(7, SetUpdate::Insert(2)) else {
-            panic!()
-        };
-        peer.apply_message(&StoreMsg::Update { key, msg });
-        let chunks = s.heal_peer(&mut peer);
-        assert!(chunks >= 1);
+        peer.apply_message(&other.update(7, SetUpdate::Insert(2)));
+        assert!(!heal(&mut s, &mut peer).is_empty());
         assert!(
             peer.materialize_key(7).contains(&1),
             "diverged key was streamed despite equal counts"
         );
         // And the healer's own digest path never skipped that slot.
+        let heal_state = healer(&mut s);
         assert!(
-            s.heal_digest_skips() < 2 * s.heal_config().ranges as u64,
+            heal_state.digest_skips < 2 * heal_state.cfg.ranges as u64,
             "the touched slot must not be counted skipped"
         );
     }
 
     #[test]
     fn flap_mid_heal_cancels_session_and_reheals_idempotently() {
-        let mut s = store(0, 2);
+        flap_mid_heal(store(0, 2));
+        flap_mid_heal(pool(0, 2));
+    }
+
+    fn flap_mid_heal<N: Node<Adt, Error: fmt::Debug>>(mut s: N) {
         let mut peer = store(1, 2);
-        s.peer_down(1);
-        s.set_heal_config(HealConfig {
+        down(&mut s, 1);
+        healer(&mut s).cfg = HealConfig {
             chunk: 2,
             window: 1,
             ..HealConfig::default()
-        });
+        };
         for i in 0..10u64 {
-            s.update(i % 3, SetUpdate::Insert(i as u32));
+            write(&mut s, i % 3, i as u32);
         }
         // Open the session and deliver only the digest exchange plus
         // the first chunk — then the peer flaps before acking.
-        let opener = s.peer_up(1).expect("divergence exists");
+        let opener = up(&mut s, 1).expect("divergence exists");
         let resp = peer.apply_message_from(0, opener);
         assert_eq!(resp.len(), 1);
-        let mut first_chunks = s.apply_message_from(1, resp.into_iter().next().unwrap().1);
+        let mut first_chunks = frame(&mut s, 1, resp.into_iter().next().unwrap().1);
         assert!(!first_chunks.is_empty());
         let (_, first_chunk) = first_chunks.remove(0);
         let _ack = peer.apply_message_from(0, first_chunk);
-        assert!(s.heal_bytes_in_flight() > 0, "chunk unacked");
-        let watermark_before = s
-            .heal_sessions()
+        assert!(healer(&mut s).bytes_in_flight() > 0, "chunk unacked");
+        let watermark_before = healer(&mut s)
+            .sessions()
             .next()
             .map(|(_, sess)| sess.since)
             .expect("session live");
         // Flap: the session cancels, the outage re-opens at the
         // session watermark, and the gauge drains.
-        s.peer_down(1);
-        assert!(s.heal_sessions().next().is_none());
-        assert_eq!(s.heal_bytes_in_flight(), 0);
+        down(&mut s, 1);
+        let heal_state = healer(&mut s);
+        assert!(heal_state.sessions().next().is_none());
+        assert_eq!(heal_state.bytes_in_flight(), 0);
         assert_eq!(
-            s.partition().down_peers().collect::<Vec<_>>(),
+            heal_state.partition.down_peers().collect::<Vec<_>>(),
             vec![(1, watermark_before)],
             "re-opened outage covers the cancelled stream"
         );
         // The stale ack from the first session is ignored.
         // (peer already ingested chunk 1 — redelivery below dedups.)
         // Full re-heal: everything converges despite the overlap.
-        let chunks = s.heal_peer(&mut peer);
-        assert!(chunks >= 1);
+        assert!(!heal(&mut s, &mut peer).is_empty());
         for k in 0..3u64 {
-            assert_eq!(s.materialize_key(k), peer.materialize_key(k), "key {k}");
+            assert_eq!(read(&mut s, k), peer.materialize_key(k), "key {k}");
+        }
+    }
+
+    #[test]
+    fn stalled_session_resends_digest_then_expires_chunks_at_node_level() {
+        stalled_session(store(0, 2));
+        stalled_session(pool(0, 2));
+    }
+
+    /// A healed peer whose replies are all lost: the session re-sends
+    /// its request, then trades flow control for liveness one expired
+    /// chunk at a time, and ends — pin lifted — with every entry
+    /// streamed once.
+    fn stalled_session<N: Node<Adt, Error: fmt::Debug>>(mut s: N) {
+        let mut peer = store(1, 2);
+        down(&mut s, 1);
+        healer(&mut s).cfg = HealConfig {
+            chunk: 2,
+            window: 1,
+            stall_ticks: 3,
+            ..HealConfig::default()
+        };
+        for i in 0..6u64 {
+            write(&mut s, i % 3, i as u32);
+        }
+        let opener = up(&mut s, 1).expect("divergence exists");
+        // The response never arrives: two quiet ticks, then the same
+        // request goes out again.
+        assert!(tick(&mut s).is_empty());
+        assert!(tick(&mut s).is_empty());
+        assert_eq!(tick(&mut s), vec![(1, opener.clone())]);
+        // It is answered at last; window 1 puts one chunk in flight,
+        // and no ack ever comes back.
+        let resp = peer.apply_message_from(0, opener).remove(0).1;
+        let mut streamed = frame(&mut s, 1, resp);
+        assert_eq!(streamed.len(), 1);
+        let one_chunk = healer(&mut s).bytes_in_flight();
+        assert!(one_chunk > 0);
+        for _ in 0..3 * 8 {
+            if healer(&mut s).sessions().next().is_none() {
+                break;
+            }
+            streamed.extend(tick(&mut s));
+            assert!(healer(&mut s).bytes_in_flight() <= one_chunk);
+        }
+        let heal_state = healer(&mut s);
+        assert!(
+            heal_state.sessions().next().is_none(),
+            "the last expiry ends it"
+        );
+        assert_eq!(heal_state.bytes_in_flight(), 0);
+        assert_eq!(heal_state.chunks, streamed.len() as u64);
+        assert_eq!(heal_state.partition.down_count(), 0);
+        let entries: usize = streamed
+            .iter()
+            .map(|(_, m)| match m {
+                StoreMsg::RepairChunk { updates, .. } => updates.len(),
+                other => panic!("a streaming session sends chunks, not {other:?}"),
+            })
+            .sum();
+        assert_eq!(entries, 6, "every entry streamed, none twice");
+        // Expiry gave up on the acks, not on the data: the chunks,
+        // delivered late, still converge the peer.
+        for (_, chunk) in streamed {
+            peer.apply_message_from(0, chunk);
+        }
+        for k in 0..3u64 {
+            assert_eq!(read(&mut s, k), peer.materialize_key(k), "key {k}");
         }
     }
 
@@ -3187,9 +2966,10 @@ mod tests {
         let (_, since, shards) = s.divergence()[0];
         assert_eq!(since, watermark);
         assert_eq!(shards, 1);
-        let suffix = s.collect_suffix_since(watermark, 1);
-        assert_eq!(suffix.len(), 1);
-        assert_eq!(s.shard_of(suffix[0].0), touched);
+        // And the heal streams that one entry, from that one shard.
+        let streamed = heal(&mut s, &mut store(1, 8)).concat();
+        assert_eq!(streamed.len(), 1);
+        assert_eq!(s.shard_of(streamed[0].0), touched);
     }
 
     #[test]
@@ -3197,6 +2977,13 @@ mod tests {
         let n = 3;
         let mut s = store(0, 2);
         s.update(1, SetUpdate::Insert(7));
+        let read = |s: &mut Store| {
+            let Ok(out) = node::minority_read(s, n, |s| {
+                let out = s.query(1, &SetQuery::Read);
+                Ok(StoreOutput::Value { key: 1, out })
+            });
+            out
+        };
         // Majority: every policy answers normally.
         for policy in [
             AvailabilityPolicy::Available,
@@ -3204,37 +2991,23 @@ mod tests {
             AvailabilityPolicy::Refuse,
         ] {
             s.set_partition_policy(policy);
-            let out = s.minority_read(n, |s| StoreOutput::Value {
-                key: 1,
-                out: s.query(1, &SetQuery::Read),
-            });
+            let out = read(&mut s);
             assert!(matches!(out, StoreOutput::Value { .. }), "{policy:?}");
         }
         // Minority (1 of 3 reachable).
         s.peer_down(1);
         s.peer_down(2);
         s.set_partition_policy(AvailabilityPolicy::Available);
-        let out = s.minority_read(n, |s| StoreOutput::Value {
-            key: 1,
-            out: s.query(1, &SetQuery::Read),
-        });
-        assert!(matches!(out, StoreOutput::Value { .. }));
+        assert!(matches!(read(&mut s), StoreOutput::Value { .. }));
         s.set_partition_policy(AvailabilityPolicy::DegradedMarked);
-        let out = s.minority_read(n, |s| StoreOutput::Value {
-            key: 1,
-            out: s.query(1, &SetQuery::Read),
-        });
+        let out = read(&mut s);
         let StoreOutput::Degraded(inner) = out else {
             panic!("expected a degraded wrapper, got {out:?}");
         };
         assert!(matches!(*inner, StoreOutput::Value { .. }));
         s.set_partition_policy(AvailabilityPolicy::Refuse);
-        let out = s.minority_read(n, |s| StoreOutput::Value {
-            key: 1,
-            out: s.query(1, &SetQuery::Read),
-        });
         assert!(matches!(
-            out,
+            read(&mut s),
             StoreOutput::Refused {
                 live: 1,
                 cluster: 3
@@ -3243,10 +3016,6 @@ mod tests {
         // Heal one peer back: 2 of 3 is a majority again.
         s.peer_down(1);
         let _ = s.peer_up(1);
-        let out = s.minority_read(n, |s| StoreOutput::Value {
-            key: 1,
-            out: s.query(1, &SetQuery::Read),
-        });
-        assert!(matches!(out, StoreOutput::Value { .. }));
+        assert!(matches!(read(&mut s), StoreOutput::Value { .. }));
     }
 }

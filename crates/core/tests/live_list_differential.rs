@@ -149,13 +149,34 @@ where
         }
     }
 
-    /// Lift the outage (and its retention pin); the burst the peer
-    /// would be repaired with is not this suite's subject.
+    /// Lift the outage and its retention pin: the heal dialogue runs to
+    /// its last ack against a throwaway sink (what the peer is repaired
+    /// with is not this suite's subject).
     fn peer_up(&mut self, peer: Pid) {
-        match self {
-            Node::Store(s) => drop(s.peer_up_monolithic(peer)),
-            Node::Pool(p) => drop(p.peer_up_monolithic(peer).unwrap()),
+        let mut sink = UcStore::new(SetAdt::new(), peer, 1, NaiveFactory);
+        let opener = match self {
+            Node::Store(s) => s.peer_up(peer),
+            Node::Pool(p) => p.peer_up(peer).unwrap(),
+        };
+        let mut to_sink: Vec<Msg> = opener.into_iter().collect();
+        while !to_sink.is_empty() {
+            let replies: Vec<(Pid, Msg)> = to_sink
+                .drain(..)
+                .flat_map(|m| sink.apply_message_from(0, m))
+                .collect();
+            for (_, m) in replies {
+                let sent = match self {
+                    Node::Store(s) => s.apply_message_from(peer, m),
+                    Node::Pool(p) => p.apply_message_from(peer, m).unwrap(),
+                };
+                to_sink.extend(sent.into_iter().map(|(_, m)| m));
+            }
         }
+        let open = match self {
+            Node::Store(s) => s.heal_sessions().count(),
+            Node::Pool(p) => p.heal_sessions().count(),
+        };
+        assert_eq!(open, 0, "the session, and with it the pin, is gone");
     }
 
     fn live_keys(&mut self) -> usize {

@@ -3,23 +3,26 @@
 //! reconciliation-on-heal, converge byte-identical to the reference
 //! fold a never-partitioned run produces, for all four repair
 //! strategies, for majority and minority divergence directions, with
-//! in-memory and on-disk segment backends, and across a crash in the
-//! middle of applying a heal burst.
+//! in-memory and on-disk segment backends, run by the sequential store
+//! and by the worker pool, and across a crash in the middle of
+//! applying a heal stream.
 //!
-//! The scenarios drive three replicas directly (delivery is explicit,
-//! so exactly which side sees which message is under test control) and
-//! compare every replica against per-key naive-replay references fed
-//! each update exactly once — update consistency makes that fold the
-//! unique converged state, independent of strategy and delivery order.
-//! A final simulator scenario runs the whole stack end to end:
+//! The scenarios drive three replicas directly, through their
+//! `Protocol` surface (delivery is explicit, so exactly which side
+//! sees which message is under test control), and compare every
+//! replica against per-key naive-replay references fed each update
+//! exactly once — update consistency makes that fold the unique
+//! converged state, independent of strategy, executor and delivery
+//! order. A final simulator scenario runs the whole stack end to end:
 //! [`ReliableLink`]-wrapped stores on a seeded lossy, partitioned
 //! topology, with failure-detector verdicts injected as invocations
 //! and retransmit/heal metrics asserted observable.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use uc_core::{
-    CheckpointFactory, GcFactory, GenericReplica, HealConfig, Key, NaiveFactory, StoreInput,
-    StoreMsg, StoreOutput, StrategyFactory, UcStore, UndoFactory,
+    AvailabilityPolicy, BackendFactory, CheckpointFactory, GcFactory, GenericReplica, HealConfig,
+    IngestPool, Key, NaiveFactory, PartitionTracker, PoolConfig, StoreInput, StoreMsg, StoreOutput,
+    StrategyFactory, UcStore, UndoFactory, UpdateMsg,
 };
 use uc_sim::{
     Ctx, DeliveryMode, HeartbeatDetector, LatencyModel, LinkCounters, LinkModel, Pid, Protocol,
@@ -32,6 +35,8 @@ type Adt = SetAdt<u32>;
 type Msg = StoreMsg<SetUpdate<u32>>;
 
 const KEYS: u64 = 6;
+/// Cluster size of the direct-drive scenarios.
+const N: usize = 3;
 
 /// Deterministic update for step `i` issued by `pid`.
 fn step_update(rng: &mut SplitMix64) -> (Key, SetUpdate<u32>) {
@@ -60,106 +65,208 @@ fn references(all: &[Msg]) -> HashMap<Key, GenericReplica<Adt>> {
     refs
 }
 
-fn assert_matches_reference<F, P>(
-    store: &mut UcStore<Adt, F, P>,
+/// A replica of either kind — the sequential store or the worker pool
+/// — as the direct-drive scenarios see it: its `Protocol` surface plus
+/// the few observers that are not on it.
+trait Replica: Protocol<Msg = Msg, Input = StoreInput<Adt>, Output = StoreOutput<Adt>> {
+    fn partition(&self) -> &PartitionTracker;
+    fn set_partition_policy(&mut self, policy: AvailabilityPolicy);
+    fn heal_replay_bytes(&self) -> u64;
+    fn heal_chunks(&self) -> u64;
+    fn heal_sessions(&self) -> usize;
+    fn clock(&self) -> u64;
+    fn tick_maintenance(&mut self);
+    /// Keys whose log still holds un-compacted entries.
+    fn live_keys(&mut self) -> usize;
+}
+
+impl<F: StrategyFactory<Adt>, P: BackendFactory<Adt>> Replica for UcStore<Adt, F, P> {
+    fn partition(&self) -> &PartitionTracker {
+        self.partition()
+    }
+    fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
+        self.set_partition_policy(policy)
+    }
+    fn heal_replay_bytes(&self) -> u64 {
+        self.heal_replay_bytes()
+    }
+    fn heal_chunks(&self) -> u64 {
+        self.heal_chunks()
+    }
+    fn heal_sessions(&self) -> usize {
+        self.heal_sessions().count()
+    }
+    fn clock(&self) -> u64 {
+        self.clock()
+    }
+    fn tick_maintenance(&mut self) {
+        self.tick_maintenance()
+    }
+    fn live_keys(&mut self) -> usize {
+        UcStore::live_keys(self)
+    }
+}
+
+impl<F> Replica for IngestPool<Adt, F>
+where
+    F: StrategyFactory<Adt> + Send + 'static,
+    F::Strategy: Send + 'static,
+{
+    fn partition(&self) -> &PartitionTracker {
+        self.partition()
+    }
+    fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
+        self.set_partition_policy(policy)
+    }
+    fn heal_replay_bytes(&self) -> u64 {
+        self.heal_replay_bytes()
+    }
+    fn heal_chunks(&self) -> u64 {
+        self.heal_chunks()
+    }
+    fn heal_sessions(&self) -> usize {
+        self.heal_sessions().count()
+    }
+    fn clock(&self) -> u64 {
+        self.clock()
+    }
+    fn tick_maintenance(&mut self) {
+        self.tick_maintenance().expect("live pool")
+    }
+    fn live_keys(&mut self) -> usize {
+        self.flush().expect("live pool");
+        self.stats().total_live_keys()
+    }
+}
+
+/// A fresh sequential replica.
+fn sequential<F: StrategyFactory<Adt>>(factory: &F, pid: Pid, shards: usize) -> UcStore<Adt, F> {
+    UcStore::new(SetAdt::new(), pid, shards, factory.clone())
+}
+
+/// The same replica, its shards on two worker threads.
+fn pooled<F>(factory: &F, pid: Pid, shards: usize) -> IngestPool<Adt, F>
+where
+    F: StrategyFactory<Adt> + Send + 'static,
+    F::Strategy: Send + 'static,
+{
+    sequential(factory, pid, shards).into_pool(PoolConfig {
+        workers: 2,
+        ..PoolConfig::default()
+    })
+}
+
+/// One invocation on replica `pid`: its output and what it sent.
+fn invoke<R: Replica>(
+    node: &mut R,
+    pid: Pid,
+    input: StoreInput<Adt>,
+) -> (StoreOutput<Adt>, Vec<(Pid, Msg)>) {
+    let mut sent = Vec::new();
+    let out = node.on_invoke(input, &mut Ctx::new(pid, N, 0, &mut sent));
+    (out, sent)
+}
+
+/// Deliver `msg` from `from` to replica `pid`: what it sent back.
+fn deliver<R: Replica>(node: &mut R, pid: Pid, from: Pid, msg: Msg) -> Vec<(Pid, Msg)> {
+    let mut sent = Vec::new();
+    node.on_message(from, msg, &mut Ctx::new(pid, N, 0, &mut sent));
+    sent
+}
+
+/// A strong read of `key` on replica `pid`.
+fn read<R: Replica>(node: &mut R, pid: Pid, key: Key) -> BTreeSet<u32> {
+    match invoke(node, pid, StoreInput::Query(key, SetQuery::Read)).0 {
+        StoreOutput::Value { out, .. } => out,
+        other => panic!("an available replica answers reads, got {other:?}"),
+    }
+}
+
+/// Report `peer` reachable again on `nodes[src]` and carry the heal
+/// dialogue it opens between the two replicas until it ends.
+fn heal<R: Replica>(nodes: &mut [R], src: Pid, peer: Pid) {
+    let (_, opener) = invoke(&mut nodes[src as usize], src, StoreInput::PeerUp(peer));
+    let mut in_flight: VecDeque<(Pid, Pid, Msg)> =
+        opener.into_iter().map(|(to, m)| (src, to, m)).collect();
+    while let Some((from, to, m)) = in_flight.pop_front() {
+        let replies = deliver(&mut nodes[to as usize], to, from, m);
+        in_flight.extend(replies.into_iter().map(|(back, m)| (to, back, m)));
+    }
+}
+
+fn assert_matches_reference<R: Replica>(
+    node: &mut R,
+    pid: Pid,
     refs: &mut HashMap<Key, GenericReplica<Adt>>,
     label: &str,
-) where
-    F: StrategyFactory<Adt>,
-    P: uc_core::BackendFactory<Adt>,
-{
+) {
     for k in 0..KEYS {
         let expect = refs
             .get_mut(&k)
             .map(|r| r.materialize())
             .unwrap_or_default();
-        assert_eq!(
-            store.materialize_key(k),
-            expect,
-            "{label}: key {k} diverged"
-        );
+        assert_eq!(read(node, pid, k), expect, "{label}: key {k} diverged");
     }
 }
 
-/// Two distinct nodes of the cluster, mutably — the borrow dance a
-/// direct-drive [`UcStore::heal_peer`] between vector elements needs.
-fn two_nodes<F: StrategyFactory<Adt>>(
-    nodes: &mut [UcStore<Adt, F>],
-    a: usize,
-    b: usize,
-) -> (&mut UcStore<Adt, F>, &mut UcStore<Adt, F>) {
-    assert_ne!(a, b);
-    if a < b {
-        let (l, r) = nodes.split_at_mut(b);
-        (&mut l[a], &mut r[0])
-    } else {
-        let (l, r) = nodes.split_at_mut(a);
-        (&mut r[0], &mut l[b])
-    }
-}
-
-/// The three-replica partition/heal scenario. `minority_updates`
-/// controls whether the cut-off replica (pid 2) keeps issuing updates
-/// while partitioned (writes stay wait-free on both sides).
-fn run_heal_differential<F>(factory: F, seed: u64, minority_updates: bool)
-where
-    F: StrategyFactory<Adt>,
-{
+/// The three-replica partition/heal scenario, over replicas built by
+/// `make(pid, shards)`. `minority_updates` controls whether the
+/// cut-off replica (pid 2) keeps issuing updates while partitioned
+/// (writes stay wait-free on both sides).
+fn run_heal_differential<R: Replica>(
+    make: impl Fn(Pid, usize) -> R,
+    seed: u64,
+    minority_updates: bool,
+) {
     let mut rng = SplitMix64::new(seed);
-    let mut nodes: Vec<UcStore<Adt, F>> = (0..3)
-        .map(|pid| UcStore::new(SetAdt::new(), pid, 1 + (seed as usize % 4), factory.clone()))
+    let mut nodes: Vec<R> = (0..N as Pid)
+        .map(|pid| make(pid, 1 + (seed as usize % 4)))
         .collect();
     let mut all: Vec<Msg> = Vec::new();
-
-    // Phase 1: fully connected — every update reaches everyone.
-    for i in 0..24u64 {
-        let p = (i % 3) as usize;
+    // An update on `p`, delivered to the replicas `reach` lets through.
+    let mut step = |nodes: &mut Vec<R>, p: Pid, reach: &dyn Fn(Pid) -> bool| {
         let (key, u) = step_update(&mut rng);
-        let m = nodes[p].update(key, u);
-        for (q, node) in nodes.iter_mut().enumerate() {
-            if q != p {
-                node.apply_message(&m);
+        let (_, sent) = invoke(&mut nodes[p as usize], p, StoreInput::Update(key, u));
+        all.push(sent[0].1.clone());
+        for (to, m) in sent {
+            if reach(to) {
+                deliver(&mut nodes[to as usize], to, p, m);
             }
         }
-        all.push(m);
+    };
+
+    // Phase 1: fully connected — every update reaches everyone.
+    for i in 0..24u32 {
+        step(&mut nodes, i % 3, &|_| true);
     }
 
     // Partition {0, 1} | {2}: failure detectors fire on both sides.
-    nodes[0].peer_down(2);
-    nodes[1].peer_down(2);
-    nodes[2].peer_down(0);
-    nodes[2].peer_down(1);
-    assert!(!nodes[0].partition().in_minority(3));
-    assert!(nodes[2].partition().in_minority(3));
+    for (pid, peer) in [(0, 2), (1, 2), (2, 0), (2, 1)] {
+        invoke(&mut nodes[pid as usize], pid, StoreInput::PeerDown(peer));
+    }
+    assert!(!nodes[0].partition().in_minority(N));
+    assert!(nodes[2].partition().in_minority(N));
 
     // Phase 2: both sides keep accepting updates; delivery respects
-    // the partition.
-    for i in 0..24u64 {
-        let p = (i % 3) as usize;
+    // the partition (pid 2 is alone; its broadcasts are lost).
+    for i in 0..24u32 {
+        let p = i % 3;
         if p == 2 && !minority_updates {
             continue;
         }
-        let (key, u) = step_update(&mut rng);
-        let m = nodes[p].update(key, u);
-        match p {
-            0 => nodes[1].apply_message(&m),
-            1 => nodes[0].apply_message(&m),
-            _ => {} // pid 2 is alone; its broadcasts are lost
-        }
-        all.push(m);
+        step(&mut nodes, p, &|to| p != 2 && to != 2);
     }
 
     // Heal, through the digest-guided chunked dialogue. Both majority
     // replicas repair the minority one (the streams overlap — chunk
     // delivery must be idempotent), and the minority replica repairs
     // each majority replica with its own partition-era updates.
-    let heals: [(usize, usize); 4] = [(0, 2), (1, 2), (2, 0), (2, 1)];
-    for (src, peer) in heals {
-        let (healer, healed) = two_nodes(&mut nodes, src, peer);
-        healer.heal_peer(healed);
+    for (src, peer) in [(0, 2), (1, 2), (2, 0), (2, 1)] {
+        heal(&mut nodes, src, peer);
     }
     for n in &nodes {
         assert_eq!(n.partition().down_count(), 0, "heal clears the tracker");
+        assert_eq!(n.heal_sessions(), 0, "every dialogue ran to its last ack");
     }
     if minority_updates {
         assert!(
@@ -172,44 +279,51 @@ where
     // For the GC strategy: full stability coverage, then compaction —
     // semantics must survive compacting the healed log.
     let top = nodes.iter().map(|n| n.clock()).max().unwrap();
-    for node in &mut nodes {
-        for pid in 0..3u32 {
-            node.apply_message(&StoreMsg::Heartbeat { pid, clock: top });
+    for (p, node) in nodes.iter_mut().enumerate() {
+        for pid in 0..N as Pid {
+            deliver(node, p as Pid, pid, StoreMsg::Heartbeat { pid, clock: top });
         }
         node.tick_maintenance();
     }
 
     let mut refs = references(&all);
     for (p, node) in nodes.iter_mut().enumerate() {
-        assert_matches_reference(node, &mut refs, &format!("seed {seed} replica {p}"));
+        let label = format!("seed {seed} replica {p}");
+        assert_matches_reference(node, p as Pid, &mut refs, &label);
+    }
+}
+
+/// Every strategy's scenario runs on the sequential store and on the
+/// worker pool: one replica algorithm, two executors.
+fn heal_converges_to_reference<F>(factory: impl Fn(u64) -> F, salt: u64)
+where
+    F: StrategyFactory<Adt> + Send + 'static,
+    F::Strategy: Send + 'static,
+{
+    for seed in 0..8 {
+        let f = factory(seed);
+        let minority_updates = seed % 2 == 0;
+        run_heal_differential(|p, s| sequential(&f, p, s), salt ^ seed, minority_updates);
+        run_heal_differential(|p, s| pooled(&f, p, s), salt ^ seed, minority_updates);
     }
 }
 
 #[test]
 fn heal_converges_to_reference_naive() {
-    for seed in 0..8 {
-        run_heal_differential(NaiveFactory, 0xA110 ^ seed, seed % 2 == 0);
-    }
+    heal_converges_to_reference(|_| NaiveFactory, 0xA110);
 }
 
 #[test]
 fn heal_converges_to_reference_checkpoint() {
-    for seed in 0..8 {
-        run_heal_differential(
-            CheckpointFactory {
-                every: 1 + (seed as usize % 5),
-            },
-            0xA111 ^ seed,
-            seed % 2 == 0,
-        );
-    }
+    let spaced = |seed| CheckpointFactory {
+        every: 1 + (seed as usize % 5),
+    };
+    heal_converges_to_reference(spaced, 0xA111);
 }
 
 #[test]
 fn heal_converges_to_reference_undo() {
-    for seed in 0..8 {
-        run_heal_differential(UndoFactory, 0xA112 ^ seed, seed % 2 == 0);
-    }
+    heal_converges_to_reference(|_| UndoFactory, 0xA112);
 }
 
 #[test]
@@ -219,18 +333,98 @@ fn heal_converges_to_reference_gc() {
     // watermark, which is exactly what keeps the heal suffix complete
     // (asserted inside: healed replicas match the reference even after
     // a full post-heal compaction round).
-    for seed in 0..8 {
-        run_heal_differential(GcFactory { n: 3 }, 0xA113 ^ seed, seed % 2 == 0);
-    }
+    heal_converges_to_reference(|_| GcFactory { n: 3 }, 0xA113);
 }
 
-/// Segment-backed heal source and sink: the repair burst a
-/// segment-backed replica streams (after the flush that makes heal a
-/// durability point, out of the same in-memory sorted log) must be
-/// identical to the burst an in-memory replica holding the same log
-/// produces — and a crash halfway
-/// through *applying* a heal burst, followed by recovery from disk
-/// and a redelivered (overlapping) burst, must still converge.
+/// Drift regression: a peer comes back when the only thing stamped
+/// above its outage watermark is its *own* update. Both node kinds
+/// must agree there is nothing to stream: no session, no chunk, and
+/// the retention pin lifts (the next heartbeat round compacts).
+#[test]
+fn peer_up_with_only_the_peers_own_updates_opens_no_session() {
+    let gc = GcFactory { n: 2 };
+    own_updates_open_no_session(sequential(&gc, 0, 2));
+    own_updates_open_no_session(pooled(&gc, 0, 2));
+}
+
+fn own_updates_open_no_session<R: Replica>(mut node: R) {
+    let mut peer = sequential(&GcFactory { n: 2 }, 1, 2);
+    invoke(&mut node, 0, StoreInput::PeerDown(1));
+    let (_, sent) = invoke(&mut peer, 1, StoreInput::Update(4, SetUpdate::Insert(7)));
+    let own = sent.into_iter().next().expect("a broadcast").1;
+    let StoreMsg::Update { msg, .. } = &own else {
+        panic!("an update broadcasts an update");
+    };
+    let top = msg.ts.clock;
+    assert!(top > node.partition().down_peers().next().unwrap().1);
+    deliver(&mut node, 0, 1, own);
+    // A heartbeat round while the peer is down: the pin holds the
+    // entry in the log.
+    let hear_everyone = |node: &mut R| {
+        for pid in 0..2 {
+            deliver(node, 0, pid, StoreMsg::Heartbeat { pid, clock: top });
+        }
+        node.tick_maintenance();
+    };
+    hear_everyone(&mut node);
+    assert_eq!(node.live_keys(), 1, "pinned while the peer is down");
+
+    let (_, sent) = invoke(&mut node, 0, StoreInput::PeerUp(1));
+    assert!(sent.is_empty(), "nothing to stream, nothing sent: {sent:?}");
+    assert_eq!(node.heal_sessions(), 0);
+    assert_eq!(node.heal_chunks(), 0);
+    assert_eq!(node.partition().down_count(), 0);
+    hear_everyone(&mut node);
+    assert_eq!(node.live_keys(), 0, "the pin lifted with the verdict");
+    assert_eq!(read(&mut node, 0, 4), BTreeSet::from([7]));
+}
+
+/// Open a heal of `peer` on `healer` and pull its whole chunk stream,
+/// acknowledging every chunk by hand; `sink` only answers the digest
+/// request (which does not change it).
+fn chunk_stream<F, P, Q>(
+    healer: &mut UcStore<Adt, F, P>,
+    sink: &mut UcStore<Adt, F, Q>,
+) -> Vec<(Key, UpdateMsg<SetUpdate<u32>>)>
+where
+    F: StrategyFactory<Adt>,
+    P: BackendFactory<Adt>,
+    Q: BackendFactory<Adt>,
+{
+    let (me, peer) = (healer.pid(), sink.pid());
+    let opener = healer.peer_up(peer).expect("divergence opens a session");
+    let mut to_healer: Vec<Msg> = sink
+        .apply_message_from(me, opener)
+        .into_iter()
+        .map(|(_, m)| m)
+        .collect();
+    let mut stream = Vec::new();
+    while let Some(m) = to_healer.pop() {
+        for (_, out) in healer.apply_message_from(peer, m) {
+            let StoreMsg::RepairChunk {
+                session,
+                seq,
+                updates,
+                ..
+            } = out
+            else {
+                panic!("a streaming session sends chunks, not {out:?}");
+            };
+            stream.extend(updates);
+            to_healer.push(StoreMsg::RepairAck { session, seq });
+        }
+    }
+    assert_eq!(healer.heal_sessions().count(), 0, "stream ran to its end");
+    stream
+}
+
+/// Segment-backed heal source and sink: the chunk stream a
+/// segment-backed replica sends (out of the same in-memory sorted log
+/// — the journal keeps arrival order and is never read back while the
+/// store lives) must be identical to the stream an in-memory replica
+/// holding the same log sends — and a crash halfway through *applying*
+/// a heal stream, followed by recovery from disk and a redelivered
+/// (overlapping) stream, must still converge.
 #[test]
 fn segment_heal_stream_matches_memory_and_survives_crash_mid_heal() {
     let tmp_a = ScratchDir::new("heal-src");
@@ -240,7 +434,7 @@ fn segment_heal_stream_matches_memory_and_survives_crash_mid_heal() {
     let factory = CheckpointFactory { every: 4 };
     // A (pid 0) on segments: the heal *source*. B (pid 1) in memory:
     // the differential control. C (pid 2) on segments: the heal
-    // *sink*, crashed mid-burst.
+    // *sink*, crashed mid-stream.
     let mut a: UcStore<Adt, CheckpointFactory, SegmentFactory> =
         UcStore::with_persistence(SetAdt::new(), 0, 2, factory, persist_a.clone());
     let mut b: UcStore<Adt, CheckpointFactory> = UcStore::new(SetAdt::new(), 1, 2, factory);
@@ -268,24 +462,19 @@ fn segment_heal_stream_matches_memory_and_survives_crash_mid_heal() {
         all.push(m);
     }
 
-    // Heal-source differential: the segment-backed replica's burst
-    // must equal the in-memory replica's. Both filter the sorted log
-    // (the journal keeps arrival order and is never read back while
-    // the store lives); the segment side journals and flushes first.
-    let Some(StoreMsg::Repair { updates: from_seg }) = a.peer_up_monolithic(2) else {
-        panic!("segment-backed heal must stream a burst");
-    };
-    let Some(StoreMsg::Repair { updates: from_mem }) = b.peer_up_monolithic(2) else {
-        panic!("in-memory heal must stream a burst");
-    };
+    // Heal-source differential: the segment-backed replica's chunk
+    // stream must equal the in-memory replica's, entry for entry.
+    let from_seg = chunk_stream(&mut a, &mut c);
+    let from_mem = chunk_stream(&mut b, &mut c);
+    assert_eq!(from_seg.len(), 16, "exactly the partition-era updates");
     assert_eq!(
         from_seg, from_mem,
         "segment heal stream diverged from memory"
     );
     assert!(a.heal_replay_bytes() > 0);
 
-    // Crash mid-heal: C applies half the burst, makes it durable, and
-    // dies. Reopen from disk, then redeliver the *whole* burst (the
+    // Crash mid-heal: C applies half the stream, makes it durable, and
+    // dies. Reopen from disk, then redeliver the *whole* stream (the
     // healer cannot know how far the crashed receiver got) — dedup
     // absorbs the overlap.
     let half = from_seg.len() / 2;
@@ -299,9 +488,9 @@ fn segment_heal_stream_matches_memory_and_survives_crash_mid_heal() {
     c.apply_message(&StoreMsg::Repair { updates: from_seg });
 
     let mut refs = references(&all);
-    assert_matches_reference(&mut a, &mut refs, "segment source");
-    assert_matches_reference(&mut b, &mut refs, "memory control");
-    assert_matches_reference(&mut c, &mut refs, "crashed-and-healed sink");
+    assert_matches_reference(&mut a, 0, &mut refs, "segment source");
+    assert_matches_reference(&mut b, 1, &mut refs, "memory control");
+    assert_matches_reference(&mut c, 2, &mut refs, "crashed-and-healed sink");
 }
 
 /// Crash in the middle of a *chunked* heal: the sink durably applies
@@ -384,8 +573,8 @@ fn chunked_heal_crash_mid_stream_reopens_and_reheals() {
     assert_eq!(a.heal_bytes_in_flight(), 0);
 
     let mut refs = references(&all);
-    assert_matches_reference(&mut a, &mut refs, "chunked source");
-    assert_matches_reference(&mut c, &mut refs, "crashed-and-rehealed sink");
+    assert_matches_reference(&mut a, 0, &mut refs, "chunked source");
+    assert_matches_reference(&mut c, 2, &mut refs, "crashed-and-rehealed sink");
 }
 
 /// Regression (review): stability GC over reordering links. A
@@ -494,23 +683,26 @@ fn gc_store_under_reordered_heartbeats(mode: DeliveryMode) {
 }
 
 /// Minority reads follow the configured availability policy through
-/// the `Protocol` surface (what the runtimes and ω-marking see).
+/// the `Protocol` surface (what the runtimes and ω-marking see), on
+/// both node kinds.
 #[test]
 fn protocol_minority_posture() {
-    use uc_core::AvailabilityPolicy;
-    let mut store: UcStore<Adt, NaiveFactory> = UcStore::new(SetAdt::new(), 0, 2, NaiveFactory);
-    store.set_partition_policy(AvailabilityPolicy::Refuse);
-    let mut out = Vec::new();
-    let mut ctx: Ctx<'_, Msg> = Ctx::new(0, 3, 1, &mut out);
-    let ack = store.on_invoke(StoreInput::Update(1, SetUpdate::Insert(7)), &mut ctx);
+    minority_posture(sequential(&NaiveFactory, 0, 2));
+    minority_posture(pooled(&NaiveFactory, 0, 2));
+}
+
+fn minority_posture<R: Replica>(mut node: R) {
+    node.set_partition_policy(AvailabilityPolicy::Refuse);
+    let call = |node: &mut R, input| invoke(node, 0, input);
+    let (ack, _) = call(&mut node, StoreInput::Update(1, SetUpdate::Insert(7)));
     assert!(matches!(ack, StoreOutput::Ack { .. }));
     // Majority: reads answer normally.
-    let val = store.on_invoke(StoreInput::Query(1, SetQuery::Read), &mut ctx);
+    let (val, _) = call(&mut node, StoreInput::Query(1, SetQuery::Read));
     assert!(matches!(val, StoreOutput::Value { .. }));
     // Lose the majority: reads refuse, writes stay wait-free.
-    store.on_invoke(StoreInput::PeerDown(1), &mut ctx);
-    store.on_invoke(StoreInput::PeerDown(2), &mut ctx);
-    let refused = store.on_invoke(StoreInput::Query(1, SetQuery::Read), &mut ctx);
+    call(&mut node, StoreInput::PeerDown(1));
+    call(&mut node, StoreInput::PeerDown(2));
+    let (refused, _) = call(&mut node, StoreInput::Query(1, SetQuery::Read));
     assert!(
         matches!(
             refused,
@@ -521,31 +713,31 @@ fn protocol_minority_posture() {
         ),
         "got {refused:?}"
     );
-    let snap = store.on_invoke(StoreInput::Snapshot(vec![(1, SetQuery::Read)]), &mut ctx);
+    let (snap, _) = call(&mut node, StoreInput::Snapshot(vec![(1, SetQuery::Read)]));
     assert!(matches!(snap, StoreOutput::Refused { .. }));
-    let ack = store.on_invoke(StoreInput::Update(1, SetUpdate::Insert(8)), &mut ctx);
+    let (ack, _) = call(&mut node, StoreInput::Update(1, SetUpdate::Insert(8)));
     assert!(
         matches!(ack, StoreOutput::Ack { .. }),
         "writes never refuse"
     );
     // Degraded marking wraps instead of refusing.
-    store.set_partition_policy(AvailabilityPolicy::DegradedMarked);
-    let StoreOutput::Degraded(inner) =
-        store.on_invoke(StoreInput::Query(1, SetQuery::Read), &mut ctx)
+    node.set_partition_policy(AvailabilityPolicy::DegradedMarked);
+    let (StoreOutput::Degraded(inner), _) = call(&mut node, StoreInput::Query(1, SetQuery::Read))
     else {
         panic!("expected a degraded wrapper");
     };
     assert!(matches!(*inner, StoreOutput::Value { .. }));
     // Heal back to a majority: posture lifts, and the healed peer is
     // sent the digest request that opens the chunked heal dialogue.
-    store.on_invoke(StoreInput::PeerUp(1), &mut ctx);
-    let val = store.on_invoke(StoreInput::Query(1, SetQuery::Read), &mut ctx);
-    assert!(!matches!(val, StoreOutput::Degraded(_)));
+    let (_, sent) = call(&mut node, StoreInput::PeerUp(1));
     assert!(
-        out.iter()
+        sent.iter()
             .any(|(to, m)| *to == 1 && matches!(m, StoreMsg::DigestRequest { .. })),
         "heal must open a digest-guided session with the healed peer"
     );
+    let (val, _) = call(&mut node, StoreInput::Query(1, SetQuery::Read));
+    assert!(!matches!(val, StoreOutput::Degraded(_)));
+    assert!(matches!(val, StoreOutput::Value { .. }));
 }
 
 /// End-to-end on the deterministic simulator: [`ReliableLink`]-wrapped
