@@ -72,6 +72,7 @@ use crate::log::UpdateLog;
 use crate::message::UpdateMsg;
 use crate::replica::Replica;
 use crate::timestamp::{LamportClock, Timestamp};
+use std::sync::Arc;
 use uc_spec::UqAdt;
 
 /// Engine facts passed to every strategy hook: the replica identity
@@ -190,6 +191,20 @@ pub trait RepairStrategy<A: UqAdt> {
     /// that maintain state incrementally; replaying strategies may
     /// recompute into a scratch buffer.
     fn current_state<B: LogBackend<A>>(&mut self, adt: &A, log: &UpdateLog<A, B>) -> &A::State;
+
+    /// [`current_state`](RepairStrategy::current_state) for a holder
+    /// that outlives the call (a published snapshot), and whether
+    /// serving it took a copy of the whole state. The default copies
+    /// every time; a strategy that keeps its fold behind an `Arc`
+    /// ([`crate::gc::StableGc`]) hands that out and reports the copies
+    /// it could not avoid.
+    fn shared_state<B: LogBackend<A>>(
+        &mut self,
+        adt: &A,
+        log: &UpdateLog<A, B>,
+    ) -> (Arc<A::State>, bool) {
+        (Arc::new(self.current_state(adt, log).clone()), true)
+    }
 
     /// The state at a snapshot **cut**: the fold of exactly the
     /// updates stamped `clock ≤ cut`, in `(clock, pid)` order. Because
@@ -521,6 +536,13 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// arrived.
     pub fn materialize(&mut self) -> A::State {
         self.strategy.current_state(&self.adt, &self.log).clone()
+    }
+
+    /// [`ReplicaEngine::materialize`] behind an `Arc`, and whether it
+    /// took a copy of the whole state — see
+    /// [`RepairStrategy::shared_state`].
+    pub fn shared_state(&mut self) -> (Arc<A::State>, bool) {
+        self.strategy.shared_state(&self.adt, &self.log)
     }
 
     /// The state at snapshot cut `cut`: the fold of exactly the

@@ -27,7 +27,10 @@
 //!
 //! Reads do not refold: the strategy keeps the fold of base and
 //! retained log and advances it by what arrived since — the cold/warm
-//! contract and its three invalidation rules are on [`StableGc`].
+//! contract and its three invalidation rules are on [`StableGc`], and
+//! so is what changes once the fold is shared with readers (a pool's
+//! published snapshots): it lives behind an `Arc`, two buffers take
+//! turns under it, and a publication copies nothing.
 //!
 //! Silent processes block stability (their `last_seen` stays low), so
 //! replicas broadcast periodic clock [`GcMsg::Heartbeat`]s via
@@ -42,14 +45,15 @@ use crate::log::UpdateLog;
 use crate::message::{GcMsg, UpdateMsg};
 use crate::replica::Replica;
 use crate::timestamp::Timestamp;
+use std::sync::Arc;
 use uc_spec::UqAdt;
 
 /// A kept fold over a stability-compacted log: the stable prefix is
 /// folded into `base` and dropped; queries keep the fold of `base` and
-/// the retained log in `scratch` and advance it by what arrived since.
+/// the retained log and advance it by what arrived since.
 ///
-/// The cache is **cold** (`folded` is `None`: `scratch` means nothing)
-/// or **warm** (`scratch` folds every update this replica ever held
+/// The cache is **cold** (`folded` is `None`: the kept fold means
+/// nothing) or **warm** (it folds every update this replica ever held
 /// stamped at or below `folded`, compacted or retained). A warm read
 /// applies only the log's tail above `folded`; a cold read clones
 /// `base` and replays the whole retained log; a read of an empty log
@@ -61,17 +65,63 @@ use uc_spec::UqAdt;
 /// 2. [`install_base`](RepairStrategy::install_base) — recovery
 ///    replaces the history under the cache;
 /// 3. a compaction that drains an entry stamped above `folded` —
-///    `base` would then hold an update `scratch` lacks and the tail no
+///    `base` would then hold an update the fold lacks and the tail no
 ///    longer carries. Compaction never writes to `scratch`, so a key
 ///    nobody reads keeps one copy of its state.
+///
+/// # A shared fold
+///
+/// The first [`shared_state`](RepairStrategy::shared_state) call moves
+/// the kept fold out of `scratch` into an `Arc` and hands that out —
+/// a publication is a refcount bump, not a copy. From then on the key
+/// keeps two buffers taking turns (the rotation): `front`, the
+/// kept fold; `back`, the generation before it; and `owed`, the
+/// updates that take `back` to `front`. An advance writes `front` in
+/// place while nobody else holds it; when somebody does (the pool's
+/// [`Published`](crate::snapshot::Published) cell holds the newest
+/// publication), it writes `back` instead — replays `owed`, applies
+/// the tail — and the two swap roles. That works whenever the previous
+/// generation has been let go, which the cell does on every publish;
+/// only when it has not — the first advance after the first share, a
+/// reader still holding the previous generation, a `back` dropped
+/// because `owed` outgrew `OWED_MAX`, or a cold rebuild — is
+/// a state copied, which is what every publication cost before.
+/// `Arc::get_mut` is the only way a buffer is ever written, so a state
+/// somebody holds never changes under them. For a shared fold the
+/// rules above read:
+///
+/// * rules 1 and 2 hold as they are, and the cold rebuild starts a new
+///   `front` (one copy of `base`) and forgets `back`: nothing relates
+///   the old generation to the new one;
+/// * rule 3 does not fire: a compaction first advances the warm fold
+///   over the entries it is about to drain, so compaction overtaking
+///   publication costs those entries' fold a little earlier and never
+///   a refold. (A cold fold stays cold; it is rebuilt from the new
+///   base.) Such a key holds its state three times — `base`, `front`
+///   and `back` — where it used to be four: `base`, `scratch` and the
+///   two copies in the cell;
+/// * a read of an empty log answers `front` — there is no `Arc` of
+///   `base` to hand out. Warm, `front` already equals `base`; cold, it
+///   is rebuilt from `base` once. Either way it is then folded through
+///   `(bound, u32::MAX)`: everything at or below the bound is in it
+///   and nothing else is held.
+///
+/// `Clone` shares both buffers with the original (and copies `owed`).
+/// That is safe for the reason publication is: either engine writes a
+/// buffer only while it is the sole holder, so the first advance on
+/// either side finds `front` and `back` held and copies.
 #[derive(Clone, Debug)]
 pub struct StableGc<A: UqAdt> {
     /// Fold of the compacted stable prefix.
     base: A::State,
-    /// The cached query-time fold; meaningful only while `folded` is
-    /// `Some`.
+    /// The cached query-time fold of a key that was never shared;
+    /// meaningful only while `folded` is `Some` and `rotation` is
+    /// `None`.
     scratch: A::State,
-    /// Highest timestamp folded into `scratch`; `None` = cold.
+    /// The kept fold of a key that was shared; boxed, so that a key
+    /// that never is grows by one pointer.
+    rotation: Option<Box<Rotation<A>>>,
+    /// Highest timestamp folded into the kept fold; `None` = cold.
     folded: Option<Timestamp>,
     /// Updates applied to the cached fold, by refold or by tail apply.
     fold_steps: u64,
@@ -92,12 +142,101 @@ pub struct StableGc<A: UqAdt> {
     retention_cap: Option<u64>,
 }
 
+/// The longest `owed` a key keeps. Past it `back` is dropped instead
+/// and the next swap copies: replaying that many updates is no longer
+/// clearly cheaper than copying a state, and a key that is written
+/// and never published again must not collect them for ever. Far
+/// above what one burst brings a hot key between two publications.
+const OWED_MAX: usize = 1024;
+
+/// The two buffers of a shared fold — see *A shared fold* on
+/// [`StableGc`].
+#[derive(Clone, Debug)]
+struct Rotation<A: UqAdt> {
+    /// The kept fold, handed out by refcount bump.
+    front: Arc<A::State>,
+    /// The generation before `front`; `None` when there is none worth
+    /// keeping.
+    back: Option<Arc<A::State>>,
+    /// The updates that take `back` to `front`, in order; empty without
+    /// a `back`.
+    owed: Vec<A::Update>,
+    /// Was a whole state copied since the fold was last handed out?
+    copied: bool,
+}
+
+impl<A: UqAdt> Rotation<A> {
+    /// Apply `tail` to the kept fold; returns how many owed updates
+    /// were replayed on the way. Out of line, like
+    /// [`StableGc::shared_fold`]: compaction calls it, and compaction
+    /// runs for every key.
+    #[inline(never)]
+    fn advance(&mut self, adt: &A, tail: &[(Timestamp, A::Update)]) -> usize {
+        if tail.is_empty() {
+            return 0;
+        }
+        if let Some(front) = Arc::get_mut(&mut self.front) {
+            for (_, u) in tail {
+                adt.apply(front, u);
+            }
+            if self.back.is_some() {
+                self.owe(tail);
+            }
+            return 0;
+        }
+        // `front` is held (by the cell, a reader, an engine clone):
+        // bring the previous generation up to date instead, if it has
+        // been let go.
+        let reused = self.back.take().and_then(|mut back| {
+            let state = Arc::get_mut(&mut back)?;
+            for u in &self.owed {
+                adt.apply(state, u);
+            }
+            Some(back)
+        });
+        let replayed = reused.as_ref().map_or(0, |_| self.owed.len());
+        let mut next = reused.unwrap_or_else(|| {
+            self.copied = true;
+            Arc::new(A::State::clone(&self.front))
+        });
+        let state = Arc::get_mut(&mut next).expect("sole holder: let go or just made");
+        for (_, u) in tail {
+            adt.apply(state, u);
+        }
+        self.back = Some(std::mem::replace(&mut self.front, next));
+        // One long burst must not size a key's `owed` for good.
+        self.owed.clear();
+        self.owed.shrink_to(4 * tail.len());
+        self.owe(tail);
+        replayed
+    }
+
+    /// `back` now trails `front` by `tail` as well.
+    fn owe(&mut self, tail: &[(Timestamp, A::Update)]) {
+        if self.owed.len() + tail.len() > OWED_MAX {
+            self.back = None;
+            self.owed = Vec::new();
+        } else {
+            self.owed.extend(tail.iter().map(|(_, u)| u.clone()));
+        }
+    }
+
+    /// Start over from a freshly folded `state`.
+    fn restart(&mut self, state: A::State) {
+        self.front = Arc::new(state);
+        self.back = None;
+        self.owed = Vec::new();
+        self.copied = true;
+    }
+}
+
 impl<A: UqAdt> StableGc<A> {
     /// A fresh strategy for a cluster of `n` processes.
     pub fn new(adt: &A, n: usize) -> Self {
         StableGc {
             base: adt.initial(),
             scratch: adt.initial(),
+            rotation: None,
             folded: None,
             fold_steps: 0,
             compacted: 0,
@@ -121,9 +260,37 @@ impl<A: UqAdt> StableGc<A> {
     /// per update, whether a cold read replayed it or a warm read
     /// applied it from the tail. Stays flat across repeated queries of
     /// an unchanged log, grows by one per in-order arrival read, and
-    /// by the retained log's length after a late one.
+    /// by the retained log's length after a late one. A shared fold
+    /// pays a second step per update, when the buffer that sat out an
+    /// advance catches up.
     pub fn query_fold_steps(&self) -> u64 {
         self.fold_steps
+    }
+
+    /// [`RepairStrategy::current_state`] of a shared fold. Out of line:
+    /// a key that was never shared runs the code it always ran.
+    #[inline(never)]
+    fn shared_fold<B: LogBackend<A>>(&mut self, adt: &A, log: &UpdateLog<A, B>) -> &A::State {
+        let rotation = self.rotation.as_mut().expect("a shared fold");
+        // Over an empty log all that is held is in `base`, which folds
+        // through the bound.
+        let newest = log
+            .last_timestamp()
+            .unwrap_or(Timestamp::new(self.bound, u32::MAX));
+        match self.folded {
+            Some(folded) if folded == newest => {}
+            Some(folded) => {
+                let (tail, _) = log.suffix_window(0, Some(folded), usize::MAX);
+                self.fold_steps += (tail.len() + rotation.advance(adt, tail)) as u64;
+            }
+            None => {
+                self.fold_steps += log.len() as u64;
+                let updates = log.iter().map(|(_, u)| u);
+                rotation.restart(adt.run_updates_from(self.base.clone(), updates));
+            }
+        }
+        self.folded = Some(newest);
+        &rotation.front
     }
 
     fn try_compact<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>) {
@@ -132,6 +299,15 @@ impl<A: UqAdt> StableGc<A> {
             new_bound = new_bound.min(cap);
         }
         self.bound = self.bound.max(new_bound);
+        if let (Some(rotation), Some(folded)) = (&mut self.rotation, self.folded) {
+            // A shared fold goes ahead of the drain (rule 3 never fires).
+            let (tail, _) = log.suffix_window(0, Some(folded), usize::MAX);
+            let stable = &tail[..tail.partition_point(|(ts, _)| ts.clock <= self.bound)];
+            if let Some((last, _)) = stable.last() {
+                self.folded = Some(*last);
+                self.fold_steps += (stable.len() + rotation.advance(adt, stable)) as u64;
+            }
+        }
         let (base, compacted) = (&mut self.base, &mut self.compacted);
         let Some(last) = log.drain_stable_prefix(self.bound, |u| {
             adt.apply(base, u);
@@ -191,6 +367,9 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     }
 
     fn current_state<B: LogBackend<A>>(&mut self, adt: &A, log: &UpdateLog<A, B>) -> &A::State {
+        if self.rotation.is_some() {
+            return self.shared_fold(adt, log);
+        }
         let Some(newest) = log.last_timestamp() else {
             return &self.base;
         };
@@ -210,6 +389,29 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
         }
         self.folded = Some(newest);
         &self.scratch
+    }
+
+    /// The kept fold itself, by refcount bump — see *A shared fold* on
+    /// [`StableGc`] for when a copy still happens (the flag).
+    fn shared_state<B: LogBackend<A>>(
+        &mut self,
+        adt: &A,
+        log: &UpdateLog<A, B>,
+    ) -> (Arc<A::State>, bool) {
+        if self.rotation.is_none() {
+            // Whatever the fold is worth (`folded` says) moves along.
+            let front = std::mem::replace(&mut self.scratch, adt.initial());
+            self.rotation = Some(Box::new(Rotation {
+                front: Arc::new(front),
+                back: None,
+                owed: Vec::new(),
+                copied: false,
+            }));
+        }
+        self.shared_fold(adt, log);
+        let rotation = self.rotation.as_mut().expect("made above");
+        let copied = std::mem::take(&mut rotation.copied);
+        (Arc::clone(&rotation.front), copied)
     }
 
     /// Cut queries over a compacted log: the base already folds every
@@ -629,6 +831,7 @@ mod tests {
         assert_eq!(strategy.fold_steps, 0);
         assert_eq!(strategy.folded, None);
         assert!(strategy.scratch.is_empty(), "compaction wrote to scratch");
+        assert!(strategy.rotation.is_none(), "never shared, never rotated");
     }
 
     #[test]
@@ -707,5 +910,314 @@ mod tests {
         assert_eq!(seq.materialize(), bat.materialize());
         // Neither has spoken itself, so stability is identical too.
         assert_eq!(seq.stability_bound(), bat.stability_bound());
+    }
+
+    /// The shared fold: two buffers taking turns under a
+    /// [`Published`] cell, as a pool worker drives them.
+    mod rotation {
+        use super::*;
+        use crate::snapshot::Published;
+        use std::cell::Cell;
+
+        thread_local! {
+            /// Whole-state copies made on this test's thread.
+            static COPIES: Cell<u64> = const { Cell::new(0) };
+        }
+
+        fn copies() -> u64 {
+            COPIES.with(Cell::get)
+        }
+
+        #[derive(Debug, PartialEq, Eq, Hash)]
+        struct Counted(BTreeSet<u32>);
+
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                COPIES.with(|c| c.set(c.get() + 1));
+                Counted(self.0.clone())
+            }
+        }
+
+        /// A set whose state counts its copies.
+        #[derive(Clone, Debug)]
+        struct CountedSet;
+
+        impl UqAdt for CountedSet {
+            type Update = SetUpdate<u32>;
+            type QueryIn = ();
+            type QueryOut = usize;
+            type State = Counted;
+
+            fn initial(&self) -> Counted {
+                Counted(BTreeSet::new())
+            }
+
+            fn apply(&self, state: &mut Counted, update: &SetUpdate<u32>) {
+                SetAdt::new().apply(&mut state.0, update);
+            }
+
+            fn observe(&self, state: &Counted, _: &()) -> usize {
+                state.0.len()
+            }
+        }
+
+        type Engine = ReplicaEngine<CountedSet, StableGc<CountedSet>>;
+
+        fn engine() -> Engine {
+            ReplicaEngine::with_strategy(CountedSet, 0, StableGc::new(&CountedSet, 2))
+        }
+
+        /// Four in-order updates, the peer's heartbeat compacting them
+        /// under the fold, then the share a publication takes.
+        fn burst(e: &mut Engine, n: u32) -> (Arc<Counted>, bool) {
+            for i in 0..4 {
+                e.update(SetUpdate::Insert(4 * n + i));
+            }
+            e.observe_peer_clock(1, e.clock());
+            assert_eq!(e.log_len(), 0, "the burst compacted");
+            let (state, copied) = e.shared_state();
+            assert_eq!(state.0.len() as u32, 4 * (n + 1));
+            (state, copied)
+        }
+
+        #[test]
+        fn steady_publication_copies_at_bootstrap_only() {
+            let mut e = engine();
+            let cell = Published::new();
+            let mut flagged = 0;
+            for n in 0..50 {
+                let (state, copied) = burst(&mut e, n);
+                flagged += u64::from(copied);
+                // The cell lets go of the previous generation here.
+                cell.publish(u64::from(n) + 1, state);
+                if n == 1 {
+                    assert_eq!(copies(), 2, "the cold first share, the first swap");
+                }
+            }
+            assert_eq!(copies(), 2, "a publication costs its tail, not a state");
+            assert_eq!(flagged, 2, "and says so");
+            assert!(
+                e.strategy().folded.is_some(),
+                "compaction never sent it cold"
+            );
+            // Each update folded once per buffer (the first four went
+            // into `base` before the fold existed).
+            assert_eq!(e.strategy().query_fold_steps(), 2 * 4 * 49 - 4);
+        }
+
+        #[test]
+        fn a_reader_sitting_on_snapshots_costs_a_copy_each_and_none_once_gone() {
+            let mut e = engine();
+            let cell = Published::new();
+            let mut epoch = 0;
+            let mut publish = |e: &mut Engine, n: u32| {
+                let (state, copied) = burst(e, n);
+                epoch += 1;
+                cell.publish(epoch, state);
+                copied
+            };
+            for n in 0..4 {
+                publish(&mut e, n);
+            }
+            // A reader two publications behind: whenever a buffer's
+            // turn comes round it is still held.
+            let mut held = std::collections::VecDeque::new();
+            for n in 4..12 {
+                held.push_back(cell.load().expect("published"));
+                if held.len() > 2 {
+                    held.pop_front();
+                }
+                let before = copies();
+                let copied = publish(&mut e, n);
+                let expect = u64::from(held.len() == 2);
+                assert_eq!(copies() - before, expect, "publication {n}");
+                assert_eq!(copied, expect == 1);
+            }
+            // What it holds is what it loaded, whatever was written since.
+            for (epoch, state) in &held {
+                assert_eq!(state.0.len() as u64, 4 * epoch);
+            }
+            drop(held);
+            let before = copies();
+            for n in 12..20 {
+                assert!(!publish(&mut e, n));
+            }
+            assert_eq!(copies(), before, "nobody holds a buffer back any more");
+        }
+
+        type Set = ReplicaEngine<SetAdt<u32>, StableGc<SetAdt<u32>>>;
+
+        fn set_engine(n: usize) -> Set {
+            let adt = SetAdt::new();
+            ReplicaEngine::with_strategy(adt, 0, StableGc::new(&adt, n))
+        }
+
+        #[test]
+        fn the_buffer_that_sat_out_replays_what_it_owes_before_the_tail() {
+            // Peer 1 stays silent: nothing compacts, every advance is a
+            // read's. `back` trails by Insert(1) when Delete(1) arrives.
+            let mut e = set_engine(2);
+            let cell = Published::new();
+            let steps = [
+                (SetUpdate::Insert(7), BTreeSet::from([7])),
+                (SetUpdate::Insert(1), BTreeSet::from([1, 7])),
+                (SetUpdate::Delete(1), BTreeSet::from([7])),
+                (SetUpdate::Insert(1), BTreeSet::from([1, 7])),
+            ];
+            for (epoch, (update, expect)) in steps.into_iter().enumerate() {
+                e.update(update);
+                let (state, _) = e.shared_state();
+                assert_eq!(*state, expect);
+                cell.publish(epoch as u64 + 1, state);
+            }
+        }
+
+        #[test]
+        fn a_late_arrival_forgets_the_previous_generation() {
+            // Process 2 stays silent, so the retained log is the full log.
+            let mut e = set_engine(3);
+            let cell = Published::new();
+            let mut epoch = 0;
+            let mut publish = |e: &mut Set| {
+                let (state, copied) = e.shared_state();
+                let value = BTreeSet::clone(&state);
+                epoch += 1;
+                cell.publish(epoch, state);
+                (value, copied)
+            };
+            for i in 0..3 {
+                e.update(SetUpdate::Insert(i));
+                publish(&mut e);
+            }
+            // Stamped below everything folded: cold, one rebuild.
+            e.on_deliver(&UpdateMsg {
+                ts: Timestamp::new(1, 1),
+                update: SetUpdate::Insert(9),
+            });
+            let (state, copied) = publish(&mut e);
+            assert!(copied, "a cold rebuild is a copy");
+            assert_eq!(state, BTreeSet::from([0, 1, 2, 9]));
+            // The generation before the rebuild lacks the late update:
+            // the next swap must not build on it.
+            e.update(SetUpdate::Insert(3));
+            let (state, copied) = publish(&mut e);
+            assert!(copied, "no previous generation to advance");
+            assert_eq!(state, BTreeSet::from([0, 1, 2, 3, 9]));
+            e.update(SetUpdate::Insert(4));
+            let (state, copied) = publish(&mut e);
+            assert!(!copied, "warm again");
+            assert_eq!(state, BTreeSet::from([0, 1, 2, 3, 4, 9]));
+        }
+
+        #[test]
+        fn a_shared_fold_over_an_empty_log_answers_front() {
+            // Alone in its cluster: every update compacts on insertion.
+            let mut e = set_engine(1);
+            e.update(SetUpdate::Insert(1));
+            let (first, copied) = e.shared_state();
+            assert!(copied, "cold: rebuilt from the base once");
+            let (again, copied) = e.shared_state();
+            assert!(!copied && Arc::ptr_eq(&first, &again));
+            // The insertion's own compaction advances the fold first.
+            e.update(SetUpdate::Insert(2));
+            assert_eq!(e.log_len(), 0);
+            let (next, _) = e.shared_state();
+            assert_eq!(
+                (&*first, &*next),
+                (&BTreeSet::from([1]), &BTreeSet::from([1, 2]))
+            );
+            assert_eq!(e.strategy().folded, Some(Timestamp::new(2, u32::MAX)));
+        }
+
+        #[test]
+        fn an_engine_clone_shares_the_buffers_and_writes_neither() {
+            let mut e = set_engine(2);
+            e.update(SetUpdate::Insert(1));
+            let (held, _) = e.shared_state();
+            let mut twin = e.clone();
+            let (same, copied) = twin.shared_state();
+            assert!(!copied && Arc::ptr_eq(&held, &same));
+            twin.update(SetUpdate::Insert(2));
+            e.update(SetUpdate::Insert(3));
+            assert_eq!(twin.materialize(), BTreeSet::from([1, 2]));
+            assert_eq!(e.materialize(), BTreeSet::from([1, 3]));
+            assert_eq!(*held, BTreeSet::from([1]));
+        }
+
+        #[test]
+        fn held_snapshots_never_change_under_a_swapping_writer() {
+            use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+            const READERS: usize = 3;
+            let cell: Arc<Published<BTreeSet<u32>>> = Arc::new(Published::new());
+            let done = Arc::new(AtomicBool::new(false));
+            // Snapshots each reader has sat on and let go of.
+            let kept: Arc<Vec<AtomicU64>> = Arc::new((0..READERS).map(|_| 0.into()).collect());
+            // After publication `e` the set holds marker `1000 + e` and
+            // no other: a buffer that skipped or reordered what it owed
+            // would show an old marker.
+            let marker = |epoch: u64| 1000 + epoch as u32;
+            let readers: Vec<_> = (0..READERS)
+                .map(|r| {
+                    let (cell, done, kept) = (cell.clone(), done.clone(), kept.clone());
+                    std::thread::spawn(move || {
+                        while !done.load(Ordering::SeqCst) {
+                            let Some((epoch, held)) = cell.load() else {
+                                std::thread::yield_now();
+                                continue;
+                            };
+                            let first_seen = BTreeSet::clone(&held);
+                            let markers: Vec<u32> = first_seen.range(1000..).copied().collect();
+                            assert_eq!(markers, [marker(epoch)], "epoch {epoch}");
+                            // Sit on it across `r + 1` further publishes:
+                            // from the second on, its buffer's turn has
+                            // come and the writer had to copy.
+                            let until = epoch + r as u64;
+                            while cell.epoch() <= until && !done.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                            assert_eq!(*held, first_seen, "held since epoch {epoch}");
+                            kept[r].fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                })
+                .collect();
+            let mut e = set_engine(2);
+            let (mut epoch, mut copies) = (0u64, 0u64);
+            while kept.iter().any(|k| k.load(Ordering::SeqCst) < 32) {
+                assert!(epoch < 50_000_000, "the readers never ran");
+                epoch += 1;
+                e.update(SetUpdate::Insert(marker(epoch)));
+                e.update(SetUpdate::Delete(marker(epoch - 1)));
+                e.update(SetUpdate::Insert(epoch as u32 % 16));
+                e.update(SetUpdate::Delete((epoch as u32 + 5) % 16));
+                e.observe_peer_clock(1, e.clock());
+                let (state, copied) = e.shared_state();
+                copies += u64::from(copied);
+                cell.publish(epoch, state);
+            }
+            done.store(true, Ordering::SeqCst);
+            for r in readers {
+                r.join().expect("reader");
+            }
+            assert!(copies > 2, "sitting readers force the copy path");
+        }
+
+        #[test]
+        fn a_key_written_and_never_shared_again_stops_collecting_what_it_owes() {
+            let mut e = set_engine(2);
+            e.update(SetUpdate::Insert(0));
+            let (first, _) = e.shared_state();
+            e.update(SetUpdate::Insert(1));
+            let (second, _) = e.shared_state();
+            drop((first, second));
+            // `front` is nobody else's now: reads advance it in place,
+            // and `back` trails by more and more.
+            for i in 2..2 * OWED_MAX as u32 {
+                e.update(SetUpdate::Insert(i));
+                assert_eq!(e.do_query(&SetQuery::Read).len() as u32, i + 1);
+            }
+            let rotation = e.strategy().rotation.as_ref().expect("shared once");
+            assert!(rotation.back.is_none() && rotation.owed.is_empty());
+        }
     }
 }

@@ -46,10 +46,23 @@
 //!   worklist is sorted and deduplicated when a pass begins (and
 //!   whenever the notes fill), and a key still waiting in a suspended
 //!   pass is not noted again, so a key written many times before its
-//!   turn is published once; under
-//!   [`StableGc`](crate::gc::StableGc) that publication advances the
-//!   key's kept fold by the new entries and clones it — no refold;
-//!   [`PoolHandle::query_snapshot`] is then a wait-free load that
+//!   turn is published once. What is published is the strategy's
+//!   own `Arc` of the state
+//!   ([`RepairStrategy::shared_state`](crate::engine::RepairStrategy::shared_state)):
+//!   under [`StableGc`](crate::gc::StableGc) that is the key's kept
+//!   fold itself, advanced by the new entries — no refold, and no copy
+//!   either: the cell lets go of the previous publication as it takes
+//!   the new one, and the strategy advances that buffer into the next
+//!   (two buffers taking turns, see *A shared fold* there). A state is
+//!   still copied for a key's first two publications, after a late
+//!   message sent the fold cold, when a reader still holds the key's
+//!   previous snapshot as the next is due, and on every publication
+//!   under a strategy that keeps no fold to share;
+//!   [`WorkerStats::snapshot_copies`]
+//!   (`uc_pool_snapshot_copies_total`) counts those publications
+//!   beside [`WorkerStats::snapshots_published`] — flat in a steady
+//!   run, and the price of readers that sit on snapshots when it is
+//!   not. [`PoolHandle::query_snapshot`] is then a wait-free load that
 //!   never blocks behind a repair or a queued burst (and never ticks
 //!   the clock — it is a *weak* read of the latest **published**
 //!   state: between flushes it may miss updates the worker has
@@ -282,6 +295,17 @@ pub struct WorkerStats {
     /// only that shard's keys, not the whole store (the 10k-key
     /// first-query latency test asserts the bound).
     pub snapshots_published: u64,
+    /// Publications that had to copy a whole state instead of handing
+    /// out the strategy's kept fold (see *A shared fold* on
+    /// [`StableGc`](crate::gc::StableGc)): a key's first publications,
+    /// a cold rebuild after a late arrival, a reader still holding the
+    /// key's previous snapshot when the next one is due — and every
+    /// publication under a strategy that keeps no shareable fold. Flat
+    /// in a steady run; rising with
+    /// [`WorkerStats::snapshots_published`] means readers sitting on
+    /// snapshots, or a stream of late messages, are costing the worker
+    /// a state copy per publication.
+    pub snapshot_copies: u64,
     /// Keys touched and not yet republished (a gauge, as of the end of
     /// the worker's last publication pass): non-zero while a pass is
     /// suspended for queued jobs, zero after every
@@ -341,6 +365,11 @@ impl PoolStats {
         self.workers.iter().map(|w| w.snapshots_published).sum()
     }
 
+    /// Total publications that copied a state, across workers.
+    pub fn total_snapshot_copies(&self) -> u64 {
+        self.workers.iter().map(|w| w.snapshot_copies).sum()
+    }
+
     /// Keys holding un-compacted log entries, across workers.
     pub fn total_live_keys(&self) -> usize {
         self.workers.iter().map(|w| w.live_keys).sum()
@@ -356,6 +385,7 @@ struct SharedCounters {
     messages: AtomicU64,
     shed: AtomicU64,
     snaps_published: AtomicU64,
+    snap_copies: AtomicU64,
     publish_backlog: AtomicUsize,
     publish_yields: AtomicU64,
     live_keys: AtomicUsize,
@@ -382,6 +412,7 @@ impl SharedCounters {
             queue_high_water: self.high_water.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             snapshots_published: self.snaps_published.load(Ordering::Relaxed),
+            snapshot_copies: self.snap_copies.load(Ordering::Relaxed),
             publish_backlog: self.publish_backlog.load(Ordering::Relaxed),
             publish_yields: self.publish_yields.load(Ordering::Relaxed),
             live_keys: self.live_keys.load(Ordering::Relaxed),
@@ -553,23 +584,22 @@ enum Job<A: UqAdt> {
     Retention { cap: Option<u64> },
 }
 
-/// One epoch-published snapshot entry: a key's post-repair state plus
-/// the **cut era** it was published in (the value of
+/// One key's epoch-published snapshot: its post-repair state — the
+/// strategy's own `Arc` of it, see
+/// [`RepairStrategy::shared_state`](crate::engine::RepairStrategy::shared_state)
+/// — tagged with the **cut era** it was published in (the value of
 /// `PoolCore::cut_seq` at publication). Wait-free multi-key readers
 /// ([`PoolHandle::query_snapshot_multi`]) compare eras to detect a
 /// concurrent cut barrier and retry instead of returning a view that
 /// straddles it.
-struct SnapEntry<A: UqAdt> {
-    state: A::State,
-    cut_epoch: u64,
-}
+type SnapCell<A> = Published<<A as UqAdt>::State>;
 
 /// The key → snapshot-cell registry for one shard. The registry map
 /// itself is epoch-published (its writer is the shard's owning
 /// worker), so readers discover new keys with the same wait-free load
 /// they use for the states. Hashed like the shard's own key map
 /// (`FxHasher`): a published read is one lookup here plus two loads.
-type SnapMap<A> = HashMap<Key, Arc<Published<SnapEntry<A>>>, BuildHasherDefault<FxHasher>>;
+type SnapMap<A> = HashMap<Key, Arc<SnapCell<A>>, BuildHasherDefault<FxHasher>>;
 
 struct ShardSnapshots<A: UqAdt> {
     keys: Published<SnapMap<A>>,
@@ -755,6 +785,12 @@ where
             monitor,
             monitor_cells,
         } = self;
+        // Insertions lengthen a live list and compaction shortens it;
+        // no other job touches one.
+        let changes_live_lists = matches!(
+            job,
+            Job::Ingest(_) | Job::Update { .. } | Job::Heartbeat { .. } | Job::Maintain { .. }
+        );
         match job {
             Job::Ingest(buckets) => {
                 counters.batches.fetch_add(1, Ordering::Relaxed);
@@ -925,7 +961,9 @@ where
         if let (Some(mon), Some(cells)) = (monitor.as_ref(), monitor_cells.as_ref()) {
             cells.publish(mon.stats());
         }
-        self.publish_live_keys(counters);
+        if changes_live_lists {
+            self.publish_live_keys(counters);
+        }
     }
 
     /// Mirror the owned shards' live-list lengths for the handle
@@ -1056,8 +1094,8 @@ impl<A: UqAdt> SnapPublisher<A> {
     }
 
     /// Publish `key`'s current engine state, tagged with the current
-    /// cut era; `false` when the key has no engine. Registry
-    /// publication for brand-new keys is deferred to
+    /// cut era, and tally it; nothing when the key has no engine.
+    /// Registry publication for brand-new keys is deferred to
     /// `flush_registries` so a backfill costs one map clone per shard,
     /// not per key.
     fn publish_key<F, P>(
@@ -1066,31 +1104,30 @@ impl<A: UqAdt> SnapPublisher<A> {
         state: &mut WorkerState<A, F, P>,
         slot: usize,
         key: Key,
-    ) -> bool
-    where
+        tally: &mut PublishTally,
+    ) where
         A: Clone,
         F: StrategyFactory<A>,
         P: BackendFactory<A>,
     {
         let Some(engine) = state.shards[slot].1.engine_mut(key) else {
-            return false;
+            return;
         };
-        let snapshot = Arc::new(SnapEntry {
-            state: engine.materialize(),
-            cut_epoch: core.cut_seq.load(Ordering::SeqCst),
-        });
+        let (snapshot, copied) = engine.shared_state();
+        tally.published += 1;
+        tally.copies += u64::from(copied);
+        let era = core.cut_seq.load(Ordering::SeqCst);
         self.seq += 1;
         let mirror = &mut self.mirrors[slot];
         match mirror.cells.get(&key) {
-            Some(cell) => cell.publish(self.seq, snapshot),
+            Some(cell) => cell.publish_tagged(self.seq, era, snapshot),
             None => {
                 let cell = Arc::new(Published::new());
-                cell.publish(self.seq, snapshot);
+                cell.publish_tagged(self.seq, era, snapshot);
                 mirror.cells.insert(key, cell);
                 mirror.dirty = true;
             }
         }
-        true
     }
 
     /// Publish the registries that gained keys since the last call.
@@ -1104,6 +1141,13 @@ impl<A: UqAdt> SnapPublisher<A> {
             }
         }
     }
+}
+
+/// What one publication pass adds to the worker's counters.
+#[derive(Default)]
+struct PublishTally {
+    published: u64,
+    copies: u64,
 }
 
 /// What one [`Worker::turn`] came to.
@@ -1185,7 +1229,7 @@ where
         let core: &PoolCore<A> = core;
         let inbox = &core.inboxes[*widx];
         let counters = &core.counters[*widx];
-        let mut published = 0u64;
+        let mut tally = PublishTally::default();
         let mut taken = false;
         let drained = loop {
             if publisher.backlog() == 0 {
@@ -1198,7 +1242,7 @@ where
             taken = true;
             let slot = shard_slot(&state.shards, shard_idx);
             if publisher.mirrors[slot].backfilled {
-                published += u64::from(publisher.publish_key(core, state, slot, key));
+                publisher.publish_key(core, state, slot, key, &mut tally);
             }
         };
         if drained {
@@ -1209,7 +1253,7 @@ where
                     // pay nothing until a snapshot read arms them too.
                     let keys: Vec<Key> = state.shards[slot].1.keys().collect();
                     for key in keys {
-                        published += u64::from(publisher.publish_key(core, state, slot, key));
+                        publisher.publish_key(core, state, slot, key, &mut tally);
                     }
                     publisher.mirrors[slot].backfilled = true;
                 }
@@ -1224,7 +1268,10 @@ where
         }
         counters
             .snaps_published
-            .fetch_add(published, Ordering::Relaxed);
+            .fetch_add(tally.published, Ordering::Relaxed);
+        counters
+            .snap_copies
+            .fetch_add(tally.copies, Ordering::Relaxed);
         counters
             .publish_backlog
             .store(publisher.backlog(), Ordering::Relaxed);
@@ -1566,8 +1613,8 @@ where
         self.arm(shard);
         if let Some((_, map)) = self.core.snaps[shard].keys.load() {
             if let Some(cell) = map.get(&key) {
-                if let Some((epoch, entry)) = cell.load() {
-                    return (epoch, self.adt.observe(&entry.state, q));
+                if let Some((epoch, state)) = cell.load() {
+                    return (epoch, self.adt.observe(&state, q));
                 }
             }
         }
@@ -1616,13 +1663,13 @@ where
                 .keys
                 .load()
                 .and_then(|(_, map)| map.get(key).cloned())
-                .and_then(|cell| cell.load());
+                .and_then(|cell| cell.load_tagged());
             match entry {
-                Some((_, e)) => {
-                    if era.is_some_and(|era| e.cut_epoch > era) {
+                Some((_, cut_era, state)) => {
+                    if era.is_some_and(|era| cut_era > era) {
                         return None;
                     }
-                    outs.push((*key, self.adt.observe(&e.state, q)));
+                    outs.push((*key, self.adt.observe(&state, q)));
                 }
                 None => outs.push((*key, self.adt.observe(&self.adt.initial(), q))),
             }
@@ -2151,6 +2198,7 @@ where
         let mut messages = 0;
         let mut shed = 0;
         let mut snaps = 0;
+        let mut copies = 0;
         let mut backlog = 0;
         let mut yields = 0;
         let mut high_water = 0u64;
@@ -2161,6 +2209,7 @@ where
             messages += w.messages;
             shed += w.shed;
             snaps += w.snapshots_published;
+            copies += w.snapshot_copies;
             backlog += w.publish_backlog;
             yields += w.publish_yields;
             high_water = high_water.max(w.queue_high_water as u64);
@@ -2169,6 +2218,7 @@ where
         reg.counter("uc_pool_messages_total").set(messages);
         reg.counter("uc_pool_shed_total").set(shed);
         reg.counter("uc_pool_snapshots_published_total").set(snaps);
+        reg.counter("uc_pool_snapshot_copies_total").set(copies);
         reg.gauge("uc_pool_publish_backlog").set(backlog as i64);
         reg.counter("uc_pool_publish_yields_total").set(yields);
         reg.gauge("uc_pool_queue_high_water").set(high_water as i64);
@@ -2674,6 +2724,11 @@ mod tests {
         let scrape = reg.snapshot();
         assert_eq!(scrape.gauge("uc_pool_publish_backlog"), Some(0));
         assert!(scrape.counter("uc_pool_publish_yields_total").is_some());
+        // A checkpointing strategy keeps no fold it could hand out:
+        // every publication copies a state, and the scrape says so.
+        let published = scrape.counter("uc_pool_snapshots_published_total");
+        assert_eq!(published, Some(pool.stats().total_snapshots_published()));
+        assert_eq!(scrape.counter("uc_pool_snapshot_copies_total"), published);
         // A pool that never healed exports the heal metrics at zero,
         // the monotone totals as counters.
         assert_eq!(scrape.counter("uc_pool_heal_replay_bytes_total"), Some(0));
@@ -2846,6 +2901,68 @@ mod tests {
         assert_eq!(worker.turn(), Turn::Done);
         assert_eq!(worker.publisher.backlog(), 0);
         assert_eq!(read(&handle, 5), BTreeSet::from([0]));
+    }
+
+    #[test]
+    fn a_steady_run_of_bursts_over_published_keys_copies_no_state() {
+        use crate::store::GcFactory;
+        let gc_store = |pid| UcStore::new(SetAdt::<u32>::new(), pid, 1, GcFactory { n: 2 });
+        let (handle, _, mut workers) = IngestPool::assemble(gc_store(0), cfg(1));
+        let mut worker = workers.remove(0);
+        let mut producer = gc_store(1);
+        let mut sequential = gc_store(0);
+        for key in 0..6 {
+            assert!(read(&handle, key).is_empty()); // arms the shard
+        }
+        // A burst writing six keys three times each, closed by the
+        // peer's heartbeat, a local update and the maintenance tick:
+        // compaction runs ahead of publication in every round.
+        let mut round = |n: u32| {
+            let mut burst: Vec<_> = (0..18u64)
+                .map(|i| producer.update(i % 6, SetUpdate::Insert(18 * n + i as u32)))
+                .collect();
+            burst.push(producer.heartbeat());
+            sequential.apply_batch(&burst);
+            handle.submit_batch(burst).unwrap();
+            let local = handle
+                .update(u64::from(n) % 6, SetUpdate::Insert(1000 + n))
+                .unwrap();
+            sequential.apply_batch(&[local]);
+            let clock = handle.clock();
+            handle
+                .push_job(0, Job::Maintain { clock }, Backpressure::Park)
+                .unwrap();
+            let mut published = Vec::new();
+            while worker.turn() == Turn::Worked {
+                let w = worker.core.counters[worker.widx].stats();
+                published.push((w.snapshots_published, w.snapshot_copies));
+            }
+            for key in 0..6 {
+                assert_eq!(read(&handle, key), sequential.materialize_key(key));
+            }
+            published
+        };
+        // Bootstrap: the cold first share of each key, then the first
+        // swap (there is no previous generation to advance yet).
+        assert_eq!(round(0).last(), Some(&(6, 6)));
+        assert_eq!(round(1).last(), Some(&(12, 12)));
+        for n in 2..10u32 {
+            let turns = round(n);
+            assert!(
+                turns.iter().all(|(_, copies)| *copies == 12),
+                "round {n}: {turns:?}"
+            );
+            assert_eq!(turns.last().map(|t| t.0), Some(6 * (u64::from(n) + 1)));
+        }
+        // A reader sitting on a snapshot is what costs a copy again.
+        let cell = Arc::clone(&handle.core.snaps[0].keys.load().expect("registry").1[&3]);
+        let (_, held) = cell.load().expect("published");
+        let loaded = BTreeSet::clone(&held);
+        round(10);
+        assert_eq!(round(11).last(), Some(&(72, 13)));
+        assert_eq!(*held, loaded, "and keeps what it loaded");
+        drop(held);
+        assert_eq!(round(12).last(), Some(&(78, 13)));
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! [`ReplicaEngine::recover`] — the next read must equal a naive
 //! replay of the full log.
 //!
+//! The schedules also *share* the fold ([`ReplicaEngine::shared_state`],
+//! what a pool worker publishes): into a one-place ring that lets go
+//! of the previous share as a `Published` cell does, to readers that
+//! hold what they got for a few steps, and from an engine `Clone`.
+//! After every step every `Arc` still held must equal the naive
+//! replica's state of the moment it was taken — the two buffers behind
+//! a shared fold take turns, and neither may be written while somebody
+//! holds it.
+//!
 //! `strategy_differential` reads after every delivery, which keeps the
 //! cache warm and current and so never lets compaction overtake it.
 //! Here every step is checked too, but half of the checks read a
@@ -14,6 +23,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
+use std::sync::Arc;
 use uc_core::{GenericReplica, LogBackend, ReplicaEngine, StableGc, Timestamp, UpdateMsg};
 use uc_sim::SplitMix64;
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
@@ -102,7 +112,24 @@ fn check(gc: &mut Gc, naive: &mut GenericReplica<Adt>, on_clone: bool, what: &st
     assert_eq!(got, expect, "after {what}, seed {seed}");
 }
 
-fn scenario(seed: u64) -> u64 {
+/// A shared state and what the naive replica said when it was taken.
+struct Held {
+    state: Arc<BTreeSet<u32>>,
+    expect: BTreeSet<u32>,
+    /// Steps until the reader lets go.
+    steps: u64,
+}
+
+/// What the schedules of all seeds did, summed.
+#[derive(Default)]
+struct Tally {
+    compacted: u64,
+    shares: u64,
+    /// Shares the strategy served without copying a state.
+    uncopied: u64,
+}
+
+fn scenario(seed: u64, tally: &mut Tally) {
     let mut rng = SplitMix64::new(seed);
     let producers = 2 + (rng.next_u64() % 3) as usize;
     let cluster = producers + 1;
@@ -116,12 +143,14 @@ fn scenario(seed: u64) -> u64 {
     let mut gc: Gc =
         ReplicaEngine::with_backend(adt, 0, StableGc::new(&adt, cluster), disk.clone());
     let mut naive: GenericReplica<Adt> = GenericReplica::new(adt, 0);
-    let mut compacted = 0;
+    // The newest share, as a snapshot cell keeps it, and the readers.
+    let mut ring: Option<Held> = None;
+    let mut readers: Vec<Held> = Vec::new();
 
     let mut idle_steps = 0;
     while idle_steps < 24 {
         let p = (rng.next_u64() % producers as u64) as usize;
-        let what = match rng.next_u64() % 12 {
+        let what = match rng.next_u64() % 16 {
             0..=3 => {
                 let take = 1 + (rng.next_u64() % 4) as usize;
                 let burst: Vec<Msg> = (0..take).filter_map(|_| queues[p].pop_front()).collect();
@@ -185,11 +214,37 @@ fn scenario(seed: u64) -> u64 {
                 gc = gc.clone();
                 "an engine clone"
             }
+            11..=14 => {
+                let from_clone = rng.next_u64().is_multiple_of(4);
+                let to_ring = !rng.next_u64().is_multiple_of(3);
+                let (state, copied) = if from_clone {
+                    gc.clone().shared_state()
+                } else {
+                    gc.shared_state()
+                };
+                tally.shares += 1;
+                tally.uncopied += u64::from(!copied);
+                let held = Held {
+                    state,
+                    expect: naive.materialize(),
+                    steps: 1 + rng.next_u64() % 6,
+                };
+                if to_ring {
+                    ring = Some(held);
+                } else {
+                    readers.push(held);
+                }
+                match (from_clone, to_ring) {
+                    (false, true) => "a publication",
+                    (false, false) => "a share a reader holds",
+                    (true, _) => "a share from an engine clone",
+                }
+            }
             _ => {
                 // Crash after a flush: everything but the disk is
                 // lost, stability knowledge and retention cap included.
                 gc.flush_backend();
-                compacted += gc.strategy().compacted();
+                tally.compacted += gc.strategy().compacted();
                 gc = ReplicaEngine::recover(adt, 0, StableGc::new(&adt, cluster), disk.clone());
                 "a recovery"
             }
@@ -201,6 +256,16 @@ fn scenario(seed: u64) -> u64 {
             what,
             seed,
         );
+        for held in ring.iter().chain(&readers) {
+            assert_eq!(
+                *held.state, held.expect,
+                "a held state changed after {what}, seed {seed}"
+            );
+        }
+        readers.retain_mut(|held| {
+            held.steps -= 1;
+            held.steps > 0
+        });
         if queues.iter().all(VecDeque::is_empty) {
             idle_steps += 1;
         }
@@ -214,14 +279,25 @@ fn scenario(seed: u64) -> u64 {
     }
     assert_eq!(gc.log_len(), 0, "seed {seed}");
     check(&mut gc, &mut naive, false, "full stability", seed);
-    compacted + gc.strategy().compacted()
+    let (state, _) = gc.shared_state();
+    assert_eq!(*state, naive.materialize(), "the last share, seed {seed}");
+    tally.compacted += gc.strategy().compacted();
 }
 
 #[test]
 fn kept_fold_matches_naive_replay_after_every_step() {
-    let mut compacted = 0;
+    let mut tally = Tally::default();
     for seed in 0..200 {
-        compacted += scenario(seed);
+        scenario(seed, &mut tally);
     }
-    assert!(compacted > 0, "the schedules must compact under the cache");
+    assert!(
+        tally.compacted > 0,
+        "the schedules must compact under the cache"
+    );
+    assert!(
+        tally.uncopied * 2 > tally.shares,
+        "the schedules must swap buffers, not copy: {} of {} shares uncopied",
+        tally.uncopied,
+        tally.shares
+    );
 }

@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use uc_core::{CheckpointFactory, PoolConfig, StoreMsg, UcStore};
+use uc_core::{CheckpointFactory, GcFactory, PoolConfig, StoreMsg, UcStore};
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
 /// A set ADT that records every element it ever applies into a shared
@@ -333,4 +333,101 @@ fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
             "key {key}: published"
         );
     }
+}
+
+/// Under [`GcFactory`] a key's published state is the strategy's kept
+/// fold itself, two buffers taking turns: readers hammer a handful of
+/// hot keys while bursts, ticks and flushes keep the buffers turning.
+/// Each hot key only ever receives `Insert(0), Insert(1), …` in
+/// timestamp order, so the state after any prefix of its updates is
+/// `{0, …, m - 1}` — whatever a reader sees must be one of those (a
+/// buffer written under a reader, or one that skipped what it owed,
+/// shows a hole), the same epoch must read the same, and epochs and
+/// prefixes only move forward.
+#[test]
+fn snapshot_readers_see_prefixes_while_the_published_buffers_rotate() {
+    const HOT: u64 = 4;
+    const PER_KEY: u32 = 3;
+    const ROUNDS: u32 = 300;
+    let factory = GcFactory { n: 2 };
+    let store = || UcStore::new(SetAdt::<u32>::new(), 0, 2, factory);
+    let mut seq = store();
+    let mut pool = store().into_pool(PoolConfig {
+        workers: 2,
+        queue_depth: 16,
+        ..PoolConfig::default()
+    });
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..3)
+        .map(|_| {
+            let handle = pool.handle();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut last = [(0u64, 0usize); HOT as usize];
+                let mut reads = 0u64;
+                while !stop.load(Ordering::SeqCst) {
+                    for key in 0..HOT {
+                        let (epoch, out) = handle.query_snapshot_versioned(key, &SetQuery::Read);
+                        assert!(
+                            out.iter().copied().eq(0..out.len() as u32),
+                            "key {key}, epoch {epoch}: not a prefix: {out:?}"
+                        );
+                        let (seen_epoch, seen_len) = last[key as usize];
+                        assert!(epoch >= seen_epoch, "key {key}: epoch went backwards");
+                        if epoch == seen_epoch {
+                            assert_eq!(out.len(), seen_len, "key {key}: epoch {epoch} changed");
+                        } else {
+                            assert!(out.len() >= seen_len, "key {key}: prefix went backwards");
+                        }
+                        last[key as usize] = (epoch, out.len());
+                        reads += 1;
+                    }
+                }
+                reads
+            })
+        })
+        .collect();
+
+    let mut remote = UcStore::new(SetAdt::<u32>::new(), 1, 1, factory);
+    for round in 0..ROUNDS {
+        let mut msgs = Vec::new();
+        for i in 0..PER_KEY {
+            for key in 0..HOT {
+                msgs.push(remote.update(key, SetUpdate::Insert(round * PER_KEY + i)));
+            }
+        }
+        msgs.push(remote.heartbeat());
+        seq.apply_batch(&msgs);
+        pool.submit_batch(msgs).unwrap();
+        // A local write elsewhere and the tick move our own clock, so
+        // the burst compacts under the published fold.
+        let local = pool
+            .update(HOT + u64::from(round) % 8, SetUpdate::Insert(round))
+            .unwrap();
+        seq.apply_batch(&[local]);
+        pool.tick_maintenance().unwrap();
+        if round % 4 == 3 {
+            pool.flush().unwrap();
+        }
+    }
+    pool.flush().unwrap();
+    stop.store(true, Ordering::SeqCst);
+    for r in readers {
+        assert!(r.join().unwrap() > 0);
+    }
+    let stats = pool.stats();
+    assert!(stats.total_snapshots_published() >= u64::from(ROUNDS / 4) * HOT);
+    assert!(stats.total_snapshot_copies() <= stats.total_snapshots_published());
+    let reader = pool.handle();
+    let mut pooled = pool.finish().unwrap();
+    for key in 0..HOT + 8 {
+        let expected = seq.materialize_key(key);
+        assert_eq!(pooled.materialize_key(key), expected, "key {key}: store");
+        assert_eq!(
+            reader.query_snapshot(key, &SetQuery::Read),
+            expected,
+            "key {key}: published"
+        );
+    }
+    assert_eq!(seq.materialize_key(0).len() as u32, ROUNDS * PER_KEY);
 }
