@@ -4,13 +4,13 @@
 //! A producer replica issues keyed updates with zipf-skewed key
 //! popularity (hot keys dominate), the stream is perturbed to model
 //! out-of-order delivery, and a consumer store ingests it in bursts
-//! through the per-shard batched path ([`UcStore::apply_batch_parallel`]).
+//! through the per-shard batched path ([`UcStore::apply_batch`]).
 //! Measured:
 //!
 //! * **shard scaling** — identical streams into stores with 1, 2, 4, 8
-//!   shards; shards ingest their sub-batches on scoped threads, so on
-//!   multicore hosts hot keys don't serialize cold ones (on a 1-core
-//!   host the curve is flat rather than rising);
+//!   shards, ingested on one thread: what splitting a burst by shard
+//!   costs when nothing runs side by side, so the curve should be flat
+//!   (the `pool` bench runs the shards on worker threads);
 //! * **repair locality** — after ingesting the stream, a small burst
 //!   of *late* messages (timestamps older than the whole history)
 //!   lands on the hottest key. With the store's per-key logs the
@@ -185,7 +185,7 @@ fn main() {
                 UcStore::new(SetAdt::new(), 0, shards, CheckpointFactory { every: EVERY });
             let t0 = Instant::now();
             for chunk in stream.chunks(CHUNK) {
-                store.apply_batch_parallel(chunk);
+                store.apply_batch(chunk);
             }
             samples[idx].push(t0.elapsed().as_nanos() as u64);
             repair_steps[idx] = store.total_repair_steps();
@@ -285,20 +285,9 @@ fn main() {
         println!("{idle:>8} idle keys {ns:>10} ns");
     }
 
-    let one_shard = rows[0].throughput_mops;
-    let best_sharded = rows[1..]
-        .iter()
-        .map(|r| r.throughput_mops)
-        .fold(f64::MIN, f64::max);
-    // Wall-clock medians on shared (or 1-core) runners are too noisy
-    // to gate CI on; the scaling numbers are recorded in the JSON and
-    // only the deterministic repair-locality property is asserted.
-    if best_sharded < one_shard {
-        eprintln!(
-            "note: sharded ingest below 1-shard this run \
-             ({best_sharded:.2} vs {one_shard:.2} Mops/s) — expected on 1-core/noisy hosts"
-        );
-    }
+    // Wall-clock medians on shared runners are too noisy to gate CI
+    // on; the scaling numbers are recorded in the JSON and only the
+    // deterministic repair-locality property is asserted.
     assert!(
         keyed_late_steps < single_late_steps / 4,
         "per-key logs must localize repair: {keyed_late_steps} vs {single_late_steps}"

@@ -1,8 +1,7 @@
 //! # uc-bench — experiment harness
 //!
 //! Shared drivers for the figure-regeneration binaries and the
-//! Criterion benches. Each binary regenerates one paper artifact (see
-//! EXPERIMENTS.md for the index):
+//! Criterion benches. Each binary regenerates one paper artifact:
 //!
 //! * `figures` — E1/E2: the Fig. 1a–d / Fig. 2 classification matrix;
 //! * `prop1` — E2: the pipelined-convergence impossibility, run

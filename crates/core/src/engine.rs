@@ -46,8 +46,8 @@
 //! costs `O(K · s)` state transitions for a suffix of length `s`;
 //! the batch costs `O(s + K log K)`. The [`crate::replica::Replica`]
 //! trait exposes this as [`Replica::on_batch`](crate::replica::Replica::on_batch)
-//! (default: a per-message loop), and both `uc-sim` runtimes flush
-//! message bursts through it.
+//! (default: a per-message loop), and the runtimes flush message
+//! bursts through it.
 //!
 //! # Writing a strategy
 //!

@@ -3,10 +3,9 @@
 //! lock-free claim-pattern inboxes, with epoch-published snapshots
 //! for wait-free reads.
 //!
-//! [`UcStore::apply_batch_parallel`] spawns fresh scoped threads for
-//! every burst, so its win is bounded by thread-spawn cost and it
-//! serializes bursts behind each other. The pool amortizes that cost
-//! once, at [`IngestPool::spawn`]:
+//! [`UcStore::apply_batch`] ingests a burst's shards one after the
+//! other on the calling thread. The pool ingests them side by side,
+//! on threads it pays for once, at [`IngestPool::spawn`]:
 //!
 //! ```text
 //!    PoolHandle (Clone, &self)      IngestPool handle (&mut, owns join)
@@ -124,8 +123,8 @@
 //! stamping concurrently.
 //!
 //! The pool implements [`Protocol`], so a pooled store runs unchanged
-//! under the threaded cluster (real ingest concurrency) and the
-//! deterministic simulator. It is the same replica as the sequential
+//! under `uc-runtime`'s `EventCluster` (real ingest concurrency) and
+//! the deterministic simulator. It is the same replica as the sequential
 //! [`UcStore`]: the protocol bodies (`node`) and the partition posture
 //! and heal dialogue ([`heal`](crate::heal)) are shared code, which
 //! the pool runs over worker jobs (`ShardAccess` on its handle).
@@ -2458,7 +2457,7 @@ where
 /// A pooled store is a [`Protocol`] node: invocations stamp on the
 /// shared atomic clock and push to the owning worker, peer bursts
 /// land on [`IngestPool::submit_batch`] — so the pool runs unchanged
-/// under the threaded cluster and the deterministic simulator. The
+/// under the event runtime and the deterministic simulator. The
 /// bodies are the shared ones in `node`; segment flushing rides the
 /// runtime's timer wheel, no flusher thread.
 ///

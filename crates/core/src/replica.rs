@@ -42,7 +42,7 @@ pub trait Replica<A: UqAdt> {
     }
 
     /// [`Replica::on_batch`] for a burst the caller already owns —
-    /// both runtimes hand flushed messages over by value, so
+    /// the runtimes hand flushed messages over by value, so
     /// engine-backed replicas move the updates into their logs instead
     /// of cloning them. The default borrows and delegates.
     fn on_batch_owned(&mut self, msgs: Vec<Self::Msg>) {

@@ -28,9 +28,8 @@
 //!   key never refolds cold keys);
 //! * **shard map** — keys are grouped `hash(key) % shards`
 //!   (`FxHasher`); shards are the unit of batched delivery and of
-//!   parallel ingest ([`UcStore::apply_batch_parallel`] drives each
-//!   shard on its own scoped thread), so hot keys don't serialize cold
-//!   ones;
+//!   parallel ingest (an [`IngestPool`](crate::pool::IngestPool)
+//!   worker owns whole shards), so hot keys don't serialize cold ones;
 //! * **per-shard batched delivery** — [`UcStore::apply_batch`] splits
 //!   a burst by shard, groups each shard's sub-batch by key
 //!   (stable-sorted, so per-sender FIFO within a key survives), and
@@ -46,11 +45,11 @@
 //!   the key count ([`UcStore::live_keys`]);
 //! * **Protocol impl** — the store is a
 //!   [`Protocol`](uc_sim::Protocol) node and runs unchanged under the
-//!   deterministic simulator and the threaded cluster. What it does as
-//!   a replica — answer invocations, take frames, bursts and ticks,
-//!   track partitions and heal peers — is not written here: it is the
-//!   shared code of `node` and [`heal`](crate::heal), which this store
-//!   runs inline over its shards and the
+//!   deterministic simulator and `uc-runtime`'s `EventCluster`. What
+//!   it does as a replica — answer invocations, take frames, bursts
+//!   and ticks, track partitions and heal peers — is not written
+//!   here: it is the shared code of `node` and [`heal`](crate::heal),
+//!   which this store runs inline over its shards and the
 //!   [`IngestPool`](crate::pool::IngestPool) runs over worker jobs.
 //!
 //! Strategies are chosen per store through a [`StrategyFactory`]
@@ -1520,7 +1519,7 @@ where
 
     /// [`UcStore::apply_batch`] for a burst the caller already owns:
     /// messages move straight into per-key batches with no cloning —
-    /// the path both runtimes' flushes take
+    /// the path a runtime's flush takes
     /// ([`Protocol::on_batch`](uc_sim::Protocol::on_batch) hands over
     /// owned messages).
     pub fn apply_batch_owned(&mut self, msgs: Vec<StoreMsg<A::Update>>) {
@@ -1528,9 +1527,8 @@ where
     }
 
     /// Feed a burst's per-shard buckets to the monitor and trace (the
-    /// batched-ingest observation point, shared by the sequential and
-    /// scoped-thread paths). Heartbeats are observed where they are
-    /// applied ([`UcStore::apply_message`]).
+    /// batched-ingest observation point). Heartbeats are observed
+    /// where they are applied ([`UcStore::apply_message`]).
     #[allow(clippy::type_complexity)]
     fn observe_buckets(&mut self, buckets: &[Vec<(Key, UpdateMsg<A::Update>)>]) {
         if let Some(mon) = &mut self.monitor {
@@ -1562,71 +1560,6 @@ where
                 shard.ingest(bucket, adt, *pid, factory, persist);
             }
         }
-        for (pid, clock) in collapse_heartbeats(heartbeats) {
-            self.apply_message(&StoreMsg::Heartbeat { pid, clock });
-        }
-    }
-
-    /// Like [`UcStore::apply_batch`], but each shard ingests its
-    /// bucket on its own scoped thread. Adaptive: falls back to the
-    /// sequential path when there is nothing to win — a single shard,
-    /// a host without hardware parallelism, or a burst too small to
-    /// amortize thread spawns. For sustained ingest, prefer
-    /// [`UcStore::into_pool`](crate::pool::IngestPool): the pool's
-    /// persistent workers amortize the per-burst spawn cost this path
-    /// pays every call.
-    pub fn apply_batch_parallel(&mut self, msgs: &[StoreMsg<A::Update>])
-    where
-        A: Send + Sync,
-        A::Update: Send,
-        F: Sync,
-        F::Strategy: Send,
-        A::State: Send,
-        P: Sync,
-        P::Backend: Send,
-    {
-        const MIN_PARALLEL_BURST: usize = 256;
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if self.shards.len() == 1 || workers == 1 || msgs.len() < MIN_PARALLEL_BURST {
-            return self.apply_batch(msgs);
-        }
-        self.apply_batch_scoped(msgs)
-    }
-
-    /// The scoped-thread ingest path, unconditionally: one thread
-    /// spawn per non-empty shard bucket per call. Public so the pool
-    /// benchmark can compare spawn-per-burst against the persistent
-    /// pool without the adaptive fallback masking the difference;
-    /// production callers want [`UcStore::apply_batch_parallel`].
-    pub fn apply_batch_scoped(&mut self, msgs: &[StoreMsg<A::Update>])
-    where
-        A: Send + Sync,
-        A::Update: Send,
-        F: Sync,
-        F::Strategy: Send,
-        A::State: Send,
-        P: Sync,
-        P::Backend: Send,
-    {
-        let (buckets, heartbeats) = self.bucket_by_shard(msgs.iter().cloned());
-        self.observe_buckets(&buckets);
-        let UcStore {
-            adt,
-            pid,
-            factory,
-            persist,
-            shards,
-            ..
-        } = self;
-        std::thread::scope(|scope| {
-            for (shard, bucket) in shards.iter_mut().zip(buckets) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let (adt, pid, factory, persist) = (&*adt, *pid, &*factory, &*persist);
-                scope.spawn(move || shard.ingest(bucket, adt, pid, factory, persist));
-            }
-        });
         for (pid, clock) in collapse_heartbeats(heartbeats) {
             self.apply_message(&StoreMsg::Heartbeat { pid, clock });
         }
@@ -2136,8 +2069,9 @@ where
 
 /// The store is a wait-free [`Protocol`] node: invocations complete
 /// locally, peer traffic flows through (batched) message delivery —
-/// so it runs unchanged under both `uc-sim` runtimes. The bodies are
-/// the shared ones in `node`; nothing here can fail.
+/// so it runs unchanged under the deterministic simulator and the
+/// event runtime. The bodies are the shared ones in `node`; nothing
+/// here can fail.
 ///
 /// A runtime flush ([`Protocol::on_batch`]) lands on the per-shard
 /// batched ingest path. A maintenance tick ([`Protocol::on_tick`])
@@ -2297,27 +2231,6 @@ mod tests {
         for k in 0..3u64 {
             assert_eq!(per_msg.materialize_key(k), batched.materialize_key(k));
         }
-    }
-
-    #[test]
-    fn parallel_ingest_matches_sequential() {
-        // Large enough to clear the adaptive threshold, so the scoped
-        // thread path actually runs on multicore hosts (on a 1-core
-        // host the adaptive fallback makes this exercise the
-        // sequential path, which must be equivalent anyway).
-        let mut producer = store(1, 1);
-        let msgs: Vec<_> = (0..600u64)
-            .map(|i| producer.update(i % 17, SetUpdate::Insert(i as u32)))
-            .collect();
-        let mut seq = store(0, 4);
-        seq.apply_batch(&msgs);
-        let mut par = store(0, 4);
-        par.apply_batch_parallel(&msgs);
-        assert_eq!(seq.keys(), par.keys());
-        for k in seq.keys() {
-            assert_eq!(seq.materialize_key(k), par.materialize_key(k), "key {k}");
-        }
-        assert_eq!(seq.clock(), par.clock());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! randomized out-of-order, duplicated, and batched keyed delivery,
 //! every per-key state of a [`UcStore`] must equal a single-object
 //! naive-replay reference fed the same key's messages — for all four
-//! repair strategies — and the store must converge identically under
-//! both `uc-sim` runtimes.
+//! repair strategies — and the store must converge under the
+//! deterministic simulator (`uc-runtime`'s tests run it on real
+//! threads).
 //!
 //! Schedules come from the workspace's seeded PRNG
 //! ([`uc_sim::SplitMix64`]) so failures replay exactly. As in the
@@ -14,14 +15,13 @@
 
 mod common;
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use uc_core::{
     CheckpointFactory, GcFactory, GenericReplica, Key, NaiveFactory, PoolConfig, StoreInput,
-    StoreMsg, StoreOutput, StrategyFactory, UcStore, UndoFactory,
+    StoreMsg, StrategyFactory, UcStore, UndoFactory,
 };
 use uc_sim::{
-    DeliveryMode, KeyedWorkloadSpec, LatencyModel, Pid, SetOpKind, SimConfig, Simulation,
-    SplitMix64, ThreadedCluster,
+    DeliveryMode, KeyedWorkloadSpec, LatencyModel, SetOpKind, SimConfig, Simulation, SplitMix64,
 };
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
 
@@ -223,11 +223,11 @@ fn gc_store_matches_per_key_reference_under_fifo_delivery() {
     }
 }
 
-/// The three ingest paths — sequential [`UcStore::apply_batch`],
-/// scoped-thread [`UcStore::apply_batch_scoped`], and the persistent
-/// [`IngestPool`](uc_core::IngestPool) — must be *indistinguishable*:
-/// identical per-key states, clock, and repair event/step counters
-/// under randomized shuffled, duplicated, and chunked schedules.
+/// The two ingest paths — sequential [`UcStore::apply_batch`] and the
+/// persistent [`IngestPool`](uc_core::IngestPool) — must be
+/// *indistinguishable*: identical per-key states, clock, and repair
+/// event/step counters under randomized shuffled, duplicated, and
+/// chunked schedules.
 fn run_ingest_paths<F>(factory: F, seed: u64)
 where
     F: StrategyFactory<Adt> + Send + Sync + 'static,
@@ -236,9 +236,9 @@ where
     let mut rng = SplitMix64::new(0x900C ^ seed);
     let streams = produce_streams(&mut rng, 2);
     let sched = shuffled_schedule(&mut rng, &streams);
-    // Random chunking shared by all three paths (batch boundaries
-    // change which messages merge together, so they must match for
-    // the repair counters to be comparable).
+    // Random chunking shared by both paths (batch boundaries change
+    // which messages merge together, so they must match for the
+    // repair counters to be comparable).
     let mut chunks: Vec<Vec<Msg>> = Vec::new();
     let mut i = 0;
     while i < sched.len() {
@@ -253,10 +253,6 @@ where
     for c in &chunks {
         seq.apply_batch(c);
     }
-    let mut scoped = UcStore::new(SetAdt::<u32>::new(), 0, shards, factory.clone());
-    for c in &chunks {
-        scoped.apply_batch_scoped(c);
-    }
     let workers = 1 + (seed as usize % 3);
     let mut pool = UcStore::new(SetAdt::<u32>::new(), 0, shards, factory).into_pool(PoolConfig {
         workers,
@@ -268,13 +264,7 @@ where
     }
     let mut pooled = pool.finish().unwrap();
 
-    assert_eq!(seq.clock(), scoped.clock(), "scoped clock, seed {seed}");
     assert_eq!(seq.clock(), pooled.clock(), "pool clock, seed {seed}");
-    assert_eq!(
-        seq.total_repair_events(),
-        scoped.total_repair_events(),
-        "scoped repair events, seed {seed}"
-    );
     assert_eq!(
         seq.total_repair_events(),
         pooled.total_repair_events(),
@@ -282,25 +272,13 @@ where
     );
     assert_eq!(
         seq.total_repair_steps(),
-        scoped.total_repair_steps(),
-        "scoped repair steps, seed {seed}"
-    );
-    assert_eq!(
-        seq.total_repair_steps(),
         pooled.total_repair_steps(),
         "pool repair steps, seed {seed}"
     );
-    assert_eq!(seq.keys(), scoped.keys(), "scoped keys, seed {seed}");
     assert_eq!(seq.keys(), pooled.keys(), "pool keys, seed {seed}");
     for k in seq.keys() {
-        let expect = seq.materialize_key(k);
         assert_eq!(
-            expect,
-            scoped.materialize_key(k),
-            "scoped key {k}, seed {seed}"
-        );
-        assert_eq!(
-            expect,
+            seq.materialize_key(k),
             pooled.materialize_key(k),
             "pool key {k}, seed {seed}"
         );
@@ -308,14 +286,14 @@ where
 }
 
 #[test]
-fn pool_and_scoped_ingest_match_sequential_naive() {
+fn pool_ingest_matches_sequential_naive() {
     for seed in 0..15 {
         run_ingest_paths(NaiveFactory, seed);
     }
 }
 
 #[test]
-fn pool_and_scoped_ingest_match_sequential_checkpoint() {
+fn pool_ingest_matches_sequential_checkpoint() {
     for seed in 0..15 {
         run_ingest_paths(
             CheckpointFactory {
@@ -327,14 +305,14 @@ fn pool_and_scoped_ingest_match_sequential_checkpoint() {
 }
 
 #[test]
-fn pool_and_scoped_ingest_match_sequential_undo() {
+fn pool_ingest_matches_sequential_undo() {
     for seed in 0..15 {
         run_ingest_paths(UndoFactory, seed);
     }
 }
 
 #[test]
-fn pool_and_scoped_ingest_match_sequential_gc() {
+fn pool_ingest_matches_sequential_gc() {
     // GC is sound only under per-sender FIFO, so the schedule here
     // interleaves the two producers' streams chunk-wise (no shuffle,
     // no dups) and heartbeats only delivered prefixes — mid-run
@@ -475,103 +453,6 @@ fn store_converges_under_discrete_event_simulation() {
         sim.metrics.batches_delivered > 0,
         "the run must exercise per-shard batched delivery"
     );
-}
-
-/// The store on the threaded runtime: real concurrency, greedy inbox
-/// batching, convergence per key after quiescence.
-#[test]
-fn store_converges_on_the_threaded_cluster() {
-    let n = 3;
-    type Node = UcStore<Adt, CheckpointFactory>;
-    let cluster: ThreadedCluster<Node> = ThreadedCluster::spawn(n, |pid| {
-        UcStore::new(SetAdt::new(), pid, 4, CheckpointFactory { every: 8 })
-    });
-    let mut rng = SplitMix64::new(0x7EADED);
-    for i in 0..120u32 {
-        let pid = (i % n as u32) as Pid;
-        let key = rng.next_u64() % 6;
-        let v = (rng.next_u64() % 10) as u32;
-        let u = if rng.next_u64().is_multiple_of(4) {
-            SetUpdate::Delete(v)
-        } else {
-            SetUpdate::Insert(v)
-        };
-        let out = cluster.invoke(pid, StoreInput::Update(key, u));
-        assert!(matches!(out, StoreOutput::Ack { .. }));
-        if i % 31 == 0 {
-            // Mid-run keyed queries are wait-free and local.
-            let StoreOutput::Value { .. } =
-                cluster.invoke(pid, StoreInput::Query(key, SetQuery::Read))
-            else {
-                panic!("query answered with ack");
-            };
-        }
-    }
-    let mut nodes = cluster.shutdown();
-    let keys: BTreeSet<Key> = nodes.iter().flat_map(|s| s.keys()).collect();
-    assert!(!keys.is_empty());
-    let mut split = nodes.split_off(1);
-    let first = &mut nodes[0];
-    for k in keys {
-        let expect = first.materialize_key(k);
-        for (i, node) in split.iter_mut().enumerate() {
-            assert_eq!(expect, node.materialize_key(k), "node {} key {k}", i + 1);
-        }
-    }
-}
-
-/// Store bursts delivered *through the pool* on the threaded runtime:
-/// every cluster node is an [`IngestPool`](uc_core::IngestPool) whose
-/// shard workers ingest concurrently with the node's own message
-/// loop; the bounded inbox drain keeps each flushed burst within the
-/// pool's queue backpressure. After quiescence, every replica's
-/// reassembled store converges per key.
-#[test]
-fn pooled_store_converges_on_the_threaded_cluster() {
-    let n = 3;
-    type Node = uc_core::IngestPool<Adt, CheckpointFactory>;
-    let cluster: ThreadedCluster<Node> = ThreadedCluster::spawn_bounded(n, 16, |pid| {
-        UcStore::new(SetAdt::new(), pid, 4, CheckpointFactory { every: 8 }).into_pool(PoolConfig {
-            workers: 2,
-            queue_depth: 8,
-            ..PoolConfig::default()
-        })
-    });
-    let mut rng = SplitMix64::new(0x700_1ED_F00);
-    for i in 0..150u32 {
-        let pid = (i % n as u32) as Pid;
-        let key = rng.next_u64() % 6;
-        let v = (rng.next_u64() % 10) as u32;
-        let u = if rng.next_u64().is_multiple_of(4) {
-            SetUpdate::Delete(v)
-        } else {
-            SetUpdate::Insert(v)
-        };
-        let out = cluster.invoke(pid, StoreInput::Update(key, u));
-        assert!(matches!(out, StoreOutput::Ack { .. }));
-        if i % 23 == 0 {
-            let StoreOutput::Value { .. } =
-                cluster.invoke(pid, StoreInput::Query(key, SetQuery::Read))
-            else {
-                panic!("query answered with ack");
-            };
-        }
-    }
-    let pools = cluster.shutdown();
-    let mut stores: Vec<UcStore<Adt, CheckpointFactory>> = pools
-        .into_iter()
-        .map(|p| p.finish().expect("no worker panicked"))
-        .collect();
-    let keys: BTreeSet<Key> = stores.iter().flat_map(UcStore::keys).collect();
-    assert!(!keys.is_empty());
-    let mut split = stores.split_off(1);
-    let first = &mut stores[0];
-    for k in keys {
-        let expect = first.materialize_key(k);
-        for (i, node) in split.iter_mut().enumerate() {
-            assert_eq!(expect, node.materialize_key(k), "node {} key {k}", i + 1);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

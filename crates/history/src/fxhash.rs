@@ -3,7 +3,7 @@
 //! The consistency checkers memoize millions of `(down-set, state)`
 //! keys; `std`'s SipHash is measurably slower on these small integer
 //! keys. This is the classic Firefox/rustc "Fx" multiply-rotate mix in
-//! ~40 lines, avoiding an extra dependency (justified in DESIGN.md §5).
+//! ~40 lines, avoiding an extra dependency.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -1,7 +1,8 @@
 //! The example histories of the paper, exactly as drawn in Fig. 1 and
 //! Fig. 2, together with the classifications the paper states for
 //! them. These are the specification artifacts the checker suite in
-//! `uc-criteria` must regenerate (experiment E1/E2 in EXPERIMENTS.md).
+//! `uc-criteria` must regenerate (experiments E1/E2: `uc-bench`'s
+//! `figures` binary).
 //!
 //! All histories are over the set of integers `S_N` (Example 1); the
 //! arrows of the figures are the per-process program order; `ω`

@@ -1,11 +1,11 @@
 //! # uc-runtime — the event-driven async runtime
 //!
 //! The paper's wait-free guarantee means a replica never blocks on its
-//! peers, so nothing about a replica *needs* an OS thread of its own:
-//! `uc-sim`'s `ThreadedCluster` burns one thread per node and tops out
-//! at a few hundred replicas per process. [`EventCluster`] is the
-//! epoll-style successor: `N` protocol instances (replicas, GC
-//! replicas, whole `UcStore`s, pooled stores — anything implementing
+//! peers, so nothing about a replica *needs* an OS thread of its own,
+//! and a thread per node tops out at a few hundred replicas per
+//! process. [`EventCluster`] is the epoll-style executor: `N`
+//! protocol instances (replicas, GC replicas, whole `UcStore`s,
+//! pooled stores — anything implementing
 //! [`Protocol`](uc_sim::Protocol)) multiplexed onto `W ≪ N` worker
 //! threads, with
 //!
@@ -22,13 +22,12 @@
 //!   [`NodeError`](uc_sim::NodeError)s, mirroring the ingest pool's
 //!   `PoolError`.
 //!
-//! The API mirrors `ThreadedCluster` (`spawn`, `invoke`, `quiesce`,
-//! `metrics`, `shutdown`) and both implement
-//! [`ClusterHarness`](uc_sim::ClusterHarness), so tests and benches
-//! drive either runtime — or the deterministic simulator — through one
-//! generic harness. One process comfortably hosts thousands of
-//! replicas: the 10k-counter example and the runtime bench run 5 000 –
-//! 10 000 instances on ≤ 8 workers.
+//! The API is `spawn`, `invoke`, `quiesce`, `metrics`, `shutdown`,
+//! and [`EventCluster`] implements
+//! [`ClusterHarness`](uc_sim::ClusterHarness) beside the deterministic
+//! simulator, so tests and benches drive either through one generic
+//! harness. One process comfortably hosts thousands of replicas:
+//! `tests/lifecycle.rs` runs 5 000 instances on ≤ 8 workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

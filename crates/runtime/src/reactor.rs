@@ -24,11 +24,10 @@
 //!   ready list exactly once (its `scheduled` flag makes enqueueing
 //!   idempotent); a free worker pops it, drains up to
 //!   [`RuntimeConfig::batch_limit`] queued deliveries into **one**
-//!   [`Protocol::on_batch`] activation (the same greedy-drain
-//!   semantics as `ThreadedCluster`, so batching-aware replicas repair
-//!   once per burst), runs it, and re-queues the node if more arrived
-//!   meanwhile. Nodes never block each other: an activation runs to
-//!   completion and yields.
+//!   [`Protocol::on_batch`] activation (a greedy drain, so
+//!   batching-aware replicas repair once per burst), runs it, and
+//!   re-queues the node if more arrived meanwhile. Nodes never block
+//!   each other: an activation runs to completion and yields.
 //! * **Timers** — a virtual-timer wheel (ticks of
 //!   [`RuntimeConfig::timer_resolution`]) turns two things that would
 //!   otherwise need dedicated threads into events: *flush windows*
@@ -54,15 +53,15 @@
 //! * **Panic isolation** — a panicking activation poisons **its node
 //!   only**: the panic is caught, the node's state dropped, its
 //!   mailbox purged, and every later call that touches it returns the
-//!   typed [`NodeError`] (same contract as `ThreadedCluster` and the
-//!   ingest pool's `PoolError`). Other nodes keep running; messages to
-//!   the corpse count as dropped-on-crashed.
+//!   typed [`NodeError`] (the contract of the ingest pool's
+//!   `PoolError`). Other nodes keep running; messages to the corpse
+//!   count as dropped-on-crashed.
 //!
-//! The API mirrors `ThreadedCluster` (`spawn`, `invoke`, `quiesce`,
-//! `metrics`, `shutdown`), so every existing [`Protocol`] — single
-//! replicas, GC replicas, whole `UcStore`s, pooled stores — runs on it
-//! unchanged; both implement the runtime-generic
-//! [`ClusterHarness`](uc_sim::ClusterHarness).
+//! The API is `spawn`, `invoke`, `quiesce`, `metrics`, `shutdown`;
+//! every [`Protocol`] — single replicas, GC replicas, whole
+//! `UcStore`s, pooled stores — runs on it unchanged, and it
+//! implements the runtime-generic
+//! [`ClusterHarness`](uc_sim::ClusterHarness) beside the simulator.
 
 use crate::timer::{Timer, TimerKind, TimerWheel};
 use std::collections::VecDeque;
@@ -204,16 +203,15 @@ struct Shared<P: Protocol> {
     ready_cv: Condvar,
     timers: Mutex<TimerWheel>,
     /// Messages sent but not yet processed (incremented before every
-    /// enqueue, drained after the receiving activation finishes — the
-    /// same increment-before-send invariant as `ThreadedCluster`, so
-    /// a stable zero really is quiescence).
+    /// enqueue, drained after the receiving activation finishes —
+    /// the increment-before-send invariant, so a stable zero really
+    /// is quiescence).
     in_flight: AtomicI64,
     metrics: Mutex<Metrics>,
     /// Lock-free counters for the per-message hot paths; folded into
     /// `metrics` on read.
     hot: HotCounters,
-    /// Per-node panic records (shared with `ThreadedCluster`'s
-    /// implementation via `uc_sim::harness`).
+    /// Per-node panic records (`uc_sim::harness`).
     poison: PoisonTable,
     stop: AtomicBool,
     epoch: Instant,
@@ -522,7 +520,7 @@ impl<P: Protocol> Shared<P> {
                     Some(Err(payload)) => {
                         // Poison first, then drain the burst from the
                         // counter (quiesce re-checks poison after a
-                        // stable zero — same order as ThreadedCluster).
+                        // stable zero).
                         self.poison_node(idx, panic_message(payload.as_ref()));
                         self.in_flight.fetch_sub(k, Ordering::SeqCst);
                         return;
@@ -588,8 +586,7 @@ fn worker_loop<P: Protocol>(shared: Arc<Shared<P>>) {
 }
 
 /// An event-driven cluster of `n` protocol instances on a small worker
-/// pool. See the [module docs](self) for the architecture; the API
-/// mirrors `ThreadedCluster`.
+/// pool. See the [module docs](self) for the architecture.
 pub struct EventCluster<P>
 where
     P: Protocol + Send + 'static,
@@ -835,7 +832,13 @@ where
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // Under the ready lock: a worker reads `stop` under it just
+        // before it parks, so the wake below cannot fall between that
+        // read and the wait and leave the worker parked for good.
+        {
+            let _ready = self.shared.ready.lock().unwrap();
+            self.shared.stop.store(true, Ordering::Release);
+        }
         self.shared.ready_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();

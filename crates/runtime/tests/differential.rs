@@ -1,14 +1,13 @@
-//! Cross-runtime differential tests: the deterministic simulator, the
-//! thread-per-node `ThreadedCluster`, and the event-driven
-//! `EventCluster` must be interchangeable executors.
+//! Cross-runtime differential tests: the deterministic simulator and
+//! the event-driven `EventCluster` must be interchangeable executors.
 //!
-//! Driven in **lockstep** (quiesce after every invocation) the three
+//! Driven in **lockstep** (quiesce after every invocation) the two
 //! runtimes see identical delivery schedules, so for all four repair
 //! strategies (Naive/Checkpoint/Undo/Gc) they must agree not just on
 //! converged states but on the *work* performed: repair events, repair
 //! steps, retained log lengths, and Lamport clocks. Driven **racy**
 //! (all invocations in flight at once) interleavings — and therefore
-//! timestamps — legitimately differ between runtimes, but every
+//! timestamps — legitimately differ from run to run, but the event
 //! runtime must still converge all of its replicas to a single state.
 //!
 //! The same pair of checks runs for the keyed sharded store under a
@@ -22,7 +21,7 @@ use uc_core::{
 use uc_runtime::EventCluster;
 use uc_sim::{
     generate_keyed, ClusterHarness, KeyedOp, LatencyModel, Pid, Protocol, SetOpKind, SimConfig,
-    Simulation, SplitMix64, ThreadedCluster, WorkloadSpec,
+    Simulation, SplitMix64, WorkloadSpec,
 };
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
@@ -99,7 +98,7 @@ fn replica_ops(seed: u64) -> Vec<(Pid, OpInput<Adt>)> {
 }
 
 /// Drive `ops` through any harness; `lockstep` quiesces after every
-/// invocation so all runtimes see the same delivery schedule.
+/// invocation so both runtimes see the same delivery schedule.
 fn drive<P, H>(mut h: H, ops: &[(Pid, P::Input)], lockstep: bool) -> Vec<P>
 where
     P: Protocol,
@@ -116,7 +115,7 @@ where
     h.into_nodes()
 }
 
-/// Run one replica variant on all three runtimes and compare.
+/// Run one replica variant on both runtimes and compare.
 fn check_replica_variant<R, F>(make: F, seed: u64)
 where
     R: Replica<Adt> + RepairCounters + Send + 'static,
@@ -143,27 +142,18 @@ where
             .collect()
     };
     let sim_fp = fp(drive(sim, &ops, true));
-    let thr_fp = fp(drive(ThreadedCluster::spawn(N, node), &ops, true));
     let evt_fp = fp(drive(EventCluster::spawn(N, node), &ops, true));
-    assert_eq!(sim_fp, thr_fp, "scheduler vs threaded diverged ({seed})");
-    assert_eq!(thr_fp, evt_fp, "threaded vs event diverged ({seed})");
+    assert_eq!(sim_fp, evt_fp, "scheduler vs event diverged ({seed})");
 
     // Racy: within-runtime convergence must still hold.
-    let racy_states = |nodes: Vec<ReplicaNode<Adt, R>>| -> Vec<u64> {
-        nodes
-            .into_iter()
-            .map(|mut n| state_digest(&n.replica.materialize()))
-            .collect()
-    };
-    for states in [
-        racy_states(drive(ThreadedCluster::spawn(N, node), &ops, false)),
-        racy_states(drive(EventCluster::spawn(N, node), &ops, false)),
-    ] {
-        assert!(
-            states.windows(2).all(|w| w[0] == w[1]),
-            "racy run failed to converge ({seed}): {states:?}"
-        );
-    }
+    let states: Vec<u64> = drive(EventCluster::spawn(N, node), &ops, false)
+        .into_iter()
+        .map(|mut n| state_digest(&n.replica.materialize()))
+        .collect();
+    assert!(
+        states.windows(2).all(|w| w[0] == w[1]),
+        "racy run failed to converge ({seed}): {states:?}"
+    );
 }
 
 #[test]
@@ -221,8 +211,8 @@ fn store_ops(seed: u64) -> Vec<(Pid, StoreInput<Adt>)> {
                 SetOpKind::Delete(e) => StoreInput::Update(op.key, SetUpdate::Delete(e as u32)),
                 SetOpKind::Read => StoreInput::Query(op.key, SetQuery::Read),
                 // A consistent multi-key read over the anchor key and
-                // its two neighbours — exercises the cut path on every
-                // runtime.
+                // its two neighbours — exercises the cut path on both
+                // runtimes.
                 SetOpKind::SnapshotRead => StoreInput::Snapshot(
                     (op.key..op.key + 3)
                         .map(|k| (k % spec.keys as u64, SetQuery::Read))
@@ -272,31 +262,25 @@ where
         node,
     );
     let sim_fp = fp(drive(sim, &ops, true));
-    let thr_fp = fp(drive(ThreadedCluster::spawn(N, node), &ops, true));
     let evt_fp = fp(drive(EventCluster::spawn(N, node), &ops, true));
-    assert_eq!(sim_fp, thr_fp, "store: scheduler vs threaded ({seed})");
-    assert_eq!(thr_fp, evt_fp, "store: threaded vs event ({seed})");
+    assert_eq!(sim_fp, evt_fp, "store: scheduler vs event ({seed})");
 
-    // Racy convergence within each runtime: same per-key digests on
-    // every replica.
-    for mut stores in [
-        drive(ThreadedCluster::spawn(N, node), &ops, false),
-        drive(EventCluster::spawn(N, node), &ops, false),
-    ] {
-        let digests: Vec<Vec<(u64, u64)>> = stores
-            .iter_mut()
-            .map(|s| {
-                s.keys()
-                    .into_iter()
-                    .map(|k| (k, state_digest(&s.materialize_key(k))))
-                    .collect()
-            })
-            .collect();
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "racy keyed run failed to converge ({seed})"
-        );
-    }
+    // Racy convergence on real threads: same per-key digests on every
+    // replica.
+    let mut stores = drive(EventCluster::spawn(N, node), &ops, false);
+    let digests: Vec<Vec<(u64, u64)>> = stores
+        .iter_mut()
+        .map(|s| {
+            s.keys()
+                .into_iter()
+                .map(|k| (k, state_digest(&s.materialize_key(k))))
+                .collect()
+        })
+        .collect();
+    assert!(
+        digests.windows(2).all(|w| w[0] == w[1]),
+        "racy keyed run failed to converge ({seed})"
+    );
 }
 
 #[test]
@@ -333,8 +317,8 @@ fn simulator_seeds_change_interleavings() {
     );
 }
 
-/// The harness also exposes comparable metrics: in lockstep every
-/// runtime delivers exactly the same number of messages.
+/// The harness also exposes comparable metrics: in lockstep both
+/// runtimes deliver exactly the same number of messages.
 #[test]
 fn lockstep_metrics_agree_on_delivery_counts() {
     let ops = replica_ops(21);
@@ -342,75 +326,36 @@ fn lockstep_metrics_agree_on_delivery_counts() {
     let count = |m: uc_sim::Metrics| (m.invocations, m.messages_sent, m.messages_delivered);
 
     let mut sim = Simulation::new(SimConfig::default_async(N, 21), node);
+    let mut evt = EventCluster::spawn(N, node);
     for (pid, input) in &ops {
         ClusterHarness::invoke(&mut sim, *pid, input.clone());
         ClusterHarness::quiesce(&mut sim);
-    }
-    let mut thr = ThreadedCluster::spawn(N, node);
-    let mut evt = EventCluster::spawn(N, node);
-    for (pid, input) in &ops {
-        ClusterHarness::invoke(&mut thr, *pid, input.clone());
-        ClusterHarness::quiesce(&mut thr);
         ClusterHarness::invoke(&mut evt, *pid, input.clone());
         ClusterHarness::quiesce(&mut evt);
     }
-    assert_eq!(count(sim.metrics()), count(ClusterHarness::metrics(&thr)));
-    assert_eq!(
-        count(ClusterHarness::metrics(&thr)),
-        count(ClusterHarness::metrics(&evt))
-    );
+    assert_eq!(count(sim.metrics()), count(ClusterHarness::metrics(&evt)));
 }
 
 /// Outputs, not just end states: a query invoked after quiescence must
-/// answer identically on every runtime.
+/// answer identically on both runtimes.
 #[test]
 fn post_quiescence_queries_agree() {
     let ops = replica_ops(31);
     let node = |pid: Pid| ReplicaNode::untraced(CachedReplica::new(SetAdt::<u32>::new(), pid));
-    let ask = |out: OpOutput<Adt>| match out {
-        OpOutput::Value { out, .. } => out,
-        OpOutput::Ack { .. } => panic!("query answered with ack"),
-    };
-
-    let mut answers = Vec::new();
-    {
-        let mut h = Simulation::new(SimConfig::default_async(N, 31), node);
-        for (pid, input) in &ops {
+    fn read_after<H: ClusterHarness<ReplicaNode<Adt, CachedReplica<Adt>>>>(
+        mut h: H,
+        ops: &[(Pid, OpInput<Adt>)],
+    ) -> <Adt as UqAdt>::QueryOut {
+        for (pid, input) in ops {
             h.invoke(*pid, input.clone());
             h.quiesce();
         }
-        answers.push(ask(ClusterHarness::invoke(
-            &mut h,
-            0,
-            OpInput::Query(SetQuery::Read),
-        )));
+        match h.invoke(0, OpInput::Query(SetQuery::Read)) {
+            OpOutput::Value { out, .. } => out,
+            OpOutput::Ack { .. } => panic!("query answered with ack"),
+        }
     }
-    for runtime in 0..2 {
-        let run = |mut h: Box<dyn FnMut(Pid, OpInput<Adt>) -> OpOutput<Adt>>| -> _ {
-            for (pid, input) in &ops {
-                h(*pid, input.clone());
-            }
-            ask(h(0, OpInput::Query(SetQuery::Read)))
-        };
-        let ans = if runtime == 0 {
-            let h = ThreadedCluster::spawn(N, node);
-            run(Box::new(move |pid, input| {
-                let out = h.invoke(pid, input);
-                h.quiesce();
-                out
-            }))
-        } else {
-            let h = EventCluster::spawn(N, node);
-            run(Box::new(move |pid, input| {
-                let out = h.invoke(pid, input);
-                h.quiesce();
-                out
-            }))
-        };
-        answers.push(ans);
-    }
-    assert!(
-        answers.windows(2).all(|w| w[0] == w[1]),
-        "post-quiescence reads diverged: {answers:?}"
-    );
+    let sim = read_after(Simulation::new(SimConfig::default_async(N, 31), node), &ops);
+    let evt = read_after(EventCluster::spawn(N, node), &ops);
+    assert_eq!(sim, evt, "post-quiescence reads diverged");
 }

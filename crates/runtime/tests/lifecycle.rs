@@ -1,6 +1,7 @@
 //! `EventCluster` lifecycle: drain-on-drop, per-node panic poisoning,
-//! ingress backpressure, timer-driven GC maintenance, and the
-//! thousands-of-replicas smoke the runtime exists for.
+//! quiescence under relayed traffic, ingress backpressure,
+//! timer-driven GC maintenance, and the thousands-of-replicas smoke
+//! the runtime exists for.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,7 +109,10 @@ fn panicking_node_is_poisoned_not_the_cluster() {
     let err2 = cluster.try_invoke(dead, 99).expect_err("node is dead");
     assert_eq!(err2.node, dead);
     assert_eq!(cluster.try_invoke(0, 2).unwrap(), 3); // {1, BOOM, 2}
-                                                      // Typed error from shutdown too (some node cannot return state).
+                                                      // Its broadcast to the corpse is dropped, like a send to a crashed
+                                                      // process.
+    assert!(cluster.metrics().messages_dropped_crashed >= 1);
+    // Typed error from shutdown too (some node cannot return state).
     let err3 = cluster.try_shutdown().expect_err("shutdown reports poison");
     assert!(err3.message.contains("bomb went off"));
 }
@@ -137,6 +141,96 @@ fn panic_during_invoke_unblocks_the_caller() {
     assert_eq!(cluster.poisoned(), Some(err));
     // The other node is untouched.
     assert_eq!(cluster.try_invoke(1, 8).unwrap(), 8);
+}
+
+/// A protocol that *relays*: every received message below a TTL is
+/// re-broadcast, so at any quiesce point there may be second-hop
+/// messages a node is just about to send. `handled` counts finished
+/// `on_message` calls, so a test can tell what a returned `quiesce`
+/// left undone without tearing the cluster down.
+#[derive(Debug)]
+struct Relay {
+    seen: BTreeSet<u32>,
+    handled: Arc<AtomicU64>,
+}
+
+const TTL_BIT: u32 = 1 << 16;
+
+impl Protocol for Relay {
+    type Msg = u32;
+    type Input = u32;
+    type Output = usize;
+
+    fn on_invoke(&mut self, x: u32, ctx: &mut Ctx<'_, u32>) -> usize {
+        self.seen.insert(x);
+        ctx.broadcast_others(x);
+        self.seen.len()
+    }
+
+    fn on_message(&mut self, _from: Pid, x: u32, ctx: &mut Ctx<'_, u32>) {
+        self.seen.insert(x & !TTL_BIT);
+        if x & TTL_BIT == 0 {
+            // Relay once: the window between a node deciding to send
+            // and the counter increment is exactly what the
+            // increment-before-send invariant protects.
+            ctx.broadcast_others(x | TTL_BIT);
+        }
+        self.handled.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn quiesce_never_returns_while_relayed_messages_are_in_flight() {
+    // `in_flight` is incremented *before* each enqueue, so a stable
+    // zero is only observable when no message is queued anywhere —
+    // including second-hop relays triggered inside message handlers.
+    // With the increment after the enqueue a receiver can take the
+    // counter to zero while the sender that fed it is between its
+    // enqueue and its increment, and `quiesce` returns with messages
+    // still queued. That window is a few instructions wide, so the
+    // test oversubscribes the host (eight workers, so senders are
+    // preempted inside it) and checks *every* `quiesce`, not only the
+    // one in `shutdown`: n - 1 first-hop deliveries per invoke, each
+    // relayed to n - 1 peers.
+    const N: usize = 8;
+    const PER_INVOKE: u64 = (N as u64 - 1) * N as u64;
+    for round in 0..40u32 {
+        let handled = Arc::new(AtomicU64::new(0));
+        let cluster = EventCluster::with_config(
+            RuntimeConfig {
+                workers: 8,
+                ..Default::default()
+            },
+            N,
+            |_| Relay {
+                seen: BTreeSet::new(),
+                handled: Arc::clone(&handled),
+            },
+        );
+        let invokes = N as u32 * 10;
+        for i in 0..invokes {
+            cluster.invoke((i % N as u32) as Pid, round * 1000 + i);
+            if i % 2 == 0 {
+                // Interleave quiesce with live traffic: it must block
+                // until relays have drained, not deadlock and not
+                // return early.
+                cluster.quiesce();
+                assert_eq!(
+                    handled.load(Ordering::SeqCst),
+                    (i as u64 + 1) * PER_INVOKE,
+                    "round {round}: quiesce returned after invoke {i} with messages in flight"
+                );
+            }
+        }
+        let nodes = cluster.shutdown();
+        let expect: BTreeSet<u32> = (0..invokes).map(|i| round * 1000 + i).collect();
+        for (pid, node) in nodes.iter().enumerate() {
+            assert_eq!(
+                node.seen, expect,
+                "round {round}: node {pid} missed relayed messages"
+            );
+        }
+    }
 }
 
 #[test]

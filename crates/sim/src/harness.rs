@@ -1,21 +1,19 @@
 //! The runtime-generic harness for driving [`Protocol`] state
-//! machines, plus the typed node-failure error every real runtime
-//! reports.
+//! machines, plus the typed node-failure error a thread-backed
+//! runtime reports.
 //!
-//! Three runtimes execute the same protocols: the deterministic
-//! [`Simulation`](crate::scheduler::Simulation), the thread-per-node
-//! [`ThreadedCluster`](crate::threaded::ThreadedCluster), and the
-//! event-driven `EventCluster` (crate `uc-runtime`). Tests and benches
-//! that only need *invoke → quiesce → inspect* semantics are written
-//! once against [`ClusterHarness`] and run on all of them — which is
-//! what makes the cross-runtime differential tests possible: the same
-//! driver function produces states from every runtime and asserts them
+//! Two runtimes execute the same protocols: the deterministic
+//! [`Simulation`](crate::scheduler::Simulation) and the event-driven
+//! `EventCluster` (crate `uc-runtime`). Tests and benches that only
+//! need *invoke → quiesce → inspect* semantics are written once
+//! against [`ClusterHarness`] and run on both — which is what makes
+//! the cross-runtime differential tests possible: the same driver
+//! function produces states from each runtime and asserts them
 //! identical.
 
 use crate::metrics::Metrics;
 use crate::process::{Pid, Protocol};
 use crate::scheduler::Simulation;
-use crate::threaded::ThreadedCluster;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -44,8 +42,8 @@ impl fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
-/// Extract a printable message from a caught panic payload (shared by
-/// every runtime that turns node panics into [`NodeError`]s).
+/// Extract a printable message from a caught panic payload (for a
+/// runtime that turns node panics into [`NodeError`]s).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
@@ -111,13 +109,12 @@ impl PoisonTable {
     }
 }
 
-/// The quiescence spin both thread-backed runtimes share: wait for the
+/// The quiescence spin of a thread-backed runtime: wait for the
 /// in-flight counter to drain, surfacing a poisoned node instead of
 /// waiting on messages a corpse can never process. The ordering is
-/// load-bearing in both runtimes: a panicking activation drains its
-/// batch from the counter only *after* recording its poison, so the
-/// re-check after a stable zero can never miss a record and return a
-/// false `Ok`.
+/// load-bearing: a panicking activation drains its batch from the
+/// counter only *after* recording its poison, so the re-check after a
+/// stable zero can never miss a record and return a false `Ok`.
 pub fn quiesce_spin(
     in_flight: &AtomicI64,
     poisoned: impl Fn() -> Option<NodeError>,
@@ -147,8 +144,8 @@ pub fn quiesce_spin(
 /// observed, and torn down — the common surface of every runtime.
 ///
 /// `invoke` takes `&mut self` so the deterministic simulator (whose
-/// invocations mutate the event queue) can implement it; the
-/// thread-backed runtimes simply delegate to their `&self` entry
+/// invocations mutate the event queue) can implement it; a
+/// thread-backed runtime simply delegates to its `&self` entry
 /// points.
 pub trait ClusterHarness<P: Protocol> {
     /// Invoke an operation on `pid` and return its (local, wait-free)
@@ -199,30 +196,6 @@ impl<P: Protocol> ClusterHarness<P> for Simulation<P> {
     }
 }
 
-impl<P> ClusterHarness<P> for ThreadedCluster<P>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send,
-    P::Input: Send,
-    P::Output: Send,
-{
-    fn invoke(&mut self, pid: Pid, input: P::Input) -> P::Output {
-        ThreadedCluster::invoke(self, pid, input)
-    }
-
-    fn quiesce(&mut self) {
-        ThreadedCluster::quiesce(self);
-    }
-
-    fn metrics(&self) -> Metrics {
-        ThreadedCluster::metrics(self)
-    }
-
-    fn into_nodes(self) -> Vec<P> {
-        self.shutdown()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,7 +223,8 @@ mod tests {
         }
     }
 
-    /// One driver, every runtime: the point of the trait.
+    /// Written against the trait alone: `uc-runtime`'s tests run the
+    /// same shape of driver on `EventCluster`.
     fn drive<H: ClusterHarness<Gossip>>(mut h: H) -> Vec<std::collections::BTreeSet<u32>> {
         for i in 0..12u32 {
             h.invoke((i % 3) as Pid, i);
@@ -263,12 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn simulation_and_threaded_agree_through_the_harness() {
+    fn the_simulation_runs_through_the_harness() {
         let sim = Simulation::new(SimConfig::default_async(3, 7), |_| Gossip::default());
-        let threaded = ThreadedCluster::spawn(3, |_| Gossip::default());
         let a = drive(sim);
-        let b = drive(threaded);
-        assert_eq!(a, b);
         let expect: std::collections::BTreeSet<u32> = (0..12).collect();
         assert_eq!(a, vec![expect.clone(), expect.clone(), expect]);
     }

@@ -4,9 +4,9 @@
 //! processes over a complete, reliable, asynchronous network, where
 //! any number of processes may crash and every operation must complete
 //! on local knowledge alone (wait-freedom). We do not have a cluster;
-//! per the substitution policy in DESIGN.md this crate provides two
-//! runtimes that exercise exactly the behaviours the algorithms depend
-//! on:
+//! this crate provides the executor that exercises exactly the
+//! behaviours the algorithms depend on, and that every other executor
+//! is checked against:
 //!
 //! * [`scheduler::Simulation`] — a **deterministic discrete-event
 //!   simulator**: seeded latency models ([`network::LatencyModel`]),
@@ -19,18 +19,15 @@
 //!   duplication/reorder, outage windows, and flap schedules that
 //!   **drop** instead of delay — and [`reliable::ReliableLink`]
 //!   restores eventual delivery on top via sequence-numbered
-//!   retransmission with backoff;
-//! * [`threaded::ThreadedCluster`] — one OS thread per process with
-//!   crossbeam channels as links, for stochastic interleavings under
-//!   real concurrency.
+//!   retransmission with backoff.
 //!
-//! Protocols implement [`process::Protocol`] once and run unchanged on
-//! both runtimes — and on the event-driven `EventCluster` of the
-//! `uc-runtime` crate, which multiplexes thousands of instances onto a
-//! small worker pool. The [`harness::ClusterHarness`] trait is the
+//! Protocols implement [`process::Protocol`] once and run unchanged
+//! here and on the event-driven `EventCluster` of the `uc-runtime`
+//! crate, which multiplexes thousands of instances onto a small pool
+//! of real threads. The [`harness::ClusterHarness`] trait is the
 //! runtime-generic driving surface (invoke/quiesce/metrics/teardown)
-//! all three implement, and [`harness::NodeError`] the typed error the
-//! thread-backed runtimes report when a node's activation panics.
+//! both implement, and [`harness::NodeError`] the typed error a
+//! thread-backed runtime reports when a node's activation panics.
 //! [`workload`] generates the random and conflict workloads of the
 //! §VI/§VII experiments; [`rng`] provides the seeded PRNG and Zipf
 //! sampler everything shares.
@@ -47,7 +44,6 @@ pub mod process;
 pub mod reliable;
 pub mod rng;
 pub mod scheduler;
-pub mod threaded;
 pub mod topology;
 pub mod trace;
 pub mod workload;
@@ -60,7 +56,6 @@ pub use process::{Ctx, Pid, Protocol};
 pub use reliable::{LinkMsg, LinkStats, ReliableLink, RetryConfig};
 pub use rng::{SplitMix64, Zipf};
 pub use scheduler::{SimConfig, Simulation};
-pub use threaded::ThreadedCluster;
 pub use topology::{FlapSchedule, LinkModel, LinkOutage, SendPlan, Topology};
 pub use trace::InvocationRecord;
 pub use workload::{

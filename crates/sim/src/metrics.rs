@@ -77,9 +77,9 @@ impl Metrics {
     }
 
     /// Record one delivery activation flushing `batch` messages to
-    /// `to` — the single accounting point every runtime (deterministic,
-    /// threaded, event) reports through, so per-node delivery counts
-    /// and the batch-size histogram stay comparable across them.
+    /// `to` — the single accounting point both runtimes (deterministic,
+    /// event) report through, so per-node delivery counts and the
+    /// batch-size histogram stay comparable across them.
     pub fn on_delivery(&mut self, to: Pid, batch: u64) {
         self.messages_delivered += batch;
         self.delivery_activations += 1;
@@ -195,7 +195,7 @@ impl Metrics {
 /// the runtime's network layer. Protocol nodes on any thread bump the
 /// atomics; each runtime's `ClusterHarness::metrics` folds an attached
 /// set into the [`Metrics`] it returns, so the counters surface
-/// uniformly across the deterministic, threaded, and event runtimes.
+/// uniformly across the deterministic and event runtimes.
 #[derive(Debug, Default)]
 pub struct LinkCounters {
     /// Retransmissions performed by a reliable-delivery layer.

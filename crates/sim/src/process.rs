@@ -31,9 +31,9 @@ pub trait Protocol {
     /// Handle a burst of messages flushed to this process together.
     ///
     /// Both runtimes coalesce deliveries when batching is enabled (the
-    /// simulator aligns delivery times to a flush window, the threaded
-    /// runtime drains its inbox greedily) and hand the burst here in
-    /// one activation. The default unbundles the batch into
+    /// simulator aligns delivery times to a flush window, the event
+    /// runtime drains a node's mailbox greedily) and hand the burst
+    /// here in one activation. The default unbundles the batch into
     /// [`Protocol::on_message`] calls; protocols with a cheaper bulk
     /// ingest path (e.g. replicas that repair their state once per
     /// batch instead of once per message) override it.

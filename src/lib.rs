@@ -4,15 +4,15 @@
 //! Objects* (Perrin, Mostéfaoui, Jard — IPDPS 2015) as a Rust
 //! workspace. This facade crate re-exports the public API of every
 //! workspace crate; see the README for the architecture overview and
-//! `EXPERIMENTS.md` for the paper-versus-measured record.
+//! the `uc-bench` crate docs for the index of experiment binaries.
 //!
 //! * [`spec`] — UQ-ADT formalism and sequential specifications;
 //! * [`history`] — distributed histories as labelled partial orders;
 //! * [`criteria`] — decision procedures for EC / SEC / PC / UC / SUC;
-//! * [`sim`] — wait-free asynchronous message-passing substrate
-//!   (deterministic simulator + threaded runtime, both with batched
-//!   message flushing, unified behind the
-//!   [`ClusterHarness`](sim::ClusterHarness) trait);
+//! * [`sim`] — wait-free asynchronous message-passing substrate: the
+//!   deterministic simulator, with batched message flushing, and the
+//!   [`ClusterHarness`](sim::ClusterHarness) trait it shares with the
+//!   event runtime;
 //! * [`runtime`] — the event-driven async runtime:
 //!   [`EventCluster`](runtime::EventCluster) multiplexes thousands of
 //!   protocol instances onto a small worker pool, with a virtual-timer

@@ -1,10 +1,11 @@
 //! Cross-check under real concurrency: the same replica code the
-//! deterministic simulator drives, on OS threads with crossbeam
-//! channels, converges for every object family.
+//! deterministic simulator drives, on the event runtime's worker
+//! threads, converges for every object family.
 
 use update_consistency::core::{GenericReplica, OpInput, OpOutput, Replica, ReplicaNode, UcMemory};
 use update_consistency::crdt::{OrSet, SetNode, SetOp, SetReplica};
-use update_consistency::sim::{Pid, ThreadedCluster};
+use update_consistency::runtime::EventCluster;
+use update_consistency::sim::Pid;
 use update_consistency::spec::{MemoryAdt, MemoryUpdate, SetAdt, SetUpdate};
 
 type SetReplicaNode = ReplicaNode<SetAdt<u32>, GenericReplica<SetAdt<u32>>>;
@@ -13,7 +14,7 @@ type MemNode = ReplicaNode<MemoryAdt<u32, u64>, UcMemory<u32, u64>>;
 #[test]
 fn algorithm1_converges_on_threads() {
     let n = 4;
-    let cluster: ThreadedCluster<SetReplicaNode> = ThreadedCluster::spawn(n, |pid| {
+    let cluster: EventCluster<SetReplicaNode> = EventCluster::spawn(n, |pid| {
         ReplicaNode::untraced(GenericReplica::new(SetAdt::new(), pid))
     });
     for i in 0..100u32 {
@@ -38,8 +39,8 @@ fn algorithm1_converges_on_threads() {
 #[test]
 fn algorithm2_converges_on_threads() {
     let n = 3;
-    let cluster: ThreadedCluster<MemNode> =
-        ThreadedCluster::spawn(n, |pid| ReplicaNode::untraced(UcMemory::new(0u64, pid)));
+    let cluster: EventCluster<MemNode> =
+        EventCluster::spawn(n, |pid| ReplicaNode::untraced(UcMemory::new(0u64, pid)));
     for i in 0..120u64 {
         let pid = (i % n as u64) as Pid;
         cluster.invoke(
@@ -63,8 +64,8 @@ fn algorithm2_converges_on_threads() {
 #[test]
 fn or_set_converges_on_threads() {
     let n = 3;
-    let cluster: ThreadedCluster<SetNode<u32, OrSet<u32>>> =
-        ThreadedCluster::spawn(n, |pid| SetNode::new(OrSet::new(pid)));
+    let cluster: EventCluster<SetNode<u32, OrSet<u32>>> =
+        EventCluster::spawn(n, |pid| SetNode::new(OrSet::new(pid)));
     for i in 0..90u32 {
         let pid = (i % n as u32) as Pid;
         let op = if i % 4 == 0 {
@@ -86,7 +87,7 @@ fn queries_are_wait_free_even_with_inflight_traffic() {
     // Queries return immediately regardless of how much traffic is in
     // flight; no deadlock, no blocking on peers.
     let n = 3;
-    let cluster: ThreadedCluster<SetReplicaNode> = ThreadedCluster::spawn(n, |pid| {
+    let cluster: EventCluster<SetReplicaNode> = EventCluster::spawn(n, |pid| {
         ReplicaNode::untraced(GenericReplica::new(SetAdt::new(), pid))
     });
     for i in 0..50u32 {
