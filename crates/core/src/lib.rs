@@ -18,10 +18,10 @@
 //! | [`gc`] | [`StableGc`] strategy; [`GcReplica`] — stability-based log compaction | §VII-C |
 //! | [`memory`] | [`UcMemory`] — Algorithm 2, LWW shared memory | Alg. 2 |
 //! | [`replica`] | the wait-free replica trait all variants share (incl. [`Replica::on_batch`]) | §VII-A |
-//! | [`store`] | [`UcStore`] — sharded multi-object store: one engine per key, one clock per replica | partitionable follow-up |
+//! | [`store`] | [`UcStore`] — sharded multi-object store: one engine per key, one clock per replica; its crate-private `ShardSet` is the data plane (every shard-level operation and monitor hook, written once) that the store calls inline and each pool worker calls from its job loop | partitionable follow-up |
 //! | [`inbox`] | [`Inbox`] — lock-free bounded MPSC claim-pattern inbox (Treiber push, swap-claim drain) | perf engineering |
 //! | [`snapshot`] | [`Published`] — single-writer epoch-published snapshot cell for wait-free reads | perf engineering |
-//! | [`pool`] | [`IngestPool`]/[`PoolHandle`] — persistent shard workers fed by claim inboxes, wait-free snapshot reads, flush barriers, drain-on-drop | perf engineering |
+//! | [`pool`] | [`IngestPool`]/[`PoolHandle`] — persistent workers, each owning a stride of the store's shards as its own `ShardSet`, fed by claim inboxes; wait-free snapshot reads, flush barriers, drain-on-drop | perf engineering |
 //! | [`observe`] | shared telemetry glue: streaming-monitor counters → `uc-obs` registry | observability |
 //! | [`sim_adapter`] | run replicas on `uc-sim`; turn traces into checkable histories + SUC witnesses | Prop. 4 |
 //! | [`convergence`] | cross-replica convergence checks | Defs. 5/8 |

@@ -125,9 +125,15 @@
 //! The pool implements [`Protocol`], so a pooled store runs unchanged
 //! under `uc-runtime`'s `EventCluster` (real ingest concurrency) and
 //! the deterministic simulator. It is the same replica as the sequential
-//! [`UcStore`]: the protocol bodies (`node`) and the partition posture
-//! and heal dialogue ([`heal`](crate::heal)) are shared code, which
-//! the pool runs over worker jobs (`ShardAccess` on its handle).
+//! [`UcStore`], above the shards and at them: the protocol bodies
+//! (`node`) and the partition posture and heal dialogue
+//! ([`heal`](crate::heal)) are shared code, which the pool runs over
+//! worker jobs (`ShardAccess` on its handle), and each worker's shards
+//! are a `ShardSet` — the store's own data plane, dealt out by stride
+//! — so a job is one call into the method the store calls inline.
+//! What is the pool's alone is what crosses threads: the inboxes, the
+//! published snapshots, and the relaxed mirrors of each worker's
+//! counters (`SharedCounters`, `MonitorCells`).
 
 use crate::backend::{BackendFactory, MemFactory};
 use crate::engine::CutError;
@@ -137,8 +143,9 @@ use crate::message::UpdateMsg;
 use crate::node::{self, Node};
 use crate::snapshot::Published;
 use crate::store::{
-    collapse_heartbeats, shard_index, split_by_shard, AvailabilityPolicy, Key, PartitionTracker,
-    Shard, StoreInput, StoreMsg, StoreOutput, StoreSnapshot, StrategyFactory, UcStore,
+    collapse_heartbeats, shard_index, split_by_shard, AvailabilityPolicy, Bucket, Key,
+    PartitionTracker, ShardSet, StoreInput, StoreMsg, StoreOutput, StoreSnapshot, StrategyFactory,
+    UcStore,
 };
 use crate::timestamp::{LamportClock, Timestamp};
 use std::collections::{BTreeMap, HashMap};
@@ -150,7 +157,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use uc_criteria::online::{MonitorConfig, MonitorStats, OnlineMonitor};
+use uc_criteria::online::{MonitorConfig, MonitorStats};
 use uc_history::fxhash::FxHasher;
 use uc_obs::{Health, Registry};
 use uc_sim::{Ctx, LinkCounters, Pid, Protocol};
@@ -485,29 +492,25 @@ impl MonitorCells {
     }
 }
 
-/// One shard's slice of a burst: `(key, message)` pairs bound for
-/// that shard's per-key engines.
-type Bucket<A> = Vec<(Key, UpdateMsg<<A as UqAdt>::Update>)>;
-
 /// A burst split per shard, tagged with global shard indices.
 type ShardBuckets<A> = Vec<(usize, Bucket<A>)>;
 
-/// The shards one worker owns, tagged with global shard indices.
-type OwnedShards<A, S, B> = Vec<(usize, Shard<A, S, B>)>;
-
-/// One unit of work on a worker's inbox.
+/// One unit of work on a worker's inbox: an operation of the worker's
+/// [`ShardSet`] (the same one a [`UcStore`] calls inline) plus, where
+/// it answers, the channel the answer goes back through.
 enum Job<A: UqAdt> {
-    /// Per-shard buckets of one submitted burst (global shard index).
+    /// [`ShardSet::ingest`]: per-shard buckets of one submitted burst
+    /// (global shard index).
     Ingest(ShardBuckets<A>),
-    /// A locally issued update, already stamped by the shared clock.
+    /// [`ShardSet::insert_local`]: a locally issued update, already
+    /// stamped by the shared clock.
     Update {
         /// Global shard index of `key`.
         shard: usize,
         key: Key,
         msg: UpdateMsg<A::Update>,
     },
-    /// A query against the handle's already-ticked clock; the answer
-    /// goes back through `reply`.
+    /// [`ShardSet::query`] against the handle's already-ticked clock.
     Query {
         shard: usize,
         key: Key,
@@ -515,36 +518,31 @@ enum Job<A: UqAdt> {
         q: A::QueryIn,
         reply: Sender<A::QueryOut>,
     },
-    /// A peer clock announcement: every owned shard records it and
-    /// sweeps it over its live engines.
+    /// [`ShardSet::heartbeat`]: a peer clock announcement.
     Heartbeat { pid: u32, clock: u64 },
-    /// Run per-key maintenance (compaction) on every live engine.
-    /// Carries the shared clock's value so an attached monitor can
-    /// fold its own node's progress into the stability watermark.
+    /// [`ShardSet::maintain`]: compaction, then the monitor's window
+    /// roll. Carries the shared clock's value so an attached monitor
+    /// can fold its own node's progress into the stability watermark.
     Maintain {
         /// The shared Lamport clock at push time.
         clock: u64,
     },
-    /// Attach a streaming consistency monitor to this worker. Each
-    /// worker owns a disjoint shard (hence key) set, so per-worker
-    /// monitors never see each other's keys and their counters sum
-    /// exactly. Keys that already have engines are excluded — the
-    /// monitor never judges history it did not watch.
+    /// [`ShardSet::attach_monitor`] on this worker's shards. Workers
+    /// own disjoint shards (hence keys), so per-worker monitors never
+    /// see each other's keys and their counters sum exactly.
     AttachMonitor {
         /// Sampling / window / peer configuration.
         cfg: MonitorConfig,
         /// Handle-side mirror the worker publishes stats into.
         cells: Arc<MonitorCells>,
     },
-    /// Flush the storage backend of every engine that journaled or
-    /// moved its clock since the last flush (durability point).
+    /// [`ShardSet::flush_backends`] (durability point).
     FlushBackends,
     /// Flush barrier: ack once every earlier job on this inbox is done.
     Barrier(Sender<()>),
-    /// Cut barrier: evaluate the snapshot cut against every owned
-    /// key's log (fold of the prefix stamped `≤ cut`) and reply with
-    /// the per-key states — without stopping ingest on other workers.
-    /// FIFO inboxes make the reply reflect every earlier submission.
+    /// Cut barrier, [`ShardSet::cut`]: the per-key states at the cut
+    /// — without stopping ingest on other workers. FIFO inboxes make
+    /// the reply reflect every earlier submission.
     Cut {
         /// The cut timestamp.
         cut: u64,
@@ -552,9 +550,9 @@ enum Job<A: UqAdt> {
         #[allow(clippy::type_complexity)]
         reply: Sender<Result<Vec<(Key, <A as UqAdt>::State)>, CutError>>,
     },
-    /// [`ShardAccess::digest_suffix`] over this worker's shards. Workers
-    /// own disjoint shards, so the handle merges the per-worker slot
-    /// arrays into exactly the digests the inline executor folds.
+    /// [`ShardSet::digest_suffix`]. Workers own disjoint shards, so
+    /// the handle merges the per-worker slot arrays into exactly the
+    /// digests the inline executor folds.
     DigestSuffix {
         since: u64,
         exclude_pid: u32,
@@ -562,13 +560,13 @@ enum Job<A: UqAdt> {
         ranges: u32,
         reply: Sender<Vec<HealDigest>>,
     },
-    /// [`ShardAccess::heal_candidates`] over this worker's shards.
+    /// [`ShardSet::heal_candidates`].
     HealCandidates {
         since: u64,
         #[allow(clippy::type_complexity)]
         reply: Sender<Vec<(usize, Key)>>,
     },
-    /// [`ShardAccess::collect_window`] on the worker that owns `shard`.
+    /// [`ShardSet::collect_window`] on the worker that owns `shard`.
     CollectWindow {
         shard: usize,
         key: Key,
@@ -578,8 +576,7 @@ enum Job<A: UqAdt> {
         #[allow(clippy::type_complexity)]
         reply: Sender<(Vec<UpdateMsg<<A as UqAdt>::Update>>, bool)>,
     },
-    /// [`ShardAccess::set_retention`] on this worker's shards — see
-    /// [`RepairStrategy::set_retention_cap`](crate::engine::RepairStrategy::set_retention_cap).
+    /// [`ShardSet::set_retention`].
     Retention { cap: Option<u64> },
 }
 
@@ -685,7 +682,7 @@ impl ClockLease {
 
 /// State shared by every [`PoolHandle`], the [`IngestPool`], and the
 /// workers. Generic over the ADT only — worker-side strategy and
-/// backend state lives in each worker's `WorkerState`.
+/// backend state lives in each worker's [`ShardSet`].
 struct PoolCore<A: UqAdt> {
     pid: u32,
     clock: LamportClock,
@@ -711,265 +708,6 @@ struct PoolCore<A: UqAdt> {
 impl<A: UqAdt> PoolCore<A> {
     fn worker_of(&self, shard: usize) -> usize {
         shard % self.inboxes.len()
-    }
-}
-
-/// Everything a worker owns: its shards plus what engine creation
-/// needs on first touch of a key.
-struct WorkerState<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
-    /// `(global shard index, shard)`, in ascending index order.
-    shards: OwnedShards<A, F::Strategy, P::Backend>,
-    adt: A,
-    pid: u32,
-    factory: F,
-    persist: P,
-    /// Streaming consistency monitor over this worker's keys (see
-    /// [`Job::AttachMonitor`]); `None` until one is attached.
-    monitor: Option<OnlineMonitor<A>>,
-    /// Where monitor stats are mirrored for the handle to read.
-    monitor_cells: Option<Arc<MonitorCells>>,
-}
-
-/// Flush every engine backend of a worker's owned shards — shared by
-/// the `FlushBackends` job and both worker-exit paths (drain-on-drop
-/// and poisoning), so the flush discipline cannot drift between them.
-fn flush_owned_shards<A, S, B>(shards: &mut [(usize, Shard<A, S, B>)])
-where
-    A: UqAdt + Clone,
-    S: crate::engine::RepairStrategy<A>,
-    B: crate::backend::LogBackend<A>,
-{
-    for (_, shard) in shards {
-        shard.flush_backends();
-    }
-}
-
-/// The slot of shard `global` among a worker's owned shards (a handful
-/// of entries; linear scan beats hashing).
-fn shard_slot<A: UqAdt, S, B>(shards: &[(usize, Shard<A, S, B>)], global: usize) -> usize {
-    shards
-        .iter()
-        .position(|(idx, _)| *idx == global)
-        .expect("shard routed to its owning worker")
-}
-
-fn shard_mut<A: UqAdt, S, B>(
-    shards: &mut [(usize, Shard<A, S, B>)],
-    global: usize,
-) -> &mut Shard<A, S, B> {
-    let slot = shard_slot(shards, global);
-    &mut shards[slot].1
-}
-
-impl<A, F, P> WorkerState<A, F, P>
-where
-    A: UqAdt + Clone,
-    F: StrategyFactory<A>,
-    P: BackendFactory<A>,
-{
-    /// Flush every owned engine's storage backend (both worker-exit
-    /// paths run this, so no join ever leaves an unsynced segment
-    /// behind; the `FlushBackends` job shares the same helper).
-    fn flush_backends(&mut self) {
-        flush_owned_shards(&mut self.shards);
-    }
-
-    fn run(&mut self, job: Job<A>, counters: &SharedCounters) {
-        let WorkerState {
-            shards,
-            adt,
-            pid,
-            factory,
-            persist,
-            monitor,
-            monitor_cells,
-        } = self;
-        // Insertions lengthen a live list and compaction shortens it;
-        // no other job touches one.
-        let changes_live_lists = matches!(
-            job,
-            Job::Ingest(_) | Job::Update { .. } | Job::Heartbeat { .. } | Job::Maintain { .. }
-        );
-        match job {
-            Job::Ingest(buckets) => {
-                counters.batches.fetch_add(1, Ordering::Relaxed);
-                for (global, bucket) in buckets {
-                    counters
-                        .messages
-                        .fetch_add(bucket.len() as u64, Ordering::Relaxed);
-                    if let Some(mon) = monitor.as_mut() {
-                        for (key, msg) in &bucket {
-                            mon.observe_update(*key, msg.ts.clock, msg.ts.pid, &msg.update);
-                        }
-                    }
-                    shard_mut(shards, global).ingest(bucket, adt, *pid, factory, persist);
-                }
-            }
-            Job::Update { shard, key, msg } => {
-                counters.messages.fetch_add(1, Ordering::Relaxed);
-                let sh = shard_mut(shards, shard);
-                sh.note_clock(msg.ts.clock);
-                if let Some(mon) = monitor.as_mut() {
-                    mon.observe_update(key, msg.ts.clock, msg.ts.pid, &msg.update);
-                }
-                sh.insert_into(key, adt, *pid, factory, persist, |engine| {
-                    engine.local_update_at(msg.ts, msg.update)
-                });
-            }
-            Job::Query {
-                shard,
-                key,
-                now,
-                q,
-                reply,
-            } => {
-                let sh = shard_mut(shards, shard);
-                let out = if let Some(engine) = sh.engine_mut(key) {
-                    let out = engine.do_query_at(now, &q);
-                    if let Some(mon) = monitor.as_mut() {
-                        if mon.sampled(key) {
-                            let state = engine.materialize();
-                            mon.check_query_state(key, &state);
-                        }
-                    }
-                    out
-                } else {
-                    // Untouched keys answer from the initial state
-                    // without materializing an engine (same as
-                    // `UcStore::query`).
-                    if let Some(mon) = monitor.as_mut() {
-                        mon.check_query_state(key, &adt.initial());
-                    }
-                    adt.observe(&adt.initial(), &q)
-                };
-                // The handle may have given up waiting (poisoned
-                // pool); a dead reply channel is not this worker's
-                // problem.
-                let _ = reply.send(out);
-            }
-            Job::Heartbeat { pid, clock } => {
-                if let Some(mon) = monitor.as_mut() {
-                    mon.observe_heartbeat(pid, clock);
-                }
-                for (_, shard) in shards {
-                    shard.observe_peer_clock(pid, clock);
-                }
-            }
-            Job::Maintain { clock } => {
-                if let Some(mon) = monitor.as_mut() {
-                    // The maintenance tick doubles as the monitor's
-                    // window roll: fold our own progress into the
-                    // stability watermark, compact finalized prefixes,
-                    // then EC-sweep the sampled keys' live states.
-                    mon.observe_heartbeat(*pid, clock);
-                    mon.tick();
-                    for (_, shard) in shards.iter_mut() {
-                        for (key, engine) in shard.engines_mut() {
-                            if mon.sampled(key) {
-                                let state = engine.materialize();
-                                mon.check_tick_state(key, &state);
-                            }
-                        }
-                    }
-                }
-                for (_, shard) in shards {
-                    shard.tick_maintenance();
-                }
-            }
-            Job::FlushBackends => {
-                flush_owned_shards(shards);
-            }
-            Job::Barrier(reply) => {
-                let _ = reply.send(());
-            }
-            Job::Cut { cut, reply } => {
-                let mut out = Vec::new();
-                let mut failed = None;
-                'shards: for (_, shard) in shards.iter_mut() {
-                    for (key, engine) in shard.engines_mut() {
-                        match engine.state_at_cut(cut) {
-                            Ok(state) => out.push((key, state)),
-                            Err(e) => {
-                                failed = Some(e);
-                                break 'shards;
-                            }
-                        }
-                    }
-                }
-                if failed.is_none() {
-                    if let Some(mon) = monitor.as_mut() {
-                        for (key, state) in &out {
-                            mon.observe_cut(cut, *key, state);
-                        }
-                    }
-                }
-                // A dead reply channel (caller gave up on a poisoned
-                // pool) is not this worker's problem.
-                let _ = reply.send(match failed {
-                    Some(e) => Err(e),
-                    None => Ok(out),
-                });
-            }
-            Job::DigestSuffix {
-                since,
-                exclude_pid,
-                groups,
-                ranges,
-                reply,
-            } => {
-                let mut slots = vec![HealDigest::default(); (groups as usize) * (ranges as usize)];
-                for (_, shard) in shards.iter_mut() {
-                    shard.fold_digest(since, exclude_pid, groups, ranges, &mut slots);
-                }
-                let _ = reply.send(slots);
-            }
-            Job::HealCandidates { since, reply } => {
-                let mut out = Vec::new();
-                for (_, shard) in shards.iter() {
-                    shard.heal_candidates(since, &mut out);
-                }
-                let _ = reply.send(out);
-            }
-            Job::CollectWindow {
-                shard,
-                key,
-                since,
-                after,
-                limit,
-                reply,
-            } => {
-                let out = shard_mut(shards, shard).suffix_window(key, since, after, limit);
-                let _ = reply.send(out);
-            }
-            Job::Retention { cap } => {
-                for (_, shard) in shards {
-                    shard.set_retention_cap(cap);
-                }
-            }
-            Job::AttachMonitor { cfg, cells } => {
-                let mut mon = OnlineMonitor::new(adt.clone(), cfg);
-                for (_, shard) in shards.iter() {
-                    mon.exclude_keys(shard.keys());
-                }
-                *monitor = Some(mon);
-                *monitor_cells = Some(cells);
-            }
-        }
-        // Mirror the (worker-private) monitor counters for the handle
-        // after every job — ~15 relaxed stores, only when attached.
-        if let (Some(mon), Some(cells)) = (monitor.as_ref(), monitor_cells.as_ref()) {
-            cells.publish(mon.stats());
-        }
-        if changes_live_lists {
-            self.publish_live_keys(counters);
-        }
-    }
-
-    /// Mirror the owned shards' live-list lengths for the handle
-    /// (relaxed: a gauge; a barrier's ack orders it for the reader).
-    fn publish_live_keys(&self, counters: &SharedCounters) {
-        let live = self.shards.iter().map(|(_, s)| s.live_keys()).sum();
-        counters.live_keys.store(live, Ordering::Relaxed);
     }
 }
 
@@ -999,7 +737,7 @@ struct Mirror<A: UqAdt> {
 /// the lists hold a key once, and one publication covers however
 /// many writes came before it.
 struct SnapPublisher<A: UqAdt> {
-    /// One per owned shard, in `WorkerState::shards` order.
+    /// One per owned shard, in [`ShardSet::slot`] order.
     mirrors: Vec<Mirror<A>>,
     seq: u64,
     /// `(global shard, key)` of the updates applied since the pass in
@@ -1100,7 +838,7 @@ impl<A: UqAdt> SnapPublisher<A> {
     fn publish_key<F, P>(
         &mut self,
         core: &PoolCore<A>,
-        state: &mut WorkerState<A, F, P>,
+        shards: &mut ShardSet<A, F, P>,
         slot: usize,
         key: Key,
         tally: &mut PublishTally,
@@ -1109,7 +847,7 @@ impl<A: UqAdt> SnapPublisher<A> {
         F: StrategyFactory<A>,
         P: BackendFactory<A>,
     {
-        let Some(engine) = state.shards[slot].1.engine_mut(key) else {
+        let Some(engine) = shards.engine_mut(self.mirrors[slot].shard, key) else {
             return;
         };
         let (snapshot, copied) = engine.shared_state();
@@ -1163,12 +901,15 @@ enum Turn {
     Poisoned,
 }
 
-/// One worker thread's world: its shards, its inbox (by index into the
-/// shared core) and its snapshot publisher.
+/// One worker thread's world: its stride of the replica's shards, its
+/// inbox (by index into the shared core) and its snapshot publisher.
 struct Worker<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
-    state: WorkerState<A, F, P>,
+    shards: ShardSet<A, F, P>,
     core: Arc<PoolCore<A>>,
     widx: usize,
+    /// Where the shards' monitor counters are mirrored for the handle
+    /// to read; `None` until [`Job::AttachMonitor`].
+    monitor_cells: Option<Arc<MonitorCells>>,
     publisher: SnapPublisher<A>,
     /// Claimed and not yet run.
     batch: Vec<Job<A>>,
@@ -1180,24 +921,112 @@ where
     F: StrategyFactory<A>,
     P: BackendFactory<A>,
 {
-    fn new(state: WorkerState<A, F, P>, core: Arc<PoolCore<A>>, widx: usize) -> Self {
-        // A store may arrive with live keys (a respawned pool, a reopen).
-        state.publish_live_keys(&core.counters[widx]);
-        let publisher = SnapPublisher::new(state.shards.iter().map(|(idx, _)| *idx));
-        Worker {
-            state,
+    fn new(shards: ShardSet<A, F, P>, core: Arc<PoolCore<A>>, widx: usize) -> Self {
+        let publisher = SnapPublisher::new(shards.indices());
+        let worker = Worker {
+            shards,
             core,
             widx,
+            monitor_cells: None,
             publisher,
             batch: Vec::new(),
+        };
+        // A store may arrive with live keys (a respawned pool, a reopen).
+        worker.publish_live_keys();
+        worker
+    }
+
+    /// Run one job: a call into the shard set, the answer sent back. A
+    /// dead reply channel (the caller gave up on a poisoned pool) is
+    /// not this worker's problem.
+    fn run(&mut self, job: Job<A>) {
+        let counters = &self.core.counters[self.widx];
+        let shards = &mut self.shards;
+        // Insertions lengthen a live list and compaction shortens it;
+        // no other job touches one.
+        let changes_live_lists = matches!(
+            job,
+            Job::Ingest(_) | Job::Update { .. } | Job::Heartbeat { .. } | Job::Maintain { .. }
+        );
+        match job {
+            Job::Ingest(buckets) => {
+                counters.batches.fetch_add(1, Ordering::Relaxed);
+                let taken = shards.ingest(buckets);
+                counters.messages.fetch_add(taken, Ordering::Relaxed);
+            }
+            Job::Update { shard, key, msg } => {
+                counters.messages.fetch_add(1, Ordering::Relaxed);
+                shards.insert_local(shard, key, msg.ts, msg.update);
+            }
+            Job::Query {
+                shard,
+                key,
+                now,
+                q,
+                reply,
+            } => {
+                let _ = reply.send(shards.query(shard, key, now, &q));
+            }
+            Job::Heartbeat { pid, clock } => shards.heartbeat(pid, clock),
+            Job::Maintain { clock } => shards.maintain(clock),
+            Job::FlushBackends => shards.flush_backends(),
+            Job::Barrier(reply) => {
+                let _ = reply.send(());
+            }
+            Job::Cut { cut, reply } => {
+                let _ = reply.send(shards.cut(cut));
+            }
+            Job::DigestSuffix {
+                since,
+                exclude_pid,
+                groups,
+                ranges,
+                reply,
+            } => {
+                let _ = reply.send(shards.digest_suffix(since, exclude_pid, groups, ranges));
+            }
+            Job::HealCandidates { since, reply } => {
+                let _ = reply.send(shards.heal_candidates(since));
+            }
+            Job::CollectWindow {
+                shard,
+                key,
+                since,
+                after,
+                limit,
+                reply,
+            } => {
+                let _ = reply.send(shards.collect_window(shard, key, since, after, limit));
+            }
+            Job::Retention { cap } => shards.set_retention(cap),
+            Job::AttachMonitor { cfg, cells } => {
+                shards.attach_monitor(cfg);
+                self.monitor_cells = Some(cells);
+            }
+        }
+        // Mirror the (worker-private) monitor counters for the handle
+        // after every job — ~15 relaxed stores, only when attached.
+        if let (Some(stats), Some(cells)) = (shards.monitor_stats(), &self.monitor_cells) {
+            cells.publish(stats);
+        }
+        if changes_live_lists {
+            self.publish_live_keys();
         }
     }
 
+    /// Mirror the owned shards' live-list lengths for the handle
+    /// (relaxed: a gauge; a barrier's ack orders it for the reader).
+    fn publish_live_keys(&self) {
+        let live = self.shards.live_keys();
+        self.core.counters[self.widx]
+            .live_keys
+            .store(live, Ordering::Relaxed);
+    }
+
     fn any_armed(&self) -> bool {
-        self.state
-            .shards
-            .iter()
-            .any(|(idx, _)| self.core.armed[*idx].load(Ordering::SeqCst))
+        self.shards
+            .indices()
+            .any(|idx| self.core.armed[idx].load(Ordering::SeqCst))
     }
 
     /// Publish snapshot work that is owed, **per armed shard**: shards
@@ -1219,7 +1048,7 @@ where
     /// snapshots cover every earlier submission.
     fn publish(&mut self, force: bool) {
         let Worker {
-            state,
+            shards,
             core,
             widx,
             publisher,
@@ -1239,9 +1068,9 @@ where
             }
             let (shard_idx, key) = publisher.next_key();
             taken = true;
-            let slot = shard_slot(&state.shards, shard_idx);
+            let slot = shards.slot(shard_idx);
             if publisher.mirrors[slot].backfilled {
-                publisher.publish_key(core, state, slot, key, &mut tally);
+                publisher.publish_key(core, shards, slot, key, &mut tally);
             }
         };
         if drained {
@@ -1250,9 +1079,9 @@ where
                 if !mirror.backfilled && core.armed[mirror.shard].load(Ordering::SeqCst) {
                     // Incremental by construction: other owned shards
                     // pay nothing until a snapshot read arms them too.
-                    let keys: Vec<Key> = state.shards[slot].1.keys().collect();
+                    let keys: Vec<Key> = shards.shard(mirror.shard).keys().collect();
                     for key in keys {
-                        publisher.publish_key(core, state, slot, key, &mut tally);
+                        publisher.publish_key(core, shards, slot, key, &mut tally);
                     }
                     publisher.mirrors[slot].backfilled = true;
                 }
@@ -1286,9 +1115,8 @@ where
                 self.publish(true);
             }
             self.publisher.note_touched(&job);
-            let counters = &self.core.counters[self.widx];
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.state.run(job, counters)));
-            counters.on_done();
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.run(job)));
+            self.core.counters[self.widx].on_done();
             if let Err(payload) = outcome {
                 let message = payload
                     .downcast_ref::<&str>()
@@ -1303,7 +1131,7 @@ where
                 // segment: flush before abandoning (under
                 // catch_unwind — a second panic must not tear the
                 // whole process down mid-poison).
-                let _ = catch_unwind(AssertUnwindSafe(|| self.state.flush_backends()));
+                let _ = catch_unwind(AssertUnwindSafe(|| self.shards.flush_backends()));
                 // Refuse further pushes (parked producers fail fast)
                 // and drop whatever is queued: dropping query reply
                 // senders unblocks waiting handles.
@@ -1382,7 +1210,7 @@ where
 /// inbox (so parked producers fail fast instead of deadlocking), and
 /// exits; the shards may hold a half-repaired engine, so they are
 /// abandoned rather than handed back to `finish`.
-fn worker_loop<A, F, P>(mut worker: Worker<A, F, P>) -> OwnedShards<A, F::Strategy, P::Backend>
+fn worker_loop<A, F, P>(mut worker: Worker<A, F, P>) -> Option<ShardSet<A, F, P>>
 where
     A: UqAdt + Clone,
     F: StrategyFactory<A>,
@@ -1396,13 +1224,13 @@ where
             Turn::Worked => {}
             Turn::Idle => inbox.wait(),
             Turn::Done => break,
-            Turn::Poisoned => return Vec::new(),
+            Turn::Poisoned => return None,
         }
     }
     // Drain-on-drop / finish: everything queued has been applied; make
     // it durable before the join completes.
-    worker.state.flush_backends();
-    worker.state.shards
+    worker.shards.flush_backends();
+    Some(worker.shards)
 }
 
 /// A cloneable, `&self` handle to a pooled store: lock-free stamping
@@ -1863,8 +1691,8 @@ where
 }
 
 struct WorkerJoin<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
-    #[allow(clippy::type_complexity)]
-    thread: Option<JoinHandle<OwnedShards<A, F::Strategy, P::Backend>>>,
+    /// `None` from a poisoned worker: its shards are abandoned.
+    thread: Option<JoinHandle<Option<ShardSet<A, F, P>>>>,
 }
 
 /// The owning handle to a pooled [`UcStore`]: routes work to the
@@ -1889,7 +1717,6 @@ where
     P::Backend: Send + 'static,
 {
     handle: PoolHandle<A, P>,
-    factory: F,
     workers: Vec<WorkerJoin<A, F, P>>,
     /// Partition posture and the heal dialogue (protocol state —
     /// lives on the owning handle, not the workers).
@@ -1922,20 +1749,15 @@ where
     fn assemble(
         store: UcStore<A, F, P>,
         cfg: PoolConfig,
-    ) -> (PoolHandle<A, P>, F, Vec<Worker<A, F, P>>) {
-        let (adt, pid, clock, factory, persist, shards) = store.into_parts();
+    ) -> (PoolHandle<A, P>, Vec<Worker<A, F, P>>) {
+        let (clock, shards) = store.into_parts();
+        let (adt, pid, persist) = (shards.adt.clone(), shards.pid, shards.persist.clone());
         let num_shards = shards.len();
         let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
         let workers = if cfg.workers == 0 { hw } else { cfg.workers }
             .min(num_shards)
             .max(1);
         let queue_depth = cfg.queue_depth.max(1);
-
-        let mut owned: Vec<OwnedShards<A, F::Strategy, P::Backend>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (idx, shard) in shards.into_iter().enumerate() {
-            owned[idx % workers].push((idx, shard));
-        }
         let core = Arc::new(PoolCore {
             pid,
             clock,
@@ -1949,29 +1771,19 @@ where
             armed: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
             cut_seq: AtomicU64::new(0),
         });
-        let workers = owned
+        let workers = shards
+            .split(workers)
             .into_iter()
             .enumerate()
-            .map(|(widx, shards)| {
-                let state = WorkerState {
-                    shards,
-                    adt: adt.clone(),
-                    pid,
-                    factory: factory.clone(),
-                    persist: persist.clone(),
-                    monitor: None,
-                    monitor_cells: None,
-                };
-                Worker::new(state, Arc::clone(&core), widx)
-            })
+            .map(|(widx, shards)| Worker::new(shards, Arc::clone(&core), widx))
             .collect();
-        (PoolHandle { core, adt, persist }, factory, workers)
+        (PoolHandle { core, adt, persist }, workers)
     }
 
     /// Move `store`'s shards onto `cfg.workers` long-lived threads
     /// (shard `i` pins to worker `i % workers`) and return the handle.
     pub fn spawn(store: UcStore<A, F, P>, cfg: PoolConfig) -> Self {
-        let (handle, factory, workers) = Self::assemble(store, cfg);
+        let (handle, workers) = Self::assemble(store, cfg);
         let joins = workers
             .into_iter()
             .map(|worker| WorkerJoin {
@@ -1980,7 +1792,6 @@ where
             .collect();
         IngestPool {
             handle,
-            factory,
             workers: joins,
             heal: Healer::default(),
             monitor_cells: Vec::new(),
@@ -2203,6 +2014,9 @@ where
         let mut high_water = 0u64;
         reg.gauge("uc_store_live_keys")
             .set(stats.total_live_keys() as i64);
+        // The one `uc_store_*` gauge the handle holds itself; the rest
+        // (keys, log length, repair totals) live with the workers.
+        reg.gauge("uc_store_clock").set(self.clock() as i64);
         for w in &stats.workers {
             batches += w.batches;
             messages += w.messages;
@@ -2317,53 +2131,32 @@ where
     /// or ingested). Fails if any worker panicked.
     pub fn finish(mut self) -> Result<UcStore<A, F, P>, PoolError> {
         let core = &self.handle.core;
-        #[allow(clippy::type_complexity)]
-        let mut shards: Vec<Option<Shard<A, F::Strategy, P::Backend>>> =
-            (0..core.num_shards).map(|_| None).collect();
         for inbox in &core.inboxes {
             inbox.close();
         }
+        let mut parts = Vec::with_capacity(self.workers.len());
         for worker in 0..self.workers.len() {
             let Some(thread) = self.workers[worker].thread.take() else {
                 continue;
             };
             match thread.join() {
-                Ok(owned) => {
-                    let returned = owned.len();
-                    for (idx, shard) in owned {
-                        shards[idx] = Some(shard);
-                    }
-                    // A worker that hit a panic returns no shards;
-                    // surface the recorded error.
-                    if returned == 0 {
-                        return Err(self.handle.err_for(worker));
-                    }
-                }
-                Err(_) => {
-                    return Err(self.handle.err_for(worker));
-                }
+                Ok(Some(shards)) => parts.push(shards),
+                // A worker that hit a panic returns no shards; surface
+                // the recorded error.
+                Ok(None) | Err(_) => return Err(self.handle.err_for(worker)),
             }
         }
         if let Some(err) = core.poison.get() {
             return Err(err.clone());
         }
-        let shards = shards
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .expect("every shard returned by exactly one worker");
         // Workers joined: the clock read covers every issued stamp,
         // so collapsing the floor to the exact clock is sound here.
-        let core = &self.handle.core;
         core.lease.collapse(core.clock.now(), |floor| {
             self.handle.persist.persist_store_clock(floor)
         });
         Ok(UcStore::from_parts(
-            self.handle.adt.clone(),
-            core.pid,
             core.clock.clone(),
-            self.factory.clone(),
-            self.handle.persist.clone(),
-            shards,
+            ShardSet::join(parts),
         ))
     }
 }
@@ -2580,7 +2373,10 @@ mod tests {
         assert_eq!(pool.stats().total_live_keys(), 0);
         let reg = Registry::new();
         pool.export_metrics(&reg);
-        assert_eq!(reg.snapshot().gauge("uc_store_live_keys"), Some(0));
+        let scrape = reg.snapshot();
+        assert_eq!(scrape.gauge("uc_store_live_keys"), Some(0));
+        assert_eq!(scrape.gauge("uc_store_clock"), Some(pool.clock() as i64));
+        assert!(pool.clock() >= 1, "the burst's stamps reached the clock");
 
         // Two heartbeats and a tick pass the idle key by ...
         pool.submit_batch(vec![hb(1, 100), hb(2, 100)]).unwrap();
@@ -2785,7 +2581,7 @@ mod tests {
     /// sits in the inbox at each step is theirs to decide — with keys
     /// 0..6 and 9 written, armed and backfilled.
     fn hand_worker() -> (PoolHandle<SetAdt<u32>>, HandWorker) {
-        let (handle, _, mut workers) = IngestPool::assemble(store(0, 1), cfg(1));
+        let (handle, mut workers) = IngestPool::assemble(store(0, 1), cfg(1));
         let mut worker = workers.remove(0);
         assert_eq!(worker.turn(), Turn::Idle);
         for key in (0..6).chain([9]) {
@@ -2906,7 +2702,7 @@ mod tests {
     fn a_steady_run_of_bursts_over_published_keys_copies_no_state() {
         use crate::store::GcFactory;
         let gc_store = |pid| UcStore::new(SetAdt::<u32>::new(), pid, 1, GcFactory { n: 2 });
-        let (handle, _, mut workers) = IngestPool::assemble(gc_store(0), cfg(1));
+        let (handle, mut workers) = IngestPool::assemble(gc_store(0), cfg(1));
         let mut worker = workers.remove(0);
         let mut producer = gc_store(1);
         let mut sequential = gc_store(0);

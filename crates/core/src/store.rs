@@ -10,9 +10,10 @@
 //!
 //! ```text
 //!                UcStore<A, F>           (one per replica)
-//!   update(key,u)/query(key,q) ── LamportClock + pid  (shared)
+//!   update(key,u)/query(key,q) ── LamportClock (shared: stamps, `now`)
 //!          │ hash(key) % shards
 //!          ▼
+//!   ShardSet ── pid · engine factories · monitor   (the data plane)
 //!   Shard 0        Shard 1        …      Shard S-1
 //!   {key → ReplicaEngine<A, F::Strategy>}   (per-key log + repair)
 //! ```
@@ -30,6 +31,13 @@
 //!   (`FxHasher`); shards are the unit of batched delivery and of
 //!   parallel ingest (an [`IngestPool`](crate::pool::IngestPool)
 //!   worker owns whole shards), so hot keys don't serialize cold ones;
+//! * **one data plane** — everything done *at* the shards (insert,
+//!   batched ingest, query, heartbeat, maintenance, cut, heal digests
+//!   and windows, retention, flush, every monitor hook) is a method of
+//!   the crate-private `ShardSet`, written once. The store holds one
+//!   set owning every shard and calls it on the caller's thread; each
+//!   pool worker holds one set owning its stride of the shards and
+//!   calls the same methods from its job loop;
 //! * **per-shard batched delivery** — [`UcStore::apply_batch`] splits
 //!   a burst by shard, groups each shard's sub-batch by key
 //!   (stable-sorted, so per-sender FIFO within a key survives), and
@@ -47,10 +55,12 @@
 //!   [`Protocol`](uc_sim::Protocol) node and runs unchanged under the
 //!   deterministic simulator and `uc-runtime`'s `EventCluster`. What
 //!   it does as a replica — answer invocations, take frames, bursts
-//!   and ticks, track partitions and heal peers — is not written
-//!   here: it is the shared code of `node` and [`heal`](crate::heal),
-//!   which this store runs inline over its shards and the
-//!   [`IngestPool`](crate::pool::IngestPool) runs over worker jobs.
+//!   and ticks, track partitions and heal peers — is the shared code
+//!   of `node` and [`heal`](crate::heal), and what that code does to
+//!   the shards is the shard set's: the store adds the clock, the
+//!   persisted clock floor and the trace ring, and calls the set
+//!   inline where the [`IngestPool`](crate::pool::IngestPool) sends
+//!   its workers a job.
 //!
 //! Strategies are chosen per store through a [`StrategyFactory`]
 //! (engines are created lazily on first touch of a key): all four
@@ -1017,6 +1027,410 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     }
 }
 
+/// One shard's slice of a burst: `(key, message)` pairs bound for
+/// that shard's per-key engines.
+pub(crate) type Bucket<A> = Vec<(Key, UpdateMsg<<A as UqAdt>::Update>)>;
+
+/// A replica's **data plane**: a group of shards, what engine creation
+/// needs on first touch of a key, and the streaming monitor watching
+/// those shards' keys. Every shard-level operation is written here,
+/// once; the two executors differ only in who calls it. A [`UcStore`]
+/// holds one set owning every shard and calls it on the caller's
+/// thread; each [`IngestPool`](crate::pool::IngestPool) worker holds
+/// one set owning its stride of the shards ([`ShardSet::split`]) and
+/// calls it from its job loop. The set owns no clock: stamps and `now`
+/// come from whoever holds the replica's Lamport clock, and shards are
+/// named by their global index (`hash(key) % shards` over the whole
+/// replica).
+#[derive(Clone)]
+pub(crate) struct ShardSet<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
+    /// Ascending by global index, one every `stride`: shard `g` sits
+    /// in slot `g / stride`.
+    shards: Vec<Shard<A, F::Strategy, P::Backend>>,
+    stride: usize,
+    pub(crate) adt: A,
+    pub(crate) pid: u32,
+    factory: F,
+    pub(crate) persist: P,
+    /// Streaming consistency monitor over this set's keys
+    /// ([`ShardSet::attach_monitor`]). Sets own disjoint shards, hence
+    /// disjoint keys, so per-set counters sum exactly.
+    monitor: Option<OnlineMonitor<A>>,
+}
+
+impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> ShardSet<A, F, P> {
+    /// Number of shards in this set.
+    pub(crate) fn len(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Number of keys with engines.
+    fn key_count(&self) -> usize {
+        self.shards.iter().map(|s| s.key_count()).sum()
+    }
+}
+
+impl<A, F, P> ShardSet<A, F, P>
+where
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
+{
+    fn new(adt: A, pid: u32, shards: usize, factory: F, persist: P) -> Self {
+        ShardSet {
+            shards: (0..shards).map(Shard::empty).collect(),
+            stride: 1,
+            adt,
+            pid,
+            factory,
+            persist,
+            monitor: None,
+        }
+    }
+
+    /// Deal a whole replica's shards out to `parts` sets, shard `g` to
+    /// set `g % parts`. The monitor stays behind: it watched keys that
+    /// now live in different sets.
+    pub(crate) fn split(self, parts: usize) -> Vec<Self> {
+        debug_assert_eq!(self.stride, 1, "only a whole replica's set is split");
+        let mut out: Vec<Self> = (0..parts)
+            .map(|_| ShardSet {
+                shards: Vec::new(),
+                stride: parts,
+                adt: self.adt.clone(),
+                pid: self.pid,
+                factory: self.factory.clone(),
+                persist: self.persist.clone(),
+                monitor: None,
+            })
+            .collect();
+        for shard in self.shards {
+            out[shard.idx % parts].shards.push(shard);
+        }
+        out
+    }
+
+    /// Undo [`ShardSet::split`]. The parts' monitors are dropped with
+    /// the executor that attached them.
+    ///
+    /// # Panics
+    ///
+    /// When the parts are not every part of one split.
+    pub(crate) fn join(parts: Vec<Self>) -> Self {
+        let mut parts = parts.into_iter();
+        let mut whole = parts.next().expect("a replica has at least one shard");
+        whole.shards.extend(parts.flat_map(|part| part.shards));
+        whole.shards.sort_unstable_by_key(|shard| shard.idx);
+        assert!(
+            whole.shards.iter().enumerate().all(|(i, s)| s.idx == i),
+            "every shard returned by exactly one part"
+        );
+        whole.stride = 1;
+        whole.monitor = None;
+        whole
+    }
+
+    /// Where shard `shard` (global index) sits in this set: shards are
+    /// dealt out round-robin in ascending order, so no search.
+    pub(crate) fn slot(&self, shard: usize) -> usize {
+        // A 64-bit divide costs tens of cycles; a whole replica's set
+        // (the store's, a one-worker pool's) sits on the per-update
+        // path and skips it.
+        let slot = if self.stride == 1 {
+            shard
+        } else {
+            shard / self.stride
+        };
+        debug_assert_eq!(self.shards[slot].idx, shard, "shard routed to its set");
+        slot
+    }
+
+    /// Shard `shard` (global index) of this set.
+    pub(crate) fn shard(&self, shard: usize) -> &Shard<A, F::Strategy, P::Backend> {
+        &self.shards[self.slot(shard)]
+    }
+
+    /// The global indices of this set's shards, ascending.
+    pub(crate) fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.shards.iter().map(|shard| shard.idx)
+    }
+
+    /// `key`'s engine in shard `shard` for a read, if it has one.
+    pub(crate) fn engine_mut(
+        &mut self,
+        shard: usize,
+        key: Key,
+    ) -> Option<&mut ReplicaEngine<A, F::Strategy, P::Backend>> {
+        let slot = self.slot(shard);
+        self.shards[slot].engine_mut(key)
+    }
+
+    /// Rebuild every key the backend factory knows about as
+    /// `fold(base) + replay(tail)` ([`ReplicaEngine::recover`]);
+    /// returns the highest clock a recovered engine had reached.
+    fn recover(&mut self) -> u64 {
+        let mut clock = 0;
+        for shard in &mut self.shards {
+            for (key, backend) in self.persist.open_all(shard.idx) {
+                let strategy = self.factory.make(&self.adt);
+                let engine = ReplicaEngine::recover(self.adt.clone(), self.pid, strategy, backend);
+                clock = clock.max(engine.clock());
+                shard.adopt(key, engine);
+            }
+        }
+        clock
+    }
+
+    /// Show the monitor the updates an insertion is about to apply:
+    /// one branch when none is attached, whatever the burst's size.
+    fn observe_updates<'a>(
+        &mut self,
+        updates: impl IntoIterator<Item = (Key, Timestamp, &'a A::Update)>,
+    ) where
+        A::Update: 'a,
+    {
+        if let Some(mon) = &mut self.monitor {
+            for (key, ts, update) in updates {
+                mon.observe_update(key, ts.clock, ts.pid, update);
+            }
+        }
+    }
+
+    /// Run an insertion against `key`'s engine (created, caught up on
+    /// heard clocks and listed live as needed — see
+    /// [`Shard::insert_into`]), noting its clock on the shard.
+    fn insert_into<R>(
+        &mut self,
+        shard: usize,
+        key: Key,
+        clock: u64,
+        f: impl FnOnce(&mut ReplicaEngine<A, F::Strategy, P::Backend>) -> R,
+    ) -> R {
+        let slot = self.slot(shard);
+        let shard = &mut self.shards[slot];
+        shard.note_clock(clock);
+        shard.insert_into(key, &self.adt, self.pid, &self.factory, &self.persist, f)
+    }
+
+    /// Apply a locally issued update, already stamped `ts` by the
+    /// replica's clock; the broadcast message.
+    pub(crate) fn insert_local(
+        &mut self,
+        shard: usize,
+        key: Key,
+        ts: Timestamp,
+        u: A::Update,
+    ) -> UpdateMsg<A::Update> {
+        self.observe_updates([(key, ts, &u)]);
+        self.insert_into(shard, key, ts.clock, |engine| engine.local_update_at(ts, u))
+    }
+
+    /// Apply one peer update (Algorithm 1 lines 8–11; redelivery is a
+    /// no-op).
+    pub(crate) fn insert_remote(&mut self, shard: usize, key: Key, msg: &UpdateMsg<A::Update>) {
+        self.observe_updates([(key, msg.ts, &msg.update)]);
+        self.insert_into(shard, key, msg.ts.clock, |engine| engine.on_deliver(msg));
+    }
+
+    /// Ingest a burst already split per shard (global index, bucket):
+    /// one repair per key per burst ([`Shard::ingest`]). Returns the
+    /// number of messages taken.
+    pub(crate) fn ingest(&mut self, buckets: impl IntoIterator<Item = (usize, Bucket<A>)>) -> u64 {
+        let mut taken = 0;
+        for (shard, bucket) in buckets {
+            taken += bucket.len() as u64;
+            self.observe_updates(bucket.iter().map(|(key, m)| (*key, m.ts, &m.update)));
+            let slot = self.slot(shard);
+            self.shards[slot].ingest(bucket, &self.adt, self.pid, &self.factory, &self.persist);
+        }
+        taken
+    }
+
+    /// Answer a query on `key` against the caller's already-ticked
+    /// clock `now`. An untouched key answers from the initial state
+    /// without instantiating an engine.
+    pub(crate) fn query(
+        &mut self,
+        shard: usize,
+        key: Key,
+        now: u64,
+        q: &A::QueryIn,
+    ) -> A::QueryOut {
+        let slot = self.slot(shard);
+        let mut engine = self.shards[slot].engine_mut(key);
+        let out = match engine.as_mut() {
+            Some(engine) => engine.do_query_at(now, q),
+            None => self.adt.observe(&self.adt.initial(), q),
+        };
+        // Sampled keys verify the served state against the monitor's
+        // shadow fold (the online UC check); unsampled keys pay one
+        // branch.
+        if let Some(mon) = self.monitor.as_mut().filter(|mon| mon.sampled(key)) {
+            let state = engine.map_or_else(|| self.adt.initial(), |engine| engine.materialize());
+            mon.check_query_state(key, &state);
+        }
+        out
+    }
+
+    /// A peer announced its clock: every shard records it and sweeps
+    /// it over its live engines.
+    pub(crate) fn heartbeat(&mut self, pid: u32, clock: u64) {
+        if let Some(mon) = &mut self.monitor {
+            mon.observe_heartbeat(pid, clock);
+        }
+        for shard in &mut self.shards {
+            shard.observe_peer_clock(pid, clock);
+        }
+    }
+
+    /// One maintenance tick at the replica's clock `clock`: compact
+    /// every live key's stable prefix, then roll the monitor's window
+    /// — fold our own progress into its stability watermark, compact
+    /// its finalized prefixes, and compare every sampled key's state
+    /// against its shadow fold (the online EC check).
+    pub(crate) fn maintain(&mut self, clock: u64) {
+        // Compaction first: the sweep then judges the states this tick
+        // leaves behind, so a fold compaction corrupts is flagged now,
+        // not a tick later.
+        for shard in &mut self.shards {
+            shard.tick_maintenance();
+        }
+        let Some(mon) = &mut self.monitor else {
+            return;
+        };
+        mon.observe_heartbeat(self.pid, clock);
+        mon.tick();
+        for shard in &mut self.shards {
+            for (key, engine) in shard.engines_mut() {
+                if mon.sampled(key) {
+                    mon.check_tick_state(key, &engine.materialize());
+                }
+            }
+        }
+    }
+
+    /// Every key's state at cut `cut`: the fold of exactly the
+    /// delivered updates stamped `clock ≤ cut`, or the first
+    /// [`CutError`] hit.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn cut(&mut self, cut: u64) -> Result<Vec<(Key, A::State)>, CutError> {
+        let mut states = Vec::new();
+        for shard in &mut self.shards {
+            for (key, engine) in shard.engines_mut() {
+                states.push((key, engine.state_at_cut(cut)?));
+            }
+        }
+        // Online SNAP check: every sampled key's recorded state must
+        // equal the shadow fold of the prefix ≤ cut (a torn cut
+        // surfaces here within the same call).
+        if let Some(mon) = &mut self.monitor {
+            for (key, state) in &states {
+                mon.observe_cut(cut, *key, state);
+            }
+        }
+        Ok(states)
+    }
+
+    /// [`ShardAccess::digest_suffix`] over this set's shards.
+    pub(crate) fn digest_suffix(
+        &mut self,
+        since: u64,
+        exclude: Pid,
+        groups: u32,
+        ranges: u32,
+    ) -> Vec<HealDigest> {
+        let mut slots = vec![HealDigest::default(); (groups as usize) * (ranges as usize)];
+        for shard in &mut self.shards {
+            shard.fold_digest(since, exclude, groups, ranges, &mut slots);
+        }
+        slots
+    }
+
+    /// [`ShardAccess::heal_candidates`] over this set's shards, in
+    /// shard order.
+    pub(crate) fn heal_candidates(&self, since: u64) -> Vec<(usize, Key)> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            shard.heal_candidates(since, &mut out);
+        }
+        out
+    }
+
+    /// [`ShardAccess::collect_window`] on shard `shard`.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn collect_window(
+        &mut self,
+        shard: usize,
+        key: Key,
+        since: u64,
+        after: Option<Timestamp>,
+        limit: usize,
+    ) -> (Vec<UpdateMsg<A::Update>>, bool) {
+        let slot = self.slot(shard);
+        self.shards[slot].suffix_window(key, since, after, limit)
+    }
+
+    /// [`ShardAccess::set_retention`] on this set's shards — see
+    /// [`RepairStrategy::set_retention_cap`].
+    pub(crate) fn set_retention(&mut self, cap: Option<u64>) {
+        for shard in &mut self.shards {
+            shard.set_retention_cap(cap);
+        }
+    }
+
+    /// Attach a streaming consistency monitor, replacing any attached
+    /// before. Keys that already have engines are excluded from
+    /// sampling — their prefix was never observed, so judging them
+    /// would only produce false positives.
+    pub(crate) fn attach_monitor(&mut self, cfg: MonitorConfig) {
+        let mut mon = OnlineMonitor::new(self.adt.clone(), cfg);
+        mon.exclude_keys(self.keys());
+        self.monitor = Some(mon);
+    }
+
+    /// The attached monitor's counters, if any.
+    pub(crate) fn monitor_stats(&self) -> Option<&MonitorStats> {
+        self.monitor.as_ref().map(|m| m.stats())
+    }
+
+    /// Flush the storage backend of every engine that journaled or
+    /// moved its clock since the last flush, one commit per shard
+    /// ([`Shard::flush_backends`]). Every flush of a replica's engines
+    /// is this one — the store's, the pool's job and both worker-exit
+    /// paths — so the flush discipline cannot drift between them.
+    pub(crate) fn flush_backends(&mut self) {
+        for shard in &mut self.shards {
+            shard.flush_backends();
+        }
+    }
+
+    /// The keys with engines, in no particular order.
+    fn keys(&self) -> impl Iterator<Item = Key> + '_ {
+        self.shards.iter().flat_map(|s| s.keys())
+    }
+
+    /// A per-engine counter, summed over every key.
+    fn sum_engines(&self, f: impl Fn(&ReplicaEngine<A, F::Strategy, P::Backend>) -> u64) -> u64 {
+        self.shards.iter().flat_map(|s| s.engines()).map(f).sum()
+    }
+
+    /// Keys on a live list (see [`UcStore::live_keys`]).
+    pub(crate) fn live_keys(&self) -> usize {
+        self.shards.iter().map(|s| s.live_keys()).sum()
+    }
+
+    /// Retained log entries — a walk of the live keys only, an idle
+    /// key's log being empty by definition.
+    fn log_len(&self) -> usize {
+        self.shards.iter().map(|s| s.live_log_len()).sum()
+    }
+
+    /// Shards whose divergence high water passed `since`.
+    fn diverged_shards(&self, since: u64) -> usize {
+        self.shards.iter().filter(|s| s.high_water > since).count()
+    }
+}
+
 /// Which shard of `shards` a key routes to (`FxHasher`, shared by
 /// [`UcStore::shard_of`] and the pool's bucketing).
 pub(crate) fn shard_index(key: Key, shards: usize) -> usize {
@@ -1076,25 +1490,19 @@ pub(crate) fn split_by_shard<U>(
 /// (default: the in-memory [`MemFactory`]). See the [module
 /// docs](self) for the architecture.
 pub struct UcStore<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A> = MemFactory> {
-    adt: A,
-    pid: u32,
     clock: LamportClock,
-    factory: F,
-    persist: P,
     /// Clock floor last persisted via
     /// [`BackendFactory::persist_store_clock`] — see
     /// [`UcStore::reserve_clock`]. `None` until the first persist.
     persisted_floor: Option<u64>,
     /// Partition posture and the heal dialogue (see [`heal`](crate::heal)).
     heal: Healer,
-    /// Streaming consistency monitor ([`UcStore::attach_monitor`]):
-    /// shadows a sampled fraction of keys and streams UC/EC/SEC/SNAP
-    /// verdicts as counters.
-    monitor: Option<OnlineMonitor<A>>,
     /// Ring-buffer event trace ([`UcStore::attach_trace`]); clones
     /// share the buffer, so one ring can span store and runtime.
     trace: Option<TraceRing>,
-    shards: Vec<Shard<A, F::Strategy, P::Backend>>,
+    /// The data plane: every shard, what builds their engines, and the
+    /// streaming monitor ([`UcStore::attach_monitor`]).
+    shards: ShardSet<A, F, P>,
 }
 
 /// How far ahead of the issued clock the persisted recovery floor is
@@ -1105,13 +1513,10 @@ const CLOCK_LEASE: u64 = 4096;
 impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> fmt::Debug for UcStore<A, F, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("UcStore")
-            .field("pid", &self.pid)
+            .field("pid", &self.shards.pid)
             .field("clock", &self.clock.now())
             .field("shards", &self.shards.len())
-            .field(
-                "keys",
-                &self.shards.iter().map(|s| s.key_count()).sum::<usize>(),
-            )
+            .field("keys", &self.shards.key_count())
             .finish_non_exhaustive()
     }
 }
@@ -1126,14 +1531,9 @@ where
 {
     fn clone(&self) -> Self {
         UcStore {
-            adt: self.adt.clone(),
-            pid: self.pid,
             clock: self.clock.clone(),
-            factory: self.factory.clone(),
-            persist: self.persist.clone(),
             persisted_floor: self.persisted_floor,
             heal: self.heal.clone(),
-            monitor: self.monitor.clone(),
             trace: self.trace.clone(),
             shards: self.shards.clone(),
         }
@@ -1185,16 +1585,11 @@ where
         factory.validate_replica(pid);
         persist.bind_replica(pid, shards, fresh);
         UcStore {
-            adt,
-            pid,
             clock: LamportClock::new(),
-            factory,
-            persist,
             persisted_floor: None,
             heal: Healer::default(),
-            monitor: None,
             trace: None,
-            shards: (0..shards).map(Shard::empty).collect(),
+            shards: ShardSet::new(adt, pid, shards, factory, persist),
         }
     }
 
@@ -1210,22 +1605,10 @@ where
     /// mismatch here ([`BackendFactory::bind_replica`]).
     pub fn reopen(adt: A, pid: u32, shards: usize, factory: F, persist: P) -> Self {
         let mut store = Self::assemble(adt, pid, shards, factory, persist, false);
-        let floor = store.persist.load_store_clock();
+        let floor = store.shards.persist.load_store_clock();
         store.persisted_floor = Some(floor);
-        let mut clock = floor;
-        for si in 0..store.shards.len() {
-            for (key, backend) in store.persist.open_all(si) {
-                let engine = ReplicaEngine::recover(
-                    store.adt.clone(),
-                    pid,
-                    store.factory.make(&store.adt),
-                    backend,
-                );
-                clock = clock.max(engine.clock());
-                store.shards[si].adopt(key, engine);
-            }
-        }
-        store.clock.merge(clock);
+        let recovered = store.shards.recover();
+        store.clock.merge(floor.max(recovered));
         store
     }
 
@@ -1243,9 +1626,7 @@ where
     /// durable in some engine's journal (engines flush first), so the
     /// exact value is a safe recovery floor again.
     pub fn flush_backends(&mut self) {
-        for shard in &mut self.shards {
-            shard.flush_backends();
-        }
+        self.shards.flush_backends();
         self.persist_clock_floor(self.clock.now());
     }
 
@@ -1253,7 +1634,7 @@ where
     /// when it is already the persisted value (idle ticks cost no IO).
     fn persist_clock_floor(&mut self, floor: u64) {
         if self.persisted_floor != Some(floor) {
-            self.persist.persist_store_clock(floor);
+            self.shards.persist.persist_store_clock(floor);
             self.persisted_floor = Some(floor);
         }
     }
@@ -1280,102 +1661,39 @@ where
         shard_index(key, self.shards.len())
     }
 
-    /// Decompose the store into its parts (the pool takes ownership of
-    /// the shards and hands them to its persistent workers).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        A,
-        u32,
-        LamportClock,
-        F,
-        P,
-        Vec<Shard<A, F::Strategy, P::Backend>>,
-    ) {
-        (
-            self.adt,
-            self.pid,
-            self.clock,
-            self.factory,
-            self.persist,
-            self.shards,
-        )
+    /// Decompose the store into its clock and its data plane (the pool
+    /// deals the shards out to its persistent workers).
+    pub(crate) fn into_parts(self) -> (LamportClock, ShardSet<A, F, P>) {
+        (self.clock, self.shards)
     }
 
     /// Reassemble a store from parts returned by
     /// [`UcStore::into_parts`] (the pool's drain path).
-    pub(crate) fn from_parts(
-        adt: A,
-        pid: u32,
-        clock: LamportClock,
-        factory: F,
-        persist: P,
-        shards: Vec<Shard<A, F::Strategy, P::Backend>>,
-    ) -> Self {
-        assert!(!shards.is_empty(), "a store needs at least one shard");
+    pub(crate) fn from_parts(clock: LamportClock, shards: ShardSet<A, F, P>) -> Self {
         UcStore {
-            adt,
-            pid,
             clock,
-            factory,
-            persist,
             // Unknown after a pool round-trip; the next reserve or
             // flush re-persists (at worst one redundant small write).
             persisted_floor: None,
-            // Partition bookkeeping stays with whoever ran the
-            // protocol (the pool tracks its own); a reassembled store
-            // starts with a clean membership view.
+            // Partition bookkeeping and observability attachments stay
+            // with whoever ran the protocol (the pool tracks its own);
+            // a reassembled store starts with a clean membership view.
             heal: Healer::default(),
-            // Observability attachments stay with whoever ran the
-            // protocol; the pool streams its own monitor counters.
-            monitor: None,
             trace: None,
             shards,
         }
-    }
-
-    /// Run an insertion against `key`'s engine (created, caught up on
-    /// heard clocks and listed live as needed — see
-    /// [`Shard::insert_into`]), noting its clock on the shard.
-    fn insert_into<R>(
-        &mut self,
-        key: Key,
-        clock: u64,
-        f: impl FnOnce(&mut ReplicaEngine<A, F::Strategy, P::Backend>) -> R,
-    ) -> R {
-        let si = self.shard_of(key);
-        let UcStore {
-            adt,
-            pid,
-            factory,
-            persist,
-            shards,
-            ..
-        } = self;
-        shards[si].note_clock(clock);
-        shards[si].insert_into(key, adt, *pid, factory, persist, f)
-    }
-
-    /// `key`'s engine for a read, if the key has one.
-    fn engine_mut(&mut self, key: Key) -> Option<&mut ReplicaEngine<A, F::Strategy, P::Backend>> {
-        let si = self.shard_of(key);
-        self.shards[si].engine_mut(key)
     }
 
     /// Perform a local update on `key`: tick the shared clock, stamp
     /// (reserving the clock floor — see [`UcStore::reserve_clock`]),
     /// apply to the key's engine, and return the broadcast message.
     pub fn update(&mut self, key: Key, u: A::Update) -> StoreMsg<A::Update> {
-        let ts = Timestamp::new(self.clock.tick(), self.pid);
+        let ts = Timestamp::new(self.clock.tick(), self.shards.pid);
         self.reserve_clock(ts.clock);
-        if let Some(mon) = &mut self.monitor {
-            mon.observe_update(key, ts.clock, ts.pid, &u);
-        }
         if let Some(tr) = &self.trace {
             tr.record(TraceKind::Update, key, ts.clock);
         }
-        let msg = self.insert_into(key, ts.clock, |engine| engine.local_update_at(ts, u));
+        let msg = self.shards.insert_local(self.shard_of(key), key, ts, u);
         StoreMsg::Update { key, msg }
     }
 
@@ -1384,25 +1702,7 @@ where
     /// *any* key — order after everything this query saw.
     pub fn query(&mut self, key: Key, q: &A::QueryIn) -> A::QueryOut {
         let now = self.clock.tick();
-        // An untouched key answers from the initial state without
-        // instantiating an engine.
-        let Some(engine) = self.engine_mut(key) else {
-            if let Some(mon) = &mut self.monitor {
-                mon.check_query_state(key, &self.adt.initial());
-            }
-            return self.adt.observe(&self.adt.initial(), q);
-        };
-        let out = engine.do_query_at(now, q);
-        // Sampled keys verify the served state against the monitor's
-        // shadow fold (the online UC check); unsampled keys pay one
-        // branch.
-        if self.monitor.as_ref().is_some_and(|m| m.sampled(key)) {
-            let state = self.materialize_key(key);
-            if let Some(mon) = &mut self.monitor {
-                mon.check_query_state(key, &state);
-            }
-        }
-        out
+        self.shards.query(self.shard_of(key), key, now, q)
     }
 
     /// An immutable multi-key view at cut `cut`: every instantiated
@@ -1430,52 +1730,24 @@ where
     }
 
     fn snapshot_no_tick(&mut self, cut: u64) -> Result<StoreSnapshot<A>, CutError> {
-        let mut states = std::collections::BTreeMap::new();
-        for shard in &mut self.shards {
-            for (key, engine) in shard.engines_mut() {
-                states.insert(key, engine.state_at_cut(cut)?);
-            }
-        }
-        if let Some(mon) = &mut self.monitor {
-            // Online SNAP check: every sampled key's recorded state
-            // must equal the shadow fold of the prefix ≤ cut (a torn
-            // cut surfaces here within the same call).
-            for (key, state) in &states {
-                mon.observe_cut(cut, *key, state);
-            }
-        }
+        let states = self.shards.cut(cut)?.into_iter().collect();
         if let Some(tr) = &self.trace {
             tr.record(TraceKind::Snapshot, 0, cut);
         }
-        Ok(StoreSnapshot::new(self.adt.clone(), cut, states))
+        Ok(StoreSnapshot::new(self.shards.adt.clone(), cut, states))
     }
 
     /// Ingest one peer message.
     pub fn apply_message(&mut self, m: &StoreMsg<A::Update>) {
         match m {
-            StoreMsg::Update { key, msg } => {
-                self.clock.merge(msg.ts.clock);
-                if let Some(mon) = &mut self.monitor {
-                    mon.observe_update(*key, msg.ts.clock, msg.ts.pid, &msg.update);
-                }
-                self.insert_into(*key, msg.ts.clock, |engine| engine.on_deliver(msg));
-            }
+            StoreMsg::Update { key, msg } => self.deliver_update(*key, msg),
             StoreMsg::Heartbeat { pid, clock } => {
                 self.clock.merge(*clock);
-                if let Some(mon) = &mut self.monitor {
-                    mon.observe_heartbeat(*pid, *clock);
-                }
-                for shard in &mut self.shards {
-                    shard.observe_peer_clock(*pid, *clock);
-                }
+                self.shards.heartbeat(*pid, *clock);
             }
             StoreMsg::Repair { updates } | StoreMsg::RepairChunk { updates, .. } => {
                 for (key, msg) in updates {
-                    self.clock.merge(msg.ts.clock);
-                    if let Some(mon) = &mut self.monitor {
-                        mon.observe_update(*key, msg.ts.clock, msg.ts.pid, &msg.update);
-                    }
-                    self.insert_into(*key, msg.ts.clock, |engine| engine.on_deliver(msg));
+                    self.deliver_update(*key, msg);
                 }
                 if let Some(tr) = &self.trace {
                     tr.record(TraceKind::Heal, 0, updates.len() as u64);
@@ -1489,6 +1761,11 @@ where
             | StoreMsg::DigestResponse { .. }
             | StoreMsg::RepairAck { .. } => {}
         }
+    }
+
+    fn deliver_update(&mut self, key: Key, msg: &UpdateMsg<A::Update>) {
+        self.clock.merge(msg.ts.clock);
+        self.shards.insert_remote(self.shard_of(key), key, msg);
     }
 
     /// Ingest one peer message *with a reply path*: heal-protocol
@@ -1526,62 +1803,25 @@ where
         self.ingest_burst(msgs);
     }
 
-    /// Feed a burst's per-shard buckets to the monitor and trace (the
-    /// batched-ingest observation point). Heartbeats are observed
-    /// where they are applied ([`UcStore::apply_message`]).
-    #[allow(clippy::type_complexity)]
-    fn observe_buckets(&mut self, buckets: &[Vec<(Key, UpdateMsg<A::Update>)>]) {
-        if let Some(mon) = &mut self.monitor {
-            for (key, msg) in buckets.iter().flatten() {
-                mon.observe_update(*key, msg.ts.clock, msg.ts.pid, &msg.update);
-            }
-        }
-        if let Some(tr) = &self.trace {
-            let n: usize = buckets.iter().map(Vec::len).sum();
-            if n > 0 {
-                tr.record(TraceKind::Ingest, 0, n as u64);
-            }
-        }
-    }
-
     fn ingest_burst(&mut self, msgs: impl IntoIterator<Item = StoreMsg<A::Update>>) {
-        let (buckets, heartbeats) = self.bucket_by_shard(msgs);
-        self.observe_buckets(&buckets);
-        let UcStore {
-            adt,
-            pid,
-            factory,
-            persist,
-            shards,
-            ..
-        } = self;
-        for (shard, bucket) in shards.iter_mut().zip(buckets) {
-            if !bucket.is_empty() {
-                shard.ingest(bucket, adt, *pid, factory, persist);
-            }
+        let (buckets, heartbeats, max_clock) = split_by_shard(msgs, self.shards.len());
+        // Every carried clock, the heartbeats' included.
+        self.clock.merge(max_clock);
+        let buckets = buckets.into_iter().enumerate();
+        let taken = self.shards.ingest(buckets.filter(|(_, b)| !b.is_empty()));
+        if let Some(tr) = self.trace.as_ref().filter(|_| taken > 0) {
+            tr.record(TraceKind::Ingest, 0, taken);
         }
         for (pid, clock) in collapse_heartbeats(heartbeats) {
-            self.apply_message(&StoreMsg::Heartbeat { pid, clock });
+            self.shards.heartbeat(pid, clock);
         }
-    }
-
-    /// Split a burst into per-shard update buckets plus the heartbeat
-    /// list, merging every carried clock into the shared clock.
-    #[allow(clippy::type_complexity)]
-    fn bucket_by_shard(
-        &mut self,
-        msgs: impl IntoIterator<Item = StoreMsg<A::Update>>,
-    ) -> (Vec<Vec<(Key, UpdateMsg<A::Update>)>>, Vec<(u32, u64)>) {
-        let (buckets, heartbeats, max_clock) = split_by_shard(msgs, self.shards.len());
-        self.clock.merge(max_clock);
-        (buckets, heartbeats)
     }
 
     /// Announce the shared clock (stability heartbeat covering every
     /// key at once).
     pub fn heartbeat(&self) -> StoreMsg<A::Update> {
         StoreMsg::Heartbeat {
-            pid: self.pid,
+            pid: self.shards.pid,
             clock: self.clock.now(),
         }
     }
@@ -1590,38 +1830,9 @@ where
     /// the monitor's window maintenance (stability compaction plus the
     /// online EC convergence sweep over sampled keys).
     pub fn tick_maintenance(&mut self) {
-        for shard in &mut self.shards {
-            shard.tick_maintenance();
-        }
-        self.monitor_tick();
-    }
-
-    /// The monitor's slice of a maintenance tick: advance its
-    /// stability watermark with our own clock, compact now-final
-    /// windows, and compare every sampled key's materialized state
-    /// against its shadow fold (the online EC check).
-    fn monitor_tick(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (pid, clock) = (self.pid, self.clock.now());
-        let sampled: Vec<Key> = {
-            let mon = self.monitor.as_mut().expect("checked above");
-            mon.observe_heartbeat(pid, clock);
-            mon.tick();
-            self.shards
-                .iter()
-                .flat_map(|s| s.keys())
-                .filter(|k| mon.sampled(*k))
-                .collect()
-        };
-        for key in sampled {
-            let state = self.materialize_key(key);
-            if let Some(mon) = &mut self.monitor {
-                mon.check_tick_state(key, &state);
-            }
-        }
-        if let Some(tr) = &self.trace {
+        let clock = self.clock.now();
+        self.shards.maintain(clock);
+        if let (Some(tr), Some(_)) = (&self.trace, self.monitor_stats()) {
             tr.record(TraceKind::Tick, 0, clock);
         }
     }
@@ -1650,22 +1861,22 @@ where
     /// The state `key` would converge to with no further input
     /// (initial state for untouched keys).
     pub fn materialize_key(&mut self, key: Key) -> A::State {
-        match self.engine_mut(key) {
+        match self.shards.engine_mut(self.shard_of(key), key) {
             Some(engine) => engine.materialize(),
-            None => self.adt.initial(),
+            None => self.shards.adt.initial(),
         }
     }
 
     /// All keys this store has engines for, sorted.
     pub fn keys(&self) -> Vec<Key> {
-        let mut out: Vec<Key> = self.shards.iter().flat_map(|s| s.keys()).collect();
+        let mut out: Vec<Key> = self.shards.keys().collect();
         out.sort_unstable();
         out
     }
 
     /// This replica's process id.
     pub fn pid(&self) -> u32 {
-        self.pid
+        self.shards.pid
     }
 
     /// The shared Lamport clock's current value.
@@ -1680,13 +1891,13 @@ where
 
     /// Number of keys with instantiated engines.
     pub fn key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.key_count()).sum()
+        self.shards.key_count()
     }
 
     /// Retained log entries summed over all keys — a walk of the
     /// live keys only, an idle key's log being empty by definition.
     pub fn total_log_len(&self) -> usize {
-        self.shards.iter().map(|s| s.live_log_len()).sum()
+        self.shards.log_len()
     }
 
     /// Keys whose log holds un-compacted entries: the keys that are
@@ -1694,33 +1905,25 @@ where
     /// visits. (A log emptied by its last insertion's own compaction
     /// is counted until the next sweep.)
     pub fn live_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.live_keys()).sum()
+        self.shards.live_keys()
     }
 
     /// Repair events summed over all keys (at most one per key per
     /// batch).
     pub fn total_repair_events(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.engines())
-            .map(|e| e.repair_events())
-            .sum()
+        self.shards.sum_engines(|e| e.repair_events())
     }
 
     /// Repair steps (state transitions spent repairing) summed over
     /// all keys — the repair-locality metric: per-key logs keep this
     /// proportional to the touched key's suffix, not the whole store.
     pub fn total_repair_steps(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.engines())
-            .map(|e| e.repair_steps())
-            .sum()
+        self.shards.sum_engines(|e| e.repair_steps())
     }
 
     /// Access one key's engine (observability, tests).
     pub fn engine(&self, key: Key) -> Option<&ReplicaEngine<A, F::Strategy, P::Backend>> {
-        self.shards[self.shard_of(key)].engine(key)
+        self.shards.shard(self.shard_of(key)).engine(key)
     }
 
     /// Choose how this replica answers reads while it sits in a
@@ -1752,19 +1955,12 @@ where
     /// observed, so judging them would only produce false positives.
     /// Replaces any previously attached monitor.
     pub fn attach_monitor(&mut self, cfg: MonitorConfig) {
-        let mut mon = OnlineMonitor::new(self.adt.clone(), cfg);
-        mon.exclude_keys(self.keys());
-        self.monitor = Some(mon);
-    }
-
-    /// The attached monitor, if any.
-    pub fn monitor(&self) -> Option<&OnlineMonitor<A>> {
-        self.monitor.as_ref()
+        self.shards.attach_monitor(cfg);
     }
 
     /// The attached monitor's counters, if any.
     pub fn monitor_stats(&self) -> Option<&MonitorStats> {
-        self.monitor.as_ref().map(|m| m.stats())
+        self.shards.monitor_stats()
     }
 
     /// Attach a ring-buffer event trace (clones share the buffer, so
@@ -1864,7 +2060,7 @@ where
         P2: BackendFactory<A>,
     {
         let peer = healed.pid();
-        let me = self.pid;
+        let me = self.pid();
         let Some(opener) = self.peer_up(peer) else {
             return 0;
         };
@@ -1927,33 +2123,29 @@ where
         self.heal
             .partition
             .down_peers()
-            .map(|(peer, since)| {
-                let shards = self.shards.iter().filter(|s| s.high_water > since).count();
-                (peer, since, shards)
-            })
+            .map(|(peer, since)| (peer, since, self.shards.diverged_shards(since)))
             .collect()
     }
 }
 
 /// The inline executor: a store's shards, touched on the caller's
 /// thread. Operations run in call order and cannot fail.
-struct InlineShards<'a, A: UqAdt, S, B> {
-    pid: u32,
+struct InlineShards<'a, A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     clock: u64,
-    shards: &'a mut [Shard<A, S, B>],
+    shards: &'a mut ShardSet<A, F, P>,
 }
 
-impl<A, S, B> ShardAccess for InlineShards<'_, A, S, B>
+impl<A, F, P> ShardAccess for InlineShards<'_, A, F, P>
 where
     A: UqAdt + Clone,
-    S: RepairStrategy<A>,
-    B: LogBackend<A>,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
 {
     type Update = A::Update;
     type Error = Infallible;
 
     fn pid(&self) -> Pid {
-        self.pid
+        self.shards.pid
     }
 
     fn clock_now(&self) -> u64 {
@@ -1971,19 +2163,11 @@ where
         groups: u32,
         ranges: u32,
     ) -> Result<Vec<HealDigest>, Infallible> {
-        let mut slots = vec![HealDigest::default(); (groups as usize) * (ranges as usize)];
-        for shard in self.shards.iter_mut() {
-            shard.fold_digest(since, exclude, groups, ranges, &mut slots);
-        }
-        Ok(slots)
+        Ok(self.shards.digest_suffix(since, exclude, groups, ranges))
     }
 
     fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Infallible> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            shard.heal_candidates(since, &mut out);
-        }
-        Ok(out)
+        Ok(self.shards.heal_candidates(since))
     }
 
     fn collect_window(
@@ -1994,13 +2178,11 @@ where
         after: Option<Timestamp>,
         limit: usize,
     ) -> Result<(Vec<UpdateMsg<A::Update>>, bool), Infallible> {
-        Ok(self.shards[shard].suffix_window(key, since, after, limit))
+        Ok(self.shards.collect_window(shard, key, since, after, limit))
     }
 
     fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Infallible> {
-        for shard in self.shards.iter_mut() {
-            shard.set_retention_cap(cap);
-        }
+        self.shards.set_retention(cap);
         Ok(())
     }
 }
@@ -2017,7 +2199,6 @@ where
         &mut self,
     ) -> Dialogue<'_, impl ShardAccess<Update = A::Update, Error = Infallible>> {
         let shards = InlineShards {
-            pid: self.pid,
             clock: self.clock.now(),
             shards: &mut self.shards,
         };

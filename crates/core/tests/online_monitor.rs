@@ -6,6 +6,11 @@
 //! monitor flags it in its very next check — while the clean
 //! differentials prove zero false positives across all four shipped
 //! strategies under perturbed, duplicated, compacted delivery.
+//!
+//! The monitor rides the shard set both executors share, so the clean
+//! differential and every injected fault run as one body over each
+//! node kind ([`Replica`]): the sequential store, and the pool on one
+//! and on two workers.
 
 use uc_core::backend::LogBackend;
 use uc_core::engine::{CutError, EngineCtx, RepairStrategy};
@@ -14,14 +19,130 @@ use uc_core::store::{
     CheckpointFactory, GcFactory, NaiveFactory, StoreMsg, StrategyFactory, UcStore, UndoFactory,
 };
 use uc_core::{Timestamp, UpdateLog, UpdateMsg};
-use uc_criteria::online::MonitorConfig;
+use uc_criteria::online::{MonitorConfig, MonitorStats};
 use uc_obs::HealthStatus;
 use uc_spec::{CounterAdt, CounterQuery, CounterUpdate, UqAdt};
 
 const KEYS: u64 = 8;
 
+type Msg = StoreMsg<CounterUpdate>;
+
 fn monitored_cfg() -> MonitorConfig {
     MonitorConfig::full().with_peers([0, 1])
+}
+
+/// A replica of either kind — the sequential store or the worker pool
+/// — as the monitor scenarios drive it. Reads of the monitor quiesce
+/// the node first (a pool flush; nothing to do inline).
+trait Replica {
+    fn attach_monitor(&mut self, cfg: MonitorConfig);
+    fn update(&mut self, key: u64, u: CounterUpdate) -> Msg;
+    /// One peer frame, as a link hands it over.
+    fn deliver(&mut self, m: &Msg);
+    fn read(&mut self, key: u64) -> i64;
+    /// Take (and drop) a snapshot at `cut`.
+    fn cut(&mut self, cut: u64);
+    fn heartbeat(&self) -> Msg;
+    fn tick_maintenance(&mut self);
+    fn monitor_stats(&mut self) -> MonitorStats;
+    fn health(&mut self, n: usize) -> HealthStatus;
+}
+
+impl<F: StrategyFactory<CounterAdt>> Replica for UcStore<CounterAdt, F> {
+    fn attach_monitor(&mut self, cfg: MonitorConfig) {
+        UcStore::attach_monitor(self, cfg)
+    }
+    fn update(&mut self, key: u64, u: CounterUpdate) -> Msg {
+        UcStore::update(self, key, u)
+    }
+    fn deliver(&mut self, m: &Msg) {
+        self.apply_message(m)
+    }
+    fn read(&mut self, key: u64) -> i64 {
+        self.query(key, &CounterQuery::Read)
+    }
+    fn cut(&mut self, cut: u64) {
+        self.snapshot_at(cut).expect("cut is answerable");
+    }
+    fn heartbeat(&self) -> Msg {
+        UcStore::heartbeat(self)
+    }
+    fn tick_maintenance(&mut self) {
+        UcStore::tick_maintenance(self)
+    }
+    fn monitor_stats(&mut self) -> MonitorStats {
+        UcStore::monitor_stats(self)
+            .expect("monitor attached")
+            .clone()
+    }
+    fn health(&mut self, n: usize) -> HealthStatus {
+        UcStore::health(self, n).status
+    }
+}
+
+impl<F> Replica for IngestPool<CounterAdt, F>
+where
+    F: StrategyFactory<CounterAdt> + Send + 'static,
+    F::Strategy: Send + 'static,
+{
+    fn attach_monitor(&mut self, cfg: MonitorConfig) {
+        IngestPool::attach_monitor(self, cfg).expect("live pool")
+    }
+    fn update(&mut self, key: u64, u: CounterUpdate) -> Msg {
+        IngestPool::update(self, key, u).expect("live pool")
+    }
+    fn deliver(&mut self, m: &Msg) {
+        self.submit_batch(vec![m.clone()]).expect("live pool")
+    }
+    fn read(&mut self, key: u64) -> i64 {
+        self.query(key, &CounterQuery::Read).expect("live pool")
+    }
+    fn cut(&mut self, cut: u64) {
+        self.snapshot_at(cut).expect("cut is answerable");
+    }
+    fn heartbeat(&self) -> Msg {
+        IngestPool::heartbeat(self)
+    }
+    fn tick_maintenance(&mut self) {
+        IngestPool::tick_maintenance(self).expect("live pool")
+    }
+    fn monitor_stats(&mut self) -> MonitorStats {
+        self.flush().expect("live pool");
+        IngestPool::monitor_stats(self).expect("monitor attached")
+    }
+    fn health(&mut self, n: usize) -> HealthStatus {
+        self.flush().expect("live pool");
+        IngestPool::health(self, n).status
+    }
+}
+
+/// A fresh sequential replica.
+fn sequential<F: StrategyFactory<CounterAdt>>(factory: &F, pid: u32) -> UcStore<CounterAdt, F> {
+    UcStore::new(CounterAdt, pid, 4, factory.clone())
+}
+
+/// The same replica, its shards on `workers` worker threads.
+fn pooled<F>(factory: &F, pid: u32, workers: usize) -> IngestPool<CounterAdt, F>
+where
+    F: StrategyFactory<CounterAdt> + Send + 'static,
+    F::Strategy: Send + 'static,
+{
+    sequential(factory, pid).into_pool(PoolConfig {
+        workers,
+        queue_depth: 64,
+        backpressure: Backpressure::Park,
+    })
+}
+
+/// Run `$body(make, args…)` once per node kind, `make(pid)` building a
+/// fresh replica of that kind over `$factory`.
+macro_rules! on_every_node_kind {
+    ($body:ident, $factory:expr $(, $arg:expr)*) => {{
+        let factory = $factory;
+        $body(|pid| sequential(&factory, pid) $(, $arg)*);
+        $body(|pid| pooled(&factory, pid, 1) $(, $arg)*);
+        $body(|pid| pooled(&factory, pid, 2) $(, $arg)*);
+    }};
 }
 
 /// Drive two monitored replicas (plus an unmonitored twin of the
@@ -31,20 +152,17 @@ fn monitored_cfg() -> MonitorConfig {
 /// monitor on both ends. `fifo` keeps per-link order: stability-based
 /// GC requires it (the reliable link provides it in production), so
 /// its differential perturbs with duplicates only.
-fn clean_differential<F>(factory: F, fifo: bool)
-where
-    F: StrategyFactory<CounterAdt> + Clone,
-{
-    let mut a = UcStore::new(CounterAdt, 0, 4, factory.clone());
-    let mut twin = UcStore::new(CounterAdt, 0, 4, factory.clone());
-    let mut b = UcStore::new(CounterAdt, 1, 4, factory);
+fn clean_differential<R: Replica>(make: impl Fn(u32) -> R, fifo: bool) {
+    let mut a = make(0);
+    let mut twin = make(0);
+    let mut b = make(1);
     a.attach_monitor(monitored_cfg());
     b.attach_monitor(monitored_cfg());
 
     let mut msgs_a = Vec::new();
     for i in 0..20u64 {
         let m = a.update(i % KEYS, CounterUpdate::Add(i as i64 + 1));
-        twin.apply_message(&m);
+        twin.deliver(&m);
         msgs_a.push(m);
     }
     let mut msgs_b = Vec::new();
@@ -55,37 +173,37 @@ where
     // Deliver b's stream to a (and the twin) — reversed unless the
     // strategy needs FIFO — with every third message duplicated; a's
     // stream to b in submitted order.
-    let order: Vec<&StoreMsg<CounterUpdate>> = if fifo {
+    let order: Vec<&Msg> = if fifo {
         msgs_b.iter().collect()
     } else {
         msgs_b.iter().rev().collect()
     };
     for (i, m) in order.into_iter().enumerate() {
-        a.apply_message(m);
-        twin.apply_message(m);
+        a.deliver(m);
+        twin.deliver(m);
         if i % 3 == 0 {
-            a.apply_message(m);
-            twin.apply_message(m);
+            a.deliver(m);
+            twin.deliver(m);
         }
     }
     for m in &msgs_a {
-        b.apply_message(m);
+        b.deliver(m);
     }
 
     // Stability: exchange heartbeats, then let both ends compact.
     let hb_a = a.heartbeat();
     let hb_b = b.heartbeat();
-    a.apply_message(&hb_b);
-    twin.apply_message(&hb_b);
-    b.apply_message(&hb_a);
+    a.deliver(&hb_b);
+    twin.deliver(&hb_b);
+    b.deliver(&hb_a);
     a.tick_maintenance();
     twin.tick_maintenance();
     b.tick_maintenance();
 
     for k in 0..KEYS {
-        let va = a.query(k, &CounterQuery::Read);
-        let vt = twin.query(k, &CounterQuery::Read);
-        let vb = b.query(k, &CounterQuery::Read);
+        let va = a.read(k);
+        let vt = twin.read(k);
+        let vb = b.read(k);
         assert_eq!(
             va, vt,
             "monitored and unmonitored twins diverged on key {k}"
@@ -93,36 +211,36 @@ where
         assert_eq!(va, vb, "replicas did not converge on key {k}");
     }
 
-    let sa = a.monitor_stats().expect("monitor attached");
+    let sa = a.monitor_stats();
     assert!(
         sa.clean(),
         "false positive on a clean run: {sa:?} ({})",
-        std::any::type_name::<F>()
+        std::any::type_name::<R>()
     );
     assert!(sa.sampled_updates >= 40, "both streams observed");
     assert!(sa.sampled_queries >= KEYS, "every query checked");
-    let sb = b.monitor_stats().expect("monitor attached");
+    let sb = b.monitor_stats();
     assert!(sb.clean(), "false positive on replica b: {sb:?}");
 }
 
 #[test]
 fn clean_run_is_clean_under_naive() {
-    clean_differential(NaiveFactory, false);
+    on_every_node_kind!(clean_differential, NaiveFactory, false);
 }
 
 #[test]
 fn clean_run_is_clean_under_checkpoint() {
-    clean_differential(CheckpointFactory { every: 4 }, false);
+    on_every_node_kind!(clean_differential, CheckpointFactory { every: 4 }, false);
 }
 
 #[test]
 fn clean_run_is_clean_under_undo() {
-    clean_differential(UndoFactory, false);
+    on_every_node_kind!(clean_differential, UndoFactory, false);
 }
 
 #[test]
 fn clean_run_is_clean_under_gc() {
-    clean_differential(GcFactory { n: 2 }, true);
+    on_every_node_kind!(clean_differential, GcFactory { n: 2 }, true);
 }
 
 /// A strategy with an injected fold bug: the log's first update is
@@ -170,18 +288,22 @@ impl StrategyFactory<CounterAdt> for DoubleFoldFactory {
     }
 }
 
-#[test]
-fn double_fold_is_caught_by_the_first_query_check() {
-    let mut s = UcStore::new(CounterAdt, 0, 2, DoubleFoldFactory);
+fn double_fold_is_caught<R: Replica>(make: impl Fn(u32) -> R) {
+    let mut s = make(0);
     s.attach_monitor(MonitorConfig::full());
     s.update(7, CounterUpdate::Add(5));
-    let v = s.query(7, &CounterQuery::Read);
+    let v = s.read(7);
     assert_eq!(v, 10, "the injected bug double-folds the first update");
-    let stats = s.monitor_stats().unwrap();
+    let stats = s.monitor_stats();
     assert_eq!(stats.uc_violations, 1, "flagged on the very first check");
     assert_eq!(stats.snap_violations, 0);
     assert_eq!(stats.sec_violations, 0);
-    assert_eq!(s.health(1).status, HealthStatus::Degraded);
+    assert_eq!(s.health(1), HealthStatus::Degraded);
+}
+
+#[test]
+fn double_fold_is_caught_by_the_first_query_check() {
+    on_every_node_kind!(double_fold_is_caught, DoubleFoldFactory);
 }
 
 /// A strategy whose snapshot path ignores the cut: every cut answers
@@ -232,21 +354,24 @@ impl StrategyFactory<CounterAdt> for TornCutFactory {
     }
 }
 
-#[test]
-fn torn_cut_is_caught_by_the_first_snapshot() {
-    let mut s = UcStore::new(CounterAdt, 0, 2, TornCutFactory);
+fn torn_cut_is_caught<R: Replica>(make: impl Fn(u32) -> R) {
+    let mut s = make(0);
     s.attach_monitor(MonitorConfig::full());
     s.update(1, CounterUpdate::Add(1)); // clock 1
     s.update(1, CounterUpdate::Add(2)); // clock 2
     s.update(1, CounterUpdate::Add(4)); // clock 3
-    let snap = s.snapshot_at(1).expect("cut is answerable");
-    drop(snap);
-    let stats = s.monitor_stats().unwrap();
+    s.cut(1);
+    let stats = s.monitor_stats();
     assert!(
         stats.snap_violations >= 1,
         "cut 1 must fold only the first update: {stats:?}"
     );
     assert_eq!(stats.uc_violations, 0, "no spurious query-side flags");
+}
+
+#[test]
+fn torn_cut_is_caught_by_the_first_snapshot() {
+    on_every_node_kind!(torn_cut_is_caught, TornCutFactory);
 }
 
 #[test]
@@ -275,28 +400,86 @@ fn replay_below_the_dedup_floor_is_informational_not_a_violation() {
     assert!(s.monitor_stats().unwrap().clean());
 }
 
-#[test]
-fn stamp_reuse_with_diverging_payloads_is_a_sec_violation() {
-    let mut s = UcStore::new(CounterAdt, 0, 2, NaiveFactory);
+fn stamp_reuse_is_flagged<R: Replica>(make: impl Fn(u32) -> R) {
+    let mut s = make(0);
     s.attach_monitor(MonitorConfig::full());
     let ts = Timestamp::new(5, 9);
-    s.apply_message(&StoreMsg::Update {
+    s.deliver(&StoreMsg::Update {
         key: 2,
         msg: UpdateMsg {
             ts,
             update: CounterUpdate::Add(1),
         },
     });
-    s.apply_message(&StoreMsg::Update {
+    s.deliver(&StoreMsg::Update {
         key: 2,
         msg: UpdateMsg {
             ts,
             update: CounterUpdate::Add(2),
         },
     });
-    let stats = s.monitor_stats().unwrap();
+    let stats = s.monitor_stats();
     assert!(stats.sec_violations >= 1, "{stats:?}");
-    assert_eq!(s.health(1).status, HealthStatus::Degraded);
+    assert_eq!(s.health(1), HealthStatus::Degraded);
+}
+
+#[test]
+fn stamp_reuse_with_diverging_payloads_is_a_sec_violation() {
+    on_every_node_kind!(stamp_reuse_is_flagged, NaiveFactory);
+}
+
+/// One schedule — local updates, a peer burst out of order with a
+/// duplicate, per-frame deliveries, reads of touched and untouched
+/// keys, a cut, heartbeats and two maintenance ticks — fed identically
+/// to a monitored store and a monitored one-worker pool. Both run the
+/// same shard set over the same keys, so every monitor counter agrees.
+#[test]
+fn a_store_and_a_one_worker_pool_report_the_same_monitor_stats() {
+    let factory = GcFactory { n: 2 };
+    let mut store = sequential(&factory, 0);
+    let mut pool = pooled(&factory, 0, 1);
+    let mut peer = sequential(&factory, 1);
+    Replica::attach_monitor(&mut store, monitored_cfg());
+    Replica::attach_monitor(&mut pool, monitored_cfg());
+
+    let burst: Vec<Msg> = (0..12u64)
+        .map(|i| peer.update(i % KEYS, CounterUpdate::Add(i as i64 + 1)))
+        .collect();
+    let frames: Vec<Msg> = (0..4u64)
+        .map(|i| peer.update(i, CounterUpdate::Add(-7)))
+        .collect();
+    let peer_clock = Replica::heartbeat(&peer);
+
+    for i in 0..10u64 {
+        let u = CounterUpdate::Add(100 + i as i64);
+        let a = Replica::update(&mut store, i % 5, u);
+        let b = Replica::update(&mut pool, i % 5, u);
+        assert_eq!(a, b, "one clock, one schedule: the same stamps");
+    }
+    let mut batch = burst.clone();
+    batch.push(burst[3].clone());
+    store.apply_batch(&batch);
+    pool.submit_batch(batch).unwrap();
+    Replica::tick_maintenance(&mut store);
+    Replica::tick_maintenance(&mut pool);
+    for m in frames.iter().chain([&peer_clock]) {
+        store.deliver(m);
+        pool.deliver(m);
+    }
+    for key in 0..KEYS + 2 {
+        assert_eq!(store.read(key), pool.read(key), "key {key}");
+    }
+    let cut = store.clock();
+    assert_eq!(cut, pool.clock());
+    store.cut(cut);
+    pool.cut(cut);
+    Replica::tick_maintenance(&mut store);
+    Replica::tick_maintenance(&mut pool);
+
+    let inline = Replica::monitor_stats(&mut store);
+    assert!(inline.clean(), "{inline:?}");
+    assert!(inline.sampled_cuts > 0 && inline.finalized_updates > 0 && inline.ticks == 2);
+    assert_eq!(inline, Replica::monitor_stats(&mut pool));
 }
 
 #[test]
