@@ -30,7 +30,10 @@
 //! contract and its three invalidation rules are on [`StableGc`], and
 //! so is what changes once the fold is shared with readers (a pool's
 //! published snapshots): it lives behind an `Arc`, two buffers take
-//! turns under it, and a publication copies nothing.
+//! turns under it, a publication copies nothing, and the base is a
+//! view of those buffers, so compaction applies nothing the fold
+//! already holds — a published update is applied twice, once per
+//! buffer.
 //!
 //! Silent processes block stability (their `last_seen` stays low), so
 //! replicas broadcast periodic clock [`GcMsg::Heartbeat`]s via
@@ -87,32 +90,52 @@ use uc_spec::UqAdt;
 /// because `owed` outgrew `OWED_MAX`, or a cold rebuild — is
 /// a state copied, which is what every publication cost before.
 /// `Arc::get_mut` is the only way a buffer is ever written, so a state
-/// somebody holds never changes under them. For a shared fold the
-/// rules above read:
+/// somebody holds never changes under them.
 ///
-/// * rules 1 and 2 hold as they are, and the cold rebuild starts a new
-///   `front` (one copy of `base`) and forgets `back`: nothing relates
-///   the old generation to the new one;
+/// The base of a shared fold is mostly not a state of its own but a
+/// *view* of the two buffers: `front` itself once a drain has taken
+/// everything the fold holds (the common case: the heartbeat that
+/// makes a burst stable), or `back` advanced by the first `n` owed
+/// updates once `front` has moved on over entries not yet stable. A
+/// drain under a view applies nothing — each update is applied twice,
+/// once per buffer — and `base` holds `adt.initial()`. The view is
+/// *materialized* (one copy into `base`) only where the buffers are
+/// about to stop holding it — a swap that writes `back` past it,
+/// `OWED_MAX` dropping `back`, an in-place advance with no `back`, a
+/// late insertion that sends the fold cold — or where a state is
+/// needed and the view sits inside `owed`: a cut below the log's end,
+/// a persisted base. A view of a whole buffer is read where it is. For
+/// a shared fold the rules above read:
+///
+/// * rules 1 and 2 hold as they are. Rule 1 materializes a viewed base
+///   first; rule 2 replaces the base, so its view is forgotten. The
+///   cold rebuild starts a new `front` (one copy of `base`) and forgets
+///   `back`: nothing relates the old generation to the new one;
 /// * rule 3 does not fire: a compaction first advances the warm fold
 ///   over the entries it is about to drain, so compaction overtaking
 ///   publication costs those entries' fold a little earlier and never
-///   a refold. (A cold fold stays cold; it is rebuilt from the new
-///   base.) Such a key holds its state three times — `base`, `front`
-///   and `back` — where it used to be four: `base`, `scratch` and the
-///   two copies in the cell;
+///   a refold — and a drain that then takes all the fold holds leaves
+///   the base at `front`, whatever it was before, so the advance keeps
+///   no view and materializes nothing. (A cold fold stays cold; it
+///   drains into a base of its own and is rebuilt from it.) Such a key
+///   holds its state twice — `front` and `back` — where it used to be
+///   four times: `base`, `scratch` and the two copies in the cell;
 /// * a read of an empty log answers `front` — there is no `Arc` of
-///   `base` to hand out. Warm, `front` already equals `base`; cold, it
-///   is rebuilt from `base` once. Either way it is then folded through
-///   `(bound, u32::MAX)`: everything at or below the bound is in it
-///   and nothing else is held.
+///   `base` to hand out. Warm, `front` already equals the base (its
+///   view is `front`); cold, it is rebuilt from `base` once. Either way
+///   it is then folded through `(bound, u32::MAX)`: everything at or
+///   below the bound is in it and nothing else is held.
 ///
-/// `Clone` shares both buffers with the original (and copies `owed`).
-/// That is safe for the reason publication is: either engine writes a
-/// buffer only while it is the sole holder, so the first advance on
-/// either side finds `front` and `back` held and copies.
+/// `Clone` shares both buffers with the original, and copies `owed`
+/// and the view. That is safe for the reason publication is: either
+/// engine writes a buffer only while it is the sole holder, so the
+/// first advance on either side finds `front` and `back` held and
+/// copies, and a view of a shared `back` is materialized into a copy,
+/// never by replaying into `back`.
 #[derive(Clone, Debug)]
 pub struct StableGc<A: UqAdt> {
-    /// Fold of the compacted stable prefix.
+    /// Fold of the compacted stable prefix — `adt.initial()` while a
+    /// shared fold's view says where in its buffers that fold is.
     base: A::State,
     /// The cached query-time fold of a key that was never shared;
     /// meaningful only while `folded` is `Some` and `rotation` is
@@ -161,68 +184,128 @@ struct Rotation<A: UqAdt> {
     /// The updates that take `back` to `front`, in order; empty without
     /// a `back`.
     owed: Vec<A::Update>,
+    /// Where the base is, when it is not `StableGc::base` itself.
+    view: Option<View>,
     /// Was a whole state copied since the fold was last handed out?
     copied: bool,
 }
 
+/// A shared fold's base as a place in its buffers — see *A shared
+/// fold* on [`StableGc`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum View {
+    /// The base is `front`.
+    Front,
+    /// The base is `back` advanced by the first `n` owed updates
+    /// (`n < owed.len()`: at `owed.len()` it is `Front`).
+    Back(usize),
+}
+
 impl<A: UqAdt> Rotation<A> {
     /// Apply `tail` to the kept fold; returns how many owed updates
-    /// were replayed on the way. Out of line, like
+    /// were replayed on the way. A viewed base the advance would leave
+    /// behind is materialized into `base` first. Out of line, like
     /// [`StableGc::shared_fold`]: compaction calls it, and compaction
     /// runs for every key.
     #[inline(never)]
-    fn advance(&mut self, adt: &A, tail: &[(Timestamp, A::Update)]) -> usize {
+    fn advance(&mut self, adt: &A, tail: &[(Timestamp, A::Update)], base: &mut A::State) -> usize {
         if tail.is_empty() {
             return 0;
         }
-        if let Some(front) = Arc::get_mut(&mut self.front) {
+        let in_place = Arc::get_mut(&mut self.front).is_some();
+        // What `back` will trail by, and whether that is still worth
+        // keeping: in place, `back` stays and trails by the tail as
+        // well; a swap makes the present `front` the new `back`.
+        let trails = if in_place { self.owed.len() } else { 0 };
+        let keep = (self.back.is_some() || !in_place) && trails + tail.len() <= OWED_MAX;
+        let mut replayed = 0;
+        match self.view {
+            Some(View::Front) if keep => self.view = Some(View::Back(trails)),
+            Some(View::Back(_)) if keep && in_place => {}
+            _ => replayed += self.materialize(adt, base),
+        }
+        if in_place {
+            let front = Arc::get_mut(&mut self.front).expect("checked above");
             for (_, u) in tail {
                 adt.apply(front, u);
             }
-            if self.back.is_some() {
-                self.owe(tail);
-            }
-            return 0;
-        }
-        // `front` is held (by the cell, a reader, an engine clone):
-        // bring the previous generation up to date instead, if it has
-        // been let go.
-        let reused = self.back.take().and_then(|mut back| {
-            let state = Arc::get_mut(&mut back)?;
-            for u in &self.owed {
+        } else {
+            // `front` is held (by the cell, a reader, an engine clone):
+            // bring the previous generation up to date instead, if it
+            // has been let go.
+            let reused = self.back.take().and_then(|mut back| {
+                let state = Arc::get_mut(&mut back)?;
+                for u in &self.owed {
+                    adt.apply(state, u);
+                }
+                Some(back)
+            });
+            replayed += reused.as_ref().map_or(0, |_| self.owed.len());
+            let mut next = reused.unwrap_or_else(|| {
+                self.copied = true;
+                Arc::new(A::State::clone(&self.front))
+            });
+            let state = Arc::get_mut(&mut next).expect("sole holder: let go or just made");
+            for (_, u) in tail {
                 adt.apply(state, u);
             }
-            Some(back)
-        });
-        let replayed = reused.as_ref().map_or(0, |_| self.owed.len());
-        let mut next = reused.unwrap_or_else(|| {
-            self.copied = true;
-            Arc::new(A::State::clone(&self.front))
-        });
-        let state = Arc::get_mut(&mut next).expect("sole holder: let go or just made");
-        for (_, u) in tail {
-            adt.apply(state, u);
+            self.back = Some(std::mem::replace(&mut self.front, next));
+            // One long burst must not size a key's `owed` for good.
+            self.owed.clear();
+            self.owed.shrink_to(4 * tail.len());
         }
-        self.back = Some(std::mem::replace(&mut self.front, next));
-        // One long burst must not size a key's `owed` for good.
-        self.owed.clear();
-        self.owed.shrink_to(4 * tail.len());
-        self.owe(tail);
+        if keep {
+            self.owed.extend(tail.iter().map(|(_, u)| u.clone()));
+        } else {
+            self.back = None;
+            self.owed = Vec::new();
+        }
         replayed
     }
 
-    /// `back` now trails `front` by `tail` as well.
-    fn owe(&mut self, tail: &[(Timestamp, A::Update)]) {
-        if self.owed.len() + tail.len() > OWED_MAX {
-            self.back = None;
-            self.owed = Vec::new();
-        } else {
-            self.owed.extend(tail.iter().map(|(_, u)| u.clone()));
+    /// Where a base that trails `front` by `lag` updates sits, if the
+    /// buffers hold it.
+    fn view_at(&self, lag: usize) -> Option<View> {
+        match lag {
+            0 => Some(View::Front),
+            _ if self.back.is_some() && lag <= self.owed.len() => {
+                Some(View::Back(self.owed.len() - lag))
+            }
+            _ => None,
         }
+    }
+
+    /// Give a viewed base a state of its own in `base`: one copy.
+    /// Returns how many owed updates were replayed on the way — into
+    /// `back` itself when nobody else holds it, so that the next swap
+    /// does not replay them again.
+    fn materialize(&mut self, adt: &A, base: &mut A::State) -> usize {
+        let Some(view) = self.view.take() else {
+            return 0;
+        };
+        self.copied = true;
+        let View::Back(n) = view else {
+            *base = A::State::clone(&self.front);
+            return 0;
+        };
+        let back = self.back.as_mut().expect("a view of `back`");
+        if let Some(state) = Arc::get_mut(back) {
+            for u in self.owed.drain(..n) {
+                adt.apply(state, &u);
+            }
+            *base = state.clone();
+        } else {
+            *base = A::State::clone(back);
+            for u in &self.owed[..n] {
+                adt.apply(base, u);
+            }
+        }
+        n
     }
 
     /// Start over from a freshly folded `state`.
     fn restart(&mut self, state: A::State) {
+        debug_assert!(self.view.is_none(), "a cold fold's base is its own");
         self.front = Arc::new(state);
         self.back = None;
         self.owed = Vec::new();
@@ -262,7 +345,9 @@ impl<A: UqAdt> StableGc<A> {
     /// an unchanged log, grows by one per in-order arrival read, and
     /// by the retained log's length after a late one. A shared fold
     /// pays a second step per update, when the buffer that sat out an
-    /// advance catches up.
+    /// advance catches up — and those two are all an update costs it:
+    /// a drain whose prefix the buffers hold applies nothing to the
+    /// base (the owed updates a materialization replays count here too).
     pub fn query_fold_steps(&self) -> u64 {
         self.fold_steps
     }
@@ -281,7 +366,8 @@ impl<A: UqAdt> StableGc<A> {
             Some(folded) if folded == newest => {}
             Some(folded) => {
                 let (tail, _) = log.suffix_window(0, Some(folded), usize::MAX);
-                self.fold_steps += (tail.len() + rotation.advance(adt, tail)) as u64;
+                let replayed = rotation.advance(adt, tail, &mut self.base);
+                self.fold_steps += (tail.len() + replayed) as u64;
             }
             None => {
                 self.fold_steps += log.len() as u64;
@@ -293,20 +379,31 @@ impl<A: UqAdt> StableGc<A> {
         &rotation.front
     }
 
+    /// The base as a state: `base` itself, or the whole buffer a shared
+    /// fold's view names; a view inside `owed` is materialized first.
+    fn base_state(&mut self, adt: &A) -> &A::State {
+        let Some(rotation) = self.rotation.as_deref_mut() else {
+            return &self.base;
+        };
+        match rotation.view {
+            Some(View::Front) => &rotation.front,
+            Some(View::Back(0)) => rotation.back.as_deref().expect("a view of `back`"),
+            Some(View::Back(_)) => {
+                self.fold_steps += rotation.materialize(adt, &mut self.base) as u64;
+                &self.base
+            }
+            None => &self.base,
+        }
+    }
+
     fn try_compact<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>) {
         let mut new_bound = self.last_seen.iter().copied().min().unwrap_or(0);
         if let Some(cap) = self.retention_cap {
             new_bound = new_bound.min(cap);
         }
         self.bound = self.bound.max(new_bound);
-        if let (Some(rotation), Some(folded)) = (&mut self.rotation, self.folded) {
-            // A shared fold goes ahead of the drain (rule 3 never fires).
-            let (tail, _) = log.suffix_window(0, Some(folded), usize::MAX);
-            let stable = &tail[..tail.partition_point(|(ts, _)| ts.clock <= self.bound)];
-            if let Some((last, _)) = stable.last() {
-                self.folded = Some(*last);
-                self.fold_steps += (stable.len() + rotation.advance(adt, stable)) as u64;
-            }
+        if let (Some(_), Some(folded)) = (&self.rotation, self.folded) {
+            return self.compact_shared(adt, log, folded);
         }
         let (base, compacted) = (&mut self.base, &mut self.compacted);
         let Some(last) = log.drain_stable_prefix(self.bound, |u| {
@@ -322,6 +419,58 @@ impl<A: UqAdt> StableGc<A> {
         // retained suffix to the backend as the live tail (a no-op on
         // the in-memory backend).
         log.persist_base(self.bound, &self.base);
+    }
+
+    /// [`StableGc::try_compact`] of a warm shared fold: the fold goes
+    /// ahead of the drain (rule 3 never fires), and the drained prefix
+    /// is a view of the buffers wherever they hold it. Out of line: a
+    /// key that was never shared runs the code it always ran.
+    #[inline(never)]
+    fn compact_shared<B: LogBackend<A>>(
+        &mut self,
+        adt: &A,
+        log: &mut UpdateLog<A, B>,
+        folded: Timestamp,
+    ) {
+        let rotation = self.rotation.as_deref_mut().expect("a shared fold");
+        let (tail, _) = log.suffix_window(0, Some(folded), usize::MAX);
+        let held = log.len() - tail.len();
+        debug_assert!(
+            rotation.view.is_none() || rotation.view == rotation.view_at(held),
+            "a view trails `front` by the retained entries the fold holds"
+        );
+        let stable = &tail[..tail.partition_point(|(ts, _)| ts.clock <= self.bound)];
+        // What the base trails `front` by once the fold has taken
+        // `stable` and the drain its prefix: the entries the fold then
+        // holds that the drain leaves.
+        let lag = held + stable.len() - log.prefix_len(self.bound);
+        let real = rotation.view.is_none();
+        if let Some((last, _)) = stable.last() {
+            // The drain takes all the fold will hold (`lag` is 0): the
+            // base is about to be `front`, so no view of it is kept
+            // through the advance, and none is materialized.
+            rotation.view = None;
+            self.folded = Some(*last);
+            let replayed = rotation.advance(adt, stable, &mut self.base);
+            self.fold_steps += (stable.len() + replayed) as u64;
+        }
+        let view = rotation.view_at(lag);
+        debug_assert!(real || view.is_some(), "a drain never loses a view");
+        let (base, compacted) = (&mut self.base, &mut self.compacted);
+        let drained = log.drain_stable_prefix(self.bound, |u| {
+            if view.is_none() {
+                adt.apply(base, u);
+            }
+            *compacted += 1;
+        });
+        if drained.is_none() {
+            return;
+        }
+        if real && view.is_some() {
+            *base = adt.initial();
+        }
+        rotation.view = view;
+        log.persist_base(self.bound, self.base_state(adt));
     }
 }
 
@@ -343,6 +492,11 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
         if let (Some(folded), Some((ts, _))) = (self.folded, log.get(pos)) {
             if *ts <= folded {
                 self.folded = None;
+                if let Some(rotation) = &mut self.rotation {
+                    // The rebuild replaces both buffers: a base they
+                    // hold needs a state of its own first.
+                    self.fold_steps += rotation.materialize(adt, &mut self.base) as u64;
+                }
             }
         }
         self.try_compact(adt, log);
@@ -405,6 +559,7 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
                 front: Arc::new(front),
                 back: None,
                 owed: Vec::new(),
+                view: None,
                 copied: false,
             }));
         }
@@ -417,7 +572,8 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     /// Cut queries over a compacted log: the base already folds every
     /// update with `clock ≤ bound`, so a cut below the bound is
     /// unanswerable ([`CutError`]) and a cut at or above it folds only
-    /// the retained prefix `(bound, cut]` over the base. When the cut
+    /// the retained prefix `(bound, cut]` over the base (a shared
+    /// fold's viewed base too, see *A shared fold*). When the cut
     /// covers the whole retained log this *is* the current state, so
     /// the cached query fold is reused — such a cut costs only the
     /// unfolded tail while the cache is warm.
@@ -438,7 +594,8 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
             return Ok(self.current_state(adt, log).clone());
         }
         self.fold_steps += plen as u64;
-        Ok(adt.run_updates_from(self.base.clone(), log.prefix_at(cut).map(|(_, u)| u)))
+        let base = self.base_state(adt).clone();
+        Ok(adt.run_updates_from(base, log.prefix_at(cut).map(|(_, u)| u)))
     }
 
     /// Recovery: adopt a base persisted by an earlier run's
@@ -451,6 +608,9 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
         self.base = state;
         self.bound = bound;
         self.folded = None;
+        if let Some(rotation) = &mut self.rotation {
+            rotation.view = None;
+        }
         true
     }
 }
@@ -916,16 +1076,23 @@ mod tests {
     /// [`Published`] cell, as a pool worker drives them.
     mod rotation {
         use super::*;
+        use crate::generic::GenericReplica;
         use crate::snapshot::Published;
         use std::cell::Cell;
 
         thread_local! {
             /// Whole-state copies made on this test's thread.
             static COPIES: Cell<u64> = const { Cell::new(0) };
+            /// Updates applied to any state on this test's thread.
+            static APPLIES: Cell<u64> = const { Cell::new(0) };
         }
 
         fn copies() -> u64 {
             COPIES.with(Cell::get)
+        }
+
+        fn applies() -> u64 {
+            APPLIES.with(Cell::get)
         }
 
         #[derive(Debug, PartialEq, Eq, Hash)]
@@ -938,7 +1105,8 @@ mod tests {
             }
         }
 
-        /// A set whose state counts its copies.
+        /// A set whose state counts its copies, and that counts what it
+        /// applies.
         #[derive(Clone, Debug)]
         struct CountedSet;
 
@@ -953,6 +1121,7 @@ mod tests {
             }
 
             fn apply(&self, state: &mut Counted, update: &SetUpdate<u32>) {
+                APPLIES.with(|c| c.set(c.get() + 1));
                 SetAdt::new().apply(&mut state.0, update);
             }
 
@@ -985,8 +1154,13 @@ mod tests {
             let mut e = engine();
             let cell = Published::new();
             let mut flagged = 0;
+            let mut steady = 0;
             for n in 0..50 {
+                let before = applies();
                 let (state, copied) = burst(&mut e, n);
+                if n >= 2 {
+                    steady += applies() - before;
+                }
                 flagged += u64::from(copied);
                 // The cell lets go of the previous generation here.
                 cell.publish(u64::from(n) + 1, state);
@@ -996,13 +1170,15 @@ mod tests {
             }
             assert_eq!(copies(), 2, "a publication costs its tail, not a state");
             assert_eq!(flagged, 2, "and says so");
-            assert!(
-                e.strategy().folded.is_some(),
-                "compaction never sent it cold"
-            );
+            assert_eq!(steady, 2 * 4 * 48, "one apply per buffer, none into `base`");
+            let strategy = e.strategy();
+            assert!(strategy.folded.is_some(), "compaction never sent it cold");
+            let rotation = strategy.rotation.as_ref().expect("shared");
+            assert_eq!(rotation.view, Some(View::Front), "the base is `front`");
+            assert_eq!(strategy.base, CountedSet.initial());
             // Each update folded once per buffer (the first four went
             // into `base` before the fold existed).
-            assert_eq!(e.strategy().query_fold_steps(), 2 * 4 * 49 - 4);
+            assert_eq!(strategy.query_fold_steps(), 2 * 4 * 49 - 4);
         }
 
         #[test]
@@ -1146,6 +1322,26 @@ mod tests {
 
         #[test]
         fn held_snapshots_never_change_under_a_swapping_writer() {
+            let (_, copies) = swapping_writer(false);
+            assert!(copies > 2, "sitting readers force the copy path");
+        }
+
+        #[test]
+        fn held_snapshots_never_change_while_the_writer_materializes_its_base() {
+            let (epochs, copies) = swapping_writer(true);
+            assert!(
+                copies >= epochs / 2,
+                "every publication without a heartbeat materializes: {copies} of {epochs}"
+            );
+        }
+
+        /// A writer publishing into a cell while readers sit on what they
+        /// loaded; returns the publications and those that copied a
+        /// state. With `unstable`, each heartbeat lags the writer's newest
+        /// update and every other publication goes without one, so that
+        /// update outlives two publications and the second swap
+        /// materializes the base while readers hold snapshots.
+        fn swapping_writer(unstable: bool) -> (u64, u64) {
             use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
             const READERS: usize = 3;
             let cell: Arc<Published<BTreeSet<u32>>> = Arc::new(Published::new());
@@ -1190,7 +1386,9 @@ mod tests {
                 e.update(SetUpdate::Delete(marker(epoch - 1)));
                 e.update(SetUpdate::Insert(epoch as u32 % 16));
                 e.update(SetUpdate::Delete((epoch as u32 + 5) % 16));
-                e.observe_peer_clock(1, e.clock());
+                if !unstable || epoch % 2 == 0 {
+                    e.observe_peer_clock(1, e.clock() - u64::from(unstable));
+                }
                 let (state, copied) = e.shared_state();
                 copies += u64::from(copied);
                 cell.publish(epoch, state);
@@ -1199,7 +1397,7 @@ mod tests {
             for r in readers {
                 r.join().expect("reader");
             }
-            assert!(copies > 2, "sitting readers force the copy path");
+            (epoch, copies)
         }
 
         #[test]
@@ -1218,6 +1416,231 @@ mod tests {
             }
             let rotation = e.strategy().rotation.as_ref().expect("shared once");
             assert!(rotation.back.is_none() && rotation.owed.is_empty());
+        }
+
+        /// A published key beside a full-log replica fed the same
+        /// updates: what every base and publication is checked against.
+        struct Tracked {
+            e: Engine,
+            naive: GenericReplica<SetAdt<u32>>,
+            cell: Published<Counted>,
+            epoch: u64,
+        }
+
+        impl Tracked {
+            /// Three bursts, each published: `front` is the cell's,
+            /// `back` nobody else's, and the base is `front`.
+            fn steady() -> Tracked {
+                let mut k = Tracked {
+                    e: engine(),
+                    naive: GenericReplica::new(SetAdt::new(), 0),
+                    cell: Published::new(),
+                    epoch: 0,
+                };
+                for n in 0..3 {
+                    for i in 0..4 {
+                        k.update(4 * n + i);
+                    }
+                    k.e.observe_peer_clock(1, k.e.clock());
+                    k.publish();
+                }
+                assert_eq!(k.view(), Some(View::Front));
+                k
+            }
+
+            fn update(&mut self, v: u32) {
+                let m = self.e.update(SetUpdate::Insert(v));
+                self.naive.on_deliver(&m);
+            }
+
+            /// Publish the key; whether that copied a state.
+            fn publish(&mut self) -> bool {
+                let (state, copied) = self.e.shared_state();
+                assert_eq!(state.0, self.naive.materialize());
+                self.epoch += 1;
+                self.cell.publish(self.epoch, state);
+                copied
+            }
+
+            fn view(&self) -> Option<View> {
+                self.e.strategy().rotation.as_ref().expect("shared").view
+            }
+
+            fn bound(&self) -> u64 {
+                self.e.strategy().stability_bound()
+            }
+
+            /// The fold of every update at or below the bound.
+            fn expected_base(&mut self) -> BTreeSet<u32> {
+                let bound = self.bound();
+                self.naive.state_at_cut(bound).expect("a full log")
+            }
+
+            fn assert_materialized(&mut self) {
+                assert_eq!(self.view(), None, "a base of its own");
+                let expect = self.expected_base();
+                assert_eq!(self.e.strategy().base.0, expect);
+            }
+        }
+
+        #[test]
+        fn a_swap_past_a_base_inside_owed_replays_its_prefix_then_copies_once() {
+            let mut k = Tracked::steady();
+            // Nobody holds `front` any more: a read advances it in place
+            // and the base stays where `front` was, four owed updates in.
+            k.cell = Published::new();
+            k.update(100);
+            let _ = k.e.do_query(&());
+            assert_eq!(k.view(), Some(View::Back(4)));
+            assert!(!k.publish());
+            k.update(101);
+            let (copies0, applies0) = (copies(), applies());
+            assert!(k.publish(), "the swap copies the base out of `back`");
+            assert_eq!(copies() - copies0, 1);
+            // Four owed updates into `back`, the copy, the fifth owed
+            // update and the tail: nothing is replayed twice.
+            assert_eq!(applies() - applies0, 4 + 1 + 1);
+            k.assert_materialized();
+        }
+
+        #[test]
+        fn owed_outgrowing_its_cap_under_a_view_copies_the_base_once() {
+            let mut k = Tracked::steady();
+            k.cell = Published::new();
+            let before = copies();
+            for v in 0..OWED_MAX as u32 {
+                k.update(100 + v);
+                let _ = k.e.do_query(&());
+            }
+            assert_eq!(copies() - before, 1, "the base, as `back` was dropped");
+            let rotation = k.e.strategy().rotation.as_ref().expect("shared");
+            assert!(rotation.back.is_none());
+            k.assert_materialized();
+        }
+
+        #[test]
+        fn a_late_arrival_under_a_view_copies_the_base_once_before_the_rebuild() {
+            let mut k = Tracked::steady();
+            let bound = k.bound();
+            // Not stable yet: the swap leaves the base in `back`.
+            k.update(100);
+            k.update(101);
+            assert!(!k.publish());
+            assert_eq!(k.view(), Some(View::Back(0)));
+            // Between the two, above the bound: the fold goes cold, and
+            // the heard clock compacts the first of them.
+            let late = UpdateMsg {
+                ts: Timestamp::new(bound + 1, 1),
+                update: SetUpdate::Insert(102),
+            };
+            let before = copies();
+            k.e.on_deliver(&late);
+            k.naive.on_deliver(&late);
+            assert_eq!(
+                copies() - before,
+                1,
+                "the base, before anything drained into it"
+            );
+            assert_eq!(k.bound(), bound + 1);
+            k.assert_materialized();
+            assert!(k.publish(), "the rebuild");
+            assert_eq!(copies() - before, 2);
+        }
+
+        #[test]
+        fn a_cut_below_the_log_end_materializes_a_base_inside_owed_only() {
+            // The base is `back` itself: the cut copies its answer off it.
+            let mut k = Tracked::steady();
+            k.update(100);
+            assert!(!k.publish());
+            assert_eq!(k.view(), Some(View::Back(0)));
+            let before = copies();
+            let cut = k.e.state_at_cut(k.bound()).expect("at the bound");
+            assert_eq!(cut.0, k.expected_base());
+            assert_eq!(copies() - before, 1, "the answer, and no base");
+            assert_eq!(k.view(), Some(View::Back(0)));
+            // The base is four owed updates into `back`: it is
+            // materialized first, and the answer copied off it.
+            let mut k = Tracked::steady();
+            k.cell = Published::new();
+            k.update(100);
+            let _ = k.e.do_query(&());
+            assert_eq!(k.view(), Some(View::Back(4)));
+            let before = copies();
+            let cut = k.e.state_at_cut(k.bound()).expect("at the bound");
+            assert_eq!(cut.0, k.expected_base());
+            assert_eq!(copies() - before, 2, "the base, then the answer");
+            k.assert_materialized();
+        }
+
+        #[test]
+        fn install_base_under_a_view_replaces_it_without_a_copy() {
+            let adt = CountedSet;
+            let mut log: UpdateLog<CountedSet> = UpdateLog::new();
+            let mut s = StableGc::new(&adt, 2);
+            let ctx = EngineCtx { pid: 0, clock: 2 };
+            for clock in 1..=2 {
+                let msg = UpdateMsg {
+                    ts: Timestamp::new(clock, 0),
+                    update: SetUpdate::Insert(clock as u32),
+                };
+                let pos = log.insert(&msg).expect("fresh");
+                s.on_insert(&adt, &mut log, pos, &ctx);
+            }
+            let _ = s.shared_state(&adt, &log);
+            s.observe_clock(0, 2);
+            s.observe_clock(1, 2);
+            s.maintain(&adt, &mut log, &ctx);
+            assert_eq!(s.rotation.as_ref().expect("shared").view, Some(View::Front));
+            assert_eq!(s.base, adt.initial());
+            let before = copies();
+            assert!(s.install_base(&adt, 5, Counted(BTreeSet::from([7]))));
+            assert_eq!(copies(), before, "the base is replaced, not materialized");
+            assert_eq!(s.rotation.as_ref().expect("shared").view, None);
+            let (state, copied) = s.shared_state(&adt, &log);
+            assert!(copied, "the rebuild");
+            assert_eq!(copies() - before, 1);
+            assert_eq!(state.0, BTreeSet::from([7]));
+        }
+
+        #[test]
+        fn an_engine_clone_copies_a_shared_back_to_materialize() {
+            let mut k = Tracked::steady();
+            let bound = k.bound();
+            k.update(100);
+            k.update(101);
+            k.publish();
+            assert_eq!(k.view(), Some(View::Back(0)));
+            let mut twin = k.e.clone();
+            let mut naive = k.naive.clone();
+            let late = UpdateMsg {
+                ts: Timestamp::new(bound + 1, 1),
+                update: SetUpdate::Insert(102),
+            };
+            let before = copies();
+            twin.on_deliver(&late);
+            naive.on_deliver(&late);
+            assert_eq!(copies() - before, 1, "the base, out of the shared `back`");
+            let strategy = twin.strategy();
+            assert_eq!(strategy.rotation.as_ref().expect("shared").view, None);
+            let twin_bound = strategy.stability_bound();
+            assert_eq!(
+                strategy.base.0,
+                naive.state_at_cut(twin_bound).expect("full")
+            );
+            // The original's view and buffers are as they were.
+            assert_eq!(k.view(), Some(View::Back(0)));
+            assert_eq!(
+                k.e.state_at_cut(bound).expect("at the bound").0,
+                k.expected_base()
+            );
+            // Its next swap finds both buffers held by the twin: the base
+            // and the new `front` are copies.
+            k.update(103);
+            let before = copies();
+            assert!(k.publish());
+            assert_eq!(copies() - before, 2);
+            k.assert_materialized();
         }
     }
 }

@@ -55,8 +55,11 @@
 //!   (two buffers taking turns, see *A shared fold* there). A state is
 //!   still copied for a key's first two publications, after a late
 //!   message sent the fold cold, when a reader still holds the key's
-//!   previous snapshot as the next is due, and on every publication
-//!   under a strategy that keeps no fold to share;
+//!   previous snapshot as the next is due, when the key's base — a
+//!   view of the two buffers — must become a state of its own (a key
+//!   published twice over an update the heartbeat has not reached
+//!   yet), and on every publication under a strategy that keeps no
+//!   fold to share;
 //!   [`WorkerStats::snapshot_copies`]
 //!   (`uc_pool_snapshot_copies_total`) counts those publications
 //!   beside [`WorkerStats::snapshots_published`] — flat in a steady
@@ -305,9 +308,11 @@ pub struct WorkerStats {
     /// out the strategy's kept fold (see *A shared fold* on
     /// [`StableGc`](crate::gc::StableGc)): a key's first publications,
     /// a cold rebuild after a late arrival, a reader still holding the
-    /// key's previous snapshot when the next one is due — and every
-    /// publication under a strategy that keeps no shareable fold. Flat
-    /// in a steady run; rising with
+    /// key's previous snapshot when the next one is due, a base
+    /// materialized out of the buffers since the key's last publication
+    /// — and every publication under a strategy that keeps no
+    /// shareable fold. Flat in a steady run but for the
+    /// materializations, a small share of publications; rising with
     /// [`WorkerStats::snapshots_published`] means readers sitting on
     /// snapshots, or a stream of late messages, are costing the worker
     /// a state copy per publication.
@@ -2711,26 +2716,34 @@ mod tests {
         }
         // A burst writing six keys three times each, closed by the
         // peer's heartbeat, a local update and the maintenance tick:
-        // compaction runs ahead of publication in every round.
-        let mut round = |n: u32| {
+        // compaction runs ahead of publication in every round. The
+        // local update outlives the tick (the heartbeat lags it) and
+        // is folded by the next round's. With `twice`, the same key
+        // takes a second local update and is published again before
+        // that heartbeat: the swap passes a base the buffers hold.
+        let mut round = |n: u32, twice: bool| {
             let mut burst: Vec<_> = (0..18u64)
                 .map(|i| producer.update(i % 6, SetUpdate::Insert(18 * n + i as u32)))
                 .collect();
             burst.push(producer.heartbeat());
             sequential.apply_batch(&burst);
             handle.submit_batch(burst).unwrap();
-            let local = handle
-                .update(u64::from(n) % 6, SetUpdate::Insert(1000 + n))
-                .unwrap();
-            sequential.apply_batch(&[local]);
-            let clock = handle.clock();
-            handle
-                .push_job(0, Job::Maintain { clock }, Backpressure::Park)
-                .unwrap();
             let mut published = Vec::new();
-            while worker.turn() == Turn::Worked {
-                let w = worker.core.counters[worker.widx].stats();
-                published.push((w.snapshots_published, w.snapshot_copies));
+            for v in [1000, 2000].into_iter().take(1 + usize::from(twice)) {
+                let local = handle
+                    .update(u64::from(n) % 6, SetUpdate::Insert(v + n))
+                    .unwrap();
+                // The peer hears it, so that its next burst is stamped above.
+                producer.apply_batch(std::slice::from_ref(&local));
+                sequential.apply_batch(&[local]);
+                let clock = handle.clock();
+                handle
+                    .push_job(0, Job::Maintain { clock }, Backpressure::Park)
+                    .unwrap();
+                while worker.turn() == Turn::Worked {
+                    let w = worker.core.counters[worker.widx].stats();
+                    published.push((w.snapshots_published, w.snapshot_copies));
+                }
             }
             for key in 0..6 {
                 assert_eq!(read(&handle, key), sequential.materialize_key(key));
@@ -2739,10 +2752,10 @@ mod tests {
         };
         // Bootstrap: the cold first share of each key, then the first
         // swap (there is no previous generation to advance yet).
-        assert_eq!(round(0).last(), Some(&(6, 6)));
-        assert_eq!(round(1).last(), Some(&(12, 12)));
+        assert_eq!(round(0, false).last(), Some(&(6, 6)));
+        assert_eq!(round(1, false).last(), Some(&(12, 12)));
         for n in 2..10u32 {
-            let turns = round(n);
+            let turns = round(n, false);
             assert!(
                 turns.iter().all(|(_, copies)| *copies == 12),
                 "round {n}: {turns:?}"
@@ -2753,11 +2766,27 @@ mod tests {
         let cell = Arc::clone(&handle.core.snaps[0].keys.load().expect("registry").1[&3]);
         let (_, held) = cell.load().expect("published");
         let loaded = BTreeSet::clone(&held);
-        round(10);
-        assert_eq!(round(11).last(), Some(&(72, 13)));
+        round(10, false);
+        assert_eq!(round(11, false).last(), Some(&(72, 13)));
         assert_eq!(*held, loaded, "and keeps what it loaded");
         drop(held);
-        assert_eq!(round(12).last(), Some(&(78, 13)));
+        assert_eq!(round(12, false).last(), Some(&(78, 13)));
+        // So does a key published twice over an update the heartbeat
+        // has not reached: one copy, the base it materializes — and
+        // the rounds after it are flat again.
+        let mut copies = 13;
+        for n in (13..21u32).step_by(2) {
+            let turns = round(n, true);
+            assert_eq!(turns.first().map(|t| t.1), Some(copies), "round {n}");
+            copies += 1;
+            assert_eq!(turns.last().map(|t| t.1), Some(copies), "round {n}");
+            let turns = round(n + 1, false);
+            assert!(
+                turns.iter().all(|t| t.1 == copies),
+                "round {}: {turns:?}",
+                n + 1
+            );
+        }
     }
 
     #[test]

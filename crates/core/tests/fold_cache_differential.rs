@@ -19,25 +19,67 @@
 //! Here every step is checked too, but half of the checks read a
 //! *clone* of the engine, so the original's cache stays as far behind
 //! its log as the schedule left it.
+//!
+//! The base is checked after every step as well, not only through a
+//! recovery: whenever a step hands the backend a new base, it must be
+//! the naive replica's state at the stability bound. A shared fold's
+//! base is mostly a view of its two buffers, and the drains that take
+//! it apply nothing — the schedules must produce some of those, or the
+//! view path went unchecked.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 use uc_core::{GenericReplica, LogBackend, ReplicaEngine, StableGc, Timestamp, UpdateMsg};
 use uc_sim::SplitMix64;
-use uc_spec::{SetAdt, SetQuery, SetUpdate};
+use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
-type Adt = SetAdt<u32>;
 type Upd = SetUpdate<u32>;
 type Msg = UpdateMsg<Upd>;
-type Gc = ReplicaEngine<Adt, StableGc<Adt>, Disk>;
+type Gc = ReplicaEngine<Counting, StableGc<Counting>, Disk>;
+type Naive = GenericReplica<SetAdt<u32>>;
+
+thread_local! {
+    /// Updates the engine under test applied, to any state.
+    static APPLIES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn applies() -> u64 {
+    APPLIES.with(Cell::get)
+}
+
+/// The set, counting what it applies.
+#[derive(Clone, Copy, Debug, Default)]
+struct Counting(SetAdt<u32>);
+
+impl UqAdt for Counting {
+    type Update = Upd;
+    type QueryIn = SetQuery;
+    type QueryOut = BTreeSet<u32>;
+    type State = BTreeSet<u32>;
+
+    fn initial(&self) -> BTreeSet<u32> {
+        self.0.initial()
+    }
+
+    fn apply(&self, state: &mut BTreeSet<u32>, update: &Upd) {
+        APPLIES.with(|c| c.set(c.get() + 1));
+        self.0.apply(state, update);
+    }
+
+    fn observe(&self, state: &BTreeSet<u32>, query: &SetQuery) -> BTreeSet<u32> {
+        self.0.observe(state, query)
+    }
+}
 
 /// What a persistent backend keeps, held outside the engine so that a
 /// "crash" can drop the engine and recover from it.
 #[derive(Default)]
 struct DiskState {
     base: Option<(u64, BTreeSet<u32>)>,
+    /// Bases handed over so far.
+    bases: u64,
     journal: Vec<(Timestamp, Upd)>,
     watermark: u64,
 }
@@ -45,7 +87,7 @@ struct DiskState {
 #[derive(Clone, Default)]
 struct Disk(Rc<RefCell<DiskState>>);
 
-impl LogBackend<Adt> for Disk {
+impl LogBackend<Counting> for Disk {
     fn append(&mut self, ts: Timestamp, u: &Upd) {
         self.0.borrow_mut().journal.push((ts, *u));
     }
@@ -53,6 +95,7 @@ impl LogBackend<Adt> for Disk {
     fn truncate_to_base(&mut self, bound: u64, state: &BTreeSet<u32>, tail: &[(Timestamp, Upd)]) {
         let mut disk = self.0.borrow_mut();
         disk.base = Some((bound, state.clone()));
+        disk.bases += 1;
         disk.journal = tail.to_vec();
     }
 
@@ -86,7 +129,7 @@ fn random_update(rng: &mut SplitMix64) -> Upd {
 /// between producers so that their clocks interleave and a delivery
 /// from one lands below what another already delivered.
 fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<VecDeque<Msg>> {
-    let mut peers: Vec<GenericReplica<Adt>> = (0..producers)
+    let mut peers: Vec<Naive> = (0..producers)
         .map(|i| GenericReplica::new(SetAdt::new(), i as u32 + 1))
         .collect();
     let mut streams = vec![VecDeque::new(); producers];
@@ -102,7 +145,7 @@ fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<VecDeque<Msg>>
     streams
 }
 
-fn check(gc: &mut Gc, naive: &mut GenericReplica<Adt>, on_clone: bool, what: &str, seed: u64) {
+fn check(gc: &mut Gc, naive: &mut Naive, on_clone: bool, what: &str, seed: u64) {
     let expect = naive.materialize();
     let got = if on_clone {
         gc.clone().materialize()
@@ -127,6 +170,9 @@ struct Tally {
     shares: u64,
     /// Shares the strategy served without copying a state.
     uncopied: u64,
+    /// Steps that compacted and applied nothing: the drain took a base
+    /// the buffers already held.
+    free_drains: u64,
 }
 
 fn scenario(seed: u64, tally: &mut Tally) {
@@ -138,17 +184,19 @@ fn scenario(seed: u64, tally: &mut Tally) {
     // may announce without overtaking its own undelivered updates.
     let mut delivered = vec![0u64; producers];
 
-    let adt: Adt = SetAdt::new();
+    let adt = Counting::default();
     let disk = Disk::default();
     let mut gc: Gc =
         ReplicaEngine::with_backend(adt, 0, StableGc::new(&adt, cluster), disk.clone());
-    let mut naive: GenericReplica<Adt> = GenericReplica::new(adt, 0);
+    let mut naive: Naive = GenericReplica::new(SetAdt::new(), 0);
     // The newest share, as a snapshot cell keeps it, and the readers.
     let mut ring: Option<Held> = None;
     let mut readers: Vec<Held> = Vec::new();
 
     let mut idle_steps = 0;
     while idle_steps < 24 {
+        let bases = disk.0.borrow().bases;
+        let (compacted, applied) = (gc.strategy().compacted(), applies());
         let p = (rng.next_u64() % producers as u64) as usize;
         let what = match rng.next_u64() % 16 {
             0..=3 => {
@@ -249,6 +297,18 @@ fn scenario(seed: u64, tally: &mut Tally) {
                 "a recovery"
             }
         };
+        if gc.strategy().compacted() > compacted && applies() == applied {
+            tally.free_drains += 1;
+        }
+        let written = disk.0.borrow();
+        if let (true, Some((bound, base))) = (written.bases > bases, &written.base) {
+            let expect = naive.state_at_cut(*bound).expect("the full log");
+            assert_eq!(
+                *base, expect,
+                "the base at {bound} after {what}, seed {seed}"
+            );
+        }
+        drop(written);
         check(
             &mut gc,
             &mut naive,
@@ -299,5 +359,9 @@ fn kept_fold_matches_naive_replay_after_every_step() {
         "the schedules must swap buffers, not copy: {} of {} shares uncopied",
         tally.uncopied,
         tally.shares
+    );
+    assert!(
+        tally.free_drains > 0,
+        "some drains must take a base the buffers hold, applying nothing"
     );
 }
