@@ -12,30 +12,28 @@
 //! * `spread` — burst timestamps scattered uniformly across the
 //!   history: the average out-of-order case.
 //!
-//! Run with `cargo bench -p uc-bench --bench batching`. Results are
-//! also written to `BENCH_batching.json` at the workspace root so
-//! successive PRs accumulate a perf trajectory.
+//! Run with `cargo bench -p uc-bench --bench batching`. A full run
+//! writes `BENCH_batching.json` at the workspace root; set
+//! `UC_BENCH_SMOKE=1` for a CI-sized run that writes nothing.
 
-use std::fmt::Write as _;
 use std::time::Instant;
+use uc_bench::harness;
 use uc_core::{CachedReplica, GenericReplica, Replica, Timestamp, UndoReplica, UpdateMsg};
 use uc_sim::SplitMix64;
 use uc_spec::{SetAdt, SetUpdate};
 
 type Msg = UpdateMsg<SetUpdate<u32>>;
 
-const LOG_LEN: u64 = 8192;
-const REPS: usize = 15;
 const KS: [usize; 3] = [16, 64, 256];
 
-fn burst(rng: &mut SplitMix64, k: usize, pattern: &str) -> Vec<Msg> {
+fn burst(rng: &mut SplitMix64, k: usize, pattern: &str, log_len: u64) -> Vec<Msg> {
     let mut clocks: Vec<u64> = match pattern {
         // Orders entirely before the local history.
         "head" => (1..=k as u64).collect(),
         // Scattered across the whole history; pid 1 breaks ties, so
         // clashes with local clocks are fine and need no dedup.
         "spread" => (0..k)
-            .map(|_| 1 + rng.next_u64() % LOG_LEN)
+            .map(|_| 1 + rng.next_u64() % log_len)
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect(),
@@ -55,18 +53,18 @@ fn burst(rng: &mut SplitMix64, k: usize, pattern: &str) -> Vec<Msg> {
         .collect()
 }
 
-/// Median wall time of `REPS` runs of `f` on a fresh clone of `base`.
-fn median_ns<R: Clone>(base: &R, mut f: impl FnMut(&mut R)) -> u64 {
-    let mut samples: Vec<u64> = (0..REPS)
-        .map(|_| {
-            let mut r = base.clone();
-            let t0 = Instant::now();
-            f(&mut r);
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+/// Median wall time of `reps` runs of `f` on a fresh clone of `base`.
+fn median_ns<R: Clone>(reps: usize, base: &R, mut f: impl FnMut(&mut R)) -> u64 {
+    harness::median(
+        (0..reps)
+            .map(|_| {
+                let mut r = base.clone();
+                let t0 = Instant::now();
+                f(&mut r);
+                t0.elapsed().as_nanos() as u64
+            })
+            .collect(),
+    )
 }
 
 struct Row {
@@ -77,19 +75,25 @@ struct Row {
     batched_ns: u64,
 }
 
-fn bench_strategy<R>(rows: &mut Vec<Row>, strategy: &'static str, base: &R, rng: &mut SplitMix64)
-where
+fn bench_strategy<R>(
+    rows: &mut Vec<Row>,
+    strategy: &'static str,
+    base: &R,
+    rng: &mut SplitMix64,
+    log_len: u64,
+    reps: usize,
+) where
     R: Replica<SetAdt<u32>, Msg = Msg> + Clone,
 {
     for pattern in ["head", "spread"] {
         for k in KS {
-            let msgs = burst(rng, k, pattern);
-            let per_message_ns = median_ns(base, |r| {
+            let msgs = burst(rng, k, pattern, log_len);
+            let per_message_ns = median_ns(reps, base, |r| {
                 for m in &msgs {
                     r.on_message(m);
                 }
             });
-            let batched_ns = median_ns(base, |r| r.on_batch(&msgs));
+            let batched_ns = median_ns(reps, base, |r| r.on_batch(&msgs));
             rows.push(Row {
                 strategy,
                 pattern,
@@ -102,12 +106,14 @@ where
 }
 
 fn main() {
+    let smoke = harness::smoke();
+    let (log_len, reps) = if smoke { (1024, 3) } else { (8192, 15) };
     let mut rng = SplitMix64::new(0xBA7C4);
 
     let mut cached: CachedReplica<SetAdt<u32>> = CachedReplica::new(SetAdt::new(), 0);
     let mut undo: UndoReplica<SetAdt<u32>> = UndoReplica::new(SetAdt::new(), 0);
     let mut naive: GenericReplica<SetAdt<u32>> = GenericReplica::new(SetAdt::new(), 0);
-    for i in 0..LOG_LEN {
+    for i in 0..log_len {
         let u = SetUpdate::Insert((i % 512) as u32);
         cached.update(u);
         undo.update(u);
@@ -115,35 +121,27 @@ fn main() {
     }
 
     let mut rows = Vec::new();
-    bench_strategy(&mut rows, "cached", &cached, &mut rng);
-    bench_strategy(&mut rows, "undo", &undo, &mut rng);
-    bench_strategy(&mut rows, "naive", &naive, &mut rng);
+    bench_strategy(&mut rows, "cached", &cached, &mut rng, log_len, reps);
+    bench_strategy(&mut rows, "undo", &undo, &mut rng, log_len, reps);
+    bench_strategy(&mut rows, "naive", &naive, &mut rng, log_len, reps);
 
     println!(
         "{:<8} {:<8} {:>5} {:>16} {:>16} {:>9}",
         "strategy", "pattern", "K", "per-message", "batched", "speedup"
     );
-    let mut json = String::from("{\n  \"bench\": \"batching\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"log_len\": {LOG_LEN}, \"reps\": {REPS}}},"
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
+    let mut results = Vec::new();
+    for r in &rows {
         let speedup = r.per_message_ns as f64 / r.batched_ns.max(1) as f64;
         println!(
             "{:<8} {:<8} {:>5} {:>13} ns {:>13} ns {:>8.1}x",
             r.strategy, r.pattern, r.k, r.per_message_ns, r.batched_ns, speedup
         );
-        let _ = write!(
-            json,
-            "    {{\"strategy\": \"{}\", \"pattern\": \"{}\", \"k\": {}, \
+        results.push(format!(
+            "{{\"strategy\": \"{}\", \"pattern\": \"{}\", \"k\": {}, \
              \"per_message_ns\": {}, \"batched_ns\": {}, \"speedup\": {:.2}}}",
             r.strategy, r.pattern, r.k, r.per_message_ns, r.batched_ns, speedup
-        );
-        json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+        ));
     }
-    json.push_str("  ]\n}\n");
 
     // Repair strategies must show a real win on out-of-order bursts.
     let repairing = rows.iter().filter(|r| r.strategy != "naive" && r.k >= 64);
@@ -159,16 +157,14 @@ fn main() {
         );
     }
 
-    // One-line machine-readable summary (baseline refreshes grep for
-    // `^BENCH_JSON ` instead of hand-editing the checked-in file).
-    println!(
-        "\nBENCH_JSON {}",
-        json.split_whitespace().collect::<Vec<_>>().join(" ")
+    harness::emit(
+        "batching",
+        &[
+            (
+                "config",
+                format!("{{\"log_len\": {log_len}, \"reps\": {reps}}}"),
+            ),
+            ("results", harness::array(&results)),
+        ],
     );
-    let out = format!(
-        "{}/../../BENCH_batching.json",
-        std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into())
-    );
-    std::fs::write(&out, json).expect("write baseline json");
-    println!("wrote {out}");
 }

@@ -18,16 +18,14 @@
 //! reference — per-key digests and final clock are asserted every rep
 //! (the CI smoke step relies on this).
 //!
-//! Run with `cargo bench -p uc-bench --bench concurrent`. Results go
-//! to `BENCH_concurrent.json` at the workspace root; set
-//! `UC_BENCH_SMOKE=1` for a tiny CI-sized run that skips the baseline
-//! write. Every run prints a `BENCH_JSON {...}` one-liner for
-//! scripted refreshes.
+//! Run with `cargo bench -p uc-bench --bench concurrent`. A full run
+//! writes `BENCH_concurrent.json` at the workspace root; set
+//! `UC_BENCH_SMOKE=1` for a CI-sized run that writes nothing.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use uc_bench::harness;
 use uc_core::{state_digest, Backpressure, CheckpointFactory, PoolConfig, UcStore};
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
 
@@ -49,11 +47,6 @@ fn digest(store: &mut Store) -> u64 {
         .map(|k| (k, store.materialize_key(k)))
         .collect();
     state_digest(&states)
-}
-
-fn median(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// `(producer, i)` → the one update stream both paths replay.
@@ -154,7 +147,7 @@ struct Row {
 }
 
 fn main() {
-    let smoke = std::env::var("UC_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = harness::smoke();
     let reps = if smoke { 2 } else { 5 };
     let ops: u64 = if smoke { 2_000 } else { 20_000 };
     let producer_counts: &[u64] = if smoke { &[2] } else { &[1, 2, 4, 8] };
@@ -196,8 +189,8 @@ fn main() {
         }
         rows.push(Row {
             producers,
-            locked_ns: median(locked_samples),
-            lockfree_ns: median(lockfree_samples),
+            locked_ns: harness::median(locked_samples),
+            lockfree_ns: harness::median(lockfree_samples),
         });
     }
 
@@ -205,16 +198,27 @@ fn main() {
         "\n{:<10} {:>14} {:>16} {:>18}",
         "producers", "locked Mops/s", "lock-free Mops/s", "lock-free/locked"
     );
+    let mut contention = Vec::new();
     for r in &rows {
         let n = r.producers * ops;
         let mops = |ns: u64| n as f64 * 1e3 / ns as f64;
+        let speedup = r.locked_ns as f64 / r.lockfree_ns.max(1) as f64;
         println!(
             "{:<10} {:>14.2} {:>16.2} {:>17.2}x",
             r.producers,
             mops(r.locked_ns),
             mops(r.lockfree_ns),
-            r.locked_ns as f64 / r.lockfree_ns.max(1) as f64
+            speedup
         );
+        contention.push(format!(
+            "{{\"producers\": {}, \"locked_ns\": {}, \"lockfree_ns\": {}, \
+             \"locked_mops\": {:.3}, \"lockfree_mops\": {:.3}, \"speedup\": {speedup:.2}}}",
+            r.producers,
+            r.locked_ns,
+            r.lockfree_ns,
+            mops(r.locked_ns),
+            mops(r.lockfree_ns),
+        ));
     }
     println!(
         "\nnote: updates-only throughput (readers run concurrently on both paths, \
@@ -223,48 +227,25 @@ fn main() {
          cost one atomic load + Arc clone."
     );
 
-    let mut json = String::from("{\n  \"bench\": \"concurrent\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"ops_per_producer\": {ops}, \"readers\": {READERS}, \
-         \"keys_per_producer\": {KEYS_PER_PRODUCER}, \"shards\": {SHARDS}, \
-         \"reps\": {reps}, \"parallelism\": {hw}, \"smoke\": {smoke}}},"
+    harness::emit(
+        "concurrent",
+        &[
+            (
+                "config",
+                format!(
+                    "{{\"ops_per_producer\": {ops}, \"readers\": {READERS}, \
+                     \"keys_per_producer\": {KEYS_PER_PRODUCER}, \"shards\": {SHARDS}, \
+                     \"reps\": {reps}}}"
+                ),
+            ),
+            ("contention", harness::array(&contention)),
+            (
+                "note",
+                "\"digest-verified: lock-free == locked == sequential per key every rep; \
+                 speedup > 1 means atomic stamping + claim inboxes + snapshot reads beat \
+                 the mutex-shared store under the same producer/reader load\""
+                    .into(),
+            ),
+        ],
     );
-    json.push_str("  \"contention\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let n = r.producers * ops;
-        let mops = |ns: u64| n as f64 * 1e3 / ns as f64;
-        let _ = write!(
-            json,
-            "    {{\"producers\": {}, \"locked_ns\": {}, \"lockfree_ns\": {}, \
-             \"locked_mops\": {:.3}, \"lockfree_mops\": {:.3}, \"speedup\": {:.2}}}",
-            r.producers,
-            r.locked_ns,
-            r.lockfree_ns,
-            mops(r.locked_ns),
-            mops(r.lockfree_ns),
-            r.locked_ns as f64 / r.lockfree_ns.max(1) as f64
-        );
-        json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str(
-        "  \"note\": \"digest-verified: lock-free == locked == sequential per key \
-         every rep; speedup > 1 means atomic stamping + claim inboxes + snapshot \
-         reads beat the mutex-shared store under the same producer/reader load\"\n",
-    );
-    json.push_str("}\n");
-
-    println!(
-        "\nBENCH_JSON {}",
-        json.split_whitespace().collect::<Vec<_>>().join(" ")
-    );
-    if !smoke {
-        let out = format!(
-            "{}/../../BENCH_concurrent.json",
-            std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into())
-        );
-        std::fs::write(&out, json).expect("write baseline json");
-        println!("wrote {out}");
-    }
 }

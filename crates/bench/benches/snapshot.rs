@@ -25,14 +25,12 @@
 //! `clock ≤ t` prefix, and the stable-cut snapshot equals the full
 //! materialized store — the CI smoke step relies on this.
 //!
-//! Run with `cargo bench -p uc-bench --bench snapshot`. Results are
-//! written to `BENCH_snapshot.json` at the workspace root; set
-//! `UC_BENCH_SMOKE=1` for a tiny CI-sized run that skips the baseline
-//! write. Every run also prints a `BENCH_JSON {...}` one-liner so
-//! baseline refreshes can be scripted (`grep '^BENCH_JSON '`).
+//! Run with `cargo bench -p uc-bench --bench snapshot`. A full run
+//! writes `BENCH_snapshot.json` at the workspace root; set
+//! `UC_BENCH_SMOKE=1` for a CI-sized run that writes nothing.
 
-use std::fmt::Write as _;
 use std::time::Instant;
+use uc_bench::harness::{self, median};
 use uc_core::{CheckpointFactory, GcFactory, StoreMsg, UcStore};
 use uc_sim::{generate_keyed, KeyedWorkloadSpec};
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
@@ -85,11 +83,6 @@ fn ckpt_store() -> CkptStore {
     UcStore::new(SetAdt::new(), 0, SHARDS, CheckpointFactory { every: EVERY })
 }
 
-fn median(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 struct Row {
     read_keys: usize,
     perkey_ns: u64,
@@ -98,7 +91,7 @@ struct Row {
 }
 
 fn main() {
-    let smoke = std::env::var("UC_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = harness::smoke();
     let reps = if smoke { 2 } else { 7 };
     let spec = spec(smoke);
     let stream = ops(&spec);
@@ -221,49 +214,42 @@ fn main() {
         spec.keys
     );
 
-    let mut json = String::from("{\n  \"bench\": \"snapshot\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"updates\": {total}, \"keys\": {}, \"mid_cut\": {mid}, \
-         \"shards\": {SHARDS}, \"checkpoint_every\": {EVERY}, \"reps\": {reps}, \
-         \"smoke\": {smoke}}},",
-        spec.keys
+    let reads: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"read_keys\": {}, \"perkey_ns\": {}, \"cut_cold_ns\": {}, \
+                 \"cut_stable_ns\": {}, \"cold_vs_perkey\": {:.2}, \"stable_vs_cold\": {:.2}}}",
+                r.read_keys,
+                r.perkey_ns,
+                r.cut_cold_ns,
+                r.cut_stable_ns,
+                r.cut_cold_ns as f64 / r.perkey_ns.max(1) as f64,
+                r.cut_cold_ns as f64 / r.cut_stable_ns.max(1) as f64
+            )
+        })
+        .collect();
+    harness::emit(
+        "snapshot",
+        &[
+            (
+                "config",
+                format!(
+                    "{{\"updates\": {total}, \"keys\": {}, \"mid_cut\": {mid}, \
+                     \"shards\": {SHARDS}, \"checkpoint_every\": {EVERY}, \"reps\": {reps}}}",
+                    spec.keys
+                ),
+            ),
+            ("reads", harness::array(&reads)),
+            (
+                "note",
+                "\"equality-verified every rep: mid cut == sequential prefix reference per \
+                 key, stable cut == fully ingested store per key; cut columns build the \
+                 whole multi-key snapshot (consistent), per-key column reads K latest \
+                 states (tearable); stable_vs_cold is the cached-fold win from GC \
+                 stability\""
+                    .into(),
+            ),
+        ],
     );
-    json.push_str("  \"reads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"read_keys\": {}, \"perkey_ns\": {}, \"cut_cold_ns\": {}, \
-             \"cut_stable_ns\": {}, \"cold_vs_perkey\": {:.2}, \"stable_vs_cold\": {:.2}}}",
-            r.read_keys,
-            r.perkey_ns,
-            r.cut_cold_ns,
-            r.cut_stable_ns,
-            r.cut_cold_ns as f64 / r.perkey_ns.max(1) as f64,
-            r.cut_cold_ns as f64 / r.cut_stable_ns.max(1) as f64
-        );
-        json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str(
-        "  \"note\": \"equality-verified every rep: mid cut == sequential prefix \
-         reference per key, stable cut == fully ingested store per key; cut columns \
-         build the whole multi-key snapshot (consistent), per-key column reads K \
-         latest states (tearable); stable_vs_cold is the cached-fold win from GC \
-         stability\"\n",
-    );
-    json.push_str("}\n");
-
-    println!(
-        "\nBENCH_JSON {}",
-        json.split_whitespace().collect::<Vec<_>>().join(" ")
-    );
-    if !smoke {
-        let out = format!(
-            "{}/../../BENCH_snapshot.json",
-            std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into())
-        );
-        std::fs::write(&out, json).expect("write baseline json");
-        println!("wrote {out}");
-    }
 }

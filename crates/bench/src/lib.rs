@@ -12,9 +12,13 @@
 //! * `case_study` — E6: §VI final-state divergence table;
 //! * `complexity` — E7: message/byte accounting;
 //! * `gc_table` — E10: log retention with and without stability GC.
+//!
+//! [`harness`] is what the hand-rolled benches share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod harness;
 
 use std::collections::BTreeSet;
 use uc_core::{GenericReplica, OpInput, ReplicaNode};

@@ -4,8 +4,9 @@
 //! Both the sequential [`UcStore`](crate::store::UcStore) and the
 //! [`IngestPool`](crate::pool::IngestPool) stream
 //! [`MonitorStats`] as metrics; one derivation point here keeps the
-//! metric names identical on every runtime (the bench smoke step
-//! greps for them).
+//! metric names identical on every runtime (the test
+//! `online_monitor::a_sampled_monitor_never_perturbs_the_store_and_exports_what_it_saw`
+//! checks them).
 
 use uc_criteria::online::MonitorStats;
 use uc_obs::Registry;

@@ -20,7 +20,7 @@ use uc_core::store::{
 };
 use uc_core::{Timestamp, UpdateLog, UpdateMsg};
 use uc_criteria::online::{MonitorConfig, MonitorStats};
-use uc_obs::HealthStatus;
+use uc_obs::{HealthStatus, Registry};
 use uc_spec::{CounterAdt, CounterQuery, CounterUpdate, UqAdt};
 
 const KEYS: u64 = 8;
@@ -539,6 +539,65 @@ fn pool_monitor_stays_clean_then_flags_injected_stamp_reuse() {
     assert_eq!(health.status, HealthStatus::Degraded);
     assert_eq!(health.monitor_clean, Some(false));
     pool.finish().unwrap();
+}
+
+/// Sampling never perturbs: one perturbed keyed stream, ingested with
+/// the monitor detached and attached at rates 0, 0.01, 0.1 and 1,
+/// leaves every key's state the same. At full rate the monitor counts
+/// every update and flags none, and the store's scrape and health say
+/// so.
+#[test]
+fn a_sampled_monitor_never_perturbs_the_store_and_exports_what_it_saw() {
+    let mut producer = sequential(&NaiveFactory, 1);
+    let mut stream: Vec<Msg> = (0..2_000i64)
+        .map(|i| producer.update(i as u64 * 7 % 64, CounterUpdate::Add(i)))
+        .collect();
+    uc_sim::perturb_order(&mut stream, 0.15, 0x0B5ED);
+    let ingest = |rate: Option<f64>| {
+        let mut s = sequential(&CheckpointFactory { every: 32 }, 0);
+        if let Some(rate) = rate {
+            s.attach_monitor(MonitorConfig::sampled(rate).with_peers([0, 1]));
+        }
+        for chunk in stream.chunks(256) {
+            s.apply_batch(chunk);
+        }
+        s
+    };
+    let states = |s: &mut UcStore<CounterAdt, CheckpointFactory>| -> Vec<(u64, i64)> {
+        s.keys()
+            .into_iter()
+            .map(|k| (k, s.materialize_key(k)))
+            .collect()
+    };
+    let want = states(&mut ingest(None));
+    for rate in [0.0, 0.01, 0.1] {
+        assert_eq!(states(&mut ingest(Some(rate))), want, "rate {rate}");
+    }
+    let mut full = ingest(Some(1.0));
+    assert_eq!(states(&mut full), want, "rate 1");
+
+    let clock = full.clock();
+    full.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+    full.tick_maintenance();
+    let stats = full.monitor_stats().expect("monitor attached").clone();
+    assert!(stats.clean(), "false positive on a clean stream: {stats:?}");
+    assert_eq!(stats.sampled_updates, stream.len() as u64);
+    assert!(stats.finalized_updates > 0, "{stats:?}");
+    let reg = Registry::new();
+    full.export_metrics(&reg);
+    let scrape = reg.snapshot().render_prometheus();
+    for metric in [
+        "uc_store_keys ",
+        "uc_store_live_keys ",
+        "uc_monitor_sampled_updates_total ",
+        "uc_monitor_uc_violations_total 0",
+    ] {
+        assert!(
+            scrape.lines().any(|line| line.starts_with(metric)),
+            "no `{metric}` in the scrape:\n{scrape}"
+        );
+    }
+    assert!(full.health(2).render().contains("status: healthy"));
 }
 
 #[test]

@@ -577,6 +577,123 @@ fn chunked_heal_crash_mid_stream_reopens_and_reheals() {
     assert_matches_reference(&mut c, 2, &mut refs, "crashed-and-rehealed sink");
 }
 
+/// `UcStore::heal_peer`, sampling the healer's in-flight gauge between
+/// rounds: runs the heal dialogue from `healer` to `healed` to its end
+/// and returns the chunks streamed and the peak of the gauge in bytes.
+/// It copies `heal_peer`'s loop because the gauge must be read while
+/// frames are still in flight; a change to that loop must follow here.
+fn heal_sampling_in_flight(
+    healer: &mut UcStore<Adt, CheckpointFactory>,
+    healed: &mut UcStore<Adt, CheckpointFactory>,
+) -> (usize, u64) {
+    let (me, peer) = (healer.pid(), healed.pid());
+    let mut to_peer: Vec<Msg> = healer.peer_up(peer).into_iter().collect();
+    let (mut chunks, mut peak) = (0, 0);
+    while !to_peer.is_empty() {
+        chunks += to_peer
+            .iter()
+            .filter(|m| matches!(m, StoreMsg::RepairChunk { .. }))
+            .count();
+        let to_me: Vec<(Pid, Msg)> = to_peer
+            .drain(..)
+            .flat_map(|m| healed.apply_message_from(me, m))
+            .collect();
+        peak = peak.max(healer.heal_bytes_in_flight());
+        for (_, m) in to_me {
+            to_peer.extend(
+                healer
+                    .apply_message_from(peer, m)
+                    .into_iter()
+                    .map(|(_, m)| m),
+            );
+        }
+        peak = peak.max(healer.heal_bytes_in_flight());
+    }
+    (chunks, peak)
+}
+
+/// A divergence many chunks long heals in flow-controlled chunks: the
+/// stream is exactly the partition-era updates, the healed replica
+/// matches the never-partitioned one key for key, and the healer never
+/// holds more than `window × chunk` entries unacknowledged.
+#[test]
+fn a_chunked_heal_keeps_at_most_window_times_chunk_entries_in_flight() {
+    const CHUNK: usize = 64;
+    const WINDOW: usize = 2;
+    const DIVERGENCE: usize = 800;
+    let factory = CheckpointFactory { every: 32 };
+    let mut majority = UcStore::new(SetAdt::new(), 0, 4, factory);
+    majority.set_heal_config(HealConfig {
+        chunk: CHUNK,
+        window: WINDOW,
+        ..HealConfig::default()
+    });
+    let mut minority = UcStore::new(SetAdt::new(), 2, 4, factory);
+    let mut rng = SplitMix64::new(0xBEA7);
+    for _ in 0..2_000 {
+        let (key, u) = step_update(&mut rng);
+        let m = majority.update(key, u);
+        minority.apply_message(&m);
+    }
+    majority.peer_down(2);
+    for _ in 0..DIVERGENCE {
+        let (key, u) = step_update(&mut rng);
+        majority.update(key, u);
+    }
+
+    let (chunks, peak) = heal_sampling_in_flight(&mut majority, &mut minority);
+    let per_entry = (8 + 12 + std::mem::size_of::<SetUpdate<u32>>()) as u64;
+    assert_eq!(
+        majority.heal_replay_bytes(),
+        DIVERGENCE as u64 * per_entry,
+        "the stream is exactly the partition-era updates"
+    );
+    assert!(chunks >= DIVERGENCE.div_ceil(CHUNK), "{chunks} chunks");
+    assert!(
+        peak > 0 && peak / per_entry <= (WINDOW * CHUNK) as u64,
+        "peak in flight {} entries, window × chunk {}",
+        peak / per_entry,
+        WINDOW * CHUNK
+    );
+    assert_eq!(majority.heal_bytes_in_flight(), 0, "every chunk acked");
+    for key in majority.keys() {
+        assert_eq!(
+            majority.query(key, &SetQuery::Read),
+            minority.query(key, &SetQuery::Read),
+            "key {key}"
+        );
+    }
+}
+
+/// One diverged key of 128 over 16 shards: the digest exchange skips at
+/// least nine tenths of its slots, and still streams that key.
+#[test]
+fn one_diverged_key_of_128_skips_nine_tenths_of_the_digest_slots() {
+    let factory = CheckpointFactory { every: 32 };
+    let mut healer = UcStore::new(SetAdt::new(), 0, 16, factory);
+    let mut healed = UcStore::new(SetAdt::new(), 2, 16, factory);
+    for i in 0..512u32 {
+        let m = healer.update(u64::from(i) % 128, SetUpdate::Insert(i));
+        healed.apply_message(&m);
+    }
+    healer.peer_down(2);
+    for i in 0..32 {
+        healer.update(7, SetUpdate::Insert(1_000 + i));
+    }
+    assert!(healer.heal_peer(&mut healed) > 0);
+    let slots = 16 * u64::from(healer.heal_config().ranges);
+    let skipped = healer.heal_digest_skips();
+    assert!(
+        skipped * 10 >= slots * 9,
+        "skipped {skipped} of {slots} digest slots"
+    );
+    assert_eq!(
+        healer.query(7, &SetQuery::Read),
+        healed.query(7, &SetQuery::Read),
+        "the diverged key is never skipped"
+    );
+}
+
 /// Regression (review): stability GC over reordering links. A
 /// heartbeat carrying a high clock must not overtake a same-sender
 /// in-flight update — `StableGc` would advance the compaction bound

@@ -17,11 +17,12 @@ mod common;
 
 use std::collections::{HashMap, VecDeque};
 use uc_core::{
-    CheckpointFactory, GcFactory, GenericReplica, Key, NaiveFactory, PoolConfig, StoreInput,
-    StoreMsg, StrategyFactory, UcStore, UndoFactory,
+    CachedReplica, CheckpointFactory, GcFactory, GenericReplica, Key, NaiveFactory, PoolConfig,
+    Replica, StoreInput, StoreMsg, StrategyFactory, UcStore, UndoFactory, UpdateMsg,
 };
 use uc_sim::{
-    DeliveryMode, KeyedWorkloadSpec, LatencyModel, SetOpKind, SimConfig, Simulation, SplitMix64,
+    perturb_order, DeliveryMode, KeyedWorkloadSpec, LatencyModel, SetOpKind, SimConfig, Simulation,
+    SplitMix64,
 };
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
 
@@ -455,6 +456,95 @@ fn store_converges_under_discrete_event_simulation() {
     );
 }
 
+/// Per-key logs localize repair. After a zipfian keyed stream, a late
+/// 64-message burst on the hot key (key 0), stamped before the whole
+/// history, makes the store refold that key's log alone. The same
+/// stream multiplexed into one `CachedReplica` log (elements
+/// re-encoded `key · universe + element`) refolds everything behind
+/// the burst. Repair steps are counts, so they repeat exactly.
+#[test]
+fn a_late_burst_on_the_hot_key_repairs_that_key_alone() {
+    const EVERY: usize = 32;
+    const CHUNK: usize = 4096;
+    let spec = KeyedWorkloadSpec {
+        processes: 1,
+        ops_per_process: 12_000,
+        keys: 512,
+        key_alpha: 1.1,
+        universe: 64,
+        zipf_alpha: 0.8,
+        update_ratio: 1.0,
+        insert_ratio: 0.7,
+        mean_gap: 1,
+        ooo_rate: 0.15,
+        snapshot_rate: 0.0,
+        seed: 0x570BE,
+    };
+    let ops: Vec<(Key, SetUpdate<u32>)> = uc_sim::generate_keyed(&spec)
+        .into_iter()
+        .map(|op| match op.kind {
+            SetOpKind::Insert(e) => (op.key, SetUpdate::Insert(e as u32)),
+            SetOpKind::Delete(e) => (op.key, SetUpdate::Delete(e as u32)),
+            SetOpKind::Read | SetOpKind::SnapshotRead => unreachable!("update_ratio is 1.0"),
+        })
+        .collect();
+    let encode = |key: Key, u: SetUpdate<u32>| {
+        let at = |e: u32| key as u32 * spec.universe as u32 + e;
+        match u {
+            SetUpdate::Insert(e) => SetUpdate::Insert(at(e)),
+            SetUpdate::Delete(e) => SetUpdate::Delete(at(e)),
+        }
+    };
+    // One producer per shape; the same perturbation seed and length
+    // displace both streams alike.
+    let mut keyed_producer = UcStore::new(SetAdt::<u32>::new(), 1, 1, NaiveFactory);
+    let mut keyed_stream: Vec<Msg> = ops
+        .iter()
+        .map(|(key, u)| keyed_producer.update(*key, *u))
+        .collect();
+    let mut single_producer = CachedReplica::new(SetAdt::<u32>::new(), 1);
+    let mut single_stream: Vec<UpdateMsg<SetUpdate<u32>>> = ops
+        .iter()
+        .map(|(key, u)| single_producer.update(encode(*key, *u)))
+        .collect();
+    perturb_order(&mut keyed_stream, spec.ooo_rate, spec.seed ^ 0xBAD);
+    perturb_order(&mut single_stream, spec.ooo_rate, spec.seed ^ 0xBAD);
+
+    let mut keyed = UcStore::new(
+        SetAdt::<u32>::new(),
+        0,
+        1,
+        CheckpointFactory { every: EVERY },
+    );
+    for chunk in keyed_stream.chunks(CHUNK) {
+        keyed.apply_batch(chunk);
+    }
+    let mut late_producer = UcStore::new(SetAdt::<u32>::new(), 2, 1, NaiveFactory);
+    let late: Vec<Msg> = (0..64)
+        .map(|i| late_producer.update(0, SetUpdate::Insert(90_000 + i)))
+        .collect();
+    let before = keyed.total_repair_steps();
+    keyed.apply_batch(&late);
+    let keyed_steps = keyed.total_repair_steps() - before;
+
+    let mut single = CachedReplica::with_checkpoint_every(SetAdt::<u32>::new(), 0, EVERY);
+    for chunk in single_stream.chunks(CHUNK) {
+        single.on_batch(chunk);
+    }
+    let mut late_producer = CachedReplica::new(SetAdt::<u32>::new(), 2);
+    let late: Vec<_> = (0..64)
+        .map(|i| late_producer.update(SetUpdate::Insert(900_000 + i)))
+        .collect();
+    let before = single.repair_steps();
+    single.on_batch(&late);
+    let single_steps = single.repair_steps() - before;
+
+    assert!(
+        keyed_steps > 0 && keyed_steps < single_steps / 4,
+        "per-key logs must localize repair: {keyed_steps} steps vs {single_steps} in one log"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Backend differential: `MemBackend` vs `SegmentBackend`.
 //
@@ -474,13 +564,24 @@ use uc_storage::{ScratchDir, SegmentFactory};
 /// segment-backed store, assert they are indistinguishable, then kill
 /// (flush + drop) the persistent one, reopen it from disk, and assert
 /// the recovered store still matches the never-restarted reference.
-fn run_backend_differential<F>(factory: F, chunks: &[Vec<Msg>], seed: u64, shards: usize)
-where
+/// With `fsync` the segment store runs the `fsync` tier and is made
+/// durable after every chunk; without, it writes behind and the kill's
+/// flush is its only one.
+fn run_backend_differential<F>(
+    factory: F,
+    chunks: &[Vec<Msg>],
+    seed: u64,
+    shards: usize,
+    fsync: bool,
+) where
     F: StrategyFactory<Adt>,
 {
+    let at = format!("seed {seed}, fsync {fsync}");
     let mut mem = UcStore::new(SetAdt::<u32>::new(), 0, shards, factory.clone());
     let tmp = ScratchDir::new(&format!("store-diff-{seed}"));
-    let persist = SegmentFactory::at(tmp.path()).expect("scratch store");
+    let persist = SegmentFactory::at(tmp.path())
+        .expect("scratch store")
+        .fsync(fsync);
     let mut seg: UcStore<Adt, F, SegmentFactory> = UcStore::with_persistence(
         SetAdt::<u32>::new(),
         0,
@@ -499,41 +600,44 @@ where
                 seg.apply_message(m);
             }
         }
+        if fsync {
+            seg.flush_backends();
+        }
         // Queries tick the shared clock; issue them in lockstep so
         // the clock comparison stays exact.
         let k = rng.next_u64() % KEYS;
         assert_eq!(
             mem.query(k, &SetQuery::Read),
             seg.query(k, &SetQuery::Read),
-            "live query diverged, seed {seed}"
+            "live query diverged, {at}"
         );
     }
     mem.tick_maintenance();
     seg.tick_maintenance();
 
     // Live differential: states, clocks, and repair accounting.
-    assert_eq!(mem.keys(), seg.keys(), "keys, seed {seed}");
-    assert_eq!(mem.clock(), seg.clock(), "store clock, seed {seed}");
+    assert_eq!(mem.keys(), seg.keys(), "keys, {at}");
+    assert_eq!(mem.clock(), seg.clock(), "store clock, {at}");
     assert_eq!(
         mem.total_repair_events(),
         seg.total_repair_events(),
-        "repair events, seed {seed}"
+        "repair events, {at}"
     );
     assert_eq!(
         mem.total_repair_steps(),
         seg.total_repair_steps(),
-        "repair steps, seed {seed}"
+        "repair steps, {at}"
     );
     assert_eq!(
         mem.total_log_len(),
         seg.total_log_len(),
-        "retained log length, seed {seed}"
+        "retained log length, {at}"
     );
     for k in mem.keys() {
         assert_eq!(
             mem.materialize_key(k),
             seg.materialize_key(k),
-            "live key {k}, seed {seed}"
+            "live key {k}, {at}"
         );
     }
 
@@ -543,22 +647,18 @@ where
     drop(seg);
     let mut back: UcStore<Adt, F, SegmentFactory> =
         UcStore::reopen(SetAdt::<u32>::new(), 0, shards, factory, persist);
-    assert_eq!(mem.keys(), back.keys(), "recovered keys, seed {seed}");
-    assert_eq!(
-        mem.clock(),
-        back.clock(),
-        "recovered store clock, seed {seed}"
-    );
+    assert_eq!(mem.keys(), back.keys(), "recovered keys, {at}");
+    assert_eq!(mem.clock(), back.clock(), "recovered store clock, {at}");
     for k in mem.keys() {
         assert_eq!(
             mem.materialize_key(k),
             back.materialize_key(k),
-            "recovered key {k}, seed {seed}"
+            "recovered key {k}, {at}"
         );
         assert_eq!(
             mem.engine(k).expect("materialized").clock(),
             back.engine(k).expect("recovered").clock(),
-            "recovered engine clock, key {k}, seed {seed}"
+            "recovered engine clock, key {k}, {at}"
         );
     }
 }
@@ -579,11 +679,16 @@ fn full_log_chunks(seed: u64) -> (Vec<Vec<Msg>>, usize) {
     (chunks, 1 + (seed as usize % 4))
 }
 
+// The full-log strategies run every seed under both tiers, write-behind
+// and `fsync`, so each tier sees every shard count.
+
 #[test]
 fn segment_backend_matches_mem_backend_naive() {
     for seed in 0..10 {
         let (chunks, shards) = full_log_chunks(0xBACD ^ seed);
-        run_backend_differential(NaiveFactory, &chunks, seed, shards);
+        for fsync in [false, true] {
+            run_backend_differential(NaiveFactory, &chunks, seed, shards, fsync);
+        }
     }
 }
 
@@ -591,14 +696,12 @@ fn segment_backend_matches_mem_backend_naive() {
 fn segment_backend_matches_mem_backend_checkpoint() {
     for seed in 0..10 {
         let (chunks, shards) = full_log_chunks(0xBACE ^ seed);
-        run_backend_differential(
-            CheckpointFactory {
-                every: 1 + (seed as usize % 7),
-            },
-            &chunks,
-            seed,
-            shards,
-        );
+        let factory = CheckpointFactory {
+            every: 1 + (seed as usize % 7),
+        };
+        for fsync in [false, true] {
+            run_backend_differential(factory, &chunks, seed, shards, fsync);
+        }
     }
 }
 
@@ -606,73 +709,92 @@ fn segment_backend_matches_mem_backend_checkpoint() {
 fn segment_backend_matches_mem_backend_undo() {
     for seed in 0..10 {
         let (chunks, shards) = full_log_chunks(0xBACF ^ seed);
-        run_backend_differential(UndoFactory, &chunks, seed, shards);
+        for fsync in [false, true] {
+            run_backend_differential(UndoFactory, &chunks, seed, shards, fsync);
+        }
     }
 }
 
 #[test]
 fn segment_backend_matches_mem_backend_gc() {
-    // GC is sound only under per-sender FIFO; interleave the producer
-    // streams chunk-wise with prefix heartbeats (as in the pool's GC
-    // differential), then a full heartbeat round so compaction — and
-    // hence base-snapshot persistence — actually runs before the kill.
     for seed in 0..10 {
-        let mut rng = SplitMix64::new(0x6C0D ^ seed);
-        let streams = produce_streams(&mut rng, 2);
-        let total: usize = streams.iter().map(Vec::len).sum();
-        let mut queues: Vec<VecDeque<Msg>> = streams
-            .iter()
-            .map(|s| s.iter().cloned().collect())
-            .collect();
-        let mut chunks: Vec<Vec<Msg>> = Vec::new();
-        let mut max_clock = 0;
-        while queues.iter().any(|q| !q.is_empty()) {
-            let p = (rng.next_u64() % queues.len() as u64) as usize;
-            let take = 1 + (rng.next_u64() % 4) as usize;
-            let mut chunk: Vec<Msg> = Vec::new();
-            for _ in 0..take {
-                match queues[p].pop_front() {
-                    Some(m) => chunk.push(m),
-                    None => break,
-                }
-            }
-            if chunk.is_empty() {
-                continue;
-            }
-            let StoreMsg::Update { msg, .. } = chunk.last().expect("nonempty") else {
-                panic!("producers only emit updates");
-            };
-            max_clock = max_clock.max(msg.ts.clock);
-            if rng.next_u64().is_multiple_of(3) {
-                chunk.push(StoreMsg::Heartbeat {
-                    pid: p as u32 + 1,
-                    clock: msg.ts.clock,
-                });
-            }
-            chunks.push(chunk);
-        }
-        chunks.push(
-            (0..3u32)
-                .map(|pid| StoreMsg::Heartbeat {
-                    pid,
-                    clock: max_clock,
-                })
-                .collect(),
-        );
-        let tmp_probe = {
-            // Sanity: the schedule must actually compact (otherwise
-            // the reopen path would never exercise base snapshots).
-            let mut probe = UcStore::new(SetAdt::<u32>::new(), 0, 2, GcFactory { n: 3 });
-            for c in &chunks {
-                probe.apply_batch(c);
-            }
-            probe.tick_maintenance();
-            probe.total_log_len()
-        };
-        assert!(
-            tmp_probe < total,
-            "schedule must compact something, seed {seed}"
-        );
-        run_backend_differential(GcFactory { n: 3 }, &chunks, seed, 2);
+        run_backend_differential(GcFactory { n: 3 }, &gc_chunks(seed), seed, 2, false);
     }
+}
+
+/// The `fsync` tier of [`segment_backend_matches_mem_backend_gc`]:
+/// fails today on the recovered engine clock of an idle key (first at
+/// seed 0, key 0: 43 in memory against 41 recovered). A query merges the store clock into an idle
+/// key's engine without owing that key a flush, so a reopened idle
+/// key's engine clock trails the never-restarted one's; its state does
+/// not. ROADMAP: "A read moves an idle key's clock without owing it a
+/// flush". The fix removes the `#[ignore]`.
+#[test]
+#[ignore = "ROADMAP: a read moves an idle key's clock without owing it a flush"]
+fn segment_backend_matches_mem_backend_gc_flushed_per_chunk() {
+    for seed in 0..10 {
+        run_backend_differential(GcFactory { n: 3 }, &gc_chunks(seed), seed, 2, true);
+    }
+}
+
+/// A GC schedule that compacts before the kill. GC is sound only under
+/// per-sender FIFO; interleave the producer streams chunk-wise with
+/// prefix heartbeats (as in the pool's GC differential), then a full
+/// heartbeat round so compaction — and hence base-snapshot persistence
+/// — actually runs before the kill.
+fn gc_chunks(seed: u64) -> Vec<Vec<Msg>> {
+    let mut rng = SplitMix64::new(0x6C0D ^ seed);
+    let streams = produce_streams(&mut rng, 2);
+    let total: usize = streams.iter().map(Vec::len).sum();
+    let mut queues: Vec<VecDeque<Msg>> = streams
+        .iter()
+        .map(|s| s.iter().cloned().collect())
+        .collect();
+    let mut chunks: Vec<Vec<Msg>> = Vec::new();
+    let mut max_clock = 0;
+    while queues.iter().any(|q| !q.is_empty()) {
+        let p = (rng.next_u64() % queues.len() as u64) as usize;
+        let take = 1 + (rng.next_u64() % 4) as usize;
+        let mut chunk: Vec<Msg> = Vec::new();
+        for _ in 0..take {
+            match queues[p].pop_front() {
+                Some(m) => chunk.push(m),
+                None => break,
+            }
+        }
+        if chunk.is_empty() {
+            continue;
+        }
+        let StoreMsg::Update { msg, .. } = chunk.last().expect("nonempty") else {
+            panic!("producers only emit updates");
+        };
+        max_clock = max_clock.max(msg.ts.clock);
+        if rng.next_u64().is_multiple_of(3) {
+            chunk.push(StoreMsg::Heartbeat {
+                pid: p as u32 + 1,
+                clock: msg.ts.clock,
+            });
+        }
+        chunks.push(chunk);
+    }
+    chunks.push(
+        (0..3u32)
+            .map(|pid| StoreMsg::Heartbeat {
+                pid,
+                clock: max_clock,
+            })
+            .collect(),
+    );
+    // Sanity: the schedule must actually compact (otherwise the reopen
+    // path would never exercise base snapshots).
+    let mut probe = UcStore::new(SetAdt::<u32>::new(), 0, 2, GcFactory { n: 3 });
+    for c in &chunks {
+        probe.apply_batch(c);
+    }
+    probe.tick_maintenance();
+    assert!(
+        probe.total_log_len() < total,
+        "schedule must compact something, seed {seed}"
+    );
+    chunks
 }

@@ -841,9 +841,8 @@ impl SegmentFactory {
 
     /// Choose the flush durability tier, before the first key is
     /// opened: `true` additionally `fdatasync`s the shard journal on
-    /// every flush (power-loss durability) at a large per-flush cost
-    /// — see `BENCH_persistence.json` for the measured factor.
-    /// Generation rewrites sync what they publish regardless.
+    /// every flush (power-loss durability), one sync per shard with
+    /// something staged. Generation rewrites sync what they publish regardless.
     pub fn fsync(mut self, on: bool) -> Self {
         self.fsync = on;
         self
