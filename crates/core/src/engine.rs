@@ -526,8 +526,14 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// order after everything the query saw — holds across all engines
     /// sharing the external clock.
     pub fn do_query_at(&mut self, now: u64, q: &A::QueryIn) -> A::QueryOut {
-        self.clock.merge(now);
-        self.strategy.observe_clock(self.pid, now);
+        self.hear_peer_clock(self.pid, now);
+        self.answer(q)
+    }
+
+    /// Answer a query from the state as it stands, moving no clock:
+    /// the store has the query's clock heard separately (at once, or
+    /// at an idle key's next insertion).
+    pub(crate) fn answer(&mut self, q: &A::QueryIn) -> A::QueryOut {
         let state = self.strategy.current_state(&self.adt, &self.log);
         self.adt.observe(state, q)
     }

@@ -161,7 +161,11 @@ pub struct StableGc<A: UqAdt> {
     /// reconciliation-on-heal. Without the pin, the *incoming* heal
     /// burst (carrying the majority's high clocks) would advance
     /// stability and fold this replica's own partition-era updates
-    /// into the base before they were ever streamed back out.
+    /// into the base before they were ever streamed back out. A heal
+    /// coming *in* pins too, at its session's watermark until its last
+    /// chunk has been ingested: the healer's heartbeats overtake its
+    /// chunks, and a bound raised on them would reject the entries
+    /// still to come as below the floor.
     retention_cap: Option<u64>,
 }
 

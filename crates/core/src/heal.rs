@@ -43,12 +43,19 @@
 //! deduplicating batch path), so redelivered or overlapping chunks —
 //! including a whole re-heal after a crash mid-stream — are no-ops.
 //!
+//! While a peer is down the heal owns what it misses: the replica
+//! sends it no updates and announces it no clock above its outage
+//! watermark (`node::on_invoke`, `node::on_tick`). Compaction is pinned
+//! on both ends of a heal: the healer at its session's watermark until
+//! the last chunk is acknowledged, the healed replica at the same
+//! watermark from the `DigestRequest` until the last chunk is ingested.
+//!
 //! # The `ShardAccess` contract
 //!
 //! Required of every implementation: calls on one executor take effect
 //! **in the order they are made**. A `set_retention` is in force for
-//! every `digest_suffix` or `collect_window` issued after it, and not
-//! before. The dialogue leans on this whenever a pin is about to
+//! every `digest_suffix`, `collect_window` or ingest issued after it,
+//! and not before. The dialogue leans on this whenever a pin is about to
 //! relax: it reads under the outgoing, tighter pin and only then sets
 //! the looser one, so no compaction can fold a suffix between the
 //! decision to stream it and the read that streams it. Inline
@@ -547,6 +554,15 @@ pub(crate) trait ShardAccess {
     fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Self::Error>;
 }
 
+/// A heal stream this replica receives: the healer's session id and,
+/// until the session's last chunk has been ingested, the watermark it
+/// streams above.
+#[derive(Clone, Copy)]
+struct Inbound {
+    session: u64,
+    pin: Option<u64>,
+}
+
 /// One replica's partition posture and heal state: which peers are
 /// down since when, the sessions streaming to the ones that came
 /// back, and the counters both leave behind. Every step that reads or
@@ -559,6 +575,10 @@ pub(crate) struct Healer {
     /// One per healing peer. A session pins compaction at its
     /// watermark exactly like a down peer.
     sessions: BTreeMap<Pid, HealSession>,
+    /// The other direction: per healer, the last session it opened
+    /// toward this replica, and its watermark while its stream has not
+    /// landed — see [`Dialogue::pin_inbound`].
+    inbound: BTreeMap<Pid, Inbound>,
     /// Ids disambiguate replies from cancelled sessions after a flap.
     next_session: u64,
     /// Heal chunks emitted (counter).
@@ -646,25 +666,71 @@ impl<X: ShardAccess> Dialogue<'_, X> {
         // re-opens at the *session's* watermark (not the current
         // clock), so the unacknowledged remainder of the cancelled
         // stream is re-covered by the next heal — resumability through
-        // idempotent chunk ingest.
+        // idempotent chunk ingest. A stream the peer was sending us
+        // hands its pin to the outage the same way.
         let now = self.shards.clock_now();
-        let since = self.heal.cancel_heal_session(peer);
-        let watermark = since.map_or(now, |since| since.min(now));
+        let outgoing = self.heal.cancel_heal_session(peer);
+        let inbound = self.heal.inbound.get_mut(&peer).and_then(|s| s.pin.take());
+        let watermark = outgoing.into_iter().chain(inbound).fold(now, u64::min);
         self.heal.partition.mark_down(peer, watermark);
         self.apply_retention()
     }
 
-    /// Re-derive the compaction pin from the down set *and* the live
-    /// heal sessions: while any peer is marked down — or any session
-    /// is still streaming its suffix — no engine may compact past the
-    /// earliest watermark involved. Otherwise an *incoming* heal
-    /// burst (carrying the majority's high clocks) would advance
-    /// stability and fold this replica's own partition-era updates
-    /// into the base before they were streamed back out.
+    /// Re-derive the compaction pin from the down set, the sessions
+    /// streaming out and the streams coming in: no engine may compact
+    /// past the earliest watermark involved. Without the outgoing pin,
+    /// an incoming heal burst (carrying the majority's high clocks)
+    /// would advance stability and fold this replica's own
+    /// partition-era updates into the base before they were streamed
+    /// back out. Without the inbound pin, the healer's own heartbeats
+    /// — which overtake its chunks — would let this replica compact
+    /// past entries the stream has yet to deliver, and reject them as
+    /// below the floor when they land.
     fn apply_retention(&mut self) -> Result<(), X::Error> {
         let down = self.heal.partition.down_peers().map(|(_, w)| w);
         let streaming = self.heal.sessions.values().map(|s| s.since);
-        self.shards.set_retention(down.chain(streaming).min())
+        let inbound = self.heal.inbound.values().filter_map(|s| s.pin);
+        self.shards
+            .set_retention(down.chain(streaming).chain(inbound).min())
+    }
+
+    /// A healer opened session `session` toward this replica, above
+    /// `since`: pin retention there until its last chunk has been
+    /// ingested ([`Dialogue::inbound_landed`]), a newer session from
+    /// the same healer replaces it, or the healer is marked down (the
+    /// outage then takes the pin over). The request is the first frame
+    /// a healer sends after its `PeerUp`, and per-sender FIFO delivers
+    /// it before any clock the healer announces afterwards. A repeat of
+    /// the current session — a stall re-send — changes nothing.
+    pub(crate) fn pin_inbound(
+        &mut self,
+        from: Pid,
+        session: u64,
+        since: u64,
+    ) -> Result<(), X::Error> {
+        if self
+            .heal
+            .inbound
+            .get(&from)
+            .is_some_and(|s| s.session == session)
+        {
+            return Ok(());
+        }
+        let pin = Some(since);
+        self.heal.inbound.insert(from, Inbound { session, pin });
+        self.apply_retention()
+    }
+
+    /// The last chunk of `from`'s session `session` has been ingested:
+    /// its stream has landed and its pin lifts.
+    pub(crate) fn inbound_landed(&mut self, from: Pid, session: u64) -> Result<(), X::Error> {
+        let Some(stream) = self.heal.inbound.get_mut(&from) else {
+            return Ok(());
+        };
+        if stream.session != session || stream.pin.take().is_none() {
+            return Ok(());
+        }
+        self.apply_retention()
     }
 
     /// `peer` is reachable again. If it was down and this replica
@@ -701,7 +767,8 @@ impl<X: ShardAccess> Dialogue<'_, X> {
         Ok(opener)
     }
 
-    /// A [`StoreMsg::DigestRequest`] arrived from a healer: compare
+    /// A [`StoreMsg::DigestRequest`] arrived from a healer: pin
+    /// retention for its stream ([`Dialogue::pin_inbound`]), compare
     /// its view against our own (excluding our own updates — exactly
     /// what it excluded too) and name the slots that differ.
     pub(crate) fn on_digest_request(
@@ -713,6 +780,7 @@ impl<X: ShardAccess> Dialogue<'_, X> {
         ranges: u32,
         digests: &[HealDigest],
     ) -> Sent<X> {
+        self.pin_inbound(from, session, since)?;
         let me = self.shards.pid();
         let ours = self.shards.digest_suffix(since, me, groups, ranges)?;
         let mismatched = mismatched_slots(digests, &ours);

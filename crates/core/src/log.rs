@@ -48,7 +48,8 @@ pub struct UpdateLog<A: UqAdt, B = MemBackend> {
     /// to the protocol strictly in per-channel sequence order (lossy /
     /// reordering / duplicating links notwithstanding); heal-replay
     /// redeliveries are covered by the retention cap pinning the bound
-    /// for the outage's duration; and retry-queue sheds — the one path
+    /// for the outage's duration and, on the healed side, until the
+    /// inbound stream has landed; and retry-queue sheds — the one path
     /// that skips sequence numbers — are only repaired if the shed
     /// window falls inside a recorded `peer_down` watermark (the
     /// `queue_cap` sizing contract in `uc_sim::reliable`).

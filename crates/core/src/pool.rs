@@ -2221,6 +2221,10 @@ where
         }
     }
 
+    fn partition(&self) -> &PartitionTracker {
+        &self.heal.partition
+    }
+
     fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
         self.handle.update(key, u)
     }

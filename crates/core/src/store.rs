@@ -517,6 +517,11 @@ impl PartitionTracker {
         self.down.contains_key(&peer)
     }
 
+    /// `peer`'s outage-start watermark, if it is down.
+    pub fn watermark(&self, peer: Pid) -> Option<u64> {
+        self.down.get(&peer).copied()
+    }
+
     /// Number of peers currently considered down.
     pub fn down_count(&self) -> usize {
         self.down.len()
@@ -648,6 +653,9 @@ struct Slot<A: UqAdt, S, B> {
     live: bool,
     /// On [`Shard::unflushed`].
     unflushed: bool,
+    /// The latest clock a query read this key at while it was idle;
+    /// the engine hears it before its next insertion (0: none).
+    read_at: u64,
 }
 
 /// One shard: the keys (and their engines) that hash to it, plus its
@@ -799,11 +807,16 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 engine,
                 live: false,
                 unflushed: false,
+                read_at: 0,
             }
         });
         if !slot.live {
             for (peer, clock) in heard.iter() {
                 slot.engine.hear_peer_clock(*peer, *clock);
+            }
+            if slot.read_at > 0 {
+                let read_at = std::mem::take(&mut slot.read_at);
+                slot.engine.hear_peer_clock(pid, read_at);
             }
             // Owed a flush from here on, whatever `f` does: a fold
             // that panics after journaling must leave the entries
@@ -836,8 +849,30 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 engine,
                 live,
                 unflushed: false,
+                read_at: 0,
             },
         );
+    }
+
+    /// `key`'s engine for a query at the replica's clock `now`, if it
+    /// has one. A live engine hears `now` at once, as the query's own
+    /// clock; an idle one only at its next insertion, beside the heard
+    /// clocks (the slot keeps `now` until then). A read alone then
+    /// moves no clock of a key that owes no flush, so a key recovered
+    /// from its last flush reads the clock the running one does.
+    pub(crate) fn engine_for_query(
+        &mut self,
+        key: Key,
+        now: u64,
+    ) -> Option<&mut ReplicaEngine<A, S, B>> {
+        let slot = self.objects.get_mut(&key)?;
+        if slot.live {
+            let pid = slot.engine.pid();
+            slot.engine.hear_peer_clock(pid, now);
+        } else {
+            slot.read_at = slot.read_at.max(now);
+        }
+        Some(&mut slot.engine)
     }
 
     /// Ingest one shard's sub-batch: stable-sort by key (preserving
@@ -1257,9 +1292,9 @@ where
         q: &A::QueryIn,
     ) -> A::QueryOut {
         let slot = self.slot(shard);
-        let mut engine = self.shards[slot].engine_mut(key);
+        let mut engine = self.shards[slot].engine_for_query(key, now);
         let out = match engine.as_mut() {
-            Some(engine) => engine.do_query_at(now, q),
+            Some(engine) => engine.answer(q),
             None => self.adt.observe(&self.adt.initial(), q),
         };
         // Sampled keys verify the served state against the monitor's
@@ -2014,9 +2049,10 @@ where
     /// first. That composition is a sizing contract, not an accident:
     /// `RetryConfig::queue_cap` must hold every message issued within
     /// the failure detector's detection window, so that nothing is
-    /// shed before the verdict lands and everything shed afterwards is
-    /// above the watermark. Undersized queues are observable
-    /// (`LinkStats::shed` / `gaps_skipped`, `Metrics::
+    /// shed before the verdict lands. After it, the protocol queues no
+    /// update toward the peer (the heal delivers everything above the
+    /// watermark), only a heartbeat a tick. Undersized queues are
+    /// observable (`LinkStats::shed` / `gaps_skipped`, `Metrics::
     /// messages_dropped`) rather than silent.
     pub fn peer_down(&mut self, peer: Pid) {
         let Ok(()) = self.dialogue().peer_down(peer);
@@ -2206,6 +2242,10 @@ where
             heal: &mut self.heal,
             shards,
         }
+    }
+
+    fn partition(&self) -> &PartitionTracker {
+        &self.heal.partition
     }
 
     fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, Infallible> {

@@ -71,6 +71,7 @@ fn references(all: &[Msg]) -> HashMap<Key, GenericReplica<Adt>> {
 trait Replica: Protocol<Msg = Msg, Input = StoreInput<Adt>, Output = StoreOutput<Adt>> {
     fn partition(&self) -> &PartitionTracker;
     fn set_partition_policy(&mut self, policy: AvailabilityPolicy);
+    fn set_heal_config(&mut self, cfg: HealConfig);
     fn heal_replay_bytes(&self) -> u64;
     fn heal_chunks(&self) -> u64;
     fn heal_sessions(&self) -> usize;
@@ -86,6 +87,9 @@ impl<F: StrategyFactory<Adt>, P: BackendFactory<Adt>> Replica for UcStore<Adt, F
     }
     fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
         self.set_partition_policy(policy)
+    }
+    fn set_heal_config(&mut self, cfg: HealConfig) {
+        self.set_heal_config(cfg)
     }
     fn heal_replay_bytes(&self) -> u64 {
         self.heal_replay_bytes()
@@ -117,6 +121,9 @@ where
     }
     fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
         self.set_partition_policy(policy)
+    }
+    fn set_heal_config(&mut self, cfg: HealConfig) {
+        self.set_heal_config(cfg)
     }
     fn heal_replay_bytes(&self) -> u64 {
         self.heal_replay_bytes()
@@ -156,6 +163,16 @@ where
     })
 }
 
+/// Run `$body(make)` once per node kind, `make(pid)` building a fresh
+/// two-shard replica of that kind over `$factory`.
+macro_rules! on_every_node_kind {
+    ($body:ident, $factory:expr) => {{
+        let factory = $factory;
+        $body(|pid| sequential(&factory, pid, 2));
+        $body(|pid| pooled(&factory, pid, 2));
+    }};
+}
+
 /// One invocation on replica `pid`: its output and what it sent.
 fn invoke<R: Replica>(
     node: &mut R,
@@ -165,6 +182,18 @@ fn invoke<R: Replica>(
     let mut sent = Vec::new();
     let out = node.on_invoke(input, &mut Ctx::new(pid, N, 0, &mut sent));
     (out, sent)
+}
+
+/// The update message an invocation of `update` was acknowledged
+/// with — what every peer receives, by broadcast or by heal.
+fn acked(ack: StoreOutput<Adt>, update: SetUpdate<u32>) -> Msg {
+    let StoreOutput::Ack { key, ts } = ack else {
+        panic!("an update is acknowledged, got {ack:?}");
+    };
+    StoreMsg::Update {
+        key,
+        msg: UpdateMsg { ts, update },
+    }
 }
 
 /// Deliver `msg` from `from` to replica `pid`: what it sent back.
@@ -225,9 +254,10 @@ fn run_heal_differential<R: Replica>(
     let mut all: Vec<Msg> = Vec::new();
     // An update on `p`, delivered to the replicas `reach` lets through.
     let mut step = |nodes: &mut Vec<R>, p: Pid, reach: &dyn Fn(Pid) -> bool| {
-        let (key, u) = step_update(&mut rng);
-        let (_, sent) = invoke(&mut nodes[p as usize], p, StoreInput::Update(key, u));
-        all.push(sent[0].1.clone());
+        let (key, update) = step_update(&mut rng);
+        let input = StoreInput::Update(key, update);
+        let (ack, sent) = invoke(&mut nodes[p as usize], p, input);
+        all.push(acked(ack, update));
         for (to, m) in sent {
             if reach(to) {
                 deliver(&mut nodes[to as usize], to, p, m);
@@ -1056,4 +1086,229 @@ fn detector_driven_heal_through_flapping_partition(mode: DeliveryMode) {
         "detector-driven heals must stream chunks"
     );
     assert_eq!(m.batches_delivered > 0, mode.is_batched());
+}
+
+/// While a peer is down, an update goes to the live peers only, and a
+/// tick still sends every peer a heartbeat: the live one the current
+/// clock, the down one no clock above its outage watermark. Once the
+/// peer is back, both go to everyone again.
+#[test]
+fn a_down_peer_is_sent_heartbeats_at_its_watermark_and_no_updates() {
+    on_every_node_kind!(down_peer_sender_rules, GcFactory { n: 3 });
+}
+
+fn down_peer_sender_rules<R: Replica>(make: impl Fn(Pid) -> R) {
+    let mut node = make(0);
+    // The peers an update of `v` is sent to.
+    let update = |node: &mut R, v: u32| -> Vec<Pid> {
+        let input = StoreInput::Update(u64::from(v) % KEYS, SetUpdate::Insert(v));
+        let (_, sent) = invoke(node, 0, input);
+        assert!(sent
+            .iter()
+            .all(|(_, m)| matches!(m, StoreMsg::Update { .. })));
+        sent.into_iter().map(|(to, _)| to).collect()
+    };
+    // The clock a tick's heartbeat announces to each peer.
+    let beats = |node: &mut R| -> Vec<(Pid, u64)> {
+        let mut sent = Vec::new();
+        node.on_tick(&mut Ctx::new(0, N, 0, &mut sent));
+        sent.into_iter()
+            .filter_map(|(to, m)| match m {
+                StoreMsg::Heartbeat { pid: 0, clock } => Some((to, clock)),
+                _ => None,
+            })
+            .collect()
+    };
+    for v in 0..3 {
+        assert_eq!(update(&mut node, v), vec![1, 2]);
+    }
+    invoke(&mut node, 0, StoreInput::PeerDown(2));
+    let watermark = node.partition().watermark(2).expect("peer 2 is down");
+    for v in 3..6 {
+        assert_eq!(update(&mut node, v), vec![1], "the down peer is skipped");
+    }
+    let clock = node.clock();
+    assert!(clock > watermark);
+    assert_eq!(beats(&mut node), vec![(1, clock), (2, watermark)]);
+
+    invoke(&mut node, 0, StoreInput::PeerUp(2));
+    assert_eq!(update(&mut node, 6), vec![1, 2]);
+    let clock = node.clock();
+    assert_eq!(beats(&mut node), vec![(1, clock), (2, clock)]);
+}
+
+/// Regression: a healed replica keeps its log pinned until the heal
+/// streamed *to* it has landed. Replica 2 comes back with nothing of
+/// its own to stream, so its own `PeerUp`s pin nothing. Each healer
+/// then sends its digest request and, before its chunks, heartbeats
+/// announcing a clock above entries 2 has never received — the order a
+/// link delivers them in after shedding the updates that went into the
+/// cut. Had those clocks let 2 compact, the chunks' entries would land
+/// at or below its floor and be dropped. The healers stream one
+/// two-entry chunk at a time, and 2 hears their clocks and compacts
+/// after every chunk, so a pin lifted before the *last* chunk fails
+/// too.
+#[test]
+fn a_healed_replica_stays_pinned_until_its_inbound_heal_lands() {
+    on_every_node_kind!(inbound_heal_stays_pinned, GcFactory { n: 3 });
+}
+
+fn inbound_heal_stays_pinned<R: Replica>(make: impl Fn(Pid) -> R) {
+    let mut nodes: Vec<R> = (0..N as Pid).map(make).collect();
+    let mut rng = SplitMix64::new(0x1B0D);
+    let mut all: Vec<Msg> = Vec::new();
+    // An update on `p`, delivered to the replicas `reach` lets through.
+    let mut step = |nodes: &mut [R], p: Pid, reach: &dyn Fn(Pid) -> bool| {
+        let (key, update) = step_update(&mut rng);
+        let input = StoreInput::Update(key, update);
+        let (ack, sent) = invoke(&mut nodes[p as usize], p, input);
+        all.push(acked(ack, update));
+        for (to, m) in sent {
+            if reach(to) {
+                deliver(&mut nodes[to as usize], to, p, m);
+            }
+        }
+    };
+    for i in 0..12u32 {
+        step(&mut nodes, i % 3, &|_| true);
+    }
+    for (pid, peer) in [(0, 2), (1, 2), (2, 0), (2, 1)] {
+        invoke(&mut nodes[pid as usize], pid, StoreInput::PeerDown(peer));
+    }
+    // Only the majority writes while the cut lasts.
+    for i in 0..24u32 {
+        step(&mut nodes, i % 2, &|to| to != 2);
+    }
+
+    for peer in [0, 1] {
+        let (_, sent) = invoke(&mut nodes[2], 2, StoreInput::PeerUp(peer));
+        assert!(sent.is_empty(), "replica 2 has nothing to stream: {sent:?}");
+    }
+    // Each healer's digest request reaches 2; its answer waits.
+    let mut in_flight: VecDeque<(Pid, Pid, Msg)> = VecDeque::new();
+    for healer in [0, 1] {
+        nodes[healer as usize].set_heal_config(HealConfig {
+            chunk: 2,
+            window: 1,
+            ..HealConfig::default()
+        });
+        let (_, opener) = invoke(&mut nodes[healer as usize], healer, StoreInput::PeerUp(2));
+        assert_eq!(opener.len(), 1, "a digest request opens the heal");
+        for (_, request) in opener {
+            let answers = deliver(&mut nodes[2], 2, healer, request);
+            in_flight.extend(answers.into_iter().map(|(to, m)| (2, to, m)));
+        }
+    }
+    // What the healers announce from here on, replica 2 hears and
+    // compacts on before every chunk.
+    let hear_healers = |nodes: &mut [R]| {
+        for pid in [0, 1] {
+            let clock = nodes[pid as usize].clock();
+            deliver(&mut nodes[2], 2, pid, StoreMsg::Heartbeat { pid, clock });
+        }
+        nodes[2].tick_maintenance();
+    };
+    hear_healers(&mut nodes);
+    let mut chunks = 0;
+    while let Some((from, to, m)) = in_flight.pop_front() {
+        let replies = deliver(&mut nodes[to as usize], to, from, m);
+        in_flight.extend(replies.into_iter().map(|(back, m)| (to, back, m)));
+        if to == 2 {
+            chunks += 1;
+            hear_healers(&mut nodes);
+        }
+    }
+    assert!(chunks > 4, "the heal took {chunks} chunks");
+    for n in &nodes {
+        assert_eq!(n.heal_sessions(), 0, "every stream ran to its last ack");
+    }
+    let mut refs = references(&all);
+    for (p, node) in nodes.iter_mut().enumerate() {
+        let label = format!("replica {p}");
+        assert_matches_reference(node, p as Pid, &mut refs, &label);
+    }
+}
+
+/// A symmetric partition with no verdict injected: a
+/// [`HeartbeatDetector`] inside each [`ReliableLink`] decides who is
+/// down, on a lossless topology, with updates on both sides of the cut
+/// and stability GC compacting. What crosses the cut once it heals is
+/// what each side kept sending the peers it held down — heartbeats at
+/// the outage watermark, and the link's retransmissions — so both
+/// sides hear each other again, report `PeerUp`, heal and converge. A
+/// replica and link that sent a down peer nothing at all would never
+/// hear from it again.
+#[test]
+fn a_detector_only_symmetric_partition_reports_peer_up_on_both_sides_and_converges() {
+    type Node = ReliableLink<HeartbeatDetector<UcStore<Adt, GcFactory>>>;
+    let n = 3;
+    let latency = LatencyModel::Uniform(2, 9);
+    let lossless = LinkModel {
+        latency: latency.clone(),
+        ..LinkModel::default()
+    };
+    let mut topo = Topology::uniform(n, lossless);
+    topo.partition(vec![vec![0, 1], vec![2]], 2_000, 4_000);
+    let mut sim: Simulation<Node> = Simulation::new(
+        SimConfig {
+            n,
+            seed: 0x5E7,
+            latency,
+            fifo_links: false,
+        },
+        |pid| {
+            let store = UcStore::new(SetAdt::new(), pid, 2, GcFactory { n: 3 });
+            // Ticks every 50: silent for six, a peer is suspected.
+            let retry = RetryConfig {
+                base: 40,
+                max_backoff: 400,
+                jitter: 9,
+                queue_cap: 512,
+            };
+            ReliableLink::new(HeartbeatDetector::new(store, 6), retry, 0x5E7 ^ pid as u64)
+        },
+    );
+    sim.set_topology(topo);
+    sim.schedule_ticks(50, 7_000);
+    let mut rng = SplitMix64::new(0x5E8);
+    // Updates before, during (on both sides) and after the cut.
+    for i in 0..60u64 {
+        let (key, u) = step_update(&mut rng);
+        sim.schedule_invoke(20 + i * 100, (i % 3) as Pid, StoreInput::Update(key, u));
+    }
+    sim.run_to_quiescence();
+
+    for p in 0..n as Pid {
+        let det = sim.process(p).inner();
+        let (down, up) = (det.down_verdicts(), det.up_verdicts());
+        assert!(down >= 1 && up >= 1, "replica {p}: {down} down, {up} up");
+        let store = det.inner();
+        assert_eq!(store.partition().down_count(), 0, "replica {p}");
+        assert!(store.heal_sessions().next().is_none(), "replica {p}");
+    }
+    let compacted: u64 = (0..n as Pid)
+        .map(|p| {
+            let store = sim.process(p).inner().inner();
+            (0..KEYS)
+                .filter_map(|k| store.engine(k))
+                .map(|e| e.strategy().compacted())
+                .sum::<u64>()
+        })
+        .sum();
+    assert!(compacted > 0, "stability GC ran");
+    for k in 0..KEYS {
+        let expect = sim
+            .process_mut(0)
+            .inner_mut()
+            .inner_mut()
+            .materialize_key(k);
+        for p in 1..n as Pid {
+            let got = sim
+                .process_mut(p)
+                .inner_mut()
+                .inner_mut()
+                .materialize_key(k);
+            assert_eq!(expect, got, "key {k} diverged on replica {p}");
+        }
+    }
 }

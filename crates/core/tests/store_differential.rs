@@ -722,15 +722,12 @@ fn segment_backend_matches_mem_backend_gc() {
     }
 }
 
-/// The `fsync` tier of [`segment_backend_matches_mem_backend_gc`]:
-/// fails today on the recovered engine clock of an idle key (first at
-/// seed 0, key 0: 43 in memory against 41 recovered). A query merges the store clock into an idle
-/// key's engine without owing that key a flush, so a reopened idle
-/// key's engine clock trails the never-restarted one's; its state does
-/// not. ROADMAP: "A read moves an idle key's clock without owing it a
-/// flush". The fix removes the `#[ignore]`.
+/// The `fsync` tier of [`segment_backend_matches_mem_backend_gc`]: a
+/// flush after every chunk, and a query in between, so queries read
+/// keys that are idle and already flushed. Such a read must not move
+/// the key's engine clock, or the reopened key's clock trails the
+/// never-restarted one's.
 #[test]
-#[ignore = "ROADMAP: a read moves an idle key's clock without owing it a flush"]
 fn segment_backend_matches_mem_backend_gc_flushed_per_chunk() {
     for seed in 0..10 {
         run_backend_differential(GcFactory { n: 3 }, &gc_chunks(seed), seed, 2, true);

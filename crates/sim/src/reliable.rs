@@ -57,7 +57,9 @@
 //! to hold every message issued within the failure detector's
 //! detection window**, because entries shed before the `PeerDown`
 //! verdict fall outside the recorded watermark and neither layer
-//! replays them.
+//! replays them. That window is all the contract covers: once the
+//! verdict is in, the store sends a down peer no updates (its heal
+//! delivers them), only one heartbeat a tick.
 
 use crate::metrics::LinkCounters;
 use crate::process::{Ctx, Pid, Protocol};
