@@ -491,17 +491,30 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// knowledge, then lets the strategy compact.
     pub fn observe_peer_clock(&mut self, pid: u32, clock: u64) {
         self.hear_peer_clock(pid, clock);
-        let ctx = self.ctx();
-        self.strategy.maintain(&self.adt, &mut self.log, &ctx);
+        self.compact();
     }
 
     /// [`ReplicaEngine::observe_peer_clock`] without the compaction
-    /// pass: what the store replays, at the next insertion, into an
-    /// engine whose empty log let it sit out the heartbeats since (the
-    /// insertion's own repair hook compacts).
+    /// pass.
     pub(crate) fn hear_peer_clock(&mut self, pid: u32, clock: u64) {
         self.clock.merge(clock);
         self.strategy.observe_clock(pid, clock);
+    }
+
+    /// Hear every `(pid, clock)` of `heard`: what the store hands a
+    /// live engine when the replica's stability floor rises, and an
+    /// idle one just before its next insertion (whose own repair hook
+    /// compacts).
+    pub(crate) fn hear_clocks(&mut self, heard: &[(u32, u64)]) {
+        for &(pid, clock) in heard {
+            self.hear_peer_clock(pid, clock);
+        }
+    }
+
+    /// Let the strategy compact on what it has heard.
+    pub(crate) fn compact(&mut self) {
+        let ctx = self.ctx();
+        self.strategy.maintain(&self.adt, &mut self.log, &ctx);
     }
 
     /// Pin or release the strategy's compaction retention cap — see
@@ -633,8 +646,7 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// by the periodic [`Replica::tick`].
     pub fn tick_maintenance(&mut self) {
         self.strategy.observe_clock(self.pid, self.clock.now());
-        let ctx = self.ctx();
-        self.strategy.maintain(&self.adt, &mut self.log, &ctx);
+        self.compact();
     }
 
     /// This replica's process id.

@@ -15,15 +15,20 @@
 //!
 //! Under a [`UcStore`](crate::store::UcStore) or an
 //! [`IngestPool`](crate::pool::IngestPool) the heartbeats and the
-//! tick's own-clock observation reach a key's strategy at once only
-//! while its log holds entries — those are the observations that can
-//! compact something. A key whose log has emptied is skipped by the
-//! sweeps; its shard keeps the highest clock each pid announced and
-//! feeds them to `observe_clock` just before the key's next
-//! insertion, so `last_seen` and the bound of an idle key lag, and
-//! are exact again by the time an entry can depend on them. A lagging
+//! tick's own clock reach a key's strategy at once only when they
+//! raise the replica's stability floor — the minimum of the clocks
+//! its shard set heard from every pid, capped by the retention pin —
+//! and only while the key's log holds entries: those are the
+//! observations that can compact something. The sweep then hands the
+//! strategy every heard clock, so afterwards its bound is at least the
+//! floor. A key whose log has emptied is skipped by the sweeps and
+//! hears the same clocks through `observe_clock` just before its next
+//! insertion, so `last_seen` and the bound of an idle key lag, and are
+//! exact again by the time an entry can depend on them. A lagging
 //! bound is a lower bound: over an empty log it refuses no cut that
-//! the current one would answer, and answers from the same base.
+//! the current one would answer, and answers from the same base. A
+//! key's own deliveries still reach `last_seen` at insertion, so its
+//! bound may run ahead of the floor.
 //!
 //! Reads do not refold: the strategy keeps the fold of base and
 //! retained log and advances it by what arrived since — the cold/warm

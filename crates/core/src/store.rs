@@ -45,10 +45,14 @@
 //!   [`ReplicaEngine::on_deliver_batch`] /
 //!   [`UpdateLog::insert_batch`](crate::log::UpdateLog::insert_batch)
 //!   — one repair per key per burst;
-//! * **live keys** — a received heartbeat, a maintenance tick and a
-//!   backend flush visit only the keys whose log still holds
-//!   un-compacted entries (each shard's *live list*); a key with an
-//!   empty log hears the clocks it missed just before its next
+//! * **live keys, swept when stability moves** — a backend flush, and
+//!   a heartbeat or maintenance tick that raises the replica's
+//!   stability floor (the minimum of the clocks heard from every pid,
+//!   kept once per shard set), visit only the keys whose log still
+//!   holds un-compacted entries (each shard's *live list*); a
+//!   heartbeat or tick that leaves the floor where it was visits no
+//!   key, so a pinned partition costs none per heartbeat. A key with
+//!   an empty log hears the clocks it missed just before its next
 //!   insertion, so what a tick costs follows the unstable keys, not
 //!   the key count ([`UcStore::live_keys`]);
 //! * **Protocol impl** — the store is a
@@ -114,6 +118,15 @@ pub trait StrategyFactory<A: UqAdt>: Clone {
     /// ever compact).
     fn validate_replica(&self, pid: u32) {
         let _ = pid;
+    }
+
+    /// The cluster size stability is taken over, for a strategy that
+    /// compacts what every process's clock has passed: the store then
+    /// keeps the replica's stability floor and visits its live keys
+    /// only when a heartbeat or tick raises it. Default `None`: every
+    /// heartbeat and tick visits them.
+    fn cluster_size(&self) -> Option<usize> {
+        None
     }
 }
 
@@ -183,6 +196,10 @@ impl<A: UqAdt> StrategyFactory<A> for GcFactory {
             "GcFactory: pid {pid} must be within the cluster of {}",
             self.n
         );
+    }
+
+    fn cluster_size(&self) -> Option<usize> {
+        Some(self.n)
     }
 }
 
@@ -623,11 +640,11 @@ impl<A: UqAdt> fmt::Debug for StoreSnapshot<A> {
 }
 
 /// Collapse a burst's heartbeats to one per announcing pid (the max
-/// clock). `observe_clock` is a running max, so the end state is
-/// identical — but each applied heartbeat sweeps every live engine
-/// (one holding un-compacted entries) in every shard, so a burst
-/// carrying several heartbeats of one peer would otherwise repeat that
-/// sweep for each.
+/// clock). Heard clocks are a running max, so the end state is
+/// identical — but each applied heartbeat that raises the stability
+/// floor sweeps every live engine (one holding un-compacted entries)
+/// in every shard, so a burst carrying several heartbeats of one peer
+/// could otherwise repeat that sweep for each.
 pub(crate) fn collapse_heartbeats(mut hbs: Vec<(u32, u64)>) -> Vec<(u32, u64)> {
     hbs.sort_unstable();
     hbs.dedup_by(|later, earlier| {
@@ -664,14 +681,14 @@ struct Slot<A: UqAdt, S, B> {
 /// the [`IngestPool`](crate::pool::IngestPool) hands to its persistent
 /// workers.
 ///
-/// Heartbeats, maintenance ticks and flushes visit the **live** keys
-/// only — those whose log still holds un-compacted entries. An engine
-/// whose log has emptied has nothing to compact and answers queries
-/// from its base, so it sits the sweeps out; the shard remembers the
-/// highest clock each pid announced ([`Shard::heard`]) and the engine
-/// hears them, late, just before its next insertion
-/// ([`Shard::insert_into`]). Both lists hold a key at most once (the
-/// slot flags), so they are bounded by the key count.
+/// Sweeps and flushes visit the **live** keys only — those whose log
+/// still holds un-compacted entries. A sweep runs when a heartbeat or
+/// tick raises the replica's stability floor ([`Stability`]) and hands
+/// each live engine every heard clock. An engine whose log has emptied
+/// has nothing to compact and answers queries from its base, so it
+/// sits the sweeps out and hears the clocks, late, just before its
+/// next insertion ([`Shard::insert_into`]). Both lists hold a key at
+/// most once (the slot flags), so they are bounded by the key count.
 #[derive(Clone, Debug)]
 pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     pub(crate) idx: usize,
@@ -689,18 +706,11 @@ pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     /// key is its last (the one that commits for the shard) without
     /// a second look at any slot.
     idle_unflushed: usize,
-    /// Highest clock each pid has announced by heartbeat, ascending
-    /// by pid (a cluster's worth of entries).
-    heard: Vec<(u32, u64)>,
     /// Highest update-timestamp clock this shard has ingested or
     /// issued — the per-shard divergence high-water mark. Heal skips
     /// shards whose high water never passed the outage-start
     /// watermark (nothing there can be missing on the healed peer).
     pub(crate) high_water: u64,
-    /// Compaction pin while peers are marked down (see
-    /// [`RepairStrategy::set_retention_cap`]); kept on the shard so
-    /// lazily created engines inherit it.
-    pub(crate) retention_cap: Option<u64>,
 }
 
 impl<A: UqAdt, S, B> Shard<A, S, B> {
@@ -711,9 +721,7 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
             live: Vec::new(),
             unflushed: Vec::new(),
             idle_unflushed: 0,
-            heard: Vec::new(),
             high_water: 0,
-            retention_cap: None,
         }
     }
 
@@ -768,10 +776,12 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
 
 impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     /// Run an insertion `f` against `key`'s engine, created on first
-    /// touch. An engine that sat out heartbeats first hears every
-    /// [`Shard::heard`] clock — the `clock.merge` + `observe_clock`
-    /// calls the sweeps would have made, made now — and rejoins the
-    /// live list if the insertion left entries in its log.
+    /// touch (under the replica's retention pin). An engine that sat
+    /// out the sweeps first hears every clock the replica has heard —
+    /// the `clock.merge` + `observe_clock` calls the sweeps would have
+    /// made, made now — and rejoins the live list if the insertion left
+    /// entries in its log.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_into<F, P, R>(
         &mut self,
         key: Key,
@@ -779,6 +789,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         pid: u32,
         factory: &F,
         persist: &P,
+        stability: &Stability,
         f: impl FnOnce(&mut ReplicaEngine<A, S, B>) -> R,
     ) -> R
     where
@@ -791,8 +802,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             live,
             unflushed,
             idle_unflushed,
-            heard,
-            retention_cap,
             ..
         } = self;
         let slot = objects.entry(key).or_insert_with(|| {
@@ -802,7 +811,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 factory.make(adt),
                 persist.open(*idx, key),
             );
-            engine.set_retention_cap(*retention_cap);
+            engine.set_retention_cap(stability.cap);
             Slot {
                 engine,
                 live: false,
@@ -811,9 +820,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             }
         });
         if !slot.live {
-            for (peer, clock) in heard.iter() {
-                slot.engine.hear_peer_clock(*peer, *clock);
-            }
+            slot.engine.hear_clocks(&stability.heard);
             if slot.read_at > 0 {
                 let read_at = std::mem::take(&mut slot.read_at);
                 slot.engine.hear_peer_clock(pid, read_at);
@@ -887,6 +894,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         pid: u32,
         factory: &F,
         persist: &P,
+        stability: &Stability,
     ) where
         F: StrategyFactory<A, Strategy = S>,
         P: BackendFactory<A, Backend = B>,
@@ -901,7 +909,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             while let Some((_, m)) = iter.next_if(|(k, _)| *k == key) {
                 msgs.push(m);
             }
-            self.insert_into(key, adt, pid, factory, persist, |engine| {
+            self.insert_into(key, adt, pid, factory, persist, stability, |engine| {
                 engine.on_deliver_batch_owned(msgs)
             });
         }
@@ -917,10 +925,8 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             .sum()
     }
 
-    /// Pin (or release) compaction on every engine in this shard and
-    /// remember the cap for engines created later.
+    /// Pin (or release) compaction on every engine in this shard.
     pub(crate) fn set_retention_cap(&mut self, cap: Option<u64>) {
-        self.retention_cap = cap;
         for slot in self.objects.values_mut() {
             slot.engine.set_retention_cap(cap);
         }
@@ -977,9 +983,10 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         }
     }
 
-    /// Run `f` on every live engine; one whose log `f` left empty
-    /// leaves the live list, owing one last flush.
-    fn sweep_live(&mut self, mut f: impl FnMut(&mut ReplicaEngine<A, S, B>)) {
+    /// Hand every live engine the `heard` clocks and let it compact;
+    /// one whose log that emptied leaves the live list, owing one last
+    /// flush.
+    fn sweep(&mut self, heard: &[(u32, u64)]) {
         let Shard {
             objects,
             live,
@@ -989,7 +996,8 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         } = self;
         live.retain(|key| {
             let slot = objects.get_mut(key).expect("a live key has an engine");
-            f(&mut slot.engine);
+            slot.engine.hear_clocks(heard);
+            slot.engine.compact();
             if slot.engine.log_len() > 0 {
                 return true;
             }
@@ -1001,21 +1009,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             *idle_unflushed += 1;
             false
         });
-    }
-
-    /// A peer announced its clock: remember it for the idle engines
-    /// and sweep it over the live ones.
-    pub(crate) fn observe_peer_clock(&mut self, pid: u32, clock: u64) {
-        match self.heard.binary_search_by_key(&pid, |(p, _)| *p) {
-            Ok(at) => self.heard[at].1 = self.heard[at].1.max(clock),
-            Err(at) => self.heard.insert(at, (pid, clock)),
-        }
-        self.sweep_live(|engine| engine.observe_peer_clock(pid, clock));
-    }
-
-    /// Run per-key maintenance (compaction) on every live engine.
-    pub(crate) fn tick_maintenance(&mut self) {
-        self.sweep_live(|engine| engine.tick_maintenance());
     }
 
     /// Flush the storage backend of every engine that can have
@@ -1066,6 +1059,89 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
 /// that shard's per-key engines.
 pub(crate) type Bucket<A> = Vec<(Key, UpdateMsg<<A as UqAdt>::Update>)>;
 
+/// A replica's stability knowledge, kept once per [`ShardSet`]: the
+/// highest clock heard from each pid, the retention pin, and — for a
+/// strategy that compacts on stability
+/// ([`StrategyFactory::cluster_size`]) — the floor of the last sweep.
+///
+/// The **floor** is the minimum, over the cluster's pids, of the
+/// clocks heard, capped by the pin; it is 0 until every pid has been
+/// heard. Peers enter by heartbeat. The replica's own pid enters by its
+/// own stamps and by the tick's clock only: a heartbeat's clock that
+/// the replica merged is not progress of its own. A sweep hands every
+/// live engine the whole vector and compacts it once, so afterwards no
+/// live key holds an entry at or below the floor; a heartbeat or tick
+/// that leaves the floor where the last sweep put it visits no key.
+#[derive(Clone, Debug)]
+pub(crate) struct Stability {
+    /// Highest clock heard from each pid, ascending by pid: exactly
+    /// the cluster's pids (the replica's own included) under a floor,
+    /// every pid that announced itself otherwise.
+    heard: Vec<(u32, u64)>,
+    /// The compaction pin while peers are down or heals are landing
+    /// ([`RepairStrategy::set_retention_cap`]); engines created later
+    /// inherit it.
+    cap: Option<u64>,
+    /// The floor of the last sweep; `None` without a floor, when every
+    /// heartbeat and tick sweeps.
+    swept: Option<u64>,
+}
+
+impl Stability {
+    fn new(cluster: Option<usize>) -> Self {
+        Stability {
+            heard: (0..cluster.unwrap_or(0) as u32)
+                .map(|pid| (pid, 0))
+                .collect(),
+            cap: None,
+            swept: cluster.map(|_| 0),
+        }
+    }
+
+    /// Raise `pid`'s heard clock to `clock`. Under a floor, a pid
+    /// outside the cluster is not kept: it cannot move the floor.
+    fn hear(&mut self, pid: u32, clock: u64) {
+        match self.heard.binary_search_by_key(&pid, |(p, _)| *p) {
+            Ok(at) => self.heard[at].1 = self.heard[at].1.max(clock),
+            Err(at) if self.swept.is_none() => self.heard.insert(at, (pid, clock)),
+            Err(_) => {}
+        }
+    }
+
+    /// The replica's own progress — a stamp it issued, a tick's clock
+    /// — which only a floor counts.
+    fn progress(&mut self, pid: u32, clock: u64) {
+        if self.swept.is_some() {
+            self.hear(pid, clock);
+        }
+    }
+
+    /// Has the floor risen above the last sweep's? If so, the sweep
+    /// about to run is recorded at it. Always true without a floor.
+    fn sweep_due(&mut self) -> bool {
+        let Some(swept) = self.swept else {
+            return true;
+        };
+        let heard = self.heard.iter().map(|(_, clock)| *clock).min();
+        let floor = heard.unwrap_or(0).min(self.cap.unwrap_or(u64::MAX));
+        if floor <= swept {
+            return false;
+        }
+        self.swept = Some(floor);
+        true
+    }
+
+    /// Take in what another part of the same replica knows (the pool's
+    /// drain joins its workers' sets): every clock at its highest, the
+    /// last sweep at the lowest floor either swept to.
+    fn join(&mut self, other: &Stability) {
+        for &(pid, clock) in &other.heard {
+            self.hear(pid, clock);
+        }
+        self.swept = self.swept.min(other.swept);
+    }
+}
+
 /// A replica's **data plane**: a group of shards, what engine creation
 /// needs on first touch of a key, and the streaming monitor watching
 /// those shards' keys. Every shard-level operation is written here,
@@ -1087,6 +1163,10 @@ pub(crate) struct ShardSet<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>
     pub(crate) pid: u32,
     factory: F,
     pub(crate) persist: P,
+    /// What the replica has heard, and when its shards were last
+    /// swept: one per set, so a heartbeat costs one floor check here,
+    /// not one per shard.
+    stability: Stability,
     /// Streaming consistency monitor over this set's keys
     /// ([`ShardSet::attach_monitor`]). Sets own disjoint shards, hence
     /// disjoint keys, so per-set counters sum exactly.
@@ -1117,6 +1197,7 @@ where
             stride: 1,
             adt,
             pid,
+            stability: Stability::new(factory.cluster_size()),
             factory,
             persist,
             monitor: None,
@@ -1124,8 +1205,9 @@ where
     }
 
     /// Deal a whole replica's shards out to `parts` sets, shard `g` to
-    /// set `g % parts`. The monitor stays behind: it watched keys that
-    /// now live in different sets.
+    /// set `g % parts`, each knowing what the replica heard. The
+    /// monitor stays behind: it watched keys that now live in
+    /// different sets.
     pub(crate) fn split(self, parts: usize) -> Vec<Self> {
         debug_assert_eq!(self.stride, 1, "only a whole replica's set is split");
         let mut out: Vec<Self> = (0..parts)
@@ -1136,6 +1218,7 @@ where
                 pid: self.pid,
                 factory: self.factory.clone(),
                 persist: self.persist.clone(),
+                stability: self.stability.clone(),
                 monitor: None,
             })
             .collect();
@@ -1145,8 +1228,9 @@ where
         out
     }
 
-    /// Undo [`ShardSet::split`]. The parts' monitors are dropped with
-    /// the executor that attached them.
+    /// Undo [`ShardSet::split`], joining what the parts heard. The
+    /// parts' monitors are dropped with the executor that attached
+    /// them.
     ///
     /// # Panics
     ///
@@ -1154,7 +1238,10 @@ where
     pub(crate) fn join(parts: Vec<Self>) -> Self {
         let mut parts = parts.into_iter();
         let mut whole = parts.next().expect("a replica has at least one shard");
-        whole.shards.extend(parts.flat_map(|part| part.shards));
+        for part in parts {
+            whole.stability.join(&part.stability);
+            whole.shards.extend(part.shards);
+        }
         whole.shards.sort_unstable_by_key(|shard| shard.idx);
         assert!(
             whole.shards.iter().enumerate().all(|(i, s)| s.idx == i),
@@ -1244,11 +1331,20 @@ where
         let slot = self.slot(shard);
         let shard = &mut self.shards[slot];
         shard.note_clock(clock);
-        shard.insert_into(key, &self.adt, self.pid, &self.factory, &self.persist, f)
+        shard.insert_into(
+            key,
+            &self.adt,
+            self.pid,
+            &self.factory,
+            &self.persist,
+            &self.stability,
+            f,
+        )
     }
 
     /// Apply a locally issued update, already stamped `ts` by the
-    /// replica's clock; the broadcast message.
+    /// replica's clock; the broadcast message. The stamp is the
+    /// replica's own progress toward the stability floor.
     pub(crate) fn insert_local(
         &mut self,
         shard: usize,
@@ -1257,6 +1353,7 @@ where
         u: A::Update,
     ) -> UpdateMsg<A::Update> {
         self.observe_updates([(key, ts, &u)]);
+        self.stability.progress(self.pid, ts.clock);
         self.insert_into(shard, key, ts.clock, |engine| engine.local_update_at(ts, u))
     }
 
@@ -1276,7 +1373,14 @@ where
             taken += bucket.len() as u64;
             self.observe_updates(bucket.iter().map(|(key, m)| (*key, m.ts, &m.update)));
             let slot = self.slot(shard);
-            self.shards[slot].ingest(bucket, &self.adt, self.pid, &self.factory, &self.persist);
+            self.shards[slot].ingest(
+                bucket,
+                &self.adt,
+                self.pid,
+                &self.factory,
+                &self.persist,
+                &self.stability,
+            );
         }
         taken
     }
@@ -1307,29 +1411,38 @@ where
         out
     }
 
-    /// A peer announced its clock: every shard records it and sweeps
-    /// it over its live engines.
+    /// A peer announced its clock: remember it, and sweep if it raised
+    /// the stability floor.
     pub(crate) fn heartbeat(&mut self, pid: u32, clock: u64) {
         if let Some(mon) = &mut self.monitor {
             mon.observe_heartbeat(pid, clock);
         }
-        for shard in &mut self.shards {
-            shard.observe_peer_clock(pid, clock);
+        self.stability.hear(pid, clock);
+        self.sweep();
+    }
+
+    /// If the stability floor rose since the last sweep, hand every
+    /// live engine the heard clocks and compact it.
+    fn sweep(&mut self) {
+        if self.stability.sweep_due() {
+            for shard in &mut self.shards {
+                shard.sweep(&self.stability.heard);
+            }
         }
     }
 
-    /// One maintenance tick at the replica's clock `clock`: compact
-    /// every live key's stable prefix, then roll the monitor's window
-    /// — fold our own progress into its stability watermark, compact
-    /// its finalized prefixes, and compare every sampled key's state
-    /// against its shadow fold (the online EC check).
+    /// One maintenance tick at the replica's clock `clock`, the
+    /// replica's own progress: compact every live key's stable prefix
+    /// if that raised the stability floor, then roll the monitor's
+    /// window — fold our own progress into its stability watermark,
+    /// compact its finalized prefixes, and compare every sampled key's
+    /// state against its shadow fold (the online EC check).
     pub(crate) fn maintain(&mut self, clock: u64) {
         // Compaction first: the sweep then judges the states this tick
         // leaves behind, so a fold compaction corrupts is flagged now,
         // not a tick later.
-        for shard in &mut self.shards {
-            shard.tick_maintenance();
-        }
+        self.stability.progress(self.pid, clock);
+        self.sweep();
         let Some(mon) = &mut self.monitor else {
             return;
         };
@@ -1408,6 +1521,7 @@ where
     /// [`ShardAccess::set_retention`] on this set's shards — see
     /// [`RepairStrategy::set_retention_cap`].
     pub(crate) fn set_retention(&mut self, cap: Option<u64>) {
+        self.stability.cap = cap;
         for shard in &mut self.shards {
             shard.set_retention_cap(cap);
         }
@@ -1861,9 +1975,10 @@ where
         }
     }
 
-    /// Run per-key maintenance (compaction) on every live engine, then
-    /// the monitor's window maintenance (stability compaction plus the
-    /// online EC convergence sweep over sampled keys).
+    /// Count the current clock as this replica's own progress and, if
+    /// that raised the stability floor, compact every live engine;
+    /// then the monitor's window maintenance (stability compaction plus
+    /// the online EC convergence sweep over sampled keys).
     pub fn tick_maintenance(&mut self) {
         let clock = self.clock.now();
         self.shards.maintain(clock);
@@ -1936,9 +2051,9 @@ where
     }
 
     /// Keys whose log holds un-compacted entries: the keys that are
-    /// holding GC open, and the ones a heartbeat, tick or flush
-    /// visits. (A log emptied by its last insertion's own compaction
-    /// is counted until the next sweep.)
+    /// holding GC open, and the ones a sweep or flush visits. (A log
+    /// emptied by its last insertion's own compaction is counted until
+    /// the next sweep.)
     pub fn live_keys(&self) -> usize {
         self.shards.live_keys()
     }
@@ -2279,8 +2394,9 @@ where
         Ok(())
     }
 
-    /// Compact every live key's stable prefix, then flush the storage
-    /// backends of the keys that journaled or moved their clock.
+    /// A maintenance tick ([`UcStore::tick_maintenance`]), then flush
+    /// the storage backends of the keys that journaled or moved their
+    /// clock.
     fn maintain_and_flush(&mut self) -> Result<(), Infallible> {
         self.tick_maintenance();
         self.flush_backends();
@@ -2297,10 +2413,11 @@ where
 /// A runtime flush ([`Protocol::on_batch`]) lands on the per-shard
 /// batched ingest path. A maintenance tick ([`Protocol::on_tick`])
 /// announces the shared clock — one heartbeat advances every key's
-/// stability knowledge on every peer, at once for the keys holding
-/// un-compacted entries, at their next insertion for the rest —
-/// advances stalled heal sessions, compacts every live key's stable
-/// prefix and flushes the storage backends: its cost follows the keys
+/// stability knowledge on every peer: at once for the keys holding
+/// un-compacted entries when it raises that peer's stability floor,
+/// at their next insertion for the rest — advances stalled heal
+/// sessions, compacts every live key's stable prefix when the floor
+/// rose and flushes the storage backends: its cost follows the keys
 /// with unstable entries, not the key count, and it is what keeps GC
 /// stores compacting and segment-backed stores durable with no
 /// dedicated heartbeat or flusher thread.
@@ -2682,6 +2799,19 @@ mod tests {
         s.update(1, SetUpdate::Insert(1));
         s.apply_message(&StoreMsg::Heartbeat { pid: 42, clock: 9 });
         assert_eq!(s.materialize_key(1), BTreeSet::from([1]));
+        // Ten thousand stray pids: each still advances the clock, and
+        // none is remembered, so a key going live hears the cluster's
+        // two clocks and nothing else.
+        for stray in 0..10_000u32 {
+            let clock = 10 + u64::from(stray);
+            s.apply_message(&StoreMsg::Heartbeat {
+                pid: 2 + stray,
+                clock,
+            });
+        }
+        assert_eq!(s.clock(), 10_009);
+        let heard: Vec<u32> = s.shards.stability.heard.iter().map(|(p, _)| *p).collect();
+        assert_eq!(heard, [0, 1], "heard keeps exactly the cluster's pids");
     }
 
     #[test]

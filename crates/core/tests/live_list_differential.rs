@@ -13,7 +13,11 @@
 //! against both, as a [`UcStore`] and as an [`IngestPool`], and they
 //! must agree on every query and every cut result, errors included,
 //! and — once every key has been touched — on every key's log length,
-//! engine clock, stability bound and compaction count.
+//! engine clock, stability bound and compaction count. After every
+//! heartbeat or tick that raises the replica's stability floor — which
+//! the harness computes from the heartbeats it sent, the replica's own
+//! stamps and ticks, and the retention pin — neither holds an entry
+//! stamped at or below it.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use uc_core::{
@@ -189,9 +193,10 @@ where
         }
     }
 
-    /// Hand the sequential store to `f` (a pool is drained into one
-    /// and respawned, which drops its membership view: only call this
-    /// while no peer is down).
+    /// Hand the sequential store to `f`. A pool is drained into one
+    /// and respawned; the respawned pool starts with a clean membership
+    /// view, so the peer it held down is marked down again, from the
+    /// current clock.
     fn with_store<R>(self, f: impl FnOnce(&mut UcStore<Adt, GcFactory, P>) -> R) -> (Self, R) {
         match self {
             Node::Store(mut s) => {
@@ -199,11 +204,30 @@ where
                 (Node::Store(s), out)
             }
             Node::Pool(p) => {
+                let down: Vec<Pid> = p.partition().down_peers().map(|(peer, _)| peer).collect();
                 let mut s = p.finish().unwrap();
                 let out = f(&mut s);
-                (Node::Pool(s.into_pool(pool_cfg())), out)
+                let mut pool = s.into_pool(pool_cfg());
+                for peer in down {
+                    pool.peer_down(peer).unwrap();
+                }
+                (Node::Pool(pool), out)
             }
         }
+    }
+
+    /// Assert that no key holds an entry stamped at or below `floor`.
+    fn assert_floor(self, floor: u64, ctx: &str) -> Self {
+        let (node, ()) = self.with_store(|s| {
+            for key in s.keys() {
+                let stable = s.engine(key).expect("a listed key").log().prefix_len(floor);
+                assert_eq!(
+                    stable, 0,
+                    "key {key}: entries at or below floor {floor}, {ctx}"
+                );
+            }
+        });
+        node
     }
 
     /// Flush, kill, and reopen from what `persist` holds.
@@ -394,6 +418,48 @@ impl World {
     }
 }
 
+/// The replica's stability floor as the harness computes it from what
+/// it did: the minimum of the clocks the peers announced and of the
+/// replica's own progress, capped by the retention pin while a peer is
+/// down. A reopen forgets all of it, as the replica does.
+#[derive(Default)]
+struct Floor {
+    heard: [u64; PEERS],
+    /// The replica's own stamps and tick clocks. A pool worker counts
+    /// only the stamps of its own shards, so for a pool only the ticks.
+    own: u64,
+    pin: Option<u64>,
+    /// The floor when last looked at.
+    last: u64,
+    /// How often it had risen, over the whole run.
+    rises: usize,
+}
+
+impl Floor {
+    /// The floor, if it rose since last looked at.
+    fn rose(&mut self) -> Option<u64> {
+        let heard = self.heard.iter().copied().chain([self.own]).min();
+        let now = heard.unwrap_or(0).min(self.pin.unwrap_or(u64::MAX));
+        let rose = now > self.last;
+        self.last = now;
+        self.rises += usize::from(rose);
+        rose.then_some(now)
+    }
+}
+
+/// After a heartbeat or tick: if it raised the floor, neither replica
+/// may hold an entry stamped at or below it.
+fn check_floor<P>(lazy: Node<P>, eager: Node<P>, floor: &mut Floor, ctx: &str) -> (Node<P>, Node<P>)
+where
+    P: BackendFactory<Adt> + Send + Sync + 'static,
+    P::Backend: Send + 'static,
+{
+    match floor.rose() {
+        Some(at) => (lazy.assert_floor(at, ctx), eager.assert_floor(at, ctx)),
+        None => (lazy, eager),
+    }
+}
+
 fn run<P>(seed: u64, pooled: bool, persist: impl Fn() -> P, persistent: bool)
 where
     P: BackendFactory<Adt> + Send + Sync + 'static,
@@ -405,6 +471,7 @@ where
     let mut eager = Node::new(eager_persist.clone(), pooled);
     // Heartbeats that found a key idle, summed over keys.
     let mut sat_out = 0;
+    let mut floor = Floor::default();
 
     for step in 0..600 {
         let ctx = format!("seed {seed}, step {step}, pooled {pooled}");
@@ -413,6 +480,9 @@ where
                 let (key, u) = w.random_update();
                 let m = lazy.update(key, u);
                 assert_eq!(m, eager.update(key, u), "stamp, {ctx}");
+                if !pooled {
+                    floor.own = floor.own.max(clock_of(&m));
+                }
                 w.first.entry(key).or_insert_with(|| m.clone());
                 w.delivered.push(m.clone());
                 // The peers hear of it sooner or later.
@@ -437,19 +507,26 @@ where
                 eager.ingest(burst, batched);
             }
             11..=14 => {
+                // A peer held down is heard too, as across a one-way
+                // cut: then the pin, not its silence, holds the floor.
                 let p = w.below(PEERS as u64) as usize;
-                if w.down != Some(p) {
-                    sat_out += w.first.len() - lazy.live_keys();
-                    let hb = w.heartbeat(p);
-                    lazy.ingest(vec![hb.clone()], false);
-                    eager.ingest(vec![hb], false);
-                    // The reference is never behind.
-                    eager.ingest(w.touch_all(), w.below(2) == 0);
-                }
+                sat_out += w.first.len() - lazy.live_keys();
+                let hb = w.heartbeat(p);
+                let StoreMsg::Heartbeat { clock, .. } = hb else {
+                    unreachable!("a heartbeat")
+                };
+                floor.heard[p] = floor.heard[p].max(clock);
+                lazy.ingest(vec![hb.clone()], false);
+                eager.ingest(vec![hb], false);
+                // The reference is never behind.
+                eager.ingest(w.touch_all(), w.below(2) == 0);
+                (lazy, eager) = check_floor(lazy, eager, &mut floor, &ctx);
             }
             15..=16 => {
+                floor.own = floor.own.max(lazy.clock());
                 lazy.tick();
                 eager.tick();
+                (lazy, eager) = check_floor(lazy, eager, &mut floor, &ctx);
             }
             17 => {
                 lazy.flush_backends();
@@ -472,9 +549,11 @@ where
                 Some(p) => {
                     lazy.peer_up(p as Pid + 1);
                     eager.peer_up(p as Pid + 1);
+                    floor.pin = None;
                 }
                 None => {
                     let p = w.below(PEERS as u64) as usize;
+                    floor.pin = Some(lazy.clock());
                     lazy.peer_down(p as Pid + 1);
                     eager.peer_down(p as Pid + 1);
                     w.down = Some(p);
@@ -499,6 +578,10 @@ where
                     lazy = lazy.reopen(lazy_persist.clone());
                     eager = eager.reopen(eager_persist.clone());
                     (lazy, eager) = same_facts(lazy, eager, &format!("recovered, {ctx}"));
+                    floor = Floor {
+                        rises: floor.rises,
+                        ..Floor::default()
+                    };
                 }
             }
         }
@@ -506,6 +589,11 @@ where
     assert!(
         sat_out > 100,
         "seed {seed}: keys sat out {sat_out} heartbeats — the schedule tests too little"
+    );
+    assert!(
+        floor.rises > 8,
+        "seed {seed}: the floor rose {} times — the schedule tests too little",
+        floor.rises
     );
 }
 

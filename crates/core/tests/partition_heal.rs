@@ -19,10 +19,13 @@
 //! and retransmit/heal metrics asserted observable.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use uc_core::{
-    AvailabilityPolicy, BackendFactory, CheckpointFactory, GcFactory, GenericReplica, HealConfig,
-    IngestPool, Key, NaiveFactory, PartitionTracker, PoolConfig, StoreInput, StoreMsg, StoreOutput,
-    StrategyFactory, UcStore, UndoFactory, UpdateMsg,
+    AvailabilityPolicy, BackendFactory, CheckpointFactory, CutError, EngineCtx, GcFactory,
+    GenericReplica, HealConfig, IngestPool, Key, LogBackend, NaiveFactory, PartitionTracker,
+    PoolConfig, RepairStrategy, StableGc, StoreInput, StoreMsg, StoreOutput, StrategyFactory,
+    UcStore, UndoFactory, UpdateLog, UpdateMsg,
 };
 use uc_sim::{
     Ctx, DeliveryMode, HeartbeatDetector, LatencyModel, LinkCounters, LinkModel, Pid, Protocol,
@@ -151,25 +154,27 @@ fn sequential<F: StrategyFactory<Adt>>(factory: &F, pid: Pid, shards: usize) -> 
     UcStore::new(SetAdt::new(), pid, shards, factory.clone())
 }
 
-/// The same replica, its shards on two worker threads.
-fn pooled<F>(factory: &F, pid: Pid, shards: usize) -> IngestPool<Adt, F>
+/// The same replica, its shards on `workers` worker threads.
+fn pooled<F>(factory: &F, pid: Pid, shards: usize, workers: usize) -> IngestPool<Adt, F>
 where
     F: StrategyFactory<Adt> + Send + 'static,
     F::Strategy: Send + 'static,
 {
     sequential(factory, pid, shards).into_pool(PoolConfig {
-        workers: 2,
+        workers,
         ..PoolConfig::default()
     })
 }
 
-/// Run `$body(make)` once per node kind, `make(pid)` building a fresh
-/// two-shard replica of that kind over `$factory`.
+/// Run `$body(make)` once per node kind — the store, and pools of one
+/// and of two workers — `make(pid)` building a fresh two-shard replica
+/// of that kind over `$factory`.
 macro_rules! on_every_node_kind {
     ($body:ident, $factory:expr) => {{
         let factory = $factory;
         $body(|pid| sequential(&factory, pid, 2));
-        $body(|pid| pooled(&factory, pid, 2));
+        $body(|pid| pooled(&factory, pid, 2, 1));
+        $body(|pid| pooled(&factory, pid, 2, 2));
     }};
 }
 
@@ -334,7 +339,7 @@ where
         let f = factory(seed);
         let minority_updates = seed % 2 == 0;
         run_heal_differential(|p, s| sequential(&f, p, s), salt ^ seed, minority_updates);
-        run_heal_differential(|p, s| pooled(&f, p, s), salt ^ seed, minority_updates);
+        run_heal_differential(|p, s| pooled(&f, p, s, 2), salt ^ seed, minority_updates);
     }
 }
 
@@ -374,7 +379,7 @@ fn heal_converges_to_reference_gc() {
 fn peer_up_with_only_the_peers_own_updates_opens_no_session() {
     let gc = GcFactory { n: 2 };
     own_updates_open_no_session(sequential(&gc, 0, 2));
-    own_updates_open_no_session(pooled(&gc, 0, 2));
+    own_updates_open_no_session(pooled(&gc, 0, 2, 2));
 }
 
 fn own_updates_open_no_session<R: Replica>(mut node: R) {
@@ -835,7 +840,7 @@ fn gc_store_under_reordered_heartbeats(mode: DeliveryMode) {
 #[test]
 fn protocol_minority_posture() {
     minority_posture(sequential(&NaiveFactory, 0, 2));
-    minority_posture(pooled(&NaiveFactory, 0, 2));
+    minority_posture(pooled(&NaiveFactory, 0, 2, 2));
 }
 
 fn minority_posture<R: Replica>(mut node: R) {
@@ -1310,5 +1315,176 @@ fn a_detector_only_symmetric_partition_reports_peer_up_on_both_sides_and_converg
                 .materialize_key(k);
             assert_eq!(expect, got, "key {k} diverged on replica {p}");
         }
+    }
+}
+
+/// Compaction passes made by every [`Counted`] strategy: the passes a
+/// replica's sweeps make over its live keys.
+static COMPACTION_PASSES: AtomicU64 = AtomicU64::new(0);
+
+/// [`StableGc`] for a cluster of [`N`], counting its compaction
+/// passes ([`RepairStrategy::maintain`]) in [`COMPACTION_PASSES`].
+struct Counted(StableGc<Adt>);
+
+impl RepairStrategy<Adt> for Counted {
+    fn on_insert<B: LogBackend<Adt>>(
+        &mut self,
+        adt: &Adt,
+        log: &mut UpdateLog<Adt, B>,
+        pos: usize,
+        ctx: &EngineCtx,
+    ) {
+        self.0.on_insert(adt, log, pos, ctx);
+    }
+
+    fn observe_clock(&mut self, pid: u32, clock: u64) {
+        self.0.observe_clock(pid, clock);
+    }
+
+    fn set_retention_cap(&mut self, cap: Option<u64>) {
+        self.0.set_retention_cap(cap);
+    }
+
+    fn maintain<B: LogBackend<Adt>>(
+        &mut self,
+        adt: &Adt,
+        log: &mut UpdateLog<Adt, B>,
+        ctx: &EngineCtx,
+    ) {
+        COMPACTION_PASSES.fetch_add(1, Ordering::SeqCst);
+        self.0.maintain(adt, log, ctx);
+    }
+
+    fn current_state<B: LogBackend<Adt>>(
+        &mut self,
+        adt: &Adt,
+        log: &UpdateLog<Adt, B>,
+    ) -> &BTreeSet<u32> {
+        self.0.current_state(adt, log)
+    }
+
+    fn shared_state<B: LogBackend<Adt>>(
+        &mut self,
+        adt: &Adt,
+        log: &UpdateLog<Adt, B>,
+    ) -> (Arc<BTreeSet<u32>>, bool) {
+        self.0.shared_state(adt, log)
+    }
+
+    fn state_at_cut<B: LogBackend<Adt>>(
+        &mut self,
+        adt: &Adt,
+        log: &UpdateLog<Adt, B>,
+        cut: u64,
+    ) -> Result<BTreeSet<u32>, CutError> {
+        self.0.state_at_cut(adt, log, cut)
+    }
+
+    fn install_base(&mut self, adt: &Adt, bound: u64, state: BTreeSet<u32>) -> bool {
+        self.0.install_base(adt, bound, state)
+    }
+}
+
+/// [`GcFactory`] building [`Counted`] strategies.
+#[derive(Clone, Copy)]
+struct CountingGc;
+
+impl StrategyFactory<Adt> for CountingGc {
+    type Strategy = Counted;
+
+    fn make(&self, adt: &Adt) -> Counted {
+        Counted(StableGc::new(adt, N))
+    }
+
+    fn cluster_size(&self) -> Option<usize> {
+        Some(N)
+    }
+}
+
+/// Regression: a heartbeat or tick that cannot raise the replica's
+/// stability floor visits no key. Replica 0 holds peer 2 down — silent,
+/// and pinning retention at its outage watermark — while 64 keys hold
+/// entries above the watermark: peer 1's rising heartbeats and ten
+/// ticks leave the floor where it was, and no live engine is visited.
+/// Once the heal has landed and both peers have announced, the first
+/// sweep that moves the floor catches every key up and empties its log.
+#[test]
+fn a_clock_that_cannot_raise_the_floor_visits_no_key() {
+    on_every_node_kind!(pinned_floor_visits_no_key, CountingGc);
+}
+
+fn pinned_floor_visits_no_key<R: Replica>(make: impl Fn(Pid) -> R) {
+    const LIVE: u64 = 64;
+    let mut node = make(0);
+    let mut peer = sequential(&GcFactory { n: N }, 2, 2);
+    let announce = |node: &mut R, pid: Pid, clock: u64| {
+        deliver(node, 0, pid, StoreMsg::Heartbeat { pid, clock });
+    };
+    // Everyone hears everything up to the cut, and compacts it.
+    for v in 0..8u32 {
+        let (_, sent) = invoke(
+            &mut node,
+            0,
+            StoreInput::Update(u64::from(v), SetUpdate::Insert(v)),
+        );
+        for (to, m) in sent {
+            if to == 2 {
+                deliver(&mut peer, 2, 0, m);
+            }
+        }
+    }
+    let cut = node.clock();
+    announce(&mut node, 1, cut);
+    announce(&mut node, 2, cut);
+    node.tick_maintenance();
+    assert_eq!(node.live_keys(), 0, "everything before the cut is stable");
+    invoke(&mut node, 0, StoreInput::PeerDown(2));
+    assert_eq!(node.partition().watermark(2), Some(cut));
+    for key in 0..LIVE {
+        invoke(
+            &mut node,
+            0,
+            StoreInput::Update(key, SetUpdate::Insert(100)),
+        );
+    }
+    assert_eq!(node.live_keys() as u64, LIVE);
+
+    let passes = COMPACTION_PASSES.load(Ordering::SeqCst);
+    for round in 1..=10 {
+        let clock = node.clock() + round;
+        announce(&mut node, 1, clock);
+        node.tick_maintenance();
+    }
+    assert_eq!(node.live_keys() as u64, LIVE);
+    let visited = COMPACTION_PASSES.load(Ordering::SeqCst) - passes;
+    assert_eq!(
+        visited, 0,
+        "clocks that cannot raise the floor visited live keys {visited} times"
+    );
+
+    // Heal peer 2, then hear both peers at the current clock.
+    let (_, mut to_peer) = invoke(&mut node, 0, StoreInput::PeerUp(2));
+    assert_eq!(to_peer.len(), 1, "a digest request opens the heal");
+    while !to_peer.is_empty() {
+        let replies: Vec<(Pid, Msg)> = to_peer
+            .drain(..)
+            .flat_map(|(_, m)| deliver(&mut peer, 2, 0, m))
+            .collect();
+        for (_, m) in replies {
+            to_peer.extend(deliver(&mut node, 0, 2, m));
+        }
+    }
+    assert_eq!(node.heal_sessions(), 0, "the heal ran to its last ack");
+    let clock = node.clock();
+    announce(&mut node, 1, clock);
+    announce(&mut node, 2, clock);
+    node.tick_maintenance();
+    assert_eq!(node.live_keys(), 0, "one sweep emptied every log");
+    for key in 0..LIVE {
+        assert_eq!(
+            read(&mut node, 0, key),
+            peer.materialize_key(key),
+            "key {key}"
+        );
     }
 }

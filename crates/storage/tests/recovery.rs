@@ -9,8 +9,9 @@
 //!   its workers, so a dropped pool loses nothing that was queued;
 //! * a heartbeat-only tick costs the keys holding un-compacted
 //!   entries one small journal record each, not a file each, and the
-//!   fully compacted keys nothing at all; a non-compacting strategy
-//!   never earns its journal a rewrite;
+//!   fully compacted keys nothing at all; a round that cannot raise
+//!   the stability floor costs no key anything; a non-compacting
+//!   strategy never earns its journal a rewrite;
 //! * the pool's poison path flushes too: a panicking fold must never
 //!   leave an unwritten journal buffer behind (regression for the
 //!   flush-before-join fix), whichever of the shard's keys it was
@@ -203,7 +204,8 @@ fn heartbeat_only_tick_costs_idle_keys_one_watermark_record_each() {
 #[test]
 fn compacted_keys_cost_a_tick_nothing() {
     // 4096 keys whose logs are fully compacted beside 8 that hold an
-    // entry each: a heartbeat, a tick and a flush visit the 8.
+    // entry each: a heartbeat or tick that raises the stability floor,
+    // and a flush, visit the 8; one that cannot raise it visits none.
     const IDLE: u64 = 4096;
     const LIVE: u64 = 8;
     let tmp = ScratchDir::new("compacted-tick");
@@ -221,35 +223,64 @@ fn compacted_keys_cost_a_tick_nothing() {
     store.apply_message(&peer.heartbeat());
     store.apply_message(&heartbeat(2, peer.clock()));
     assert_eq!((store.live_keys(), store.total_log_len()), (0, 0));
-    // Replica 2 says nothing more, so these stay unstable — and
-    // live — through the round.
+    // These stay unstable — and live — through both rounds below. They
+    // are stamped well above the preload, so replica 2 can raise the
+    // stability floor without making them stable.
+    let preloaded = peer.clock();
+    peer.apply_message(&heartbeat(2, preloaded + 100));
     let fresh: Vec<Msg> = (IDLE..IDLE + LIVE)
         .map(|key| peer.update(key, SetUpdate::Insert(key as u32)))
         .collect();
     store.apply_batch_owned(fresh);
     assert_eq!(store.live_keys() as u64, LIVE);
     store.flush_backends();
-    let before = files_of(tmp.path());
     let idle_clock = store.engine(0).unwrap().clock();
+    let live_clocks = |store: &UcStore<Adt, GcFactory, SegmentFactory>| -> Vec<u64> {
+        (IDLE..IDLE + LIVE)
+            .map(|k| store.engine(k).unwrap().clock())
+            .collect()
+    };
+    // One round: `announce`, a tick and a flush; the bytes it wrote.
+    let round = |store: &mut UcStore<Adt, GcFactory, SegmentFactory>, announce: Msg| {
+        let before = files_of(tmp.path());
+        store.apply_message(&announce);
+        store.tick_maintenance();
+        store.flush_backends();
+        let after = files_of(tmp.path());
+        assert_eq!(after.len(), before.len(), "the round created a file");
+        assert_eq!(store.live_keys() as u64, LIVE);
+        assert_eq!(store.total_log_len() as u64, LIVE);
+        assert_eq!(
+            store.engine(0).unwrap().clock(),
+            idle_clock,
+            "a compacted key was visited"
+        );
+        after
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| a.1 - b.1)
+            .sum::<u64>()
+    };
 
-    store.apply_message(&heartbeat(1, peer.clock() + 5));
-    store.tick_maintenance();
-    store.flush_backends();
-    let after = files_of(tmp.path());
-    let grown: u64 = after.iter().zip(&before).map(|(a, b)| a.1 - b.1).sum();
-    assert_eq!(after.len(), before.len(), "the round created a file");
+    // Replica 1 moves on, but replica 2 is silent: the floor stays
+    // where the preload put it, so no key is visited at all.
+    let unswept = live_clocks(&store);
+    let grown = round(&mut store, heartbeat(1, peer.clock() + 5));
+    assert_eq!(
+        grown, 0,
+        "a round that cannot raise the floor writes nothing"
+    );
+    assert_eq!(live_clocks(&store), unswept, "a live key was visited");
+
+    // Replica 2 announces too: the floor rises, short of the live
+    // keys' entries, and the sweep moves their clocks.
+    let grown = round(&mut store, heartbeat(2, preloaded + 50));
     assert_eq!(
         grown,
         LIVE * 25,
         "one watermark record per live key, not a byte for the compacted ones"
     );
-    assert_eq!(store.live_keys() as u64, LIVE);
-    assert_eq!(store.total_log_len() as u64, LIVE);
-    assert_eq!(
-        store.engine(0).unwrap().clock(),
-        idle_clock,
-        "a compacted key was visited"
-    );
+    assert!(live_clocks(&store).iter().all(|c| *c == store.clock()));
 
     // What the compacted keys did not write down, the store did: it
     // reopens at no less than the clock it went down with, which
