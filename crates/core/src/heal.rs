@@ -8,15 +8,17 @@
 //! * `Healer` — the [`PartitionTracker`], the [`HealConfig`], the
 //!   live [`HealSession`]s and the heal counters of one replica, with
 //!   the posture half of its health report and the `uc_*_heal_*`
-//!   metric export. [`UcStore`](crate::store::UcStore) and
-//!   [`IngestPool`](crate::pool::IngestPool) each hold one.
+//!   metric export. A replica ([`Node`](crate::node::Node)) holds one
+//!   above its executor, so the posture stays put when the executor
+//!   changes ([`UcStore::into_pool`](crate::store::UcStore::into_pool),
+//!   [`IngestPool::finish`](crate::pool::IngestPool::finish)).
 //! * `Dialogue` — a `Healer` beside the executor of its replica:
 //!   `peer_down`, `peer_up`, the handlers of the heal control frames,
 //!   the stall tick and the retention pin.
-//! * `ShardAccess` — the only thing the two differ in: who touches
-//!   the shards. The store implements it inline over its shard slice
-//!   (`Error = Infallible`), the pool by a job to the owning worker and
-//!   a reply back (`Error = PoolError`).
+//! * [`ShardAccess`] — what the dialogue needs of an executor: who
+//!   touches the shards. The inline executor reads its own shards
+//!   (`Error = Infallible`), the workers send a job to the owning
+//!   worker and wait for the reply (`Error = PoolError`).
 //!
 //! The dialogue, in two coordinated moves:
 //!
@@ -73,6 +75,7 @@ use uc_criteria::online::MonitorStats;
 use uc_history::fxhash::FxHasher;
 use uc_obs::{Health, Registry};
 use uc_sim::{LinkCounters, Pid};
+use uc_spec::UqAdt;
 
 /// Tuning knobs of the chunked heal protocol, per store.
 #[derive(Clone, Debug)]
@@ -505,12 +508,13 @@ impl fmt::Debug for HealSession {
 /// Who touches the shards: everything the dialogue needs of the
 /// replica it heals for. Calls take effect in the order they are made
 /// — see the [module docs](self) for why the dialogue needs that.
-pub(crate) trait ShardAccess {
-    /// The ADT's update type (what chunks carry).
-    type Update;
+pub trait ShardAccess {
+    /// The replicated data type (its updates are what chunks carry).
+    type Adt: UqAdt;
     /// What a shard operation can fail with.
-    type Error;
+    type Error: std::error::Error;
 
+    /// The replica's process id.
     fn pid(&self) -> Pid;
 
     /// The shared Lamport clock's current value.
@@ -547,7 +551,7 @@ pub(crate) trait ShardAccess {
         since: u64,
         after: Option<Timestamp>,
         limit: usize,
-    ) -> Result<(Vec<UpdateMsg<Self::Update>>, bool), Self::Error>;
+    ) -> Result<(Vec<UpdateMsg<Update<Self>>>, bool), Self::Error>;
 
     /// Pin (or release) compaction on every engine, present and
     /// future.
@@ -651,12 +655,14 @@ impl Healer {
 /// addressed per recipient.
 pub(crate) struct Dialogue<'a, X> {
     pub(crate) heal: &'a mut Healer,
-    pub(crate) shards: X,
+    pub(crate) shards: &'a mut X,
 }
 
+/// The update type of the replica `X` runs the shards of.
+pub(crate) type Update<X> = <<X as ShardAccess>::Adt as UqAdt>::Update;
+
 /// What a step of the dialogue returns: the messages to send.
-pub(crate) type Sent<X> =
-    Result<Vec<(Pid, StoreMsg<<X as ShardAccess>::Update>)>, <X as ShardAccess>::Error>;
+pub(crate) type Sent<X> = Result<Vec<(Pid, StoreMsg<Update<X>>)>, <X as ShardAccess>::Error>;
 
 impl<X: ShardAccess> Dialogue<'_, X> {
     /// `peer` became unreachable: record the outage-start watermark
@@ -738,7 +744,7 @@ impl<X: ShardAccess> Dialogue<'_, X> {
     /// open a session and return its [`StoreMsg::DigestRequest`];
     /// `None` when the peer was not down or every digest slot is
     /// empty (then the pin lifts if this was the last down peer).
-    pub(crate) fn peer_up(&mut self, peer: Pid) -> Result<Option<StoreMsg<X::Update>>, X::Error> {
+    pub(crate) fn peer_up(&mut self, peer: Pid) -> Result<Option<StoreMsg<Update<X>>>, X::Error> {
         let Some(since) = self.heal.partition.mark_up(peer) else {
             return Ok(None);
         };
@@ -846,7 +852,7 @@ impl<X: ShardAccess> Dialogue<'_, X> {
         // Per entry: 8 (key) + 12 (timestamp clock+pid) + the update's
         // in-memory size. An estimate — the real encoding varies — but
         // monotone in chunk size, which is what the metric is for.
-        let per_entry = 8 + 12 + std::mem::size_of::<X::Update>() as u64;
+        let per_entry = 8 + 12 + std::mem::size_of::<Update<X>>() as u64;
         // The fill closure cannot return `Result`: a failed read ends
         // its key and is surfaced after the fill.
         let mut failed = None;

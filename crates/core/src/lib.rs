@@ -18,10 +18,11 @@
 //! | [`gc`] | [`StableGc`] strategy; [`GcReplica`] — stability-based log compaction | §VII-C |
 //! | [`memory`] | [`UcMemory`] — Algorithm 2, LWW shared memory | Alg. 2 |
 //! | [`replica`] | the wait-free replica trait all variants share (incl. [`Replica::on_batch`]) | §VII-A |
-//! | [`store`] | [`UcStore`] — sharded multi-object store: one engine per key, one clock per replica; its crate-private `ShardSet` is the data plane (every shard-level operation and monitor hook, written once) that the store calls inline and each pool worker calls from its job loop | partitionable follow-up |
+//! | [`store`] | [`UcStore`] — sharded multi-object store: one engine per key, one clock per replica; the [`Node`] run by the inline executor ([`store::Inline`]: a direct call into its crate-private `ShardSet`, the data plane — every shard-level operation and monitor hook, written once) | partitionable follow-up |
 //! | [`inbox`] | [`Inbox`] — lock-free bounded MPSC claim-pattern inbox (Treiber push, swap-claim drain) | perf engineering |
 //! | [`snapshot`] | [`Published`] — single-writer epoch-published snapshot cell for wait-free reads | perf engineering |
-//! | [`pool`] | [`IngestPool`]/[`PoolHandle`] — persistent workers, each owning a stride of the store's shards as its own `ShardSet`, fed by claim inboxes; wait-free snapshot reads, flush barriers, drain-on-drop | perf engineering |
+//! | [`pool`] | [`IngestPool`]/[`PoolHandle`] — the same [`Node`] run by persistent workers ([`pool::Workers`]), each owning a stride of the shards as its own `ShardSet`, fed by claim inboxes; wait-free snapshot reads, flush barriers, drain-on-drop | perf engineering |
+//! | [`node`] | [`Node`] — the replica written once over an [`Executor`]: partition posture and heal dialogue, health, metrics, and the `Protocol` impl both node kinds share | partitionable follow-up |
 //! | [`observe`] | shared telemetry glue: streaming-monitor counters → `uc-obs` registry | observability |
 //! | [`sim_adapter`] | run replicas on `uc-sim`; turn traces into checkable histories + SUC witnesses | Prop. 4 |
 //! | [`convergence`] | cross-replica convergence checks | Defs. 5/8 |
@@ -48,7 +49,7 @@ pub mod inbox;
 pub mod log;
 pub mod memory;
 pub mod message;
-mod node;
+pub mod node;
 pub mod observe;
 pub mod pool;
 pub mod replica;
@@ -68,6 +69,7 @@ pub use inbox::{Inbox, PushError};
 pub use log::UpdateLog;
 pub use memory::{MemWrite, UcMemory};
 pub use message::{GcMsg, UpdateMsg};
+pub use node::{Executor, Node};
 pub use observe::export_monitor_stats;
 pub use pool::{
     Backpressure, IngestPool, PoolConfig, PoolError, PoolHandle, PoolStats, SnapshotError,

@@ -1,10 +1,10 @@
 //! Shared observability glue: exporting monitor counters into a
 //! metrics registry.
 //!
-//! Both the sequential [`UcStore`](crate::store::UcStore) and the
-//! [`IngestPool`](crate::pool::IngestPool) stream
-//! [`MonitorStats`] as metrics; one derivation point here keeps the
-//! metric names identical on every runtime (the test
+//! A replica of either kind streams [`MonitorStats`] as metrics
+//! ([`Node::export_metrics`](crate::node::Node::export_metrics)); one
+//! derivation point here keeps the metric names identical on every
+//! runtime (the test
 //! `online_monitor::a_sampled_monitor_never_perturbs_the_store_and_exports_what_it_saw`
 //! checks them).
 

@@ -107,14 +107,15 @@
 //!   per-call poison check is a plain load; every subsequent
 //!   operation surfaces the [`PoolError`] instead of deadlocking;
 //! * **crash soundness** — stamping composes with the persisted
-//!   clock-floor lease: a `ClockLease` keeps an atomic copy of the
-//!   on-disk floor, so the per-stamp check is one load, and only the
-//!   slow path (once per [`CLOCK_LEASE`] stamps) serializes on a
-//!   latch to write the floor *before* the stamp can be broadcast.
-//!   While handles may stamp concurrently the floor only ever moves
-//!   up; it collapses to the exact clock at the quiesce points
-//!   ([`IngestPool::finish`] / drop), where the worker joins make the
-//!   clock read cover every issued stamp.
+//!   clock-floor lease the store keeps too (`ClockLease`, handed over
+//!   by [`UcStore::into_pool`] and back by [`IngestPool::finish`]): an
+//!   atomic copy of the on-disk floor, so the per-stamp check is one
+//!   load, and only the slow path (once per `CLOCK_LEASE` stamps)
+//!   serializes on a latch to write the floor *before* the stamp can
+//!   be broadcast. While handles may stamp concurrently the floor only
+//!   ever moves up; it collapses to the exact clock at the quiesce
+//!   points ([`IngestPool::finish`] / drop), where the worker joins
+//!   make the clock read cover every issued stamp.
 //!
 //! One caveat carries over from the sequential world: the GC
 //! strategy's stability bookkeeping assumes per-sender FIFO delivery
@@ -125,30 +126,32 @@
 //! keys across concurrent handles (or use a full-log strategy) when
 //! stamping concurrently.
 //!
-//! The pool implements [`Protocol`], so a pooled store runs unchanged
-//! under `uc-runtime`'s `EventCluster` (real ingest concurrency) and
-//! the deterministic simulator. It is the same replica as the sequential
-//! [`UcStore`], above the shards and at them: the protocol bodies
-//! (`node`) and the partition posture and heal dialogue
-//! ([`heal`](crate::heal)) are shared code, which the pool runs over
-//! worker jobs (`ShardAccess` on its handle), and each worker's shards
-//! are a `ShardSet` — the store's own data plane, dealt out by stride
-//! — so a job is one call into the method the store calls inline.
-//! What is the pool's alone is what crosses threads: the inboxes, the
-//! published snapshots, and the relaxed mirrors of each worker's
-//! counters (`SharedCounters`, `MonitorCells`).
+//! The pool is the same replica as the sequential [`UcStore`], above
+//! the shards and at them: [`IngestPool`] is the [`Workers`]
+//! instantiation of [`Node`], so the partition posture, the heal
+//! dialogue, the health and metrics accessors and the
+//! [`Protocol`](uc_sim::Protocol) impl — it runs unchanged under
+//! `uc-runtime`'s `EventCluster` (real ingest concurrency) and the
+//! deterministic simulator — are the store's own code, and each
+//! worker's shards are a `ShardSet`, the store's data plane dealt out
+//! by stride, so a job is one call into the method the store calls
+//! inline. A read of what the shards report (keys, live keys, log
+//! length, repair totals, the monitor's counters) is one more job per
+//! worker, answered behind everything queued before it on that
+//! worker's FIFO inbox: quiesced, with no flush. What is the pool's
+//! alone is what crosses threads: the inboxes, the published
+//! snapshots, and the relaxed throughput counters (`SharedCounters`).
 
 use crate::backend::{BackendFactory, MemFactory};
 use crate::engine::CutError;
-use crate::heal::{Dialogue, HealConfig, HealDigest, HealSession, Healer, ShardAccess};
+use crate::heal::{HealDigest, ShardAccess};
 use crate::inbox::{Inbox, PushError};
 use crate::message::UpdateMsg;
-use crate::node::{self, Node};
+use crate::node::{Executor, Node};
 use crate::snapshot::Published;
 use crate::store::{
-    collapse_heartbeats, shard_index, split_by_shard, AvailabilityPolicy, Bucket, Key,
-    PartitionTracker, ShardSet, StoreInput, StoreMsg, StoreOutput, StoreSnapshot, StrategyFactory,
-    UcStore,
+    collapse_heartbeats, shard_index, split_by_shard, Bucket, ClockLease, Inline, Key, ShardSet,
+    StoreMsg, StoreSnapshot, StrategyFactory, Summary, UcStore,
 };
 use crate::timestamp::{LamportClock, Timestamp};
 use std::collections::{BTreeMap, HashMap};
@@ -157,13 +160,13 @@ use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use uc_criteria::online::{MonitorConfig, MonitorStats};
+use uc_criteria::online::MonitorConfig;
 use uc_history::fxhash::FxHasher;
-use uc_obs::{Health, Registry};
-use uc_sim::{Ctx, LinkCounters, Pid, Protocol};
+use uc_obs::Registry;
+use uc_sim::Pid;
 use uc_spec::UqAdt;
 
 /// What a full worker inbox means for *peer traffic*
@@ -332,10 +335,6 @@ pub struct WorkerStats {
     /// that never returns to zero means snapshot readers are being
     /// starved by ingest; a flush forces publication to completion.
     pub publish_yields: u64,
-    /// Keys on this worker whose log holds un-compacted entries (a
-    /// gauge, as of the worker's last finished job) — the pooled
-    /// [`UcStore::live_keys`].
-    pub live_keys: usize,
 }
 
 /// Point-in-time counters for the whole pool (observability and the
@@ -380,11 +379,6 @@ impl PoolStats {
     pub fn total_snapshot_copies(&self) -> u64 {
         self.workers.iter().map(|w| w.snapshot_copies).sum()
     }
-
-    /// Keys holding un-compacted log entries, across workers.
-    pub fn total_live_keys(&self) -> usize {
-        self.workers.iter().map(|w| w.live_keys).sum()
-    }
 }
 
 /// Counters shared between the handles and one worker.
@@ -399,7 +393,6 @@ struct SharedCounters {
     snap_copies: AtomicU64,
     publish_backlog: AtomicUsize,
     publish_yields: AtomicU64,
-    live_keys: AtomicUsize,
 }
 
 impl SharedCounters {
@@ -426,73 +419,6 @@ impl SharedCounters {
             snapshot_copies: self.snap_copies.load(Ordering::Relaxed),
             publish_backlog: self.publish_backlog.load(Ordering::Relaxed),
             publish_yields: self.publish_yields.load(Ordering::Relaxed),
-            live_keys: self.live_keys.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Worker → handle mirror of one worker's monitor counters. The
-/// worker stores absolute values after each monitor-touching job
-/// (~15 relaxed stores); the pool aggregates across workers without
-/// stopping them. Workers own disjoint shard (hence key) sets, so
-/// summing per-key counters is exact.
-#[derive(Default)]
-struct MonitorCells {
-    sampled_keys: AtomicU64,
-    sampled_updates: AtomicU64,
-    sampled_queries: AtomicU64,
-    sampled_cuts: AtomicU64,
-    uc_violations: AtomicU64,
-    ec_violations: AtomicU64,
-    sec_violations: AtomicU64,
-    snap_violations: AtomicU64,
-    below_floor_arrivals: AtomicU64,
-    window_evictions: AtomicU64,
-    lossy_keys: AtomicU64,
-    skipped_checks: AtomicU64,
-    finalized_updates: AtomicU64,
-    stable_bound: AtomicU64,
-    ticks: AtomicU64,
-}
-
-impl MonitorCells {
-    fn publish(&self, s: &MonitorStats) {
-        let o = Ordering::Relaxed;
-        self.sampled_keys.store(s.sampled_keys, o);
-        self.sampled_updates.store(s.sampled_updates, o);
-        self.sampled_queries.store(s.sampled_queries, o);
-        self.sampled_cuts.store(s.sampled_cuts, o);
-        self.uc_violations.store(s.uc_violations, o);
-        self.ec_violations.store(s.ec_violations, o);
-        self.sec_violations.store(s.sec_violations, o);
-        self.snap_violations.store(s.snap_violations, o);
-        self.below_floor_arrivals.store(s.below_floor_arrivals, o);
-        self.window_evictions.store(s.window_evictions, o);
-        self.lossy_keys.store(s.lossy_keys, o);
-        self.skipped_checks.store(s.skipped_checks, o);
-        self.finalized_updates.store(s.finalized_updates, o);
-        self.stable_bound.store(s.stable_bound, o);
-        self.ticks.store(s.ticks, o);
-    }
-
-    fn load(&self) -> MonitorStats {
-        let o = Ordering::Relaxed;
-        MonitorStats {
-            sampled_keys: self.sampled_keys.load(o),
-            sampled_updates: self.sampled_updates.load(o),
-            sampled_queries: self.sampled_queries.load(o),
-            sampled_cuts: self.sampled_cuts.load(o),
-            uc_violations: self.uc_violations.load(o),
-            ec_violations: self.ec_violations.load(o),
-            sec_violations: self.sec_violations.load(o),
-            snap_violations: self.snap_violations.load(o),
-            below_floor_arrivals: self.below_floor_arrivals.load(o),
-            window_evictions: self.window_evictions.load(o),
-            lossy_keys: self.lossy_keys.load(o),
-            skipped_checks: self.skipped_checks.load(o),
-            finalized_updates: self.finalized_updates.load(o),
-            stable_bound: self.stable_bound.load(o),
-            ticks: self.ticks.load(o),
         }
     }
 }
@@ -534,13 +460,10 @@ enum Job<A: UqAdt> {
     },
     /// [`ShardSet::attach_monitor`] on this worker's shards. Workers
     /// own disjoint shards (hence keys), so per-worker monitors never
-    /// see each other's keys and their counters sum exactly.
-    AttachMonitor {
-        /// Sampling / window / peer configuration.
-        cfg: MonitorConfig,
-        /// Handle-side mirror the worker publishes stats into.
-        cells: Arc<MonitorCells>,
-    },
+    /// see each other's keys and their counters merge exactly.
+    AttachMonitor(MonitorConfig),
+    /// [`ShardSet::summary`], behind every earlier job on this inbox.
+    Summary(Sender<Summary>),
     /// [`ShardSet::flush_backends`] (durability point).
     FlushBackends,
     /// Flush barrier: ack once every earlier job on this inbox is done.
@@ -610,77 +533,6 @@ impl<A: UqAdt> Default for ShardSnapshots<A> {
     fn default() -> Self {
         ShardSnapshots {
             keys: Published::new(),
-        }
-    }
-}
-
-/// The persisted clock-floor lease, shared by every handle. The
-/// fast path (stamp already covered by the on-disk floor) is one
-/// atomic load; the slow path — once per [`CLOCK_LEASE`] stamps —
-/// serializes on the latch, re-checks, persists `issued +
-/// CLOCK_LEASE`, and only then publishes the new floor, so a stamp
-/// can never be broadcast before the disk write that makes it
-/// unrepeatable lands. (Same crash-soundness argument as
-/// [`UcStore::reserve_clock`]: a re-issued timestamp would silently
-/// dedup away at peers and diverge the cluster.)
-struct ClockLease {
-    /// Highest floor known persisted; `u64::MAX` = nothing yet.
-    persisted: AtomicU64,
-    /// Serializes slow-path floor writes.
-    latch: Mutex<()>,
-}
-
-const NO_FLOOR: u64 = u64::MAX;
-
-impl ClockLease {
-    fn new() -> Self {
-        ClockLease {
-            persisted: AtomicU64::new(NO_FLOOR),
-            latch: Mutex::new(()),
-        }
-    }
-
-    /// Ensure the persisted floor covers `issued` before it can be
-    /// broadcast.
-    fn reserve(&self, issued: u64, persist: impl Fn(u64)) {
-        let p = self.persisted.load(Ordering::SeqCst);
-        if p != NO_FLOOR && issued <= p {
-            return;
-        }
-        let _g = self.latch.lock().unwrap_or_else(|e| e.into_inner());
-        let p = self.persisted.load(Ordering::SeqCst);
-        if p != NO_FLOOR && issued <= p {
-            return;
-        }
-        let floor = issued + CLOCK_LEASE;
-        persist(floor);
-        // Publish only after the write: a concurrent stamper's fast
-        // path must never trust a floor that is not on disk yet.
-        self.persisted.store(floor, Ordering::SeqCst);
-    }
-
-    /// Raise the floor to `clock` if it is above the lease (possible
-    /// after large peer-clock merges). Never lowers — with concurrent
-    /// stampers a downward write could undercut a stamp that already
-    /// passed its fast-path check.
-    fn raise_to(&self, clock: u64, persist: impl Fn(u64)) {
-        let _g = self.latch.lock().unwrap_or_else(|e| e.into_inner());
-        let p = self.persisted.load(Ordering::SeqCst);
-        if p == NO_FLOOR || clock > p {
-            persist(clock);
-            self.persisted.store(clock, Ordering::SeqCst);
-        }
-    }
-
-    /// Collapse the floor to the exact clock. **Quiesced callers
-    /// only** (finish/drop, after the workers joined): lowering the
-    /// floor is sound only when no stamp above `clock` can be in
-    /// flight.
-    fn collapse(&self, clock: u64, persist: impl Fn(u64)) {
-        let _g = self.latch.lock().unwrap_or_else(|e| e.into_inner());
-        if self.persisted.load(Ordering::SeqCst) != clock {
-            persist(clock);
-            self.persisted.store(clock, Ordering::SeqCst);
         }
     }
 }
@@ -912,9 +764,6 @@ struct Worker<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     shards: ShardSet<A, F, P>,
     core: Arc<PoolCore<A>>,
     widx: usize,
-    /// Where the shards' monitor counters are mirrored for the handle
-    /// to read; `None` until [`Job::AttachMonitor`].
-    monitor_cells: Option<Arc<MonitorCells>>,
     publisher: SnapPublisher<A>,
     /// Claimed and not yet run.
     batch: Vec<Job<A>>,
@@ -928,17 +777,13 @@ where
 {
     fn new(shards: ShardSet<A, F, P>, core: Arc<PoolCore<A>>, widx: usize) -> Self {
         let publisher = SnapPublisher::new(shards.indices());
-        let worker = Worker {
+        Worker {
             shards,
             core,
             widx,
-            monitor_cells: None,
             publisher,
             batch: Vec::new(),
-        };
-        // A store may arrive with live keys (a respawned pool, a reopen).
-        worker.publish_live_keys();
-        worker
+        }
     }
 
     /// Run one job: a call into the shard set, the answer sent back. A
@@ -947,12 +792,6 @@ where
     fn run(&mut self, job: Job<A>) {
         let counters = &self.core.counters[self.widx];
         let shards = &mut self.shards;
-        // Insertions lengthen a live list and compaction shortens it;
-        // no other job touches one.
-        let changes_live_lists = matches!(
-            job,
-            Job::Ingest(_) | Job::Update { .. } | Job::Heartbeat { .. } | Job::Maintain { .. }
-        );
         match job {
             Job::Ingest(buckets) => {
                 counters.batches.fetch_add(1, Ordering::Relaxed);
@@ -1004,28 +843,11 @@ where
                 let _ = reply.send(shards.collect_window(shard, key, since, after, limit));
             }
             Job::Retention { cap } => shards.set_retention(cap),
-            Job::AttachMonitor { cfg, cells } => {
-                shards.attach_monitor(cfg);
-                self.monitor_cells = Some(cells);
+            Job::AttachMonitor(cfg) => shards.attach_monitor(cfg),
+            Job::Summary(reply) => {
+                let _ = reply.send(shards.summary());
             }
         }
-        // Mirror the (worker-private) monitor counters for the handle
-        // after every job — ~15 relaxed stores, only when attached.
-        if let (Some(stats), Some(cells)) = (shards.monitor_stats(), &self.monitor_cells) {
-            cells.publish(stats);
-        }
-        if changes_live_lists {
-            self.publish_live_keys();
-        }
-    }
-
-    /// Mirror the owned shards' live-list lengths for the handle
-    /// (relaxed: a gauge; a barrier's ack orders it for the reader).
-    fn publish_live_keys(&self) {
-        let live = self.shards.live_keys();
-        self.core.counters[self.widx]
-            .live_keys
-            .store(live, Ordering::Relaxed);
     }
 
     fn any_armed(&self) -> bool {
@@ -1243,29 +1065,13 @@ where
 /// any number of threads) may stamp and submit concurrently; see the
 /// [module docs](self) for the GC-strategy FIFO caveat on same-key
 /// concurrent stamping.
-pub struct PoolHandle<A, P = MemFactory>
-where
-    A: UqAdt + Clone + Send + 'static,
-    A::Update: Send,
-    A::QueryIn: Send,
-    A::QueryOut: Send,
-    A::State: Send + Sync,
-    P: BackendFactory<A> + Send + Sync + 'static,
-{
+pub struct PoolHandle<A: UqAdt, P = MemFactory> {
     core: Arc<PoolCore<A>>,
     adt: A,
     persist: P,
 }
 
-impl<A, P> Clone for PoolHandle<A, P>
-where
-    A: UqAdt + Clone + Send + 'static,
-    A::Update: Send,
-    A::QueryIn: Send,
-    A::QueryOut: Send,
-    A::State: Send + Sync,
-    P: BackendFactory<A> + Send + Sync + 'static,
-{
+impl<A: UqAdt + Clone, P: Clone> Clone for PoolHandle<A, P> {
     fn clone(&self) -> Self {
         PoolHandle {
             core: Arc::clone(&self.core),
@@ -1275,15 +1081,7 @@ where
     }
 }
 
-impl<A, P> PoolHandle<A, P>
-where
-    A: UqAdt + Clone + Send + 'static,
-    A::Update: Send,
-    A::QueryIn: Send,
-    A::QueryOut: Send,
-    A::State: Send + Sync,
-    P: BackendFactory<A> + Send + Sync + 'static,
-{
+impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     fn err_for(&self, worker: usize) -> PoolError {
         self.core
             .poison
@@ -1359,6 +1157,14 @@ where
             .enumerate()
             .map(|(worker, ack)| ack.recv().map_err(|_| self.err_for(worker)))
             .collect()
+    }
+
+    /// Push one job to every worker, applying `policy` on a full inbox.
+    fn broadcast(&self, job: impl Fn() -> Job<A>, policy: Backpressure) -> Result<(), PoolError> {
+        for worker in 0..self.core.inboxes.len() {
+            self.push_job(worker, job(), policy)?;
+        }
+        Ok(())
     }
 
     /// Perform a local update on `key`: tick the shared atomic clock
@@ -1575,9 +1381,7 @@ where
         }
         for (pid, clock) in collapse_heartbeats(heartbeats) {
             self.core.clock.merge(clock);
-            for worker in 0..workers {
-                self.push_job(worker, Job::Heartbeat { pid, clock }, policy)?;
-            }
+            self.broadcast(|| Job::Heartbeat { pid, clock }, policy)?;
         }
         Ok(())
     }
@@ -1587,6 +1391,34 @@ where
     /// are armed, its post-repair state published).
     pub fn flush(&self) -> Result<(), PoolError> {
         self.scatter(Job::Barrier).map(drop)
+    }
+
+    /// Run per-key maintenance (compaction) on every worker's engines.
+    fn tick_maintenance(&self) -> Result<(), PoolError> {
+        let clock = self.core.clock.now();
+        self.broadcast(|| Job::Maintain { clock }, Backpressure::Park)
+    }
+
+    /// See [`IngestPool::flush_backends`].
+    fn flush_backends(&self) -> Result<(), PoolError> {
+        self.broadcast(|| Job::FlushBackends, Backpressure::Park)?;
+        let core = &self.core;
+        core.lease.raise_to(core.clock.now(), |floor| {
+            self.persist.persist_store_clock(floor)
+        });
+        Ok(())
+    }
+
+    /// The per-worker queue/throughput counters.
+    fn stats(&self) -> PoolStats {
+        PoolStats {
+            workers: self
+                .core
+                .counters
+                .iter()
+                .map(SharedCounters::stats)
+                .collect(),
+        }
     }
 
     /// This replica's process id.
@@ -1600,32 +1432,268 @@ where
     }
 }
 
-/// The pooled executor: each operation is a job to the owning
+/// A pooled store: a [`UcStore`]'s shards on persistent worker
+/// threads, fed through lock-free claim inboxes. The [`Workers`]
+/// instantiation of [`Node`], which holds what every replica shares;
+/// cheap cloneable `&self` access for other threads comes from
+/// [`IngestPool::handle`], and [`IngestPool::finish`] reassembles the
+/// store. Generic over the store's [`BackendFactory`], so pooled
+/// stores persist exactly like sequential ones (to reopen a persistent
+/// pooled store, use [`UcStore::reopen`] and pool the result). See the
+/// [module docs](self).
+pub type IngestPool<A, F, P = MemFactory> = Node<Workers<A, F, P>>;
+
+/// The pooled [`Executor`]: each operation is a job to the owning
 /// worker(s) and a reply back. A worker's FIFO inbox runs this
 /// handle's jobs in push order, which is the ordering
 /// [`ShardAccess`] asks for.
-impl<A, P> ShardAccess for &PoolHandle<A, P>
+pub struct Workers<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
+    handle: PoolHandle<A, P>,
+    /// One per worker; a poisoned worker's returns no shards (they
+    /// are abandoned).
+    threads: Vec<JoinHandle<Option<ShardSet<A, F, P>>>>,
+}
+
+/// Take `store` apart into the shared core and one [`Worker`] per
+/// worker thread (shard `i` pins to worker `i % workers`) — the pool
+/// before any thread runs.
+#[allow(clippy::type_complexity)]
+fn assemble<A, F, P>(
+    store: Inline<A, F, P>,
+    cfg: PoolConfig,
+) -> (PoolHandle<A, P>, Vec<Worker<A, F, P>>)
 where
-    A: UqAdt + Clone + Send + 'static,
-    A::Update: Send,
-    A::QueryIn: Send,
-    A::QueryOut: Send,
-    A::State: Send + Sync,
-    P: BackendFactory<A> + Send + Sync + 'static,
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
 {
-    type Update = A::Update;
+    let Inline {
+        clock,
+        lease,
+        shards,
+        ..
+    } = store;
+    let (adt, pid, persist) = (shards.adt.clone(), shards.pid, shards.persist.clone());
+    let num_shards = shards.len();
+    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let workers = if cfg.workers == 0 { hw } else { cfg.workers }
+        .min(num_shards)
+        .max(1);
+    let queue_depth = cfg.queue_depth.max(1);
+    let core = Arc::new(PoolCore {
+        pid,
+        clock,
+        lease,
+        num_shards,
+        backpressure: cfg.backpressure,
+        inboxes: (0..workers).map(|_| Inbox::new(queue_depth)).collect(),
+        counters: (0..workers).map(|_| SharedCounters::default()).collect(),
+        snaps: (0..num_shards).map(|_| ShardSnapshots::default()).collect(),
+        poison: OnceLock::new(),
+        armed: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
+        cut_seq: AtomicU64::new(0),
+    });
+    let workers = shards
+        .split(workers)
+        .into_iter()
+        .enumerate()
+        .map(|(widx, shards)| Worker::new(shards, Arc::clone(&core), widx))
+        .collect();
+    (PoolHandle { core, adt, persist }, workers)
+}
+
+impl<A, F, P> IngestPool<A, F, P>
+where
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
+{
+    /// Move `store`'s shards onto `cfg.workers` long-lived threads
+    /// (shard `i` pins to worker `i % workers`); the store's partition
+    /// posture and heal state come along.
+    pub fn spawn(store: UcStore<A, F, P>, cfg: PoolConfig) -> Self
+    where
+        A: Send + 'static,
+        A::Update: Send,
+        A::QueryIn: Send,
+        A::QueryOut: Send,
+        A::State: Send + Sync,
+        F: Send + 'static,
+        F::Strategy: Send + 'static,
+        P: Send + Sync + 'static,
+        P::Backend: Send + 'static,
+    {
+        let (handle, workers) = assemble(store.exec, cfg);
+        let threads = workers
+            .into_iter()
+            .map(|worker| std::thread::spawn(move || worker_loop(worker)))
+            .collect();
+        Node {
+            heal: store.heal,
+            exec: Workers { handle, threads },
+        }
+    }
+
+    /// A cloneable `&self` handle for concurrent producers/readers on
+    /// other threads. Handles stay valid (but error on submission)
+    /// after [`IngestPool::finish`]/drop; their snapshot reads keep
+    /// answering from the last published state.
+    pub fn handle(&self) -> PoolHandle<A, P> {
+        self.exec.handle.clone()
+    }
+
+    /// Perform a local update on `key` (see [`PoolHandle::update`]).
+    pub fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
+        self.exec.handle.update(key, u)
+    }
+
+    /// Strong read through the owning worker (see
+    /// [`PoolHandle::query`]).
+    pub fn query(&mut self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, PoolError> {
+        self.exec.handle.query(key, q)
+    }
+
+    /// Wait-free weak read of the latest published snapshot (see
+    /// [`PoolHandle::query_snapshot`]).
+    pub fn query_snapshot(&self, key: Key, q: &A::QueryIn) -> A::QueryOut {
+        self.exec.handle.query_snapshot(key, q)
+    }
+
+    /// Wait-free multi-key weak read that never straddles a cut (see
+    /// [`PoolHandle::query_snapshot_multi`]).
+    pub fn query_snapshot_multi(&self, reqs: &[(Key, A::QueryIn)]) -> Vec<(Key, A::QueryOut)> {
+        self.exec.handle.query_snapshot_multi(reqs)
+    }
+
+    /// Barrier-cut multi-key snapshot at `cut` (see
+    /// [`PoolHandle::snapshot_at`]).
+    pub fn snapshot_at(&mut self, cut: u64) -> Result<StoreSnapshot<A>, SnapshotError> {
+        self.exec.handle.snapshot_at(cut)
+    }
+
+    /// Flush, then snapshot at the current clock (see
+    /// [`PoolHandle::consistent_snapshot`]).
+    pub fn consistent_snapshot(&mut self) -> Result<StoreSnapshot<A>, SnapshotError> {
+        self.exec.handle.consistent_snapshot()
+    }
+
+    /// Ingest a whole peer burst (see [`PoolHandle::submit_batch`]).
+    pub fn submit_batch(&mut self, msgs: Vec<StoreMsg<A::Update>>) -> Result<(), PoolError> {
+        self.exec.handle.submit_batch(msgs)
+    }
+
+    /// Barrier: block until every prior submission has been applied.
+    pub fn flush(&mut self) -> Result<(), PoolError> {
+        self.exec.handle.flush()
+    }
+
+    /// Run per-key maintenance (compaction) on every worker's engines.
+    pub fn tick_maintenance(&mut self) -> Result<(), PoolError> {
+        self.exec.handle.tick_maintenance()
+    }
+
+    /// Flush every worker's storage backends and raise the persisted
+    /// clock watermark if the clock overtook the lease. Asynchronous —
+    /// the job lands in FIFO order behind all prior submissions;
+    /// follow with [`IngestPool::flush`] to wait for durability.
+    /// (Both worker-exit paths — drain-on-drop and poisoning — also
+    /// flush, so dropping the handle never leaves an unsynced
+    /// segment.) The floor is **not** collapsed downward here: with
+    /// concurrent stampers that could undercut a stamp that already
+    /// passed its lease check; exact collapse happens at the quiesced
+    /// finish/drop points.
+    pub fn flush_backends(&mut self) -> Result<(), PoolError> {
+        self.exec.handle.flush_backends()
+    }
+
+    /// Number of worker threads.
+    pub fn num_workers(&self) -> usize {
+        self.exec.threads.len()
+    }
+
+    /// Snapshot the per-worker queue/throughput counters.
+    pub fn stats(&self) -> PoolStats {
+        self.exec.handle.stats()
+    }
+
+    /// Drain every inbox, stop the workers, and reassemble the
+    /// [`UcStore`] (its clock reflecting everything the pool stamped
+    /// or ingested), partition posture and heal state included. Fails
+    /// if any worker panicked.
+    pub fn finish(self) -> Result<UcStore<A, F, P>, PoolError> {
+        let Node { heal, mut exec } = self;
+        let core = &exec.handle.core;
+        for inbox in &core.inboxes {
+            inbox.close();
+        }
+        let mut parts = Vec::with_capacity(exec.threads.len());
+        for (worker, thread) in std::mem::take(&mut exec.threads).into_iter().enumerate() {
+            match thread.join() {
+                Ok(Some(shards)) => parts.push(shards),
+                // A worker that hit a panic returns no shards; surface
+                // the recorded error.
+                Ok(None) | Err(_) => return Err(exec.handle.err_for(worker)),
+            }
+        }
+        if let Some(err) = core.poison.get() {
+            return Err(err.clone());
+        }
+        // Workers joined: the clock read covers every issued stamp,
+        // so collapsing the floor to the exact clock is sound here.
+        let clock = core.clock.now();
+        core.lease.collapse(clock, |floor| {
+            exec.handle.persist.persist_store_clock(floor)
+        });
+        Ok(Node {
+            heal,
+            exec: Inline {
+                clock: core.clock.clone(),
+                lease: ClockLease::new(Some(clock)),
+                trace: None,
+                shards: ShardSet::join(parts),
+            },
+        })
+    }
+}
+
+/// Drain-on-drop: closing the inboxes lets every worker finish its
+/// backlog — and flush its storage backends — before exiting; the join
+/// guarantees no worker thread outlives the owning handle. Panics
+/// (ours or a worker's) are swallowed — `Drop` must not double-panic.
+impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> Drop for Workers<A, F, P> {
+    fn drop(&mut self) {
+        let core = &self.handle.core;
+        for inbox in &core.inboxes {
+            inbox.close();
+        }
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+        core.lease.collapse(core.clock.now(), |floor| {
+            self.handle.persist.persist_store_clock(floor)
+        });
+    }
+}
+
+impl<A, F, P> ShardAccess for Workers<A, F, P>
+where
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
+{
+    type Adt = A;
     type Error = PoolError;
 
     fn pid(&self) -> Pid {
-        self.core.pid
+        self.handle.core.pid
     }
 
     fn clock_now(&self) -> u64 {
-        self.core.clock.now()
+        self.handle.core.clock.now()
     }
 
     fn num_shards(&self) -> usize {
-        self.core.num_shards
+        self.handle.core.num_shards
     }
 
     /// Each worker folds its disjoint shard set; the slot arrays
@@ -1638,7 +1706,7 @@ where
         groups: u32,
         ranges: u32,
     ) -> Result<Vec<HealDigest>, PoolError> {
-        let parts = self.scatter(|reply| Job::DigestSuffix {
+        let parts = self.handle.scatter(|reply| Job::DigestSuffix {
             since,
             exclude_pid,
             groups,
@@ -1656,7 +1724,9 @@ where
     }
 
     fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, PoolError> {
-        let parts = self.scatter(|reply| Job::HealCandidates { since, reply })?;
+        let parts = self
+            .handle
+            .scatter(|reply| Job::HealCandidates { since, reply })?;
         let mut out: Vec<(usize, Key)> = parts.into_iter().flatten().collect();
         out.sort_unstable();
         Ok(out)
@@ -1670,560 +1740,34 @@ where
         after: Option<Timestamp>,
         limit: usize,
     ) -> Result<(Vec<UpdateMsg<A::Update>>, bool), PoolError> {
-        let worker = self.core.worker_of(shard);
+        let handle = &self.handle;
+        let worker = handle.core.worker_of(shard);
         let (reply, ack) = channel();
-        self.push_job(
-            worker,
-            Job::CollectWindow {
-                shard,
-                key,
-                since,
-                after,
-                limit,
-                reply,
-            },
-            Backpressure::Park,
-        )?;
-        ack.recv().map_err(|_| self.err_for(worker))
+        let job = Job::CollectWindow {
+            shard,
+            key,
+            since,
+            after,
+            limit,
+            reply,
+        };
+        handle.push_job(worker, job, Backpressure::Park)?;
+        ack.recv().map_err(|_| handle.err_for(worker))
     }
 
     fn set_retention(&mut self, cap: Option<u64>) -> Result<(), PoolError> {
-        for worker in 0..self.core.inboxes.len() {
-            self.push_job(worker, Job::Retention { cap }, Backpressure::Park)?;
-        }
-        Ok(())
+        self.handle
+            .broadcast(|| Job::Retention { cap }, Backpressure::Park)
     }
 }
 
-struct WorkerJoin<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
-    /// `None` from a poisoned worker: its shards are abandoned.
-    thread: Option<JoinHandle<Option<ShardSet<A, F, P>>>>,
-}
-
-/// The owning handle to a pooled [`UcStore`]: routes work to the
-/// persistent shard workers through lock-free claim inboxes and
-/// reassembles the store on [`IngestPool::finish`]. Cheap cloneable
-/// `&self` access for other threads comes from
-/// [`IngestPool::handle`]. Generic over the store's
-/// [`BackendFactory`], so pooled stores persist exactly like
-/// sequential ones (to reopen a persistent pooled store, use
-/// [`UcStore::reopen`] and pool the result). See the [module
-/// docs](self).
-pub struct IngestPool<A, F, P = MemFactory>
+impl<A, F, P> Executor for Workers<A, F, P>
 where
-    A: UqAdt + Clone + Send + 'static,
-    A::Update: Send,
-    A::QueryIn: Send,
-    A::QueryOut: Send,
-    A::State: Send + Sync,
-    F: StrategyFactory<A> + Send + 'static,
-    F::Strategy: Send + 'static,
-    P: BackendFactory<A> + Send + Sync + 'static,
-    P::Backend: Send + 'static,
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
 {
-    handle: PoolHandle<A, P>,
-    workers: Vec<WorkerJoin<A, F, P>>,
-    /// Partition posture and the heal dialogue (protocol state —
-    /// lives on the owning handle, not the workers).
-    heal: Healer,
-    /// One mirror per worker of that worker's streaming-monitor
-    /// counters; empty until [`IngestPool::attach_monitor`].
-    monitor_cells: Vec<Arc<MonitorCells>>,
-}
-
-/// Same reservation width as the sequential store: one persisted
-/// floor write buys this many locally issued timestamps.
-const CLOCK_LEASE: u64 = 4096;
-
-impl<A, F, P> IngestPool<A, F, P>
-where
-    A: UqAdt + Clone + Send + 'static,
-    A::Update: Send,
-    A::QueryIn: Send,
-    A::QueryOut: Send,
-    A::State: Send + Sync,
-    F: StrategyFactory<A> + Send + 'static,
-    F::Strategy: Send + 'static,
-    P: BackendFactory<A> + Send + Sync + 'static,
-    P::Backend: Send + 'static,
-{
-    /// Take `store` apart into the shared core and one [`Worker`] per
-    /// worker thread (shard `i` pins to worker `i % workers`) — the
-    /// pool before any thread runs.
-    #[allow(clippy::type_complexity)]
-    fn assemble(
-        store: UcStore<A, F, P>,
-        cfg: PoolConfig,
-    ) -> (PoolHandle<A, P>, Vec<Worker<A, F, P>>) {
-        let (clock, shards) = store.into_parts();
-        let (adt, pid, persist) = (shards.adt.clone(), shards.pid, shards.persist.clone());
-        let num_shards = shards.len();
-        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let workers = if cfg.workers == 0 { hw } else { cfg.workers }
-            .min(num_shards)
-            .max(1);
-        let queue_depth = cfg.queue_depth.max(1);
-        let core = Arc::new(PoolCore {
-            pid,
-            clock,
-            lease: ClockLease::new(),
-            num_shards,
-            backpressure: cfg.backpressure,
-            inboxes: (0..workers).map(|_| Inbox::new(queue_depth)).collect(),
-            counters: (0..workers).map(|_| SharedCounters::default()).collect(),
-            snaps: (0..num_shards).map(|_| ShardSnapshots::default()).collect(),
-            poison: OnceLock::new(),
-            armed: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
-            cut_seq: AtomicU64::new(0),
-        });
-        let workers = shards
-            .split(workers)
-            .into_iter()
-            .enumerate()
-            .map(|(widx, shards)| Worker::new(shards, Arc::clone(&core), widx))
-            .collect();
-        (PoolHandle { core, adt, persist }, workers)
-    }
-
-    /// Move `store`'s shards onto `cfg.workers` long-lived threads
-    /// (shard `i` pins to worker `i % workers`) and return the handle.
-    pub fn spawn(store: UcStore<A, F, P>, cfg: PoolConfig) -> Self {
-        let (handle, workers) = Self::assemble(store, cfg);
-        let joins = workers
-            .into_iter()
-            .map(|worker| WorkerJoin {
-                thread: Some(std::thread::spawn(move || worker_loop(worker))),
-            })
-            .collect();
-        IngestPool {
-            handle,
-            workers: joins,
-            heal: Healer::default(),
-            monitor_cells: Vec::new(),
-        }
-    }
-
-    /// A cloneable `&self` handle for concurrent producers/readers on
-    /// other threads. Handles stay valid (but error on submission)
-    /// after [`IngestPool::finish`]/drop; their snapshot reads keep
-    /// answering from the last published state.
-    pub fn handle(&self) -> PoolHandle<A, P> {
-        self.handle.clone()
-    }
-
-    /// Perform a local update on `key` (see [`PoolHandle::update`]).
-    pub fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
-        self.handle.update(key, u)
-    }
-
-    /// Strong read through the owning worker (see
-    /// [`PoolHandle::query`]).
-    pub fn query(&mut self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, PoolError> {
-        self.handle.query(key, q)
-    }
-
-    /// Wait-free weak read of the latest published snapshot (see
-    /// [`PoolHandle::query_snapshot`]).
-    pub fn query_snapshot(&self, key: Key, q: &A::QueryIn) -> A::QueryOut {
-        self.handle.query_snapshot(key, q)
-    }
-
-    /// Wait-free multi-key weak read that never straddles a cut (see
-    /// [`PoolHandle::query_snapshot_multi`]).
-    pub fn query_snapshot_multi(&self, reqs: &[(Key, A::QueryIn)]) -> Vec<(Key, A::QueryOut)> {
-        self.handle.query_snapshot_multi(reqs)
-    }
-
-    /// Barrier-cut multi-key snapshot at `cut` (see
-    /// [`PoolHandle::snapshot_at`]).
-    pub fn snapshot_at(&mut self, cut: u64) -> Result<StoreSnapshot<A>, SnapshotError> {
-        self.handle.snapshot_at(cut)
-    }
-
-    /// Flush, then snapshot at the current clock (see
-    /// [`PoolHandle::consistent_snapshot`]).
-    pub fn consistent_snapshot(&mut self) -> Result<StoreSnapshot<A>, SnapshotError> {
-        self.handle.consistent_snapshot()
-    }
-
-    /// Ingest a whole peer burst (see [`PoolHandle::submit_batch`]).
-    pub fn submit_batch(&mut self, msgs: Vec<StoreMsg<A::Update>>) -> Result<(), PoolError> {
-        self.handle.submit_batch(msgs)
-    }
-
-    /// Barrier: block until every prior submission has been applied.
-    pub fn flush(&mut self) -> Result<(), PoolError> {
-        self.handle.flush()
-    }
-
-    /// Announce the shared clock (stability heartbeat covering every
-    /// key at once).
-    pub fn heartbeat(&self) -> StoreMsg<A::Update> {
-        StoreMsg::Heartbeat {
-            pid: self.handle.core.pid,
-            clock: self.handle.core.clock.now(),
-        }
-    }
-
-    /// Run per-key maintenance (compaction) on every worker's engines.
-    pub fn tick_maintenance(&mut self) -> Result<(), PoolError> {
-        let clock = self.handle.core.clock.now();
-        for worker in 0..self.workers.len() {
-            self.handle
-                .push_job(worker, Job::Maintain { clock }, Backpressure::Park)?;
-        }
-        Ok(())
-    }
-
-    /// Flush every worker's storage backends and raise the persisted
-    /// clock watermark if the clock overtook the lease. Asynchronous —
-    /// the job lands in FIFO order behind all prior submissions;
-    /// follow with [`IngestPool::flush`] to wait for durability.
-    /// (Both worker-exit paths — drain-on-drop and poisoning — also
-    /// flush, so dropping the handle never leaves an unsynced
-    /// segment.) The floor is **not** collapsed downward here: with
-    /// concurrent stampers that could undercut a stamp that already
-    /// passed its lease check; exact collapse happens at the quiesced
-    /// finish/drop points.
-    pub fn flush_backends(&mut self) -> Result<(), PoolError> {
-        for worker in 0..self.workers.len() {
-            self.handle
-                .push_job(worker, Job::FlushBackends, Backpressure::Park)?;
-        }
-        let core = &self.handle.core;
-        core.lease.raise_to(core.clock.now(), |floor| {
-            self.handle.persist.persist_store_clock(floor)
-        });
-        Ok(())
-    }
-
-    /// This replica's process id.
-    pub fn pid(&self) -> u32 {
-        self.handle.core.pid
-    }
-
-    /// The shared Lamport clock's current value.
-    pub fn clock(&self) -> u64 {
-        self.handle.core.clock.now()
-    }
-
-    /// Number of shards (unchanged from the pooled store).
-    pub fn num_shards(&self) -> usize {
-        self.handle.core.num_shards
-    }
-
-    /// Number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Choose how this pooled replica answers reads while in a
-    /// minority partition — see
-    /// [`AvailabilityPolicy`](crate::store::AvailabilityPolicy).
-    /// Updates are never refused (writes stay wait-free).
-    pub fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
-        self.heal.partition.set_policy(policy);
-    }
-
-    /// The partition tracker: down peers, outage-start watermarks,
-    /// and the active read policy.
-    pub fn partition(&self) -> &PartitionTracker {
-        &self.heal.partition
-    }
-
-    /// Attach shared link counters so heal-replay traffic is folded
-    /// into the owning runtime's [`uc_sim::Metrics`].
-    pub fn attach_link_counters(&mut self, counters: Arc<LinkCounters>) {
-        self.heal.link_counters = Some(counters);
-    }
-
-    /// Attach a streaming consistency monitor to every worker (same
-    /// semantics as [`UcStore::attach_monitor`]: keys that already
-    /// have engines are excluded, so attachment mid-run never
-    /// manufactures violations). Each worker monitors its own disjoint
-    /// key set; [`IngestPool::monitor_stats`] sums the mirrors.
-    pub fn attach_monitor(&mut self, cfg: MonitorConfig) -> Result<(), PoolError> {
-        let mut cells = Vec::with_capacity(self.workers.len());
-        for worker in 0..self.workers.len() {
-            let cell = Arc::new(MonitorCells::default());
-            self.handle.push_job(
-                worker,
-                Job::AttachMonitor {
-                    cfg: cfg.clone(),
-                    cells: Arc::clone(&cell),
-                },
-                Backpressure::Park,
-            )?;
-            cells.push(cell);
-        }
-        self.monitor_cells = cells;
-        Ok(())
-    }
-
-    /// Aggregated monitor counters across every worker, or `None` if
-    /// no monitor is attached. Counters sum (workers watch disjoint
-    /// keys); the stability watermark is the minimum across workers
-    /// and `ticks` the maximum (each maintenance round ticks every
-    /// worker once). Reads the workers' relaxed mirrors — pair with
-    /// [`IngestPool::flush`] for a quiesced reading.
-    pub fn monitor_stats(&self) -> Option<MonitorStats> {
-        if self.monitor_cells.is_empty() {
-            return None;
-        }
-        let mut total = MonitorStats::default();
-        let mut bound = u64::MAX;
-        for cell in &self.monitor_cells {
-            let s = cell.load();
-            total.sampled_keys += s.sampled_keys;
-            total.sampled_updates += s.sampled_updates;
-            total.sampled_queries += s.sampled_queries;
-            total.sampled_cuts += s.sampled_cuts;
-            total.uc_violations += s.uc_violations;
-            total.ec_violations += s.ec_violations;
-            total.sec_violations += s.sec_violations;
-            total.snap_violations += s.snap_violations;
-            total.below_floor_arrivals += s.below_floor_arrivals;
-            total.window_evictions += s.window_evictions;
-            total.lossy_keys += s.lossy_keys;
-            total.skipped_checks += s.skipped_checks;
-            total.finalized_updates += s.finalized_updates;
-            bound = bound.min(s.stable_bound);
-            total.ticks = total.ticks.max(s.ticks);
-        }
-        total.stable_bound = if bound == u64::MAX { 0 } else { bound };
-        Some(total)
-    }
-
-    /// A point-in-time health report for this pooled replica in an
-    /// `n`-replica cluster: availability posture, down peers, worker
-    /// poisoning, and (when a monitor is attached) streaming-checker
-    /// cleanliness. Same shape as [`UcStore::health`].
-    pub fn health(&self, n: usize) -> Health {
-        let mut h = self.heal.health(n, self.monitor_stats().as_ref());
-        h.poisoned = self.handle.core.poison.get().map(|e| e.to_string());
-        h.resolve()
-    }
-
-    /// Mirror this pool's throughput counters (and monitor counters,
-    /// when attached) into `reg` under `uc_pool_*` / `uc_monitor_*`
-    /// names.
-    pub fn export_metrics(&self, reg: &Registry) {
-        let stats = self.stats();
-        let mut batches = 0;
-        let mut messages = 0;
-        let mut shed = 0;
-        let mut snaps = 0;
-        let mut copies = 0;
-        let mut backlog = 0;
-        let mut yields = 0;
-        let mut high_water = 0u64;
-        reg.gauge("uc_store_live_keys")
-            .set(stats.total_live_keys() as i64);
-        // The one `uc_store_*` gauge the handle holds itself; the rest
-        // (keys, log length, repair totals) live with the workers.
-        reg.gauge("uc_store_clock").set(self.clock() as i64);
-        for w in &stats.workers {
-            batches += w.batches;
-            messages += w.messages;
-            shed += w.shed;
-            snaps += w.snapshots_published;
-            copies += w.snapshot_copies;
-            backlog += w.publish_backlog;
-            yields += w.publish_yields;
-            high_water = high_water.max(w.queue_high_water as u64);
-        }
-        reg.counter("uc_pool_batches_total").set(batches);
-        reg.counter("uc_pool_messages_total").set(messages);
-        reg.counter("uc_pool_shed_total").set(shed);
-        reg.counter("uc_pool_snapshots_published_total").set(snaps);
-        reg.counter("uc_pool_snapshot_copies_total").set(copies);
-        reg.gauge("uc_pool_publish_backlog").set(backlog as i64);
-        reg.counter("uc_pool_publish_yields_total").set(yields);
-        reg.gauge("uc_pool_queue_high_water").set(high_water as i64);
-        self.heal.export_metrics("uc_pool", reg);
-        if let Some(mon) = self.monitor_stats() {
-            crate::observe::export_monitor_stats(&mon, reg);
-        }
-    }
-
-    /// Estimated wire bytes this pool has streamed in heal chunks.
-    pub fn heal_replay_bytes(&self) -> u64 {
-        self.heal.replay_bytes
-    }
-
-    /// Report `peer` unreachable (idempotent; the earliest
-    /// outage-start watermark wins — see [`UcStore::peer_down`]).
-    /// Pins every worker's compaction at the earliest outage
-    /// watermark so the missed suffix stays available for heal.
-    pub fn peer_down(&mut self, peer: Pid) -> Result<(), PoolError> {
-        self.dialogue().peer_down(peer)
-    }
-
-    /// Report `peer` reachable again: if it was down and this replica
-    /// holds anything it could stream above the outage watermark, open
-    /// a chunked heal session and return its
-    /// [`StoreMsg::DigestRequest`] opener (see [`UcStore::peer_up`]).
-    /// The session then advances through
-    /// [`IngestPool::apply_message_from`] (or the `Protocol` impl) as
-    /// responses and acks arrive; it pins the workers' compaction at
-    /// the watermark until its final chunk is acknowledged.
-    pub fn peer_up(&mut self, peer: Pid) -> Result<Option<StoreMsg<A::Update>>, PoolError> {
-        self.dialogue().peer_up(peer)
-    }
-
-    /// Apply one peer message, advancing any heal dialogue it belongs
-    /// to, and return the messages to send back (see
-    /// [`UcStore::apply_message_from`]). Non-heal traffic takes the
-    /// ordinary [`IngestPool::submit_batch`] path.
-    #[allow(clippy::type_complexity)]
-    pub fn apply_message_from(
-        &mut self,
-        from: Pid,
-        msg: StoreMsg<A::Update>,
-    ) -> Result<Vec<(Pid, StoreMsg<A::Update>)>, PoolError> {
-        node::apply_message_from(self, from, msg)
-    }
-
-    /// Advance every live heal session one tick — stalled sessions
-    /// re-send their digest request or expire their oldest chunk to
-    /// reopen the window (see [`UcStore::heal_tick`]).
-    #[allow(clippy::type_complexity)]
-    pub fn heal_tick(&mut self) -> Result<Vec<(Pid, StoreMsg<A::Update>)>, PoolError> {
-        self.dialogue().heal_tick()
-    }
-
-    /// Tune the chunked heal protocol; applies to sessions opened
-    /// after the call.
-    pub fn set_heal_config(&mut self, cfg: HealConfig) {
-        self.heal.cfg = cfg;
-    }
-
-    /// The chunked-heal tuning in force.
-    pub fn heal_config(&self) -> &HealConfig {
-        &self.heal.cfg
-    }
-
-    /// Heal chunks emitted by this pool (counter).
-    pub fn heal_chunks(&self) -> u64 {
-        self.heal.chunks
-    }
-
-    /// Digest slots skipped because both sides agreed (counter).
-    pub fn heal_digest_skips(&self) -> u64 {
-        self.heal.digest_skips
-    }
-
-    /// Estimated bytes in unacknowledged heal chunks right now.
-    pub fn heal_bytes_in_flight(&self) -> u64 {
-        self.heal.bytes_in_flight()
-    }
-
-    /// Live heal sessions, keyed by healing peer (observability).
-    pub fn heal_sessions(&self) -> impl Iterator<Item = (&Pid, &HealSession)> {
-        self.heal.sessions()
-    }
-
-    /// Snapshot the per-worker queue/throughput counters.
-    pub fn stats(&self) -> PoolStats {
-        let counters = &self.handle.core.counters;
-        PoolStats {
-            workers: counters.iter().map(SharedCounters::stats).collect(),
-        }
-    }
-
-    /// Drain every inbox, stop the workers, and reassemble the
-    /// [`UcStore`] (its clock reflecting everything the pool stamped
-    /// or ingested). Fails if any worker panicked.
-    pub fn finish(mut self) -> Result<UcStore<A, F, P>, PoolError> {
-        let core = &self.handle.core;
-        for inbox in &core.inboxes {
-            inbox.close();
-        }
-        let mut parts = Vec::with_capacity(self.workers.len());
-        for worker in 0..self.workers.len() {
-            let Some(thread) = self.workers[worker].thread.take() else {
-                continue;
-            };
-            match thread.join() {
-                Ok(Some(shards)) => parts.push(shards),
-                // A worker that hit a panic returns no shards; surface
-                // the recorded error.
-                Ok(None) | Err(_) => return Err(self.handle.err_for(worker)),
-            }
-        }
-        if let Some(err) = core.poison.get() {
-            return Err(err.clone());
-        }
-        // Workers joined: the clock read covers every issued stamp,
-        // so collapsing the floor to the exact clock is sound here.
-        core.lease.collapse(core.clock.now(), |floor| {
-            self.handle.persist.persist_store_clock(floor)
-        });
-        Ok(UcStore::from_parts(
-            core.clock.clone(),
-            ShardSet::join(parts),
-        ))
-    }
-}
-
-/// Drain-on-drop: closing the inboxes lets every worker finish its
-/// backlog — and flush its storage backends — before exiting; the join
-/// guarantees no worker thread outlives the owning handle. Panics
-/// (ours or a worker's) are swallowed — `Drop` must not double-panic.
-impl<A, F, P> Drop for IngestPool<A, F, P>
-where
-    A: UqAdt + Clone + Send + 'static,
-    A::Update: Send,
-    A::QueryIn: Send,
-    A::QueryOut: Send,
-    A::State: Send + Sync,
-    F: StrategyFactory<A> + Send + 'static,
-    F::Strategy: Send + 'static,
-    P: BackendFactory<A> + Send + Sync + 'static,
-    P::Backend: Send + 'static,
-{
-    fn drop(&mut self) {
-        for inbox in &self.handle.core.inboxes {
-            inbox.close();
-        }
-        for w in &mut self.workers {
-            if let Some(thread) = w.thread.take() {
-                let _ = thread.join();
-            }
-        }
-        let core = &self.handle.core;
-        core.lease.collapse(core.clock.now(), |floor| {
-            self.handle.persist.persist_store_clock(floor)
-        });
-    }
-}
-
-impl<A, F, P> Node<A> for IngestPool<A, F, P>
-where
-    A: UqAdt + Clone + Send + 'static,
-    A::Update: Send,
-    A::QueryIn: Send,
-    A::QueryOut: Send,
-    A::State: Send + Sync,
-    F: StrategyFactory<A> + Send + 'static,
-    F::Strategy: Send + 'static,
-    P: BackendFactory<A> + Send + Sync + 'static,
-    P::Backend: Send + 'static,
-{
-    type Error = PoolError;
-
-    fn dialogue(
-        &mut self,
-    ) -> Dialogue<'_, impl ShardAccess<Update = A::Update, Error = PoolError>> {
-        Dialogue {
-            heal: &mut self.heal,
-            shards: &self.handle,
-        }
-    }
-
-    fn partition(&self) -> &PartitionTracker {
-        &self.heal.partition
-    }
+    const METRICS: &'static str = "uc_pool";
 
     fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
         self.handle.update(key, u)
@@ -2251,58 +1795,47 @@ where
     /// Enqueue a compaction sweep plus a backend flush on every
     /// worker, behind everything submitted so far.
     fn maintain_and_flush(&mut self) -> Result<(), PoolError> {
-        self.tick_maintenance()?;
-        self.flush_backends()
-    }
-}
-
-/// A pooled store is a [`Protocol`] node: invocations stamp on the
-/// shared atomic clock and push to the owning worker, peer bursts
-/// land on [`IngestPool::submit_batch`] — so the pool runs unchanged
-/// under the event runtime and the deterministic simulator. The
-/// bodies are the shared ones in `node`; segment flushing rides the
-/// runtime's timer wheel, no flusher thread.
-///
-/// # Panics
-///
-/// `Protocol` has no error channel; a poisoned pool panics with the
-/// underlying [`PoolError`] instead of silently dropping traffic.
-impl<A, F, P> Protocol for IngestPool<A, F, P>
-where
-    A: UqAdt + Clone + Send + 'static,
-    A::Update: Send,
-    A::QueryIn: Send,
-    A::QueryOut: Send,
-    A::State: Send + Sync,
-    F: StrategyFactory<A> + Send + 'static,
-    F::Strategy: Send + 'static,
-    P: BackendFactory<A> + Send + Sync + 'static,
-    P::Backend: Send + 'static,
-{
-    type Msg = StoreMsg<A::Update>;
-    type Input = StoreInput<A>;
-    type Output = StoreOutput<A>;
-
-    fn on_invoke(&mut self, input: Self::Input, ctx: &mut Ctx<'_, Self::Msg>) -> Self::Output {
-        node::on_invoke(self, input, ctx).unwrap_or_else(|e| panic!("{e}"))
+        self.handle.tick_maintenance()?;
+        self.handle.flush_backends()
     }
 
-    fn on_message(&mut self, from: Pid, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
-        node::on_message(self, from, msg, ctx).unwrap_or_else(|e| panic!("{e}"))
+    fn attach_monitor(&mut self, cfg: MonitorConfig) -> Result<(), PoolError> {
+        self.handle
+            .broadcast(|| Job::AttachMonitor(cfg.clone()), Backpressure::Park)
     }
 
-    fn on_batch(&mut self, msgs: Vec<(Pid, Self::Msg)>, ctx: &mut Ctx<'_, Self::Msg>) {
-        node::on_batch(self, msgs, ctx).unwrap_or_else(|e| panic!("{e}"))
+    /// One `Job::Summary` per worker, merged: each answers behind
+    /// every job queued before it, so the read is quiesced.
+    fn summary(&self) -> Result<Summary, PoolError> {
+        let parts = self.handle.scatter(Job::Summary)?;
+        Ok(parts.into_iter().reduce(Summary::merge).unwrap_or_default())
     }
 
-    fn on_tick(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        node::on_tick(self, ctx).unwrap_or_else(|e| panic!("{e}"))
+    fn export_metrics(&self, reg: &Registry) {
+        let stats = self.handle.stats();
+        let sum = |f: fn(&WorkerStats) -> u64| stats.workers.iter().map(f).sum::<u64>();
+        reg.counter("uc_pool_batches_total")
+            .set(stats.total_batches());
+        reg.counter("uc_pool_messages_total")
+            .set(stats.total_messages());
+        reg.counter("uc_pool_shed_total").set(stats.total_shed());
+        reg.counter("uc_pool_snapshots_published_total")
+            .set(stats.total_snapshots_published());
+        reg.counter("uc_pool_snapshot_copies_total")
+            .set(stats.total_snapshot_copies());
+        reg.gauge("uc_pool_publish_backlog")
+            .set(sum(|w| w.publish_backlog as u64) as i64);
+        reg.counter("uc_pool_publish_yields_total")
+            .set(sum(|w| w.publish_yields));
+        reg.gauge("uc_pool_queue_high_water")
+            .set(stats.max_queue_high_water() as i64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heal::HealConfig;
     use crate::store::CheckpointFactory;
     use std::collections::BTreeSet;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
@@ -2374,12 +1907,10 @@ mod tests {
         let hb = |pid, clock| StoreMsg::Heartbeat { pid, clock };
         pool.submit_batch(vec![peer.update(7, SetUpdate::Insert(1))])
             .unwrap();
-        pool.flush().unwrap();
-        assert_eq!(pool.stats().total_live_keys(), 1);
+        assert_eq!(pool.live_keys(), 1);
         pool.tick_maintenance().unwrap();
         pool.submit_batch(vec![hb(1, 1), hb(2, 1)]).unwrap();
-        pool.flush().unwrap();
-        assert_eq!(pool.stats().total_live_keys(), 0);
+        assert_eq!(pool.live_keys(), 0);
         let reg = Registry::new();
         pool.export_metrics(&reg);
         let scrape = reg.snapshot();
@@ -2400,13 +1931,44 @@ mod tests {
         let mut pool = idle.into_pool(cfg(2));
         pool.update(7, SetUpdate::Insert(2)).unwrap();
         pool.tick_maintenance().unwrap();
-        pool.flush().unwrap();
-        assert_eq!(pool.stats().total_live_keys(), 1);
+        assert_eq!(pool.live_keys(), 1);
         let caught_up = pool.finish().unwrap();
         let engine = caught_up.engine(7).unwrap();
         assert!(engine.clock() > 100);
         assert_eq!(engine.strategy().stability_bound(), 100);
         assert_eq!(engine.log_len(), 1, "stamped above 100");
+    }
+
+    #[test]
+    fn a_pool_exports_the_store_gauges_its_finished_store_exports() {
+        // Local updates first, then a peer burst stamped below them:
+        // every key repairs, and no flush precedes either scrape.
+        let mut producer = store(1, 1);
+        let burst: Vec<_> = (0..40u64)
+            .map(|i| producer.update(i % 10, SetUpdate::Insert(i as u32)))
+            .collect();
+        let mut pool = store(0, 4).into_pool(cfg(2));
+        for i in 0..40u64 {
+            pool.update(i % 10, SetUpdate::Delete(i as u32)).unwrap();
+        }
+        pool.submit_batch(burst).unwrap();
+        let scrape = |export: &dyn Fn(&Registry)| {
+            let reg = Registry::new();
+            export(&reg);
+            let s = reg.snapshot();
+            let gauges = ["uc_store_keys", "uc_store_log_len", "uc_store_live_keys"];
+            let counters = [
+                "uc_store_repair_events_total",
+                "uc_store_repair_steps_total",
+            ];
+            let gauges = gauges.map(|g| s.gauge(g).expect(g) as u64);
+            (gauges, counters.map(|c| s.counter(c).expect(c)))
+        };
+        let pooled = scrape(&|reg| pool.export_metrics(reg));
+        let store = pool.finish().unwrap();
+        assert_eq!(pooled, scrape(&|reg| store.export_metrics(reg)));
+        assert_eq!(pooled.0, [10, 80, 10]);
+        assert_eq!(pooled.1[0], 10, "one repair per key");
     }
 
     #[test]
@@ -2590,7 +2152,7 @@ mod tests {
     /// sits in the inbox at each step is theirs to decide — with keys
     /// 0..6 and 9 written, armed and backfilled.
     fn hand_worker() -> (PoolHandle<SetAdt<u32>>, HandWorker) {
-        let (handle, mut workers) = IngestPool::assemble(store(0, 1), cfg(1));
+        let (handle, mut workers) = assemble(store(0, 1).exec, cfg(1));
         let mut worker = workers.remove(0);
         assert_eq!(worker.turn(), Turn::Idle);
         for key in (0..6).chain([9]) {
@@ -2711,7 +2273,7 @@ mod tests {
     fn a_steady_run_of_bursts_over_published_keys_copies_no_state() {
         use crate::store::GcFactory;
         let gc_store = |pid| UcStore::new(SetAdt::<u32>::new(), pid, 1, GcFactory { n: 2 });
-        let (handle, mut workers) = IngestPool::assemble(gc_store(0), cfg(1));
+        let (handle, mut workers) = assemble(gc_store(0).exec, cfg(1));
         let mut worker = workers.remove(0);
         let mut producer = gc_store(1);
         let mut sequential = gc_store(0);
@@ -2864,7 +2426,8 @@ mod tests {
                     chunks += 1;
                     streamed.extend(updates.iter().map(|(key, m)| (*key, m.ts)));
                 }
-                to_pool.extend(peer.apply_message_from(0, m).into_iter().map(|(_, m)| m));
+                let Ok(replies) = peer.apply_message_from(0, m);
+                to_pool.extend(replies.into_iter().map(|(_, m)| m));
             }
             for m in to_pool {
                 to_peer.extend(
@@ -2900,17 +2463,20 @@ mod tests {
         // Pooled == sequential, entry for entry.
         let mut seq_peer = store(1, 4);
         let mut seq_streamed = Vec::new();
-        let mut to_peer: Vec<_> = seq.peer_up(1).into_iter().collect();
+        let Ok(opener) = seq.peer_up(1);
+        let mut to_peer: Vec<_> = opener.into_iter().collect();
         while !to_peer.is_empty() {
             let mut to_seq = Vec::new();
             for m in to_peer.drain(..) {
                 if let StoreMsg::RepairChunk { updates, .. } = &m {
                     seq_streamed.extend(updates.iter().map(|(key, m)| (*key, m.ts)));
                 }
-                to_seq.extend(seq_peer.apply_message_from(0, m));
+                let Ok(replies) = seq_peer.apply_message_from(0, m);
+                to_seq.extend(replies);
             }
             for (_, m) in to_seq {
-                to_peer.extend(seq.apply_message_from(1, m).into_iter().map(|(_, m)| m));
+                let Ok(replies) = seq.apply_message_from(1, m);
+                to_peer.extend(replies.into_iter().map(|(_, m)| m));
             }
         }
         streamed.sort_unstable();

@@ -55,16 +55,15 @@
 //!   an empty log hears the clocks it missed just before its next
 //!   insertion, so what a tick costs follows the unstable keys, not
 //!   the key count ([`UcStore::live_keys`]);
-//! * **Protocol impl** — the store is a
-//!   [`Protocol`](uc_sim::Protocol) node and runs unchanged under the
-//!   deterministic simulator and `uc-runtime`'s `EventCluster`. What
-//!   it does as a replica — answer invocations, take frames, bursts
-//!   and ticks, track partitions and heal peers — is the shared code
-//!   of `node` and [`heal`](crate::heal), and what that code does to
-//!   the shards is the shard set's: the store adds the clock, the
-//!   persisted clock floor and the trace ring, and calls the set
-//!   inline where the [`IngestPool`](crate::pool::IngestPool) sends
-//!   its workers a job.
+//! * **one replica type** — [`UcStore`] is the [`Inline`]
+//!   instantiation of [`Node`](crate::node::Node), the replica written
+//!   once: what it does as a [`Protocol`](uc_sim::Protocol) node —
+//!   answer invocations, take frames, bursts and ticks, track
+//!   partitions and heal peers — is [`node`](crate::node) and
+//!   [`heal`](crate::heal), and what that code does to the shards is
+//!   the shard set's. The inline executor adds the clock, the persisted
+//!   clock floor and the trace ring, and calls the set directly where
+//!   the [`IngestPool`](crate::pool::IngestPool)'s workers take a job.
 //!
 //! Strategies are chosen per store through a [`StrategyFactory`]
 //! (engines are created lazily on first touch of a key): all four
@@ -75,21 +74,20 @@ use crate::backend::{BackendFactory, LogBackend, MemFactory};
 use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
 use crate::gc::StableGc;
 use crate::generic::NaiveReplay;
-use crate::heal::{
-    digest_slot, Dialogue, HealConfig, HealDigest, HealSession, Healer, ShardAccess,
-};
+use crate::heal::{digest_slot, HealDigest, Healer, ShardAccess};
 use crate::message::UpdateMsg;
-use crate::node::{self, Node};
+use crate::node::{Executor, Node};
 use crate::timestamp::{LamportClock, Timestamp};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use uc_criteria::online::{MonitorConfig, MonitorStats, OnlineMonitor};
 use uc_history::fxhash::FxHasher;
-use uc_obs::{Health, Registry, TraceKind, TraceRing};
-use uc_sim::{Ctx, LinkCounters, Pid, Protocol};
+use uc_obs::{TraceKind, TraceRing};
+use uc_sim::Pid;
 use uc_spec::UqAdt;
 
 /// Object identifier within a store.
@@ -1537,9 +1535,16 @@ where
         self.monitor = Some(mon);
     }
 
-    /// The attached monitor's counters, if any.
-    pub(crate) fn monitor_stats(&self) -> Option<&MonitorStats> {
-        self.monitor.as_ref().map(|m| m.stats())
+    /// What this set reports, in one read ([`Summary`]).
+    pub(crate) fn summary(&self) -> Summary {
+        Summary {
+            keys: self.key_count(),
+            live_keys: self.live_keys(),
+            log_len: self.log_len(),
+            repair_events: self.sum_engines(|e| e.repair_events()),
+            repair_steps: self.sum_engines(|e| e.repair_steps()),
+            monitor: self.monitor.as_ref().map(|m| m.stats().clone()),
+        }
     }
 
     /// Flush the storage backend of every engine that journaled or
@@ -1564,7 +1569,7 @@ where
     }
 
     /// Keys on a live list (see [`UcStore::live_keys`]).
-    pub(crate) fn live_keys(&self) -> usize {
+    fn live_keys(&self) -> usize {
         self.shards.iter().map(|s| s.live_keys()).sum()
     }
 
@@ -1577,6 +1582,37 @@ where
     /// Shards whose divergence high water passed `since`.
     fn diverged_shards(&self, since: u64) -> usize {
         self.shards.iter().filter(|s| s.high_water > since).count()
+    }
+}
+
+/// What a replica's shards report, in one read: the counters behind
+/// the `uc_store_*` gauges, and the monitor's. A store reads its one
+/// shard set in place; a pool asks each worker for its own, behind
+/// every job queued before, and merges the answers.
+#[derive(Clone, Debug, Default)]
+pub struct Summary {
+    pub(crate) keys: usize,
+    pub(crate) live_keys: usize,
+    pub(crate) log_len: usize,
+    pub(crate) repair_events: u64,
+    pub(crate) repair_steps: u64,
+    pub(crate) monitor: Option<MonitorStats>,
+}
+
+impl Summary {
+    /// Two disjoint parts of one replica (two workers' shards) as one.
+    pub(crate) fn merge(self, other: Summary) -> Summary {
+        Summary {
+            keys: self.keys + other.keys,
+            live_keys: self.live_keys + other.live_keys,
+            log_len: self.log_len + other.log_len,
+            repair_events: self.repair_events + other.repair_events,
+            repair_steps: self.repair_steps + other.repair_steps,
+            monitor: match (self.monitor, other.monitor) {
+                (Some(a), Some(b)) => Some(a.merge(&b)),
+                (a, b) => a.or(b),
+            },
+        }
     }
 }
 
@@ -1633,44 +1669,125 @@ pub(crate) fn split_by_shard<U>(
     (buckets, heartbeats, max_clock)
 }
 
-/// A sharded multi-object replica: one Algorithm 1 engine per key,
-/// one Lamport clock and pid for the whole store, one
-/// [`BackendFactory`] deciding where per-key logs and GC bases live
-/// (default: the in-memory [`MemFactory`]). See the [module
-/// docs](self) for the architecture.
-pub struct UcStore<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A> = MemFactory> {
-    clock: LamportClock,
-    /// Clock floor last persisted via
-    /// [`BackendFactory::persist_store_clock`] — see
-    /// [`UcStore::reserve_clock`]. `None` until the first persist.
-    persisted_floor: Option<u64>,
-    /// Partition posture and the heal dialogue (see [`heal`](crate::heal)).
-    heal: Healer,
-    /// Ring-buffer event trace ([`UcStore::attach_trace`]); clones
-    /// share the buffer, so one ring can span store and runtime.
-    trace: Option<TraceRing>,
-    /// The data plane: every shard, what builds their engines, and the
-    /// streaming monitor ([`UcStore::attach_monitor`]).
-    shards: ShardSet<A, F, P>,
-}
-
 /// How far ahead of the issued clock the persisted recovery floor is
 /// pushed on a local update: one floor write buys this many local
 /// timestamps before the next one.
 const CLOCK_LEASE: u64 = 4096;
 
-impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> fmt::Debug for UcStore<A, F, P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UcStore")
-            .field("pid", &self.shards.pid)
-            .field("clock", &self.clock.now())
-            .field("shards", &self.shards.len())
-            .field("keys", &self.shards.key_count())
-            .finish_non_exhaustive()
+/// The persisted recovery clock floor, leased [`CLOCK_LEASE`] stamps
+/// ahead of the issued clock, of either executor.
+///
+/// This is what makes crash recovery sound for *broadcast* timestamps:
+/// an update is stamped, broadcast, and only durable at the next flush
+/// — without the floor, a crash inside that window would reopen the
+/// replica below timestamps its peers already hold, and the re-issued
+/// duplicates would be silently deduplicated away (permanent
+/// divergence). With it, [`UcStore::reopen`] restores the clock to at
+/// least the floor, which is at least every timestamp ever issued.
+///
+/// Every stamper of a replica shares it (a pool's handles stamp
+/// concurrently): the fast path (the stamp is already covered) is one
+/// atomic load; the slow path — once per [`CLOCK_LEASE`] stamps —
+/// serializes on the latch, re-checks, persists `issued +
+/// CLOCK_LEASE`, and only then publishes the new floor, so a stamp can
+/// never be broadcast before the write that makes it unrepeatable.
+pub(crate) struct ClockLease {
+    /// Highest floor known persisted; `u64::MAX` = nothing yet.
+    persisted: AtomicU64,
+    /// Serializes slow-path floor writes.
+    latch: Mutex<()>,
+}
+
+const NO_FLOOR: u64 = u64::MAX;
+
+impl ClockLease {
+    /// A lease whose last persisted floor is `floor` (`None`: nothing
+    /// persisted yet).
+    pub(crate) fn new(floor: Option<u64>) -> Self {
+        ClockLease {
+            persisted: AtomicU64::new(floor.unwrap_or(NO_FLOOR)),
+            latch: Mutex::new(()),
+        }
+    }
+
+    /// Ensure the persisted floor covers `issued` before it can be
+    /// broadcast.
+    pub(crate) fn reserve(&self, issued: u64, persist: impl Fn(u64)) {
+        let p = self.persisted.load(Ordering::SeqCst);
+        if p != NO_FLOOR && issued <= p {
+            return;
+        }
+        let _g = self.latch.lock().unwrap_or_else(|e| e.into_inner());
+        let p = self.persisted.load(Ordering::SeqCst);
+        if p != NO_FLOOR && issued <= p {
+            return;
+        }
+        let floor = issued + CLOCK_LEASE;
+        persist(floor);
+        // Publish only after the write: a concurrent stamper's fast
+        // path must never trust a floor that is not on disk yet.
+        self.persisted.store(floor, Ordering::SeqCst);
+    }
+
+    /// Raise the floor to `clock` if it is above the lease (possible
+    /// after large peer-clock merges). Never lowers — with concurrent
+    /// stampers a downward write could undercut a stamp that already
+    /// passed its fast-path check.
+    pub(crate) fn raise_to(&self, clock: u64, persist: impl Fn(u64)) {
+        let _g = self.latch.lock().unwrap_or_else(|e| e.into_inner());
+        let p = self.persisted.load(Ordering::SeqCst);
+        if p == NO_FLOOR || clock > p {
+            persist(clock);
+            self.persisted.store(clock, Ordering::SeqCst);
+        }
+    }
+
+    /// Collapse the floor to the exact clock, skipping the write when
+    /// it is already there (idle ticks cost no IO). **Quiesced callers
+    /// only** — an inline flush, a pool's finish or drop once its
+    /// workers joined: every timestamp issued so far is durable in
+    /// some engine's journal, and no stamp above `clock` can be in
+    /// flight, so the exact value is a safe recovery floor again.
+    pub(crate) fn collapse(&self, clock: u64, persist: impl Fn(u64)) {
+        let _g = self.latch.lock().unwrap_or_else(|e| e.into_inner());
+        if self.persisted.load(Ordering::SeqCst) != clock {
+            persist(clock);
+            self.persisted.store(clock, Ordering::SeqCst);
+        }
     }
 }
 
-impl<A, F, P> Clone for UcStore<A, F, P>
+impl Clone for ClockLease {
+    fn clone(&self) -> Self {
+        let floor = self.persisted.load(Ordering::SeqCst);
+        ClockLease::new(Some(floor).filter(|f| *f != NO_FLOOR))
+    }
+}
+
+/// A sharded multi-object replica run on the caller's thread: one
+/// Algorithm 1 engine per key, one Lamport clock and pid for the whole
+/// store, one [`BackendFactory`] deciding where per-key logs and GC
+/// bases live (default: the in-memory [`MemFactory`]). The [`Inline`]
+/// instantiation of [`Node`], which holds what every replica shares;
+/// see the [module docs](self) for the architecture.
+pub type UcStore<A, F, P = MemFactory> = Node<Inline<A, F, P>>;
+
+/// The inline [`Executor`]: the store's clock, its trace ring and the
+/// shard set owning every shard, called directly on the caller's
+/// thread — no inbox, no job, no channel. Operations run in call order
+/// and cannot fail.
+pub struct Inline<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
+    pub(crate) clock: LamportClock,
+    pub(crate) lease: ClockLease,
+    /// Ring-buffer event trace ([`UcStore::attach_trace`]); clones
+    /// share the buffer, so one ring can span store and runtime.
+    pub(crate) trace: Option<TraceRing>,
+    /// The data plane: every shard, what builds their engines, and the
+    /// streaming monitor.
+    pub(crate) shards: ShardSet<A, F, P>,
+}
+
+impl<A, F, P> Clone for Inline<A, F, P>
 where
     A: UqAdt + Clone,
     F: StrategyFactory<A>,
@@ -1679,13 +1796,212 @@ where
     P::Backend: Clone,
 {
     fn clone(&self) -> Self {
-        UcStore {
+        Inline {
             clock: self.clock.clone(),
-            persisted_floor: self.persisted_floor,
-            heal: self.heal.clone(),
+            lease: self.lease.clone(),
             trace: self.trace.clone(),
             shards: self.shards.clone(),
         }
+    }
+}
+
+impl<A, F, P> Inline<A, F, P>
+where
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
+{
+    fn shard_of(&self, key: Key) -> usize {
+        shard_index(key, self.shards.len())
+    }
+
+    fn snapshot_no_tick(&mut self, cut: u64) -> Result<StoreSnapshot<A>, CutError> {
+        let states = self.shards.cut(cut)?.into_iter().collect();
+        if let Some(tr) = &self.trace {
+            tr.record(TraceKind::Snapshot, 0, cut);
+        }
+        Ok(StoreSnapshot::new(self.shards.adt.clone(), cut, states))
+    }
+
+    fn apply_message(&mut self, m: &StoreMsg<A::Update>) {
+        match m {
+            StoreMsg::Update { key, msg } => self.deliver_update(*key, msg),
+            StoreMsg::Heartbeat { pid, clock } => {
+                self.clock.merge(*clock);
+                self.shards.heartbeat(*pid, *clock);
+            }
+            StoreMsg::Repair { updates } | StoreMsg::RepairChunk { updates, .. } => {
+                for (key, msg) in updates {
+                    self.deliver_update(*key, msg);
+                }
+                if let Some(tr) = &self.trace {
+                    tr.record(TraceKind::Heal, 0, updates.len() as u64);
+                }
+            }
+            // Heal-protocol control frames need a reply channel; this
+            // reply-less entry point can only drop them. Drive the
+            // chunk protocol through `apply_message_from` (or the
+            // `Protocol` impl, which routes there).
+            StoreMsg::DigestRequest { .. }
+            | StoreMsg::DigestResponse { .. }
+            | StoreMsg::RepairAck { .. } => {}
+        }
+    }
+
+    fn deliver_update(&mut self, key: Key, msg: &UpdateMsg<A::Update>) {
+        self.clock.merge(msg.ts.clock);
+        self.shards.insert_remote(self.shard_of(key), key, msg);
+    }
+
+    fn ingest_burst(&mut self, msgs: impl IntoIterator<Item = StoreMsg<A::Update>>) {
+        let (buckets, heartbeats, max_clock) = split_by_shard(msgs, self.shards.len());
+        // Every carried clock, the heartbeats' included.
+        self.clock.merge(max_clock);
+        let buckets = buckets.into_iter().enumerate();
+        let taken = self.shards.ingest(buckets.filter(|(_, b)| !b.is_empty()));
+        if let Some(tr) = self.trace.as_ref().filter(|_| taken > 0) {
+            tr.record(TraceKind::Ingest, 0, taken);
+        }
+        for (pid, clock) in collapse_heartbeats(heartbeats) {
+            self.shards.heartbeat(pid, clock);
+        }
+    }
+
+    fn tick_maintenance(&mut self) {
+        let clock = self.clock.now();
+        self.shards.maintain(clock);
+        if let (Some(tr), Some(_)) = (&self.trace, &self.shards.monitor) {
+            tr.record(TraceKind::Tick, 0, clock);
+        }
+    }
+
+    fn flush_backends(&mut self) {
+        self.shards.flush_backends();
+        let persist = &self.shards.persist;
+        self.lease
+            .collapse(self.clock.now(), |floor| persist.persist_store_clock(floor));
+    }
+}
+
+impl<A, F, P> ShardAccess for Inline<A, F, P>
+where
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
+{
+    type Adt = A;
+    type Error = Infallible;
+
+    fn pid(&self) -> Pid {
+        self.shards.pid
+    }
+
+    fn clock_now(&self) -> u64 {
+        self.clock.now()
+    }
+
+    fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn digest_suffix(
+        &mut self,
+        since: u64,
+        exclude: Pid,
+        groups: u32,
+        ranges: u32,
+    ) -> Result<Vec<HealDigest>, Infallible> {
+        Ok(self.shards.digest_suffix(since, exclude, groups, ranges))
+    }
+
+    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Infallible> {
+        Ok(self.shards.heal_candidates(since))
+    }
+
+    fn collect_window(
+        &mut self,
+        shard: usize,
+        key: Key,
+        since: u64,
+        after: Option<Timestamp>,
+        limit: usize,
+    ) -> Result<(Vec<UpdateMsg<A::Update>>, bool), Infallible> {
+        Ok(self.shards.collect_window(shard, key, since, after, limit))
+    }
+
+    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Infallible> {
+        self.shards.set_retention(cap);
+        Ok(())
+    }
+}
+
+impl<A, F, P> Executor for Inline<A, F, P>
+where
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
+{
+    const METRICS: &'static str = "uc_store";
+
+    /// Tick the shared clock, stamp (reserving the clock floor — see
+    /// `ClockLease`), apply to the key's engine, and return the
+    /// broadcast message.
+    fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, Infallible> {
+        let ts = Timestamp::new(self.clock.tick(), self.shards.pid);
+        let persist = &self.shards.persist;
+        self.lease
+            .reserve(ts.clock, |floor| persist.persist_store_clock(floor));
+        if let Some(tr) = &self.trace {
+            tr.record(TraceKind::Update, key, ts.clock);
+        }
+        let msg = self.shards.insert_local(self.shard_of(key), key, ts, u);
+        Ok(StoreMsg::Update { key, msg })
+    }
+
+    fn query(&mut self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, Infallible> {
+        let now = self.clock.tick();
+        Ok(self.shards.query(self.shard_of(key), key, now, q))
+    }
+
+    fn consistent_snapshot(&mut self) -> Result<StoreSnapshot<A>, Infallible> {
+        let cut = self.clock.tick();
+        Ok(self
+            .snapshot_no_tick(cut)
+            .expect("a cut at the current clock can never predate compaction"))
+    }
+
+    fn deliver(&mut self, msg: StoreMsg<A::Update>) -> Result<(), Infallible> {
+        self.apply_message(&msg);
+        Ok(())
+    }
+
+    /// The per-shard batched ingest path, moving (never cloning) the
+    /// burst's messages.
+    fn ingest(&mut self, burst: Vec<StoreMsg<A::Update>>) -> Result<(), Infallible> {
+        if let Some(tr) = &self.trace {
+            for m in &burst {
+                if let StoreMsg::Repair { updates } = m {
+                    tr.record(TraceKind::Heal, 0, updates.len() as u64);
+                }
+            }
+        }
+        self.ingest_burst(burst);
+        Ok(())
+    }
+
+    fn maintain_and_flush(&mut self) -> Result<(), Infallible> {
+        self.tick_maintenance();
+        self.flush_backends();
+        Ok(())
+    }
+
+    fn attach_monitor(&mut self, cfg: MonitorConfig) -> Result<(), Infallible> {
+        self.shards.attach_monitor(cfg);
+        Ok(())
+    }
+
+    fn summary(&self) -> Result<Summary, Infallible> {
+        Ok(self.shards.summary())
     }
 }
 
@@ -1733,12 +2049,14 @@ where
         assert!(shards >= 1, "a store needs at least one shard");
         factory.validate_replica(pid);
         persist.bind_replica(pid, shards, fresh);
-        UcStore {
-            clock: LamportClock::new(),
-            persisted_floor: None,
+        Node {
             heal: Healer::default(),
-            trace: None,
-            shards: ShardSet::new(adt, pid, shards, factory, persist),
+            exec: Inline {
+                clock: LamportClock::new(),
+                lease: ClockLease::new(None),
+                trace: None,
+                shards: ShardSet::new(adt, pid, shards, factory, persist),
+            },
         }
     }
 
@@ -1754,10 +2072,11 @@ where
     /// mismatch here ([`BackendFactory::bind_replica`]).
     pub fn reopen(adt: A, pid: u32, shards: usize, factory: F, persist: P) -> Self {
         let mut store = Self::assemble(adt, pid, shards, factory, persist, false);
-        let floor = store.shards.persist.load_store_clock();
-        store.persisted_floor = Some(floor);
-        let recovered = store.shards.recover();
-        store.clock.merge(floor.max(recovered));
+        let inline = &mut store.exec;
+        let floor = inline.shards.persist.load_store_clock();
+        inline.lease = ClockLease::new(Some(floor));
+        let recovered = inline.shards.recover();
+        inline.clock.merge(floor.max(recovered));
         store
     }
 
@@ -1765,93 +2084,35 @@ where
     /// moved its clock since the last flush — the live keys and those
     /// that went idle meanwhile — and persist the shared clock
     /// watermark: the durability point. The runtimes call this from
-    /// [`Protocol::on_tick`], so segment flushing rides the virtual
-    /// timer wheel with no dedicated threads; a no-op for in-memory
-    /// stores. An idle key writes nothing: the clocks it has yet to
-    /// hear are covered by the store-level floor below.
-    ///
-    /// The persisted clock floor is collapsed from its lease back to
-    /// the actual clock: every timestamp issued so far just became
-    /// durable in some engine's journal (engines flush first), so the
-    /// exact value is a safe recovery floor again.
+    /// [`Protocol::on_tick`](uc_sim::Protocol::on_tick), so segment
+    /// flushing rides the virtual timer wheel with no dedicated
+    /// threads; a no-op for in-memory stores. An idle key writes
+    /// nothing: the clocks it has yet to hear are covered by the
+    /// store-level floor, collapsed here from its lease back to the
+    /// actual clock.
     pub fn flush_backends(&mut self) {
-        self.shards.flush_backends();
-        self.persist_clock_floor(self.clock.now());
-    }
-
-    /// Persist `floor` as the recovery clock floor, skipping the write
-    /// when it is already the persisted value (idle ticks cost no IO).
-    fn persist_clock_floor(&mut self, floor: u64) {
-        if self.persisted_floor != Some(floor) {
-            self.shards.persist.persist_store_clock(floor);
-            self.persisted_floor = Some(floor);
-        }
-    }
-
-    /// Ensure the persisted recovery floor covers `issued`, leasing
-    /// [`CLOCK_LEASE`] clocks ahead so the floor write amortizes.
-    ///
-    /// This is what makes crash recovery sound for *broadcast*
-    /// timestamps: an update is stamped, broadcast, and only durable
-    /// at the next flush — without the floor, a crash inside that
-    /// window would reopen the store below timestamps its peers
-    /// already hold, and the re-issued duplicates would be silently
-    /// deduplicated away (permanent divergence). With it,
-    /// [`UcStore::reopen`] restores the clock to at least the floor,
-    /// which is at least every timestamp ever issued.
-    fn reserve_clock(&mut self, issued: u64) {
-        if self.persisted_floor.is_none_or(|f| issued > f) {
-            self.persist_clock_floor(issued + CLOCK_LEASE);
-        }
+        self.exec.flush_backends();
     }
 
     /// Which shard a key routes to.
     pub fn shard_of(&self, key: Key) -> usize {
-        shard_index(key, self.shards.len())
-    }
-
-    /// Decompose the store into its clock and its data plane (the pool
-    /// deals the shards out to its persistent workers).
-    pub(crate) fn into_parts(self) -> (LamportClock, ShardSet<A, F, P>) {
-        (self.clock, self.shards)
-    }
-
-    /// Reassemble a store from parts returned by
-    /// [`UcStore::into_parts`] (the pool's drain path).
-    pub(crate) fn from_parts(clock: LamportClock, shards: ShardSet<A, F, P>) -> Self {
-        UcStore {
-            clock,
-            // Unknown after a pool round-trip; the next reserve or
-            // flush re-persists (at worst one redundant small write).
-            persisted_floor: None,
-            // Partition bookkeeping and observability attachments stay
-            // with whoever ran the protocol (the pool tracks its own);
-            // a reassembled store starts with a clean membership view.
-            heal: Healer::default(),
-            trace: None,
-            shards,
-        }
+        self.exec.shard_of(key)
     }
 
     /// Perform a local update on `key`: tick the shared clock, stamp
-    /// (reserving the clock floor — see [`UcStore::reserve_clock`]),
-    /// apply to the key's engine, and return the broadcast message.
+    /// (reserving the persisted clock floor), apply to the key's
+    /// engine, and return the broadcast message.
     pub fn update(&mut self, key: Key, u: A::Update) -> StoreMsg<A::Update> {
-        let ts = Timestamp::new(self.clock.tick(), self.shards.pid);
-        self.reserve_clock(ts.clock);
-        if let Some(tr) = &self.trace {
-            tr.record(TraceKind::Update, key, ts.clock);
-        }
-        let msg = self.shards.insert_local(self.shard_of(key), key, ts, u);
-        StoreMsg::Update { key, msg }
+        let Ok(msg) = self.exec.update(key, u);
+        msg
     }
 
     /// Answer a query on `key` from local knowledge. Ticks the shared
     /// clock (Algorithm 1 line 13), so updates issued afterwards — on
     /// *any* key — order after everything this query saw.
     pub fn query(&mut self, key: Key, q: &A::QueryIn) -> A::QueryOut {
-        let now = self.clock.tick();
-        self.shards.query(self.shard_of(key), key, now, q)
+        let Ok(out) = self.exec.query(key, q);
+        out
     }
 
     /// An immutable multi-key view at cut `cut`: every instantiated
@@ -1864,8 +2125,8 @@ where
     /// retry with `cut ≥` the reported bound, or take a
     /// [`UcStore::consistent_snapshot`]).
     pub fn snapshot_at(&mut self, cut: u64) -> Result<StoreSnapshot<A>, CutError> {
-        self.clock.tick();
-        self.snapshot_no_tick(cut)
+        self.exec.clock.tick();
+        self.exec.snapshot_no_tick(cut)
     }
 
     /// A snapshot at the current clock — always answerable (a key's
@@ -1873,64 +2134,13 @@ where
     /// cut is taken strictly above our own), and inclusive of every
     /// update delivered so far.
     pub fn consistent_snapshot(&mut self) -> StoreSnapshot<A> {
-        let cut = self.clock.tick();
-        self.snapshot_no_tick(cut)
-            .expect("a cut at the current clock can never predate compaction")
-    }
-
-    fn snapshot_no_tick(&mut self, cut: u64) -> Result<StoreSnapshot<A>, CutError> {
-        let states = self.shards.cut(cut)?.into_iter().collect();
-        if let Some(tr) = &self.trace {
-            tr.record(TraceKind::Snapshot, 0, cut);
-        }
-        Ok(StoreSnapshot::new(self.shards.adt.clone(), cut, states))
+        let Ok(snap) = self.exec.consistent_snapshot();
+        snap
     }
 
     /// Ingest one peer message.
     pub fn apply_message(&mut self, m: &StoreMsg<A::Update>) {
-        match m {
-            StoreMsg::Update { key, msg } => self.deliver_update(*key, msg),
-            StoreMsg::Heartbeat { pid, clock } => {
-                self.clock.merge(*clock);
-                self.shards.heartbeat(*pid, *clock);
-            }
-            StoreMsg::Repair { updates } | StoreMsg::RepairChunk { updates, .. } => {
-                for (key, msg) in updates {
-                    self.deliver_update(*key, msg);
-                }
-                if let Some(tr) = &self.trace {
-                    tr.record(TraceKind::Heal, 0, updates.len() as u64);
-                }
-            }
-            // Heal-protocol control frames need a reply channel; this
-            // reply-less entry point can only drop them. Drive the
-            // chunk protocol through `apply_message_from` (or the
-            // `Protocol` impl, which routes there).
-            StoreMsg::DigestRequest { .. }
-            | StoreMsg::DigestResponse { .. }
-            | StoreMsg::RepairAck { .. } => {}
-        }
-    }
-
-    fn deliver_update(&mut self, key: Key, msg: &UpdateMsg<A::Update>) {
-        self.clock.merge(msg.ts.clock);
-        self.shards.insert_remote(self.shard_of(key), key, msg);
-    }
-
-    /// Ingest one peer message *with a reply path*: heal-protocol
-    /// frames (digest exchange, chunk delivery, flow-control acks)
-    /// are answered and advanced here, everything else lands on
-    /// [`UcStore::apply_message`]. Returns the messages to send,
-    /// addressed per recipient — the `Protocol` impl forwards them
-    /// via `ctx.send`; direct-drive callers (tests, examples,
-    /// [`UcStore::heal_peer`]) deliver them by hand.
-    pub fn apply_message_from(
-        &mut self,
-        from: Pid,
-        msg: StoreMsg<A::Update>,
-    ) -> Vec<(Pid, StoreMsg<A::Update>)> {
-        let Ok(replies) = node::apply_message_from(self, from, msg);
-        replies
+        self.exec.apply_message(m);
     }
 
     /// Ingest a whole burst with per-shard batched delivery: updates
@@ -1940,7 +2150,7 @@ where
     /// afterwards (processing them last can only delay stability,
     /// never violate it).
     pub fn apply_batch(&mut self, msgs: &[StoreMsg<A::Update>]) {
-        self.ingest_burst(msgs.iter().cloned());
+        self.exec.ingest_burst(msgs.iter().cloned());
     }
 
     /// [`UcStore::apply_batch`] for a burst the caller already owns:
@@ -1949,30 +2159,7 @@ where
     /// ([`Protocol::on_batch`](uc_sim::Protocol::on_batch) hands over
     /// owned messages).
     pub fn apply_batch_owned(&mut self, msgs: Vec<StoreMsg<A::Update>>) {
-        self.ingest_burst(msgs);
-    }
-
-    fn ingest_burst(&mut self, msgs: impl IntoIterator<Item = StoreMsg<A::Update>>) {
-        let (buckets, heartbeats, max_clock) = split_by_shard(msgs, self.shards.len());
-        // Every carried clock, the heartbeats' included.
-        self.clock.merge(max_clock);
-        let buckets = buckets.into_iter().enumerate();
-        let taken = self.shards.ingest(buckets.filter(|(_, b)| !b.is_empty()));
-        if let Some(tr) = self.trace.as_ref().filter(|_| taken > 0) {
-            tr.record(TraceKind::Ingest, 0, taken);
-        }
-        for (pid, clock) in collapse_heartbeats(heartbeats) {
-            self.shards.heartbeat(pid, clock);
-        }
-    }
-
-    /// Announce the shared clock (stability heartbeat covering every
-    /// key at once).
-    pub fn heartbeat(&self) -> StoreMsg<A::Update> {
-        StoreMsg::Heartbeat {
-            pid: self.shards.pid,
-            clock: self.clock.now(),
-        }
+        self.exec.ingest_burst(msgs);
     }
 
     /// Count the current clock as this replica's own progress and, if
@@ -1980,18 +2167,16 @@ where
     /// then the monitor's window maintenance (stability compaction plus
     /// the online EC convergence sweep over sampled keys).
     pub fn tick_maintenance(&mut self) {
-        let clock = self.clock.now();
-        self.shards.maintain(clock);
-        if let (Some(tr), Some(_)) = (&self.trace, self.monitor_stats()) {
-            tr.record(TraceKind::Tick, 0, clock);
-        }
+        self.exec.tick_maintenance();
     }
 
     /// Hand the store to a persistent shard-worker ingest pool: its
     /// shards move to long-lived worker threads fed by bounded
     /// queues, and the returned [`IngestPool`](crate::pool::IngestPool)
-    /// handle routes updates, queries, and batched peer ingest to the
-    /// owning workers. [`IngestPool::finish`](crate::pool::IngestPool::finish)
+    /// routes updates, queries, and batched peer ingest to the owning
+    /// workers. The partition posture comes along: peers held down
+    /// stay down, and heal like any other.
+    /// [`IngestPool::finish`](crate::pool::IngestPool::finish)
     /// drains the queues and returns the store.
     pub fn into_pool(self, cfg: crate::pool::PoolConfig) -> crate::pool::IngestPool<A, F, P>
     where
@@ -2011,192 +2196,59 @@ where
     /// The state `key` would converge to with no further input
     /// (initial state for untouched keys).
     pub fn materialize_key(&mut self, key: Key) -> A::State {
-        match self.shards.engine_mut(self.shard_of(key), key) {
+        let shards = &mut self.exec.shards;
+        match shards.engine_mut(shard_index(key, shards.len()), key) {
             Some(engine) => engine.materialize(),
-            None => self.shards.adt.initial(),
+            None => shards.adt.initial(),
         }
     }
 
     /// All keys this store has engines for, sorted.
     pub fn keys(&self) -> Vec<Key> {
-        let mut out: Vec<Key> = self.shards.keys().collect();
+        let mut out: Vec<Key> = self.exec.shards.keys().collect();
         out.sort_unstable();
         out
     }
 
-    /// This replica's process id.
-    pub fn pid(&self) -> u32 {
-        self.shards.pid
-    }
-
-    /// The shared Lamport clock's current value.
-    pub fn clock(&self) -> u64 {
-        self.clock.now()
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of keys with instantiated engines.
     pub fn key_count(&self) -> usize {
-        self.shards.key_count()
+        self.exec.shards.key_count()
     }
 
     /// Retained log entries summed over all keys — a walk of the
     /// live keys only, an idle key's log being empty by definition.
     pub fn total_log_len(&self) -> usize {
-        self.shards.log_len()
-    }
-
-    /// Keys whose log holds un-compacted entries: the keys that are
-    /// holding GC open, and the ones a sweep or flush visits. (A log
-    /// emptied by its last insertion's own compaction is counted until
-    /// the next sweep.)
-    pub fn live_keys(&self) -> usize {
-        self.shards.live_keys()
+        self.exec.shards.log_len()
     }
 
     /// Repair events summed over all keys (at most one per key per
     /// batch).
     pub fn total_repair_events(&self) -> u64 {
-        self.shards.sum_engines(|e| e.repair_events())
+        self.exec.shards.sum_engines(|e| e.repair_events())
     }
 
     /// Repair steps (state transitions spent repairing) summed over
     /// all keys — the repair-locality metric: per-key logs keep this
     /// proportional to the touched key's suffix, not the whole store.
     pub fn total_repair_steps(&self) -> u64 {
-        self.shards.sum_engines(|e| e.repair_steps())
+        self.exec.shards.sum_engines(|e| e.repair_steps())
     }
 
     /// Access one key's engine (observability, tests).
     pub fn engine(&self, key: Key) -> Option<&ReplicaEngine<A, F::Strategy, P::Backend>> {
-        self.shards.shard(self.shard_of(key)).engine(key)
-    }
-
-    /// Choose how this replica answers reads while it sits in a
-    /// minority partition — see [`AvailabilityPolicy`]. Updates are
-    /// never refused (the store stays wait-free / AP for writes).
-    pub fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
-        self.heal.partition.set_policy(policy);
-    }
-
-    /// The partition tracker: which peers are reported down, since
-    /// which clock watermark, and the active read policy.
-    pub fn partition(&self) -> &PartitionTracker {
-        &self.heal.partition
-    }
-
-    /// Attach shared link counters so heal-replay traffic is folded
-    /// into the owning runtime's [`uc_sim::Metrics`].
-    pub fn attach_link_counters(&mut self, counters: Arc<LinkCounters>) {
-        self.heal.link_counters = Some(counters);
-    }
-
-    /// Estimated wire bytes this store has streamed in heal chunks.
-    pub fn heal_replay_bytes(&self) -> u64 {
-        self.heal.replay_bytes
-    }
-
-    /// Attach a streaming consistency monitor. Keys that already have
-    /// engines are excluded from sampling — their prefix was never
-    /// observed, so judging them would only produce false positives.
-    /// Replaces any previously attached monitor.
-    pub fn attach_monitor(&mut self, cfg: MonitorConfig) {
-        self.shards.attach_monitor(cfg);
-    }
-
-    /// The attached monitor's counters, if any.
-    pub fn monitor_stats(&self) -> Option<&MonitorStats> {
-        self.shards.monitor_stats()
+        let shards = &self.exec.shards;
+        shards.shard(self.shard_of(key)).engine(key)
     }
 
     /// Attach a ring-buffer event trace (clones share the buffer, so
     /// the caller keeps a handle to drain).
     pub fn attach_trace(&mut self, ring: TraceRing) {
-        self.trace = Some(ring);
+        self.exec.trace = Some(ring);
     }
 
     /// The attached trace ring, if any.
     pub fn trace(&self) -> Option<&TraceRing> {
-        self.trace.as_ref()
-    }
-
-    /// Fold availability posture, down-peer watermarks, and the
-    /// monitor verdict into one health report. `n` is the cluster
-    /// size (what the protocol reads off `Ctx::n`).
-    pub fn health(&self, n: usize) -> Health {
-        self.heal.health(n, self.monitor_stats()).resolve()
-    }
-
-    /// Mirror this store's counters (and the monitor's, when
-    /// attached) into a metrics registry under `uc_store_*` /
-    /// `uc_monitor_*` names.
-    pub fn export_metrics(&self, reg: &Registry) {
-        reg.gauge("uc_store_keys").set(self.key_count() as i64);
-        reg.gauge("uc_store_log_len")
-            .set(self.total_log_len() as i64);
-        reg.gauge("uc_store_live_keys").set(self.live_keys() as i64);
-        reg.gauge("uc_store_clock").set(self.clock.now() as i64);
-        reg.counter("uc_store_repair_events_total")
-            .set(self.total_repair_events());
-        reg.counter("uc_store_repair_steps_total")
-            .set(self.total_repair_steps());
-        self.heal.export_metrics("uc_store", reg);
-        if let Some(stats) = self.monitor_stats() {
-            crate::observe::export_monitor_stats(stats, reg);
-        }
-    }
-
-    /// Report `peer` unreachable. Records the outage-start watermark
-    /// (the current clock): everything stamped above it while the peer
-    /// stays down is, conservatively, divergence the heal must replay.
-    /// Idempotent — repeated reports keep the earliest watermark.
-    ///
-    /// The watermark is taken at failure-*detection* time, not at the
-    /// last point known delivered: updates stamped between the actual
-    /// link failure and this verdict sit below the watermark and are
-    /// never replayed by [`UcStore::peer_up`]. They are still
-    /// delivered — the reliable link keeps retransmitting everything
-    /// it has queued — *unless* its bounded retry queue sheds them
-    /// first. That composition is a sizing contract, not an accident:
-    /// `RetryConfig::queue_cap` must hold every message issued within
-    /// the failure detector's detection window, so that nothing is
-    /// shed before the verdict lands. After it, the protocol queues no
-    /// update toward the peer (the heal delivers everything above the
-    /// watermark), only a heartbeat a tick. Undersized queues are
-    /// observable (`LinkStats::shed` / `gaps_skipped`, `Metrics::
-    /// messages_dropped`) rather than silent.
-    pub fn peer_down(&mut self, peer: Pid) {
-        let Ok(()) = self.dialogue().peer_down(peer);
-    }
-
-    /// Report `peer` reachable again. If it was down and this store
-    /// holds anything it could stream above the outage-start
-    /// watermark, opens a chunked heal session and returns the
-    /// [`StoreMsg::DigestRequest`] to send it — the opener of the
-    /// digest-guided, flow-controlled heal dialogue (see
-    /// [`heal`](crate::heal)). The session then advances through
-    /// [`UcStore::apply_message_from`] (or the `Protocol` impl) as
-    /// responses and acks arrive, and keeps compaction pinned at the
-    /// watermark until its final chunk is acknowledged. `None` when
-    /// the peer was not down or there is nothing to stream (every
-    /// digest slot is empty: nothing above the watermark, or only the
-    /// peer's own updates).
-    pub fn peer_up(&mut self, peer: Pid) -> Option<StoreMsg<A::Update>> {
-        let Ok(opener) = self.dialogue().peer_up(peer);
-        opener
-    }
-
-    /// Advance every live heal session one tick: stalled sessions
-    /// re-send their digest request or expire their oldest
-    /// unacknowledged chunk to reopen the window. Returns the messages
-    /// to send, like [`UcStore::apply_message_from`].
-    pub fn heal_tick(&mut self) -> Vec<(Pid, StoreMsg<A::Update>)> {
-        let Ok(out) = self.dialogue().heal_tick();
-        out
+        self.exec.trace.as_ref()
     }
 
     /// Drive a full chunked heal of `healed` synchronously: open the
@@ -2212,7 +2264,7 @@ where
     {
         let peer = healed.pid();
         let me = self.pid();
-        let Some(opener) = self.peer_up(peer) else {
+        let Ok(Some(opener)) = self.peer_up(peer) else {
             return 0;
         };
         let mut chunks = 0u64;
@@ -2223,47 +2275,15 @@ where
                 if matches!(m, StoreMsg::RepairChunk { .. }) {
                     chunks += 1;
                 }
-                to_me.extend(healed.apply_message_from(me, m).into_iter().map(|(_, m)| m));
+                let Ok(replies) = healed.apply_message_from(me, m);
+                to_me.extend(replies.into_iter().map(|(_, m)| m));
             }
             for m in to_me {
-                to_peer.extend(self.apply_message_from(peer, m).into_iter().map(|(_, m)| m));
+                let Ok(replies) = self.apply_message_from(peer, m);
+                to_peer.extend(replies.into_iter().map(|(_, m)| m));
             }
         }
         chunks
-    }
-
-    /// Tune the chunked heal protocol (chunk size, window, digest
-    /// range fan-out, stall threshold). Applies to sessions opened
-    /// after the call.
-    pub fn set_heal_config(&mut self, cfg: HealConfig) {
-        self.heal.cfg = cfg;
-    }
-
-    /// The chunked-heal tuning in force.
-    pub fn heal_config(&self) -> &HealConfig {
-        &self.heal.cfg
-    }
-
-    /// Heal chunks emitted by this store (counter).
-    pub fn heal_chunks(&self) -> u64 {
-        self.heal.chunks
-    }
-
-    /// Digest slots skipped because both sides agreed (counter) —
-    /// the O(divergence) win made visible.
-    pub fn heal_digest_skips(&self) -> u64 {
-        self.heal.digest_skips
-    }
-
-    /// Estimated bytes in unacknowledged heal chunks right now
-    /// (gauge; bounded by `window * chunk * entry-size` per session).
-    pub fn heal_bytes_in_flight(&self) -> u64 {
-        self.heal.bytes_in_flight()
-    }
-
-    /// Live heal sessions, keyed by healing peer (observability).
-    pub fn heal_sessions(&self) -> impl Iterator<Item = (&Pid, &HealSession)> {
-        self.heal.sessions()
     }
 
     /// Per-down-peer divergence: `(peer, outage-start watermark,
@@ -2274,187 +2294,20 @@ where
         self.heal
             .partition
             .down_peers()
-            .map(|(peer, since)| (peer, since, self.shards.diverged_shards(since)))
+            .map(|(peer, since)| (peer, since, self.exec.shards.diverged_shards(since)))
             .collect()
-    }
-}
-
-/// The inline executor: a store's shards, touched on the caller's
-/// thread. Operations run in call order and cannot fail.
-struct InlineShards<'a, A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
-    clock: u64,
-    shards: &'a mut ShardSet<A, F, P>,
-}
-
-impl<A, F, P> ShardAccess for InlineShards<'_, A, F, P>
-where
-    A: UqAdt + Clone,
-    F: StrategyFactory<A>,
-    P: BackendFactory<A>,
-{
-    type Update = A::Update;
-    type Error = Infallible;
-
-    fn pid(&self) -> Pid {
-        self.shards.pid
-    }
-
-    fn clock_now(&self) -> u64 {
-        self.clock
-    }
-
-    fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn digest_suffix(
-        &mut self,
-        since: u64,
-        exclude: Pid,
-        groups: u32,
-        ranges: u32,
-    ) -> Result<Vec<HealDigest>, Infallible> {
-        Ok(self.shards.digest_suffix(since, exclude, groups, ranges))
-    }
-
-    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Infallible> {
-        Ok(self.shards.heal_candidates(since))
-    }
-
-    fn collect_window(
-        &mut self,
-        shard: usize,
-        key: Key,
-        since: u64,
-        after: Option<Timestamp>,
-        limit: usize,
-    ) -> Result<(Vec<UpdateMsg<A::Update>>, bool), Infallible> {
-        Ok(self.shards.collect_window(shard, key, since, after, limit))
-    }
-
-    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Infallible> {
-        self.shards.set_retention(cap);
-        Ok(())
-    }
-}
-
-impl<A, F, P> Node<A> for UcStore<A, F, P>
-where
-    A: UqAdt + Clone,
-    F: StrategyFactory<A>,
-    P: BackendFactory<A>,
-{
-    type Error = Infallible;
-
-    fn dialogue(
-        &mut self,
-    ) -> Dialogue<'_, impl ShardAccess<Update = A::Update, Error = Infallible>> {
-        let shards = InlineShards {
-            clock: self.clock.now(),
-            shards: &mut self.shards,
-        };
-        Dialogue {
-            heal: &mut self.heal,
-            shards,
-        }
-    }
-
-    fn partition(&self) -> &PartitionTracker {
-        &self.heal.partition
-    }
-
-    fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, Infallible> {
-        Ok(UcStore::update(self, key, u))
-    }
-
-    fn query(&mut self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, Infallible> {
-        Ok(UcStore::query(self, key, q))
-    }
-
-    fn consistent_snapshot(&mut self) -> Result<StoreSnapshot<A>, Infallible> {
-        Ok(UcStore::consistent_snapshot(self))
-    }
-
-    fn deliver(&mut self, msg: StoreMsg<A::Update>) -> Result<(), Infallible> {
-        self.apply_message(&msg);
-        Ok(())
-    }
-
-    /// The per-shard batched ingest path, moving (never cloning) the
-    /// burst's messages.
-    fn ingest(&mut self, burst: Vec<StoreMsg<A::Update>>) -> Result<(), Infallible> {
-        if let Some(tr) = &self.trace {
-            for m in &burst {
-                if let StoreMsg::Repair { updates } = m {
-                    tr.record(TraceKind::Heal, 0, updates.len() as u64);
-                }
-            }
-        }
-        self.ingest_burst(burst);
-        Ok(())
-    }
-
-    /// A maintenance tick ([`UcStore::tick_maintenance`]), then flush
-    /// the storage backends of the keys that journaled or moved their
-    /// clock.
-    fn maintain_and_flush(&mut self) -> Result<(), Infallible> {
-        self.tick_maintenance();
-        self.flush_backends();
-        Ok(())
-    }
-}
-
-/// The store is a wait-free [`Protocol`] node: invocations complete
-/// locally, peer traffic flows through (batched) message delivery —
-/// so it runs unchanged under the deterministic simulator and the
-/// event runtime. The bodies are the shared ones in `node`; nothing
-/// here can fail.
-///
-/// A runtime flush ([`Protocol::on_batch`]) lands on the per-shard
-/// batched ingest path. A maintenance tick ([`Protocol::on_tick`])
-/// announces the shared clock — one heartbeat advances every key's
-/// stability knowledge on every peer: at once for the keys holding
-/// un-compacted entries when it raises that peer's stability floor,
-/// at their next insertion for the rest — advances stalled heal
-/// sessions, compacts every live key's stable prefix when the floor
-/// rose and flushes the storage backends: its cost follows the keys
-/// with unstable entries, not the key count, and it is what keeps GC
-/// stores compacting and segment-backed stores durable with no
-/// dedicated heartbeat or flusher thread.
-impl<A, F, P> Protocol for UcStore<A, F, P>
-where
-    A: UqAdt + Clone,
-    F: StrategyFactory<A>,
-    P: BackendFactory<A>,
-{
-    type Msg = StoreMsg<A::Update>;
-    type Input = StoreInput<A>;
-    type Output = StoreOutput<A>;
-
-    fn on_invoke(&mut self, input: Self::Input, ctx: &mut Ctx<'_, Self::Msg>) -> Self::Output {
-        let Ok(out) = node::on_invoke(self, input, ctx);
-        out
-    }
-
-    fn on_message(&mut self, from: Pid, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
-        let Ok(()) = node::on_message(self, from, msg, ctx);
-    }
-
-    fn on_batch(&mut self, msgs: Vec<(Pid, Self::Msg)>, ctx: &mut Ctx<'_, Self::Msg>) {
-        let Ok(()) = node::on_batch(self, msgs, ctx);
-    }
-
-    fn on_tick(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        let Ok(()) = node::on_tick(self, ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heal::HealConfig;
+    use crate::node;
     use crate::pool::{IngestPool, PoolConfig};
     use std::collections::BTreeSet;
-    use std::sync::Mutex;
+    use std::sync::Arc;
+    use uc_obs::Registry;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
 
     type Store = UcStore<SetAdt<u32>, CheckpointFactory>;
@@ -2810,7 +2663,14 @@ mod tests {
             });
         }
         assert_eq!(s.clock(), 10_009);
-        let heard: Vec<u32> = s.shards.stability.heard.iter().map(|(p, _)| *p).collect();
+        let heard: Vec<u32> = s
+            .exec
+            .shards
+            .stability
+            .heard
+            .iter()
+            .map(|(p, _)| *p)
+            .collect();
         assert_eq!(heard, [0, 1], "heard keeps exactly the cluster's pids");
     }
 
@@ -2881,37 +2741,37 @@ mod tests {
         })
     }
 
-    fn healer<N: Node<Adt>>(n: &mut N) -> &mut Healer {
-        n.dialogue().heal
+    fn healer<X: Executor>(n: &mut Node<X>) -> &mut Healer {
+        &mut n.heal
     }
 
-    fn down<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, peer: Pid) {
-        n.dialogue().peer_down(peer).unwrap();
+    fn down<X: Executor<Adt = Adt>>(n: &mut Node<X>, peer: Pid) {
+        n.peer_down(peer).unwrap();
     }
 
-    fn up<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, peer: Pid) -> Option<Msg> {
-        n.dialogue().peer_up(peer).unwrap()
+    fn up<X: Executor<Adt = Adt>>(n: &mut Node<X>, peer: Pid) -> Option<Msg> {
+        n.peer_up(peer).unwrap()
     }
 
-    fn tick<N: Node<Adt, Error: fmt::Debug>>(n: &mut N) -> Vec<(Pid, Msg)> {
-        n.dialogue().heal_tick().unwrap()
+    fn tick<X: Executor<Adt = Adt>>(n: &mut Node<X>) -> Vec<(Pid, Msg)> {
+        n.heal_tick().unwrap()
     }
 
-    fn frame<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, from: Pid, m: Msg) -> Vec<(Pid, Msg)> {
-        node::apply_message_from(n, from, m).unwrap()
+    fn frame<X: Executor<Adt = Adt>>(n: &mut Node<X>, from: Pid, m: Msg) -> Vec<(Pid, Msg)> {
+        n.apply_message_from(from, m).unwrap()
     }
 
-    fn write<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, key: Key, v: u32) -> Msg {
-        n.update(key, SetUpdate::Insert(v)).unwrap()
+    fn write<X: Executor<Adt = Adt>>(n: &mut Node<X>, key: Key, v: u32) -> Msg {
+        n.exec.update(key, SetUpdate::Insert(v)).unwrap()
     }
 
-    fn read<N: Node<Adt, Error: fmt::Debug>>(n: &mut N, key: Key) -> BTreeSet<u32> {
-        n.query(key, &SetQuery::Read).unwrap()
+    fn read<X: Executor<Adt = Adt>>(n: &mut Node<X>, key: Key) -> BTreeSet<u32> {
+        n.exec.query(key, &SetQuery::Read).unwrap()
     }
 
     /// Heal `healed` from `healer` (pid 0) by ping-ponging the frames
     /// until the dialogue ends; the payload of every chunk streamed.
-    fn heal<N: Node<Adt, Error: fmt::Debug>>(healer: &mut N, healed: &mut Store) -> Vec<Chunk> {
+    fn heal<X: Executor<Adt = Adt>>(healer: &mut Node<X>, healed: &mut Store) -> Vec<Chunk> {
         let peer = healed.pid();
         let mut chunks = Vec::new();
         let mut to_peer: Vec<Msg> = up(healer, peer).into_iter().collect();
@@ -2921,7 +2781,8 @@ mod tests {
                 if let StoreMsg::RepairChunk { updates, .. } = &m {
                     chunks.push(updates.clone());
                 }
-                to_me.extend(healed.apply_message_from(0, m));
+                let Ok(replies) = healed.apply_message_from(0, m);
+                to_me.extend(replies);
             }
             for (_, m) in to_me {
                 to_peer.extend(frame(healer, peer, m).into_iter().map(|(_, m)| m));
@@ -2936,7 +2797,7 @@ mod tests {
         chunked_heal(pool(0, 4));
     }
 
-    fn chunked_heal<N: Node<Adt, Error: fmt::Debug>>(mut s: N) {
+    fn chunked_heal<X: Executor<Adt = Adt>>(mut s: Node<X>) {
         let mut peer = store(1, 4);
         // Pre-outage traffic reaches the peer normally.
         let pre = write(&mut s, 1, 1);
@@ -3042,7 +2903,7 @@ mod tests {
     /// must mismatch (payload hash reaches the digest), so the heal
     /// streams the real suffix — the collision-resistance gate of the
     /// skip decision.
-    fn same_shape_differing_contents<N: Node<Adt, Error: fmt::Debug>>(mut s: N) {
+    fn same_shape_differing_contents<X: Executor<Adt = Adt>>(mut s: Node<X>) {
         let mut peer = store(1, 2);
         down(&mut s, 1);
         write(&mut s, 7, 1);
@@ -3070,7 +2931,7 @@ mod tests {
         flap_mid_heal(pool(0, 2));
     }
 
-    fn flap_mid_heal<N: Node<Adt, Error: fmt::Debug>>(mut s: N) {
+    fn flap_mid_heal<X: Executor<Adt = Adt>>(mut s: Node<X>) {
         let mut peer = store(1, 2);
         down(&mut s, 1);
         healer(&mut s).cfg = HealConfig {
@@ -3084,7 +2945,7 @@ mod tests {
         // Open the session and deliver only the digest exchange plus
         // the first chunk — then the peer flaps before acking.
         let opener = up(&mut s, 1).expect("divergence exists");
-        let resp = peer.apply_message_from(0, opener);
+        let Ok(resp) = peer.apply_message_from(0, opener);
         assert_eq!(resp.len(), 1);
         let mut first_chunks = frame(&mut s, 1, resp.into_iter().next().unwrap().1);
         assert!(!first_chunks.is_empty());
@@ -3126,7 +2987,7 @@ mod tests {
     /// its request, then trades flow control for liveness one expired
     /// chunk at a time, and ends — pin lifted — with every entry
     /// streamed once.
-    fn stalled_session<N: Node<Adt, Error: fmt::Debug>>(mut s: N) {
+    fn stalled_session<X: Executor<Adt = Adt>>(mut s: Node<X>) {
         let mut peer = store(1, 2);
         down(&mut s, 1);
         healer(&mut s).cfg = HealConfig {
@@ -3146,7 +3007,8 @@ mod tests {
         assert_eq!(tick(&mut s), vec![(1, opener.clone())]);
         // It is answered at last; window 1 puts one chunk in flight,
         // and no ack ever comes back.
-        let resp = peer.apply_message_from(0, opener).remove(0).1;
+        let Ok(mut resp) = peer.apply_message_from(0, opener);
+        let resp = resp.remove(0).1;
         let mut streamed = frame(&mut s, 1, resp);
         assert_eq!(streamed.len(), 1);
         let one_chunk = healer(&mut s).bytes_in_flight();
@@ -3177,7 +3039,7 @@ mod tests {
         // Expiry gave up on the acks, not on the data: the chunks,
         // delivered late, still converge the peer.
         for (_, chunk) in streamed {
-            peer.apply_message_from(0, chunk);
+            let Ok(_) = peer.apply_message_from(0, chunk);
         }
         for k in 0..3u64 {
             assert_eq!(read(&mut s, k), peer.materialize_key(k), "key {k}");

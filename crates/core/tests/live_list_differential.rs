@@ -148,7 +148,9 @@ where
 
     fn peer_down(&mut self, peer: Pid) {
         match self {
-            Node::Store(s) => s.peer_down(peer),
+            Node::Store(s) => {
+                let Ok(()) = s.peer_down(peer);
+            }
             Node::Pool(p) => p.peer_down(peer).unwrap(),
         }
     }
@@ -159,18 +161,27 @@ where
     fn peer_up(&mut self, peer: Pid) {
         let mut sink = UcStore::new(SetAdt::new(), peer, 1, NaiveFactory);
         let opener = match self {
-            Node::Store(s) => s.peer_up(peer),
+            Node::Store(s) => {
+                let Ok(opener) = s.peer_up(peer);
+                opener
+            }
             Node::Pool(p) => p.peer_up(peer).unwrap(),
         };
         let mut to_sink: Vec<Msg> = opener.into_iter().collect();
         while !to_sink.is_empty() {
             let replies: Vec<(Pid, Msg)> = to_sink
                 .drain(..)
-                .flat_map(|m| sink.apply_message_from(0, m))
+                .flat_map(|m| {
+                    let Ok(replies) = sink.apply_message_from(0, m);
+                    replies
+                })
                 .collect();
             for (_, m) in replies {
                 let sent = match self {
-                    Node::Store(s) => s.apply_message_from(peer, m),
+                    Node::Store(s) => {
+                        let Ok(sent) = s.apply_message_from(peer, m);
+                        sent
+                    }
                     Node::Pool(p) => p.apply_message_from(peer, m).unwrap(),
                 };
                 to_sink.extend(sent.into_iter().map(|(_, m)| m));
@@ -186,17 +197,12 @@ where
     fn live_keys(&mut self) -> usize {
         match self {
             Node::Store(s) => s.live_keys(),
-            Node::Pool(p) => {
-                p.flush().unwrap();
-                p.stats().total_live_keys()
-            }
+            Node::Pool(p) => p.live_keys(),
         }
     }
 
     /// Hand the sequential store to `f`. A pool is drained into one
-    /// and respawned; the respawned pool starts with a clean membership
-    /// view, so the peer it held down is marked down again, from the
-    /// current clock.
+    /// and respawned, its partition posture with it.
     fn with_store<R>(self, f: impl FnOnce(&mut UcStore<Adt, GcFactory, P>) -> R) -> (Self, R) {
         match self {
             Node::Store(mut s) => {
@@ -204,14 +210,9 @@ where
                 (Node::Store(s), out)
             }
             Node::Pool(p) => {
-                let down: Vec<Pid> = p.partition().down_peers().map(|(peer, _)| peer).collect();
                 let mut s = p.finish().unwrap();
                 let out = f(&mut s);
-                let mut pool = s.into_pool(pool_cfg());
-                for peer in down {
-                    pool.peer_down(peer).unwrap();
-                }
-                (Node::Pool(pool), out)
+                (Node::Pool(s.into_pool(pool_cfg())), out)
             }
         }
     }

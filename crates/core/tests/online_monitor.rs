@@ -18,8 +18,8 @@ use uc_core::pool::{Backpressure, IngestPool, PoolConfig};
 use uc_core::store::{
     CheckpointFactory, GcFactory, NaiveFactory, StoreMsg, StrategyFactory, UcStore, UndoFactory,
 };
-use uc_core::{Timestamp, UpdateLog, UpdateMsg};
-use uc_criteria::online::{MonitorConfig, MonitorStats};
+use uc_core::{Executor, Node, Timestamp, UpdateLog, UpdateMsg};
+use uc_criteria::online::MonitorConfig;
 use uc_obs::{HealthStatus, Registry};
 use uc_spec::{CounterAdt, CounterQuery, CounterUpdate, UqAdt};
 
@@ -31,27 +31,21 @@ fn monitored_cfg() -> MonitorConfig {
     MonitorConfig::full().with_peers([0, 1])
 }
 
-/// A replica of either kind — the sequential store or the worker pool
-/// — as the monitor scenarios drive it. Reads of the monitor quiesce
-/// the node first (a pool flush; nothing to do inline).
+/// The monitor scenarios run a replica of either kind — a [`Node`]
+/// over either executor — and read its monitor and health through the
+/// accessors both share, each read behind every operation issued
+/// before it. What still differs is the data path: a pool's can fail.
 trait Replica {
-    fn attach_monitor(&mut self, cfg: MonitorConfig);
     fn update(&mut self, key: u64, u: CounterUpdate) -> Msg;
     /// One peer frame, as a link hands it over.
     fn deliver(&mut self, m: &Msg);
     fn read(&mut self, key: u64) -> i64;
     /// Take (and drop) a snapshot at `cut`.
     fn cut(&mut self, cut: u64);
-    fn heartbeat(&self) -> Msg;
     fn tick_maintenance(&mut self);
-    fn monitor_stats(&mut self) -> MonitorStats;
-    fn health(&mut self, n: usize) -> HealthStatus;
 }
 
 impl<F: StrategyFactory<CounterAdt>> Replica for UcStore<CounterAdt, F> {
-    fn attach_monitor(&mut self, cfg: MonitorConfig) {
-        UcStore::attach_monitor(self, cfg)
-    }
     fn update(&mut self, key: u64, u: CounterUpdate) -> Msg {
         UcStore::update(self, key, u)
     }
@@ -64,30 +58,12 @@ impl<F: StrategyFactory<CounterAdt>> Replica for UcStore<CounterAdt, F> {
     fn cut(&mut self, cut: u64) {
         self.snapshot_at(cut).expect("cut is answerable");
     }
-    fn heartbeat(&self) -> Msg {
-        UcStore::heartbeat(self)
-    }
     fn tick_maintenance(&mut self) {
         UcStore::tick_maintenance(self)
     }
-    fn monitor_stats(&mut self) -> MonitorStats {
-        UcStore::monitor_stats(self)
-            .expect("monitor attached")
-            .clone()
-    }
-    fn health(&mut self, n: usize) -> HealthStatus {
-        UcStore::health(self, n).status
-    }
 }
 
-impl<F> Replica for IngestPool<CounterAdt, F>
-where
-    F: StrategyFactory<CounterAdt> + Send + 'static,
-    F::Strategy: Send + 'static,
-{
-    fn attach_monitor(&mut self, cfg: MonitorConfig) {
-        IngestPool::attach_monitor(self, cfg).expect("live pool")
-    }
+impl<F: StrategyFactory<CounterAdt>> Replica for IngestPool<CounterAdt, F> {
     fn update(&mut self, key: u64, u: CounterUpdate) -> Msg {
         IngestPool::update(self, key, u).expect("live pool")
     }
@@ -100,19 +76,8 @@ where
     fn cut(&mut self, cut: u64) {
         self.snapshot_at(cut).expect("cut is answerable");
     }
-    fn heartbeat(&self) -> Msg {
-        IngestPool::heartbeat(self)
-    }
     fn tick_maintenance(&mut self) {
         IngestPool::tick_maintenance(self).expect("live pool")
-    }
-    fn monitor_stats(&mut self) -> MonitorStats {
-        self.flush().expect("live pool");
-        IngestPool::monitor_stats(self).expect("monitor attached")
-    }
-    fn health(&mut self, n: usize) -> HealthStatus {
-        self.flush().expect("live pool");
-        IngestPool::health(self, n).status
     }
 }
 
@@ -152,12 +117,15 @@ macro_rules! on_every_node_kind {
 /// monitor on both ends. `fifo` keeps per-link order: stability-based
 /// GC requires it (the reliable link provides it in production), so
 /// its differential perturbs with duplicates only.
-fn clean_differential<R: Replica>(make: impl Fn(u32) -> R, fifo: bool) {
+fn clean_differential<X: Executor<Adt = CounterAdt>>(make: impl Fn(u32) -> Node<X>, fifo: bool)
+where
+    Node<X>: Replica,
+{
     let mut a = make(0);
     let mut twin = make(0);
     let mut b = make(1);
-    a.attach_monitor(monitored_cfg());
-    b.attach_monitor(monitored_cfg());
+    a.attach_monitor(monitored_cfg()).unwrap();
+    b.attach_monitor(monitored_cfg()).unwrap();
 
     let mut msgs_a = Vec::new();
     for i in 0..20u64 {
@@ -211,15 +179,15 @@ fn clean_differential<R: Replica>(make: impl Fn(u32) -> R, fifo: bool) {
         assert_eq!(va, vb, "replicas did not converge on key {k}");
     }
 
-    let sa = a.monitor_stats();
+    let sa = a.monitor_stats().expect("monitor attached");
     assert!(
         sa.clean(),
         "false positive on a clean run: {sa:?} ({})",
-        std::any::type_name::<R>()
+        std::any::type_name::<X>()
     );
     assert!(sa.sampled_updates >= 40, "both streams observed");
     assert!(sa.sampled_queries >= KEYS, "every query checked");
-    let sb = b.monitor_stats();
+    let sb = b.monitor_stats().expect("monitor attached");
     assert!(sb.clean(), "false positive on replica b: {sb:?}");
 }
 
@@ -288,17 +256,20 @@ impl StrategyFactory<CounterAdt> for DoubleFoldFactory {
     }
 }
 
-fn double_fold_is_caught<R: Replica>(make: impl Fn(u32) -> R) {
+fn double_fold_is_caught<X: Executor<Adt = CounterAdt>>(make: impl Fn(u32) -> Node<X>)
+where
+    Node<X>: Replica,
+{
     let mut s = make(0);
-    s.attach_monitor(MonitorConfig::full());
+    s.attach_monitor(MonitorConfig::full()).unwrap();
     s.update(7, CounterUpdate::Add(5));
     let v = s.read(7);
     assert_eq!(v, 10, "the injected bug double-folds the first update");
-    let stats = s.monitor_stats();
+    let stats = s.monitor_stats().expect("monitor attached");
     assert_eq!(stats.uc_violations, 1, "flagged on the very first check");
     assert_eq!(stats.snap_violations, 0);
     assert_eq!(stats.sec_violations, 0);
-    assert_eq!(s.health(1), HealthStatus::Degraded);
+    assert_eq!(s.health(1).status, HealthStatus::Degraded);
 }
 
 #[test]
@@ -354,14 +325,17 @@ impl StrategyFactory<CounterAdt> for TornCutFactory {
     }
 }
 
-fn torn_cut_is_caught<R: Replica>(make: impl Fn(u32) -> R) {
+fn torn_cut_is_caught<X: Executor<Adt = CounterAdt>>(make: impl Fn(u32) -> Node<X>)
+where
+    Node<X>: Replica,
+{
     let mut s = make(0);
-    s.attach_monitor(MonitorConfig::full());
+    s.attach_monitor(MonitorConfig::full()).unwrap();
     s.update(1, CounterUpdate::Add(1)); // clock 1
     s.update(1, CounterUpdate::Add(2)); // clock 2
     s.update(1, CounterUpdate::Add(4)); // clock 3
     s.cut(1);
-    let stats = s.monitor_stats();
+    let stats = s.monitor_stats().expect("monitor attached");
     assert!(
         stats.snap_violations >= 1,
         "cut 1 must fold only the first update: {stats:?}"
@@ -400,9 +374,12 @@ fn replay_below_the_dedup_floor_is_informational_not_a_violation() {
     assert!(s.monitor_stats().unwrap().clean());
 }
 
-fn stamp_reuse_is_flagged<R: Replica>(make: impl Fn(u32) -> R) {
+fn stamp_reuse_is_flagged<X: Executor<Adt = CounterAdt>>(make: impl Fn(u32) -> Node<X>)
+where
+    Node<X>: Replica,
+{
     let mut s = make(0);
-    s.attach_monitor(MonitorConfig::full());
+    s.attach_monitor(MonitorConfig::full()).unwrap();
     let ts = Timestamp::new(5, 9);
     s.deliver(&StoreMsg::Update {
         key: 2,
@@ -418,9 +395,9 @@ fn stamp_reuse_is_flagged<R: Replica>(make: impl Fn(u32) -> R) {
             update: CounterUpdate::Add(2),
         },
     });
-    let stats = s.monitor_stats();
+    let stats = s.monitor_stats().expect("monitor attached");
     assert!(stats.sec_violations >= 1, "{stats:?}");
-    assert_eq!(s.health(1), HealthStatus::Degraded);
+    assert_eq!(s.health(1).status, HealthStatus::Degraded);
 }
 
 #[test]
@@ -439,8 +416,8 @@ fn a_store_and_a_one_worker_pool_report_the_same_monitor_stats() {
     let mut store = sequential(&factory, 0);
     let mut pool = pooled(&factory, 0, 1);
     let mut peer = sequential(&factory, 1);
-    Replica::attach_monitor(&mut store, monitored_cfg());
-    Replica::attach_monitor(&mut pool, monitored_cfg());
+    store.attach_monitor(monitored_cfg());
+    pool.attach_monitor(monitored_cfg()).unwrap();
 
     let burst: Vec<Msg> = (0..12u64)
         .map(|i| peer.update(i % KEYS, CounterUpdate::Add(i as i64 + 1)))
@@ -448,7 +425,7 @@ fn a_store_and_a_one_worker_pool_report_the_same_monitor_stats() {
     let frames: Vec<Msg> = (0..4u64)
         .map(|i| peer.update(i, CounterUpdate::Add(-7)))
         .collect();
-    let peer_clock = Replica::heartbeat(&peer);
+    let peer_clock = peer.heartbeat();
 
     for i in 0..10u64 {
         let u = CounterUpdate::Add(100 + i as i64);
@@ -476,10 +453,35 @@ fn a_store_and_a_one_worker_pool_report_the_same_monitor_stats() {
     Replica::tick_maintenance(&mut store);
     Replica::tick_maintenance(&mut pool);
 
-    let inline = Replica::monitor_stats(&mut store);
+    let inline = store.monitor_stats().expect("monitor attached");
     assert!(inline.clean(), "{inline:?}");
     assert!(inline.sampled_cuts > 0 && inline.finalized_updates > 0 && inline.ticks == 2);
-    assert_eq!(inline, Replica::monitor_stats(&mut pool));
+    assert_eq!(Some(inline), pool.monitor_stats());
+}
+
+/// A pool's monitor read is one more job per worker, behind every job
+/// queued before it: straight after a burst is submitted, with no
+/// flush, it has seen every update of that burst.
+#[test]
+fn a_pool_monitor_read_right_after_a_burst_sees_the_burst() {
+    for workers in [1, 2] {
+        let mut pool = pooled(&NaiveFactory, 0, workers);
+        pool.attach_monitor(MonitorConfig::full()).unwrap();
+        let burst: Vec<Msg> = (0..40u64)
+            .map(|i| StoreMsg::Update {
+                key: i % KEYS,
+                msg: UpdateMsg {
+                    ts: Timestamp::new(1 + i, 1),
+                    update: CounterUpdate::Add(1),
+                },
+            })
+            .collect();
+        pool.submit_batch(burst).unwrap();
+        let stats = pool.monitor_stats().expect("monitor attached");
+        assert_eq!(stats.sampled_updates, 40, "{workers} worker(s): {stats:?}");
+        assert!(stats.clean(), "{stats:?}");
+        pool.finish().unwrap();
+    }
 }
 
 #[test]

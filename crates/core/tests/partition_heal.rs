@@ -22,8 +22,8 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uc_core::{
-    AvailabilityPolicy, BackendFactory, CheckpointFactory, CutError, EngineCtx, GcFactory,
-    GenericReplica, HealConfig, IngestPool, Key, LogBackend, NaiveFactory, PartitionTracker,
+    AvailabilityPolicy, BackendFactory, CheckpointFactory, CutError, EngineCtx, Executor,
+    GcFactory, GenericReplica, HealConfig, IngestPool, Key, LogBackend, NaiveFactory, Node,
     PoolConfig, RepairStrategy, StableGc, StoreInput, StoreMsg, StoreOutput, StrategyFactory,
     UcStore, UndoFactory, UpdateLog, UpdateMsg,
 };
@@ -68,84 +68,23 @@ fn references(all: &[Msg]) -> HashMap<Key, GenericReplica<Adt>> {
     refs
 }
 
-/// A replica of either kind — the sequential store or the worker pool
-/// — as the direct-drive scenarios see it: its `Protocol` surface plus
-/// the few observers that are not on it.
-trait Replica: Protocol<Msg = Msg, Input = StoreInput<Adt>, Output = StoreOutput<Adt>> {
-    fn partition(&self) -> &PartitionTracker;
-    fn set_partition_policy(&mut self, policy: AvailabilityPolicy);
-    fn set_heal_config(&mut self, cfg: HealConfig);
-    fn heal_replay_bytes(&self) -> u64;
-    fn heal_chunks(&self) -> u64;
-    fn heal_sessions(&self) -> usize;
-    fn clock(&self) -> u64;
+/// The direct-drive scenarios run a replica of either kind — a
+/// [`Node`] over either executor — through its `Protocol` surface and
+/// read it through its shared accessors. All that still differs is
+/// whether a maintenance tick can fail.
+trait Replica {
     fn tick_maintenance(&mut self);
-    /// Keys whose log still holds un-compacted entries.
-    fn live_keys(&mut self) -> usize;
 }
 
 impl<F: StrategyFactory<Adt>, P: BackendFactory<Adt>> Replica for UcStore<Adt, F, P> {
-    fn partition(&self) -> &PartitionTracker {
-        self.partition()
-    }
-    fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
-        self.set_partition_policy(policy)
-    }
-    fn set_heal_config(&mut self, cfg: HealConfig) {
-        self.set_heal_config(cfg)
-    }
-    fn heal_replay_bytes(&self) -> u64 {
-        self.heal_replay_bytes()
-    }
-    fn heal_chunks(&self) -> u64 {
-        self.heal_chunks()
-    }
-    fn heal_sessions(&self) -> usize {
-        self.heal_sessions().count()
-    }
-    fn clock(&self) -> u64 {
-        self.clock()
-    }
     fn tick_maintenance(&mut self) {
-        self.tick_maintenance()
-    }
-    fn live_keys(&mut self) -> usize {
-        UcStore::live_keys(self)
+        UcStore::tick_maintenance(self)
     }
 }
 
-impl<F> Replica for IngestPool<Adt, F>
-where
-    F: StrategyFactory<Adt> + Send + 'static,
-    F::Strategy: Send + 'static,
-{
-    fn partition(&self) -> &PartitionTracker {
-        self.partition()
-    }
-    fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
-        self.set_partition_policy(policy)
-    }
-    fn set_heal_config(&mut self, cfg: HealConfig) {
-        self.set_heal_config(cfg)
-    }
-    fn heal_replay_bytes(&self) -> u64 {
-        self.heal_replay_bytes()
-    }
-    fn heal_chunks(&self) -> u64 {
-        self.heal_chunks()
-    }
-    fn heal_sessions(&self) -> usize {
-        self.heal_sessions().count()
-    }
-    fn clock(&self) -> u64 {
-        self.clock()
-    }
+impl<F: StrategyFactory<Adt>> Replica for IngestPool<Adt, F> {
     fn tick_maintenance(&mut self) {
-        self.tick_maintenance().expect("live pool")
-    }
-    fn live_keys(&mut self) -> usize {
-        self.flush().expect("live pool");
-        self.stats().total_live_keys()
+        IngestPool::tick_maintenance(self).expect("live pool")
     }
 }
 
@@ -179,8 +118,8 @@ macro_rules! on_every_node_kind {
 }
 
 /// One invocation on replica `pid`: its output and what it sent.
-fn invoke<R: Replica>(
-    node: &mut R,
+fn invoke<X: Executor<Adt = Adt>>(
+    node: &mut Node<X>,
     pid: Pid,
     input: StoreInput<Adt>,
 ) -> (StoreOutput<Adt>, Vec<(Pid, Msg)>) {
@@ -202,14 +141,19 @@ fn acked(ack: StoreOutput<Adt>, update: SetUpdate<u32>) -> Msg {
 }
 
 /// Deliver `msg` from `from` to replica `pid`: what it sent back.
-fn deliver<R: Replica>(node: &mut R, pid: Pid, from: Pid, msg: Msg) -> Vec<(Pid, Msg)> {
+fn deliver<X: Executor<Adt = Adt>>(
+    node: &mut Node<X>,
+    pid: Pid,
+    from: Pid,
+    msg: Msg,
+) -> Vec<(Pid, Msg)> {
     let mut sent = Vec::new();
     node.on_message(from, msg, &mut Ctx::new(pid, N, 0, &mut sent));
     sent
 }
 
 /// A strong read of `key` on replica `pid`.
-fn read<R: Replica>(node: &mut R, pid: Pid, key: Key) -> BTreeSet<u32> {
+fn read<X: Executor<Adt = Adt>>(node: &mut Node<X>, pid: Pid, key: Key) -> BTreeSet<u32> {
     match invoke(node, pid, StoreInput::Query(key, SetQuery::Read)).0 {
         StoreOutput::Value { out, .. } => out,
         other => panic!("an available replica answers reads, got {other:?}"),
@@ -218,7 +162,7 @@ fn read<R: Replica>(node: &mut R, pid: Pid, key: Key) -> BTreeSet<u32> {
 
 /// Report `peer` reachable again on `nodes[src]` and carry the heal
 /// dialogue it opens between the two replicas until it ends.
-fn heal<R: Replica>(nodes: &mut [R], src: Pid, peer: Pid) {
+fn heal<X: Executor<Adt = Adt>>(nodes: &mut [Node<X>], src: Pid, peer: Pid) {
     let (_, opener) = invoke(&mut nodes[src as usize], src, StoreInput::PeerUp(peer));
     let mut in_flight: VecDeque<(Pid, Pid, Msg)> =
         opener.into_iter().map(|(to, m)| (src, to, m)).collect();
@@ -228,8 +172,8 @@ fn heal<R: Replica>(nodes: &mut [R], src: Pid, peer: Pid) {
     }
 }
 
-fn assert_matches_reference<R: Replica>(
-    node: &mut R,
+fn assert_matches_reference<X: Executor<Adt = Adt>>(
+    node: &mut Node<X>,
     pid: Pid,
     refs: &mut HashMap<Key, GenericReplica<Adt>>,
     label: &str,
@@ -247,18 +191,20 @@ fn assert_matches_reference<R: Replica>(
 /// `make(pid, shards)`. `minority_updates` controls whether the
 /// cut-off replica (pid 2) keeps issuing updates while partitioned
 /// (writes stay wait-free on both sides).
-fn run_heal_differential<R: Replica>(
-    make: impl Fn(Pid, usize) -> R,
+fn run_heal_differential<X: Executor<Adt = Adt>>(
+    make: impl Fn(Pid, usize) -> Node<X>,
     seed: u64,
     minority_updates: bool,
-) {
+) where
+    Node<X>: Replica,
+{
     let mut rng = SplitMix64::new(seed);
-    let mut nodes: Vec<R> = (0..N as Pid)
+    let mut nodes: Vec<Node<X>> = (0..N as Pid)
         .map(|pid| make(pid, 1 + (seed as usize % 4)))
         .collect();
     let mut all: Vec<Msg> = Vec::new();
     // An update on `p`, delivered to the replicas `reach` lets through.
-    let mut step = |nodes: &mut Vec<R>, p: Pid, reach: &dyn Fn(Pid) -> bool| {
+    let mut step = |nodes: &mut Vec<Node<X>>, p: Pid, reach: &dyn Fn(Pid) -> bool| {
         let (key, update) = step_update(&mut rng);
         let input = StoreInput::Update(key, update);
         let (ack, sent) = invoke(&mut nodes[p as usize], p, input);
@@ -301,7 +247,11 @@ fn run_heal_differential<R: Replica>(
     }
     for n in &nodes {
         assert_eq!(n.partition().down_count(), 0, "heal clears the tracker");
-        assert_eq!(n.heal_sessions(), 0, "every dialogue ran to its last ack");
+        assert_eq!(
+            n.heal_sessions().count(),
+            0,
+            "every dialogue ran to its last ack"
+        );
     }
     if minority_updates {
         assert!(
@@ -382,7 +332,10 @@ fn peer_up_with_only_the_peers_own_updates_opens_no_session() {
     own_updates_open_no_session(pooled(&gc, 0, 2, 2));
 }
 
-fn own_updates_open_no_session<R: Replica>(mut node: R) {
+fn own_updates_open_no_session<X: Executor<Adt = Adt>>(mut node: Node<X>)
+where
+    Node<X>: Replica,
+{
     let mut peer = sequential(&GcFactory { n: 2 }, 1, 2);
     invoke(&mut node, 0, StoreInput::PeerDown(1));
     let (_, sent) = invoke(&mut peer, 1, StoreInput::Update(4, SetUpdate::Insert(7)));
@@ -395,7 +348,7 @@ fn own_updates_open_no_session<R: Replica>(mut node: R) {
     deliver(&mut node, 0, 1, own);
     // A heartbeat round while the peer is down: the pin holds the
     // entry in the log.
-    let hear_everyone = |node: &mut R| {
+    let hear_everyone = |node: &mut Node<X>| {
         for pid in 0..2 {
             deliver(node, 0, pid, StoreMsg::Heartbeat { pid, clock: top });
         }
@@ -406,7 +359,7 @@ fn own_updates_open_no_session<R: Replica>(mut node: R) {
 
     let (_, sent) = invoke(&mut node, 0, StoreInput::PeerUp(1));
     assert!(sent.is_empty(), "nothing to stream, nothing sent: {sent:?}");
-    assert_eq!(node.heal_sessions(), 0);
+    assert_eq!(node.heal_sessions().count(), 0);
     assert_eq!(node.heal_chunks(), 0);
     assert_eq!(node.partition().down_count(), 0);
     hear_everyone(&mut node);
@@ -427,15 +380,14 @@ where
     Q: BackendFactory<Adt>,
 {
     let (me, peer) = (healer.pid(), sink.pid());
-    let opener = healer.peer_up(peer).expect("divergence opens a session");
-    let mut to_healer: Vec<Msg> = sink
-        .apply_message_from(me, opener)
-        .into_iter()
-        .map(|(_, m)| m)
-        .collect();
+    let Ok(opener) = healer.peer_up(peer);
+    let opener = opener.expect("divergence opens a session");
+    let Ok(replies) = sink.apply_message_from(me, opener);
+    let mut to_healer: Vec<Msg> = replies.into_iter().map(|(_, m)| m).collect();
     let mut stream = Vec::new();
     while let Some(m) = to_healer.pop() {
-        for (_, out) in healer.apply_message_from(peer, m) {
+        let Ok(replies) = healer.apply_message_from(peer, m);
+        for (_, out) in replies {
             let StoreMsg::RepairChunk {
                 session,
                 seq,
@@ -570,10 +522,11 @@ fn chunked_heal_crash_mid_stream_reopens_and_reheals() {
     }
 
     // Drive the dialogue by hand up to the first chunk.
-    let opener = a.peer_up(2).expect("divergence opens a session");
-    let mut resp = c.apply_message_from(0, opener);
+    let Ok(opener) = a.peer_up(2);
+    let opener = opener.expect("divergence opens a session");
+    let Ok(mut resp) = c.apply_message_from(0, opener);
     assert_eq!(resp.len(), 1, "digest request answers with one response");
-    let mut chunks = a.apply_message_from(2, resp.remove(0).1);
+    let Ok(mut chunks) = a.apply_message_from(2, resp.remove(0).1);
     assert_eq!(chunks.len(), 1, "window 1 streams one chunk at a time");
     let (_, first_chunk) = chunks.remove(0);
     // C applies it durably… and crashes before its ack is delivered.
@@ -622,7 +575,8 @@ fn heal_sampling_in_flight(
     healed: &mut UcStore<Adt, CheckpointFactory>,
 ) -> (usize, u64) {
     let (me, peer) = (healer.pid(), healed.pid());
-    let mut to_peer: Vec<Msg> = healer.peer_up(peer).into_iter().collect();
+    let Ok(opener) = healer.peer_up(peer);
+    let mut to_peer: Vec<Msg> = opener.into_iter().collect();
     let (mut chunks, mut peak) = (0, 0);
     while !to_peer.is_empty() {
         chunks += to_peer
@@ -631,16 +585,15 @@ fn heal_sampling_in_flight(
             .count();
         let to_me: Vec<(Pid, Msg)> = to_peer
             .drain(..)
-            .flat_map(|m| healed.apply_message_from(me, m))
+            .flat_map(|m| {
+                let Ok(replies) = healed.apply_message_from(me, m);
+                replies
+            })
             .collect();
         peak = peak.max(healer.heal_bytes_in_flight());
         for (_, m) in to_me {
-            to_peer.extend(
-                healer
-                    .apply_message_from(peer, m)
-                    .into_iter()
-                    .map(|(_, m)| m),
-            );
+            let Ok(replies) = healer.apply_message_from(peer, m);
+            to_peer.extend(replies.into_iter().map(|(_, m)| m));
         }
         peak = peak.max(healer.heal_bytes_in_flight());
     }
@@ -843,9 +796,9 @@ fn protocol_minority_posture() {
     minority_posture(pooled(&NaiveFactory, 0, 2, 2));
 }
 
-fn minority_posture<R: Replica>(mut node: R) {
+fn minority_posture<X: Executor<Adt = Adt>>(mut node: Node<X>) {
     node.set_partition_policy(AvailabilityPolicy::Refuse);
-    let call = |node: &mut R, input| invoke(node, 0, input);
+    let call = |node: &mut Node<X>, input| invoke(node, 0, input);
     let (ack, _) = call(&mut node, StoreInput::Update(1, SetUpdate::Insert(7)));
     assert!(matches!(ack, StoreOutput::Ack { .. }));
     // Majority: reads answer normally.
@@ -1102,10 +1055,10 @@ fn a_down_peer_is_sent_heartbeats_at_its_watermark_and_no_updates() {
     on_every_node_kind!(down_peer_sender_rules, GcFactory { n: 3 });
 }
 
-fn down_peer_sender_rules<R: Replica>(make: impl Fn(Pid) -> R) {
+fn down_peer_sender_rules<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>) {
     let mut node = make(0);
     // The peers an update of `v` is sent to.
-    let update = |node: &mut R, v: u32| -> Vec<Pid> {
+    let update = |node: &mut Node<X>, v: u32| -> Vec<Pid> {
         let input = StoreInput::Update(u64::from(v) % KEYS, SetUpdate::Insert(v));
         let (_, sent) = invoke(node, 0, input);
         assert!(sent
@@ -1114,7 +1067,7 @@ fn down_peer_sender_rules<R: Replica>(make: impl Fn(Pid) -> R) {
         sent.into_iter().map(|(to, _)| to).collect()
     };
     // The clock a tick's heartbeat announces to each peer.
-    let beats = |node: &mut R| -> Vec<(Pid, u64)> {
+    let beats = |node: &mut Node<X>| -> Vec<(Pid, u64)> {
         let mut sent = Vec::new();
         node.on_tick(&mut Ctx::new(0, N, 0, &mut sent));
         sent.into_iter()
@@ -1142,6 +1095,66 @@ fn down_peer_sender_rules<R: Replica>(make: impl Fn(Pid) -> R) {
     assert_eq!(beats(&mut node), vec![(1, clock), (2, clock)]);
 }
 
+/// Regression: a replica keeps its partition posture when it moves to
+/// the other executor. Replica 0 holds peer 2 down and writes an update
+/// the protocol withholds from 2; then it moves
+/// ([`UcStore::into_pool`], [`IngestPool::finish`]) and hears
+/// `PeerUp(2)`. The heal must still stream the update to 2, and once
+/// every pid has announced clock 1000 a tick must compact the key: the
+/// pin the outage set lifts with the heal. A replica that forgot the
+/// outage in the move sent nothing at `PeerUp`, left replica 2 without
+/// the update for good, and never compacted again.
+#[test]
+fn a_replica_keeps_its_partition_posture_across_an_executor_change() {
+    let gc = GcFactory { n: N };
+    let cfg = PoolConfig {
+        workers: 2,
+        ..PoolConfig::default()
+    };
+    posture_survives(sequential(&gc, 0, 2), |store| store.into_pool(cfg));
+    posture_survives(pooled(&gc, 0, 2, 2), |pool| {
+        pool.finish().expect("live pool")
+    });
+}
+
+fn posture_survives<X, Y>(mut node: Node<X>, change: impl FnOnce(Node<X>) -> Node<Y>)
+where
+    X: Executor<Adt = Adt>,
+    Y: Executor<Adt = Adt>,
+{
+    let gc = GcFactory { n: N };
+    let (mut one, mut two) = (sequential(&gc, 1, 2), sequential(&gc, 2, 2));
+    invoke(&mut node, 0, StoreInput::PeerDown(2));
+    let (_, sent) = invoke(&mut node, 0, StoreInput::Update(7, SetUpdate::Insert(7)));
+    assert_eq!(sent.len(), 1, "the update goes to peer 1 only: {sent:?}");
+    for (_, m) in sent {
+        deliver(&mut one, 1, 0, m);
+    }
+
+    let mut node = change(node);
+    assert_eq!(node.partition().down_count(), 1, "peer 2 is still down");
+    let (_, opener) = invoke(&mut node, 0, StoreInput::PeerUp(2));
+    assert_eq!(opener.len(), 1, "a digest request opens the heal");
+    let mut in_flight = VecDeque::from(opener);
+    while let Some((to, m)) = in_flight.pop_front() {
+        in_flight.extend(match to {
+            0 => deliver(&mut node, 0, 2, m),
+            _ => deliver(&mut two, 2, 0, m),
+        });
+    }
+    assert_eq!(
+        read(&mut two, 2, 7),
+        BTreeSet::from([7]),
+        "replica 2 holds the update"
+    );
+
+    for pid in 0..N as Pid {
+        deliver(&mut node, 0, pid, StoreMsg::Heartbeat { pid, clock: 1000 });
+    }
+    node.on_tick(&mut Ctx::new(0, N, 0, &mut Vec::new()));
+    assert_eq!(node.live_keys(), 0, "the pin lifted with the heal");
+}
+
 /// Regression: a healed replica keeps its log pinned until the heal
 /// streamed *to* it has landed. Replica 2 comes back with nothing of
 /// its own to stream, so its own `PeerUp`s pin nothing. Each healer
@@ -1158,12 +1171,15 @@ fn a_healed_replica_stays_pinned_until_its_inbound_heal_lands() {
     on_every_node_kind!(inbound_heal_stays_pinned, GcFactory { n: 3 });
 }
 
-fn inbound_heal_stays_pinned<R: Replica>(make: impl Fn(Pid) -> R) {
-    let mut nodes: Vec<R> = (0..N as Pid).map(make).collect();
+fn inbound_heal_stays_pinned<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>)
+where
+    Node<X>: Replica,
+{
+    let mut nodes: Vec<Node<X>> = (0..N as Pid).map(make).collect();
     let mut rng = SplitMix64::new(0x1B0D);
     let mut all: Vec<Msg> = Vec::new();
     // An update on `p`, delivered to the replicas `reach` lets through.
-    let mut step = |nodes: &mut [R], p: Pid, reach: &dyn Fn(Pid) -> bool| {
+    let mut step = |nodes: &mut [Node<X>], p: Pid, reach: &dyn Fn(Pid) -> bool| {
         let (key, update) = step_update(&mut rng);
         let input = StoreInput::Update(key, update);
         let (ack, sent) = invoke(&mut nodes[p as usize], p, input);
@@ -1206,7 +1222,7 @@ fn inbound_heal_stays_pinned<R: Replica>(make: impl Fn(Pid) -> R) {
     }
     // What the healers announce from here on, replica 2 hears and
     // compacts on before every chunk.
-    let hear_healers = |nodes: &mut [R]| {
+    let hear_healers = |nodes: &mut [Node<X>]| {
         for pid in [0, 1] {
             let clock = nodes[pid as usize].clock();
             deliver(&mut nodes[2], 2, pid, StoreMsg::Heartbeat { pid, clock });
@@ -1225,7 +1241,11 @@ fn inbound_heal_stays_pinned<R: Replica>(make: impl Fn(Pid) -> R) {
     }
     assert!(chunks > 4, "the heal took {chunks} chunks");
     for n in &nodes {
-        assert_eq!(n.heal_sessions(), 0, "every stream ran to its last ack");
+        assert_eq!(
+            n.heal_sessions().count(),
+            0,
+            "every stream ran to its last ack"
+        );
     }
     let mut refs = references(&all);
     for (p, node) in nodes.iter_mut().enumerate() {
@@ -1413,11 +1433,14 @@ fn a_clock_that_cannot_raise_the_floor_visits_no_key() {
     on_every_node_kind!(pinned_floor_visits_no_key, CountingGc);
 }
 
-fn pinned_floor_visits_no_key<R: Replica>(make: impl Fn(Pid) -> R) {
+fn pinned_floor_visits_no_key<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>)
+where
+    Node<X>: Replica,
+{
     const LIVE: u64 = 64;
     let mut node = make(0);
     let mut peer = sequential(&GcFactory { n: N }, 2, 2);
-    let announce = |node: &mut R, pid: Pid, clock: u64| {
+    let announce = |node: &mut Node<X>, pid: Pid, clock: u64| {
         deliver(node, 0, pid, StoreMsg::Heartbeat { pid, clock });
     };
     // Everyone hears everything up to the cut, and compacts it.
@@ -1474,7 +1497,11 @@ fn pinned_floor_visits_no_key<R: Replica>(make: impl Fn(Pid) -> R) {
             to_peer.extend(deliver(&mut node, 0, 2, m));
         }
     }
-    assert_eq!(node.heal_sessions(), 0, "the heal ran to its last ack");
+    assert_eq!(
+        node.heal_sessions().count(),
+        0,
+        "the heal ran to its last ack"
+    );
     let clock = node.clock();
     announce(&mut node, 1, clock);
     announce(&mut node, 2, clock);

@@ -160,6 +160,30 @@ impl MonitorStats {
     pub fn clean(&self) -> bool {
         self.total_violations() == 0
     }
+
+    /// The counters of two monitors watching disjoint keys of one
+    /// replica (a pool's workers) as one: counts add, the stability
+    /// watermark is the lower of the two, and `ticks` the higher (one
+    /// maintenance round ticks every part once).
+    pub fn merge(&self, other: &MonitorStats) -> MonitorStats {
+        MonitorStats {
+            sampled_keys: self.sampled_keys + other.sampled_keys,
+            sampled_updates: self.sampled_updates + other.sampled_updates,
+            sampled_queries: self.sampled_queries + other.sampled_queries,
+            sampled_cuts: self.sampled_cuts + other.sampled_cuts,
+            uc_violations: self.uc_violations + other.uc_violations,
+            ec_violations: self.ec_violations + other.ec_violations,
+            sec_violations: self.sec_violations + other.sec_violations,
+            snap_violations: self.snap_violations + other.snap_violations,
+            below_floor_arrivals: self.below_floor_arrivals + other.below_floor_arrivals,
+            window_evictions: self.window_evictions + other.window_evictions,
+            lossy_keys: self.lossy_keys + other.lossy_keys,
+            skipped_checks: self.skipped_checks + other.skipped_checks,
+            finalized_updates: self.finalized_updates + other.finalized_updates,
+            stable_bound: self.stable_bound.min(other.stable_bound),
+            ticks: self.ticks.max(other.ticks),
+        }
+    }
 }
 
 /// One sampled key's shadow of the update total order.
