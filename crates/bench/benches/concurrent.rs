@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use uc_bench::harness;
-use uc_core::{state_digest, Backpressure, CheckpointFactory, PoolConfig, UcStore};
+use uc_core::{state_digest, CheckpointFactory, PoolConfig, UcStore};
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
 
 type Store = UcStore<SetAdt<u32>, CheckpointFactory>;
@@ -95,7 +95,6 @@ fn run_lockfree(producers: u64, ops: u64, reads: u64) -> (u64, u64, Store) {
     let mut pool = store().into_pool(PoolConfig {
         workers: 1,
         queue_depth: 1024,
-        backpressure: Backpressure::Park,
     });
     // Arm snapshot publication before the timed region (a real
     // deployment arms once at startup).

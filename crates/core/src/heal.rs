@@ -328,15 +328,6 @@ impl HealSession {
         }
     }
 
-    /// Keys remaining in the streaming plan (0 while awaiting the
-    /// digest response).
-    pub fn keys_planned(&self) -> usize {
-        match &self.phase {
-            Phase::AwaitDigest => 0,
-            Phase::Streaming { plan, key_idx, .. } => plan.len().saturating_sub(*key_idx),
-        }
-    }
-
     /// The digest response arrived: enter the streaming phase.
     /// `candidates` is every (shard, key) the store could stream
     /// (shards above the watermark); keys whose digest slot is not in

@@ -29,9 +29,8 @@
 //! exchange, and exists only to give safe interior mutability.
 //!
 //! The fixed slot array doubles as the **bounded-depth backpressure**:
-//! an empty free list *is* the full condition, and
-//! [`Backpressure`](crate::pool::Backpressure) picks whether the
-//! producer parks or the item is shed.
+//! an empty free list *is* the full condition, and the pool's
+//! producer parks until a slot frees.
 //!
 //! FIFO: pushes are linearized by the head CAS; one claim reverses
 //! its chain, so items come out in push order, and items pushed
@@ -71,7 +70,7 @@ fn gen_of(word: u64) -> u64 {
 }
 
 /// Why a push was refused. The item is handed back so the caller can
-/// retry (park) or count-and-drop (shed) without cloning.
+/// retry (park) without cloning.
 #[derive(Debug)]
 pub enum PushError<T> {
     /// Every slot is in use: the queue is at its bounded depth.

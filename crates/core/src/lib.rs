@@ -72,8 +72,7 @@ pub use message::{GcMsg, UpdateMsg};
 pub use node::{Executor, Node};
 pub use observe::export_monitor_stats;
 pub use pool::{
-    Backpressure, IngestPool, PoolConfig, PoolError, PoolHandle, PoolStats, SnapshotError,
-    WorkerStats,
+    IngestPool, PoolConfig, PoolError, PoolHandle, PoolStats, SnapshotError, WorkerStats,
 };
 pub use replica::{state_digest, Replica};
 pub use sim_adapter::{

@@ -22,9 +22,11 @@
 //! * **lock-free ingest** — producers stamp on the shared atomic
 //!   clock (one `fetch_add`) and CAS-push onto the owning worker's
 //!   [`Inbox`](crate::inbox::Inbox); no mutex, no `sync_channel`
-//!   slot-wait. The bounded inbox still provides backpressure:
-//!   [`Backpressure::Park`] spins/yields the producer,
-//!   [`Backpressure::Shed`] drops the burst and counts it;
+//!   slot-wait. The bounded inbox still provides backpressure: a
+//!   producer that meets a full inbox yields, then parks, until the
+//!   worker frees a slot. Nothing is dropped: a peer burst reaches
+//!   the pool after the link below it has delivered it, so a burst
+//!   dropped here would never be resent;
 //! * **determinism** — every key lives in exactly one shard, every
 //!   shard on exactly one worker, and a single producer's pushes are
 //!   FIFO through the claim-reverse drain, so per-key delivery order
@@ -86,9 +88,8 @@
 //!   [`Job::Cut`] barrier to every worker; each folds its keys' log
 //!   prefixes stamped `≤ cut` without stopping ingest, and the handle
 //!   reassembles a multi-key [`StoreSnapshot`] that is un-torn at the
-//!   cut. Published snapshot entries carry the cut era
-//!   (`PoolCore::cut_seq`), so [`PoolHandle::query_snapshot_multi`]
-//!   can detect a concurrent cut republishing around it and retry;
+//!   cut. This is the multi-key view; the wait-free published reads
+//!   are per key;
 //! * **barriers** — [`IngestPool::flush`] enqueues a barrier job on
 //!   every worker and waits for all acks; because a producer's pushes
 //!   are FIFO, a completed flush has observed every prior submission.
@@ -169,28 +170,6 @@ use uc_obs::Registry;
 use uc_sim::Pid;
 use uc_spec::UqAdt;
 
-/// What a full worker inbox means for *peer traffic*
-/// ([`IngestPool::submit_batch`] bursts and heartbeats). Locally
-/// issued updates, strong queries, and barriers always park — a
-/// stamped local update that was shed would simply be lost, and the
-/// caller holds its broadcast message.
-///
-/// The same Park/Shed split governs the event reactor's node
-/// mailboxes (`uc-runtime` re-exports this type), so one policy
-/// vocabulary covers every bounded mailbox in the workspace.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Lossless: the producer yields/parks until a slot frees up
-    /// (the bounded depth throttles, never drops).
-    #[default]
-    Park,
-    /// Lossy: bursts beyond the bound are dropped and counted in
-    /// [`WorkerStats::shed`]. Bounds memory under overload at the
-    /// cost of reliable broadcast (convergence becomes best-effort —
-    /// rely on anti-entropy/retransmission to recover).
-    Shed,
-}
-
 /// How an [`IngestPool`] is sized.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
@@ -198,12 +177,10 @@ pub struct PoolConfig {
     /// parallelism. Capped at the store's shard count (an idle worker
     /// with no shards would be pure overhead).
     pub workers: usize,
-    /// Bounded depth of each worker's job inbox: submissions beyond
-    /// it park or shed (see [`Backpressure`]) instead of growing
-    /// memory without bound.
+    /// Bounded depth of each worker's job inbox: a submission beyond
+    /// it parks its producer until a slot frees, instead of growing
+    /// memory without bound. Nothing is ever dropped.
     pub queue_depth: usize,
-    /// Overflow policy for peer traffic on a full inbox.
-    pub backpressure: Backpressure,
 }
 
 impl Default for PoolConfig {
@@ -211,7 +188,6 @@ impl Default for PoolConfig {
         PoolConfig {
             workers: 0,
             queue_depth: 64,
-            backpressure: Backpressure::Park,
         }
     }
 }
@@ -284,10 +260,6 @@ impl std::error::Error for SnapshotError {
     }
 }
 
-/// Bounded retries for the era-coherent multi-key weak read before it
-/// falls back to an unchecked (still wait-free) pass.
-const SNAP_READ_RETRIES: usize = 8;
-
 /// Point-in-time counters for one worker.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerStats {
@@ -300,8 +272,6 @@ pub struct WorkerStats {
     /// processed and in-flight push attempts, so it can read slightly
     /// above [`PoolConfig::queue_depth`].
     pub queue_high_water: usize,
-    /// Peer bursts dropped under [`Backpressure::Shed`].
-    pub shed: u64,
     /// Key states epoch-published for wait-free snapshot reads. The
     /// per-shard arming fix bounds this: arming one shard backfills
     /// only that shard's keys, not the whole store (the 10k-key
@@ -365,9 +335,9 @@ impl PoolStats {
             .unwrap_or(0)
     }
 
-    /// Total peer bursts shed across workers.
+    /// A pool never sheds; kept until the e2e read is dropped.
     pub fn total_shed(&self) -> u64 {
-        self.workers.iter().map(|w| w.shed).sum()
+        0
     }
 
     /// Total key states epoch-published across workers.
@@ -388,7 +358,6 @@ struct SharedCounters {
     high_water: AtomicUsize,
     batches: AtomicU64,
     messages: AtomicU64,
-    shed: AtomicU64,
     snaps_published: AtomicU64,
     snap_copies: AtomicU64,
     publish_backlog: AtomicUsize,
@@ -405,16 +374,11 @@ impl SharedCounters {
         self.depth.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn on_shed(&self) {
-        self.shed.fetch_add(1, Ordering::SeqCst);
-    }
-
     fn stats(&self) -> WorkerStats {
         WorkerStats {
             batches: self.batches.load(Ordering::Relaxed),
             messages: self.messages.load(Ordering::Relaxed),
             queue_high_water: self.high_water.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
             snapshots_published: self.snaps_published.load(Ordering::Relaxed),
             snapshot_copies: self.snap_copies.load(Ordering::Relaxed),
             publish_backlog: self.publish_backlog.load(Ordering::Relaxed),
@@ -510,12 +474,7 @@ enum Job<A: UqAdt> {
 
 /// One key's epoch-published snapshot: its post-repair state — the
 /// strategy's own `Arc` of it, see
-/// [`RepairStrategy::shared_state`](crate::engine::RepairStrategy::shared_state)
-/// — tagged with the **cut era** it was published in (the value of
-/// `PoolCore::cut_seq` at publication). Wait-free multi-key readers
-/// ([`PoolHandle::query_snapshot_multi`]) compare eras to detect a
-/// concurrent cut barrier and retry instead of returning a view that
-/// straddles it.
+/// [`RepairStrategy::shared_state`](crate::engine::RepairStrategy::shared_state).
 type SnapCell<A> = Published<<A as UqAdt>::State>;
 
 /// The key → snapshot-cell registry for one shard. The registry map
@@ -545,7 +504,6 @@ struct PoolCore<A: UqAdt> {
     clock: LamportClock,
     lease: ClockLease,
     num_shards: usize,
-    backpressure: Backpressure,
     inboxes: Vec<Inbox<Job<A>>>,
     counters: Vec<SharedCounters>,
     snaps: Vec<ShardSnapshots<A>>,
@@ -556,10 +514,6 @@ struct PoolCore<A: UqAdt> {
     /// shards, so the first snapshot query on a huge store pays for
     /// one shard's keys, not all of them.
     armed: Vec<AtomicBool>,
-    /// Cut-barrier era: bumped by [`PoolHandle::snapshot_at`] before
-    /// the cut jobs are pushed; published snapshot entries carry the
-    /// era current at publication.
-    cut_seq: AtomicU64,
 }
 
 impl<A: UqAdt> PoolCore<A> {
@@ -687,14 +641,12 @@ impl<A: UqAdt> SnapPublisher<A> {
         self.pending[self.cursor - 1]
     }
 
-    /// Publish `key`'s current engine state, tagged with the current
-    /// cut era, and tally it; nothing when the key has no engine.
-    /// Registry publication for brand-new keys is deferred to
-    /// `flush_registries` so a backfill costs one map clone per shard,
-    /// not per key.
+    /// Publish `key`'s current engine state and tally it; nothing when
+    /// the key has no engine. Registry publication for brand-new keys
+    /// is deferred to `flush_registries` so a backfill costs one map
+    /// clone per shard, not per key.
     fn publish_key<F, P>(
         &mut self,
-        core: &PoolCore<A>,
         shards: &mut ShardSet<A, F, P>,
         slot: usize,
         key: Key,
@@ -710,14 +662,13 @@ impl<A: UqAdt> SnapPublisher<A> {
         let (snapshot, copied) = engine.shared_state();
         tally.published += 1;
         tally.copies += u64::from(copied);
-        let era = core.cut_seq.load(Ordering::SeqCst);
         self.seq += 1;
         let mirror = &mut self.mirrors[slot];
         match mirror.cells.get(&key) {
-            Some(cell) => cell.publish_tagged(self.seq, era, snapshot),
+            Some(cell) => cell.publish(self.seq, snapshot),
             None => {
                 let cell = Arc::new(Published::new());
-                cell.publish_tagged(self.seq, era, snapshot);
+                cell.publish(self.seq, snapshot);
                 mirror.cells.insert(key, cell);
                 mirror.dirty = true;
             }
@@ -897,7 +848,7 @@ where
             taken = true;
             let slot = shards.slot(shard_idx);
             if publisher.mirrors[slot].backfilled {
-                publisher.publish_key(core, shards, slot, key, &mut tally);
+                publisher.publish_key(shards, slot, key, &mut tally);
             }
         };
         if drained {
@@ -908,7 +859,7 @@ where
                     // pay nothing until a snapshot read arms them too.
                     let keys: Vec<Key> = shards.shard(mirror.shard).keys().collect();
                     for key in keys {
-                        publisher.publish_key(core, shards, slot, key, &mut tally);
+                        publisher.publish_key(shards, slot, key, &mut tally);
                     }
                     publisher.mirrors[slot].backfilled = true;
                 }
@@ -1090,14 +1041,8 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
             .unwrap_or_else(|| PoolError::closed(worker))
     }
 
-    /// Push a job, applying `policy` on a full inbox. `Ok(true)` =
-    /// enqueued, `Ok(false)` = shed (counted).
-    fn push_job(
-        &self,
-        worker: usize,
-        mut job: Job<A>,
-        policy: Backpressure,
-    ) -> Result<bool, PoolError> {
+    /// Push a job, parking while the inbox is full.
+    fn push_job(&self, worker: usize, mut job: Job<A>) -> Result<(), PoolError> {
         let core = &*self.core;
         let mut spins = 0u32;
         loop {
@@ -1109,28 +1054,18 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
             // a post-push increment would land, wrapping the counter.
             core.counters[worker].on_enqueue();
             match core.inboxes[worker].push(job) {
-                Ok(()) => {
-                    return Ok(true);
-                }
+                Ok(()) => return Ok(()),
                 Err(PushError::Full(j)) => {
                     core.counters[worker].on_done();
-                    match policy {
-                        Backpressure::Park => {
-                            job = j;
-                            // Bounded-depth backpressure: yield first,
-                            // then sleep-park — the worker is mid-drain
-                            // and will recycle slots shortly.
-                            spins += 1;
-                            if spins < 64 {
-                                std::thread::yield_now();
-                            } else {
-                                std::thread::sleep(Duration::from_micros(100));
-                            }
-                        }
-                        Backpressure::Shed => {
-                            core.counters[worker].on_shed();
-                            return Ok(false);
-                        }
+                    job = j;
+                    // Bounded-depth backpressure: yield first, then
+                    // sleep-park — the worker is mid-drain and will
+                    // recycle slots shortly.
+                    spins += 1;
+                    if spins < 64 {
+                        std::thread::yield_now();
+                    } else {
+                        std::thread::sleep(Duration::from_micros(100));
                     }
                 }
                 Err(PushError::Closed(_)) => {
@@ -1150,7 +1085,7 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
         let mut acks = Vec::with_capacity(workers);
         for worker in 0..workers {
             let (reply, ack) = channel();
-            self.push_job(worker, job(reply), Backpressure::Park)?;
+            self.push_job(worker, job(reply))?;
             acks.push(ack);
         }
         acks.into_iter()
@@ -1159,10 +1094,10 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
             .collect()
     }
 
-    /// Push one job to every worker, applying `policy` on a full inbox.
-    fn broadcast(&self, job: impl Fn() -> Job<A>, policy: Backpressure) -> Result<(), PoolError> {
+    /// Push one job to every worker, parking on a full inbox.
+    fn broadcast(&self, job: impl Fn() -> Job<A>) -> Result<(), PoolError> {
         for worker in 0..self.core.inboxes.len() {
-            self.push_job(worker, job(), policy)?;
+            self.push_job(worker, job())?;
         }
         Ok(())
     }
@@ -1171,8 +1106,7 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     /// (wait-free), reserve the crash floor (one load on the fast
     /// path), CAS-push onto the owning worker, and return the
     /// broadcast message — without waiting for the worker (inbox
-    /// backpressure is the only throttle; local updates always park,
-    /// never shed).
+    /// backpressure is the only throttle).
     pub fn update(&self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
         let ts = Timestamp::new(self.core.clock.tick(), self.core.pid);
         self.core
@@ -1187,7 +1121,6 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
                 key,
                 msg: msg.clone(),
             },
-            Backpressure::Park,
         )?;
         Ok(StoreMsg::Update { key, msg })
     }
@@ -1211,7 +1144,6 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
                 q: q.clone(),
                 reply,
             },
-            Backpressure::Park,
         )?;
         answer.recv().map_err(|_| self.err_for(worker))
     }
@@ -1259,73 +1191,17 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
         (0, self.adt.observe(&self.adt.initial(), q))
     }
 
-    /// Wait-free **multi-key** weak read that never straddles a cut
-    /// barrier: every published entry carries the cut era it was
-    /// published in, so the reader loads the current era, reads all
-    /// keys, and retries (bounded) when it observes an entry from a
-    /// later era or the era moved mid-read — the signature of a
-    /// concurrent [`PoolHandle::snapshot_at`] republishing states
-    /// around it. After [`SNAP_READ_RETRIES`] collisions it returns
-    /// the latest entries anyway (wait-freedom beats era coherence;
-    /// callers that need a hard guarantee take a barrier-cut
-    /// snapshot). Like [`PoolHandle::query_snapshot`]: never blocks,
-    /// never ticks the clock, unpublished keys answer from the
-    /// initial state.
-    pub fn query_snapshot_multi(&self, reqs: &[(Key, A::QueryIn)]) -> Vec<(Key, A::QueryOut)> {
-        for (key, _) in reqs {
-            self.arm(shard_index(*key, self.core.num_shards));
-        }
-        for _ in 0..SNAP_READ_RETRIES {
-            let era = self.core.cut_seq.load(Ordering::SeqCst);
-            if let Some(outs) = self.read_snapshot_multi(reqs, Some(era)) {
-                if self.core.cut_seq.load(Ordering::SeqCst) == era {
-                    return outs;
-                }
-            }
-        }
-        self.read_snapshot_multi(reqs, None)
-            .expect("an era-unchecked read always completes")
-    }
-
-    /// One pass over `reqs`; `None` when `era` is given and an entry
-    /// from a later cut era is observed.
-    fn read_snapshot_multi(
-        &self,
-        reqs: &[(Key, A::QueryIn)],
-        era: Option<u64>,
-    ) -> Option<Vec<(Key, A::QueryOut)>> {
-        let mut outs = Vec::with_capacity(reqs.len());
-        for (key, q) in reqs {
-            let shard = shard_index(*key, self.core.num_shards);
-            let entry = self.core.snaps[shard]
-                .keys
-                .load()
-                .and_then(|(_, map)| map.get(key).cloned())
-                .and_then(|cell| cell.load_tagged());
-            match entry {
-                Some((_, cut_era, state)) => {
-                    if era.is_some_and(|era| cut_era > era) {
-                        return None;
-                    }
-                    outs.push((*key, self.adt.observe(&state, q)));
-                }
-                None => outs.push((*key, self.adt.observe(&self.adt.initial(), q))),
-            }
-        }
-        Some(outs)
-    }
-
-    /// Barrier-cut snapshot at `cut`: bump the cut era, push a
-    /// [`Job::Cut`] to every worker, and assemble the per-key states
-    /// each worker folded from its logs' prefixes stamped `≤ cut` —
-    /// workers keep ingesting around the cut (only the cut's own FIFO
-    /// position orders it). Every key's state reflects exactly the
-    /// updates stamped `≤ cut` that its worker had delivered when the
-    /// cut job ran; submissions older than the cut job on the same
-    /// handle are always covered (FIFO). Ticks the shared clock, so
-    /// updates issued after the snapshot order after everything it
-    /// could observe. Errors when `cut` predates a key's compaction
-    /// bound, or when the pool is poisoned/closed.
+    /// Barrier-cut snapshot at `cut`: push a [`Job::Cut`] to every
+    /// worker, and assemble the per-key states each worker folded from
+    /// its logs' prefixes stamped `≤ cut` — workers keep ingesting
+    /// around the cut (only the cut's own FIFO position orders it).
+    /// Every key's state reflects exactly the updates stamped `≤ cut`
+    /// that its worker had delivered when the cut job ran; submissions
+    /// older than the cut job on the same handle are always covered
+    /// (FIFO). Ticks the shared clock, so updates issued after the
+    /// snapshot order after everything it could observe. Errors when
+    /// `cut` predates a key's compaction bound, or when the pool is
+    /// poisoned/closed.
     pub fn snapshot_at(&self, cut: u64) -> Result<StoreSnapshot<A>, SnapshotError> {
         self.core.clock.tick();
         self.snapshot_no_tick(cut)
@@ -1343,7 +1219,6 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     }
 
     fn snapshot_no_tick(&self, cut: u64) -> Result<StoreSnapshot<A>, SnapshotError> {
-        self.core.cut_seq.fetch_add(1, Ordering::SeqCst);
         let parts = self
             .scatter(|reply| Job::Cut { cut, reply })
             .map_err(SnapshotError::Pool)?;
@@ -1358,15 +1233,14 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     /// pushed to their owning workers as one job each; heartbeats are
     /// collapsed and broadcast to every worker afterwards (exactly
     /// the sequential [`UcStore::apply_batch`] order, so results are
-    /// identical). Under [`Backpressure::Shed`], bursts and
-    /// heartbeats that meet a full inbox are dropped and counted.
+    /// identical). A full inbox parks the caller: the link below has
+    /// already delivered the burst, so it is never dropped.
     pub fn submit_batch(&self, msgs: Vec<StoreMsg<A::Update>>) -> Result<(), PoolError> {
         // Same routing helper as `UcStore::apply_batch`, so shard
         // assignment and clock accounting cannot drift between the
         // sequential and pooled ingest paths.
         let (buckets, heartbeats, max_clock) = split_by_shard(msgs, self.core.num_shards);
         self.core.clock.merge(max_clock);
-        let policy = self.core.backpressure;
         let workers = self.core.inboxes.len();
         let mut jobs: Vec<ShardBuckets<A>> = (0..workers).map(|_| Vec::new()).collect();
         for (shard, bucket) in buckets.into_iter().enumerate() {
@@ -1376,12 +1250,12 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
         }
         for (worker, job) in jobs.into_iter().enumerate() {
             if !job.is_empty() {
-                self.push_job(worker, Job::Ingest(job), policy)?;
+                self.push_job(worker, Job::Ingest(job))?;
             }
         }
         for (pid, clock) in collapse_heartbeats(heartbeats) {
             self.core.clock.merge(clock);
-            self.broadcast(|| Job::Heartbeat { pid, clock }, policy)?;
+            self.broadcast(|| Job::Heartbeat { pid, clock })?;
         }
         Ok(())
     }
@@ -1396,12 +1270,12 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     /// Run per-key maintenance (compaction) on every worker's engines.
     fn tick_maintenance(&self) -> Result<(), PoolError> {
         let clock = self.core.clock.now();
-        self.broadcast(|| Job::Maintain { clock }, Backpressure::Park)
+        self.broadcast(|| Job::Maintain { clock })
     }
 
     /// See [`IngestPool::flush_backends`].
     fn flush_backends(&self) -> Result<(), PoolError> {
-        self.broadcast(|| Job::FlushBackends, Backpressure::Park)?;
+        self.broadcast(|| Job::FlushBackends)?;
         let core = &self.core;
         core.lease.raise_to(core.clock.now(), |floor| {
             self.persist.persist_store_clock(floor)
@@ -1485,13 +1359,11 @@ where
         clock,
         lease,
         num_shards,
-        backpressure: cfg.backpressure,
         inboxes: (0..workers).map(|_| Inbox::new(queue_depth)).collect(),
         counters: (0..workers).map(|_| SharedCounters::default()).collect(),
         snaps: (0..num_shards).map(|_| ShardSnapshots::default()).collect(),
         poison: OnceLock::new(),
         armed: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
-        cut_seq: AtomicU64::new(0),
     });
     let workers = shards
         .split(workers)
@@ -1557,12 +1429,6 @@ where
     /// [`PoolHandle::query_snapshot`]).
     pub fn query_snapshot(&self, key: Key, q: &A::QueryIn) -> A::QueryOut {
         self.exec.handle.query_snapshot(key, q)
-    }
-
-    /// Wait-free multi-key weak read that never straddles a cut (see
-    /// [`PoolHandle::query_snapshot_multi`]).
-    pub fn query_snapshot_multi(&self, reqs: &[(Key, A::QueryIn)]) -> Vec<(Key, A::QueryOut)> {
-        self.exec.handle.query_snapshot_multi(reqs)
     }
 
     /// Barrier-cut multi-key snapshot at `cut` (see
@@ -1751,13 +1617,12 @@ where
             limit,
             reply,
         };
-        handle.push_job(worker, job, Backpressure::Park)?;
+        handle.push_job(worker, job)?;
         ack.recv().map_err(|_| handle.err_for(worker))
     }
 
     fn set_retention(&mut self, cap: Option<u64>) -> Result<(), PoolError> {
-        self.handle
-            .broadcast(|| Job::Retention { cap }, Backpressure::Park)
+        self.handle.broadcast(|| Job::Retention { cap })
     }
 }
 
@@ -1800,8 +1665,7 @@ where
     }
 
     fn attach_monitor(&mut self, cfg: MonitorConfig) -> Result<(), PoolError> {
-        self.handle
-            .broadcast(|| Job::AttachMonitor(cfg.clone()), Backpressure::Park)
+        self.handle.broadcast(|| Job::AttachMonitor(cfg.clone()))
     }
 
     /// One `Job::Summary` per worker, merged: each answers behind
@@ -1818,7 +1682,6 @@ where
             .set(stats.total_batches());
         reg.counter("uc_pool_messages_total")
             .set(stats.total_messages());
-        reg.counter("uc_pool_shed_total").set(stats.total_shed());
         reg.counter("uc_pool_snapshots_published_total")
             .set(stats.total_snapshots_published());
         reg.counter("uc_pool_snapshot_copies_total")
@@ -1850,7 +1713,6 @@ mod tests {
         PoolConfig {
             workers,
             queue_depth: 8,
-            backpressure: Backpressure::Park,
         }
     }
 
@@ -1992,7 +1854,6 @@ mod tests {
         assert_eq!(stats.total_messages(), 64);
         assert!(stats.total_batches() >= 1);
         assert!(stats.max_queue_high_water() >= 1);
-        assert_eq!(stats.total_shed(), 0);
         pool.finish().unwrap();
     }
 
@@ -2024,33 +1885,32 @@ mod tests {
         }
     }
 
+    /// A delivered peer burst is never dropped: the link below the
+    /// pool has already delivered it, so nothing would resend it.
     #[test]
-    fn shed_policy_drops_and_counts_instead_of_parking() {
+    fn a_full_inbox_parks_peer_bursts_and_loses_none() {
         let mut producer = store(1, 1);
         let msgs: Vec<_> = (0..512u64)
             .map(|i| producer.update(i % 4, SetUpdate::Insert(i as u32)))
             .collect();
+        let mut seq = store(0, 1);
+        seq.apply_batch(&msgs);
         let mut pool = store(0, 1).into_pool(PoolConfig {
             workers: 1,
             queue_depth: 1,
-            backpressure: Backpressure::Shed,
         });
-        // A burst per message against a depth-1 inbox must shed some.
+        // A burst per message against a depth-1 inbox: the producer
+        // parks on every full inbox instead of dropping the burst.
         for m in msgs {
             pool.submit_batch(vec![m]).unwrap();
         }
         pool.flush().unwrap();
-        let stats = pool.stats();
-        assert!(
-            stats.total_shed() > 0,
-            "depth-1 shed inbox under 512 one-message bursts must drop"
-        );
-        assert_eq!(
-            stats.total_messages() + stats.total_shed(),
-            512,
-            "every burst either ingested or counted as shed"
-        );
-        pool.finish().unwrap();
+        assert_eq!(pool.stats().total_messages(), 512, "every burst ingested");
+        let mut pooled = pool.finish().unwrap();
+        assert_eq!(seq.keys(), pooled.keys());
+        for k in seq.keys() {
+            assert_eq!(seq.materialize_key(k), pooled.materialize_key(k), "key {k}");
+        }
     }
 
     #[test]
@@ -2203,9 +2063,7 @@ mod tests {
         // A barrier behind the waiting update, and one more job behind
         // the barrier: the ack still waits for the whole backlog.
         let (reply, ack) = channel();
-        handle
-            .push_job(0, Job::Barrier(reply), Backpressure::Park)
-            .unwrap();
+        handle.push_job(0, Job::Barrier(reply)).unwrap();
         let inbox = &worker.core.inboxes[worker.widx];
         inbox.claim(&mut worker.batch);
         handle.update(9, SetUpdate::Insert(100)).unwrap();
@@ -2303,9 +2161,7 @@ mod tests {
                 producer.apply_batch(std::slice::from_ref(&local));
                 sequential.apply_batch(&[local]);
                 let clock = handle.clock();
-                handle
-                    .push_job(0, Job::Maintain { clock }, Backpressure::Park)
-                    .unwrap();
+                handle.push_job(0, Job::Maintain { clock }).unwrap();
                 while worker.turn() == Turn::Worked {
                     let w = worker.core.counters[worker.widx].stats();
                     published.push((w.snapshots_published, w.snapshot_copies));

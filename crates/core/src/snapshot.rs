@@ -2,12 +2,10 @@
 //! pool's wait-free reads.
 //!
 //! A [`Published<T>`] is a single-writer, multi-reader cell holding
-//! an `(epoch, tag, Arc<T>)` triple (the tag is a word the writer
-//! packs beside the epoch — the pool's cut era; plain
-//! [`publish`](Published::publish) leaves it 0). The writer (a pool
-//! worker, after a repair) installs a new snapshot without ever
-//! blocking readers of the current one, and readers take a consistent
-//! snapshot without ever waiting behind the writer's repair work:
+//! an `(epoch, Arc<T>)` pair. The writer (a pool worker, after a
+//! repair) installs a new snapshot without ever blocking readers of
+//! the current one, and readers take a consistent snapshot without
+//! ever waiting behind the writer's repair work:
 //!
 //! ```text
 //!          current ──┐ (atomic slot index)
@@ -26,7 +24,7 @@
 //!   current slot run fully in parallel and are *never* blocked by a
 //!   publish, because a publish only ever writes a non-current slot.
 //! * **Writer**: exclusive-acquire the non-current slot, install the
-//!   triple, move `current` onto it, then install the same triple in
+//!   pair, move `current` onto it, then install the same pair in
 //!   the slot `current` just left. Either acquire waits only for a
 //!   straggler still cloning an `Arc` out of that slot — nanoseconds;
 //!   a reader that already *holds* an `Arc` holds no lock and delays
@@ -36,7 +34,7 @@
 //! **Two slots, one generation.** The second slot is not a place to
 //! keep the previous generation: it is where the next one is written
 //! while readers are still on the first. Once `current` has moved, the
-//! slot it left is overwritten with the new triple too, so when
+//! slot it left is overwritten with the new pair too, so when
 //! `publish` returns the ring holds the newest generation twice and
 //! the previous one not at all — whoever handed it over gets its
 //! buffer back as soon as the last reader drops it (the pool's
@@ -45,10 +43,10 @@
 //! protocol needs nothing from a kept previous generation: a reader
 //! stalled between its `current` load and its slot acquire either
 //! fails the re-check and retries, or finds `current` back on its slot
-//! — and then the slot holds the newest triple, which it reads whole
+//! — and then the slot holds the newest pair, which it reads whole
 //! under the lock; and the escape hatch reads a slot that once was
 //! current, which since then has only been overwritten with newer
-//! triples.
+//! pairs.
 //!
 //! Epochs are chosen by the writer and must be strictly increasing;
 //! readers use them for monotonic-read checks (a reader that saw
@@ -67,11 +65,11 @@ use std::sync::{Arc, RwLock};
 /// docs for what the second slot is for).
 const SLOTS: usize = 2;
 
-/// What a slot holds: `(epoch, tag, value)`.
-type Triple<T> = (u64, u64, Arc<T>);
+/// What a slot holds: `(epoch, value)`.
+type Pair<T> = (u64, Arc<T>);
 
 /// One slot of the ring.
-type Slot<T> = RwLock<Option<Triple<T>>>;
+type Slot<T> = RwLock<Option<Pair<T>>>;
 
 /// A single-writer multi-reader epoch-published value. See the
 /// [module docs](self).
@@ -99,46 +97,40 @@ impl<T> Published<T> {
     /// or `None` before the first publish. Never blocks behind a
     /// publish of the current value; may briefly share a straggler
     /// slot with the writer (see module docs).
-    pub fn load(&self) -> Option<(u64, Arc<T>)> {
-        self.load_tagged().map(|(epoch, _, value)| (epoch, value))
-    }
-
-    /// [`Published::load`] with the tag the writer packed beside the
-    /// epoch: `(epoch, tag, value)`.
-    pub fn load_tagged(&self) -> Option<Triple<T>> {
+    pub fn load(&self) -> Option<Pair<T>> {
         for _ in 0..8 {
             let i = self.current.load(Ordering::SeqCst);
-            if let Some(triple) = self.read_if_current(i) {
-                return triple;
+            if let Some(pair) = self.read_if_current(i) {
+                return pair;
             }
             // A publish moved `current` mid-acquire; retry for the
             // freshest value.
         }
         // Escape hatch under a publish storm: whatever the (then-)
-        // current slot holds is a whole triple and at least as new as
+        // current slot holds is a whole pair and at least as new as
         // anything this reader saw before.
         self.read_slot(self.current.load(Ordering::SeqCst))
     }
 
     /// The second half of a read that loaded `current == i` some time
-    /// ago: slot `i`'s triple, or `None` when `current` is elsewhere by
+    /// ago: slot `i`'s pair, or `None` when `current` is elsewhere by
     /// the time the slot is held. `current == i` under the lock means
     /// no publish is writing the slot (a publish writes a slot only
-    /// while `current` is on the other one), so the triple is whole and
+    /// while `current` is on the other one), so the pair is whole and
     /// the newest — also when `current` left `i` and came back in
     /// between.
-    fn read_if_current(&self, i: usize) -> Option<Option<Triple<T>>> {
+    fn read_if_current(&self, i: usize) -> Option<Option<Pair<T>>> {
         let guard = self.slots[i].read().expect("snapshot slot never poisoned");
         (self.current.load(Ordering::SeqCst) == i).then(|| guard.clone())
     }
 
-    /// The escape hatch's half of such a read: slot `i`'s triple
+    /// The escape hatch's half of such a read: slot `i`'s pair
     /// wherever `current` is by now. The slot was written before
     /// `current` first pointed at it and has only been overwritten with
-    /// newer triples since, so this is never `None` after a first
+    /// newer pairs since, so this is never `None` after a first
     /// publish and never older than what `current` pointed at when the
     /// reader loaded it.
-    fn read_slot(&self, i: usize) -> Option<Triple<T>> {
+    fn read_slot(&self, i: usize) -> Option<Pair<T>> {
         self.slots[i]
             .read()
             .expect("snapshot slot never poisoned")
@@ -156,27 +148,21 @@ impl<T> Published<T> {
     /// shard). `epoch` must exceed every previously published epoch.
     /// When this returns the ring no longer holds the previous value.
     pub fn publish(&self, epoch: u64, value: Arc<T>) {
-        self.publish_tagged(epoch, 0, value);
-    }
-
-    /// [`Published::publish`] with a tag for [`Published::load_tagged`]
-    /// to return beside the epoch.
-    pub fn publish_tagged(&self, epoch: u64, tag: u64, value: Arc<T>) {
         let cur = self.current.load(Ordering::SeqCst);
         let next = (cur + 1) % SLOTS;
-        self.write_slot(next, (epoch, tag, Arc::clone(&value)));
+        self.write_slot(next, (epoch, Arc::clone(&value)));
         self.current.store(next, Ordering::SeqCst);
         // Let go of the previous generation: the slot `current` left
         // is a non-current slot now, and may be written.
-        self.write_slot(cur, (epoch, tag, value));
+        self.write_slot(cur, (epoch, value));
     }
 
-    fn write_slot(&self, i: usize, triple: Triple<T>) {
+    fn write_slot(&self, i: usize, pair: Pair<T>) {
         // The evicted value is dropped after the lock is released.
         let evicted = self.slots[i]
             .write()
             .expect("snapshot slot never poisoned")
-            .replace(triple);
+            .replace(pair);
         drop(evicted);
     }
 }
@@ -214,23 +200,23 @@ mod tests {
     #[test]
     fn a_reader_stalled_before_its_slot_acquire_retries_or_reads_the_newer_pair() {
         let cell: Published<u64> = Published::new();
-        cell.publish_tagged(1, 101, Arc::new(10));
+        cell.publish(1, Arc::new(10));
         // The reader loads `current` and stalls before the acquire.
         let stale = cell.current.load(Ordering::SeqCst);
-        let whole = |e: u64| Some((e, e + 100, e * 10));
-        let read = |triple: Option<Triple<u64>>| triple.map(|(e, t, v)| (e, t, *v));
+        let whole = |e: u64| Some((e, e * 10));
+        let read = |pair: Option<Pair<u64>>| pair.map(|(e, v)| (e, *v));
         // One publish meanwhile: `current` left its slot — refused, not
         // returned. Without the re-check (the escape hatch) it reads a
-        // whole triple, newer than the one it stalled on.
-        cell.publish_tagged(2, 102, Arc::new(20));
+        // whole pair, newer than the one it stalled on.
+        cell.publish(2, Arc::new(20));
         assert!(cell.read_if_current(stale).is_none());
         assert_eq!(read(cell.read_slot(stale)), whole(2));
         // A second one brings `current` back to the reader's slot: what
-        // the reader finds there, either way, is the newest triple.
-        cell.publish_tagged(3, 103, Arc::new(30));
+        // the reader finds there, either way, is the newest pair.
+        cell.publish(3, Arc::new(30));
         assert_eq!(cell.current.load(Ordering::SeqCst), stale);
-        let triple = cell.read_if_current(stale).expect("current again");
-        assert_eq!(read(triple), whole(3));
+        let pair = cell.read_if_current(stale).expect("current again");
+        assert_eq!(read(pair), whole(3));
         assert_eq!(read(cell.read_slot(stale)), whole(3));
     }
 
@@ -241,13 +227,13 @@ mod tests {
             assert!(cell.read_slot(i).is_none(), "empty before a publish");
         }
         for e in 1..=5u64 {
-            cell.publish_tagged(e, e + 100, Arc::new(e * 10));
-            let newest = cell.load_tagged().map(|(e, t, v)| (e, t, *v));
-            assert_eq!(newest, Some((e, e + 100, e * 10)));
+            cell.publish(e, Arc::new(e * 10));
+            let newest = cell.load().map(|(e, v)| (e, *v));
+            assert_eq!(newest, Some((e, e * 10)));
             // The escape hatch reads a slot without the re-check:
-            // whichever it lands on, it is the newest triple.
+            // whichever it lands on, it is the newest pair.
             for i in 0..SLOTS {
-                let got = cell.read_slot(i).map(|(e, t, v)| (e, t, *v));
+                let got = cell.read_slot(i).map(|(e, v)| (e, *v));
                 assert_eq!(got, newest, "slot {i} after publish {e}");
             }
         }

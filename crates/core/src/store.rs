@@ -1578,11 +1578,6 @@ where
     fn log_len(&self) -> usize {
         self.shards.iter().map(|s| s.live_log_len()).sum()
     }
-
-    /// Shards whose divergence high water passed `since`.
-    fn diverged_shards(&self, since: u64) -> usize {
-        self.shards.iter().filter(|s| s.high_water > since).count()
-    }
 }
 
 /// What a replica's shards report, in one read: the counters behind
@@ -2284,18 +2279,6 @@ where
             }
         }
         chunks
-    }
-
-    /// Per-down-peer divergence: `(peer, outage-start watermark,
-    /// shards whose high water passed it)`. Observability for
-    /// dashboards and tests; the heal path recomputes from the same
-    /// high-water marks.
-    pub fn divergence(&self) -> Vec<(Pid, u64, usize)> {
-        self.heal
-            .partition
-            .down_peers()
-            .map(|(peer, since)| (peer, since, self.exec.shards.diverged_shards(since)))
-            .collect()
     }
 }
 
@@ -3080,19 +3063,15 @@ mod tests {
     #[test]
     fn divergence_skips_quiet_shards() {
         // Many shards, one touched after the outage: heal must not
-        // report (or walk) the quiet ones.
+        // walk the quiet ones. It streams that one entry, from that
+        // one shard.
         let mut s = store(0, 8);
         for k in 0..8u64 {
             s.update(k, SetUpdate::Insert(k as u32));
         }
         s.peer_down(1);
-        let watermark = s.clock();
         s.update(0, SetUpdate::Insert(100));
         let touched = s.shard_of(0);
-        let (_, since, shards) = s.divergence()[0];
-        assert_eq!(since, watermark);
-        assert_eq!(shards, 1);
-        // And the heal streams that one entry, from that one shard.
         let streamed = heal(&mut s, &mut store(1, 8)).concat();
         assert_eq!(streamed.len(), 1);
         assert_eq!(s.shard_of(streamed[0].0), touched);

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use uc_core::{
-    state_digest, Backpressure, CheckpointFactory, GcFactory, NaiveFactory, PoolConfig, StoreMsg,
+    state_digest, CheckpointFactory, GcFactory, NaiveFactory, PoolConfig, StoreMsg,
     StrategyFactory, UcStore, UndoFactory,
 };
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
@@ -42,7 +42,6 @@ where
     let cfg = PoolConfig {
         workers: 2,
         queue_depth: 16,
-        backpressure: Backpressure::Park,
     };
     let pool = UcStore::new(SetAdt::<u32>::new(), 0, SHARDS, factory.clone()).into_pool(cfg);
 
@@ -255,7 +254,6 @@ fn snapshot_query_returns_while_repair_is_parked() {
         UcStore::new(adt.clone(), 0, 1, CheckpointFactory { every: 4 }).into_pool(PoolConfig {
             workers: 1,
             queue_depth: 16,
-            backpressure: Backpressure::Park,
         });
     let reader = pool.handle();
 

@@ -14,7 +14,7 @@
 
 use uc_core::backend::LogBackend;
 use uc_core::engine::{CutError, EngineCtx, RepairStrategy};
-use uc_core::pool::{Backpressure, IngestPool, PoolConfig};
+use uc_core::pool::{IngestPool, PoolConfig};
 use uc_core::store::{
     CheckpointFactory, GcFactory, NaiveFactory, StoreMsg, StrategyFactory, UcStore, UndoFactory,
 };
@@ -95,7 +95,6 @@ where
     sequential(factory, pid).into_pool(PoolConfig {
         workers,
         queue_depth: 64,
-        backpressure: Backpressure::Park,
     })
 }
 
@@ -492,7 +491,6 @@ fn pool_monitor_stays_clean_then_flags_injected_stamp_reuse() {
         PoolConfig {
             workers: 2,
             queue_depth: 64,
-            backpressure: Backpressure::Park,
         },
     );
     pool.attach_monitor(MonitorConfig::full()).unwrap();

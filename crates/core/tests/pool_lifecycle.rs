@@ -115,7 +115,6 @@ fn drop_while_queued_drains_fully() {
         UcStore::new(pool_adt, 0, 4, CheckpointFactory { every: 4 }).into_pool(PoolConfig {
             workers: 2,
             queue_depth: 256,
-            ..PoolConfig::default()
         });
     for chunk in msgs.chunks(3) {
         pool.submit_batch(chunk.to_vec()).unwrap();
@@ -141,7 +140,6 @@ fn flush_barrier_observes_all_prior_submissions() {
         UcStore::new(pool_adt, 0, 4, CheckpointFactory { every: 4 }).into_pool(PoolConfig {
             workers: 3,
             queue_depth: 64,
-            ..PoolConfig::default()
         });
     for chunk in msgs.chunks(9) {
         pool.submit_batch(chunk.to_vec()).unwrap();
@@ -177,7 +175,6 @@ fn panicking_fold_poisons_with_clear_error_not_deadlock() {
     let mut pool = UcStore::new(adt, 0, 2, CheckpointFactory { every: 4 }).into_pool(PoolConfig {
         workers: 2,
         queue_depth: 64,
-        ..PoolConfig::default()
     });
     pool.submit_batch(msgs).unwrap();
     // The worker owning the pill's shard dies mid-fold. The flush
@@ -215,7 +212,6 @@ fn healthy_shards_survive_until_finish_even_under_load() {
     let mut pool = UcStore::new(adt, 0, 2, CheckpointFactory { every: 4 }).into_pool(PoolConfig {
         workers: 2,
         queue_depth: 8,
-        ..PoolConfig::default()
     });
     for chunk in msgs.chunks(11) {
         pool.submit_batch(chunk.to_vec()).unwrap();
@@ -246,7 +242,6 @@ fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
     let mut pool = UcStore::new(SetAdt::<u32>::new(), 0, 4, factory).into_pool(PoolConfig {
         workers: 1,
         queue_depth: 16,
-        ..PoolConfig::default()
     });
     let stop = Arc::new(AtomicBool::new(false));
     let producer = {
@@ -270,7 +265,6 @@ fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
     };
 
     let mut remote = UcStore::new(SetAdt::<u32>::new(), 1, 1, factory);
-    let reqs: Vec<(u64, SetQuery)> = (0..BURST_KEYS).map(|k| (k, SetQuery::Read)).collect();
     let yields = |pool: &uc_core::IngestPool<SetAdt<u32>, CheckpointFactory>| -> u64 {
         pool.stats().workers.iter().map(|w| w.publish_yields).sum()
     };
@@ -284,7 +278,9 @@ fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
         seq.apply_batch(&msgs);
         pool.submit_batch(msgs).unwrap();
         // Arms every shard on the first round (the flush backfills).
-        let _ = pool.query_snapshot_multi(&reqs);
+        for key in 0..BURST_KEYS {
+            let _ = pool.query_snapshot(key, &SetQuery::Read);
+        }
         let cut = if round.is_multiple_of(2) {
             pool.flush().unwrap();
             None
@@ -292,13 +288,11 @@ fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
             let clock = pool.clock();
             Some(pool.snapshot_at(clock).expect("a full log answers any cut"))
         };
-        // The multi-key view is not left behind a cut barrier on any
-        // key: it is the cut's state everywhere, not a mix of sides.
-        let view = pool.query_snapshot_multi(&reqs);
-        for (key, out) in view {
+        // No key's published state is left behind a barrier or a cut.
+        for key in 0..BURST_KEYS {
             let expected = seq.materialize_key(key);
-            assert_eq!(out, expected, "round {round}, key {key}: multi view");
-            assert_eq!(pool.query_snapshot(key, &SetQuery::Read), expected);
+            let out = pool.query_snapshot(key, &SetQuery::Read);
+            assert_eq!(out, expected, "round {round}, key {key}: published");
             if let Some(cut) = &cut {
                 assert_eq!(
                     cut.state(key),
@@ -355,7 +349,6 @@ fn snapshot_readers_see_prefixes_while_the_published_buffers_rotate() {
     let mut pool = store().into_pool(PoolConfig {
         workers: 2,
         queue_depth: 16,
-        ..PoolConfig::default()
     });
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..3)

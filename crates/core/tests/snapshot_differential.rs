@@ -592,7 +592,6 @@ fn pool_cut_barrier_under_concurrent_ingest_is_untorn() {
     let pool = store.into_pool(PoolConfig {
         workers: 4,
         queue_depth: 32,
-        ..PoolConfig::default()
     });
     let stop = Arc::new(AtomicBool::new(false));
     let threads: Vec<_> = (0..PRODUCERS)
@@ -725,9 +724,16 @@ fn first_snapshot_query_backfills_only_the_armed_shard() {
     let out = pool.query_snapshot(probe, &SetQuery::Read);
     assert!(out.contains(&1), "backfilled key answers post-flush");
 
-    // The wait-free multi-read spans keys and eras without blocking.
-    let reqs: Vec<(Key, SetQuery)> = (0..10).map(|k| (k * 997, SetQuery::Read)).collect();
-    let outs = pool.query_snapshot_multi(&reqs);
-    assert_eq!(outs.len(), reqs.len());
+    // Wait-free reads of keys across shards arm theirs without
+    // blocking; the next barrier backfills those too.
+    let keys: Vec<Key> = (0..10).map(|k| k * 997).collect();
+    for &key in &keys {
+        let _ = pool.query_snapshot(key, &SetQuery::Read);
+    }
+    pool.flush().unwrap();
+    for &key in &keys {
+        let out = pool.query_snapshot(key, &SetQuery::Read);
+        assert!(out.contains(&1), "key {key} answers post-flush");
+    }
     drop(pool);
 }

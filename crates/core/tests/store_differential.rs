@@ -258,7 +258,6 @@ where
     let mut pool = UcStore::new(SetAdt::<u32>::new(), 0, shards, factory).into_pool(PoolConfig {
         workers,
         queue_depth: 4,
-        ..PoolConfig::default()
     });
     for c in &chunks {
         pool.submit_batch(c.clone()).unwrap();
@@ -376,7 +375,6 @@ fn pool_ingest_matches_sequential_gc() {
         let mut pool = UcStore::new(SetAdt::<u32>::new(), 0, 3, factory).into_pool(PoolConfig {
             workers: 2,
             queue_depth: 4,
-            ..PoolConfig::default()
         });
         for c in &chunks {
             pool.submit_batch(c.clone()).unwrap();

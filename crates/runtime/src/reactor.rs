@@ -39,17 +39,13 @@
 //!   [`Protocol::on_tick`] on every node: GC heartbeats, per-key
 //!   compaction). Idle workers park until the next deadline, so an
 //!   idle cluster burns no CPU.
-//! * **Backpressure** — mailboxes are bounded
-//!   ([`RuntimeConfig::mailbox_depth`]). External producers
-//!   ([`EventCluster::invoke`]) **park** until space frees. For
-//!   node-to-node traffic the bound's meaning is chosen by
-//!   [`Backpressure`]: [`Backpressure::Park`] (default) lets protocol
-//!   traffic through unbounded — parking a *worker* on a peer's full
-//!   mailbox could deadlock the pool (all W workers parked on mailboxes
-//!   only they could drain), exactly the hazard wait-freedom exists to
-//!   avoid — while [`Backpressure::Shed`] drops the overflow and
-//!   counts it in [`Metrics::messages_shed`] (load-shedding;
-//!   convergence is then best-effort).
+//! * **Bounded mailboxes** — external invokers
+//!   ([`EventCluster::invoke`]) park at
+//!   [`RuntimeConfig::mailbox_depth`]; protocol traffic is never
+//!   refused. Parking a *worker* on a peer's full mailbox could
+//!   deadlock the pool (all W workers parked on mailboxes only they
+//!   could drain), exactly the hazard wait-freedom exists to avoid,
+//!   and dropping a delivery would lose an update nothing resends.
 //! * **Panic isolation** — a panicking activation poisons **its node
 //!   only**: the panic is caught, the node's state dropped, its
 //!   mailbox purged, and every later call that touches it returns the
@@ -75,15 +71,6 @@ use uc_obs::{Counter, Registry};
 use uc_sim::harness::{panic_message, quiesce_spin, PoisonTable};
 use uc_sim::{ClusterHarness, Ctx, Metrics, NodeError, Pid, Protocol};
 
-/// What a full mailbox means for node-to-node deliveries. The policy
-/// enum is shared with the ingest pool's claim inboxes
-/// ([`uc_core::Backpressure`]); here, `Park` means protocol traffic
-/// is never refused (the bound backpressures external `invoke`
-/// producers only — parking the sending *worker* would deadlock the
-/// pool, see the [module docs](self)), and `Shed` drops deliveries
-/// beyond the bound, counted in [`Metrics::messages_shed`].
-pub use uc_core::Backpressure;
-
 /// Reactor sizing and policy.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
@@ -92,14 +79,12 @@ pub struct RuntimeConfig {
     /// node count.
     pub workers: usize,
     /// Bounded mailbox depth per node; external `invoke` producers
-    /// park while a mailbox is at the bound, and [`Backpressure`]
-    /// picks the policy for node-to-node overflow.
+    /// park while a mailbox is at the bound. Node-to-node deliveries
+    /// are never refused.
     pub mailbox_depth: usize,
     /// Most deliveries one activation may drain into a single
     /// [`Protocol::on_batch`] flush.
     pub batch_limit: usize,
-    /// Overflow policy for node-to-node deliveries.
-    pub backpressure: Backpressure,
     /// `Some(w)`: a delivery to an idle node parks in its mailbox
     /// until `w` elapses (or the mailbox reaches `batch_limit`),
     /// coalescing bursts into fewer, larger flushes — the real-time
@@ -119,7 +104,6 @@ impl Default for RuntimeConfig {
             workers: 0,
             mailbox_depth: 1024,
             batch_limit: usize::MAX,
-            backpressure: Backpressure::Park,
             flush_window: None,
             maintenance_interval: None,
             timer_resolution: Duration::from_millis(1),
@@ -167,14 +151,13 @@ enum Activation<P: Protocol> {
 
 /// Hot-path tallies kept *off* the [`Metrics`] mutex. `deliver` runs
 /// once per node-to-node message on every worker, so a mutex bump on
-/// its shed/dead-drop exits serialized the whole pool exactly when it
-/// was busiest; these are single relaxed `fetch_add`s instead.
+/// its dead-drop exit serialized the whole pool exactly when it was
+/// busiest; these are single relaxed `fetch_add`s instead.
 /// [`EventCluster::metrics`] folds them back into the cloned
 /// [`Metrics`], and [`EventCluster::obs_registry`] exposes the
 /// underlying registry for exporters.
 struct HotCounters {
     registry: Registry,
-    messages_shed: Counter,
     messages_dropped_crashed: Counter,
     invocations: Counter,
 }
@@ -184,13 +167,11 @@ impl HotCounters {
         let registry = Registry::new();
         // Resolve the handles once: the name lookup locks, the
         // handles' `inc`/`add` never do.
-        let messages_shed = registry.counter("uc_reactor_messages_shed_total");
         let messages_dropped_crashed =
             registry.counter("uc_reactor_messages_dropped_crashed_total");
         let invocations = registry.counter("uc_reactor_invocations_total");
         HotCounters {
             registry,
-            messages_shed,
             messages_dropped_crashed,
             invocations,
         }
@@ -218,7 +199,6 @@ struct Shared<P: Protocol> {
     resolution: Duration,
     mailbox_depth: usize,
     batch_limit: usize,
-    backpressure: Backpressure,
     flush_ticks: Option<u64>,
     maintenance_ticks: Option<u64>,
     /// Statically known from the config: when false, workers skip the
@@ -303,12 +283,6 @@ impl<P: Protocol> Shared<P> {
         }
         let len = {
             let mut mb = slot.mailbox.lock().unwrap();
-            if self.backpressure == Backpressure::Shed && mb.len() >= self.mailbox_depth {
-                drop(mb);
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                self.hot.messages_shed.inc();
-                return;
-            }
             mb.push_back(Envelope::Deliver(from, msg));
             mb.len()
         };
@@ -666,7 +640,6 @@ where
             resolution: cfg.timer_resolution,
             mailbox_depth: cfg.mailbox_depth,
             batch_limit: cfg.batch_limit,
-            backpressure: cfg.backpressure,
             flush_ticks: cfg.flush_window.map(to_ticks),
             maintenance_ticks: cfg.maintenance_interval.map(to_ticks),
             has_timers: needs_timers,
@@ -783,7 +756,6 @@ where
     pub fn metrics(&self) -> Metrics {
         let mut m = self.shared.metrics.lock().unwrap().clone();
         let hot = &self.shared.hot;
-        m.messages_shed += hot.messages_shed.get();
         m.messages_dropped_crashed += hot.messages_dropped_crashed.get();
         m.invocations += hot.invocations.get();
         if let Some(c) = &self.link_counters {

@@ -254,11 +254,6 @@ fn bounded_mailboxes_backpressure_invokers_without_loss() {
         cluster.invoke((i % 3) as Pid, i);
     }
     cluster.quiesce();
-    assert_eq!(
-        cluster.metrics().messages_shed,
-        0,
-        "park policy never sheds"
-    );
     let nodes = cluster.shutdown();
     let expect: BTreeSet<u32> = (0..200).collect();
     for (pid, node) in nodes.iter().enumerate() {

@@ -93,7 +93,6 @@ fn pooled_store_converges_on_the_event_cluster() {
                 store(pid).into_pool(PoolConfig {
                     workers: 2,
                     queue_depth: 8,
-                    ..PoolConfig::default()
                 })
             });
         drive(&cluster, 0x700_1ED_F00 ^ seed, 150, 23);

@@ -26,10 +26,6 @@ pub struct Metrics {
     /// Largest burst handed to a single `Protocol::on_batch`
     /// activation.
     pub max_batch: u64,
-    /// Messages shed by a bounded mailbox under a load-shedding
-    /// backpressure policy (event runtime only; the other runtimes
-    /// never shed).
-    pub messages_shed: u64,
     /// Application invocations processed.
     pub invocations: u64,
     /// Invocations ignored because the process had crashed.
@@ -40,7 +36,7 @@ pub struct Metrics {
     /// Messages dropped by the network itself: link loss, a link
     /// outage/flap window, or a bounded retry queue shedding its
     /// oldest entry. Distinct from `messages_dropped_crashed` (dead
-    /// destination) and `messages_shed` (mailbox backpressure).
+    /// destination).
     pub messages_dropped: u64,
     /// Extra copies injected by link-level duplication (each counted
     /// once per duplicate, not per original).
@@ -128,12 +124,6 @@ impl Metrics {
         self.messages_dropped_crashed += n;
     }
 
-    /// Record `n` messages shed by a bounded mailbox under
-    /// backpressure.
-    pub fn on_shed(&mut self, n: u64) {
-        self.messages_shed += n;
-    }
-
     /// Record `n` messages dropped by the network itself (link loss,
     /// outage window, retry-queue shed).
     pub fn on_dropped(&mut self, n: u64) {
@@ -168,8 +158,6 @@ impl Metrics {
         reg.counter("uc_sim_delivery_activations_total")
             .set(self.delivery_activations);
         reg.gauge("uc_sim_max_batch").set(self.max_batch as i64);
-        reg.counter("uc_sim_messages_shed_total")
-            .set(self.messages_shed);
         reg.counter("uc_sim_invocations_total")
             .set(self.invocations);
         reg.counter("uc_sim_invocations_on_crashed_total")

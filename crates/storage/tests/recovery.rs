@@ -355,7 +355,6 @@ fn pool_drop_drain_flushes_backends_before_join() {
     let mut pool = store.into_pool(PoolConfig {
         workers: 2,
         queue_depth: 256,
-        ..PoolConfig::default()
     });
     for chunk in msgs.chunks(9) {
         pool.submit_batch(chunk.to_vec()).unwrap();
@@ -439,7 +438,6 @@ fn poisoned_pool_flushes_the_journal_before_dying() {
     let mut pool = store.into_pool(PoolConfig {
         workers: 1,
         queue_depth: 64,
-        ..PoolConfig::default()
     });
     pool.submit_batch(msgs).unwrap();
     let err = pool
@@ -728,7 +726,6 @@ fn finish_then_reopen_round_trips_a_pooled_store() {
     let mut pool = store.into_pool(PoolConfig {
         workers: 3,
         queue_depth: 16,
-        ..PoolConfig::default()
     });
     for chunk in msgs.chunks(13) {
         pool.submit_batch(chunk.to_vec()).unwrap();
@@ -820,7 +817,6 @@ fn concurrent_pool_stamps_stay_unique_across_crash_and_reopen() {
     let pool = store.into_pool(PoolConfig {
         workers: 2,
         queue_depth: 16,
-        ..PoolConfig::default()
     });
     let stamp_round = |pool: &uc_core::IngestPool<Adt, CheckpointFactory, SegmentFactory>,
                        round: u32| {
@@ -865,7 +861,6 @@ fn concurrent_pool_stamps_stay_unique_across_crash_and_reopen() {
     let pool = reopened.into_pool(PoolConfig {
         workers: 2,
         queue_depth: 16,
-        ..PoolConfig::default()
     });
     let second = stamp_round(&pool, 2);
     drop(pool);
