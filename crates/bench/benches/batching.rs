@@ -53,14 +53,21 @@ fn burst(rng: &mut SplitMix64, k: usize, pattern: &str, log_len: u64) -> Vec<Msg
         .collect()
 }
 
-/// Median wall time of `reps` runs of `f` on a fresh clone of `base`.
-fn median_ns<R: Clone>(reps: usize, base: &R, mut f: impl FnMut(&mut R)) -> u64 {
+/// Median wall time of `reps` runs of `f` on fresh clones of `base`
+/// and of the burst `msgs`. Both clones are taken before the clock
+/// starts, so a run times the ingest of a burst it owns, nothing else.
+fn median_ns<R: Clone>(
+    reps: usize,
+    base: &R,
+    msgs: &[Msg],
+    mut f: impl FnMut(&mut R, Vec<Msg>),
+) -> u64 {
     harness::median(
         (0..reps)
             .map(|_| {
-                let mut r = base.clone();
+                let (mut r, msgs) = (base.clone(), msgs.to_vec());
                 let t0 = Instant::now();
-                f(&mut r);
+                f(&mut r, msgs);
                 t0.elapsed().as_nanos() as u64
             })
             .collect(),
@@ -88,12 +95,12 @@ fn bench_strategy<R>(
     for pattern in ["head", "spread"] {
         for k in KS {
             let msgs = burst(rng, k, pattern, log_len);
-            let per_message_ns = median_ns(reps, base, |r| {
-                for m in &msgs {
+            let per_message_ns = median_ns(reps, base, &msgs, |r, msgs| {
+                for m in msgs {
                     r.on_message(m);
                 }
             });
-            let batched_ns = median_ns(reps, base, |r| r.on_batch(&msgs));
+            let batched_ns = median_ns(reps, base, &msgs, |r, msgs| r.on_batch(msgs));
             rows.push(Row {
                 strategy,
                 pattern,

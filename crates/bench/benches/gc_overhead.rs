@@ -15,14 +15,14 @@ fn gc_pair(rounds: usize) -> GcReplica<SetAdt<u32>> {
     for r in 0..rounds {
         let ma = a.update(SetUpdate::Insert((r % 50) as u32));
         let mb = b.update(SetUpdate::Delete((r % 70) as u32));
-        b.on_gc_message(&ma);
-        a.on_gc_message(&mb);
+        b.on_gc_message(ma);
+        a.on_gc_message(mb);
         if r % 4 == 0 {
             for m in a.tick() {
-                b.on_gc_message(&m);
+                b.on_gc_message(m);
             }
             for m in b.tick() {
-                a.on_gc_message(&m);
+                a.on_gc_message(m);
             }
         }
     }
@@ -35,8 +35,8 @@ fn full_log(rounds: usize) -> GenericReplica<SetAdt<u32>> {
     for r in 0..rounds {
         let ma = a.update(SetUpdate::Insert((r % 50) as u32));
         let mb = b.update(SetUpdate::Delete((r % 70) as u32));
-        b.on_deliver(&ma);
-        a.on_deliver(&mb);
+        b.on_deliver(ma);
+        a.on_deliver(mb);
     }
     a
 }
@@ -72,9 +72,14 @@ fn bench_delivery_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("deliver_1k");
     g.bench_function("gc_replica", |b| {
         b.iter_batched(
-            || GcReplica::<SetAdt<u32>>::new(SetAdt::new(), 0, 2),
-            |mut r| {
-                for m in &gc_msgs {
+            || {
+                (
+                    GcReplica::<SetAdt<u32>>::new(SetAdt::new(), 0, 2),
+                    gc_msgs.clone(),
+                )
+            },
+            |(mut r, msgs)| {
+                for m in msgs {
                     r.on_gc_message(m);
                 }
                 black_box(r.log_len())
@@ -84,9 +89,14 @@ fn bench_delivery_overhead(c: &mut Criterion) {
     });
     g.bench_function("plain_replica", |b| {
         b.iter_batched(
-            || GenericReplica::<SetAdt<u32>>::new(SetAdt::new(), 0),
-            |mut r| {
-                for m in &msgs {
+            || {
+                (
+                    GenericReplica::<SetAdt<u32>>::new(SetAdt::new(), 0),
+                    msgs.clone(),
+                )
+            },
+            |(mut r, msgs)| {
+                for m in msgs {
                     r.on_deliver(m);
                 }
                 black_box(r.log_len())

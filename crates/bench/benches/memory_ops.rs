@@ -69,9 +69,9 @@ fn bench_remote_absorb(c: &mut Criterion) {
     let mut g = c.benchmark_group("memory_absorb_1k_writes");
     g.bench_function("algorithm2", |b| {
         b.iter_batched(
-            || UcMemory::<u32, u64>::new(0, 0),
-            |mut m| {
-                for msg in &msgs {
+            || (UcMemory::<u32, u64>::new(0, 0), msgs.clone()),
+            |(mut m, msgs)| {
+                for msg in msgs {
                     m.on_deliver(msg);
                 }
                 black_box(m.registers())

@@ -82,9 +82,9 @@ fn bench_late_message_integration(c: &mut Criterion) {
         // Naive: insertion is cheap, the next query pays the replay.
         let proto = fill_generic(len);
         b.iter_batched(
-            || proto.clone(),
-            |mut r| {
-                r.on_deliver(&late);
+            || (proto.clone(), late.clone()),
+            |(mut r, late)| {
+                r.on_deliver(late);
                 black_box(r.do_query(&SetQuery::Read))
             },
             criterion::BatchSize::LargeInput,
@@ -93,9 +93,9 @@ fn bench_late_message_integration(c: &mut Criterion) {
     g.bench_function("cached_repair", |b| {
         let proto = fill_cached(len);
         b.iter_batched(
-            || proto.clone(),
-            |mut r| {
-                r.on_deliver(&late);
+            || (proto.clone(), late.clone()),
+            |(mut r, late)| {
+                r.on_deliver(late);
                 black_box(r.do_query(&SetQuery::Read))
             },
             criterion::BatchSize::LargeInput,
@@ -104,9 +104,9 @@ fn bench_late_message_integration(c: &mut Criterion) {
     g.bench_function("undo_redo", |b| {
         let proto = fill_undo(len);
         b.iter_batched(
-            || proto.clone(),
-            |mut r| {
-                r.on_deliver(&late);
+            || (proto.clone(), late.clone()),
+            |(mut r, late)| {
+                r.on_deliver(late);
                 black_box(r.do_query(&SetQuery::Read))
             },
             criterion::BatchSize::LargeInput,
@@ -128,9 +128,9 @@ fn bench_late_message_integration(c: &mut Criterion) {
     g.bench_function("naive_insert_then_query", |b| {
         let proto = fill_generic(len);
         b.iter_batched(
-            || proto.clone(),
-            |mut r| {
-                r.on_deliver(&near_tail);
+            || (proto.clone(), near_tail.clone()),
+            |(mut r, near_tail)| {
+                r.on_deliver(near_tail);
                 black_box(r.do_query(&SetQuery::Read))
             },
             criterion::BatchSize::LargeInput,
@@ -139,9 +139,9 @@ fn bench_late_message_integration(c: &mut Criterion) {
     g.bench_function("cached_repair", |b| {
         let proto = fill_cached(len);
         b.iter_batched(
-            || proto.clone(),
-            |mut r| {
-                r.on_deliver(&near_tail);
+            || (proto.clone(), near_tail.clone()),
+            |(mut r, near_tail)| {
+                r.on_deliver(near_tail);
                 black_box(r.do_query(&SetQuery::Read))
             },
             criterion::BatchSize::LargeInput,
@@ -150,9 +150,9 @@ fn bench_late_message_integration(c: &mut Criterion) {
     g.bench_function("undo_redo", |b| {
         let proto = fill_undo(len);
         b.iter_batched(
-            || proto.clone(),
-            |mut r| {
-                r.on_deliver(&near_tail);
+            || (proto.clone(), near_tail.clone()),
+            |(mut r, near_tail)| {
+                r.on_deliver(near_tail);
                 black_box(r.do_query(&SetQuery::Read))
             },
             criterion::BatchSize::LargeInput,
@@ -171,9 +171,14 @@ fn bench_in_order_delivery(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1_000));
     g.bench_function("naive", |b| {
         b.iter_batched(
-            || GenericReplica::<SetAdt<u32>>::new(SetAdt::new(), 0),
-            |mut r| {
-                for m in &msgs {
+            || {
+                (
+                    GenericReplica::<SetAdt<u32>>::new(SetAdt::new(), 0),
+                    msgs.clone(),
+                )
+            },
+            |(mut r, msgs)| {
+                for m in msgs {
                     r.on_deliver(m);
                 }
                 black_box(r.log_len())
@@ -183,9 +188,14 @@ fn bench_in_order_delivery(c: &mut Criterion) {
     });
     g.bench_function("cached", |b| {
         b.iter_batched(
-            || CachedReplica::<SetAdt<u32>>::new(SetAdt::new(), 0),
-            |mut r| {
-                for m in &msgs {
+            || {
+                (
+                    CachedReplica::<SetAdt<u32>>::new(SetAdt::new(), 0),
+                    msgs.clone(),
+                )
+            },
+            |(mut r, msgs)| {
+                for m in msgs {
                     r.on_deliver(m);
                 }
                 black_box(r.do_query(&SetQuery::Read))
@@ -195,9 +205,14 @@ fn bench_in_order_delivery(c: &mut Criterion) {
     });
     g.bench_function("undo", |b| {
         b.iter_batched(
-            || UndoReplica::<SetAdt<u32>>::new(SetAdt::new(), 0),
-            |mut r| {
-                for m in &msgs {
+            || {
+                (
+                    UndoReplica::<SetAdt<u32>>::new(SetAdt::new(), 0),
+                    msgs.clone(),
+                )
+            },
+            |(mut r, msgs)| {
+                for m in msgs {
                     r.on_deliver(m);
                 }
                 black_box(r.do_query(&SetQuery::Read))
@@ -231,9 +246,9 @@ fn bench_checkpoint_interval_ablation(c: &mut Criterion) {
         }
         g.bench_with_input(BenchmarkId::new("absorb_mid_straggler", k), &k, |b, _| {
             b.iter_batched(
-                || proto.clone(),
-                |mut r| {
-                    r.on_deliver(&mid);
+                || (proto.clone(), mid.clone()),
+                |(mut r, mid)| {
+                    r.on_deliver(mid);
                     black_box(r.do_query(&SetQuery::Read))
                 },
                 criterion::BatchSize::LargeInput,

@@ -119,7 +119,7 @@ fn main() {
         stable.update(*key, *u);
     }
     let top = stable.clock();
-    stable.apply_batch(&[StoreMsg::Heartbeat { pid: 1, clock: top }]);
+    stable.apply_batch_owned(vec![StoreMsg::Heartbeat { pid: 1, clock: top }]);
     for key in stable.keys() {
         let _ = stable.query(key, &SetQuery::Read);
     }

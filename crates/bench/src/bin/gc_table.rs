@@ -35,7 +35,7 @@ fn run(n: usize, rounds: usize, readonly: usize, heartbeats: bool) -> (usize, us
         for (src, m) in &msgs {
             if let uc_core::GcMsg::Update(um) = m {
                 if *src != 0 {
-                    full.on_deliver(um);
+                    full.on_deliver(um.clone());
                 } else {
                     // already applied locally by gcs[0]; mirror into the
                     // oracle which plays replica 0's role
@@ -43,7 +43,7 @@ fn run(n: usize, rounds: usize, readonly: usize, heartbeats: bool) -> (usize, us
             }
             for (j, gc) in gcs.iter_mut().enumerate() {
                 if j != *src {
-                    gc.on_gc_message(m);
+                    gc.on_gc_message(m.clone());
                 }
             }
         }
@@ -54,7 +54,7 @@ fn run(n: usize, rounds: usize, readonly: usize, heartbeats: bool) -> (usize, us
             .map(|(s, m)| (*s, m.clone()))
         {
             let _ = src;
-            full.on_deliver(&um);
+            full.on_deliver(um);
         }
         if heartbeats {
             // Everyone heartbeats — crucially including the read-only
@@ -68,7 +68,7 @@ fn run(n: usize, rounds: usize, readonly: usize, heartbeats: bool) -> (usize, us
                 for m in batch {
                     for (j, gc) in gcs.iter_mut().enumerate() {
                         if j != src {
-                            gc.on_gc_message(&m);
+                            gc.on_gc_message(m.clone());
                         }
                     }
                 }

@@ -178,8 +178,8 @@ mod tests {
         // also delete 99 locally somewhere late (after the late msg's ts)
         c.update(SetUpdate::Delete(99));
         g.update(SetUpdate::Delete(99));
-        c.on_deliver(&late);
-        g.on_deliver(&late);
+        c.on_deliver(late.clone());
+        g.on_deliver(late);
         assert_eq!(c.do_query(&SetQuery::Read), g.do_query(&SetQuery::Read));
         assert!(
             !c.do_query(&SetQuery::Read).contains(&99),
@@ -207,7 +207,7 @@ mod tests {
             c.update(SetUpdate::Insert(i));
         }
         let before = c.repair_steps();
-        c.on_deliver(&late); // lands near position 1
+        c.on_deliver(late); // lands near position 1
         let repair = c.repair_steps() - before;
         // Must re-fold roughly the whole suffix after the checkpoint at
         // 0 — ≤ 65 steps, and definitely not amortised-free; the point
@@ -220,7 +220,7 @@ mod tests {
         }
         let near_tail = peer2.update(SetUpdate::Insert(8)); // clock 64
         let before = c.repair_steps();
-        c.on_deliver(&near_tail);
+        c.on_deliver(near_tail);
         let repair = c.repair_steps() - before;
         assert!(
             repair <= 9,
@@ -261,9 +261,9 @@ mod tests {
         for i in 0..10u32 {
             c.update(SetUpdate::Insert(i));
         }
-        c.on_deliver(&m);
+        c.on_deliver(m.clone());
         let steps = c.repair_steps();
-        c.on_deliver(&m); // duplicate: must be a no-op
+        c.on_deliver(m); // duplicate: must be a no-op
         assert_eq!(c.repair_steps(), steps);
         assert_eq!(c.log_len(), 11);
     }

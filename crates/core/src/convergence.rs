@@ -43,10 +43,10 @@ mod tests {
         assert!(!converged(&states(&mut rs)));
         for (i, r) in rs.iter_mut().enumerate() {
             if i != 0 {
-                r.on_deliver(&m0);
+                r.on_deliver(m0.clone());
             }
             if i != 1 {
-                r.on_deliver(&m1);
+                r.on_deliver(m1.clone());
             }
         }
         let ss = states(&mut rs);

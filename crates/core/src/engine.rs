@@ -49,6 +49,12 @@
 //! (default: a per-message loop), and the runtimes flush message
 //! bursts through it.
 //!
+//! Delivery takes its messages by value, at every layer: the runtimes
+//! hand frames over owned, so a delivered update moves from the wire
+//! into the log and is never cloned. The one copy on the ingest side
+//! is a local update's, which the log keeps while the caller
+//! broadcasts the stamped message ([`UpdateLog::push_newest`]).
+//!
 //! # Writing a strategy
 //!
 //! A strategy observes every mutation of the log through its hooks and
@@ -315,7 +321,7 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
             engine.log.raise_floor(bound);
             engine.clock.merge(bound);
         }
-        engine.on_deliver_batch_owned(
+        engine.on_deliver_batch(
             tail.into_iter()
                 .map(|(ts, update)| UpdateMsg { ts, update })
                 .collect(),
@@ -378,23 +384,13 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         msg
     }
 
-    /// Receive a peer's update message (Algorithm 1 lines 8–11).
-    /// Duplicate timestamps (re-deliveries) are ignored.
-    pub fn on_deliver(&mut self, msg: &UpdateMsg<A::Update>) {
+    /// Receive a peer's update message (Algorithm 1 lines 8–11): the
+    /// update moves into the log. Duplicate timestamps (re-deliveries)
+    /// are ignored.
+    pub fn on_deliver(&mut self, msg: UpdateMsg<A::Update>) {
         self.clock.merge(msg.ts.clock);
         self.strategy.observe_clock(msg.ts.pid, msg.ts.clock);
         if let Some(pos) = self.log.insert(msg) {
-            let ctx = self.ctx();
-            self.strategy.on_insert(&self.adt, &mut self.log, pos, &ctx);
-        }
-    }
-
-    /// [`ReplicaEngine::on_deliver`] for a message the caller already
-    /// owns: the update moves into the log instead of being cloned.
-    pub fn on_deliver_owned(&mut self, msg: UpdateMsg<A::Update>) {
-        self.clock.merge(msg.ts.clock);
-        self.strategy.observe_clock(msg.ts.pid, msg.ts.clock);
-        if let Some(pos) = self.log.insert_owned(msg) {
             let ctx = self.ctx();
             self.strategy.on_insert(&self.adt, &mut self.log, pos, &ctx);
         }
@@ -414,76 +410,32 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// threshold protects the one shape that regresses.
     const SMALL_BATCH_CUTOVER: usize = 16;
 
-    /// Should a burst of `k` messages skip the batch merge? Shared by
-    /// the borrowed and owned delivery paths so the cutover policy
-    /// cannot drift between them.
-    fn prefers_per_message(&self, k: usize) -> bool {
-        self.strategy.insert_is_free() && k <= Self::SMALL_BATCH_CUTOVER
-    }
-
-    /// Batch prologue shared by both delivery paths: observe every
-    /// carried timestamp and merge the burst's maximum clock.
-    fn observe_batch_clocks(&mut self, msgs: &[UpdateMsg<A::Update>]) {
-        let mut max_clock = 0;
-        for m in msgs {
-            max_clock = max_clock.max(m.ts.clock);
-            self.strategy.observe_clock(m.ts.pid, m.ts.clock);
-        }
-        self.clock.merge(max_clock);
-    }
-
-    /// Batch epilogue shared by both delivery paths: one repair from
-    /// the earliest insertion position, if anything was fresh.
-    fn repair_from(&mut self, min_pos: Option<usize>) {
-        if let Some(min_pos) = min_pos {
-            let ctx = self.ctx();
-            self.strategy
-                .on_batch_insert(&self.adt, &mut self.log, min_pos, &ctx);
-        }
-    }
-
     /// Receive a whole burst of peer messages with **one** repair: the
     /// batch is deduplicated and merged into the log in a single pass
-    /// and the strategy repairs once from the earliest insertion
-    /// position, instead of once per message. (For strategies with no
-    /// repair cost, small bursts adaptively fall back to the
-    /// per-message path — see [`RepairStrategy::insert_is_free`].)
-    pub fn on_deliver_batch(&mut self, msgs: &[UpdateMsg<A::Update>]) {
-        match msgs {
-            [] => return,
-            [one] => return self.on_deliver(one),
-            _ => {}
-        }
-        if self.prefers_per_message(msgs.len()) {
+    /// (the updates move in, never cloned) and the strategy repairs
+    /// once from the earliest insertion position, instead of once per
+    /// message. (For strategies with no repair cost, small bursts
+    /// adaptively fall back to the per-message path — see
+    /// [`RepairStrategy::insert_is_free`].)
+    pub fn on_deliver_batch(&mut self, msgs: Vec<UpdateMsg<A::Update>>) {
+        let k = msgs.len();
+        if k <= 1 || (self.strategy.insert_is_free() && k <= Self::SMALL_BATCH_CUTOVER) {
             for m in msgs {
                 self.on_deliver(m);
             }
             return;
         }
-        self.observe_batch_clocks(msgs);
-        let min_pos = self.log.insert_batch(msgs);
-        self.repair_from(min_pos);
-    }
-
-    /// [`ReplicaEngine::on_deliver_batch`] for a burst the caller
-    /// already owns: updates move through the merge into the log with
-    /// no cloning — the hot path of the store's per-shard ingest and
-    /// of the [`IngestPool`](crate::pool::IngestPool) workers.
-    pub fn on_deliver_batch_owned(&mut self, mut msgs: Vec<UpdateMsg<A::Update>>) {
-        match msgs.len() {
-            0 => return,
-            1 => return self.on_deliver_owned(msgs.pop().expect("len checked")),
-            _ => {}
+        let mut max_clock = 0;
+        for m in &msgs {
+            max_clock = max_clock.max(m.ts.clock);
+            self.strategy.observe_clock(m.ts.pid, m.ts.clock);
         }
-        if self.prefers_per_message(msgs.len()) {
-            for m in msgs {
-                self.on_deliver_owned(m);
-            }
-            return;
+        self.clock.merge(max_clock);
+        if let Some(min_pos) = self.log.insert_batch(msgs) {
+            let ctx = self.ctx();
+            self.strategy
+                .on_batch_insert(&self.adt, &mut self.log, min_pos, &ctx);
         }
-        self.observe_batch_clocks(&msgs);
-        let min_pos = self.log.insert_batch_owned(msgs);
-        self.repair_from(min_pos);
     }
 
     /// A peer announced its clock without an update (heartbeat).
@@ -708,16 +660,12 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> Replica<A> for ReplicaEng
         vec![self.update(u)]
     }
 
-    fn on_message(&mut self, msg: &Self::Msg) {
+    fn on_message(&mut self, msg: Self::Msg) {
         self.on_deliver(msg);
     }
 
-    fn on_batch(&mut self, msgs: &[Self::Msg]) {
+    fn on_batch(&mut self, msgs: Vec<Self::Msg>) {
         self.on_deliver_batch(msgs);
-    }
-
-    fn on_batch_owned(&mut self, msgs: Vec<Self::Msg>) {
-        self.on_deliver_batch_owned(msgs);
     }
 
     fn query(&mut self, q: &A::QueryIn) -> A::QueryOut {
@@ -777,10 +725,10 @@ mod tests {
         };
         let mut per_msg = build();
         for m in &msgs {
-            per_msg.on_deliver(m);
+            per_msg.on_deliver(m.clone());
         }
         let mut batched = build();
-        batched.on_deliver_batch(&msgs);
+        batched.on_deliver_batch(msgs);
         assert_eq!(per_msg.materialize(), batched.materialize());
         assert_eq!(per_msg.log_len(), batched.log_len());
         assert_eq!(per_msg.known_timestamps(), batched.known_timestamps());
@@ -795,7 +743,7 @@ mod tests {
             r.update(SetUpdate::Insert(i));
         }
         let events_before = r.repair_events();
-        r.on_deliver_batch(&msgs);
+        r.on_deliver_batch(msgs.clone());
         assert!(
             r.repair_events() - events_before <= 1,
             "batch must repair at most once, did {}",
@@ -810,7 +758,7 @@ mod tests {
         }
         let events_before = s.repair_events();
         for m in &msgs {
-            s.on_deliver(m);
+            s.on_deliver(m.clone());
         }
         assert_eq!(s.repair_events() - events_before, 16);
         assert_eq!(r.materialize(), s.materialize());
@@ -829,13 +777,13 @@ mod tests {
         };
         let mut batched = setup(8);
         let base = batched.repair_steps();
-        batched.on_deliver_batch(&msgs);
+        batched.on_deliver_batch(msgs.clone());
         let batched_cost = batched.repair_steps() - base;
 
         let mut seq = setup(8);
         let base = seq.repair_steps();
         for m in &msgs {
-            seq.on_deliver(m);
+            seq.on_deliver(m.clone());
         }
         let seq_cost = seq.repair_steps() - base;
         assert!(
@@ -849,10 +797,10 @@ mod tests {
         let msgs = late_stream(5);
         let mut r: GenericReplica<SetAdt<u32>> = GenericReplica::new(SetAdt::new(), 0);
         r.update(SetUpdate::Insert(1));
-        r.on_deliver(&msgs[2]); // one already delivered singly
+        r.on_deliver(msgs[2].clone()); // one already delivered singly
         let mut doubled = msgs.clone();
         doubled.extend(msgs.iter().cloned()); // and the batch repeats itself
-        r.on_deliver_batch(&doubled);
+        r.on_deliver_batch(doubled);
         assert_eq!(r.log_len(), 6);
         let expect: BTreeSet<u32> = [1, 100, 101, 102, 103, 104].into();
         assert_eq!(r.do_query(&SetQuery::Read), expect);
@@ -866,24 +814,24 @@ mod tests {
             u.update(SetUpdate::Insert(i));
         }
         let before = u.repair_events();
-        u.on_deliver_batch(&msgs);
+        u.on_deliver_batch(msgs.clone());
         assert!(u.repair_events() - before <= 1);
 
         let mut g: GenericReplica<SetAdt<u32>> = GenericReplica::new(SetAdt::new(), 0);
         for i in 0..40 {
             g.update(SetUpdate::Insert(i));
         }
-        g.on_deliver_batch(&msgs);
+        g.on_deliver_batch(msgs);
         assert_eq!(u.materialize(), g.materialize());
     }
 
     #[test]
     fn empty_and_singleton_batches() {
         let mut r: GenericReplica<SetAdt<u32>> = GenericReplica::new(SetAdt::new(), 0);
-        r.on_deliver_batch(&[]);
+        r.on_deliver_batch(vec![]);
         assert_eq!(r.log_len(), 0);
         let msgs = late_stream(1);
-        r.on_deliver_batch(&msgs);
+        r.on_deliver_batch(msgs);
         assert_eq!(r.log_len(), 1);
     }
 

@@ -50,7 +50,7 @@
 use crate::backend::LogBackend;
 use crate::engine::{CutError, EngineCtx, RepairStrategy, ReplicaEngine};
 use crate::log::UpdateLog;
-use crate::message::{GcMsg, UpdateMsg};
+use crate::message::GcMsg;
 use crate::replica::Replica;
 use crate::timestamp::Timestamp;
 use std::sync::Arc;
@@ -648,10 +648,10 @@ impl<A: UqAdt> GcReplica<A> {
     }
 
     /// Receive a peer's message (update or heartbeat).
-    pub fn on_gc_message(&mut self, msg: &GcMsg<A::Update>) {
+    pub fn on_gc_message(&mut self, msg: GcMsg<A::Update>) {
         match msg {
             GcMsg::Update(m) => self.engine.on_deliver(m),
-            GcMsg::Heartbeat { pid, clock } => self.engine.observe_peer_clock(*pid, *clock),
+            GcMsg::Heartbeat { pid, clock } => self.engine.observe_peer_clock(pid, clock),
         }
     }
 
@@ -692,32 +692,14 @@ impl<A: UqAdt> Replica<A> for GcReplica<A> {
         vec![self.update(u)]
     }
 
-    fn on_message(&mut self, msg: &Self::Msg) {
+    fn on_message(&mut self, msg: Self::Msg) {
         self.on_gc_message(msg);
     }
 
-    /// Batched ingest: updates are merged into the log with a single
-    /// repair; heartbeats are folded in afterwards (processing them
-    /// last can only delay stability, never violate it).
-    fn on_batch(&mut self, msgs: &[Self::Msg]) {
-        let updates: Vec<UpdateMsg<A::Update>> = msgs
-            .iter()
-            .filter_map(|m| match m {
-                GcMsg::Update(u) => Some(u.clone()),
-                GcMsg::Heartbeat { .. } => None,
-            })
-            .collect();
-        self.engine.on_deliver_batch_owned(updates);
-        for m in msgs {
-            if let GcMsg::Heartbeat { pid, clock } = m {
-                self.engine.observe_peer_clock(*pid, *clock);
-            }
-        }
-    }
-
-    /// Owned batched ingest: updates move straight into the engine's
-    /// merge (no second clone); heartbeats still fold in afterwards.
-    fn on_batch_owned(&mut self, msgs: Vec<Self::Msg>) {
+    /// Batched ingest: updates move into the engine's merge with a
+    /// single repair; heartbeats are folded in afterwards (processing
+    /// them last can only delay stability, never violate it).
+    fn on_batch(&mut self, msgs: Vec<Self::Msg>) {
         let mut updates = Vec::with_capacity(msgs.len());
         let mut heartbeats = Vec::new();
         for m in msgs {
@@ -726,7 +708,7 @@ impl<A: UqAdt> Replica<A> for GcReplica<A> {
                 GcMsg::Heartbeat { pid, clock } => heartbeats.push((pid, clock)),
             }
         }
-        self.engine.on_deliver_batch_owned(updates);
+        self.engine.on_deliver_batch(updates);
         for (pid, clock) in heartbeats {
             self.engine.observe_peer_clock(pid, clock);
         }
@@ -770,6 +752,7 @@ impl<A: UqAdt> Replica<A> for GcReplica<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::UpdateMsg;
     use std::collections::BTreeSet;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
 
@@ -784,18 +767,18 @@ mod tests {
         msgs_b: Vec<GcMsg<SetUpdate<u32>>>,
     ) {
         for m in msgs_a {
-            b.on_gc_message(&m);
+            b.on_gc_message(m);
         }
         for m in msgs_b {
-            a.on_gc_message(&m);
+            a.on_gc_message(m);
         }
         let ha = a.tick();
         let hb = b.tick();
         for m in ha {
-            b.on_gc_message(&m);
+            b.on_gc_message(m);
         }
         for m in hb {
-            a.on_gc_message(&m);
+            a.on_gc_message(m);
         }
     }
 
@@ -824,7 +807,7 @@ mod tests {
         let mut b: R = GcReplica::new(SetAdt::new(), 1, 2);
         let msgs: Vec<_> = (0..50u32).map(|i| a.update(SetUpdate::Insert(i))).collect();
         for m in &msgs {
-            b.on_gc_message(m);
+            b.on_gc_message(m.clone());
         }
         assert_eq!(
             Replica::log_len(&b),
@@ -834,11 +817,11 @@ mod tests {
         // b announces its clock to a, and vice versa.
         let hb = b.tick();
         for m in hb {
-            a.on_gc_message(&m);
+            a.on_gc_message(m);
         }
         let ha = a.tick();
         for m in ha {
-            b.on_gc_message(&m);
+            b.on_gc_message(m);
         }
         assert!(
             Replica::log_len(&a) < 50,
@@ -860,11 +843,11 @@ mod tests {
         let mut b: GcReplica<SetAdt<u32>> = GcReplica::new(SetAdt::new(), 1, 3);
         let msgs: Vec<_> = (0..30u32).map(|i| a.update(SetUpdate::Insert(i))).collect();
         for m in &msgs {
-            b.on_gc_message(m);
+            b.on_gc_message(m.clone());
         }
         let hb = b.tick();
         for m in hb {
-            a.on_gc_message(&m);
+            a.on_gc_message(m);
         }
         assert_eq!(a.compacted(), 0, "silent third process must freeze GC");
         assert_eq!(Replica::log_len(&a), 30);
@@ -890,7 +873,7 @@ mod tests {
         // replica. Out-of-cluster clocks must be ignored.
         let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
         a.update(SetUpdate::Insert(1));
-        a.on_gc_message(&GcMsg::Heartbeat { pid: 7, clock: 99 });
+        a.on_gc_message(GcMsg::Heartbeat { pid: 7, clock: 99 });
         assert_eq!(a.stability_bound(), 0, "stray clock must not advance GC");
         assert_eq!(a.compacted(), 0);
         assert_eq!(a.materialize(), BTreeSet::from([1]));
@@ -905,7 +888,7 @@ mod tests {
             ts: crate::timestamp::Timestamp::new(1, 9),
             update: SetUpdate::Insert(4),
         };
-        a.on_gc_message(&GcMsg::Update(msg));
+        a.on_gc_message(GcMsg::Update(msg));
         assert_eq!(a.materialize(), BTreeSet::from([4]));
         assert_eq!(a.stability_bound(), 0);
     }
@@ -962,7 +945,7 @@ mod tests {
         let _ = a.do_query(&SetQuery::Read);
         assert_eq!(fold_steps(&a), 16);
         // Stamped below the folded point: the cache goes cold.
-        a.on_gc_message(&GcMsg::Update(UpdateMsg {
+        a.on_gc_message(GcMsg::Update(UpdateMsg {
             ts: Timestamp::new(3, 1),
             update: SetUpdate::Delete(2),
         }));
@@ -994,7 +977,7 @@ mod tests {
         for i in 0..16u32 {
             a.update(SetUpdate::Insert(i));
         }
-        a.on_gc_message(&GcMsg::Heartbeat { pid: 1, clock: 12 });
+        a.on_gc_message(GcMsg::Heartbeat { pid: 1, clock: 12 });
         assert_eq!(a.compacted(), 12);
         let strategy = a.engine().strategy();
         assert_eq!(strategy.fold_steps, 0);
@@ -1014,7 +997,7 @@ mod tests {
             a.update(SetUpdate::Insert(i)); // clocks 10..=17, unfolded
         }
         // Drains clocks 1..=12: four entries the cache never folded.
-        a.on_gc_message(&GcMsg::Heartbeat { pid: 1, clock: 12 });
+        a.on_gc_message(GcMsg::Heartbeat { pid: 1, clock: 12 });
         assert_eq!(a.engine().strategy().folded, None);
         assert_eq!(
             a.do_query(&SetQuery::Read),
@@ -1029,7 +1012,7 @@ mod tests {
         let mut s = StableGc::new(&adt, 2);
         let ctx = EngineCtx { pid: 0, clock: 1 };
         let pos = log
-            .insert(&UpdateMsg {
+            .insert(UpdateMsg {
                 ts: Timestamp::new(9, 0),
                 update: SetUpdate::Insert(1),
             })
@@ -1049,13 +1032,13 @@ mod tests {
         let mut b: R = GcReplica::new(SetAdt::new(), 1, 2);
         let msgs: Vec<_> = (0..16u32).map(|i| a.update(SetUpdate::Insert(i))).collect();
         for m in &msgs {
-            b.on_gc_message(m);
+            b.on_gc_message(m.clone());
         }
         let expect = a.do_query(&SetQuery::Read);
         // Heartbeats trigger compaction on `a` with no new entries.
         let hb = b.tick();
         for m in hb {
-            a.on_gc_message(&m);
+            a.on_gc_message(m);
         }
         let _ = a.tick();
         assert!(a.compacted() > 0, "compaction must have happened");
@@ -1072,10 +1055,10 @@ mod tests {
 
         let mut seq: R = GcReplica::new(SetAdt::new(), 0, 2);
         for m in &msgs {
-            seq.on_gc_message(m);
+            seq.on_gc_message(m.clone());
         }
         let mut bat: R = GcReplica::new(SetAdt::new(), 0, 2);
-        bat.on_batch(&msgs);
+        bat.on_batch(msgs);
         assert_eq!(seq.materialize(), bat.materialize());
         // Neither has spoken itself, so stability is identical too.
         assert_eq!(seq.stability_bound(), bat.stability_bound());
@@ -1275,7 +1258,7 @@ mod tests {
                 publish(&mut e);
             }
             // Stamped below everything folded: cold, one rebuild.
-            e.on_deliver(&UpdateMsg {
+            e.on_deliver(UpdateMsg {
                 ts: Timestamp::new(1, 1),
                 update: SetUpdate::Insert(9),
             });
@@ -1459,7 +1442,7 @@ mod tests {
 
             fn update(&mut self, v: u32) {
                 let m = self.e.update(SetUpdate::Insert(v));
-                self.naive.on_deliver(&m);
+                self.naive.on_deliver(m);
             }
 
             /// Publish the key; whether that copied a state.
@@ -1543,8 +1526,8 @@ mod tests {
                 update: SetUpdate::Insert(102),
             };
             let before = copies();
-            k.e.on_deliver(&late);
-            k.naive.on_deliver(&late);
+            k.e.on_deliver(late.clone());
+            k.naive.on_deliver(late);
             assert_eq!(
                 copies() - before,
                 1,
@@ -1593,7 +1576,7 @@ mod tests {
                     ts: Timestamp::new(clock, 0),
                     update: SetUpdate::Insert(clock as u32),
                 };
-                let pos = log.insert(&msg).expect("fresh");
+                let pos = log.insert(msg).expect("fresh");
                 s.on_insert(&adt, &mut log, pos, &ctx);
             }
             let _ = s.shared_state(&adt, &log);
@@ -1627,8 +1610,8 @@ mod tests {
                 update: SetUpdate::Insert(102),
             };
             let before = copies();
-            twin.on_deliver(&late);
-            naive.on_deliver(&late);
+            twin.on_deliver(late.clone());
+            naive.on_deliver(late);
             assert_eq!(copies() - before, 1, "the base, out of the shared `back`");
             let strategy = twin.strategy();
             assert_eq!(strategy.rotation.as_ref().expect("shared").view, None);

@@ -98,8 +98,8 @@ mod tests {
         let (mut a, mut b) = pair();
         let ma = a.update(SetUpdate::Insert(1));
         let mb = b.update(SetUpdate::Delete(1));
-        a.on_deliver(&mb);
-        b.on_deliver(&ma);
+        a.on_deliver(mb);
+        b.on_deliver(ma);
         assert_eq!(a.do_query(&SetQuery::Read), b.do_query(&SetQuery::Read));
     }
 
@@ -111,8 +111,8 @@ mod tests {
         let ma = a.update(SetUpdate::Insert(1));
         let mb = b.update(SetUpdate::Delete(1));
         assert_eq!(ma.ts.clock, mb.ts.clock);
-        a.on_deliver(&mb);
-        b.on_deliver(&ma);
+        a.on_deliver(mb);
+        b.on_deliver(ma);
         assert_eq!(a.do_query(&SetQuery::Read), BTreeSet::new());
         assert_eq!(b.do_query(&SetQuery::Read), BTreeSet::new());
     }
@@ -126,7 +126,7 @@ mod tests {
         let mb = b.update(SetUpdate::Insert(7)); // ts (1,1)
         a.update(SetUpdate::Insert(7)); // ts (1,0)
         a.update(SetUpdate::Delete(7)); // ts (2,0)
-        a.on_deliver(&mb); // late: orders between (1,0) and (2,0)
+        a.on_deliver(mb); // late: orders between (1,0) and (2,0)
         assert_eq!(a.do_query(&SetQuery::Read), BTreeSet::new());
     }
 
@@ -146,7 +146,7 @@ mod tests {
         let (mut a, mut b) = pair();
         for i in 0..5 {
             let m = b.update(SetUpdate::Insert(i));
-            a.on_deliver(&m);
+            a.on_deliver(m);
         }
         // a's next update must order after everything b sent.
         let m = a.update(SetUpdate::Delete(4));
@@ -176,7 +176,7 @@ mod tests {
         for p in perms {
             let mut r = GenericReplica::<SetAdt<u32>>::new(SetAdt::new(), 9);
             for i in p {
-                r.on_deliver(&msgs[i]);
+                r.on_deliver(msgs[i].clone());
             }
             assert_eq!(r.materialize(), expect, "permutation {p:?}");
         }

@@ -11,7 +11,8 @@
 //! Since the storage refactor, every mutation is mirrored into the
 //! log's backend: fresh entries are journaled in arrival order
 //! ([`LogBackend::append`] / [`LogBackend::append_batch`] — exactly
-//! the deduplicated set, so the zero-copy owned paths stay zero-copy),
+//! the deduplicated set, borrowed to encode, so an update that moves
+//! into the log is never copied),
 //! and [`UpdateLog::persist_base`] forwards a GC compaction to
 //! [`LogBackend::truncate_to_base`]. The default [`MemBackend`]
 //! compiles all of that to nothing, preserving the pre-refactor
@@ -115,31 +116,13 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
         self.entries.is_empty()
     }
 
-    /// Insert a timestamped update, keeping timestamp order. Returns
-    /// the insertion position, or `None` if the timestamp was already
-    /// present (reliable broadcast delivers once, but being defensive
-    /// costs one comparison) or at or below the compaction floor (a
-    /// redelivered duplicate of an already-folded entry).
-    pub fn insert(&mut self, msg: &UpdateMsg<A::Update>) -> Option<usize> {
-        if msg.ts.clock <= self.floor {
-            return None;
-        }
-        match self.entries.binary_search_by(|(ts, _)| ts.cmp(&msg.ts)) {
-            Ok(_) => None,
-            Err(pos) => {
-                if self.journaling {
-                    self.backend.append(msg.ts, &msg.update);
-                }
-                self.entries.insert(pos, (msg.ts, msg.update.clone()));
-                Some(pos)
-            }
-        }
-    }
-
-    /// [`UpdateLog::insert`] for a message the caller already owns:
-    /// the update moves into the log instead of being cloned — the
-    /// zero-copy hot path taken by owned batch delivery.
-    pub fn insert_owned(&mut self, msg: UpdateMsg<A::Update>) -> Option<usize> {
+    /// Insert a timestamped update, keeping timestamp order: the
+    /// update moves into the log. Returns the insertion position, or
+    /// `None` if the timestamp was already present (reliable broadcast
+    /// delivers once, but being defensive costs one comparison) or at
+    /// or below the compaction floor (a redelivered duplicate of an
+    /// already-folded entry).
+    pub fn insert(&mut self, msg: UpdateMsg<A::Update>) -> Option<usize> {
         if msg.ts.clock <= self.floor {
             return None;
         }
@@ -156,7 +139,8 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
     }
 
     /// Append an update known to carry the largest timestamp (the
-    /// common in-order fast path). Falls back to sorted insertion if
+    /// common in-order fast path), keeping a copy: the caller still
+    /// broadcasts `msg`. Falls back to sorted insertion if
     /// the claim is wrong. Returns the insertion position, or `None`
     /// if the timestamp was already present — callers must not
     /// confuse a rejected duplicate with a valid position (a duplicate
@@ -167,7 +151,7 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
             return None;
         }
         match self.entries.last() {
-            Some((last, _)) if *last >= msg.ts => self.insert(msg),
+            Some((last, _)) if *last >= msg.ts => self.insert(msg.clone()),
             _ => {
                 if self.journaling {
                     self.backend.append(msg.ts, &msg.update);
@@ -181,34 +165,21 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
     /// Merge a whole batch of messages in one pass: deduplicate
     /// (against the log *and* within the batch), then splice the fresh
     /// entries in with a single sort-then-merge sweep over the dirty
-    /// suffix. Returns the earliest insertion position — the single
-    /// point a repair strategy must roll back to — or `None` if every
-    /// message was a duplicate.
+    /// suffix; the fresh updates move into the log. Returns the
+    /// earliest insertion position — the single point a repair
+    /// strategy must roll back to — or `None` if every message was a
+    /// duplicate.
     ///
     /// Cost: `O(k log k + k log n + s + k)` for `k` new messages and a
     /// dirty suffix of length `s` (sort the batch, binary-search the
     /// log once per message for dedup, merge the two sorted runs),
     /// versus `O(k·(log n + n))` worst case for `k` separate
     /// [`UpdateLog::insert`] calls (each may memmove the tail) and
-    /// `O(s log s)` for the previous sort-the-suffix merge.
-    pub fn insert_batch(&mut self, msgs: &[UpdateMsg<A::Update>]) -> Option<usize> {
-        let mut fresh: Vec<(Timestamp, A::Update)> = Vec::with_capacity(msgs.len());
-        for m in msgs {
-            if m.ts.clock > self.floor
-                && self
-                    .entries
-                    .binary_search_by(|(ts, _)| ts.cmp(&m.ts))
-                    .is_err()
-            {
-                fresh.push((m.ts, m.update.clone()));
-            }
-        }
-        self.merge_fresh(fresh)
-    }
-
-    /// [`UpdateLog::insert_batch`] for a burst the caller already
-    /// owns: fresh updates move into the log instead of being cloned.
-    pub fn insert_batch_owned(&mut self, msgs: Vec<UpdateMsg<A::Update>>) -> Option<usize> {
+    /// `O(s log s)` for the previous sort-the-suffix merge. Runs that
+    /// straddle the end (the batch all-newer, or the suffix exhausted
+    /// mid-merge) are moved with a bulk `extend` instead of per-entry
+    /// pushes.
+    pub fn insert_batch(&mut self, msgs: Vec<UpdateMsg<A::Update>>) -> Option<usize> {
         let mut fresh: Vec<(Timestamp, A::Update)> = Vec::with_capacity(msgs.len());
         for m in msgs {
             if m.ts.clock > self.floor
@@ -220,23 +191,12 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
                 fresh.push((m.ts, m.update));
             }
         }
-        self.merge_fresh(fresh)
-    }
-
-    /// Shared tail of the batched-insert paths: sort and dedup the
-    /// fresh entries (none of which is present in the log), journal
-    /// exactly that set, then merge them with the dirty suffix in one
-    /// linear pass. Runs that straddle the end (`fresh` all-newer, or
-    /// the suffix exhausted mid-merge) are moved with a bulk `extend`
-    /// instead of per-entry pushes.
-    fn merge_fresh(&mut self, mut fresh: Vec<(Timestamp, A::Update)>) -> Option<usize> {
         fresh.sort_unstable_by_key(|(ts, _)| *ts);
         fresh.dedup_by_key(|(ts, _)| *ts);
         let min_ts = fresh.first()?.0;
         if self.journaling {
-            // Journaled *before* the merge consumes the batch, so the
-            // owned path stays zero-copy in memory (the backend only
-            // borrows to encode).
+            // Journaled *before* the merge consumes the batch: exactly
+            // the fresh set, and the backend only borrows to encode.
             self.backend.append_batch(&fresh);
         }
         let min_pos = self.entries.partition_point(|(ts, _)| *ts < min_ts);
@@ -417,9 +377,9 @@ mod tests {
     #[test]
     fn insert_keeps_order() {
         let mut log = Log::new();
-        assert_eq!(log.insert(&msg(2, 0, "b")), Some(0));
-        assert_eq!(log.insert(&msg(1, 0, "a")), Some(0)); // late message
-        assert_eq!(log.insert(&msg(3, 0, "c")), Some(2));
+        assert_eq!(log.insert(msg(2, 0, "b")), Some(0));
+        assert_eq!(log.insert(msg(1, 0, "a")), Some(0)); // late message
+        assert_eq!(log.insert(msg(3, 0, "c")), Some(2));
         let order: Vec<&str> = log.iter().map(|(_, u)| *u).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
@@ -427,16 +387,16 @@ mod tests {
     #[test]
     fn duplicate_timestamps_rejected() {
         let mut log = Log::new();
-        assert!(log.insert(&msg(1, 0, "a")).is_some());
-        assert!(log.insert(&msg(1, 0, "a")).is_none());
+        assert!(log.insert(msg(1, 0, "a")).is_some());
+        assert!(log.insert(msg(1, 0, "a")).is_none());
         assert_eq!(log.len(), 1);
     }
 
     #[test]
     fn pid_breaks_clock_ties() {
         let mut log = Log::new();
-        log.insert(&msg(1, 1, "one"));
-        log.insert(&msg(1, 0, "zero"));
+        log.insert(msg(1, 1, "one"));
+        log.insert(msg(1, 0, "zero"));
         let order: Vec<&str> = log.iter().map(|(_, u)| *u).collect();
         assert_eq!(order, vec!["zero", "one"]);
     }
@@ -463,18 +423,18 @@ mod tests {
     #[test]
     fn insert_batch_merges_and_reports_min_position() {
         let mut log = Log::new();
-        log.insert(&msg(2, 0, "b"));
-        log.insert(&msg(5, 0, "e"));
-        log.insert(&msg(9, 0, "i"));
+        log.insert(msg(2, 0, "b"));
+        log.insert(msg(5, 0, "e"));
+        log.insert(msg(9, 0, "i"));
         // Batch straddles existing entries, out of order, with an
         // internal duplicate and one already-present timestamp.
-        let batch = [
+        let batch = vec![
             msg(7, 0, "g"),
             msg(3, 0, "c"),
             msg(5, 0, "e"), // already in the log
             msg(3, 0, "c"), // duplicate within the batch
         ];
-        assert_eq!(log.insert_batch(&batch), Some(1));
+        assert_eq!(log.insert_batch(batch), Some(1));
         let order: Vec<&str> = log.iter().map(|(_, u)| *u).collect();
         assert_eq!(order, vec!["b", "c", "e", "g", "i"]);
     }
@@ -482,41 +442,22 @@ mod tests {
     #[test]
     fn insert_batch_of_duplicates_is_none() {
         let mut log = Log::new();
-        log.insert(&msg(1, 0, "a"));
-        assert_eq!(log.insert_batch(&[msg(1, 0, "a"), msg(1, 0, "a")]), None);
-        assert_eq!(log.insert_batch(&[]), None);
+        log.insert(msg(1, 0, "a"));
+        assert_eq!(log.insert_batch(vec![msg(1, 0, "a"), msg(1, 0, "a")]), None);
+        assert_eq!(log.insert_batch(Vec::new()), None);
         assert_eq!(log.len(), 1);
     }
 
     #[test]
     fn insert_batch_all_newer_appends() {
         let mut log = Log::new();
-        log.insert(&msg(1, 0, "a"));
-        assert_eq!(log.insert_batch(&[msg(3, 1, "c"), msg(2, 1, "b")]), Some(1));
+        log.insert(msg(1, 0, "a"));
+        assert_eq!(
+            log.insert_batch(vec![msg(3, 1, "c"), msg(2, 1, "b")]),
+            Some(1)
+        );
         let order: Vec<&str> = log.iter().map(|(_, u)| *u).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn owned_insert_paths_match_borrowed() {
-        let mut by_ref = Log::new();
-        let mut by_move = Log::new();
-        let batch = [
-            msg(7, 0, "g"),
-            msg(3, 0, "c"),
-            msg(5, 0, "e"),
-            msg(3, 0, "c"),
-        ];
-        assert_eq!(by_ref.insert(&msg(9, 0, "i")), Some(0));
-        assert_eq!(by_move.insert_owned(msg(9, 0, "i")), Some(0));
-        assert_eq!(by_move.insert_owned(msg(9, 0, "i")), None);
-        assert_eq!(
-            by_ref.insert_batch(&batch),
-            by_move.insert_batch_owned(batch.to_vec())
-        );
-        assert_eq!(by_ref, by_move);
-        let order: Vec<&str> = by_move.iter().map(|(_, u)| *u).collect();
-        assert_eq!(order, vec!["c", "e", "g", "i"]);
     }
 
     #[test]
@@ -525,10 +466,10 @@ mod tests {
         // must interleave (neither bulk-extend fast path applies).
         let mut log = Log::new();
         for c in [2u64, 4, 6, 8] {
-            log.insert(&msg(c, 0, "old"));
+            log.insert(msg(c, 0, "old"));
         }
-        let batch = [msg(5, 0, "n5"), msg(3, 0, "n3"), msg(9, 0, "n9")];
-        assert_eq!(log.insert_batch(&batch), Some(1));
+        let batch = vec![msg(5, 0, "n5"), msg(3, 0, "n3"), msg(9, 0, "n9")];
+        assert_eq!(log.insert_batch(batch), Some(1));
         let clocks: Vec<u64> = log.timestamps().map(|ts| ts.clock).collect();
         assert_eq!(clocks, vec![2, 3, 4, 5, 6, 8, 9]);
     }
@@ -536,9 +477,9 @@ mod tests {
     #[test]
     fn drain_stable_prefix_cuts_by_clock() {
         let mut log = Log::new();
-        log.insert(&msg(1, 0, "a"));
-        log.insert(&msg(2, 1, "b"));
-        log.insert(&msg(5, 0, "c"));
+        log.insert(msg(1, 0, "a"));
+        log.insert(msg(2, 1, "b"));
+        log.insert(msg(5, 0, "c"));
         let mut stable = Vec::new();
         let last = log.drain_stable_prefix(2, |u| stable.push(*u));
         assert_eq!(stable, vec!["a", "b"]);
@@ -557,7 +498,7 @@ mod tests {
         // release `end` wrapped below `start` and the slice panicked).
         let mut log = Log::new();
         for c in 1..=4u64 {
-            log.insert(&msg(c, 0, "x"));
+            log.insert(msg(c, 0, "x"));
         }
         let (all, more) = log.suffix_window(1, None, usize::MAX);
         assert_eq!(all.len(), 3);
@@ -607,12 +548,12 @@ mod tests {
     #[test]
     fn backend_sees_exactly_the_fresh_entries() {
         let mut log: UpdateLog<StrAdt, Recording> = UpdateLog::with_backend(Recording::default());
-        log.insert(&msg(2, 0, "b"));
-        log.insert(&msg(2, 0, "b")); // duplicate: not journaled
+        log.insert(msg(2, 0, "b"));
+        log.insert(msg(2, 0, "b")); // duplicate: not journaled
         log.push_newest(&msg(5, 0, "e"));
         // Batch with one in-log duplicate and one internal duplicate:
         // only the two genuinely fresh entries reach the journal.
-        log.insert_batch(&[
+        log.insert_batch(vec![
             msg(3, 0, "c"),
             msg(5, 0, "e"),
             msg(3, 0, "c"),
@@ -626,11 +567,11 @@ mod tests {
     fn journaling_can_be_suspended_for_recovery_replay() {
         let mut log: UpdateLog<StrAdt, Recording> = UpdateLog::with_backend(Recording::default());
         log.set_journaling(false);
-        log.insert(&msg(1, 0, "a"));
-        log.insert_batch(&[msg(2, 0, "b")]);
+        log.insert(msg(1, 0, "a"));
+        log.insert_batch(vec![msg(2, 0, "b")]);
         assert!(log.backend_mut().appended.is_empty());
         log.set_journaling(true);
-        log.insert(&msg(3, 0, "c"));
+        log.insert(msg(3, 0, "c"));
         assert_eq!(log.backend_mut().appended.len(), 1);
     }
 
@@ -638,7 +579,7 @@ mod tests {
     fn persist_base_hands_bound_and_tail_to_backend() {
         let mut log: UpdateLog<StrAdt, Recording> = UpdateLog::with_backend(Recording::default());
         for c in 1..=5u64 {
-            log.insert(&msg(c, 0, "x"));
+            log.insert(msg(c, 0, "x"));
         }
         let mut drained = 0;
         log.drain_stable_prefix(3, |_| drained += 1);

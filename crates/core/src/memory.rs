@@ -54,7 +54,7 @@ where
         let ts = Timestamp::new(self.clock.tick(), self.pid);
         // The local replica receives its own broadcast instantly; the
         // local timestamp is the largest known, so it always wins.
-        self.store(ts, &x, &v);
+        self.store(ts, x.clone(), v.clone());
         UpdateMsg {
             ts,
             update: MemoryUpdate {
@@ -65,16 +65,16 @@ where
     }
 
     /// Receive a peer's write — lines 8–14 (keep the newer timestamp).
-    pub fn on_deliver(&mut self, msg: &MemWrite<X, V>) {
+    pub fn on_deliver(&mut self, msg: MemWrite<X, V>) {
         self.clock.merge(msg.ts.clock);
-        self.store(msg.ts, &msg.update.register, &msg.update.value);
+        self.store(msg.ts, msg.update.register, msg.update.value);
     }
 
-    fn store(&mut self, ts: Timestamp, x: &X, v: &V) {
-        match self.mem.get(x) {
+    fn store(&mut self, ts: Timestamp, x: X, v: V) {
+        match self.mem.get(&x) {
             Some((existing, _)) if *existing >= ts => {}
             _ => {
-                self.mem.insert(x.clone(), (ts, v.clone()));
+                self.mem.insert(x, (ts, v));
             }
         }
     }
@@ -108,7 +108,7 @@ where
         vec![self.write(u.register, u.value)]
     }
 
-    fn on_message(&mut self, msg: &Self::Msg) {
+    fn on_message(&mut self, msg: Self::Msg) {
         self.on_deliver(msg);
     }
 
@@ -164,8 +164,8 @@ mod tests {
         let mut b: M = UcMemory::new(0, 1);
         let wa = a.write("x", 1); // ts (1,0)
         let wb = b.write("x", 2); // ts (1,1) — wins the tie on pid
-        a.on_deliver(&wb);
-        b.on_deliver(&wa);
+        a.on_deliver(wb);
+        b.on_deliver(wa);
         assert_eq!(a.read(&"x"), 2);
         assert_eq!(b.read(&"x"), 2);
     }
@@ -176,10 +176,10 @@ mod tests {
         let mut b: M = UcMemory::new(0, 1);
         let w1 = b.write("x", 1); // (1,1)
         a.write("y", 0); // ticks a's clock to 1
-        a.on_deliver(&w1); // a learns (1,1)
+        a.on_deliver(w1.clone()); // a learns (1,1)
         let w2 = a.write("x", 9); // (2,0) > (1,1)
-        b.on_deliver(&w2);
-        b.on_deliver(&w1); // duplicate/stale redelivery
+        b.on_deliver(w2);
+        b.on_deliver(w1); // duplicate/stale redelivery
         assert_eq!(b.read(&"x"), 9);
     }
 
@@ -189,8 +189,8 @@ mod tests {
         let mut b: M = UcMemory::new(0, 1);
         let wa = a.write("x", 1);
         let wb = b.write("y", 2);
-        a.on_deliver(&wb);
-        b.on_deliver(&wa);
+        a.on_deliver(wb);
+        b.on_deliver(wa);
         for m in [&a, &b] {
             assert_eq!(m.read(&"x"), 1);
             assert_eq!(m.read(&"y"), 2);
@@ -242,7 +242,7 @@ mod tests {
             }
             for (src, w) in &order {
                 if *src != i {
-                    rep.on_deliver(w);
+                    rep.on_deliver(w.clone());
                 }
             }
         }

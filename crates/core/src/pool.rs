@@ -3,7 +3,7 @@
 //! lock-free claim-pattern inboxes, with epoch-published snapshots
 //! for wait-free reads.
 //!
-//! [`UcStore::apply_batch`] ingests a burst's shards one after the
+//! [`UcStore::apply_batch_owned`] ingests a burst's shards one after the
 //! other on the calling thread. The pool ingests them side by side,
 //! on threads it pays for once, at [`IngestPool::spawn`]:
 //!
@@ -31,7 +31,7 @@
 //!   shard on exactly one worker, and a single producer's pushes are
 //!   FIFO through the claim-reverse drain, so per-key delivery order
 //!   equals submission order: pool results are identical to the
-//!   sequential [`UcStore::apply_batch`] path (states *and* repair
+//!   sequential [`UcStore::apply_batch_owned`] path (states *and* repair
 //!   event/step counts — the differential tests assert both). Each
 //!   claimed job is processed separately, never coalesced, for the
 //!   same reason;
@@ -1232,11 +1232,11 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     /// Ingest a whole peer burst: updates are bucketed by shard and
     /// pushed to their owning workers as one job each; heartbeats are
     /// collapsed and broadcast to every worker afterwards (exactly
-    /// the sequential [`UcStore::apply_batch`] order, so results are
+    /// the sequential [`UcStore::apply_batch_owned`] order, so results are
     /// identical). A full inbox parks the caller: the link below has
     /// already delivered the burst, so it is never dropped.
     pub fn submit_batch(&self, msgs: Vec<StoreMsg<A::Update>>) -> Result<(), PoolError> {
-        // Same routing helper as `UcStore::apply_batch`, so shard
+        // Same routing helper as `UcStore::apply_batch_owned`, so shard
         // assignment and clock accounting cannot drift between the
         // sequential and pooled ingest paths.
         let (buckets, heartbeats, max_clock) = split_by_shard(msgs, self.core.num_shards);
@@ -1724,7 +1724,7 @@ mod tests {
             .collect();
         let mut seq = store(0, 4);
         for chunk in msgs.chunks(37) {
-            seq.apply_batch(chunk);
+            seq.apply_batch_owned(chunk.to_vec());
         }
         let mut pool = store(0, 4).into_pool(cfg(3));
         for chunk in msgs.chunks(37) {
@@ -1894,7 +1894,7 @@ mod tests {
             .map(|i| producer.update(i % 4, SetUpdate::Insert(i as u32)))
             .collect();
         let mut seq = store(0, 1);
-        seq.apply_batch(&msgs);
+        seq.apply_batch_owned(msgs.clone());
         let mut pool = store(0, 1).into_pool(PoolConfig {
             workers: 1,
             queue_depth: 1,
@@ -2150,7 +2150,7 @@ mod tests {
                 .map(|i| producer.update(i % 6, SetUpdate::Insert(18 * n + i as u32)))
                 .collect();
             burst.push(producer.heartbeat());
-            sequential.apply_batch(&burst);
+            sequential.apply_batch_owned(burst.clone());
             handle.submit_batch(burst).unwrap();
             let mut published = Vec::new();
             for v in [1000, 2000].into_iter().take(1 + usize::from(twice)) {
@@ -2158,8 +2158,8 @@ mod tests {
                     .update(u64::from(n) % 6, SetUpdate::Insert(v + n))
                     .unwrap();
                 // The peer hears it, so that its next burst is stamped above.
-                producer.apply_batch(std::slice::from_ref(&local));
-                sequential.apply_batch(&[local]);
+                producer.apply_batch_owned(vec![local.clone()]);
+                sequential.apply_batch_owned(vec![local]);
                 let clock = handle.clock();
                 handle.push_job(0, Job::Maintain { clock }).unwrap();
                 while worker.turn() == Turn::Worked {

@@ -26,27 +26,20 @@ pub trait Replica<A: UqAdt> {
     /// other process.
     fn local_update(&mut self, u: A::Update) -> Vec<Self::Msg>;
 
-    /// Ingest a message from a peer.
-    fn on_message(&mut self, msg: &Self::Msg);
+    /// Ingest a message from a peer; the runtimes hand it over by
+    /// value.
+    fn on_message(&mut self, msg: Self::Msg);
 
     /// Ingest a whole burst of peer messages at once. The default is a
     /// per-message loop; replicas built on the
     /// [`ReplicaEngine`](crate::engine::ReplicaEngine) override it to
     /// merge the batch into the log with a **single**
-    /// rollback-and-refold, which is the batching hot path both
-    /// `uc-sim` runtimes flush through.
-    fn on_batch(&mut self, msgs: &[Self::Msg]) {
+    /// rollback-and-refold, moving the updates in, which is the
+    /// batching hot path both `uc-sim` runtimes flush through.
+    fn on_batch(&mut self, msgs: Vec<Self::Msg>) {
         for m in msgs {
             self.on_message(m);
         }
-    }
-
-    /// [`Replica::on_batch`] for a burst the caller already owns —
-    /// the runtimes hand flushed messages over by value, so
-    /// engine-backed replicas move the updates into their logs instead
-    /// of cloning them. The default borrows and delegates.
-    fn on_batch_owned(&mut self, msgs: Vec<Self::Msg>) {
-        self.on_batch(&msgs);
     }
 
     /// Answer a query from local knowledge.

@@ -176,7 +176,7 @@ where
     }
 
     fn on_message(&mut self, _from: Pid, msg: Self::Msg, _ctx: &mut Ctx<'_, Self::Msg>) {
-        self.replica.on_message(&msg);
+        self.replica.on_message(msg);
     }
 
     /// Runtime flushes land on the replica's batched ingest path: one
@@ -184,7 +184,7 @@ where
     /// the flushed messages moved (never cloned) into the log.
     fn on_batch(&mut self, msgs: Vec<(Pid, Self::Msg)>, _ctx: &mut Ctx<'_, Self::Msg>) {
         let msgs: Vec<Self::Msg> = msgs.into_iter().map(|(_, m)| m).collect();
-        self.replica.on_batch_owned(msgs);
+        self.replica.on_batch(msgs);
     }
 
     /// Timer-driven maintenance: broadcast whatever the replica's
@@ -256,26 +256,6 @@ pub enum OmegaMarking<'a> {
     /// delivery obligation on its finitely many events, so ω-marking
     /// it would wrongly demand eventual delivery.
     FinalQueriesOf(&'a [Pid]),
-}
-
-impl<'a> OmegaMarking<'a> {
-    /// The ω-marking matching a store's
-    /// [`AvailabilityPolicy`](crate::store::AvailabilityPolicy) after
-    /// a partition run. Under the default `Available` policy every
-    /// replica's final read is a convergence witness
-    /// ([`OmegaMarking::FinalQueries`]); under `DegradedMarked` or
-    /// `Refuse` the minority side's reads were flagged or rejected —
-    /// they assert nothing about the converged state, so only the
-    /// `majority` side's final reads are ω-marked.
-    pub fn for_policy(policy: crate::store::AvailabilityPolicy, majority: &'a [Pid]) -> Self {
-        use crate::store::AvailabilityPolicy;
-        match policy {
-            AvailabilityPolicy::Available => OmegaMarking::FinalQueries,
-            AvailabilityPolicy::DegradedMarked | AvailabilityPolicy::Refuse => {
-                OmegaMarking::FinalQueriesOf(majority)
-            }
-        }
-    }
 }
 
 /// Convert a simulation trace into a [`History`] plus the SUC witness

@@ -38,13 +38,13 @@
 //!   set owning every shard and calls it on the caller's thread; each
 //!   pool worker holds one set owning its stride of the shards and
 //!   calls the same methods from its job loop;
-//! * **per-shard batched delivery** — [`UcStore::apply_batch`] splits
-//!   a burst by shard, groups each shard's sub-batch by key
+//! * **per-shard batched delivery** — [`UcStore::apply_batch_owned`]
+//!   splits a burst by shard, groups each shard's sub-batch by key
 //!   (stable-sorted, so per-sender FIFO within a key survives), and
-//!   ingests each key's run through
+//!   moves each key's run through
 //!   [`ReplicaEngine::on_deliver_batch`] /
 //!   [`UpdateLog::insert_batch`](crate::log::UpdateLog::insert_batch)
-//!   — one repair per key per burst;
+//!   — one repair per key per burst, no update cloned;
 //! * **live keys, swept when stability moves** — a backend flush, and
 //!   a heartbeat or maintenance tick that raises the replica's
 //!   stability floor (the minimum of the clocks heard from every pid,
@@ -884,7 +884,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     /// arrival order within a key, hence per-sender FIFO), then hand
     /// each key's contiguous run to its engine as **one** owned batch
     /// — one repair per key per burst, with the updates moved (never
-    /// cloned) into the key's log via `UpdateLog::insert_batch_owned`.
+    /// cloned) into the key's log via `UpdateLog::insert_batch`.
     pub(crate) fn ingest<F, P>(
         &mut self,
         mut bucket: Vec<(Key, UpdateMsg<A::Update>)>,
@@ -908,7 +908,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 msgs.push(m);
             }
             self.insert_into(key, adt, pid, factory, persist, stability, |engine| {
-                engine.on_deliver_batch_owned(msgs)
+                engine.on_deliver_batch(msgs)
             });
         }
     }
@@ -1356,8 +1356,8 @@ where
     }
 
     /// Apply one peer update (Algorithm 1 lines 8–11; redelivery is a
-    /// no-op).
-    pub(crate) fn insert_remote(&mut self, shard: usize, key: Key, msg: &UpdateMsg<A::Update>) {
+    /// no-op), moving it into the key's log.
+    pub(crate) fn insert_remote(&mut self, shard: usize, key: Key, msg: UpdateMsg<A::Update>) {
         self.observe_updates([(key, msg.ts, &msg.update)]);
         self.insert_into(shard, key, msg.ts.clock, |engine| engine.on_deliver(msg));
     }
@@ -1818,32 +1818,7 @@ where
         Ok(StoreSnapshot::new(self.shards.adt.clone(), cut, states))
     }
 
-    fn apply_message(&mut self, m: &StoreMsg<A::Update>) {
-        match m {
-            StoreMsg::Update { key, msg } => self.deliver_update(*key, msg),
-            StoreMsg::Heartbeat { pid, clock } => {
-                self.clock.merge(*clock);
-                self.shards.heartbeat(*pid, *clock);
-            }
-            StoreMsg::Repair { updates } | StoreMsg::RepairChunk { updates, .. } => {
-                for (key, msg) in updates {
-                    self.deliver_update(*key, msg);
-                }
-                if let Some(tr) = &self.trace {
-                    tr.record(TraceKind::Heal, 0, updates.len() as u64);
-                }
-            }
-            // Heal-protocol control frames need a reply channel; this
-            // reply-less entry point can only drop them. Drive the
-            // chunk protocol through `apply_message_from` (or the
-            // `Protocol` impl, which routes there).
-            StoreMsg::DigestRequest { .. }
-            | StoreMsg::DigestResponse { .. }
-            | StoreMsg::RepairAck { .. } => {}
-        }
-    }
-
-    fn deliver_update(&mut self, key: Key, msg: &UpdateMsg<A::Update>) {
+    fn deliver_update(&mut self, key: Key, msg: UpdateMsg<A::Update>) {
         self.clock.merge(msg.ts.clock);
         self.shards.insert_remote(self.shard_of(key), key, msg);
     }
@@ -1965,8 +1940,31 @@ where
             .expect("a cut at the current clock can never predate compaction"))
     }
 
+    /// One frame, moved into the shards: an update or a repair's
+    /// updates go to their keys' logs one by one, a heartbeat to the
+    /// stability floor. `Node::apply_message_from` answers the heal
+    /// frames itself; like `split_by_shard`, this ingests a chunk's
+    /// updates and drops a control frame were one to arrive.
     fn deliver(&mut self, msg: StoreMsg<A::Update>) -> Result<(), Infallible> {
-        self.apply_message(&msg);
+        match msg {
+            StoreMsg::Update { key, msg } => self.deliver_update(key, msg),
+            StoreMsg::Heartbeat { pid, clock } => {
+                self.clock.merge(clock);
+                self.shards.heartbeat(pid, clock);
+            }
+            StoreMsg::Repair { updates } | StoreMsg::RepairChunk { updates, .. } => {
+                let n = updates.len() as u64;
+                for (key, msg) in updates {
+                    self.deliver_update(key, msg);
+                }
+                if let Some(tr) = &self.trace {
+                    tr.record(TraceKind::Heal, 0, n);
+                }
+            }
+            StoreMsg::DigestRequest { .. }
+            | StoreMsg::DigestResponse { .. }
+            | StoreMsg::RepairAck { .. } => {}
+        }
         Ok(())
     }
 
@@ -2133,26 +2131,15 @@ where
         snap
     }
 
-    /// Ingest one peer message.
-    pub fn apply_message(&mut self, m: &StoreMsg<A::Update>) {
-        self.exec.apply_message(m);
-    }
-
     /// Ingest a whole burst with per-shard batched delivery: updates
-    /// are bucketed by shard, grouped by key, and merged into each
+    /// are bucketed by shard, grouped by key, and moved into each
     /// key's log with a single repair
     /// ([`ReplicaEngine::on_deliver_batch`]); heartbeats are folded in
     /// afterwards (processing them last can only delay stability,
-    /// never violate it).
-    pub fn apply_batch(&mut self, msgs: &[StoreMsg<A::Update>]) {
-        self.exec.ingest_burst(msgs.iter().cloned());
-    }
-
-    /// [`UcStore::apply_batch`] for a burst the caller already owns:
-    /// messages move straight into per-key batches with no cloning —
-    /// the path a runtime's flush takes
-    /// ([`Protocol::on_batch`](uc_sim::Protocol::on_batch) hands over
-    /// owned messages).
+    /// never violate it). The store's one burst entry point — the path
+    /// a runtime's flush takes ([`Protocol::on_batch`](uc_sim::Protocol::on_batch)
+    /// hands over owned messages); a single frame goes through
+    /// [`Node::apply_message_from`](crate::node::Node::apply_message_from).
     pub fn apply_batch_owned(&mut self, msgs: Vec<StoreMsg<A::Update>>) {
         self.exec.ingest_burst(msgs);
     }
@@ -2331,7 +2318,7 @@ mod tests {
         let mut p1 = store(1, 2);
         let ma = p1.update(7, SetUpdate::Insert(1));
         let mut p0 = store(0, 2);
-        p0.apply_message(&ma);
+        let Ok(_) = p0.apply_message_from(1, ma.clone());
         let StoreMsg::Update { msg: mb, .. } = p0.update(8, SetUpdate::Insert(2)) else {
             panic!()
         };
@@ -2365,10 +2352,10 @@ mod tests {
             .map(|i| b.update(i % 5, SetUpdate::Delete((19 - i) as u32)))
             .collect();
         // a gets b's stream reversed, b gets a's in order.
-        for m in mb.iter().rev() {
-            a.apply_message(m);
+        for m in mb.into_iter().rev() {
+            let Ok(_) = a.apply_message_from(1, m);
         }
-        b.apply_batch(&ma);
+        b.apply_batch_owned(ma);
         for k in 0..5u64 {
             assert_eq!(a.materialize_key(k), b.materialize_key(k), "key {k}");
         }
@@ -2388,16 +2375,16 @@ mod tests {
 
         let build = |shards: usize| {
             let mut s = store(0, shards);
-            s.apply_batch(&base);
+            s.apply_batch_owned(base.clone());
             s
         };
         let mut per_msg = build(2);
-        for m in &late_msgs {
-            per_msg.apply_message(m);
+        for m in late_msgs.clone() {
+            let Ok(_) = per_msg.apply_message_from(2, m);
         }
         let mut batched = build(2);
         let before = batched.total_repair_events();
-        batched.apply_batch(&late_msgs);
+        batched.apply_batch_owned(late_msgs);
         assert!(
             batched.total_repair_events() - before <= 3,
             "at most one repair per touched key"
@@ -2416,11 +2403,11 @@ mod tests {
         let msgs: Vec<_> = (0..30u64)
             .map(|i| a.update(i % 3, SetUpdate::Insert(i as u32)))
             .collect();
-        b.apply_batch(&msgs);
+        b.apply_batch_owned(msgs);
         assert_eq!(b.total_log_len(), 30);
         // Clocks cross, then maintenance compacts every key.
-        a.apply_message(&b.heartbeat());
-        b.apply_message(&a.heartbeat());
+        let Ok(_) = a.apply_message_from(b.pid(), b.heartbeat());
+        let Ok(_) = b.apply_message_from(a.pid(), a.heartbeat());
         a.tick_maintenance();
         b.tick_maintenance();
         assert!(b.total_log_len() < 30, "retained {}", b.total_log_len());
@@ -2437,11 +2424,11 @@ mod tests {
     fn store_with_idle_key() -> (GcStore, GcStore) {
         let mut s: GcStore = UcStore::new(SetAdt::new(), 0, 2, GcFactory { n: 3 });
         let mut peer: GcStore = UcStore::new(SetAdt::new(), 1, 2, GcFactory { n: 3 });
-        s.apply_message(&peer.update(7, SetUpdate::Insert(1)));
+        let Ok(_) = s.apply_message_from(peer.pid(), peer.update(7, SetUpdate::Insert(1)));
         assert_eq!(s.live_keys(), 1);
         s.tick_maintenance();
-        s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock: 1 });
-        s.apply_message(&StoreMsg::Heartbeat { pid: 2, clock: 1 });
+        let Ok(_) = s.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock: 1 });
+        let Ok(_) = s.apply_message_from(2, StoreMsg::Heartbeat { pid: 2, clock: 1 });
         assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
         assert_eq!(s.engine(7).unwrap().strategy().stability_bound(), 1);
         (s, peer)
@@ -2452,9 +2439,9 @@ mod tests {
         for path in 0..3 {
             let (mut s, mut peer) = store_with_idle_key();
             let clock_when_idle = s.engine(7).unwrap().clock();
-            s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock: 90 });
-            s.apply_message(&StoreMsg::Heartbeat { pid: 2, clock: 100 });
-            s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock: 100 });
+            let Ok(_) = s.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock: 90 });
+            let Ok(_) = s.apply_message_from(2, StoreMsg::Heartbeat { pid: 2, clock: 100 });
+            let Ok(_) = s.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock: 100 });
             s.tick_maintenance();
             s.flush_backends();
             let idle = s.engine(7).unwrap();
@@ -2463,12 +2450,12 @@ mod tests {
             // A query needs none of it: the base is the state.
             assert_eq!(s.query(7, &SetQuery::Read), BTreeSet::from([1]));
 
-            peer.apply_message(&StoreMsg::Heartbeat { pid: 0, clock: 150 });
+            let Ok(_) = peer.apply_message_from(0, StoreMsg::Heartbeat { pid: 0, clock: 150 });
             let from_peer = peer.update(7, SetUpdate::Insert(2));
             match path {
                 0 => drop(s.update(7, SetUpdate::Insert(2))),
-                1 => s.apply_message(&from_peer),
-                _ => s.apply_batch(&[from_peer]),
+                1 => drop(s.apply_message_from(1, from_peer)),
+                _ => s.apply_batch_owned(vec![from_peer]),
             }
             assert_eq!(s.live_keys(), 1, "path {path}: the key is live again");
             // Its own clock at the tick is the last it lacks: with
@@ -2488,10 +2475,10 @@ mod tests {
         let burst: Vec<_> = (0..100u64)
             .map(|k| peer.update(k, SetUpdate::Insert(k as u32)))
             .collect();
-        s.apply_batch(&burst);
+        s.apply_batch_owned(burst);
         assert_eq!((s.live_keys(), s.total_log_len()), (100, 100));
         s.tick_maintenance();
-        s.apply_message(&peer.heartbeat());
+        let Ok(_) = s.apply_message_from(peer.pid(), peer.heartbeat());
         assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
         // Ten keys take one more entry each: ten are live, ninety sit
         // the next round out at the clock they went idle with.
@@ -2499,14 +2486,14 @@ mod tests {
         let more: Vec<_> = (0..10u64)
             .map(|k| peer.update(k, SetUpdate::Delete(k as u32)))
             .collect();
-        s.apply_batch(&more);
+        s.apply_batch_owned(more);
         assert_eq!((s.live_keys(), s.total_log_len()), (10, 10));
         let reg = Registry::new();
         s.export_metrics(&reg);
         assert_eq!(reg.snapshot().gauge("uc_store_live_keys"), Some(10));
         assert_eq!(reg.snapshot().gauge("uc_store_log_len"), Some(10));
         s.tick_maintenance();
-        s.apply_message(&peer.heartbeat());
+        let Ok(_) = s.apply_message_from(peer.pid(), peer.heartbeat());
         s.flush_backends();
         assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
         assert_eq!(s.engine(50).unwrap().clock(), idle_clock);
@@ -2521,7 +2508,7 @@ mod tests {
         let (mut s, _) = store_with_idle_key();
         // The same timestamp again: at or below the log's floor.
         let mut replay: GcStore = UcStore::new(SetAdt::new(), 1, 2, GcFactory { n: 3 });
-        s.apply_message(&replay.update(7, SetUpdate::Insert(1)));
+        let Ok(_) = s.apply_message_from(replay.pid(), replay.update(7, SetUpdate::Insert(1)));
         assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
     }
 
@@ -2610,7 +2597,7 @@ mod tests {
         flush(&mut s, &keys, "every key live");
         flush(&mut s, &keys, "still live: the clock may have moved");
         let clock = s.clock();
-        s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+        let Ok(_) = s.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock });
         assert_eq!(s.live_keys(), 0);
         flush(&mut s, &keys, "every key idle, owed its last flush");
         flush(&mut s, &[], "nothing owed");
@@ -2620,7 +2607,7 @@ mod tests {
             s.update(*key, SetUpdate::Insert(2));
         }
         let clock = s.clock();
-        s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+        let Ok(_) = s.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock });
         s.update(7, SetUpdate::Insert(3));
         s.update(8, SetUpdate::Insert(3));
         assert_eq!(s.live_keys(), 2);
@@ -2633,17 +2620,15 @@ mod tests {
         let mut s: UcStore<SetAdt<u32>, GcFactory> =
             UcStore::new(SetAdt::new(), 0, 2, GcFactory { n: 2 });
         s.update(1, SetUpdate::Insert(1));
-        s.apply_message(&StoreMsg::Heartbeat { pid: 42, clock: 9 });
+        let Ok(_) = s.apply_message_from(42, StoreMsg::Heartbeat { pid: 42, clock: 9 });
         assert_eq!(s.materialize_key(1), BTreeSet::from([1]));
         // Ten thousand stray pids: each still advances the clock, and
         // none is remembered, so a key going live hears the cluster's
         // two clocks and nothing else.
         for stray in 0..10_000u32 {
             let clock = 10 + u64::from(stray);
-            s.apply_message(&StoreMsg::Heartbeat {
-                pid: 2 + stray,
-                clock,
-            });
+            let pid = 2 + stray;
+            let Ok(_) = s.apply_message_from(pid, StoreMsg::Heartbeat { pid, clock });
         }
         assert_eq!(s.clock(), 10_009);
         let heard: Vec<u32> = s
@@ -2671,22 +2656,6 @@ mod tests {
         // including this one, ignores clocks from pid ≥ n).
         let _: UcStore<SetAdt<u32>, GcFactory> =
             UcStore::new(SetAdt::new(), 2, 1, GcFactory { n: 2 });
-    }
-
-    #[test]
-    fn owned_batch_ingest_matches_borrowed() {
-        let mut producer = store(1, 1);
-        let msgs: Vec<_> = (0..40u64)
-            .map(|i| producer.update(i % 4, SetUpdate::Insert(i as u32)))
-            .collect();
-        let mut borrowed = store(0, 3);
-        borrowed.apply_batch(&msgs);
-        let mut owned = store(0, 3);
-        owned.apply_batch_owned(msgs);
-        for k in 0..4u64 {
-            assert_eq!(borrowed.materialize_key(k), owned.materialize_key(k));
-        }
-        assert_eq!(borrowed.clock(), owned.clock());
     }
 
     #[test]
@@ -2784,7 +2753,7 @@ mod tests {
         let mut peer = store(1, 4);
         // Pre-outage traffic reaches the peer normally.
         let pre = write(&mut s, 1, 1);
-        peer.apply_message(&pre);
+        frame(&mut peer, 0, pre);
         down(&mut s, 1);
         let watermark = healer(&mut s).partition.down_peers().next().unwrap().1;
         // 30 diverging updates over several keys, chunk size 4: the
@@ -2798,10 +2767,8 @@ mod tests {
             write(&mut s, i % 5, 100 + i as u32);
         }
         // An update from peer 1 itself: excluded from the stream.
-        peer.apply_message(&StoreMsg::Heartbeat {
-            pid: 0,
-            clock: watermark + 30,
-        });
+        let clock = watermark + 30;
+        frame(&mut peer, 0, StoreMsg::Heartbeat { pid: 0, clock });
         let from_peer = peer.update(3, SetUpdate::Insert(9));
         frame(&mut s, 1, from_peer);
 
@@ -2861,7 +2828,7 @@ mod tests {
         for i in 0..20u64 {
             let m = s.update(i, SetUpdate::Insert(i as u32));
             // The "other path": the peer already got everything.
-            peer.apply_message(&m);
+            let Ok(_) = peer.apply_message_from(0, m);
         }
         let total_slots = 8 * s.heal_config().ranges as u64;
         let chunks = s.heal_peer(&mut peer);
@@ -2894,7 +2861,7 @@ mod tests {
         // (one entry on the same key, from a third replica).
         let mut other = store(2, 2);
         other.update(7, SetUpdate::Insert(999));
-        peer.apply_message(&other.update(7, SetUpdate::Insert(2)));
+        let Ok(_) = peer.apply_message_from(other.pid(), other.update(7, SetUpdate::Insert(2)));
         assert!(!heal(&mut s, &mut peer).is_empty());
         assert!(
             peer.materialize_key(7).contains(&1),
@@ -3036,24 +3003,27 @@ mod tests {
             .map(|i| producer.update(i % 3, SetUpdate::Insert(i as u32)))
             .collect();
         let mut s = store(0, 2);
-        s.apply_batch(&msgs);
+        s.apply_batch_owned(msgs.clone());
         let updates: Vec<_> = msgs
-            .iter()
+            .into_iter()
             .map(|m| {
                 let StoreMsg::Update { key, msg } = m else {
                     unreachable!()
                 };
-                (*key, msg.clone())
+                (key, msg)
             })
             .collect();
         let before: Vec<_> = (0..3u64).map(|k| s.materialize_key(k)).collect();
         let log_before = s.total_log_len();
         // A repair burst overlapping everything already delivered
         // (e.g. a heal racing retransmissions) must be a no-op.
-        s.apply_message(&StoreMsg::Repair {
-            updates: updates.clone(),
-        });
-        s.apply_batch(&[StoreMsg::Repair { updates }]);
+        let Ok(_) = s.apply_message_from(
+            1,
+            StoreMsg::Repair {
+                updates: updates.clone(),
+            },
+        );
+        s.apply_batch_owned(vec![StoreMsg::Repair { updates }]);
         assert_eq!(s.total_log_len(), log_before);
         for k in 0..3u64 {
             assert_eq!(s.materialize_key(k), before[k as usize]);

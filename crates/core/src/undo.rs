@@ -133,8 +133,8 @@ mod tests {
             u.update(SetUpdate::Insert(i % 8));
             g.update(SetUpdate::Insert(i % 8));
         }
-        u.on_deliver(&late);
-        g.on_deliver(&late);
+        u.on_deliver(late.clone());
+        g.on_deliver(late);
         // The delete is repositioned near the beginning, so 5 was
         // re-inserted afterwards and must be present.
         let got = u.do_query(&SetQuery::Read);
@@ -155,7 +155,7 @@ mod tests {
             u.update(SetUpdate::Insert(i % 3));
         }
         let before = u.repair_steps();
-        u.on_deliver(&near_tail); // (99,1) sorts after (99,0), before (100,0)
+        u.on_deliver(near_tail); // (99,1) sorts after (99,0), before (100,0)
         let cost = u.repair_steps() - before;
         assert!(cost <= 3, "near-tail integration cost {cost}");
     }
@@ -165,8 +165,8 @@ mod tests {
         let mut peer: G = GenericReplica::new(SetAdt::new(), 1);
         let m = peer.update(SetUpdate::Insert(3));
         let mut u: U = UndoReplica::new(SetAdt::new(), 0);
-        u.on_deliver(&m);
-        u.on_deliver(&m);
+        u.on_deliver(m.clone());
+        u.on_deliver(m);
         assert_eq!(u.log_len(), 1);
         assert_eq!(u.do_query(&SetQuery::Read), BTreeSet::from([3]));
     }
@@ -183,10 +183,10 @@ mod tests {
         }
         // Cross-deliver in reverse order (maximally late).
         for m in msgs_b.iter().rev() {
-            a.on_deliver(m);
+            a.on_deliver(m.clone());
         }
         for m in msgs_a.iter().rev() {
-            b.on_deliver(m);
+            b.on_deliver(m.clone());
         }
         assert_eq!(Replica::materialize(&mut a), Replica::materialize(&mut b));
     }

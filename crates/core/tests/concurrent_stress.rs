@@ -125,7 +125,7 @@ where
         other => panic!("producers only issue updates, got {other:?}"),
     });
     for m in &msgs {
-        reference.apply_batch(std::slice::from_ref(m));
+        reference.apply_batch_owned(vec![m.clone()]);
     }
 
     assert_eq!(pooled.clock(), reference.clock(), "clock mismatch");

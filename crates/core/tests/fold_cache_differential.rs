@@ -138,7 +138,7 @@ fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<VecDeque<Msg>>
         let m = peers[p].update(random_update(rng));
         let q = (rng.next_u64() % producers as u64) as usize;
         if q != p && rng.next_u64().is_multiple_of(2) {
-            peers[q].on_deliver(&m);
+            peers[q].on_deliver(m.clone());
         }
         streams[p].push_back(m);
     }
@@ -206,21 +206,21 @@ fn scenario(seed: u64, tally: &mut Tally) {
                     delivered[p] = last.ts.clock;
                 }
                 for m in &burst {
-                    naive.on_deliver(m);
+                    naive.on_deliver(m.clone());
                 }
                 if rng.next_u64().is_multiple_of(2) {
-                    gc.on_deliver_batch_owned(burst);
+                    gc.on_deliver_batch(burst);
                     "a batched delivery"
                 } else {
                     for m in &burst {
-                        gc.on_deliver(m);
+                        gc.on_deliver(m.clone());
                     }
                     "a per-message delivery"
                 }
             }
             4 => {
                 let m = gc.update(random_update(&mut rng));
-                naive.on_deliver(&m);
+                naive.on_deliver(m);
                 "a local update"
             }
             5 => {

@@ -91,7 +91,9 @@ where
     fn ingest(&mut self, msgs: Vec<Msg>, batched: bool) {
         match self {
             Node::Store(s) if batched => s.apply_batch_owned(msgs),
-            Node::Store(s) => msgs.iter().for_each(|m| s.apply_message(m)),
+            Node::Store(s) => msgs.into_iter().for_each(|m| {
+                let Ok(_) = s.apply_message_from(1, m);
+            }),
             Node::Pool(p) if batched => p.submit_batch(msgs).unwrap(),
             Node::Pool(p) => msgs
                 .into_iter()
@@ -488,7 +490,7 @@ where
                 w.delivered.push(m.clone());
                 // The peers hear of it sooner or later.
                 for peer in &mut w.peers {
-                    peer.apply_message(&m);
+                    let Ok(_) = peer.apply_message_from(0, m.clone());
                 }
             }
             4..=7 => {
@@ -498,7 +500,7 @@ where
                     let m = w.peers[p].update(key, u);
                     w.undelivered[p].push_back(m.clone());
                     let other = &mut w.peers[1 - p];
-                    other.apply_message(&m);
+                    let Ok(_) = other.apply_message_from(p as u32 + 1, m);
                 }
             }
             8..=10 => {

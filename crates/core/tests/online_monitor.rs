@@ -37,8 +37,8 @@ fn monitored_cfg() -> MonitorConfig {
 /// before it. What still differs is the data path: a pool's can fail.
 trait Replica {
     fn update(&mut self, key: u64, u: CounterUpdate) -> Msg;
-    /// One peer frame, as a link hands it over.
-    fn deliver(&mut self, m: &Msg);
+    /// One peer data frame, as a link hands it over.
+    fn deliver(&mut self, m: Msg);
     fn read(&mut self, key: u64) -> i64;
     /// Take (and drop) a snapshot at `cut`.
     fn cut(&mut self, cut: u64);
@@ -49,8 +49,9 @@ impl<F: StrategyFactory<CounterAdt>> Replica for UcStore<CounterAdt, F> {
     fn update(&mut self, key: u64, u: CounterUpdate) -> Msg {
         UcStore::update(self, key, u)
     }
-    fn deliver(&mut self, m: &Msg) {
-        self.apply_message(m)
+    fn deliver(&mut self, m: Msg) {
+        // The sender is read by heal frames only, and none comes here.
+        let Ok(_) = self.apply_message_from(0, m);
     }
     fn read(&mut self, key: u64) -> i64 {
         self.query(key, &CounterQuery::Read)
@@ -67,8 +68,8 @@ impl<F: StrategyFactory<CounterAdt>> Replica for IngestPool<CounterAdt, F> {
     fn update(&mut self, key: u64, u: CounterUpdate) -> Msg {
         IngestPool::update(self, key, u).expect("live pool")
     }
-    fn deliver(&mut self, m: &Msg) {
-        self.submit_batch(vec![m.clone()]).expect("live pool")
+    fn deliver(&mut self, m: Msg) {
+        self.submit_batch(vec![m]).expect("live pool")
     }
     fn read(&mut self, key: u64) -> i64 {
         self.query(key, &CounterQuery::Read).expect("live pool")
@@ -129,7 +130,7 @@ where
     let mut msgs_a = Vec::new();
     for i in 0..20u64 {
         let m = a.update(i % KEYS, CounterUpdate::Add(i as i64 + 1));
-        twin.deliver(&m);
+        twin.deliver(m.clone());
         msgs_a.push(m);
     }
     let mut msgs_b = Vec::new();
@@ -140,29 +141,27 @@ where
     // Deliver b's stream to a (and the twin) — reversed unless the
     // strategy needs FIFO — with every third message duplicated; a's
     // stream to b in submitted order.
-    let order: Vec<&Msg> = if fifo {
-        msgs_b.iter().collect()
-    } else {
-        msgs_b.iter().rev().collect()
-    };
-    for (i, m) in order.into_iter().enumerate() {
-        a.deliver(m);
-        twin.deliver(m);
+    if !fifo {
+        msgs_b.reverse();
+    }
+    for (i, m) in msgs_b.into_iter().enumerate() {
+        a.deliver(m.clone());
+        twin.deliver(m.clone());
         if i % 3 == 0 {
-            a.deliver(m);
+            a.deliver(m.clone());
             twin.deliver(m);
         }
     }
-    for m in &msgs_a {
+    for m in msgs_a {
         b.deliver(m);
     }
 
     // Stability: exchange heartbeats, then let both ends compact.
     let hb_a = a.heartbeat();
     let hb_b = b.heartbeat();
-    a.deliver(&hb_b);
-    twin.deliver(&hb_b);
-    b.deliver(&hb_a);
+    a.deliver(hb_b.clone());
+    twin.deliver(hb_b);
+    b.deliver(hb_a);
     a.tick_maintenance();
     twin.tick_maintenance();
     b.tick_maintenance();
@@ -355,7 +354,7 @@ fn replay_below_the_dedup_floor_is_informational_not_a_violation() {
     s.update(3, CounterUpdate::Add(2));
     // Peer 1 announces a clock past both updates: stability advances,
     // the engine compacts, and the monitor finalizes its window.
-    s.apply_message(&StoreMsg::Heartbeat { pid: 1, clock: 10 });
+    let Ok(_) = s.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock: 10 });
     s.tick_maintenance();
     let stats = s.monitor_stats().unwrap();
     assert!(
@@ -365,7 +364,7 @@ fn replay_below_the_dedup_floor_is_informational_not_a_violation() {
     // A straggler replays an already-finalized update. The engine
     // drops it at its dedup floor; the monitor must count it as
     // informational rather than manufacture a violation.
-    s.apply_message(&m1);
+    let Ok(_) = s.apply_message_from(1, m1);
     let stats = s.monitor_stats().unwrap();
     assert!(stats.below_floor_arrivals >= 1, "{stats:?}");
     assert!(stats.clean(), "a below-floor replay is not a violation");
@@ -380,14 +379,14 @@ where
     let mut s = make(0);
     s.attach_monitor(MonitorConfig::full()).unwrap();
     let ts = Timestamp::new(5, 9);
-    s.deliver(&StoreMsg::Update {
+    s.deliver(StoreMsg::Update {
         key: 2,
         msg: UpdateMsg {
             ts,
             update: CounterUpdate::Add(1),
         },
     });
-    s.deliver(&StoreMsg::Update {
+    s.deliver(StoreMsg::Update {
         key: 2,
         msg: UpdateMsg {
             ts,
@@ -434,12 +433,12 @@ fn a_store_and_a_one_worker_pool_report_the_same_monitor_stats() {
     }
     let mut batch = burst.clone();
     batch.push(burst[3].clone());
-    store.apply_batch(&batch);
+    store.apply_batch_owned(batch.clone());
     pool.submit_batch(batch).unwrap();
     Replica::tick_maintenance(&mut store);
     Replica::tick_maintenance(&mut pool);
-    for m in frames.iter().chain([&peer_clock]) {
-        store.deliver(m);
+    for m in frames.into_iter().chain([peer_clock]) {
+        store.deliver(m.clone());
         pool.deliver(m);
     }
     for key in 0..KEYS + 2 {
@@ -559,7 +558,7 @@ fn a_sampled_monitor_never_perturbs_the_store_and_exports_what_it_saw() {
             s.attach_monitor(MonitorConfig::sampled(rate).with_peers([0, 1]));
         }
         for chunk in stream.chunks(256) {
-            s.apply_batch(chunk);
+            s.apply_batch_owned(chunk.to_vec());
         }
         s
     };
@@ -577,7 +576,7 @@ fn a_sampled_monitor_never_perturbs_the_store_and_exports_what_it_saw() {
     assert_eq!(states(&mut full), want, "rate 1");
 
     let clock = full.clock();
-    full.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+    let Ok(_) = full.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock });
     full.tick_maintenance();
     let stats = full.monitor_stats().expect("monitor attached").clone();
     assert!(stats.clean(), "false positive on a clean stream: {stats:?}");

@@ -63,7 +63,7 @@ fn references(all: &[Msg]) -> HashMap<Key, GenericReplica<Adt>> {
         };
         refs.entry(*key)
             .or_insert_with(|| GenericReplica::new(SetAdt::new(), 0))
-            .on_deliver(msg);
+            .on_deliver(msg.clone());
     }
     refs
 }
@@ -433,8 +433,8 @@ fn segment_heal_stream_matches_memory_and_survives_crash_mid_heal() {
     for _ in 0..16u64 {
         let (key, u) = step_update(&mut rng);
         let m = a.update(key, u);
-        b.apply_message(&m);
-        c.apply_message(&m);
+        let Ok(_) = b.apply_message_from(0, m.clone());
+        let Ok(_) = c.apply_message_from(0, m.clone());
         all.push(m);
     }
     c.flush_backends();
@@ -445,7 +445,7 @@ fn segment_heal_stream_matches_memory_and_survives_crash_mid_heal() {
     for _ in 0..16u64 {
         let (key, u) = step_update(&mut rng);
         let m = a.update(key, u);
-        b.apply_message(&m);
+        let Ok(_) = b.apply_message_from(0, m.clone());
         all.push(m);
     }
 
@@ -465,14 +465,13 @@ fn segment_heal_stream_matches_memory_and_survives_crash_mid_heal() {
     // healer cannot know how far the crashed receiver got) — dedup
     // absorbs the overlap.
     let half = from_seg.len() / 2;
-    c.apply_message(&StoreMsg::Repair {
-        updates: from_seg[..half].to_vec(),
-    });
+    let updates = from_seg[..half].to_vec();
+    let Ok(_) = c.apply_message_from(0, StoreMsg::Repair { updates });
     c.flush_backends();
     drop(c); // kill
     let mut c: UcStore<Adt, CheckpointFactory, SegmentFactory> =
         UcStore::reopen(SetAdt::new(), 2, 2, factory, persist_c);
-    c.apply_message(&StoreMsg::Repair { updates: from_seg });
+    let Ok(_) = c.apply_message_from(0, StoreMsg::Repair { updates: from_seg });
 
     let mut refs = references(&all);
     assert_matches_reference(&mut a, 0, &mut refs, "segment source");
@@ -510,7 +509,7 @@ fn chunked_heal_crash_mid_stream_reopens_and_reheals() {
     for _ in 0..12u64 {
         let (key, u) = step_update(&mut rng);
         let m = a.update(key, u);
-        c.apply_message(&m);
+        let Ok(_) = c.apply_message_from(0, m.clone());
         all.push(m);
     }
     c.flush_backends();
@@ -621,7 +620,7 @@ fn a_chunked_heal_keeps_at_most_window_times_chunk_entries_in_flight() {
     for _ in 0..2_000 {
         let (key, u) = step_update(&mut rng);
         let m = majority.update(key, u);
-        minority.apply_message(&m);
+        let Ok(_) = minority.apply_message_from(0, m);
     }
     majority.peer_down(2);
     for _ in 0..DIVERGENCE {
@@ -662,7 +661,7 @@ fn one_diverged_key_of_128_skips_nine_tenths_of_the_digest_slots() {
     let mut healed = UcStore::new(SetAdt::new(), 2, 16, factory);
     for i in 0..512u32 {
         let m = healer.update(u64::from(i) % 128, SetUpdate::Insert(i));
-        healed.apply_message(&m);
+        let Ok(_) = healed.apply_message_from(0, m);
     }
     healer.peer_down(2);
     for i in 0..32 {

@@ -275,7 +275,7 @@ fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
         let msgs: Vec<_> = (0..2 * BURST_KEYS)
             .map(|i| remote.update(i % BURST_KEYS, SetUpdate::Insert(round % 16)))
             .collect();
-        seq.apply_batch(&msgs);
+        seq.apply_batch_owned(msgs.clone());
         pool.submit_batch(msgs).unwrap();
         // Arms every shard on the first round (the flush backfills).
         for key in 0..BURST_KEYS {
@@ -312,7 +312,7 @@ fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
     stop.store(true, Ordering::SeqCst);
     let sent = producer.join().unwrap();
     assert!(!sent.is_empty());
-    seq.apply_batch(&sent);
+    seq.apply_batch_owned(sent);
     pool.flush().unwrap();
     let stats = pool.stats();
     assert!(stats.workers.iter().all(|w| w.publish_backlog == 0));
@@ -390,14 +390,14 @@ fn snapshot_readers_see_prefixes_while_the_published_buffers_rotate() {
             }
         }
         msgs.push(remote.heartbeat());
-        seq.apply_batch(&msgs);
+        seq.apply_batch_owned(msgs.clone());
         pool.submit_batch(msgs).unwrap();
         // A local write elsewhere and the tick move our own clock, so
         // the burst compacts under the published fold.
         let local = pool
             .update(HOT + u64::from(round) % 8, SetUpdate::Insert(round))
             .unwrap();
-        seq.apply_batch(&[local]);
+        seq.apply_batch_owned(vec![local]);
         pool.tick_maintenance().unwrap();
         if round % 4 == 3 {
             pool.flush().unwrap();

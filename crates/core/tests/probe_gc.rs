@@ -10,9 +10,9 @@ fn probe_receiver_only_gc() {
     let msgs: Vec<_> = (0..30u64)
         .map(|i| a.update(i % 3, SetUpdate::Insert(i as u32)))
         .collect();
-    b.apply_batch(&msgs);
-    a.apply_message(&b.heartbeat());
-    b.apply_message(&a.heartbeat());
+    b.apply_batch_owned(msgs.clone());
+    let Ok(_) = a.apply_message_from(b.pid(), b.heartbeat());
+    let Ok(_) = b.apply_message_from(a.pid(), a.heartbeat());
     a.tick_maintenance();
     b.tick_maintenance();
     for k in 0..3u64 {
@@ -27,8 +27,8 @@ fn probe_receiver_only_gc() {
     // What if b NEVER heartbeats (pure receiver, no local activity)?
     let mut c: UcStore<SetAdt<u32>, GcFactory> =
         UcStore::new(SetAdt::new(), 1, 2, GcFactory { n: 2 });
-    c.apply_batch(&msgs);
-    c.apply_message(&StoreMsg::Heartbeat { pid: 0, clock: 30 });
+    c.apply_batch_owned(msgs);
+    let Ok(_) = c.apply_message_from(0, StoreMsg::Heartbeat { pid: 0, clock: 30 });
     c.tick_maintenance();
     println!(
         "c (never announced own clock) total_log_len = {}",

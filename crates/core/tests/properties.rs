@@ -61,9 +61,9 @@ proptest! {
             un.update(u);
             if ri < order.len() {
                 let m = &remote_msgs[order[ri]];
-                g.on_deliver(m);
-                ca.on_deliver(m);
-                un.on_deliver(m);
+                g.on_deliver(m.clone());
+                ca.on_deliver(m.clone());
+                un.on_deliver(m.clone());
                 ri += 1;
             }
             let qg = g.do_query(&SetQuery::Read);
@@ -73,9 +73,9 @@ proptest! {
         // Drain any remaining remote messages.
         while ri < order.len() {
             let m = &remote_msgs[order[ri]];
-            g.on_deliver(m);
-            ca.on_deliver(m);
-            un.on_deliver(m);
+            g.on_deliver(m.clone());
+            ca.on_deliver(m.clone());
+            un.on_deliver(m.clone());
             ri += 1;
         }
         let qg = g.materialize();
@@ -105,7 +105,7 @@ proptest! {
             }
             let mut r: GenericReplica<SetAdt<u32>> = GenericReplica::new(SetAdt::new(), 0);
             for &i in &order {
-                r.on_deliver(&msgs[i]);
+                r.on_deliver(msgs[i].clone());
             }
             prop_assert_eq!(r.materialize(), expect.clone());
         }
@@ -140,8 +140,8 @@ proptest! {
         let mut b: UcMemory<u32, u64> = UcMemory::new(0, 1);
         let ma: Vec<_> = wa.iter().map(|(x, v)| a.write(*x, *v)).collect();
         let mb: Vec<_> = wb.iter().map(|(x, v)| b.write(*x, *v)).collect();
-        for m in &mb { a.on_deliver(m); }
-        for m in ma.iter().rev() { b.on_deliver(m); } // reversed order
+        for m in &mb { a.on_deliver(m.clone()); }
+        for m in ma.iter().rev() { b.on_deliver(m.clone()); } // reversed order
         for x in 0..3u32 {
             prop_assert_eq!(a.read(&x), b.read(&x), "register {} diverged", x);
         }
@@ -158,7 +158,7 @@ proptest! {
             last = Some(a.update(SetUpdate::Insert(1)));
         }
         let m = last.unwrap();
-        b.on_deliver(&m);
+        b.on_deliver(m.clone());
         for _ in 0..post {
             let m2 = b.update(SetUpdate::Insert(2));
             prop_assert!(m2.ts > m.ts, "causal order violated: {:?} !> {:?}", m2.ts, m.ts);
@@ -176,18 +176,18 @@ proptest! {
             let u = to_update(c);
             if i % 2 == 0 {
                 let m = gc_a.update(u);
-                gc_b.on_gc_message(&m);
+                gc_b.on_gc_message(m);
                 plain.update(u);
             } else {
                 let m = gc_b.update(u);
-                gc_a.on_gc_message(&m);
+                gc_a.on_gc_message(m.clone());
                 if let uc_core::GcMsg::Update(um) = &m {
-                    plain.on_deliver(um);
+                    plain.on_deliver(um.clone());
                 }
             }
             // heartbeat exchange advances stability
-            for m in gc_a.tick() { gc_b.on_gc_message(&m); }
-            for m in gc_b.tick() { gc_a.on_gc_message(&m); }
+            for m in gc_a.tick() { gc_b.on_gc_message(m); }
+            for m in gc_b.tick() { gc_a.on_gc_message(m); }
         }
         prop_assert_eq!(gc_a.materialize(), plain.materialize());
         prop_assert_eq!(gc_b.materialize(), plain.materialize());

@@ -103,7 +103,7 @@ fn produce_streams<A: UqAdt + Clone>(
         let u = gen(rng);
         let m = peers[p].update(key, u);
         if rng.next_u64().is_multiple_of(2) {
-            peers[1 - p].apply_message(&m);
+            let Ok(_) = peers[1 - p].apply_message_from(p as u32 + 1, m.clone());
         }
         streams[p].push(m);
     }
@@ -140,10 +140,10 @@ fn run_cut_differential<A, F, P>(
         let chunk = &sched[i..sched.len().min(i + k)];
         i += chunk.len();
         if rng.next_u64().is_multiple_of(2) {
-            store.apply_batch(chunk);
+            store.apply_batch_owned(chunk.to_vec());
         } else {
             for m in chunk {
-                store.apply_message(m);
+                let Ok(_) = store.apply_message_from(1, m.clone());
             }
         }
         for m in chunk {
@@ -423,8 +423,8 @@ fn torn_two_query_read_fixed_by_snapshot_at() {
     let mut reader: UcStore<SetAdt<u32>, NaiveFactory> =
         UcStore::new(SetAdt::new(), 0, 2, NaiveFactory);
     let a_before = reader.query(KA, &SetQuery::Read);
-    reader.apply_message(&m1);
-    reader.apply_message(&m2);
+    let Ok(_) = reader.apply_message_from(1, m1.clone());
+    let Ok(_) = reader.apply_message_from(1, m2.clone());
     let b_after = reader.query(KB, &SetQuery::Read);
     assert!(
         !a_before.contains(&1) && b_after.contains(&2),
@@ -486,21 +486,17 @@ fn gc_cut_differential_and_cut_error_below_compaction_bound() {
             if burst.is_empty() {
                 continue;
             }
-            store.apply_batch(&burst);
             for m in &burst {
                 let StoreMsg::Update { key, msg } = m else {
                     panic!()
                 };
                 delivered.push((msg.ts, *key, msg.update));
             }
+            let clock = delivered.last().expect("nonempty").0.clock;
+            store.apply_batch_owned(burst);
             if rng.next_u64().is_multiple_of(3) {
-                let StoreMsg::Update { msg, .. } = burst.last().expect("nonempty") else {
-                    panic!()
-                };
-                store.apply_message(&StoreMsg::Heartbeat {
-                    pid: p as u32 + 1,
-                    clock: msg.ts.clock,
-                });
+                let pid = p as u32 + 1;
+                let Ok(_) = store.apply_message_from(pid, StoreMsg::Heartbeat { pid, clock });
             }
             // Cuts at the current clock stay answerable mid-run even
             // as stability advances.
@@ -512,10 +508,8 @@ fn gc_cut_differential_and_cut_error_below_compaction_bound() {
         }
         // Full stability, then compact.
         for pid in 0..cluster as u32 {
-            store.apply_message(&StoreMsg::Heartbeat {
-                pid,
-                clock: store.clock(),
-            });
+            let clock = store.clock();
+            let Ok(_) = store.apply_message_from(pid, StoreMsg::Heartbeat { pid, clock });
         }
         store.tick_maintenance();
         assert!(
@@ -557,7 +551,7 @@ fn snapshot_consistency_criterion_flags_injected_tear() {
             pid: msg.ts.pid,
             update: msg.update,
         });
-        store.apply_message(&m);
+        let Ok(_) = store.apply_message_from(1, m);
     }
     let cut_ts = trace[9].clock;
     let snap = store.snapshot_at(cut_ts).expect("full log");
@@ -655,7 +649,7 @@ fn pool_snapshot_matches_sequential_store() {
     let mut seq: UcStore<SetAdt<u32>, CheckpointFactory> =
         UcStore::new(SetAdt::new(), 0, 4, CheckpointFactory { every: 4 });
     for chunk in msgs.chunks(7) {
-        seq.apply_batch(chunk);
+        seq.apply_batch_owned(chunk.to_vec());
     }
     let mut pool =
         UcStore::new(SetAdt::new(), 0, 4, CheckpointFactory { every: 4 }).into_pool(PoolConfig {

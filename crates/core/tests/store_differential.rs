@@ -53,7 +53,7 @@ fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<Vec<Msg>> {
         if producers > 1 && rng.next_u64().is_multiple_of(2) {
             let q = (rng.next_u64() % producers as u64) as usize;
             if q != p {
-                peers[q].apply_message(&m);
+                let Ok(_) = peers[q].apply_message_from(p as u32, m.clone());
             }
         }
         streams[p].push(m);
@@ -77,7 +77,7 @@ fn references(streams: &[Vec<Msg>]) -> HashMap<Key, GenericReplica<Adt>> {
         };
         refs.entry(*key)
             .or_insert_with(|| GenericReplica::new(SetAdt::new(), 0))
-            .on_deliver(msg);
+            .on_deliver(msg.clone());
     }
     refs
 }
@@ -99,10 +99,10 @@ where
         let chunk = &sched[i..sched.len().min(i + k)];
         i += chunk.len();
         if rng.next_u64().is_multiple_of(2) {
-            store.apply_batch(chunk);
+            store.apply_batch_owned(chunk.to_vec());
         } else {
             for m in chunk {
-                store.apply_message(m);
+                let Ok(_) = store.apply_message_from(1, m.clone());
             }
         }
         // Interim queries on a random key must match the reference's
@@ -176,32 +176,29 @@ fn gc_store_matches_per_key_reference_under_fifo_delivery() {
             if burst.is_empty() {
                 continue;
             }
+            let StoreMsg::Update { msg, .. } = burst.last().expect("nonempty") else {
+                panic!()
+            };
+            let clock = msg.ts.clock;
             if rng.next_u64().is_multiple_of(2) {
-                store.apply_batch(&burst);
+                store.apply_batch_owned(burst);
             } else {
-                for m in &burst {
-                    store.apply_message(m);
+                for m in burst {
+                    let Ok(_) = store.apply_message_from(p as u32 + 1, m);
                 }
             }
             // The producer heartbeats its delivered prefix (safe under
             // FIFO) so compaction runs concurrently with delivery.
             if rng.next_u64().is_multiple_of(3) {
-                let StoreMsg::Update { msg, .. } = burst.last().expect("nonempty") else {
-                    panic!()
-                };
-                store.apply_message(&StoreMsg::Heartbeat {
-                    pid: p as u32 + 1,
-                    clock: msg.ts.clock,
-                });
+                let pid = p as u32 + 1;
+                let Ok(_) = store.apply_message_from(pid, StoreMsg::Heartbeat { pid, clock });
             }
         }
         // Full stability: everyone announces a final clock, then
         // maintenance compacts; semantics must survive.
         for pid in 0..cluster as u32 {
-            store.apply_message(&StoreMsg::Heartbeat {
-                pid,
-                clock: store.clock(),
-            });
+            let clock = store.clock();
+            let Ok(_) = store.apply_message_from(pid, StoreMsg::Heartbeat { pid, clock });
         }
         store.tick_maintenance();
         let retained = store.total_log_len();
@@ -224,7 +221,7 @@ fn gc_store_matches_per_key_reference_under_fifo_delivery() {
     }
 }
 
-/// The two ingest paths — sequential [`UcStore::apply_batch`] and the
+/// The two ingest paths — sequential [`UcStore::apply_batch_owned`] and the
 /// persistent [`IngestPool`](uc_core::IngestPool) — must be
 /// *indistinguishable*: identical per-key states, clock, and repair
 /// event/step counters under randomized shuffled, duplicated, and
@@ -252,7 +249,7 @@ where
     let shards = 1 + (seed as usize % 4);
     let mut seq = UcStore::new(SetAdt::<u32>::new(), 0, shards, factory.clone());
     for c in &chunks {
-        seq.apply_batch(c);
+        seq.apply_batch_owned(c.to_vec());
     }
     let workers = 1 + (seed as usize % 3);
     let mut pool = UcStore::new(SetAdt::<u32>::new(), 0, shards, factory).into_pool(PoolConfig {
@@ -369,7 +366,7 @@ fn pool_ingest_matches_sequential_gc() {
         let factory = GcFactory { n: 3 };
         let mut seq = UcStore::new(SetAdt::<u32>::new(), 0, 3, factory);
         for c in &chunks {
-            seq.apply_batch(c);
+            seq.apply_batch_owned(c.to_vec());
         }
         seq.tick_maintenance();
         let mut pool = UcStore::new(SetAdt::<u32>::new(), 0, 3, factory).into_pool(PoolConfig {
@@ -515,26 +512,26 @@ fn a_late_burst_on_the_hot_key_repairs_that_key_alone() {
         CheckpointFactory { every: EVERY },
     );
     for chunk in keyed_stream.chunks(CHUNK) {
-        keyed.apply_batch(chunk);
+        keyed.apply_batch_owned(chunk.to_vec());
     }
     let mut late_producer = UcStore::new(SetAdt::<u32>::new(), 2, 1, NaiveFactory);
     let late: Vec<Msg> = (0..64)
         .map(|i| late_producer.update(0, SetUpdate::Insert(90_000 + i)))
         .collect();
     let before = keyed.total_repair_steps();
-    keyed.apply_batch(&late);
+    keyed.apply_batch_owned(late);
     let keyed_steps = keyed.total_repair_steps() - before;
 
     let mut single = CachedReplica::with_checkpoint_every(SetAdt::<u32>::new(), 0, EVERY);
     for chunk in single_stream.chunks(CHUNK) {
-        single.on_batch(chunk);
+        single.on_batch(chunk.to_vec());
     }
     let mut late_producer = CachedReplica::new(SetAdt::<u32>::new(), 2);
     let late: Vec<_> = (0..64)
         .map(|i| late_producer.update(SetUpdate::Insert(900_000 + i)))
         .collect();
     let before = single.repair_steps();
-    single.on_batch(&late);
+    single.on_batch(late);
     let single_steps = single.repair_steps() - before;
 
     assert!(
@@ -590,12 +587,12 @@ fn run_backend_differential<F>(
     let mut rng = SplitMix64::new(seed ^ 0xD15C);
     for c in chunks {
         if rng.next_u64().is_multiple_of(2) {
-            mem.apply_batch(c);
-            seg.apply_batch(c);
+            mem.apply_batch_owned(c.to_vec());
+            seg.apply_batch_owned(c.to_vec());
         } else {
             for m in c {
-                mem.apply_message(m);
-                seg.apply_message(m);
+                let Ok(_) = mem.apply_message_from(1, m.clone());
+                let Ok(_) = seg.apply_message_from(1, m.clone());
             }
         }
         if fsync {
@@ -784,7 +781,7 @@ fn gc_chunks(seed: u64) -> Vec<Vec<Msg>> {
     // path would never exercise base snapshots).
     let mut probe = UcStore::new(SetAdt::<u32>::new(), 0, 2, GcFactory { n: 3 });
     for c in &chunks {
-        probe.apply_batch(c);
+        probe.apply_batch_owned(c.to_vec());
     }
     probe.tick_maintenance();
     assert!(

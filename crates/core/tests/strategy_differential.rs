@@ -51,7 +51,7 @@ fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<Vec<Msg>> {
         if producers > 1 && rng.next_u64().is_multiple_of(2) {
             let q = (rng.next_u64() % producers as u64) as usize;
             if q != p {
-                peers[q].on_deliver(&m);
+                peers[q].on_deliver(m.clone());
             }
         }
         streams[p].push(m);
@@ -95,14 +95,14 @@ fn scenario(seed: u64) {
         let chunk = &sched[i..sched.len().min(i + k)];
         i += chunk.len();
         if rng.next_u64().is_multiple_of(2) {
-            Replica::<SetAdt<u32>>::on_batch(&mut reference, chunk);
-            Replica::<SetAdt<u32>>::on_batch(&mut cached, chunk);
-            Replica::<SetAdt<u32>>::on_batch(&mut undo, chunk);
+            Replica::<SetAdt<u32>>::on_batch(&mut reference, chunk.to_vec());
+            Replica::<SetAdt<u32>>::on_batch(&mut cached, chunk.to_vec());
+            Replica::<SetAdt<u32>>::on_batch(&mut undo, chunk.to_vec());
         } else {
             for m in chunk {
-                reference.on_deliver(m);
-                cached.on_deliver(m);
-                undo.on_deliver(m);
+                reference.on_deliver(m.clone());
+                cached.on_deliver(m.clone());
+                undo.on_deliver(m.clone());
             }
         }
         // Interim queries must agree at every step.
@@ -133,20 +133,20 @@ fn scenario(seed: u64) {
             if rng.next_u64().is_multiple_of(2) {
                 let gchunk: Vec<GcMsg<SetUpdate<u32>>> =
                     burst.iter().map(|m| GcMsg::Update(m.clone())).collect();
-                gc.on_batch(&gchunk);
+                gc.on_batch(gchunk);
             } else {
                 for m in &burst {
-                    gc.on_gc_message(&GcMsg::Update(m.clone()));
+                    gc.on_gc_message(GcMsg::Update(m.clone()));
                 }
             }
             for m in &burst {
-                gc_ref.on_deliver(m);
+                gc_ref.on_deliver(m.clone());
             }
             // Occasionally the producer heartbeats its delivered
             // prefix — safe under FIFO, and it forces compaction to
             // happen *concurrently* with the remaining deliveries.
             if rng.next_u64().is_multiple_of(3) {
-                gc.on_gc_message(&GcMsg::Heartbeat {
+                gc.on_gc_message(GcMsg::Heartbeat {
                     pid: p as u32 + 1,
                     clock: burst.last().expect("nonempty").ts.clock,
                 });
@@ -162,8 +162,8 @@ fn scenario(seed: u64) {
     // Drain what the GC pair has not seen yet.
     for (p, q) in queues.iter_mut().enumerate() {
         while let Some(m) = q.pop_front() {
-            gc.on_gc_message(&GcMsg::Update(m.clone()));
-            gc_ref.on_deliver(&m);
+            gc.on_gc_message(GcMsg::Update(m.clone()));
+            gc_ref.on_deliver(m);
         }
         let _ = p;
     }
@@ -171,7 +171,7 @@ fn scenario(seed: u64) {
     // announces its final clock, then semantics must survive the
     // resulting compaction.
     for p in 0..cluster as u32 {
-        gc.on_gc_message(&GcMsg::Heartbeat {
+        gc.on_gc_message(GcMsg::Heartbeat {
             pid: p,
             clock: gc.engine().clock(),
         });
@@ -214,12 +214,12 @@ fn strategies_agree_under_pure_batch_replay() {
 
     let mut reference: GenericReplica<SetAdt<u32>> = GenericReplica::new(SetAdt::new(), 0);
     for m in &sched {
-        reference.on_deliver(m);
+        reference.on_deliver(m.clone());
     }
     let mut cached: CachedReplica<SetAdt<u32>> = CachedReplica::new(SetAdt::new(), 0);
-    cached.on_deliver_batch(&sched);
+    cached.on_deliver_batch(sched.clone());
     let mut undo: UndoReplica<SetAdt<u32>> = UndoReplica::new(SetAdt::new(), 0);
-    undo.on_deliver_batch(&sched);
+    undo.on_deliver_batch(sched);
 
     assert_eq!(reference.materialize(), Replica::materialize(&mut cached));
     assert_eq!(reference.materialize(), Replica::materialize(&mut undo));

@@ -103,12 +103,6 @@ impl MonitorConfig {
         self.peers = peers.into_iter().collect();
         self
     }
-
-    /// Replace the sampling seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// Counters a monitor streams out as metrics. All monotone except

@@ -16,8 +16,8 @@
 //!   traces ([`trace`]) and accounting ([`metrics`], experiment E7).
 //!   Installing a [`topology::Topology`] switches the network to the
 //!   partitionable-systems model — per-link latency/bandwidth/loss/
-//!   duplication/reorder, outage windows, and flap schedules that
-//!   **drop** instead of delay — and [`reliable::ReliableLink`]
+//!   duplication/reorder and outage windows that **drop** instead of
+//!   delay — and [`reliable::ReliableLink`]
 //!   restores eventual delivery on top via sequence-numbered
 //!   retransmission with backoff.
 //!

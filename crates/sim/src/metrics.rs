@@ -34,7 +34,7 @@ pub struct Metrics {
     /// size estimator was installed.
     pub bytes_sent: u64,
     /// Messages dropped by the network itself: link loss, a link
-    /// outage/flap window, or a bounded retry queue shedding its
+    /// outage window, or a bounded retry queue shedding its
     /// oldest entry. Distinct from `messages_dropped_crashed` (dead
     /// destination).
     pub messages_dropped: u64,

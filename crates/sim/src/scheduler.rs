@@ -11,7 +11,7 @@
 //! * **reliability** — messages between live processes are never
 //!   dropped (partitions only delay them until the heal time).
 //!   Installing a [`Topology`] deliberately *breaks* this guarantee
-//!   (loss, duplication, reorder, link outages and flaps — the
+//!   (loss, duplication, reorder and link outages — the
 //!   partitionable-systems model); the `reliable` module restores
 //!   eventual delivery on top via retransmission;
 //! * **crash faults** — a crashed process silently stops processing
@@ -154,7 +154,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Install a lossy-network [`Topology`]. This switches the network
     /// from the paper's reliable model to the partitionable-systems
-    /// model: down/flapping links and loss draws **drop** messages
+    /// model: down links and loss draws **drop** messages
     /// (counted in `metrics.messages_dropped`), duplication schedules
     /// extra copies (`messages_duplicated`), and reorder jitter
     /// deliberately bypasses `fifo_links`. The legacy
@@ -261,14 +261,6 @@ impl<P: Protocol> Simulation<P> {
     pub fn schedule_crash(&mut self, t: u64, pid: Pid) {
         assert!(t >= self.now, "cannot schedule in the past");
         self.push(t, pid, Action::Crash);
-    }
-
-    /// Schedule one [`Protocol::on_tick`] at absolute time `t` — the
-    /// deterministic analogue of the event runtime's timer wheel, so
-    /// retransmit/maintenance timers are heap events here too.
-    pub fn schedule_tick(&mut self, t: u64, pid: Pid) {
-        assert!(t >= self.now, "cannot schedule in the past");
-        self.push(t, pid, Action::Tick);
     }
 
     /// Schedule periodic ticks for **every** process at `interval`,

@@ -1,11 +1,11 @@
 //! Network-realistic topology: per-link latency/bandwidth/loss/
-//! duplication/reorder models, outage windows, and flap schedules.
+//! duplication/reorder models and outage windows.
 //!
 //! The base simulator models the paper's network — reliable and
 //! asynchronous, where partitions only *delay* traffic. Installing a
 //! [`Topology`] (via `Simulation::set_topology`) switches the network
 //! to the partitionable-systems model of arXiv 1501.02175: a link that
-//! is down, lossy, or flapping **drops** messages, duplication injects
+//! is down or lossy **drops** messages, duplication injects
 //! extra copies, and reorder jitter breaks FIFO. On such a network a
 //! bare protocol loses updates; the `reliable` module layers
 //! sequence-numbered retransmission on top, and the store layers
@@ -131,15 +131,14 @@ impl FlapSchedule {
     }
 }
 
-/// The full network: a default link model, per-link overrides, outage
-/// windows, and flap schedules.
+/// The full network: a default link model, per-link overrides, and
+/// outage windows.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
     n: usize,
     default_link: LinkModel,
     overrides: HashMap<(Pid, Pid), LinkModel>,
     outages: Vec<LinkOutage>,
-    flaps: Vec<(Pid, Pid, FlapSchedule)>,
 }
 
 impl Topology {
@@ -160,12 +159,6 @@ impl Topology {
     /// Override one directed link's model.
     pub fn set_link(&mut self, from: Pid, to: Pid, model: LinkModel) {
         self.overrides.insert((from, to), model);
-    }
-
-    /// Override both directions between `a` and `b`.
-    pub fn set_link_pair(&mut self, a: Pid, b: Pid, model: LinkModel) {
-        self.overrides.insert((a, b), model.clone());
-        self.overrides.insert((b, a), model);
     }
 
     /// The model governing `from → to`.
@@ -197,13 +190,6 @@ impl Topology {
         });
     }
 
-    /// Attach a flap schedule to both directions of `a ↔ b`.
-    pub fn add_flap_pair(&mut self, a: Pid, b: Pid, flap: FlapSchedule) {
-        assert!(flap.period > 0 && flap.down_for < flap.period);
-        self.flaps.push((a, b, flap));
-        self.flaps.push((b, a, flap));
-    }
-
     /// Partition the cluster into `groups` during `[start, end)` by
     /// expanding every blocked ordered pair into a link outage —
     /// unlisted pids are isolated, exactly as [`Partition::connected`]
@@ -225,7 +211,7 @@ impl Topology {
         }
     }
 
-    /// Is `from → to` down (outage window or flap) at time `t`?
+    /// Is `from → to` down (inside an outage window) at time `t`?
     pub fn is_down(&self, from: Pid, to: Pid, t: u64) -> bool {
         if from == to {
             return false;
@@ -233,10 +219,6 @@ impl Topology {
         self.outages
             .iter()
             .any(|o| o.from == from && o.to == to && t >= o.start && t < o.end)
-            || self
-                .flaps
-                .iter()
-                .any(|(f, g, flap)| *f == from && *g == to && flap.is_down(t))
     }
 
     /// Plan one transmission: `None`-like empty plan when the link is

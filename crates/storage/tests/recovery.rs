@@ -109,7 +109,7 @@ fn reopen_after_compaction_replays_only_the_tail() {
     }
     // Peer announces clock 10: everything so far becomes stable and
     // compacts into the on-disk base snapshot.
-    store.apply_message(&StoreMsg::Heartbeat { pid: 1, clock: 10 });
+    let Ok(_) = store.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock: 10 });
     store.tick_maintenance();
     assert_eq!(
         store.engine(3).unwrap().log_len(),
@@ -170,7 +170,7 @@ fn heartbeat_only_tick_costs_idle_keys_one_watermark_record_each() {
     // The peer is ahead of every update above, so nothing compacts:
     // the tick moves clocks and nothing else.
     let clock = store.clock() + 10;
-    store.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+    let Ok(_) = store.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock });
     store.tick_maintenance();
     store.flush_backends();
     let after = files_of(tmp.path());
@@ -220,14 +220,14 @@ fn compacted_keys_cost_a_tick_nothing() {
         .collect();
     store.apply_batch_owned(preload);
     store.tick_maintenance();
-    store.apply_message(&peer.heartbeat());
-    store.apply_message(&heartbeat(2, peer.clock()));
+    let Ok(_) = store.apply_message_from(peer.pid(), peer.heartbeat());
+    let Ok(_) = store.apply_message_from(2, heartbeat(2, peer.clock()));
     assert_eq!((store.live_keys(), store.total_log_len()), (0, 0));
     // These stay unstable — and live — through both rounds below. They
     // are stamped well above the preload, so replica 2 can raise the
     // stability floor without making them stable.
     let preloaded = peer.clock();
-    peer.apply_message(&heartbeat(2, preloaded + 100));
+    let Ok(_) = peer.apply_message_from(2, heartbeat(2, preloaded + 100));
     let fresh: Vec<Msg> = (IDLE..IDLE + LIVE)
         .map(|key| peer.update(key, SetUpdate::Insert(key as u32)))
         .collect();
@@ -243,7 +243,7 @@ fn compacted_keys_cost_a_tick_nothing() {
     // One round: `announce`, a tick and a flush; the bytes it wrote.
     let round = |store: &mut UcStore<Adt, GcFactory, SegmentFactory>, announce: Msg| {
         let before = files_of(tmp.path());
-        store.apply_message(&announce);
+        store.apply_batch_owned(vec![announce]);
         store.tick_maintenance();
         store.flush_backends();
         let after = files_of(tmp.path());
@@ -428,9 +428,7 @@ fn poisoned_pool_flushes_the_journal_before_dying() {
         UcStore::new(SetAdt::new(), 2, 1, checkpoint());
     // Re-stamp the pill from a second producer so timestamps stay
     // unique; deliver the first producer's stream to it for causality.
-    for m in &msgs {
-        producer.apply_message(m);
-    }
+    producer.apply_batch_owned(msgs.clone());
     msgs.push(producer.update(KEYS - 1, SetUpdate::Insert(PILL)));
 
     let store: UcStore<ArmedSet, CheckpointFactory, SegmentFactory> =
@@ -534,7 +532,7 @@ fn a_store_flush_commits_each_dirty_shard_once() {
         // Every key compacted off the live list, owing its last flush:
         // the walk ends on an idle key.
         let clock = store.clock();
-        store.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+        let Ok(_) = store.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock });
         store.tick_maintenance();
         assert_eq!(store.live_keys(), 0);
         assert_eq!(counted_flush(&mut store, &persist), commits(3));
@@ -547,7 +545,7 @@ fn a_store_flush_commits_each_dirty_shard_once() {
             store.update(*key, SetUpdate::Insert(2));
         }
         let clock = store.clock();
-        store.apply_message(&StoreMsg::Heartbeat { pid: 1, clock });
+        let Ok(_) = store.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock });
         store.tick_maintenance();
         for key in &rest[..2] {
             store.update(*key, SetUpdate::Insert(3));
@@ -659,10 +657,11 @@ where
                 store.update(key, SetUpdate::Insert(round * 10 + i));
             }
         }
-        store.apply_message(&StoreMsg::Heartbeat {
+        let heartbeat = StoreMsg::Heartbeat {
             pid: 1,
             clock: stable,
-        });
+        };
+        let Ok(_) = store.apply_message_from(1, heartbeat);
         stable = store.clock();
         store.tick_maintenance();
         counts.push(counted_flush(store, persist));

@@ -49,21 +49,21 @@ fn main() {
         // messages cross-deliver (here immediately; any order works).
         if branch == 0 {
             let m = audit0.update(Append(tx.clone()));
-            audit1.on_deliver(&m);
+            audit1.on_deliver(m);
             let m = bal0.update(CounterUpdate::Add(amount));
-            bal1.on_gc_message(&m);
+            bal1.on_gc_message(m);
         } else {
             let m = audit1.update(Append(tx.clone()));
-            audit0.on_deliver(&m);
+            audit0.on_deliver(m);
             let m = bal1.update(CounterUpdate::Add(amount));
-            bal0.on_gc_message(&m);
+            bal0.on_gc_message(m);
         }
         // Periodic heartbeats let stability advance.
         for m in bal0.tick() {
-            bal1.on_gc_message(&m);
+            bal1.on_gc_message(m);
         }
         for m in bal1.tick() {
-            bal0.on_gc_message(&m);
+            bal0.on_gc_message(m);
         }
     }
 

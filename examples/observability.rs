@@ -29,6 +29,12 @@ type Msg = StoreMsg<CounterUpdate>;
 const N: usize = 3;
 const KEY: u64 = 7;
 
+/// Deliver `msg` to `node` as a link hands a frame over: by value,
+/// with the sender's pid (a data frame asks for no reply).
+fn deliver(node: &mut Node, from: usize, msg: Msg) {
+    let Ok(_replies) = node.apply_message_from(from as u32, msg);
+}
+
 /// Deliver `msg` to every node except its origin — duplicating every
 /// third delivery, which the dedup floor (and the monitor's shadow)
 /// must absorb without a tremor.
@@ -37,25 +43,19 @@ fn gossip(nodes: &mut [Node], from: usize, msg: &Msg, seq: &mut u64) {
         if i == from {
             continue;
         }
-        node.apply_message(msg);
+        deliver(node, from, msg.clone());
         *seq += 1;
         if seq.is_multiple_of(3) {
-            node.apply_message(msg); // lossy link: duplicate delivery
+            deliver(node, from, msg.clone()); // lossy link: duplicate delivery
         }
     }
 }
 
 fn heartbeats(nodes: &mut [Node], among: &[usize]) {
-    let beats: Vec<Msg> = among
-        .iter()
-        .map(|&i| StoreMsg::Heartbeat {
-            pid: i as u32,
-            clock: nodes[i].clock(),
-        })
-        .collect();
+    let beats: Vec<(usize, Msg)> = among.iter().map(|&i| (i, nodes[i].heartbeat())).collect();
     for &i in among {
-        for b in &beats {
-            nodes[i].apply_message(b);
+        for (from, b) in &beats {
+            deliver(&mut nodes[i], *from, b.clone());
         }
         nodes[i].tick_maintenance();
     }
@@ -109,9 +109,9 @@ fn main() {
         let m2 = {
             let (a, b) = nodes.split_at_mut(1);
             if from == 0 {
-                b[0].apply_message(&msg);
+                deliver(&mut b[0], from, msg);
             } else {
-                a[0].apply_message(&msg);
+                deliver(&mut a[0], from, msg);
             }
             nodes[2].update(KEY, CounterUpdate::Add(-1))
         };

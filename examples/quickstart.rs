@@ -33,9 +33,9 @@ fn main() {
     );
 
     // Deliver cross-traffic in any order (the network may reorder).
-    alice.on_deliver(&m3);
-    alice.on_deliver(&m2);
-    bob.on_deliver(&m1);
+    alice.on_deliver(m3);
+    alice.on_deliver(m2);
+    bob.on_deliver(m1);
 
     // Converged: both replicas replay the same Lamport-ordered
     // sequence of updates.

@@ -49,9 +49,10 @@
 //! let ma = a.update(SetUpdate::Insert(1));
 //! let mb = b.update(SetUpdate::Delete(1));
 //!
-//! // Cross-delivery in any order...
-//! a.on_deliver(&mb);
-//! b.on_deliver(&ma);
+//! // Cross-delivery in any order (a message is handed over by value,
+//! // as a network delivers it)...
+//! a.on_deliver(mb);
+//! b.on_deliver(ma);
 //!
 //! // ...converges both replicas onto the same linearization of the
 //! // updates (update consistency).
@@ -75,7 +76,7 @@
 //! for i in 100..200 {
 //!     r.update(SetUpdate::Insert(i)); // long local history
 //! }
-//! r.on_deliver_batch(&burst);         // one rollback + one refold
+//! r.on_deliver_batch(burst);          // one rollback + one refold
 //! assert!(r.repair_events() <= 1);
 //! assert_eq!(r.materialize().len(), 164);
 //! ```

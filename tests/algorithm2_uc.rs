@@ -43,8 +43,8 @@ fn algorithm2_equals_algorithm1_on_memory() {
             rng.shuffle(&mut order);
             for &k in &order {
                 if mem_msgs[k].0 != i {
-                    mems[i].on_deliver(&mem_msgs[k].1);
-                    oracles[i].on_deliver(&oracle_msgs[k].1);
+                    mems[i].on_deliver(mem_msgs[k].1.clone());
+                    oracles[i].on_deliver(oracle_msgs[k].1.clone());
                 }
             }
         }
@@ -99,8 +99,8 @@ fn concurrent_writes_resolve_identically_everywhere() {
     let mut b: Mem = UcMemory::new(0, 1);
     let wa = a.write(5, 111); // ts (1,0)
     let wb = b.write(5, 222); // ts (1,1)
-    a.on_deliver(&wb);
-    b.on_deliver(&wa);
+    a.on_deliver(wb);
+    b.on_deliver(wa);
     assert_eq!(a.read(&5), 222);
     assert_eq!(b.read(&5), 222);
 }

@@ -33,7 +33,7 @@ fn naive_counter_matches_algorithm1_counter() {
             for &k in &order {
                 if nmsgs[k].0 != i {
                     naive[i].on_message(&nmsgs[k].1);
-                    ordered[i].on_deliver(&omsgs[k].1);
+                    ordered[i].on_deliver(omsgs[k].1.clone());
                 }
             }
         }
@@ -73,7 +73,7 @@ fn naive_gset_matches_algorithm1_growset() {
             for &k in &order {
                 if nmsgs[k].0 != i {
                     naive[i].on_message(&nmsgs[k].1);
-                    ordered[i].on_deliver(&omsgs[k].1);
+                    ordered[i].on_deliver(omsgs[k].1.clone());
                 }
             }
         }

@@ -41,10 +41,10 @@ fn update_consistent_set_reaches_a_sequentially_explicable_state() {
     let a2 = p0.update(SetUpdate::Delete(2));
     let b1 = p1.update(SetUpdate::Insert(2));
     let b2 = p1.update(SetUpdate::Delete(1));
-    p0.on_deliver(&b1);
-    p0.on_deliver(&b2);
-    p1.on_deliver(&a1);
-    p1.on_deliver(&a2);
+    p0.on_deliver(b1);
+    p0.on_deliver(b2);
+    p1.on_deliver(a1);
+    p1.on_deliver(a2);
     let s0 = p0.materialize();
     let s1 = p1.materialize();
     assert_eq!(s0, s1);
