@@ -13,7 +13,7 @@
 //! (see [`crate::engine::ReplicaEngine::on_deliver_batch`]).
 
 use crate::backend::LogBackend;
-use crate::engine::{EngineCtx, RepairStrategy, ReplicaEngine};
+use crate::engine::{RepairStrategy, ReplicaEngine};
 use crate::log::UpdateLog;
 use uc_spec::UqAdt;
 
@@ -91,18 +91,9 @@ impl<A: UqAdt> CheckpointRepair<A> {
 }
 
 impl<A: UqAdt> RepairStrategy<A> for CheckpointRepair<A> {
-    fn on_insert<B: LogBackend<A>>(
-        &mut self,
-        adt: &A,
-        log: &mut UpdateLog<A, B>,
-        pos: usize,
-        _ctx: &EngineCtx,
-    ) {
+    fn on_insert<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>, pos: usize) {
         self.repair_from(adt, log, pos);
     }
-
-    // on_batch_insert: the default (one `on_insert` at the minimum
-    // position) is already a single rollback + refold.
 
     fn current_state<B: LogBackend<A>>(&mut self, _adt: &A, log: &UpdateLog<A, B>) -> &A::State {
         debug_assert_eq!(self.applied, log.len(), "state must be fully folded");

@@ -20,8 +20,7 @@
 //!                              │                │ insert pos
 //!                              ▼                ▼
 //!                       S: RepairStrategy  (hooks: on_insert,
-//!                       on_batch_insert, observe_clock, maintain,
-//!                       current_state)
+//!                       observe_clock, maintain, current_state)
 //! ```
 //!
 //! The four shipped strategies reproduce the historical variants and
@@ -41,8 +40,8 @@
 //! repair. Messages are deduplicated and merged into the log in a
 //! single pass, the minimum insertion position is computed, and the
 //! strategy is asked to repair once from there
-//! ([`RepairStrategy::on_batch_insert`]) — one rollback + one refold
-//! instead of up to `K` of each. Delivering each message separately
+//! ([`RepairStrategy::on_insert`] at that position) — one rollback +
+//! one refold instead of up to `K` of each. Delivering each message separately
 //! costs `O(K · s)` state transitions for a suffix of length `s`;
 //! the batch costs `O(s + K log K)`. The [`crate::replica::Replica`]
 //! trait exposes this as [`Replica::on_batch`](crate::replica::Replica::on_batch)
@@ -65,9 +64,8 @@
 //! * [`observe_clock`](RepairStrategy::observe_clock) — for every
 //!   timestamp the replica hears (local updates, deliveries, queries,
 //!   heartbeats); strategies tracking per-sender stability live here;
-//! * [`on_insert`](RepairStrategy::on_insert) /
-//!   [`on_batch_insert`](RepairStrategy::on_batch_insert) — after the
-//!   log gained entries, with the position(s) that became dirty;
+//! * [`on_insert`](RepairStrategy::on_insert) — after the log gained
+//!   entries, with the earliest position that became dirty;
 //! * [`maintain`](RepairStrategy::maintain) — periodic housekeeping
 //!   (compaction), from [`ReplicaEngine::tick_maintenance`];
 //! * [`current_state`](RepairStrategy::current_state) — to answer
@@ -80,16 +78,6 @@ use crate::replica::Replica;
 use crate::timestamp::{LamportClock, Timestamp};
 use std::sync::Arc;
 use uc_spec::UqAdt;
-
-/// Engine facts passed to every strategy hook: the replica identity
-/// and its current Lamport clock.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineCtx {
-    /// The owning replica's process id.
-    pub pid: u32,
-    /// The owning replica's current clock value.
-    pub clock: u64,
-}
 
 /// A snapshot cut predates compacted history: the requested timestamp
 /// is below the strategy's stability bound, so the updates needed to
@@ -126,34 +114,15 @@ impl std::error::Error for CutError {}
 /// See the [module docs](self) for the contract and the shipped
 /// implementations.
 pub trait RepairStrategy<A: UqAdt> {
-    /// The log gained one entry at `pos` (already inserted). Repair
-    /// whatever cached state the strategy maintains. `log` is mutable
+    /// The log gained entries, the earliest at `pos` (already
+    /// inserted): one delivery, or a whole batch merged at once, which
+    /// must cost one repair of the dirty suffix. Repair whatever
+    /// cached state the strategy maintains. `log` is mutable
     /// so compacting strategies can shrink it. Generic over the log's
     /// [`LogBackend`] — repair logic is storage-agnostic; compacting
     /// strategies use the genericity to persist their base through
     /// [`UpdateLog::persist_base`].
-    fn on_insert<B: LogBackend<A>>(
-        &mut self,
-        adt: &A,
-        log: &mut UpdateLog<A, B>,
-        pos: usize,
-        ctx: &EngineCtx,
-    );
-
-    /// The log gained several entries, the earliest at `min_pos`.
-    /// Strategies whose repair cost is dominated by the refold should
-    /// override this only if `on_insert(min_pos)` is not already a
-    /// single repair of the whole dirty suffix (both shipped repairing
-    /// strategies satisfy that, so the default delegates).
-    fn on_batch_insert<B: LogBackend<A>>(
-        &mut self,
-        adt: &A,
-        log: &mut UpdateLog<A, B>,
-        min_pos: usize,
-        ctx: &EngineCtx,
-    ) {
-        self.on_insert(adt, log, min_pos, ctx);
-    }
+    fn on_insert<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>, pos: usize);
 
     /// A timestamp from `pid` with value `clock` was heard (local
     /// update, delivery, query, or heartbeat). Default: ignore.
@@ -188,8 +157,8 @@ pub trait RepairStrategy<A: UqAdt> {
 
     /// Periodic housekeeping (e.g. compaction after new stability
     /// knowledge). Default: nothing.
-    fn maintain<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>, ctx: &EngineCtx) {
-        let _ = (adt, log, ctx);
+    fn maintain<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>) {
+        let _ = (adt, log);
     }
 
     /// The state equivalent to folding the full log (over the
@@ -347,13 +316,6 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         self.log.stage_backend_flush(clock);
     }
 
-    fn ctx(&self) -> EngineCtx {
-        EngineCtx {
-            pid: self.pid,
-            clock: self.clock.now(),
-        }
-    }
-
     /// Perform update `u`: tick, apply to the local log (the sender
     /// receives its broadcast instantaneously), repair, and return the
     /// message for the other replicas.
@@ -379,8 +341,7 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
             .push_newest(&msg)
             .expect("locally issued timestamps are unique");
         self.strategy.observe_clock(self.pid, ts.clock);
-        let ctx = self.ctx();
-        self.strategy.on_insert(&self.adt, &mut self.log, pos, &ctx);
+        self.strategy.on_insert(&self.adt, &mut self.log, pos);
         msg
     }
 
@@ -391,8 +352,7 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         self.clock.merge(msg.ts.clock);
         self.strategy.observe_clock(msg.ts.pid, msg.ts.clock);
         if let Some(pos) = self.log.insert(msg) {
-            let ctx = self.ctx();
-            self.strategy.on_insert(&self.adt, &mut self.log, pos, &ctx);
+            self.strategy.on_insert(&self.adt, &mut self.log, pos);
         }
     }
 
@@ -432,9 +392,7 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         }
         self.clock.merge(max_clock);
         if let Some(min_pos) = self.log.insert_batch(msgs) {
-            let ctx = self.ctx();
-            self.strategy
-                .on_batch_insert(&self.adt, &mut self.log, min_pos, &ctx);
+            self.strategy.on_insert(&self.adt, &mut self.log, min_pos);
         }
     }
 
@@ -465,8 +423,7 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
 
     /// Let the strategy compact on what it has heard.
     pub(crate) fn compact(&mut self) {
-        let ctx = self.ctx();
-        self.strategy.maintain(&self.adt, &mut self.log, &ctx);
+        self.strategy.maintain(&self.adt, &mut self.log);
     }
 
     /// Pin or release the strategy's compaction retention cap — see
@@ -849,7 +806,6 @@ mod tests {
                 _adt: &SetAdt<u32>,
                 _log: &mut UpdateLog<SetAdt<u32>, B>,
                 _pos: usize,
-                _ctx: &EngineCtx,
             ) {
                 self.inserts += 1;
             }

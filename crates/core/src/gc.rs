@@ -48,7 +48,7 @@
 //! is measured by the E10 experiment.
 
 use crate::backend::LogBackend;
-use crate::engine::{CutError, EngineCtx, RepairStrategy, ReplicaEngine};
+use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
 use crate::log::UpdateLog;
 use crate::message::GcMsg;
 use crate::replica::Replica;
@@ -484,13 +484,7 @@ impl<A: UqAdt> StableGc<A> {
 }
 
 impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
-    fn on_insert<B: LogBackend<A>>(
-        &mut self,
-        adt: &A,
-        log: &mut UpdateLog<A, B>,
-        pos: usize,
-        _ctx: &EngineCtx,
-    ) {
+    fn on_insert<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>, pos: usize) {
         debug_assert!(
             log.get(pos)
                 .map(|(ts, _)| ts.clock > self.bound)
@@ -525,7 +519,7 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
         }
     }
 
-    fn maintain<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>, _ctx: &EngineCtx) {
+    fn maintain<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>) {
         self.try_compact(adt, log);
     }
 
@@ -1010,14 +1004,13 @@ mod tests {
         let adt = SetAdt::<u32>::new();
         let mut log: UpdateLog<SetAdt<u32>> = UpdateLog::new();
         let mut s = StableGc::new(&adt, 2);
-        let ctx = EngineCtx { pid: 0, clock: 1 };
         let pos = log
             .insert(UpdateMsg {
                 ts: Timestamp::new(9, 0),
                 update: SetUpdate::Insert(1),
             })
             .expect("fresh");
-        s.on_insert(&adt, &mut log, pos, &ctx);
+        s.on_insert(&adt, &mut log, pos);
         assert_eq!(s.current_state(&adt, &log), &BTreeSet::from([1]));
         assert!(s.install_base(&adt, 4, BTreeSet::from([7])));
         assert_eq!(s.current_state(&adt, &log), &BTreeSet::from([1, 7]));
@@ -1570,19 +1563,18 @@ mod tests {
             let adt = CountedSet;
             let mut log: UpdateLog<CountedSet> = UpdateLog::new();
             let mut s = StableGc::new(&adt, 2);
-            let ctx = EngineCtx { pid: 0, clock: 2 };
             for clock in 1..=2 {
                 let msg = UpdateMsg {
                     ts: Timestamp::new(clock, 0),
                     update: SetUpdate::Insert(clock as u32),
                 };
                 let pos = log.insert(msg).expect("fresh");
-                s.on_insert(&adt, &mut log, pos, &ctx);
+                s.on_insert(&adt, &mut log, pos);
             }
             let _ = s.shared_state(&adt, &log);
             s.observe_clock(0, 2);
             s.observe_clock(1, 2);
-            s.maintain(&adt, &mut log, &ctx);
+            s.maintain(&adt, &mut log);
             assert_eq!(s.rotation.as_ref().expect("shared").view, Some(View::Front));
             assert_eq!(s.base, adt.initial());
             let before = copies();

@@ -13,7 +13,7 @@
 //! [`crate::gc::StableGc`]).
 
 use crate::backend::LogBackend;
-use crate::engine::{EngineCtx, RepairStrategy, ReplicaEngine};
+use crate::engine::{RepairStrategy, ReplicaEngine};
 use crate::log::UpdateLog;
 use uc_spec::UqAdt;
 
@@ -37,13 +37,7 @@ impl<A: UqAdt> NaiveReplay<A> {
 }
 
 impl<A: UqAdt> RepairStrategy<A> for NaiveReplay<A> {
-    fn on_insert<B: LogBackend<A>>(
-        &mut self,
-        _adt: &A,
-        _log: &mut UpdateLog<A, B>,
-        _pos: usize,
-        _ctx: &EngineCtx,
-    ) {
+    fn on_insert<B: LogBackend<A>>(&mut self, _adt: &A, _log: &mut UpdateLog<A, B>, _pos: usize) {
         // Nothing is cached, so nothing needs repair.
     }
 

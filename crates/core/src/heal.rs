@@ -7,7 +7,7 @@
 //!
 //! * `Healer` — the [`PartitionTracker`], the [`HealConfig`], the
 //!   live [`HealSession`]s and the heal counters of one replica, with
-//!   the posture half of its health report and the `uc_*_heal_*`
+//!   the down-peer half of its health report and the `uc_*_heal_*`
 //!   metric export. A replica ([`Node`](crate::node::Node)) holds one
 //!   above its executor, so the posture stays put when the executor
 //!   changes ([`UcStore::into_pool`](crate::store::UcStore::into_pool),
@@ -65,7 +65,7 @@
 //! FIFO.
 
 use crate::message::UpdateMsg;
-use crate::store::{AvailabilityPolicy, Key, PartitionTracker, StoreMsg};
+use crate::store::{Key, PartitionTracker, StoreMsg};
 use crate::timestamp::Timestamp;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -609,17 +609,13 @@ impl Healer {
         Some(sess.since)
     }
 
-    /// Availability posture, down-peer watermarks and the monitor
-    /// verdict folded into one (unresolved) health report. `n` is the
-    /// cluster size (what the protocol reads off `Ctx::n`).
-    pub(crate) fn health(&self, n: usize, monitor: Option<&MonitorStats>) -> Health {
-        let policy = self.partition.policy();
-        let mut h = Health::new(format!("{policy:?}"));
-        h.down_peers = self.partition.down_peers().collect();
-        // "Unavailable" means reads are actually refused: a minority
-        // under `Refuse`. The wait-free postures keep serving and
-        // degrade through the down-peer list instead.
-        h.in_minority = self.partition.in_minority(n) && policy == AvailabilityPolicy::Refuse;
+    /// Down-peer watermarks and the monitor verdict folded into one
+    /// (unresolved) health report.
+    pub(crate) fn health(&self, monitor: Option<&MonitorStats>) -> Health {
+        let mut h = Health {
+            down_peers: self.partition.down_peers().collect(),
+            ..Health::default()
+        };
         if let Some(stats) = monitor {
             h.monitor_clean = Some(stats.clean());
             h.monitor_violations = stats.total_violations();

@@ -61,7 +61,7 @@ pub mod undo;
 
 pub use backend::{BackendFactory, LogBackend, MemBackend, MemFactory};
 pub use cached::{CachedReplica, CheckpointRepair};
-pub use engine::{CutError, EngineCtx, RepairStrategy, ReplicaEngine};
+pub use engine::{CutError, RepairStrategy, ReplicaEngine};
 pub use gc::{GcReplica, StableGc};
 pub use generic::{GenericReplica, NaiveReplay};
 pub use heal::{digest_slot, entry_hash, mismatched_slots, HealConfig, HealDigest, HealSession};
@@ -80,11 +80,8 @@ pub use sim_adapter::{
 };
 pub use snapshot::Published;
 pub use store::{
-    AvailabilityPolicy, CheckpointFactory, GcFactory, Key, NaiveFactory, PartitionTracker,
-    StoreInput, StoreMsg, StoreOutput, StoreSnapshot, StrategyFactory, UcStore, UndoFactory,
+    CheckpointFactory, GcFactory, Key, NaiveFactory, PartitionTracker, StoreInput, StoreMsg,
+    StoreOutput, StoreSnapshot, StrategyFactory, UcStore, UndoFactory,
 };
 pub use timestamp::{LamportClock, Timestamp};
 pub use undo::{UndoRepair, UndoReplica};
-
-/// Compatibility alias used in the README quickstart.
-pub use replica::Replica as UqReplica;

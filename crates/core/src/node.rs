@@ -24,8 +24,7 @@
 
 use crate::heal::{Dialogue, HealConfig, HealSession, Healer, ShardAccess, Update};
 use crate::store::{
-    AvailabilityPolicy, Key, PartitionTracker, StoreInput, StoreMsg, StoreOutput, StoreSnapshot,
-    Summary,
+    Key, PartitionTracker, StoreInput, StoreMsg, StoreOutput, StoreSnapshot, Summary,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -151,15 +150,8 @@ impl<X: Executor> Node<X> {
         self.exec.summary().map_or(0, |s| s.live_keys)
     }
 
-    /// Choose how this replica answers reads while it sits in a
-    /// minority partition — see [`AvailabilityPolicy`]. Updates are
-    /// never refused (writes stay wait-free).
-    pub fn set_partition_policy(&mut self, policy: AvailabilityPolicy) {
-        self.heal.partition.set_policy(policy);
-    }
-
     /// The partition tracker: which peers are reported down, since
-    /// which clock watermark, and the active read policy.
+    /// which clock watermark.
     pub fn partition(&self) -> &PartitionTracker {
         &self.heal.partition
     }
@@ -225,13 +217,12 @@ impl<X: Executor> Node<X> {
         self.exec.summary().ok()?.monitor
     }
 
-    /// Fold availability posture, down-peer watermarks, a pool's
-    /// poisoning and the monitor verdict into one health report. `n`
-    /// is the cluster size (what the protocol reads off `Ctx::n`).
-    pub fn health(&self, n: usize) -> Health {
+    /// Fold down-peer watermarks, a pool's poisoning and the monitor
+    /// verdict into one health report.
+    pub fn health(&self) -> Health {
         let summary = self.exec.summary();
         let monitor = summary.as_ref().ok().and_then(|s| s.monitor.as_ref());
-        let mut h = self.heal.health(n, monitor);
+        let mut h = self.heal.health(monitor);
         h.poisoned = summary.err().map(|e| e.to_string());
         h.resolve()
     }
@@ -333,29 +324,6 @@ impl<X: Executor> Node<X> {
     }
 }
 
-/// Answer a read under the active [`AvailabilityPolicy`]: in a
-/// majority (or with the default `Available` policy) `answer` runs
-/// as-is; in a minority, `DegradedMarked` wraps the answer and
-/// `Refuse` rejects without computing it. `n` is the cluster size.
-pub(crate) fn minority_read<X: Executor>(
-    node: &mut Node<X>,
-    n: usize,
-    answer: impl FnOnce(&mut Node<X>) -> Result<StoreOutput<X::Adt>, X::Error>,
-) -> Result<StoreOutput<X::Adt>, X::Error> {
-    let (minority, policy, live) = {
-        let partition = &node.heal.partition;
-        let live = n.saturating_sub(partition.down_count());
-        (partition.in_minority(n), partition.policy(), live)
-    };
-    match policy {
-        AvailabilityPolicy::DegradedMarked if minority => {
-            Ok(StoreOutput::Degraded(Box::new(answer(node)?)))
-        }
-        AvailabilityPolicy::Refuse if minority => Ok(StoreOutput::Refused { live, cluster: n }),
-        _ => answer(node),
-    }
-}
-
 /// [`Node::apply_message_from`] for a heal frame. Out of line: every
 /// delivered update passes through the caller, a heal frame comes a
 /// few times per outage, and inlined, the dialogue doubles the
@@ -402,9 +370,10 @@ fn heal_frame<X: Executor>(
     }
 }
 
-/// [`Protocol::on_invoke`]: updates are never refused (writes stay
-/// wait-free) and go to every peer that is not down; reads follow the
-/// partition posture; membership verdicts drive the heal dialogue.
+/// [`Protocol::on_invoke`]: every operation completes on local
+/// knowledge (wait-free), on either side of a partition. Updates go to
+/// every peer that is not down; membership verdicts drive the heal
+/// dialogue.
 ///
 /// A down peer's copy of an update is the heal's to deliver: it is
 /// stamped above that peer's outage watermark, so the digest exchange
@@ -430,11 +399,11 @@ fn on_invoke<X: Executor>(
             }
             Ok(StoreOutput::Ack { key, ts })
         }
-        StoreInput::Query(key, q) => minority_read(node, ctx.n(), |node| {
+        StoreInput::Query(key, q) => {
             let out = node.exec.query(key, &q)?;
             Ok(StoreOutput::Value { key, out })
-        }),
-        StoreInput::Snapshot(reqs) => minority_read(node, ctx.n(), |node| {
+        }
+        StoreInput::Snapshot(reqs) => {
             let snap = node.exec.consistent_snapshot()?;
             let outs = reqs
                 .into_iter()
@@ -442,7 +411,7 @@ fn on_invoke<X: Executor>(
                 .collect();
             let cut = snap.cut();
             Ok(StoreOutput::Snapshot { cut, outs })
-        }),
+        }
         StoreInput::PeerDown(peer) => membership(node, peer, true, ctx),
         StoreInput::PeerUp(peer) => membership(node, peer, false, ctx),
     }

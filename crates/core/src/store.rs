@@ -344,8 +344,7 @@ pub enum StoreInput<A: UqAdt> {
     /// `peer` is reachable again: reconcile-on-heal. The store opens
     /// the chunked heal dialogue with the peer (a
     /// [`StoreMsg::DigestRequest`], when it holds anything the peer
-    /// missed), and lifts the minority-partition posture if this was
-    /// the last down peer.
+    /// missed).
     PeerUp(Pid),
 }
 
@@ -421,21 +420,6 @@ pub enum StoreOutput<A: UqAdt> {
         /// Whether the peer is now considered down.
         down: bool,
     },
-    /// A minority-partition answer under
-    /// [`AvailabilityPolicy::DegradedMarked`]: the wrapped output was
-    /// computed from local knowledge only and may miss concurrent
-    /// majority-side updates — callers decide whether that is good
-    /// enough.
-    Degraded(Box<StoreOutput<A>>),
-    /// A read refused under [`AvailabilityPolicy::Refuse`]: this
-    /// replica could reach only `live` of `cluster` processes, not a
-    /// strict majority.
-    Refused {
-        /// Reachable processes (including this replica).
-        live: usize,
-        /// Cluster size.
-        cluster: usize,
-    },
 }
 
 impl<A: UqAdt> Clone for StoreOutput<A> {
@@ -453,11 +437,6 @@ impl<A: UqAdt> Clone for StoreOutput<A> {
             StoreOutput::Membership { peer, down } => StoreOutput::Membership {
                 peer: *peer,
                 down: *down,
-            },
-            StoreOutput::Degraded(inner) => StoreOutput::Degraded(inner.clone()),
-            StoreOutput::Refused { live, cluster } => StoreOutput::Refused {
-                live: *live,
-                cluster: *cluster,
             },
         }
     }
@@ -478,55 +457,22 @@ impl<A: UqAdt> fmt::Debug for StoreOutput<A> {
             StoreOutput::Membership { peer, down } => {
                 write!(f, "p{peer}:{}", if *down { "down" } else { "up" })
             }
-            StoreOutput::Degraded(inner) => write!(f, "degraded({inner:?})"),
-            StoreOutput::Refused { live, cluster } => write!(f, "refused({live}/{cluster})"),
         }
     }
 }
 
-/// How a replica answers reads while it can reach only a **minority**
-/// of the cluster — the CAP posture of the partitionable-systems
-/// follow-up (Perrin et al., *Update Consistency in Partitionable
-/// Systems*). Updates always stay wait-free and local (they propagate
-/// after heal); the policy governs queries and snapshots only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum AvailabilityPolicy {
-    /// Stay fully available (the paper's default, AP): answer from
-    /// local knowledge; convergence is restored by
-    /// reconciliation-on-heal.
-    #[default]
-    Available,
-    /// Answer from local knowledge but wrap the output in
-    /// [`StoreOutput::Degraded`], so callers know the read may miss
-    /// concurrent majority-side updates.
-    DegradedMarked,
-    /// Refuse minority-side reads outright with
-    /// [`StoreOutput::Refused`] (CP posture).
-    Refuse,
-}
-
 /// Per-replica partition bookkeeping: which peers the failure
-/// detector reported down, the local clock watermark frozen at each
-/// outage start (the lower bound of the divergence window to replay
-/// on heal), and the availability policy for minority-side reads.
+/// detector reported down, and the local clock watermark frozen at
+/// each outage start (the lower bound of the divergence window to
+/// replay on heal). Reads never consult it: every replica answers
+/// from local knowledge, minority side included (wait-free, §VII-A).
 #[derive(Clone, Debug, Default)]
 pub struct PartitionTracker {
-    policy: AvailabilityPolicy,
     /// peer → local clock watermark when it was first reported down.
     down: std::collections::BTreeMap<Pid, u64>,
 }
 
 impl PartitionTracker {
-    /// The minority-read policy in force.
-    pub fn policy(&self) -> AvailabilityPolicy {
-        self.policy
-    }
-
-    /// Set the minority-read policy.
-    pub fn set_policy(&mut self, policy: AvailabilityPolicy) {
-        self.policy = policy;
-    }
-
     /// Is `peer` currently considered down?
     pub fn is_down(&self, peer: Pid) -> bool {
         self.down.contains_key(&peer)
@@ -545,13 +491,6 @@ impl PartitionTracker {
     /// The down peers with their outage-start clock watermarks.
     pub fn down_peers(&self) -> impl Iterator<Item = (Pid, u64)> + '_ {
         self.down.iter().map(|(p, w)| (*p, *w))
-    }
-
-    /// With `n` processes total, is the reachable side (everyone not
-    /// reported down, including this replica) **not** a strict
-    /// majority?
-    pub fn in_minority(&self, n: usize) -> bool {
-        2 * n.saturating_sub(self.down.len()) <= n
     }
 
     /// Record `peer` down at local clock `watermark`. A repeated
@@ -2273,7 +2212,6 @@ where
 mod tests {
     use super::*;
     use crate::heal::HealConfig;
-    use crate::node;
     use crate::pool::{IngestPool, PoolConfig};
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -2661,23 +2599,14 @@ mod tests {
     #[test]
     fn partition_tracker_minority_and_watermarks() {
         let mut t = PartitionTracker::default();
-        assert!(!t.in_minority(3));
         t.mark_down(1, 10);
-        // 2 of 3 reachable: still a strict majority.
-        assert!(!t.in_minority(3));
         t.mark_down(2, 20);
-        assert!(t.in_minority(3));
         // Repeated report keeps the earliest watermark.
         t.mark_down(1, 99);
         assert_eq!(t.down_peers().collect::<Vec<_>>(), vec![(1, 10), (2, 20)]);
         assert_eq!(t.mark_up(1), Some(10));
         assert_eq!(t.mark_up(1), None);
-        assert!(!t.in_minority(3));
-        // Even split (2 of 4 reachable) is not a strict majority.
-        let mut even = PartitionTracker::default();
-        even.mark_down(1, 1);
-        even.mark_down(2, 1);
-        assert!(even.in_minority(4));
+        assert_eq!(t.down_peers().collect::<Vec<_>>(), vec![(2, 20)]);
     }
 
     type Adt = SetAdt<u32>;
@@ -3045,52 +2974,5 @@ mod tests {
         let streamed = heal(&mut s, &mut store(1, 8)).concat();
         assert_eq!(streamed.len(), 1);
         assert_eq!(s.shard_of(streamed[0].0), touched);
-    }
-
-    #[test]
-    fn minority_reads_follow_policy() {
-        let n = 3;
-        let mut s = store(0, 2);
-        s.update(1, SetUpdate::Insert(7));
-        let read = |s: &mut Store| {
-            let Ok(out) = node::minority_read(s, n, |s| {
-                let out = s.query(1, &SetQuery::Read);
-                Ok(StoreOutput::Value { key: 1, out })
-            });
-            out
-        };
-        // Majority: every policy answers normally.
-        for policy in [
-            AvailabilityPolicy::Available,
-            AvailabilityPolicy::DegradedMarked,
-            AvailabilityPolicy::Refuse,
-        ] {
-            s.set_partition_policy(policy);
-            let out = read(&mut s);
-            assert!(matches!(out, StoreOutput::Value { .. }), "{policy:?}");
-        }
-        // Minority (1 of 3 reachable).
-        s.peer_down(1);
-        s.peer_down(2);
-        s.set_partition_policy(AvailabilityPolicy::Available);
-        assert!(matches!(read(&mut s), StoreOutput::Value { .. }));
-        s.set_partition_policy(AvailabilityPolicy::DegradedMarked);
-        let out = read(&mut s);
-        let StoreOutput::Degraded(inner) = out else {
-            panic!("expected a degraded wrapper, got {out:?}");
-        };
-        assert!(matches!(*inner, StoreOutput::Value { .. }));
-        s.set_partition_policy(AvailabilityPolicy::Refuse);
-        assert!(matches!(
-            read(&mut s),
-            StoreOutput::Refused {
-                live: 1,
-                cluster: 3
-            }
-        ));
-        // Heal one peer back: 2 of 3 is a majority again.
-        s.peer_down(1);
-        let _ = s.peer_up(1);
-        assert!(matches!(read(&mut s), StoreOutput::Value { .. }));
     }
 }

@@ -9,7 +9,7 @@
 //! (see [`crate::engine::ReplicaEngine::on_deliver_batch`]).
 
 use crate::backend::LogBackend;
-use crate::engine::{EngineCtx, RepairStrategy, ReplicaEngine};
+use crate::engine::{RepairStrategy, ReplicaEngine};
 use crate::log::UpdateLog;
 use uc_spec::UndoableUqAdt;
 
@@ -56,18 +56,9 @@ impl<A: UndoableUqAdt> UndoRepair<A> {
 }
 
 impl<A: UndoableUqAdt> RepairStrategy<A> for UndoRepair<A> {
-    fn on_insert<B: LogBackend<A>>(
-        &mut self,
-        adt: &A,
-        log: &mut UpdateLog<A, B>,
-        pos: usize,
-        _ctx: &EngineCtx,
-    ) {
+    fn on_insert<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>, pos: usize) {
         self.repair_from(adt, log, pos);
     }
-
-    // on_batch_insert: the default (one `on_insert` at the minimum
-    // position) already undoes and redoes the shared suffix once.
 
     fn current_state<B: LogBackend<A>>(&mut self, _adt: &A, log: &UpdateLog<A, B>) -> &A::State {
         debug_assert_eq!(self.tokens.len(), log.len(), "state must be fully folded");

@@ -13,7 +13,7 @@
 //! and on two workers.
 
 use uc_core::backend::LogBackend;
-use uc_core::engine::{CutError, EngineCtx, RepairStrategy};
+use uc_core::engine::{CutError, RepairStrategy};
 use uc_core::pool::{IngestPool, PoolConfig};
 use uc_core::store::{
     CheckpointFactory, GcFactory, NaiveFactory, StoreMsg, StrategyFactory, UcStore, UndoFactory,
@@ -224,7 +224,6 @@ impl RepairStrategy<CounterAdt> for DoubleFold {
         _adt: &CounterAdt,
         _log: &mut UpdateLog<CounterAdt, B>,
         _pos: usize,
-        _ctx: &EngineCtx,
     ) {
     }
 
@@ -267,7 +266,7 @@ where
     assert_eq!(stats.uc_violations, 1, "flagged on the very first check");
     assert_eq!(stats.snap_violations, 0);
     assert_eq!(stats.sec_violations, 0);
-    assert_eq!(s.health(1).status, HealthStatus::Degraded);
+    assert_eq!(s.health().status, HealthStatus::Degraded);
 }
 
 #[test]
@@ -290,7 +289,6 @@ impl RepairStrategy<CounterAdt> for TornCut {
         _adt: &CounterAdt,
         _log: &mut UpdateLog<CounterAdt, B>,
         _pos: usize,
-        _ctx: &EngineCtx,
     ) {
     }
 
@@ -395,7 +393,7 @@ where
     });
     let stats = s.monitor_stats().expect("monitor attached");
     assert!(stats.sec_violations >= 1, "{stats:?}");
-    assert_eq!(s.health(1).status, HealthStatus::Degraded);
+    assert_eq!(s.health().status, HealthStatus::Degraded);
 }
 
 #[test]
@@ -520,7 +518,7 @@ fn pool_monitor_stays_clean_then_flags_injected_stamp_reuse() {
     assert!(stats.clean(), "clean pooled run flagged: {stats:?}");
     assert!(stats.sampled_updates >= 20);
     assert!(stats.sampled_queries >= 4);
-    assert_eq!(pool.health(2).status, HealthStatus::Healthy);
+    assert_eq!(pool.health().status, HealthStatus::Healthy);
 
     // Same stamp as an earlier burst entry, different payload.
     pool.submit_batch(vec![StoreMsg::Update {
@@ -534,7 +532,7 @@ fn pool_monitor_stays_clean_then_flags_injected_stamp_reuse() {
     pool.flush().unwrap();
     let stats = pool.monitor_stats().unwrap();
     assert!(stats.sec_violations >= 1, "{stats:?}");
-    let health = pool.health(2);
+    let health = pool.health();
     assert_eq!(health.status, HealthStatus::Degraded);
     assert_eq!(health.monitor_clean, Some(false));
     pool.finish().unwrap();
@@ -596,7 +594,7 @@ fn a_sampled_monitor_never_perturbs_the_store_and_exports_what_it_saw() {
             "no `{metric}` in the scrape:\n{scrape}"
         );
     }
-    assert!(full.health(2).render().contains("status: healthy"));
+    assert!(full.health().render().contains("status: healthy"));
 }
 
 #[test]

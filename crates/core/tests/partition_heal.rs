@@ -22,11 +22,11 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uc_core::{
-    AvailabilityPolicy, BackendFactory, CheckpointFactory, CutError, EngineCtx, Executor,
-    GcFactory, GenericReplica, HealConfig, IngestPool, Key, LogBackend, NaiveFactory, Node,
-    PoolConfig, RepairStrategy, StableGc, StoreInput, StoreMsg, StoreOutput, StrategyFactory,
-    UcStore, UndoFactory, UpdateLog, UpdateMsg,
+    BackendFactory, CheckpointFactory, CutError, Executor, GcFactory, GenericReplica, HealConfig,
+    IngestPool, Key, LogBackend, NaiveFactory, Node, PoolConfig, RepairStrategy, StableGc,
+    StoreInput, StoreMsg, StoreOutput, StrategyFactory, UcStore, UndoFactory, UpdateLog, UpdateMsg,
 };
+use uc_obs::HealthStatus;
 use uc_sim::{
     Ctx, DeliveryMode, HeartbeatDetector, LatencyModel, LinkCounters, LinkModel, Pid, Protocol,
     ReliableLink, RetryConfig, SimConfig, Simulation, SplitMix64, Topology,
@@ -225,8 +225,6 @@ fn run_heal_differential<X: Executor<Adt = Adt>>(
     for (pid, peer) in [(0, 2), (1, 2), (2, 0), (2, 1)] {
         invoke(&mut nodes[pid as usize], pid, StoreInput::PeerDown(peer));
     }
-    assert!(!nodes[0].partition().in_minority(N));
-    assert!(nodes[2].partition().in_minority(N));
 
     // Phase 2: both sides keep accepting updates; delivery respects
     // the partition (pid 2 is alone; its broadcasts are lost).
@@ -739,7 +737,6 @@ fn gc_store_under_reordered_heartbeats(mode: DeliveryMode) {
             reorder: 60,
             loss: 0.25,
             duplicate: 0.15,
-            ..LinkModel::default()
         },
     ));
     // Frequent ticks: every one broadcasts the shared clock, so the
@@ -786,62 +783,41 @@ fn gc_store_under_reordered_heartbeats(mode: DeliveryMode) {
     }
 }
 
-/// Minority reads follow the configured availability policy through
-/// the `Protocol` surface (what the runtimes and ω-marking see), on
-/// both node kinds.
+/// A replica cut off from every peer still answers every operation
+/// from local knowledge (wait-free), through the `Protocol` surface the
+/// runtimes and ω-marking see; only its health reports the outage.
 #[test]
-fn protocol_minority_posture() {
-    minority_posture(sequential(&NaiveFactory, 0, 2));
-    minority_posture(pooled(&NaiveFactory, 0, 2, 2));
+fn protocol_minority_reads_answer() {
+    on_every_node_kind!(cut_off_replica_answers, NaiveFactory);
 }
 
-fn minority_posture<X: Executor<Adt = Adt>>(mut node: Node<X>) {
-    node.set_partition_policy(AvailabilityPolicy::Refuse);
+fn cut_off_replica_answers<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>) {
+    let mut node = make(0);
     let call = |node: &mut Node<X>, input| invoke(node, 0, input);
-    let (ack, _) = call(&mut node, StoreInput::Update(1, SetUpdate::Insert(7)));
-    assert!(matches!(ack, StoreOutput::Ack { .. }));
-    // Majority: reads answer normally.
-    let (val, _) = call(&mut node, StoreInput::Query(1, SetQuery::Read));
-    assert!(matches!(val, StoreOutput::Value { .. }));
-    // Lose the majority: reads refuse, writes stay wait-free.
+    call(&mut node, StoreInput::Update(1, SetUpdate::Insert(7)));
     call(&mut node, StoreInput::PeerDown(1));
     call(&mut node, StoreInput::PeerDown(2));
-    let (refused, _) = call(&mut node, StoreInput::Query(1, SetQuery::Read));
+    let (val, _) = call(&mut node, StoreInput::Query(1, SetQuery::Read));
     assert!(
-        matches!(
-            refused,
-            StoreOutput::Refused {
-                live: 1,
-                cluster: 3
-            }
-        ),
-        "got {refused:?}"
+        matches!(&val, StoreOutput::Value { key: 1, out } if *out == BTreeSet::from([7])),
+        "got {val:?}"
     );
     let (snap, _) = call(&mut node, StoreInput::Snapshot(vec![(1, SetQuery::Read)]));
-    assert!(matches!(snap, StoreOutput::Refused { .. }));
+    assert!(matches!(snap, StoreOutput::Snapshot { .. }), "got {snap:?}");
     let (ack, _) = call(&mut node, StoreInput::Update(1, SetUpdate::Insert(8)));
-    assert!(
-        matches!(ack, StoreOutput::Ack { .. }),
-        "writes never refuse"
-    );
-    // Degraded marking wraps instead of refusing.
-    node.set_partition_policy(AvailabilityPolicy::DegradedMarked);
-    let (StoreOutput::Degraded(inner), _) = call(&mut node, StoreInput::Query(1, SetQuery::Read))
-    else {
-        panic!("expected a degraded wrapper");
-    };
-    assert!(matches!(*inner, StoreOutput::Value { .. }));
-    // Heal back to a majority: posture lifts, and the healed peer is
-    // sent the digest request that opens the chunked heal dialogue.
+    assert!(matches!(ack, StoreOutput::Ack { .. }), "got {ack:?}");
+    let health = node.health();
+    assert_eq!(health.status, HealthStatus::Degraded);
+    let down: Vec<Pid> = health.down_peers.iter().map(|&(p, _)| p).collect();
+    assert_eq!(down, vec![1, 2]);
+    // The healed peer is sent the digest request that opens the
+    // chunked heal dialogue.
     let (_, sent) = call(&mut node, StoreInput::PeerUp(1));
     assert!(
         sent.iter()
             .any(|(to, m)| *to == 1 && matches!(m, StoreMsg::DigestRequest { .. })),
         "heal must open a digest-guided session with the healed peer"
     );
-    let (val, _) = call(&mut node, StoreInput::Query(1, SetQuery::Read));
-    assert!(!matches!(val, StoreOutput::Degraded(_)));
-    assert!(matches!(val, StoreOutput::Value { .. }));
 }
 
 /// End-to-end on the deterministic simulator: [`ReliableLink`]-wrapped
@@ -1351,9 +1327,8 @@ impl RepairStrategy<Adt> for Counted {
         adt: &Adt,
         log: &mut UpdateLog<Adt, B>,
         pos: usize,
-        ctx: &EngineCtx,
     ) {
-        self.0.on_insert(adt, log, pos, ctx);
+        self.0.on_insert(adt, log, pos);
     }
 
     fn observe_clock(&mut self, pid: u32, clock: u64) {
@@ -1364,14 +1339,9 @@ impl RepairStrategy<Adt> for Counted {
         self.0.set_retention_cap(cap);
     }
 
-    fn maintain<B: LogBackend<Adt>>(
-        &mut self,
-        adt: &Adt,
-        log: &mut UpdateLog<Adt, B>,
-        ctx: &EngineCtx,
-    ) {
+    fn maintain<B: LogBackend<Adt>>(&mut self, adt: &Adt, log: &mut UpdateLog<Adt, B>) {
         COMPACTION_PASSES.fetch_add(1, Ordering::SeqCst);
-        self.0.maintain(adt, log, ctx);
+        self.0.maintain(adt, log);
     }
 
     fn current_state<B: LogBackend<Adt>>(

@@ -1,20 +1,19 @@
 //! The one-glance health surface.
 //!
-//! A store, pool, or cluster folds its availability posture, partition
-//! view, poison state, and (when attached) online-monitor verdict into
-//! a [`Health`] value. The overall [`HealthStatus`] is the worst of
-//! its inputs, so an operator reads one field before anything else.
+//! A store, pool, or cluster folds its partition view, poison state,
+//! and (when attached) online-monitor verdict into a [`Health`] value.
+//! The overall [`HealthStatus`] is the worst of its inputs, so an
+//! operator reads one field before anything else.
 
 /// Overall condition, worst-of of every folded signal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealthStatus {
-    /// Full quorum, no poison, monitor (if any) clean.
+    /// Every peer reachable, no poison, monitor (if any) clean.
+    #[default]
     Healthy,
-    /// Serving, but something needs attention: down peers, minority
-    /// reads, or consistency-monitor violations.
+    /// Serving, but something needs attention: down peers or
+    /// consistency-monitor violations.
     Degraded,
-    /// A majority of peers is unreachable under a quorum posture.
-    Unavailable,
     /// An internal invariant broke (worker panic, poisoned pool);
     /// results can no longer be trusted.
     Poisoned,
@@ -25,24 +24,19 @@ impl std::fmt::Display for HealthStatus {
         let s = match self {
             HealthStatus::Healthy => "healthy",
             HealthStatus::Degraded => "degraded",
-            HealthStatus::Unavailable => "unavailable",
             HealthStatus::Poisoned => "poisoned",
         };
         f.write_str(s)
     }
 }
 
-/// A point-in-time health report.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A point-in-time health report. [`Health::default`] is the healthy
+/// baseline; callers fold degradations in and then call
+/// [`Health::resolve`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Health {
     /// Worst-of summary of everything below.
     pub status: HealthStatus,
-    /// The availability posture in force (e.g. `"AlwaysAvailable"`,
-    /// `"QuorumReads"`), as the owner describes it.
-    pub posture: String,
-    /// True when this node currently sees itself in a minority
-    /// partition under its posture.
-    pub in_minority: bool,
     /// `(pid, last_seen_clock)` for every peer currently marked down.
     pub down_peers: Vec<(u32, u64)>,
     /// The poison report, if an internal invariant broke.
@@ -57,30 +51,12 @@ pub struct Health {
 }
 
 impl Health {
-    /// A healthy baseline for `posture`; callers fold degradations in
-    /// and then call [`Health::resolve`].
-    pub fn new(posture: impl Into<String>) -> Self {
-        Health {
-            status: HealthStatus::Healthy,
-            posture: posture.into(),
-            in_minority: false,
-            down_peers: Vec::new(),
-            poisoned: None,
-            monitor_clean: None,
-            monitor_violations: 0,
-            stable_bound: 0,
-        }
-    }
-
     /// Recompute `status` as the worst implied by the folded fields.
     /// Explicitly raised statuses are kept (worst-of, never lowered).
     pub fn resolve(mut self) -> Self {
         let mut status = self.status;
         if !self.down_peers.is_empty() || self.monitor_clean == Some(false) {
             status = status.max(HealthStatus::Degraded);
-        }
-        if self.in_minority {
-            status = status.max(HealthStatus::Unavailable);
         }
         if self.poisoned.is_some() {
             status = status.max(HealthStatus::Poisoned);
@@ -94,8 +70,6 @@ impl Health {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "status: {}", self.status);
-        let _ = writeln!(out, "posture: {}", self.posture);
-        let _ = writeln!(out, "in_minority: {}", self.in_minority);
         if self.down_peers.is_empty() {
             let _ = writeln!(out, "down_peers: none");
         } else {
@@ -134,7 +108,7 @@ mod tests {
 
     #[test]
     fn healthy_baseline() {
-        let h = Health::new("AlwaysAvailable").resolve();
+        let h = Health::default().resolve();
         assert_eq!(h.status, HealthStatus::Healthy);
         assert!(h.render().contains("status: healthy"));
         assert!(h.render().contains("monitor: not attached"));
@@ -142,7 +116,7 @@ mod tests {
 
     #[test]
     fn down_peers_degrade() {
-        let mut h = Health::new("QuorumReads");
+        let mut h = Health::default();
         h.down_peers.push((2, 17));
         let h = h.resolve();
         assert_eq!(h.status, HealthStatus::Degraded);
@@ -150,11 +124,13 @@ mod tests {
     }
 
     #[test]
-    fn minority_beats_degraded_and_poison_beats_all() {
-        let mut h = Health::new("QuorumReads");
-        h.down_peers.push((1, 3));
-        h.in_minority = true;
-        assert_eq!(h.clone().resolve().status, HealthStatus::Unavailable);
+    fn poison_beats_all() {
+        let mut h = Health {
+            down_peers: vec![(1, 3)],
+            monitor_clean: Some(false),
+            ..Health::default()
+        };
+        assert_eq!(h.clone().resolve().status, HealthStatus::Degraded);
         h.poisoned = Some("worker panic".into());
         let h = h.resolve();
         assert_eq!(h.status, HealthStatus::Poisoned);
@@ -163,18 +139,22 @@ mod tests {
 
     #[test]
     fn monitor_violations_degrade() {
-        let mut h = Health::new("AlwaysAvailable");
-        h.monitor_clean = Some(false);
-        h.monitor_violations = 2;
-        let h = h.resolve();
+        let h = Health {
+            monitor_clean: Some(false),
+            monitor_violations: 2,
+            ..Health::default()
+        }
+        .resolve();
         assert_eq!(h.status, HealthStatus::Degraded);
         assert!(h.render().contains("2 violation(s)"));
     }
 
     #[test]
     fn explicit_status_is_never_lowered() {
-        let mut h = Health::new("AlwaysAvailable");
-        h.status = HealthStatus::Unavailable;
-        assert_eq!(h.resolve().status, HealthStatus::Unavailable);
+        let h = Health {
+            status: HealthStatus::Degraded,
+            ..Health::default()
+        };
+        assert_eq!(h.resolve().status, HealthStatus::Degraded);
     }
 }

@@ -16,8 +16,8 @@
 //!   to leave on in production, with a [`TraceRing::drain`] API and an
 //!   overflow counter instead of silent loss.
 //! * [`health`] — [`Health`], the one-glance surface a store, pool, or
-//!   cluster folds its availability posture, down-peer watermarks,
-//!   poison state, and online-monitor verdict into.
+//!   cluster folds its down-peer watermarks, poison state, and
+//!   online-monitor verdict into.
 //!
 //! The crate is a leaf on purpose: `uc-sim`, `uc-core`, and
 //! `uc-runtime` all depend on it (their `Metrics`, store/pool stats,

@@ -15,8 +15,8 @@
 //!   ([`faults`], used by the Proposition 1 experiment), invocation
 //!   traces ([`trace`]) and accounting ([`metrics`], experiment E7).
 //!   Installing a [`topology::Topology`] switches the network to the
-//!   partitionable-systems model — per-link latency/bandwidth/loss/
-//!   duplication/reorder and outage windows that **drop** instead of
+//!   partitionable-systems model — per-link latency/loss/duplication/
+//!   reorder and outage windows that **drop** instead of
 //!   delay — and [`reliable::ReliableLink`]
 //!   restores eventual delivery on top via sequence-numbered
 //!   retransmission with backoff.
@@ -56,7 +56,7 @@ pub use process::{Ctx, Pid, Protocol};
 pub use reliable::{LinkMsg, LinkStats, ReliableLink, RetryConfig};
 pub use rng::{SplitMix64, Zipf};
 pub use scheduler::{SimConfig, Simulation};
-pub use topology::{FlapSchedule, LinkModel, LinkOutage, SendPlan, Topology};
+pub use topology::{LinkModel, LinkOutage, SendPlan, Topology};
 pub use trace::InvocationRecord;
 pub use workload::{
     generate_keyed, perturb_order, KeyedOp, KeyedWorkloadSpec, ScheduledOp, SetOpKind, WorkloadSpec,

@@ -540,7 +540,6 @@ mod tests {
             loss,
             duplicate: 0.1,
             reorder: 10,
-            ..LinkModel::default()
         };
         sim.set_topology(Topology::uniform(n, model));
         sim

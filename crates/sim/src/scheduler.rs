@@ -320,7 +320,7 @@ impl<P: Protocol> Simulation<P> {
                 // Lossy network: the link model decides drop /
                 // duplicate / per-copy delay. Reordering is the point,
                 // so `fifo_links` does not apply here.
-                let plan = topo.plan(from, to, self.now, size, &mut self.rng);
+                let plan = topo.plan(from, to, self.now, &mut self.rng);
                 if plan.delays.is_empty() {
                     self.metrics.on_dropped(1);
                     continue;
@@ -920,7 +920,6 @@ mod tests {
                 loss: 0.3,
                 duplicate: 0.2,
                 reorder: 15,
-                ..LinkModel::default()
             };
             sim.set_topology(Topology::uniform(3, model));
             for t in 0..30 {

@@ -1,5 +1,5 @@
-//! Network-realistic topology: per-link latency/bandwidth/loss/
-//! duplication/reorder models and outage windows.
+//! Network-realistic topology: per-link latency/loss/duplication/
+//! reorder models and outage windows.
 //!
 //! The base simulator models the paper's network — reliable and
 //! asynchronous, where partitions only *delay* traffic. Installing a
@@ -24,10 +24,6 @@ use std::collections::HashMap;
 pub struct LinkModel {
     /// Propagation delay distribution.
     pub latency: LatencyModel,
-    /// Bytes per simulated time unit; `None` = infinite (no
-    /// serialization delay). With `Some(bw)`, a message of `size`
-    /// bytes adds `ceil(size / bw)` to its delay.
-    pub bandwidth: Option<u64>,
     /// Probability in `[0, 1]` that a transmission is silently lost.
     pub loss: f64,
     /// Probability in `[0, 1]` that a surviving transmission is
@@ -43,7 +39,6 @@ impl Default for LinkModel {
     fn default() -> Self {
         LinkModel {
             latency: LatencyModel::Constant(1),
-            bandwidth: None,
             loss: 0.0,
             duplicate: 0.0,
             reorder: 0,
@@ -62,9 +57,9 @@ impl LinkModel {
         }
     }
 
-    /// Delivery delays for one transmission at `now` carrying `size`
-    /// bytes: empty if lost, one entry normally, two if duplicated.
-    fn draw(&self, now: u64, size: u64, rng: &mut SplitMix64) -> SendPlan {
+    /// Delivery delays for one transmission at `now`: empty if lost,
+    /// one entry normally, two if duplicated.
+    fn draw(&self, now: u64, rng: &mut SplitMix64) -> SendPlan {
         if self.loss > 0.0 && rng.next_f64() < self.loss {
             return SendPlan { delays: Vec::new() };
         }
@@ -73,13 +68,9 @@ impl LinkModel {
         } else {
             1
         };
-        let serialization = match self.bandwidth {
-            Some(bw) => size.div_ceil(bw.max(1)),
-            None => 0,
-        };
         let mut delays = Vec::with_capacity(copies);
         for _ in 0..copies {
-            let mut d = self.latency.sample(now, rng) + serialization;
+            let mut d = self.latency.sample(now, rng);
             if self.reorder > 0 {
                 d += rng.next_range(0, self.reorder);
             }
@@ -108,27 +99,6 @@ pub struct LinkOutage {
     pub start: u64,
     /// Outage end (exclusive) — the heal time.
     pub end: u64,
-}
-
-/// Deterministic periodic flapping: the link is down whenever
-/// `(t + phase) % period < down_for`.
-#[derive(Clone, Copy, Debug)]
-pub struct FlapSchedule {
-    /// Full up+down cycle length (> 0).
-    pub period: u64,
-    /// Leading portion of each cycle the link is down (< `period`).
-    pub down_for: u64,
-    /// Phase offset, so links need not flap in lockstep.
-    pub phase: u64,
-}
-
-impl FlapSchedule {
-    /// Is a link with this schedule down at time `t`?
-    pub fn is_down(&self, t: u64) -> bool {
-        assert!(self.period > 0, "flap period must be positive");
-        assert!(self.down_for < self.period, "flap must leave up-time");
-        (t + self.phase) % self.period < self.down_for
-    }
 }
 
 /// The full network: a default link model, per-link overrides, and
@@ -223,11 +193,11 @@ impl Topology {
 
     /// Plan one transmission: `None`-like empty plan when the link is
     /// down, otherwise the link model's loss/duplication/delay draws.
-    pub fn plan(&self, from: Pid, to: Pid, now: u64, size: u64, rng: &mut SplitMix64) -> SendPlan {
+    pub fn plan(&self, from: Pid, to: Pid, now: u64, rng: &mut SplitMix64) -> SendPlan {
         if self.is_down(from, to, now) {
             return SendPlan { delays: Vec::new() };
         }
-        self.link(from, to).draw(now, size, rng)
+        self.link(from, to).draw(now, rng)
     }
 }
 
@@ -240,7 +210,7 @@ mod tests {
         let t = Topology::uniform(2, LinkModel::default());
         let mut rng = SplitMix64::new(1);
         for _ in 0..50 {
-            let plan = t.plan(0, 1, 0, 0, &mut rng);
+            let plan = t.plan(0, 1, 0, &mut rng);
             assert_eq!(plan.delays, vec![1]);
         }
     }
@@ -250,7 +220,7 @@ mod tests {
         let t = Topology::uniform(2, LinkModel::lossy(LatencyModel::Constant(1), 0.5));
         let mut rng = SplitMix64::new(7);
         let lost = (0..1000)
-            .filter(|_| t.plan(0, 1, 0, 0, &mut rng).delays.is_empty())
+            .filter(|_| t.plan(0, 1, 0, &mut rng).delays.is_empty())
             .count();
         assert!((350..650).contains(&lost), "lost {lost} of 1000 at p=0.5");
     }
@@ -263,20 +233,7 @@ mod tests {
         };
         let t = Topology::uniform(2, model);
         let mut rng = SplitMix64::new(1);
-        assert_eq!(t.plan(0, 1, 0, 0, &mut rng).delays.len(), 2);
-    }
-
-    #[test]
-    fn bandwidth_adds_serialization_delay() {
-        let model = LinkModel {
-            latency: LatencyModel::Constant(2),
-            bandwidth: Some(10),
-            ..LinkModel::default()
-        };
-        let t = Topology::uniform(2, model);
-        let mut rng = SplitMix64::new(1);
-        // 95 bytes at 10 B/tick = ceil(9.5) = 10 ticks + 2 latency.
-        assert_eq!(t.plan(0, 1, 0, 95, &mut rng).delays, vec![12]);
+        assert_eq!(t.plan(0, 1, 0, &mut rng).delays.len(), 2);
     }
 
     #[test]
@@ -289,29 +246,8 @@ mod tests {
         assert!(!t.is_down(0, 1, 20));
         assert!(!t.is_down(0, 2, 15), "other links unaffected");
         let mut rng = SplitMix64::new(1);
-        assert!(t.plan(0, 1, 15, 0, &mut rng).delays.is_empty());
-        assert!(!t.plan(0, 1, 25, 0, &mut rng).delays.is_empty());
-    }
-
-    #[test]
-    fn flap_schedule_cycles() {
-        let flap = FlapSchedule {
-            period: 10,
-            down_for: 3,
-            phase: 0,
-        };
-        assert!(flap.is_down(0));
-        assert!(flap.is_down(2));
-        assert!(!flap.is_down(3));
-        assert!(!flap.is_down(9));
-        assert!(flap.is_down(10));
-        let shifted = FlapSchedule {
-            period: 10,
-            down_for: 3,
-            phase: 5,
-        };
-        assert!(!shifted.is_down(0));
-        assert!(shifted.is_down(5));
+        assert!(t.plan(0, 1, 15, &mut rng).delays.is_empty());
+        assert!(!t.plan(0, 1, 25, &mut rng).delays.is_empty());
     }
 
     #[test]
@@ -339,7 +275,7 @@ mod tests {
             },
         );
         let mut rng = SplitMix64::new(1);
-        assert_eq!(t.plan(0, 1, 0, 0, &mut rng).delays, vec![42]);
-        assert_eq!(t.plan(1, 0, 0, 0, &mut rng).delays, vec![1]);
+        assert_eq!(t.plan(0, 1, 0, &mut rng).delays, vec![42]);
+        assert_eq!(t.plan(1, 0, 0, &mut rng).delays, vec![1]);
     }
 }

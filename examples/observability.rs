@@ -6,8 +6,9 @@
 //! a trace ring. Node 2 is then cut off: the majority keeps serving,
 //! node 2 keeps accepting local writes (wait-freedom over strong
 //! consistency), and the `health()` surface shows exactly what an
-//! operator would see on a dashboard — down peers, a stalled stable
-//! bound, a minority refusing reads. On heal, each side runs the
+//! operator would see on a dashboard — down peers and a stalled
+//! stable bound, while the cut-off node's reads still answer from what
+//! it knows. On heal, each side runs the
 //! digest-guided chunked heal dialogue (converged digest slots are
 //! skipped, the rest stream as bounded acked chunks), every replica
 //! converges to the same value, the heal counters show up in the
@@ -18,7 +19,7 @@
 //! cargo run --example observability
 //! ```
 
-use update_consistency::core::{AvailabilityPolicy, GcFactory, StoreMsg, UcStore};
+use update_consistency::core::{GcFactory, StoreMsg, UcStore};
 use update_consistency::criteria::online::MonitorConfig;
 use update_consistency::obs::{Registry, TraceRing};
 use update_consistency::spec::{CounterAdt, CounterQuery, CounterUpdate};
@@ -65,7 +66,7 @@ fn print_health(nodes: &[Node], banner: &str) {
     println!("── {banner} ──");
     for (i, node) in nodes.iter().enumerate() {
         println!("node {i}:");
-        for line in node.health(N).render().lines() {
+        for line in node.health().render().lines() {
             println!("  {line}");
         }
     }
@@ -80,10 +81,6 @@ fn main() {
             s
         })
         .collect();
-    // Under the Refuse policy a minority node's health drops all the
-    // way to `unavailable` during the outage, so dashboards see the
-    // split rather than inferring it from stale answers.
-    nodes[2].set_partition_policy(AvailabilityPolicy::Refuse);
 
     // Phase 1: healthy traffic on the lossy link.
     let mut seq = 0u64;

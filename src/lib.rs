@@ -37,7 +37,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use update_consistency::core::{GenericReplica, UqReplica};
+//! use update_consistency::core::{GenericReplica, Replica};
 //! use update_consistency::spec::{SetAdt, SetUpdate, SetQuery};
 //!
 //! // Two replicas of the paper's replicated set (Example 1).
