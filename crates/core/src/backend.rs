@@ -47,8 +47,8 @@
 //! Appends are journaled immediately but only guaranteed *durable*
 //! after [`LogBackend::flush`] — a backend may write some of them
 //! earlier, and recovery must then accept any prefix of the journal
-//! (the runtimes hang flushing off the virtual
-//! timer wheel via `Protocol::on_tick`; the ingest pool flushes before
+//! (the runtimes hang flushing off their periodic
+//! maintenance tick, `Protocol::on_tick`; the ingest pool flushes before
 //! every worker join, including the poison path). `flush` also
 //! persists the owning engine's Lamport-clock watermark, so a reopened
 //! replica's clock is `max(watermark, base bound, tail timestamps)` —

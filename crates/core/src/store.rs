@@ -2017,7 +2017,7 @@ where
     /// that went idle meanwhile — and persist the shared clock
     /// watermark: the durability point. The runtimes call this from
     /// [`Protocol::on_tick`](uc_sim::Protocol::on_tick), so segment
-    /// flushing rides the virtual timer wheel with no dedicated
+    /// flushing rides the event runtime's maintenance sweep with no dedicated
     /// threads; a no-op for in-memory stores. An idle key writes
     /// nothing: the clocks it has yet to hear are covered by the
     /// store-level floor, collapsed here from its lease back to the

@@ -860,7 +860,7 @@ fn reliable_link_store_converges_through_lossy_partition() {
     );
     sim.set_topology(topo);
     sim.attach_link_counters(counters.clone());
-    // Retransmit timers ride the tick wheel.
+    // Retransmit timers ride the scheduled ticks.
     sim.schedule_ticks(50, 9_000);
 
     let mut rng = SplitMix64::new(0xFA18);

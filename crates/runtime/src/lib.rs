@@ -10,11 +10,12 @@
 //! threads, with
 //!
 //! * per-node bounded **mailboxes** and a shared **ready list**
-//!   (cooperative scheduling; an activation greedily drains up to
-//!   `batch_limit` deliveries into one `on_batch` flush),
-//! * a **virtual-timer wheel** ([`timer`]) so batching flush windows
-//!   and GC maintenance (`Protocol::on_tick`) fire as timer events
-//!   instead of dedicated threads,
+//!   (cooperative scheduling; an activation greedily drains every
+//!   queued delivery into one `on_batch`),
+//! * **one clock** of 1 ms ticks since spawn (the `Ctx::now` of every
+//!   activation) with one periodic deadline on it, the **maintenance
+//!   sweep**, so GC heartbeats, compaction and link retransmits
+//!   (`Protocol::on_tick`) need no dedicated thread,
 //! * ingress **backpressure** (a full mailbox parks external invokers;
 //!   node-to-node deliveries are never refused), and
 //! * per-node **panic isolation** surfaced as typed
@@ -32,10 +33,8 @@
 #![warn(missing_docs)]
 
 pub mod reactor;
-pub mod timer;
 
 pub use reactor::{EventCluster, RuntimeConfig};
-pub use timer::{Timer, TimerKind, TimerWheel};
 
 #[cfg(test)]
 mod tests {
@@ -47,7 +46,8 @@ mod tests {
     #[derive(Debug, Default)]
     struct Gossip {
         seen: BTreeSet<u32>,
-        ticks: u64,
+        /// The reactor clock at every maintenance tick.
+        ticks_at: Vec<u64>,
     }
 
     impl Protocol for Gossip {
@@ -65,8 +65,8 @@ mod tests {
             self.seen.insert(x);
         }
 
-        fn on_tick(&mut self, _ctx: &mut Ctx<'_, u32>) {
-            self.ticks += 1;
+        fn on_tick(&mut self, ctx: &mut Ctx<'_, u32>) {
+            self.ticks_at.push(ctx.now());
         }
     }
 
@@ -104,58 +104,50 @@ mod tests {
         cluster.shutdown();
     }
 
-    #[test]
-    fn batch_limit_one_forbids_multi_message_flushes() {
-        let cfg = RuntimeConfig {
-            batch_limit: 1,
-            ..Default::default()
-        };
-        let cluster = EventCluster::with_config(cfg, 4, |_| Gossip::default());
-        for i in 0..60u32 {
-            cluster.invoke((i % 4) as Pid, i);
+    /// Sends its input's worth of frames to node 1 in one activation.
+    #[derive(Debug, Default)]
+    struct Burst {
+        received: usize,
+    }
+
+    impl Protocol for Burst {
+        type Msg = u32;
+        type Input = u32;
+        type Output = ();
+
+        fn on_invoke(&mut self, n: u32, ctx: &mut Ctx<'_, u32>) {
+            for i in 0..n {
+                ctx.send(1, i);
+            }
         }
-        cluster.quiesce();
-        let m = cluster.metrics();
-        assert_eq!(m.batches_delivered, 0, "limit 1 must forbid multi-batches");
-        assert_eq!(m.max_batch, 1);
-        assert_eq!(m.messages_delivered, 60 * 3);
-        let nodes = cluster.shutdown();
-        let expect: BTreeSet<u32> = (0..60).collect();
-        for (pid, node) in nodes.iter().enumerate() {
-            assert_eq!(node.seen, expect, "node {pid} diverged");
+
+        fn on_message(&mut self, _from: Pid, _x: u32, _ctx: &mut Ctx<'_, u32>) {
+            self.received += 1;
         }
     }
 
     #[test]
-    fn flush_window_coalesces_deliveries() {
-        // With a flush window, a burst of sends to an idle node parks
-        // in its mailbox and lands as fewer, larger activations.
+    fn an_activation_drains_every_queued_delivery() {
+        // One worker runs node 0's invoke, which queues all 40 frames on
+        // node 1 before node 1 can run: its one activation takes them all.
         let cfg = RuntimeConfig {
-            flush_window: Some(Duration::from_millis(20)),
-            timer_resolution: Duration::from_millis(1),
+            workers: 1,
             ..Default::default()
         };
-        let cluster = EventCluster::with_config(cfg, 2, |_| Gossip::default());
-        for i in 0..50u32 {
-            cluster.invoke(0, i); // 50 messages toward node 1
-        }
+        let cluster = EventCluster::with_config(cfg, 2, |_| Burst::default());
+        cluster.invoke(0, 40);
         cluster.quiesce();
         let m = cluster.metrics();
-        assert_eq!(m.messages_delivered, 50);
-        assert!(
-            m.max_batch > 1,
-            "a flush window must coalesce some of the burst (max {})",
-            m.max_batch
-        );
-        let nodes = cluster.shutdown();
-        assert_eq!(nodes[1].seen.len(), 50);
+        assert_eq!(m.max_batch, 40);
+        assert_eq!(m.batches_delivered, 1);
+        assert_eq!(m.messages_delivered, 40);
+        assert_eq!(cluster.shutdown()[1].received, 40);
     }
 
     #[test]
     fn maintenance_timer_fires_on_tick() {
         let cfg = RuntimeConfig {
             maintenance_interval: Some(Duration::from_millis(5)),
-            timer_resolution: Duration::from_millis(1),
             ..Default::default()
         };
         let cluster = EventCluster::with_config(cfg, 3, |_| Gossip::default());
@@ -164,7 +156,14 @@ mod tests {
         cluster.quiesce();
         let nodes = cluster.shutdown();
         for (pid, node) in nodes.iter().enumerate() {
-            assert!(node.ticks >= 2, "node {pid} saw {} ticks", node.ticks);
+            let at = &node.ticks_at;
+            assert!(at.len() >= 2, "node {pid} saw {} ticks", at.len());
+            // 1 ms ticks: the first sweep is due 5 ticks after spawn,
+            // and each re-arms 5 ticks after the one before fired.
+            assert!(at[0] >= 5, "node {pid}'s first tick read {}", at[0]);
+            for w in at.windows(2) {
+                assert!(w[1] >= w[0] + 5, "node {pid}'s ticks read {at:?}");
+            }
         }
     }
 

@@ -11,34 +11,32 @@
 //!   │     │        │       │           │          scheduled flag,   │
 //!   │     └────────┴───┬───┴───────────┘          poison record)    │
 //!   │                  ▼                                            │
-//!   │            ready list (FIFO)   ◀── timer wheel (flush windows,│
-//!   │                  │                  maintenance sweeps)       │
+//!   │            ready list (FIFO)   ◀── maintenance sweep (one     │
+//!   │                  │                  periodic deadline)        │
 //!   │      ┌───────────┼───────────┐                                │
 //!   │      ▼           ▼           ▼                                │
 //!   │  worker 0    worker 1 …  worker W-1     (cooperative: drain   │
-//!   │                                          ≤ batch_limit msgs   │
+//!   │                                          every queued message │
 //!   └──────────────────────────────────────── into one on_batch) ──┘
 //! ```
 //!
-//! * **Scheduling** — a node with pending envelopes is pushed onto the
-//!   ready list exactly once (its `scheduled` flag makes enqueueing
-//!   idempotent); a free worker pops it, drains up to
-//!   [`RuntimeConfig::batch_limit`] queued deliveries into **one**
-//!   [`Protocol::on_batch`] activation (a greedy drain, so
-//!   batching-aware replicas repair once per burst), runs it, and
-//!   re-queues the node if more arrived meanwhile. Nodes never block
-//!   each other: an activation runs to completion and yields.
-//! * **Timers** — a virtual-timer wheel (ticks of
-//!   [`RuntimeConfig::timer_resolution`]) turns two things that would
-//!   otherwise need dedicated threads into events: *flush windows*
-//!   ([`RuntimeConfig::flush_window`] — a delivery to an idle node
-//!   parks in the mailbox until the window expires or the mailbox
-//!   reaches `batch_limit`, making the simulator's `DeliveryMode::
-//!   Batched { window }` a real I/O boundary) and *maintenance sweeps*
-//!   ([`RuntimeConfig::maintenance_interval`] — fires
-//!   [`Protocol::on_tick`] on every node: GC heartbeats, per-key
-//!   compaction). Idle workers park until the next deadline, so an
-//!   idle cluster burns no CPU.
+//! * **Scheduling** — a delivery or invoke puts its node on the ready
+//!   list exactly once (its `scheduled` flag makes enqueueing
+//!   idempotent); a free worker pops it, drains every contiguous
+//!   queued delivery into **one** [`Protocol::on_batch`] activation (a
+//!   greedy drain, so batching-aware replicas repair once per burst),
+//!   runs it, and re-queues the node if more arrived meanwhile. Nodes
+//!   never block each other: an activation runs to completion and
+//!   yields.
+//! * **Clock and maintenance** — the reactor's clock counts 1 ms ticks
+//!   since spawn; it is the [`Ctx::now`] an activation reads (a
+//!   maintenance tick reads the tick its sweep fired at). With
+//!   [`RuntimeConfig::maintenance_interval`] set, one periodic
+//!   deadline on that clock fires a *maintenance sweep*: a
+//!   [`Protocol::on_tick`] on every node (GC heartbeats, per-key
+//!   compaction, link retransmits) with no dedicated thread. Idle
+//!   workers park until the next sweep, so an idle cluster burns no
+//!   CPU.
 //! * **Bounded mailboxes** — external invokers
 //!   ([`EventCluster::invoke`]) park at
 //!   [`RuntimeConfig::mailbox_depth`]; protocol traffic is never
@@ -59,10 +57,9 @@
 //! implements the runtime-generic
 //! [`ClusterHarness`](uc_sim::ClusterHarness) beside the simulator.
 
-use crate::timer::{Timer, TimerKind, TimerWheel};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -70,6 +67,10 @@ use std::time::{Duration, Instant};
 use uc_obs::{Counter, Registry};
 use uc_sim::harness::{panic_message, quiesce_spin, PoisonTable};
 use uc_sim::{ClusterHarness, Ctx, Metrics, NodeError, Pid, Protocol};
+
+/// Length of one tick of the reactor's clock, the unit of
+/// [`Ctx::now`] on an [`EventCluster`].
+const TICK: Duration = Duration::from_millis(1);
 
 /// Reactor sizing and policy.
 #[derive(Clone, Copy, Debug)]
@@ -82,20 +83,10 @@ pub struct RuntimeConfig {
     /// park while a mailbox is at the bound. Node-to-node deliveries
     /// are never refused.
     pub mailbox_depth: usize,
-    /// Most deliveries one activation may drain into a single
-    /// [`Protocol::on_batch`] flush.
-    pub batch_limit: usize,
-    /// `Some(w)`: a delivery to an idle node parks in its mailbox
-    /// until `w` elapses (or the mailbox reaches `batch_limit`),
-    /// coalescing bursts into fewer, larger flushes — the real-time
-    /// version of the simulator's `DeliveryMode::Batched { window }`.
-    /// `None`: deliveries schedule their node immediately.
-    pub flush_window: Option<Duration>,
     /// `Some(i)`: fire [`Protocol::on_tick`] on every node each `i`
-    /// (GC heartbeats + compaction, with no dedicated thread).
+    /// (GC heartbeats + compaction, with no dedicated thread),
+    /// rounded down to whole 1 ms ticks, at least one.
     pub maintenance_interval: Option<Duration>,
-    /// Virtual-clock granularity of the timer wheel.
-    pub timer_resolution: Duration,
 }
 
 impl Default for RuntimeConfig {
@@ -103,10 +94,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: 0,
             mailbox_depth: 1024,
-            batch_limit: usize::MAX,
-            flush_window: None,
             maintenance_interval: None,
-            timer_resolution: Duration::from_millis(1),
         }
     }
 }
@@ -114,7 +102,8 @@ impl Default for RuntimeConfig {
 enum Envelope<P: Protocol> {
     Deliver(Pid, P::Msg),
     Invoke(P::Input, Sender<P::Output>),
-    Tick,
+    /// A maintenance tick, carrying the tick its sweep fired at.
+    Tick(u64),
 }
 
 /// Everything one node owns.
@@ -125,8 +114,6 @@ struct NodeSlot<P: Protocol> {
     /// True while the node sits on the ready list or runs; makes
     /// scheduling idempotent.
     scheduled: AtomicBool,
-    /// True while a flush timer for this node is armed.
-    flush_armed: AtomicBool,
     /// True while a maintenance tick sits unprocessed in the mailbox —
     /// a backlogged node gets at most one outstanding tick, not one
     /// per sweep (ticks bypass the mailbox bound, so without this an
@@ -145,7 +132,7 @@ struct NodeSlot<P: Protocol> {
 enum Activation<P: Protocol> {
     Nothing,
     Invoke(P::Input, Sender<P::Output>),
-    Tick,
+    Tick(u64),
     Batch(Vec<(Pid, P::Msg)>),
 }
 
@@ -182,7 +169,6 @@ struct Shared<P: Protocol> {
     nodes: Vec<NodeSlot<P>>,
     ready: Mutex<VecDeque<Pid>>,
     ready_cv: Condvar,
-    timers: Mutex<TimerWheel>,
     /// Messages sent but not yet processed (incremented before every
     /// enqueue, drained after the receiving activation finishes —
     /// the increment-before-send invariant, so a stable zero really
@@ -196,20 +182,21 @@ struct Shared<P: Protocol> {
     poison: PoisonTable,
     stop: AtomicBool,
     epoch: Instant,
-    resolution: Duration,
     mailbox_depth: usize,
-    batch_limit: usize,
-    flush_ticks: Option<u64>,
-    maintenance_ticks: Option<u64>,
-    /// Statically known from the config: when false, workers skip the
-    /// timer wheel (and its mutex) entirely.
-    has_timers: bool,
+    /// Ticks between maintenance sweeps; `None` when none are
+    /// configured, and workers never look at `next_sweep`.
+    sweep_every: Option<u64>,
+    /// Tick at which the next sweep is due. The worker whose
+    /// compare-exchange moves it on is the one that fires the sweep.
+    /// It guards no other data (the ticks travel through the mailbox
+    /// locks), so every access is `Relaxed`.
+    next_sweep: AtomicU64,
 }
 
 impl<P: Protocol> Shared<P> {
-    /// Current virtual tick.
+    /// Current tick of the reactor's clock.
     fn now_ticks(&self) -> u64 {
-        (self.epoch.elapsed().as_nanos() / self.resolution.as_nanos().max(1)) as u64
+        (self.epoch.elapsed().as_nanos() / TICK.as_nanos()) as u64
     }
 
     fn node_error(&self, pid: Pid) -> NodeError {
@@ -281,36 +268,17 @@ impl<P: Protocol> Shared<P> {
             self.hot.messages_dropped_crashed.inc();
             return;
         }
-        let len = {
-            let mut mb = slot.mailbox.lock().unwrap();
-            mb.push_back(Envelope::Deliver(from, msg));
-            mb.len()
-        };
+        slot.mailbox
+            .lock()
+            .unwrap()
+            .push_back(Envelope::Deliver(from, msg));
         if slot.dead.load(Ordering::Acquire) {
             // Poisoned between the check and the push: the purge may
             // have run before our message landed, so run it again.
             self.purge_mailbox(to);
             return;
         }
-        match self.flush_ticks {
-            None => self.schedule(to),
-            Some(window) => {
-                if len >= self.batch_limit || slot.scheduled.load(Ordering::Acquire) {
-                    // Full enough to flush now, or the node is already
-                    // queued/running and its epilogue will drain this
-                    // message — either way a timer would only fire on
-                    // an empty mailbox later.
-                    self.schedule(to);
-                } else if !slot.flush_armed.swap(true, Ordering::AcqRel) {
-                    self.timers.lock().unwrap().insert(Timer {
-                        deadline: self.now_ticks() + window,
-                        kind: TimerKind::Flush(to),
-                    });
-                    // A parked worker may need to shorten its sleep.
-                    self.ready_cv.notify_one();
-                }
-            }
-        }
+        self.schedule(to);
     }
 
     /// Send an activation's outbox: count, then route. Incrementing
@@ -331,61 +299,46 @@ impl<P: Protocol> Shared<P> {
         }
     }
 
-    /// Advance the wheel and act on everything that fired.
-    fn fire_due_timers(&self) {
-        let mut fired = Vec::new();
-        {
-            let mut w = self.timers.lock().unwrap();
-            if w.is_empty() {
-                return;
-            }
-            w.advance(self.now_ticks(), &mut fired);
+    /// Fire the maintenance sweep if it is due: re-arm it `every` ticks
+    /// from now, then queue a tick on every live node that has none
+    /// pending. Of the workers that find it due, only the one whose
+    /// compare-exchange moves the deadline fires it.
+    fn fire_due_sweep(&self, every: u64) {
+        let now = self.now_ticks();
+        let due = self.next_sweep.load(Ordering::Relaxed);
+        if now < due {
+            return;
         }
-        for t in fired {
-            match t.kind {
-                TimerKind::Flush(pid) => {
-                    self.nodes[pid as usize]
-                        .flush_armed
-                        .store(false, Ordering::Release);
-                    self.schedule(pid);
-                }
-                TimerKind::MaintenanceSweep => {
-                    for idx in 0..self.nodes.len() {
-                        let slot = &self.nodes[idx];
-                        if slot.dead.load(Ordering::Acquire)
-                            || slot.tick_pending.swap(true, Ordering::AcqRel)
-                        {
-                            continue; // dead, or last tick still queued
-                        }
-                        slot.mailbox.lock().unwrap().push_back(Envelope::Tick);
-                        self.schedule(idx as Pid);
-                    }
-                    if let Some(every) = self.maintenance_ticks {
-                        self.timers.lock().unwrap().insert(Timer {
-                            deadline: self.now_ticks() + every,
-                            kind: TimerKind::MaintenanceSweep,
-                        });
-                    }
-                }
+        let next = now.saturating_add(every);
+        let claim =
+            self.next_sweep
+                .compare_exchange(due, next, Ordering::Relaxed, Ordering::Relaxed);
+        if claim.is_err() {
+            return; // another worker fired this sweep
+        }
+        for idx in 0..self.nodes.len() {
+            let slot = &self.nodes[idx];
+            if slot.dead.load(Ordering::Acquire) || slot.tick_pending.swap(true, Ordering::AcqRel) {
+                continue; // dead, or last tick still queued
             }
+            slot.mailbox.lock().unwrap().push_back(Envelope::Tick(now));
+            self.schedule(idx as Pid);
         }
     }
 
-    /// How long an idle worker may park before the next timer is due.
-    fn park_timeout(&self) -> Option<Duration> {
-        let next = self.timers.lock().unwrap().next_deadline()?;
-        let ticks = next.saturating_sub(self.now_ticks()).max(1);
-        Some(
-            self.resolution
-                .checked_mul(ticks.min(u32::MAX as u64) as u32)
-                .unwrap_or(Duration::from_secs(3600)),
-        )
+    /// How long an idle worker may park before the next sweep is due.
+    fn park_timeout(&self) -> Duration {
+        let ticks = self
+            .next_sweep
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.now_ticks())
+            .clamp(1, u32::MAX as u64);
+        TICK * ticks as u32
     }
 
     /// Take one activation's worth of envelopes off `idx`'s mailbox:
-    /// an invoke or a tick alone, or up to `batch_limit` contiguous
-    /// deliveries as one burst (mailbox order, so per-link FIFO is
-    /// preserved).
+    /// an invoke or a tick alone, or every contiguous delivery as one
+    /// burst (mailbox order, so per-link FIFO is preserved).
     fn take_activation(&self, idx: Pid) -> Activation<P> {
         let slot = &self.nodes[idx as usize];
         let act = {
@@ -393,22 +346,17 @@ impl<P: Protocol> Shared<P> {
             match mb.pop_front() {
                 None => Activation::Nothing,
                 Some(Envelope::Invoke(input, reply)) => Activation::Invoke(input, reply),
-                Some(Envelope::Tick) => {
+                Some(Envelope::Tick(at)) => {
                     slot.tick_pending.store(false, Ordering::Release);
-                    Activation::Tick
+                    Activation::Tick(at)
                 }
                 Some(Envelope::Deliver(from, msg)) => {
                     let mut batch = vec![(from, msg)];
-                    while batch.len() < self.batch_limit {
-                        match mb.front() {
-                            Some(Envelope::Deliver(..)) => {
-                                let Some(Envelope::Deliver(f, m)) = mb.pop_front() else {
-                                    unreachable!("front was a delivery");
-                                };
-                                batch.push((f, m));
-                            }
-                            _ => break,
-                        }
+                    while let Some(Envelope::Deliver(..)) = mb.front() {
+                        let Some(Envelope::Deliver(f, m)) = mb.pop_front() else {
+                            unreachable!("front was a delivery");
+                        };
+                        batch.push((f, m));
                     }
                     Activation::Batch(batch)
                 }
@@ -455,12 +403,14 @@ impl<P: Protocol> Shared<P> {
                     None => return, // racing shutdown took the state
                 }
             }
-            Activation::Tick => {
+            Activation::Tick(at) => {
+                // A tick reads the tick its sweep fired at, so one
+                // node's ticks are at least one interval apart.
                 let mut outbox = Vec::new();
                 let mut state = slot.state.lock().unwrap();
                 let outcome = state.as_mut().map(|node| {
                     catch_unwind(AssertUnwindSafe(|| {
-                        let mut ctx = Ctx::new(idx, n, now, &mut outbox);
+                        let mut ctx = Ctx::new(idx, n, at, &mut outbox);
                         node.on_tick(&mut ctx);
                     }))
                 });
@@ -518,8 +468,8 @@ impl<P: Protocol> Shared<P> {
 
 fn worker_loop<P: Protocol>(shared: Arc<Shared<P>>) {
     loop {
-        if shared.has_timers {
-            shared.fire_due_timers();
+        if let Some(every) = shared.sweep_every {
+            shared.fire_due_sweep(every);
         }
         if shared.stop.load(Ordering::Acquire) {
             return;
@@ -528,16 +478,10 @@ fn worker_loop<P: Protocol>(shared: Arc<Shared<P>>) {
         match next {
             Some(idx) => shared.run_node(idx),
             None => {
-                // Park until work arrives or the next timer is due; an
+                // Park until work arrives or the next sweep is due; an
                 // idle cluster burns no CPU because every wake source —
-                // schedule, flush-timer arming, stop — notifies the
-                // condvar, so an untimed wait is safe when nothing is
-                // armed.
-                let deadline = if shared.has_timers {
-                    shared.park_timeout()
-                } else {
-                    None
-                };
+                // schedule, stop — notifies the condvar, so an untimed
+                // wait is safe when no sweep is configured.
                 let guard = shared.ready.lock().unwrap();
                 if shared.stop.load(Ordering::Acquire) {
                     return;
@@ -545,13 +489,11 @@ fn worker_loop<P: Protocol>(shared: Arc<Shared<P>>) {
                 if guard.is_empty() {
                     // The returned guards drop immediately: the loop
                     // re-takes the lock to pop after any wakeup.
-                    match deadline {
-                        Some(d) => {
-                            drop(shared.ready_cv.wait_timeout(guard, d).unwrap());
-                        }
-                        None => {
-                            drop(shared.ready_cv.wait(guard).unwrap());
-                        }
+                    if shared.sweep_every.is_some() {
+                        let timeout = shared.park_timeout();
+                        drop(shared.ready_cv.wait_timeout(guard, timeout).unwrap());
+                    } else {
+                        drop(shared.ready_cv.wait(guard).unwrap());
                     }
                 }
             }
@@ -582,8 +524,8 @@ where
     P::Output: Send,
 {
     /// Spawn `n` nodes built by `make(pid)` with the default
-    /// [`RuntimeConfig`] (eager flushes, unbounded drains, parked
-    /// ingress, no maintenance timer).
+    /// [`RuntimeConfig`] (a worker per available core up to 8,
+    /// mailboxes of 1024, no maintenance sweep).
     pub fn spawn(n: usize, make: impl FnMut(Pid) -> P) -> Self {
         Self::with_config(RuntimeConfig::default(), n, make)
     }
@@ -592,17 +534,10 @@ where
     ///
     /// # Panics
     ///
-    /// On `n == 0`, a zero `mailbox_depth`/`batch_limit`, or a zero
-    /// `timer_resolution` when any timer is configured.
+    /// On `n == 0` or a zero `mailbox_depth`.
     pub fn with_config(cfg: RuntimeConfig, n: usize, mut make: impl FnMut(Pid) -> P) -> Self {
         assert!(n >= 1, "a cluster needs at least one node");
         assert!(cfg.mailbox_depth >= 1, "a mailbox must hold something");
-        assert!(cfg.batch_limit >= 1, "a drain must deliver something");
-        let needs_timers = cfg.flush_window.is_some() || cfg.maintenance_interval.is_some();
-        assert!(
-            !needs_timers || cfg.timer_resolution > Duration::ZERO,
-            "timers need a positive resolution"
-        );
         let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
         let workers = if cfg.workers == 0 {
             hw.min(8)
@@ -611,18 +546,15 @@ where
         }
         .min(n)
         .max(1);
-        let to_ticks = |d: Duration| {
-            (d.as_nanos() / cfg.timer_resolution.as_nanos().max(1))
-                .max(1)
-                .min(u64::MAX as u128) as u64
-        };
+        let sweep_every = cfg
+            .maintenance_interval
+            .map(|d| (d.as_nanos() / TICK.as_nanos()).clamp(1, u64::MAX as u128) as u64);
         let shared = Arc::new(Shared {
             nodes: (0..n)
                 .map(|pid| NodeSlot {
                     mailbox: Mutex::new(VecDeque::new()),
                     space: Condvar::new(),
                     scheduled: AtomicBool::new(false),
-                    flush_armed: AtomicBool::new(false),
                     tick_pending: AtomicBool::new(false),
                     dead: AtomicBool::new(false),
                     state: Mutex::new(Some(make(pid as Pid))),
@@ -630,26 +562,16 @@ where
                 .collect(),
             ready: Mutex::new(VecDeque::new()),
             ready_cv: Condvar::new(),
-            timers: Mutex::new(TimerWheel::new()),
             in_flight: AtomicI64::new(0),
             metrics: Mutex::new(Metrics::new(n)),
             hot: HotCounters::new(),
             poison: PoisonTable::new(n),
             stop: AtomicBool::new(false),
             epoch: Instant::now(),
-            resolution: cfg.timer_resolution,
             mailbox_depth: cfg.mailbox_depth,
-            batch_limit: cfg.batch_limit,
-            flush_ticks: cfg.flush_window.map(to_ticks),
-            maintenance_ticks: cfg.maintenance_interval.map(to_ticks),
-            has_timers: needs_timers,
+            sweep_every,
+            next_sweep: AtomicU64::new(sweep_every.unwrap_or(u64::MAX)),
         });
-        if let Some(every) = shared.maintenance_ticks {
-            shared.timers.lock().unwrap().insert(Timer {
-                deadline: every,
-                kind: TimerKind::MaintenanceSweep,
-            });
-        }
         let workers = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -731,10 +653,9 @@ where
         rx.recv().map_err(|_| self.shared.node_error(pid))
     }
 
-    /// Block until every sent message has been processed (flush-window
-    /// parked deliveries included — idle workers wake on the window's
-    /// timer). A configured maintenance sweep may fire again after
-    /// quiescence; quiescence is about *messages*, not timers.
+    /// Block until every sent message has been processed. A configured
+    /// maintenance sweep may fire again after quiescence; quiescence is
+    /// about *messages*, not the clock.
     ///
     /// # Panics
     ///

@@ -289,14 +289,13 @@ fn five_thousand_nodes_on_a_handful_of_workers() {
 #[test]
 fn maintenance_timer_compacts_gc_stores_end_to_end() {
     // GC stores on the event runtime with a maintenance interval: the
-    // timer wheel fires on_tick sweeps (heartbeat broadcast + per-key
+    // maintenance sweep fires on_tick (heartbeat broadcast + per-key
     // compaction), so logs shrink with no dedicated heartbeat thread
     // and no explicit driver calls.
     const N: usize = 3;
     let cluster = EventCluster::with_config(
         RuntimeConfig {
             maintenance_interval: Some(Duration::from_millis(5)),
-            timer_resolution: Duration::from_millis(1),
             ..Default::default()
         },
         N,

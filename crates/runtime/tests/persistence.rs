@@ -1,7 +1,7 @@
 //! Timer-driven persistence on the event runtime: segment-backed
 //! stores hosted by an [`EventCluster`] flush and compact through
 //! [`Protocol::on_tick`](uc_sim::Protocol::on_tick) firings of the
-//! virtual timer wheel — no dedicated flusher thread, no explicit
+//! reactor's maintenance sweep — no dedicated flusher thread, no explicit
 //! `flush_backends` calls — and a killed node's store reopens from
 //! disk with the states the cluster converged to.
 
@@ -30,7 +30,6 @@ fn timer_driven_flush_makes_cluster_state_recoverable() {
     let cluster = EventCluster::with_config(
         RuntimeConfig {
             maintenance_interval: Some(Duration::from_millis(5)),
-            timer_resolution: Duration::from_millis(1),
             ..Default::default()
         },
         N,
@@ -53,7 +52,7 @@ fn timer_driven_flush_makes_cluster_state_recoverable() {
     cluster.quiesce();
     // Let several maintenance sweeps land: each on_tick broadcasts a
     // heartbeat, compacts stable prefixes, and flushes the segment
-    // backends — durability rides the timer wheel.
+    // backends — durability rides the maintenance sweep.
     std::thread::sleep(Duration::from_millis(120));
     cluster.quiesce();
     let mut live: Vec<Node> = cluster.shutdown();

@@ -78,13 +78,13 @@ fn store_converges_on_the_event_cluster() {
 
 /// Store bursts delivered *through the pool*: every cluster node is an
 /// [`IngestPool`] whose shard workers ingest concurrently with the
-/// reactor worker running the node's activation; `batch_limit` keeps
-/// each flushed burst within the pool's queue backpressure.
+/// reactor worker running the node's activation. A burst of any size
+/// is safe: it becomes one ingest job per pool worker, and a full pool
+/// queue parks its producer.
 #[test]
 fn pooled_store_converges_on_the_event_cluster() {
     for seed in 0..24u64 {
         let cfg = RuntimeConfig {
-            batch_limit: 16,
             workers: 2,
             ..Default::default()
         };

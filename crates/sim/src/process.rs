@@ -44,7 +44,7 @@ pub trait Protocol {
     }
 
     /// Periodic maintenance fired by a timer-driven runtime (the event
-    /// runtime's virtual-timer wheel arms one sweep per configured
+    /// runtime fires one sweep over every node per configured
     /// interval). Protocols use it for work that must happen even when
     /// no traffic arrives — stability heartbeats, per-key log
     /// compaction — and may push messages to `ctx` like any other
@@ -85,8 +85,13 @@ impl<'a, M: Clone> Ctx<'a, M> {
         self.n
     }
 
-    /// Current (logical simulation or wall-clock) time — informational
-    /// only; protocols in this repo use Lamport clocks, not `now`.
+    /// Current time, in the executor's unit: virtual time in the
+    /// simulator, 1 ms ticks since spawn on `uc-runtime`'s
+    /// `EventCluster` (where a maintenance tick reads the tick its
+    /// sweep fired at). Replicas order updates by Lamport clocks, not
+    /// by `now`; [`ReliableLink`](crate::ReliableLink) schedules every
+    /// retransmit from it, so [`RetryConfig`](crate::RetryConfig)'s
+    /// `base` and `max_backoff` are in this unit.
     pub fn now(&self) -> u64 {
         self.now
     }

@@ -9,7 +9,7 @@
 //! number and kept in a bounded retry queue until the peer's
 //! cumulative [`LinkMsg::Ack`] covers it. Retransmissions ride
 //! [`Protocol::on_tick`] — the deterministic simulator's scheduled
-//! ticks or `uc-runtime`'s virtual-timer wheel — so there are no
+//! ticks or `uc-runtime`'s maintenance sweep — so there are no
 //! threads or timers of its own, and a seeded run replays exactly.
 //!
 //! Delivery to the inner protocol is **exactly-once and in sequence
@@ -67,10 +67,12 @@ use crate::rng::SplitMix64;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Retransmission policy.
+/// Retransmission policy. Every timeout is in the unit of
+/// [`Ctx::now`]: virtual time in the simulator, 1 ms ticks on the
+/// event runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryConfig {
-    /// Initial retransmit timeout (time units / ticks).
+    /// Initial retransmit timeout.
     pub base: u64,
     /// Backoff cap: timeout for attempt `a` is
     /// `min(base << a, max_backoff) + jitter`.

@@ -25,7 +25,6 @@ fn main() {
     let cfg = RuntimeConfig {
         workers: 4,
         maintenance_interval: Some(Duration::from_millis(10)),
-        timer_resolution: Duration::from_millis(1),
         ..Default::default()
     };
     let cluster = EventCluster::with_config(cfg, REPLICAS, |pid| {

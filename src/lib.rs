@@ -15,8 +15,8 @@
 //!   event runtime;
 //! * [`runtime`] — the event-driven async runtime:
 //!   [`EventCluster`](runtime::EventCluster) multiplexes thousands of
-//!   protocol instances onto a small worker pool, with a virtual-timer
-//!   wheel for flush windows and GC maintenance;
+//!   protocol instances onto a small worker pool, with a periodic
+//!   maintenance sweep for GC heartbeats and compaction;
 //! * [`core`] — the paper's Algorithm 1 & 2: one
 //!   [`ReplicaEngine`](core::ReplicaEngine) parameterised by a
 //!   [`RepairStrategy`](core::RepairStrategy), with the §VII-C
