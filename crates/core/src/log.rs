@@ -116,6 +116,12 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
         self.entries.is_empty()
     }
 
+    /// Entries the log's buffer holds room for: what it keeps allocated
+    /// whatever its length (`uc_store_log_capacity`).
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Insert a timestamped update, keeping timestamp order: the
     /// update moves into the log. Returns the insertion position, or
     /// `None` if the timestamp was already present (reliable broadcast

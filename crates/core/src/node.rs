@@ -236,6 +236,8 @@ impl<X: Executor> Node<X> {
         if let Ok(s) = self.exec.summary() {
             reg.gauge("uc_store_keys").set(s.keys as i64);
             reg.gauge("uc_store_log_len").set(s.log_len as i64);
+            reg.gauge("uc_store_log_capacity")
+                .set(s.log_capacity as i64);
             reg.gauge("uc_store_live_keys").set(s.live_keys as i64);
             reg.counter("uc_store_repair_events_total")
                 .set(s.repair_events);

@@ -1818,7 +1818,12 @@ mod tests {
             let reg = Registry::new();
             export(&reg);
             let s = reg.snapshot();
-            let gauges = ["uc_store_keys", "uc_store_log_len", "uc_store_live_keys"];
+            let gauges = [
+                "uc_store_keys",
+                "uc_store_log_len",
+                "uc_store_live_keys",
+                "uc_store_log_capacity",
+            ];
             let counters = [
                 "uc_store_repair_events_total",
                 "uc_store_repair_steps_total",
@@ -1829,7 +1834,8 @@ mod tests {
         let pooled = scrape(&|reg| pool.export_metrics(reg));
         let store = pool.finish().unwrap();
         assert_eq!(pooled, scrape(&|reg| store.export_metrics(reg)));
-        assert_eq!(pooled.0, [10, 80, 10]);
+        assert_eq!(pooled.0[..3], [10, 80, 10]);
+        assert!(pooled.0[3] >= 80, "capacity {} under length", pooled.0[3]);
         assert_eq!(pooled.1[0], 10, "one repair per key");
     }
 

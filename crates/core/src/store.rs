@@ -49,12 +49,13 @@
 //!   a heartbeat or maintenance tick that raises the replica's
 //!   stability floor (the minimum of the clocks heard from every pid,
 //!   kept once per shard set), visit only the keys whose log still
-//!   holds un-compacted entries (each shard's *live list*); a
-//!   heartbeat or tick that leaves the floor where it was visits no
-//!   key, so a pinned partition costs none per heartbeat. A key with
-//!   an empty log hears the clocks it missed just before its next
-//!   insertion, so what a tick costs follows the unstable keys, not
-//!   the key count ([`UcStore::live_keys`]);
+//!   holds un-compacted entries (each shard's *live list*, slot
+//!   numbers into the shard's engine arena, walked without hashing a
+//!   key); a heartbeat or tick that leaves the floor where it was
+//!   visits no key, so a pinned partition costs none per heartbeat.
+//!   A key with an empty log hears the clocks it missed just before
+//!   its next insertion, so what a tick costs follows the unstable
+//!   keys, not the key count ([`UcStore::live_keys`]);
 //! * **one replica type** — [`UcStore`] is the [`Inline`]
 //!   instantiation of [`Node`](crate::node::Node), the replica written
 //!   once: what it does as a [`Protocol`](uc_sim::Protocol) node —
@@ -597,11 +598,13 @@ pub(crate) fn collapse_heartbeats(mut hbs: Vec<(u32, u64)>) -> Vec<(u32, u64)> {
     hbs
 }
 
-/// One key's engine, with its membership in its shard's two work
-/// lists kept beside it: the insertion path tests a flag on the slot
-/// it already holds instead of probing a side set.
+/// One key's engine, with its key (for the arena walks that report
+/// keys) and its membership in its shard's two work lists kept beside
+/// it: the insertion path tests a flag on the slot it already holds
+/// instead of probing a side set.
 #[derive(Clone, Debug)]
 struct Slot<A: UqAdt, S, B> {
+    key: Key,
     engine: ReplicaEngine<A, S, B>,
     /// On [`Shard::live`].
     live: bool,
@@ -618,29 +621,40 @@ struct Slot<A: UqAdt, S, B> {
 /// the [`IngestPool`](crate::pool::IngestPool) hands to its persistent
 /// workers.
 ///
+/// The engines sit in one arena, `slots`, in creation order, behind a
+/// key → slot-number index. Keys are never removed, so a slot number
+/// stays valid for the shard's life; the work lists hold slot numbers,
+/// and only the key-addressed calls (insertions, reads, adoption) go
+/// through the index. An index bucket is 16 bytes where a slot is
+/// ~220, so the table's empty buckets cost little, and the arena's
+/// unused tail is never written.
+///
 /// Sweeps and flushes visit the **live** keys only — those whose log
 /// still holds un-compacted entries. A sweep runs when a heartbeat or
 /// tick raises the replica's stability floor ([`Stability`]) and hands
 /// each live engine every heard clock. An engine whose log has emptied
 /// has nothing to compact and answers queries from its base, so it
 /// sits the sweeps out and hears the clocks, late, just before its
-/// next insertion ([`Shard::insert_into`]). Both lists hold a key at
+/// next insertion ([`Shard::insert_into`]). Both lists hold a slot at
 /// most once (the slot flags), so they are bounded by the key count.
 #[derive(Clone, Debug)]
 pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     pub(crate) idx: usize,
-    objects: HashMap<Key, Slot<A, S, B>, BuildHasherDefault<FxHasher>>,
-    /// Keys whose log held entries when last looked at. A log that an
+    /// Key → its slot's number in `slots`.
+    index: HashMap<Key, u32, BuildHasherDefault<FxHasher>>,
+    /// Every key's slot, in creation order.
+    slots: Vec<Slot<A, S, B>>,
+    /// Slots whose log held entries when last looked at. A log that an
     /// insertion's own compaction emptied stays listed until the next
     /// sweep finds it so.
-    live: Vec<Key>,
-    /// Keys that journaled or moved their clock while off the live
+    live: Vec<u32>,
+    /// Slots that journaled or moved their clock while off the live
     /// list since the last [`Shard::flush_backends`]: they were idle
     /// when an insertion began, or they left the live list.
-    unflushed: Vec<Key>,
-    /// How many keys on `unflushed` are off the live list. The flush
-    /// walk visits them after the live keys, so this tells it which
-    /// key is its last (the one that commits for the shard) without
+    unflushed: Vec<u32>,
+    /// How many slots on `unflushed` are off the live list. The flush
+    /// walk visits them after the live ones, so this tells it which
+    /// slot is its last (the one that commits for the shard) without
     /// a second look at any slot.
     idle_unflushed: usize,
     /// Highest update-timestamp clock this shard has ingested or
@@ -654,7 +668,8 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
     pub(crate) fn empty(idx: usize) -> Self {
         Shard {
             idx,
-            objects: HashMap::default(),
+            index: HashMap::default(),
+            slots: Vec::new(),
             live: Vec::new(),
             unflushed: Vec::new(),
             idle_unflushed: 0,
@@ -669,38 +684,45 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
 
     /// Number of keys with engines.
     pub(crate) fn key_count(&self) -> usize {
-        self.objects.len()
+        self.slots.len()
     }
 
-    /// The keys with engines, in no particular order.
+    /// The keys with engines, in creation order.
     pub(crate) fn keys(&self) -> impl Iterator<Item = Key> + '_ {
-        self.objects.keys().copied()
+        self.slots.iter().map(|slot| slot.key)
+    }
+
+    /// `key`'s slot, if it has one.
+    fn slot_mut(&mut self, key: Key) -> Option<&mut Slot<A, S, B>> {
+        let at = *self.index.get(&key)?;
+        Some(&mut self.slots[at as usize])
     }
 
     /// `key`'s engine, if it has one.
     pub(crate) fn engine(&self, key: Key) -> Option<&ReplicaEngine<A, S, B>> {
-        self.objects.get(&key).map(|slot| &slot.engine)
+        let at = *self.index.get(&key)?;
+        Some(&self.slots[at as usize].engine)
     }
 
     /// `key`'s engine for a read (query, cut, suffix window): reads
     /// never create an engine and never need the heard clocks.
     pub(crate) fn engine_mut(&mut self, key: Key) -> Option<&mut ReplicaEngine<A, S, B>> {
-        self.objects.get_mut(&key).map(|slot| &mut slot.engine)
+        self.slot_mut(key).map(|slot| &mut slot.engine)
     }
 
     /// Every engine, for the store-wide reads (cuts, heal digests and
     /// suffixes, counters).
     pub(crate) fn engines(&self) -> impl Iterator<Item = &ReplicaEngine<A, S, B>> {
-        self.objects.values().map(|slot| &slot.engine)
+        self.slots.iter().map(|slot| &slot.engine)
     }
 
     /// [`Shard::engines`], keyed and mutable.
     pub(crate) fn engines_mut(
         &mut self,
     ) -> impl Iterator<Item = (Key, &mut ReplicaEngine<A, S, B>)> {
-        self.objects
+        self.slots
             .iter_mut()
-            .map(|(key, slot)| (*key, &mut slot.engine))
+            .map(|slot| (slot.key, &mut slot.engine))
     }
 
     /// Keys on the live list — how many keys hold unstable entries
@@ -708,6 +730,34 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
     /// compaction and not been swept since).
     pub(crate) fn live_keys(&self) -> usize {
         self.live.len()
+    }
+
+    /// Panic unless the index, the arena and the work lists agree:
+    /// every key maps to the slot holding it, each list holds a slot at
+    /// most once and exactly when the slot's flag says so, and
+    /// `idle_unflushed` counts the unflushed slots off the live list.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        assert_eq!(self.index.len(), self.slots.len(), "one slot per key");
+        for (key, &at) in &self.index {
+            assert_eq!(self.slots[at as usize].key, *key, "slot {at}");
+        }
+        let listed = |list: &[u32], flag: fn(&Slot<A, S, B>) -> bool, name: &str| {
+            let mut seen = vec![false; self.slots.len()];
+            for &at in list {
+                assert!(
+                    !std::mem::replace(&mut seen[at as usize], true),
+                    "{name}: slot {at} twice"
+                );
+            }
+            for (at, slot) in self.slots.iter().enumerate() {
+                assert_eq!(seen[at], flag(slot), "{name}: slot {at} listed iff flagged");
+            }
+        };
+        listed(&self.live, |slot| slot.live, "live");
+        listed(&self.unflushed, |slot| slot.unflushed, "unflushed");
+        let idle = self.slots.iter().filter(|s| s.unflushed && !s.live).count();
+        assert_eq!(self.idle_unflushed, idle, "idle slots owed a flush");
     }
 }
 
@@ -735,13 +785,14 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     {
         let Shard {
             idx,
-            objects,
+            index,
+            slots,
             live,
             unflushed,
             idle_unflushed,
             ..
         } = self;
-        let slot = objects.entry(key).or_insert_with(|| {
+        let at = *index.entry(key).or_insert_with(|| {
             let mut engine = ReplicaEngine::with_backend(
                 adt.clone(),
                 pid,
@@ -749,13 +800,16 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 persist.open(*idx, key),
             );
             engine.set_retention_cap(stability.cap);
-            Slot {
+            slots.push(Slot {
+                key,
                 engine,
                 live: false,
                 unflushed: false,
                 read_at: 0,
-            }
+            });
+            u32::try_from(slots.len() - 1).expect("a shard numbers its slots in a u32")
         });
+        let slot = &mut slots[at as usize];
         if !slot.live {
             slot.engine.hear_clocks(&stability.heard);
             if slot.read_at > 0 {
@@ -767,35 +821,36 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             // where the pool's poison-path flush finds them.
             if !slot.unflushed {
                 slot.unflushed = true;
-                unflushed.push(key);
+                unflushed.push(at);
                 *idle_unflushed += 1;
             }
         }
         let out = f(&mut slot.engine);
         if !slot.live && slot.engine.log_len() > 0 {
             slot.live = true;
-            live.push(key);
+            live.push(at);
             *idle_unflushed -= 1;
         }
         out
     }
 
-    /// Adopt an engine rebuilt by [`UcStore::reopen`]; one that
-    /// recovered a non-empty tail is live.
+    /// Adopt an engine rebuilt by [`UcStore::reopen`] for a key that
+    /// has none yet; one that recovered a non-empty tail is live.
     pub(crate) fn adopt(&mut self, key: Key, engine: ReplicaEngine<A, S, B>) {
+        let at = u32::try_from(self.slots.len()).expect("a shard numbers its slots in a u32");
+        let before = self.index.insert(key, at);
+        assert!(before.is_none(), "key {key} adopted twice");
         let live = engine.log_len() > 0;
         if live {
-            self.live.push(key);
+            self.live.push(at);
         }
-        self.objects.insert(
+        self.slots.push(Slot {
             key,
-            Slot {
-                engine,
-                live,
-                unflushed: false,
-                read_at: 0,
-            },
-        );
+            engine,
+            live,
+            unflushed: false,
+            read_at: 0,
+        });
     }
 
     /// `key`'s engine for a query at the replica's clock `now`, if it
@@ -809,7 +864,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         key: Key,
         now: u64,
     ) -> Option<&mut ReplicaEngine<A, S, B>> {
-        let slot = self.objects.get_mut(&key)?;
+        let slot = self.slot_mut(key)?;
         if slot.live {
             let pid = slot.engine.pid();
             slot.engine.hear_peer_clock(pid, now);
@@ -857,14 +912,13 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     pub(crate) fn live_log_len(&self) -> usize {
         self.live
             .iter()
-            .filter_map(|key| self.engine(*key))
-            .map(|engine| engine.log_len())
+            .map(|&at| self.slots[at as usize].engine.log_len())
             .sum()
     }
 
     /// Pin (or release) compaction on every engine in this shard.
     pub(crate) fn set_retention_cap(&mut self, cap: Option<u64>) {
-        for slot in self.objects.values_mut() {
+        for slot in &mut self.slots {
             slot.engine.set_retention_cap(cap);
         }
     }
@@ -925,14 +979,14 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     /// flush.
     fn sweep(&mut self, heard: &[(u32, u64)]) {
         let Shard {
-            objects,
+            slots,
             live,
             unflushed,
             idle_unflushed,
             ..
         } = self;
-        live.retain(|key| {
-            let slot = objects.get_mut(key).expect("a live key has an engine");
+        live.retain(|&at| {
+            let slot = &mut slots[at as usize];
             slot.engine.hear_clocks(heard);
             slot.engine.compact();
             if slot.engine.log_len() > 0 {
@@ -941,7 +995,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             slot.live = false;
             if !slot.unflushed {
                 slot.unflushed = true;
-                unflushed.push(*key);
+                unflushed.push(at);
             }
             *idle_unflushed += 1;
             false
@@ -956,7 +1010,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     /// key's `flush` makes all of them durable.
     pub(crate) fn flush_backends(&mut self) {
         let Shard {
-            objects,
+            slots,
             live,
             unflushed,
             idle_unflushed,
@@ -973,12 +1027,11 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         // none, on the last live one.
         let mut idle_left = std::mem::take(idle_unflushed);
         let last_live = live.len().checked_sub(1).filter(|_| idle_left == 0);
-        for (at, key) in live.iter().enumerate() {
-            let slot = objects.get_mut(key).expect("a live key has an engine");
-            flush(&mut slot.engine, Some(at) == last_live);
+        for (nth, &at) in live.iter().enumerate() {
+            flush(&mut slots[at as usize].engine, Some(nth) == last_live);
         }
-        for key in unflushed.drain(..) {
-            let slot = objects.get_mut(&key).expect("a listed key has an engine");
+        for at in unflushed.drain(..) {
+            let slot = &mut slots[at as usize];
             slot.unflushed = false;
             // Back on the live list since: flushed just above.
             if !slot.live {
@@ -1480,6 +1533,7 @@ where
             keys: self.key_count(),
             live_keys: self.live_keys(),
             log_len: self.log_len(),
+            log_capacity: self.sum_engines(|e| e.log().capacity() as u64) as usize,
             repair_events: self.sum_engines(|e| e.repair_events()),
             repair_steps: self.sum_engines(|e| e.repair_steps()),
             monitor: self.monitor.as_ref().map(|m| m.stats().clone()),
@@ -1497,7 +1551,7 @@ where
         }
     }
 
-    /// The keys with engines, in no particular order.
+    /// The keys with engines, shard by shard, each in creation order.
     fn keys(&self) -> impl Iterator<Item = Key> + '_ {
         self.shards.iter().flat_map(|s| s.keys())
     }
@@ -1528,6 +1582,9 @@ pub struct Summary {
     pub(crate) keys: usize,
     pub(crate) live_keys: usize,
     pub(crate) log_len: usize,
+    /// Entry slots allocated by the logs, summed over every key, idle
+    /// ones included: a log keeps its buffer when it empties.
+    pub(crate) log_capacity: usize,
     pub(crate) repair_events: u64,
     pub(crate) repair_steps: u64,
     pub(crate) monitor: Option<MonitorStats>,
@@ -1540,6 +1597,7 @@ impl Summary {
             keys: self.keys + other.keys,
             live_keys: self.live_keys + other.live_keys,
             log_len: self.log_len + other.log_len,
+            log_capacity: self.log_capacity + other.log_capacity,
             repair_events: self.repair_events + other.repair_events,
             repair_steps: self.repair_steps + other.repair_steps,
             monitor: match (self.monitor, other.monitor) {
@@ -2211,6 +2269,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemBackend;
     use crate::heal::HealConfig;
     use crate::pool::{IngestPool, PoolConfig};
     use std::collections::BTreeSet;
@@ -2448,6 +2507,138 @@ mod tests {
         let mut replay: GcStore = UcStore::new(SetAdt::new(), 1, 2, GcFactory { n: 3 });
         let Ok(_) = s.apply_message_from(replay.pid(), replay.update(7, SetUpdate::Insert(1)));
         assert_eq!((s.live_keys(), s.total_log_len()), (0, 0));
+    }
+
+    #[test]
+    fn an_emptied_log_keeps_its_buffer_and_the_scrape_shows_it() {
+        let mut s: GcStore = UcStore::new(SetAdt::new(), 0, 2, GcFactory { n: 2 });
+        let mut peer: GcStore = UcStore::new(SetAdt::new(), 1, 1, GcFactory { n: 2 });
+        let burst: Vec<_> = (0..45)
+            .map(|v| peer.update(7, SetUpdate::Insert(v)))
+            .collect();
+        s.apply_batch_owned(burst);
+        s.tick_maintenance();
+        let Ok(_) = s.apply_message_from(peer.pid(), peer.heartbeat());
+        let reg = Registry::new();
+        s.export_metrics(&reg);
+        let scrape = reg.snapshot();
+        assert_eq!(
+            scrape.gauge("uc_store_log_len"),
+            Some(0),
+            "the burst is stable"
+        );
+        let capacity = scrape.gauge("uc_store_log_capacity").expect("exported");
+        assert!(
+            capacity >= 45,
+            "the buffer that held the burst stays: {capacity}"
+        );
+    }
+
+    /// [`Shard::check_invariants`] on every shard of `s`.
+    fn check_arenas(s: &GcStore, when: &str) {
+        for shard in &s.exec.shards.shards {
+            let checked = std::panic::catch_unwind(|| shard.check_invariants());
+            assert!(checked.is_ok(), "shard {} after {when}", shard.idx);
+        }
+    }
+
+    /// What [`UcStore::reopen`] does with each recovered engine,
+    /// without a backend to recover from: every shard is rebuilt by
+    /// [`Shard::adopt`], last-created key first, so slot numbers change.
+    fn readopt(s: &mut GcStore) {
+        for shard in &mut s.exec.shards.shards {
+            let mut back = Shard::empty(shard.idx);
+            back.high_water = shard.high_water;
+            for slot in shard.slots.iter().rev() {
+                back.adopt(slot.key, slot.engine.clone());
+            }
+            *shard = back;
+        }
+    }
+
+    #[test]
+    fn the_key_index_and_work_lists_agree_with_the_arena_at_every_step() {
+        const KEYS: u64 = 40;
+        let (mut idle_reads, mut live_reads) = (0, 0);
+        for seed in 0..8 {
+            let mut rng = uc_sim::SplitMix64::new(seed);
+            let mut s: GcStore = UcStore::new(SetAdt::new(), 0, 4, GcFactory { n: 2 });
+            let mut peer: GcStore = UcStore::new(SetAdt::new(), 1, 1, GcFactory { n: 2 });
+            // Every update `s` issues or ingests, folded without GC.
+            let mut reference = store(2, 1);
+            let mut sent: Vec<Msg> = Vec::new();
+            for step in 0..300 {
+                let key = rng.next_below(KEYS);
+                let what = match rng.next_below(7) {
+                    0 => {
+                        let v = rng.next_below(20) as u32;
+                        reference.apply_batch_owned(vec![s.update(key, SetUpdate::Delete(v))]);
+                        "a local update"
+                    }
+                    1 => {
+                        let fresh = rng.next_range(1, 12);
+                        let mut burst: Vec<Msg> = (0..fresh)
+                            .map(|_| {
+                                let (k, v) = (rng.next_below(KEYS), rng.next_below(20) as u32);
+                                peer.update(k, SetUpdate::Insert(v))
+                            })
+                            .collect();
+                        sent.extend(burst.iter().cloned());
+                        for _ in 0..rng.next_below(4) {
+                            burst.push(sent[rng.next_below(sent.len() as u64) as usize].clone());
+                        }
+                        reference.apply_batch_owned(burst.clone());
+                        s.apply_batch_owned(burst);
+                        "a burst with duplicates"
+                    }
+                    2 => {
+                        let Ok(_) = s.apply_message_from(peer.pid(), peer.heartbeat());
+                        "a heartbeat"
+                    }
+                    3 => {
+                        s.tick_maintenance();
+                        "a tick"
+                    }
+                    4 => {
+                        s.flush_backends();
+                        "a flush"
+                    }
+                    5 => {
+                        match s.engine(key).map(|engine| engine.log_len() > 0) {
+                            Some(true) => live_reads += 1,
+                            Some(false) => idle_reads += 1,
+                            None => {}
+                        }
+                        s.query(key, &SetQuery::Read);
+                        "a query"
+                    }
+                    _ => {
+                        readopt(&mut s);
+                        "a reopen"
+                    }
+                };
+                check_arenas(&s, &format!("seed {seed} step {step}: {what}"));
+            }
+            for key in 0..KEYS {
+                let want = reference.materialize_key(key);
+                assert_eq!(s.materialize_key(key), want, "seed {seed} key {key}");
+            }
+        }
+        assert!(
+            idle_reads > 0 && live_reads > 0,
+            "idle {idle_reads}, live {live_reads}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "adopted twice")]
+    fn a_key_is_adopted_at_most_once() {
+        let mut shard = Shard::empty(0);
+        let adt = SetAdt::<u32>::new();
+        let strategy = CheckpointFactory { every: 4 }.make(&adt);
+        let engine = || ReplicaEngine::with_backend(adt, 0, strategy.clone(), MemBackend);
+        shard.adopt(3, engine());
+        shard.adopt(3, engine());
     }
 
     /// (shard, key, committed) per flush call, in call order.

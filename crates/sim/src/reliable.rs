@@ -36,12 +36,16 @@
 //! released payloads are handed to the inner protocol in arrival order
 //! (sequence order per sender) inside one inner activation, one
 //! `on_message` each — not the inner `on_batch`, which for `UcStore` is
-//! the slower path on a round's scattered frames (see ROADMAP). Then
-//! **one cumulative ack per sender** that contributed a `Data` goes
-//! out, carrying that channel's floor: acks are per activation, not
-//! per frame. A sender whose frames were all duplicates is still
-//! acked, since a duplicate means its previous ack was lost. A frame
-//! from a pid outside the cluster is dropped.
+//! the slower path on a round's scattered frames: a round of ~43
+//! frames over many keys pays for `split_by_shard`'s per-shard bucket
+//! vectors (~7 % slower), and the burst merge leaves each touched
+//! log's buffer at its run's length, which took the peak RSS of the
+//! end-to-end benchmark's `replicate-mem` workload from 30.4 to
+//! 35.3 MiB. Then **one cumulative ack per sender** that contributed
+//! a `Data` goes out, carrying that channel's floor: acks are per
+//! activation, not per frame. A sender whose frames were all
+//! duplicates is still acked, since a duplicate means its previous ack
+//! was lost. A frame from a pid outside the cluster is dropped.
 //!
 //! The retry queue is bounded: when full, the *oldest* unacked entry
 //! is shed and counted — delivery degrades observably instead of
