@@ -28,8 +28,8 @@ use uc_core::{
 };
 use uc_obs::HealthStatus;
 use uc_sim::{
-    Ctx, DeliveryMode, HeartbeatDetector, LatencyModel, LinkCounters, LinkModel, Pid, Protocol,
-    ReliableLink, RetryConfig, SimConfig, Simulation, SplitMix64, Topology,
+    Ctx, Cut, DeliveryMode, HeartbeatDetector, LatencyModel, LinkCounters, LinkModel, Pid,
+    Protocol, ReliableLink, RetryConfig, SimConfig, Simulation, SplitMix64, Topology,
 };
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
 use uc_storage::{ScratchDir, SegmentFactory};
@@ -832,7 +832,7 @@ fn reliable_link_store_converges_through_lossy_partition() {
     let counters = LinkCounters::new();
     let mut topo = Topology::uniform(n, LinkModel::lossy(LatencyModel::Uniform(2, 9), 0.10));
     // Hard partition window: {0, 1} | {2}.
-    topo.partition(vec![vec![0, 1], vec![2]], 2_000, 5_000);
+    topo.partition(vec![vec![0, 1], vec![2]], 2_000, 5_000, Cut::Drop);
     let mut sim: Simulation<Node> = Simulation::new(
         SimConfig {
             n,
@@ -932,8 +932,8 @@ fn detector_driven_heal_through_flapping_partition(mode: DeliveryMode) {
     // Two outage windows for {0, 1} | {2}: the second starts after the
     // first heal completes, so sessions are opened, finished, and
     // re-opened purely by detector verdicts.
-    topo.partition(vec![vec![0, 1], vec![2]], 1_500, 3_500);
-    topo.partition(vec![vec![0, 1], vec![2]], 5_500, 7_000);
+    topo.partition(vec![vec![0, 1], vec![2]], 1_500, 3_500, Cut::Drop);
+    topo.partition(vec![vec![0, 1], vec![2]], 5_500, 7_000, Cut::Drop);
     let mut sim: Simulation<Node> = Simulation::new(
         SimConfig {
             n,
@@ -1248,7 +1248,7 @@ fn a_detector_only_symmetric_partition_reports_peer_up_on_both_sides_and_converg
         ..LinkModel::default()
     };
     let mut topo = Topology::uniform(n, lossless);
-    topo.partition(vec![vec![0, 1], vec![2]], 2_000, 4_000);
+    topo.partition(vec![vec![0, 1], vec![2]], 2_000, 4_000, Cut::Drop);
     let mut sim: Simulation<Node> = Simulation::new(
         SimConfig {
             n,

@@ -9,17 +9,17 @@
 //! is checked against:
 //!
 //! * [`scheduler::Simulation`] — a **deterministic discrete-event
-//!   simulator**: seeded latency models ([`network::LatencyModel`]),
-//!   per-link FIFO or reordering delivery, crash injection, partition
-//!   windows that delay (never drop) messages, adversarial schedules
-//!   ([`faults`], used by the Proposition 1 experiment), invocation
+//!   simulator**: seeded latency models ([`network::LatencyModel`],
+//!   whose `Adversarial` variant is the Proposition 1 adversary),
+//!   per-link FIFO or reordering delivery, crash injection, invocation
 //!   traces ([`trace`]) and accounting ([`metrics`], experiment E7).
-//!   Installing a [`topology::Topology`] switches the network to the
-//!   partitionable-systems model — per-link latency/loss/duplication/
-//!   reorder and outage windows that **drop** instead of
-//!   delay — and [`reliable::ReliableLink`]
-//!   restores eventual delivery on top via sequence-numbered
-//!   retransmission with backoff.
+//!   Its network is one [`topology::Topology`]: per-link latency,
+//!   loss, duplication and reorder, and outage windows that either
+//!   **hold** messages until the heal (the paper's reliable network)
+//!   or **drop** them (the partitionable-systems model).
+//!   [`reliable::ReliableLink`] restores eventual delivery over a
+//!   dropping network via sequence-numbered retransmission with
+//!   backoff.
 //!
 //! Protocols implement [`process::Protocol`] once and run unchanged
 //! here and on the event-driven `EventCluster` of the `uc-runtime`
@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod detector;
-pub mod faults;
 pub mod harness;
 pub mod metrics;
 pub mod network;
@@ -51,12 +50,12 @@ pub mod workload;
 pub use detector::{HeartbeatDetector, MembershipInput};
 pub use harness::{ClusterHarness, NodeError};
 pub use metrics::{LinkCounters, Metrics};
-pub use network::{DeliveryMode, LatencyModel, Partition, PartitionSchedule};
+pub use network::{DeliveryMode, LatencyModel};
 pub use process::{Ctx, Pid, Protocol};
 pub use reliable::{LinkMsg, LinkStats, ReliableLink, RetryConfig};
 pub use rng::{SplitMix64, Zipf};
 pub use scheduler::{SimConfig, Simulation};
-pub use topology::{LinkModel, LinkOutage, SendPlan, Topology};
+pub use topology::{Cut, LinkModel, LinkOutage, Topology};
 pub use trace::InvocationRecord;
 pub use workload::{
     generate_keyed, perturb_order, KeyedOp, KeyedWorkloadSpec, ScheduledOp, SetOpKind, WorkloadSpec,

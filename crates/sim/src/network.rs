@@ -1,5 +1,6 @@
-//! Network model: latency distributions, FIFO/reordering links, and
-//! partitions.
+//! Network model: latency distributions and delivery modes. Links,
+//! their loss and reordering, and partitions are described by the
+//! simulation's [`Topology`](crate::topology::Topology).
 //!
 //! The paper's system model is a complete, reliable, asynchronous
 //! network: no bound on transfer delays, but every message between
@@ -10,7 +11,6 @@
 //! ("it is impossible for p1 to distinguish a crashed p2 from delayed
 //! messages").
 
-use crate::process::Pid;
 use crate::rng::SplitMix64;
 
 /// Message latency distribution.
@@ -93,106 +93,21 @@ impl DeliveryMode {
     }
 }
 
-/// A partition: a set of groups; messages may only flow within a
-/// group. Processes not listed are each isolated.
-#[derive(Clone, Debug)]
-pub struct Partition {
-    groups: Vec<Vec<Pid>>,
-    /// Partition is in force during `[start, end)`.
-    pub start: u64,
-    /// Heal time.
-    pub end: u64,
-}
-
-impl Partition {
-    /// A partition holding during `[start, end)` with the given
-    /// groups. Panics if a pid appears in more than one group (or
-    /// twice in one): membership must be unambiguous, otherwise
-    /// `connected` would silently depend on group order.
-    pub fn new(groups: Vec<Vec<Pid>>, start: u64, end: u64) -> Self {
-        assert!(start <= end);
-        let mut seen = std::collections::HashSet::new();
-        for g in &groups {
-            for &p in g {
-                assert!(
-                    seen.insert(p),
-                    "pid {p} appears in more than one partition group"
-                );
-            }
-        }
-        Partition { groups, start, end }
-    }
-
-    /// The index of the group `p` belongs to, if it is listed at all.
-    /// Unlisted pids have no group: they are isolated from everyone
-    /// (including other unlisted pids) while the partition holds.
-    pub fn group_of(&self, p: Pid) -> Option<usize> {
-        self.groups.iter().position(|g| g.contains(&p))
-    }
-
-    /// May `a` talk to `b` under this partition (assuming it is in
-    /// force)? Connected iff both endpoints are listed in the *same*
-    /// group; an unlisted endpoint is isolated even when the other
-    /// endpoint is grouped. Self-loops are always connected.
-    pub fn connected(&self, a: Pid, b: Pid) -> bool {
-        if a == b {
-            return true;
-        }
-        match (self.group_of(a), self.group_of(b)) {
-            (Some(ga), Some(gb)) => ga == gb,
-            _ => false,
-        }
-    }
-}
-
-/// The set of scheduled partitions.
-#[derive(Clone, Debug, Default)]
-pub struct PartitionSchedule {
-    partitions: Vec<Partition>,
-}
-
-impl PartitionSchedule {
-    /// Add a partition window.
-    pub fn add(&mut self, p: Partition) {
-        self.partitions.push(p);
-    }
-
-    /// Is the link `a → b` blocked at time `t`?
-    pub fn blocked(&self, a: Pid, b: Pid, t: u64) -> bool {
-        self.partitions
-            .iter()
-            .any(|p| t >= p.start && t < p.end && !p.connected(a, b))
-    }
-
-    /// Earliest time ≥ `t` at which `a → b` unblocks; `None` if not
-    /// blocked at `t`. With non-overlapping windows this is the end of
-    /// the covering window; overlapping windows are resolved by
-    /// iterating.
-    pub fn next_open(&self, a: Pid, b: Pid, t: u64) -> Option<u64> {
-        if !self.blocked(a, b, t) {
-            return None;
-        }
-        let mut t = t;
-        // Bounded by the number of windows: each step exits one window.
-        for _ in 0..=self.partitions.len() {
-            let covering_end = self
-                .partitions
-                .iter()
-                .filter(|p| t >= p.start && t < p.end && !p.connected(a, b))
-                .map(|p| p.end)
-                .max();
-            match covering_end {
-                Some(end) => t = end,
-                None => return Some(t),
-            }
-        }
-        Some(t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{Cut, LinkModel, Topology};
+
+    /// `n` processes on default links, cut into `groups` by a holding
+    /// partition for each `[start, end)` window.
+    fn held(n: usize, cuts: &[(&[&[u32]], u64, u64)]) -> Topology {
+        let mut t = Topology::uniform(n, LinkModel::default());
+        for (groups, start, end) in cuts {
+            let groups = groups.iter().map(|g| g.to_vec()).collect();
+            t.partition(groups, *start, *end, Cut::Hold);
+        }
+        t
+    }
 
     #[test]
     fn constant_latency() {
@@ -224,60 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_blocks_across_groups() {
-        let p = Partition::new(vec![vec![0, 1], vec![2]], 10, 20);
-        assert!(p.connected(0, 1));
-        assert!(!p.connected(0, 2));
-        assert!(p.connected(2, 2));
-        let mut s = PartitionSchedule::default();
-        s.add(p);
-        assert!(!s.blocked(0, 2, 9));
-        assert!(s.blocked(0, 2, 10));
-        assert!(s.blocked(2, 1, 19));
-        assert!(!s.blocked(0, 2, 20));
-        assert!(!s.blocked(0, 1, 15));
-    }
-
-    #[test]
-    fn unlisted_processes_are_isolated() {
-        let p = Partition::new(vec![vec![0, 1]], 0, 10);
-        // grouped ↔ ungrouped: blocked in both directions
-        assert!(!p.connected(0, 3));
-        assert!(!p.connected(3, 0));
-        // ungrouped ↔ ungrouped: isolated from each other too
-        assert!(!p.connected(3, 4));
-        // self-loops always connect
-        assert!(p.connected(3, 3));
-        // membership is explicit
-        assert_eq!(p.group_of(0), Some(0));
-        assert_eq!(p.group_of(3), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "more than one partition group")]
-    fn duplicate_membership_rejected() {
-        let _ = Partition::new(vec![vec![0, 1], vec![1, 2]], 0, 10);
-    }
-
-    #[test]
-    fn next_open_chains_through_staggered_overlaps() {
-        // Three windows where each starts inside the previous one:
-        // next_open must walk the whole chain, and a link not affected
-        // by a window must not be held by it.
-        let mut s = PartitionSchedule::default();
-        s.add(Partition::new(vec![vec![0], vec![1, 2]], 0, 10));
-        s.add(Partition::new(vec![vec![0, 2], vec![1]], 8, 16));
-        s.add(Partition::new(vec![vec![0], vec![1, 2]], 15, 40));
-        assert_eq!(s.next_open(0, 1, 0), Some(40));
-        assert_eq!(s.next_open(1, 0, 5), Some(40));
-        // 1 → 2 is only blocked by the middle window.
-        assert_eq!(s.next_open(1, 2, 9), Some(16));
-        assert_eq!(s.next_open(1, 2, 16), None);
-        // Unlisted pid 3 is isolated for every covering window.
-        assert_eq!(s.next_open(3, 1, 0), Some(40));
-    }
-
-    #[test]
     fn delivery_mode_alignment() {
         let per = DeliveryMode::PerMessage;
         assert_eq!(per.align(17), 17);
@@ -291,13 +152,63 @@ mod tests {
     }
 
     #[test]
+    fn partition_blocks_across_groups() {
+        let t = held(3, &[(&[&[0, 1], &[2]], 10, 20)]);
+        assert_eq!(t.next_open(0, 2, 9), None);
+        assert_eq!(t.next_open(0, 2, 10), Some(20));
+        assert_eq!(t.next_open(2, 1, 19), Some(20));
+        assert_eq!(t.next_open(0, 2, 20), None);
+        assert_eq!(t.next_open(0, 1, 15), None, "same group");
+        assert_eq!(t.next_open(2, 2, 15), None, "self-loops always connect");
+    }
+
+    #[test]
+    fn unlisted_processes_are_isolated() {
+        let t = held(5, &[(&[&[0, 1]], 0, 10)]);
+        // grouped ↔ ungrouped: blocked in both directions
+        assert_eq!(t.next_open(0, 3, 0), Some(10));
+        assert_eq!(t.next_open(3, 0, 0), Some(10));
+        // ungrouped ↔ ungrouped: isolated from each other too
+        assert_eq!(t.next_open(3, 4, 0), Some(10));
+        // self-loops always connect
+        assert_eq!(t.next_open(3, 3, 0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one partition group")]
+    fn duplicate_membership_rejected() {
+        let _ = held(3, &[(&[&[0, 1], &[1, 2]], 0, 10)]);
+    }
+
+    #[test]
+    fn next_open_chains_through_staggered_overlaps() {
+        // Three windows where each starts inside the previous one:
+        // next_open must walk the whole chain, and a link not affected
+        // by a window must not be held by it.
+        let t = held(
+            4,
+            &[
+                (&[&[0], &[1, 2]], 0, 10),
+                (&[&[0, 2], &[1]], 8, 16),
+                (&[&[0], &[1, 2]], 15, 40),
+            ],
+        );
+        assert_eq!(t.next_open(0, 1, 0), Some(40));
+        assert_eq!(t.next_open(1, 0, 5), Some(40));
+        // 1 → 2 is only blocked by the middle window.
+        assert_eq!(t.next_open(1, 2, 9), Some(16));
+        assert_eq!(t.next_open(1, 2, 16), None);
+        // Unlisted pid 3 is isolated for every covering window.
+        assert_eq!(t.next_open(3, 1, 0), Some(40));
+    }
+
+    #[test]
     fn next_open_finds_heal_time() {
-        let mut s = PartitionSchedule::default();
-        s.add(Partition::new(vec![vec![0], vec![1]], 10, 20));
-        assert_eq!(s.next_open(0, 1, 15), Some(20));
-        assert_eq!(s.next_open(0, 1, 5), None);
+        let mut t = held(2, &[(&[&[0], &[1]], 10, 20)]);
+        assert_eq!(t.next_open(0, 1, 15), Some(20));
+        assert_eq!(t.next_open(0, 1, 5), None);
         // overlapping windows chain
-        s.add(Partition::new(vec![vec![0], vec![1]], 18, 30));
-        assert_eq!(s.next_open(0, 1, 15), Some(30));
+        t.partition(vec![vec![0], vec![1]], 18, 30, Cut::Hold);
+        assert_eq!(t.next_open(0, 1, 15), Some(30));
     }
 }

@@ -534,6 +534,7 @@ mod tests {
     ) -> Simulation<ReliableLink<Collector>> {
         let mut c = SimConfig::default_async(n, seed);
         c.latency = LatencyModel::Constant(1); // topology governs delay
+        c.fifo_links = false; // reorder jitter is the point
         let mut sim = Simulation::new(c, |pid| {
             ReliableLink::new(
                 Collector::default(),

@@ -8,23 +8,26 @@
 //!
 //! Faithfulness to §VII-A's model:
 //! * **asynchrony** — latency models put no useful bound on delays;
-//! * **reliability** — messages between live processes are never
-//!   dropped (partitions only delay them until the heal time).
-//!   Installing a [`Topology`] deliberately *breaks* this guarantee
-//!   (loss, duplication, reorder and link outages — the
-//!   partitionable-systems model); the `reliable` module restores
-//!   eventual delivery on top via retransmission;
+//! * **reliability** — the network [`Simulation::new`] builds never
+//!   drops a message between live processes, and a [`Cut::Hold`]
+//!   outage only delays it until the heal time. A [`Cut::Drop`]
+//!   outage, or a [`Topology`] with lossy links, deliberately *breaks*
+//!   this guarantee (the partitionable-systems model); the `reliable`
+//!   module restores eventual delivery on top via retransmission;
 //! * **crash faults** — a crashed process silently stops processing
 //!   invocations and deliveries; messages it sent before crashing are
 //!   still delivered ("a faulty process simply stops operating");
 //! * **wait-freedom** — invocations complete synchronously at the
 //!   invoking process; nothing ever blocks on another process.
+//!
+//! [`Cut::Hold`]: crate::topology::Cut::Hold
+//! [`Cut::Drop`]: crate::topology::Cut::Drop
 
 use crate::metrics::{LinkCounters, Metrics};
-use crate::network::{DeliveryMode, LatencyModel, PartitionSchedule};
+use crate::network::{DeliveryMode, LatencyModel};
 use crate::process::{Ctx, Pid, Protocol};
 use crate::rng::SplitMix64;
-use crate::topology::Topology;
+use crate::topology::{LinkModel, Topology};
 use crate::trace::InvocationRecord;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -39,11 +42,14 @@ pub struct SimConfig {
     pub n: usize,
     /// RNG seed; equal seeds replay equal executions.
     pub seed: u64,
-    /// Message latency model.
+    /// Latency of every link of the network [`Simulation::new`]
+    /// builds.
     pub latency: LatencyModel,
-    /// Enforce per-link FIFO delivery (best-effort across partition
-    /// delays; Algorithm 1 never needs it, pipelined-consistency
-    /// experiments do and run without partitions).
+    /// Enforce per-link FIFO delivery on every link, including those
+    /// of a [`Simulation::set_topology`] network: no copy is delivered
+    /// before one sent earlier on its link. Best-effort across held
+    /// cuts; Algorithm 1 never needs it, pipelined-consistency
+    /// experiments do and run without partitions.
     pub fifo_links: bool,
 }
 
@@ -101,8 +107,6 @@ pub struct Simulation<P: Protocol> {
     seq: u64,
     now: u64,
     rng: SplitMix64,
-    /// Partition windows (delay, never drop).
-    pub partitions: PartitionSchedule,
     /// Execution accounting.
     pub metrics: Metrics,
     records: Vec<InvocationRecord<P>>,
@@ -110,8 +114,8 @@ pub struct Simulation<P: Protocol> {
     link_last: Vec<u64>,
     msg_size: Option<MsgSizer<P::Msg>>,
     delivery: DeliveryMode,
-    /// Lossy-network model; `None` keeps the paper's reliable network.
-    topology: Option<Topology>,
+    /// The network: link models and outage windows.
+    topology: Topology,
     /// Protocol-side counters folded into harness metrics.
     link_counters: Option<std::sync::Arc<LinkCounters>>,
 }
@@ -127,13 +131,18 @@ impl<P: Protocol> Simulation<P> {
             seq: 0,
             now: 0,
             rng: SplitMix64::new(cfg.seed),
-            partitions: PartitionSchedule::default(),
             metrics: Metrics::new(n),
             records: Vec::new(),
             link_last: vec![0; n * n],
             msg_size: None,
             delivery: DeliveryMode::PerMessage,
-            topology: None,
+            topology: Topology::uniform(
+                n,
+                LinkModel {
+                    latency: cfg.latency.clone(),
+                    ..LinkModel::default()
+                },
+            ),
             link_counters: None,
             cfg,
         }
@@ -152,15 +161,15 @@ impl<P: Protocol> Simulation<P> {
         self.link_counters.as_ref()
     }
 
-    /// Install a lossy-network [`Topology`]. This switches the network
-    /// from the paper's reliable model to the partitionable-systems
-    /// model: down links and loss draws **drop** messages
-    /// (counted in `metrics.messages_dropped`), duplication schedules
-    /// extra copies (`messages_duplicated`), and reorder jitter
-    /// deliberately bypasses `fifo_links`. The legacy
-    /// [`PartitionSchedule`](crate::network::PartitionSchedule)
-    /// (delay-never-drop) still applies independently at delivery
-    /// time.
+    /// Replace the network whole, its outages included. Loss draws and
+    /// [`Cut::Drop`] outages **drop** messages (counted in
+    /// `metrics.messages_dropped`), duplication schedules extra copies
+    /// (`messages_duplicated`), and [`Cut::Hold`] outages delay them
+    /// (`messages_delayed_by_partition`). `fifo_links` still governs
+    /// every link.
+    ///
+    /// [`Cut::Hold`]: crate::topology::Cut::Hold
+    /// [`Cut::Drop`]: crate::topology::Cut::Drop
     ///
     /// # Panics
     ///
@@ -171,12 +180,12 @@ impl<P: Protocol> Simulation<P> {
             self.cfg.n,
             "topology size must match the cluster"
         );
-        self.topology = Some(topology);
+        self.topology = topology;
     }
 
-    /// The installed topology, if any.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
+    /// The network, to add outages or override links in place.
+    pub fn topology_mut(&mut self) -> &mut Topology {
+        &mut self.topology
     }
 
     /// Choose how deliveries reach processes: per message (default) or
@@ -316,49 +325,40 @@ impl<P: Protocol> Simulation<P> {
         for (to, msg) in outbox {
             let size = self.msg_size.as_ref().map_or(0, |f| f(&msg));
             self.metrics.on_send(from, size);
-            if let Some(topo) = &self.topology {
-                // Lossy network: the link model decides drop /
-                // duplicate / per-copy delay. Reordering is the point,
-                // so `fifo_links` does not apply here.
-                let plan = topo.plan(from, to, self.now, &mut self.rng);
-                if plan.delays.is_empty() {
-                    self.metrics.on_dropped(1);
-                    continue;
-                }
-                self.metrics.on_duplicated(plan.delays.len() as u64 - 1);
-                let last = plan.delays.len() - 1;
-                for (i, d) in plan.delays.into_iter().enumerate() {
-                    let t = self.delivery.align(self.now + d);
-                    if i == last {
-                        // Move (not clone) the final copy.
-                        self.push(t, to, Action::Deliver { from, msg });
-                        break;
-                    }
-                    self.push(
-                        t,
-                        to,
-                        Action::Deliver {
-                            from,
-                            msg: msg.clone(),
-                        },
-                    );
-                }
+            let Some((mut delay, duplicate)) =
+                self.topology.plan(from, to, self.now, &mut self.rng)
+            else {
+                self.metrics.on_dropped(1);
                 continue;
+            };
+            if let Some(d) = duplicate {
+                self.metrics.on_duplicated(1);
+                let t = self.arrival(from, to, delay);
+                let copy = msg.clone();
+                self.push(t, to, Action::Deliver { from, msg: copy });
+                delay = d;
             }
-            let mut t = self.now + self.cfg.latency.sample(self.now, &mut self.rng);
-            if self.cfg.fifo_links {
-                let link = from as usize * self.cfg.n + to as usize;
-                t = t.max(self.link_last[link]);
-                self.link_last[link] = t;
-            }
-            // Alignment is monotone, so FIFO order survives it.
-            let t = self.delivery.align(t);
+            let t = self.arrival(from, to, delay);
             self.push(t, to, Action::Deliver { from, msg });
         }
     }
 
-    /// Run until no events remain; returns the final time. Because the
-    /// network is reliable and partitions heal, quiescence is reached
+    /// Delivery time of a copy sent now on `from → to` after `delay`:
+    /// no earlier than the link's last copy when `fifo_links` is on,
+    /// then aligned to the flush grid (alignment is monotone, so FIFO
+    /// order survives it).
+    fn arrival(&mut self, from: Pid, to: Pid, delay: u64) -> u64 {
+        let mut t = self.now + delay;
+        if self.cfg.fifo_links {
+            let link = from as usize * self.cfg.n + to as usize;
+            t = t.max(self.link_last[link]);
+            self.link_last[link] = t;
+        }
+        self.delivery.align(t)
+    }
+
+    /// Run until no events remain; returns the final time. Because held
+    /// cuts heal and dropped messages are gone, quiescence is reached
     /// once all scheduled invocations and the messages they triggered
     /// have been processed.
     pub fn run_to_quiescence(&mut self) -> u64 {
@@ -407,8 +407,8 @@ impl<P: Protocol> Simulation<P> {
             Action::Deliver { from, msg } => {
                 if self.crashed[ev.pid as usize] {
                     self.metrics.on_dropped_crashed(1);
-                } else if let Some(open) = self.partitions.next_open(from, ev.pid, self.now) {
-                    // Blocked link: reliability means delay, not drop.
+                } else if let Some(open) = self.topology.next_open(from, ev.pid, self.now) {
+                    // A held cut delays, never drops.
                     self.metrics.on_delayed_partition(1);
                     self.push_with_seq(open, ev.pid, Action::Deliver { from, msg }, ev.seq);
                 } else {
@@ -454,11 +454,11 @@ impl<P: Protocol> Simulation<P> {
                 Action::Deliver { from, msg } => {
                     if self.crashed[ev.pid as usize] {
                         self.metrics.on_dropped_crashed(1);
-                    } else if let Some(open) = self.partitions.next_open(from, ev.pid, t) {
-                        // Blocked link: reliability means delay, not
-                        // drop; the retry keeps to the flush grid and
-                        // keeps its original seq so send order still
-                        // breaks same-instant ties after the heal.
+                    } else if let Some(open) = self.topology.next_open(from, ev.pid, t) {
+                        // A held cut delays, never drops; the retry
+                        // keeps to the flush grid and keeps its
+                        // original seq so send order still breaks
+                        // same-instant ties after the heal.
                         self.metrics.on_delayed_partition(1);
                         let open = self.delivery.align(open);
                         self.push_with_seq(open, ev.pid, Action::Deliver { from, msg }, ev.seq);
@@ -517,7 +517,7 @@ impl<P: Protocol> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Partition;
+    use crate::topology::Cut;
 
     /// A toy protocol: every invocation broadcasts a ping; processes
     /// count pings received.
@@ -613,30 +613,13 @@ mod tests {
         let mut c = cfg(2);
         c.latency = LatencyModel::Constant(1);
         let mut sim = Simulation::new(c, |_| Ping::default());
-        sim.partitions
-            .add(Partition::new(vec![vec![0], vec![1]], 0, 100));
+        sim.topology_mut()
+            .partition(vec![vec![0], vec![1]], 0, 100, Cut::Hold);
         sim.schedule_invoke(0, 0, ());
         sim.run_to_quiescence();
         assert_eq!(sim.process(1).received, vec![0]);
         assert!(sim.now() >= 100, "delivered only after heal");
         assert_eq!(sim.metrics.messages_delayed_by_partition, 1);
-    }
-
-    #[test]
-    fn fifo_links_preserve_send_order() {
-        let mut c = cfg(2);
-        c.latency = LatencyModel::Uniform(1, 100);
-        c.seed = 3;
-        let mut sim = Simulation::new(c, |_| Ping::default());
-        // Many sends from 0 to 1; with FIFO their delivery order must
-        // equal send order, which for Ping means `received` is sorted
-        // by invocation index... all from pid 0; instead check
-        // delivered count equals sent and sim stays consistent.
-        for t in 0..20 {
-            sim.schedule_invoke(t, 0, ());
-        }
-        sim.run_to_quiescence();
-        assert_eq!(sim.process(1).received.len(), 20);
     }
 
     #[test]
@@ -741,8 +724,8 @@ mod tests {
         c.latency = LatencyModel::Constant(1);
         let mut sim = Simulation::new(c, |_| BatchPing::default());
         sim.set_delivery_mode(crate::network::DeliveryMode::Batched { window: 5 });
-        sim.partitions
-            .add(Partition::new(vec![vec![0], vec![1]], 0, 17));
+        sim.topology_mut()
+            .partition(vec![vec![0], vec![1]], 0, 17, Cut::Hold);
         sim.schedule_invoke(0, 0, ());
         sim.run_to_quiescence();
         // Held until the heal at 17, then flushed on the grid at 20.
@@ -783,6 +766,35 @@ mod tests {
     }
 
     #[test]
+    fn fifo_links_preserve_send_order() {
+        // Uniform(1, 100) latency on twenty sends one unit apart would
+        // reorder most of them; FIFO links must not, on the network
+        // `Simulation::new` builds or on an installed topology.
+        let run = |topology: bool| {
+            let mut c = cfg(2);
+            c.latency = LatencyModel::Uniform(1, 100);
+            c.seed = 3;
+            let mut sim = Simulation::new(c, |_| Recorder::default());
+            if topology {
+                let link = LinkModel {
+                    latency: LatencyModel::Uniform(1, 100),
+                    reorder: 0,
+                    ..LinkModel::default()
+                };
+                sim.set_topology(Topology::uniform(2, link));
+            }
+            for x in 0..20 {
+                sim.schedule_invoke(u64::from(x), 0, x);
+            }
+            sim.run_to_quiescence();
+            sim.process(1).received.clone()
+        };
+        let sent: Vec<u32> = (0..20).collect();
+        assert_eq!(run(false), sent);
+        assert_eq!(run(true), sent);
+    }
+
+    #[test]
     fn batched_flush_preserves_fifo_across_partition_retry() {
         // m1 (sent t=0) is blocked by a partition and heals onto the
         // same flush instant as m2 (sent t=8): the batch must still
@@ -795,8 +807,8 @@ mod tests {
             if batched {
                 sim.set_delivery_mode(crate::network::DeliveryMode::Batched { window: 10 });
             }
-            sim.partitions
-                .add(Partition::new(vec![vec![0], vec![1]], 0, 17));
+            sim.topology_mut()
+                .partition(vec![vec![0], vec![1]], 0, 17, Cut::Hold);
             sim.schedule_invoke(0, 0, 1);
             sim.schedule_invoke(8, 0, 2);
             sim.run_to_quiescence();
@@ -863,7 +875,6 @@ mod tests {
 
     #[test]
     fn topology_loss_drops_and_counts() {
-        use crate::topology::{LinkModel, Topology};
         let mut sim = Simulation::new(cfg(2), |_| Ping::default());
         sim.set_topology(Topology::uniform(
             2,
@@ -879,7 +890,6 @@ mod tests {
 
     #[test]
     fn topology_duplication_delivers_twice_and_counts() {
-        use crate::topology::{LinkModel, Topology};
         let mut sim = Simulation::new(cfg(2), |_| Ping::default());
         let model = LinkModel {
             duplicate: 1.0,
@@ -894,26 +904,30 @@ mod tests {
 
     #[test]
     fn topology_outage_drops_until_heal() {
-        use crate::topology::{LinkModel, Topology};
         let mut c = cfg(2);
         c.latency = LatencyModel::Constant(1);
         let mut sim = Simulation::new(c, |_| Ping::default());
+        // `set_topology` replaces the network whole: this hold goes.
+        sim.topology_mut()
+            .partition(vec![vec![0], vec![1]], 0, 1_000, Cut::Hold);
         let mut topo = Topology::uniform(2, LinkModel::default());
-        topo.partition(vec![vec![0], vec![1]], 0, 100);
+        topo.partition(vec![vec![0], vec![1]], 0, 100, Cut::Drop);
         sim.set_topology(topo);
         sim.schedule_invoke(10, 0, ()); // inside the outage: dropped
         sim.schedule_invoke(150, 0, ()); // after heal: delivered
         sim.run_to_quiescence();
         assert_eq!(sim.process(1).received, vec![0]);
         assert_eq!(sim.metrics.messages_dropped, 1);
+        assert_eq!(sim.metrics.messages_delayed_by_partition, 0);
+        assert_eq!(sim.now(), 151);
     }
 
     #[test]
     fn topology_replays_identically_per_seed() {
-        use crate::topology::{LinkModel, Topology};
         let run = |seed: u64| {
             let mut c = cfg(3);
             c.seed = seed;
+            c.fifo_links = false;
             let mut sim = Simulation::new(c, |_| Ping::default());
             let model = LinkModel {
                 latency: LatencyModel::Uniform(1, 20),

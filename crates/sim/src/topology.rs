@@ -1,20 +1,27 @@
-//! Network-realistic topology: per-link latency/loss/duplication/
-//! reorder models and outage windows.
+//! The simulated network: per-link latency/loss/duplication/reorder
+//! models and outage windows.
 //!
-//! The base simulator models the paper's network — reliable and
-//! asynchronous, where partitions only *delay* traffic. Installing a
-//! [`Topology`] (via `Simulation::set_topology`) switches the network
-//! to the partitionable-systems model of arXiv 1501.02175: a link that
-//! is down or lossy **drops** messages, duplication injects
-//! extra copies, and reorder jitter breaks FIFO. On such a network a
-//! bare protocol loses updates; the `reliable` module layers
-//! sequence-numbered retransmission on top, and the store layers
-//! reconciliation-on-heal above that.
+//! Every [`Simulation`](crate::scheduler::Simulation) runs over one
+//! [`Topology`]. The one it builds carries the configured latency on
+//! every link and nothing else: the paper's reliable asynchronous
+//! network. An outage window describes both kinds of cut:
+//!
+//! * [`Cut::Hold`] — the paper's model (§VII-A): a partition only
+//!   *delays* traffic, and a held message is delivered when the window
+//!   ends;
+//! * [`Cut::Drop`] — the partitionable-systems model of arXiv
+//!   1501.02175: a message sent into the window is lost.
+//!
+//! Loss and duplication draws, and reorder jitter, go further from the
+//! paper's network. On a dropping network a bare protocol loses
+//! updates; the `reliable` module layers sequence-numbered
+//! retransmission on top, and the store layers reconciliation-on-heal
+//! above that.
 //!
 //! All randomness is drawn from the simulation's own `SplitMix64`, so
 //! a seeded lossy run replays identically.
 
-use crate::network::{LatencyModel, Partition};
+use crate::network::LatencyModel;
 use crate::process::Pid;
 use crate::rng::SplitMix64;
 use std::collections::HashMap;
@@ -30,8 +37,8 @@ pub struct LinkModel {
     /// delivered twice (each copy with its own delay draw).
     pub duplicate: f64,
     /// Extra per-copy jitter drawn uniformly from `[0, reorder]`,
-    /// independent of the base latency — deliberately breaks per-link
-    /// FIFO so reordering is exercised.
+    /// independent of the base latency. It reorders a link only where
+    /// `SimConfig::fifo_links` is off.
     pub reorder: u64,
 }
 
@@ -57,35 +64,36 @@ impl LinkModel {
         }
     }
 
-    /// Delivery delays for one transmission at `now`: empty if lost,
-    /// one entry normally, two if duplicated.
-    fn draw(&self, now: u64, rng: &mut SplitMix64) -> SendPlan {
+    /// Delays for one transmission at `now`: `None` if lost, else the
+    /// first copy's delay and, if duplicated, the second copy's.
+    fn draw(&self, now: u64, rng: &mut SplitMix64) -> Option<(u64, Option<u64>)> {
         if self.loss > 0.0 && rng.next_f64() < self.loss {
-            return SendPlan { delays: Vec::new() };
+            return None;
         }
-        let copies = if self.duplicate > 0.0 && rng.next_f64() < self.duplicate {
-            2
-        } else {
-            1
-        };
-        let mut delays = Vec::with_capacity(copies);
-        for _ in 0..copies {
-            let mut d = self.latency.sample(now, rng);
+        let duplicated = self.duplicate > 0.0 && rng.next_f64() < self.duplicate;
+        let mut delay = || {
+            let d = self.latency.sample(now, rng);
             if self.reorder > 0 {
-                d += rng.next_range(0, self.reorder);
+                d + rng.next_range(0, self.reorder)
+            } else {
+                d
             }
-            delays.push(d);
-        }
-        SendPlan { delays }
+        };
+        let first = delay();
+        Some((first, duplicated.then(delay)))
     }
 }
 
-/// What happens to one transmission: each entry is the delay of one
-/// delivered copy. Empty = dropped (lost or link down).
-#[derive(Clone, Debug)]
-pub struct SendPlan {
-    /// Per-copy delivery delays.
-    pub delays: Vec<u64>,
+/// What an outage does to the traffic it cuts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cut {
+    /// Checked at delivery: a message arriving inside the window waits
+    /// for its end (counted in `messages_delayed_by_partition`).
+    /// Overlapping windows chain.
+    Hold,
+    /// Checked at send: a message sent inside the window is lost
+    /// (counted in `messages_dropped`).
+    Drop,
 }
 
 /// A scheduled outage of one directed link during `[start, end)`.
@@ -99,6 +107,8 @@ pub struct LinkOutage {
     pub start: u64,
     /// Outage end (exclusive) — the heal time.
     pub end: u64,
+    /// Whether the outage holds or drops what it cuts.
+    pub cut: Cut,
 }
 
 /// The full network: a default link model, per-link overrides, and
@@ -144,60 +154,84 @@ impl Topology {
         self.outages.push(outage);
     }
 
-    /// Schedule symmetric outages for both directions of `a ↔ b`.
-    pub fn add_outage_pair(&mut self, a: Pid, b: Pid, start: u64, end: u64) {
-        self.add_outage(LinkOutage {
-            from: a,
-            to: b,
-            start,
-            end,
-        });
-        self.add_outage(LinkOutage {
-            from: b,
-            to: a,
-            start,
-            end,
-        });
-    }
-
-    /// Partition the cluster into `groups` during `[start, end)` by
-    /// expanding every blocked ordered pair into a link outage —
-    /// unlisted pids are isolated, exactly as [`Partition::connected`]
-    /// defines. Unlike the legacy `PartitionSchedule` (delay, never
-    /// drop), messages sent into a topology outage are **dropped**.
-    pub fn partition(&mut self, groups: Vec<Vec<Pid>>, start: u64, end: u64) {
-        let p = Partition::new(groups, start, end);
-        for from in 0..self.n as Pid {
-            for to in 0..self.n as Pid {
-                if from != to && !p.connected(from, to) {
+    /// Partition the cluster into `groups` during `[start, end)`: every
+    /// ordered pair not inside one group gets an outage of kind `cut`.
+    /// A pid listed in no group is isolated, from the other unlisted
+    /// pids too.
+    ///
+    /// # Panics
+    ///
+    /// If a pid is outside the cluster, or is listed twice: membership
+    /// must be unambiguous, or a mistyped group would silently cut off
+    /// the pid it left out.
+    pub fn partition(&mut self, groups: Vec<Vec<Pid>>, start: u64, end: u64, cut: Cut) {
+        let mut group_of = vec![None; self.n];
+        for (g, members) in groups.iter().enumerate() {
+            for &p in members {
+                let slot = group_of
+                    .get_mut(p as usize)
+                    .unwrap_or_else(|| panic!("pid {p} is outside the cluster of {}", self.n));
+                assert!(
+                    slot.replace(g).is_none(),
+                    "pid {p} appears in more than one partition group"
+                );
+            }
+        }
+        for from in 0..self.n {
+            for to in 0..self.n {
+                if from != to && (group_of[from].is_none() || group_of[from] != group_of[to]) {
                     self.add_outage(LinkOutage {
-                        from,
-                        to,
+                        from: from as Pid,
+                        to: to as Pid,
                         start,
                         end,
+                        cut,
                     });
                 }
             }
         }
     }
 
-    /// Is `from → to` down (inside an outage window) at time `t`?
-    pub fn is_down(&self, from: Pid, to: Pid, t: u64) -> bool {
-        if from == to {
-            return false;
-        }
+    /// The ends of the `cut` outages of `from → to` in force at `t`.
+    fn covering(&self, from: Pid, to: Pid, t: u64, cut: Cut) -> impl Iterator<Item = u64> + '_ {
         self.outages
             .iter()
-            .any(|o| o.from == from && o.to == to && t >= o.start && t < o.end)
+            .filter(move |o| {
+                o.cut == cut
+                    && o.from == from
+                    && o.to == to
+                    && from != to
+                    && (o.start..o.end).contains(&t)
+            })
+            .map(|o| o.end)
     }
 
-    /// Plan one transmission: `None`-like empty plan when the link is
-    /// down, otherwise the link model's loss/duplication/delay draws.
-    pub fn plan(&self, from: Pid, to: Pid, now: u64, rng: &mut SplitMix64) -> SendPlan {
-        if self.is_down(from, to, now) {
-            return SendPlan { delays: Vec::new() };
+    /// Plan one transmission sent at `now`: `None` when a dropping
+    /// outage or a loss draw takes it, else the first copy's delay and
+    /// a duplicate's, if any.
+    pub fn plan(
+        &self,
+        from: Pid,
+        to: Pid,
+        now: u64,
+        rng: &mut SplitMix64,
+    ) -> Option<(u64, Option<u64>)> {
+        if self.covering(from, to, now, Cut::Drop).next().is_some() {
+            return None;
         }
         self.link(from, to).draw(now, rng)
+    }
+
+    /// Earliest time ≥ `t` at which no holding outage covers
+    /// `from → to`; `None` if none covers it at `t`. Overlapping
+    /// windows chain: each step leaves the latest-ending window in
+    /// force.
+    pub(crate) fn next_open(&self, from: Pid, to: Pid, t: u64) -> Option<u64> {
+        let mut open = self.covering(from, to, t, Cut::Hold).max()?;
+        while let Some(end) = self.covering(from, to, open, Cut::Hold).max() {
+            open = end;
+        }
+        Some(open)
     }
 }
 
@@ -205,13 +239,17 @@ impl Topology {
 mod tests {
     use super::*;
 
+    /// Is `from → to` inside a `cut` outage at `t`?
+    fn down(t: &Topology, from: Pid, to: Pid, at: u64, cut: Cut) -> bool {
+        t.covering(from, to, at, cut).next().is_some()
+    }
+
     #[test]
     fn default_link_is_reliable_and_instant_ish() {
         let t = Topology::uniform(2, LinkModel::default());
         let mut rng = SplitMix64::new(1);
         for _ in 0..50 {
-            let plan = t.plan(0, 1, 0, &mut rng);
-            assert_eq!(plan.delays, vec![1]);
+            assert_eq!(t.plan(0, 1, 0, &mut rng), Some((1, None)));
         }
     }
 
@@ -220,7 +258,7 @@ mod tests {
         let t = Topology::uniform(2, LinkModel::lossy(LatencyModel::Constant(1), 0.5));
         let mut rng = SplitMix64::new(7);
         let lost = (0..1000)
-            .filter(|_| t.plan(0, 1, 0, &mut rng).delays.is_empty())
+            .filter(|_| t.plan(0, 1, 0, &mut rng).is_none())
             .count();
         assert!((350..650).contains(&lost), "lost {lost} of 1000 at p=0.5");
     }
@@ -233,34 +271,59 @@ mod tests {
         };
         let t = Topology::uniform(2, model);
         let mut rng = SplitMix64::new(1);
-        assert_eq!(t.plan(0, 1, 0, &mut rng).delays.len(), 2);
+        assert_eq!(t.plan(0, 1, 0, &mut rng), Some((1, Some(1))));
     }
 
     #[test]
     fn outage_windows_drop_then_heal() {
         let mut t = Topology::uniform(3, LinkModel::default());
-        t.add_outage_pair(0, 1, 10, 20);
-        assert!(!t.is_down(0, 1, 9));
-        assert!(t.is_down(0, 1, 10));
-        assert!(t.is_down(1, 0, 19));
-        assert!(!t.is_down(0, 1, 20));
-        assert!(!t.is_down(0, 2, 15), "other links unaffected");
+        for (from, to) in [(0, 1), (1, 0)] {
+            t.add_outage(LinkOutage {
+                from,
+                to,
+                start: 10,
+                end: 20,
+                cut: Cut::Drop,
+            });
+        }
         let mut rng = SplitMix64::new(1);
-        assert!(t.plan(0, 1, 15, &mut rng).delays.is_empty());
-        assert!(!t.plan(0, 1, 25, &mut rng).delays.is_empty());
+        assert!(t.plan(0, 1, 9, &mut rng).is_some());
+        assert!(t.plan(0, 1, 10, &mut rng).is_none());
+        assert!(t.plan(1, 0, 19, &mut rng).is_none());
+        assert!(t.plan(0, 1, 20, &mut rng).is_some());
+        assert!(
+            t.plan(0, 2, 15, &mut rng).is_some(),
+            "other links unaffected"
+        );
+        assert_eq!(
+            t.next_open(0, 1, 15),
+            None,
+            "a dropping outage holds nothing"
+        );
     }
 
     #[test]
     fn partition_expands_to_per_link_outages() {
         let mut t = Topology::uniform(4, LinkModel::default());
         // {0,1} vs {2}; pid 3 unlisted → isolated.
-        t.partition(vec![vec![0, 1], vec![2]], 10, 20);
-        assert!(!t.is_down(0, 1, 15));
-        assert!(t.is_down(0, 2, 15));
-        assert!(t.is_down(2, 1, 15));
-        assert!(t.is_down(3, 0, 15));
-        assert!(t.is_down(0, 3, 15));
-        assert!(!t.is_down(0, 2, 20), "healed");
+        t.partition(vec![vec![0, 1], vec![2]], 10, 20, Cut::Drop);
+        assert!(!down(&t, 0, 1, 15, Cut::Drop));
+        assert!(down(&t, 0, 2, 15, Cut::Drop));
+        assert!(down(&t, 2, 1, 15, Cut::Drop));
+        assert!(down(&t, 3, 0, 15, Cut::Drop));
+        assert!(down(&t, 0, 3, 15, Cut::Drop));
+        assert!(!down(&t, 0, 2, 20, Cut::Drop), "healed");
+        assert!(!down(&t, 0, 2, 15, Cut::Hold), "the cut is a drop");
+        assert_eq!(t.outages.len(), 4 * 3 - 2, "every ordered pair but 0↔1");
+    }
+
+    #[test]
+    #[should_panic(expected = "pid 4 is outside the cluster of 4")]
+    fn a_pid_outside_the_cluster_is_rejected() {
+        // A mistyped 4 for 3 would otherwise leave pid 3 unlisted, and
+        // so silently isolated.
+        let mut t = Topology::uniform(4, LinkModel::default());
+        t.partition(vec![vec![0, 1], vec![2, 4]], 0, 10, Cut::Hold);
     }
 
     #[test]
@@ -275,7 +338,7 @@ mod tests {
             },
         );
         let mut rng = SplitMix64::new(1);
-        assert_eq!(t.plan(0, 1, 0, &mut rng).delays, vec![42]);
-        assert_eq!(t.plan(1, 0, 0, &mut rng).delays, vec![1]);
+        assert_eq!(t.plan(0, 1, 0, &mut rng), Some((42, None)));
+        assert_eq!(t.plan(1, 0, 0, &mut rng), Some((1, None)));
     }
 }

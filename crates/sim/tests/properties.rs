@@ -2,7 +2,7 @@
 //! link ordering, partition reliability, and crash silence.
 
 use proptest::prelude::*;
-use uc_sim::{Ctx, LatencyModel, Partition, Pid, Protocol, SimConfig, Simulation};
+use uc_sim::{Ctx, Cut, LatencyModel, Pid, Protocol, SimConfig, Simulation};
 
 /// A protocol that records every delivery with a sequence number so
 /// tests can interrogate delivery order.
@@ -43,7 +43,7 @@ fn run(
     );
     if let Some((s, e)) = partition_window {
         let groups = (0..n as Pid).map(|p| vec![p]).collect();
-        sim.partitions.add(Partition::new(groups, s, e));
+        sim.topology_mut().partition(groups, s, e, Cut::Hold);
     }
     for (t, pid, x) in schedule {
         sim.schedule_invoke(*t, (*pid as usize % n) as Pid, *x);

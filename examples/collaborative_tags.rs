@@ -13,7 +13,7 @@
 
 use update_consistency::core::{GenericReplica, OpInput, ReplicaNode};
 use update_consistency::crdt::{OrSet, SetNode, SetOp, SetReplica};
-use update_consistency::sim::{LatencyModel, Partition, Pid, SimConfig, Simulation};
+use update_consistency::sim::{Cut, LatencyModel, Pid, SimConfig, Simulation};
 use update_consistency::spec::{SetAdt, SetUpdate};
 
 const ALICE: Pid = 0;
@@ -41,8 +41,8 @@ fn main() {
         ReplicaNode::untraced(GenericReplica::new(SetAdt::<u32>::new(), pid))
     });
     // Carol is partitioned away for a while.
-    sim.partitions
-        .add(Partition::new(vec![vec![ALICE, BOB], vec![CAROL]], 0, 300));
+    sim.topology_mut()
+        .partition(vec![vec![ALICE, BOB], vec![CAROL]], 0, 300, Cut::Hold);
 
     // Alice tags "rust" and "draft"; Bob removes "draft" as he
     // finalises; Carol (partitioned) tags "urgent" and also removes
@@ -68,8 +68,8 @@ fn main() {
 
     // ---------- OR-set baseline on the same schedule ----------
     let mut sim = Simulation::new(cfg(42), |pid| SetNode::new(OrSet::<u32>::new(pid)));
-    sim.partitions
-        .add(Partition::new(vec![vec![ALICE, BOB], vec![CAROL]], 0, 300));
+    sim.topology_mut()
+        .partition(vec![vec![ALICE, BOB], vec![CAROL]], 0, 300, Cut::Hold);
     sim.schedule_invoke(10, ALICE, SetOp::Insert(0));
     sim.schedule_invoke(20, ALICE, SetOp::Insert(1));
     sim.schedule_invoke(100, BOB, SetOp::Delete(1));

@@ -8,7 +8,7 @@
 //! ```
 
 use update_consistency::core::{OpInput, OpOutput, ReplicaNode, UcMemory};
-use update_consistency::sim::{faults, LatencyModel, Pid, SimConfig, Simulation};
+use update_consistency::sim::{Cut, LatencyModel, Pid, SimConfig, Simulation};
 use update_consistency::spec::{MemoryAdt, MemoryQuery, MemoryUpdate};
 
 type Store =
@@ -38,7 +38,8 @@ fn main() {
     );
 
     // Split-brain: {0,1} vs {2,3} between t=50 and t=400.
-    faults::split_brain(&mut sim, n, 50, 400);
+    sim.topology_mut()
+        .partition(vec![vec![0, 1], vec![2, 3]], 50, 400, Cut::Hold);
 
     // Both sides of the partition keep accepting writes — availability
     // is never sacrificed (the paper's CAP stance: wait-freedom over

@@ -11,7 +11,7 @@ use update_consistency::core::{
     trace_to_history, GenericReplica, OmegaMarking, OpInput, ReplicaNode,
 };
 use update_consistency::criteria::{check_ec, verify_witness};
-use update_consistency::sim::{LatencyModel, Partition, Pid, SimConfig, Simulation, SplitMix64};
+use update_consistency::sim::{Cut, LatencyModel, Pid, SimConfig, Simulation, SplitMix64};
 use update_consistency::spec::{SetAdt, SetQuery, SetUpdate};
 
 type Node = ReplicaNode<SetAdt<u32>, GenericReplica<SetAdt<u32>>>;
@@ -33,12 +33,10 @@ fn repeated_partitions_converge_after_each_heal() {
     let n = 4;
     let mut s = sim(n, 21);
     // Three partition windows with different cuts.
-    s.partitions
-        .add(Partition::new(vec![vec![0, 1], vec![2, 3]], 100, 300));
-    s.partitions
-        .add(Partition::new(vec![vec![0, 2], vec![1, 3]], 500, 700));
-    s.partitions
-        .add(Partition::new(vec![vec![0], vec![1, 2, 3]], 900, 1_100));
+    let net = s.topology_mut();
+    net.partition(vec![vec![0, 1], vec![2, 3]], 100, 300, Cut::Hold);
+    net.partition(vec![vec![0, 2], vec![1, 3]], 500, 700, Cut::Hold);
+    net.partition(vec![vec![0], vec![1, 2, 3]], 900, 1_100, Cut::Hold);
 
     let mut rng = SplitMix64::new(5);
     // Updates spread across all phases, including mid-partition.
@@ -97,8 +95,8 @@ fn operations_complete_during_partitions() {
     // Availability: mid-partition invocations return immediately with
     // locally consistent answers.
     let mut s = sim(2, 9);
-    s.partitions
-        .add(Partition::new(vec![vec![0], vec![1]], 0, 1_000));
+    s.topology_mut()
+        .partition(vec![vec![0], vec![1]], 0, 1_000, Cut::Hold);
     s.schedule_invoke(10, 0, OpInput::Update(SetUpdate::Insert(1)));
     s.schedule_invoke(10, 1, OpInput::Update(SetUpdate::Insert(2)));
     s.run_until(20);
@@ -128,8 +126,8 @@ fn minority_and_majority_sides_are_symmetric() {
     // side fully operational.
     let n = 5;
     let mut s = sim(n, 3);
-    s.partitions
-        .add(Partition::new(vec![vec![0], vec![1, 2, 3, 4]], 0, 500));
+    s.topology_mut()
+        .partition(vec![vec![0], vec![1, 2, 3, 4]], 0, 500, Cut::Hold);
     for i in 0..10u32 {
         s.schedule_invoke(
             10 + i as u64,
