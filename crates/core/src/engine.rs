@@ -578,6 +578,12 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         &self.log
     }
 
+    /// The log, mutable: a shard moves empty buffers between its keys'
+    /// logs ([`UpdateLog::take_buffer`], [`UpdateLog::lend_buffer`]).
+    pub(crate) fn log_mut(&mut self) -> &mut UpdateLog<A, B> {
+        &mut self.log
+    }
+
     /// The timestamps currently retained — the visible-update set used
     /// to build strong-update-consistency witnesses (Proposition 4).
     pub fn known_timestamps(&self) -> Vec<Timestamp> {

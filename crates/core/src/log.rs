@@ -23,11 +23,14 @@ use crate::message::UpdateMsg;
 use crate::timestamp::Timestamp;
 use uc_spec::UqAdt;
 
+/// A log's entry buffer.
+pub(crate) type Buffer<U> = Vec<(Timestamp, U)>;
+
 /// A timestamp-ordered log of updates: in-memory sorted index +
 /// durability backend. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct UpdateLog<A: UqAdt, B = MemBackend> {
-    entries: Vec<(Timestamp, A::Update)>,
+    entries: Buffer<A::Update>,
     backend: B,
     /// Highest stability bound ever drained
     /// ([`UpdateLog::drain_stable_prefix`]). Entries at or below it
@@ -117,9 +120,24 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
     }
 
     /// Entries the log's buffer holds room for: what it keeps allocated
-    /// whatever its length (`uc_store_log_capacity`).
+    /// whatever its length (`uc_store_log_capacity`). A log keeps its
+    /// buffer when it empties, until its shard takes it
+    /// ([`UpdateLog::take_buffer`]) to lend to another key.
     pub(crate) fn capacity(&self) -> usize {
         self.entries.capacity()
+    }
+
+    /// An empty log's buffer, if it has one; the log is left with none.
+    pub(crate) fn take_buffer(&mut self) -> Option<Buffer<A::Update>> {
+        (self.entries.is_empty() && self.entries.capacity() > 0)
+            .then(|| std::mem::take(&mut self.entries))
+    }
+
+    /// Install an empty `buffer` into a log that holds none, so its
+    /// next entries need not allocate.
+    pub(crate) fn lend_buffer(&mut self, buffer: Buffer<A::Update>) {
+        debug_assert!(self.entries.capacity() == 0 && buffer.is_empty());
+        self.entries = buffer;
     }
 
     /// Insert a timestamped update, keeping timestamp order: the

@@ -76,6 +76,7 @@ use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
 use crate::gc::StableGc;
 use crate::generic::NaiveReplay;
 use crate::heal::{digest_slot, HealDigest, Healer, ShardAccess};
+use crate::log::Buffer;
 use crate::message::UpdateMsg;
 use crate::node::{Executor, Node};
 use crate::timestamp::{LamportClock, Timestamp};
@@ -613,6 +614,12 @@ struct Slot<A: UqAdt, S, B> {
     /// The latest clock a query read this key at while it was idle;
     /// the engine hears it before its next insertion (0: none).
     read_at: u64,
+    /// The size class ([`class`]) of the buffer the key held when it
+    /// last went idle: a buffer it borrows is of this class or smaller.
+    /// A new key's is the largest.
+    class: u8,
+    /// On one of [`Shard::lenders`].
+    offered: bool,
 }
 
 /// One shard: the keys (and their engines) that hash to it, plus its
@@ -637,6 +644,17 @@ struct Slot<A: UqAdt, S, B> {
 /// sits the sweeps out and hears the clocks, late, just before its
 /// next insertion ([`Shard::insert_into`]). Both lists hold a slot at
 /// most once (the slot flags), so they are bounded by the key count.
+///
+/// An idle key offers its emptied log buffer to the shard if the
+/// buffer is small ([`LEND_LIMIT`]), and a key that wakes holding none
+/// borrows one before its insertion: most keys sit idle most of the
+/// time, and they need not each keep a buffer. A key that wakes with
+/// its buffer still there uses it, so only keys that lost theirs move
+/// one. Offers are kept by size class, and a key borrows one of the
+/// class it last held, or of the largest smaller class: a buffer only
+/// grows, so one that passed between keys of any size would end up the
+/// size of the largest. A borrowed buffer grows only when its key needs
+/// more than it last held, or its class ran out.
 #[derive(Clone, Debug)]
 pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     pub(crate) idx: usize,
@@ -662,6 +680,34 @@ pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     /// shards whose high water never passed the outage-start
     /// watermark (nothing there can be missing on the healed peer).
     pub(crate) high_water: u64,
+    /// Idle slots offering an empty log buffer of at most
+    /// [`LEND_LIMIT`] bytes, by the buffer's size class when listed. A
+    /// slot is on one list at most (its `offered` flag), and stays
+    /// listed when it wakes and uses the buffer itself: the borrower
+    /// that pops it then skips it.
+    lenders: [Vec<u32>; CLASSES],
+}
+
+/// The largest log buffer, in bytes, that an idle key offers to its
+/// shard. Buffers only grow, and a lent one passes between keys, so
+/// without a limit the lent buffers ratchet up to the hot keys' size;
+/// the large buffers of hot keys stay with them, as before lending.
+const LEND_LIMIT: usize = 1024;
+
+/// Size classes of lendable buffers: class `c` holds capacities in
+/// `[2^c, 2^(c+1))`, and a lendable buffer holds at most 64 entries
+/// (an entry is at least its 16-byte timestamp).
+const CLASSES: usize = 7;
+const _: () = assert!(LEND_LIMIT / std::mem::size_of::<Timestamp>() < 1 << CLASSES);
+
+/// Is `capacity` entries' worth of buffer small enough to lend?
+fn lendable<U>(capacity: usize) -> bool {
+    capacity * std::mem::size_of::<(Timestamp, U)>() <= LEND_LIMIT
+}
+
+/// The size class of a buffer of `capacity` entries, `capacity > 0`.
+fn class(capacity: usize) -> usize {
+    capacity.ilog2() as usize
 }
 
 impl<A: UqAdt, S, B> Shard<A, S, B> {
@@ -674,6 +720,7 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
             unflushed: Vec::new(),
             idle_unflushed: 0,
             high_water: 0,
+            lenders: Default::default(),
         }
     }
 
@@ -733,11 +780,17 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
     }
 
     /// Panic unless the index, the arena and the work lists agree:
-    /// every key maps to the slot holding it, each list holds a slot at
-    /// most once and exactly when the slot's flag says so, and
-    /// `idle_unflushed` counts the unflushed slots off the live list.
+    /// every key maps to the slot holding it, the work lists (and the
+    /// lender lists taken together) hold a slot at most once and
+    /// exactly when the slot's flag says so, `idle_unflushed` counts
+    /// the unflushed slots off the live list, and every idle slot
+    /// keeping a buffer it could lend offers it.
     #[cfg(test)]
-    fn check_invariants(&self) {
+    fn check_invariants(&self)
+    where
+        S: RepairStrategy<A>,
+        B: LogBackend<A>,
+    {
         assert_eq!(self.index.len(), self.slots.len(), "one slot per key");
         for (key, &at) in &self.index {
             assert_eq!(self.slots[at as usize].key, *key, "slot {at}");
@@ -758,7 +811,54 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
         listed(&self.unflushed, |slot| slot.unflushed, "unflushed");
         let idle = self.slots.iter().filter(|s| s.unflushed && !s.live).count();
         assert_eq!(self.idle_unflushed, idle, "idle slots owed a flush");
+        listed(&self.lenders.concat(), |slot| slot.offered, "lenders");
+        for (at, slot) in self.slots.iter().enumerate() {
+            let kept = slot.engine.log().capacity();
+            assert!(
+                slot.live || slot.offered || kept == 0 || !lendable::<A::Update>(kept),
+                "idle slot {at} keeps a buffer of {kept} entries unoffered"
+            );
+        }
     }
+}
+
+/// List slot `at`, just gone or left idle, as a lender of its emptied
+/// log buffer if the buffer is small enough, and note its class.
+fn offer<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>>(
+    lenders: &mut [Vec<u32>; CLASSES],
+    slot: &mut Slot<A, S, B>,
+    at: u32,
+) {
+    let capacity = slot.engine.log().capacity();
+    if capacity == 0 || !lendable::<A::Update>(capacity) {
+        return;
+    }
+    slot.class = class(capacity) as u8;
+    if !slot.offered {
+        slot.offered = true;
+        lenders[slot.class as usize].push(at);
+    }
+}
+
+/// Take a buffer of class `class` or smaller from an idle lender.
+fn borrow<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>>(
+    lenders: &mut [Vec<u32>; CLASSES],
+    slots: &mut [Slot<A, S, B>],
+    class: u8,
+) -> Option<Buffer<A::Update>> {
+    for list in lenders[..=class as usize].iter_mut().rev() {
+        while let Some(at) = list.pop() {
+            let lender = &mut slots[at as usize];
+            lender.offered = false;
+            let log = lender.engine.log_mut();
+            if !lender.live && lendable::<A::Update>(log.capacity()) {
+                if let Some(buffer) = log.take_buffer() {
+                    return Some(buffer);
+                }
+            }
+        }
+    }
+    None
 }
 
 impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
@@ -767,7 +867,9 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     /// out the sweeps first hears every clock the replica has heard —
     /// the `clock.merge` + `observe_clock` calls the sweeps would have
     /// made, made now — and rejoins the live list if the insertion left
-    /// entries in its log.
+    /// entries in its log. An idle engine that holds no log buffer
+    /// borrows one first, and offers its buffer if the insertion left
+    /// its log empty.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_into<F, P, R>(
         &mut self,
@@ -790,6 +892,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             live,
             unflushed,
             idle_unflushed,
+            lenders,
             ..
         } = self;
         let at = *index.entry(key).or_insert_with(|| {
@@ -806,9 +909,20 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 live: false,
                 unflushed: false,
                 read_at: 0,
+                class: CLASSES as u8 - 1,
+                offered: false,
             });
             u32::try_from(slots.len() - 1).expect("a shard numbers its slots in a u32")
         });
+        let slot = &slots[at as usize];
+        if !slot.live && slot.engine.log().capacity() == 0 {
+            // Holding no buffer, the slot is on no lender list:
+            // `borrow` cannot hand it its own.
+            let class = slot.class;
+            if let Some(buffer) = borrow(lenders, slots, class) {
+                slots[at as usize].engine.log_mut().lend_buffer(buffer);
+            }
+        }
         let slot = &mut slots[at as usize];
         if !slot.live {
             slot.engine.hear_clocks(&stability.heard);
@@ -826,31 +940,41 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             }
         }
         let out = f(&mut slot.engine);
-        if !slot.live && slot.engine.log_len() > 0 {
-            slot.live = true;
-            live.push(at);
-            *idle_unflushed -= 1;
+        if !slot.live {
+            if slot.engine.log_len() > 0 {
+                slot.live = true;
+                live.push(at);
+                *idle_unflushed -= 1;
+            } else {
+                offer(lenders, slot, at);
+            }
         }
         out
     }
 
     /// Adopt an engine rebuilt by [`UcStore::reopen`] for a key that
-    /// has none yet; one that recovered a non-empty tail is live.
+    /// has none yet; one that recovered a non-empty tail is live, and
+    /// one that did not offers its buffer.
     pub(crate) fn adopt(&mut self, key: Key, engine: ReplicaEngine<A, S, B>) {
         let at = u32::try_from(self.slots.len()).expect("a shard numbers its slots in a u32");
         let before = self.index.insert(key, at);
         assert!(before.is_none(), "key {key} adopted twice");
         let live = engine.log_len() > 0;
-        if live {
-            self.live.push(at);
-        }
-        self.slots.push(Slot {
+        let mut slot = Slot {
             key,
             engine,
             live,
             unflushed: false,
             read_at: 0,
-        });
+            class: CLASSES as u8 - 1,
+            offered: false,
+        };
+        if live {
+            self.live.push(at);
+        } else {
+            offer(&mut self.lenders, &mut slot, at);
+        }
+        self.slots.push(slot);
     }
 
     /// `key`'s engine for a query at the replica's clock `now`, if it
@@ -976,13 +1100,14 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
 
     /// Hand every live engine the `heard` clocks and let it compact;
     /// one whose log that emptied leaves the live list, owing one last
-    /// flush.
+    /// flush, and offers its buffer.
     fn sweep(&mut self, heard: &[(u32, u64)]) {
         let Shard {
             slots,
             live,
             unflushed,
             idle_unflushed,
+            lenders,
             ..
         } = self;
         live.retain(|&at| {
@@ -993,6 +1118,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 return true;
             }
             slot.live = false;
+            offer(lenders, slot, at);
             if !slot.unflushed {
                 slot.unflushed = true;
                 unflushed.push(at);
@@ -1583,7 +1709,8 @@ pub struct Summary {
     pub(crate) live_keys: usize,
     pub(crate) log_len: usize,
     /// Entry slots allocated by the logs, summed over every key, idle
-    /// ones included: a log keeps its buffer when it empties.
+    /// ones included: an idle key keeps its buffer until its shard
+    /// lends it to a key that wakes without one.
     pub(crate) log_capacity: usize,
     pub(crate) repair_events: u64,
     pub(crate) repair_steps: u64,
@@ -2531,6 +2658,95 @@ mod tests {
         assert!(
             capacity >= 45,
             "the buffer that held the burst stays: {capacity}"
+        );
+        // 45 entries of 24 bytes: too large to lend, so key 7 keeps it.
+        assert!(s.engine(7).unwrap().log().capacity() >= 45);
+    }
+
+    /// `s`'s `uc_store_log_capacity` gauge.
+    fn log_capacity(s: &GcStore) -> i64 {
+        let reg = Registry::new();
+        s.export_metrics(&reg);
+        let scrape = reg.snapshot();
+        scrape.gauge("uc_store_log_capacity").expect("exported")
+    }
+
+    #[test]
+    fn an_idle_key_lends_its_small_buffer_to_the_next_key_that_wakes_without_one() {
+        let mut s: GcStore = UcStore::new(SetAdt::new(), 0, 1, GcFactory { n: 2 });
+        let mut peer: GcStore = UcStore::new(SetAdt::new(), 1, 1, GcFactory { n: 2 });
+        let mut burst = |s: &mut GcStore, key: Key| {
+            let burst: Vec<_> = (0..10)
+                .map(|v| peer.update(key, SetUpdate::Insert(v)))
+                .collect();
+            s.apply_batch_owned(burst);
+            peer.heartbeat()
+        };
+        let beat = burst(&mut s, 7);
+        let held = log_capacity(&s);
+        assert!(held >= 10, "the burst's buffer: {held}");
+        s.tick_maintenance();
+        let Ok(_) = s.apply_message_from(1, beat);
+        assert_eq!(s.total_log_len(), 0, "the burst is stable");
+        assert_eq!(s.engine(7).unwrap().log().capacity() as i64, held);
+        burst(&mut s, 8);
+        assert_eq!(s.engine(8).unwrap().log().len(), 10);
+        assert_eq!(s.engine(7).unwrap().log().capacity(), 0, "key 7 lent it");
+        assert_eq!(log_capacity(&s), held, "key 8 took it");
+        // Key 7 wakes without a buffer and no key offers one.
+        burst(&mut s, 7);
+        assert!(log_capacity(&s) > held);
+        check_arenas(&s, "three bursts");
+    }
+
+    #[test]
+    fn pinned_outages_do_not_ratchet_the_lent_buffers_up() {
+        const HOT: Key = 0;
+        const COLD: u64 = 200;
+        let mut a: GcStore = UcStore::new(SetAdt::new(), 0, 4, GcFactory { n: 2 });
+        let mut b: GcStore = UcStore::new(SetAdt::new(), 1, 4, GcFactory { n: 2 });
+        let mut gauge = Vec::new();
+        for cycle in 0..12u64 {
+            let (Ok(()), Ok(())) = (a.peer_down(1), b.peer_down(0));
+            // While cut off, `a` writes cold key `k` `k % 20 + 1` times,
+            // and both write the hot key, 160 times in all, after a
+            // different number of cold keys each cycle.
+            for k in 1..=COLD {
+                for v in 0..=k % 20 {
+                    a.update(k, SetUpdate::Insert(v as u32));
+                }
+                if k == 1 + cycle * 37 % COLD {
+                    for v in 0..160 {
+                        let side = if v % 4 == 0 { &mut b } else { &mut a };
+                        side.update(HOT, SetUpdate::Insert(v));
+                    }
+                }
+            }
+            // The pin holds every log through the ticks ...
+            a.tick_maintenance();
+            b.tick_maintenance();
+            assert_eq!(a.live_keys() as u64, 1 + COLD, "cycle {cycle}");
+            // ... until both heals land and the clocks go round.
+            a.heal_peer(&mut b);
+            b.heal_peer(&mut a);
+            for _ in 0..2 {
+                a.tick_maintenance();
+                b.tick_maintenance();
+                let Ok(_) = a.apply_message_from(1, b.heartbeat());
+                let Ok(_) = b.apply_message_from(0, a.heartbeat());
+            }
+            assert_eq!(a.total_log_len(), 0, "cycle {cycle}: every entry is stable");
+            let hot = a.engine(HOT).unwrap().log().capacity();
+            assert!(hot >= 160, "cycle {cycle}: the hot key kept {hot} slots");
+            // Every spare is empty and at most `LEND_LIMIT` bytes.
+            check_arenas(&a, &format!("cycle {cycle}"));
+            gauge.push(log_capacity(&a));
+        }
+        // The first cycle sets how many buffers of each size the keys
+        // need; later ones reuse them, whatever order the keys wake in.
+        assert!(
+            gauge[11] * 10 <= gauge[1] * 11 && gauge.iter().all(|&g| g * 10 <= gauge[0] * 11),
+            "log slots after each cycle: {gauge:?}"
         );
     }
 
