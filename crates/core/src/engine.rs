@@ -31,7 +31,7 @@
 //! | [`NaiveReplay`](crate::generic::NaiveReplay) | [`GenericReplica`](crate::generic::GenericReplica) | none — every query replays the log |
 //! | [`CheckpointRepair`](crate::cached::CheckpointRepair) | [`CachedReplica`](crate::cached::CachedReplica) | roll back to nearest checkpoint ≤ pos, refold |
 //! | [`UndoRepair`](crate::undo::UndoRepair) | [`UndoReplica`](crate::undo::UndoReplica) | undo suffix (LIFO), apply, redo |
-//! | [`StableGc`](crate::gc::StableGc) | [`GcReplica`](crate::gc::GcReplica) | none on insertion — the kept fold of base + retained log advances by the tail at the next read, refolds only after a late message |
+//! | [`StableGc`](crate::gc::StableGc) | [`GcReplica`](crate::gc::GcReplica) | none on insertion — a read of a short retained log folds base + log afresh; over a long one the kept fold advances by the tail, refolds only after a late message |
 //!
 //! # Batched delivery
 //!
@@ -69,7 +69,9 @@
 //! * [`maintain`](RepairStrategy::maintain) — periodic housekeeping
 //!   (compaction), from [`ReplicaEngine::tick_maintenance`];
 //! * [`current_state`](RepairStrategy::current_state) — to answer
-//!   queries and [`ReplicaEngine::materialize`].
+//!   queries and [`ReplicaEngine::materialize`]; queries go through
+//!   [`answer`](RepairStrategy::answer), which observes it unless the
+//!   strategy answers otherwise.
 
 use crate::backend::{LogBackend, MemBackend};
 use crate::log::UpdateLog;
@@ -167,6 +169,21 @@ pub trait RepairStrategy<A: UqAdt> {
     /// recompute into a scratch buffer.
     fn current_state<B: LogBackend<A>>(&mut self, adt: &A, log: &UpdateLog<A, B>) -> &A::State;
 
+    /// The answer to query `q` in the
+    /// [`current_state`](RepairStrategy::current_state). The default
+    /// observes exactly that; a strategy that need not keep the state
+    /// it folds for a read ([`crate::gc::StableGc`] over a short log)
+    /// folds a state of its own and answers by
+    /// [`UqAdt::observe_owned`].
+    fn answer<B: LogBackend<A>>(
+        &mut self,
+        adt: &A,
+        log: &UpdateLog<A, B>,
+        q: &A::QueryIn,
+    ) -> A::QueryOut {
+        adt.observe(self.current_state(adt, log), q)
+    }
+
     /// [`current_state`](RepairStrategy::current_state) for a holder
     /// that outlives the call (a published snapshot), and whether
     /// serving it took a copy of the whole state. The default copies
@@ -207,6 +224,14 @@ pub trait RepairStrategy<A: UqAdt> {
     /// [`crate::gc::StableGc`] — ever wrote one).
     fn install_base(&mut self, adt: &A, bound: u64, state: A::State) -> bool {
         let _ = (adt, bound, state);
+        false
+    }
+
+    /// Does the strategy hold a query fold beside its log — a second
+    /// state kept for reads ([`crate::gc::StableGc`]'s kept or shared
+    /// fold)? Counted by the `uc_store_kept_folds` gauge. Default:
+    /// `false`.
+    fn holds_fold(&self) -> bool {
         false
     }
 
@@ -456,8 +481,7 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// the store has the query's clock heard separately (at once, or
     /// at an idle key's next insertion).
     pub(crate) fn answer(&mut self, q: &A::QueryIn) -> A::QueryOut {
-        let state = self.strategy.current_state(&self.adt, &self.log);
-        self.adt.observe(state, q)
+        self.strategy.answer(&self.adt, &self.log, q)
     }
 
     /// The state this replica would converge to if no further message
@@ -486,7 +510,7 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// cut-query counterpart of [`ReplicaEngine::do_query`].
     pub fn query_at_cut(&mut self, cut: u64, q: &A::QueryIn) -> Result<A::QueryOut, CutError> {
         let state = self.state_at_cut(cut)?;
-        Ok(self.adt.observe(&state, q))
+        Ok(self.adt.observe_owned(state, q))
     }
 
     /// The read primitive of chunked heal streaming: up to `limit`

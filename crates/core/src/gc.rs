@@ -30,10 +30,14 @@
 //! key's own deliveries still reach `last_seen` at insertion, so its
 //! bound may run ahead of the floor.
 //!
-//! Reads do not refold: the strategy keeps the fold of base and
-//! retained log and advances it by what arrived since — the cold/warm
-//! contract and its three invalidation rules are on [`StableGc`], and
-//! so is what changes once the fold is shared with readers (a pool's
+//! Reads of a long log do not refold: the strategy keeps the fold of
+//! base and retained log and advances it by what arrived since — the
+//! cold/warm contract and its three invalidation rules are on
+//! [`StableGc`]. A read of a short log with no fold kept folds base
+//! and log into a state of its own and answers with it (a *fresh
+//! fold*): replaying a few entries is cheaper than keeping a second
+//! state that the next compaction may overtake. [`StableGc`] also
+//! says what changes once the fold is shared with readers (a pool's
 //! published snapshots): it lives behind an `Arc`, two buffers take
 //! turns under it, a publication copies nothing, and the base is a
 //! view of those buffers, so compaction applies nothing the fold
@@ -57,8 +61,35 @@ use std::sync::Arc;
 use uc_spec::UqAdt;
 
 /// A kept fold over a stability-compacted log: the stable prefix is
-/// folded into `base` and dropped; queries keep the fold of `base` and
-/// the retained log and advance it by what arrived since.
+/// folded into `base` and dropped; queries over a long retained log
+/// keep the fold of `base` and the retained log and advance it by what
+/// arrived since.
+///
+/// # Which fold a read takes
+///
+/// A kept fold pays where a log stays long — a pinned outage, a silent
+/// peer — and costs where it does not: most logs hold a few entries
+/// between two heartbeats, each compaction that overtakes the fold
+/// sends it cold (rule 3 below), and the cold read then copied `base`
+/// into `scratch` and the answer out of `scratch` again. So a read
+/// ([`RepairStrategy::answer`]) takes one of four paths:
+///
+/// * a **shared fold** (`rotation` is set, see *A shared fold*)
+///   answers from `front`;
+/// * an **empty log** answers from `base`;
+/// * the **kept fold**, while it is warm or once the retained log
+///   holds at least `KEPT_FOLD_MIN` (8) entries: a warm read applies
+///   the tail, a cold one builds the fold;
+/// * otherwise a **fresh fold**: clone `base`, replay the retained log
+///   into the clone and answer with it by [`UqAdt::observe_owned`] —
+///   one copy of the state, not two. `scratch` and `folded` are left
+///   as they were.
+///
+/// [`current_state`](RepairStrategy::current_state) (a materialization,
+/// a cut read covering the whole log, a monitor's check) always takes
+/// the kept fold.
+///
+/// # The kept fold
 ///
 /// The cache is **cold** (`folded` is `None`: the kept fold means
 /// nothing) or **warm** (it folds every update this replica ever held
@@ -151,7 +182,8 @@ pub struct StableGc<A: UqAdt> {
     rotation: Option<Box<Rotation<A>>>,
     /// Highest timestamp folded into the kept fold; `None` = cold.
     folded: Option<Timestamp>,
-    /// Updates applied to the cached fold, by refold or by tail apply.
+    /// Updates folded for reads: by a fresh fold, a refold or a tail
+    /// apply.
     fold_steps: u64,
     /// Number of updates folded into `base`.
     compacted: u64,
@@ -180,6 +212,14 @@ pub struct StableGc<A: UqAdt> {
 /// and never published again must not collect them for ever. Far
 /// above what one burst brings a hot key between two publications.
 const OWED_MAX: usize = 1024;
+
+/// The retained log length from which a cold read builds the kept fold
+/// instead of folding afresh (*Which fold a read takes* on
+/// [`StableGc`]). Folding afresh at every length halved the read rate
+/// of `e2e`'s `partition-heal`, whose pinned outages keep logs of
+/// hundreds of entries; a cutover of 16 read 2.85 fold steps per
+/// update there, against 1.98 at 8.
+const KEPT_FOLD_MIN: usize = 8;
 
 /// The two buffers of a shared fold — see *A shared fold* on
 /// [`StableGc`].
@@ -348,15 +388,18 @@ impl<A: UqAdt> StableGc<A> {
         self.bound
     }
 
-    /// Cumulative updates applied to the cached query fold: one step
-    /// per update, whether a cold read replayed it or a warm read
-    /// applied it from the tail. Stays flat across repeated queries of
-    /// an unchanged log, grows by one per in-order arrival read, and
-    /// by the retained log's length after a late one. A shared fold
-    /// pays a second step per update, when the buffer that sat out an
-    /// advance catches up — and those two are all an update costs it:
-    /// a drain whose prefix the buffers hold applies nothing to the
-    /// base (the owed updates a materialization replays count here too).
+    /// Cumulative updates folded for reads: one step per update,
+    /// whether a fresh fold replayed it, a cold read rebuilt the kept
+    /// fold with it or a warm read applied it from the tail. A read of
+    /// a short log with no fold kept costs the log's length every
+    /// time. Once the fold is kept, the count stays flat across
+    /// repeated queries of an unchanged log, grows by one per in-order
+    /// arrival read, and by the retained log's length after a late
+    /// one. A shared fold pays a second step per update, when the
+    /// buffer that sat out an advance catches up — and those two are
+    /// all an update costs it: a drain whose prefix the buffers hold
+    /// applies nothing to the base (the owed updates a materialization
+    /// replays count here too).
     pub fn query_fold_steps(&self) -> u64 {
         self.fold_steps
     }
@@ -546,6 +589,30 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
         }
         self.folded = Some(newest);
         &self.scratch
+    }
+
+    /// A read on one of the four paths of *Which fold a read takes* on
+    /// [`StableGc`]; all but the fresh fold observe
+    /// [`current_state`](RepairStrategy::current_state).
+    fn answer<B: LogBackend<A>>(
+        &mut self,
+        adt: &A,
+        log: &UpdateLog<A, B>,
+        q: &A::QueryIn,
+    ) -> A::QueryOut {
+        let fresh = self.rotation.is_none()
+            && self.folded.is_none()
+            && (1..KEPT_FOLD_MIN).contains(&log.len());
+        if !fresh {
+            return adt.observe(self.current_state(adt, log), q);
+        }
+        self.fold_steps += log.len() as u64;
+        let state = adt.run_updates_from(self.base.clone(), log.iter().map(|(_, u)| u));
+        adt.observe_owned(state, q)
+    }
+
+    fn holds_fold(&self) -> bool {
+        self.folded.is_some() || self.rotation.is_some()
     }
 
     /// The kept fold itself, by refcount bump — see *A shared fold* on
@@ -919,14 +986,59 @@ mod tests {
     #[test]
     fn in_order_appends_cost_one_fold_step_each() {
         // Peer 1 stays silent, so nothing compacts: the log grows to N
-        // and a refold per read would cost N²/2.
+        // and a refold per read would cost 1 + 2 + … + N = 2080.
         const N: u32 = 64;
         let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
         for i in 0..N {
             a.update(SetUpdate::Insert(i));
             assert_eq!(a.do_query(&SetQuery::Read).len(), i as usize + 1);
         }
-        assert_eq!(fold_steps(&a), u64::from(N));
+        // Fresh folds of 1..=7 entries, the kept fold built at 8, then
+        // one step per arrival: 28 + 8 + 56.
+        assert_eq!(fold_steps(&a), 92);
+    }
+
+    /// A replica whose silent peer pins `len` entries in its log.
+    fn pinned(len: u32) -> R {
+        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
+        for i in 0..len {
+            a.update(SetUpdate::Insert(i));
+        }
+        assert_eq!(Replica::log_len(&a), len as usize);
+        a
+    }
+
+    #[test]
+    fn a_short_log_is_folded_afresh_by_every_read() {
+        let len = KEPT_FOLD_MIN as u32 - 1;
+        let mut a = pinned(len);
+        for read in 1..=3 {
+            assert_eq!(
+                a.do_query(&SetQuery::Read),
+                (0..len).collect::<BTreeSet<u32>>()
+            );
+            let strategy = a.engine().strategy();
+            assert_eq!(strategy.folded, None, "no fold kept");
+            assert!(strategy.scratch.is_empty(), "a fresh fold wrote to scratch");
+            assert!(!strategy.holds_fold());
+            assert_eq!(fold_steps(&a), read * u64::from(len));
+        }
+    }
+
+    #[test]
+    fn a_log_at_the_cutover_keeps_its_fold() {
+        let len = KEPT_FOLD_MIN as u32;
+        let mut a = pinned(len);
+        for _ in 0..3 {
+            assert_eq!(
+                a.do_query(&SetQuery::Read),
+                (0..len).collect::<BTreeSet<u32>>()
+            );
+            assert_eq!(fold_steps(&a), u64::from(len), "built once");
+        }
+        let strategy = a.engine().strategy();
+        assert!(strategy.folded.is_some() && strategy.holds_fold());
+        assert_eq!(strategy.scratch.len(), len as usize);
     }
 
     #[test]

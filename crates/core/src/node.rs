@@ -238,6 +238,7 @@ impl<X: Executor> Node<X> {
             reg.gauge("uc_store_log_len").set(s.log_len as i64);
             reg.gauge("uc_store_log_capacity")
                 .set(s.log_capacity as i64);
+            reg.gauge("uc_store_kept_folds").set(s.kept_folds as i64);
             reg.gauge("uc_store_live_keys").set(s.live_keys as i64);
             reg.counter("uc_store_repair_events_total")
                 .set(s.repair_events);

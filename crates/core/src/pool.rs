@@ -1188,7 +1188,7 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
                 }
             }
         }
-        (0, self.adt.observe(&self.adt.initial(), q))
+        (0, self.adt.observe_owned(self.adt.initial(), q))
     }
 
     /// Barrier-cut snapshot at `cut`: push a [`Job::Cut`] to every
@@ -1823,6 +1823,7 @@ mod tests {
                 "uc_store_log_len",
                 "uc_store_live_keys",
                 "uc_store_log_capacity",
+                "uc_store_kept_folds",
             ];
             let counters = [
                 "uc_store_repair_events_total",

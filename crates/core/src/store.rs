@@ -544,7 +544,7 @@ impl<A: UqAdt> StoreSnapshot<A> {
     pub fn query(&self, key: Key, q: &A::QueryIn) -> A::QueryOut {
         match self.states.get(&key) {
             Some(state) => self.adt.observe(state, q),
-            None => self.adt.observe(&self.adt.initial(), q),
+            None => self.adt.observe_owned(self.adt.initial(), q),
         }
     }
 
@@ -1515,7 +1515,7 @@ where
         let mut engine = self.shards[slot].engine_for_query(key, now);
         let out = match engine.as_mut() {
             Some(engine) => engine.answer(q),
-            None => self.adt.observe(&self.adt.initial(), q),
+            None => self.adt.observe_owned(self.adt.initial(), q),
         };
         // Sampled keys verify the served state against the monitor's
         // shadow fold (the online UC check); unsampled keys pay one
@@ -1660,6 +1660,7 @@ where
             live_keys: self.live_keys(),
             log_len: self.log_len(),
             log_capacity: self.sum_engines(|e| e.log().capacity() as u64) as usize,
+            kept_folds: self.sum_engines(|e| u64::from(e.strategy().holds_fold())) as usize,
             repair_events: self.sum_engines(|e| e.repair_events()),
             repair_steps: self.sum_engines(|e| e.repair_steps()),
             monitor: self.monitor.as_ref().map(|m| m.stats().clone()),
@@ -1712,6 +1713,9 @@ pub struct Summary {
     /// ones included: an idle key keeps its buffer until its shard
     /// lends it to a key that wakes without one.
     pub(crate) log_capacity: usize,
+    /// Keys whose strategy holds a query fold beside its log
+    /// ([`RepairStrategy::holds_fold`]).
+    pub(crate) kept_folds: usize,
     pub(crate) repair_events: u64,
     pub(crate) repair_steps: u64,
     pub(crate) monitor: Option<MonitorStats>,
@@ -1725,6 +1729,7 @@ impl Summary {
             live_keys: self.live_keys + other.live_keys,
             log_len: self.log_len + other.log_len,
             log_capacity: self.log_capacity + other.log_capacity,
+            kept_folds: self.kept_folds + other.kept_folds,
             repair_events: self.repair_events + other.repair_events,
             repair_steps: self.repair_steps + other.repair_steps,
             monitor: match (self.monitor, other.monitor) {

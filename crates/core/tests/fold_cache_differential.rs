@@ -18,7 +18,11 @@
 //! cache warm and current and so never lets compaction overtake it.
 //! Here every step is checked too, but half of the checks read a
 //! *clone* of the engine, so the original's cache stays as far behind
-//! its log as the schedule left it.
+//! its log as the schedule left it. Half of the checks materialize,
+//! which always takes the kept fold; the other half query
+//! ([`ReplicaEngine::do_query`]), which folds a log shorter than
+//! `CUTOVER` afresh and keeps nothing. The schedules must query logs on
+//! both sides of it.
 //!
 //! The base is checked after every step as well, not only through a
 //! recovery: whenever a step hands the backend a new base, it must be
@@ -31,7 +35,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
-use uc_core::{GenericReplica, LogBackend, ReplicaEngine, StableGc, Timestamp, UpdateMsg};
+use uc_core::{
+    GenericReplica, LogBackend, RepairStrategy, ReplicaEngine, StableGc, Timestamp, UpdateMsg,
+};
 use uc_sim::SplitMix64;
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
@@ -39,6 +45,10 @@ type Upd = SetUpdate<u32>;
 type Msg = UpdateMsg<Upd>;
 type Gc = ReplicaEngine<Counting, StableGc<Counting>, Disk>;
 type Naive = GenericReplica<SetAdt<u32>>;
+
+/// The retained log length from which a query of a cold fold builds
+/// the kept fold instead of folding afresh.
+const CUTOVER: usize = 8;
 
 thread_local! {
     /// Updates the engine under test applied, to any state.
@@ -70,6 +80,10 @@ impl UqAdt for Counting {
 
     fn observe(&self, state: &BTreeSet<u32>, query: &SetQuery) -> BTreeSet<u32> {
         self.0.observe(state, query)
+    }
+
+    fn observe_owned(&self, state: BTreeSet<u32>, query: &SetQuery) -> BTreeSet<u32> {
+        self.0.observe_owned(state, query)
     }
 }
 
@@ -145,12 +159,26 @@ fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<VecDeque<Msg>>
     streams
 }
 
-fn check(gc: &mut Gc, naive: &mut Naive, on_clone: bool, what: &str, seed: u64) {
+/// Read `gc`, or a clone of it when `how` is even; by
+/// `materialize`, or by a query when `how / 2` is odd.
+fn check(gc: &mut Gc, naive: &mut Naive, how: u64, what: &str, seed: u64, tally: &mut Tally) {
     let expect = naive.materialize();
-    let got = if on_clone {
-        gc.clone().materialize()
+    let mut clone;
+    let read = if how.is_multiple_of(2) {
+        clone = gc.clone();
+        &mut clone
     } else {
-        gc.materialize()
+        gc
+    };
+    let got = if (how / 2).is_multiple_of(2) {
+        read.materialize()
+    } else {
+        match read.log_len() {
+            0 => {}
+            len if len < CUTOVER && !read.strategy().holds_fold() => tally.fresh_queries += 1,
+            _ => tally.kept_queries += 1,
+        }
+        read.do_query(&SetQuery::Read)
     };
     assert_eq!(got, expect, "after {what}, seed {seed}");
 }
@@ -173,6 +201,10 @@ struct Tally {
     /// Steps that compacted and applied nothing: the drain took a base
     /// the buffers already held.
     free_drains: u64,
+    /// Queries of a nonempty log that folded it afresh, and that read
+    /// the kept fold.
+    fresh_queries: u64,
+    kept_queries: u64,
 }
 
 fn scenario(seed: u64, tally: &mut Tally) {
@@ -309,13 +341,7 @@ fn scenario(seed: u64, tally: &mut Tally) {
             );
         }
         drop(written);
-        check(
-            &mut gc,
-            &mut naive,
-            rng.next_u64().is_multiple_of(2),
-            what,
-            seed,
-        );
+        check(&mut gc, &mut naive, rng.next_u64(), what, seed, tally);
         for held in ring.iter().chain(&readers) {
             assert_eq!(
                 *held.state, held.expect,
@@ -338,7 +364,7 @@ fn scenario(seed: u64, tally: &mut Tally) {
         gc.observe_peer_clock(pid, clock);
     }
     assert_eq!(gc.log_len(), 0, "seed {seed}");
-    check(&mut gc, &mut naive, false, "full stability", seed);
+    check(&mut gc, &mut naive, 1, "full stability", seed, tally);
     let (state, _) = gc.shared_state();
     assert_eq!(*state, naive.materialize(), "the last share, seed {seed}");
     tally.compacted += gc.strategy().compacted();
@@ -363,5 +389,11 @@ fn kept_fold_matches_naive_replay_after_every_step() {
     assert!(
         tally.free_drains > 0,
         "some drains must take a base the buffers hold, applying nothing"
+    );
+    assert!(
+        tally.fresh_queries > 0 && tally.kept_queries > 0,
+        "the queries must take both sides of the cutover: {} fresh, {} kept",
+        tally.fresh_queries,
+        tally.kept_queries
     );
 }

@@ -26,7 +26,7 @@ use uc_core::{
     IngestPool, Key, LogBackend, NaiveFactory, Node, PoolConfig, RepairStrategy, StableGc,
     StoreInput, StoreMsg, StoreOutput, StrategyFactory, UcStore, UndoFactory, UpdateLog, UpdateMsg,
 };
-use uc_obs::HealthStatus;
+use uc_obs::{HealthStatus, Registry};
 use uc_sim::{
     Ctx, Cut, DeliveryMode, HeartbeatDetector, LatencyModel, LinkCounters, LinkModel, Pid,
     Protocol, ReliableLink, RetryConfig, SimConfig, Simulation, SplitMix64, Topology,
@@ -1068,6 +1068,57 @@ fn down_peer_sender_rules<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>)
     assert_eq!(update(&mut node, 6), vec![1, 2]);
     let clock = node.clock();
     assert_eq!(beats(&mut node), vec![(1, clock), (2, clock)]);
+}
+
+/// `uc_store_kept_folds`: a read of a short log folds it afresh and
+/// keeps no second state; only the keys whose log an outage pins long
+/// keep their read fold.
+#[test]
+fn only_keys_whose_log_is_pinned_long_keep_a_read_fold() {
+    on_every_node_kind!(kept_folds_follow_log_length, GcFactory { n: 3 });
+}
+
+fn kept_folds_follow_log_length<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>) {
+    let mut node = make(0);
+    let kept = |node: &Node<X>| {
+        let reg = Registry::new();
+        node.export_metrics(&reg);
+        reg.snapshot()
+            .gauge("uc_store_kept_folds")
+            .expect("exported")
+    };
+    let write = |node: &mut Node<X>, key: Key, count: u32| {
+        for v in 0..count {
+            invoke(node, 0, StoreInput::Update(key, SetUpdate::Insert(v)));
+        }
+    };
+    let read_all = |node: &mut Node<X>| {
+        for key in 0..KEYS {
+            read(node, 0, key);
+        }
+    };
+    // The peers are silent: three entries a key stay in its log.
+    for key in 0..KEYS {
+        write(&mut node, key, 3);
+    }
+    read_all(&mut node);
+    assert_eq!(kept(&node), 0, "short logs are folded afresh");
+    let clock = node.clock();
+    for peer in 1..N as Pid {
+        deliver(&mut node, 0, peer, StoreMsg::Heartbeat { pid: peer, clock });
+    }
+    assert_eq!(node.live_keys(), 0, "every key compacted");
+
+    // Peer 2 goes down: the outage pins every entry written since.
+    invoke(&mut node, 0, StoreInput::PeerDown(2));
+    for key in 0..KEYS {
+        write(&mut node, key, if key < 2 { 8 } else { 2 });
+    }
+    let clock = node.clock();
+    deliver(&mut node, 0, 1, StoreMsg::Heartbeat { pid: 1, clock });
+    assert_eq!(node.live_keys(), KEYS as usize, "the pin holds every log");
+    read_all(&mut node);
+    assert_eq!(kept(&node), 2, "keys 0 and 1 hold eight entries each");
 }
 
 /// Regression: a replica keeps its partition posture when it moves to

@@ -44,6 +44,14 @@ pub trait UqAdt {
     /// `state`. Queries are read-only.
     fn observe(&self, state: &Self::State, query: &Self::QueryIn) -> Self::QueryOut;
 
+    /// [`UqAdt::observe`] of a state the caller no longer needs. A
+    /// query whose answer is the state itself (a set's or a register's
+    /// read) returns it instead of cloning it. Must equal
+    /// `self.observe(&state, query)`; the default is exactly that.
+    fn observe_owned(&self, state: Self::State, query: &Self::QueryIn) -> Self::QueryOut {
+        self.observe(&state, query)
+    }
+
     /// Convenience: fold a sequence of updates over the initial state.
     fn run_updates<'a, I>(&self, updates: I) -> Self::State
     where

@@ -94,6 +94,13 @@ where
             LogQuery::Len => LogOut::Len(state.len()),
         }
     }
+
+    fn observe_owned(&self, state: Self::State, query: &Self::QueryIn) -> Self::QueryOut {
+        match query {
+            LogQuery::Read => LogOut::Entries(state),
+            LogQuery::Len => LogOut::Len(state.len()),
+        }
+    }
 }
 
 impl<E> StateAbduction for LogAdt<E>

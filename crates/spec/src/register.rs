@@ -60,6 +60,10 @@ where
     fn observe(&self, state: &Self::State, _query: &Self::QueryIn) -> Self::QueryOut {
         state.clone()
     }
+
+    fn observe_owned(&self, state: Self::State, _query: &Self::QueryIn) -> Self::QueryOut {
+        state
+    }
 }
 
 impl<V> StateAbduction for RegisterAdt<V>

@@ -88,6 +88,13 @@ where
             RichSetQuery::Contains(v) => RichSetOut::Bool(state.contains(v)),
         }
     }
+
+    fn observe_owned(&self, state: Self::State, query: &Self::QueryIn) -> Self::QueryOut {
+        match query {
+            RichSetQuery::Read => RichSetOut::Elems(state),
+            RichSetQuery::Contains(v) => RichSetOut::Bool(state.contains(v)),
+        }
+    }
 }
 
 impl<V> StateAbduction for RichSetAdt<V>

@@ -101,6 +101,10 @@ where
         // The only query is `R`, which returns the whole content.
         state.clone()
     }
+
+    fn observe_owned(&self, state: Self::State, _query: &Self::QueryIn) -> Self::QueryOut {
+        state
+    }
 }
 
 impl<V> StateAbduction for SetAdt<V>

@@ -1,14 +1,19 @@
 //! Model-based property tests: each UQ-ADT's transition system agrees
 //! with the obvious std-collection model on random operation words,
-//! and every undoable ADT satisfies the undo law on random words.
+//! every undoable ADT satisfies the undo law on random words, and every
+//! ADT's `observe_owned` answers as its `observe` does.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use uc_spec::gset::GrowInsert;
+use uc_spec::log::{Append, LogQuery};
 use uc_spec::queue::QueueOut;
+use uc_spec::register::{RegRead, Write};
 use uc_spec::stack::{StackOut, StackQuery};
 use uc_spec::{
-    CounterAdt, CounterUpdate, MemoryAdt, MemoryQuery, MemoryUpdate, QueueAdt, QueueQuery,
-    QueueUpdate, SetAdt, SetQuery, SetUpdate, StackAdt, StackUpdate, UndoableUqAdt, UqAdt,
+    CounterAdt, CounterQuery, CounterUpdate, GrowSetAdt, LogAdt, MemoryAdt, MemoryQuery,
+    MemoryUpdate, QueueAdt, QueueQuery, QueueUpdate, RegisterAdt, RichSetAdt, RichSetQuery, SetAdt,
+    SetQuery, SetUpdate, StackAdt, StackUpdate, UndoableUqAdt, UqAdt,
 };
 
 #[derive(Clone, Copy, Debug)]
@@ -24,8 +29,87 @@ fn set_cmd() -> impl Strategy<Value = SetCmd> {
     ]
 }
 
+/// `observe_owned(s.clone(), q) == observe(&s, q)` for every query of
+/// `queries`, in the initial state and after every update of `word`.
+fn owned_answers_as_observe<A: UqAdt>(
+    adt: &A,
+    word: impl IntoIterator<Item = A::Update>,
+    queries: &[A::QueryIn],
+) {
+    let mut state = adt.initial();
+    let mut word = word.into_iter();
+    loop {
+        for q in queries {
+            prop_assert_eq!(
+                adt.observe_owned(state.clone(), q),
+                adt.observe(&state, q),
+                "query {:?} in {:?}",
+                q,
+                state
+            );
+        }
+        let Some(u) = word.next() else {
+            return;
+        };
+        adt.apply(&mut state, &u);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every ADT answers an owned state as it answers a borrowed one,
+    /// on random update words and every query.
+    #[test]
+    fn observe_owned_answers_as_observe(
+        word in proptest::collection::vec((any::<bool>(), 0u8..8), 0..24)
+    ) {
+        let sets = || word.iter().map(|&(insert, v)| match insert {
+            true => SetUpdate::Insert(v),
+            false => SetUpdate::Delete(v),
+        });
+        let values = || word.iter().map(|&(_, v)| v);
+        owned_answers_as_observe(&SetAdt::new(), sets(), &[SetQuery::Read]);
+        let rich: Vec<_> = (0..8).map(RichSetQuery::Contains).chain([RichSetQuery::Read]).collect();
+        owned_answers_as_observe(&RichSetAdt::new(), sets(), &rich);
+        owned_answers_as_observe(&GrowSetAdt::new(), values().map(GrowInsert), &[SetQuery::Read]);
+        owned_answers_as_observe(&RegisterAdt::new(0u8), values().map(Write), &[RegRead]);
+        owned_answers_as_observe(
+            &LogAdt::new(),
+            values().map(Append),
+            &[LogQuery::Read, LogQuery::Len],
+        );
+        owned_answers_as_observe(
+            &CounterAdt,
+            sets().map(|u| match u {
+                SetUpdate::Insert(v) => CounterUpdate::Add(i64::from(v)),
+                SetUpdate::Delete(v) => CounterUpdate::Add(-i64::from(v)),
+            }),
+            &[CounterQuery::Read],
+        );
+        owned_answers_as_observe(
+            &QueueAdt::new(),
+            sets().map(|u| match u {
+                SetUpdate::Insert(v) => QueueUpdate::Enqueue(v),
+                SetUpdate::Delete(_) => QueueUpdate::Pop,
+            }),
+            &[QueueQuery::Front, QueueQuery::Len],
+        );
+        owned_answers_as_observe(
+            &StackAdt::new(),
+            sets().map(|u| match u {
+                SetUpdate::Insert(v) => StackUpdate::Push(v),
+                SetUpdate::Delete(_) => StackUpdate::DeleteTop,
+            }),
+            &[StackQuery::Top, StackQuery::Depth],
+        );
+        let probes: Vec<_> = (0..4).map(MemoryQuery).collect();
+        owned_answers_as_observe(
+            &MemoryAdt::new(0u8),
+            values().map(|v| MemoryUpdate { register: v % 4, value: v }),
+            &probes,
+        );
+    }
 
     /// The set ADT is the BTreeSet model.
     #[test]
