@@ -20,8 +20,8 @@
 //! exactly as before. The backend is a *write-behind journal*: every
 //! fresh entry is appended in arrival order, and when the
 //! [`StableGc`](crate::gc::StableGc) strategy folds a stable prefix
-//! into its base state, the backend persists that base and may drop
-//! the journal entries it covers (LSM-style compaction — the stable
+//! into its base state, the key's next flush hands the backend that
+//! base, which it persists, and may drop the journal entries it covers (LSM-style compaction — the stable
 //! prefix is exactly the part that is safe to fold away, cf. the
 //! causal-consistency generalization in arXiv:1802.00706).
 //!

@@ -20,7 +20,7 @@
 //!                              │                │ insert pos
 //!                              ▼                ▼
 //!                       S: RepairStrategy  (hooks: on_insert,
-//!                       observe_clock, maintain, current_state)
+//!                       raise_floor, maintain, current_state)
 //! ```
 //!
 //! The four shipped strategies reproduce the historical variants and
@@ -61,9 +61,10 @@
 //! [`RepairStrategy::current_state`] equals the fold of the log (over
 //! the strategy's compacted base, if it has one). The engine calls:
 //!
-//! * [`observe_clock`](RepairStrategy::observe_clock) — for every
-//!   timestamp the replica hears (local updates, deliveries, queries,
-//!   heartbeats); strategies tracking per-sender stability live here;
+//! * [`raise_floor`](RepairStrategy::raise_floor) — the replica's
+//!   stability floor, whoever keeps it (a store's shard set, a
+//!   [`GcReplica`](crate::gc::GcReplica)); a compacting strategy
+//!   drains through it at its next compaction;
 //! * [`on_insert`](RepairStrategy::on_insert) — after the log gained
 //!   entries, with the earliest position that became dirty;
 //! * [`maintain`](RepairStrategy::maintain) — periodic housekeeping
@@ -121,26 +122,30 @@ pub trait RepairStrategy<A: UqAdt> {
     /// must cost one repair of the dirty suffix. Repair whatever
     /// cached state the strategy maintains. `log` is mutable
     /// so compacting strategies can shrink it. Generic over the log's
-    /// [`LogBackend`] — repair logic is storage-agnostic; compacting
-    /// strategies use the genericity to persist their base through
-    /// [`UpdateLog::persist_base`].
+    /// [`LogBackend`] — repair logic is storage-agnostic; a compacting
+    /// strategy persists its base at the next flush
+    /// ([`RepairStrategy::persist_base`]).
     fn on_insert<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>, pos: usize);
 
-    /// A timestamp from `pid` with value `clock` was heard (local
-    /// update, delivery, query, or heartbeat). Default: ignore.
-    /// Stability tracking ([`crate::gc::StableGc`]) lives here.
-    fn observe_clock(&mut self, pid: u32, clock: u64) {
-        let _ = (pid, clock);
+    /// The replica's stability floor is `floor`: every process is
+    /// known to have passed that clock, so no update stamped at or
+    /// below it is still to come. It takes effect at the strategy's
+    /// next compaction — the repair after an insertion, or
+    /// [`maintain`](RepairStrategy::maintain) — and never lowers what
+    /// was drained. Whoever keeps the floor caps it by any retention
+    /// pin first. Default: ignore — only compacting strategies
+    /// ([`crate::gc::StableGc`]) ever discard log entries.
+    fn raise_floor(&mut self, floor: u64) {
+        let _ = floor;
     }
 
-    /// Pin compaction at `clock` (`Some`) or release the pin (`None`).
-    /// While a partitioned peer is marked down, the store caps
-    /// stability-based collection at the outage-start watermark so the
-    /// missed suffix stays available for reconciliation-on-heal.
-    /// Default: ignore — only compacting strategies
-    /// ([`crate::gc::StableGc`]) ever discard log entries.
-    fn set_retention_cap(&mut self, cap: Option<u64>) {
-        let _ = cap;
+    /// Hand the log's backend the base compacted since the last flush
+    /// ([`UpdateLog::persist_base`]); called by
+    /// [`ReplicaEngine::flush_backend`] only when the log drained
+    /// since. Default: nothing — a strategy that never drains has no
+    /// base to persist.
+    fn persist_base<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>) {
+        let _ = (adt, log);
     }
 
     /// Does an insertion cost this strategy *nothing* beyond the log
@@ -292,8 +297,12 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// compacted base (if one was ever written), replay the journaled
     /// tail through the normal delivery path — `fold(base) +
     /// replay(tail)` — and restore the Lamport clock to
-    /// `max(watermark, base bound, tail timestamps)`. Journaling is
-    /// suspended during the replay (the entries are already durable).
+    /// `max(watermark, tail timestamps)`: what the engine's own entries
+    /// brought it to by its last flush. The base's bound is a replica's
+    /// floor, which may be above every entry the key ever held, so it
+    /// moves the clock no more than it did while the engine ran.
+    /// Journaling is suspended during the replay (the entries are
+    /// already durable).
     ///
     /// # Panics
     ///
@@ -313,7 +322,6 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
                 "backend holds a base snapshot but the strategy cannot host one"
             );
             engine.log.raise_floor(bound);
-            engine.clock.merge(bound);
         }
         engine.on_deliver_batch(
             tail.into_iter()
@@ -325,9 +333,11 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         engine
     }
 
-    /// Flush the storage backend, persisting the current clock as the
-    /// recovery watermark. A no-op on [`MemBackend`] engines.
+    /// Flush the storage backend, persisting the base the strategy
+    /// compacted since the last flush, if any, and the current clock
+    /// as the recovery watermark. A no-op on [`MemBackend`] engines.
     pub fn flush_backend(&mut self) {
+        self.persist_base();
         let clock = self.clock.now();
         self.log.flush_backend(clock);
     }
@@ -337,8 +347,18 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// ([`LogBackend::stage_flush`]): what a shard's flush walk calls
     /// on every key but its last.
     pub fn stage_backend_flush(&mut self) {
+        self.persist_base();
         let clock = self.clock.now();
         self.log.stage_backend_flush(clock);
+    }
+
+    /// A base is persisted once per flush, however many drains moved
+    /// it since: drains happen at insertions, and a backend call per
+    /// drain would put one on every delivery.
+    fn persist_base(&mut self) {
+        if self.log.base_moved() {
+            self.strategy.persist_base(&self.adt, &mut self.log);
+        }
     }
 
     /// Perform update `u`: tick, apply to the local log (the sender
@@ -365,7 +385,6 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
             .log
             .push_newest(&msg)
             .expect("locally issued timestamps are unique");
-        self.strategy.observe_clock(self.pid, ts.clock);
         self.strategy.on_insert(&self.adt, &mut self.log, pos);
         msg
     }
@@ -375,7 +394,6 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// are ignored.
     pub fn on_deliver(&mut self, msg: UpdateMsg<A::Update>) {
         self.clock.merge(msg.ts.clock);
-        self.strategy.observe_clock(msg.ts.pid, msg.ts.clock);
         if let Some(pos) = self.log.insert(msg) {
             self.strategy.on_insert(&self.adt, &mut self.log, pos);
         }
@@ -410,76 +428,38 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
             }
             return;
         }
-        let mut max_clock = 0;
-        for m in &msgs {
-            max_clock = max_clock.max(m.ts.clock);
-            self.strategy.observe_clock(m.ts.pid, m.ts.clock);
-        }
+        let max_clock = msgs.iter().map(|m| m.ts.clock).max().unwrap_or(0);
         self.clock.merge(max_clock);
         if let Some(min_pos) = self.log.insert_batch(msgs) {
             self.strategy.on_insert(&self.adt, &mut self.log, min_pos);
         }
     }
 
-    /// A peer announced its clock without an update (heartbeat).
-    /// Advances the Lamport clock and the strategy's stability
-    /// knowledge, then lets the strategy compact.
-    pub fn observe_peer_clock(&mut self, pid: u32, clock: u64) {
-        self.hear_peer_clock(pid, clock);
-        self.compact();
+    /// Hand the strategy the replica's stability floor — see
+    /// [`RepairStrategy::raise_floor`]. Moves no clock: it takes effect
+    /// at the next compaction, the repair of the next insertion or
+    /// [`ReplicaEngine::tick_maintenance`].
+    pub fn raise_floor(&mut self, floor: u64) {
+        self.strategy.raise_floor(floor);
     }
 
-    /// [`ReplicaEngine::observe_peer_clock`] without the compaction
-    /// pass.
-    pub(crate) fn hear_peer_clock(&mut self, pid: u32, clock: u64) {
+    /// Advance the Lamport clock past `clock`, a clock heard without
+    /// an entry (a [`GcReplica`](crate::gc::GcReplica)'s heartbeat).
+    pub(crate) fn merge_clock(&mut self, clock: u64) {
         self.clock.merge(clock);
-        self.strategy.observe_clock(pid, clock);
-    }
-
-    /// Hear every `(pid, clock)` of `heard`: what the store hands a
-    /// live engine when the replica's stability floor rises, and an
-    /// idle one just before its next insertion (whose own repair hook
-    /// compacts).
-    pub(crate) fn hear_clocks(&mut self, heard: &[(u32, u64)]) {
-        for &(pid, clock) in heard {
-            self.hear_peer_clock(pid, clock);
-        }
-    }
-
-    /// Let the strategy compact on what it has heard.
-    pub(crate) fn compact(&mut self) {
-        self.strategy.maintain(&self.adt, &mut self.log);
-    }
-
-    /// Pin or release the strategy's compaction retention cap — see
-    /// [`RepairStrategy::set_retention_cap`]. The store calls this on
-    /// every engine while partitioned peers are marked down so the
-    /// suffix they missed survives until reconciliation-on-heal.
-    pub fn set_retention_cap(&mut self, cap: Option<u64>) {
-        self.strategy.set_retention_cap(cap);
     }
 
     /// Answer a query from local knowledge (lines 12–19: ticks the
     /// clock, then observes the state equivalent to replaying the
     /// sorted log).
     pub fn do_query(&mut self, q: &A::QueryIn) -> A::QueryOut {
-        let now = self.clock.tick();
-        self.do_query_at(now, q)
-    }
-
-    /// Answer a query under an externally ticked clock (the store's
-    /// shared per-replica clock). The engine's own clock is advanced to
-    /// `now` so the line-13 guarantee — updates issued after a query
-    /// order after everything the query saw — holds across all engines
-    /// sharing the external clock.
-    pub fn do_query_at(&mut self, now: u64, q: &A::QueryIn) -> A::QueryOut {
-        self.hear_peer_clock(self.pid, now);
+        self.clock.tick();
         self.answer(q)
     }
 
-    /// Answer a query from the state as it stands, moving no clock:
-    /// the store has the query's clock heard separately (at once, or
-    /// at an idle key's next insertion).
+    /// Answer a query from the state as it stands, moving no clock: a
+    /// store ticks its own clock for the read (line 13), and a key's
+    /// engine clock moves only with its entries.
     pub(crate) fn answer(&mut self, q: &A::QueryIn) -> A::QueryOut {
         self.strategy.answer(&self.adt, &self.log, q)
     }
@@ -575,11 +555,11 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
             .for_suffix(since, |ts, u| f(ts, crate::heal::entry_hash(ts, u)));
     }
 
-    /// Announce our clock to the strategy and let it compact; called
-    /// by the periodic [`Replica::tick`].
+    /// Let the strategy compact on the floor it was handed
+    /// ([`RepairStrategy::maintain`]); called by the periodic
+    /// [`Replica::tick`] and by a store's sweeps.
     pub fn tick_maintenance(&mut self) {
-        self.strategy.observe_clock(self.pid, self.clock.now());
-        self.compact();
+        self.strategy.maintain(&self.adt, &mut self.log);
     }
 
     /// This replica's process id.
@@ -587,7 +567,11 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         self.pid
     }
 
-    /// Current Lamport clock value.
+    /// Current Lamport clock value. It moves with the engine's own
+    /// entries only — its stamps, its deliveries, recovery — and with
+    /// a standalone engine's reads ([`ReplicaEngine::do_query`]). A
+    /// store's key engines never read that way: heard clocks and reads
+    /// move the store's clock, not theirs.
     pub fn clock(&self) -> u64 {
         self.clock.now()
     }

@@ -3,32 +3,35 @@
 //! strategy on the shared [`ReplicaEngine`].
 //!
 //! An update is *stable* once no future message can order before it.
-//! Per-sender Lamport clocks are strictly increasing, so if the
-//! highest clock heard from every process (including oneself) is at
-//! least `c`, every future update carries a timestamp with clock
-//! `> c` — entries with `ts.clock ≤ c` are final and their prefix can
-//! be folded into a base state and dropped from the log. The strategy
-//! learns every heard clock through its
-//! [`observe_clock`](crate::engine::RepairStrategy::observe_clock)
-//! hook, which the engine feeds from updates, queries, and heartbeats
-//! alike.
+//! Per-sender Lamport clocks are strictly increasing and links are
+//! FIFO, so once every process (oneself included) is known to have
+//! passed clock `c`, every future update carries a timestamp with
+//! clock `> c` — entries with `ts.clock ≤ c` are final and their
+//! prefix can be folded into a base state and dropped from the log.
+//! That `c` is the replica's **stability floor**, and the strategy
+//! keeps none of the knowledge behind it: whoever does hands it over
+//! through [`raise_floor`](crate::engine::RepairStrategy::raise_floor)
+//! and the strategy drains through it at its next compaction. The
+//! strategy's [`bound`](StableGc::stability_bound) is the floor it
+//! last drained through.
 //!
 //! Under a [`UcStore`](crate::store::UcStore) or an
-//! [`IngestPool`](crate::pool::IngestPool) the heartbeats and the
-//! tick's own clock reach a key's strategy at once only when they
-//! raise the replica's stability floor — the minimum of the clocks
-//! its shard set heard from every pid, capped by the retention pin —
-//! and only while the key's log holds entries: those are the
-//! observations that can compact something. The sweep then hands the
-//! strategy every heard clock, so afterwards its bound is at least the
-//! floor. A key whose log has emptied is skipped by the sweeps and
-//! hears the same clocks through `observe_clock` just before its next
-//! insertion, so `last_seen` and the bound of an idle key lag, and are
-//! exact again by the time an entry can depend on them. A lagging
-//! bound is a lower bound: over an empty log it refuses no cut that
-//! the current one would answer, and answers from the same base. A
-//! key's own deliveries still reach `last_seen` at insertion, so its
-//! bound may run ahead of the floor.
+//! [`IngestPool`](crate::pool::IngestPool) the floor is kept once per
+//! shard set — the minimum of the clocks heard from every pid, capped
+//! by the retention pin — and rises on heartbeats, on the replica's
+//! own stamps and ticks, and on every update a sender's FIFO link
+//! delivers (a stamp `c` from `p` says what a heartbeat `(p, c)`
+//! says). Every insertion hands its key the floor, so the insertion's
+//! own compaction drains what is stable; a heartbeat or tick that
+//! raised the floor since the last sweep hands it to the keys whose
+//! log holds entries. A key whose log is empty sits the sweeps out: it
+//! has nothing to drain, and its next insertion brings it the floor. A
+//! [`GcReplica`] keeps the floor itself: the highest clock it heard
+//! from each process.
+//!
+//! A drain does not reach a persistent backend at once: the engine
+//! hands it the base at its next flush, once however many drains moved
+//! it since ([`RepairStrategy::persist_base`]).
 //!
 //! Reads of a long log do not refold: the strategy keeps the fold of
 //! base and retained log and advances it by what arrived since — the
@@ -44,12 +47,13 @@
 //! already holds — a published update is applied twice, once per
 //! buffer.
 //!
-//! Silent processes block stability (their `last_seen` stays low), so
-//! replicas broadcast periodic clock [`GcMsg::Heartbeat`]s via
-//! [`Replica::tick`] — the practical reading of the paper's "after
-//! some time". One crashed process freezes collection forever, which
-//! is the honest cost of stability tracking in a wait-free system and
-//! is measured by the E10 experiment.
+//! Silent processes block stability (the floor stays at the last
+//! clock heard from them), so replicas broadcast periodic clock
+//! [`GcMsg::Heartbeat`]s via [`Replica::tick`] — the practical
+//! reading of the paper's "after some time". One crashed process
+//! freezes collection forever, which is the honest cost of stability
+//! tracking in a wait-free system and is measured by the E10
+//! experiment.
 
 use crate::backend::LogBackend;
 use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
@@ -187,23 +191,13 @@ pub struct StableGc<A: UqAdt> {
     fold_steps: u64,
     /// Number of updates folded into `base`.
     compacted: u64,
-    /// Highest clock heard from each process.
-    last_seen: Vec<u64>,
-    /// Current stability bound (entries with clock ≤ bound are
-    /// compactable).
+    /// The stability bound: every entry with clock ≤ bound has been
+    /// drained into the base.
     bound: u64,
-    /// Anti-entropy retention cap: while a partitioned peer is marked
-    /// down, the store pins compaction at the outage-start watermark
-    /// so the suffix the peer missed stays in the log for
-    /// reconciliation-on-heal. Without the pin, the *incoming* heal
-    /// burst (carrying the majority's high clocks) would advance
-    /// stability and fold this replica's own partition-era updates
-    /// into the base before they were ever streamed back out. A heal
-    /// coming *in* pins too, at its session's watermark until its last
-    /// chunk has been ingested: the healer's heartbeats overtake its
-    /// chunks, and a bound raised on them would reject the entries
-    /// still to come as below the floor.
-    retention_cap: Option<u64>,
+    /// The floor last handed over
+    /// ([`RepairStrategy::raise_floor`]); the next compaction drains
+    /// through it.
+    floor: u64,
 }
 
 /// The longest `owed` a key keeps. Past it `back` is dropped instead
@@ -363,8 +357,8 @@ impl<A: UqAdt> Rotation<A> {
 }
 
 impl<A: UqAdt> StableGc<A> {
-    /// A fresh strategy for a cluster of `n` processes.
-    pub fn new(adt: &A, n: usize) -> Self {
+    /// A fresh strategy: nothing drained, no floor handed over yet.
+    pub fn new(adt: &A) -> Self {
         StableGc {
             base: adt.initial(),
             scratch: adt.initial(),
@@ -372,9 +366,8 @@ impl<A: UqAdt> StableGc<A> {
             folded: None,
             fold_steps: 0,
             compacted: 0,
-            last_seen: vec![0; n],
             bound: 0,
-            retention_cap: None,
+            floor: 0,
         }
     }
 
@@ -383,7 +376,8 @@ impl<A: UqAdt> StableGc<A> {
         self.compacted
     }
 
-    /// The current stability bound.
+    /// The current stability bound: the floor the strategy last
+    /// drained through.
     pub fn stability_bound(&self) -> u64 {
         self.bound
     }
@@ -449,11 +443,7 @@ impl<A: UqAdt> StableGc<A> {
     }
 
     fn try_compact<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>) {
-        let mut new_bound = self.last_seen.iter().copied().min().unwrap_or(0);
-        if let Some(cap) = self.retention_cap {
-            new_bound = new_bound.min(cap);
-        }
-        self.bound = self.bound.max(new_bound);
+        self.bound = self.bound.max(self.floor);
         if let (Some(_), Some(folded)) = (&self.rotation, self.folded) {
             return self.compact_shared(adt, log, folded);
         }
@@ -467,10 +457,6 @@ impl<A: UqAdt> StableGc<A> {
         if self.folded.is_some_and(|folded| last > folded) {
             self.folded = None;
         }
-        // LSM-style persistence: snapshot the new base and hand the
-        // retained suffix to the backend as the live tail (a no-op on
-        // the in-memory backend).
-        log.persist_base(self.bound, &self.base);
     }
 
     /// [`StableGc::try_compact`] of a warm shared fold: the fold goes
@@ -522,7 +508,6 @@ impl<A: UqAdt> StableGc<A> {
             *base = adt.initial();
         }
         rotation.view = view;
-        log.persist_base(self.bound, self.base_state(adt));
     }
 }
 
@@ -548,18 +533,19 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
         self.try_compact(adt, log);
     }
 
-    fn set_retention_cap(&mut self, cap: Option<u64>) {
-        self.retention_cap = cap;
+    /// The floor of the moment, capped by any pin: a lower floor than
+    /// the last one handed over holds the next drain back to it, and
+    /// never undoes one.
+    fn raise_floor(&mut self, floor: u64) {
+        self.floor = floor;
     }
 
-    fn observe_clock(&mut self, pid: u32, clock: u64) {
-        // A clock from a pid outside the configured cluster cannot
-        // advance stability (the bound is the minimum over tracked
-        // processes), so ignore it — a stray or misconfigured
-        // heartbeat must not panic the replica.
-        if let Some(seen) = self.last_seen.get_mut(pid as usize) {
-            *seen = (*seen).max(clock);
-        }
+    /// LSM-style persistence: the base that the drains since the last
+    /// flush moved, with the retained suffix as the live tail (a no-op
+    /// on the in-memory backend). A shared fold's base inside `owed`
+    /// is materialized for it.
+    fn persist_base<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>) {
+        log.persist_base(self.bound, self.base_state(adt));
     }
 
     fn maintain<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>) {
@@ -669,11 +655,11 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     }
 
     /// Recovery: adopt a base persisted by an earlier run's
-    /// compaction. Stability knowledge (`last_seen`) is *not*
-    /// persisted, so the bound cannot advance until every peer's clock
-    /// is heard again — conservative, never unsound (the restored
-    /// bound still blocks re-compaction below it, and entries at or
-    /// below it were already folded).
+    /// compaction. The floor is *not* persisted, so the bound cannot
+    /// advance until a floor above it is handed over again —
+    /// conservative, never unsound (the restored bound still blocks
+    /// re-compaction below it, and entries at or below it were already
+    /// folded).
     fn install_base(&mut self, _adt: &A, bound: u64, state: A::State) -> bool {
         self.base = state;
         self.bound = bound;
@@ -688,32 +674,68 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
 /// Algorithm 1 with a stability-compacted log. Wraps a
 /// [`ReplicaEngine`] because its wire protocol genuinely differs: it
 /// speaks [`GcMsg`], interleaving updates with clock heartbeats.
+///
+/// The replica keeps its own stability knowledge: the highest clock it
+/// heard from each process, its own stamps, queries and ticks
+/// included. Every update, delivery, heartbeat, query and tick hands
+/// the engine the minimum of them as the floor
+/// ([`RepairStrategy::raise_floor`]); an insertion hands it before it
+/// goes in, so the insertion's own compaction drains through it.
 #[derive(Clone, Debug)]
 pub struct GcReplica<A: UqAdt> {
     engine: ReplicaEngine<A, StableGc<A>>,
+    /// Highest clock heard from each process.
+    last_seen: Vec<u64>,
 }
 
 impl<A: UqAdt> GcReplica<A> {
     /// A fresh replica for process `pid` of `n`.
     pub fn new(adt: A, pid: u32, n: usize) -> Self {
         assert!((pid as usize) < n, "pid must be within the cluster");
-        let strategy = StableGc::new(&adt, n);
+        let strategy = StableGc::new(&adt);
         GcReplica {
             engine: ReplicaEngine::with_strategy(adt, pid, strategy),
+            last_seen: vec![0; n],
         }
+    }
+
+    /// `pid` was heard at `clock`; the engine is handed the new floor.
+    /// A clock from a pid outside the configured cluster cannot
+    /// advance stability (the floor is the minimum over tracked
+    /// processes), so it is ignored — a stray or misconfigured
+    /// heartbeat must not panic the replica.
+    fn hear(&mut self, pid: u32, clock: u64) {
+        if let Some(seen) = self.last_seen.get_mut(pid as usize) {
+            *seen = (*seen).max(clock);
+        }
+        let floor = self.last_seen.iter().copied().min().unwrap_or(0);
+        self.engine.raise_floor(floor);
     }
 
     /// Perform a local update.
     pub fn update(&mut self, u: A::Update) -> GcMsg<A::Update> {
-        GcMsg::Update(self.engine.update(u))
+        let ts = Timestamp::new(self.engine.clock() + 1, self.engine.pid());
+        self.hear(ts.pid, ts.clock);
+        GcMsg::Update(self.engine.local_update_at(ts, u))
     }
 
     /// Receive a peer's message (update or heartbeat).
     pub fn on_gc_message(&mut self, msg: GcMsg<A::Update>) {
         match msg {
-            GcMsg::Update(m) => self.engine.on_deliver(m),
-            GcMsg::Heartbeat { pid, clock } => self.engine.observe_peer_clock(pid, clock),
+            GcMsg::Update(m) => {
+                self.hear(m.ts.pid, m.ts.clock);
+                self.engine.on_deliver(m);
+            }
+            GcMsg::Heartbeat { pid, clock } => self.on_heartbeat(pid, clock),
         }
+    }
+
+    /// A peer announced its clock without an update: advance the
+    /// Lamport clock and the floor, then let the engine compact.
+    fn on_heartbeat(&mut self, pid: u32, clock: u64) {
+        self.engine.merge_clock(clock);
+        self.hear(pid, clock);
+        self.engine.tick_maintenance();
     }
 
     /// Number of updates folded into the base state.
@@ -726,9 +748,12 @@ impl<A: UqAdt> GcReplica<A> {
         self.engine.strategy().stability_bound()
     }
 
-    /// Answer a query from the kept fold of base and retained log.
+    /// Answer a query from the kept fold of base and retained log. The
+    /// query's clock is the replica's own progress.
     pub fn do_query(&mut self, q: &A::QueryIn) -> A::QueryOut {
-        self.engine.do_query(q)
+        let out = self.engine.do_query(q);
+        self.hear(self.engine.pid(), self.engine.clock());
+        out
     }
 
     /// The state this replica would converge to with no further input.
@@ -765,13 +790,16 @@ impl<A: UqAdt> Replica<A> for GcReplica<A> {
         let mut heartbeats = Vec::new();
         for m in msgs {
             match m {
-                GcMsg::Update(u) => updates.push(u),
+                GcMsg::Update(u) => {
+                    self.hear(u.ts.pid, u.ts.clock);
+                    updates.push(u);
+                }
                 GcMsg::Heartbeat { pid, clock } => heartbeats.push((pid, clock)),
             }
         }
         self.engine.on_deliver_batch(updates);
         for (pid, clock) in heartbeats {
-            self.engine.observe_peer_clock(pid, clock);
+            self.on_heartbeat(pid, clock);
         }
     }
 
@@ -782,6 +810,7 @@ impl<A: UqAdt> Replica<A> for GcReplica<A> {
     /// Heartbeat: announce the clock so silent periods do not block
     /// peers' stability.
     fn tick(&mut self) -> Vec<Self::Msg> {
+        self.hear(self.engine.pid(), self.engine.clock());
         self.engine.tick_maintenance();
         vec![GcMsg::Heartbeat {
             pid: self.engine.pid(),
@@ -929,7 +958,7 @@ mod tests {
 
     #[test]
     fn heartbeat_from_unknown_pid_is_ignored_not_panicking() {
-        // Regression: `observe_clock` used to index `last_seen`
+        // Regression: hearing a clock used to index `last_seen`
         // unchecked, so a heartbeat from a pid ≥ n panicked the
         // replica. Out-of-cluster clocks must be ignored.
         let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
@@ -1115,7 +1144,7 @@ mod tests {
     fn install_base_sends_the_cache_cold() {
         let adt = SetAdt::<u32>::new();
         let mut log: UpdateLog<SetAdt<u32>> = UpdateLog::new();
-        let mut s = StableGc::new(&adt, 2);
+        let mut s = StableGc::new(&adt);
         let pos = log
             .insert(UpdateMsg {
                 ts: Timestamp::new(9, 0),
@@ -1230,7 +1259,14 @@ mod tests {
         type Engine = ReplicaEngine<CountedSet, StableGc<CountedSet>>;
 
         fn engine() -> Engine {
-            ReplicaEngine::with_strategy(CountedSet, 0, StableGc::new(&CountedSet, 2))
+            ReplicaEngine::with_strategy(CountedSet, 0, StableGc::new(&CountedSet))
+        }
+
+        /// The peer's heartbeat at `clock` reaching an engine whose own
+        /// stamps are at or above it: the floor, and the compaction.
+        fn stable_through<A: UqAdt>(e: &mut ReplicaEngine<A, StableGc<A>>, clock: u64) {
+            e.raise_floor(clock);
+            e.tick_maintenance();
         }
 
         /// Four in-order updates, the peer's heartbeat compacting them
@@ -1239,7 +1275,7 @@ mod tests {
             for i in 0..4 {
                 e.update(SetUpdate::Insert(4 * n + i));
             }
-            e.observe_peer_clock(1, e.clock());
+            stable_through(e, e.clock());
             assert_eq!(e.log_len(), 0, "the burst compacted");
             let (state, copied) = e.shared_state();
             assert_eq!(state.0.len() as u32, 4 * (n + 1));
@@ -1320,16 +1356,17 @@ mod tests {
 
         type Set = ReplicaEngine<SetAdt<u32>, StableGc<SetAdt<u32>>>;
 
-        fn set_engine(n: usize) -> Set {
+        /// An engine whose peers stay silent: nothing compacts.
+        fn set_engine() -> Set {
             let adt = SetAdt::new();
-            ReplicaEngine::with_strategy(adt, 0, StableGc::new(&adt, n))
+            ReplicaEngine::with_strategy(adt, 0, StableGc::new(&adt))
         }
 
         #[test]
         fn the_buffer_that_sat_out_replays_what_it_owes_before_the_tail() {
             // Peer 1 stays silent: nothing compacts, every advance is a
             // read's. `back` trails by Insert(1) when Delete(1) arrives.
-            let mut e = set_engine(2);
+            let mut e = set_engine();
             let cell = Published::new();
             let steps = [
                 (SetUpdate::Insert(7), BTreeSet::from([7])),
@@ -1347,8 +1384,8 @@ mod tests {
 
         #[test]
         fn a_late_arrival_forgets_the_previous_generation() {
-            // Process 2 stays silent, so the retained log is the full log.
-            let mut e = set_engine(3);
+            // The peers stay silent, so the retained log is the full log.
+            let mut e = set_engine();
             let cell = Published::new();
             let mut epoch = 0;
             let mut publish = |e: &mut Set| {
@@ -1384,15 +1421,20 @@ mod tests {
 
         #[test]
         fn a_shared_fold_over_an_empty_log_answers_front() {
-            // Alone in its cluster: every update compacts on insertion.
-            let mut e = set_engine(1);
-            e.update(SetUpdate::Insert(1));
+            // Alone in its cluster: every update compacts on insertion,
+            // its own stamp the floor.
+            let mut e = set_engine();
+            let alone = |e: &mut Set, v| {
+                e.raise_floor(e.clock() + 1);
+                e.update(SetUpdate::Insert(v));
+            };
+            alone(&mut e, 1);
             let (first, copied) = e.shared_state();
             assert!(copied, "cold: rebuilt from the base once");
             let (again, copied) = e.shared_state();
             assert!(!copied && Arc::ptr_eq(&first, &again));
             // The insertion's own compaction advances the fold first.
-            e.update(SetUpdate::Insert(2));
+            alone(&mut e, 2);
             assert_eq!(e.log_len(), 0);
             let (next, _) = e.shared_state();
             assert_eq!(
@@ -1404,7 +1446,7 @@ mod tests {
 
         #[test]
         fn an_engine_clone_shares_the_buffers_and_writes_neither() {
-            let mut e = set_engine(2);
+            let mut e = set_engine();
             e.update(SetUpdate::Insert(1));
             let (held, _) = e.shared_state();
             let mut twin = e.clone();
@@ -1474,7 +1516,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let mut e = set_engine(2);
+            let mut e = set_engine();
             let (mut epoch, mut copies) = (0u64, 0u64);
             while kept.iter().any(|k| k.load(Ordering::SeqCst) < 32) {
                 assert!(epoch < 50_000_000, "the readers never ran");
@@ -1484,7 +1526,8 @@ mod tests {
                 e.update(SetUpdate::Insert(epoch as u32 % 16));
                 e.update(SetUpdate::Delete((epoch as u32 + 5) % 16));
                 if !unstable || epoch % 2 == 0 {
-                    e.observe_peer_clock(1, e.clock() - u64::from(unstable));
+                    let clock = e.clock() - u64::from(unstable);
+                    stable_through(&mut e, clock);
                 }
                 let (state, copied) = e.shared_state();
                 copies += u64::from(copied);
@@ -1499,7 +1542,7 @@ mod tests {
 
         #[test]
         fn a_key_written_and_never_shared_again_stops_collecting_what_it_owes() {
-            let mut e = set_engine(2);
+            let mut e = set_engine();
             e.update(SetUpdate::Insert(0));
             let (first, _) = e.shared_state();
             e.update(SetUpdate::Insert(1));
@@ -1538,7 +1581,8 @@ mod tests {
                     for i in 0..4 {
                         k.update(4 * n + i);
                     }
-                    k.e.observe_peer_clock(1, k.e.clock());
+                    let clock = k.e.clock();
+                    stable_through(&mut k.e, clock);
                     k.publish();
                 }
                 assert_eq!(k.view(), Some(View::Front));
@@ -1631,6 +1675,8 @@ mod tests {
                 update: SetUpdate::Insert(102),
             };
             let before = copies();
+            // The sender's floor, heard with its update.
+            k.e.raise_floor(bound + 1);
             k.e.on_deliver(late.clone());
             k.naive.on_deliver(late);
             assert_eq!(
@@ -1674,7 +1720,7 @@ mod tests {
         fn install_base_under_a_view_replaces_it_without_a_copy() {
             let adt = CountedSet;
             let mut log: UpdateLog<CountedSet> = UpdateLog::new();
-            let mut s = StableGc::new(&adt, 2);
+            let mut s = StableGc::new(&adt);
             for clock in 1..=2 {
                 let msg = UpdateMsg {
                     ts: Timestamp::new(clock, 0),
@@ -1684,8 +1730,7 @@ mod tests {
                 s.on_insert(&adt, &mut log, pos);
             }
             let _ = s.shared_state(&adt, &log);
-            s.observe_clock(0, 2);
-            s.observe_clock(1, 2);
+            s.raise_floor(2);
             s.maintain(&adt, &mut log);
             assert_eq!(s.rotation.as_ref().expect("shared").view, Some(View::Front));
             assert_eq!(s.base, adt.initial());
@@ -1714,6 +1759,7 @@ mod tests {
                 update: SetUpdate::Insert(102),
             };
             let before = copies();
+            twin.raise_floor(bound + 1);
             twin.on_deliver(late.clone());
             naive.on_deliver(late);
             assert_eq!(copies() - before, 1, "the base, out of the shared `back`");

@@ -544,8 +544,8 @@ pub trait ShardAccess {
         limit: usize,
     ) -> Result<(Vec<UpdateMsg<Update<Self>>>, bool), Self::Error>;
 
-    /// Pin (or release) compaction on every engine, present and
-    /// future.
+    /// Pin the replica's stability floor at `cap`, or release it: no
+    /// key, present or future, is handed a floor above the pin.
     fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Self::Error>;
 }
 

@@ -61,6 +61,9 @@ pub struct UpdateLog<A: UqAdt, B = MemBackend> {
     /// `false` only while recovery replays journaled entries — the
     /// entries are already on disk and must not be re-appended.
     journaling: bool,
+    /// Has [`UpdateLog::drain_stable_prefix`] drained anything since
+    /// the last [`UpdateLog::persist_base`]?
+    base_moved: bool,
 }
 
 /// Log equality is *index* equality: two logs with the same sorted
@@ -80,6 +83,7 @@ impl<A: UqAdt, B: Default> Default for UpdateLog<A, B> {
             backend: B::default(),
             journaling: true,
             floor: 0,
+            base_moved: false,
         }
     }
 }
@@ -100,6 +104,7 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
             backend,
             journaling: true,
             floor: 0,
+            base_moved: false,
         }
     }
 
@@ -303,8 +308,10 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
     /// stable prefix for garbage collection — handing each to `fold`
     /// in timestamp order before it is dropped. Returns the last
     /// timestamp drained, `None` when nothing was stable. Callers
-    /// that folded the prefix into a base must follow up with
-    /// [`UpdateLog::persist_base`] so a persistent backend can compact.
+    /// that folded the prefix into a base owe the backend that base
+    /// ([`UpdateLog::persist_base`]) at the next flush — once, however
+    /// many drains came before it; [`UpdateLog::base_moved`] says
+    /// whether one is owed.
     pub fn drain_stable_prefix(
         &mut self,
         bound: u64,
@@ -317,7 +324,13 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
             fold(&u);
             last = Some(ts);
         }
+        self.base_moved |= last.is_some();
         last
+    }
+
+    /// Did a drain move the base since it was last persisted?
+    pub fn base_moved(&self) -> bool {
+        self.base_moved
     }
 
     /// Raise the duplicate-rejection floor without draining —
@@ -345,7 +358,12 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
     /// Persist a compacted base: `state` is the fold of every update
     /// with `ts.clock ≤ bound` (all of which have been drained); the
     /// retained entries are handed to the backend as the live tail.
+    /// A compacting strategy calls it at the flush after its drains
+    /// ([`RepairStrategy::persist_base`](crate::engine::RepairStrategy::persist_base)),
+    /// not at every drain: the entries drained between two flushes
+    /// reach the backend as one base.
     pub fn persist_base(&mut self, bound: u64, state: &A::State) {
+        self.base_moved = false;
         if self.journaling {
             self.backend.truncate_to_base(bound, state, &self.entries);
         }

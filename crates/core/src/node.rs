@@ -234,6 +234,7 @@ impl<X: Executor> Node<X> {
     pub fn export_metrics(&self, reg: &Registry) {
         reg.gauge("uc_store_clock").set(self.clock() as i64);
         if let Ok(s) = self.exec.summary() {
+            reg.gauge("uc_store_stability_floor").set(s.floor as i64);
             reg.gauge("uc_store_keys").set(s.keys as i64);
             reg.gauge("uc_store_log_len").set(s.log_len as i64);
             reg.gauge("uc_store_log_capacity")

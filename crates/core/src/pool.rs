@@ -151,8 +151,8 @@ use crate::message::UpdateMsg;
 use crate::node::{Executor, Node};
 use crate::snapshot::Published;
 use crate::store::{
-    collapse_heartbeats, shard_index, split_by_shard, Bucket, ClockLease, Inline, Key, ShardSet,
-    StoreMsg, StoreSnapshot, StrategyFactory, Summary, UcStore,
+    shard_index, split_by_shard, Bucket, ClockLease, Inline, Key, ShardSet, StoreMsg,
+    StoreSnapshot, StrategyFactory, Summary, UcStore,
 };
 use crate::timestamp::{LamportClock, Timestamp};
 use std::collections::{BTreeMap, HashMap};
@@ -405,16 +405,18 @@ enum Job<A: UqAdt> {
         key: Key,
         msg: UpdateMsg<A::Update>,
     },
-    /// [`ShardSet::query`] against the handle's already-ticked clock.
+    /// [`ShardSet::query`]; the handle ticked the clock for it.
     Query {
         shard: usize,
         key: Key,
-        now: u64,
         q: A::QueryIn,
         reply: Sender<A::QueryOut>,
     },
     /// [`ShardSet::heartbeat`]: a peer clock announcement.
     Heartbeat { pid: u32, clock: u64 },
+    /// [`ShardSet::delivered`]: a burst's highest update stamp from
+    /// `pid`, behind the burst's ingest jobs.
+    Delivered { pid: u32, clock: u64 },
     /// [`ShardSet::maintain`]: compaction, then the monitor's window
     /// roll. Carries the shared clock's value so an attached monitor
     /// can fold its own node's progress into the stability watermark.
@@ -756,13 +758,13 @@ where
             Job::Query {
                 shard,
                 key,
-                now,
                 q,
                 reply,
             } => {
-                let _ = reply.send(shards.query(shard, key, now, &q));
+                let _ = reply.send(shards.query(shard, key, &q));
             }
             Job::Heartbeat { pid, clock } => shards.heartbeat(pid, clock),
+            Job::Delivered { pid, clock } => shards.delivered(pid, clock),
             Job::Maintain { clock } => shards.maintain(clock),
             Job::FlushBackends => shards.flush_backends(),
             Job::Barrier(reply) => {
@@ -1131,7 +1133,7 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     /// the clock (Algorithm 1 line 13). For the wait-free weak read,
     /// see [`PoolHandle::query_snapshot`].
     pub fn query(&self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, PoolError> {
-        let now = self.core.clock.tick();
+        self.core.clock.tick();
         let shard = shard_index(key, self.core.num_shards);
         let worker = self.core.worker_of(shard);
         let (reply, answer) = channel();
@@ -1140,7 +1142,6 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
             Job::Query {
                 shard,
                 key,
-                now,
                 q: q.clone(),
                 reply,
             },
@@ -1230,20 +1231,21 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     }
 
     /// Ingest a whole peer burst: updates are bucketed by shard and
-    /// pushed to their owning workers as one job each; heartbeats are
-    /// collapsed and broadcast to every worker afterwards (exactly
-    /// the sequential [`UcStore::apply_batch_owned`] order, so results are
+    /// pushed to their owning workers as one job each; each sender's
+    /// highest update stamp and the heartbeats, collapsed, are
+    /// broadcast to every worker afterwards (exactly the sequential
+    /// [`UcStore::apply_batch_owned`] order, so results are
     /// identical). A full inbox parks the caller: the link below has
     /// already delivered the burst, so it is never dropped.
     pub fn submit_batch(&self, msgs: Vec<StoreMsg<A::Update>>) -> Result<(), PoolError> {
         // Same routing helper as `UcStore::apply_batch_owned`, so shard
         // assignment and clock accounting cannot drift between the
         // sequential and pooled ingest paths.
-        let (buckets, heartbeats, max_clock) = split_by_shard(msgs, self.core.num_shards);
-        self.core.clock.merge(max_clock);
+        let split = split_by_shard(msgs, self.core.num_shards);
+        self.core.clock.merge(split.max_clock);
         let workers = self.core.inboxes.len();
         let mut jobs: Vec<ShardBuckets<A>> = (0..workers).map(|_| Vec::new()).collect();
-        for (shard, bucket) in buckets.into_iter().enumerate() {
+        for (shard, bucket) in split.buckets.into_iter().enumerate() {
             if !bucket.is_empty() {
                 jobs[self.core.worker_of(shard)].push((shard, bucket));
             }
@@ -1253,8 +1255,12 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
                 self.push_job(worker, Job::Ingest(job))?;
             }
         }
-        for (pid, clock) in collapse_heartbeats(heartbeats) {
-            self.core.clock.merge(clock);
+        // Every worker keeps the floor: the senders' stamps go to all
+        // of them, behind the burst, as its heartbeats do.
+        for (pid, clock) in split.delivered {
+            self.broadcast(|| Job::Delivered { pid, clock })?;
+        }
+        for (pid, clock) in split.heartbeats {
             self.broadcast(|| Job::Heartbeat { pid, clock })?;
         }
         Ok(())
@@ -1758,7 +1764,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_idle_key_hears_missed_heartbeats_before_its_next_insertion() {
+    fn a_pooled_idle_key_is_handed_the_floor_by_its_next_insertion() {
         use crate::store::GcFactory;
         // Replica 0 of 3; key 7 takes one entry from peer 1, which
         // compacts away: the key is idle at stability bound 1.
@@ -1778,6 +1784,7 @@ mod tests {
         let scrape = reg.snapshot();
         assert_eq!(scrape.gauge("uc_store_live_keys"), Some(0));
         assert_eq!(scrape.gauge("uc_store_clock"), Some(pool.clock() as i64));
+        assert_eq!(scrape.gauge("uc_store_stability_floor"), Some(1));
         assert!(pool.clock() >= 1, "the burst's stamps reached the clock");
 
         // Two heartbeats and a tick pass the idle key by ...
@@ -1789,15 +1796,21 @@ mod tests {
         assert_eq!(engine.strategy().stability_bound(), 1);
         assert_eq!(idle.materialize_key(7), BTreeSet::from([1]));
 
-        // ... and it hears both before a local update goes in.
+        // ... and the floor they raised is handed to it with its next
+        // local update, whose own compaction makes it the bound.
         let mut pool = idle.into_pool(cfg(2));
-        pool.update(7, SetUpdate::Insert(2)).unwrap();
-        pool.tick_maintenance().unwrap();
+        let StoreMsg::Update { msg, .. } = pool.update(7, SetUpdate::Insert(2)).unwrap() else {
+            unreachable!("an update")
+        };
         assert_eq!(pool.live_keys(), 1);
-        let caught_up = pool.finish().unwrap();
-        let engine = caught_up.engine(7).unwrap();
-        assert!(engine.clock() > 100);
+        let woken = pool.finish().unwrap();
+        let engine = woken.engine(7).unwrap();
         assert_eq!(engine.strategy().stability_bound(), 100);
+        assert_eq!(
+            engine.clock(),
+            msg.ts.clock,
+            "its clock moved with its stamp"
+        );
         assert_eq!(engine.log_len(), 1, "stamped above 100");
     }
 
@@ -1824,6 +1837,7 @@ mod tests {
                 "uc_store_live_keys",
                 "uc_store_log_capacity",
                 "uc_store_kept_folds",
+                "uc_store_stability_floor",
             ];
             let counters = [
                 "uc_store_repair_events_total",

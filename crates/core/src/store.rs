@@ -45,17 +45,21 @@
 //!   [`ReplicaEngine::on_deliver_batch`] /
 //!   [`UpdateLog::insert_batch`](crate::log::UpdateLog::insert_batch)
 //!   — one repair per key per burst, no update cloned;
-//! * **live keys, swept when stability moves** — a backend flush, and
-//!   a heartbeat or maintenance tick that raises the replica's
-//!   stability floor (the minimum of the clocks heard from every pid,
-//!   kept once per shard set), visit only the keys whose log still
-//!   holds un-compacted entries (each shard's *live list*, slot
-//!   numbers into the shard's engine arena, walked without hashing a
-//!   key); a heartbeat or tick that leaves the floor where it was
-//!   visits no key, so a pinned partition costs none per heartbeat.
-//!   A key with an empty log hears the clocks it missed just before
-//!   its next insertion, so what a tick costs follows the unstable
-//!   keys, not the key count ([`UcStore::live_keys`]);
+//! * **one stability floor, handed to every insertion** — the
+//!   replica's stability floor (the minimum of the clocks heard from
+//!   every pid, kept once per shard set) rises on heartbeats, on the
+//!   replica's own stamps and ticks, and on every update a sender's
+//!   FIFO link delivers. Every insertion hands its key the floor, so
+//!   the insertion's own compaction drains what is stable. A backend
+//!   flush, and a heartbeat or maintenance tick that finds the floor
+//!   above the last sweep's, visit only the keys whose log still holds
+//!   un-compacted entries (each shard's *live list*, slot numbers into
+//!   the shard's engine arena, walked without hashing a key); a
+//!   heartbeat or tick that leaves the floor where it was visits no
+//!   key, so a pinned partition costs none per heartbeat. A key with an
+//!   empty log has nothing to drain and sits the sweeps out, so what a
+//!   tick costs follows the unstable keys, not the key count
+//!   ([`UcStore::live_keys`]);
 //! * **one replica type** — [`UcStore`] is the [`Inline`]
 //!   instantiation of [`Node`](crate::node::Node), the replica written
 //!   once: what it does as a [`Protocol`](uc_sim::Protocol) node —
@@ -183,7 +187,7 @@ impl<A: UqAdt> StrategyFactory<A> for GcFactory {
     type Strategy = StableGc<A>;
 
     fn make(&self, adt: &A) -> Self::Strategy {
-        StableGc::new(adt, self.n)
+        StableGc::new(adt)
     }
 
     fn validate_replica(&self, pid: u32) {
@@ -584,7 +588,7 @@ impl<A: UqAdt> fmt::Debug for StoreSnapshot<A> {
 /// floor sweeps every live engine (one holding un-compacted entries)
 /// in every shard, so a burst carrying several heartbeats of one peer
 /// could otherwise repeat that sweep for each.
-pub(crate) fn collapse_heartbeats(mut hbs: Vec<(u32, u64)>) -> Vec<(u32, u64)> {
+fn collapse_heartbeats(mut hbs: Vec<(u32, u64)>) -> Vec<(u32, u64)> {
     hbs.sort_unstable();
     hbs.dedup_by(|later, earlier| {
         // Sorted ascending, so within a pid the max clock is last;
@@ -611,9 +615,6 @@ struct Slot<A: UqAdt, S, B> {
     live: bool,
     /// On [`Shard::unflushed`].
     unflushed: bool,
-    /// The latest clock a query read this key at while it was idle;
-    /// the engine hears it before its next insertion (0: none).
-    read_at: u64,
     /// The size class ([`class`]) of the buffer the key held when it
     /// last went idle: a buffer it borrows is of this class or smaller.
     /// A new key's is the largest.
@@ -638,12 +639,13 @@ struct Slot<A: UqAdt, S, B> {
 ///
 /// Sweeps and flushes visit the **live** keys only — those whose log
 /// still holds un-compacted entries. A sweep runs when a heartbeat or
-/// tick raises the replica's stability floor ([`Stability`]) and hands
-/// each live engine every heard clock. An engine whose log has emptied
-/// has nothing to compact and answers queries from its base, so it
-/// sits the sweeps out and hears the clocks, late, just before its
-/// next insertion ([`Shard::insert_into`]). Both lists hold a slot at
-/// most once (the slot flags), so they are bounded by the key count.
+/// tick finds the replica's stability floor ([`Stability`]) above the
+/// last sweep's, and hands each live engine the floor. An engine whose
+/// log has emptied has nothing to compact and answers queries from its
+/// base, so it sits the sweeps out; its next insertion hands it the
+/// floor of the moment, as every insertion does
+/// ([`Shard::insert_into`]). Both lists hold a slot at most once (the
+/// slot flags), so they are bounded by the key count.
 ///
 /// An idle key offers its emptied log buffer to the shard if the
 /// buffer is small ([`LEND_LIMIT`]), and a key that wakes holding none
@@ -752,7 +754,7 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
     }
 
     /// `key`'s engine for a read (query, cut, suffix window): reads
-    /// never create an engine and never need the heard clocks.
+    /// never create an engine and move no clock of it.
     pub(crate) fn engine_mut(&mut self, key: Key) -> Option<&mut ReplicaEngine<A, S, B>> {
         self.slot_mut(key).map(|slot| &mut slot.engine)
     }
@@ -863,10 +865,11 @@ fn borrow<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>>(
 
 impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     /// Run an insertion `f` against `key`'s engine, created on first
-    /// touch (under the replica's retention pin). An engine that sat
-    /// out the sweeps first hears every clock the replica has heard —
-    /// the `clock.merge` + `observe_clock` calls the sweeps would have
-    /// made, made now — and rejoins the live list if the insertion left
+    /// touch, after handing it the replica's stability `floor`: the
+    /// insertion's own compaction drains through it
+    /// ([`RepairStrategy::raise_floor`]). An engine that sat out the
+    /// sweeps needs nothing else — the floor is all they would have
+    /// handed it — and rejoins the live list if the insertion left
     /// entries in its log. An idle engine that holds no log buffer
     /// borrows one first, and offers its buffer if the insertion left
     /// its log empty.
@@ -878,7 +881,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         pid: u32,
         factory: &F,
         persist: &P,
-        stability: &Stability,
+        floor: u64,
         f: impl FnOnce(&mut ReplicaEngine<A, S, B>) -> R,
     ) -> R
     where
@@ -896,19 +899,17 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             ..
         } = self;
         let at = *index.entry(key).or_insert_with(|| {
-            let mut engine = ReplicaEngine::with_backend(
+            let engine = ReplicaEngine::with_backend(
                 adt.clone(),
                 pid,
                 factory.make(adt),
                 persist.open(*idx, key),
             );
-            engine.set_retention_cap(stability.cap);
             slots.push(Slot {
                 key,
                 engine,
                 live: false,
                 unflushed: false,
-                read_at: 0,
                 class: CLASSES as u8 - 1,
                 offered: false,
             });
@@ -924,12 +925,8 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             }
         }
         let slot = &mut slots[at as usize];
+        slot.engine.raise_floor(floor);
         if !slot.live {
-            slot.engine.hear_clocks(&stability.heard);
-            if slot.read_at > 0 {
-                let read_at = std::mem::take(&mut slot.read_at);
-                slot.engine.hear_peer_clock(pid, read_at);
-            }
             // Owed a flush from here on, whatever `f` does: a fold
             // that panics after journaling must leave the entries
             // where the pool's poison-path flush finds them.
@@ -965,7 +962,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             engine,
             live,
             unflushed: false,
-            read_at: 0,
             class: CLASSES as u8 - 1,
             offered: false,
         };
@@ -975,27 +971,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             offer(&mut self.lenders, &mut slot, at);
         }
         self.slots.push(slot);
-    }
-
-    /// `key`'s engine for a query at the replica's clock `now`, if it
-    /// has one. A live engine hears `now` at once, as the query's own
-    /// clock; an idle one only at its next insertion, beside the heard
-    /// clocks (the slot keeps `now` until then). A read alone then
-    /// moves no clock of a key that owes no flush, so a key recovered
-    /// from its last flush reads the clock the running one does.
-    pub(crate) fn engine_for_query(
-        &mut self,
-        key: Key,
-        now: u64,
-    ) -> Option<&mut ReplicaEngine<A, S, B>> {
-        let slot = self.slot_mut(key)?;
-        if slot.live {
-            let pid = slot.engine.pid();
-            slot.engine.hear_peer_clock(pid, now);
-        } else {
-            slot.read_at = slot.read_at.max(now);
-        }
-        Some(&mut slot.engine)
     }
 
     /// Ingest one shard's sub-batch: stable-sort by key (preserving
@@ -1010,7 +985,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         pid: u32,
         factory: &F,
         persist: &P,
-        stability: &Stability,
+        floor: u64,
     ) where
         F: StrategyFactory<A, Strategy = S>,
         P: BackendFactory<A, Backend = B>,
@@ -1025,7 +1000,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             while let Some((_, m)) = iter.next_if(|(k, _)| *k == key) {
                 msgs.push(m);
             }
-            self.insert_into(key, adt, pid, factory, persist, stability, |engine| {
+            self.insert_into(key, adt, pid, factory, persist, floor, |engine| {
                 engine.on_deliver_batch(msgs)
             });
         }
@@ -1038,13 +1013,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             .iter()
             .map(|&at| self.slots[at as usize].engine.log_len())
             .sum()
-    }
-
-    /// Pin (or release) compaction on every engine in this shard.
-    pub(crate) fn set_retention_cap(&mut self, cap: Option<u64>) {
-        for slot in &mut self.slots {
-            slot.engine.set_retention_cap(cap);
-        }
     }
 
     /// Fold this shard's retained suffix above `since` (less
@@ -1098,10 +1066,10 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         }
     }
 
-    /// Hand every live engine the `heard` clocks and let it compact;
-    /// one whose log that emptied leaves the live list, owing one last
-    /// flush, and offers its buffer.
-    fn sweep(&mut self, heard: &[(u32, u64)]) {
+    /// Hand every live engine the stability `floor` and let it
+    /// compact; one whose log that emptied leaves the live list, owing
+    /// one last flush, and offers its buffer.
+    fn sweep(&mut self, floor: u64) {
         let Shard {
             slots,
             live,
@@ -1112,8 +1080,8 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         } = self;
         live.retain(|&at| {
             let slot = &mut slots[at as usize];
-            slot.engine.hear_clocks(heard);
-            slot.engine.compact();
+            slot.engine.raise_floor(floor);
+            slot.engine.tick_maintenance();
             if slot.engine.log_len() > 0 {
                 return true;
             }
@@ -1175,29 +1143,39 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
 /// that shard's per-key engines.
 pub(crate) type Bucket<A> = Vec<(Key, UpdateMsg<<A as UqAdt>::Update>)>;
 
-/// A replica's stability knowledge, kept once per [`ShardSet`]: the
-/// highest clock heard from each pid, the retention pin, and — for a
-/// strategy that compacts on stability
-/// ([`StrategyFactory::cluster_size`]) — the floor of the last sweep.
+/// A replica's stability knowledge, kept once per [`ShardSet`] — the
+/// only place it is kept: the highest clock heard from each pid, the
+/// retention pin, and — for a strategy that compacts on stability
+/// ([`StrategyFactory::cluster_size`]) — the floor and the floor of the
+/// last sweep.
 ///
 /// The **floor** is the minimum, over the cluster's pids, of the
 /// clocks heard, capped by the pin; it is 0 until every pid has been
-/// heard. Peers enter by heartbeat. The replica's own pid enters by its
-/// own stamps and by the tick's clock only: a heartbeat's clock that
-/// the replica merged is not progress of its own. A sweep hands every
-/// live engine the whole vector and compacts it once, so afterwards no
-/// live key holds an entry at or below the floor; a heartbeat or tick
-/// that leaves the floor where the last sweep put it visits no key.
+/// heard. Peers enter by heartbeat, and by every update their FIFO link
+/// delivers: a stamp `c` from `p` over `p`'s link says what a heartbeat
+/// `(p, c)` says — a frame on its own before its insertion, a burst's
+/// highest stamp per sender after the whole burst is in. An update
+/// carried by a heal (`Repair`, `RepairChunk`) is another replica's,
+/// out of its send order, and enters nothing. The replica's own pid
+/// enters by its own stamps and by the tick's clock only: a clock that
+/// the replica merged is not progress of its own, and a read is none
+/// either. Every insertion hands its key the floor; a sweep hands it to
+/// every live engine and compacts it, so afterwards no live key holds
+/// an entry at or below it. A heartbeat or tick that finds the floor
+/// where the last sweep put it visits no key.
+///
+/// The pin needs no engine's help: a key drains through the floor it
+/// is handed, and the floor is capped already.
 #[derive(Clone, Debug)]
 pub(crate) struct Stability {
-    /// Highest clock heard from each pid, ascending by pid: exactly
-    /// the cluster's pids (the replica's own included) under a floor,
-    /// every pid that announced itself otherwise.
-    heard: Vec<(u32, u64)>,
+    /// Highest clock heard from each of the cluster's pids, by pid
+    /// (the replica's own included); empty without a floor.
+    heard: Vec<u64>,
     /// The compaction pin while peers are down or heals are landing
-    /// ([`RepairStrategy::set_retention_cap`]); engines created later
-    /// inherit it.
+    /// ([`ShardAccess::set_retention`]).
     cap: Option<u64>,
+    /// The minimum of `heard`, capped by `cap`; 0 without a floor.
+    floor: u64,
     /// The floor of the last sweep; `None` without a floor, when every
     /// heartbeat and tick sweeps.
     swept: Option<u64>,
@@ -1206,55 +1184,57 @@ pub(crate) struct Stability {
 impl Stability {
     fn new(cluster: Option<usize>) -> Self {
         Stability {
-            heard: (0..cluster.unwrap_or(0) as u32)
-                .map(|pid| (pid, 0))
-                .collect(),
+            heard: vec![0; cluster.unwrap_or(0)],
             cap: None,
+            floor: 0,
             swept: cluster.map(|_| 0),
         }
     }
 
-    /// Raise `pid`'s heard clock to `clock`. Under a floor, a pid
-    /// outside the cluster is not kept: it cannot move the floor.
+    /// Raise `pid`'s heard clock to `clock`. A pid outside the cluster
+    /// is not kept: it cannot move the floor.
     fn hear(&mut self, pid: u32, clock: u64) {
-        match self.heard.binary_search_by_key(&pid, |(p, _)| *p) {
-            Ok(at) => self.heard[at].1 = self.heard[at].1.max(clock),
-            Err(at) if self.swept.is_none() => self.heard.insert(at, (pid, clock)),
-            Err(_) => {}
+        if let Some(heard) = self.heard.get_mut(pid as usize) {
+            if clock > *heard {
+                *heard = clock;
+                self.settle();
+            }
         }
     }
 
-    /// The replica's own progress — a stamp it issued, a tick's clock
-    /// — which only a floor counts.
-    fn progress(&mut self, pid: u32, clock: u64) {
-        if self.swept.is_some() {
-            self.hear(pid, clock);
-        }
+    /// Pin the floor at `cap`, or release it.
+    fn pin(&mut self, cap: Option<u64>) {
+        self.cap = cap;
+        self.settle();
+    }
+
+    fn settle(&mut self) {
+        let heard = self.heard.iter().copied().min().unwrap_or(0);
+        self.floor = heard.min(self.cap.unwrap_or(u64::MAX));
     }
 
     /// Has the floor risen above the last sweep's? If so, the sweep
     /// about to run is recorded at it. Always true without a floor.
     fn sweep_due(&mut self) -> bool {
-        let Some(swept) = self.swept else {
-            return true;
-        };
-        let heard = self.heard.iter().map(|(_, clock)| *clock).min();
-        let floor = heard.unwrap_or(0).min(self.cap.unwrap_or(u64::MAX));
-        if floor <= swept {
-            return false;
+        match self.swept {
+            None => true,
+            Some(swept) if self.floor > swept => {
+                self.swept = Some(self.floor);
+                true
+            }
+            Some(_) => false,
         }
-        self.swept = Some(floor);
-        true
     }
 
     /// Take in what another part of the same replica knows (the pool's
     /// drain joins its workers' sets): every clock at its highest, the
     /// last sweep at the lowest floor either swept to.
     fn join(&mut self, other: &Stability) {
-        for &(pid, clock) in &other.heard {
-            self.hear(pid, clock);
+        for (heard, &theirs) in self.heard.iter_mut().zip(&other.heard) {
+            *heard = (*heard).max(theirs);
         }
         self.swept = self.swept.min(other.swept);
+        self.settle();
     }
 }
 
@@ -1434,9 +1414,9 @@ where
         }
     }
 
-    /// Run an insertion against `key`'s engine (created, caught up on
-    /// heard clocks and listed live as needed — see
-    /// [`Shard::insert_into`]), noting its clock on the shard.
+    /// Run an insertion against `key`'s engine (created, handed the
+    /// floor and listed live as needed — see [`Shard::insert_into`]),
+    /// noting its clock on the shard.
     fn insert_into<R>(
         &mut self,
         shard: usize,
@@ -1453,7 +1433,7 @@ where
             self.pid,
             &self.factory,
             &self.persist,
-            &self.stability,
+            self.stability.floor,
             f,
         )
     }
@@ -1469,12 +1449,14 @@ where
         u: A::Update,
     ) -> UpdateMsg<A::Update> {
         self.observe_updates([(key, ts, &u)]);
-        self.stability.progress(self.pid, ts.clock);
+        self.stability.hear(self.pid, ts.clock);
         self.insert_into(shard, key, ts.clock, |engine| engine.local_update_at(ts, u))
     }
 
     /// Apply one peer update (Algorithm 1 lines 8–11; redelivery is a
-    /// no-op), moving it into the key's log.
+    /// no-op), moving it into the key's log. Hears no clock: a frame's
+    /// sender is heard by [`ShardSet::delivered`], a heal's payload not
+    /// at all.
     pub(crate) fn insert_remote(&mut self, shard: usize, key: Key, msg: UpdateMsg<A::Update>) {
         self.observe_updates([(key, msg.ts, &msg.update)]);
         self.insert_into(shard, key, msg.ts.clock, |engine| engine.on_deliver(msg));
@@ -1495,24 +1477,31 @@ where
                 self.pid,
                 &self.factory,
                 &self.persist,
-                &self.stability,
+                self.stability.floor,
             );
         }
         taken
     }
 
-    /// Answer a query on `key` against the caller's already-ticked
-    /// clock `now`. An untouched key answers from the initial state
-    /// without instantiating an engine.
-    pub(crate) fn query(
-        &mut self,
-        shard: usize,
-        key: Key,
-        now: u64,
-        q: &A::QueryIn,
-    ) -> A::QueryOut {
+    /// `pid`'s FIFO link delivered its update stamped `clock`: what a
+    /// heartbeat `(pid, clock)` says of the floor ([`Stability`]), but
+    /// no heartbeat for the monitor, and no sweep — the keys the floor
+    /// now drains are drained by their next insertion or the next
+    /// heartbeat's or tick's sweep. An echo of the replica's own update
+    /// is not its progress.
+    pub(crate) fn delivered(&mut self, pid: u32, clock: u64) {
+        if pid != self.pid {
+            self.stability.hear(pid, clock);
+        }
+    }
+
+    /// Answer a query on `key`; the caller has ticked the replica's
+    /// clock for it. It moves no clock of the key and not the floor.
+    /// An untouched key answers from the initial state without
+    /// instantiating an engine.
+    pub(crate) fn query(&mut self, shard: usize, key: Key, q: &A::QueryIn) -> A::QueryOut {
         let slot = self.slot(shard);
-        let mut engine = self.shards[slot].engine_for_query(key, now);
+        let mut engine = self.shards[slot].engine_mut(key);
         let out = match engine.as_mut() {
             Some(engine) => engine.answer(q),
             None => self.adt.observe_owned(self.adt.initial(), q),
@@ -1538,11 +1527,11 @@ where
     }
 
     /// If the stability floor rose since the last sweep, hand every
-    /// live engine the heard clocks and compact it.
+    /// live engine the floor and compact it.
     fn sweep(&mut self) {
         if self.stability.sweep_due() {
             for shard in &mut self.shards {
-                shard.sweep(&self.stability.heard);
+                shard.sweep(self.stability.floor);
             }
         }
     }
@@ -1557,7 +1546,7 @@ where
         // Compaction first: the sweep then judges the states this tick
         // leaves behind, so a fold compaction corrupts is flagged now,
         // not a tick later.
-        self.stability.progress(self.pid, clock);
+        self.stability.hear(self.pid, clock);
         self.sweep();
         let Some(mon) = &mut self.monitor else {
             return;
@@ -1634,13 +1623,11 @@ where
         self.shards[slot].suffix_window(key, since, after, limit)
     }
 
-    /// [`ShardAccess::set_retention`] on this set's shards — see
-    /// [`RepairStrategy::set_retention_cap`].
+    /// [`ShardAccess::set_retention`]: pin the stability floor at
+    /// `cap`, or release it. No engine is visited: each drains through
+    /// the floor it is handed next.
     pub(crate) fn set_retention(&mut self, cap: Option<u64>) {
-        self.stability.cap = cap;
-        for shard in &mut self.shards {
-            shard.set_retention_cap(cap);
-        }
+        self.stability.pin(cap);
     }
 
     /// Attach a streaming consistency monitor, replacing any attached
@@ -1663,6 +1650,7 @@ where
             kept_folds: self.sum_engines(|e| u64::from(e.strategy().holds_fold())) as usize,
             repair_events: self.sum_engines(|e| e.repair_events()),
             repair_steps: self.sum_engines(|e| e.repair_steps()),
+            floor: self.stability.floor,
             monitor: self.monitor.as_ref().map(|m| m.stats().clone()),
         }
     }
@@ -1718,6 +1706,9 @@ pub struct Summary {
     pub(crate) kept_folds: usize,
     pub(crate) repair_events: u64,
     pub(crate) repair_steps: u64,
+    /// The stability floor ([`Stability`]); a pool's is the lowest of
+    /// its workers'.
+    pub(crate) floor: u64,
     pub(crate) monitor: Option<MonitorStats>,
 }
 
@@ -1732,6 +1723,7 @@ impl Summary {
             kept_folds: self.kept_folds + other.kept_folds,
             repair_events: self.repair_events + other.repair_events,
             repair_steps: self.repair_steps + other.repair_steps,
+            floor: self.floor.min(other.floor),
             monitor: match (self.monitor, other.monitor) {
                 (Some(a), Some(b)) => Some(a.merge(&b)),
                 (a, b) => a.or(b),
@@ -1748,23 +1740,44 @@ pub(crate) fn shard_index(key: Key, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Split a burst into per-shard update buckets plus the heartbeat
-/// list, returning the burst's maximum carried clock (callers merge
-/// it into their Lamport clock). One routing function for the
-/// sequential ingest path and the pool's submit, so shard routing and
-/// clock accounting can never drift between them.
-#[allow(clippy::type_complexity)]
+/// A burst split for ingest ([`split_by_shard`]): what its updates
+/// bring the shards, and what its senders bring the stability floor —
+/// applied in that order, after the whole burst is in.
+pub(crate) struct Split<U> {
+    /// Per-shard update buckets, by global shard index: the frames'
+    /// updates and the heal payloads' alike.
+    pub(crate) buckets: Vec<Vec<(Key, UpdateMsg<U>)>>,
+    /// Each sender's highest `Update` stamp, unless a heartbeat of the
+    /// same burst announces as much ([`ShardSet::delivered`]).
+    pub(crate) delivered: Vec<(u32, u64)>,
+    /// The heartbeats, one per pid ([`collapse_heartbeats`]).
+    pub(crate) heartbeats: Vec<(u32, u64)>,
+    /// The burst's maximum carried clock (callers merge it into their
+    /// Lamport clock).
+    pub(crate) max_clock: u64,
+}
+
+/// Split a burst into per-shard update buckets plus the clocks its
+/// senders announced. One routing function for the sequential ingest
+/// path and the pool's submit, so shard routing and clock accounting
+/// can never drift between them.
 pub(crate) fn split_by_shard<U>(
     msgs: impl IntoIterator<Item = StoreMsg<U>>,
     shards: usize,
-) -> (Vec<Vec<(Key, UpdateMsg<U>)>>, Vec<(u32, u64)>, u64) {
+) -> Split<U> {
     let mut buckets: Vec<Vec<(Key, UpdateMsg<U>)>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut delivered: Vec<(u32, u64)> = Vec::new();
     let mut heartbeats = Vec::new();
     let mut max_clock = 0u64;
     for m in msgs {
         match m {
             StoreMsg::Update { key, msg } => {
                 max_clock = max_clock.max(msg.ts.clock);
+                // A burst comes from a few senders: a short list.
+                match delivered.iter_mut().find(|(pid, _)| *pid == msg.ts.pid) {
+                    Some((_, clock)) => *clock = (*clock).max(msg.ts.clock),
+                    None => delivered.push((msg.ts.pid, msg.ts.clock)),
+                }
                 buckets[shard_index(key, shards)].push((key, msg));
             }
             StoreMsg::Heartbeat { pid, clock } => {
@@ -1774,7 +1787,9 @@ pub(crate) fn split_by_shard<U>(
             // A repair burst is just keyed updates in bulk: route each
             // through the same per-shard buckets, so heal ingest is
             // byte-identical to ordinary (deduplicating) delivery. A
-            // heal *chunk* is the same thing in bounded pieces.
+            // heal *chunk* is the same thing in bounded pieces. Its
+            // stamps are other replicas', out of their send order, so
+            // they announce nothing.
             StoreMsg::Repair { updates } | StoreMsg::RepairChunk { updates, .. } => {
                 for (key, msg) in updates {
                     max_clock = max_clock.max(msg.ts.clock);
@@ -1790,7 +1805,18 @@ pub(crate) fn split_by_shard<U>(
             | StoreMsg::RepairAck { .. } => {}
         }
     }
-    (buckets, heartbeats, max_clock)
+    let heartbeats = collapse_heartbeats(heartbeats);
+    delivered.retain(|&(pid, clock)| {
+        !heartbeats
+            .iter()
+            .any(|&(beat, announced)| beat == pid && announced >= clock)
+    });
+    Split {
+        buckets,
+        delivered,
+        heartbeats,
+        max_clock,
+    }
 }
 
 /// How far ahead of the issued clock the persisted recovery floor is
@@ -1953,15 +1979,20 @@ where
     }
 
     fn ingest_burst(&mut self, msgs: impl IntoIterator<Item = StoreMsg<A::Update>>) {
-        let (buckets, heartbeats, max_clock) = split_by_shard(msgs, self.shards.len());
+        let split = split_by_shard(msgs, self.shards.len());
         // Every carried clock, the heartbeats' included.
-        self.clock.merge(max_clock);
-        let buckets = buckets.into_iter().enumerate();
+        self.clock.merge(split.max_clock);
+        let buckets = split.buckets.into_iter().enumerate();
         let taken = self.shards.ingest(buckets.filter(|(_, b)| !b.is_empty()));
         if let Some(tr) = self.trace.as_ref().filter(|_| taken > 0) {
             tr.record(TraceKind::Ingest, 0, taken);
         }
-        for (pid, clock) in collapse_heartbeats(heartbeats) {
+        // The senders' stamps count once the whole burst is in, as its
+        // heartbeats do.
+        for (pid, clock) in split.delivered {
+            self.shards.delivered(pid, clock);
+        }
+        for (pid, clock) in split.heartbeats {
             self.shards.heartbeat(pid, clock);
         }
     }
@@ -2058,8 +2089,8 @@ where
     }
 
     fn query(&mut self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, Infallible> {
-        let now = self.clock.tick();
-        Ok(self.shards.query(self.shard_of(key), key, now, q))
+        self.clock.tick();
+        Ok(self.shards.query(self.shard_of(key), key, q))
     }
 
     fn consistent_snapshot(&mut self) -> Result<StoreSnapshot<A>, Infallible> {
@@ -2071,12 +2102,17 @@ where
 
     /// One frame, moved into the shards: an update or a repair's
     /// updates go to their keys' logs one by one, a heartbeat to the
-    /// stability floor. `Node::apply_message_from` answers the heal
+    /// stability floor. An update's stamp reaches the floor before its
+    /// insertion, so the insertion drains through it; a repair's
+    /// stamps never do. `Node::apply_message_from` answers the heal
     /// frames itself; like `split_by_shard`, this ingests a chunk's
     /// updates and drops a control frame were one to arrive.
     fn deliver(&mut self, msg: StoreMsg<A::Update>) -> Result<(), Infallible> {
         match msg {
-            StoreMsg::Update { key, msg } => self.deliver_update(key, msg),
+            StoreMsg::Update { key, msg } => {
+                self.shards.delivered(msg.ts.pid, msg.ts.clock);
+                self.deliver_update(key, msg);
+            }
             StoreMsg::Heartbeat { pid, clock } => {
                 self.clock.merge(clock);
                 self.shards.heartbeat(pid, clock);
@@ -2263,7 +2299,8 @@ where
     /// Ingest a whole burst with per-shard batched delivery: updates
     /// are bucketed by shard, grouped by key, and moved into each
     /// key's log with a single repair
-    /// ([`ReplicaEngine::on_deliver_batch`]); heartbeats are folded in
+    /// ([`ReplicaEngine::on_deliver_batch`]); each sender's highest
+    /// update stamp and the heartbeats reach the stability floor
     /// afterwards (processing them last can only delay stability,
     /// never violate it). The store's one burst entry point — the path
     /// a runtime's flush takes ([`Protocol::on_batch`](uc_sim::Protocol::on_batch)
@@ -2564,7 +2601,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_key_sits_heartbeats_out_and_hears_them_before_its_next_insertion() {
+    fn an_idle_key_sits_sweeps_out_and_its_next_insertion_hands_it_the_floor() {
         for path in 0..3 {
             let (mut s, mut peer) = store_with_idle_key();
             let clock_when_idle = s.engine(7).unwrap().clock();
@@ -2578,22 +2615,34 @@ mod tests {
             assert_eq!(idle.strategy().stability_bound(), 1);
             // A query needs none of it: the base is the state.
             assert_eq!(s.query(7, &SetQuery::Read), BTreeSet::from([1]));
+            assert_eq!(s.engine(7).unwrap().clock(), clock_when_idle, "a read");
 
             let Ok(_) = peer.apply_message_from(0, StoreMsg::Heartbeat { pid: 0, clock: 150 });
             let from_peer = peer.update(7, SetUpdate::Insert(2));
-            match path {
-                0 => drop(s.update(7, SetUpdate::Insert(2))),
-                1 => drop(s.apply_message_from(1, from_peer)),
-                _ => s.apply_batch_owned(vec![from_peer]),
-            }
+            let stamp = match path {
+                0 => {
+                    let StoreMsg::Update { msg, .. } = s.update(7, SetUpdate::Insert(2)) else {
+                        unreachable!("an update")
+                    };
+                    msg.ts.clock
+                }
+                1 => {
+                    let Ok(_) = s.apply_message_from(1, from_peer);
+                    151
+                }
+                _ => {
+                    s.apply_batch_owned(vec![from_peer]);
+                    151
+                }
+            };
             assert_eq!(s.live_keys(), 1, "path {path}: the key is live again");
-            // Its own clock at the tick is the last it lacks: with
-            // both peers' 100 heard, that is the new bound.
-            s.tick_maintenance();
-            let caught_up = s.engine(7).unwrap();
-            assert!(caught_up.clock() > 100, "path {path}");
-            assert_eq!(caught_up.strategy().stability_bound(), 100, "path {path}");
-            assert_eq!(caught_up.log_len(), 1, "path {path}: stamped above 100");
+            // The insertion handed it the floor — the peers' 100, and
+            // the tick's — and its own compaction made that the bound,
+            // with no sweep; its clock moved with its entry alone.
+            let woken = s.engine(7).unwrap();
+            assert_eq!(woken.strategy().stability_bound(), 100, "path {path}");
+            assert_eq!(woken.clock(), stamp, "path {path}");
+            assert_eq!(woken.log_len(), 1, "path {path}: stamped above 100");
         }
     }
 
@@ -2865,10 +2914,16 @@ mod tests {
     /// (shard, key, committed) per flush call, in call order.
     type FlushCalls = Arc<Mutex<Vec<(usize, Key, bool)>>>;
 
-    /// A backend that records which of the two flush calls it got.
+    /// (key, bound, base, tail length) per base handed over, in call
+    /// order.
+    type Bases = Arc<Mutex<Vec<(Key, u64, BTreeSet<u32>, usize)>>>;
+
+    /// A backend that records which of the two flush calls it got, and
+    /// the bases it is handed.
     struct Recording {
         at: (usize, Key),
         calls: FlushCalls,
+        bases: Bases,
     }
 
     impl LogBackend<SetAdt<u32>> for Recording {
@@ -2876,10 +2931,12 @@ mod tests {
 
         fn truncate_to_base(
             &mut self,
-            _bound: u64,
-            _state: &BTreeSet<u32>,
-            _tail: &[(Timestamp, SetUpdate<u32>)],
+            bound: u64,
+            state: &BTreeSet<u32>,
+            tail: &[(Timestamp, SetUpdate<u32>)],
         ) {
+            let base = (self.at.1, bound, state.clone(), tail.len());
+            self.bases.lock().unwrap().push(base);
         }
 
         fn flush(&mut self, _clock: u64) {
@@ -2902,7 +2959,7 @@ mod tests {
     }
 
     #[derive(Clone, Default)]
-    struct RecordingFactory(FlushCalls);
+    struct RecordingFactory(FlushCalls, Bases);
 
     impl BackendFactory<SetAdt<u32>> for RecordingFactory {
         type Backend = Recording;
@@ -2911,8 +2968,34 @@ mod tests {
             Recording {
                 at: (shard, key),
                 calls: Arc::clone(&self.0),
+                bases: Arc::clone(&self.1),
             }
         }
+    }
+
+    #[test]
+    fn a_key_hands_its_backend_one_base_per_flush_however_many_drains_moved_it() {
+        let recorded = RecordingFactory::default();
+        let mut s: UcStore<SetAdt<u32>, GcFactory, RecordingFactory> =
+            UcStore::with_persistence(SetAdt::new(), 0, 1, GcFactory { n: 2 }, recorded.clone());
+        s.update(7, SetUpdate::Insert(1));
+        s.flush_backends();
+        // Own stamps and peer 1's, alternating on key 7: each insertion
+        // raises the floor to the entry before it, and drains it.
+        let Ok(_) = s.apply_message_from(1, sent(7, 2, 1));
+        s.update(7, SetUpdate::Insert(3));
+        let Ok(_) = s.apply_message_from(1, sent(7, 4, 1));
+        let engine = s.engine(7).unwrap();
+        assert_eq!(engine.strategy().compacted(), 3, "three insertion drains");
+        assert_eq!(engine.log_len(), 1);
+        assert!(recorded.1.lock().unwrap().is_empty(), "a drain persisted");
+        s.flush_backends();
+        let bound = s.engine(7).unwrap().strategy().stability_bound();
+        assert_eq!(bound, 3);
+        let base = BTreeSet::from([1, 2, 3]);
+        assert_eq!(*recorded.1.lock().unwrap(), [(7, bound, base, 1)]);
+        s.flush_backends();
+        assert_eq!(recorded.1.lock().unwrap().len(), 1, "no drain since");
     }
 
     #[test]
@@ -2981,15 +3064,8 @@ mod tests {
             let Ok(_) = s.apply_message_from(pid, StoreMsg::Heartbeat { pid, clock });
         }
         assert_eq!(s.clock(), 10_009);
-        let heard: Vec<u32> = s
-            .exec
-            .shards
-            .stability
-            .heard
-            .iter()
-            .map(|(p, _)| *p)
-            .collect();
-        assert_eq!(heard, [0, 1], "heard keeps exactly the cluster's pids");
+        let heard = &s.exec.shards.stability.heard;
+        assert_eq!(heard.len(), 2, "heard keeps exactly the cluster's pids");
     }
 
     #[test]
@@ -3369,6 +3445,178 @@ mod tests {
         for k in 0..3u64 {
             assert_eq!(s.materialize_key(k), before[k as usize]);
         }
+    }
+
+    /// Replica `pid` of 3 under [`GcFactory`], over two shards: the
+    /// floor tests run one body against it and against pools of it.
+    fn gc_store(pid: u32) -> GcStore {
+        UcStore::new(SetAdt::new(), pid, 2, GcFactory { n: 3 })
+    }
+
+    fn gc_pool(pid: u32, workers: usize) -> IngestPool<Adt, GcFactory> {
+        gc_store(pid).into_pool(PoolConfig {
+            workers,
+            ..PoolConfig::default()
+        })
+    }
+
+    /// `pid`'s update stamped `clock`.
+    fn stamped(clock: u64, pid: u32) -> UpdateMsg<SetUpdate<u32>> {
+        UpdateMsg {
+            ts: Timestamp::new(clock, pid),
+            update: SetUpdate::Insert(clock as u32),
+        }
+    }
+
+    /// [`stamped`], as the frame `pid`'s link delivers.
+    fn sent(key: Key, clock: u64, pid: u32) -> Msg {
+        StoreMsg::Update {
+            key,
+            msg: stamped(clock, pid),
+        }
+    }
+
+    /// `n`'s `uc_store_stability_floor` and `uc_store_log_len` gauges.
+    fn floor_and_log<X: Executor<Adt = Adt>>(n: &Node<X>) -> (i64, i64) {
+        let reg = Registry::new();
+        n.export_metrics(&reg);
+        let scrape = reg.snapshot();
+        let gauge = |name| scrape.gauge(name).expect(name);
+        (gauge("uc_store_stability_floor"), gauge("uc_store_log_len"))
+    }
+
+    #[test]
+    fn a_key_drains_at_insertion_below_a_floor_only_deliveries_raised() {
+        drains_below_a_delivered_floor(gc_store(0));
+        drains_below_a_delivered_floor(gc_pool(0, 1));
+    }
+
+    /// No heartbeat, no tick: key 1 holds `(5, p1)`; key 2 takes
+    /// `(9, p2)` and its own `(10, p0)`; key 1's next, `(11, p1)`,
+    /// drains `(5, p1)` as it goes in. (A one-worker pool: a worker
+    /// counts the stamps of its own shards only.)
+    fn drains_below_a_delivered_floor<X: Executor<Adt = Adt>>(mut n: Node<X>) {
+        frame(&mut n, 1, sent(1, 5, 1));
+        frame(&mut n, 2, sent(2, 9, 2));
+        let StoreMsg::Update { msg, .. } = write(&mut n, 2, 10) else {
+            unreachable!("an update")
+        };
+        assert_eq!(msg.ts, Timestamp::new(10, 0));
+        assert_eq!(
+            floor_and_log(&n),
+            (5, 3),
+            "(5, p1) sits at the floor: nothing visited its key since"
+        );
+        frame(&mut n, 1, sent(1, 11, 1));
+        assert_eq!(
+            floor_and_log(&n),
+            (9, 3),
+            "key 1's insertion drained (5, p1)"
+        );
+    }
+
+    #[test]
+    fn a_repair_leaves_the_floor_where_it_was() {
+        repair_leaves_the_floor(gc_store(0));
+        repair_leaves_the_floor(gc_pool(0, 2));
+    }
+
+    /// The floor stands at 3; repairs carrying both peers' updates far
+    /// above it, as a frame and in a burst, move it not at all.
+    fn repair_leaves_the_floor<X: Executor<Adt = Adt>>(mut n: Node<X>) {
+        frame(&mut n, 1, StoreMsg::Heartbeat { pid: 1, clock: 3 });
+        frame(&mut n, 2, StoreMsg::Heartbeat { pid: 2, clock: 4 });
+        n.exec.maintain_and_flush().unwrap();
+        assert_eq!(floor_and_log(&n), (3, 0));
+        let repair = |clock| vec![(1, stamped(clock, 1)), (2, stamped(clock + 1, 2))];
+        frame(
+            &mut n,
+            1,
+            StoreMsg::Repair {
+                updates: repair(50),
+            },
+        );
+        let chunk = StoreMsg::RepairChunk {
+            session: 1,
+            seq: 1,
+            last: true,
+            updates: repair(70),
+        };
+        n.exec
+            .ingest(vec![
+                StoreMsg::Repair {
+                    updates: repair(60),
+                },
+                chunk,
+            ])
+            .unwrap();
+        assert_eq!(
+            floor_and_log(&n),
+            (3, 6),
+            "a heal's stamps raised the floor"
+        );
+    }
+
+    #[test]
+    fn a_bursts_stamps_count_once_the_burst_is_in() {
+        stamps_count_after_the_burst(gc_store(0));
+        stamps_count_after_the_burst(gc_pool(0, 2));
+    }
+
+    /// Own progress and peer 2 stand at 100, peer 1 has not been heard:
+    /// its burst goes in under floor 0, so nothing of it drains at
+    /// insertion, and raises the floor to its last stamp behind it.
+    /// The next sweep drains it.
+    fn stamps_count_after_the_burst<X: Executor<Adt = Adt>>(mut n: Node<X>) {
+        frame(&mut n, 2, StoreMsg::Heartbeat { pid: 2, clock: 100 });
+        n.exec.maintain_and_flush().unwrap();
+        assert_eq!(floor_and_log(&n), (0, 0));
+        n.exec.ingest(vec![sent(1, 5, 1), sent(2, 7, 1)]).unwrap();
+        assert_eq!(
+            floor_and_log(&n),
+            (7, 2),
+            "the burst's own stamps drained it at insertion"
+        );
+        frame(&mut n, 2, StoreMsg::Heartbeat { pid: 2, clock: 100 });
+        assert_eq!(floor_and_log(&n), (7, 0), "the heartbeat's sweep drains it");
+    }
+
+    #[test]
+    fn the_floor_gauge_rises_with_deliveries_and_holds_at_the_watermark() {
+        floor_gauge(gc_store(0));
+        floor_gauge(gc_pool(0, 2));
+    }
+
+    /// No heartbeat until the outage: the replica's own progress is a
+    /// tick's, ahead of peer 2, whose deliveries alone raise the floor.
+    /// While peer 2 is down the floor holds at its outage watermark,
+    /// however far the clocks heard go past it.
+    fn floor_gauge<X: Executor<Adt = Adt>>(mut n: Node<X>) {
+        frame(&mut n, 1, sent(1, 50, 1));
+        n.exec.maintain_and_flush().unwrap();
+        assert_eq!(floor_and_log(&n).0, 0, "peer 2 not heard yet");
+        for clock in [20, 30, 45] {
+            frame(&mut n, 2, sent(2, clock, 2));
+            assert_eq!(floor_and_log(&n).0, clock as i64, "a delivery from peer 2");
+        }
+        frame(&mut n, 1, sent(1, 60, 1));
+        down(&mut n, 2);
+        let watermark = healer(&mut n).partition.watermark(2).expect("down");
+        assert_eq!(watermark, 60);
+        frame(&mut n, 1, sent(1, 80, 1));
+        write(&mut n, 3, 1);
+        n.exec.maintain_and_flush().unwrap();
+        assert_eq!(floor_and_log(&n).0, 45, "peer 2's last stamp");
+        // Heard across a one-way cut: past the watermark, which holds.
+        frame(&mut n, 2, StoreMsg::Heartbeat { pid: 2, clock: 90 });
+        frame(&mut n, 2, sent(2, 95, 2));
+        frame(&mut n, 1, sent(1, 99, 1));
+        n.exec.maintain_and_flush().unwrap();
+        assert_eq!(
+            floor_and_log(&n).0,
+            watermark as i64,
+            "the pin holds the floor at the watermark"
+        );
     }
 
     #[test]

@@ -25,11 +25,17 @@
 //! both sides of it.
 //!
 //! The base is checked after every step as well, not only through a
-//! recovery: whenever a step hands the backend a new base, it must be
-//! the naive replica's state at the stability bound. A shared fold's
-//! base is mostly a view of its two buffers, and the drains that take
-//! it apply nothing — the schedules must produce some of those, or the
-//! view path went unchecked.
+//! recovery: every step ends with a flush, which hands the backend the
+//! base the step's drains moved, and it must be the naive replica's
+//! state at the stability bound. A shared fold's base is mostly a view
+//! of its two buffers, and the drains that take it apply nothing — the
+//! schedules must produce some of those, or the view path went
+//! unchecked.
+//!
+//! The engine keeps no stability knowledge: the harness keeps it
+//! ([`Heard`]) and hands the engine the floor wherever a replica would
+//! — before every insertion, at every heartbeat, query and tick, and
+//! when the retention cap moves.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
@@ -183,6 +189,36 @@ fn check(gc: &mut Gc, naive: &mut Naive, how: u64, what: &str, seed: u64, tally:
     assert_eq!(got, expect, "after {what}, seed {seed}");
 }
 
+/// What a replica knows of stability, for the engine that keeps none:
+/// the highest clock heard from each process (the engine's own pid 0
+/// included) and the retention cap.
+struct Heard {
+    clocks: Vec<u64>,
+    cap: Option<u64>,
+}
+
+impl Heard {
+    fn new(cluster: usize) -> Self {
+        Heard {
+            clocks: vec![0; cluster],
+            cap: None,
+        }
+    }
+
+    /// The floor: every clock's minimum, capped.
+    fn floor(&self) -> u64 {
+        let heard = self.clocks.iter().copied().min().unwrap_or(0);
+        heard.min(self.cap.unwrap_or(u64::MAX))
+    }
+
+    /// `pid` was heard at `clock`; the floor to hand the engine.
+    fn hear(&mut self, pid: u32, clock: u64) -> u64 {
+        let seen = &mut self.clocks[pid as usize];
+        *seen = (*seen).max(clock);
+        self.floor()
+    }
+}
+
 /// A shared state and what the naive replica said when it was taken.
 struct Held {
     state: Arc<BTreeSet<u32>>,
@@ -218,8 +254,8 @@ fn scenario(seed: u64, tally: &mut Tally) {
 
     let adt = Counting::default();
     let disk = Disk::default();
-    let mut gc: Gc =
-        ReplicaEngine::with_backend(adt, 0, StableGc::new(&adt, cluster), disk.clone());
+    let mut gc: Gc = ReplicaEngine::with_backend(adt, 0, StableGc::new(&adt), disk.clone());
+    let mut heard = Heard::new(cluster);
     let mut naive: Naive = GenericReplica::new(SetAdt::new(), 0);
     // The newest share, as a snapshot cell keeps it, and the readers.
     let mut ring: Option<Held> = None;
@@ -241,38 +277,47 @@ fn scenario(seed: u64, tally: &mut Tally) {
                     naive.on_deliver(m.clone());
                 }
                 if rng.next_u64().is_multiple_of(2) {
+                    for m in &burst {
+                        heard.hear(m.ts.pid, m.ts.clock);
+                    }
+                    gc.raise_floor(heard.floor());
                     gc.on_deliver_batch(burst);
                     "a batched delivery"
                 } else {
                     for m in &burst {
+                        gc.raise_floor(heard.hear(m.ts.pid, m.ts.clock));
                         gc.on_deliver(m.clone());
                     }
                     "a per-message delivery"
                 }
             }
             4 => {
+                gc.raise_floor(heard.hear(0, gc.clock() + 1));
                 let m = gc.update(random_update(&mut rng));
                 naive.on_deliver(m);
                 "a local update"
             }
             5 => {
                 let _ = gc.do_query(&SetQuery::Read);
+                gc.raise_floor(heard.hear(0, gc.clock()));
                 "a query"
             }
             6 => {
-                gc.observe_peer_clock(p as u32 + 1, delivered[p]);
+                gc.raise_floor(heard.hear(p as u32 + 1, delivered[p]));
+                gc.tick_maintenance();
                 "a heartbeat"
             }
             7 => {
+                gc.raise_floor(heard.hear(0, gc.clock()));
                 gc.tick_maintenance();
                 "a maintenance tick"
             }
             8 => {
-                let cap = rng
+                heard.cap = rng
                     .next_u64()
                     .is_multiple_of(2)
                     .then(|| rng.next_u64() % (gc.clock() + 1));
-                gc.set_retention_cap(cap);
+                gc.raise_floor(heard.floor());
                 "a retention cap change"
             }
             9 => {
@@ -325,13 +370,15 @@ fn scenario(seed: u64, tally: &mut Tally) {
                 // lost, stability knowledge and retention cap included.
                 gc.flush_backend();
                 tally.compacted += gc.strategy().compacted();
-                gc = ReplicaEngine::recover(adt, 0, StableGc::new(&adt, cluster), disk.clone());
+                gc = ReplicaEngine::recover(adt, 0, StableGc::new(&adt), disk.clone());
+                heard = Heard::new(cluster);
                 "a recovery"
             }
         };
         if gc.strategy().compacted() > compacted && applies() == applied {
             tally.free_drains += 1;
         }
+        gc.flush_backend();
         let written = disk.0.borrow();
         if let (true, Some((bound, base))) = (written.bases > bases, &written.base) {
             let expect = naive.state_at_cut(*bound).expect("the full log");
@@ -358,11 +405,13 @@ fn scenario(seed: u64, tally: &mut Tally) {
     }
 
     // Full stability, then the log must be gone and the answer intact.
-    gc.set_retention_cap(None);
+    heard.cap = None;
     let clock = gc.clock();
     for pid in 0..cluster as u32 {
-        gc.observe_peer_clock(pid, clock);
+        heard.hear(pid, clock);
     }
+    gc.raise_floor(heard.floor());
+    gc.tick_maintenance();
     assert_eq!(gc.log_len(), 0, "seed {seed}");
     check(&mut gc, &mut naive, 1, "full stability", seed, tally);
     let (state, _) = gc.shared_state();

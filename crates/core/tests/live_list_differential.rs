@@ -1,23 +1,31 @@
 //! Lazy-vs-eager differential for the per-shard live list.
 //!
 //! A store's heartbeats, ticks and flushes visit only the keys whose
-//! log holds entries; a key with an empty log hears the clocks it
-//! missed just before its next insertion. This suite drives the store
-//! as shipped beside a **reference** that is never behind: after every
-//! heartbeat the harness redelivers to each of the reference's keys
-//! the first message that key ever took — a duplicate the log rejects,
-//! so nothing changes except that the insertion path runs and the key
-//! hears the heartbeat now. One seeded schedule (local updates,
-//! out-of-order bursts, heartbeats, ticks, flushes, queries, cuts, a
-//! partition with its retention pin, a reopen from segment files) runs
-//! against both, as a [`UcStore`] and as an [`IngestPool`], and they
-//! must agree on every query and every cut result, errors included,
-//! and — once every key has been touched — on every key's log length,
-//! engine clock, stability bound and compaction count. After every
-//! heartbeat or tick that raises the replica's stability floor — which
-//! the harness computes from the heartbeats it sent, the replica's own
+//! log holds entries; a key with an empty log sits them out and is
+//! handed the replica's stability floor by its next insertion, as
+//! every insertion is. This suite drives the store as shipped beside a
+//! **reference** that is never behind: after every heartbeat the
+//! harness redelivers to each of the reference's keys the first
+//! message that key ever took — a duplicate the log rejects, so nothing
+//! changes except that the insertion path runs and the key is handed
+//! the floor now. One seeded schedule (local updates, out-of-order
+//! bursts, heartbeats, ticks, flushes, queries, cuts, a partition with
+//! its retention pin, a reopen from segment files) runs against both,
+//! as a [`UcStore`] and as an [`IngestPool`], and they must agree on
+//! every query and every cut result, errors included, and — once every
+//! key has been touched — on every key's log length, engine clock
+//! (which moves with the key's own entries only, so the reference's
+//! duplicates move it no more than the store's), stability bound and
+//! compaction count. After every heartbeat or tick that raises the
+//! replica's stability floor — which the harness computes from the
+//! heartbeats it sent, the updates it delivered, the replica's own
 //! stamps and ticks, and the retention pin — neither holds an entry
 //! stamped at or below it.
+//!
+//! A duplicate's stamp is a delivered update's too, so it says what
+//! its sender passed. After a reopen, which forgets what both replicas
+//! heard, both are touched once, so that the reference's duplicates
+//! never tell it more than the store knows.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use uc_core::{
@@ -422,11 +430,13 @@ impl World {
 }
 
 /// The replica's stability floor as the harness computes it from what
-/// it did: the minimum of the clocks the peers announced and of the
-/// replica's own progress, capped by the retention pin while a peer is
-/// down. A reopen forgets all of it, as the replica does.
+/// it did: the minimum of the clocks the peers announced or stamped on
+/// the updates delivered, and of the replica's own progress, capped by
+/// the retention pin while a peer is down. A reopen forgets all of it,
+/// as the replica does.
 #[derive(Default)]
 struct Floor {
+    /// Each peer's heartbeats and delivered stamps.
     heard: [u64; PEERS],
     /// The replica's own stamps and tick clocks. A pool worker counts
     /// only the stamps of its own shards, so for a pool only the ticks.
@@ -504,10 +514,18 @@ where
                 }
             }
             8..=10 => {
+                let before = w.delivered_clock.clone();
                 let burst = w.burst();
                 let batched = w.below(2) == 0;
                 lazy.ingest(burst.clone(), batched);
                 eager.ingest(burst, batched);
+                // Each sender's FIFO link delivered up to its last.
+                let now = w.delivered_clock.iter().zip(&before);
+                for (heard, (now, before)) in floor.heard.iter_mut().zip(now) {
+                    if now != before {
+                        *heard = (*heard).max(*now);
+                    }
+                }
             }
             11..=14 => {
                 // A peer held down is heard too, as across a one-way
@@ -581,6 +599,8 @@ where
                     lazy = lazy.reopen(lazy_persist.clone());
                     eager = eager.reopen(eager_persist.clone());
                     (lazy, eager) = same_facts(lazy, eager, &format!("recovered, {ctx}"));
+                    lazy.ingest(w.touch_all(), true);
+                    eager.ingest(w.touch_all(), true);
                     floor = Floor {
                         rises: floor.rises,
                         ..Floor::default()

@@ -1382,12 +1382,12 @@ impl RepairStrategy<Adt> for Counted {
         self.0.on_insert(adt, log, pos);
     }
 
-    fn observe_clock(&mut self, pid: u32, clock: u64) {
-        self.0.observe_clock(pid, clock);
+    fn raise_floor(&mut self, floor: u64) {
+        self.0.raise_floor(floor);
     }
 
-    fn set_retention_cap(&mut self, cap: Option<u64>) {
-        self.0.set_retention_cap(cap);
+    fn persist_base<B: LogBackend<Adt>>(&mut self, adt: &Adt, log: &mut UpdateLog<Adt, B>) {
+        self.0.persist_base(adt, log);
     }
 
     fn maintain<B: LogBackend<Adt>>(&mut self, adt: &Adt, log: &mut UpdateLog<Adt, B>) {
@@ -1433,7 +1433,7 @@ impl StrategyFactory<Adt> for CountingGc {
     type Strategy = Counted;
 
     fn make(&self, adt: &Adt) -> Counted {
-        Counted(StableGc::new(adt, N))
+        Counted(StableGc::new(adt))
     }
 
     fn cluster_size(&self) -> Option<usize> {

@@ -12,8 +12,8 @@
 //!   closed), in memory ([`FrameScanner`]) and streamed from a file
 //!   ([`FrameReader`]);
 //! * [`segment`] — one append-only journal per shard, group-committed
-//!   on flush: key-tagged update records, base records staged when
-//!   `StableGc` advances its stable prefix, clock watermarks,
+//!   on flush: key-tagged update records, base records staged by the
+//!   flush after `StableGc` advanced its stable prefix, clock watermarks,
 //!   generation rewrites once dead records outweigh live ones, and
 //!   crash recovery as `fold(base) + replay(tail)`.
 //!   [`SegmentBackend`] is one key's handle on its shard's journal;

@@ -20,7 +20,7 @@
 //! | record    | payload                       | staged by                         |
 //! |-----------|-------------------------------|-----------------------------------|
 //! | update    | key, clock, pid, update       | `append` / `append_batch`, in arrival order |
-//! | base      | key, bound, fold of `≤ bound` | `truncate_to_base`, when it pays  |
+//! | base      | key, bound, fold of `≤ bound` | `truncate_to_base` at a flush, when it pays |
 //! | watermark | key, engine clock             | `flush` / `stage_flush`, when the clock moved |
 //! | seal      | —                             | a rewrite, after what it copied   |
 //!
@@ -41,13 +41,17 @@
 //!
 //! # Compaction ([`LogBackend::truncate_to_base`])
 //!
-//! When `StableGc` advances its stable prefix it hands the backend the
-//! new base state and the live tail. The tail is simply the journal's
-//! update records above the bound — nothing is rewritten. The base is
-//! staged as a record only once the update bytes it retires have
-//! reached its own size, so a large state over a trickle of updates is
-//! not re-snapshotted per update; until then the previous base plus
-//! the updates above *it* recover the same state.
+//! When `StableGc` advances its stable prefix, the key's next flush
+//! (`ReplicaEngine::flush_backend` or `stage_backend_flush`) hands the
+//! backend the new base state and the live tail, just before it stages
+//! the key's watermark: once per flush, however many drains moved the
+//! base since — a key's drains mostly happen as its updates arrive,
+//! and a call per drain would put one on every delivery. The tail is
+//! simply the journal's update records above the bound — nothing is
+//! rewritten. The base is staged as a record only once the update bytes
+//! it retires have reached its own size, so a large state over a
+//! trickle of updates is not re-snapshotted per update; until then the
+//! previous base plus the updates above *it* recover the same state.
 //!
 //! Superseded records (updates at or below a staged base, older bases,
 //! older watermarks) are dead bytes. When a generation's dead bytes

@@ -141,16 +141,19 @@ fn reopen_after_compaction_replays_only_the_tail() {
 }
 
 #[test]
-fn heartbeat_only_tick_costs_idle_keys_one_watermark_record_each() {
-    // Regression: a heartbeat merges into every engine's clock, so
+fn a_heartbeat_only_tick_writes_nothing() {
+    // Regression: a heartbeat merged into every engine's clock, so
     // every key's flush saw a moved clock on every tick and rewrote a
     // watermark file of its own (an open, a write and a close per idle
-    // key per tick).
+    // key per tick); later a watermark record each. A key's clock now
+    // moves with its own entries only: the replica's clock takes the
+    // heartbeat, and the store-level floor covers it.
     //
-    // "Idle" here means without traffic: every key holds an entry the
-    // heartbeat has yet to make stable, so all forty are on their
-    // shard's live list when it arrives, and each still pays its one
-    // record. The keys a tick costs nothing are the compacted ones:
+    // "Idle" here means without traffic: every key holds an entry when
+    // the heartbeat arrives, so all forty are on their shard's live
+    // list, and the sweep visits each. What it drains is one update
+    // per key, too little to be worth a base record. The keys a tick
+    // does not even visit are the compacted ones:
     // `compacted_keys_cost_a_tick_nothing` below.
     const KEYS: u64 = 40;
     let tmp = ScratchDir::new("idle-tick");
@@ -167,18 +170,15 @@ fn heartbeat_only_tick_costs_idle_keys_one_watermark_record_each() {
         .filter(|(p, _)| p.extension().is_some_and(|e| e == "log"));
     assert_eq!(journals.count(), 2, "one journal per shard: {before:?}");
 
-    // The peer is ahead of every update above, so nothing compacts:
-    // the tick moves clocks and nothing else.
+    // The peer is ahead of every update above: the tick drains every
+    // key, and writes nothing for it.
     let clock = store.clock() + 10;
     let Ok(_) = store.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock });
     store.tick_maintenance();
+    assert_eq!(store.live_keys(), 0, "the sweep drained every key");
     store.flush_backends();
     let after = files_of(tmp.path());
-    let names = |files: &[(PathBuf, u64)]| files.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>();
-    assert_eq!(names(&after), names(&before), "the tick created a file");
-    let grown: u64 = after.iter().zip(&before).map(|(a, b)| a.1 - b.1).sum();
-    // A watermark record is 25 bytes: frame header, tag, key, clock.
-    assert_eq!(grown, KEYS * 25, "one watermark record per idle key");
+    assert_eq!(after, before, "a heartbeat moved a key's clock");
 
     // No heartbeat since: no clock moved, nothing is written.
     store.tick_maintenance();
@@ -273,14 +273,18 @@ fn compacted_keys_cost_a_tick_nothing() {
     assert_eq!(live_clocks(&store), unswept, "a live key was visited");
 
     // Replica 2 announces too: the floor rises, short of the live
-    // keys' entries, and the sweep moves their clocks.
+    // keys' entries. The sweep visits them and moves no clock of
+    // theirs: the round writes nothing either.
     let grown = round(&mut store, heartbeat(2, preloaded + 50));
+    let reg = uc_obs::Registry::new();
+    store.export_metrics(&reg);
+    let floor = reg.snapshot().gauge("uc_store_stability_floor");
+    assert_eq!(floor, Some((preloaded + 50) as i64), "the floor rose");
     assert_eq!(
-        grown,
-        LIVE * 25,
-        "one watermark record per live key, not a byte for the compacted ones"
+        grown, 0,
+        "a sweep moved a clock, or wrote for the compacted keys"
     );
-    assert!(live_clocks(&store).iter().all(|c| *c == store.clock()));
+    assert_eq!(live_clocks(&store), unswept, "a live key's clock moved");
 
     // What the compacted keys did not write down, the store did: it
     // reopens at no less than the clock it went down with, which
@@ -506,9 +510,12 @@ fn a_store_flush_commits_each_dirty_shard_once() {
             syncs: if fsync { shards } else { 0 },
         };
 
-        // Every key live: the walk ends on a live key.
+        // Every key live: the walk ends on a live key. Three updates
+        // each, so that the base their drain makes is worth a record.
         for key in &keys {
-            store.update(*key, SetUpdate::Insert(1));
+            for v in 1..=3 {
+                store.update(*key, SetUpdate::Insert(v));
+            }
         }
         assert_eq!(store.live_keys(), keys.len());
         assert_eq!(
@@ -529,8 +536,9 @@ fn a_store_flush_commits_each_dirty_shard_once() {
             "nothing new"
         );
 
-        // Every key compacted off the live list, owing its last flush:
-        // the walk ends on an idle key.
+        // Every key compacted off the live list, owing its last flush
+        // and its base: the walk ends on an idle key. (A heartbeat
+        // moves no key's clock, so the bases are all there is.)
         let clock = store.clock();
         let Ok(_) = store.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock });
         store.tick_maintenance();
