@@ -300,9 +300,11 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// `max(watermark, tail timestamps)`: what the engine's own entries
     /// brought it to by its last flush. The base's bound is a replica's
     /// floor, which may be above every entry the key ever held, so it
-    /// moves the clock no more than it did while the engine ran.
-    /// Journaling is suspended during the replay (the entries are
-    /// already durable).
+    /// moves the clock no more than it did while the engine ran; it
+    /// stays the log's floor ([`UpdateLog::floor`]), which whoever
+    /// stamps the key's next update must pass (a store restores its
+    /// clock above every recovered floor). Journaling is suspended
+    /// during the replay (the entries are already durable).
     ///
     /// # Panics
     ///

@@ -333,6 +333,13 @@ impl<A: UqAdt, B: LogBackend<A>> UpdateLog<A, B> {
         self.base_moved
     }
 
+    /// The duplicate-rejection floor: the highest bound drained
+    /// through, or installed by recovery. Nothing at or below it is
+    /// accepted again, so a key's next update must be stamped above it.
+    pub fn floor(&self) -> u64 {
+        self.floor
+    }
+
     /// Raise the duplicate-rejection floor without draining —
     /// recovery installs a persisted base whose prefix was compacted
     /// in an earlier run, and the reopened log must keep refusing

@@ -161,7 +161,7 @@ use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use uc_criteria::online::MonitorConfig;
@@ -397,6 +397,15 @@ enum Job<A: UqAdt> {
     /// [`ShardSet::ingest`]: per-shard buckets of one submitted burst
     /// (global shard index).
     Ingest(ShardBuckets<A>),
+    /// A peer's update frame delivered on its own: its stamp is heard
+    /// ([`ShardSet::delivered`]) before its insertion
+    /// ([`ShardSet::insert_remote`]), as on a sequential store.
+    Deliver {
+        /// Global shard index of `key`.
+        shard: usize,
+        key: Key,
+        msg: UpdateMsg<A::Update>,
+    },
     /// [`ShardSet::insert_local`]: a locally issued update, already
     /// stamped by the shared clock.
     Update {
@@ -415,7 +424,8 @@ enum Job<A: UqAdt> {
     /// [`ShardSet::heartbeat`]: a peer clock announcement.
     Heartbeat { pid: u32, clock: u64 },
     /// [`ShardSet::delivered`]: a burst's highest update stamp from
-    /// `pid`, behind the burst's ingest jobs.
+    /// `pid`, behind the burst's ingest jobs, or one owed by frames
+    /// delivered on their own ([`PoolCore::owed`]).
     Delivered { pid: u32, clock: u64 },
     /// [`ShardSet::maintain`]: compaction, then the monitor's window
     /// roll. Carries the shared clock's value so an attached monitor
@@ -516,6 +526,11 @@ struct PoolCore<A: UqAdt> {
     /// shards, so the first snapshot query on a huge store pays for
     /// one shard's keys, not all of them.
     armed: Vec<AtomicBool>,
+    /// Per sender, the highest stamp of its frames delivered on their
+    /// own: heard by the worker that inserted each, owed to the rest,
+    /// who get it with the handle's next burst, tick or summary. One
+    /// job per frame, not one per worker.
+    owed: Mutex<Vec<(u32, u64)>>,
 }
 
 impl<A: UqAdt> PoolCore<A> {
@@ -592,7 +607,9 @@ impl<A: UqAdt> SnapPublisher<A> {
                     }
                 }
             }
-            Job::Update { shard, key, .. } => self.touch(*shard, *key),
+            Job::Update { shard, key, .. } | Job::Deliver { shard, key, .. } => {
+                self.touch(*shard, *key)
+            }
             // Queries, heartbeats, maintenance, flushes, and barriers
             // never change a key's folded state (compaction moves log
             // entries into the base without changing the fold).
@@ -750,6 +767,12 @@ where
                 counters.batches.fetch_add(1, Ordering::Relaxed);
                 let taken = shards.ingest(buckets);
                 counters.messages.fetch_add(taken, Ordering::Relaxed);
+            }
+            Job::Deliver { shard, key, msg } => {
+                counters.batches.fetch_add(1, Ordering::Relaxed);
+                counters.messages.fetch_add(1, Ordering::Relaxed);
+                shards.delivered(msg.ts.pid, msg.ts.clock);
+                shards.insert_remote(shard, key, msg);
             }
             Job::Update { shard, key, msg } => {
                 counters.messages.fetch_add(1, Ordering::Relaxed);
@@ -1241,6 +1264,7 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
         // Same routing helper as `UcStore::apply_batch_owned`, so shard
         // assignment and clock accounting cannot drift between the
         // sequential and pooled ingest paths.
+        self.settle_owed()?;
         let split = split_by_shard(msgs, self.core.num_shards);
         self.core.clock.merge(split.max_clock);
         let workers = self.core.inboxes.len();
@@ -1266,6 +1290,43 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
         Ok(())
     }
 
+    /// Deliver one peer update frame: one job, to its key's worker,
+    /// which hears the stamp before the insertion. The other workers
+    /// are owed it ([`PoolCore::owed`]); it is noted only once the
+    /// frame is queued, so no worker hears it ahead of the frames its
+    /// sender sent before.
+    fn deliver_update(&self, key: Key, msg: UpdateMsg<A::Update>) -> Result<(), PoolError> {
+        let core = &*self.core;
+        core.clock.merge(msg.ts.clock);
+        let (pid, clock) = (msg.ts.pid, msg.ts.clock);
+        let shard = shard_index(key, core.num_shards);
+        self.push_job(core.worker_of(shard), Job::Deliver { shard, key, msg })?;
+        if pid != core.pid {
+            let mut owed = core.owed.lock().unwrap_or_else(PoisonError::into_inner);
+            match owed.iter_mut().find(|(owed, _)| *owed == pid) {
+                Some((_, high)) => *high = (*high).max(clock),
+                None => owed.push((pid, clock)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Hand every worker the stamps owed to it, behind everything
+    /// submitted so far.
+    fn settle_owed(&self) -> Result<(), PoolError> {
+        let owed = std::mem::take(
+            &mut *self
+                .core
+                .owed
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for (pid, clock) in owed {
+            self.broadcast(|| Job::Delivered { pid, clock })?;
+        }
+        Ok(())
+    }
+
     /// Barrier: block until every submission made before this call
     /// has been fully applied by its worker (and, if snapshot reads
     /// are armed, its post-repair state published).
@@ -1275,6 +1336,7 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
 
     /// Run per-key maintenance (compaction) on every worker's engines.
     fn tick_maintenance(&self) -> Result<(), PoolError> {
+        self.settle_owed()?;
         let clock = self.core.clock.now();
         self.broadcast(|| Job::Maintain { clock })
     }
@@ -1370,6 +1432,7 @@ where
         snaps: (0..num_shards).map(|_| ShardSnapshots::default()).collect(),
         poison: OnceLock::new(),
         armed: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
+        owed: Mutex::new(Vec::new()),
     });
     let workers = shards
         .split(workers)
@@ -1656,7 +1719,10 @@ where
     }
 
     fn deliver(&mut self, msg: StoreMsg<A::Update>) -> Result<(), PoolError> {
-        self.handle.submit_batch(vec![msg])
+        match msg {
+            StoreMsg::Update { key, msg } => self.handle.deliver_update(key, msg),
+            msg => self.handle.submit_batch(vec![msg]),
+        }
     }
 
     fn ingest(&mut self, burst: Vec<StoreMsg<A::Update>>) -> Result<(), PoolError> {
@@ -1677,6 +1743,7 @@ where
     /// One `Job::Summary` per worker, merged: each answers behind
     /// every job queued before it, so the read is quiesced.
     fn summary(&self) -> Result<Summary, PoolError> {
+        self.handle.settle_owed()?;
         let parts = self.handle.scatter(Job::Summary)?;
         Ok(parts.into_iter().reduce(Summary::merge).unwrap_or_default())
     }

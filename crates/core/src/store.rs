@@ -1164,6 +1164,13 @@ pub(crate) type Bucket<A> = Vec<(Key, UpdateMsg<<A as UqAdt>::Update>)>;
 /// an entry at or below it. A heartbeat or tick that finds the floor
 /// where the last sweep put it visits no key.
 ///
+/// A pool's workers keep one `Stability` each. A frame delivered on
+/// its own goes to its key's worker alone, which hears the stamp
+/// before the insertion, as here; the other workers are handed it with
+/// the pool's next burst, tick or summary. A burst's stamps go to every
+/// worker behind the burst's ingest jobs. A worker may hear a stamp
+/// late, never ahead of the frames its sender sent before it.
+///
 /// The pin needs no engine's help: a key drains through the floor it
 /// is handed, and the floor is capped already.
 #[derive(Clone, Debug)]
@@ -1385,14 +1392,19 @@ where
 
     /// Rebuild every key the backend factory knows about as
     /// `fold(base) + replay(tail)` ([`ReplicaEngine::recover`]);
-    /// returns the highest clock a recovered engine had reached.
+    /// returns the highest clock a recovered engine had reached or a
+    /// recovered base was drained through. A base's bound is the
+    /// replica's floor, which can sit above every entry of its key, and
+    /// a flush commits the shard journals before the store clock: were
+    /// the process to die between the two, the store clock read back
+    /// could be below a base, and the key's next stamp inside it.
     fn recover(&mut self) -> u64 {
         let mut clock = 0;
         for shard in &mut self.shards {
             for (key, backend) in self.persist.open_all(shard.idx) {
                 let strategy = self.factory.make(&self.adt);
                 let engine = ReplicaEngine::recover(self.adt.clone(), self.pid, strategy, backend);
-                clock = clock.max(engine.clock());
+                clock = clock.max(engine.clock()).max(engine.log().floor());
                 shard.adopt(key, engine);
             }
         }
@@ -2221,8 +2233,9 @@ where
     /// Reopen a store from its persisted state: every key `persist`
     /// knows about is rebuilt as `fold(base) + replay(tail)`
     /// ([`ReplicaEngine::recover`]), and the shared Lamport clock is
-    /// restored to the maximum of the store-level watermark and every
-    /// recovered engine's clock. The replica configuration (`pid`,
+    /// restored to the maximum of the store-level watermark, every
+    /// recovered engine's clock and every recovered base's bound. The
+    /// replica configuration (`pid`,
     /// `shards`, strategy factory) must match the store that wrote the
     /// state — shard routing is `hash(key) % shards`, so a different
     /// shard count would look keys up in the wrong place; persistent
@@ -3558,6 +3571,28 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_on_its_own_is_heard_before_its_insertion() {
+        frame_heard_first(gc_store(0));
+        frame_heard_first(gc_pool(0, 2));
+    }
+
+    /// Own progress and peer 2 stand at 100, peer 1 has not been heard:
+    /// its frame `(5, p1)` raises the floor to 5 before it goes in, so
+    /// its own insertion drains it. On a pool the key's worker hears it
+    /// first and the other worker by the summary the gauges read.
+    fn frame_heard_first<X: Executor<Adt = Adt>>(mut n: Node<X>) {
+        frame(&mut n, 2, StoreMsg::Heartbeat { pid: 2, clock: 100 });
+        n.exec.maintain_and_flush().unwrap();
+        assert_eq!(floor_and_log(&n), (0, 0));
+        frame(&mut n, 1, sent(1, 5, 1));
+        assert_eq!(
+            floor_and_log(&n),
+            (5, 0),
+            "the frame raised the floor only after its insertion"
+        );
+    }
+
+    #[test]
     fn a_bursts_stamps_count_once_the_burst_is_in() {
         stamps_count_after_the_burst(gc_store(0));
         stamps_count_after_the_burst(gc_pool(0, 2));
@@ -3575,7 +3610,7 @@ mod tests {
         assert_eq!(
             floor_and_log(&n),
             (7, 2),
-            "the burst's own stamps drained it at insertion"
+            "the burst went in under floor 0 and raised it to 7 behind it"
         );
         frame(&mut n, 2, StoreMsg::Heartbeat { pid: 2, clock: 100 });
         assert_eq!(floor_and_log(&n), (7, 0), "the heartbeat's sweep drains it");

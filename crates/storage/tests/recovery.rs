@@ -16,6 +16,10 @@
 //!   leave an unwritten journal buffer behind (regression for the
 //!   flush-before-join fix), whichever of the shard's keys it was
 //!   staged for;
+//! * a flush whose store-clock write is lost (a crash after the shard
+//!   journals committed) still reopens above every recovered base, so
+//!   a key drained past its own entries is never stamped inside its
+//!   base;
 //! * a store flush commits each dirty shard's journal once — one
 //!   `write`, one `fdatasync` on the fsync tier — however many keys
 //!   the shard flushes, and a backend wrapper that does not forward
@@ -29,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use uc_core::backend::{BackendFactory, LogBackend};
 use uc_core::store::Key;
-use uc_core::{CheckpointFactory, GcFactory, PoolConfig, StoreMsg, Timestamp, UcStore};
+use uc_core::{CheckpointFactory, GcFactory, PoolConfig, StoreMsg, Timestamp, UcStore, UpdateMsg};
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 use uc_storage::{IoCounts, ScratchDir, SegmentBackend, SegmentFactory};
 
@@ -789,6 +793,91 @@ fn crash_before_flush_never_reissues_broadcast_timestamps() {
         "post-recovery update reissued already-broadcast timestamp {:?}",
         msg.ts
     );
+}
+
+/// A [`SegmentFactory`] whose store-clock writes are all lost: what a
+/// crash between a flush's shard commits and its `CLOCK` write leaves.
+#[derive(Clone)]
+struct LosesStoreClock(SegmentFactory);
+
+impl BackendFactory<Adt> for LosesStoreClock {
+    type Backend = SegmentBackend<Adt>;
+
+    fn open(&self, shard: usize, key: Key) -> SegmentBackend<Adt> {
+        self.0.open(shard, key)
+    }
+
+    fn open_all(&self, shard: usize) -> Vec<(Key, SegmentBackend<Adt>)> {
+        self.0.open_all(shard)
+    }
+
+    fn bind_replica(&self, pid: u32, shards: usize, fresh: bool) {
+        BackendFactory::<Adt>::bind_replica(&self.0, pid, shards, fresh);
+    }
+
+    fn load_store_clock(&self) -> u64 {
+        BackendFactory::<Adt>::load_store_clock(&self.0)
+    }
+
+    fn persist_store_clock(&self, _clock: u64) {}
+}
+
+#[test]
+fn a_lost_store_clock_write_never_stamps_below_a_recovered_base() {
+    // A key's base bound is the replica's stability floor, which a
+    // peer's heartbeat raises above every entry the key holds. A store
+    // flush commits its shard journals, that base among them, before
+    // it writes the store clock: should the process die between the
+    // two, the reopened store must still stamp the key's next update
+    // above the base, or the update would land inside the compacted
+    // prefix.
+    let tmp = ScratchDir::new("lost-store-clock");
+    let persist = LosesStoreClock(SegmentFactory::at(tmp.path()).unwrap());
+    let gc = GcFactory { n: 2 };
+    let mut store: UcStore<Adt, GcFactory, LosesStoreClock> =
+        UcStore::with_persistence(SetAdt::new(), 0, 1, gc, persist.clone());
+    for clock in 1..=5u64 {
+        let msg = UpdateMsg {
+            ts: Timestamp { clock, pid: 1 },
+            update: SetUpdate::Insert(clock as u32),
+        };
+        let Ok(_) = store.apply_message_from(1, StoreMsg::Update { key: 3, msg });
+    }
+    let Ok(_) = store.apply_message_from(1, StoreMsg::Heartbeat { pid: 1, clock: 100 });
+    store.tick_maintenance();
+    let engine = store.engine(3).unwrap();
+    assert_eq!(
+        engine.strategy().stability_bound(),
+        100,
+        "drained at the floor"
+    );
+    assert_eq!(engine.log_len(), 0);
+    assert_eq!(
+        engine.clock(),
+        5,
+        "the key's clock holds its own entries only"
+    );
+    store.flush_backends();
+    drop(store);
+
+    let mut back: UcStore<Adt, GcFactory, LosesStoreClock> =
+        UcStore::reopen(SetAdt::new(), 0, 1, gc, persist);
+    assert_eq!(
+        back.engine(3).unwrap().strategy().stability_bound(),
+        100,
+        "the base at the floor was committed"
+    );
+    assert_eq!(back.engine(3).unwrap().clock(), 5, "the key's own clock");
+    assert!(
+        back.clock() >= 100,
+        "reopened at {}, below the base",
+        back.clock()
+    );
+    let StoreMsg::Update { msg, .. } = back.update(3, SetUpdate::Insert(6)) else {
+        panic!("update returns an update message");
+    };
+    assert!(msg.ts.clock > 100, "stamped {:?} inside the base", msg.ts);
+    assert_eq!(back.materialize_key(3), (1..=6).collect::<BTreeSet<u32>>());
 }
 
 #[test]
