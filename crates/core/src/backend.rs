@@ -169,7 +169,10 @@ pub trait LogBackend<A: UqAdt> {
     /// chunked path. `None` falls back to the in-memory log, same as
     /// [`LogBackend::stream_suffix`]. A spuriously-true "more" flag
     /// is tolerated (callers terminate on the next empty window);
-    /// a false "more" with entries remaining is not.
+    /// a false "more" with entries remaining is not. (Nothing in the
+    /// workspace calls it: a heal window reads the in-memory log. It
+    /// stays declared while the end-to-end benchmark's backend wrapper
+    /// forwards it.)
     #[allow(clippy::type_complexity)]
     fn stream_suffix_window(
         &mut self,

@@ -499,13 +499,12 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// retained entries stamped strictly above `since` and (when set)
     /// strictly after the resume cursor `after`, as broadcast messages
     /// in timestamp order, plus whether more remain. The backend is
-    /// flushed first (heal is a durability point). Peak memory is
-    /// O(`limit`): unless the backend answers itself
-    /// ([`LogBackend::stream_suffix_window`]; none in the workspace
-    /// does), one contiguous window of the in-memory sorted log —
-    /// which always holds the whole retained suffix — is cloned
-    /// ([`UpdateLog::suffix_window`], O(`limit`) after a binary
-    /// search).
+    /// flushed first: a heal is a durability point, and the flush
+    /// makes what the window streams durable here before a peer holds
+    /// it. The window is read from the in-memory sorted log, which
+    /// always holds the whole retained suffix: one contiguous window
+    /// of it is cloned ([`UpdateLog::suffix_window`], O(`limit`) after
+    /// a binary search), so peak memory is O(`limit`).
     ///
     /// Completeness leans on stability: a compacting strategy's bound
     /// can only advance past `since` once *every* peer's clock
@@ -520,19 +519,6 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         limit: usize,
     ) -> (Vec<UpdateMsg<A::Update>>, bool) {
         self.flush_backend();
-        if let Some((entries, more)) = self
-            .log
-            .backend_mut()
-            .stream_suffix_window(since, after, limit)
-        {
-            return (
-                entries
-                    .into_iter()
-                    .map(|(ts, update)| UpdateMsg { ts, update })
-                    .collect(),
-                more,
-            );
-        }
         let (window, more) = self.log.suffix_window(since, after, limit);
         (
             window

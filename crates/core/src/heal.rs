@@ -90,11 +90,6 @@ pub struct HealConfig {
     /// `window * chunk` messages must fit its `queue_cap` alongside
     /// live traffic, so heals never force live messages to shed.
     pub window: usize,
-    /// Key-range fan-out per digest group: each group (the sender's
-    /// shard) is split into this many independently skippable ranges,
-    /// so one hot key invalidates `1/ranges` of its shard, not all of
-    /// it.
-    pub ranges: u32,
     /// Ticks without protocol progress before a stalled session acts:
     /// re-sending its digest request, or expiring its oldest
     /// unacknowledged chunk to reopen the window (see
@@ -107,11 +102,15 @@ impl Default for HealConfig {
         HealConfig {
             chunk: 512,
             window: 4,
-            ranges: 8,
             stall_ticks: 8,
         }
     }
 }
+
+/// Key-range fan-out per digest group: each group (the sender's shard)
+/// is split into this many independently skippable ranges, so one hot
+/// key invalidates `1/RANGES` of its shard, not all of it.
+pub const RANGES: u32 = 8;
 
 /// One digest slot: how many suffix entries hash into it and the xor
 /// of their entry hashes. Order-independent (xor commutes), so both
@@ -154,19 +153,18 @@ pub fn entry_hash<U: Hash>(ts: Timestamp, update: &U) -> u64 {
 }
 
 /// The digest slot a key folds into, flattened as
-/// `group * ranges + range`. The group coordinate is the *sender's*
-/// shard (`hash % groups`); the range coordinate re-uses the high
-/// bits of the same hash, so the two are independent. Both sides
-/// evaluate this with the sender's `groups`/`ranges`, which keeps the
-/// mapping agreed even when the receiver runs a different shard
-/// count.
-pub fn digest_slot(key: Key, groups: u32, ranges: u32) -> u32 {
+/// `group * RANGES + range` ([`RANGES`]). The group coordinate is the
+/// *sender's* shard (`hash % groups`); the range coordinate re-uses the
+/// high bits of the same hash, so the two are independent. Both sides
+/// evaluate this with the sender's `groups`, which keeps the mapping
+/// agreed even when the receiver runs a different shard count.
+pub fn digest_slot(key: Key, groups: u32) -> u32 {
     let mut h = FxHasher::default();
     h.write_u64(key);
     let hash = h.finish();
     let group = (hash % groups as u64) as u32;
-    let range = ((hash / groups as u64) % ranges as u64) as u32;
-    group * ranges + range
+    let range = ((hash / groups as u64) % RANGES as u64) as u32;
+    group * RANGES + range
 }
 
 /// Flat slot indices where `ours` differs from `theirs` — the slots
@@ -270,8 +268,6 @@ pub struct HealSession {
     pub id: u64,
     /// Digest group count (the sender's shard count at start).
     pub groups: u32,
-    /// Key-range fan-out per group.
-    pub ranges: u32,
     /// The digests sent in the request, kept for stall re-sends.
     pub digests: Vec<HealDigest>,
     /// Ticks since the last protocol progress (reset on every
@@ -283,20 +279,12 @@ pub struct HealSession {
 impl HealSession {
     /// A fresh session in the await-digest phase; the caller sends
     /// the corresponding `DigestRequest`.
-    pub fn new(
-        peer: Pid,
-        since: u64,
-        id: u64,
-        groups: u32,
-        ranges: u32,
-        digests: Vec<HealDigest>,
-    ) -> Self {
+    pub fn new(peer: Pid, since: u64, id: u64, groups: u32, digests: Vec<HealDigest>) -> Self {
         HealSession {
             peer,
             since,
             id,
             groups,
-            ranges,
             digests,
             idle_ticks: 0,
             phase: Phase::AwaitDigest,
@@ -315,7 +303,6 @@ impl HealSession {
             session: self.id,
             since: self.since,
             groups: self.groups,
-            ranges: self.ranges,
             digests: self.digests.clone(),
         }
     }
@@ -333,7 +320,7 @@ impl HealSession {
     /// (shards above the watermark); keys whose digest slot is not in
     /// `mismatched` are dropped — those slots agreed, the peer
     /// already has their suffix. Returns how many of the session's
-    /// `groups * ranges` slots were skipped (the digest-skip count).
+    /// `groups * RANGES` slots were skipped (the digest-skip count).
     ///
     /// Ignored (returns `None`) outside the await-digest phase — a
     /// duplicate response must not rebuild a plan mid-stream.
@@ -348,11 +335,11 @@ impl HealSession {
         let wanted: std::collections::BTreeSet<u32> = mismatched.iter().copied().collect();
         let mut plan: Vec<(usize, Key)> = candidates
             .into_iter()
-            .filter(|(_, key)| wanted.contains(&digest_slot(*key, self.groups, self.ranges)))
+            .filter(|(_, key)| wanted.contains(&digest_slot(*key, self.groups)))
             .collect();
         plan.sort_unstable();
         plan.dedup();
-        let total = (self.groups as u64) * (self.ranges as u64);
+        let total = (self.groups as u64) * (RANGES as u64);
         let skipped = total.saturating_sub(wanted.len() as u64);
         self.idle_ticks = 0;
         self.phase = Phase::Streaming {
@@ -524,7 +511,6 @@ pub trait ShardAccess {
         since: u64,
         exclude: Pid,
         groups: u32,
-        ranges: u32,
     ) -> Result<Vec<HealDigest>, Self::Error>;
 
     /// Every `(shard, key)` in shards whose divergence high water
@@ -740,14 +726,13 @@ impl<X: ShardAccess> Dialogue<'_, X> {
         // one can never absorb the new session's replies.
         self.heal.cancel_heal_session(peer);
         let groups = self.shards.num_shards() as u32;
-        let ranges = self.heal.cfg.ranges.max(1);
         // Folded under the outgoing pin; the release below is ordered
         // after it.
-        let digests = self.shards.digest_suffix(since, peer, groups, ranges)?;
+        let digests = self.shards.digest_suffix(since, peer, groups)?;
         let opener = if digests.iter().any(|d| d.count > 0) {
             let id = self.heal.next_session;
             self.heal.next_session += 1;
-            let session = HealSession::new(peer, since, id, groups, ranges, digests);
+            let session = HealSession::new(peer, since, id, groups, digests);
             let opener = session.digest_request();
             self.heal.sessions.insert(peer, session);
             Some(opener)
@@ -770,12 +755,11 @@ impl<X: ShardAccess> Dialogue<'_, X> {
         session: u64,
         since: u64,
         groups: u32,
-        ranges: u32,
         digests: &[HealDigest],
     ) -> Sent<X> {
         self.pin_inbound(from, session, since)?;
         let me = self.shards.pid();
-        let ours = self.shards.digest_suffix(since, me, groups, ranges)?;
+        let ours = self.shards.digest_suffix(since, me, groups)?;
         let mismatched = mismatched_slots(digests, &ours);
         let response = StoreMsg::DigestResponse {
             session,
@@ -917,17 +901,28 @@ mod tests {
         }
     }
 
+    /// The digests of a session over `groups` groups, all empty.
+    fn empty_digests(groups: u32) -> Vec<HealDigest> {
+        vec![HealDigest::default(); (groups * RANGES) as usize]
+    }
+
+    /// Every slot of `groups` groups, for a response that mismatches
+    /// them all.
+    fn all_slots(groups: u32) -> Vec<u32> {
+        (0..groups * RANGES).collect()
+    }
+
     #[test]
     fn digest_slot_is_stable_and_in_range() {
         for key in 0..500u64 {
-            let s = digest_slot(key, 8, 4);
-            assert!(s < 32);
-            assert_eq!(s, digest_slot(key, 8, 4));
+            let s = digest_slot(key, 8);
+            assert!(s < 8 * RANGES);
+            assert_eq!(s, digest_slot(key, 8));
         }
         // Both coordinates are exercised: more than `groups` distinct
         // slots appear.
         let distinct: std::collections::BTreeSet<u32> =
-            (0..500u64).map(|k| digest_slot(k, 8, 4)).collect();
+            (0..500u64).map(|k| digest_slot(k, 8)).collect();
         assert!(distinct.len() > 8, "ranges never fan out");
     }
 
@@ -949,11 +944,11 @@ mod tests {
 
     #[test]
     fn session_streams_in_windowed_chunks_and_completes_on_acks() {
-        let mut s = HealSession::new(2, 0, 7, 1, 1, vec![HealDigest::default()]);
+        let mut s = HealSession::new(2, 0, 7, 1, empty_digests(1));
         assert!(s.awaiting_digest());
-        // One mismatched slot, three keys, 5 entries each.
+        // Every slot mismatched, three keys, 5 entries each.
         let skipped = s
-            .begin_streaming(&[0], vec![(0, 1), (0, 2), (0, 3)])
+            .begin_streaming(&all_slots(1), vec![(0, 1), (0, 2), (0, 3)])
             .expect("first response enters streaming");
         assert_eq!(skipped, 0);
         let cfg = HealConfig {
@@ -1010,8 +1005,8 @@ mod tests {
 
     #[test]
     fn peer_own_entries_are_filtered_but_advance_the_cursor() {
-        let mut s = HealSession::new(1, 0, 0, 1, 1, vec![HealDigest::default()]);
-        s.begin_streaming(&[0], vec![(0, 7)]).unwrap();
+        let mut s = HealSession::new(1, 0, 0, 1, empty_digests(1));
+        s.begin_streaming(&all_slots(1), vec![(0, 7)]).unwrap();
         let cfg = HealConfig {
             chunk: 2,
             window: 8,
@@ -1039,12 +1034,12 @@ mod tests {
 
     #[test]
     fn stalled_session_resends_digest_then_expires_chunks() {
-        let mut s = HealSession::new(1, 0, 0, 1, 1, vec![HealDigest::default()]);
+        let mut s = HealSession::new(1, 0, 0, 1, empty_digests(1));
         for _ in 0..3 {
             assert!(matches!(s.on_tick(4), HealTick::Wait));
         }
         assert!(matches!(s.on_tick(4), HealTick::ResendDigest));
-        s.begin_streaming(&[0], vec![(0, 1)]).unwrap();
+        s.begin_streaming(&all_slots(1), vec![(0, 1)]).unwrap();
         let cfg = HealConfig {
             chunk: 1,
             window: 1,
@@ -1070,8 +1065,8 @@ mod tests {
 
     #[test]
     fn duplicate_digest_response_does_not_rebuild_the_plan() {
-        let mut s = HealSession::new(1, 0, 0, 2, 2, vec![HealDigest::default(); 4]);
-        assert!(s.begin_streaming(&[0, 1, 2, 3], vec![(0, 1)]).is_some());
+        let mut s = HealSession::new(1, 0, 0, 2, empty_digests(2));
+        assert!(s.begin_streaming(&all_slots(2), vec![(0, 1)]).is_some());
         assert!(s.begin_streaming(&[0], vec![(0, 2)]).is_none());
     }
 }

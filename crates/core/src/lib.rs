@@ -80,8 +80,8 @@ pub use sim_adapter::{
 };
 pub use snapshot::Published;
 pub use store::{
-    CheckpointFactory, GcFactory, Key, NaiveFactory, PartitionTracker, StoreInput, StoreMsg,
-    StoreOutput, StoreSnapshot, StrategyFactory, UcStore, UndoFactory,
+    CheckpointFactory, GcFactory, Key, PartitionTracker, StoreInput, StoreMsg, StoreOutput,
+    StoreSnapshot, StrategyFactory, UcStore,
 };
 pub use timestamp::{LamportClock, Timestamp};
 pub use undo::{UndoRepair, UndoReplica};

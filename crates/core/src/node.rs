@@ -345,11 +345,10 @@ fn heal_frame<X: Executor>(
             session,
             since,
             groups,
-            ranges,
             digests,
         } => node
             .dialogue()
-            .on_digest_request(from, session, since, groups, ranges, &digests),
+            .on_digest_request(from, session, since, groups, &digests),
         StoreMsg::DigestResponse {
             session,
             since,

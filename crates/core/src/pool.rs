@@ -145,7 +145,7 @@
 
 use crate::backend::{BackendFactory, MemFactory};
 use crate::engine::CutError;
-use crate::heal::{HealDigest, ShardAccess};
+use crate::heal::{HealDigest, ShardAccess, RANGES};
 use crate::inbox::{Inbox, PushError};
 use crate::message::UpdateMsg;
 use crate::node::{Executor, Node};
@@ -461,7 +461,6 @@ enum Job<A: UqAdt> {
         since: u64,
         exclude_pid: u32,
         groups: u32,
-        ranges: u32,
         reply: Sender<Vec<HealDigest>>,
     },
     /// [`ShardSet::heal_candidates`].
@@ -800,10 +799,9 @@ where
                 since,
                 exclude_pid,
                 groups,
-                ranges,
                 reply,
             } => {
-                let _ = reply.send(shards.digest_suffix(since, exclude_pid, groups, ranges));
+                let _ = reply.send(shards.digest_suffix(since, exclude_pid, groups));
             }
             Job::HealCandidates { since, reply } => {
                 let _ = reply.send(shards.heal_candidates(since));
@@ -1639,16 +1637,14 @@ where
         since: u64,
         exclude_pid: Pid,
         groups: u32,
-        ranges: u32,
     ) -> Result<Vec<HealDigest>, PoolError> {
         let parts = self.handle.scatter(|reply| Job::DigestSuffix {
             since,
             exclude_pid,
             groups,
-            ranges,
             reply,
         })?;
-        let mut slots = vec![HealDigest::default(); (groups as usize) * (ranges as usize)];
+        let mut slots = vec![HealDigest::default(); groups as usize * RANGES as usize];
         for part in parts {
             for (slot, d) in slots.iter_mut().zip(part) {
                 slot.count += d.count;

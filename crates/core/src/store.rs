@@ -71,15 +71,17 @@
 //!   the [`IngestPool`](crate::pool::IngestPool)'s workers take a job.
 //!
 //! Strategies are chosen per store through a [`StrategyFactory`]
-//! (engines are created lazily on first touch of a key): all four
-//! Algorithm 1 variants are available as [`NaiveFactory`],
-//! [`CheckpointFactory`], [`UndoFactory`] and [`GcFactory`].
+//! (engines are created lazily on first touch of a key): a replica runs
+//! §VII-C's stability collection, [`GcFactory`]; [`CheckpointFactory`]
+//! keeps every update, for a full-log reference store or a replica
+//! that never compacts. The other Algorithm 1 variants run as single
+//! engines ([`NaiveReplay`](crate::generic::NaiveReplay),
+//! [`UndoRepair`](crate::undo::UndoRepair)).
 
 use crate::backend::{BackendFactory, LogBackend, MemFactory};
 use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
 use crate::gc::StableGc;
-use crate::generic::NaiveReplay;
-use crate::heal::{digest_slot, HealDigest, Healer, ShardAccess};
+use crate::heal::{digest_slot, HealDigest, Healer, ShardAccess, RANGES};
 use crate::log::Buffer;
 use crate::message::UpdateMsg;
 use crate::node::{Executor, Node};
@@ -109,41 +111,14 @@ pub trait StrategyFactory<A: UqAdt>: Clone {
     /// Build a fresh strategy for one key's engine.
     fn make(&self, adt: &A) -> Self::Strategy;
 
-    /// Reject replica configurations the strategy cannot serve; called
-    /// once from [`UcStore::new`], before any engine exists. Default:
-    /// accept everything.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic on invalid configurations (e.g.
-    /// [`GcFactory`] on `pid ≥ n`, which would otherwise stall
-    /// stability silently: the replica's own clock observations and
-    /// its peers' view of them would all be ignored, so no log would
-    /// ever compact).
-    fn validate_replica(&self, pid: u32) {
-        let _ = pid;
-    }
-
     /// The cluster size stability is taken over, for a strategy that
     /// compacts what every process's clock has passed: the store then
-    /// keeps the replica's stability floor and visits its live keys
-    /// only when a heartbeat or tick raises it. Default `None`: every
-    /// heartbeat and tick visits them.
+    /// keeps the replica's stability floor, visits its live keys only
+    /// when a heartbeat or tick raises it, and refuses a pid outside
+    /// the cluster ([`UcStore::new`]). Default `None`: the replica's
+    /// floor stays 0, and no heartbeat or tick visits a key.
     fn cluster_size(&self) -> Option<usize> {
         None
-    }
-}
-
-/// Per-key engines replay their log on every query (Algorithm 1
-/// verbatim).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NaiveFactory;
-
-impl<A: UqAdt> StrategyFactory<A> for NaiveFactory {
-    type Strategy = NaiveReplay<A>;
-
-    fn make(&self, adt: &A) -> Self::Strategy {
-        NaiveReplay::new(adt)
     }
 }
 
@@ -163,18 +138,6 @@ impl<A: UqAdt> StrategyFactory<A> for CheckpointFactory {
     }
 }
 
-/// Per-key engines repair by undo/redo (§VII-C repositioning).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UndoFactory;
-
-impl<A: uc_spec::UndoableUqAdt> StrategyFactory<A> for UndoFactory {
-    type Strategy = crate::undo::UndoRepair<A>;
-
-    fn make(&self, adt: &A) -> Self::Strategy {
-        crate::undo::UndoRepair::new(adt)
-    }
-}
-
 /// Per-key engines compact their stable prefix (§VII-C garbage
 /// collection) for a cluster of `n` replicas.
 #[derive(Clone, Copy, Debug)]
@@ -188,18 +151,6 @@ impl<A: UqAdt> StrategyFactory<A> for GcFactory {
 
     fn make(&self, adt: &A) -> Self::Strategy {
         StableGc::new(adt)
-    }
-
-    fn validate_replica(&self, pid: u32) {
-        // Same guard as `GcReplica::new`: a replica outside the
-        // cluster would be ignored by every stability tracker
-        // (including its own), freezing GC cluster-wide with no
-        // diagnostic.
-        assert!(
-            (pid as usize) < self.n,
-            "GcFactory: pid {pid} must be within the cluster of {}",
-            self.n
-        );
     }
 
     fn cluster_size(&self) -> Option<usize> {
@@ -250,13 +201,11 @@ pub enum StoreMsg<U> {
         /// since`).
         since: u64,
         /// Digest group count — the *sender's* shard count; the
-        /// receiver evaluates slots with these parameters regardless
-        /// of its own sharding.
+        /// receiver evaluates slots with it regardless of its own
+        /// sharding.
         groups: u32,
-        /// Key-range fan-out per group.
-        ranges: u32,
-        /// `groups * ranges` digest slots, flattened as
-        /// `group * ranges + range`.
+        /// `groups * RANGES` digest slots, flattened as
+        /// `group * RANGES + range` ([`RANGES`](crate::heal::RANGES)).
         digests: Vec<crate::heal::HealDigest>,
     },
     /// The healed peer's verdict on a [`StoreMsg::DigestRequest`]:
@@ -308,9 +257,8 @@ impl<U: fmt::Debug> fmt::Debug for StoreMsg<U> {
                 session,
                 since,
                 groups,
-                ranges,
                 ..
-            } => write!(f, "digest-req(s{session},>{since},{groups}x{ranges})"),
+            } => write!(f, "digest-req(s{session},>{since},{groups})"),
             StoreMsg::DigestResponse {
                 session,
                 mismatched,
@@ -1025,14 +973,13 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         since: u64,
         exclude: Pid,
         groups: u32,
-        ranges: u32,
         slots: &mut [HealDigest],
     ) {
         if self.high_water <= since {
             return;
         }
         for (key, engine) in self.engines_mut() {
-            let slot = digest_slot(key, groups, ranges) as usize;
+            let slot = digest_slot(key, groups) as usize;
             engine.digest_suffix(since, |ts, hash| {
                 if ts.pid != exclude {
                     slots[slot].fold(hash);
@@ -1144,25 +1091,25 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
 pub(crate) type Bucket<A> = Vec<(Key, UpdateMsg<<A as UqAdt>::Update>)>;
 
 /// A replica's stability knowledge, kept once per [`ShardSet`] — the
-/// only place it is kept: the highest clock heard from each pid, the
-/// retention pin, and — for a strategy that compacts on stability
-/// ([`StrategyFactory::cluster_size`]) — the floor and the floor of the
-/// last sweep.
+/// only place it is kept: the highest clock heard from each of the
+/// cluster's pids ([`StrategyFactory::cluster_size`]), the retention
+/// pin, the floor and the floor of the last sweep.
 ///
 /// The **floor** is the minimum, over the cluster's pids, of the
 /// clocks heard, capped by the pin; it is 0 until every pid has been
-/// heard. Peers enter by heartbeat, and by every update their FIFO link
-/// delivers: a stamp `c` from `p` over `p`'s link says what a heartbeat
-/// `(p, c)` says — a frame on its own before its insertion, a burst's
-/// highest stamp per sender after the whole burst is in. An update
-/// carried by a heal (`Repair`, `RepairChunk`) is another replica's,
-/// out of its send order, and enters nothing. The replica's own pid
-/// enters by its own stamps and by the tick's clock only: a clock that
-/// the replica merged is not progress of its own, and a read is none
-/// either. Every insertion hands its key the floor; a sweep hands it to
-/// every live engine and compacts it, so afterwards no live key holds
-/// an entry at or below it. A heartbeat or tick that finds the floor
-/// where the last sweep put it visits no key.
+/// heard, and always 0 for a factory that names no cluster, whose keys
+/// no heartbeat or tick visits. Peers enter by heartbeat, and by every
+/// update their FIFO link delivers: a stamp `c` from `p` over `p`'s
+/// link says what a heartbeat `(p, c)` says — a frame on its own before
+/// its insertion, a burst's highest stamp per sender after the whole
+/// burst is in. An update carried by a heal (`Repair`, `RepairChunk`)
+/// is another replica's, out of its send order, and enters nothing. The
+/// replica's own pid enters by its own stamps and by the tick's clock
+/// only: a clock that the replica merged is not progress of its own,
+/// and a read is none either. Every insertion hands its key the floor;
+/// a sweep hands it to every live engine and compacts it, so afterwards
+/// no live key holds an entry at or below it. A heartbeat or tick that
+/// finds the floor where the last sweep put it visits no key.
 ///
 /// A pool's workers keep one `Stability` each. A frame delivered on
 /// its own goes to its key's worker alone, which hears the stamp
@@ -1176,16 +1123,15 @@ pub(crate) type Bucket<A> = Vec<(Key, UpdateMsg<<A as UqAdt>::Update>)>;
 #[derive(Clone, Debug)]
 pub(crate) struct Stability {
     /// Highest clock heard from each of the cluster's pids, by pid
-    /// (the replica's own included); empty without a floor.
+    /// (the replica's own included); empty without a cluster.
     heard: Vec<u64>,
     /// The compaction pin while peers are down or heals are landing
     /// ([`ShardAccess::set_retention`]).
     cap: Option<u64>,
-    /// The minimum of `heard`, capped by `cap`; 0 without a floor.
+    /// The minimum of `heard`, capped by `cap`; 0 without a cluster.
     floor: u64,
-    /// The floor of the last sweep; `None` without a floor, when every
-    /// heartbeat and tick sweeps.
-    swept: Option<u64>,
+    /// The floor of the last sweep.
+    swept: u64,
 }
 
 impl Stability {
@@ -1194,7 +1140,7 @@ impl Stability {
             heard: vec![0; cluster.unwrap_or(0)],
             cap: None,
             floor: 0,
-            swept: cluster.map(|_| 0),
+            swept: 0,
         }
     }
 
@@ -1221,16 +1167,13 @@ impl Stability {
     }
 
     /// Has the floor risen above the last sweep's? If so, the sweep
-    /// about to run is recorded at it. Always true without a floor.
+    /// about to run is recorded at it.
     fn sweep_due(&mut self) -> bool {
-        match self.swept {
-            None => true,
-            Some(swept) if self.floor > swept => {
-                self.swept = Some(self.floor);
-                true
-            }
-            Some(_) => false,
+        let due = self.floor > self.swept;
+        if due {
+            self.swept = self.floor;
         }
+        due
     }
 
     /// Take in what another part of the same replica knows (the pool's
@@ -1602,11 +1545,10 @@ where
         since: u64,
         exclude: Pid,
         groups: u32,
-        ranges: u32,
     ) -> Vec<HealDigest> {
-        let mut slots = vec![HealDigest::default(); (groups as usize) * (ranges as usize)];
+        let mut slots = vec![HealDigest::default(); groups as usize * RANGES as usize];
         for shard in &mut self.shards {
-            shard.fold_digest(since, exclude, groups, ranges, &mut slots);
+            shard.fold_digest(since, exclude, groups, &mut slots);
         }
         slots
     }
@@ -2051,9 +1993,8 @@ where
         since: u64,
         exclude: Pid,
         groups: u32,
-        ranges: u32,
     ) -> Result<Vec<HealDigest>, Infallible> {
-        Ok(self.shards.digest_suffix(since, exclude, groups, ranges))
+        Ok(self.shards.digest_suffix(since, exclude, groups))
     }
 
     fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Infallible> {
@@ -2187,8 +2128,9 @@ where
     ///
     /// # Panics
     ///
-    /// On zero shards, or when the factory rejects the replica
-    /// configuration ([`StrategyFactory::validate_replica`]).
+    /// On zero shards, or on a `pid` outside the cluster the factory
+    /// names ([`StrategyFactory::cluster_size`]): stability would then
+    /// ignore the replica's own clock, and no log would ever compact.
     pub fn new(adt: A, pid: u32, shards: usize, factory: F) -> Self {
         Self::with_persistence(adt, pid, shards, factory, MemFactory)
     }
@@ -2205,8 +2147,8 @@ where
     ///
     /// # Panics
     ///
-    /// On zero shards, when the factory rejects the replica
-    /// configuration ([`StrategyFactory::validate_replica`]), or when
+    /// On zero shards, on a `pid` outside the cluster the factory names
+    /// ([`StrategyFactory::cluster_size`]), or when
     /// `persist` refuses the bind ([`BackendFactory::bind_replica`])
     /// — in particular, a persistent factory pointed at a root that
     /// already holds a bound store panics here: use
@@ -2217,7 +2159,12 @@ where
 
     fn assemble(adt: A, pid: u32, shards: usize, factory: F, persist: P, fresh: bool) -> Self {
         assert!(shards >= 1, "a store needs at least one shard");
-        factory.validate_replica(pid);
+        if let Some(n) = factory.cluster_size() {
+            assert!(
+                (pid as usize) < n,
+                "pid {pid} must be within the cluster of {n}"
+            );
+        }
         persist.bind_replica(pid, shards, fresh);
         Node {
             heal: Healer::default(),
@@ -3260,7 +3207,7 @@ mod tests {
             // The "other path": the peer already got everything.
             let Ok(_) = peer.apply_message_from(0, m);
         }
-        let total_slots = 8 * s.heal_config().ranges as u64;
+        let total_slots = 8 * RANGES as u64;
         let chunks = s.heal_peer(&mut peer);
         assert_eq!(chunks, 1, "only the empty completion chunk");
         assert_eq!(
@@ -3300,7 +3247,7 @@ mod tests {
         // And the healer's own digest path never skipped that slot.
         let heal_state = healer(&mut s);
         assert!(
-            heal_state.digest_skips < 2 * heal_state.cfg.ranges as u64,
+            heal_state.digest_skips < 2 * RANGES as u64,
             "the touched slot must not be counted skipped"
         );
     }
@@ -3374,7 +3321,6 @@ mod tests {
             chunk: 2,
             window: 1,
             stall_ticks: 3,
-            ..HealConfig::default()
         };
         for i in 0..6u64 {
             write(&mut s, i % 3, i as u32);

@@ -1,6 +1,6 @@
 //! Contended stress tests for the lock-free ingest path: N producer
 //! threads stamping through cloned [`PoolHandle`]s × M reader threads
-//! doing wait-free snapshot loads, for all four repair strategies.
+//! doing wait-free snapshot loads, under both store strategies.
 //!
 //! Assertions:
 //! * the finished pooled store equals a sequential reference that
@@ -23,8 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use uc_core::{
-    state_digest, CheckpointFactory, GcFactory, NaiveFactory, PoolConfig, StoreMsg,
-    StrategyFactory, UcStore, UndoFactory,
+    state_digest, CheckpointFactory, GcFactory, PoolConfig, StoreMsg, StrategyFactory, UcStore,
 };
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
@@ -159,18 +158,8 @@ where
 }
 
 #[test]
-fn contended_naive_matches_sequential() {
-    contended_pool_matches_sequential(NaiveFactory);
-}
-
-#[test]
 fn contended_checkpoint_matches_sequential() {
     contended_pool_matches_sequential(CheckpointFactory { every: 4 });
-}
-
-#[test]
-fn contended_undo_matches_sequential() {
-    contended_pool_matches_sequential(UndoFactory);
 }
 
 #[test]

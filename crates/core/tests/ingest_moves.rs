@@ -4,8 +4,8 @@
 //! watches a replica ingest fresh frames one by one
 //! (`Protocol::on_message`), a burst (`Protocol::on_batch`) and a
 //! duplicate of each, on the store and on one- and two-worker pools,
-//! under a strategy that cuts small bursts over to per-message inserts
-//! (naive replay) and two that repair a burst once (checkpoints, undo).
+//! under both store strategies: checkpoints, which repair a burst once,
+//! and stability GC, whose burst's heartbeat lets it compact.
 //!
 //! The clone counter is a process-wide static, so this file is a test
 //! binary of its own with a single test: nothing else clones an
@@ -13,11 +13,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use uc_core::{
-    CheckpointFactory, NaiveFactory, PoolConfig, StoreInput, StoreMsg, StoreOutput,
-    StrategyFactory, UcStore, UndoFactory,
+    CheckpointFactory, GcFactory, PoolConfig, StoreInput, StoreMsg, StoreOutput, StrategyFactory,
+    UcStore,
 };
 use uc_sim::{Ctx, Pid, Protocol};
-use uc_spec::{UndoableUqAdt, UqAdt};
+use uc_spec::UqAdt;
 
 /// Every `Add` clone, on any thread of the process.
 static CLONES: AtomicU64 = AtomicU64::new(0);
@@ -53,19 +53,6 @@ impl UqAdt for Sum {
 
     fn observe(&self, state: &i64, _query: &()) -> i64 {
         *state
-    }
-}
-
-impl UndoableUqAdt for Sum {
-    type UndoToken = i64;
-
-    fn apply_with_undo(&self, state: &mut i64, update: &Add) -> i64 {
-        *state += update.0;
-        update.0
-    }
-
-    fn undo(&self, state: &mut i64, token: &i64) {
-        *state -= token;
     }
 }
 
@@ -108,7 +95,7 @@ where
         expect[(i % KEYS) as usize] += v;
         node.on_invoke(StoreInput::Update(i % KEYS, Add(v)), &mut ctx);
     }
-    let mut peer = UcStore::new(Sum, PEER, 4, NaiveFactory);
+    let mut peer = UcStore::new(Sum, PEER, 4, CheckpointFactory { every: 4 });
     let mut send = |i: u64| {
         expect[(i % KEYS) as usize] += i as i64;
         peer.update(i % KEYS, Add(i as i64))
@@ -152,7 +139,6 @@ where
 
 #[test]
 fn a_delivered_frame_moves_into_the_log_and_is_never_cloned() {
-    on_every_node_kind(NaiveFactory, "naive");
     on_every_node_kind(CheckpointFactory { every: 4 }, "checkpoint");
-    on_every_node_kind(UndoFactory, "undo");
+    on_every_node_kind(GcFactory { n: 2 }, "gc");
 }

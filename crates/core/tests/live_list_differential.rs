@@ -29,8 +29,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use uc_core::{
-    BackendFactory, CutError, GcFactory, IngestPool, Key, MemFactory, NaiveFactory, PoolConfig,
-    SnapshotError, StoreMsg, StoreSnapshot, UcStore,
+    BackendFactory, CheckpointFactory, CutError, GcFactory, IngestPool, Key, MemFactory,
+    PoolConfig, SnapshotError, StoreMsg, StoreSnapshot, UcStore,
 };
 use uc_sim::{Pid, SplitMix64};
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
@@ -169,7 +169,7 @@ where
     /// its last ack against a throwaway sink (what the peer is repaired
     /// with is not this suite's subject).
     fn peer_up(&mut self, peer: Pid) {
-        let mut sink = UcStore::new(SetAdt::new(), peer, 1, NaiveFactory);
+        let mut sink = UcStore::new(SetAdt::new(), peer, 1, CheckpointFactory { every: 8 });
         let opener = match self {
             Node::Store(s) => {
                 let Ok(opener) = s.peer_up(peer);
@@ -315,7 +315,7 @@ where
 /// every key of the replica under test ever took.
 struct World {
     rng: SplitMix64,
-    peers: Vec<UcStore<Adt, NaiveFactory>>,
+    peers: Vec<UcStore<Adt, CheckpointFactory>>,
     undelivered: Vec<VecDeque<Msg>>,
     /// Clock of each peer's last delivered update.
     delivered_clock: Vec<u64>,
@@ -343,7 +343,7 @@ impl World {
         World {
             rng: SplitMix64::new(seed),
             peers: (1..=PEERS as u32)
-                .map(|pid| UcStore::new(SetAdt::new(), pid, 1, NaiveFactory))
+                .map(|pid| UcStore::new(SetAdt::new(), pid, 1, CheckpointFactory { every: 8 }))
                 .collect(),
             undelivered: vec![VecDeque::new(); PEERS],
             delivered_clock: vec![0; PEERS],

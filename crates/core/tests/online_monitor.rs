@@ -4,8 +4,8 @@
 //! Each detection test injects a *specific* defect through a custom
 //! [`RepairStrategy`] (or a hand-built wire message) and asserts the
 //! monitor flags it in its very next check — while the clean
-//! differentials prove zero false positives across all four shipped
-//! strategies under perturbed, duplicated, compacted delivery.
+//! differentials prove zero false positives under both store
+//! strategies and perturbed, duplicated, compacted delivery.
 //!
 //! The monitor rides the shard set both executors share, so the clean
 //! differential and every injected fault run as one body over each
@@ -15,9 +15,7 @@
 use uc_core::backend::LogBackend;
 use uc_core::engine::{CutError, RepairStrategy};
 use uc_core::pool::{IngestPool, PoolConfig};
-use uc_core::store::{
-    CheckpointFactory, GcFactory, NaiveFactory, StoreMsg, StrategyFactory, UcStore, UndoFactory,
-};
+use uc_core::store::{CheckpointFactory, GcFactory, StoreMsg, StrategyFactory, UcStore};
 use uc_core::{Executor, Node, Timestamp, UpdateLog, UpdateMsg};
 use uc_criteria::online::MonitorConfig;
 use uc_obs::{HealthStatus, Registry};
@@ -190,18 +188,8 @@ where
 }
 
 #[test]
-fn clean_run_is_clean_under_naive() {
-    on_every_node_kind!(clean_differential, NaiveFactory, false);
-}
-
-#[test]
 fn clean_run_is_clean_under_checkpoint() {
     on_every_node_kind!(clean_differential, CheckpointFactory { every: 4 }, false);
-}
-
-#[test]
-fn clean_run_is_clean_under_undo() {
-    on_every_node_kind!(clean_differential, UndoFactory, false);
 }
 
 #[test]
@@ -398,7 +386,7 @@ where
 
 #[test]
 fn stamp_reuse_with_diverging_payloads_is_a_sec_violation() {
-    on_every_node_kind!(stamp_reuse_is_flagged, NaiveFactory);
+    on_every_node_kind!(stamp_reuse_is_flagged, CheckpointFactory { every: 4 });
 }
 
 /// One schedule — local updates, a peer burst out of order with a
@@ -461,7 +449,7 @@ fn a_store_and_a_one_worker_pool_report_the_same_monitor_stats() {
 #[test]
 fn a_pool_monitor_read_right_after_a_burst_sees_the_burst() {
     for workers in [1, 2] {
-        let mut pool = pooled(&NaiveFactory, 0, workers);
+        let mut pool = pooled(&CheckpointFactory { every: 4 }, 0, workers);
         pool.attach_monitor(MonitorConfig::full()).unwrap();
         let burst: Vec<Msg> = (0..40u64)
             .map(|i| StoreMsg::Update {
@@ -482,7 +470,8 @@ fn a_pool_monitor_read_right_after_a_burst_sees_the_burst() {
 
 #[test]
 fn pool_monitor_stays_clean_then_flags_injected_stamp_reuse() {
-    let store: UcStore<CounterAdt, NaiveFactory> = UcStore::new(CounterAdt, 0, 4, NaiveFactory);
+    let store: UcStore<CounterAdt, CheckpointFactory> =
+        UcStore::new(CounterAdt, 0, 4, CheckpointFactory { every: 4 });
     let mut pool = IngestPool::spawn(
         store,
         PoolConfig {
@@ -545,7 +534,7 @@ fn pool_monitor_stays_clean_then_flags_injected_stamp_reuse() {
 /// so.
 #[test]
 fn a_sampled_monitor_never_perturbs_the_store_and_exports_what_it_saw() {
-    let mut producer = sequential(&NaiveFactory, 1);
+    let mut producer = sequential(&CheckpointFactory { every: 32 }, 1);
     let mut stream: Vec<Msg> = (0..2_000i64)
         .map(|i| producer.update(i as u64 * 7 % 64, CounterUpdate::Add(i)))
         .collect();
@@ -599,7 +588,7 @@ fn a_sampled_monitor_never_perturbs_the_store_and_exports_what_it_saw() {
 
 #[test]
 fn attach_after_traffic_never_judges_unseen_history() {
-    let mut s = UcStore::new(CounterAdt, 0, 2, NaiveFactory);
+    let mut s = UcStore::new(CounterAdt, 0, 2, CheckpointFactory { every: 4 });
     s.update(4, CounterUpdate::Add(9));
     s.attach_monitor(MonitorConfig::full());
     // Key 4's history predates the monitor: its query must not be

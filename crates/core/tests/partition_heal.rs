@@ -1,7 +1,7 @@
 //! Partition/heal differential suite: replicas separated by a network
 //! partition — with updates continuing on **both** sides — must, after
 //! reconciliation-on-heal, converge byte-identical to the reference
-//! fold a never-partitioned run produces, for all four repair
+//! fold a never-partitioned run produces, under both store
 //! strategies, for majority and minority divergence directions, with
 //! in-memory and on-disk segment backends, run by the sequential store
 //! and by the worker pool, and across a crash in the middle of
@@ -21,10 +21,11 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use uc_core::heal::RANGES;
 use uc_core::{
-    BackendFactory, CheckpointFactory, CutError, Executor, GcFactory, GenericReplica, HealConfig,
-    IngestPool, Key, LogBackend, NaiveFactory, Node, PoolConfig, RepairStrategy, StableGc,
-    StoreInput, StoreMsg, StoreOutput, StrategyFactory, UcStore, UndoFactory, UpdateLog, UpdateMsg,
+    BackendFactory, CheckpointFactory, CheckpointRepair, CutError, Executor, GcFactory,
+    GenericReplica, HealConfig, IngestPool, Key, LogBackend, Node, PoolConfig, RepairStrategy,
+    StableGc, StoreInput, StoreMsg, StoreOutput, StrategyFactory, UcStore, UpdateLog, UpdateMsg,
 };
 use uc_obs::{HealthStatus, Registry};
 use uc_sim::{
@@ -292,21 +293,11 @@ where
 }
 
 #[test]
-fn heal_converges_to_reference_naive() {
-    heal_converges_to_reference(|_| NaiveFactory, 0xA110);
-}
-
-#[test]
 fn heal_converges_to_reference_checkpoint() {
     let spaced = |seed| CheckpointFactory {
         every: 1 + (seed as usize % 5),
     };
     heal_converges_to_reference(spaced, 0xA111);
-}
-
-#[test]
-fn heal_converges_to_reference_undo() {
-    heal_converges_to_reference(|_| UndoFactory, 0xA112);
 }
 
 #[test]
@@ -666,7 +657,7 @@ fn one_diverged_key_of_128_skips_nine_tenths_of_the_digest_slots() {
         healer.update(7, SetUpdate::Insert(1_000 + i));
     }
     assert!(healer.heal_peer(&mut healed) > 0);
-    let slots = 16 * u64::from(healer.heal_config().ranges);
+    let slots = 16 * u64::from(RANGES);
     let skipped = healer.heal_digest_skips();
     assert!(
         skipped * 10 >= slots * 9,
@@ -788,7 +779,7 @@ fn gc_store_under_reordered_heartbeats(mode: DeliveryMode) {
 /// runtimes and ω-marking see; only its health reports the outage.
 #[test]
 fn protocol_minority_reads_answer() {
-    on_every_node_kind!(cut_off_replica_answers, NaiveFactory);
+    on_every_node_kind!(cut_off_replica_answers, CheckpointFactory { every: 4 });
 }
 
 fn cut_off_replica_answers<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>) {
@@ -1531,6 +1522,99 @@ where
         assert_eq!(
             read(&mut node, 0, key),
             peer.materialize_key(key),
+            "key {key}"
+        );
+    }
+}
+
+/// Compaction passes made by every [`CountedCheckpoint`] strategy.
+static CHECKPOINT_PASSES: AtomicU64 = AtomicU64::new(0);
+
+/// [`CheckpointRepair`], counting its compaction passes
+/// ([`RepairStrategy::maintain`]) in [`CHECKPOINT_PASSES`].
+struct CountedCheckpoint(CheckpointRepair<Adt>);
+
+impl RepairStrategy<Adt> for CountedCheckpoint {
+    fn on_insert<B: LogBackend<Adt>>(
+        &mut self,
+        adt: &Adt,
+        log: &mut UpdateLog<Adt, B>,
+        pos: usize,
+    ) {
+        self.0.on_insert(adt, log, pos);
+    }
+
+    fn maintain<B: LogBackend<Adt>>(&mut self, adt: &Adt, log: &mut UpdateLog<Adt, B>) {
+        CHECKPOINT_PASSES.fetch_add(1, Ordering::SeqCst);
+        self.0.maintain(adt, log);
+    }
+
+    fn current_state<B: LogBackend<Adt>>(
+        &mut self,
+        adt: &Adt,
+        log: &UpdateLog<Adt, B>,
+    ) -> &BTreeSet<u32> {
+        self.0.current_state(adt, log)
+    }
+}
+
+/// [`CheckpointFactory`] building [`CountedCheckpoint`] strategies; it
+/// names no cluster.
+#[derive(Clone, Copy)]
+struct CountingCheckpoint;
+
+impl StrategyFactory<Adt> for CountingCheckpoint {
+    type Strategy = CountedCheckpoint;
+
+    fn make(&self, adt: &Adt) -> CountedCheckpoint {
+        CountedCheckpoint(CheckpointRepair::with_spacing(adt, 4))
+    }
+}
+
+/// A replica whose factory names no cluster keeps no stability floor,
+/// so no heartbeat or tick visits a key: 64 keys hold entries while
+/// both peers announce rising clocks and the replica ticks, ten rounds
+/// of it, and no engine is visited, every key stays live, and every key
+/// reads the fold of its updates.
+#[test]
+fn without_a_cluster_no_clock_visits_a_key() {
+    on_every_node_kind!(clusterless_clocks_visit_no_key, CountingCheckpoint);
+}
+
+fn clusterless_clocks_visit_no_key<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>)
+where
+    Node<X>: Replica,
+{
+    const LIVE: u64 = 64;
+    let mut node = make(0);
+    let writes: Vec<Msg> = (0..LIVE)
+        .map(|key| {
+            let update = SetUpdate::Insert(key as u32);
+            let (ack, _) = invoke(&mut node, 0, StoreInput::Update(key, update));
+            acked(ack, update)
+        })
+        .collect();
+    assert_eq!(node.live_keys() as u64, LIVE);
+
+    let passes = CHECKPOINT_PASSES.load(Ordering::SeqCst);
+    for round in 1..=10 {
+        let clock = node.clock() + round;
+        for pid in 1..N as Pid {
+            deliver(&mut node, 0, pid, StoreMsg::Heartbeat { pid, clock });
+        }
+        node.tick_maintenance();
+    }
+    assert_eq!(node.live_keys() as u64, LIVE);
+    let visited = CHECKPOINT_PASSES.load(Ordering::SeqCst) - passes;
+    assert_eq!(
+        visited, 0,
+        "heartbeats and ticks with no cluster visited keys {visited} times"
+    );
+    let mut refs = references(&writes);
+    for key in 0..LIVE {
+        assert_eq!(
+            read(&mut node, 0, key),
+            refs.get_mut(&key).expect("written").materialize(),
             "key {key}"
         );
     }

@@ -2,7 +2,7 @@
 //! path: [`UcStore::snapshot_at`] / [`UcStore::consistent_snapshot`],
 //! the pool's cut barrier, and the `SnapshotConsistency` criterion.
 //!
-//! The gate: for every repair strategy, both storage backends, and
+//! The gate: for both store strategies, both storage backends, and
 //! shuffled/duplicated/batched schedules from concurrent producers,
 //! `snapshot_at(t)` must equal a per-key sequential fold of the
 //! delivered updates stamped `≤ t` — byte-identical (state equality
@@ -15,8 +15,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use uc_core::{
-    state_digest, CheckpointFactory, CutError, GcFactory, Key, NaiveFactory, PoolConfig, StoreMsg,
-    StoreSnapshot, StrategyFactory, Timestamp, UcStore, UndoFactory,
+    state_digest, CheckpointFactory, CutError, GcFactory, Key, PoolConfig, StoreMsg, StoreSnapshot,
+    StrategyFactory, Timestamp, UcStore,
 };
 use uc_criteria::{check_snapshot_consistency, CutUpdate, RecordedCut};
 use uc_sim::SplitMix64;
@@ -92,8 +92,8 @@ fn produce_streams<A: UqAdt + Clone>(
     rng: &mut SplitMix64,
     mut gen: impl FnMut(&mut SplitMix64) -> A::Update,
 ) -> Vec<Vec<StoreMsg<A::Update>>> {
-    let mut peers: Vec<UcStore<A, NaiveFactory>> = (0..2)
-        .map(|i| UcStore::new(adt.clone(), i as u32 + 1, 2, NaiveFactory))
+    let mut peers: Vec<UcStore<A, CheckpointFactory>> = (0..2)
+        .map(|i| UcStore::new(adt.clone(), i as u32 + 1, 2, CheckpointFactory { every: 8 }))
         .collect();
     let mut streams: Vec<Vec<StoreMsg<A::Update>>> = vec![Vec::new(); 2];
     let total = 40 + (rng.next_u64() % 30) as usize;
@@ -211,25 +211,11 @@ fn set_cut_differential_all_full_log_strategies_mem() {
         };
         run_cut_differential(
             SetAdt::<u32>::new(),
-            NaiveFactory,
-            uc_core::MemFactory,
-            seed,
-            gen,
-        );
-        run_cut_differential(
-            SetAdt::<u32>::new(),
             CheckpointFactory {
                 every: 1 + (seed as usize % 5),
             },
             uc_core::MemFactory,
             seed ^ 0xA5,
-            gen,
-        );
-        run_cut_differential(
-            SetAdt::<u32>::new(),
-            UndoFactory,
-            uc_core::MemFactory,
-            seed ^ 0x5A,
             gen,
         );
     }
@@ -255,9 +241,6 @@ fn set_cut_differential_segment_backend() {
             seed,
             gen,
         );
-        let tmp = ScratchDir::new(&format!("snap-diff-seg-naive-{seed}"));
-        let persist = SegmentFactory::at(tmp.path()).expect("scratch store");
-        run_cut_differential(SetAdt::<u32>::new(), NaiveFactory, persist, seed, gen);
     }
 }
 
@@ -275,23 +258,9 @@ fn queue_cut_differential() {
         };
         run_cut_differential(
             QueueAdt::<u32>::new(),
-            NaiveFactory,
-            uc_core::MemFactory,
-            seed,
-            gen,
-        );
-        run_cut_differential(
-            QueueAdt::<u32>::new(),
             CheckpointFactory { every: 3 },
             uc_core::MemFactory,
             seed ^ 0x11,
-            gen,
-        );
-        run_cut_differential(
-            QueueAdt::<u32>::new(),
-            UndoFactory,
-            uc_core::MemFactory,
-            seed ^ 0x22,
             gen,
         );
     }
@@ -327,23 +296,9 @@ fn stack_cut_differential() {
         };
         run_cut_differential(
             StackAdt::<u32>::new(),
-            NaiveFactory,
-            uc_core::MemFactory,
-            seed,
-            gen,
-        );
-        run_cut_differential(
-            StackAdt::<u32>::new(),
             CheckpointFactory { every: 3 },
             uc_core::MemFactory,
             seed ^ 0x11,
-            gen,
-        );
-        run_cut_differential(
-            StackAdt::<u32>::new(),
-            UndoFactory,
-            uc_core::MemFactory,
-            seed ^ 0x22,
             gen,
         );
     }
@@ -368,8 +323,8 @@ fn stack_cut_differential() {
 /// latest one.
 #[test]
 fn queue_and_stack_snapshot_queries_observe_the_cut() {
-    let mut store: UcStore<QueueAdt<u32>, NaiveFactory> =
-        UcStore::new(QueueAdt::new(), 0, 2, NaiveFactory);
+    let mut store: UcStore<QueueAdt<u32>, CheckpointFactory> =
+        UcStore::new(QueueAdt::new(), 0, 2, CheckpointFactory { every: 8 });
     let m1 = store.update(0, QueueUpdate::Enqueue(7));
     let StoreMsg::Update { msg, .. } = &m1 else {
         panic!()
@@ -386,8 +341,8 @@ fn queue_and_stack_snapshot_queries_observe_the_cut() {
     let now = store.consistent_snapshot();
     assert_eq!(now.query(0, &QueueQuery::Front), QueueOut::Front(None));
 
-    let mut store: UcStore<StackAdt<u32>, NaiveFactory> =
-        UcStore::new(StackAdt::new(), 0, 2, NaiveFactory);
+    let mut store: UcStore<StackAdt<u32>, CheckpointFactory> =
+        UcStore::new(StackAdt::new(), 0, 2, CheckpointFactory { every: 8 });
     store.update(1, StackUpdate::Push(3));
     let m2 = store.update(1, StackUpdate::Push(9));
     let StoreMsg::Update { msg, .. } = &m2 else {
@@ -411,8 +366,8 @@ fn queue_and_stack_snapshot_queries_observe_the_cut() {
 fn torn_two_query_read_fixed_by_snapshot_at() {
     const KA: Key = 0;
     const KB: Key = 1;
-    let mut producer: UcStore<SetAdt<u32>, NaiveFactory> =
-        UcStore::new(SetAdt::new(), 1, 2, NaiveFactory);
+    let mut producer: UcStore<SetAdt<u32>, CheckpointFactory> =
+        UcStore::new(SetAdt::new(), 1, 2, CheckpointFactory { every: 8 });
     // Causally ordered: the same producer issues both, so the second
     // stamp is strictly greater.
     let m1 = producer.update(KA, SetUpdate::Insert(1));
@@ -420,8 +375,8 @@ fn torn_two_query_read_fixed_by_snapshot_at() {
 
     // First, demonstrate today's tear with naive per-key queries: the
     // reader asks KA before delivery and KB after.
-    let mut reader: UcStore<SetAdt<u32>, NaiveFactory> =
-        UcStore::new(SetAdt::new(), 0, 2, NaiveFactory);
+    let mut reader: UcStore<SetAdt<u32>, CheckpointFactory> =
+        UcStore::new(SetAdt::new(), 0, 2, CheckpointFactory { every: 8 });
     let a_before = reader.query(KA, &SetQuery::Read);
     let Ok(_) = reader.apply_message_from(1, m1.clone());
     let Ok(_) = reader.apply_message_from(1, m2.clone());
@@ -535,10 +490,10 @@ fn gc_cut_differential_and_cut_error_below_compaction_bound() {
 #[test]
 fn snapshot_consistency_criterion_flags_injected_tear() {
     let adt = SetAdt::<u32>::new();
-    let mut producer: UcStore<SetAdt<u32>, NaiveFactory> =
-        UcStore::new(SetAdt::new(), 1, 2, NaiveFactory);
-    let mut store: UcStore<SetAdt<u32>, NaiveFactory> =
-        UcStore::new(SetAdt::new(), 0, 2, NaiveFactory);
+    let mut producer: UcStore<SetAdt<u32>, CheckpointFactory> =
+        UcStore::new(SetAdt::new(), 1, 2, CheckpointFactory { every: 8 });
+    let mut store: UcStore<SetAdt<u32>, CheckpointFactory> =
+        UcStore::new(SetAdt::new(), 0, 2, CheckpointFactory { every: 8 });
     let mut trace = Vec::new();
     for i in 0..20u32 {
         let m = producer.update(u64::from(i) % KEYS, SetUpdate::Insert(i));

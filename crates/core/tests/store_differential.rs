@@ -1,15 +1,16 @@
 //! Differential tests for the sharded multi-object store: under
 //! randomized out-of-order, duplicated, and batched keyed delivery,
 //! every per-key state of a [`UcStore`] must equal a single-object
-//! naive-replay reference fed the same key's messages — for all four
-//! repair strategies — and the store must converge under the
-//! deterministic simulator (`uc-runtime`'s tests run it on real
-//! threads).
+//! naive-replay reference fed the same key's messages — under both
+//! store strategies, checkpoints and stability GC (the other repair
+//! strategies run as single engines, in `strategy_differential.rs`) —
+//! and the store must converge under the deterministic simulator
+//! (`uc-runtime`'s tests run it on real threads).
 //!
 //! Schedules come from the workspace's seeded PRNG
 //! ([`uc_sim::SplitMix64`]) so failures replay exactly. As in the
-//! single-object differential test, the full-log strategies are driven
-//! by arbitrarily shuffled schedules with duplicates, while the GC
+//! single-object differential test, the full-log strategy is driven by
+//! arbitrarily shuffled schedules with duplicates, while the GC
 //! strategy (sound only under reliable broadcast) gets per-sender FIFO
 //! interleaving with mid-run heartbeats.
 
@@ -17,8 +18,8 @@ mod common;
 
 use std::collections::{HashMap, VecDeque};
 use uc_core::{
-    CachedReplica, CheckpointFactory, GcFactory, GenericReplica, Key, NaiveFactory, PoolConfig,
-    Replica, StoreInput, StoreMsg, StrategyFactory, UcStore, UndoFactory, UpdateMsg,
+    CachedReplica, CheckpointFactory, GcFactory, GenericReplica, Key, PoolConfig, Replica,
+    StoreInput, StoreMsg, StrategyFactory, UcStore, UpdateMsg,
 };
 use uc_sim::{
     perturb_order, DeliveryMode, KeyedWorkloadSpec, LatencyModel, SetOpKind, SimConfig, Simulation,
@@ -35,8 +36,15 @@ const KEYS: u64 = 5;
 /// occasionally observe each other, so timestamps interleave across
 /// keys and producers. Returns one FIFO stream per producer.
 fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<Vec<Msg>> {
-    let mut peers: Vec<UcStore<Adt, NaiveFactory>> = (0..producers)
-        .map(|i| UcStore::new(SetAdt::new(), i as u32 + 1, 2, NaiveFactory))
+    let mut peers: Vec<UcStore<Adt, CheckpointFactory>> = (0..producers)
+        .map(|i| {
+            UcStore::new(
+                SetAdt::new(),
+                i as u32 + 1,
+                2,
+                CheckpointFactory { every: 8 },
+            )
+        })
         .collect();
     let mut streams: Vec<Vec<Msg>> = vec![Vec::new(); producers];
     let total = 30 + (rng.next_u64() % 40) as usize;
@@ -61,8 +69,8 @@ fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<Vec<Msg>> {
     streams
 }
 
-/// Shuffle and duplicate the flattened streams (full-log strategies
-/// tolerate arbitrary reordering and redelivery).
+/// Shuffle and duplicate the flattened streams (the full-log strategy
+/// tolerates arbitrary reordering and redelivery).
 fn shuffled_schedule(rng: &mut SplitMix64, streams: &[Vec<Msg>]) -> Vec<Msg> {
     common::shuffle_with_dups(rng, streams.iter().flatten().cloned().collect())
 }
@@ -125,13 +133,6 @@ where
 }
 
 #[test]
-fn store_matches_per_key_reference_naive() {
-    for seed in 0..25 {
-        run_full_log(NaiveFactory, seed);
-    }
-}
-
-#[test]
 fn store_matches_per_key_reference_checkpoint() {
     for seed in 0..25 {
         run_full_log(
@@ -140,13 +141,6 @@ fn store_matches_per_key_reference_checkpoint() {
             },
             seed,
         );
-    }
-}
-
-#[test]
-fn store_matches_per_key_reference_undo() {
-    for seed in 0..25 {
-        run_full_log(UndoFactory, seed);
     }
 }
 
@@ -283,13 +277,6 @@ where
 }
 
 #[test]
-fn pool_ingest_matches_sequential_naive() {
-    for seed in 0..15 {
-        run_ingest_paths(NaiveFactory, seed);
-    }
-}
-
-#[test]
 fn pool_ingest_matches_sequential_checkpoint() {
     for seed in 0..15 {
         run_ingest_paths(
@@ -298,13 +285,6 @@ fn pool_ingest_matches_sequential_checkpoint() {
             },
             seed,
         );
-    }
-}
-
-#[test]
-fn pool_ingest_matches_sequential_undo() {
-    for seed in 0..15 {
-        run_ingest_paths(UndoFactory, seed);
     }
 }
 
@@ -492,7 +472,12 @@ fn a_late_burst_on_the_hot_key_repairs_that_key_alone() {
     };
     // One producer per shape; the same perturbation seed and length
     // displace both streams alike.
-    let mut keyed_producer = UcStore::new(SetAdt::<u32>::new(), 1, 1, NaiveFactory);
+    let mut keyed_producer = UcStore::new(
+        SetAdt::<u32>::new(),
+        1,
+        1,
+        CheckpointFactory { every: EVERY },
+    );
     let mut keyed_stream: Vec<Msg> = ops
         .iter()
         .map(|(key, u)| keyed_producer.update(*key, *u))
@@ -514,7 +499,12 @@ fn a_late_burst_on_the_hot_key_repairs_that_key_alone() {
     for chunk in keyed_stream.chunks(CHUNK) {
         keyed.apply_batch_owned(chunk.to_vec());
     }
-    let mut late_producer = UcStore::new(SetAdt::<u32>::new(), 2, 1, NaiveFactory);
+    let mut late_producer = UcStore::new(
+        SetAdt::<u32>::new(),
+        2,
+        1,
+        CheckpointFactory { every: EVERY },
+    );
     let late: Vec<Msg> = (0..64)
         .map(|i| late_producer.update(0, SetUpdate::Insert(90_000 + i)))
         .collect();
@@ -658,7 +648,7 @@ fn run_backend_differential<F>(
     }
 }
 
-/// Shuffled + duplicated chunks for the full-log strategies.
+/// Shuffled + duplicated chunks for the full-log strategy.
 fn full_log_chunks(seed: u64) -> (Vec<Vec<Msg>>, usize) {
     let mut rng = SplitMix64::new(seed);
     let streams = produce_streams(&mut rng, 2);
@@ -674,18 +664,8 @@ fn full_log_chunks(seed: u64) -> (Vec<Vec<Msg>>, usize) {
     (chunks, 1 + (seed as usize % 4))
 }
 
-// The full-log strategies run every seed under both tiers, write-behind
+// The full-log strategy runs every seed under both tiers, write-behind
 // and `fsync`, so each tier sees every shard count.
-
-#[test]
-fn segment_backend_matches_mem_backend_naive() {
-    for seed in 0..10 {
-        let (chunks, shards) = full_log_chunks(0xBACD ^ seed);
-        for fsync in [false, true] {
-            run_backend_differential(NaiveFactory, &chunks, seed, shards, fsync);
-        }
-    }
-}
 
 #[test]
 fn segment_backend_matches_mem_backend_checkpoint() {
@@ -696,16 +676,6 @@ fn segment_backend_matches_mem_backend_checkpoint() {
         };
         for fsync in [false, true] {
             run_backend_differential(factory, &chunks, seed, shards, fsync);
-        }
-    }
-}
-
-#[test]
-fn segment_backend_matches_mem_backend_undo() {
-    for seed in 0..10 {
-        let (chunks, shards) = full_log_chunks(0xBACF ^ seed);
-        for fsync in [false, true] {
-            run_backend_differential(UndoFactory, &chunks, seed, shards, fsync);
         }
     }
 }

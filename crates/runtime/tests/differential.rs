@@ -11,12 +11,13 @@
 //! runtime must still converge all of its replicas to a single state.
 //!
 //! The same pair of checks runs for the keyed sharded store under a
-//! zipfian multi-key workload ([`uc_sim::KeyedWorkloadSpec`]).
+//! zipfian multi-key workload ([`uc_sim::KeyedWorkloadSpec`]), under
+//! both of the store's strategies (Checkpoint/Gc).
 
 use uc_core::{
-    state_digest, CachedReplica, CheckpointFactory, GcFactory, GcReplica, GenericReplica,
-    NaiveFactory, OpInput, OpOutput, RepairStrategy, Replica, ReplicaEngine, ReplicaNode,
-    StoreInput, TimestampedMsg, UcStore, UndoFactory, UndoReplica,
+    state_digest, CachedReplica, CheckpointFactory, GcFactory, GcReplica, GenericReplica, OpInput,
+    OpOutput, RepairStrategy, Replica, ReplicaEngine, ReplicaNode, StoreInput, TimestampedMsg,
+    UcStore, UndoReplica,
 };
 use uc_runtime::EventCluster;
 use uc_sim::{
@@ -284,18 +285,8 @@ where
 }
 
 #[test]
-fn keyed_store_naive_agrees_across_runtimes() {
-    check_store_variant(NaiveFactory, 11);
-}
-
-#[test]
 fn keyed_store_checkpoint_agrees_across_runtimes() {
     check_store_variant(CheckpointFactory { every: 4 }, 12);
-}
-
-#[test]
-fn keyed_store_undo_agrees_across_runtimes() {
-    check_store_variant(UndoFactory, 13);
 }
 
 #[test]
