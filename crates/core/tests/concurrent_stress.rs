@@ -1,6 +1,8 @@
 //! Contended stress tests for the lock-free ingest path: N producer
 //! threads stamping through cloned [`PoolHandle`]s × M reader threads
-//! doing wait-free snapshot loads, under both store strategies.
+//! doing wait-free snapshot loads, under both store strategies and,
+//! through the test-local factories in `common`, naive replay and
+//! undo/redo.
 //!
 //! Assertions:
 //! * the finished pooled store equals a sequential reference that
@@ -18,6 +20,9 @@
 //! and two handles racing updates to one key through the shared clock
 //! would violate that precondition (see the pool module docs).
 
+mod common;
+
+use common::{NaiveEngines, UndoEngines};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -158,8 +163,18 @@ where
 }
 
 #[test]
+fn contended_naive_matches_sequential() {
+    contended_pool_matches_sequential(NaiveEngines);
+}
+
+#[test]
 fn contended_checkpoint_matches_sequential() {
     contended_pool_matches_sequential(CheckpointFactory { every: 4 });
+}
+
+#[test]
+fn contended_undo_matches_sequential() {
+    contended_pool_matches_sequential(UndoEngines);
 }
 
 #[test]

@@ -5,13 +5,17 @@
 //! [`RepairStrategy`] (or a hand-built wire message) and asserts the
 //! monitor flags it in its very next check — while the clean
 //! differentials prove zero false positives under both store
-//! strategies and perturbed, duplicated, compacted delivery.
+//! strategies, naive replay and undo/redo (the test-local factories in
+//! `common`), and perturbed, duplicated, compacted delivery.
 //!
 //! The monitor rides the shard set both executors share, so the clean
 //! differential and every injected fault run as one body over each
 //! node kind ([`Replica`]): the sequential store, and the pool on one
 //! and on two workers.
 
+mod common;
+
+use common::{NaiveEngines, UndoEngines};
 use uc_core::backend::LogBackend;
 use uc_core::engine::{CutError, RepairStrategy};
 use uc_core::pool::{IngestPool, PoolConfig};
@@ -188,8 +192,18 @@ where
 }
 
 #[test]
+fn clean_run_is_clean_under_naive() {
+    on_every_node_kind!(clean_differential, NaiveEngines, false);
+}
+
+#[test]
 fn clean_run_is_clean_under_checkpoint() {
     on_every_node_kind!(clean_differential, CheckpointFactory { every: 4 }, false);
+}
+
+#[test]
+fn clean_run_is_clean_under_undo() {
+    on_every_node_kind!(clean_differential, UndoEngines, false);
 }
 
 #[test]

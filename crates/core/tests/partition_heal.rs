@@ -2,7 +2,7 @@
 //! partition — with updates continuing on **both** sides — must, after
 //! reconciliation-on-heal, converge byte-identical to the reference
 //! fold a never-partitioned run produces, under both store
-//! strategies, for majority and minority divergence directions, with
+//! strategies, naive replay and undo/redo, for majority and minority divergence directions, with
 //! in-memory and on-disk segment backends, run by the sequential store
 //! and by the worker pool, and across a crash in the middle of
 //! applying a heal stream.
@@ -18,6 +18,9 @@
 //! topology, with failure-detector verdicts injected as invocations
 //! and retransmit/heal metrics asserted observable.
 
+mod common;
+
+use common::{NaiveEngines, UndoEngines};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -293,11 +296,21 @@ where
 }
 
 #[test]
+fn heal_converges_to_reference_naive() {
+    heal_converges_to_reference(|_| NaiveEngines, 0xA110);
+}
+
+#[test]
 fn heal_converges_to_reference_checkpoint() {
     let spaced = |seed| CheckpointFactory {
         every: 1 + (seed as usize % 5),
     };
     heal_converges_to_reference(spaced, 0xA111);
+}
+
+#[test]
+fn heal_converges_to_reference_undo() {
+    heal_converges_to_reference(|_| UndoEngines, 0xA112);
 }
 
 #[test]

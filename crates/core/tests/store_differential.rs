@@ -2,20 +2,21 @@
 //! randomized out-of-order, duplicated, and batched keyed delivery,
 //! every per-key state of a [`UcStore`] must equal a single-object
 //! naive-replay reference fed the same key's messages — under both
-//! store strategies, checkpoints and stability GC (the other repair
-//! strategies run as single engines, in `strategy_differential.rs`) —
+//! store strategies, checkpoints and stability GC, and under naive
+//! replay and undo/redo through the test-local factories in `common` —
 //! and the store must converge under the deterministic simulator
 //! (`uc-runtime`'s tests run it on real threads).
 //!
 //! Schedules come from the workspace's seeded PRNG
 //! ([`uc_sim::SplitMix64`]) so failures replay exactly. As in the
-//! single-object differential test, the full-log strategy is driven by
-//! arbitrarily shuffled schedules with duplicates, while the GC
+//! single-object differential test, the full-log strategies are driven
+//! by arbitrarily shuffled schedules with duplicates, while the GC
 //! strategy (sound only under reliable broadcast) gets per-sender FIFO
 //! interleaving with mid-run heartbeats.
 
 mod common;
 
+use common::{NaiveEngines, UndoEngines};
 use std::collections::{HashMap, VecDeque};
 use uc_core::{
     CachedReplica, CheckpointFactory, GcFactory, GenericReplica, Key, PoolConfig, Replica,
@@ -69,8 +70,8 @@ fn produce_streams(rng: &mut SplitMix64, producers: usize) -> Vec<Vec<Msg>> {
     streams
 }
 
-/// Shuffle and duplicate the flattened streams (the full-log strategy
-/// tolerates arbitrary reordering and redelivery).
+/// Shuffle and duplicate the flattened streams (full-log strategies
+/// tolerate arbitrary reordering and redelivery).
 fn shuffled_schedule(rng: &mut SplitMix64, streams: &[Vec<Msg>]) -> Vec<Msg> {
     common::shuffle_with_dups(rng, streams.iter().flatten().cloned().collect())
 }
@@ -133,6 +134,13 @@ where
 }
 
 #[test]
+fn store_matches_per_key_reference_naive() {
+    for seed in 0..25 {
+        run_full_log(NaiveEngines, seed);
+    }
+}
+
+#[test]
 fn store_matches_per_key_reference_checkpoint() {
     for seed in 0..25 {
         run_full_log(
@@ -141,6 +149,13 @@ fn store_matches_per_key_reference_checkpoint() {
             },
             seed,
         );
+    }
+}
+
+#[test]
+fn store_matches_per_key_reference_undo() {
+    for seed in 0..25 {
+        run_full_log(UndoEngines, seed);
     }
 }
 
@@ -277,6 +292,13 @@ where
 }
 
 #[test]
+fn pool_ingest_matches_sequential_naive() {
+    for seed in 0..15 {
+        run_ingest_paths(NaiveEngines, seed);
+    }
+}
+
+#[test]
 fn pool_ingest_matches_sequential_checkpoint() {
     for seed in 0..15 {
         run_ingest_paths(
@@ -285,6 +307,13 @@ fn pool_ingest_matches_sequential_checkpoint() {
             },
             seed,
         );
+    }
+}
+
+#[test]
+fn pool_ingest_matches_sequential_undo() {
+    for seed in 0..15 {
+        run_ingest_paths(UndoEngines, seed);
     }
 }
 
@@ -648,7 +677,7 @@ fn run_backend_differential<F>(
     }
 }
 
-/// Shuffled + duplicated chunks for the full-log strategy.
+/// Shuffled + duplicated chunks for the full-log strategies.
 fn full_log_chunks(seed: u64) -> (Vec<Vec<Msg>>, usize) {
     let mut rng = SplitMix64::new(seed);
     let streams = produce_streams(&mut rng, 2);
@@ -664,8 +693,18 @@ fn full_log_chunks(seed: u64) -> (Vec<Vec<Msg>>, usize) {
     (chunks, 1 + (seed as usize % 4))
 }
 
-// The full-log strategy runs every seed under both tiers, write-behind
+// The full-log strategies run every seed under both tiers, write-behind
 // and `fsync`, so each tier sees every shard count.
+
+#[test]
+fn segment_backend_matches_mem_backend_naive() {
+    for seed in 0..10 {
+        let (chunks, shards) = full_log_chunks(0xBACD ^ seed);
+        for fsync in [false, true] {
+            run_backend_differential(NaiveEngines, &chunks, seed, shards, fsync);
+        }
+    }
+}
 
 #[test]
 fn segment_backend_matches_mem_backend_checkpoint() {
@@ -676,6 +715,16 @@ fn segment_backend_matches_mem_backend_checkpoint() {
         };
         for fsync in [false, true] {
             run_backend_differential(factory, &chunks, seed, shards, fsync);
+        }
+    }
+}
+
+#[test]
+fn segment_backend_matches_mem_backend_undo() {
+    for seed in 0..10 {
+        let (chunks, shards) = full_log_chunks(0xBACF ^ seed);
+        for fsync in [false, true] {
+            run_backend_differential(UndoEngines, &chunks, seed, shards, fsync);
         }
     }
 }

@@ -12,12 +12,14 @@
 //!
 //! The same pair of checks runs for the keyed sharded store under a
 //! zipfian multi-key workload ([`uc_sim::KeyedWorkloadSpec`]), under
-//! both of the store's strategies (Checkpoint/Gc).
+//! both of the store's strategies (Checkpoint/Gc) and, through the
+//! test-local [`NaiveEngines`]/[`UndoEngines`] factories, the two
+//! engine-level strategies no product store runs.
 
 use uc_core::{
-    state_digest, CachedReplica, CheckpointFactory, GcFactory, GcReplica, GenericReplica, OpInput,
-    OpOutput, RepairStrategy, Replica, ReplicaEngine, ReplicaNode, StoreInput, TimestampedMsg,
-    UcStore, UndoReplica,
+    state_digest, CachedReplica, CheckpointFactory, GcFactory, GcReplica, GenericReplica,
+    NaiveReplay, OpInput, OpOutput, RepairStrategy, Replica, ReplicaEngine, ReplicaNode,
+    StoreInput, StrategyFactory, TimestampedMsg, UcStore, UndoRepair, UndoReplica,
 };
 use uc_runtime::EventCluster;
 use uc_sim::{
@@ -28,6 +30,31 @@ use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
 type Adt = SetAdt<u32>;
 const N: usize = 3;
+
+/// Per-key engines that replay their log on every query
+/// ([`NaiveReplay`]).
+#[derive(Clone, Copy)]
+struct NaiveEngines;
+
+impl StrategyFactory<Adt> for NaiveEngines {
+    type Strategy = NaiveReplay<Adt>;
+
+    fn make(&self, adt: &Adt) -> NaiveReplay<Adt> {
+        NaiveReplay::new(adt)
+    }
+}
+
+/// Per-key engines that repair by undo/redo ([`UndoRepair`]).
+#[derive(Clone, Copy)]
+struct UndoEngines;
+
+impl StrategyFactory<Adt> for UndoEngines {
+    type Strategy = UndoRepair<Adt>;
+
+    fn make(&self, adt: &Adt) -> UndoRepair<Adt> {
+        UndoRepair::new(adt)
+    }
+}
 
 /// Uniform access to each variant's repair accounting (the engine
 /// aliases expose it directly; the GC wrapper through its engine).
@@ -285,8 +312,18 @@ where
 }
 
 #[test]
+fn keyed_store_naive_agrees_across_runtimes() {
+    check_store_variant(NaiveEngines, 11);
+}
+
+#[test]
 fn keyed_store_checkpoint_agrees_across_runtimes() {
     check_store_variant(CheckpointFactory { every: 4 }, 12);
+}
+
+#[test]
+fn keyed_store_undo_agrees_across_runtimes() {
+    check_store_variant(UndoEngines, 13);
 }
 
 #[test]
