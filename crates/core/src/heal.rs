@@ -5,8 +5,8 @@
 //! This module owns everything a replica does about an unreachable
 //! peer, once, whoever runs the shards:
 //!
-//! * `Healer` — the [`PartitionTracker`], the [`HealConfig`], the
-//!   live [`HealSession`]s and the heal counters of one replica, with
+//! * `Healer` — the [`PartitionTracker`], the live [`HealSession`]s
+//!   and the heal counters of one replica, with
 //!   the down-peer half of its health report and the `uc_*_heal_*`
 //!   metric export. A replica ([`Node`](crate::node::Node)) holds one
 //!   above its executor, so the posture stays put when the executor
@@ -36,10 +36,11 @@
 //!    [`StoreMsg::RepairChunk`] at a time, read through
 //!    bounded-window engine cursors
 //!    ([`ReplicaEngine::suffix_since_window`](crate::engine::ReplicaEngine::suffix_since_window)),
-//!    paced by [`StoreMsg::RepairAck`]s so at most
-//!    [`HealConfig::window`] chunks are in flight per peer. The
-//!    window composes with `ReliableLink`'s queue cap: a heal can
-//!    never flood the retry queue and shed live traffic.
+//!    paced by [`StoreMsg::RepairAck`]s so at most [`WINDOW`]
+//!    chunks of at most [`CHUNK`] entries each are in flight per peer.
+//!    A chunk is one frame on the link below, and `ReliableLink`'s
+//!    `queue_cap` counts frames: a session holds at most `WINDOW` of
+//!    them in its peer's retry queue, whatever the divergence.
 //!
 //! Chunk delivery stays idempotent (receivers ingest through the
 //! deduplicating batch path), so redelivered or overlapping chunks —
@@ -77,35 +78,23 @@ use uc_obs::{Health, Registry};
 use uc_sim::{LinkCounters, Pid};
 use uc_spec::UqAdt;
 
-/// Tuning knobs of the chunked heal protocol, per store.
-#[derive(Clone, Debug)]
-pub struct HealConfig {
-    /// Maximum keyed updates per [`RepairChunk`]: the unit of peak
-    /// heal memory on both sides.
-    ///
-    /// [`RepairChunk`]: crate::store::StoreMsg::RepairChunk
-    pub chunk: usize,
-    /// Maximum unacknowledged chunks in flight per healing peer (the
-    /// flow-control window). Sizing contract with `ReliableLink`:
-    /// `window * chunk` messages must fit its `queue_cap` alongside
-    /// live traffic, so heals never force live messages to shed.
-    pub window: usize,
-    /// Ticks without protocol progress before a stalled session acts:
-    /// re-sending its digest request, or expiring its oldest
-    /// unacknowledged chunk to reopen the window (see
-    /// [`HealSession::on_tick`]).
-    pub stall_ticks: u32,
-}
+/// Maximum keyed updates per [`RepairChunk`]: the unit of peak heal
+/// memory on both sides.
+///
+/// [`RepairChunk`]: crate::store::StoreMsg::RepairChunk
+pub const CHUNK: usize = 512;
 
-impl Default for HealConfig {
-    fn default() -> Self {
-        HealConfig {
-            chunk: 512,
-            window: 4,
-            stall_ticks: 8,
-        }
-    }
-}
+/// Maximum unacknowledged chunks in flight per healing peer (the
+/// flow-control window). A chunk travels as one `ReliableLink` frame,
+/// and the link's `queue_cap` counts frames, so a session puts at most
+/// `WINDOW` frames in its peer's retry queue, carrying at most
+/// `WINDOW × CHUNK` entries.
+pub const WINDOW: usize = 4;
+
+/// Ticks without protocol progress before a stalled session acts:
+/// it re-sends its digest request, or expires its oldest
+/// unacknowledged chunk to reopen the window (see `HealSession::on_tick`).
+pub const STALL_TICKS: u32 = 8;
 
 /// Key-range fan-out per digest group: each group (the sender's shard)
 /// is split into this many independently skippable ranges, so one hot
@@ -121,7 +110,7 @@ pub const RANGES: u32 = 8;
 pub struct HealDigest {
     /// Number of suffix entries in this slot.
     pub count: u64,
-    /// Xor of [`entry_hash`] over those entries.
+    /// Xor of the entries' hashes over `(clock, pid, payload)`.
     pub xor: u64,
 }
 
@@ -144,7 +133,7 @@ impl fmt::Debug for HealDigest {
 /// timestamp) is what makes the digest collision-resistant against
 /// same-shape divergence: two suffixes with identical timestamps but
 /// different payloads must not compare equal.
-pub fn entry_hash<U: Hash>(ts: Timestamp, update: &U) -> u64 {
+pub(crate) fn entry_hash<U: Hash>(ts: Timestamp, update: &U) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(ts.clock);
     h.write_u32(ts.pid);
@@ -158,7 +147,7 @@ pub fn entry_hash<U: Hash>(ts: Timestamp, update: &U) -> u64 {
 /// high bits of the same hash, so the two are independent. Both sides
 /// evaluate this with the sender's `groups`, which keeps the mapping
 /// agreed even when the receiver runs a different shard count.
-pub fn digest_slot(key: Key, groups: u32) -> u32 {
+pub(crate) fn digest_slot(key: Key, groups: u32) -> u32 {
     let mut h = FxHasher::default();
     h.write_u64(key);
     let hash = h.finish();
@@ -170,7 +159,7 @@ pub fn digest_slot(key: Key, groups: u32) -> u32 {
 /// Flat slot indices where `ours` differs from `theirs` — the slots
 /// the healing side must stream. Length mismatches (a misconfigured
 /// peer) conservatively mark every slot.
-pub fn mismatched_slots(theirs: &[HealDigest], ours: &[HealDigest]) -> Vec<u32> {
+pub(crate) fn mismatched_slots(theirs: &[HealDigest], ours: &[HealDigest]) -> Vec<u32> {
     if theirs.len() != ours.len() {
         return (0..theirs.len() as u32).collect();
     }
@@ -187,34 +176,31 @@ pub fn mismatched_slots(theirs: &[HealDigest], ours: &[HealDigest]) -> Vec<u32> 
 /// the final chunk of the session, and the keyed updates it carries.
 /// The caller wraps it into
 /// [`StoreMsg::RepairChunk`](crate::store::StoreMsg).
-pub struct ChunkOut<U> {
+pub(crate) struct ChunkOut<U> {
     /// Session-local sequence number (1-based, contiguous).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// True on the session's last chunk — the receiver's ack for it
     /// completes the heal.
-    pub last: bool,
+    pub(crate) last: bool,
     /// The chunk payload, in (shard, key, timestamp) plan order.
-    pub updates: Vec<(Key, UpdateMsg<U>)>,
+    pub(crate) updates: Vec<(Key, UpdateMsg<U>)>,
 }
 
 /// What a stalled session decided to do on a tick — see
 /// [`HealSession::on_tick`].
-pub enum HealTick {
+pub(crate) enum HealTick {
     /// Progress is recent (or the stall threshold not reached): do
     /// nothing.
     Wait,
     /// Still awaiting the digest response: re-send the
     /// `DigestRequest` (the caller rebuilds it from the session).
     ResendDigest,
-    /// Streaming but the window has been full for `stall_ticks`:
+    /// Streaming but the window has been full for [`STALL_TICKS`]:
     /// the oldest unacknowledged chunk was expired to reopen the
-    /// window. `released` estimated in-flight bytes were freed;
-    /// `complete` when that expiry drained the session entirely.
+    /// window. `complete` when that expiry drained the session
+    /// entirely (last chunk emitted, nothing left in flight).
     Expired {
-        /// In-flight byte estimate released by the expiry.
-        released: u64,
-        /// The session finished (last chunk emitted, nothing left in
-        /// flight).
+        /// The session finished.
         complete: bool,
     },
 }
@@ -249,7 +235,7 @@ enum Phase {
 /// exchange, then windowed chunk streaming paced by acks. The session
 /// holds only coordinates and counters — never update payloads — so a
 /// store's heal overhead is O(keys-planned), with payload memory
-/// bounded by `window * chunk` entries in flight.
+/// bounded by [`WINDOW`] × [`CHUNK`] entries in flight.
 ///
 /// Sessions are driven by the store (or pool) that owns them; this
 /// type is engine-agnostic — chunk payloads are pulled through a
@@ -279,7 +265,13 @@ pub struct HealSession {
 impl HealSession {
     /// A fresh session in the await-digest phase; the caller sends
     /// the corresponding `DigestRequest`.
-    pub fn new(peer: Pid, since: u64, id: u64, groups: u32, digests: Vec<HealDigest>) -> Self {
+    pub(crate) fn new(
+        peer: Pid,
+        since: u64,
+        id: u64,
+        groups: u32,
+        digests: Vec<HealDigest>,
+    ) -> Self {
         HealSession {
             peer,
             since,
@@ -289,11 +281,6 @@ impl HealSession {
             idle_ticks: 0,
             phase: Phase::AwaitDigest,
         }
-    }
-
-    /// Is the session still waiting for its digest response?
-    pub fn awaiting_digest(&self) -> bool {
-        matches!(self.phase, Phase::AwaitDigest)
     }
 
     /// The `DigestRequest` that opens this session (and is re-sent
@@ -324,7 +311,7 @@ impl HealSession {
     ///
     /// Ignored (returns `None`) outside the await-digest phase — a
     /// duplicate response must not rebuild a plan mid-stream.
-    pub fn begin_streaming(
+    pub(crate) fn begin_streaming(
         &mut self,
         mismatched: &[u32],
         candidates: Vec<(usize, Key)>,
@@ -362,9 +349,8 @@ impl HealSession {
     /// flagged `last`; its ack completes the heal.
     ///
     /// Per chunk, `bytes_per_entry * len` is registered in flight.
-    pub fn fill_chunks<U>(
+    pub(crate) fn fill_chunks<U>(
         &mut self,
-        cfg: &HealConfig,
         bytes_per_entry: u64,
         mut read: impl FnMut(usize, Key, u64, Option<Timestamp>, usize) -> (Vec<UpdateMsg<U>>, bool),
     ) -> Vec<ChunkOut<U>> {
@@ -381,12 +367,11 @@ impl HealSession {
             return Vec::new();
         };
         let mut out = Vec::new();
-        let (chunk_cap, window_cap) = (cfg.chunk.max(1), cfg.window.max(1));
-        while last_seq.is_none() && inflight.len() < window_cap {
+        while last_seq.is_none() && inflight.len() < WINDOW {
             let mut updates: Vec<(Key, UpdateMsg<U>)> = Vec::new();
-            while updates.len() < chunk_cap && *key_idx < plan.len() {
+            while updates.len() < CHUNK && *key_idx < plan.len() {
                 let (shard, key) = plan[*key_idx];
-                let want = chunk_cap - updates.len();
+                let want = CHUNK - updates.len();
                 let (raw, more) = read(shard, key, since, *after, want);
                 if let Some(m) = raw.last() {
                     *after = Some(m.ts);
@@ -418,34 +403,34 @@ impl HealSession {
         out
     }
 
-    /// An ack for chunk `seq` arrived. Returns the released in-flight
-    /// byte estimate and whether the session is now complete (final
-    /// chunk emitted and nothing left unacknowledged). Duplicate or
-    /// stale acks release nothing.
-    pub fn on_ack(&mut self, seq: u64) -> (u64, bool) {
+    /// An ack for chunk `seq` arrived: release it from the window.
+    /// Returns whether the session is now complete (final chunk
+    /// emitted and nothing left unacknowledged). Duplicate or stale
+    /// acks release nothing.
+    pub(crate) fn on_ack(&mut self, seq: u64) -> bool {
         self.idle_ticks = 0;
         match &mut self.phase {
-            Phase::AwaitDigest => (0, false),
+            Phase::AwaitDigest => false,
             Phase::Streaming {
                 inflight, last_seq, ..
             } => {
-                let released = inflight.remove(&seq).unwrap_or(0);
-                (released, last_seq.is_some() && inflight.is_empty())
+                inflight.remove(&seq);
+                last_seq.is_some() && inflight.is_empty()
             }
         }
     }
 
     /// One maintenance tick. Sessions making progress wait; a session
-    /// idle for `stall_ticks` acts on its phase — re-sending the
+    /// idle for [`STALL_TICKS`] acts on its phase — re-sending the
     /// digest request, or expiring its oldest unacknowledged chunk so
     /// the window reopens and streaming resumes. Expiry trades flow
     /// control for liveness on a raw lossy link: the expired chunk's
     /// *data* is not lost when heal runs over `ReliableLink` (which
     /// retransmits it); without a reliable link the next heal cycle
     /// re-covers it.
-    pub fn on_tick(&mut self, stall_ticks: u32) -> HealTick {
+    pub(crate) fn on_tick(&mut self) -> HealTick {
         self.idle_ticks += 1;
-        if self.idle_ticks < stall_ticks.max(1) {
+        if self.idle_ticks < STALL_TICKS {
             return HealTick::Wait;
         }
         self.idle_ticks = 0;
@@ -459,9 +444,8 @@ impl HealSession {
                     // mid-drive (fill_chunks will run); wait.
                     return HealTick::Wait;
                 };
-                let released = inflight.remove(&oldest).unwrap_or(0);
+                inflight.remove(&oldest);
                 HealTick::Expired {
-                    released,
                     complete: last_seq.is_some() && inflight.is_empty(),
                 }
             }
@@ -551,8 +535,6 @@ struct Inbound {
 #[derive(Clone, Default)]
 pub(crate) struct Healer {
     pub(crate) partition: PartitionTracker,
-    /// Applies to sessions opened afterwards.
-    pub(crate) cfg: HealConfig,
     /// One per healing peer. A session pins compaction at its
     /// watermark exactly like a down peer.
     sessions: BTreeMap<Pid, HealSession>,
@@ -566,9 +548,6 @@ pub(crate) struct Healer {
     pub(crate) chunks: u64,
     /// Digest slots skipped because both sides agreed (counter).
     pub(crate) digest_skips: u64,
-    /// Estimated bytes in unacknowledged chunks (gauge): the sum of
-    /// the live sessions' [`HealSession::inflight_bytes`].
-    bytes_in_flight: u64,
     /// Estimated wire bytes of every chunk emitted (counter).
     pub(crate) replay_bytes: u64,
     /// Folded into the owning runtime's [`uc_sim::Metrics`] when
@@ -582,17 +561,19 @@ impl Healer {
         self.sessions.iter()
     }
 
+    /// Estimated bytes in unacknowledged chunks (gauge): the sum of
+    /// the live sessions' [`HealSession::inflight_bytes`].
     pub(crate) fn bytes_in_flight(&self) -> u64 {
-        self.bytes_in_flight
+        self.sessions
+            .values()
+            .map(HealSession::inflight_bytes)
+            .sum()
     }
 
-    /// Drop `peer`'s live session (flap), releasing its in-flight
-    /// gauge contribution; its watermark, so the caller can re-open
-    /// the outage there.
+    /// Drop `peer`'s live session (flap); its watermark, so the caller
+    /// can re-open the outage there.
     fn cancel_heal_session(&mut self, peer: Pid) -> Option<u64> {
-        let sess = self.sessions.remove(&peer)?;
-        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(sess.inflight_bytes());
-        Some(sess.since)
+        self.sessions.remove(&peer).map(|sess| sess.since)
     }
 
     /// Down-peer watermarks and the monitor verdict folded into one
@@ -618,7 +599,7 @@ impl Healer {
         counter("chunks_total", self.chunks);
         counter("digest_skips_total", self.digest_skips);
         let gauge = |name: &str, v: i64| reg.gauge(&format!("{prefix}_heal_{name}")).set(v);
-        gauge("bytes_in_flight", self.bytes_in_flight as i64);
+        gauge("bytes_in_flight", self.bytes_in_flight() as i64);
         gauge("sessions", self.sessions.len() as i64);
     }
 }
@@ -797,14 +778,12 @@ impl<X: ShardAccess> Dialogue<'_, X> {
     /// final chunk is acknowledged, complete the session (lifting its
     /// retention pin).
     pub(crate) fn on_repair_ack(&mut self, from: Pid, session: u64, seq: u64) -> Sent<X> {
-        let heal = &mut *self.heal;
-        let Some(sess) = heal.sessions.get_mut(&from).filter(|s| s.id == session) else {
+        let sessions = &mut self.heal.sessions;
+        let Some(sess) = sessions.get_mut(&from).filter(|s| s.id == session) else {
             return Ok(Vec::new());
         };
-        let (released, complete) = sess.on_ack(seq);
-        heal.bytes_in_flight = heal.bytes_in_flight.saturating_sub(released);
-        if complete {
-            heal.sessions.remove(&from);
+        if sess.on_ack(seq) {
+            sessions.remove(&from);
             self.apply_retention()?;
             return Ok(Vec::new());
         }
@@ -814,7 +793,7 @@ impl<X: ShardAccess> Dialogue<'_, X> {
     /// Emit as many chunks to `peer`'s session as its window allows,
     /// reading payloads through bounded-window cursors (O(chunk) peak
     /// memory) and accounting every emitted chunk's estimated bytes
-    /// in the in-flight gauge and heal counters.
+    /// in the heal counters.
     fn pump_heal_session(&mut self, peer: Pid) -> Sent<X> {
         let Dialogue { heal, shards } = self;
         let Some(mut sess) = heal.sessions.remove(&peer) else {
@@ -827,7 +806,7 @@ impl<X: ShardAccess> Dialogue<'_, X> {
         // The fill closure cannot return `Result`: a failed read ends
         // its key and is surfaced after the fill.
         let mut failed = None;
-        let chunks = sess.fill_chunks(&heal.cfg, per_entry, |si, key, since, after, limit| {
+        let chunks = sess.fill_chunks(per_entry, |si, key, since, after, limit| {
             let read = shards.collect_window(si, key, since, after, limit);
             read.unwrap_or_else(|e| {
                 failed = Some(e);
@@ -844,7 +823,6 @@ impl<X: ShardAccess> Dialogue<'_, X> {
             let bytes = per_entry * c.updates.len() as u64;
             heal.chunks += 1;
             heal.replay_bytes += bytes;
-            heal.bytes_in_flight += bytes;
             if let Some(cnt) = &heal.link_counters {
                 LinkCounters::add(&cnt.heal_replay_bytes, bytes);
             }
@@ -868,17 +846,16 @@ impl<X: ShardAccess> Dialogue<'_, X> {
         let peers: Vec<Pid> = self.heal.sessions.keys().copied().collect();
         let mut out = Vec::new();
         for peer in peers {
-            let heal = &mut *self.heal;
-            let Some(sess) = heal.sessions.get_mut(&peer) else {
+            let sessions = &mut self.heal.sessions;
+            let Some(sess) = sessions.get_mut(&peer) else {
                 continue;
             };
-            match sess.on_tick(heal.cfg.stall_ticks) {
+            match sess.on_tick() {
                 HealTick::Wait => {}
                 HealTick::ResendDigest => out.push((peer, sess.digest_request())),
-                HealTick::Expired { released, complete } => {
-                    heal.bytes_in_flight = heal.bytes_in_flight.saturating_sub(released);
+                HealTick::Expired { complete } => {
                     if complete {
-                        heal.sessions.remove(&peer);
+                        sessions.remove(&peer);
                         self.apply_retention()?;
                     } else {
                         out.extend(self.pump_heal_session(peer)?);
@@ -944,42 +921,36 @@ mod tests {
 
     #[test]
     fn session_streams_in_windowed_chunks_and_completes_on_acks() {
+        // Every slot mismatched, three keys whose entries together
+        // overflow a full window.
+        const PER_KEY: u64 = 1000;
+        assert!(3 * PER_KEY as usize > WINDOW * CHUNK);
         let mut s = HealSession::new(2, 0, 7, 1, empty_digests(1));
-        assert!(s.awaiting_digest());
-        // Every slot mismatched, three keys, 5 entries each.
+        assert!(matches!(s.phase, Phase::AwaitDigest));
         let skipped = s
             .begin_streaming(&all_slots(1), vec![(0, 1), (0, 2), (0, 3)])
             .expect("first response enters streaming");
         assert_eq!(skipped, 0);
-        let cfg = HealConfig {
-            chunk: 4,
-            window: 2,
-            ..HealConfig::default()
-        };
         let read = |_s: usize, key: u64, _since: u64, after: Option<Timestamp>, limit: usize| {
-            let all: Vec<UpdateMsg<u32>> = (1..=5u64)
+            let all: Vec<UpdateMsg<u32>> = (1..=PER_KEY)
                 .map(|c| msg(c * 10 + key, 0, key as u32))
                 .collect();
             let start = after.map_or(0, |a| all.iter().filter(|m| m.ts <= a).count());
             let end = (start + limit).min(all.len());
             (all[start..end].to_vec(), end < all.len())
         };
-        let first = s.fill_chunks(&cfg, 10, read);
-        // Window of 2: two chunks of ≤4 entries, nothing more.
-        assert_eq!(first.len(), 2);
-        assert!(first.iter().all(|c| c.updates.len() <= 4 && !c.last));
-        assert_eq!(
-            s.inflight_bytes(),
-            (first[0].updates.len() + first[1].updates.len()) as u64 * 10
-        );
-        // Ack the first: window reopens for exactly one more.
-        let (released, complete) = s.on_ack(first[0].seq);
-        assert_eq!(released, first[0].updates.len() as u64 * 10);
-        assert!(!complete);
-        let mut pending = vec![(first[1].seq, first[1].last)];
+        let first = s.fill_chunks(10, read);
+        // A full window of full chunks, nothing more.
+        assert_eq!(first.len(), WINDOW);
+        assert!(first.iter().all(|c| c.updates.len() == CHUNK && !c.last));
+        assert_eq!(s.inflight_bytes(), (WINDOW * CHUNK) as u64 * 10);
+        // Ack the first: its chunk leaves the window.
+        assert!(!s.on_ack(first[0].seq));
+        assert_eq!(s.inflight_bytes(), ((WINDOW - 1) * CHUNK) as u64 * 10);
+        let mut pending: Vec<(u64, bool)> = first[1..].iter().map(|c| (c.seq, c.last)).collect();
         let mut total: Vec<_> = first.into_iter().flat_map(|c| c.updates).collect();
         loop {
-            let more = s.fill_chunks(&cfg, 10, read);
+            let more = s.fill_chunks(10, read);
             if more.is_empty() && pending.is_empty() {
                 break;
             }
@@ -988,79 +959,72 @@ mod tests {
                 total.extend(c.updates);
             }
             let (seq, last) = pending.remove(0);
-            let (_, complete) = s.on_ack(seq);
+            let complete = s.on_ack(seq);
             assert_eq!(complete, last && pending.is_empty());
             if complete {
                 break;
             }
         }
         // Every entry streamed exactly once, in plan order.
-        assert_eq!(total.len(), 15);
-        let mut seen: Vec<(u64, u64)> = total.iter().map(|(k, m)| (*k, m.ts.clock)).collect();
-        let mut sorted = seen.clone();
-        sorted.sort_unstable();
-        seen.sort_unstable();
-        assert_eq!(seen, sorted);
+        let seen: Vec<(u64, u64)> = total.iter().map(|(k, m)| (*k, m.ts.clock)).collect();
+        let plan: Vec<(u64, u64)> = (1..=3u64)
+            .flat_map(|key| (1..=PER_KEY).map(move |c| (key, c * 10 + key)))
+            .collect();
+        assert_eq!(seen, plan);
+        assert_eq!(s.inflight_bytes(), 0);
     }
 
     #[test]
     fn peer_own_entries_are_filtered_but_advance_the_cursor() {
         let mut s = HealSession::new(1, 0, 0, 1, empty_digests(1));
         s.begin_streaming(&all_slots(1), vec![(0, 7)]).unwrap();
-        let cfg = HealConfig {
-            chunk: 2,
-            window: 8,
-            ..HealConfig::default()
-        };
-        // Entries alternate between pid 0 (ours) and pid 1 (the
-        // peer's own): a naive cursor keyed on post-filter output
-        // would stall on an all-peer window.
+        // A whole chunk of the peer's own entries (pid 1) first, then
+        // entries alternating between pid 0 (ours) and pid 1: a cursor
+        // keyed on post-filter output would stall on the first window,
+        // which the filter empties.
+        let n = 3 * CHUNK as u64;
+        let pid_of = |c: u64| if c <= CHUNK as u64 { 1 } else { (c % 2) as u32 };
         let read = |_s: usize, _k: u64, _since: u64, after: Option<Timestamp>, limit: usize| {
-            let all: Vec<UpdateMsg<u32>> = (1..=6u64)
-                .map(|c| msg(c, (c % 2) as u32, c as u32))
-                .collect();
+            let all: Vec<UpdateMsg<u32>> = (1..=n).map(|c| msg(c, pid_of(c), c as u32)).collect();
             let start = after.map_or(0, |a| all.iter().filter(|m| m.ts <= a).count());
             let end = (start + limit).min(all.len());
             (all[start..end].to_vec(), end < all.len())
         };
-        let chunks = s.fill_chunks(&cfg, 1, read);
+        let chunks = s.fill_chunks(1, read);
         let streamed: Vec<u64> = chunks
             .iter()
             .flat_map(|c| c.updates.iter().map(|(_, m)| m.ts.clock))
             .collect();
-        assert_eq!(streamed, vec![2, 4, 6], "only pid-0 entries stream");
+        let ours: Vec<u64> = (1..=n).filter(|&c| pid_of(c) == 0).collect();
+        assert_eq!(streamed, ours, "only pid-0 entries stream");
         assert!(chunks.last().unwrap().last);
     }
 
     #[test]
     fn stalled_session_resends_digest_then_expires_chunks() {
         let mut s = HealSession::new(1, 0, 0, 1, empty_digests(1));
-        for _ in 0..3 {
-            assert!(matches!(s.on_tick(4), HealTick::Wait));
+        for _ in 1..STALL_TICKS {
+            assert!(matches!(s.on_tick(), HealTick::Wait));
         }
-        assert!(matches!(s.on_tick(4), HealTick::ResendDigest));
+        assert!(matches!(s.on_tick(), HealTick::ResendDigest));
         s.begin_streaming(&all_slots(1), vec![(0, 1)]).unwrap();
-        let cfg = HealConfig {
-            chunk: 1,
-            window: 1,
-            ..HealConfig::default()
-        };
         let read = |_s: usize, _k: u64, _since: u64, _after: Option<Timestamp>, _limit: usize| {
             (vec![msg(1, 0, 1)], false)
         };
-        let chunks = s.fill_chunks(&cfg, 10, read);
+        let chunks = s.fill_chunks(10, read);
         assert_eq!(chunks.len(), 1);
         assert!(chunks[0].last);
+        assert_eq!(s.inflight_bytes(), 10);
         // The ack never arrives; after the stall threshold the chunk
         // expires and (being the last) completes the session.
-        for _ in 0..3 {
-            assert!(matches!(s.on_tick(4), HealTick::Wait));
+        for _ in 1..STALL_TICKS {
+            assert!(matches!(s.on_tick(), HealTick::Wait));
         }
-        let HealTick::Expired { released, complete } = s.on_tick(4) else {
+        let HealTick::Expired { complete } = s.on_tick() else {
             panic!("expected expiry");
         };
-        assert_eq!(released, 10);
         assert!(complete);
+        assert_eq!(s.inflight_bytes(), 0);
     }
 
     #[test]

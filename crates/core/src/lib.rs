@@ -64,7 +64,7 @@ pub use cached::{CachedReplica, CheckpointRepair};
 pub use engine::{CutError, RepairStrategy, ReplicaEngine};
 pub use gc::{GcReplica, StableGc};
 pub use generic::{GenericReplica, NaiveReplay};
-pub use heal::{digest_slot, entry_hash, mismatched_slots, HealConfig, HealDigest, HealSession};
+pub use heal::{HealDigest, HealSession};
 pub use inbox::{Inbox, PushError};
 pub use log::UpdateLog;
 pub use memory::{MemWrite, UcMemory};

@@ -22,7 +22,7 @@
 //! and is healed at `PeerUp` like any other; the retention pin the
 //! posture set moves with the shards.
 
-use crate::heal::{Dialogue, HealConfig, HealSession, Healer, ShardAccess, Update};
+use crate::heal::{Dialogue, HealSession, Healer, ShardAccess, Update};
 use crate::store::{
     Key, PartitionTracker, StoreInput, StoreMsg, StoreOutput, StoreSnapshot, Summary,
 };
@@ -167,18 +167,6 @@ impl<X: Executor> Node<X> {
         self.heal.replay_bytes
     }
 
-    /// Tune the chunked heal protocol (chunk size, window, digest
-    /// range fan-out, stall threshold). Applies to sessions opened
-    /// after the call.
-    pub fn set_heal_config(&mut self, cfg: HealConfig) {
-        self.heal.cfg = cfg;
-    }
-
-    /// The chunked-heal tuning in force.
-    pub fn heal_config(&self) -> &HealConfig {
-        &self.heal.cfg
-    }
-
     /// Heal chunks emitted by this replica (counter).
     pub fn heal_chunks(&self) -> u64 {
         self.heal.chunks
@@ -191,7 +179,8 @@ impl<X: Executor> Node<X> {
     }
 
     /// Estimated bytes in unacknowledged heal chunks right now
-    /// (gauge; bounded by `window * chunk * entry-size` per session).
+    /// (gauge; at most [`WINDOW`](crate::heal::WINDOW) ×
+    /// [`CHUNK`](crate::heal::CHUNK) entries' worth per session).
     pub fn heal_bytes_in_flight(&self) -> u64 {
         self.heal.bytes_in_flight()
     }

@@ -1767,7 +1767,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heal::HealConfig;
+    use crate::heal::{CHUNK, WINDOW};
     use crate::store::CheckpointFactory;
     use std::collections::BTreeSet;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
@@ -2331,21 +2331,16 @@ mod tests {
         // sequential healed peer by ping-ponging the protocol frames,
         // beside a sequential healer holding the same log: the pooled
         // executor must stream exactly what the inline one streams.
-        let heal_cfg = HealConfig {
-            chunk: 4,
-            window: 2,
-            ..HealConfig::default()
-        };
         let mut seq = store(0, 4);
-        seq.set_heal_config(heal_cfg.clone());
         let mut pool = store(0, 4).into_pool(cfg(2));
-        pool.set_heal_config(heal_cfg);
         let mut peer = store(1, 4);
         seq.peer_down(1);
         pool.peer_down(1).unwrap();
         let watermark = seq.clock();
         assert_eq!(pool.partition().down_peers().next(), Some((1, watermark)));
-        for i in 0..30u64 {
+        // More than a full window of chunks.
+        let n = WINDOW * CHUNK + CHUNK / 2;
+        for i in 0..n as u64 {
             // Stamped once, mirrored into the pool by the peer-ingest
             // path: both healers hold identical timestamps.
             let m = seq.update(i % 5, SetUpdate::Insert(i as u32));
@@ -2378,7 +2373,11 @@ mod tests {
                 );
             }
         }
-        assert!(chunks >= 8, "30 entries / chunk=4 needs ≥ 8, got {chunks}");
+        let needed = n.div_ceil(CHUNK) as u64;
+        assert!(
+            chunks >= needed,
+            "{n} entries need ≥ {needed} chunks, got {chunks}"
+        );
         assert_eq!(pool.heal_chunks(), chunks);
         assert_eq!(pool.heal_bytes_in_flight(), 0, "all chunks acked");
         assert!(
@@ -2421,7 +2420,7 @@ mod tests {
         }
         streamed.sort_unstable();
         seq_streamed.sort_unstable();
-        assert_eq!(streamed.len(), 30);
+        assert_eq!(streamed.len(), n);
         assert_eq!(streamed, seq_streamed);
         assert_eq!(pool.heal_replay_bytes(), seq.heal_replay_bytes());
         // One-shot: with nothing new above the next watermark a second

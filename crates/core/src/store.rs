@@ -225,7 +225,10 @@ pub enum StoreMsg<U> {
     /// ingest the payload through the deduplicating batch path (so
     /// redelivered or overlapping chunks are no-ops) and acknowledge
     /// with [`StoreMsg::RepairAck`]; the sender keeps at most
-    /// `HealConfig::window` chunks unacknowledged.
+    /// [`WINDOW`](crate::heal::WINDOW) chunks unacknowledged. A chunk
+    /// is one link frame of at most [`CHUNK`](crate::heal::CHUNK)
+    /// entries, so a heal puts at most `WINDOW` frames in a
+    /// `ReliableLink`'s queue toward its peer.
     RepairChunk {
         /// Echoed session id.
         session: u64,
@@ -620,11 +623,6 @@ pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     /// list since the last [`Shard::flush_backends`]: they were idle
     /// when an insertion began, or they left the live list.
     unflushed: Vec<u32>,
-    /// How many slots on `unflushed` are off the live list. The flush
-    /// walk visits them after the live ones, so this tells it which
-    /// slot is its last (the one that commits for the shard) without
-    /// a second look at any slot.
-    idle_unflushed: usize,
     /// Highest update-timestamp clock this shard has ingested or
     /// issued — the per-shard divergence high-water mark. Heal skips
     /// shards whose high water never passed the outage-start
@@ -668,7 +666,6 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
             slots: Vec::new(),
             live: Vec::new(),
             unflushed: Vec::new(),
-            idle_unflushed: 0,
             high_water: 0,
             lenders: Default::default(),
         }
@@ -732,8 +729,7 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
     /// Panic unless the index, the arena and the work lists agree:
     /// every key maps to the slot holding it, the work lists (and the
     /// lender lists taken together) hold a slot at most once and
-    /// exactly when the slot's flag says so, `idle_unflushed` counts
-    /// the unflushed slots off the live list, and every idle slot
+    /// exactly when the slot's flag says so, and every idle slot
     /// keeping a buffer it could lend offers it.
     #[cfg(test)]
     fn check_invariants(&self)
@@ -759,8 +755,6 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
         };
         listed(&self.live, |slot| slot.live, "live");
         listed(&self.unflushed, |slot| slot.unflushed, "unflushed");
-        let idle = self.slots.iter().filter(|s| s.unflushed && !s.live).count();
-        assert_eq!(self.idle_unflushed, idle, "idle slots owed a flush");
         listed(&self.lenders.concat(), |slot| slot.offered, "lenders");
         for (at, slot) in self.slots.iter().enumerate() {
             let kept = slot.engine.log().capacity();
@@ -842,7 +836,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             slots,
             live,
             unflushed,
-            idle_unflushed,
             lenders,
             ..
         } = self;
@@ -881,7 +874,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             if !slot.unflushed {
                 slot.unflushed = true;
                 unflushed.push(at);
-                *idle_unflushed += 1;
             }
         }
         let out = f(&mut slot.engine);
@@ -889,7 +881,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             if slot.engine.log_len() > 0 {
                 slot.live = true;
                 live.push(at);
-                *idle_unflushed -= 1;
             } else {
                 offer(lenders, slot, at);
             }
@@ -1021,7 +1012,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             slots,
             live,
             unflushed,
-            idle_unflushed,
             lenders,
             ..
         } = self;
@@ -1038,7 +1028,6 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 slot.unflushed = true;
                 unflushed.push(at);
             }
-            *idle_unflushed += 1;
             false
         });
     }
@@ -1054,35 +1043,27 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             slots,
             live,
             unflushed,
-            idle_unflushed,
             ..
         } = self;
-        let flush = |engine: &mut ReplicaEngine<A, S, B>, last: bool| {
-            if last {
+        // A slot back on the live list since it was listed is flushed
+        // with the live ones.
+        unflushed.retain(|&at| {
+            let slot = &mut slots[at as usize];
+            slot.unflushed = false;
+            !slot.live
+        });
+        // Staged flushes are durable only because the walk's last key
+        // runs `flush`.
+        let walk = live.len() + unflushed.len();
+        for (nth, &at) in live.iter().chain(unflushed.iter()).enumerate() {
+            let engine = &mut slots[at as usize].engine;
+            if nth + 1 == walk {
                 engine.flush_backend();
             } else {
                 engine.stage_backend_flush();
             }
-        };
-        // The walk ends on the last idle key owed a flush, or, with
-        // none, on the last live one.
-        let mut idle_left = std::mem::take(idle_unflushed);
-        let last_live = live.len().checked_sub(1).filter(|_| idle_left == 0);
-        for (nth, &at) in live.iter().enumerate() {
-            flush(&mut slots[at as usize].engine, Some(nth) == last_live);
         }
-        for at in unflushed.drain(..) {
-            let slot = &mut slots[at as usize];
-            slot.unflushed = false;
-            // Back on the live list since: flushed just above.
-            if !slot.live {
-                idle_left -= 1;
-                flush(&mut slot.engine, idle_left == 0);
-            }
-        }
-        // Staged flushes are durable only because the last key's
-        // `flush` ran.
-        assert_eq!(idle_left, 0, "an idle key owed a flush was not listed");
+        unflushed.clear();
     }
 }
 
@@ -2399,7 +2380,7 @@ where
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::heal::HealConfig;
+    use crate::heal::{CHUNK, STALL_TICKS, WINDOW};
     use crate::pool::{IngestPool, PoolConfig};
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -3133,33 +3114,32 @@ mod tests {
         frame(&mut peer, 0, pre);
         down(&mut s, 1);
         let watermark = healer(&mut s).partition.down_peers().next().unwrap().1;
-        // 30 diverging updates over several keys, chunk size 4: the
-        // heal must stream multiple flow-controlled chunks.
-        healer(&mut s).cfg = HealConfig {
-            chunk: 4,
-            window: 2,
-            ..HealConfig::default()
-        };
-        for i in 0..30u64 {
+        // More diverging updates over several keys than a full window
+        // carries: the heal must stream multiple flow-controlled
+        // chunks, and refill the window.
+        let n = (WINDOW * CHUNK + CHUNK / 2) as u64;
+        for i in 0..n {
             write(&mut s, i % 5, 100 + i as u32);
         }
         // An update from peer 1 itself: excluded from the stream.
-        let clock = watermark + 30;
+        let clock = watermark + n;
         frame(&mut peer, 0, StoreMsg::Heartbeat { pid: 0, clock });
         let from_peer = peer.update(3, SetUpdate::Insert(9));
         frame(&mut s, 1, from_peer);
 
         let chunks = heal(&mut s, &mut peer);
+        let needed = (n as usize).div_ceil(CHUNK);
         assert!(
-            chunks.len() >= 8,
-            "30 entries / chunk=4 needs ≥ 8, got {}",
+            chunks.len() >= needed,
+            "{n} entries need ≥ {needed} chunks, got {}",
             chunks.len()
         );
+        assert!(chunks.iter().all(|c| c.len() <= CHUNK));
         // Exactly the divergence: stamped strictly above the
         // watermark, none of the peer's own, each once, and in
         // timestamp order within a key.
         let streamed = chunks.concat();
-        assert_eq!(streamed.len(), 30);
+        assert_eq!(streamed.len(), n as usize);
         assert!(streamed.iter().all(|(_, m)| m.ts.clock > watermark));
         assert!(streamed.iter().all(|(_, m)| m.ts.pid == 0));
         for k in 0..5u64 {
@@ -3179,9 +3159,11 @@ mod tests {
         for k in 0..5u64 {
             assert_eq!(read(&mut s, k), peer.materialize_key(k), "key {k}");
         }
+        let mut key3: BTreeSet<u32> = (3..n).step_by(5).map(|i| 100 + i as u32).collect();
+        key3.insert(9);
         assert_eq!(
             peer.materialize_key(3),
-            BTreeSet::from([9, 103, 108, 113, 118, 123, 128]),
+            key3,
             "peer's own insert survives alongside the streamed run"
         );
         // Nothing diverged since: a second heal has nothing to send —
@@ -3261,21 +3243,18 @@ mod tests {
     fn flap_mid_heal<X: Executor<Adt = Adt>>(mut s: Node<X>) {
         let mut peer = store(1, 2);
         down(&mut s, 1);
-        healer(&mut s).cfg = HealConfig {
-            chunk: 2,
-            window: 1,
-            ..HealConfig::default()
-        };
-        for i in 0..10u64 {
-            write(&mut s, i % 3, i as u32);
+        // One chunk more than a full window.
+        for i in 0..(WINDOW + 1) * CHUNK {
+            write(&mut s, i as u64 % 3, i as u32);
         }
         // Open the session and deliver only the digest exchange plus
-        // the first chunk — then the peer flaps before acking.
+        // the first chunk of the window — then the peer flaps before
+        // acking, with the stream's last chunk not yet sent.
         let opener = up(&mut s, 1).expect("divergence exists");
         let Ok(resp) = peer.apply_message_from(0, opener);
         assert_eq!(resp.len(), 1);
         let mut first_chunks = frame(&mut s, 1, resp.into_iter().next().unwrap().1);
-        assert!(!first_chunks.is_empty());
+        assert_eq!(first_chunks.len(), WINDOW, "the response fills the window");
         let (_, first_chunk) = first_chunks.remove(0);
         let _ack = peer.apply_message_from(0, first_chunk);
         assert!(healer(&mut s).bytes_in_flight() > 0, "chunk unacked");
@@ -3317,34 +3296,32 @@ mod tests {
     fn stalled_session<X: Executor<Adt = Adt>>(mut s: Node<X>) {
         let mut peer = store(1, 2);
         down(&mut s, 1);
-        healer(&mut s).cfg = HealConfig {
-            chunk: 2,
-            window: 1,
-            stall_ticks: 3,
-        };
-        for i in 0..6u64 {
-            write(&mut s, i % 3, i as u32);
+        // One chunk more than a full window.
+        let n = (WINDOW + 1) * CHUNK;
+        for i in 0..n {
+            write(&mut s, i as u64 % 3, i as u32);
         }
         let opener = up(&mut s, 1).expect("divergence exists");
-        // The response never arrives: two quiet ticks, then the same
-        // request goes out again.
-        assert!(tick(&mut s).is_empty());
-        assert!(tick(&mut s).is_empty());
+        // The response never arrives: quiet ticks up to the stall
+        // threshold, then the same request goes out again.
+        for _ in 1..STALL_TICKS {
+            assert!(tick(&mut s).is_empty());
+        }
         assert_eq!(tick(&mut s), vec![(1, opener.clone())]);
-        // It is answered at last; window 1 puts one chunk in flight,
-        // and no ack ever comes back.
+        // It is answered at last; a full window of chunks goes in
+        // flight, and no ack ever comes back.
         let Ok(mut resp) = peer.apply_message_from(0, opener);
         let resp = resp.remove(0).1;
         let mut streamed = frame(&mut s, 1, resp);
-        assert_eq!(streamed.len(), 1);
-        let one_chunk = healer(&mut s).bytes_in_flight();
-        assert!(one_chunk > 0);
-        for _ in 0..3 * 8 {
+        assert_eq!(streamed.len(), WINDOW);
+        let full_window = healer(&mut s).bytes_in_flight();
+        assert!(full_window > 0);
+        for _ in 0..(n.div_ceil(CHUNK) + 1) * STALL_TICKS as usize {
             if healer(&mut s).sessions().next().is_none() {
                 break;
             }
             streamed.extend(tick(&mut s));
-            assert!(healer(&mut s).bytes_in_flight() <= one_chunk);
+            assert!(healer(&mut s).bytes_in_flight() <= full_window);
         }
         let heal_state = healer(&mut s);
         assert!(
@@ -3361,7 +3338,7 @@ mod tests {
                 other => panic!("a streaming session sends chunks, not {other:?}"),
             })
             .sum();
-        assert_eq!(entries, 6, "every entry streamed, none twice");
+        assert_eq!(entries, n, "every entry streamed, none twice");
         // Expiry gave up on the acks, not on the data: the chunks,
         // delivered late, still converge the peer.
         for (_, chunk) in streamed {

@@ -3,9 +3,57 @@
 // Each suite uses only some of these helpers.
 #![allow(dead_code)]
 
-use uc_core::{NaiveReplay, StrategyFactory, UndoRepair};
-use uc_sim::SplitMix64;
+use uc_core::{IngestPool, NaiveReplay, PoolConfig, StrategyFactory, UcStore, UndoRepair};
+use uc_sim::{Pid, SplitMix64};
 use uc_spec::{UndoableUqAdt, UqAdt};
+
+/// A fresh sequential replica of `adt` in `shards` shards.
+pub fn sequential<A: UqAdt + Clone, F: StrategyFactory<A>>(
+    adt: &A,
+    factory: &F,
+    pid: Pid,
+    shards: usize,
+) -> UcStore<A, F> {
+    UcStore::new(adt.clone(), pid, shards, factory.clone())
+}
+
+/// The same replica, its shards on `workers` worker threads.
+pub fn pooled<A, F>(
+    adt: &A,
+    factory: &F,
+    pid: Pid,
+    shards: usize,
+    workers: usize,
+) -> IngestPool<A, F>
+where
+    A: UqAdt + Clone + Send + 'static,
+    A::Update: Send,
+    A::QueryIn: Send,
+    A::QueryOut: Send,
+    A::State: Send + Sync,
+    F: StrategyFactory<A> + Send + 'static,
+    F::Strategy: Send + 'static,
+{
+    sequential(adt, factory, pid, shards).into_pool(PoolConfig {
+        workers,
+        ..PoolConfig::default()
+    })
+}
+
+/// Run `$body(make, args…)` once per node kind — the store, and pools
+/// of one and of two workers — `make(pid)` building a fresh replica of
+/// that kind: `$adt` in `$shards` shards over `$factory`.
+#[allow(unused_macros)]
+macro_rules! on_every_node_kind {
+    ($body:ident, $adt:expr, $factory:expr, $shards:expr $(, $arg:expr)*) => {{
+        let (adt, factory, shards) = ($adt, $factory, $shards);
+        $body(|pid| $crate::common::sequential(&adt, &factory, pid, shards) $(, $arg)*);
+        $body(|pid| $crate::common::pooled(&adt, &factory, pid, shards, 1) $(, $arg)*);
+        $body(|pid| $crate::common::pooled(&adt, &factory, pid, shards, 2) $(, $arg)*);
+    }};
+}
+#[allow(unused_imports)]
+pub(crate) use on_every_node_kind;
 
 /// Per-key engines that replay their log on every query ([`NaiveReplay`],
 /// Algorithm 1 verbatim). No product replica runs it in a store; the

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{NaiveEngines, UndoEngines};
+use common::{on_every_node_kind, pooled, sequential, NaiveEngines, UndoEngines};
 use uc_core::backend::LogBackend;
 use uc_core::engine::{CutError, RepairStrategy};
 use uc_core::pool::{IngestPool, PoolConfig};
@@ -82,34 +82,6 @@ impl<F: StrategyFactory<CounterAdt>> Replica for IngestPool<CounterAdt, F> {
     fn tick_maintenance(&mut self) {
         IngestPool::tick_maintenance(self).expect("live pool")
     }
-}
-
-/// A fresh sequential replica.
-fn sequential<F: StrategyFactory<CounterAdt>>(factory: &F, pid: u32) -> UcStore<CounterAdt, F> {
-    UcStore::new(CounterAdt, pid, 4, factory.clone())
-}
-
-/// The same replica, its shards on `workers` worker threads.
-fn pooled<F>(factory: &F, pid: u32, workers: usize) -> IngestPool<CounterAdt, F>
-where
-    F: StrategyFactory<CounterAdt> + Send + 'static,
-    F::Strategy: Send + 'static,
-{
-    sequential(factory, pid).into_pool(PoolConfig {
-        workers,
-        queue_depth: 64,
-    })
-}
-
-/// Run `$body(make, args…)` once per node kind, `make(pid)` building a
-/// fresh replica of that kind over `$factory`.
-macro_rules! on_every_node_kind {
-    ($body:ident, $factory:expr $(, $arg:expr)*) => {{
-        let factory = $factory;
-        $body(|pid| sequential(&factory, pid) $(, $arg)*);
-        $body(|pid| pooled(&factory, pid, 1) $(, $arg)*);
-        $body(|pid| pooled(&factory, pid, 2) $(, $arg)*);
-    }};
 }
 
 /// Drive two monitored replicas (plus an unmonitored twin of the
@@ -193,22 +165,28 @@ where
 
 #[test]
 fn clean_run_is_clean_under_naive() {
-    on_every_node_kind!(clean_differential, NaiveEngines, false);
+    on_every_node_kind!(clean_differential, CounterAdt, NaiveEngines, 4, false);
 }
 
 #[test]
 fn clean_run_is_clean_under_checkpoint() {
-    on_every_node_kind!(clean_differential, CheckpointFactory { every: 4 }, false);
+    on_every_node_kind!(
+        clean_differential,
+        CounterAdt,
+        CheckpointFactory { every: 4 },
+        4,
+        false
+    );
 }
 
 #[test]
 fn clean_run_is_clean_under_undo() {
-    on_every_node_kind!(clean_differential, UndoEngines, false);
+    on_every_node_kind!(clean_differential, CounterAdt, UndoEngines, 4, false);
 }
 
 #[test]
 fn clean_run_is_clean_under_gc() {
-    on_every_node_kind!(clean_differential, GcFactory { n: 2 }, true);
+    on_every_node_kind!(clean_differential, CounterAdt, GcFactory { n: 2 }, 4, true);
 }
 
 /// A strategy with an injected fold bug: the log's first update is
@@ -273,7 +251,7 @@ where
 
 #[test]
 fn double_fold_is_caught_by_the_first_query_check() {
-    on_every_node_kind!(double_fold_is_caught, DoubleFoldFactory);
+    on_every_node_kind!(double_fold_is_caught, CounterAdt, DoubleFoldFactory, 4);
 }
 
 /// A strategy whose snapshot path ignores the cut: every cut answers
@@ -343,7 +321,7 @@ where
 
 #[test]
 fn torn_cut_is_caught_by_the_first_snapshot() {
-    on_every_node_kind!(torn_cut_is_caught, TornCutFactory);
+    on_every_node_kind!(torn_cut_is_caught, CounterAdt, TornCutFactory, 4);
 }
 
 #[test]
@@ -400,7 +378,12 @@ where
 
 #[test]
 fn stamp_reuse_with_diverging_payloads_is_a_sec_violation() {
-    on_every_node_kind!(stamp_reuse_is_flagged, CheckpointFactory { every: 4 });
+    on_every_node_kind!(
+        stamp_reuse_is_flagged,
+        CounterAdt,
+        CheckpointFactory { every: 4 },
+        4
+    );
 }
 
 /// One schedule — local updates, a peer burst out of order with a
@@ -411,9 +394,9 @@ fn stamp_reuse_with_diverging_payloads_is_a_sec_violation() {
 #[test]
 fn a_store_and_a_one_worker_pool_report_the_same_monitor_stats() {
     let factory = GcFactory { n: 2 };
-    let mut store = sequential(&factory, 0);
-    let mut pool = pooled(&factory, 0, 1);
-    let mut peer = sequential(&factory, 1);
+    let mut store = sequential(&CounterAdt, &factory, 0, 4);
+    let mut pool = pooled(&CounterAdt, &factory, 0, 4, 1);
+    let mut peer = sequential(&CounterAdt, &factory, 1, 4);
     store.attach_monitor(monitored_cfg());
     pool.attach_monitor(monitored_cfg()).unwrap();
 
@@ -463,7 +446,7 @@ fn a_store_and_a_one_worker_pool_report_the_same_monitor_stats() {
 #[test]
 fn a_pool_monitor_read_right_after_a_burst_sees_the_burst() {
     for workers in [1, 2] {
-        let mut pool = pooled(&CheckpointFactory { every: 4 }, 0, workers);
+        let mut pool = pooled(&CounterAdt, &CheckpointFactory { every: 4 }, 0, 4, workers);
         pool.attach_monitor(MonitorConfig::full()).unwrap();
         let burst: Vec<Msg> = (0..40u64)
             .map(|i| StoreMsg::Update {
@@ -548,13 +531,13 @@ fn pool_monitor_stays_clean_then_flags_injected_stamp_reuse() {
 /// so.
 #[test]
 fn a_sampled_monitor_never_perturbs_the_store_and_exports_what_it_saw() {
-    let mut producer = sequential(&CheckpointFactory { every: 32 }, 1);
+    let mut producer = sequential(&CounterAdt, &CheckpointFactory { every: 32 }, 1, 4);
     let mut stream: Vec<Msg> = (0..2_000i64)
         .map(|i| producer.update(i as u64 * 7 % 64, CounterUpdate::Add(i)))
         .collect();
     uc_sim::perturb_order(&mut stream, 0.15, 0x0B5ED);
     let ingest = |rate: Option<f64>| {
-        let mut s = sequential(&CheckpointFactory { every: 32 }, 0);
+        let mut s = sequential(&CounterAdt, &CheckpointFactory { every: 32 }, 0, 4);
         if let Some(rate) = rate {
             s.attach_monitor(MonitorConfig::sampled(rate).with_peers([0, 1]));
         }

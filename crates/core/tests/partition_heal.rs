@@ -20,15 +20,15 @@
 
 mod common;
 
-use common::{NaiveEngines, UndoEngines};
+use common::{on_every_node_kind, pooled, sequential, NaiveEngines, UndoEngines};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use uc_core::heal::RANGES;
+use uc_core::heal::{CHUNK, RANGES, WINDOW};
 use uc_core::{
     BackendFactory, CheckpointFactory, CheckpointRepair, CutError, Executor, GcFactory,
-    GenericReplica, HealConfig, IngestPool, Key, LogBackend, Node, PoolConfig, RepairStrategy,
-    StableGc, StoreInput, StoreMsg, StoreOutput, StrategyFactory, UcStore, UpdateLog, UpdateMsg,
+    GenericReplica, IngestPool, Key, LogBackend, Node, PoolConfig, RepairStrategy, StableGc,
+    StoreInput, StoreMsg, StoreOutput, StrategyFactory, UcStore, UpdateLog, UpdateMsg,
 };
 use uc_obs::{HealthStatus, Registry};
 use uc_sim::{
@@ -90,35 +90,6 @@ impl<F: StrategyFactory<Adt>> Replica for IngestPool<Adt, F> {
     fn tick_maintenance(&mut self) {
         IngestPool::tick_maintenance(self).expect("live pool")
     }
-}
-
-/// A fresh sequential replica.
-fn sequential<F: StrategyFactory<Adt>>(factory: &F, pid: Pid, shards: usize) -> UcStore<Adt, F> {
-    UcStore::new(SetAdt::new(), pid, shards, factory.clone())
-}
-
-/// The same replica, its shards on `workers` worker threads.
-fn pooled<F>(factory: &F, pid: Pid, shards: usize, workers: usize) -> IngestPool<Adt, F>
-where
-    F: StrategyFactory<Adt> + Send + 'static,
-    F::Strategy: Send + 'static,
-{
-    sequential(factory, pid, shards).into_pool(PoolConfig {
-        workers,
-        ..PoolConfig::default()
-    })
-}
-
-/// Run `$body(make)` once per node kind — the store, and pools of one
-/// and of two workers — `make(pid)` building a fresh two-shard replica
-/// of that kind over `$factory`.
-macro_rules! on_every_node_kind {
-    ($body:ident, $factory:expr) => {{
-        let factory = $factory;
-        $body(|pid| sequential(&factory, pid, 2));
-        $body(|pid| pooled(&factory, pid, 2, 1));
-        $body(|pid| pooled(&factory, pid, 2, 2));
-    }};
 }
 
 /// One invocation on replica `pid`: its output and what it sent.
@@ -290,8 +261,16 @@ where
     for seed in 0..8 {
         let f = factory(seed);
         let minority_updates = seed % 2 == 0;
-        run_heal_differential(|p, s| sequential(&f, p, s), salt ^ seed, minority_updates);
-        run_heal_differential(|p, s| pooled(&f, p, s, 2), salt ^ seed, minority_updates);
+        run_heal_differential(
+            |p, s| sequential(&Adt::new(), &f, p, s),
+            salt ^ seed,
+            minority_updates,
+        );
+        run_heal_differential(
+            |p, s| pooled(&Adt::new(), &f, p, s, 2),
+            salt ^ seed,
+            minority_updates,
+        );
     }
 }
 
@@ -330,15 +309,15 @@ fn heal_converges_to_reference_gc() {
 #[test]
 fn peer_up_with_only_the_peers_own_updates_opens_no_session() {
     let gc = GcFactory { n: 2 };
-    own_updates_open_no_session(sequential(&gc, 0, 2));
-    own_updates_open_no_session(pooled(&gc, 0, 2, 2));
+    own_updates_open_no_session(sequential(&Adt::new(), &gc, 0, 2));
+    own_updates_open_no_session(pooled(&Adt::new(), &gc, 0, 2, 2));
 }
 
 fn own_updates_open_no_session<X: Executor<Adt = Adt>>(mut node: Node<X>)
 where
     Node<X>: Replica,
 {
-    let mut peer = sequential(&GcFactory { n: 2 }, 1, 2);
+    let mut peer = sequential(&Adt::new(), &GcFactory { n: 2 }, 1, 2);
     invoke(&mut node, 0, StoreInput::PeerDown(1));
     let (_, sent) = invoke(&mut peer, 1, StoreInput::Update(4, SetUpdate::Insert(7)));
     let own = sent.into_iter().next().expect("a broadcast").1;
@@ -496,13 +475,6 @@ fn chunked_heal_crash_mid_stream_reopens_and_reheals() {
     let factory = CheckpointFactory { every: 4 };
     let mut a: UcStore<Adt, CheckpointFactory, SegmentFactory> =
         UcStore::with_persistence(SetAdt::new(), 0, 2, factory, persist_a);
-    // Tiny chunks, window 1: the stream pauses on every unacked chunk,
-    // so "crash after the first chunk" is a reachable protocol state.
-    a.set_heal_config(HealConfig {
-        chunk: 3,
-        window: 1,
-        ..HealConfig::default()
-    });
     let mut c: UcStore<Adt, CheckpointFactory, SegmentFactory> =
         UcStore::with_persistence(SetAdt::new(), 2, 2, factory, persist_c.clone());
 
@@ -516,7 +488,10 @@ fn chunked_heal_crash_mid_stream_reopens_and_reheals() {
     }
     c.flush_backends();
     a.peer_down(2);
-    for _ in 0..16u64 {
+    // One chunk more than a full window: the stream pauses with its
+    // last chunk unsent, so "crash after the first chunk" is a
+    // reachable protocol state.
+    for _ in 0..(WINDOW + 1) * CHUNK {
         let (key, u) = step_update(&mut rng);
         let m = a.update(key, u);
         all.push(m);
@@ -528,7 +503,7 @@ fn chunked_heal_crash_mid_stream_reopens_and_reheals() {
     let Ok(mut resp) = c.apply_message_from(0, opener);
     assert_eq!(resp.len(), 1, "digest request answers with one response");
     let Ok(mut chunks) = a.apply_message_from(2, resp.remove(0).1);
-    assert_eq!(chunks.len(), 1, "window 1 streams one chunk at a time");
+    assert_eq!(chunks.len(), WINDOW, "the response fills the window");
     let (_, first_chunk) = chunks.remove(0);
     // C applies it durably… and crashes before its ack is delivered.
     let _lost_ack = c.apply_message_from(0, first_chunk);
@@ -557,7 +532,10 @@ fn chunked_heal_crash_mid_stream_reopens_and_reheals() {
     let mut c: UcStore<Adt, CheckpointFactory, SegmentFactory> =
         UcStore::reopen(SetAdt::new(), 2, 2, factory, persist_c);
     let streamed = a.heal_peer(&mut c);
-    assert!(streamed >= 2, "re-heal streams the full chunked suffix");
+    assert!(
+        streamed > WINDOW as u64,
+        "re-heal streams the full chunked suffix: {streamed} chunks"
+    );
     assert!(a.heal_sessions().next().is_none());
     assert_eq!(a.heal_bytes_in_flight(), 0);
 
@@ -603,20 +581,14 @@ fn heal_sampling_in_flight(
 
 /// A divergence many chunks long heals in flow-controlled chunks: the
 /// stream is exactly the partition-era updates, the healed replica
-/// matches the never-partitioned one key for key, and the healer never
-/// holds more than `window × chunk` entries unacknowledged.
+/// matches the never-partitioned one key for key, and the healer fills
+/// its window but never holds more than `WINDOW × CHUNK` entries
+/// unacknowledged.
 #[test]
 fn a_chunked_heal_keeps_at_most_window_times_chunk_entries_in_flight() {
-    const CHUNK: usize = 64;
-    const WINDOW: usize = 2;
-    const DIVERGENCE: usize = 800;
+    const DIVERGENCE: usize = WINDOW * CHUNK + 3 * CHUNK / 2;
     let factory = CheckpointFactory { every: 32 };
     let mut majority = UcStore::new(SetAdt::new(), 0, 4, factory);
-    majority.set_heal_config(HealConfig {
-        chunk: CHUNK,
-        window: WINDOW,
-        ..HealConfig::default()
-    });
     let mut minority = UcStore::new(SetAdt::new(), 2, 4, factory);
     let mut rng = SplitMix64::new(0xBEA7);
     for _ in 0..2_000 {
@@ -638,11 +610,10 @@ fn a_chunked_heal_keeps_at_most_window_times_chunk_entries_in_flight() {
         "the stream is exactly the partition-era updates"
     );
     assert!(chunks >= DIVERGENCE.div_ceil(CHUNK), "{chunks} chunks");
-    assert!(
-        peak > 0 && peak / per_entry <= (WINDOW * CHUNK) as u64,
-        "peak in flight {} entries, window × chunk {}",
+    assert_eq!(
         peak / per_entry,
-        WINDOW * CHUNK
+        (WINDOW * CHUNK) as u64,
+        "peak in flight in entries: a full window, and no more"
     );
     assert_eq!(majority.heal_bytes_in_flight(), 0, "every chunk acked");
     for key in majority.keys() {
@@ -792,7 +763,12 @@ fn gc_store_under_reordered_heartbeats(mode: DeliveryMode) {
 /// runtimes and ω-marking see; only its health reports the outage.
 #[test]
 fn protocol_minority_reads_answer() {
-    on_every_node_kind!(cut_off_replica_answers, CheckpointFactory { every: 4 });
+    on_every_node_kind!(
+        cut_off_replica_answers,
+        Adt::new(),
+        CheckpointFactory { every: 4 },
+        2
+    );
 }
 
 fn cut_off_replica_answers<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>) {
@@ -910,6 +886,91 @@ fn reliable_link_store_converges_through_lossy_partition() {
         m.heal_replay_bytes > 0,
         "the PeerUp verdicts must stream repair bursts"
     );
+}
+
+/// The heal's sizing contract with the link below it: a chunk is one
+/// [`ReliableLink`] frame and the link's `queue_cap` counts frames, so
+/// a session puts at most `WINDOW` frames in its peer's retry queue,
+/// however many entries it streams. A divergence of more than
+/// `WINDOW × CHUNK` entries — more entries than the default
+/// `queue_cap` — heals over links with [`RetryConfig::default`]
+/// without shedding a frame, and every replica converges.
+#[test]
+fn a_heal_longer_than_a_full_window_sheds_nothing_on_a_default_reliable_link() {
+    type Node = ReliableLink<UcStore<Adt, CheckpointFactory>>;
+    const DIVERGENCE: u64 = (WINDOW * CHUNK + CHUNK) as u64;
+    assert!(DIVERGENCE as usize > RetryConfig::default().queue_cap);
+    let n = 3;
+    let latency = LatencyModel::Uniform(2, 9);
+    let lossless = LinkModel {
+        latency: latency.clone(),
+        ..LinkModel::default()
+    };
+    let mut topo = Topology::uniform(n, lossless);
+    topo.partition(vec![vec![0, 1], vec![2]], 1_000, 5_000, Cut::Drop);
+    let mut sim: Simulation<Node> = Simulation::new(
+        SimConfig {
+            n,
+            seed: 0x51ED,
+            latency,
+            fifo_links: false,
+        },
+        |pid| {
+            let store = UcStore::new(SetAdt::new(), pid, 2, CheckpointFactory { every: 8 });
+            ReliableLink::new(store, RetryConfig::default(), 0x51ED ^ pid as u64)
+        },
+    );
+    sim.set_topology(topo);
+    sim.schedule_ticks(50, 9_000);
+    let mut rng = SplitMix64::new(0x51EE);
+    let mut update = |sim: &mut Simulation<Node>, t: u64, pid: Pid| {
+        let (key, u) = step_update(&mut rng);
+        sim.schedule_invoke(t, pid, StoreInput::Update(key, u));
+    };
+    for i in 0..30u64 {
+        update(&mut sim, 20 + i * 30, (i % 3) as Pid);
+    }
+    for (pid, peer) in [(0, 2), (1, 2), (2, 0), (2, 1)] {
+        sim.schedule_invoke(1_000, pid, StoreInput::PeerDown(peer));
+    }
+    // The majority diverges by more than a full window; the minority
+    // by a little.
+    for i in 0..DIVERGENCE {
+        update(&mut sim, 1_100 + i, (i % 2) as Pid);
+    }
+    for i in 0..8u64 {
+        update(&mut sim, 1_100 + i * 300, 2);
+    }
+    for (pid, peer) in [(0, 2), (1, 2), (2, 0), (2, 1)] {
+        sim.schedule_invoke(5_100, pid, StoreInput::PeerUp(peer));
+    }
+    for i in 0..30u64 {
+        update(&mut sim, 5_200 + i * 30, (i % 3) as Pid);
+    }
+    sim.run_to_quiescence();
+
+    let per_entry = (8 + 12 + std::mem::size_of::<SetUpdate<u32>>()) as u64;
+    for healer in [0, 1] {
+        let store = sim.process(healer).inner();
+        assert!(
+            store.heal_replay_bytes() / per_entry >= DIVERGENCE,
+            "replica {healer} streamed the majority's divergence"
+        );
+        assert!(store.heal_chunks() > WINDOW as u64, "replica {healer}");
+    }
+    for p in 0..n as Pid {
+        let node = sim.process(p);
+        assert_eq!(node.stats().shed, 0, "replica {p}'s link shed a frame");
+        assert!(node.inner().heal_sessions().next().is_none(), "replica {p}");
+        assert_eq!(node.inner().partition().down_count(), 0, "replica {p}");
+    }
+    for k in 0..KEYS {
+        let expect = sim.process_mut(0).inner_mut().materialize_key(k);
+        for p in 1..n as Pid {
+            let got = sim.process_mut(p).inner_mut().materialize_key(k);
+            assert_eq!(expect, got, "key {k} diverged on replica {p}");
+        }
+    }
 }
 
 /// End-to-end with **no injected membership verdicts**: a
@@ -1031,7 +1092,7 @@ fn detector_driven_heal_through_flapping_partition(mode: DeliveryMode) {
 /// peer is back, both go to everyone again.
 #[test]
 fn a_down_peer_is_sent_heartbeats_at_its_watermark_and_no_updates() {
-    on_every_node_kind!(down_peer_sender_rules, GcFactory { n: 3 });
+    on_every_node_kind!(down_peer_sender_rules, Adt::new(), GcFactory { n: 3 }, 2);
 }
 
 fn down_peer_sender_rules<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>) {
@@ -1079,7 +1140,12 @@ fn down_peer_sender_rules<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>)
 /// keep their read fold.
 #[test]
 fn only_keys_whose_log_is_pinned_long_keep_a_read_fold() {
-    on_every_node_kind!(kept_folds_follow_log_length, GcFactory { n: 3 });
+    on_every_node_kind!(
+        kept_folds_follow_log_length,
+        Adt::new(),
+        GcFactory { n: 3 },
+        2
+    );
 }
 
 fn kept_folds_follow_log_length<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>) {
@@ -1141,8 +1207,10 @@ fn a_replica_keeps_its_partition_posture_across_an_executor_change() {
         workers: 2,
         ..PoolConfig::default()
     };
-    posture_survives(sequential(&gc, 0, 2), |store| store.into_pool(cfg));
-    posture_survives(pooled(&gc, 0, 2, 2), |pool| {
+    posture_survives(sequential(&Adt::new(), &gc, 0, 2), |store| {
+        store.into_pool(cfg)
+    });
+    posture_survives(pooled(&Adt::new(), &gc, 0, 2, 2), |pool| {
         pool.finish().expect("live pool")
     });
 }
@@ -1153,7 +1221,10 @@ where
     Y: Executor<Adt = Adt>,
 {
     let gc = GcFactory { n: N };
-    let (mut one, mut two) = (sequential(&gc, 1, 2), sequential(&gc, 2, 2));
+    let (mut one, mut two) = (
+        sequential(&Adt::new(), &gc, 1, 2),
+        sequential(&Adt::new(), &gc, 2, 2),
+    );
     invoke(&mut node, 0, StoreInput::PeerDown(2));
     let (_, sent) = invoke(&mut node, 0, StoreInput::Update(7, SetUpdate::Insert(7)));
     assert_eq!(sent.len(), 1, "the update goes to peer 1 only: {sent:?}");
@@ -1192,13 +1263,12 @@ where
 /// announcing a clock above entries 2 has never received — the order a
 /// link delivers them in after shedding the updates that went into the
 /// cut. Had those clocks let 2 compact, the chunks' entries would land
-/// at or below its floor and be dropped. The healers stream one
-/// two-entry chunk at a time, and 2 hears their clocks and compacts
-/// after every chunk, so a pin lifted before the *last* chunk fails
-/// too.
+/// at or below its floor and be dropped. Each healer streams three
+/// chunks, and 2 hears their clocks and compacts after every chunk, so
+/// a pin lifted before the *last* chunk fails too.
 #[test]
 fn a_healed_replica_stays_pinned_until_its_inbound_heal_lands() {
-    on_every_node_kind!(inbound_heal_stays_pinned, GcFactory { n: 3 });
+    on_every_node_kind!(inbound_heal_stays_pinned, Adt::new(), GcFactory { n: 3 }, 2);
 }
 
 fn inbound_heal_stays_pinned<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>)
@@ -1226,8 +1296,9 @@ where
     for (pid, peer) in [(0, 2), (1, 2), (2, 0), (2, 1)] {
         invoke(&mut nodes[pid as usize], pid, StoreInput::PeerDown(peer));
     }
-    // Only the majority writes while the cut lasts.
-    for i in 0..24u32 {
+    // Only the majority writes while the cut lasts: three chunks'
+    // worth, which each healer streams.
+    for i in 0..3 * CHUNK as u32 {
         step(&mut nodes, i % 2, &|to| to != 2);
     }
 
@@ -1238,11 +1309,6 @@ where
     // Each healer's digest request reaches 2; its answer waits.
     let mut in_flight: VecDeque<(Pid, Pid, Msg)> = VecDeque::new();
     for healer in [0, 1] {
-        nodes[healer as usize].set_heal_config(HealConfig {
-            chunk: 2,
-            window: 1,
-            ..HealConfig::default()
-        });
         let (_, opener) = invoke(&mut nodes[healer as usize], healer, StoreInput::PeerUp(2));
         assert_eq!(opener.len(), 1, "a digest request opens the heal");
         for (_, request) in opener {
@@ -1269,7 +1335,7 @@ where
             hear_healers(&mut nodes);
         }
     }
-    assert!(chunks > 4, "the heal took {chunks} chunks");
+    assert_eq!(chunks, 6, "each healer streams three chunks");
     for n in &nodes {
         assert_eq!(
             n.heal_sessions().count(),
@@ -1454,7 +1520,7 @@ impl StrategyFactory<Adt> for CountingGc {
 /// sweep that moves the floor catches every key up and empties its log.
 #[test]
 fn a_clock_that_cannot_raise_the_floor_visits_no_key() {
-    on_every_node_kind!(pinned_floor_visits_no_key, CountingGc);
+    on_every_node_kind!(pinned_floor_visits_no_key, Adt::new(), CountingGc, 2);
 }
 
 fn pinned_floor_visits_no_key<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>)
@@ -1463,7 +1529,7 @@ where
 {
     const LIVE: u64 = 64;
     let mut node = make(0);
-    let mut peer = sequential(&GcFactory { n: N }, 2, 2);
+    let mut peer = sequential(&Adt::new(), &GcFactory { n: N }, 2, 2);
     let announce = |node: &mut Node<X>, pid: Pid, clock: u64| {
         deliver(node, 0, pid, StoreMsg::Heartbeat { pid, clock });
     };
@@ -1591,7 +1657,12 @@ impl StrategyFactory<Adt> for CountingCheckpoint {
 /// reads the fold of its updates.
 #[test]
 fn without_a_cluster_no_clock_visits_a_key() {
-    on_every_node_kind!(clusterless_clocks_visit_no_key, CountingCheckpoint);
+    on_every_node_kind!(
+        clusterless_clocks_visit_no_key,
+        Adt::new(),
+        CountingCheckpoint,
+        2
+    );
 }
 
 fn clusterless_clocks_visit_no_key<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>)

@@ -126,7 +126,7 @@ fn main() {
     // Phase 3: the link comes back. Each side opens a digest-guided
     // chunked heal session toward the peer it had marked down:
     // matching digest slots are skipped outright, the rest stream as
-    // bounded, acked chunks (never more than `window * chunk` entries
+    // bounded, acked chunks (never more than `heal::WINDOW × heal::CHUNK` entries
     // in flight). `heal_peer` drives the whole dialogue to completion
     // and returns how many chunks it took.
     for (healer, healed) in [(0usize, 2usize), (1, 2), (2, 0), (2, 1)] {
