@@ -44,7 +44,7 @@
 //! one refold instead of up to `K` of each. Delivering each message separately
 //! costs `O(K · s)` state transitions for a suffix of length `s`;
 //! the batch costs `O(s + K log K)`. The [`crate::replica::Replica`]
-//! trait exposes this as [`Replica::on_batch`](crate::replica::Replica::on_batch)
+//! trait exposes this as [`Replica::on_batch`]
 //! (default: a per-message loop), and the runtimes flush message
 //! bursts through it.
 //!
@@ -88,7 +88,7 @@ use uc_spec::UqAdt;
 /// and drained from the log.
 ///
 /// Returned by [`RepairStrategy::state_at_cut`] /
-/// [`ReplicaEngine::query_at_cut`]; callers either retry with a more
+/// [`ReplicaEngine::state_at_cut`]; callers either retry with a more
 /// recent cut (`≥ bound`) or fall back to a live query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CutError {
@@ -486,13 +486,6 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// compaction bound (see [`CutError`]).
     pub fn state_at_cut(&mut self, cut: u64) -> Result<A::State, CutError> {
         self.strategy.state_at_cut(&self.adt, &self.log, cut)
-    }
-
-    /// Answer a query against the state at snapshot cut `cut` — the
-    /// cut-query counterpart of [`ReplicaEngine::do_query`].
-    pub fn query_at_cut(&mut self, cut: u64, q: &A::QueryIn) -> Result<A::QueryOut, CutError> {
-        let state = self.state_at_cut(cut)?;
-        Ok(self.adt.observe_owned(state, q))
     }
 
     /// The read primitive of chunked heal streaming: up to `limit`

@@ -12,13 +12,11 @@
 //!   above its executor, so the posture stays put when the executor
 //!   changes ([`UcStore::into_pool`](crate::store::UcStore::into_pool),
 //!   [`IngestPool::finish`](crate::pool::IngestPool::finish)).
-//! * `Dialogue` — a `Healer` beside the executor of its replica:
+//! * `Dialogue` — a `Healer` beside the [`Executor`] of its replica:
 //!   `peer_down`, `peer_up`, the handlers of the heal control frames,
-//!   the stall tick and the retention pin.
-//! * [`ShardAccess`] — what the dialogue needs of an executor: who
-//!   touches the shards. The inline executor reads its own shards
-//!   (`Error = Infallible`), the workers send a job to the owning
-//!   worker and wait for the reply (`Error = PoolError`).
+//!   the stall tick and the retention pin. It reads and pins the
+//!   shards through the executor only, and leans on the executor's
+//!   contract: calls take effect in the order they are made.
 //!
 //! The dialogue, in two coordinated moves:
 //!
@@ -48,24 +46,13 @@
 //!
 //! While a peer is down the heal owns what it misses: the replica
 //! sends it no updates and announces it no clock above its outage
-//! watermark (`node::on_invoke`, `node::on_tick`). Compaction is pinned
-//! on both ends of a heal: the healer at its session's watermark until
-//! the last chunk is acknowledged, the healed replica at the same
+//! watermark (`node::on_invoke`, `node::membership`). Compaction is
+//! pinned on both ends of a heal: the healer at its session's watermark
+//! until the last chunk is acknowledged, the healed replica at the same
 //! watermark from the `DigestRequest` until the last chunk is ingested.
-//!
-//! # The `ShardAccess` contract
-//!
-//! Required of every implementation: calls on one executor take effect
-//! **in the order they are made**. A `set_retention` is in force for
-//! every `digest_suffix`, `collect_window` or ingest issued after it,
-//! and not before. The dialogue leans on this whenever a pin is about to
-//! relax: it reads under the outgoing, tighter pin and only then sets
-//! the looser one, so no compaction can fold a suffix between the
-//! decision to stream it and the read that streams it. Inline
-//! execution orders calls trivially; the pool's per-worker inboxes are
-//! FIFO.
 
 use crate::message::UpdateMsg;
+use crate::node::Executor;
 use crate::store::{Key, PartitionTracker, StoreMsg};
 use crate::timestamp::Timestamp;
 use std::collections::BTreeMap;
@@ -467,58 +454,6 @@ impl fmt::Debug for HealSession {
     }
 }
 
-/// Who touches the shards: everything the dialogue needs of the
-/// replica it heals for. Calls take effect in the order they are made
-/// — see the [module docs](self) for why the dialogue needs that.
-pub trait ShardAccess {
-    /// The replicated data type (its updates are what chunks carry).
-    type Adt: UqAdt;
-    /// What a shard operation can fail with.
-    type Error: std::error::Error;
-
-    /// The replica's process id.
-    fn pid(&self) -> Pid;
-
-    /// The shared Lamport clock's current value.
-    fn clock_now(&self) -> u64;
-
-    /// The digest group count of the sessions this replica opens.
-    fn num_shards(&self) -> usize;
-
-    /// Per-(group, key-range) digests of the retained suffix above
-    /// `since`, excluding `exclude`'s own updates — what a
-    /// [`StoreMsg::DigestRequest`] carries and what its receiver
-    /// recomputes locally. Shards whose high water never passed
-    /// `since` contribute nothing without touching their engines.
-    fn digest_suffix(
-        &mut self,
-        since: u64,
-        exclude: Pid,
-        groups: u32,
-    ) -> Result<Vec<HealDigest>, Self::Error>;
-
-    /// Every `(shard, key)` in shards whose divergence high water
-    /// passed `since` — the same pre-filter the digests use, so plan
-    /// and digest always cover the same universe.
-    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Self::Error>;
-
-    /// One bounded-window suffix read of one key: O(limit) payload,
-    /// never the whole tail.
-    #[allow(clippy::type_complexity)]
-    fn collect_window(
-        &mut self,
-        shard: usize,
-        key: Key,
-        since: u64,
-        after: Option<Timestamp>,
-        limit: usize,
-    ) -> Result<(Vec<UpdateMsg<Update<Self>>>, bool), Self::Error>;
-
-    /// Pin the replica's stability floor at `cap`, or release it: no
-    /// key, present or future, is handed a floor above the pin.
-    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Self::Error>;
-}
-
 /// A heal stream this replica receives: the healer's session id and,
 /// until the session's last chunk has been ingested, the watermark it
 /// streams above.
@@ -613,12 +548,12 @@ pub(crate) struct Dialogue<'a, X> {
 }
 
 /// The update type of the replica `X` runs the shards of.
-pub(crate) type Update<X> = <<X as ShardAccess>::Adt as UqAdt>::Update;
+pub(crate) type Update<X> = <<X as Executor>::Adt as UqAdt>::Update;
 
 /// What a step of the dialogue returns: the messages to send.
-pub(crate) type Sent<X> = Result<Vec<(Pid, StoreMsg<Update<X>>)>, <X as ShardAccess>::Error>;
+pub(crate) type Sent<X> = Result<Vec<(Pid, StoreMsg<Update<X>>)>, <X as Executor>::Error>;
 
-impl<X: ShardAccess> Dialogue<'_, X> {
+impl<X: Executor> Dialogue<'_, X> {
     /// `peer` became unreachable: record the outage-start watermark
     /// and pin compaction there.
     pub(crate) fn peer_down(&mut self, peer: Pid) -> Result<(), X::Error> {

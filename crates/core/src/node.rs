@@ -22,10 +22,12 @@
 //! and is healed at `PeerUp` like any other; the retention pin the
 //! posture set moves with the shards.
 
-use crate::heal::{Dialogue, HealSession, Healer, ShardAccess, Update};
+use crate::heal::{Dialogue, HealDigest, HealSession, Healer, Update};
+use crate::message::UpdateMsg;
 use crate::store::{
     Key, PartitionTracker, StoreInput, StoreMsg, StoreOutput, StoreSnapshot, Summary,
 };
+use crate::timestamp::Timestamp;
 use std::fmt;
 use std::sync::Arc;
 use uc_criteria::online::{MonitorConfig, MonitorStats};
@@ -33,15 +35,42 @@ use uc_obs::{Health, Registry};
 use uc_sim::{Ctx, LinkCounters, Pid, Protocol};
 use uc_spec::UqAdt;
 
-/// Whoever runs a replica's shards: the heal dialogue's
-/// [`ShardAccess`], plus what the protocol bodies and the shared
-/// accessors of [`Node`] call. [`Inline`](crate::store::Inline)
-/// cannot fail; [`Workers`](crate::pool::Workers) fail once a worker
-/// has panicked.
-pub trait Executor: ShardAccess {
+/// Whoever runs a replica's shards: everything the protocol bodies,
+/// the shared accessors of [`Node`] and the heal dialogue call.
+/// [`Inline`](crate::store::Inline) reads its own shards and cannot
+/// fail (`Error = Infallible`); [`Workers`](crate::pool::Workers)
+/// send a call to the owning worker and wait for the answer, and fail
+/// once a worker has panicked (`Error = PoolError`).
+///
+/// # Contract
+///
+/// Required of every implementation: calls on one executor take effect
+/// **in the order they are made**. A `set_retention` is in force for
+/// every `digest_suffix`, `collect_window` or ingest issued after it,
+/// and not before. The dialogue leans on this whenever a pin is about to
+/// relax: it reads under the outgoing, tighter pin and only then sets
+/// the looser one, so no compaction can fold a suffix between the
+/// decision to stream it and the read that streams it. Inline
+/// execution orders calls trivially; the pool's per-worker inboxes are
+/// FIFO.
+pub trait Executor {
+    /// The replicated data type (its updates are what chunks carry).
+    type Adt: UqAdt;
+    /// What a shard operation can fail with.
+    type Error: std::error::Error;
+
     /// The name prefix of the replica's heal metrics
     /// (`{prefix}_heal_*`).
     const METRICS: &'static str;
+
+    /// The replica's process id.
+    fn pid(&self) -> Pid;
+
+    /// The shared Lamport clock's current value.
+    fn clock_now(&self) -> u64;
+
+    /// The digest group count of the sessions this replica opens.
+    fn num_shards(&self) -> usize;
 
     /// Stamp and apply a local update; the broadcast message.
     fn update(&mut self, key: Key, u: Update<Self>) -> Result<Msg<Self>, Self::Error>;
@@ -72,6 +101,39 @@ pub trait Executor: ShardAccess {
 
     /// What the shards report, as of every operation issued before.
     fn summary(&self) -> Result<Summary, Self::Error>;
+
+    /// Per-(group, key-range) digests of the retained suffix above
+    /// `since`, excluding `exclude`'s own updates — what a
+    /// [`StoreMsg::DigestRequest`] carries and what its receiver
+    /// recomputes locally. Shards whose high water never passed
+    /// `since` contribute nothing without touching their engines.
+    fn digest_suffix(
+        &mut self,
+        since: u64,
+        exclude: Pid,
+        groups: u32,
+    ) -> Result<Vec<HealDigest>, Self::Error>;
+
+    /// Every `(shard, key)` in shards whose divergence high water
+    /// passed `since` — the same pre-filter the digests use, so plan
+    /// and digest always cover the same universe.
+    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Self::Error>;
+
+    /// One bounded-window suffix read of one key: O(limit) payload,
+    /// never the whole tail.
+    #[allow(clippy::type_complexity)]
+    fn collect_window(
+        &mut self,
+        shard: usize,
+        key: Key,
+        since: u64,
+        after: Option<Timestamp>,
+        limit: usize,
+    ) -> Result<(Vec<UpdateMsg<Update<Self>>>, bool), Self::Error>;
+
+    /// Pin the replica's stability floor at `cap`, or release it: no
+    /// key, present or future, is handed a floor above the pin.
+    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Self::Error>;
 
     /// Mirror the executor's own counters into `reg` (the pool's
     /// `uc_pool_*`); none by default.
@@ -260,9 +322,10 @@ impl<X: Executor> Node<X> {
     /// the failure detector's detection window, so that nothing is
     /// shed before the verdict lands. After it, the protocol queues no
     /// update toward the peer (the heal delivers everything above the
-    /// watermark), only a heartbeat a tick. Undersized queues are
-    /// observable (`LinkStats::shed` / `gaps_skipped`, `Metrics::
-    /// messages_dropped`) rather than silent.
+    /// watermark) and one heartbeat, at the verdict, so at most one
+    /// frame more waits toward the peer than at the verdict.
+    /// Undersized queues are observable (`LinkStats::shed` /
+    /// `gaps_skipped`, `Metrics::messages_dropped`) rather than silent.
     pub fn peer_down(&mut self, peer: Pid) -> Result<(), X::Error> {
         self.dialogue().peer_down(peer)
     }
@@ -423,6 +486,16 @@ fn send_to_live<M: Clone>(partition: &PartitionTracker, m: M, ctx: &mut Ctx<'_, 
 /// A failure detector's verdict on `peer`: record the outage, or open
 /// the heal. Out of line, like [`heal_frame`]: every update and read
 /// passes through the caller, a verdict comes a few times per outage.
+///
+/// A down peer is sent one heartbeat, at its outage watermark, and
+/// then none until it is back ([`on_tick`]): the link below holds that
+/// heartbeat and retransmits it, so a failure detector on the far side
+/// of the cut hears this replica again once the cut heals, and the
+/// link's retry queue holds at most that one frame more than it held
+/// at the verdict. The watermark is the highest clock the peer may be
+/// announced: the updates stamped above it are withheld from it
+/// ([`on_invoke`]), and a clock announces that everything of ours at
+/// or below it has been sent.
 #[inline(never)]
 fn membership<X: Executor>(
     node: &mut Node<X>,
@@ -432,6 +505,10 @@ fn membership<X: Executor>(
 ) -> Result<StoreOutput<X::Adt>, X::Error> {
     if down {
         node.peer_down(peer)?;
+        if let Some(clock) = node.partition().watermark(peer) {
+            let pid = node.pid();
+            ctx.send(peer, StoreMsg::Heartbeat { pid, clock });
+        }
     } else if let Some(opener) = node.peer_up(peer)? {
         ctx.send(peer, opener);
     }
@@ -508,26 +585,19 @@ fn on_batch<X: Executor>(
     Ok(())
 }
 
-/// [`Protocol::on_tick`]: announce the shared clock, advance stalled
-/// heal sessions (digest re-sends, window expiry), then compact and
-/// flush.
-///
-/// Every peer hears a heartbeat, a down one too: its link keeps
-/// carrying something, so a failure detector on the far side of a cut
-/// hears this replica again once the cut heals. A down peer is not
-/// announced a clock above its outage watermark, though — the updates
-/// stamped since are withheld from it ([`on_invoke`]), and a clock
-/// announces that everything of ours at or below it has been sent.
+/// [`Protocol::on_tick`]: announce the shared clock to the live peers,
+/// advance stalled heal sessions (digest re-sends, window expiry), then
+/// compact and flush. A down peer got its one heartbeat at the verdict
+/// ([`membership`]); one a tick would fill its link's retry queue and
+/// shed the frames sent into the cut before the verdict, which the
+/// heal does not replay.
 fn on_tick<X: Executor>(node: &mut Node<X>, ctx: &mut Ctx<'_, Msg<X>>) -> Result<(), X::Error> {
-    let (pid, clock) = (node.pid(), node.clock());
+    let beat = node.heartbeat();
     let partition = &node.heal.partition;
     if partition.down_count() == 0 {
-        ctx.broadcast_others(StoreMsg::Heartbeat { pid, clock });
+        ctx.broadcast_others(beat);
     } else {
-        for to in (0..ctx.n() as Pid).filter(|&to| to != pid) {
-            let clock = partition.watermark(to).map_or(clock, |w| w.min(clock));
-            ctx.send(to, StoreMsg::Heartbeat { pid, clock });
-        }
+        send_to_live(partition, beat, ctx);
     }
     for (to, m) in node.heal_tick()? {
         ctx.send(to, m);

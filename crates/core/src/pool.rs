@@ -21,8 +21,8 @@
 //!
 //! * **lock-free ingest** — producers stamp on the shared atomic
 //!   clock (one `fetch_add`) and CAS-push onto the owning worker's
-//!   [`Inbox`](crate::inbox::Inbox); no mutex, no `sync_channel`
-//!   slot-wait. The bounded inbox still provides backpressure: a
+//!   [`Inbox`]; no mutex, no `sync_channel` slot-wait. The bounded
+//!   inbox still provides backpressure: a
 //!   producer that meets a full inbox yields, then parks, until the
 //!   worker frees a slot. Nothing is dropped: a peer burst reaches
 //!   the pool after the link below it has delivered it, so a burst
@@ -37,8 +37,8 @@
 //!   same reason;
 //! * **wait-free reads** — the worker republishes the post-repair
 //!   state of every touched key behind an RCU-style
-//!   [`Published`](crate::snapshot::Published) cell, as *background*
-//!   work: after a claimed batch it publishes one key at a time and
+//!   [`Published`] cell, as *background* work: after a claimed
+//!   batch it publishes one key at a time and
 //!   looks at its inbox between keys; when a job is waiting it leaves
 //!   the rest on a worklist, claims, and resumes afterwards (ingest
 //!   first, publish in the gaps — a slow publication never holds the
@@ -83,19 +83,19 @@
 //!   the pressure lasts. [`WorkerStats::publish_backlog`] and
 //!   [`WorkerStats::publish_yields`] (`uc_pool_publish_backlog`,
 //!   `uc_pool_publish_yields_total`) make it visible; the remedy is a
-//!   flush (see *barriers*);
-//! * **cut snapshots** — [`PoolHandle::snapshot_at`] pushes a
-//!   [`Job::Cut`] barrier to every worker; each folds its keys' log
-//!   prefixes stamped `≤ cut` without stopping ingest, and the handle
+//!   flush (see *fences*);
+//! * **cut snapshots** — [`PoolHandle::snapshot_at`] pushes a fence
+//!   to every worker whose call folds the worker's keys' log prefixes
+//!   stamped `≤ cut`, without stopping ingest, and the handle
 //!   reassembles a multi-key [`StoreSnapshot`] that is un-torn at the
 //!   cut. This is the multi-key view; the wait-free published reads
 //!   are per key;
-//! * **barriers** — [`IngestPool::flush`] enqueues a barrier job on
-//!   every worker and waits for all acks; because a producer's pushes
-//!   are FIFO, a completed flush has observed every prior submission.
-//!   Before it acks a barrier (or a cut) a worker runs publication to
-//!   completion, whatever is queued behind it: after a flush the
-//!   published snapshots cover every earlier submission, and
+//! * **fences** — [`IngestPool::flush`] pushes a fence with an empty
+//!   call to every worker and waits for all answers; because a
+//!   producer's pushes are FIFO, a completed flush has observed every
+//!   prior submission. Before it makes a fence's call a worker runs
+//!   publication to completion, whatever is queued behind it: after a
+//!   flush the published snapshots cover every earlier submission, and
 //!   [`WorkerStats::publish_backlog`] reads zero;
 //! * **drain-on-drop** — dropping the handle closes the inboxes;
 //!   workers finish every queued job — and every owed publication —
@@ -135,9 +135,13 @@
 //! `uc-runtime`'s `EventCluster` (real ingest concurrency) and the
 //! deterministic simulator — are the store's own code, and each
 //! worker's shards are a `ShardSet`, the store's data plane dealt out
-//! by stride, so a job is one call into the method the store calls
-//! inline. A read of what the shards report (keys, live keys, log
-//! length, repair totals, the monitor's counters) is one more job per
+//! by stride. A job is a call into the worker's `ShardSet`, the method
+//! the store calls inline: a boxed closure that carries its arguments
+//! and, where it answers, the channel the answer goes back through.
+//! Only the three jobs that change a key's folded state (a burst, a
+//! frame, a local update) are spelled out, because publication must
+//! see their keys. A read of what the shards report (keys, live keys,
+//! log length, repair totals, the monitor's counters) is one call per
 //! worker, answered behind everything queued before it on that
 //! worker's FIFO inbox: quiesced, with no flush. What is the pool's
 //! alone is what crosses threads: the inboxes, the published
@@ -145,7 +149,7 @@
 
 use crate::backend::{BackendFactory, MemFactory};
 use crate::engine::CutError;
-use crate::heal::{HealDigest, ShardAccess, RANGES};
+use crate::heal::{HealDigest, RANGES};
 use crate::inbox::{Inbox, PushError};
 use crate::message::UpdateMsg;
 use crate::node::{Executor, Node};
@@ -160,13 +164,14 @@ use std::fmt;
 use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use uc_criteria::online::MonitorConfig;
 use uc_history::fxhash::FxHasher;
 use uc_obs::Registry;
+use uc_sim::harness::panic_message;
 use uc_sim::Pid;
 use uc_spec::UqAdt;
 
@@ -390,10 +395,16 @@ impl SharedCounters {
 /// A burst split per shard, tagged with global shard indices.
 type ShardBuckets<A> = Vec<(usize, Bucket<A>)>;
 
-/// One unit of work on a worker's inbox: an operation of the worker's
-/// [`ShardSet`] (the same one a [`UcStore`] calls inline) plus, where
-/// it answers, the channel the answer goes back through.
-enum Job<A: UqAdt> {
+/// A call into a worker's [`ShardSet`] (the same one a [`UcStore`]
+/// calls inline): its arguments and, where it answers, the channel the
+/// answer goes back through are what the closure captured.
+type Call<A, F, P> = Box<dyn FnOnce(&mut ShardSet<A, F, P>) + Send>;
+
+/// How a call is queued: [`Job::Call`] or [`Job::Fence`].
+type CallKind<A, F, P> = fn(Call<A, F, P>) -> Job<A, F, P>;
+
+/// One unit of work on a worker's inbox.
+enum Job<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     /// [`ShardSet::ingest`]: per-shard buckets of one submitted burst
     /// (global shard index).
     Ingest(ShardBuckets<A>),
@@ -414,73 +425,14 @@ enum Job<A: UqAdt> {
         key: Key,
         msg: UpdateMsg<A::Update>,
     },
-    /// [`ShardSet::query`]; the handle ticked the clock for it.
-    Query {
-        shard: usize,
-        key: Key,
-        q: A::QueryIn,
-        reply: Sender<A::QueryOut>,
-    },
-    /// [`ShardSet::heartbeat`]: a peer clock announcement.
-    Heartbeat { pid: u32, clock: u64 },
-    /// [`ShardSet::delivered`]: a burst's highest update stamp from
-    /// `pid`, behind the burst's ingest jobs, or one owed by frames
-    /// delivered on their own ([`PoolCore::owed`]).
-    Delivered { pid: u32, clock: u64 },
-    /// [`ShardSet::maintain`]: compaction, then the monitor's window
-    /// roll. Carries the shared clock's value so an attached monitor
-    /// can fold its own node's progress into the stability watermark.
-    Maintain {
-        /// The shared Lamport clock at push time.
-        clock: u64,
-    },
-    /// [`ShardSet::attach_monitor`] on this worker's shards. Workers
-    /// own disjoint shards (hence keys), so per-worker monitors never
-    /// see each other's keys and their counters merge exactly.
-    AttachMonitor(MonitorConfig),
-    /// [`ShardSet::summary`], behind every earlier job on this inbox.
-    Summary(Sender<Summary>),
-    /// [`ShardSet::flush_backends`] (durability point).
-    FlushBackends,
-    /// Flush barrier: ack once every earlier job on this inbox is done.
-    Barrier(Sender<()>),
-    /// Cut barrier, [`ShardSet::cut`]: the per-key states at the cut
-    /// — without stopping ingest on other workers. FIFO inboxes make
-    /// the reply reflect every earlier submission.
-    Cut {
-        /// The cut timestamp.
-        cut: u64,
-        /// Per-key states at the cut, or the first [`CutError`] hit.
-        #[allow(clippy::type_complexity)]
-        reply: Sender<Result<Vec<(Key, <A as UqAdt>::State)>, CutError>>,
-    },
-    /// [`ShardSet::digest_suffix`]. Workers own disjoint shards, so
-    /// the handle merges the per-worker slot arrays into exactly the
-    /// digests the inline executor folds.
-    DigestSuffix {
-        since: u64,
-        exclude_pid: u32,
-        groups: u32,
-        reply: Sender<Vec<HealDigest>>,
-    },
-    /// [`ShardSet::heal_candidates`].
-    HealCandidates {
-        since: u64,
-        #[allow(clippy::type_complexity)]
-        reply: Sender<Vec<(usize, Key)>>,
-    },
-    /// [`ShardSet::collect_window`] on the worker that owns `shard`.
-    CollectWindow {
-        shard: usize,
-        key: Key,
-        since: u64,
-        after: Option<Timestamp>,
-        limit: usize,
-        #[allow(clippy::type_complexity)]
-        reply: Sender<(Vec<UpdateMsg<<A as UqAdt>::Update>>, bool)>,
-    },
-    /// [`ShardSet::set_retention`].
-    Retention { cap: Option<u64> },
+    /// Any other call. None changes a key's folded state (compaction
+    /// moves log entries into the base without changing the fold), so
+    /// none owes a publication.
+    Call(Call<A, F, P>),
+    /// A call made once publication has run to completion, whatever is
+    /// queued behind it: a flush or a cut covers every earlier
+    /// submission in the published snapshots too.
+    Fence(Call<A, F, P>),
 }
 
 /// One key's epoch-published snapshot: its post-repair state — the
@@ -508,14 +460,15 @@ impl<A: UqAdt> Default for ShardSnapshots<A> {
 }
 
 /// State shared by every [`PoolHandle`], the [`IngestPool`], and the
-/// workers. Generic over the ADT only — worker-side strategy and
-/// backend state lives in each worker's [`ShardSet`].
-struct PoolCore<A: UqAdt> {
+/// workers. Strategy and backend state live in each worker's
+/// [`ShardSet`]; the core names their types only because a job is a
+/// call into it.
+struct PoolCore<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     pid: u32,
     clock: LamportClock,
     lease: ClockLease,
     num_shards: usize,
-    inboxes: Vec<Inbox<Job<A>>>,
+    inboxes: Vec<Inbox<Job<A, F, P>>>,
     counters: Vec<SharedCounters>,
     snaps: Vec<ShardSnapshots<A>>,
     /// First worker panic wins; the per-call check is a plain load.
@@ -532,7 +485,7 @@ struct PoolCore<A: UqAdt> {
     owed: Mutex<Vec<(u32, u64)>>,
 }
 
-impl<A: UqAdt> PoolCore<A> {
+impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> PoolCore<A, F, P> {
     fn worker_of(&self, shard: usize) -> usize {
         shard % self.inboxes.len()
     }
@@ -597,7 +550,11 @@ impl<A: UqAdt> SnapPublisher<A> {
 
     /// Note which `(shard, key)` states `job` will dirty, for
     /// republication after the drain.
-    fn note_touched(&mut self, job: &Job<A>) {
+    fn note_touched<F, P>(&mut self, job: &Job<A, F, P>)
+    where
+        F: StrategyFactory<A>,
+        P: BackendFactory<A>,
+    {
         match job {
             Job::Ingest(buckets) => {
                 for (shard, bucket) in buckets {
@@ -609,10 +566,7 @@ impl<A: UqAdt> SnapPublisher<A> {
             Job::Update { shard, key, .. } | Job::Deliver { shard, key, .. } => {
                 self.touch(*shard, *key)
             }
-            // Queries, heartbeats, maintenance, flushes, and barriers
-            // never change a key's folded state (compaction moves log
-            // entries into the base without changing the fold).
-            _ => {}
+            Job::Call(_) | Job::Fence(_) => {}
         }
     }
 
@@ -694,7 +648,11 @@ impl<A: UqAdt> SnapPublisher<A> {
     }
 
     /// Publish the registries that gained keys since the last call.
-    fn flush_registries(&mut self, core: &PoolCore<A>) {
+    fn flush_registries<F, P>(&mut self, core: &PoolCore<A, F, P>)
+    where
+        F: StrategyFactory<A>,
+        P: BackendFactory<A>,
+    {
         for mirror in &mut self.mirrors {
             if std::mem::take(&mut mirror.dirty) {
                 self.seq += 1;
@@ -731,11 +689,11 @@ enum Turn {
 /// inbox (by index into the shared core) and its snapshot publisher.
 struct Worker<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     shards: ShardSet<A, F, P>,
-    core: Arc<PoolCore<A>>,
+    core: Arc<PoolCore<A, F, P>>,
     widx: usize,
     publisher: SnapPublisher<A>,
     /// Claimed and not yet run.
-    batch: Vec<Job<A>>,
+    batch: Vec<Job<A, F, P>>,
 }
 
 impl<A, F, P> Worker<A, F, P>
@@ -744,7 +702,7 @@ where
     F: StrategyFactory<A>,
     P: BackendFactory<A>,
 {
-    fn new(shards: ShardSet<A, F, P>, core: Arc<PoolCore<A>>, widx: usize) -> Self {
+    fn new(shards: ShardSet<A, F, P>, core: Arc<PoolCore<A, F, P>>, widx: usize) -> Self {
         let publisher = SnapPublisher::new(shards.indices());
         Worker {
             shards,
@@ -755,10 +713,10 @@ where
         }
     }
 
-    /// Run one job: a call into the shard set, the answer sent back. A
-    /// dead reply channel (the caller gave up on a poisoned pool) is
+    /// Run one job. A call that answers sends into a channel it
+    /// captured; a dead one (the caller gave up on a poisoned pool) is
     /// not this worker's problem.
-    fn run(&mut self, job: Job<A>) {
+    fn run(&mut self, job: Job<A, F, P>) {
         let counters = &self.core.counters[self.widx];
         let shards = &mut self.shards;
         match job {
@@ -777,50 +735,7 @@ where
                 counters.messages.fetch_add(1, Ordering::Relaxed);
                 shards.insert_local(shard, key, msg.ts, msg.update);
             }
-            Job::Query {
-                shard,
-                key,
-                q,
-                reply,
-            } => {
-                let _ = reply.send(shards.query(shard, key, &q));
-            }
-            Job::Heartbeat { pid, clock } => shards.heartbeat(pid, clock),
-            Job::Delivered { pid, clock } => shards.delivered(pid, clock),
-            Job::Maintain { clock } => shards.maintain(clock),
-            Job::FlushBackends => shards.flush_backends(),
-            Job::Barrier(reply) => {
-                let _ = reply.send(());
-            }
-            Job::Cut { cut, reply } => {
-                let _ = reply.send(shards.cut(cut));
-            }
-            Job::DigestSuffix {
-                since,
-                exclude_pid,
-                groups,
-                reply,
-            } => {
-                let _ = reply.send(shards.digest_suffix(since, exclude_pid, groups));
-            }
-            Job::HealCandidates { since, reply } => {
-                let _ = reply.send(shards.heal_candidates(since));
-            }
-            Job::CollectWindow {
-                shard,
-                key,
-                since,
-                after,
-                limit,
-                reply,
-            } => {
-                let _ = reply.send(shards.collect_window(shard, key, since, after, limit));
-            }
-            Job::Retention { cap } => shards.set_retention(cap),
-            Job::AttachMonitor(cfg) => shards.attach_monitor(cfg),
-            Job::Summary(reply) => {
-                let _ = reply.send(shards.summary());
-            }
+            Job::Call(call) | Job::Fence(call) => call(shards),
         }
     }
 
@@ -844,7 +759,7 @@ where
     /// producer that never lets the inbox run empty slows publication
     /// down to a key per claim but cannot stop it. What is left stays
     /// on the worklist for the next call. `force` is for the points
-    /// that promise coverage: before a barrier or cut ack, so a
+    /// that promise coverage: before a fence's call, so a
     /// completed [`IngestPool::flush`] guarantees the published
     /// snapshots cover every earlier submission.
     fn publish(&mut self, force: bool) {
@@ -855,7 +770,7 @@ where
             publisher,
             ..
         } = self;
-        let core: &PoolCore<A> = core;
+        let core: &PoolCore<A, F, P> = core;
         let inbox = &core.inboxes[*widx];
         let counters = &core.counters[*widx];
         let mut tally = PublishTally::default();
@@ -912,21 +827,16 @@ where
     fn run_claimed(&mut self) -> Turn {
         let mut batch = std::mem::take(&mut self.batch);
         for job in batch.drain(..) {
-            if matches!(job, Job::Barrier(_) | Job::Cut { .. }) && self.any_armed() {
+            if matches!(job, Job::Fence(_)) && self.any_armed() {
                 self.publish(true);
             }
             self.publisher.note_touched(&job);
             let outcome = catch_unwind(AssertUnwindSafe(|| self.run(job)));
             self.core.counters[self.widx].on_done();
             if let Err(payload) = outcome {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
                 let _ = self.core.poison.set(PoolError {
                     worker: self.widx,
-                    message,
+                    message: panic_message(payload.as_ref()),
                 });
                 // A panicking shard must never leave an unsynced
                 // segment: flush before abandoning (under
@@ -934,8 +844,9 @@ where
                 // whole process down mid-poison).
                 let _ = catch_unwind(AssertUnwindSafe(|| self.shards.flush_backends()));
                 // Refuse further pushes (parked producers fail fast)
-                // and drop whatever is queued: dropping query reply
-                // senders unblocks waiting handles.
+                // and drop whatever is queued: dropping the calls drops
+                // the reply senders they hold, which unblocks waiting
+                // handles.
                 let inbox = &self.core.inboxes[self.widx];
                 inbox.close();
                 let mut rest = Vec::new();
@@ -1001,7 +912,7 @@ where
 /// [`WorkerStats::publish_backlog`] / [`WorkerStats::publish_yields`]
 /// show it happening — but a [`PoolHandle::query_snapshot`] may trail
 /// the applied state for as long as the pressure lasts. The remedy is
-/// [`IngestPool::flush`]: before a barrier or cut ack the worker runs
+/// [`IngestPool::flush`]: before a fence's call the worker runs
 /// publication to completion whatever is queued behind it.
 ///
 /// A panicking job records its payload in the shared `OnceLock`
@@ -1039,13 +950,18 @@ where
 /// any number of threads) may stamp and submit concurrently; see the
 /// [module docs](self) for the GC-strategy FIFO caveat on same-key
 /// concurrent stamping.
-pub struct PoolHandle<A: UqAdt, P = MemFactory> {
-    core: Arc<PoolCore<A>>,
+pub struct PoolHandle<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A> = MemFactory> {
+    core: Arc<PoolCore<A, F, P>>,
     adt: A,
     persist: P,
 }
 
-impl<A: UqAdt + Clone, P: Clone> Clone for PoolHandle<A, P> {
+impl<A, F, P> Clone for PoolHandle<A, F, P>
+where
+    A: UqAdt + Clone,
+    F: StrategyFactory<A>,
+    P: BackendFactory<A>,
+{
     fn clone(&self) -> Self {
         PoolHandle {
             core: Arc::clone(&self.core),
@@ -1055,7 +971,16 @@ impl<A: UqAdt + Clone, P: Clone> Clone for PoolHandle<A, P> {
     }
 }
 
-impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
+impl<A, F, P> PoolHandle<A, F, P>
+where
+    A: UqAdt + Clone + Send + 'static,
+    A::Update: Send,
+    A::QueryIn: Send,
+    A::QueryOut: Send,
+    A::State: Send,
+    F: StrategyFactory<A> + 'static,
+    P: BackendFactory<A> + 'static,
+{
     fn err_for(&self, worker: usize) -> PoolError {
         self.core
             .poison
@@ -1065,7 +990,7 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     }
 
     /// Push a job, parking while the inbox is full.
-    fn push_job(&self, worker: usize, mut job: Job<A>) -> Result<(), PoolError> {
+    fn push_job(&self, worker: usize, mut job: Job<A, F, P>) -> Result<(), PoolError> {
         let core = &*self.core;
         let mut spins = 0u32;
         loop {
@@ -1099,28 +1024,61 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
         }
     }
 
-    /// Push one reply-carrying job to every worker (parking on a full
-    /// inbox) and wait for all the replies, in worker order. A
-    /// worker's FIFO inbox orders its job after every earlier
-    /// submission from this handle.
-    fn scatter<R>(&self, job: impl Fn(Sender<R>) -> Job<A>) -> Result<Vec<R>, PoolError> {
+    /// `f` as a call that sends its answer back. A dead channel (the
+    /// caller gave up on a poisoned pool) is not the worker's problem.
+    fn answered<R: Send + 'static>(
+        f: impl FnOnce(&mut ShardSet<A, F, P>) -> R + Send + 'static,
+    ) -> (Call<A, F, P>, Receiver<R>) {
+        let (reply, answer) = channel();
+        let call: Call<A, F, P> = Box::new(move |s| {
+            let _ = reply.send(f(s));
+        });
+        (call, answer)
+    }
+
+    /// Run `f` on `worker`'s shard set, behind everything pushed there
+    /// before (parking on a full inbox), and wait for its answer.
+    fn call<R: Send + 'static>(
+        &self,
+        worker: usize,
+        f: impl FnOnce(&mut ShardSet<A, F, P>) -> R + Send + 'static,
+    ) -> Result<R, PoolError> {
+        let (call, answer) = Self::answered(f);
+        self.push_job(worker, Job::Call(call))?;
+        answer.recv().map_err(|_| self.err_for(worker))
+    }
+
+    /// Push a call of `f`, queued as `kind`, to every worker (parking
+    /// on a full inbox), then wait for all the answers, in worker
+    /// order. A worker's FIFO inbox orders its call after every
+    /// earlier submission from this handle.
+    fn scatter<R: Send + 'static>(
+        &self,
+        kind: CallKind<A, F, P>,
+        f: impl FnOnce(&mut ShardSet<A, F, P>) -> R + Clone + Send + 'static,
+    ) -> Result<Vec<R>, PoolError> {
         let workers = self.core.inboxes.len();
-        let mut acks = Vec::with_capacity(workers);
+        let mut answers = Vec::with_capacity(workers);
         for worker in 0..workers {
-            let (reply, ack) = channel();
-            self.push_job(worker, job(reply))?;
-            acks.push(ack);
+            let (call, answer) = Self::answered(f.clone());
+            self.push_job(worker, kind(call))?;
+            answers.push(answer);
         }
-        acks.into_iter()
+        answers
+            .into_iter()
             .enumerate()
-            .map(|(worker, ack)| ack.recv().map_err(|_| self.err_for(worker)))
+            .map(|(worker, answer)| answer.recv().map_err(|_| self.err_for(worker)))
             .collect()
     }
 
-    /// Push one job to every worker, parking on a full inbox.
-    fn broadcast(&self, job: impl Fn() -> Job<A>) -> Result<(), PoolError> {
+    /// Push a call of `f` to every worker, parking on a full inbox;
+    /// nothing waits for it.
+    fn broadcast(
+        &self,
+        f: impl FnOnce(&mut ShardSet<A, F, P>) + Clone + Send + 'static,
+    ) -> Result<(), PoolError> {
         for worker in 0..self.core.inboxes.len() {
-            self.push_job(worker, job())?;
+            self.push_job(worker, Job::Call(Box::new(f.clone())))?;
         }
         Ok(())
     }
@@ -1156,18 +1114,8 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     pub fn query(&self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, PoolError> {
         self.core.clock.tick();
         let shard = shard_index(key, self.core.num_shards);
-        let worker = self.core.worker_of(shard);
-        let (reply, answer) = channel();
-        self.push_job(
-            worker,
-            Job::Query {
-                shard,
-                key,
-                q: q.clone(),
-                reply,
-            },
-        )?;
-        answer.recv().map_err(|_| self.err_for(worker))
+        let q = q.clone();
+        self.call(self.core.worker_of(shard), move |s| s.query(shard, key, &q))
     }
 
     /// Arm snapshot publication for `shard`. Test-then-set: the flag
@@ -1213,8 +1161,8 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
         (0, self.adt.observe_owned(self.adt.initial(), q))
     }
 
-    /// Barrier-cut snapshot at `cut`: push a [`Job::Cut`] to every
-    /// worker, and assemble the per-key states each worker folded from
+    /// Barrier-cut snapshot at `cut`: push a fence to every worker, and
+    /// assemble the per-key states each worker's call folded from
     /// its logs' prefixes stamped `≤ cut` — workers keep ingesting
     /// around the cut (only the cut's own FIFO position orders it).
     /// Every key's state reflects exactly the updates stamped `≤ cut`
@@ -1242,7 +1190,7 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
 
     fn snapshot_no_tick(&self, cut: u64) -> Result<StoreSnapshot<A>, SnapshotError> {
         let parts = self
-            .scatter(|reply| Job::Cut { cut, reply })
+            .scatter(Job::Fence, move |s| s.cut(cut))
             .map_err(SnapshotError::Pool)?;
         let mut states = BTreeMap::new();
         for part in parts {
@@ -1280,10 +1228,10 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
         // Every worker keeps the floor: the senders' stamps go to all
         // of them, behind the burst, as its heartbeats do.
         for (pid, clock) in split.delivered {
-            self.broadcast(|| Job::Delivered { pid, clock })?;
+            self.broadcast(move |s| s.delivered(pid, clock))?;
         }
         for (pid, clock) in split.heartbeats {
-            self.broadcast(|| Job::Heartbeat { pid, clock })?;
+            self.broadcast(move |s| s.heartbeat(pid, clock))?;
         }
         Ok(())
     }
@@ -1320,7 +1268,7 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
                 .unwrap_or_else(PoisonError::into_inner),
         );
         for (pid, clock) in owed {
-            self.broadcast(|| Job::Delivered { pid, clock })?;
+            self.broadcast(move |s| s.delivered(pid, clock))?;
         }
         Ok(())
     }
@@ -1329,19 +1277,19 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
     /// has been fully applied by its worker (and, if snapshot reads
     /// are armed, its post-repair state published).
     pub fn flush(&self) -> Result<(), PoolError> {
-        self.scatter(Job::Barrier).map(drop)
+        self.scatter(Job::Fence, |_| ()).map(drop)
     }
 
     /// Run per-key maintenance (compaction) on every worker's engines.
     fn tick_maintenance(&self) -> Result<(), PoolError> {
         self.settle_owed()?;
         let clock = self.core.clock.now();
-        self.broadcast(|| Job::Maintain { clock })
+        self.broadcast(move |s| s.maintain(clock))
     }
 
     /// See [`IngestPool::flush_backends`].
     fn flush_backends(&self) -> Result<(), PoolError> {
-        self.broadcast(|| Job::FlushBackends)?;
+        self.broadcast(ShardSet::flush_backends)?;
         let core = &self.core;
         core.lease.raise_to(core.clock.now(), |floor| {
             self.persist.persist_store_clock(floor)
@@ -1383,12 +1331,12 @@ impl<A: UqAdt + Clone, P: BackendFactory<A>> PoolHandle<A, P> {
 /// [module docs](self).
 pub type IngestPool<A, F, P = MemFactory> = Node<Workers<A, F, P>>;
 
-/// The pooled [`Executor`]: each operation is a job to the owning
-/// worker(s) and a reply back. A worker's FIFO inbox runs this
-/// handle's jobs in push order, which is the ordering
-/// [`ShardAccess`] asks for.
+/// The pooled [`Executor`]: each operation is a call into the owning
+/// worker's shard set, or every worker's, and an answer back. A
+/// worker's FIFO inbox runs this handle's jobs in push order, which is
+/// the ordering the [`Executor`] contract asks for.
 pub struct Workers<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
-    handle: PoolHandle<A, P>,
+    handle: PoolHandle<A, F, P>,
     /// One per worker; a poisoned worker's returns no shards (they
     /// are abandoned).
     threads: Vec<JoinHandle<Option<ShardSet<A, F, P>>>>,
@@ -1401,7 +1349,7 @@ pub struct Workers<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
 fn assemble<A, F, P>(
     store: Inline<A, F, P>,
     cfg: PoolConfig,
-) -> (PoolHandle<A, P>, Vec<Worker<A, F, P>>)
+) -> (PoolHandle<A, F, P>, Vec<Worker<A, F, P>>)
 where
     A: UqAdt + Clone,
     F: StrategyFactory<A>,
@@ -1443,23 +1391,23 @@ where
 
 impl<A, F, P> IngestPool<A, F, P>
 where
-    A: UqAdt + Clone,
-    F: StrategyFactory<A>,
-    P: BackendFactory<A>,
+    A: UqAdt + Clone + Send + 'static,
+    A::Update: Send,
+    A::QueryIn: Send,
+    A::QueryOut: Send,
+    A::State: Send,
+    F: StrategyFactory<A> + 'static,
+    P: BackendFactory<A> + 'static,
 {
     /// Move `store`'s shards onto `cfg.workers` long-lived threads
     /// (shard `i` pins to worker `i % workers`); the store's partition
     /// posture and heal state come along.
     pub fn spawn(store: UcStore<A, F, P>, cfg: PoolConfig) -> Self
     where
-        A: Send + 'static,
-        A::Update: Send,
-        A::QueryIn: Send,
-        A::QueryOut: Send,
-        A::State: Send + Sync,
-        F: Send + 'static,
+        A::State: Sync,
+        F: Send,
         F::Strategy: Send + 'static,
-        P: Send + Sync + 'static,
+        P: Send + Sync,
         P::Backend: Send + 'static,
     {
         let (handle, workers) = assemble(store.exec, cfg);
@@ -1477,7 +1425,7 @@ where
     /// other threads. Handles stay valid (but error on submission)
     /// after [`IngestPool::finish`]/drop; their snapshot reads keep
     /// answering from the last published state.
-    pub fn handle(&self) -> PoolHandle<A, P> {
+    pub fn handle(&self) -> PoolHandle<A, F, P> {
         self.exec.handle.clone()
     }
 
@@ -1608,14 +1556,19 @@ impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> Drop for Workers<A, 
     }
 }
 
-impl<A, F, P> ShardAccess for Workers<A, F, P>
+impl<A, F, P> Executor for Workers<A, F, P>
 where
-    A: UqAdt + Clone,
-    F: StrategyFactory<A>,
-    P: BackendFactory<A>,
+    A: UqAdt + Clone + Send + 'static,
+    A::Update: Send,
+    A::QueryIn: Send,
+    A::QueryOut: Send,
+    A::State: Send,
+    F: StrategyFactory<A> + 'static,
+    P: BackendFactory<A> + 'static,
 {
     type Adt = A;
     type Error = PoolError;
+    const METRICS: &'static str = "uc_pool";
 
     fn pid(&self) -> Pid {
         self.handle.core.pid
@@ -1628,76 +1581,6 @@ where
     fn num_shards(&self) -> usize {
         self.handle.core.num_shards
     }
-
-    /// Each worker folds its disjoint shard set; the slot arrays
-    /// merge exactly (xor commutes and counts add), so the result is
-    /// independent of worker layout.
-    fn digest_suffix(
-        &mut self,
-        since: u64,
-        exclude_pid: Pid,
-        groups: u32,
-    ) -> Result<Vec<HealDigest>, PoolError> {
-        let parts = self.handle.scatter(|reply| Job::DigestSuffix {
-            since,
-            exclude_pid,
-            groups,
-            reply,
-        })?;
-        let mut slots = vec![HealDigest::default(); groups as usize * RANGES as usize];
-        for part in parts {
-            for (slot, d) in slots.iter_mut().zip(part) {
-                slot.count += d.count;
-                slot.xor ^= d.xor;
-            }
-        }
-        Ok(slots)
-    }
-
-    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, PoolError> {
-        let parts = self
-            .handle
-            .scatter(|reply| Job::HealCandidates { since, reply })?;
-        let mut out: Vec<(usize, Key)> = parts.into_iter().flatten().collect();
-        out.sort_unstable();
-        Ok(out)
-    }
-
-    fn collect_window(
-        &mut self,
-        shard: usize,
-        key: Key,
-        since: u64,
-        after: Option<Timestamp>,
-        limit: usize,
-    ) -> Result<(Vec<UpdateMsg<A::Update>>, bool), PoolError> {
-        let handle = &self.handle;
-        let worker = handle.core.worker_of(shard);
-        let (reply, ack) = channel();
-        let job = Job::CollectWindow {
-            shard,
-            key,
-            since,
-            after,
-            limit,
-            reply,
-        };
-        handle.push_job(worker, job)?;
-        ack.recv().map_err(|_| handle.err_for(worker))
-    }
-
-    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), PoolError> {
-        self.handle.broadcast(|| Job::Retention { cap })
-    }
-}
-
-impl<A, F, P> Executor for Workers<A, F, P>
-where
-    A: UqAdt + Clone,
-    F: StrategyFactory<A>,
-    P: BackendFactory<A>,
-{
-    const METRICS: &'static str = "uc_pool";
 
     fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
         self.handle.update(key, u)
@@ -1733,15 +1616,64 @@ where
     }
 
     fn attach_monitor(&mut self, cfg: MonitorConfig) -> Result<(), PoolError> {
-        self.handle.broadcast(|| Job::AttachMonitor(cfg.clone()))
+        self.handle.broadcast(move |s| s.attach_monitor(cfg))
     }
 
-    /// One `Job::Summary` per worker, merged: each answers behind
-    /// every job queued before it, so the read is quiesced.
+    /// One summary call per worker, merged: each answers behind every
+    /// job queued before it, so the read is quiesced.
     fn summary(&self) -> Result<Summary, PoolError> {
         self.handle.settle_owed()?;
-        let parts = self.handle.scatter(Job::Summary)?;
+        let parts = self.handle.scatter(Job::Call, |s| s.summary())?;
         Ok(parts.into_iter().reduce(Summary::merge).unwrap_or_default())
+    }
+
+    /// Each worker folds its disjoint shard set; the slot arrays
+    /// merge exactly (xor commutes and counts add), so the result is
+    /// independent of worker layout.
+    fn digest_suffix(
+        &mut self,
+        since: u64,
+        exclude: Pid,
+        groups: u32,
+    ) -> Result<Vec<HealDigest>, PoolError> {
+        let parts = self
+            .handle
+            .scatter(Job::Call, move |s| s.digest_suffix(since, exclude, groups))?;
+        let mut slots = vec![HealDigest::default(); groups as usize * RANGES as usize];
+        for part in parts {
+            for (slot, d) in slots.iter_mut().zip(part) {
+                slot.count += d.count;
+                slot.xor ^= d.xor;
+            }
+        }
+        Ok(slots)
+    }
+
+    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, PoolError> {
+        let parts = self
+            .handle
+            .scatter(Job::Call, move |s| s.heal_candidates(since))?;
+        let mut out: Vec<(usize, Key)> = parts.into_iter().flatten().collect();
+        out.sort_unstable();
+        Ok(out)
+    }
+
+    fn collect_window(
+        &mut self,
+        shard: usize,
+        key: Key,
+        since: u64,
+        after: Option<Timestamp>,
+        limit: usize,
+    ) -> Result<(Vec<UpdateMsg<A::Update>>, bool), PoolError> {
+        let worker = self.handle.core.worker_of(shard);
+        self.handle.call(worker, move |s| {
+            s.collect_window(shard, key, since, after, limit)
+        })
+    }
+
+    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), PoolError> {
+        self.handle.broadcast(move |s| s.set_retention(cap))
     }
 
     fn export_metrics(&self, reg: &Registry) {
@@ -2095,7 +2027,7 @@ mod tests {
     /// runs — the tests below take the worker's turns by hand, so what
     /// sits in the inbox at each step is theirs to decide — with keys
     /// 0..6 and 9 written, armed and backfilled.
-    fn hand_worker() -> (PoolHandle<SetAdt<u32>>, HandWorker) {
+    fn hand_worker() -> (PoolHandle<SetAdt<u32>, CheckpointFactory>, HandWorker) {
         let (handle, mut workers) = assemble(store(0, 1).exec, cfg(1));
         let mut worker = workers.remove(0);
         assert_eq!(worker.turn(), Turn::Idle);
@@ -2116,7 +2048,11 @@ mod tests {
     /// Claim a burst that writes keys 0..6 five times each, let one
     /// more job arrive (a local update of `waiting`), and run the
     /// claimed burst: its publication pass meets a non-empty inbox.
-    fn suspend_a_pass(handle: &PoolHandle<SetAdt<u32>>, worker: &mut HandWorker, waiting: Key) {
+    fn suspend_a_pass(
+        handle: &PoolHandle<SetAdt<u32>, CheckpointFactory>,
+        worker: &mut HandWorker,
+        waiting: Key,
+    ) {
         let mut producer = store(1, 1);
         let burst: Vec<_> = (0..30u64)
             .map(|i| producer.update(i % 6, SetUpdate::Insert(1 + i as u32)))
@@ -2128,7 +2064,10 @@ mod tests {
         assert_eq!(worker.run_claimed(), Turn::Worked);
     }
 
-    fn read(handle: &PoolHandle<SetAdt<u32>>, key: Key) -> BTreeSet<u32> {
+    fn read<F: StrategyFactory<SetAdt<u32>> + 'static>(
+        handle: &PoolHandle<SetAdt<u32>, F>,
+        key: Key,
+    ) -> BTreeSet<u32> {
         handle.query_snapshot(key, &SetQuery::Read)
     }
 
@@ -2144,10 +2083,13 @@ mod tests {
         assert_eq!(read(&handle, 0).len(), 6);
         assert_eq!(read(&handle, 5), BTreeSet::from([0]));
 
-        // A barrier behind the waiting update, and one more job behind
-        // the barrier: the ack still waits for the whole backlog.
+        // A fence behind the waiting update, and one more job behind
+        // the fence: its call still waits for the whole backlog.
         let (reply, ack) = channel();
-        handle.push_job(0, Job::Barrier(reply)).unwrap();
+        let fence = Job::Fence(Box::new(move |_| {
+            let _ = reply.send(());
+        }));
+        handle.push_job(0, fence).unwrap();
         let inbox = &worker.core.inboxes[worker.widx];
         inbox.claim(&mut worker.batch);
         handle.update(9, SetUpdate::Insert(100)).unwrap();
@@ -2245,7 +2187,7 @@ mod tests {
                 producer.apply_batch_owned(vec![local.clone()]);
                 sequential.apply_batch_owned(vec![local]);
                 let clock = handle.clock();
-                handle.push_job(0, Job::Maintain { clock }).unwrap();
+                handle.broadcast(move |s| s.maintain(clock)).unwrap();
                 while worker.turn() == Turn::Worked {
                     let w = worker.core.counters[worker.widx].stats();
                     published.push((w.snapshots_published, w.snapshot_copies));

@@ -61,8 +61,8 @@
 //!   tick costs follows the unstable keys, not the key count
 //!   ([`UcStore::live_keys`]);
 //! * **one replica type** — [`UcStore`] is the [`Inline`]
-//!   instantiation of [`Node`](crate::node::Node), the replica written
-//!   once: what it does as a [`Protocol`](uc_sim::Protocol) node —
+//!   instantiation of [`Node`], the replica written once: what it
+//!   does as a [`Protocol`](uc_sim::Protocol) node —
 //!   answer invocations, take frames, bursts and ticks, track
 //!   partitions and heal peers — is [`node`](crate::node) and
 //!   [`heal`](crate::heal), and what that code does to the shards is
@@ -81,7 +81,7 @@
 use crate::backend::{BackendFactory, LogBackend, MemFactory};
 use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
 use crate::gc::StableGc;
-use crate::heal::{digest_slot, HealDigest, Healer, ShardAccess, RANGES};
+use crate::heal::{digest_slot, HealDigest, Healer, RANGES};
 use crate::log::Buffer;
 use crate::message::UpdateMsg;
 use crate::node::{Executor, Node};
@@ -205,7 +205,7 @@ pub enum StoreMsg<U> {
         /// sharding.
         groups: u32,
         /// `groups * RANGES` digest slots, flattened as
-        /// `group * RANGES + range` ([`RANGES`](crate::heal::RANGES)).
+        /// `group * RANGES + range` ([`RANGES`]).
         digests: Vec<crate::heal::HealDigest>,
     },
     /// The healed peer's verdict on a [`StoreMsg::DigestRequest`]:
@@ -1107,7 +1107,7 @@ pub(crate) struct Stability {
     /// (the replica's own included); empty without a cluster.
     heard: Vec<u64>,
     /// The compaction pin while peers are down or heals are landing
-    /// ([`ShardAccess::set_retention`]).
+    /// ([`Executor::set_retention`]).
     cap: Option<u64>,
     /// The minimum of `heard`, capped by `cap`; 0 without a cluster.
     floor: u64,
@@ -1520,7 +1520,7 @@ where
         Ok(states)
     }
 
-    /// [`ShardAccess::digest_suffix`] over this set's shards.
+    /// [`Executor::digest_suffix`] over this set's shards.
     pub(crate) fn digest_suffix(
         &mut self,
         since: u64,
@@ -1534,7 +1534,7 @@ where
         slots
     }
 
-    /// [`ShardAccess::heal_candidates`] over this set's shards, in
+    /// [`Executor::heal_candidates`] over this set's shards, in
     /// shard order.
     pub(crate) fn heal_candidates(&self, since: u64) -> Vec<(usize, Key)> {
         let mut out = Vec::new();
@@ -1544,7 +1544,7 @@ where
         out
     }
 
-    /// [`ShardAccess::collect_window`] on shard `shard`.
+    /// [`Executor::collect_window`] on shard `shard`.
     #[allow(clippy::type_complexity)]
     pub(crate) fn collect_window(
         &mut self,
@@ -1558,7 +1558,7 @@ where
         self.shards[slot].suffix_window(key, since, after, limit)
     }
 
-    /// [`ShardAccess::set_retention`]: pin the stability floor at
+    /// [`Executor::set_retention`]: pin the stability floor at
     /// `cap`, or release it. No engine is visited: each drains through
     /// the floor it is handed next.
     pub(crate) fn set_retention(&mut self, cap: Option<u64>) {
@@ -1948,7 +1948,7 @@ where
     }
 }
 
-impl<A, F, P> ShardAccess for Inline<A, F, P>
+impl<A, F, P> Executor for Inline<A, F, P>
 where
     A: UqAdt + Clone,
     F: StrategyFactory<A>,
@@ -1956,6 +1956,7 @@ where
 {
     type Adt = A;
     type Error = Infallible;
+    const METRICS: &'static str = "uc_store";
 
     fn pid(&self) -> Pid {
         self.shards.pid
@@ -1968,44 +1969,6 @@ where
     fn num_shards(&self) -> usize {
         self.shards.len()
     }
-
-    fn digest_suffix(
-        &mut self,
-        since: u64,
-        exclude: Pid,
-        groups: u32,
-    ) -> Result<Vec<HealDigest>, Infallible> {
-        Ok(self.shards.digest_suffix(since, exclude, groups))
-    }
-
-    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Infallible> {
-        Ok(self.shards.heal_candidates(since))
-    }
-
-    fn collect_window(
-        &mut self,
-        shard: usize,
-        key: Key,
-        since: u64,
-        after: Option<Timestamp>,
-        limit: usize,
-    ) -> Result<(Vec<UpdateMsg<A::Update>>, bool), Infallible> {
-        Ok(self.shards.collect_window(shard, key, since, after, limit))
-    }
-
-    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Infallible> {
-        self.shards.set_retention(cap);
-        Ok(())
-    }
-}
-
-impl<A, F, P> Executor for Inline<A, F, P>
-where
-    A: UqAdt + Clone,
-    F: StrategyFactory<A>,
-    P: BackendFactory<A>,
-{
-    const METRICS: &'static str = "uc_store";
 
     /// Tick the shared clock, stamp (reserving the clock floor — see
     /// `ClockLease`), apply to the key's engine, and return the
@@ -2094,6 +2057,35 @@ where
 
     fn summary(&self) -> Result<Summary, Infallible> {
         Ok(self.shards.summary())
+    }
+
+    fn digest_suffix(
+        &mut self,
+        since: u64,
+        exclude: Pid,
+        groups: u32,
+    ) -> Result<Vec<HealDigest>, Infallible> {
+        Ok(self.shards.digest_suffix(since, exclude, groups))
+    }
+
+    fn heal_candidates(&mut self, since: u64) -> Result<Vec<(usize, Key)>, Infallible> {
+        Ok(self.shards.heal_candidates(since))
+    }
+
+    fn collect_window(
+        &mut self,
+        shard: usize,
+        key: Key,
+        since: u64,
+        after: Option<Timestamp>,
+        limit: usize,
+    ) -> Result<(Vec<UpdateMsg<A::Update>>, bool), Infallible> {
+        Ok(self.shards.collect_window(shard, key, since, after, limit))
+    }
+
+    fn set_retention(&mut self, cap: Option<u64>) -> Result<(), Infallible> {
+        self.shards.set_retention(cap);
+        Ok(())
     }
 }
 

@@ -66,7 +66,7 @@ impl<F: StrategyFactory<CounterAdt>> Replica for UcStore<CounterAdt, F> {
     }
 }
 
-impl<F: StrategyFactory<CounterAdt>> Replica for IngestPool<CounterAdt, F> {
+impl<F: StrategyFactory<CounterAdt> + 'static> Replica for IngestPool<CounterAdt, F> {
     fn update(&mut self, key: u64, u: CounterUpdate) -> Msg {
         IngestPool::update(self, key, u).expect("live pool")
     }

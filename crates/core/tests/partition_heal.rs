@@ -86,7 +86,7 @@ impl<F: StrategyFactory<Adt>, P: BackendFactory<Adt>> Replica for UcStore<Adt, F
     }
 }
 
-impl<F: StrategyFactory<Adt>> Replica for IngestPool<Adt, F> {
+impl<F: StrategyFactory<Adt> + 'static> Replica for IngestPool<Adt, F> {
     fn tick_maintenance(&mut self) {
         IngestPool::tick_maintenance(self).expect("live pool")
     }
@@ -973,6 +973,81 @@ fn a_heal_longer_than_a_full_window_sheds_nothing_on_a_default_reliable_link() {
     }
 }
 
+/// The frames a replica sent into a cut before the `PeerDown` verdict
+/// are stamped at or below the outage watermark, so the heal does not
+/// replay them: the [`ReliableLink`] below must still hold them when
+/// the cut heals. After the verdict the replica queues one heartbeat
+/// toward the down peer, not one a tick, so an outage of more ticks
+/// than a default link's `queue_cap` sheds nothing and every replica
+/// converges. (With a heartbeat a tick, replica 0's link sheds its
+/// oldest frames, the ten updates among them, and replica 2 never
+/// gets them.)
+///
+/// A tick comes every `TICK = 2` time units. After the heal, the
+/// frames sent to the peer pile up behind the gap until the oldest
+/// frame's next retransmit, up to `max_backoff` (1024) time units
+/// later; at one tick per time unit that pile-up alone overflows the
+/// queue and sheds the same ten updates (see ROADMAP, *Anti-entropy*).
+#[test]
+fn an_outage_longer_than_the_retry_queue_keeps_the_updates_sent_before_the_verdict() {
+    type Node = ReliableLink<UcStore<Adt, GcFactory>>;
+    const TICK: u64 = 2;
+    const CUT: u64 = 1_000;
+    const VERDICT: u64 = 1_500;
+    const HEAL: u64 = CUT + 1_224 * TICK;
+    assert!(((HEAL - CUT) / TICK) as usize > RetryConfig::default().queue_cap);
+    let n = 3;
+    let latency = LatencyModel::Uniform(2, 9);
+    let lossless = LinkModel {
+        latency: latency.clone(),
+        ..LinkModel::default()
+    };
+    let mut topo = Topology::uniform(n, lossless);
+    topo.partition(vec![vec![0, 1], vec![2]], CUT, HEAL, Cut::Drop);
+    let mut sim: Simulation<Node> = Simulation::new(
+        SimConfig {
+            n,
+            seed: 0x10_0C,
+            latency,
+            fifo_links: true,
+        },
+        |pid| {
+            let store = UcStore::new(SetAdt::new(), pid, 2, GcFactory { n: 3 });
+            ReliableLink::new(store, RetryConfig::default(), 0x10_0C ^ pid as u64)
+        },
+    );
+    sim.set_topology(topo);
+    sim.schedule_ticks(TICK, HEAL + 4_000);
+    for key in 0..KEYS {
+        let u = StoreInput::Update(key, SetUpdate::Insert(key as u32));
+        sim.schedule_invoke(20 + key * 10, (key % 3) as Pid, u);
+    }
+    // Into the cut, before anyone has noticed it.
+    for i in 0..10u64 {
+        let u = StoreInput::Update(i % KEYS, SetUpdate::Insert(100 + i as u32));
+        sim.schedule_invoke(CUT + 10 + i, 0, u);
+    }
+    for (pid, peer) in [(0, 2), (1, 2), (2, 0), (2, 1)] {
+        sim.schedule_invoke(VERDICT, pid, StoreInput::PeerDown(peer));
+        sim.schedule_invoke(HEAL + 10, pid, StoreInput::PeerUp(peer));
+    }
+    sim.run_to_quiescence();
+
+    for p in 0..n as Pid {
+        let node = sim.process(p);
+        assert_eq!(node.stats().shed, 0, "replica {p}'s link shed a frame");
+        assert_eq!(node.inner().partition().down_count(), 0, "replica {p}");
+    }
+    for k in 0..KEYS {
+        let expect = sim.process_mut(0).inner_mut().materialize_key(k);
+        assert!(expect.contains(&(100 + k as u32)), "key {k}: {expect:?}");
+        for p in 1..n as Pid {
+            let got = sim.process_mut(p).inner_mut().materialize_key(k);
+            assert_eq!(expect, got, "key {k} diverged on replica {p}");
+        }
+    }
+}
+
 /// End-to-end with **no injected membership verdicts**: a
 /// [`HeartbeatDetector`] between the reliable link and the store
 /// derives `peer_down`/`peer_up` from missed heartbeats alone, over a
@@ -1086,10 +1161,12 @@ fn detector_driven_heal_through_flapping_partition(mode: DeliveryMode) {
     assert_eq!(m.batches_delivered > 0, mode.is_batched());
 }
 
-/// While a peer is down, an update goes to the live peers only, and a
-/// tick still sends every peer a heartbeat: the live one the current
-/// clock, the down one no clock above its outage watermark. Once the
-/// peer is back, both go to everyone again.
+/// While a peer is down, an update goes to the live peers only. The
+/// verdict sends the down peer one heartbeat, at its outage watermark,
+/// and a tick then heartbeats the live peers only: the one heartbeat
+/// waits in the link below and is retransmitted until the cut heals,
+/// where one a tick would fill the link's retry queue. Once the peer
+/// is back, both go to everyone again.
 #[test]
 fn a_down_peer_is_sent_heartbeats_at_its_watermark_and_no_updates() {
     on_every_node_kind!(down_peer_sender_rules, Adt::new(), GcFactory { n: 3 }, 2);
@@ -1120,14 +1197,23 @@ fn down_peer_sender_rules<X: Executor<Adt = Adt>>(make: impl Fn(Pid) -> Node<X>)
     for v in 0..3 {
         assert_eq!(update(&mut node, v), vec![1, 2]);
     }
-    invoke(&mut node, 0, StoreInput::PeerDown(2));
+    let (_, sent) = invoke(&mut node, 0, StoreInput::PeerDown(2));
     let watermark = node.partition().watermark(2).expect("peer 2 is down");
+    let verdict: Vec<_> = sent
+        .into_iter()
+        .map(|(to, m)| match m {
+            StoreMsg::Heartbeat { pid: 0, clock } => (to, clock),
+            other => panic!("the verdict sends a heartbeat only, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(verdict, vec![(2, watermark)]);
     for v in 3..6 {
         assert_eq!(update(&mut node, v), vec![1], "the down peer is skipped");
     }
     let clock = node.clock();
     assert!(clock > watermark);
-    assert_eq!(beats(&mut node), vec![(1, clock), (2, watermark)]);
+    assert_eq!(beats(&mut node), vec![(1, clock)]);
+    assert_eq!(beats(&mut node), vec![(1, clock)], "and so is every tick");
 
     invoke(&mut node, 0, StoreInput::PeerUp(2));
     assert_eq!(update(&mut node, 6), vec![1, 2]);

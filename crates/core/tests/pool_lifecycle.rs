@@ -1,5 +1,6 @@
 //! Lifecycle edges of the persistent shard-worker ingest pool:
-//! drain-on-drop, flush barriers, and panic poisoning.
+//! drain-on-drop, flush barriers, and panic poisoning (a panicking
+//! burst, and a panicking call that answers).
 //!
 //! The observability trick: instrumented UQ-ADTs whose transition
 //! function reports into shared state (an `Arc`), so a test can see
@@ -11,6 +12,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use uc_core::{CheckpointFactory, GcFactory, PoolConfig, StoreMsg, UcStore};
+use uc_obs::HealthStatus;
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
 /// A set ADT that records every element it ever applies into a shared
@@ -194,6 +196,51 @@ fn panicking_fold_poisons_with_clear_error_not_deadlock() {
         .finish()
         .expect_err("finish must refuse corrupt shards");
     assert!(err3.to_string().contains("poison pill folded"));
+}
+
+/// A job is a call into the worker's shard set, and the channel its
+/// answer goes back through lives inside the call: a call that panics
+/// must still release its caller. Under `GcFactory` with no peer
+/// heartbeat nothing stabilizes, so a local update of the pill is only
+/// logged (the update returns `Ok`), and the pill is first folded
+/// inside the strong query's call. The query fails instead of hanging,
+/// and so does every later call, each with the panic's message.
+#[test]
+fn a_panicking_call_releases_its_caller() {
+    let adt = PanickySet {
+        inner: SetAdt::new(),
+        pill: 7,
+    };
+    let store = UcStore::new(adt, 0, 2, GcFactory { n: 2 });
+    let mut pool = store.into_pool(PoolConfig {
+        workers: 2,
+        queue_depth: 8,
+    });
+    pool.update(3, SetUpdate::Insert(7))
+        .expect("the pill is logged, not folded");
+    let pill = |what: &str, err: String| {
+        assert!(
+            err.contains("poison pill folded"),
+            "{what} must carry the panic message, got: {err}"
+        );
+    };
+    let err = pool
+        .query(3, &SetQuery::Read)
+        .expect_err("the query folds the pill");
+    pill("the query", err.to_string());
+    pill("flush", pool.flush().expect_err("poisoned").to_string());
+    let health = pool.health();
+    assert_eq!(health.status, HealthStatus::Poisoned);
+    pill("health", health.poisoned.expect("a poison report"));
+    pill(
+        "peer_down",
+        pool.peer_down(1).expect_err("poisoned").to_string(),
+    );
+    // The digest read goes to every worker and waits for all of them.
+    pill(
+        "peer_up",
+        pool.peer_up(1).expect_err("poisoned").to_string(),
+    );
 }
 
 #[test]

@@ -55,7 +55,7 @@
 //! every [`Protocol`] — single replicas, GC replicas, whole
 //! `UcStore`s, pooled stores — runs on it unchanged, and it
 //! implements the runtime-generic
-//! [`ClusterHarness`](uc_sim::ClusterHarness) beside the simulator.
+//! [`ClusterHarness`] beside the simulator.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -141,10 +141,8 @@ enum Activation<P: Protocol> {
 /// its dead-drop exit serialized the whole pool exactly when it was
 /// busiest; these are single relaxed `fetch_add`s instead.
 /// [`EventCluster::metrics`] folds them back into the cloned
-/// [`Metrics`], and [`EventCluster::obs_registry`] exposes the
-/// underlying registry for exporters.
+/// [`Metrics`].
 struct HotCounters {
-    registry: Registry,
     messages_dropped_crashed: Counter,
     invocations: Counter,
 }
@@ -158,7 +156,6 @@ impl HotCounters {
             registry.counter("uc_reactor_messages_dropped_crashed_total");
         let invocations = registry.counter("uc_reactor_invocations_total");
         HotCounters {
-            registry,
             messages_dropped_crashed,
             invocations,
         }
@@ -683,14 +680,6 @@ where
             c.fold_into(&mut m);
         }
         m
-    }
-
-    /// The cluster's lock-free counter registry (`uc_reactor_*`
-    /// names). Cloning shares the underlying map, so callers can hand
-    /// the same registry to an exporter, or register their own
-    /// counters alongside the reactor's.
-    pub fn obs_registry(&self) -> Registry {
-        self.shared.hot.registry.clone()
     }
 
     /// Mirror this cluster's full [`Metrics`] (folded as in

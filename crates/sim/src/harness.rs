@@ -3,7 +3,7 @@
 //! runtime reports.
 //!
 //! Two runtimes execute the same protocols: the deterministic
-//! [`Simulation`](crate::scheduler::Simulation) and the event-driven
+//! [`Simulation`] and the event-driven
 //! `EventCluster` (crate `uc-runtime`). Tests and benches that only
 //! need *invoke → quiesce → inspect* semantics are written once
 //! against [`ClusterHarness`] and run on both — which is what makes

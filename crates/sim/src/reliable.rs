@@ -63,7 +63,8 @@
 //! verdict fall outside the recorded watermark and neither layer
 //! replays them. That window is all the contract covers: once the
 //! verdict is in, the store sends a down peer no updates (its heal
-//! delivers them), only one heartbeat a tick.
+//! delivers them) and one heartbeat, at the verdict, so at most one
+//! frame more waits toward it than at the verdict.
 
 use crate::metrics::LinkCounters;
 use crate::process::{Ctx, Pid, Protocol};

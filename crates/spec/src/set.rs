@@ -38,11 +38,6 @@ impl<V> SetUpdate<V> {
             SetUpdate::Insert(v) | SetUpdate::Delete(v) => v,
         }
     }
-
-    /// Is this an insertion?
-    pub fn is_insert(&self) -> bool {
-        matches!(self, SetUpdate::Insert(_))
-    }
 }
 
 /// Query alphabet of the set: the single read `R` with no parameter.
