@@ -36,20 +36,23 @@
 //!   claimed job is processed separately, never coalesced, for the
 //!   same reason;
 //! * **wait-free reads** — the worker republishes the post-repair
-//!   state of every touched key behind an RCU-style
+//!   state of every written key behind an RCU-style
 //!   [`Published`] cell, as *background* work: after a claimed
 //!   batch it publishes one key at a time and
 //!   looks at its inbox between keys; when a job is waiting it leaves
-//!   the rest on a worklist, claims, and resumes afterwards (ingest
+//!   the rest listed, claims, and resumes afterwards (ingest
 //!   first, publish in the gaps — a slow publication never holds the
 //!   bounded inbox shut, so an `update()` never waits for readers'
-//!   snapshots). Each applied update notes its `(shard, key)`; the
-//!   worklist is sorted and deduplicated when a pass begins (and
-//!   whenever the notes fill), and a key still waiting in a suspended
-//!   pass is not noted again, so a key written many times before its
-//!   turn is published once. What is published is the strategy's
-//!   own `Arc` of the state
-//!   ([`RepairStrategy::shared_state`](crate::engine::RepairStrategy::shared_state)):
+//!   snapshots). The shards list what is owed: each insertion into a
+//!   backfilled shard lists its key's slot number on the shard, unless
+//!   it is listed already, so a key written many times before its turn
+//!   is published once, and the worker reaches the key's engine and
+//!   snapshot cell by that number — no sort, search or hash per key.
+//!   A pass opens with the key one shard has listed longest (the
+//!   shards take that turn in rotation), then takes the keys listed
+//!   last first, whose engines the claimed jobs left in cache. What
+//!   is published is the strategy's own `Arc` of the state
+//!   ([`RepairStrategy::shared_state`]):
 //!   under [`StableGc`](crate::gc::StableGc) that is the key's kept
 //!   fold itself, advanced by the new entries — no refold, and no copy
 //!   either: the cell lets go of the previous publication as it takes
@@ -77,10 +80,12 @@
 //!   armed shards' keys (untouched shards pay nothing);
 //! * **starvation** — the price of ingest-first: under an inbox that
 //!   is never empty, ingest wins. Publication still moves (at least
-//!   one key per claim) and the worklist holds a key at most once —
-//!   it is bounded by the worker's distinct keys, not by messages —
-//!   but a snapshot read may trail the applied state for as long as
-//!   the pressure lasts. [`WorkerStats::publish_backlog`] and
+//!   one key per claim), a shard lists a key at most once — the lists
+//!   are bounded by the worker's distinct keys, not by messages — and
+//!   a key listed behind `k` others waits `k + 1` rounds of passes at
+//!   most (each pass opens with the oldest of one shard), but a
+//!   snapshot read may trail the applied state for as long as the
+//!   pressure lasts. [`WorkerStats::publish_backlog`] and
 //!   [`WorkerStats::publish_yields`] (`uc_pool_publish_backlog`,
 //!   `uc_pool_publish_yields_total`) make it visible; the remedy is a
 //!   flush (see *fences*);
@@ -138,17 +143,19 @@
 //! by stride. A job is a call into the worker's `ShardSet`, the method
 //! the store calls inline: a boxed closure that carries its arguments
 //! and, where it answers, the channel the answer goes back through.
-//! Only the three jobs that change a key's folded state (a burst, a
-//! frame, a local update) are spelled out, because publication must
-//! see their keys. A read of what the shards report (keys, live keys,
-//! log length, repair totals, the monitor's counters) is one call per
-//! worker, answered behind everything queued before it on that
-//! worker's FIFO inbox: quiesced, with no flush. What is the pool's
+//! Only the three data jobs (a burst, a frame, a local update) are
+//! spelled out: the worker counts their bursts and messages, and a
+//! frame's stamp is heard before its insertion. Publication does not
+//! need them spelled out: the shards list what every insertion wrote,
+//! whichever job made it. A read of what the shards report (keys,
+//! live keys, log length, repair totals, the monitor's counters) is
+//! one call per worker, answered behind everything queued before it on
+//! that worker's FIFO inbox: quiesced, with no flush. What is the pool's
 //! alone is what crosses threads: the inboxes, the published
 //! snapshots, and the relaxed throughput counters (`SharedCounters`).
 
-use crate::backend::{BackendFactory, MemFactory};
-use crate::engine::CutError;
+use crate::backend::{BackendFactory, LogBackend, MemFactory};
+use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
 use crate::heal::{HealDigest, RANGES};
 use crate::inbox::{Inbox, PushError};
 use crate::message::UpdateMsg;
@@ -159,10 +166,11 @@ use crate::store::{
     StoreSnapshot, StrategyFactory, Summary, UcStore,
 };
 use crate::timestamp::{LamportClock, Timestamp};
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::BuildHasherDefault;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -295,14 +303,11 @@ pub struct WorkerStats {
     /// snapshots, or a stream of late messages, are costing the worker
     /// a state copy per publication.
     pub snapshot_copies: u64,
-    /// Keys touched and not yet republished (a gauge, as of the end of
-    /// the worker's last publication pass): non-zero while a pass is
-    /// suspended for queued jobs, zero after every
-    /// [`IngestPool::flush`]. Bounded by the worker's distinct keys —
-    /// a key waits on the worklist once however often it is written.
-    /// An upper bound while a pass is suspended: a key written twice
-    /// *after* that pass published it is listed twice until the next
-    /// pass sorts the list.
+    /// Keys written and not yet republished (a gauge, as of the end of
+    /// the worker's last publication pass): what its shards list,
+    /// non-zero while a pass is suspended for queued jobs, zero after
+    /// every [`IngestPool::flush`]. Bounded by the worker's distinct
+    /// keys — a shard lists a key once however often it is written.
     pub publish_backlog: usize,
     /// Publication passes suspended with keys still pending because a
     /// job was waiting in the inbox (ingest first, publish in the
@@ -400,10 +405,21 @@ type ShardBuckets<A> = Vec<(usize, Bucket<A>)>;
 /// answer goes back through are what the closure captured.
 type Call<A, F, P> = Box<dyn FnOnce(&mut ShardSet<A, F, P>) + Send>;
 
+/// A panic out of a call that answers, on its way to the worker: the
+/// panic's own payload, and the call's reply channel, which must not
+/// close before the worker has recorded the poison.
+struct Unwinding {
+    payload: Box<dyn Any + Send>,
+    reply: Box<dyn Any + Send>,
+}
+
 /// How a call is queued: [`Job::Call`] or [`Job::Fence`].
 type CallKind<A, F, P> = fn(Call<A, F, P>) -> Job<A, F, P>;
 
-/// One unit of work on a worker's inbox.
+/// One unit of work on a worker's inbox. The three data jobs are
+/// spelled out for the worker's counters (bursts, messages) and for a
+/// frame's rule that its stamp is heard before its insertion; what
+/// their insertions owe publication the shards list themselves.
 enum Job<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     /// [`ShardSet::ingest`]: per-shard buckets of one submitted burst
     /// (global shard index).
@@ -425,9 +441,8 @@ enum Job<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
         key: Key,
         msg: UpdateMsg<A::Update>,
     },
-    /// Any other call. None changes a key's folded state (compaction
-    /// moves log entries into the base without changing the fold), so
-    /// none owes a publication.
+    /// Any other call. An insertion it makes is listed for publication
+    /// like any other.
     Call(Call<A, F, P>),
     /// A call made once publication has run to completion, whatever is
     /// queued behind it: a flush or a cut covers every earlier
@@ -437,7 +452,7 @@ enum Job<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
 
 /// One key's epoch-published snapshot: its post-repair state — the
 /// strategy's own `Arc` of it, see
-/// [`RepairStrategy::shared_state`](crate::engine::RepairStrategy::shared_state).
+/// [`RepairStrategy::shared_state`].
 type SnapCell<A> = Published<<A as UqAdt>::State>;
 
 /// The key → snapshot-cell registry for one shard. The registry map
@@ -491,11 +506,16 @@ impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> PoolCore<A, F, P> {
     }
 }
 
-/// The worker's copy of one owned shard's key → cell registry.
+/// The worker's copy of one owned shard's key → cell registry, and the
+/// same cells by the shard's slot numbers.
 struct Mirror<A: UqAdt> {
     /// The shard's global index.
     shard: usize,
+    /// The registry readers look keys up in, as it is next published.
     cells: SnapMap<A>,
+    /// The cells of `cells` by slot number: how the worker reaches a
+    /// key's cell, with no hash lookup.
+    by_slot: Vec<Option<Arc<SnapCell<A>>>>,
     /// Has the shard's arming backfill run?
     backfilled: bool,
     /// Did `cells` gain a key since the registry was last published?
@@ -503,31 +523,25 @@ struct Mirror<A: UqAdt> {
 }
 
 /// Worker-local snapshot publisher: a mirror of each owned shard's
-/// key→cell registry, the per-worker epoch sequence, and the worklist
-/// of keys owed a republication. Each cell and each registry has
-/// exactly one writer (this worker), which is what
+/// key→cell registry, and the per-worker epoch sequence. Each cell and
+/// each registry has exactly one writer (this worker), which is what
 /// [`Published::publish`]'s single-writer contract needs.
 ///
-/// The worklist is two lists. `pending[cursor..]` is what is left of
-/// the pass in progress: sorted, without repeats, never re-sorted
-/// while the pass is suspended. `touched` collects what is written
-/// meanwhile; it becomes the next pass when this one is through. A
-/// key already waiting in `pending[cursor..]` is not noted again (its
-/// publication will read the state of the moment), so between them
-/// the lists hold a key once, and one publication covers however
-/// many writes came before it.
+/// What is owed a publication the shards list themselves: once a shard
+/// is backfilled, each insertion lists its key's slot number there,
+/// unless it is listed already, so one publication covers however many
+/// writes came before it. A pass takes first the slot one shard has
+/// listed longest, the shards taking that turn in rotation, and then
+/// the slots listed last first: the keys the claimed jobs have just
+/// written, whose engines are still in cache. A key listed behind `k`
+/// others in its shard is therefore published within `k + 1` rounds of
+/// passes, one pass per owned shard a round, however busy the inbox.
 struct SnapPublisher<A: UqAdt> {
     /// One per owned shard, in [`ShardSet::slot`] order.
     mirrors: Vec<Mirror<A>>,
     seq: u64,
-    /// `(global shard, key)` of the updates applied since the pass in
-    /// progress began, less those still waiting in it; repeats are
-    /// removed when it fills and when it becomes the next pass.
-    touched: Vec<(usize, Key)>,
-    /// The pass in progress, sorted and deduplicated.
-    pending: Vec<(usize, Key)>,
-    /// `pending[..cursor]` has been published.
-    cursor: usize,
+    /// The mirror whose shard opens the next pass.
+    turn: usize,
 }
 
 impl<A: UqAdt> SnapPublisher<A> {
@@ -537,111 +551,75 @@ impl<A: UqAdt> SnapPublisher<A> {
                 .map(|shard| Mirror {
                     shard,
                     cells: SnapMap::<A>::default(),
+                    by_slot: Vec::new(),
                     backfilled: false,
                     dirty: false,
                 })
                 .collect(),
             seq: 0,
-            touched: Vec::new(),
-            pending: Vec::new(),
-            cursor: 0,
+            turn: 0,
         }
     }
 
-    /// Note which `(shard, key)` states `job` will dirty, for
-    /// republication after the drain.
-    fn note_touched<F, P>(&mut self, job: &Job<A, F, P>)
+    /// Publish a listed slot; false when no shard lists one. The
+    /// `oldest` is the one its shard has listed longest, the shards
+    /// taking that turn in rotation; any other is the one listed last
+    /// in the first shard that lists one.
+    fn publish_next<F, P>(
+        &mut self,
+        shards: &mut ShardSet<A, F, P>,
+        oldest: bool,
+        tally: &mut PublishTally,
+    ) -> bool
     where
         F: StrategyFactory<A>,
         P: BackendFactory<A>,
     {
-        match job {
-            Job::Ingest(buckets) => {
-                for (shard, bucket) in buckets {
-                    for (key, _) in bucket {
-                        self.touch(*shard, *key);
-                    }
+        let n = self.mirrors.len();
+        for i in 0..n {
+            let m = if oldest { (self.turn + i) % n } else { i };
+            if let Some((at, key, engine)) = shards.shard_at_mut(m).take_unpublished(oldest) {
+                if oldest {
+                    self.turn = (m + 1) % n;
                 }
-            }
-            Job::Update { shard, key, .. } | Job::Deliver { shard, key, .. } => {
-                self.touch(*shard, *key)
-            }
-            Job::Call(_) | Job::Fence(_) => {}
-        }
-    }
-
-    /// A key the suspended pass has yet to reach is already owed its
-    /// publication. A full list is sorted and deduplicated before it
-    /// may grow, so it holds O(distinct keys) however many messages a
-    /// drain carries (a preload queues dozens of bursts before its
-    /// flush).
-    fn touch(&mut self, shard: usize, key: Key) {
-        if self.pending[self.cursor..]
-            .binary_search(&(shard, key))
-            .is_ok()
-        {
-            return;
-        }
-        let touched = &mut self.touched;
-        if touched.len() == touched.capacity() {
-            touched.sort_unstable();
-            touched.dedup();
-            if touched.len() > touched.capacity() / 2 {
-                touched.reserve(touched.capacity());
+                self.publish_slot(m, at, key, engine, tally);
+                return true;
             }
         }
-        touched.push((shard, key));
+        false
     }
 
-    /// Entries owed a publication (see [`WorkerStats::publish_backlog`]).
-    fn backlog(&self) -> usize {
-        self.pending.len() - self.cursor + self.touched.len()
-    }
-
-    /// Take the next entry off the worklist; when the pass in progress
-    /// is through, what was touched since becomes the next one.
-    /// Requires a non-zero [`SnapPublisher::backlog`].
-    fn next_key(&mut self) -> (usize, Key) {
-        if self.cursor == self.pending.len() {
-            std::mem::swap(&mut self.pending, &mut self.touched);
-            self.touched.clear();
-            self.pending.sort_unstable();
-            self.pending.dedup();
-            self.cursor = 0;
-        }
-        self.cursor += 1;
-        self.pending[self.cursor - 1]
-    }
-
-    /// Publish `key`'s current engine state and tally it; nothing when
-    /// the key has no engine. Registry publication for brand-new keys
-    /// is deferred to `flush_registries` so a backfill costs one map
-    /// clone per shard, not per key.
-    fn publish_key<F, P>(
+    /// Publish the current state of `key`, slot `at` of mirror `m`'s
+    /// shard, and tally it. Registry publication for brand-new keys is
+    /// deferred to `flush_registries` so a backfill costs one map clone
+    /// per shard, not per key.
+    fn publish_slot<S, B>(
         &mut self,
-        shards: &mut ShardSet<A, F, P>,
-        slot: usize,
+        m: usize,
+        at: u32,
         key: Key,
+        engine: &mut ReplicaEngine<A, S, B>,
         tally: &mut PublishTally,
     ) where
-        A: Clone,
-        F: StrategyFactory<A>,
-        P: BackendFactory<A>,
+        S: RepairStrategy<A>,
+        B: LogBackend<A>,
     {
-        let Some(engine) = shards.engine_mut(self.mirrors[slot].shard, key) else {
-            return;
-        };
         let (snapshot, copied) = engine.shared_state();
         tally.published += 1;
         tally.copies += u64::from(copied);
         self.seq += 1;
-        let mirror = &mut self.mirrors[slot];
-        match mirror.cells.get(&key) {
+        let mirror = &mut self.mirrors[m];
+        let at = at as usize;
+        if at >= mirror.by_slot.len() {
+            mirror.by_slot.resize(at + 1, None);
+        }
+        match &mirror.by_slot[at] {
             Some(cell) => cell.publish(self.seq, snapshot),
             None => {
                 let cell = Arc::new(Published::new());
                 cell.publish(self.seq, snapshot);
-                mirror.cells.insert(key, cell);
+                mirror.cells.insert(key, Arc::clone(&cell));
+                mirror.by_slot[at] = Some(cell);
                 mirror.dirty = true;
             }
         }
@@ -746,22 +724,21 @@ where
     }
 
     /// Publish snapshot work that is owed, **per armed shard**: shards
-    /// backfilled earlier publish the keys on the worklist, each once
-    /// however often it was written; once the worklist is empty a
-    /// shard observed armed for the first time gets a one-off backfill
-    /// of its keys (which covers whatever was touched there); unarmed
-    /// shards publish nothing (their entries are dropped — arming them
-    /// later triggers their own backfill).
+    /// backfilled earlier publish the keys they list, each once however
+    /// often it was written; once nothing is listed, a shard observed
+    /// armed for the first time gets a one-off backfill of its keys and
+    /// starts listing; unarmed shards list and publish nothing (arming
+    /// them later triggers their own backfill).
     ///
     /// Publication is the worker's *background* work. Unless `force`d
     /// the pass looks at the inbox between keys and, when a job is
     /// waiting, stops where it is — after at least one key, so a
     /// producer that never lets the inbox run empty slows publication
     /// down to a key per claim but cannot stop it. What is left stays
-    /// on the worklist for the next call. `force` is for the points
-    /// that promise coverage: before a fence's call, so a
-    /// completed [`IngestPool::flush`] guarantees the published
-    /// snapshots cover every earlier submission.
+    /// listed for the next call. `force` is for the points that promise
+    /// coverage: before a fence's call, so a completed
+    /// [`IngestPool::flush`] guarantees the published snapshots cover
+    /// every earlier submission.
     fn publish(&mut self, force: bool) {
         let Worker {
             shards,
@@ -774,32 +751,29 @@ where
         let inbox = &core.inboxes[*widx];
         let counters = &core.counters[*widx];
         let mut tally = PublishTally::default();
-        let mut taken = false;
+        let mut oldest = true;
         let drained = loop {
-            if publisher.backlog() == 0 {
+            if !publisher.publish_next(shards, oldest, &mut tally) {
                 break true;
             }
-            if taken && !force && !inbox.is_empty() {
-                break false;
-            }
-            let (shard_idx, key) = publisher.next_key();
-            taken = true;
-            let slot = shards.slot(shard_idx);
-            if publisher.mirrors[slot].backfilled {
-                publisher.publish_key(shards, slot, key, &mut tally);
+            oldest = false;
+            if !force && !inbox.is_empty() {
+                break shards.unpublished() == 0;
             }
         };
         if drained {
-            for slot in 0..publisher.mirrors.len() {
-                let mirror = &publisher.mirrors[slot];
+            for m in 0..publisher.mirrors.len() {
+                let mirror = &publisher.mirrors[m];
                 if !mirror.backfilled && core.armed[mirror.shard].load(Ordering::SeqCst) {
                     // Incremental by construction: other owned shards
                     // pay nothing until a snapshot read arms them too.
-                    let keys: Vec<Key> = shards.shard(mirror.shard).keys().collect();
-                    for key in keys {
-                        publisher.publish_key(shards, slot, key, &mut tally);
+                    let shard = shards.shard_at_mut(m);
+                    // In creation order, so slot numbers count up from 0.
+                    for (at, (key, engine)) in shard.engines_mut().enumerate() {
+                        publisher.publish_slot(m, at as u32, key, engine, &mut tally);
                     }
-                    publisher.mirrors[slot].backfilled = true;
+                    shard.start_publishing();
+                    publisher.mirrors[m].backfilled = true;
                 }
             }
             // A registry costs a clone of its shard's map: once per
@@ -818,7 +792,7 @@ where
             .fetch_add(tally.copies, Ordering::Relaxed);
         counters
             .publish_backlog
-            .store(publisher.backlog(), Ordering::Relaxed);
+            .store(shards.unpublished(), Ordering::Relaxed);
     }
 
     /// Run the claimed batch, each job separately (identical repair
@@ -830,14 +804,19 @@ where
             if matches!(job, Job::Fence(_)) && self.any_armed() {
                 self.publish(true);
             }
-            self.publisher.note_touched(&job);
             let outcome = catch_unwind(AssertUnwindSafe(|| self.run(job)));
             self.core.counters[self.widx].on_done();
             if let Err(payload) = outcome {
+                let (payload, reply) = match payload.downcast::<Unwinding>() {
+                    Ok(unwinding) => (unwinding.payload, Some(unwinding.reply)),
+                    Err(payload) => (payload, None),
+                };
                 let _ = self.core.poison.set(PoolError {
                     worker: self.widx,
                     message: panic_message(payload.as_ref()),
                 });
+                // The caller wakes to the poison, not to a closed pool.
+                drop(reply);
                 // A panicking shard must never leave an unsynced
                 // segment: flush before abandoning (under
                 // catch_unwind — a second panic must not tear the
@@ -857,8 +836,6 @@ where
         self.batch = batch;
         if self.any_armed() {
             self.publish(false);
-        } else {
-            self.publisher.touched.clear();
         }
         Turn::Worked
     }
@@ -868,7 +845,7 @@ where
     fn turn(&mut self) -> Turn {
         self.core.inboxes[self.widx].claim(&mut self.batch);
         if self.batch.is_empty() {
-            if self.publisher.backlog() > 0 {
+            if self.shards.unpublished() > 0 {
                 // Owed keys and an empty inbox: this is a gap. (A pass
                 // suspends only for a waiting job and the next claim
                 // takes that job, so no pass is left like this today;
@@ -896,9 +873,9 @@ where
 /// shards back through the join handle.
 ///
 /// **Ingest first, publish in the gaps.** After a claimed batch the
-/// worker republishes the touched keys' snapshots one key at a time
+/// worker republishes the written keys' snapshots one key at a time
 /// and looks at its inbox between keys; when a job is waiting it
-/// leaves the rest on the worklist, claims, and resumes afterwards
+/// leaves the rest listed, claims, and resumes afterwards
 /// (at least one key per resumed pass). It parks only when the inbox
 /// is empty *and* nothing is owed, and it exits only then too, so the
 /// shards it hands back have every snapshot published. A slow
@@ -907,8 +884,8 @@ where
 ///
 /// **Starvation.** The other side of that choice: under an inbox that
 /// is never empty, ingest wins. Publication still moves (a key per
-/// claim), the worklist holds a key at most once so it is bounded by
-/// the worker's distinct keys, not by messages, and
+/// claim), a shard lists a key at most once so the lists are bounded
+/// by the worker's distinct keys, not by messages, and
 /// [`WorkerStats::publish_backlog`] / [`WorkerStats::publish_yields`]
 /// show it happening — but a [`PoolHandle::query_snapshot`] may trail
 /// the applied state for as long as the pressure lasts. The remedy is
@@ -939,8 +916,11 @@ where
             Turn::Poisoned => return None,
         }
     }
-    // Drain-on-drop / finish: everything queued has been applied; make
-    // it durable before the join completes.
+    // Drain-on-drop / finish: everything queued has been applied and,
+    // by the exit rule, published. The shards go home listing nothing,
+    // so an inline insertion lists nothing either; make it all durable
+    // before the join completes.
+    worker.shards.stop_publishing();
     worker.shards.flush_backends();
     Some(worker.shards)
 }
@@ -1026,13 +1006,23 @@ where
 
     /// `f` as a call that sends its answer back. A dead channel (the
     /// caller gave up on a poisoned pool) is not the worker's problem.
+    /// A panicking `f` carries the channel on in its panic
+    /// ([`Unwinding`]), so the caller is not woken before the worker
+    /// has recorded the poison it will report.
     fn answered<R: Send + 'static>(
         f: impl FnOnce(&mut ShardSet<A, F, P>) -> R + Send + 'static,
     ) -> (Call<A, F, P>, Receiver<R>) {
         let (reply, answer) = channel();
-        let call: Call<A, F, P> = Box::new(move |s| {
-            let _ = reply.send(f(s));
-        });
+        let call: Call<A, F, P> =
+            Box::new(move |s| match catch_unwind(AssertUnwindSafe(|| f(s))) {
+                Ok(out) => {
+                    let _ = reply.send(out);
+                }
+                Err(payload) => resume_unwind(Box::new(Unwinding {
+                    payload,
+                    reply: Box::new(reply),
+                })),
+            });
         (call, answer)
     }
 
@@ -1992,35 +1982,6 @@ mod tests {
         assert!(err.to_string().contains("closed"));
     }
 
-    #[test]
-    fn touched_list_is_bounded_by_distinct_keys_not_messages() {
-        // A preload queues many bursts before its first flush; the
-        // list of what they touched must not grow with their length.
-        let mut publisher: SnapPublisher<SetAdt<u32>> = SnapPublisher::new(0..1);
-        for i in 0..100_000u64 {
-            publisher.touch(0, i % 10);
-        }
-        assert!(publisher.touched.capacity() <= 32);
-        assert_eq!(publisher.next_key(), (0, 0), "the pass begins: sorted");
-        assert_eq!(publisher.backlog(), 9, "and deduplicated");
-        assert_eq!(publisher.next_key(), (0, 1));
-        // The pass is suspended with keys 2..10 left. Whatever is
-        // written now, a key waits on the worklist once: those the
-        // pass has yet to reach are not noted again, those it has
-        // published (0, 1) and new ones (10..20) go to the next pass.
-        for i in 0..100_000u64 {
-            publisher.touch(0, i % 20);
-        }
-        assert!(publisher.touched.capacity() <= 32);
-        assert!(publisher.touched.iter().all(|(_, k)| !(2..10).contains(k)));
-        let mut order = Vec::new();
-        while publisher.backlog() > 0 {
-            order.push(publisher.next_key().1);
-        }
-        let expected: Vec<Key> = (2..10).chain([0, 1]).chain(10..20).collect();
-        assert_eq!(order, expected, "each key once, the suspended pass first");
-    }
-
     type HandWorker = Worker<SetAdt<u32>, CheckpointFactory, MemFactory>;
 
     /// A one-worker, one-shard pool taken apart before any thread
@@ -2046,12 +2007,11 @@ mod tests {
     }
 
     /// Claim a burst that writes keys 0..6 five times each, let one
-    /// more job arrive (a local update of `waiting`), and run the
-    /// claimed burst: its publication pass meets a non-empty inbox.
+    /// more job arrive (a local update of key 9), and run the claimed
+    /// burst: its publication pass meets a non-empty inbox.
     fn suspend_a_pass(
         handle: &PoolHandle<SetAdt<u32>, CheckpointFactory>,
         worker: &mut HandWorker,
-        waiting: Key,
     ) {
         let mut producer = store(1, 1);
         let burst: Vec<_> = (0..30u64)
@@ -2060,8 +2020,19 @@ mod tests {
         handle.submit_batch(burst).unwrap();
         let inbox = &worker.core.inboxes[worker.widx];
         inbox.claim(&mut worker.batch);
-        handle.update(waiting, SetUpdate::Insert(100)).unwrap();
+        handle.update(9, SetUpdate::Insert(100)).unwrap();
         assert_eq!(worker.run_claimed(), Turn::Worked);
+    }
+
+    /// Claim what is queued and run it without the publication pass
+    /// that would follow: the keys it writes stay listed.
+    fn run_unpublished(worker: &mut HandWorker) {
+        let mut batch = Vec::new();
+        worker.core.inboxes[worker.widx].claim(&mut batch);
+        for job in batch {
+            worker.run(job);
+            worker.core.counters[worker.widx].on_done();
+        }
     }
 
     fn read<F: StrategyFactory<SetAdt<u32>> + 'static>(
@@ -2071,17 +2042,27 @@ mod tests {
         handle.query_snapshot(key, &SetQuery::Read)
     }
 
+    /// The burst's keys whose snapshot shows the burst, and those
+    /// whose snapshot does not yet.
+    fn burst_keys_by_publication(
+        handle: &PoolHandle<SetAdt<u32>, CheckpointFactory>,
+    ) -> (Vec<Key>, Vec<Key>) {
+        let (shown, owed): (Vec<Key>, Vec<Key>) = (0..6).partition(|&k| read(handle, k).len() == 6);
+        assert!(owed.iter().all(|&k| read(handle, k) == BTreeSet::from([0])));
+        (shown, owed)
+    }
+
     #[test]
     fn a_waiting_job_suspends_the_pass_after_one_key_and_a_barrier_forces_the_rest() {
         let (handle, mut worker) = hand_worker();
-        suspend_a_pass(&handle, &mut worker, 3);
+        suspend_a_pass(&handle, &mut worker);
         let w = stats_of(&worker);
         assert_eq!(w.snapshots_published, 7 + 1, "one key, whoever is waiting");
         assert_eq!((w.publish_yields, w.publish_backlog), (1, 5));
         // Between flushes a snapshot read is a read of the latest
-        // *published* state: key 0 shows the burst, key 5 not yet.
-        assert_eq!(read(&handle, 0).len(), 6);
-        assert_eq!(read(&handle, 5), BTreeSet::from([0]));
+        // *published* state: one key shows the burst, five not yet.
+        let (shown, owed) = burst_keys_by_publication(&handle);
+        assert_eq!((shown.len(), owed.len()), (1, 5));
 
         // A fence behind the waiting update, and one more job behind
         // the fence: its call still waits for the whole backlog.
@@ -2092,39 +2073,62 @@ mod tests {
         handle.push_job(0, fence).unwrap();
         let inbox = &worker.core.inboxes[worker.widx];
         inbox.claim(&mut worker.batch);
-        handle.update(9, SetUpdate::Insert(100)).unwrap();
+        handle.update(9, SetUpdate::Insert(101)).unwrap();
         assert_eq!(worker.run_claimed(), Turn::Worked);
         assert!(ack.try_recv().is_ok());
         assert!(!worker.core.inboxes[worker.widx].is_empty());
         let w = stats_of(&worker);
-        // Key 3 was written by the burst and by the local update and
-        // is published once.
-        assert_eq!(w.snapshots_published, 7 + 1 + 5);
+        // The five the pass left, and key 9, each once.
+        assert_eq!(w.snapshots_published, 7 + 1 + 5 + 1);
         assert_eq!((w.publish_yields, w.publish_backlog), (1, 0));
         for key in 0..6 {
-            let expected = 6 + usize::from(key == 3);
-            assert_eq!(read(&handle, key).len(), expected, "key {key}");
+            assert_eq!(read(&handle, key).len(), 6, "key {key}");
         }
+        assert_eq!(read(&handle, 9), BTreeSet::from([0, 100]));
     }
 
     #[test]
     fn keys_touched_under_a_suspended_pass_are_merged_and_published_once() {
         let (handle, mut worker) = hand_worker();
-        suspend_a_pass(&handle, &mut worker, 0);
+        suspend_a_pass(&handle, &mut worker);
         assert_eq!(stats_of(&worker).publish_backlog, 5);
-        // Key 0 has been published by the suspended pass and is owed
-        // another; key 3 is still waiting in it; key 9 is new to it.
-        handle.update(3, SetUpdate::Insert(100)).unwrap();
-        handle.update(9, SetUpdate::Insert(100)).unwrap();
+        // One key has been published by the suspended pass and is owed
+        // another; one is still listed; key 9, written twice, is new.
+        let (shown, owed) = burst_keys_by_publication(&handle);
+        let (published, listed) = (shown[0], owed[0]);
+        handle.update(published, SetUpdate::Insert(100)).unwrap();
+        handle.update(listed, SetUpdate::Insert(100)).unwrap();
         handle.update(9, SetUpdate::Insert(101)).unwrap();
         assert_eq!(worker.turn(), Turn::Worked);
         let w = stats_of(&worker);
-        assert_eq!(w.snapshots_published, 7 + 1 + 5 + 2);
+        // Seven keys, each published once.
+        assert_eq!(w.snapshots_published, 7 + 1 + 7);
         assert_eq!((w.publish_yields, w.publish_backlog), (1, 0));
-        assert_eq!(read(&handle, 0).len(), 7);
-        assert_eq!(read(&handle, 3).len(), 7);
+        assert_eq!(read(&handle, published).len(), 7);
+        assert_eq!(read(&handle, listed).len(), 7);
         assert_eq!(read(&handle, 9), BTreeSet::from([0, 100, 101]));
         assert_eq!(worker.turn(), Turn::Idle);
+    }
+
+    #[test]
+    fn a_pass_cut_short_publishes_the_key_listed_longest() {
+        let (handle, mut worker) = hand_worker();
+        suspend_a_pass(&handle, &mut worker);
+        assert_eq!(burst_keys_by_publication(&handle).0, [0]);
+        // A producer that never lets the inbox run empty cuts every
+        // pass to one key, and writes a new key each time: the burst's
+        // keys, listed first, are still published one a pass, in the
+        // order they were listed, not passed over by the newer keys.
+        for round in 1..6 {
+            let inbox = &worker.core.inboxes[worker.widx];
+            inbox.claim(&mut worker.batch);
+            handle.update(20 + round, SetUpdate::Insert(100)).unwrap();
+            assert_eq!(worker.run_claimed(), Turn::Worked);
+            let shown: Vec<Key> = (0..=round).collect();
+            assert_eq!(burst_keys_by_publication(&handle).0, shown);
+        }
+        let w = stats_of(&worker);
+        assert_eq!((w.publish_yields, w.publish_backlog), (6, 5));
     }
 
     #[test]
@@ -2132,8 +2136,10 @@ mod tests {
         let (handle, mut worker) = hand_worker();
         // An empty inbox and keys owed a publication, however the last
         // pass was left: the turn publishes, the next one may park.
-        worker.publisher.touch(0, 2);
-        worker.publisher.touch(0, 4);
+        handle.update(2, SetUpdate::Insert(100)).unwrap();
+        handle.update(4, SetUpdate::Insert(100)).unwrap();
+        run_unpublished(&mut worker);
+        assert_eq!(worker.shards.unpublished(), 2);
         assert_eq!(worker.turn(), Turn::Worked);
         let w = stats_of(&worker);
         assert_eq!((w.snapshots_published, w.publish_backlog), (7 + 2, 0));
@@ -2141,16 +2147,15 @@ mod tests {
         // The same at the exit: a closed and drained inbox ends the
         // worker only once nothing is owed.
         handle.update(5, SetUpdate::Insert(100)).unwrap();
-        let inbox = &worker.core.inboxes[worker.widx];
-        inbox.claim(&mut worker.batch);
-        worker.batch.clear();
-        worker.publisher.touch(0, 5);
-        inbox.close();
+        run_unpublished(&mut worker);
+        worker.core.inboxes[worker.widx].close();
         assert_eq!(worker.turn(), Turn::Worked);
         assert_eq!(stats_of(&worker).snapshots_published, 7 + 3);
         assert_eq!(worker.turn(), Turn::Done);
-        assert_eq!(worker.publisher.backlog(), 0);
-        assert_eq!(read(&handle, 5), BTreeSet::from([0]));
+        assert_eq!(worker.shards.unpublished(), 0);
+        assert_eq!(read(&handle, 5), BTreeSet::from([0, 100]));
+        // What the exit hands back lists nothing from here on.
+        worker.shards.stop_publishing();
     }
 
     #[test]

@@ -86,7 +86,7 @@ use crate::log::Buffer;
 use crate::message::UpdateMsg;
 use crate::node::{Executor, Node};
 use crate::timestamp::{LamportClock, Timestamp};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::convert::Infallible;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -555,9 +555,9 @@ fn collapse_heartbeats(mut hbs: Vec<(u32, u64)>) -> Vec<(u32, u64)> {
 }
 
 /// One key's engine, with its key (for the arena walks that report
-/// keys) and its membership in its shard's two work lists kept beside
-/// it: the insertion path tests a flag on the slot it already holds
-/// instead of probing a side set.
+/// keys) and its membership in its shard's three work lists kept
+/// beside it: the insertion path tests a flag on the slot it already
+/// holds instead of probing a side set.
 #[derive(Clone, Debug)]
 struct Slot<A: UqAdt, S, B> {
     key: Key,
@@ -566,6 +566,8 @@ struct Slot<A: UqAdt, S, B> {
     live: bool,
     /// On [`Shard::unflushed`].
     unflushed: bool,
+    /// On [`Shard::unpublished`].
+    unpublished: bool,
     /// The size class ([`class`]) of the buffer the key held when it
     /// last went idle: a buffer it borrows is of this class or smaller.
     /// A new key's is the largest.
@@ -595,8 +597,19 @@ struct Slot<A: UqAdt, S, B> {
 /// log has emptied has nothing to compact and answers queries from its
 /// base, so it sits the sweeps out; its next insertion hands it the
 /// floor of the moment, as every insertion does
-/// ([`Shard::insert_into`]). Both lists hold a slot at most once (the
-/// slot flags), so they are bounded by the key count.
+/// ([`Shard::insert_into`]).
+///
+/// A pool worker publishes its keys' states for wait-free reads (see
+/// [`IngestPool`](crate::pool::IngestPool)). Once it has backfilled a
+/// shard it switches the shard's `publishing` on, and from then on each
+/// insertion lists its slot on `unpublished`; the worker takes the
+/// slots off either end of the list and reaches each engine by its
+/// slot number, with no key lookup. A store that runs inline never
+/// switches it on, and a worker switches it off when it hands its
+/// shards back, so an inline insertion lists nothing.
+///
+/// Each work list holds a slot at most once (the slot flags), so it is
+/// bounded by the key count however often a key is written.
 ///
 /// An idle key offers its emptied log buffer to the shard if the
 /// buffer is small ([`LEND_LIMIT`]), and a key that wakes holding none
@@ -623,6 +636,12 @@ pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     /// list since the last [`Shard::flush_backends`]: they were idle
     /// when an insertion began, or they left the live list.
     unflushed: Vec<u32>,
+    /// Slots inserted into since their state was last published, in the
+    /// order they were listed; empty unless `publishing`.
+    unpublished: VecDeque<u32>,
+    /// Does an insertion list its slot on `unpublished`? On from a pool
+    /// worker's backfill of the shard until the worker hands it back.
+    publishing: bool,
     /// Highest update-timestamp clock this shard has ingested or
     /// issued — the per-shard divergence high-water mark. Heal skips
     /// shards whose high water never passed the outage-start
@@ -666,6 +685,8 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
             slots: Vec::new(),
             live: Vec::new(),
             unflushed: Vec::new(),
+            unpublished: VecDeque::new(),
+            publishing: false,
             high_water: 0,
             lenders: Default::default(),
         }
@@ -719,6 +740,48 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
             .map(|slot| (slot.key, &mut slot.engine))
     }
 
+    /// Start listing the slots insertions touch for publication: the
+    /// pool worker has just published every key of the shard.
+    pub(crate) fn start_publishing(&mut self) {
+        self.publishing = true;
+    }
+
+    /// Stop listing: the pool worker hands the shard back.
+    ///
+    /// # Panics
+    ///
+    /// When a slot is still owed its publication.
+    pub(crate) fn stop_publishing(&mut self) {
+        assert!(
+            self.unpublished.is_empty(),
+            "shard {} handed back with {} slots unpublished",
+            self.idx,
+            self.unpublished.len()
+        );
+        self.publishing = false;
+    }
+
+    /// Slots owed a publication.
+    pub(crate) fn unpublished(&self) -> usize {
+        self.unpublished.len()
+    }
+
+    /// Take a slot off the unpublished list, the one listed longest if
+    /// `oldest`, else the one listed last: its number, key and engine.
+    pub(crate) fn take_unpublished(
+        &mut self,
+        oldest: bool,
+    ) -> Option<(u32, Key, &mut ReplicaEngine<A, S, B>)> {
+        let at = if oldest {
+            self.unpublished.pop_front()
+        } else {
+            self.unpublished.pop_back()
+        }?;
+        let slot = &mut self.slots[at as usize];
+        slot.unpublished = false;
+        Some((at, slot.key, &mut slot.engine))
+    }
+
     /// Keys on the live list — how many keys hold unstable entries
     /// (a few may have been emptied by their last insertion's own
     /// compaction and not been swept since).
@@ -729,8 +792,9 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
     /// Panic unless the index, the arena and the work lists agree:
     /// every key maps to the slot holding it, the work lists (and the
     /// lender lists taken together) hold a slot at most once and
-    /// exactly when the slot's flag says so, and every idle slot
-    /// keeping a buffer it could lend offers it.
+    /// exactly when the slot's flag says so, nothing is listed for
+    /// publication while the shard is not publishing, and every idle
+    /// slot keeping a buffer it could lend offers it.
     #[cfg(test)]
     fn check_invariants(&self)
     where
@@ -755,6 +819,12 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
         };
         listed(&self.live, |slot| slot.live, "live");
         listed(&self.unflushed, |slot| slot.unflushed, "unflushed");
+        let unpublished = Vec::from(self.unpublished.clone());
+        listed(&unpublished, |slot| slot.unpublished, "unpublished");
+        assert!(
+            self.publishing || unpublished.is_empty(),
+            "unpublished: listed while not publishing"
+        );
         listed(&self.lenders.concat(), |slot| slot.offered, "lenders");
         for (at, slot) in self.slots.iter().enumerate() {
             let kept = slot.engine.log().capacity();
@@ -814,7 +884,9 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     /// handed it — and rejoins the live list if the insertion left
     /// entries in its log. An idle engine that holds no log buffer
     /// borrows one first, and offers its buffer if the insertion left
-    /// its log empty.
+    /// its log empty. While the shard is publishing, the slot is listed
+    /// as owed a publication (once, however often it is written before
+    /// its turn).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_into<F, P, R>(
         &mut self,
@@ -836,6 +908,8 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             slots,
             live,
             unflushed,
+            unpublished,
+            publishing,
             lenders,
             ..
         } = self;
@@ -851,6 +925,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 engine,
                 live: false,
                 unflushed: false,
+                unpublished: false,
                 class: CLASSES as u8 - 1,
                 offered: false,
             });
@@ -875,6 +950,10 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
                 slot.unflushed = true;
                 unflushed.push(at);
             }
+        }
+        if *publishing && !slot.unpublished {
+            slot.unpublished = true;
+            unpublished.push_back(at);
         }
         let out = f(&mut slot.engine);
         if !slot.live {
@@ -901,6 +980,7 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             engine,
             live,
             unflushed: false,
+            unpublished: false,
             class: CLASSES as u8 - 1,
             offered: false,
         };
@@ -916,7 +996,8 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     /// arrival order within a key, hence per-sender FIFO), then hand
     /// each key's contiguous run to its engine as **one** owned batch
     /// — one repair per key per burst, with the updates moved (never
-    /// cloned) into the key's log via `UpdateLog::insert_batch`.
+    /// cloned) into the key's log via `UpdateLog::insert_batch` — and a
+    /// run of one as the single message it is.
     pub(crate) fn ingest<F, P>(
         &mut self,
         mut bucket: Vec<(Key, UpdateMsg<A::Update>)>,
@@ -935,6 +1016,13 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
         bucket.sort_by_key(|(k, _)| *k);
         let mut iter = bucket.into_iter().peekable();
         while let Some((key, first)) = iter.next() {
+            // A run of one, the usual case, needs no batch.
+            if iter.peek().is_none_or(|(k, _)| *k != key) {
+                self.insert_into(key, adt, pid, factory, persist, floor, |engine| {
+                    engine.on_deliver(first)
+                });
+                continue;
+            }
             let mut msgs = vec![first];
             while let Some((_, m)) = iter.next_if(|(k, _)| *k == key) {
                 msgs.push(m);
@@ -1210,6 +1298,17 @@ impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> ShardSet<A, F, P> {
     fn key_count(&self) -> usize {
         self.shards.iter().map(|s| s.key_count()).sum()
     }
+
+    /// The shard at position `slot` of this set ([`ShardSet::slot`]).
+    pub(crate) fn shard_at_mut(&mut self, slot: usize) -> &mut Shard<A, F::Strategy, P::Backend> {
+        &mut self.shards[slot]
+    }
+
+    /// Slots owed a publication, over this set's shards
+    /// ([`Shard::unpublished`]).
+    pub(crate) fn unpublished(&self) -> usize {
+        self.shards.iter().map(|s| s.unpublished()).sum()
+    }
 }
 
 impl<A, F, P> ShardSet<A, F, P>
@@ -1312,6 +1411,14 @@ where
     ) -> Option<&mut ReplicaEngine<A, F::Strategy, P::Backend>> {
         let slot = self.slot(shard);
         self.shards[slot].engine_mut(key)
+    }
+
+    /// Switch every shard's publication listing off
+    /// ([`Shard::stop_publishing`]): the set leaves its pool worker.
+    pub(crate) fn stop_publishing(&mut self) {
+        for shard in &mut self.shards {
+            shard.stop_publishing();
+        }
     }
 
     /// Rebuild every key the backend factory knows about as
@@ -2831,6 +2938,70 @@ mod tests {
             idle_reads > 0 && live_reads > 0,
             "idle {idle_reads}, live {live_reads}"
         );
+    }
+
+    #[test]
+    fn a_publishing_shard_lists_each_written_slot_once() {
+        // A preload writes many bursts before its first flush; what it
+        // owes publication must not grow with their length.
+        let mut s = store(0, 1);
+        s.update(0, SetUpdate::Insert(0));
+        assert_eq!(
+            s.exec.shards.unpublished(),
+            0,
+            "an inline store lists nothing"
+        );
+        s.exec.shards.shards[0].start_publishing();
+        for i in 0..100_000u64 {
+            s.update(i % 10, SetUpdate::Insert(i as u32));
+        }
+        let shard = &mut s.exec.shards.shards[0];
+        shard.check_invariants();
+        assert_eq!(shard.unpublished(), 10);
+        // Listed in the order first written: either end is at hand.
+        let oldest = shard.take_unpublished(true).map(|(at, ..)| at);
+        let newest = shard.take_unpublished(false).map(|(at, ..)| at);
+        assert_eq!((oldest, newest), (Some(0), Some(9)));
+        let mut taken = vec![(0, 0), (9, 9)];
+        while let Some((at, key, engine)) = shard.take_unpublished(false) {
+            assert_eq!(
+                engine.log_len(),
+                10_000 + usize::from(key == 0),
+                "key {key}"
+            );
+            taken.push((at, key));
+        }
+        taken.sort_unstable();
+        let slots: Vec<(u32, Key)> = (0..10).map(|k| (k as u32, k)).collect();
+        assert_eq!(taken, slots, "each slot once, by its number");
+        shard.check_invariants();
+        shard.stop_publishing();
+    }
+
+    #[test]
+    fn a_pool_hands_its_shards_back_listing_nothing() {
+        // The round trip through a second pool is
+        // `pool_lifecycle.rs`'s; this reads the lists themselves.
+        let mut pool = store(0, 4).into_pool(PoolConfig {
+            workers: 2,
+            queue_depth: 8,
+        });
+        for key in 0..16 {
+            pool.query_snapshot(key, &SetQuery::Read);
+            pool.update(key, SetUpdate::Insert(1)).unwrap();
+        }
+        pool.flush().unwrap();
+        for key in 0..16 {
+            pool.update(key, SetUpdate::Insert(2)).unwrap();
+        }
+        let mut s = pool.finish().unwrap();
+        for key in 0..24 {
+            s.update(key, SetUpdate::Insert(3));
+        }
+        assert_eq!(s.exec.shards.unpublished(), 0);
+        for shard in &s.exec.shards.shards {
+            shard.check_invariants();
+        }
     }
 
     #[test]

@@ -471,3 +471,50 @@ fn snapshot_readers_see_prefixes_while_the_published_buffers_rotate() {
     }
     assert_eq!(seq.materialize_key(0).len() as u32, ROUNDS * PER_KEY);
 }
+
+/// A store that comes back from a pool lists nothing for publication,
+/// however much it is written inline, so the next pool it becomes
+/// starts with nothing owed: its arming backfill publishes each key
+/// once, and its published reads answer what its strong reads do.
+#[test]
+fn a_store_back_from_a_pool_owes_its_next_pool_no_publication() {
+    const KEYS: u64 = 48;
+    let cfg = PoolConfig {
+        workers: 2,
+        queue_depth: 8,
+    };
+    let mut pool =
+        UcStore::new(SetAdt::<u32>::new(), 0, 4, CheckpointFactory { every: 4 }).into_pool(cfg);
+    for key in 0..KEYS / 2 {
+        pool.query_snapshot(key, &SetQuery::Read);
+        pool.update(key, SetUpdate::Insert(1)).unwrap();
+    }
+    pool.flush().unwrap();
+    for key in 0..KEYS / 2 {
+        pool.update(key, SetUpdate::Insert(2)).unwrap();
+    }
+    let mut store = pool.finish().unwrap();
+    for round in 0..8 {
+        for key in 0..KEYS {
+            store.update(key, SetUpdate::Insert(10 + round));
+        }
+    }
+    let mut pool = store.into_pool(cfg);
+    for key in 0..KEYS {
+        pool.query_snapshot(key, &SetQuery::Read);
+    }
+    pool.flush().unwrap();
+    let stats = pool.stats();
+    assert_eq!(stats.total_snapshots_published(), KEYS, "one per key");
+    assert!(stats.workers.iter().all(|w| w.publish_backlog == 0));
+    for key in 0..KEYS {
+        let strong = pool.query(key, &SetQuery::Read).unwrap();
+        assert_eq!(strong.len(), 8 + if key < KEYS / 2 { 2 } else { 0 });
+        assert_eq!(
+            pool.query_snapshot(key, &SetQuery::Read),
+            strong,
+            "key {key}"
+        );
+    }
+    pool.finish().unwrap();
+}
