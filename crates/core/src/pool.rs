@@ -108,10 +108,13 @@
 //!   and surviving handles keep reading the final states.
 //!   [`IngestPool::finish`] additionally reassembles and returns the
 //!   [`UcStore`];
-//! * **poisoning** — a panic inside a worker (e.g. a panicking ADT
-//!   fold) is caught and recorded in a lock-free `OnceLock`, so the
-//!   per-call poison check is a plain load; every subsequent
-//!   operation surfaces the [`PoolError`] instead of deadlocking;
+//! * **poisoning** — a panic anywhere in a worker's work (e.g. a
+//!   panicking ADT fold, whether a job, a publication pass or an arming
+//!   backfill first folds it) is caught once, around everything the
+//!   worker thread does, and recorded in a lock-free `OnceLock`, so the
+//!   per-call poison check is a plain load; the worker closes its inbox
+//!   and every subsequent operation surfaces the [`PoolError`] instead
+//!   of deadlocking;
 //! * **crash soundness** — stamping composes with the persisted
 //!   clock-floor lease the store keeps too (`ClockLease`, handed over
 //!   by [`UcStore::into_pool`] and back by [`IngestPool::finish`]): an
@@ -170,7 +173,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::BuildHasherDefault;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -405,14 +408,6 @@ type ShardBuckets<A> = Vec<(usize, Bucket<A>)>;
 /// answer goes back through are what the closure captured.
 type Call<A, F, P> = Box<dyn FnOnce(&mut ShardSet<A, F, P>) + Send>;
 
-/// A panic out of a call that answers, on its way to the worker: the
-/// panic's own payload, and the call's reply channel, which must not
-/// close before the worker has recorded the poison.
-struct Unwinding {
-    payload: Box<dyn Any + Send>,
-    reply: Box<dyn Any + Send>,
-}
-
 /// How a call is queued: [`Job::Call`] or [`Job::Fence`].
 type CallKind<A, F, P> = fn(Call<A, F, P>) -> Job<A, F, P>;
 
@@ -462,18 +457,6 @@ type SnapCell<A> = Published<<A as UqAdt>::State>;
 /// (`FxHasher`): a published read is one lookup here plus two loads.
 type SnapMap<A> = HashMap<Key, Arc<SnapCell<A>>, BuildHasherDefault<FxHasher>>;
 
-struct ShardSnapshots<A: UqAdt> {
-    keys: Published<SnapMap<A>>,
-}
-
-impl<A: UqAdt> Default for ShardSnapshots<A> {
-    fn default() -> Self {
-        ShardSnapshots {
-            keys: Published::new(),
-        }
-    }
-}
-
 /// State shared by every [`PoolHandle`], the [`IngestPool`], and the
 /// workers. Strategy and backend state live in each worker's
 /// [`ShardSet`]; the core names their types only because a job is a
@@ -485,7 +468,8 @@ struct PoolCore<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     num_shards: usize,
     inboxes: Vec<Inbox<Job<A, F, P>>>,
     counters: Vec<SharedCounters>,
-    snaps: Vec<ShardSnapshots<A>>,
+    /// Per shard, its published key → cell registry.
+    snaps: Vec<Published<SnapMap<A>>>,
     /// First worker panic wins; the per-call check is a plain load.
     poison: OnceLock<PoolError>,
     /// Per-shard snapshot arming, set by the first snapshot read of a
@@ -634,9 +618,7 @@ impl<A: UqAdt> SnapPublisher<A> {
         for mirror in &mut self.mirrors {
             if std::mem::take(&mut mirror.dirty) {
                 self.seq += 1;
-                core.snaps[mirror.shard]
-                    .keys
-                    .publish(self.seq, Arc::new(mirror.cells.clone()));
+                core.snaps[mirror.shard].publish(self.seq, Arc::new(mirror.cells.clone()));
             }
         }
     }
@@ -659,8 +641,6 @@ enum Turn {
     /// The inbox is closed and drained and nothing is owed: hand the
     /// shards back.
     Done,
-    /// A job panicked: the pool is poisoned and the inbox closed.
-    Poisoned,
 }
 
 /// One worker thread's world: its stride of the replica's shards, its
@@ -798,46 +778,38 @@ where
     /// Run the claimed batch, each job separately (identical repair
     /// accounting to the sequential path), then publish in the gap
     /// before the next claim.
-    fn run_claimed(&mut self) -> Turn {
+    fn run_claimed(&mut self) {
         let mut batch = std::mem::take(&mut self.batch);
         for job in batch.drain(..) {
             if matches!(job, Job::Fence(_)) && self.any_armed() {
                 self.publish(true);
             }
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.run(job)));
+            self.run(job);
             self.core.counters[self.widx].on_done();
-            if let Err(payload) = outcome {
-                let (payload, reply) = match payload.downcast::<Unwinding>() {
-                    Ok(unwinding) => (unwinding.payload, Some(unwinding.reply)),
-                    Err(payload) => (payload, None),
-                };
-                let _ = self.core.poison.set(PoolError {
-                    worker: self.widx,
-                    message: panic_message(payload.as_ref()),
-                });
-                // The caller wakes to the poison, not to a closed pool.
-                drop(reply);
-                // A panicking shard must never leave an unsynced
-                // segment: flush before abandoning (under
-                // catch_unwind — a second panic must not tear the
-                // whole process down mid-poison).
-                let _ = catch_unwind(AssertUnwindSafe(|| self.shards.flush_backends()));
-                // Refuse further pushes (parked producers fail fast)
-                // and drop whatever is queued: dropping the calls drops
-                // the reply senders they hold, which unblocks waiting
-                // handles.
-                let inbox = &self.core.inboxes[self.widx];
-                inbox.close();
-                let mut rest = Vec::new();
-                inbox.claim(&mut rest);
-                return Turn::Poisoned;
-            }
         }
         self.batch = batch;
         if self.any_armed() {
             self.publish(false);
         }
-        Turn::Worked
+    }
+
+    /// The one way a worker fails: record the panic as the pool's
+    /// poison; flush the backends, guarded against a second panic (the
+    /// journal is valid, only the in-memory fold is suspect, and
+    /// recovery refolds from the journal); close the inbox, so parked
+    /// producers fail fast; drop what is queued, which releases the
+    /// callers waiting on it. The poison is set before the inbox closes,
+    /// which is what those callers wait for ([`PoolHandle::wait_for`]).
+    fn poison(&mut self, payload: Box<dyn Any + Send>) {
+        let _ = self.core.poison.set(PoolError {
+            worker: self.widx,
+            message: panic_message(payload.as_ref()),
+        });
+        let _ = catch_unwind(AssertUnwindSafe(|| self.shards.flush_backends()));
+        let inbox = &self.core.inboxes[self.widx];
+        inbox.close();
+        inbox.claim(&mut self.batch);
+        self.batch.clear();
     }
 
     /// One step of the worker loop: ingest first, publish in the gaps,
@@ -864,7 +836,8 @@ where
                 return Turn::Done;
             }
         }
-        self.run_claimed()
+        self.run_claimed();
+        Turn::Worked
     }
 }
 
@@ -892,13 +865,11 @@ where
 /// [`IngestPool::flush`]: before a fence's call the worker runs
 /// publication to completion whatever is queued behind it.
 ///
-/// A panicking job records its payload in the shared `OnceLock`
-/// poison slot, **flushes the backends** (the journal entries
-/// appended before the panic are valid — only the in-memory fold is
-/// suspect, and recovery refolds from the journal anyway), closes its
-/// inbox (so parked producers fail fast instead of deadlocking), and
-/// exits; the shards may hold a half-repaired engine, so they are
-/// abandoned rather than handed back to `finish`.
+/// **Panics.** One `catch_unwind` holds all of the worker's work —
+/// every job, publication pass, arming backfill and registry
+/// publication, and the exit path — and hands a panic to
+/// [`Worker::poison`]. The shards may then hold a half-repaired engine,
+/// so they are abandoned rather than handed back to `finish`.
 fn worker_loop<A, F, P>(mut worker: Worker<A, F, P>) -> Option<ShardSet<A, F, P>>
 where
     A: UqAdt + Clone,
@@ -908,21 +879,28 @@ where
     let core = Arc::clone(&worker.core);
     let inbox = &core.inboxes[worker.widx];
     inbox.register_consumer(std::thread::current());
-    loop {
-        match worker.turn() {
-            Turn::Worked => {}
-            Turn::Idle => inbox.wait(),
-            Turn::Done => break,
-            Turn::Poisoned => return None,
+    let work = catch_unwind(AssertUnwindSafe(|| {
+        loop {
+            match worker.turn() {
+                Turn::Worked => {}
+                Turn::Idle => inbox.wait(),
+                Turn::Done => break,
+            }
+        }
+        // Drain-on-drop / finish: everything queued has been applied
+        // and, by the exit rule, published. The shards go home listing
+        // nothing, so an inline insertion lists nothing either; make it
+        // all durable before the join completes.
+        worker.shards.stop_publishing();
+        worker.shards.flush_backends();
+    }));
+    match work {
+        Ok(()) => Some(worker.shards),
+        Err(payload) => {
+            worker.poison(payload);
+            None
         }
     }
-    // Drain-on-drop / finish: everything queued has been applied and,
-    // by the exit rule, published. The shards go home listing nothing,
-    // so an inline insertion lists nothing either; make it all durable
-    // before the join completes.
-    worker.shards.stop_publishing();
-    worker.shards.flush_backends();
-    Some(worker.shards)
 }
 
 /// A cloneable, `&self` handle to a pooled store: lock-free stamping
@@ -1006,24 +984,30 @@ where
 
     /// `f` as a call that sends its answer back. A dead channel (the
     /// caller gave up on a poisoned pool) is not the worker's problem.
-    /// A panicking `f` carries the channel on in its panic
-    /// ([`Unwinding`]), so the caller is not woken before the worker
-    /// has recorded the poison it will report.
     fn answered<R: Send + 'static>(
         f: impl FnOnce(&mut ShardSet<A, F, P>) -> R + Send + 'static,
     ) -> (Call<A, F, P>, Receiver<R>) {
         let (reply, answer) = channel();
-        let call: Call<A, F, P> =
-            Box::new(move |s| match catch_unwind(AssertUnwindSafe(|| f(s))) {
-                Ok(out) => {
-                    let _ = reply.send(out);
-                }
-                Err(payload) => resume_unwind(Box::new(Unwinding {
-                    payload,
-                    reply: Box::new(reply),
-                })),
-            });
+        let call: Call<A, F, P> = Box::new(move |s| {
+            let _ = reply.send(f(s));
+        });
         (call, answer)
+    }
+
+    /// Wait for `worker`'s answer. Only a panic leaves a call
+    /// unanswered, and its channel closes as the panic unwinds, before
+    /// [`Worker::poison`] runs: so wait for the inbox to close, which
+    /// the poison path does after recording the panic. (A call racing
+    /// [`IngestPool::finish`], which closes the inboxes first, may read
+    /// the close instead; `finish` reports the panic.)
+    fn wait_for<R>(&self, worker: usize, answer: Receiver<R>) -> Result<R, PoolError> {
+        answer.recv().map_err(|_| {
+            let inbox = &self.core.inboxes[worker];
+            while !inbox.is_closed() {
+                std::thread::yield_now();
+            }
+            self.err_for(worker)
+        })
     }
 
     /// Run `f` on `worker`'s shard set, behind everything pushed there
@@ -1035,7 +1019,7 @@ where
     ) -> Result<R, PoolError> {
         let (call, answer) = Self::answered(f);
         self.push_job(worker, Job::Call(call))?;
-        answer.recv().map_err(|_| self.err_for(worker))
+        self.wait_for(worker, answer)
     }
 
     /// Push a call of `f`, queued as `kind`, to every worker (parking
@@ -1057,7 +1041,7 @@ where
         answers
             .into_iter()
             .enumerate()
-            .map(|(worker, answer)| answer.recv().map_err(|_| self.err_for(worker)))
+            .map(|(worker, answer)| self.wait_for(worker, answer))
             .collect()
     }
 
@@ -1141,7 +1125,7 @@ where
     pub fn query_snapshot_versioned(&self, key: Key, q: &A::QueryIn) -> (u64, A::QueryOut) {
         let shard = shard_index(key, self.core.num_shards);
         self.arm(shard);
-        if let Some((_, map)) = self.core.snaps[shard].keys.load() {
+        if let Some((_, map)) = self.core.snaps[shard].load() {
             if let Some(cell) = map.get(&key) {
                 if let Some((epoch, state)) = cell.load() {
                     return (epoch, self.adt.observe(&state, q));
@@ -1365,7 +1349,7 @@ where
         num_shards,
         inboxes: (0..workers).map(|_| Inbox::new(queue_depth)).collect(),
         counters: (0..workers).map(|_| SharedCounters::default()).collect(),
-        snaps: (0..num_shards).map(|_| ShardSnapshots::default()).collect(),
+        snaps: (0..num_shards).map(|_| Published::new()).collect(),
         poison: OnceLock::new(),
         armed: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
         owed: Mutex::new(Vec::new()),
@@ -1493,33 +1477,21 @@ where
     /// if any worker panicked.
     pub fn finish(self) -> Result<UcStore<A, F, P>, PoolError> {
         let Node { heal, mut exec } = self;
+        let parts = exec
+            .stop()
+            .into_iter()
+            .enumerate()
+            // A poisoned worker hands back no shards; surface the
+            // recorded error.
+            .map(|(worker, shards)| shards.ok_or_else(|| exec.handle.err_for(worker)))
+            .collect::<Result<_, _>>()?;
         let core = &exec.handle.core;
-        for inbox in &core.inboxes {
-            inbox.close();
-        }
-        let mut parts = Vec::with_capacity(exec.threads.len());
-        for (worker, thread) in std::mem::take(&mut exec.threads).into_iter().enumerate() {
-            match thread.join() {
-                Ok(Some(shards)) => parts.push(shards),
-                // A worker that hit a panic returns no shards; surface
-                // the recorded error.
-                Ok(None) | Err(_) => return Err(exec.handle.err_for(worker)),
-            }
-        }
-        if let Some(err) = core.poison.get() {
-            return Err(err.clone());
-        }
-        // Workers joined: the clock read covers every issued stamp,
-        // so collapsing the floor to the exact clock is sound here.
-        let clock = core.clock.now();
-        core.lease.collapse(clock, |floor| {
-            exec.handle.persist.persist_store_clock(floor)
-        });
         Ok(Node {
             heal,
             exec: Inline {
                 clock: core.clock.clone(),
-                lease: ClockLease::new(Some(clock)),
+                // The floor `stop` collapsed to.
+                lease: core.lease.clone(),
                 trace: None,
                 shards: ShardSet::join(parts),
             },
@@ -1527,22 +1499,35 @@ where
     }
 }
 
-/// Drain-on-drop: closing the inboxes lets every worker finish its
-/// backlog — and flush its storage backends — before exiting; the join
-/// guarantees no worker thread outlives the owning handle. Panics
-/// (ours or a worker's) are swallowed — `Drop` must not double-panic.
-impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> Drop for Workers<A, F, P> {
-    fn drop(&mut self) {
+impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> Workers<A, F, P> {
+    /// Close every inbox (each worker finishes its backlog and flushes
+    /// its backends before exiting), join every thread, then collapse
+    /// the clock floor to the exact clock, which the joins make cover
+    /// every issued stamp. Each worker's shards, in worker order; `None`
+    /// from a poisoned one. A second call joins nothing.
+    fn stop(&mut self) -> Vec<Option<ShardSet<A, F, P>>> {
         let core = &self.handle.core;
         for inbox in &core.inboxes {
             inbox.close();
         }
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
+        let parts = self
+            .threads
+            .drain(..)
+            .map(|thread| thread.join().ok().flatten())
+            .collect();
         core.lease.collapse(core.clock.now(), |floor| {
             self.handle.persist.persist_store_clock(floor)
         });
+        parts
+    }
+}
+
+/// Drain-on-drop: `Workers::stop`, so no worker thread outlives the
+/// owning handle. A worker's panic is swallowed — `Drop` must not
+/// double-panic.
+impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> Drop for Workers<A, F, P> {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -2021,7 +2006,7 @@ mod tests {
         let inbox = &worker.core.inboxes[worker.widx];
         inbox.claim(&mut worker.batch);
         handle.update(9, SetUpdate::Insert(100)).unwrap();
-        assert_eq!(worker.run_claimed(), Turn::Worked);
+        worker.run_claimed();
     }
 
     /// Claim what is queued and run it without the publication pass
@@ -2074,7 +2059,7 @@ mod tests {
         let inbox = &worker.core.inboxes[worker.widx];
         inbox.claim(&mut worker.batch);
         handle.update(9, SetUpdate::Insert(101)).unwrap();
-        assert_eq!(worker.run_claimed(), Turn::Worked);
+        worker.run_claimed();
         assert!(ack.try_recv().is_ok());
         assert!(!worker.core.inboxes[worker.widx].is_empty());
         let w = stats_of(&worker);
@@ -2123,7 +2108,7 @@ mod tests {
             let inbox = &worker.core.inboxes[worker.widx];
             inbox.claim(&mut worker.batch);
             handle.update(20 + round, SetUpdate::Insert(100)).unwrap();
-            assert_eq!(worker.run_claimed(), Turn::Worked);
+            worker.run_claimed();
             let shown: Vec<Key> = (0..=round).collect();
             assert_eq!(burst_keys_by_publication(&handle).0, shown);
         }
@@ -2216,7 +2201,7 @@ mod tests {
             assert_eq!(turns.last().map(|t| t.0), Some(6 * (u64::from(n) + 1)));
         }
         // A reader sitting on a snapshot is what costs a copy again.
-        let cell = Arc::clone(&handle.core.snaps[0].keys.load().expect("registry").1[&3]);
+        let cell = Arc::clone(&handle.core.snaps[0].load().expect("registry").1[&3]);
         let (_, held) = cell.load().expect("published");
         let loaded = BTreeSet::clone(&held);
         round(10, false);

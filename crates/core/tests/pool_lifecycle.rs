@@ -1,6 +1,7 @@
 //! Lifecycle edges of the persistent shard-worker ingest pool:
 //! drain-on-drop, flush barriers, and panic poisoning (a panicking
-//! burst, and a panicking call that answers).
+//! burst, and a pill first folded in a call, a publication pass or an
+//! arming backfill).
 //!
 //! The observability trick: instrumented UQ-ADTs whose transition
 //! function reports into shared state (an `Arc`), so a test can see
@@ -10,8 +11,10 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use uc_core::{CheckpointFactory, GcFactory, PoolConfig, StoreMsg, UcStore};
+use std::time::Duration;
+use uc_core::{CheckpointFactory, GcFactory, IngestPool, PoolConfig, StoreMsg, UcStore};
 use uc_obs::HealthStatus;
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
@@ -198,49 +201,118 @@ fn panicking_fold_poisons_with_clear_error_not_deadlock() {
     assert!(err3.to_string().contains("poison pill folded"));
 }
 
-/// A job is a call into the worker's shard set, and the channel its
-/// answer goes back through lives inside the call: a call that panics
-/// must still release its caller. Under `GcFactory` with no peer
-/// heartbeat nothing stabilizes, so a local update of the pill is only
-/// logged (the update returns `Ok`), and the pill is first folded
-/// inside the strong query's call. The query fails instead of hanging,
-/// and so does every later call, each with the panic's message.
+type PillPool = IngestPool<PanickySet, GcFactory>;
+
+/// What a case does to the pool up to the pill's first fold.
+type Lead = fn(&mut PillPool);
+
+/// Run `op` on `input` on a thread of its own and give it 10 s, so a
+/// caller left waiting fails the test instead of hanging it. A panic
+/// in `op` is passed on as it is.
+fn watched<I, T>(what: &str, input: I, op: impl FnOnce(I) -> T + Send + 'static) -> T
+where
+    I: Send + 'static,
+    T: Send + 'static,
+{
+    let (done, result) = mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let _ = done.send(op(input));
+    });
+    match result.recv_timeout(Duration::from_secs(10)) {
+        Ok(out) => {
+            thread.join().expect("the thread sent its answer");
+            out
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what} still waiting after 10 s"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(thread.join().expect_err("no answer: it panicked"))
+        }
+    }
+}
+
+fn pill(what: &str, err: impl ToString) {
+    let err = err.to_string();
+    assert!(
+        err.contains("poison pill folded"),
+        "{what} must carry the panic message, got: {err}"
+    );
+}
+
+/// A worker fails in one place, wherever it first folds the pill: in a
+/// call, in the publication pass after a batch, or in the arming
+/// backfill before a fence. Under `GcFactory` with no peer heartbeat
+/// nothing stabilizes, so a local update of the pill is only logged
+/// (the update returns `Ok`), and each case's lead picks the fold. The
+/// call that folds it fails instead of hanging, and so does every later
+/// call, each with the panic's message; `finish` refuses the shards.
 #[test]
 fn a_panicking_call_releases_its_caller() {
-    let adt = PanickySet {
-        inner: SetAdt::new(),
-        pill: 7,
-    };
-    let store = UcStore::new(adt, 0, 2, GcFactory { n: 2 });
-    let mut pool = store.into_pool(PoolConfig {
-        workers: 2,
-        queue_depth: 8,
-    });
-    pool.update(3, SetUpdate::Insert(7))
-        .expect("the pill is logged, not folded");
-    let pill = |what: &str, err: String| {
-        assert!(
-            err.contains("poison pill folded"),
-            "{what} must carry the panic message, got: {err}"
+    let cases: [(&str, Lead); 3] = [
+        ("a strong call", |pool| {
+            pool.update(3, SetUpdate::Insert(7))
+                .expect("the pill is logged, not folded");
+            let err = pool
+                .query(3, &SetQuery::Read)
+                .expect_err("the query folds the pill");
+            pill("the query", err);
+        }),
+        ("a publication pass after a batch", |pool| {
+            pool.query_snapshot(3, &SetQuery::Read);
+            pool.update(3, SetUpdate::Insert(1)).unwrap();
+            pool.flush().expect("no pill yet");
+            pool.update(3, SetUpdate::Insert(7))
+                .expect("the pill is logged, not folded");
+        }),
+        ("an arming backfill", |pool| {
+            pool.update(3, SetUpdate::Insert(7))
+                .expect("the pill is logged, not folded");
+            pool.flush().expect("nothing armed, nothing published");
+            pool.query_snapshot(3, &SetQuery::Read);
+        }),
+    ];
+    for (case, lead) in cases {
+        let adt = PanickySet {
+            inner: SetAdt::new(),
+            pill: 7,
+        };
+        let pool = UcStore::new(adt, 0, 2, GcFactory { n: 2 }).into_pool(PoolConfig {
+            workers: 2,
+            queue_depth: 8,
+        });
+        let pool = watched(case, pool, move |mut pool| {
+            lead(&mut pool);
+            pool
+        });
+        let (pool, flushed) = watched(&format!("{case}: flush"), pool, |mut pool| {
+            let flushed = pool.flush();
+            (pool, flushed)
+        });
+        pill(&format!("{case}: flush"), flushed.expect_err("poisoned"));
+        let (pool, health) = watched(&format!("{case}: health"), pool, |pool| {
+            let health = pool.health();
+            (pool, health)
+        });
+        assert_eq!(health.status, HealthStatus::Poisoned, "{case}");
+        pill(
+            &format!("{case}: health"),
+            health.poisoned.expect("a poison report"),
         );
-    };
-    let err = pool
-        .query(3, &SetQuery::Read)
-        .expect_err("the query folds the pill");
-    pill("the query", err.to_string());
-    pill("flush", pool.flush().expect_err("poisoned").to_string());
-    let health = pool.health();
-    assert_eq!(health.status, HealthStatus::Poisoned);
-    pill("health", health.poisoned.expect("a poison report"));
-    pill(
-        "peer_down",
-        pool.peer_down(1).expect_err("poisoned").to_string(),
-    );
-    // The digest read goes to every worker and waits for all of them.
-    pill(
-        "peer_up",
-        pool.peer_up(1).expect_err("poisoned").to_string(),
-    );
+        let pool = watched(&format!("{case}: peer_down"), pool, move |mut pool| {
+            let err = pool.peer_down(1).expect_err("poisoned");
+            pill(&format!("{case}: peer_down"), err);
+            pool
+        });
+        // The digest read goes to every worker and waits for all of them.
+        let pool = watched(&format!("{case}: peer_up"), pool, move |mut pool| {
+            let err = pool.peer_up(1).expect_err("poisoned");
+            pill(&format!("{case}: peer_up"), err);
+            pool
+        });
+        let finished = watched(&format!("{case}: finish"), pool, |pool| {
+            pool.finish().map(drop)
+        });
+        pill(&format!("{case}: finish"), finished.expect_err("poisoned"));
+    }
 }
 
 #[test]
@@ -312,7 +384,7 @@ fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
     };
 
     let mut remote = UcStore::new(SetAdt::<u32>::new(), 1, 1, factory);
-    let yields = |pool: &uc_core::IngestPool<SetAdt<u32>, CheckpointFactory>| -> u64 {
+    let yields = |pool: &IngestPool<SetAdt<u32>, CheckpointFactory>| -> u64 {
         pool.stats().workers.iter().map(|w| w.publish_yields).sum()
     };
     let mut round = 0u32;
