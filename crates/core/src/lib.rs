@@ -25,7 +25,6 @@
 //! | [`node`] | [`Node`] — the replica written once over an [`Executor`]: partition posture and heal dialogue, health, metrics, and the `Protocol` impl both node kinds share | partitionable follow-up |
 //! | [`observe`] | shared telemetry glue: streaming-monitor counters → `uc-obs` registry | observability |
 //! | [`sim_adapter`] | run replicas on `uc-sim`; turn traces into checkable histories + SUC witnesses | Prop. 4 |
-//! | [`convergence`] | cross-replica convergence checks | Defs. 5/8 |
 //!
 //! All variants are the *same* Algorithm 1 — one [`ReplicaEngine`]
 //! parameterised by a [`RepairStrategy`] — and produce identical
@@ -40,7 +39,6 @@
 
 pub mod backend;
 pub mod cached;
-pub mod convergence;
 pub mod engine;
 pub mod gc;
 pub mod generic;

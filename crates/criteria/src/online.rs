@@ -15,11 +15,12 @@
 //! ## Sampling
 //!
 //! Sampling is **by key**, not by event: a deterministic hash of
-//! `key ^ seed` against `sample_rate` decides whether a key is
-//! shadowed, and a shadowed key's *entire* update stream is observed.
-//! Per-event sampling would leave holes in the fold and make every
-//! comparison a false positive; per-key sampling keeps each shadow
-//! complete while still touching only ~`sample_rate` of traffic.
+//! `key ^ SEED` (a fixed constant) against `sample_rate` decides
+//! whether a key is shadowed, and a shadowed key's *entire* update
+//! stream is observed. Per-event sampling would leave holes in the
+//! fold and make every comparison a false positive; per-key sampling
+//! keeps each shadow complete while still touching only
+//! ~`sample_rate` of traffic.
 //! Keys that existed before the monitor attached are excluded for the
 //! same reason (their prefix was never observed).
 //!
@@ -32,10 +33,10 @@
 //! yet-unseen one, Proposition 4's argument). At every
 //! [`OnlineMonitor::tick`], window entries at or below the watermark
 //! fold into `base` and their verdicts become final. A window that
-//! outgrows `max_window` before stability advances is force-compacted
-//! and the shadow marked *lossy*: its checks are skipped (and
-//! counted) rather than risk a false positive from an incomplete
-//! window.
+//! outgrows `MAX_WINDOW` (4096) entries before stability advances is
+//! force-compacted and the shadow marked *lossy*: its checks are
+//! skipped (and counted) rather than risk a false positive from an
+//! incomplete window. The cap bounds a shadow's memory.
 //!
 //! ## What maps to which criterion
 //!
@@ -54,32 +55,32 @@ use crate::verdict::{Verdict, Witness};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use uc_spec::UqAdt;
 
+/// Seed for the key-sampling hash: every monitor at one rate shadows
+/// the same key set.
+const SEED: u64 = 0x5eed_0b5e;
+
+/// Per-key window cap, a memory bound. A window forced past this
+/// before stability advances is compacted and the shadow marked lossy.
+const MAX_WINDOW: usize = 4096;
+
 /// Configuration for an [`OnlineMonitor`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct MonitorConfig {
     /// Fraction of keys to shadow in `[0, 1]`. `1.0` shadows every
     /// key; `0.0` disables observation entirely.
     pub sample_rate: f64,
-    /// Seed for the key-sampling hash, so two monitors can shadow
-    /// disjoint or identical key sets deterministically.
-    pub seed: u64,
     /// The pids (normally the whole cluster, own pid included) whose
     /// minimum observed clock is the stability watermark. Leave empty
-    /// to never advance stability (windows then only compact lossily
-    /// at `max_window`).
+    /// to never advance stability (windows then only compact lossily,
+    /// once one outgrows the per-key cap of 4096 entries).
     pub peers: Vec<u32>,
-    /// Per-key window cap. A window forced past this before stability
-    /// advances is compacted and the shadow marked lossy.
-    pub max_window: usize,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
             sample_rate: 1.0,
-            seed: 0x5eed_0b5e,
             peers: Vec::new(),
-            max_window: 4096,
         }
     }
 }
@@ -255,7 +256,7 @@ impl<A: UqAdt> OnlineMonitor<A> {
         if self.threshold == 0 {
             return false;
         }
-        if self.threshold != u64::MAX && splitmix64(key ^ self.cfg.seed) > self.threshold {
+        if self.threshold != u64::MAX && splitmix64(key ^ SEED) > self.threshold {
             return false;
         }
         !self.excluded.contains(&key)
@@ -313,7 +314,7 @@ impl<A: UqAdt> OnlineMonitor<A> {
             None => {
                 shadow.window.insert((clock, pid), update.clone());
                 stats.sampled_updates += 1;
-                shadow.window.len() > self.cfg.max_window
+                shadow.window.len() > MAX_WINDOW
             }
         };
         if overflow {
@@ -456,7 +457,7 @@ impl<A: UqAdt> OnlineMonitor<A> {
         self.stats.finalized_updates += finalized;
     }
 
-    /// Force-compact one key's window after it outgrew `max_window`.
+    /// Force-compact one key's window after it outgrew `MAX_WINDOW`.
     /// The shadow is marked lossy: later equality checks are skipped
     /// (and counted) because a late arrival below the forced bound
     /// would now be unrepresentable.
@@ -607,14 +608,8 @@ mod tests {
 
     #[test]
     fn forced_compaction_goes_lossy_not_false_positive() {
-        let mut m = OnlineMonitor::new(
-            CounterAdt,
-            MonitorConfig {
-                max_window: 4,
-                ..MonitorConfig::full()
-            },
-        );
-        for c in 1..=5 {
+        let mut m = OnlineMonitor::new(CounterAdt, MonitorConfig::full());
+        for c in 1..=MAX_WINDOW as u64 + 1 {
             m.observe_update(1, c, 0, &CounterUpdate::Add(1));
         }
         assert_eq!(m.stats().lossy_keys, 1);

@@ -1,11 +1,10 @@
 //! History projections (Definition 2): `H_F` keeps only the events of
-//! `F` with the induced order, and labels can be extracted along any
-//! explicit order (`H_→`).
+//! `F` with the induced order.
 
 use crate::downset::{self, Mask};
 use crate::event::EventId;
 use crate::history::History;
-use uc_spec::{Op, UqAdt};
+use uc_spec::UqAdt;
 
 /// `H_F`: the sub-history induced by the events in `keep`.
 ///
@@ -70,12 +69,6 @@ pub fn restrict<A: UqAdt + Clone>(h: &History<A>, keep: Mask) -> History<A> {
     }
 }
 
-/// The word `Λ(e_0)…Λ(e_n)` along an explicit order — the label
-/// sequence handed to the sequential recogniser.
-pub fn labels_along<'h, A: UqAdt>(h: &'h History<A>, order: &[EventId]) -> Vec<&'h Op<A>> {
-    order.iter().map(|&e| h.label(e)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,14 +118,6 @@ mod tests {
         assert_eq!(r.chain(crate::ProcessId(0)).len(), 2);
         assert_eq!(r.chain(crate::ProcessId(1)).len(), 1);
         assert_eq!(r.event(EventId(0)).index_in_process, 0);
-    }
-
-    #[test]
-    fn labels_along_order() {
-        let h = sample();
-        let labels = labels_along(&h, &[EventId(3), EventId(0)]);
-        assert_eq!(format!("{:?}", labels[0]), "I(3)");
-        assert_eq!(format!("{:?}", labels[1]), "I(1)");
     }
 
     #[test]

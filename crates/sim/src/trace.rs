@@ -37,19 +37,6 @@ impl<P: Protocol> std::fmt::Debug for InvocationRecord<P> {
     }
 }
 
-/// Group records by process, preserving per-process order — the
-/// program-order chains of the induced history.
-pub fn by_process<P: Protocol>(
-    records: &[InvocationRecord<P>],
-    n: usize,
-) -> Vec<Vec<InvocationRecord<P>>> {
-    let mut out: Vec<Vec<InvocationRecord<P>>> = (0..n).map(|_| Vec::new()).collect();
-    for r in records {
-        out[r.pid as usize].push(r.clone());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,35 +52,6 @@ mod tests {
             input
         }
         fn on_message(&mut self, _from: Pid, _msg: (), _ctx: &mut Ctx<'_, ()>) {}
-    }
-
-    #[test]
-    fn grouping_preserves_order() {
-        let records: Vec<InvocationRecord<Echo>> = vec![
-            InvocationRecord {
-                time: 0,
-                pid: 1,
-                input: 10,
-                output: 10,
-            },
-            InvocationRecord {
-                time: 1,
-                pid: 0,
-                input: 20,
-                output: 20,
-            },
-            InvocationRecord {
-                time: 2,
-                pid: 1,
-                input: 30,
-                output: 30,
-            },
-        ];
-        let grouped = by_process(&records, 2);
-        assert_eq!(grouped[0].len(), 1);
-        assert_eq!(grouped[1].len(), 2);
-        assert_eq!(grouped[1][0].input, 10);
-        assert_eq!(grouped[1][1].input, 30);
     }
 
     #[test]
