@@ -1,22 +1,23 @@
-//! E15 — contended ingest + reads: locked store vs lock-free pool.
+//! E15 — one stamper beside reader threads: locked store vs pool.
 //!
-//! The same insert-only workload runs at 1/2/4/8 producer threads
-//! with concurrent reader threads, two ways on identical stores:
+//! One thread stamps an insert-only stream while 1/2/4/8 reader
+//! threads read, two ways on identical stores:
 //!
-//! * **locked**    — the pre-pool sharing model: one
-//!   `Arc<Mutex<UcStore>>`, producers lock to stamp+apply, readers
-//!   lock to materialize. Every reader stalls every producer and vice
+//! * **locked** — the pre-pool sharing model: one
+//!   `Arc<Mutex<UcStore>>`; the stamper locks to stamp+apply, readers
+//!   lock to materialize. Every reader stalls the stamper and vice
 //!   versa; a reader behind an in-flight fold waits it out.
-//! * **lock-free** — cloned [`IngestPool`] handles: producers stamp on
-//!   the shared atomic clock and CAS-push to claim-pattern worker
-//!   inboxes; readers do wait-free `query_snapshot` loads of the
-//!   epoch-published post-repair states and never block anyone.
+//! * **pool** — the [`IngestPool`]'s owner stamps on the atomic clock
+//!   and CAS-pushes to the worker's claim inbox; readers on other
+//!   threads do wait-free `query_snapshot` loads of the
+//!   epoch-published post-repair states through cloned handles and
+//!   never block anyone.
 //!
-//! Producers write disjoint key ranges (the GC-FIFO precondition for
-//! concurrent stamping, and what a sharded front-end does anyway);
-//! readers sweep all keys. Both paths must agree with a sequential
-//! reference — per-key digests and final clock are asserted every rep
-//! (the CI smoke step relies on this).
+//! A replica has one stamper (a pool handle cannot stamp), so the axis
+//! is the number of readers. Each reader makes as many reads as the
+//! stamper makes updates, sweeping every key. Both paths must agree
+//! with a sequential reference — per-key digests and final clock are
+//! asserted every rep (the CI smoke step relies on this).
 //!
 //! Run with `cargo bench -p uc-bench --bench concurrent`. A full run
 //! writes `BENCH_concurrent.json` at the workspace root; set
@@ -33,8 +34,7 @@ type Store = UcStore<SetAdt<u32>, CheckpointFactory>;
 
 const EVERY: usize = 32;
 const SHARDS: usize = 8;
-const READERS: usize = 2;
-const KEYS_PER_PRODUCER: u64 = 8;
+const KEYS: u64 = 16;
 
 fn store() -> Store {
     UcStore::new(SetAdt::new(), 0, SHARDS, CheckpointFactory { every: EVERY })
@@ -49,36 +49,28 @@ fn digest(store: &mut Store) -> u64 {
     state_digest(&states)
 }
 
-/// `(producer, i)` → the one update stream both paths replay.
-fn op(p: u64, i: u64, ops: u64) -> (u64, SetUpdate<u32>) {
-    let key = p * KEYS_PER_PRODUCER + (i % KEYS_PER_PRODUCER);
-    (key, SetUpdate::Insert((p * ops + i) as u32))
+/// `i` → the one update stream both paths replay.
+fn op(i: u64) -> (u64, SetUpdate<u32>) {
+    (i % KEYS, SetUpdate::Insert(i as u32))
 }
 
 /// Locked sharing: every operation — stamp, apply, read — takes the
 /// one store mutex.
-fn run_locked(producers: u64, ops: u64, reads: u64) -> (u64, u64, Store) {
+fn run_locked(readers: usize, ops: u64) -> (u64, u64, Store) {
     let shared = Arc::new(Mutex::new(store()));
     let t0 = Instant::now();
     std::thread::scope(|s| {
-        for p in 0..producers {
+        for _ in 0..readers {
             let shared = Arc::clone(&shared);
             s.spawn(move || {
                 for i in 0..ops {
-                    let (key, u) = op(p, i, ops);
-                    shared.lock().unwrap().update(key, u);
+                    let _ = shared.lock().unwrap().query(i % KEYS, &SetQuery::Read);
                 }
             });
         }
-        for _ in 0..READERS {
-            let shared = Arc::clone(&shared);
-            s.spawn(move || {
-                let total_keys = producers * KEYS_PER_PRODUCER;
-                for i in 0..reads {
-                    let key = i % total_keys;
-                    let _ = shared.lock().unwrap().query(key, &SetQuery::Read);
-                }
-            });
+        for i in 0..ops {
+            let (key, u) = op(i);
+            shared.lock().unwrap().update(key, u);
         }
     });
     let ns = t0.elapsed().as_nanos() as u64;
@@ -89,9 +81,9 @@ fn run_locked(producers: u64, ops: u64, reads: u64) -> (u64, u64, Store) {
     (ns, store.clock(), store)
 }
 
-/// Lock-free sharing: producers stamp on the atomic clock and push to
-/// claim inboxes; readers load epoch-published snapshots.
-fn run_lockfree(producers: u64, ops: u64, reads: u64) -> (u64, u64, Store) {
+/// The pool: its owner stamps and pushes to the claim inbox; readers
+/// load epoch-published snapshots through handles.
+fn run_pool(readers: usize, ops: u64) -> (u64, u64, Store) {
     let mut pool = store().into_pool(PoolConfig {
         workers: 1,
         queue_depth: 1024,
@@ -101,127 +93,118 @@ fn run_lockfree(producers: u64, ops: u64, reads: u64) -> (u64, u64, Store) {
     let _ = pool.query_snapshot(0, &SetQuery::Read);
     let t0 = Instant::now();
     std::thread::scope(|s| {
-        for p in 0..producers {
+        for _ in 0..readers {
             let h = pool.handle();
             s.spawn(move || {
                 for i in 0..ops {
-                    let (key, u) = op(p, i, ops);
-                    h.update(key, u).expect("pool healthy");
+                    let _ = h.query_snapshot(i % KEYS, &SetQuery::Read);
                 }
             });
         }
-        for _ in 0..READERS {
-            let h = pool.handle();
-            s.spawn(move || {
-                let total_keys = producers * KEYS_PER_PRODUCER;
-                for i in 0..reads {
-                    let key = i % total_keys;
-                    let _ = h.query_snapshot(key, &SetQuery::Read);
-                }
-            });
+        for i in 0..ops {
+            let (key, u) = op(i);
+            pool.update(key, u).expect("pool healthy");
         }
+        pool.flush().expect("pool healthy");
     });
-    pool.flush().expect("pool healthy");
     let ns = t0.elapsed().as_nanos() as u64;
     let clock = pool.clock();
     (ns, clock, pool.finish().expect("pool healthy"))
 }
 
 /// Sequential reference for the digest gate: same updates, one thread.
-fn run_sequential(producers: u64, ops: u64) -> Store {
+fn run_sequential(ops: u64) -> Store {
     let mut s = store();
-    for p in 0..producers {
-        for i in 0..ops {
-            let (key, u) = op(p, i, ops);
-            s.update(key, u);
-        }
+    for i in 0..ops {
+        let (key, u) = op(i);
+        s.update(key, u);
     }
     s
 }
 
 struct Row {
-    producers: u64,
+    readers: usize,
     locked_ns: u64,
-    lockfree_ns: u64,
+    pool_ns: u64,
 }
 
 fn main() {
     let smoke = harness::smoke();
-    let reps = if smoke { 2 } else { 5 };
+    let reps = if smoke { 2 } else { 9 };
     let ops: u64 = if smoke { 2_000 } else { 20_000 };
-    let producer_counts: &[u64] = if smoke { &[2] } else { &[1, 2, 4, 8] };
+    let reader_counts: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 8] };
     let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "concurrent bench: {ops} updates/producer, {READERS} readers doing as many \
-         reads each, reps {reps}, hardware parallelism {hw}{}",
+        "concurrent bench: one stamper making {ops} updates, each reader as many reads, \
+         reps {reps}, hardware parallelism {hw}{}",
         if smoke { " (smoke)" } else { "" }
     );
 
+    let mut reference = run_sequential(ops);
+    let want_digest = digest(&mut reference);
     let mut rows: Vec<Row> = Vec::new();
-    for &producers in producer_counts {
-        let reads = ops; // each reader sweeps as many reads as one producer writes
-        let mut reference = run_sequential(producers, ops);
-        let want_digest = digest(&mut reference);
-        let want_clock = producers * ops; // reads never tick on either path
+    for &readers in reader_counts {
         let mut locked_samples = Vec::new();
-        let mut lockfree_samples = Vec::new();
+        let mut pool_samples = Vec::new();
         for _ in 0..reps {
-            let (ns, clock, mut s) = run_locked(producers, ops, reads);
+            let (ns, clock, mut s) = run_locked(readers, ops);
             // The locked path's `query` ticks the clock (blocking
             // strong reads are its only read mode).
-            assert!(clock >= want_clock, "locked clock fell short");
+            assert!(clock >= ops, "locked clock fell short");
             assert_eq!(
                 digest(&mut s),
                 want_digest,
-                "locked diverged at {producers} producers"
+                "locked diverged at {readers} readers"
             );
             locked_samples.push(ns);
 
-            let (ns, clock, mut s) = run_lockfree(producers, ops, reads);
-            assert_eq!(clock, want_clock, "lock-free clock mismatch");
+            let (ns, clock, mut s) = run_pool(readers, ops);
+            // Snapshot reads never tick.
+            assert_eq!(clock, ops, "pool clock mismatch");
             assert_eq!(
                 digest(&mut s),
                 want_digest,
-                "lock-free diverged at {producers} producers"
+                "pool diverged at {readers} readers"
             );
-            lockfree_samples.push(ns);
+            pool_samples.push(ns);
         }
         rows.push(Row {
-            producers,
+            readers,
             locked_ns: harness::median(locked_samples),
-            lockfree_ns: harness::median(lockfree_samples),
+            pool_ns: harness::median(pool_samples),
         });
     }
 
     println!(
-        "\n{:<10} {:>14} {:>16} {:>18}",
-        "producers", "locked Mops/s", "lock-free Mops/s", "lock-free/locked"
+        "\n{:<8} {:>14} {:>14} {:>12}",
+        "readers", "locked Mops/s", "pool Mops/s", "pool/locked"
     );
     let mut contention = Vec::new();
     for r in &rows {
-        let n = r.producers * ops;
+        // Updates and reads: the work every thread of the run did.
+        let n = ops * (1 + r.readers as u64);
         let mops = |ns: u64| n as f64 * 1e3 / ns as f64;
-        let speedup = r.locked_ns as f64 / r.lockfree_ns.max(1) as f64;
+        let speedup = r.locked_ns as f64 / r.pool_ns.max(1) as f64;
         println!(
-            "{:<10} {:>14.2} {:>16.2} {:>17.2}x",
-            r.producers,
+            "{:<8} {:>14.2} {:>14.2} {:>11.2}x",
+            r.readers,
             mops(r.locked_ns),
-            mops(r.lockfree_ns),
+            mops(r.pool_ns),
             speedup
         );
         contention.push(format!(
-            "{{\"producers\": {}, \"locked_ns\": {}, \"lockfree_ns\": {}, \
-             \"locked_mops\": {:.3}, \"lockfree_mops\": {:.3}, \"speedup\": {speedup:.2}}}",
-            r.producers,
+            "{{\"readers\": {}, \"locked_ns\": {}, \"pool_ns\": {}, \
+             \"locked_mops\": {:.3}, \"pool_mops\": {:.3}, \"speedup\": {speedup:.2}}}",
+            r.readers,
             r.locked_ns,
-            r.lockfree_ns,
+            r.pool_ns,
             mops(r.locked_ns),
-            mops(r.lockfree_ns),
+            mops(r.pool_ns),
         ));
     }
     println!(
-        "\nnote: updates-only throughput (readers run concurrently on both paths, \
-         unmetered). On 1-core hosts the win is reader non-interference: locked \
+        "\nnote: Mops/s counts updates and reads, over the wall time until every \
+         thread is done and the pool is flushed (median of {reps} reps). Locked \
          readers serialize whole folds behind the store mutex, snapshot readers \
          cost one atomic load + Arc clone."
     );
@@ -232,17 +215,17 @@ fn main() {
             (
                 "config",
                 format!(
-                    "{{\"ops_per_producer\": {ops}, \"readers\": {READERS}, \
-                     \"keys_per_producer\": {KEYS_PER_PRODUCER}, \"shards\": {SHARDS}, \
-                     \"reps\": {reps}}}"
+                    "{{\"updates\": {ops}, \"reads_per_reader\": {ops}, \"keys\": {KEYS}, \
+                     \"shards\": {SHARDS}, \"reps\": {reps}}}"
                 ),
             ),
             ("contention", harness::array(&contention)),
             (
                 "note",
-                "\"digest-verified: lock-free == locked == sequential per key every rep; \
-                 speedup > 1 means atomic stamping + claim inboxes + snapshot reads beat \
-                 the mutex-shared store under the same producer/reader load\""
+                "\"digest-verified: pool == locked == sequential per key every rep; one \
+                 stamper beside R readers; mops counts updates + reads; speedup > 1 means \
+                 owner stamping + claim inboxes + snapshot reads beat the mutex-shared \
+                 store under the same load\""
                     .into(),
             ),
         ],

@@ -375,18 +375,20 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     /// **external** clock owner — the multi-object store
     /// ([`crate::store::UcStore`]) ticks one per-replica Lamport clock
     /// and stamps updates for all of its per-key engines from it. The
-    /// timestamp must carry this engine's pid and must be fresh (the
-    /// external clock is strictly increasing, so it always is); the
-    /// engine's own clock is advanced to match so mixed use stays
-    /// monotone.
+    /// timestamp must carry this engine's pid, be unique, and lie above
+    /// the floor the key's log has already compacted past. One stamper
+    /// per replica guarantees both, since its stamps reach each key in
+    /// stamp order and the floor counts a stamp of the replica's own
+    /// only when it reaches the shards. The engine's own clock is advanced
+    /// to match so mixed use stays monotone.
     pub fn local_update_at(&mut self, ts: Timestamp, u: A::Update) -> UpdateMsg<A::Update> {
         debug_assert_eq!(ts.pid, self.pid, "local timestamps carry the replica pid");
         self.clock.merge(ts.clock);
         let msg = UpdateMsg { ts, update: u };
-        let pos = self
-            .log
-            .push_newest(&msg)
-            .expect("locally issued timestamps are unique");
+        let pos = self.log.push_newest(&msg).expect(
+            "a local timestamp is unique and above the replica's floor, \
+             which one stamper per replica guarantees",
+        );
         self.strategy.on_insert(&self.adt, &mut self.log, pos);
         msg
     }

@@ -8,9 +8,9 @@
 //! on threads it pays for once, at [`IngestPool::spawn`]:
 //!
 //! ```text
-//!    PoolHandle (Clone, &self)      IngestPool handle (&mut, owns join)
-//!    update/query/submit_batch ──── AtomicU64 LamportClock (wait-free
-//!          │ shard = hash(key) % S,  worker = shard % W     stamping)
+//!    IngestPool (&mut, the one stamper: update/tick/heartbeat, owns join)
+//!    PoolHandle (Clone, &self: query/submit_batch/cuts/flush)
+//!          │ shard = hash(key) % S,  worker = shard % W
 //!          ▼
 //!   ┌ inbox 0 ─▶ Worker 0 {shards 0, W, 2W, …}   (long-lived thread)
 //!   ├ inbox 1 ─▶ Worker 1 {shards 1, W+1, …}          │ between
@@ -19,10 +19,10 @@
 //!     Treiber push + swap-claim            (wait-free query_snapshot)
 //! ```
 //!
-//! * **lock-free ingest** — producers stamp on the shared atomic
-//!   clock (one `fetch_add`) and CAS-push onto the owning worker's
-//!   [`Inbox`]; no mutex, no `sync_channel` slot-wait. The bounded
-//!   inbox still provides backpressure: a
+//! * **lock-free ingest** — the owner stamps (one `fetch_add` on the
+//!   atomic clock), handles submit peer bursts, and each CAS-pushes
+//!   onto the owning worker's [`Inbox`]; no mutex, no `sync_channel`
+//!   slot-wait. The bounded inbox still provides backpressure: a
 //!   producer that meets a full inbox yields, then parks, until the
 //!   worker frees a slot. Nothing is dropped: a peer burst reaches
 //!   the pool after the link below it has delivered it, so a burst
@@ -115,25 +115,24 @@
 //!   per-call poison check is a plain load; the worker closes its inbox
 //!   and every subsequent operation surfaces the [`PoolError`] instead
 //!   of deadlocking;
+//! * **one stamper** — as in the paper's model, a replica is one
+//!   sequential process: only the owner (`&mut IngestPool`) stamps
+//!   local updates, ticks maintenance and announces the clock in a
+//!   heartbeat, so the replica's own stamps reach every worker, and
+//!   leave in its broadcasts, in stamp order. The stability floor
+//!   counts the replica's own pid at each stamp it inserts and at a
+//!   tick's clock; a second stamper could move it past a stamp still
+//!   on its way to the inbox, and that update would then be refused
+//!   here and dropped below the floor at a peer. A [`PoolHandle`]
+//!   reads, cuts, flushes and submits peer bursts: it moves the clock
+//!   up and never stamps;
 //! * **crash soundness** — stamping composes with the persisted
 //!   clock-floor lease the store keeps too (`ClockLease`, handed over
-//!   by [`UcStore::into_pool`] and back by [`IngestPool::finish`]): an
-//!   atomic copy of the on-disk floor, so the per-stamp check is one
-//!   load, and only the slow path (once per `CLOCK_LEASE` stamps)
-//!   serializes on a latch to write the floor *before* the stamp can
-//!   be broadcast. While handles may stamp concurrently the floor only
-//!   ever moves up; it collapses to the exact clock at the quiesce
-//!   points ([`IngestPool::finish`] / drop), where the worker joins
-//!   make the clock read cover every issued stamp.
-//!
-//! One caveat carries over from the sequential world: the GC
-//! strategy's stability bookkeeping assumes per-sender FIFO delivery
-//! (a documented [`StableGc`](crate::gc::StableGc) precondition).
-//! Two handles racing *updates to the same key* through one shared
-//! clock can reorder that key's self-stamps in flight, which violates
-//! the precondition exactly as a non-FIFO network would. Partition
-//! keys across concurrent handles (or use a full-log strategy) when
-//! stamping concurrently.
+//!   by [`UcStore::into_pool`] and back by [`IngestPool::finish`],
+//!   held by the owner): the floor is written *before* the stamp it
+//!   covers can be broadcast, once per `CLOCK_LEASE` stamps, and it
+//!   collapses to the clock at each [`IngestPool::flush_backends`] and
+//!   at finish or drop, as a store's does.
 //!
 //! The pool is the same replica as the sequential [`UcStore`], above
 //! the shards and at them: [`IngestPool`] is the [`Workers`]
@@ -464,7 +463,6 @@ type SnapMap<A> = HashMap<Key, Arc<SnapCell<A>>, BuildHasherDefault<FxHasher>>;
 struct PoolCore<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     pid: u32,
     clock: LamportClock,
-    lease: ClockLease,
     num_shards: usize,
     inboxes: Vec<Inbox<Job<A, F, P>>>,
     counters: Vec<SharedCounters>,
@@ -903,15 +901,13 @@ where
     }
 }
 
-/// A cloneable, `&self` handle to a pooled store: lock-free stamping
-/// and ingest, wait-free snapshot reads. Any number of handles (from
-/// any number of threads) may stamp and submit concurrently; see the
-/// [module docs](self) for the GC-strategy FIFO caveat on same-key
-/// concurrent stamping.
+/// A cloneable, `&self` handle to a pooled store: strong reads, cuts,
+/// flushes and peer-burst ingest, and wait-free snapshot reads, from
+/// any number of threads. It never stamps: the [`IngestPool`] itself
+/// is the replica's one stamper (see the [module docs](self)).
 pub struct PoolHandle<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A> = MemFactory> {
     core: Arc<PoolCore<A, F, P>>,
     adt: A,
-    persist: P,
 }
 
 impl<A, F, P> Clone for PoolHandle<A, F, P>
@@ -924,7 +920,6 @@ where
         PoolHandle {
             core: Arc::clone(&self.core),
             adt: self.adt.clone(),
-            persist: self.persist.clone(),
         }
     }
 }
@@ -1055,29 +1050,6 @@ where
             self.push_job(worker, Job::Call(Box::new(f.clone())))?;
         }
         Ok(())
-    }
-
-    /// Perform a local update on `key`: tick the shared atomic clock
-    /// (wait-free), reserve the crash floor (one load on the fast
-    /// path), CAS-push onto the owning worker, and return the
-    /// broadcast message — without waiting for the worker (inbox
-    /// backpressure is the only throttle).
-    pub fn update(&self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
-        let ts = Timestamp::new(self.core.clock.tick(), self.core.pid);
-        self.core
-            .lease
-            .reserve(ts.clock, |floor| self.persist.persist_store_clock(floor));
-        let shard = shard_index(key, self.core.num_shards);
-        let msg = UpdateMsg { ts, update: u };
-        self.push_job(
-            self.core.worker_of(shard),
-            Job::Update {
-                shard,
-                key,
-                msg: msg.clone(),
-            },
-        )?;
-        Ok(StoreMsg::Update { key, msg })
     }
 
     /// Strong read: round-trips through the owning worker, whose FIFO
@@ -1254,23 +1226,6 @@ where
         self.scatter(Job::Fence, |_| ()).map(drop)
     }
 
-    /// Run per-key maintenance (compaction) on every worker's engines.
-    fn tick_maintenance(&self) -> Result<(), PoolError> {
-        self.settle_owed()?;
-        let clock = self.core.clock.now();
-        self.broadcast(move |s| s.maintain(clock))
-    }
-
-    /// See [`IngestPool::flush_backends`].
-    fn flush_backends(&self) -> Result<(), PoolError> {
-        self.broadcast(ShardSet::flush_backends)?;
-        let core = &self.core;
-        core.lease.raise_to(core.clock.now(), |floor| {
-            self.persist.persist_store_clock(floor)
-        });
-        Ok(())
-    }
-
     /// The per-worker queue/throughput counters.
     fn stats(&self) -> PoolStats {
         PoolStats {
@@ -1311,19 +1266,23 @@ pub type IngestPool<A, F, P = MemFactory> = Node<Workers<A, F, P>>;
 /// the ordering the [`Executor`] contract asks for.
 pub struct Workers<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     handle: PoolHandle<A, F, P>,
+    /// Where the persisted clock floor goes.
+    persist: P,
+    /// The clock floor: only the owner stamps, ticks and flushes.
+    lease: ClockLease,
     /// One per worker; a poisoned worker's returns no shards (they
     /// are abandoned).
     threads: Vec<JoinHandle<Option<ShardSet<A, F, P>>>>,
 }
 
-/// Take `store` apart into the shared core and one [`Worker`] per
-/// worker thread (shard `i` pins to worker `i % workers`) — the pool
-/// before any thread runs.
+/// Take `store` apart into the owner, with no thread yet, and one
+/// [`Worker`] per worker thread (shard `i` pins to worker
+/// `i % workers`) — the pool before any thread runs.
 #[allow(clippy::type_complexity)]
 fn assemble<A, F, P>(
     store: Inline<A, F, P>,
     cfg: PoolConfig,
-) -> (PoolHandle<A, F, P>, Vec<Worker<A, F, P>>)
+) -> (Workers<A, F, P>, Vec<Worker<A, F, P>>)
 where
     A: UqAdt + Clone,
     F: StrategyFactory<A>,
@@ -1345,7 +1304,6 @@ where
     let core = Arc::new(PoolCore {
         pid,
         clock,
-        lease,
         num_shards,
         inboxes: (0..workers).map(|_| Inbox::new(queue_depth)).collect(),
         counters: (0..workers).map(|_| SharedCounters::default()).collect(),
@@ -1360,7 +1318,13 @@ where
         .enumerate()
         .map(|(widx, shards)| Worker::new(shards, Arc::clone(&core), widx))
         .collect();
-    (PoolHandle { core, adt, persist }, workers)
+    let owner = Workers {
+        handle: PoolHandle { core, adt },
+        persist,
+        lease,
+        threads: Vec::new(),
+    };
+    (owner, workers)
 }
 
 impl<A, F, P> IngestPool<A, F, P>
@@ -1384,28 +1348,34 @@ where
         P: Send + Sync,
         P::Backend: Send + 'static,
     {
-        let (handle, workers) = assemble(store.exec, cfg);
-        let threads = workers
+        let (mut exec, workers) = assemble(store.exec, cfg);
+        exec.threads = workers
             .into_iter()
             .map(|worker| std::thread::spawn(move || worker_loop(worker)))
             .collect();
         Node {
             heal: store.heal,
-            exec: Workers { handle, threads },
+            exec,
         }
     }
 
-    /// A cloneable `&self` handle for concurrent producers/readers on
-    /// other threads. Handles stay valid (but error on submission)
-    /// after [`IngestPool::finish`]/drop; their snapshot reads keep
-    /// answering from the last published state.
+    /// A cloneable `&self` handle for readers and peer-burst
+    /// submitters on other threads. It cannot stamp: the pool is the
+    /// replica's one stamper, so local updates, ticks and heartbeats
+    /// go through `&mut self`. Handles stay valid (but error on
+    /// submission) after [`IngestPool::finish`]/drop; their snapshot
+    /// reads keep answering from the last published state.
     pub fn handle(&self) -> PoolHandle<A, F, P> {
         self.exec.handle.clone()
     }
 
-    /// Perform a local update on `key` (see [`PoolHandle::update`]).
+    /// Perform a local update on `key`: tick the clock, persist a new
+    /// clock floor first when the stamp passes the lease (once per
+    /// 4096 stamps), push the update onto the owning worker's inbox
+    /// and return the broadcast message, without waiting for the
+    /// worker (a full inbox parks the caller).
     pub fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
-        self.exec.handle.update(key, u)
+        self.exec.update(key, u)
     }
 
     /// Strong read through the owning worker (see
@@ -1444,21 +1414,20 @@ where
 
     /// Run per-key maintenance (compaction) on every worker's engines.
     pub fn tick_maintenance(&mut self) -> Result<(), PoolError> {
-        self.exec.handle.tick_maintenance()
+        self.exec.tick_maintenance()
     }
 
-    /// Flush every worker's storage backends and raise the persisted
-    /// clock watermark if the clock overtook the lease. Asynchronous —
-    /// the job lands in FIFO order behind all prior submissions;
-    /// follow with [`IngestPool::flush`] to wait for durability.
-    /// (Both worker-exit paths — drain-on-drop and poisoning — also
-    /// flush, so dropping the handle never leaves an unsynced
-    /// segment.) The floor is **not** collapsed downward here: with
-    /// concurrent stampers that could undercut a stamp that already
-    /// passed its lease check; exact collapse happens at the quiesced
-    /// finish/drop points.
+    /// Flush every worker's storage backends and collapse the
+    /// persisted clock floor to the clock, as a store's flush does.
+    /// Asynchronous — the job lands in FIFO order behind all prior
+    /// submissions; follow with [`IngestPool::flush`] to wait for
+    /// durability. (Both worker-exit paths — drain-on-drop and
+    /// poisoning — also flush, so dropping the handle never leaves an
+    /// unsynced segment.) The collapse needs no quiescence: the pool
+    /// is the replica's one stamper, so the clock it reads here bounds
+    /// every stamp it ever issued.
     pub fn flush_backends(&mut self) -> Result<(), PoolError> {
-        self.exec.handle.flush_backends()
+        self.exec.flush_backends()
     }
 
     /// Number of worker threads.
@@ -1485,13 +1454,12 @@ where
             // recorded error.
             .map(|(worker, shards)| shards.ok_or_else(|| exec.handle.err_for(worker)))
             .collect::<Result<_, _>>()?;
-        let core = &exec.handle.core;
         Ok(Node {
             heal,
             exec: Inline {
-                clock: core.clock.clone(),
+                clock: exec.handle.core.clock.clone(),
                 // The floor `stop` collapsed to.
-                lease: core.lease.clone(),
+                lease: exec.lease.clone(),
                 trace: None,
                 shards: ShardSet::join(parts),
             },
@@ -1515,10 +1483,38 @@ impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> Workers<A, F, P> {
             .drain(..)
             .map(|thread| thread.join().ok().flatten())
             .collect();
-        core.lease.collapse(core.clock.now(), |floor| {
-            self.handle.persist.persist_store_clock(floor)
-        });
+        let persist = &self.persist;
+        self.lease
+            .collapse(core.clock.now(), |floor| persist.persist_store_clock(floor));
         parts
+    }
+}
+
+impl<A, F, P> Workers<A, F, P>
+where
+    A: UqAdt + Clone + Send + 'static,
+    A::Update: Send,
+    A::QueryIn: Send,
+    A::QueryOut: Send,
+    A::State: Send,
+    F: StrategyFactory<A> + 'static,
+    P: BackendFactory<A> + 'static,
+{
+    /// See [`IngestPool::tick_maintenance`].
+    fn tick_maintenance(&mut self) -> Result<(), PoolError> {
+        self.handle.settle_owed()?;
+        let clock = self.handle.core.clock.now();
+        self.handle.broadcast(move |s| s.maintain(clock))
+    }
+
+    /// See [`IngestPool::flush_backends`].
+    fn flush_backends(&mut self) -> Result<(), PoolError> {
+        self.handle.broadcast(ShardSet::flush_backends)?;
+        let persist = &self.persist;
+        self.lease.collapse(self.handle.core.clock.now(), |floor| {
+            persist.persist_store_clock(floor)
+        });
+        Ok(())
     }
 }
 
@@ -1557,8 +1553,22 @@ where
         self.handle.core.num_shards
     }
 
+    /// See [`IngestPool::update`].
     fn update(&mut self, key: Key, u: A::Update) -> Result<StoreMsg<A::Update>, PoolError> {
-        self.handle.update(key, u)
+        let core = &*self.handle.core;
+        let ts = Timestamp::new(core.clock.tick(), core.pid);
+        let persist = &self.persist;
+        self.lease
+            .reserve(ts.clock, |floor| persist.persist_store_clock(floor));
+        let shard = shard_index(key, core.num_shards);
+        let msg = UpdateMsg { ts, update: u };
+        let job = Job::Update {
+            shard,
+            key,
+            msg: msg.clone(),
+        };
+        self.handle.push_job(core.worker_of(shard), job)?;
+        Ok(StoreMsg::Update { key, msg })
     }
 
     fn query(&mut self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, PoolError> {
@@ -1586,8 +1596,8 @@ where
     /// Enqueue a compaction sweep plus a backend flush on every
     /// worker, behind everything submitted so far.
     fn maintain_and_flush(&mut self) -> Result<(), PoolError> {
-        self.handle.tick_maintenance()?;
-        self.handle.flush_backends()
+        self.tick_maintenance()?;
+        self.flush_backends()
     }
 
     fn attach_monitor(&mut self, cfg: MonitorConfig) -> Result<(), PoolError> {
@@ -1961,30 +1971,29 @@ mod tests {
             );
         }
         assert_eq!(finished.materialize_key(7), BTreeSet::from([1, 2]));
-        let err = reader
-            .update(7, SetUpdate::Insert(3))
-            .expect_err("updates after finish must fail");
+        let err = reader.flush().expect_err("a flush after finish must fail");
         assert!(err.to_string().contains("closed"));
     }
 
     type HandWorker = Worker<SetAdt<u32>, CheckpointFactory, MemFactory>;
+    type HandOwner = Workers<SetAdt<u32>, CheckpointFactory, MemFactory>;
 
     /// A one-worker, one-shard pool taken apart before any thread
     /// runs — the tests below take the worker's turns by hand, so what
     /// sits in the inbox at each step is theirs to decide — with keys
     /// 0..6 and 9 written, armed and backfilled.
-    fn hand_worker() -> (PoolHandle<SetAdt<u32>, CheckpointFactory>, HandWorker) {
-        let (handle, mut workers) = assemble(store(0, 1).exec, cfg(1));
+    fn hand_worker() -> (HandOwner, HandWorker) {
+        let (mut owner, mut workers) = assemble(store(0, 1).exec, cfg(1));
         let mut worker = workers.remove(0);
         assert_eq!(worker.turn(), Turn::Idle);
         for key in (0..6).chain([9]) {
-            assert!(handle.query_snapshot(key, &SetQuery::Read).is_empty());
-            handle.update(key, SetUpdate::Insert(0)).unwrap();
+            assert!(owner.handle.query_snapshot(key, &SetQuery::Read).is_empty());
+            owner.update(key, SetUpdate::Insert(0)).unwrap();
         }
         assert_eq!(worker.turn(), Turn::Worked);
         let w = stats_of(&worker);
         assert_eq!((w.snapshots_published, w.publish_backlog), (7, 0));
-        (handle, worker)
+        (owner, worker)
     }
 
     fn stats_of(worker: &HandWorker) -> WorkerStats {
@@ -1994,18 +2003,15 @@ mod tests {
     /// Claim a burst that writes keys 0..6 five times each, let one
     /// more job arrive (a local update of key 9), and run the claimed
     /// burst: its publication pass meets a non-empty inbox.
-    fn suspend_a_pass(
-        handle: &PoolHandle<SetAdt<u32>, CheckpointFactory>,
-        worker: &mut HandWorker,
-    ) {
+    fn suspend_a_pass(owner: &mut HandOwner, worker: &mut HandWorker) {
         let mut producer = store(1, 1);
         let burst: Vec<_> = (0..30u64)
             .map(|i| producer.update(i % 6, SetUpdate::Insert(1 + i as u32)))
             .collect();
-        handle.submit_batch(burst).unwrap();
+        owner.handle.submit_batch(burst).unwrap();
         let inbox = &worker.core.inboxes[worker.widx];
         inbox.claim(&mut worker.batch);
-        handle.update(9, SetUpdate::Insert(100)).unwrap();
+        owner.update(9, SetUpdate::Insert(100)).unwrap();
         worker.run_claimed();
     }
 
@@ -2039,14 +2045,14 @@ mod tests {
 
     #[test]
     fn a_waiting_job_suspends_the_pass_after_one_key_and_a_barrier_forces_the_rest() {
-        let (handle, mut worker) = hand_worker();
-        suspend_a_pass(&handle, &mut worker);
+        let (mut owner, mut worker) = hand_worker();
+        suspend_a_pass(&mut owner, &mut worker);
         let w = stats_of(&worker);
         assert_eq!(w.snapshots_published, 7 + 1, "one key, whoever is waiting");
         assert_eq!((w.publish_yields, w.publish_backlog), (1, 5));
         // Between flushes a snapshot read is a read of the latest
         // *published* state: one key shows the burst, five not yet.
-        let (shown, owed) = burst_keys_by_publication(&handle);
+        let (shown, owed) = burst_keys_by_publication(&owner.handle);
         assert_eq!((shown.len(), owed.len()), (1, 5));
 
         // A fence behind the waiting update, and one more job behind
@@ -2055,10 +2061,10 @@ mod tests {
         let fence = Job::Fence(Box::new(move |_| {
             let _ = reply.send(());
         }));
-        handle.push_job(0, fence).unwrap();
+        owner.handle.push_job(0, fence).unwrap();
         let inbox = &worker.core.inboxes[worker.widx];
         inbox.claim(&mut worker.batch);
-        handle.update(9, SetUpdate::Insert(101)).unwrap();
+        owner.update(9, SetUpdate::Insert(101)).unwrap();
         worker.run_claimed();
         assert!(ack.try_recv().is_ok());
         assert!(!worker.core.inboxes[worker.widx].is_empty());
@@ -2067,39 +2073,39 @@ mod tests {
         assert_eq!(w.snapshots_published, 7 + 1 + 5 + 1);
         assert_eq!((w.publish_yields, w.publish_backlog), (1, 0));
         for key in 0..6 {
-            assert_eq!(read(&handle, key).len(), 6, "key {key}");
+            assert_eq!(read(&owner.handle, key).len(), 6, "key {key}");
         }
-        assert_eq!(read(&handle, 9), BTreeSet::from([0, 100]));
+        assert_eq!(read(&owner.handle, 9), BTreeSet::from([0, 100]));
     }
 
     #[test]
     fn keys_touched_under_a_suspended_pass_are_merged_and_published_once() {
-        let (handle, mut worker) = hand_worker();
-        suspend_a_pass(&handle, &mut worker);
+        let (mut owner, mut worker) = hand_worker();
+        suspend_a_pass(&mut owner, &mut worker);
         assert_eq!(stats_of(&worker).publish_backlog, 5);
         // One key has been published by the suspended pass and is owed
         // another; one is still listed; key 9, written twice, is new.
-        let (shown, owed) = burst_keys_by_publication(&handle);
+        let (shown, owed) = burst_keys_by_publication(&owner.handle);
         let (published, listed) = (shown[0], owed[0]);
-        handle.update(published, SetUpdate::Insert(100)).unwrap();
-        handle.update(listed, SetUpdate::Insert(100)).unwrap();
-        handle.update(9, SetUpdate::Insert(101)).unwrap();
+        owner.update(published, SetUpdate::Insert(100)).unwrap();
+        owner.update(listed, SetUpdate::Insert(100)).unwrap();
+        owner.update(9, SetUpdate::Insert(101)).unwrap();
         assert_eq!(worker.turn(), Turn::Worked);
         let w = stats_of(&worker);
         // Seven keys, each published once.
         assert_eq!(w.snapshots_published, 7 + 1 + 7);
         assert_eq!((w.publish_yields, w.publish_backlog), (1, 0));
-        assert_eq!(read(&handle, published).len(), 7);
-        assert_eq!(read(&handle, listed).len(), 7);
-        assert_eq!(read(&handle, 9), BTreeSet::from([0, 100, 101]));
+        assert_eq!(read(&owner.handle, published).len(), 7);
+        assert_eq!(read(&owner.handle, listed).len(), 7);
+        assert_eq!(read(&owner.handle, 9), BTreeSet::from([0, 100, 101]));
         assert_eq!(worker.turn(), Turn::Idle);
     }
 
     #[test]
     fn a_pass_cut_short_publishes_the_key_listed_longest() {
-        let (handle, mut worker) = hand_worker();
-        suspend_a_pass(&handle, &mut worker);
-        assert_eq!(burst_keys_by_publication(&handle).0, [0]);
+        let (mut owner, mut worker) = hand_worker();
+        suspend_a_pass(&mut owner, &mut worker);
+        assert_eq!(burst_keys_by_publication(&owner.handle).0, [0]);
         // A producer that never lets the inbox run empty cuts every
         // pass to one key, and writes a new key each time: the burst's
         // keys, listed first, are still published one a pass, in the
@@ -2107,10 +2113,10 @@ mod tests {
         for round in 1..6 {
             let inbox = &worker.core.inboxes[worker.widx];
             inbox.claim(&mut worker.batch);
-            handle.update(20 + round, SetUpdate::Insert(100)).unwrap();
+            owner.update(20 + round, SetUpdate::Insert(100)).unwrap();
             worker.run_claimed();
             let shown: Vec<Key> = (0..=round).collect();
-            assert_eq!(burst_keys_by_publication(&handle).0, shown);
+            assert_eq!(burst_keys_by_publication(&owner.handle).0, shown);
         }
         let w = stats_of(&worker);
         assert_eq!((w.publish_yields, w.publish_backlog), (6, 5));
@@ -2118,11 +2124,11 @@ mod tests {
 
     #[test]
     fn a_worker_with_a_backlog_neither_parks_nor_exits() {
-        let (handle, mut worker) = hand_worker();
+        let (mut owner, mut worker) = hand_worker();
         // An empty inbox and keys owed a publication, however the last
         // pass was left: the turn publishes, the next one may park.
-        handle.update(2, SetUpdate::Insert(100)).unwrap();
-        handle.update(4, SetUpdate::Insert(100)).unwrap();
+        owner.update(2, SetUpdate::Insert(100)).unwrap();
+        owner.update(4, SetUpdate::Insert(100)).unwrap();
         run_unpublished(&mut worker);
         assert_eq!(worker.shards.unpublished(), 2);
         assert_eq!(worker.turn(), Turn::Worked);
@@ -2131,14 +2137,14 @@ mod tests {
         assert_eq!(worker.turn(), Turn::Idle);
         // The same at the exit: a closed and drained inbox ends the
         // worker only once nothing is owed.
-        handle.update(5, SetUpdate::Insert(100)).unwrap();
+        owner.update(5, SetUpdate::Insert(100)).unwrap();
         run_unpublished(&mut worker);
         worker.core.inboxes[worker.widx].close();
         assert_eq!(worker.turn(), Turn::Worked);
         assert_eq!(stats_of(&worker).snapshots_published, 7 + 3);
         assert_eq!(worker.turn(), Turn::Done);
         assert_eq!(worker.shards.unpublished(), 0);
-        assert_eq!(read(&handle, 5), BTreeSet::from([0, 100]));
+        assert_eq!(read(&owner.handle, 5), BTreeSet::from([0, 100]));
         // What the exit hands back lists nothing from here on.
         worker.shards.stop_publishing();
     }
@@ -2147,7 +2153,8 @@ mod tests {
     fn a_steady_run_of_bursts_over_published_keys_copies_no_state() {
         use crate::store::GcFactory;
         let gc_store = |pid| UcStore::new(SetAdt::<u32>::new(), pid, 1, GcFactory { n: 2 });
-        let (handle, mut workers) = assemble(gc_store(0).exec, cfg(1));
+        let (mut owner, mut workers) = assemble(gc_store(0).exec, cfg(1));
+        let handle = owner.handle.clone();
         let mut worker = workers.remove(0);
         let mut producer = gc_store(1);
         let mut sequential = gc_store(0);
@@ -2170,7 +2177,7 @@ mod tests {
             handle.submit_batch(burst).unwrap();
             let mut published = Vec::new();
             for v in [1000, 2000].into_iter().take(1 + usize::from(twice)) {
-                let local = handle
+                let local = owner
                     .update(u64::from(n) % 6, SetUpdate::Insert(v + n))
                     .unwrap();
                 // The peer hears it, so that its next burst is stamped above.
@@ -2228,33 +2235,39 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_handles_stamp_unique_timestamps() {
-        let pool = store(0, 4).into_pool(cfg(2));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
+    fn the_owner_stamps_in_program_order_beside_ticking_readers() {
+        // Strong reads on other threads tick the clock between the
+        // owner's stamps: the stamps still rise in the order the
+        // owner issued them, and every tick and stamp is counted once.
+        const READS: u64 = 250;
+        let mut pool = store(0, 4).into_pool(cfg(2));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
                 let h = pool.handle();
                 std::thread::spawn(move || {
-                    (0..250u64)
-                        .map(|i| {
-                            let StoreMsg::Update { msg, .. } =
-                                h.update(t * 1000 + i, SetUpdate::Insert(i as u32)).unwrap()
-                            else {
-                                panic!("update returns an update message");
-                            };
-                            msg.ts
-                        })
-                        .collect::<Vec<_>>()
+                    for i in 0..READS {
+                        h.query(i % 8, &SetQuery::Read).unwrap();
+                    }
                 })
             })
             .collect();
-        let mut seen = BTreeSet::new();
-        for h in handles {
-            for ts in h.join().unwrap() {
-                assert!(seen.insert(ts), "duplicate stamp {ts:?}");
-            }
+        let stamps: Vec<_> = (0..1000u64)
+            .map(|i| match pool.update(i % 8, SetUpdate::Insert(i as u32)) {
+                Ok(StoreMsg::Update { msg, .. }) => msg.ts,
+                other => panic!("update returns an update message, got {other:?}"),
+            })
+            .collect();
+        for r in readers {
+            r.join().unwrap();
         }
-        assert_eq!(pool.clock(), 1000);
-        pool.finish().unwrap();
+        assert!(
+            stamps.windows(2).all(|w| w[0] < w[1]),
+            "stamps out of program order"
+        );
+        assert_eq!(pool.clock(), 1000 + 2 * READS);
+        let mut finished = pool.finish().unwrap();
+        let all: BTreeSet<u32> = (0..8).flat_map(|k| finished.materialize_key(k)).collect();
+        assert_eq!(all, (0..1000).collect());
     }
 
     #[test]

@@ -90,8 +90,6 @@ use std::collections::{HashMap, VecDeque};
 use std::convert::Infallible;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use uc_criteria::online::{MonitorConfig, MonitorStats, OnlineMonitor};
 use uc_history::fxhash::FxHasher;
 use uc_obs::{TraceKind, TraceRing};
@@ -1877,82 +1875,45 @@ const CLOCK_LEASE: u64 = 4096;
 /// divergence). With it, [`UcStore::reopen`] restores the clock to at
 /// least the floor, which is at least every timestamp ever issued.
 ///
-/// Every stamper of a replica shares it (a pool's handles stamp
-/// concurrently): the fast path (the stamp is already covered) is one
-/// atomic load; the slow path — once per [`CLOCK_LEASE`] stamps —
-/// serializes on the latch, re-checks, persists `issued +
-/// CLOCK_LEASE`, and only then publishes the new floor, so a stamp can
-/// never be broadcast before the write that makes it unrepeatable.
+/// A replica has one stamper, its owner, and the owner holds the
+/// lease: [`ClockLease::reserve`] persists a new floor, once per
+/// [`CLOCK_LEASE`] stamps, before the stamp it covers is returned, so
+/// no stamp is broadcast before the write that makes it unrepeatable.
+/// [`ClockLease::collapse`] brings the floor back down to the clock
+/// at a flush. That is sound because the owner's read of the clock
+/// bounds every stamp ever issued: every stamp was the owner's, taken
+/// before the read, and other threads (a pool's readers and burst
+/// submitters) only ever move the clock up.
+#[derive(Clone)]
 pub(crate) struct ClockLease {
-    /// Highest floor known persisted; `u64::MAX` = nothing yet.
-    persisted: AtomicU64,
-    /// Serializes slow-path floor writes.
-    latch: Mutex<()>,
+    /// Highest floor persisted; `None` until the first write.
+    persisted: Option<u64>,
 }
-
-const NO_FLOOR: u64 = u64::MAX;
 
 impl ClockLease {
     /// A lease whose last persisted floor is `floor` (`None`: nothing
     /// persisted yet).
     pub(crate) fn new(floor: Option<u64>) -> Self {
-        ClockLease {
-            persisted: AtomicU64::new(floor.unwrap_or(NO_FLOOR)),
-            latch: Mutex::new(()),
-        }
+        ClockLease { persisted: floor }
     }
 
     /// Ensure the persisted floor covers `issued` before it can be
     /// broadcast.
-    pub(crate) fn reserve(&self, issued: u64, persist: impl Fn(u64)) {
-        let p = self.persisted.load(Ordering::SeqCst);
-        if p != NO_FLOOR && issued <= p {
-            return;
-        }
-        let _g = self.latch.lock().unwrap_or_else(|e| e.into_inner());
-        let p = self.persisted.load(Ordering::SeqCst);
-        if p != NO_FLOOR && issued <= p {
-            return;
-        }
-        let floor = issued + CLOCK_LEASE;
-        persist(floor);
-        // Publish only after the write: a concurrent stamper's fast
-        // path must never trust a floor that is not on disk yet.
-        self.persisted.store(floor, Ordering::SeqCst);
-    }
-
-    /// Raise the floor to `clock` if it is above the lease (possible
-    /// after large peer-clock merges). Never lowers — with concurrent
-    /// stampers a downward write could undercut a stamp that already
-    /// passed its fast-path check.
-    pub(crate) fn raise_to(&self, clock: u64, persist: impl Fn(u64)) {
-        let _g = self.latch.lock().unwrap_or_else(|e| e.into_inner());
-        let p = self.persisted.load(Ordering::SeqCst);
-        if p == NO_FLOOR || clock > p {
-            persist(clock);
-            self.persisted.store(clock, Ordering::SeqCst);
+    pub(crate) fn reserve(&mut self, issued: u64, persist: impl FnOnce(u64)) {
+        if self.persisted.is_none_or(|p| issued > p) {
+            let floor = issued + CLOCK_LEASE;
+            persist(floor);
+            self.persisted = Some(floor);
         }
     }
 
     /// Collapse the floor to the exact clock, skipping the write when
-    /// it is already there (idle ticks cost no IO). **Quiesced callers
-    /// only** — an inline flush, a pool's finish or drop once its
-    /// workers joined: every timestamp issued so far is durable in
-    /// some engine's journal, and no stamp above `clock` can be in
-    /// flight, so the exact value is a safe recovery floor again.
-    pub(crate) fn collapse(&self, clock: u64, persist: impl Fn(u64)) {
-        let _g = self.latch.lock().unwrap_or_else(|e| e.into_inner());
-        if self.persisted.load(Ordering::SeqCst) != clock {
+    /// it is already there (idle ticks cost no IO).
+    pub(crate) fn collapse(&mut self, clock: u64, persist: impl FnOnce(u64)) {
+        if self.persisted != Some(clock) {
             persist(clock);
-            self.persisted.store(clock, Ordering::SeqCst);
+            self.persisted = Some(clock);
         }
-    }
-}
-
-impl Clone for ClockLease {
-    fn clone(&self) -> Self {
-        let floor = self.persisted.load(Ordering::SeqCst);
-        ClockLease::new(Some(floor).filter(|f| *f != NO_FLOOR))
     }
 }
 
@@ -2482,7 +2443,7 @@ mod tests {
     use crate::heal::{CHUNK, STALL_TICKS, WINDOW};
     use crate::pool::{IngestPool, PoolConfig};
     use std::collections::BTreeSet;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use uc_obs::Registry;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
 

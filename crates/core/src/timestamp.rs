@@ -49,8 +49,11 @@ impl fmt::Debug for Timestamp {
 }
 
 /// A process-local Lamport clock (lines 2, 5, 9, 13 of Algorithm 1),
-/// backed by an `AtomicU64` so any number of handles may stamp
-/// through one clock concurrently without a lock.
+/// backed by an `AtomicU64` so a pool's reader threads may tick it and
+/// its peer-burst submitters merge into it beside the one thread that
+/// stamps, without a lock. Only one thread stamps a replica's updates
+/// (its owner): a process is sequential, and the stability floor
+/// relies on the replica's own stamps arriving in stamp order.
 ///
 /// `tick` is a single unconditional `fetch_add` — the degenerate,
 /// always-succeeding compare-and-swap, so stamping is *wait-free* —

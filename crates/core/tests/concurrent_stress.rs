@@ -1,24 +1,25 @@
-//! Contended stress tests for the lock-free ingest path: N producer
-//! threads stamping through cloned [`PoolHandle`]s × M reader threads
-//! doing wait-free snapshot loads, under both store strategies and,
-//! through the test-local factories in `common`, naive replay and
-//! undo/redo.
+//! Contended stress tests for the lock-free ingest path: the pool's
+//! owner, the replica's one stamper, issues local updates, peer
+//! heartbeats and maintenance ticks while M reader threads do
+//! wait-free snapshot loads, under both store strategies and, through
+//! the test-local factories in `common`, naive replay and undo/redo.
 //!
 //! Assertions:
-//! * the finished pooled store equals a sequential reference that
-//!   ingests the same broadcast messages in timestamp order — per-key
-//!   states (and their digest), clock, and repair event/step counters;
-//! * every concurrent stamp is unique (the engine's
-//!   `push_newest(...).expect(..)` would abort on a duplicate);
+//! * the finished pooled store equals a sequential store running the
+//!   same operations in the same order — per-key states (and their
+//!   digest), clock, and repair event/step counters;
+//! * the owner's stamps rise in the order it issued them (the engine's
+//!   `push_newest(...).expect(..)` would abort on one arriving late);
 //! * no reader ever observes a key's snapshot epoch regress
-//!   (monotonic reads for the epoch-published snapshots);
+//!   (monotonic reads for the epoch-published snapshots), while the
+//!   heartbeats move the stability floor and compaction runs under
+//!   the readers (under `GcFactory`);
 //! * a reader's wait-free query returns while a worker is parked
 //!   mid-repair (the acceptance criterion for non-blocking reads).
 //!
-//! Producers stamp **disjoint key ranges**: the GC strategy's
-//! stability bookkeeping assumes per-sender FIFO delivery per key,
-//! and two handles racing updates to one key through the shared clock
-//! would violate that precondition (see the pool module docs).
+//! Only the owner stamps: a replica is one sequential process, and a
+//! second stamper could let the floor pass a stamp still on its way to
+//! a worker (see the pool module docs).
 
 mod common;
 
@@ -32,13 +33,15 @@ use uc_core::{
 };
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
-const PRODUCERS: u64 = 4;
-const OPS_PER_PRODUCER: u64 = 250;
-const KEYS_PER_PRODUCER: u64 = 5;
+const OPS: u64 = 1000;
+const KEYS: u64 = 20;
+/// Stamps between the peer's heartbeats, each followed by a tick.
+const HEARTBEAT_EVERY: u64 = 16;
 const READERS: usize = 2;
 const SHARDS: usize = 8;
 
-fn contended_pool_matches_sequential<F>(factory: F)
+/// Run the contended schedule; the pooled store's retained log length.
+fn contended_pool_matches_sequential<F>(factory: F) -> usize
 where
     F: StrategyFactory<SetAdt<u32>> + Send + Sync + 'static,
     F::Strategy: Send + 'static,
@@ -47,21 +50,21 @@ where
         workers: 2,
         queue_depth: 16,
     };
-    let pool = UcStore::new(SetAdt::<u32>::new(), 0, SHARDS, factory.clone()).into_pool(cfg);
+    let mut pool = UcStore::new(SetAdt::<u32>::new(), 0, SHARDS, factory.clone()).into_pool(cfg);
+    let mut reference = UcStore::new(SetAdt::<u32>::new(), 0, SHARDS, factory);
 
     // Readers: hammer wait-free snapshot loads over every key while
-    // the producers stamp, asserting per-key epoch monotonicity.
+    // the owner stamps, asserting per-key epoch monotonicity.
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let h = pool.handle();
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let total_keys = PRODUCERS * KEYS_PER_PRODUCER;
                 let mut last: BTreeMap<u64, u64> = BTreeMap::new();
                 let mut loads = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    for key in 0..total_keys {
+                    for key in 0..KEYS {
                         let (epoch, _) = h.query_snapshot_versioned(key, &SetQuery::Read);
                         let prev = last.entry(key).or_insert(0);
                         assert!(
@@ -78,62 +81,42 @@ where
         })
         .collect();
 
-    // Producers: disjoint key ranges, every handle stamping through
-    // the one shared atomic clock.
-    let producers: Vec<_> = (0..PRODUCERS)
-        .map(|p| {
-            let h = pool.handle();
-            std::thread::spawn(move || {
-                let mut msgs = Vec::new();
-                for i in 0..OPS_PER_PRODUCER {
-                    let key = p * KEYS_PER_PRODUCER + (i % KEYS_PER_PRODUCER);
-                    let value = (p * OPS_PER_PRODUCER + i) as u32;
-                    msgs.push(h.update(key, SetUpdate::Insert(value)).unwrap());
-                }
-                msgs
-            })
-        })
-        .collect();
-
-    let mut msgs: Vec<StoreMsg<SetUpdate<u32>>> = Vec::new();
-    for p in producers {
-        msgs.extend(p.join().unwrap());
+    // The owner: local updates, and every `HEARTBEAT_EVERY` of them
+    // the peer's heartbeat at the owner's clock and a tick, so the
+    // floor passes what was stamped and the logs compact. The
+    // sequential store runs the same operations in the same order.
+    let mut stamps = Vec::new();
+    for i in 0..OPS {
+        let (key, u) = (i % KEYS, SetUpdate::Insert(i as u32));
+        match pool.update(key, u).unwrap() {
+            StoreMsg::Update { msg, .. } => stamps.push(msg.ts),
+            other => panic!("an update returns an update message, got {other:?}"),
+        }
+        reference.update(key, u);
+        if i % HEARTBEAT_EVERY == HEARTBEAT_EVERY - 1 {
+            let heartbeat = StoreMsg::Heartbeat {
+                pid: 1,
+                clock: pool.clock(),
+            };
+            pool.submit_batch(vec![heartbeat.clone()]).unwrap();
+            pool.tick_maintenance().unwrap();
+            let Ok(_) = reference.apply_message_from(1, heartbeat);
+            reference.tick_maintenance();
+        }
     }
+    pool.flush().unwrap();
     stop.store(true, Ordering::Relaxed);
     for r in readers {
         assert!(r.join().unwrap() > 0, "readers must have made progress");
     }
-
-    // Every concurrent stamp is unique.
-    let mut stamps: Vec<_> = msgs
-        .iter()
-        .map(|m| match m {
-            StoreMsg::Update { msg, .. } => msg.ts,
-            other => panic!("producers only issue updates, got {other:?}"),
-        })
-        .collect();
-    stamps.sort();
-    let before = stamps.len();
-    stamps.dedup();
-    assert_eq!(stamps.len(), before, "duplicate concurrent stamps");
+    assert!(
+        stamps.windows(2).all(|w| w[0] < w[1]),
+        "the owner's stamps left program order"
+    );
 
     let mut pooled = pool.finish().unwrap();
-
-    // Sequential reference: same messages, delivered one at a time in
-    // timestamp order — per key that is exactly the order each
-    // producer issued them, which is also the order the pool's FIFO
-    // inboxes applied them.
-    let mut reference = UcStore::new(SetAdt::<u32>::new(), 0, SHARDS, factory);
-    msgs.sort_by_key(|m| match m {
-        StoreMsg::Update { msg, .. } => msg.ts,
-        other => panic!("producers only issue updates, got {other:?}"),
-    });
-    for m in &msgs {
-        reference.apply_batch_owned(vec![m.clone()]);
-    }
-
     assert_eq!(pooled.clock(), reference.clock(), "clock mismatch");
-    assert_eq!(pooled.clock(), PRODUCERS * OPS_PER_PRODUCER);
+    assert_eq!(pooled.clock(), OPS);
     assert_eq!(
         pooled.total_repair_events(),
         reference.total_repair_events(),
@@ -160,6 +143,8 @@ where
         state_digest(&pooled_states),
         state_digest(&reference_states)
     );
+    assert_eq!(pooled.total_log_len(), reference.total_log_len());
+    pooled.total_log_len()
 }
 
 #[test]
@@ -179,7 +164,8 @@ fn contended_undo_matches_sequential() {
 
 #[test]
 fn contended_gc_matches_sequential() {
-    contended_pool_matches_sequential(GcFactory { n: 2 });
+    let retained = contended_pool_matches_sequential(GcFactory { n: 2 });
+    assert!(retained < OPS as usize, "nothing compacted: {retained}");
 }
 
 /// A set ADT whose fold parks on a gate when it applies the sentinel

@@ -344,9 +344,10 @@ fn healthy_shards_survive_until_finish_even_under_load() {
     assert_eq!(total, 60);
 }
 
-/// Differential under forced preemption: a second handle never lets
-/// the one worker's inbox run empty, so every multi-key publication
-/// pass is suspended for ingest again and again. The barriers still
+/// Differential under forced preemption: a handle submitting a third
+/// replica's frames never lets the one worker's inbox run empty, so
+/// every multi-key publication pass is suspended for ingest again and
+/// again. The barriers still
 /// mean what they say: after each `flush()` — and after each cut
 /// barrier, which must cover as much — every key the bursts touched
 /// reads, through the published snapshots, exactly what a sequential
@@ -363,21 +364,22 @@ fn barriers_cover_every_submission_while_a_producer_keeps_the_inbox_busy() {
         queue_depth: 16,
     });
     let stop = Arc::new(AtomicBool::new(false));
+    // A third replica's frames, one burst each, submitted through a
+    // handle on another thread.
     let producer = {
         let handle = pool.handle();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            let mut third = UcStore::new(SetAdt::<u32>::new(), 2, 1, factory);
             let mut sent = Vec::new();
             for i in 0u64.. {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let key = BURST_KEYS + i % PRODUCER_KEYS;
-                sent.push(
-                    handle
-                        .update(key, SetUpdate::Insert(i as u32 % 64))
-                        .unwrap(),
-                );
+                let msg = third.update(key, SetUpdate::Insert(i as u32 % 64));
+                handle.submit_batch(vec![msg.clone()]).unwrap();
+                sent.push(msg);
             }
             sent
         })

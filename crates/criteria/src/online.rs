@@ -242,11 +242,6 @@ impl<A: UqAdt> OnlineMonitor<A> {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
-    }
-
     /// Is `key` in the sampled set (and not excluded)? The threshold
     /// test goes first: at low sampling rates it rejects almost every
     /// key with one multiply-xor round, so the hot ingest path only

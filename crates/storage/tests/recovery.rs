@@ -898,67 +898,61 @@ fn fresh_store_over_surviving_state_is_refused() {
 }
 
 #[test]
-fn concurrent_pool_stamps_stay_unique_across_crash_and_reopen() {
-    // The lock-free seam of the clock-floor argument: handles stamp
-    // through one shared atomic clock, and the persisted floor lease
-    // is raised *before* any covered stamp can be pushed (let alone
-    // broadcast). So even if the process dies with nothing flushed,
-    // the reopened store recovers a clock at or above every stamp any
-    // concurrent handle ever issued — two runs can never produce
-    // equal `(clock, pid)` pairs.
+fn pool_stamps_stay_unique_across_crash_and_reopen() {
+    // The persisted floor lease is raised *before* any covered stamp
+    // can be pushed (let alone broadcast). A round makes more stamps
+    // than one lease covers, so the floor is rewritten mid-round; a
+    // backend flush after that collapses it to the clock, and the
+    // next stamp leases it again. Even if the process dies with
+    // nothing flushed since, the reopened
+    // store recovers a clock at or above every stamp the pool ever
+    // issued — two runs can never produce equal `(clock, pid)` pairs.
+    const STAMPS: u32 = 5_000; // above one lease of 4096
+    const FLUSH_AT: u32 = 4_500; // past the first rewrite
     let tmp = ScratchDir::new("pool-stamp-floor");
     let persist = SegmentFactory::at(tmp.path()).unwrap();
     let store: UcStore<Adt, CheckpointFactory, SegmentFactory> =
         UcStore::with_persistence(SetAdt::new(), 0, 4, checkpoint(), persist.clone());
-    let pool = store.into_pool(PoolConfig {
+    let mut pool = store.into_pool(PoolConfig {
         workers: 2,
         queue_depth: 16,
     });
-    let stamp_round = |pool: &uc_core::IngestPool<Adt, CheckpointFactory, SegmentFactory>,
+    let stamp_round = |pool: &mut uc_core::IngestPool<Adt, CheckpointFactory, SegmentFactory>,
                        round: u32| {
-        let threads: Vec<_> = (0..4u64)
-            .map(|t| {
-                let h = pool.handle();
-                std::thread::spawn(move || {
-                    (0..100u64)
-                        .map(|i| {
-                            let StoreMsg::Update { msg, .. } = h
-                                .update(t, SetUpdate::Insert(round * 1000 + i as u32))
-                                .unwrap()
-                            else {
-                                panic!("update returns an update message");
-                            };
-                            msg.ts
-                        })
-                        .collect::<Vec<_>>()
-                })
+        (0..STAMPS)
+            .map(|i| {
+                if i == FLUSH_AT {
+                    pool.flush_backends().unwrap();
+                }
+                let u = SetUpdate::Insert(round * 10_000 + i);
+                let Ok(StoreMsg::Update { msg, .. }) = pool.update(u64::from(i % 4), u) else {
+                    panic!("update returns an update message");
+                };
+                msg.ts
             })
-            .collect();
-        threads
-            .into_iter()
-            .flat_map(|t| t.join().unwrap())
             .collect::<Vec<_>>()
     };
-    let first = stamp_round(&pool, 1);
+    let first = stamp_round(&mut pool, 1);
     // Quiesce the workers (so no journal write races the reopen
     // below), then crash: no finish, no drop — the floor lease
     // written during stamping is all recovery has.
-    pool.handle().flush().unwrap();
+    pool.flush().unwrap();
     std::mem::forget(pool);
 
     let reopened: UcStore<Adt, CheckpointFactory, SegmentFactory> =
         UcStore::reopen(SetAdt::new(), 0, 4, checkpoint(), persist);
     let max_issued = first.iter().map(|ts| ts.clock).max().unwrap();
+    assert_eq!(max_issued, u64::from(STAMPS));
     assert!(
         reopened.clock() >= max_issued,
         "recovered clock {} regressed below issued clock {max_issued}",
         reopened.clock()
     );
-    let pool = reopened.into_pool(PoolConfig {
+    let mut pool = reopened.into_pool(PoolConfig {
         workers: 2,
         queue_depth: 16,
     });
-    let second = stamp_round(&pool, 2);
+    let second = stamp_round(&mut pool, 2);
     drop(pool);
     let mut all: Vec<_> = first.into_iter().chain(second).collect();
     let issued = all.len();
