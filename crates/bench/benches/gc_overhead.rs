@@ -1,29 +1,34 @@
 //! E10 — the runtime side of stability GC: query cost over a
 //! compacted log vs the full log, and the per-message overhead of
-//! stability tracking.
+//! stability tracking. The GC side is a single object under GC, a
+//! one-key store.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use uc_core::{GcReplica, GenericReplica, Replica};
+use uc_core::{GcFactory, GenericReplica, UcStore};
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
+
+type Gc = UcStore<SetAdt<u32>, GcFactory>;
+
+/// Replica `pid` of two: one key, 0.
+fn gc(pid: u32) -> Gc {
+    UcStore::new(SetAdt::new(), pid, 1, GcFactory { n: 2 })
+}
 
 /// A pair of fully-exchanged replicas after `rounds` rounds, with
 /// heartbeats so stability advances.
-fn gc_pair(rounds: usize) -> GcReplica<SetAdt<u32>> {
-    let mut a: GcReplica<SetAdt<u32>> = GcReplica::new(SetAdt::new(), 0, 2);
-    let mut b: GcReplica<SetAdt<u32>> = GcReplica::new(SetAdt::new(), 1, 2);
+fn gc_pair(rounds: usize) -> Gc {
+    let (mut a, mut b) = (gc(0), gc(1));
     for r in 0..rounds {
-        let ma = a.update(SetUpdate::Insert((r % 50) as u32));
-        let mb = b.update(SetUpdate::Delete((r % 70) as u32));
-        b.on_gc_message(ma);
-        a.on_gc_message(mb);
+        let ma = a.update(0, SetUpdate::Insert((r % 50) as u32));
+        let mb = b.update(0, SetUpdate::Delete((r % 70) as u32));
+        let Ok(_) = b.apply_message_from(0, ma);
+        let Ok(_) = a.apply_message_from(1, mb);
         if r % 4 == 0 {
-            for m in a.tick() {
-                b.on_gc_message(m);
-            }
-            for m in b.tick() {
-                a.on_gc_message(m);
-            }
+            a.tick_maintenance();
+            let Ok(_) = b.apply_message_from(0, a.heartbeat());
+            b.tick_maintenance();
+            let Ok(_) = a.apply_message_from(1, b.heartbeat());
         }
     }
     a
@@ -45,9 +50,10 @@ fn bench_query_after_compaction(c: &mut Criterion) {
     let mut g = c.benchmark_group("query_after_n_rounds");
     for &rounds in &[500usize, 5_000] {
         let mut gc = gc_pair(rounds);
-        assert!(gc.compacted() > 0, "GC must have compacted");
+        let compacted = gc.engine(0).map_or(0, |e| e.strategy().compacted());
+        assert!(compacted > 0, "GC must have compacted");
         g.bench_with_input(BenchmarkId::new("gc_compacted", rounds), &rounds, |b, _| {
-            b.iter(|| black_box(gc.do_query(&SetQuery::Read)))
+            b.iter(|| black_box(gc.query(0, &SetQuery::Read)))
         });
         let mut full = full_log(rounds);
         g.bench_with_input(BenchmarkId::new("full_log", rounds), &rounds, |b, _| {
@@ -58,11 +64,11 @@ fn bench_query_after_compaction(c: &mut Criterion) {
 }
 
 fn bench_delivery_overhead(c: &mut Criterion) {
-    // Per-delivery cost: GC replicas additionally maintain last_seen
-    // and run the compaction check.
-    let mut peer_gc: GcReplica<SetAdt<u32>> = GcReplica::new(SetAdt::new(), 1, 2);
+    // Per-delivery cost: a GC store additionally routes the frame to
+    // its key, hears the sender's clock and runs the compaction check.
+    let mut peer_gc = gc(1);
     let gc_msgs: Vec<_> = (0..1_000u32)
-        .map(|i| peer_gc.update(SetUpdate::Insert(i % 32)))
+        .map(|i| peer_gc.update(0, SetUpdate::Insert(i % 32)))
         .collect();
     let mut peer: GenericReplica<SetAdt<u32>> = GenericReplica::new(SetAdt::new(), 1);
     let msgs: Vec<_> = (0..1_000u32)
@@ -70,19 +76,14 @@ fn bench_delivery_overhead(c: &mut Criterion) {
         .collect();
 
     let mut g = c.benchmark_group("deliver_1k");
-    g.bench_function("gc_replica", |b| {
+    g.bench_function("gc_store", |b| {
         b.iter_batched(
-            || {
-                (
-                    GcReplica::<SetAdt<u32>>::new(SetAdt::new(), 0, 2),
-                    gc_msgs.clone(),
-                )
-            },
+            || (gc(0), gc_msgs.clone()),
             |(mut r, msgs)| {
                 for m in msgs {
-                    r.on_gc_message(m);
+                    let Ok(_) = r.apply_message_from(1, m);
                 }
-                black_box(r.log_len())
+                black_box(r.total_log_len())
             },
             criterion::BatchSize::SmallInput,
         )

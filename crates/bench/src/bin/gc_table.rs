@@ -8,76 +8,65 @@
 //! ```
 
 use uc_bench::render_table;
-use uc_core::{GcReplica, GenericReplica, Replica};
+use uc_core::{GcFactory, GenericReplica, StoreMsg, UcStore};
 use uc_spec::{SetAdt, SetUpdate};
+
+type Gc = UcStore<SetAdt<u32>, GcFactory>;
+type Msg = StoreMsg<SetUpdate<u32>>;
+
+/// Deliver each `(sender, message)` to every other participant, and
+/// the updates to the full-history oracle.
+fn broadcast(gcs: &mut [Gc], full: &mut GenericReplica<SetAdt<u32>>, msgs: Vec<(usize, Msg)>) {
+    for (src, m) in msgs {
+        if let StoreMsg::Update { msg, .. } = &m {
+            full.on_deliver(msg.clone());
+        }
+        for (j, gc) in gcs.iter_mut().enumerate() {
+            if j != src {
+                let Ok(_) = gc.apply_message_from(src as u32, m.clone());
+            }
+        }
+    }
+}
 
 /// Run `rounds` rounds: every *updating* participant performs one
 /// update and all messages are cross-delivered. `readonly` processes
 /// never update; they advance peers' stability only if `heartbeats`
-/// is on (they then broadcast clock announcements each round).
+/// is on (every process then ticks and broadcasts its clock each
+/// round). Each participant is a single object under GC: a one-key
+/// store.
 fn run(n: usize, rounds: usize, readonly: usize, heartbeats: bool) -> (usize, usize, u64) {
-    let mut gcs: Vec<GcReplica<SetAdt<u32>>> = (0..n as u32)
-        .map(|p| GcReplica::new(SetAdt::new(), p, n))
+    let mut gcs: Vec<Gc> = (0..n as u32)
+        .map(|p| UcStore::new(SetAdt::new(), p, 1, GcFactory { n }))
         .collect();
+    // The full-history oracle, playing replica 0's role.
     let mut full: GenericReplica<SetAdt<u32>> = GenericReplica::new(SetAdt::new(), 0);
     for r in 0..rounds {
         let mut msgs = Vec::new();
-        for (i, gc) in gcs.iter_mut().enumerate() {
-            if i < n - readonly {
-                let u = if r % 3 == 0 {
-                    SetUpdate::Delete((r % 10) as u32)
-                } else {
-                    SetUpdate::Insert((r % 10) as u32)
-                };
-                msgs.push((i, gc.update(u)));
-            }
+        for (i, gc) in gcs.iter_mut().enumerate().take(n - readonly) {
+            let u = if r % 3 == 0 {
+                SetUpdate::Delete((r % 10) as u32)
+            } else {
+                SetUpdate::Insert((r % 10) as u32)
+            };
+            msgs.push((i, gc.update(0, u)));
         }
-        for (src, m) in &msgs {
-            if let uc_core::GcMsg::Update(um) = m {
-                if *src != 0 {
-                    full.on_deliver(um.clone());
-                } else {
-                    // already applied locally by gcs[0]; mirror into the
-                    // oracle which plays replica 0's role
-                }
-            }
-            for (j, gc) in gcs.iter_mut().enumerate() {
-                if j != *src {
-                    gc.on_gc_message(m.clone());
-                }
-            }
-        }
-        // replica 0's own updates also go to the oracle
-        if let Some((src, uc_core::GcMsg::Update(um))) = msgs
-            .iter()
-            .find(|(s, _)| *s == 0)
-            .map(|(s, m)| (*s, m.clone()))
-        {
-            let _ = src;
-            full.on_deliver(um);
-        }
+        broadcast(&mut gcs, &mut full, msgs);
         if heartbeats {
             // Everyone heartbeats — crucially including the read-only
             // processes, whose silence would otherwise freeze
             // stability for the whole cluster.
             let mut hbs = Vec::new();
             for (i, gc) in gcs.iter_mut().enumerate() {
-                hbs.push((i, gc.tick()));
+                gc.tick_maintenance();
+                hbs.push((i, gc.heartbeat()));
             }
-            for (src, batch) in hbs {
-                for m in batch {
-                    for (j, gc) in gcs.iter_mut().enumerate() {
-                        if j != src {
-                            gc.on_gc_message(m.clone());
-                        }
-                    }
-                }
-            }
+            broadcast(&mut gcs, &mut full, hbs);
         }
     }
-    let retained = gcs[0].log_len();
-    let compacted = gcs[0].compacted() as usize;
-    (retained, full.log_len(), compacted as u64)
+    let retained = gcs[0].total_log_len();
+    let compacted = gcs[0].engine(0).map_or(0, |e| e.strategy().compacted());
+    (retained, full.log_len(), compacted)
 }
 
 fn main() {

@@ -23,15 +23,17 @@
 //!                       raise_floor, maintain, current_state)
 //! ```
 //!
-//! The four shipped strategies reproduce the historical variants and
-//! keep their public names as aliases/wrappers:
+//! The four shipped strategies reproduce the historical variants. The
+//! three full-log ones keep their public names as engine aliases; the
+//! GC variant runs as a store, which keeps the stability floor it
+//! drains through (one key for a single object):
 //!
-//! | strategy | former type | repair on a late message |
-//! |----------|-------------|--------------------------|
+//! | strategy | runs as | repair on a late message |
+//! |----------|---------|--------------------------|
 //! | [`NaiveReplay`](crate::generic::NaiveReplay) | [`GenericReplica`](crate::generic::GenericReplica) | none — every query replays the log |
 //! | [`CheckpointRepair`](crate::cached::CheckpointRepair) | [`CachedReplica`](crate::cached::CachedReplica) | roll back to nearest checkpoint ≤ pos, refold |
 //! | [`UndoRepair`](crate::undo::UndoRepair) | [`UndoReplica`](crate::undo::UndoReplica) | undo suffix (LIFO), apply, redo |
-//! | [`StableGc`](crate::gc::StableGc) | [`GcReplica`](crate::gc::GcReplica) | none on insertion — a read of a short retained log folds base + log afresh; over a long one the kept fold advances by the tail, refolds only after a late message |
+//! | [`StableGc`](crate::gc::StableGc) | [`UcStore`](crate::store::UcStore) with [`GcFactory`](crate::store::GcFactory) | none on insertion — a read of a short retained log folds base + log afresh; over a long one the kept fold advances by the tail, refolds only after a late message |
 //!
 //! # Batched delivery
 //!
@@ -62,9 +64,8 @@
 //! the strategy's compacted base, if it has one). The engine calls:
 //!
 //! * [`raise_floor`](RepairStrategy::raise_floor) — the replica's
-//!   stability floor, whoever keeps it (a store's shard set, a
-//!   [`GcReplica`](crate::gc::GcReplica)); a compacting strategy
-//!   drains through it at its next compaction;
+//!   stability floor, which a store's shard set keeps; a compacting
+//!   strategy drains through it at its next compaction;
 //! * [`on_insert`](RepairStrategy::on_insert) — after the log gained
 //!   entries, with the earliest position that became dirty;
 //! * [`maintain`](RepairStrategy::maintain) — periodic housekeeping
@@ -447,12 +448,6 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
         self.strategy.raise_floor(floor);
     }
 
-    /// Advance the Lamport clock past `clock`, a clock heard without
-    /// an entry (a [`GcReplica`](crate::gc::GcReplica)'s heartbeat).
-    pub(crate) fn merge_clock(&mut self, clock: u64) {
-        self.clock.merge(clock);
-    }
-
     /// Answer a query from local knowledge (lines 12–19: ticks the
     /// clock, then observes the state equivalent to replaying the
     /// sorted log).
@@ -599,10 +594,10 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
     }
 }
 
-/// Every engine whose wire format is the plain [`UpdateMsg`] is a
-/// wait-free [`Replica`]. (The GC variant speaks
-/// [`GcMsg`](crate::message::GcMsg) and wraps the engine instead —
-/// see [`crate::gc::GcReplica`].)
+/// Every engine is a wait-free [`Replica`] speaking the plain
+/// [`UpdateMsg`]. A [`StableGc`](crate::gc::StableGc) engine has no
+/// floor of its own to drain through, so the GC variant runs as a
+/// store instead.
 impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> Replica<A> for ReplicaEngine<A, S, B> {
     type Msg = UpdateMsg<A::Update>;
 
@@ -626,9 +621,8 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> Replica<A> for ReplicaEng
         self.do_query(q)
     }
 
-    fn tick(&mut self) -> Vec<Self::Msg> {
+    fn tick(&mut self) {
         self.tick_maintenance();
-        Vec::new()
     }
 
     fn materialize(&mut self) -> A::State {

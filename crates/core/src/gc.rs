@@ -1,6 +1,6 @@
 //! **Stability-based garbage collection** (§VII-C: "after some time
 //! old messages can be garbage collected"), as the [`StableGc`]
-//! strategy on the shared [`ReplicaEngine`].
+//! strategy on the shared [`ReplicaEngine`](crate::engine::ReplicaEngine).
 //!
 //! An update is *stable* once no future message can order before it.
 //! Per-sender Lamport clocks are strictly increasing and links are
@@ -26,8 +26,8 @@
 //! raised the floor since the last sweep hands it to the keys whose
 //! log holds entries. A key whose log is empty sits the sweeps out: it
 //! has nothing to drain, and its next insertion brings it the floor. A
-//! [`GcReplica`] keeps the floor itself: the highest clock it heard
-//! from each process.
+//! single object under GC is a store with one key, so this floor is the
+//! only one there is.
 //!
 //! A drain does not reach a persistent backend at once: the engine
 //! hands it the base at its next flush, once however many drains moved
@@ -48,18 +48,16 @@
 //! buffer.
 //!
 //! Silent processes block stability (the floor stays at the last
-//! clock heard from them), so replicas broadcast periodic clock
-//! [`GcMsg::Heartbeat`]s via [`Replica::tick`] — the practical
-//! reading of the paper's "after some time". One crashed process
+//! clock heard from them), so replicas send periodic clock heartbeats
+//! ([`StoreMsg::Heartbeat`](crate::store::StoreMsg::Heartbeat)) — the
+//! practical reading of the paper's "after some time". One crashed process
 //! freezes collection forever, which is the honest cost of stability
 //! tracking in a wait-free system and is measured by the E10
 //! experiment.
 
 use crate::backend::LogBackend;
-use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
+use crate::engine::{CutError, RepairStrategy};
 use crate::log::UpdateLog;
-use crate::message::GcMsg;
-use crate::replica::Replica;
 use crate::timestamp::Timestamp;
 use std::sync::Arc;
 use uc_spec::UqAdt;
@@ -671,345 +669,147 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     }
 }
 
-/// Algorithm 1 with a stability-compacted log. Wraps a
-/// [`ReplicaEngine`] because its wire protocol genuinely differs: it
-/// speaks [`GcMsg`], interleaving updates with clock heartbeats.
-///
-/// The replica keeps its own stability knowledge: the highest clock it
-/// heard from each process, its own stamps, queries and ticks
-/// included. Every update, delivery, heartbeat, query and tick hands
-/// the engine the minimum of them as the floor
-/// ([`RepairStrategy::raise_floor`]); an insertion hands it before it
-/// goes in, so the insertion's own compaction drains through it.
-#[derive(Clone, Debug)]
-pub struct GcReplica<A: UqAdt> {
-    engine: ReplicaEngine<A, StableGc<A>>,
-    /// Highest clock heard from each process.
-    last_seen: Vec<u64>,
-}
-
-impl<A: UqAdt> GcReplica<A> {
-    /// A fresh replica for process `pid` of `n`.
-    pub fn new(adt: A, pid: u32, n: usize) -> Self {
-        assert!((pid as usize) < n, "pid must be within the cluster");
-        let strategy = StableGc::new(&adt);
-        GcReplica {
-            engine: ReplicaEngine::with_strategy(adt, pid, strategy),
-            last_seen: vec![0; n],
-        }
-    }
-
-    /// `pid` was heard at `clock`; the engine is handed the new floor.
-    /// A clock from a pid outside the configured cluster cannot
-    /// advance stability (the floor is the minimum over tracked
-    /// processes), so it is ignored — a stray or misconfigured
-    /// heartbeat must not panic the replica.
-    fn hear(&mut self, pid: u32, clock: u64) {
-        if let Some(seen) = self.last_seen.get_mut(pid as usize) {
-            *seen = (*seen).max(clock);
-        }
-        let floor = self.last_seen.iter().copied().min().unwrap_or(0);
-        self.engine.raise_floor(floor);
-    }
-
-    /// Perform a local update.
-    pub fn update(&mut self, u: A::Update) -> GcMsg<A::Update> {
-        let ts = Timestamp::new(self.engine.clock() + 1, self.engine.pid());
-        self.hear(ts.pid, ts.clock);
-        GcMsg::Update(self.engine.local_update_at(ts, u))
-    }
-
-    /// Receive a peer's message (update or heartbeat).
-    pub fn on_gc_message(&mut self, msg: GcMsg<A::Update>) {
-        match msg {
-            GcMsg::Update(m) => {
-                self.hear(m.ts.pid, m.ts.clock);
-                self.engine.on_deliver(m);
-            }
-            GcMsg::Heartbeat { pid, clock } => self.on_heartbeat(pid, clock),
-        }
-    }
-
-    /// A peer announced its clock without an update: advance the
-    /// Lamport clock and the floor, then let the engine compact.
-    fn on_heartbeat(&mut self, pid: u32, clock: u64) {
-        self.engine.merge_clock(clock);
-        self.hear(pid, clock);
-        self.engine.tick_maintenance();
-    }
-
-    /// Number of updates folded into the base state.
-    pub fn compacted(&self) -> u64 {
-        self.engine.strategy().compacted()
-    }
-
-    /// The current stability bound.
-    pub fn stability_bound(&self) -> u64 {
-        self.engine.strategy().stability_bound()
-    }
-
-    /// Answer a query from the kept fold of base and retained log. The
-    /// query's clock is the replica's own progress.
-    pub fn do_query(&mut self, q: &A::QueryIn) -> A::QueryOut {
-        let out = self.engine.do_query(q);
-        self.hear(self.engine.pid(), self.engine.clock());
-        out
-    }
-
-    /// The state this replica would converge to with no further input.
-    pub fn materialize(&mut self) -> A::State {
-        self.engine.materialize()
-    }
-
-    /// The shared engine (observability and tests).
-    pub fn engine(&self) -> &ReplicaEngine<A, StableGc<A>> {
-        &self.engine
-    }
-}
-
-impl<A: UqAdt> Replica<A> for GcReplica<A> {
-    type Msg = GcMsg<A::Update>;
-
-    fn pid(&self) -> u32 {
-        self.engine.pid()
-    }
-
-    fn local_update(&mut self, u: A::Update) -> Vec<Self::Msg> {
-        vec![self.update(u)]
-    }
-
-    fn on_message(&mut self, msg: Self::Msg) {
-        self.on_gc_message(msg);
-    }
-
-    /// Batched ingest: updates move into the engine's merge with a
-    /// single repair; heartbeats are folded in afterwards (processing
-    /// them last can only delay stability, never violate it).
-    fn on_batch(&mut self, msgs: Vec<Self::Msg>) {
-        let mut updates = Vec::with_capacity(msgs.len());
-        let mut heartbeats = Vec::new();
-        for m in msgs {
-            match m {
-                GcMsg::Update(u) => {
-                    self.hear(u.ts.pid, u.ts.clock);
-                    updates.push(u);
-                }
-                GcMsg::Heartbeat { pid, clock } => heartbeats.push((pid, clock)),
-            }
-        }
-        self.engine.on_deliver_batch(updates);
-        for (pid, clock) in heartbeats {
-            self.on_heartbeat(pid, clock);
-        }
-    }
-
-    fn query(&mut self, q: &A::QueryIn) -> A::QueryOut {
-        self.do_query(q)
-    }
-
-    /// Heartbeat: announce the clock so silent periods do not block
-    /// peers' stability.
-    fn tick(&mut self) -> Vec<Self::Msg> {
-        self.hear(self.engine.pid(), self.engine.clock());
-        self.engine.tick_maintenance();
-        vec![GcMsg::Heartbeat {
-            pid: self.engine.pid(),
-            clock: self.engine.clock(),
-        }]
-    }
-
-    fn materialize(&mut self) -> A::State {
-        GcReplica::materialize(self)
-    }
-
-    /// Retained entries only — the quantity GC shrinks.
-    fn log_len(&self) -> usize {
-        self.engine.log_len()
-    }
-
-    fn clock(&self) -> u64 {
-        self.engine.clock()
-    }
-
-    /// Retained timestamps only: compacted entries are gone, which is
-    /// the point of GC (and why witness tracing uses full-log
-    /// replicas).
-    fn known_timestamps(&self) -> Vec<Timestamp> {
-        self.engine.known_timestamps()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ReplicaEngine;
     use crate::message::UpdateMsg;
+    use crate::store::{GcFactory, StoreMsg, UcStore};
     use std::collections::BTreeSet;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
 
-    type R = GcReplica<SetAdt<u32>>;
+    /// A single object under GC: a store with one key, 0.
+    type R = UcStore<SetAdt<u32>, GcFactory>;
+    type Msg = StoreMsg<SetUpdate<u32>>;
+
+    /// Replica `pid` of a cluster of `n`.
+    fn replica(pid: u32, n: usize) -> R {
+        UcStore::new(SetAdt::new(), pid, 1, GcFactory { n })
+    }
+
+    fn update(r: &mut R, u: SetUpdate<u32>) -> Msg {
+        r.update(0, u)
+    }
+
+    fn read(r: &mut R) -> BTreeSet<u32> {
+        r.query(0, &SetQuery::Read)
+    }
+
+    fn deliver(r: &mut R, from: u32, msg: Msg) {
+        let Ok(_) = r.apply_message_from(from, msg);
+    }
+
+    /// A heartbeat: count the replica's own clock, compact, and
+    /// announce the clock.
+    fn tick(r: &mut R) -> Msg {
+        r.tick_maintenance();
+        r.heartbeat()
+    }
+
+    fn strategy(r: &R) -> &StableGc<SetAdt<u32>> {
+        r.engine(0).expect("key 0 was written").strategy()
+    }
+
+    fn compacted(r: &R) -> u64 {
+        strategy(r).compacted()
+    }
+
+    fn fold_steps(r: &R) -> u64 {
+        strategy(r).query_fold_steps()
+    }
 
     /// Fully connect two replicas: deliver every produced message to
     /// the other, then exchange heartbeats.
-    fn exchange(
-        a: &mut R,
-        b: &mut R,
-        msgs_a: Vec<GcMsg<SetUpdate<u32>>>,
-        msgs_b: Vec<GcMsg<SetUpdate<u32>>>,
-    ) {
+    fn exchange(a: &mut R, b: &mut R, msgs_a: Vec<Msg>, msgs_b: Vec<Msg>) {
         for m in msgs_a {
-            b.on_gc_message(m);
+            deliver(b, a.pid(), m);
         }
         for m in msgs_b {
-            a.on_gc_message(m);
+            deliver(a, b.pid(), m);
         }
-        let ha = a.tick();
-        let hb = b.tick();
-        for m in ha {
-            b.on_gc_message(m);
-        }
-        for m in hb {
-            a.on_gc_message(m);
-        }
+        let ha = tick(a);
+        let hb = tick(b);
+        deliver(b, a.pid(), ha);
+        deliver(a, b.pid(), hb);
     }
 
     #[test]
     fn compaction_preserves_semantics() {
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
-        let mut b: R = GcReplica::new(SetAdt::new(), 1, 2);
+        let mut a = replica(0, 2);
+        let mut b = replica(1, 2);
         let mut ma = Vec::new();
         let mut mb = Vec::new();
         for i in 0..20u32 {
-            ma.push(a.update(SetUpdate::Insert(i)));
+            ma.push(update(&mut a, SetUpdate::Insert(i)));
             if i % 2 == 0 {
-                mb.push(b.update(SetUpdate::Delete(i)));
+                mb.push(update(&mut b, SetUpdate::Delete(i)));
             }
         }
         exchange(&mut a, &mut b, ma, mb);
-        assert_eq!(a.materialize(), b.materialize());
-        assert!(a.compacted() > 0, "stable prefix must have been folded");
+        assert_eq!(a.materialize_key(0), b.materialize_key(0));
+        assert!(compacted(&a) > 0, "stable prefix must have been folded");
         // Odd elements were never deleted and must survive compaction.
-        assert!(a.materialize().contains(&1));
+        assert!(a.materialize_key(0).contains(&1));
     }
 
     #[test]
     fn log_shrinks_after_heartbeats() {
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
-        let mut b: R = GcReplica::new(SetAdt::new(), 1, 2);
-        let msgs: Vec<_> = (0..50u32).map(|i| a.update(SetUpdate::Insert(i))).collect();
-        for m in &msgs {
-            b.on_gc_message(m.clone());
+        let mut a = replica(0, 2);
+        let mut b = replica(1, 2);
+        let msgs: Vec<_> = (0..50u32)
+            .map(|i| update(&mut a, SetUpdate::Insert(i)))
+            .collect();
+        for m in msgs {
+            deliver(&mut b, 0, m);
         }
         assert_eq!(
-            Replica::log_len(&b),
+            b.total_log_len(),
             50,
             "no stability before hearing from everyone"
         );
         // b announces its clock to a, and vice versa.
-        let hb = b.tick();
-        for m in hb {
-            a.on_gc_message(m);
-        }
-        let ha = a.tick();
-        for m in ha {
-            b.on_gc_message(m);
-        }
-        assert!(
-            Replica::log_len(&a) < 50,
-            "a retained {}",
-            Replica::log_len(&a)
-        );
-        assert!(
-            Replica::log_len(&b) < 50,
-            "b retained {}",
-            Replica::log_len(&b)
-        );
-        assert_eq!(a.materialize(), b.materialize());
-    }
-
-    #[test]
-    fn silent_process_blocks_collection() {
-        // Three processes; process 2 never speaks → bound stays 0.
-        let mut a: GcReplica<SetAdt<u32>> = GcReplica::new(SetAdt::new(), 0, 3);
-        let mut b: GcReplica<SetAdt<u32>> = GcReplica::new(SetAdt::new(), 1, 3);
-        let msgs: Vec<_> = (0..30u32).map(|i| a.update(SetUpdate::Insert(i))).collect();
-        for m in &msgs {
-            b.on_gc_message(m.clone());
-        }
-        let hb = b.tick();
-        for m in hb {
-            a.on_gc_message(m);
-        }
-        assert_eq!(a.compacted(), 0, "silent third process must freeze GC");
-        assert_eq!(Replica::log_len(&a), 30);
+        let hb = tick(&mut b);
+        deliver(&mut a, 1, hb);
+        let ha = tick(&mut a);
+        deliver(&mut b, 0, ha);
+        assert!(a.total_log_len() < 50, "a retained {}", a.total_log_len());
+        assert!(b.total_log_len() < 50, "b retained {}", b.total_log_len());
+        assert_eq!(a.materialize_key(0), b.materialize_key(0));
     }
 
     #[test]
     fn queries_reflect_base_plus_suffix() {
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 1); // alone: self-stable
+        let mut a = replica(0, 1); // alone: self-stable
         for i in 0..10u32 {
-            a.update(SetUpdate::Insert(i));
+            update(&mut a, SetUpdate::Insert(i));
         }
-        assert!(a.compacted() > 0);
-        assert_eq!(
-            a.do_query(&SetQuery::Read),
-            (0..10).collect::<BTreeSet<u32>>()
-        );
-    }
-
-    #[test]
-    fn heartbeat_from_unknown_pid_is_ignored_not_panicking() {
-        // Regression: hearing a clock used to index `last_seen`
-        // unchecked, so a heartbeat from a pid ≥ n panicked the
-        // replica. Out-of-cluster clocks must be ignored.
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
-        a.update(SetUpdate::Insert(1));
-        a.on_gc_message(GcMsg::Heartbeat { pid: 7, clock: 99 });
-        assert_eq!(a.stability_bound(), 0, "stray clock must not advance GC");
-        assert_eq!(a.compacted(), 0);
-        assert_eq!(a.materialize(), BTreeSet::from([1]));
-    }
-
-    #[test]
-    fn update_from_unknown_pid_is_ingested_without_panic() {
-        // The same out-of-bounds path is reachable through a plain
-        // update delivery whose timestamp carries a foreign pid.
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
-        let msg = UpdateMsg {
-            ts: crate::timestamp::Timestamp::new(1, 9),
-            update: SetUpdate::Insert(4),
-        };
-        a.on_gc_message(GcMsg::Update(msg));
-        assert_eq!(a.materialize(), BTreeSet::from([4]));
-        assert_eq!(a.stability_bound(), 0);
+        assert!(compacted(&a) > 0);
+        assert_eq!(read(&mut a), (0..10).collect::<BTreeSet<u32>>());
     }
 
     #[test]
     fn repeated_queries_reuse_the_cached_fold() {
         // Regression: `current_state` used to refold the whole
         // unstable suffix from `base` on every query.
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
+        let mut a = replica(0, 2);
         for i in 0..32u32 {
-            a.update(SetUpdate::Insert(i));
+            update(&mut a, SetUpdate::Insert(i));
         }
-        let _ = a.do_query(&SetQuery::Read);
-        let after_first = a.engine().strategy().query_fold_steps();
+        let _ = read(&mut a);
+        let after_first = fold_steps(&a);
         assert!(after_first > 0, "first query folds the suffix");
         for _ in 0..10 {
-            let _ = a.do_query(&SetQuery::Read);
+            let _ = read(&mut a);
         }
         assert_eq!(
-            a.engine().strategy().query_fold_steps(),
+            fold_steps(&a),
             after_first,
             "repeated queries of an unchanged log must do zero extra fold steps"
         );
         // A new insertion is folded in by the next query.
-        a.update(SetUpdate::Insert(99));
-        let _ = a.do_query(&SetQuery::Read);
-        assert!(a.engine().strategy().query_fold_steps() > after_first);
-    }
-
-    fn fold_steps(r: &R) -> u64 {
-        r.engine().strategy().query_fold_steps()
+        update(&mut a, SetUpdate::Insert(99));
+        let _ = read(&mut a);
+        assert!(fold_steps(&a) > after_first);
     }
 
     #[test]
@@ -1017,10 +817,10 @@ mod tests {
         // Peer 1 stays silent, so nothing compacts: the log grows to N
         // and a refold per read would cost 1 + 2 + … + N = 2080.
         const N: u32 = 64;
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
+        let mut a = replica(0, 2);
         for i in 0..N {
-            a.update(SetUpdate::Insert(i));
-            assert_eq!(a.do_query(&SetQuery::Read).len(), i as usize + 1);
+            update(&mut a, SetUpdate::Insert(i));
+            assert_eq!(read(&mut a).len(), i as usize + 1);
         }
         // Fresh folds of 1..=7 entries, the kept fold built at 8, then
         // one step per arrival: 28 + 8 + 56.
@@ -1029,11 +829,11 @@ mod tests {
 
     /// A replica whose silent peer pins `len` entries in its log.
     fn pinned(len: u32) -> R {
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
+        let mut a = replica(0, 2);
         for i in 0..len {
-            a.update(SetUpdate::Insert(i));
+            update(&mut a, SetUpdate::Insert(i));
         }
-        assert_eq!(Replica::log_len(&a), len as usize);
+        assert_eq!(a.total_log_len(), len as usize);
         a
     }
 
@@ -1041,16 +841,13 @@ mod tests {
     fn a_short_log_is_folded_afresh_by_every_read() {
         let len = KEPT_FOLD_MIN as u32 - 1;
         let mut a = pinned(len);
-        for read in 1..=3 {
-            assert_eq!(
-                a.do_query(&SetQuery::Read),
-                (0..len).collect::<BTreeSet<u32>>()
-            );
-            let strategy = a.engine().strategy();
-            assert_eq!(strategy.folded, None, "no fold kept");
-            assert!(strategy.scratch.is_empty(), "a fresh fold wrote to scratch");
-            assert!(!strategy.holds_fold());
-            assert_eq!(fold_steps(&a), read * u64::from(len));
+        for reads in 1..=3 {
+            assert_eq!(read(&mut a), (0..len).collect::<BTreeSet<u32>>());
+            let s = strategy(&a);
+            assert_eq!(s.folded, None, "no fold kept");
+            assert!(s.scratch.is_empty(), "a fresh fold wrote to scratch");
+            assert!(!s.holds_fold());
+            assert_eq!(fold_steps(&a), reads * u64::from(len));
         }
     }
 
@@ -1059,37 +856,35 @@ mod tests {
         let len = KEPT_FOLD_MIN as u32;
         let mut a = pinned(len);
         for _ in 0..3 {
-            assert_eq!(
-                a.do_query(&SetQuery::Read),
-                (0..len).collect::<BTreeSet<u32>>()
-            );
+            assert_eq!(read(&mut a), (0..len).collect::<BTreeSet<u32>>());
             assert_eq!(fold_steps(&a), u64::from(len), "built once");
         }
-        let strategy = a.engine().strategy();
-        assert!(strategy.folded.is_some() && strategy.holds_fold());
-        assert_eq!(strategy.scratch.len(), len as usize);
+        let s = strategy(&a);
+        assert!(s.folded.is_some() && s.holds_fold());
+        assert_eq!(s.scratch.len(), len as usize);
     }
 
     #[test]
     fn a_late_insert_costs_exactly_one_full_refold() {
         // Process 2 stays silent, so the retained log is the full log.
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 3);
+        let mut a = replica(0, 3);
         for i in 0..16u32 {
-            a.update(SetUpdate::Insert(i));
+            update(&mut a, SetUpdate::Insert(i));
         }
-        let _ = a.do_query(&SetQuery::Read);
+        let _ = read(&mut a);
         assert_eq!(fold_steps(&a), 16);
         // Stamped below the folded point: the cache goes cold.
-        a.on_gc_message(GcMsg::Update(UpdateMsg {
+        let late = UpdateMsg {
             ts: Timestamp::new(3, 1),
             update: SetUpdate::Delete(2),
-        }));
-        assert!(!a.do_query(&SetQuery::Read).contains(&2));
+        };
+        deliver(&mut a, 1, StoreMsg::Update { key: 0, msg: late });
+        assert!(!read(&mut a).contains(&2));
         assert_eq!(fold_steps(&a), 16 + 17);
-        let _ = a.do_query(&SetQuery::Read);
+        let _ = read(&mut a);
         // Warm again: the next in-order arrival is one step.
-        a.update(SetUpdate::Insert(99));
-        let _ = a.do_query(&SetQuery::Read);
+        update(&mut a, SetUpdate::Insert(99));
+        let _ = read(&mut a);
         assert_eq!(fold_steps(&a), 16 + 17 + 1);
     }
 
@@ -1097,47 +892,44 @@ mod tests {
     fn an_empty_log_answers_from_the_base_for_free() {
         // Alone in its cluster a replica is self-stable: every update
         // compacts on insertion and the log is always empty.
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 1);
+        let mut a = replica(0, 1);
         for i in 0..10u32 {
-            a.update(SetUpdate::Insert(i));
-            assert_eq!(a.do_query(&SetQuery::Read).len(), i as usize + 1);
+            update(&mut a, SetUpdate::Insert(i));
+            assert_eq!(read(&mut a).len(), i as usize + 1);
         }
-        assert_eq!(Replica::log_len(&a), 0);
+        assert_eq!(a.total_log_len(), 0);
         assert_eq!(fold_steps(&a), 0);
     }
 
     #[test]
     fn a_key_nobody_reads_keeps_one_copy_of_its_state() {
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
+        let mut a = replica(0, 2);
         for i in 0..16u32 {
-            a.update(SetUpdate::Insert(i));
+            update(&mut a, SetUpdate::Insert(i));
         }
-        a.on_gc_message(GcMsg::Heartbeat { pid: 1, clock: 12 });
-        assert_eq!(a.compacted(), 12);
-        let strategy = a.engine().strategy();
-        assert_eq!(strategy.fold_steps, 0);
-        assert_eq!(strategy.folded, None);
-        assert!(strategy.scratch.is_empty(), "compaction wrote to scratch");
-        assert!(strategy.rotation.is_none(), "never shared, never rotated");
+        deliver(&mut a, 1, StoreMsg::Heartbeat { pid: 1, clock: 12 });
+        assert_eq!(compacted(&a), 12);
+        let s = strategy(&a);
+        assert_eq!(s.fold_steps, 0);
+        assert_eq!(s.folded, None);
+        assert!(s.scratch.is_empty(), "compaction wrote to scratch");
+        assert!(s.rotation.is_none(), "never shared, never rotated");
     }
 
     #[test]
     fn compaction_overtaking_the_cache_sends_it_cold() {
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
+        let mut a = replica(0, 2);
         for i in 0..8u32 {
-            a.update(SetUpdate::Insert(i));
+            update(&mut a, SetUpdate::Insert(i));
         }
-        let _ = a.do_query(&SetQuery::Read); // folded up to clock 8, query ticks to 9
+        let _ = read(&mut a); // folded up to clock 8, query ticks to 9
         for i in 8..16u32 {
-            a.update(SetUpdate::Insert(i)); // clocks 10..=17, unfolded
+            update(&mut a, SetUpdate::Insert(i)); // clocks 10..=17, unfolded
         }
-        // Drains clocks 1..=12: four entries the cache never folded.
-        a.on_gc_message(GcMsg::Heartbeat { pid: 1, clock: 12 });
-        assert_eq!(a.engine().strategy().folded, None);
-        assert_eq!(
-            a.do_query(&SetQuery::Read),
-            (0..16).collect::<BTreeSet<u32>>()
-        );
+        // Drains clocks 1..=12: three entries the cache never folded.
+        deliver(&mut a, 1, StoreMsg::Heartbeat { pid: 1, clock: 12 });
+        assert_eq!(strategy(&a).folded, None);
+        assert_eq!(read(&mut a), (0..16).collect::<BTreeSet<u32>>());
     }
 
     #[test]
@@ -1162,40 +954,98 @@ mod tests {
         // Compaction moves stable entries into the base without
         // changing the fold; a query answered from the cache after a
         // compaction must still be right.
-        let mut a: R = GcReplica::new(SetAdt::new(), 0, 2);
-        let mut b: R = GcReplica::new(SetAdt::new(), 1, 2);
-        let msgs: Vec<_> = (0..16u32).map(|i| a.update(SetUpdate::Insert(i))).collect();
-        for m in &msgs {
-            b.on_gc_message(m.clone());
+        let mut a = replica(0, 2);
+        let mut b = replica(1, 2);
+        let msgs: Vec<_> = (0..16u32)
+            .map(|i| update(&mut a, SetUpdate::Insert(i)))
+            .collect();
+        for m in msgs {
+            deliver(&mut b, 0, m);
         }
-        let expect = a.do_query(&SetQuery::Read);
+        let expect = read(&mut a);
         // Heartbeats trigger compaction on `a` with no new entries.
-        let hb = b.tick();
-        for m in hb {
-            a.on_gc_message(m);
+        let hb = tick(&mut b);
+        deliver(&mut a, 1, hb);
+        a.tick_maintenance();
+        assert!(compacted(&a) > 0, "compaction must have happened");
+        assert_eq!(read(&mut a), expect);
+    }
+
+    #[test]
+    fn silent_process_blocks_collection() {
+        // Three processes; process 2 never speaks → the floor stays 0.
+        let mut a = replica(0, 3);
+        for i in 0..30u32 {
+            update(&mut a, SetUpdate::Insert(i));
         }
-        let _ = a.tick();
-        assert!(a.compacted() > 0, "compaction must have happened");
-        assert_eq!(a.do_query(&SetQuery::Read), expect);
+        deliver(&mut a, 1, StoreMsg::Heartbeat { pid: 1, clock: 30 });
+        a.tick_maintenance();
+        assert_eq!(compacted(&a), 0, "silent third process must freeze GC");
+        assert_eq!(strategy(&a).stability_bound(), 0);
+        assert_eq!(a.total_log_len(), 30);
+        assert_eq!(read(&mut a), (0..30).collect::<BTreeSet<u32>>());
+    }
+
+    #[test]
+    fn heartbeat_from_unknown_pid_is_ignored_not_panicking() {
+        // Regression: hearing a clock used to index the per-pid table
+        // unchecked, so a heartbeat from a pid ≥ n panicked the
+        // replica. Out-of-cluster clocks must be ignored: the peer's
+        // clock 5 holds the floor, whatever pid 7 announces.
+        let mut a = replica(0, 2);
+        deliver(&mut a, 1, StoreMsg::Heartbeat { pid: 1, clock: 5 });
+        update(&mut a, SetUpdate::Insert(1));
+        deliver(&mut a, 7, StoreMsg::Heartbeat { pid: 7, clock: 99 });
+        a.tick_maintenance();
+        assert_eq!(
+            strategy(&a).stability_bound(),
+            5,
+            "stray clock must not advance GC"
+        );
+        assert_eq!(compacted(&a), 0);
+        assert_eq!(a.total_log_len(), 1);
+        assert_eq!(read(&mut a), BTreeSet::from([1]));
+    }
+
+    #[test]
+    fn update_from_unknown_pid_is_ingested_without_panic() {
+        // The same out-of-bounds path is reachable through a plain
+        // update delivery whose timestamp carries a foreign pid.
+        let mut a = replica(0, 2);
+        let msg = UpdateMsg {
+            ts: Timestamp::new(4, 9),
+            update: SetUpdate::Insert(4),
+        };
+        deliver(&mut a, 9, StoreMsg::Update { key: 0, msg });
+        assert_eq!(read(&mut a), BTreeSet::from([4]));
+        assert_eq!(strategy(&a).stability_bound(), 0);
+        assert_eq!(a.total_log_len(), 1);
     }
 
     #[test]
     fn batched_gc_messages_match_sequential_delivery() {
-        let mut producer: R = GcReplica::new(SetAdt::new(), 1, 2);
+        let mut producer = replica(1, 2);
         let mut msgs: Vec<_> = (0..20u32)
-            .map(|i| producer.update(SetUpdate::Insert(i)))
+            .map(|i| update(&mut producer, SetUpdate::Insert(i)))
             .collect();
-        msgs.push(GcMsg::Heartbeat { pid: 1, clock: 20 });
+        msgs.push(StoreMsg::Heartbeat { pid: 1, clock: 20 });
 
-        let mut seq: R = GcReplica::new(SetAdt::new(), 0, 2);
-        for m in &msgs {
-            seq.on_gc_message(m.clone());
+        let mut seq = replica(0, 2);
+        for m in msgs.clone() {
+            deliver(&mut seq, 1, m);
         }
-        let mut bat: R = GcReplica::new(SetAdt::new(), 0, 2);
-        bat.on_batch(msgs);
-        assert_eq!(seq.materialize(), bat.materialize());
-        // Neither has spoken itself, so stability is identical too.
-        assert_eq!(seq.stability_bound(), bat.stability_bound());
+        let mut bat = replica(0, 2);
+        bat.apply_batch_owned(msgs);
+        assert_eq!(seq.materialize_key(0), bat.materialize_key(0));
+        // Neither has spoken itself, so stability is identical too;
+        // each one's own tick then makes all of it stable.
+        assert_eq!(
+            strategy(&seq).stability_bound(),
+            strategy(&bat).stability_bound()
+        );
+        seq.tick_maintenance();
+        bat.tick_maintenance();
+        assert_eq!((compacted(&seq), compacted(&bat)), (20, 20));
     }
 
     /// The shared fold: two buffers taking turns under a

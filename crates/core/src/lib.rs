@@ -15,7 +15,7 @@
 //! | [`generic`] | [`NaiveReplay`] strategy; [`GenericReplica`] — Algorithm 1 verbatim (naive query replay) | Alg. 1 |
 //! | [`cached`] | [`CheckpointRepair`] strategy; [`CachedReplica`] — checkpointed incremental state | §VII-C |
 //! | [`undo`] | [`UndoRepair`] strategy; [`UndoReplica`] — Karsenty/Beaudouin-Lafon undo repositioning | §VII-C |
-//! | [`gc`] | [`StableGc`] strategy; [`GcReplica`] — stability-based log compaction | §VII-C |
+//! | [`gc`] | [`StableGc`] strategy — stability-based log compaction, run by a store under [`GcFactory`] | §VII-C |
 //! | [`memory`] | [`UcMemory`] — Algorithm 2, LWW shared memory | Alg. 2 |
 //! | [`replica`] | the wait-free replica trait all variants share (incl. [`Replica::on_batch`]) | §VII-A |
 //! | [`store`] | [`UcStore`] — sharded multi-object store: one engine per key, one clock per replica; the [`Node`] run by the inline executor ([`store::Inline`]: a direct call into its crate-private `ShardSet`, the data plane — every shard-level operation and monitor hook, written once) | partitionable follow-up |
@@ -60,22 +60,20 @@ pub mod undo;
 pub use backend::{BackendFactory, LogBackend, MemBackend, MemFactory};
 pub use cached::{CachedReplica, CheckpointRepair};
 pub use engine::{CutError, RepairStrategy, ReplicaEngine};
-pub use gc::{GcReplica, StableGc};
+pub use gc::StableGc;
 pub use generic::{GenericReplica, NaiveReplay};
 pub use heal::{HealDigest, HealSession};
 pub use inbox::{Inbox, PushError};
 pub use log::UpdateLog;
 pub use memory::{MemWrite, UcMemory};
-pub use message::{GcMsg, UpdateMsg};
+pub use message::UpdateMsg;
 pub use node::{Executor, Node};
 pub use observe::export_monitor_stats;
 pub use pool::{
     IngestPool, PoolConfig, PoolError, PoolHandle, PoolStats, SnapshotError, WorkerStats,
 };
 pub use replica::{state_digest, Replica};
-pub use sim_adapter::{
-    trace_to_history, OmegaMarking, OpInput, OpOutput, ReplicaNode, TimestampedMsg,
-};
+pub use sim_adapter::{trace_to_history, OmegaMarking, OpInput, OpOutput, ReplicaNode};
 pub use snapshot::Published;
 pub use store::{
     CheckpointFactory, GcFactory, Key, PartitionTracker, StoreInput, StoreMsg, StoreOutput,

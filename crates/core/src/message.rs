@@ -18,31 +18,6 @@ impl<U: Debug> Debug for UpdateMsg<U> {
     }
 }
 
-/// Messages of the garbage-collected variant: updates plus clock
-/// heartbeats that advance stability when a process is silent
-/// (§VII-C's "after some time old messages can be garbage collected").
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub enum GcMsg<U> {
-    /// A timestamped update, as in Algorithm 1.
-    Update(UpdateMsg<U>),
-    /// A clock announcement with no payload.
-    Heartbeat {
-        /// The announcing process.
-        pid: u32,
-        /// The sender's clock at send time.
-        clock: u64,
-    },
-}
-
-impl<U: Debug> Debug for GcMsg<U> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GcMsg::Update(m) => write!(f, "{m:?}"),
-            GcMsg::Heartbeat { pid, clock } => write!(f, "hb(p{pid},{clock})"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +29,5 @@ mod tests {
             update: "I(1)",
         };
         assert_eq!(format!("{m:?}"), "msg(4,1) \"I(1)\"");
-        let g: GcMsg<&str> = GcMsg::Heartbeat { pid: 2, clock: 9 };
-        assert_eq!(format!("{g:?}"), "hb(p2,9)");
     }
 }

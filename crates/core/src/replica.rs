@@ -45,11 +45,9 @@ pub trait Replica<A: UqAdt> {
     /// Answer a query from local knowledge.
     fn query(&mut self, q: &A::QueryIn) -> A::QueryOut;
 
-    /// Periodic maintenance (e.g. heartbeats for stability-based GC);
-    /// returns messages to broadcast.
-    fn tick(&mut self) -> Vec<Self::Msg> {
-        Vec::new()
-    }
+    /// Periodic maintenance (a compacting strategy's sweep); sends
+    /// nothing.
+    fn tick(&mut self) {}
 
     /// The state this replica would converge to if no further message
     /// arrived — the full fold of its known updates.
@@ -64,10 +62,9 @@ pub trait Replica<A: UqAdt> {
 
     /// Timestamps of the updates this replica currently knows — the
     /// visible-update set used to extract strong-update-consistency
-    /// witnesses (Proposition 4). Replicas that discard history (the
-    /// GC variant's compacted base, Algorithm 2's per-register map)
-    /// return only what they retain; witness tracing requires a
-    /// full-log replica.
+    /// witnesses (Proposition 4). Replicas that discard history
+    /// (Algorithm 2's per-register map) return only what they retain;
+    /// witness tracing requires a full-log replica.
     fn known_timestamps(&self) -> Vec<crate::timestamp::Timestamp>;
 }
 

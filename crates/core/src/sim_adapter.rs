@@ -3,7 +3,7 @@
 //! checkable [`History`] with a strong-update-consistency witness
 //! (the Proposition 4 experiment, E5).
 
-use crate::message::{GcMsg, UpdateMsg};
+use crate::message::UpdateMsg;
 use crate::replica::Replica;
 use crate::timestamp::Timestamp;
 use std::fmt;
@@ -13,28 +13,6 @@ use uc_history::builder::BuildError;
 use uc_history::{EventId, History, HistoryBuilder, ProcessId};
 use uc_sim::{Ctx, InvocationRecord, Pid, Protocol};
 use uc_spec::UqAdt;
-
-/// Messages whose update timestamp can be extracted (for tagging
-/// update invocations in traces).
-pub trait TimestampedMsg {
-    /// The carried update timestamp, if this message is an update.
-    fn update_ts(&self) -> Option<Timestamp>;
-}
-
-impl<U> TimestampedMsg for UpdateMsg<U> {
-    fn update_ts(&self) -> Option<Timestamp> {
-        Some(self.ts)
-    }
-}
-
-impl<U> TimestampedMsg for GcMsg<U> {
-    fn update_ts(&self) -> Option<Timestamp> {
-        match self {
-            GcMsg::Update(m) => Some(m.ts),
-            GcMsg::Heartbeat { .. } => None,
-        }
-    }
-}
 
 /// Application-level invocation: an update or a query of the ADT.
 pub enum OpInput<A: UqAdt> {
@@ -141,8 +119,7 @@ impl<A: UqAdt, R: Replica<A>> ReplicaNode<A, R> {
 impl<A, R> Protocol for ReplicaNode<A, R>
 where
     A: UqAdt,
-    R: Replica<A>,
-    R::Msg: TimestampedMsg,
+    R: Replica<A, Msg = UpdateMsg<A::Update>>,
 {
     type Msg = R::Msg;
     type Input = OpInput<A>;
@@ -152,7 +129,7 @@ where
         match input {
             OpInput::Update(u) => {
                 let msgs = self.replica.local_update(u);
-                let ts = msgs.iter().find_map(TimestampedMsg::update_ts);
+                let ts = msgs.first().map(|m| m.ts);
                 let seen = if self.record_visibility {
                     self.replica.known_timestamps()
                 } else {
@@ -187,13 +164,10 @@ where
         self.replica.on_batch(msgs);
     }
 
-    /// Timer-driven maintenance: broadcast whatever the replica's
-    /// periodic [`Replica::tick`] emits (clock heartbeats for the GC
-    /// variant, nothing for the full-log ones).
-    fn on_tick(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        for m in self.replica.tick() {
-            ctx.broadcast_others(m);
-        }
+    /// Timer-driven maintenance: the replica's [`Replica::tick`];
+    /// nothing is sent.
+    fn on_tick(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {
+        self.replica.tick();
     }
 }
 
@@ -202,11 +176,11 @@ where
 pub enum TraceError {
     /// The underlying history failed to build.
     Build(BuildError),
-    /// An update record carried no timestamp (non-timestamped message
-    /// type, or a heartbeat-only batch).
+    /// An update record carried no timestamp, or a query record an
+    /// ack: a record [`ReplicaNode`] did not produce.
     MissingTimestamp(usize),
     /// A query record referenced a timestamp with no matching update
-    /// event (e.g. a GC replica whose compacted entries are gone).
+    /// event.
     UnknownTimestamp(Timestamp),
 }
 

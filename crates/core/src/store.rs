@@ -3133,6 +3133,20 @@ mod tests {
         assert_eq!(heard.len(), 2, "heard keeps exactly the cluster's pids");
     }
 
+    /// A one-key store alone in its cluster: every stamp is stable the
+    /// moment it is issued, so each insertion raises the floor and
+    /// folds itself into the base.
+    #[test]
+    fn a_cluster_of_one_compacts_at_insertion() {
+        let mut s: GcStore = UcStore::new(SetAdt::new(), 0, 1, GcFactory { n: 1 });
+        for i in 0..10 {
+            s.update(0, SetUpdate::Insert(i));
+        }
+        let compacted = s.engine(0).expect("key 0 written").strategy().compacted();
+        assert_eq!((floor_and_log(&s), compacted), ((10, 0), 10));
+        assert_eq!(s.materialize_key(0), (0..10).collect::<BTreeSet<u32>>());
+    }
+
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {

@@ -54,12 +54,16 @@ where
     let mut reference = UcStore::new(SetAdt::<u32>::new(), 0, SHARDS, factory);
 
     // Readers: hammer wait-free snapshot loads over every key while
-    // the owner stamps, asserting per-key epoch monotonicity.
+    // the owner stamps, asserting per-key epoch monotonicity. Each
+    // reports its first full pass, so a reader the scheduler started
+    // late is not stopped before it has loaded anything.
     let stop = Arc::new(AtomicBool::new(false));
+    let (passed, first_passes) = mpsc::channel();
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let h = pool.handle();
             let stop = Arc::clone(&stop);
+            let passed = passed.clone();
             std::thread::spawn(move || {
                 let mut last: BTreeMap<u64, u64> = BTreeMap::new();
                 let mut loads = 0u64;
@@ -74,6 +78,9 @@ where
                         );
                         *prev = epoch;
                         loads += 1;
+                    }
+                    if loads == KEYS {
+                        let _ = passed.send(());
                     }
                 }
                 loads
@@ -105,6 +112,11 @@ where
         }
     }
     pool.flush().unwrap();
+    // A reader that cannot finish one pass in ten seconds is stuck,
+    // and the progress assertion below names it.
+    for _ in 0..READERS {
+        let _ = first_passes.recv_timeout(Duration::from_secs(10));
+    }
     stop.store(true, Ordering::Relaxed);
     for r in readers {
         assert!(r.join().unwrap() > 0, "readers must have made progress");

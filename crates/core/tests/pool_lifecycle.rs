@@ -181,11 +181,16 @@ fn panicking_fold_poisons_with_clear_error_not_deadlock() {
         workers: 2,
         queue_depth: 64,
     });
-    pool.submit_batch(msgs).unwrap();
-    // The worker owning the pill's shard dies mid-fold. The flush
-    // barrier must surface that as an error — not hang waiting for an
-    // ack that will never come.
-    let err = pool.flush().expect_err("poisoned pool must fail the flush");
+    // The worker owning the pill's shard dies mid-fold. The first call
+    // to meet the poison must surface it, not hang waiting for an ack
+    // that will never come: the flush barrier, or the burst's own
+    // submission when the worker folds the pill before the burst's
+    // stamps are broadcast behind it (the poison is checked before
+    // every push).
+    let err = pool
+        .submit_batch(msgs)
+        .and_then(|()| pool.flush())
+        .expect_err("poisoned pool must fail the burst or the flush");
     assert!(
         err.to_string().contains("poison pill folded"),
         "error must carry the panic message, got: {err}"

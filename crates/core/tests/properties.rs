@@ -4,7 +4,7 @@
 //! sequential oracle.
 
 use proptest::prelude::*;
-use uc_core::{CachedReplica, GenericReplica, Replica, UcMemory, UndoReplica};
+use uc_core::{CachedReplica, GcFactory, GenericReplica, StoreMsg, UcMemory, UcStore, UndoReplica};
 use uc_spec::{MemoryAdt, MemoryUpdate, SetAdt, SetQuery, SetUpdate, UqAdt};
 
 #[derive(Clone, Copy, Debug)]
@@ -165,31 +165,33 @@ proptest! {
         }
     }
 
-    /// The GC replica agrees with the plain replica on every final
-    /// state, whatever got compacted.
+    /// A single object under GC (a one-key store) agrees with the plain
+    /// replica on every final state, whatever got compacted.
     #[test]
     fn gc_replica_matches_plain(cmds in proptest::collection::vec(cmd(), 1..15)) {
-        let mut gc_a = uc_core::GcReplica::new(SetAdt::<u32>::new(), 0, 2);
-        let mut gc_b = uc_core::GcReplica::new(SetAdt::<u32>::new(), 1, 2);
+        let gc = |pid| UcStore::new(SetAdt::<u32>::new(), pid, 1, GcFactory { n: 2 });
+        let (mut gc_a, mut gc_b) = (gc(0), gc(1));
         let mut plain = GenericReplica::new(SetAdt::<u32>::new(), 0);
         for (i, &c) in cmds.iter().enumerate() {
             let u = to_update(c);
             if i % 2 == 0 {
-                let m = gc_a.update(u);
-                gc_b.on_gc_message(m);
+                let m = gc_a.update(0, u);
+                let Ok(_) = gc_b.apply_message_from(0, m);
                 plain.update(u);
             } else {
-                let m = gc_b.update(u);
-                gc_a.on_gc_message(m.clone());
-                if let uc_core::GcMsg::Update(um) = &m {
-                    plain.on_deliver(um.clone());
+                let m = gc_b.update(0, u);
+                if let StoreMsg::Update { msg, .. } = &m {
+                    plain.on_deliver(msg.clone());
                 }
+                let Ok(_) = gc_a.apply_message_from(1, m);
             }
             // heartbeat exchange advances stability
-            for m in gc_a.tick() { gc_b.on_gc_message(m); }
-            for m in gc_b.tick() { gc_a.on_gc_message(m); }
+            gc_a.tick_maintenance();
+            let Ok(_) = gc_b.apply_message_from(0, gc_a.heartbeat());
+            gc_b.tick_maintenance();
+            let Ok(_) = gc_a.apply_message_from(1, gc_b.heartbeat());
         }
-        prop_assert_eq!(gc_a.materialize(), plain.materialize());
-        prop_assert_eq!(gc_b.materialize(), plain.materialize());
+        prop_assert_eq!(gc_a.materialize_key(0), plain.materialize());
+        prop_assert_eq!(gc_b.materialize_key(0), plain.materialize());
     }
 }

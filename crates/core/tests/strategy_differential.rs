@@ -16,13 +16,16 @@
 //! exactly-once), so it gets its own schedule: random interleaving
 //! *across* senders, order preserved *within* each sender, with
 //! mid-run heartbeats to force compaction concurrent with delivery —
-//! checked in lockstep against a naive reference fed identically.
+//! checked in lockstep against a naive reference fed identically. It
+//! runs as the product does, a store under `GcFactory` (one key for
+//! the single object), which keeps the stability floor.
 
 mod common;
 
 use std::collections::VecDeque;
 use uc_core::{
-    state_digest, CachedReplica, GcMsg, GcReplica, GenericReplica, Replica, UndoReplica, UpdateMsg,
+    state_digest, CachedReplica, GcFactory, GenericReplica, Replica, StoreMsg, UcStore,
+    UndoReplica, UpdateMsg,
 };
 use uc_sim::SplitMix64;
 use uc_spec::{SetAdt, SetQuery, SetUpdate};
@@ -80,7 +83,12 @@ fn scenario(seed: u64) {
 
     // GC strategy: per-sender FIFO, exactly-once, with a lockstep
     // naive reference seeing the identical prefix.
-    let mut gc: GcReplica<SetAdt<u32>> = GcReplica::new(SetAdt::new(), 0, cluster);
+    let mut gc: UcStore<SetAdt<u32>, GcFactory> =
+        UcStore::new(SetAdt::new(), 0, 1, GcFactory { n: cluster });
+    let frame = |m: &Msg| StoreMsg::Update {
+        key: 0,
+        msg: m.clone(),
+    };
     let mut gc_ref: GenericReplica<SetAdt<u32>> = GenericReplica::new(SetAdt::new(), 0);
     let mut queues: Vec<VecDeque<Msg>> = streams
         .iter()
@@ -130,30 +138,29 @@ fn scenario(seed: u64) {
             }
         }
         if !burst.is_empty() {
+            let from = p as u32 + 1;
             if rng.next_u64().is_multiple_of(2) {
-                let gchunk: Vec<GcMsg<SetUpdate<u32>>> =
-                    burst.iter().map(|m| GcMsg::Update(m.clone())).collect();
-                gc.on_batch(gchunk);
+                gc.apply_batch_owned(burst.iter().map(frame).collect());
             } else {
                 for m in &burst {
-                    gc.on_gc_message(GcMsg::Update(m.clone()));
+                    let Ok(_) = gc.apply_message_from(from, frame(m));
                 }
             }
             for m in &burst {
                 gc_ref.on_deliver(m.clone());
             }
             // Occasionally the producer heartbeats its delivered
-            // prefix — safe under FIFO, and it forces compaction to
-            // happen *concurrently* with the remaining deliveries.
+            // prefix and the replica ticks (its own progress) — safe
+            // under FIFO, and it forces compaction to happen
+            // *concurrently* with the remaining deliveries.
             if rng.next_u64().is_multiple_of(3) {
-                gc.on_gc_message(GcMsg::Heartbeat {
-                    pid: p as u32 + 1,
-                    clock: burst.last().expect("nonempty").ts.clock,
-                });
+                let clock = burst.last().expect("nonempty").ts.clock;
+                let Ok(_) = gc.apply_message_from(from, StoreMsg::Heartbeat { pid: from, clock });
+                gc.tick_maintenance();
             }
         }
         assert_eq!(
-            gc.do_query(&SetQuery::Read),
+            gc.query(0, &SetQuery::Read),
             gc_ref.do_query(&SetQuery::Read),
             "gc diverged mid-run, seed {seed}"
         );
@@ -162,22 +169,20 @@ fn scenario(seed: u64) {
     // Drain what the GC pair has not seen yet.
     for (p, q) in queues.iter_mut().enumerate() {
         while let Some(m) = q.pop_front() {
-            gc.on_gc_message(GcMsg::Update(m.clone()));
+            let Ok(_) = gc.apply_message_from(p as u32 + 1, frame(&m));
             gc_ref.on_deliver(m);
         }
-        let _ = p;
     }
-    // Full stability: everyone (including the silent test replica)
-    // announces its final clock, then semantics must survive the
+    // Full stability: every producer announces the final clock and
+    // the silent test replica ticks, then semantics must survive the
     // resulting compaction.
-    for p in 0..cluster as u32 {
-        gc.on_gc_message(GcMsg::Heartbeat {
-            pid: p,
-            clock: gc.engine().clock(),
-        });
+    for pid in 1..cluster as u32 {
+        let clock = gc.clock();
+        let Ok(_) = gc.apply_message_from(pid, StoreMsg::Heartbeat { pid, clock });
     }
+    gc.tick_maintenance();
     assert!(
-        gc.compacted() > 0,
+        gc.engine(0).expect("key 0 written").strategy().compacted() > 0,
         "full heartbeat coverage must compact something, seed {seed}"
     );
 
@@ -189,7 +194,7 @@ fn scenario(seed: u64) {
     assert_eq!(digest, state_digest(&gc_ref.materialize()));
     assert_eq!(
         digest,
-        state_digest(&gc.materialize()),
+        state_digest(&gc.materialize_key(0)),
         "gc diverged after compaction, seed {seed}"
     );
 

@@ -2,24 +2,26 @@
 //! the event-driven `EventCluster` must be interchangeable executors.
 //!
 //! Driven in **lockstep** (quiesce after every invocation) the two
-//! runtimes see identical delivery schedules, so for all four repair
-//! strategies (Naive/Checkpoint/Undo/Gc) they must agree not just on
-//! converged states but on the *work* performed: repair events, repair
-//! steps, retained log lengths, and Lamport clocks. Driven **racy**
+//! runtimes see identical delivery schedules, so for the three
+//! full-log repair strategies (Naive/Checkpoint/Undo) they must agree
+//! not just on converged states but on the *work* performed: repair
+//! events, repair steps, retained log lengths, and Lamport clocks.
+//! Driven **racy**
 //! (all invocations in flight at once) interleavings — and therefore
 //! timestamps — legitimately differ from run to run, but the event
 //! runtime must still converge all of its replicas to a single state.
 //!
 //! The same pair of checks runs for the keyed sharded store under a
 //! zipfian multi-key workload ([`uc_sim::KeyedWorkloadSpec`]), under
-//! both of the store's strategies (Checkpoint/Gc) and, through the
-//! test-local [`NaiveEngines`]/[`UndoEngines`] factories, the two
+//! both of the store's strategies (Checkpoint/Gc — the GC strategy runs
+//! only there, where the store keeps its stability floor) and, through
+//! the test-local [`NaiveEngines`]/[`UndoEngines`] factories, the two
 //! engine-level strategies no product store runs.
 
 use uc_core::{
-    state_digest, CachedReplica, CheckpointFactory, GcFactory, GcReplica, GenericReplica,
-    NaiveReplay, OpInput, OpOutput, RepairStrategy, Replica, ReplicaEngine, ReplicaNode,
-    StoreInput, StrategyFactory, TimestampedMsg, UcStore, UndoRepair, UndoReplica,
+    state_digest, CachedReplica, CheckpointFactory, GcFactory, GenericReplica, NaiveReplay,
+    OpInput, OpOutput, RepairStrategy, ReplicaEngine, ReplicaNode, StoreInput, StrategyFactory,
+    UcStore, UndoRepair, UndoReplica,
 };
 use uc_runtime::EventCluster;
 use uc_sim::{
@@ -56,24 +58,6 @@ impl StrategyFactory<Adt> for UndoEngines {
     }
 }
 
-/// Uniform access to each variant's repair accounting (the engine
-/// aliases expose it directly; the GC wrapper through its engine).
-trait RepairCounters {
-    fn repair_counters(&self) -> (u64, u64);
-}
-
-impl<A: UqAdt, S: RepairStrategy<A>> RepairCounters for ReplicaEngine<A, S> {
-    fn repair_counters(&self) -> (u64, u64) {
-        (self.repair_events(), self.repair_steps())
-    }
-}
-
-impl<A: UqAdt> RepairCounters for GcReplica<A> {
-    fn repair_counters(&self) -> (u64, u64) {
-        (self.engine().repair_events(), self.engine().repair_steps())
-    }
-}
-
 /// What one replica looks like after a run, reduced to comparable
 /// numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,15 +69,11 @@ struct Fingerprint {
     clock: u64,
 }
 
-fn fingerprint<R>(replica: &mut R) -> Fingerprint
-where
-    R: Replica<Adt> + RepairCounters,
-{
-    let (repair_events, repair_steps) = replica.repair_counters();
+fn fingerprint<S: RepairStrategy<Adt>>(replica: &mut ReplicaEngine<Adt, S>) -> Fingerprint {
     Fingerprint {
         state: state_digest(&replica.materialize()),
-        repair_events,
-        repair_steps,
+        repair_events: replica.repair_events(),
+        repair_steps: replica.repair_steps(),
         log_len: replica.log_len(),
         clock: replica.clock(),
     }
@@ -144,11 +124,10 @@ where
 }
 
 /// Run one replica variant on both runtimes and compare.
-fn check_replica_variant<R, F>(make: F, seed: u64)
+fn check_replica_variant<S, F>(make: F, seed: u64)
 where
-    R: Replica<Adt> + RepairCounters + Send + 'static,
-    R::Msg: TimestampedMsg + Send,
-    F: Fn(Pid) -> R + Copy,
+    S: RepairStrategy<Adt> + Send + 'static,
+    F: Fn(Pid) -> ReplicaEngine<Adt, S> + Copy,
 {
     let ops = replica_ops(seed);
     let node = move |pid: Pid| ReplicaNode::untraced(make(pid));
@@ -163,7 +142,7 @@ where
         },
         node,
     );
-    let fp = |nodes: Vec<ReplicaNode<Adt, R>>| -> Vec<Fingerprint> {
+    let fp = |nodes: Vec<ReplicaNode<Adt, ReplicaEngine<Adt, S>>>| -> Vec<Fingerprint> {
         nodes
             .into_iter()
             .map(|mut n| fingerprint(&mut n.replica))
@@ -205,13 +184,6 @@ fn checkpoint_strategy_agrees_across_runtimes() {
 fn undo_strategy_agrees_across_runtimes() {
     for seed in [3u64, 99, 0xD00D] {
         check_replica_variant(|pid| UndoReplica::new(SetAdt::new(), pid), seed);
-    }
-}
-
-#[test]
-fn gc_strategy_agrees_across_runtimes() {
-    for seed in [4u64, 123, 0xF00D] {
-        check_replica_variant(|pid| GcReplica::new(SetAdt::new(), pid, N), seed);
     }
 }
 

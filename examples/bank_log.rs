@@ -2,13 +2,14 @@
 //! all the operations made on an account for years" — an append-only
 //! audit log plus a balance counter, replicated wait-free across
 //! branches, with stability-based GC compacting the counter's log
-//! while the audit log (deliberately) keeps everything.
+//! while the audit log (deliberately) keeps everything. The counter is
+//! a single object under GC: a store holding one key.
 //!
 //! ```text
 //! cargo run --example bank_log
 //! ```
 
-use update_consistency::core::{GcReplica, GenericReplica, Replica};
+use update_consistency::core::{GcFactory, GenericReplica, UcStore};
 use update_consistency::spec::log::{Append, LogAdt, LogQuery};
 use update_consistency::spec::{CounterAdt, CounterUpdate};
 
@@ -26,9 +27,9 @@ fn main() {
     let mut audit0: GenericReplica<LogAdt<Tx>> = GenericReplica::new(LogAdt::new(), 0);
     let mut audit1: GenericReplica<LogAdt<Tx>> = GenericReplica::new(LogAdt::new(), 1);
     // The balance: a commutative counter with stability GC — old
-    // deltas fold into the base.
-    let mut bal0: GcReplica<CounterAdt> = GcReplica::new(CounterAdt, 0, n);
-    let mut bal1: GcReplica<CounterAdt> = GcReplica::new(CounterAdt, 1, n);
+    // deltas fold into the base. Key 0 is the account.
+    let mut bal0: UcStore<CounterAdt, GcFactory> = UcStore::new(CounterAdt, 0, 1, GcFactory { n });
+    let mut bal1: UcStore<CounterAdt, GcFactory> = UcStore::new(CounterAdt, 1, 1, GcFactory { n });
 
     let txs = [
         (0u32, 500i64, "payroll"),
@@ -50,21 +51,19 @@ fn main() {
         if branch == 0 {
             let m = audit0.update(Append(tx.clone()));
             audit1.on_deliver(m);
-            let m = bal0.update(CounterUpdate::Add(amount));
-            bal1.on_gc_message(m);
+            let m = bal0.update(0, CounterUpdate::Add(amount));
+            let Ok(_) = bal1.apply_message_from(0, m);
         } else {
             let m = audit1.update(Append(tx.clone()));
             audit0.on_deliver(m);
-            let m = bal1.update(CounterUpdate::Add(amount));
-            bal0.on_gc_message(m);
+            let m = bal1.update(0, CounterUpdate::Add(amount));
+            let Ok(_) = bal0.apply_message_from(1, m);
         }
         // Periodic heartbeats let stability advance.
-        for m in bal0.tick() {
-            bal1.on_gc_message(m);
-        }
-        for m in bal1.tick() {
-            bal0.on_gc_message(m);
-        }
+        bal0.tick_maintenance();
+        let Ok(_) = bal1.apply_message_from(0, bal0.heartbeat());
+        bal1.tick_maintenance();
+        let Ok(_) = bal0.apply_message_from(1, bal1.heartbeat());
     }
 
     // Both branches agree on the full, ordered statement...
@@ -79,8 +78,8 @@ fn main() {
         println!("  branch {} {:>6} {}", tx.branch, tx.amount, tx.memo);
     }
     // ...and on the balance.
-    let b0 = bal0.materialize();
-    let b1 = bal1.materialize();
+    let b0 = bal0.materialize_key(0);
+    let b1 = bal1.materialize_key(0);
     assert_eq!(b0, b1);
     println!("\nbalance: {b0}");
     assert_eq!(b0, txs.iter().map(|t| t.1).sum::<i64>());
@@ -93,8 +92,8 @@ fn main() {
     );
     println!(
         "balance log retains {} entries ({} folded into the base by GC).",
-        bal0.log_len(),
-        bal0.compacted()
+        bal0.total_log_len(),
+        bal0.engine(0).map_or(0, |e| e.strategy().compacted())
     );
     // The Len query on the log ADT works too:
     let len = audit0.do_query(&LogQuery::Len);
