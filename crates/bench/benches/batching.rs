@@ -90,7 +90,7 @@ fn bench_strategy<R>(
     log_len: u64,
     reps: usize,
 ) where
-    R: Replica<SetAdt<u32>, Msg = Msg> + Clone,
+    R: Replica<SetAdt<u32>> + Clone,
 {
     for pattern in ["head", "spread"] {
         for k in KS {

@@ -599,21 +599,19 @@ impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> ReplicaEngine<A, S, B> {
 /// floor of its own to drain through, so the GC variant runs as a
 /// store instead.
 impl<A: UqAdt, S: RepairStrategy<A>, B: LogBackend<A>> Replica<A> for ReplicaEngine<A, S, B> {
-    type Msg = UpdateMsg<A::Update>;
-
     fn pid(&self) -> u32 {
         ReplicaEngine::pid(self)
     }
 
-    fn local_update(&mut self, u: A::Update) -> Vec<Self::Msg> {
-        vec![self.update(u)]
+    fn local_update(&mut self, u: A::Update) -> UpdateMsg<A::Update> {
+        self.update(u)
     }
 
-    fn on_message(&mut self, msg: Self::Msg) {
+    fn on_message(&mut self, msg: UpdateMsg<A::Update>) {
         self.on_deliver(msg);
     }
 
-    fn on_batch(&mut self, msgs: Vec<Self::Msg>) {
+    fn on_batch(&mut self, msgs: Vec<UpdateMsg<A::Update>>) {
         self.on_deliver_batch(msgs);
     }
 

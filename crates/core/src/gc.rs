@@ -73,19 +73,17 @@ use uc_spec::UqAdt;
 /// peer — and costs where it does not: most logs hold a few entries
 /// between two heartbeats, each compaction that overtakes the fold
 /// sends it cold (rule 3 below), and the cold read then copied `base`
-/// into `scratch` and the answer out of `scratch` again. So a read
+/// into the kept fold and the answer out of it again. So a read
 /// ([`RepairStrategy::answer`]) takes one of four paths:
 ///
-/// * a **shared fold** (`rotation` is set, see *A shared fold*)
-///   answers from `front`;
+/// * a **shared fold** (see *A shared fold*) answers from `front`;
 /// * an **empty log** answers from `base`;
 /// * the **kept fold**, while it is warm or once the retained log
 ///   holds at least `KEPT_FOLD_MIN` (8) entries: a warm read applies
 ///   the tail, a cold one builds the fold;
 /// * otherwise a **fresh fold**: clone `base`, replay the retained log
 ///   into the clone and answer with it by [`UqAdt::observe_owned`] —
-///   one copy of the state, not two. `scratch` and `folded` are left
-///   as they were.
+///   one copy of the state, not two. No fold is kept.
 ///
 /// [`current_state`](RepairStrategy::current_state) (a materialization,
 /// a cut read covering the whole log, a monitor's check) always takes
@@ -93,13 +91,14 @@ use uc_spec::UqAdt;
 ///
 /// # The kept fold
 ///
-/// The cache is **cold** (`folded` is `None`: the kept fold means
-/// nothing) or **warm** (it folds every update this replica ever held
-/// stamped at or below `folded`, compacted or retained). A warm read
+/// The kept fold lives in a box of its own (`kept`), which a key holds
+/// only while it keeps a fold. The cache is **cold** (no fold is kept)
+/// or **warm** (it folds every update this replica ever held stamped
+/// at or below `folded`, compacted or retained). A warm read
 /// applies only the log's tail above `folded`; a cold read clones
 /// `base` and replays the whole retained log; a read of an empty log
 /// answers from `base` and leaves the cache as it was. The cache
-/// starts cold, and three events send it cold again:
+/// starts cold, and three events send it cold again, dropping its box:
 ///
 /// 1. an insertion stamped at or below `folded` — the late message of
 ///    §VII-C, the only arrival that reorders what was folded;
@@ -107,15 +106,15 @@ use uc_spec::UqAdt;
 ///    replaces the history under the cache;
 /// 3. a compaction that drains an entry stamped above `folded` —
 ///    `base` would then hold an update the fold lacks and the tail no
-///    longer carries. Compaction never writes to `scratch`, so a key
-///    nobody reads keeps one copy of its state.
+///    longer carries. Compaction never builds a fold, so a key
+///    nobody reads keeps one copy of its state and no box.
 ///
 /// # A shared fold
 ///
 /// The first [`shared_state`](RepairStrategy::shared_state) call moves
-/// the kept fold out of `scratch` into an `Arc` and hands that out —
-/// a publication is a refcount bump, not a copy. From then on the key
-/// keeps two buffers taking turns (the rotation): `front`, the
+/// the kept fold into an `Arc` and hands that out — a publication is a
+/// refcount bump, not a copy. From then on the key's box holds two
+/// buffers taking turns (the rotation), cold or warm: `front`, the
 /// kept fold; `back`, the generation before it; and `owed`, the
 /// updates that take `back` to `front`. An advance writes `front` in
 /// place while nobody else holds it; when somebody does (the pool's
@@ -145,7 +144,8 @@ use uc_spec::UqAdt;
 /// a persisted base. A view of a whole buffer is read where it is. For
 /// a shared fold the rules above read:
 ///
-/// * rules 1 and 2 hold as they are. Rule 1 materializes a viewed base
+/// * rules 1 and 2 hold as they are, except that they keep the box:
+///   `folded` goes `None`. Rule 1 materializes a viewed base
 ///   first; rule 2 replaces the base, so its view is forgotten. The
 ///   cold rebuild starts a new `front` (one copy of `base`) and forgets
 ///   `back`: nothing relates the old generation to the new one;
@@ -157,7 +157,7 @@ use uc_spec::UqAdt;
 ///   no view and materializes nothing. (A cold fold stays cold; it
 ///   drains into a base of its own and is rebuilt from it.) Such a key
 ///   holds its state twice — `front` and `back` — where it used to be
-///   four times: `base`, `scratch` and the two copies in the cell;
+///   four times: `base`, a private fold and the two copies in the cell;
 /// * a read of an empty log answers `front` — there is no `Arc` of
 ///   `base` to hand out. Warm, `front` already equals the base (its
 ///   view is `front`); cold, it is rebuilt from `base` once. Either way
@@ -175,15 +175,10 @@ pub struct StableGc<A: UqAdt> {
     /// Fold of the compacted stable prefix — `adt.initial()` while a
     /// shared fold's view says where in its buffers that fold is.
     base: A::State,
-    /// The cached query-time fold of a key that was never shared;
-    /// meaningful only while `folded` is `Some` and `rotation` is
-    /// `None`.
-    scratch: A::State,
-    /// The kept fold of a key that was shared; boxed, so that a key
-    /// that never is grows by one pointer.
-    rotation: Option<Box<Rotation<A>>>,
-    /// Highest timestamp folded into the kept fold; `None` = cold.
-    folded: Option<Timestamp>,
+    /// The kept fold, while the key keeps one; boxed, so that a key
+    /// that keeps none grows by one pointer. A private fold is dropped
+    /// when it goes cold; a shared one stays, cold or warm.
+    kept: Option<Box<Kept<A>>>,
     /// Updates folded for reads: by a fresh fold, a refold or a tail
     /// apply.
     fold_steps: u64,
@@ -196,6 +191,18 @@ pub struct StableGc<A: UqAdt> {
     /// ([`RepairStrategy::raise_floor`]); the next compaction drains
     /// through it.
     floor: u64,
+}
+
+/// A key's kept fold — see *The kept fold* and *A shared fold* on
+/// [`StableGc`].
+#[derive(Clone, Debug)]
+enum Kept<A: UqAdt> {
+    /// The warm fold of a key that was never shared: `state` folds
+    /// every update this replica ever held stamped at or below
+    /// `folded`.
+    Own { state: A::State, folded: Timestamp },
+    /// The fold of a key that was shared, warm or cold.
+    Shared(Rotation<A>),
 }
 
 /// The longest `owed` a key keeps. Past it `back` is dropped instead
@@ -219,6 +226,8 @@ const KEPT_FOLD_MIN: usize = 8;
 struct Rotation<A: UqAdt> {
     /// The kept fold, handed out by refcount bump.
     front: Arc<A::State>,
+    /// Highest timestamp folded into `front`; `None` = cold.
+    folded: Option<Timestamp>,
     /// The generation before `front`; `None` when there is none worth
     /// keeping.
     back: Option<Arc<A::State>>,
@@ -359,9 +368,7 @@ impl<A: UqAdt> StableGc<A> {
     pub fn new(adt: &A) -> Self {
         StableGc {
             base: adt.initial(),
-            scratch: adt.initial(),
-            rotation: None,
-            folded: None,
+            kept: None,
             fold_steps: 0,
             compacted: 0,
             bound: 0,
@@ -400,13 +407,15 @@ impl<A: UqAdt> StableGc<A> {
     /// a key that was never shared runs the code it always ran.
     #[inline(never)]
     fn shared_fold<B: LogBackend<A>>(&mut self, adt: &A, log: &UpdateLog<A, B>) -> &A::State {
-        let rotation = self.rotation.as_mut().expect("a shared fold");
+        let Some(Kept::Shared(rotation)) = self.kept.as_deref_mut() else {
+            unreachable!("a shared fold");
+        };
         // Over an empty log all that is held is in `base`, which folds
         // through the bound.
         let newest = log
             .last_timestamp()
             .unwrap_or(Timestamp::new(self.bound, u32::MAX));
-        match self.folded {
+        match rotation.folded {
             Some(folded) if folded == newest => {}
             Some(folded) => {
                 let (tail, _) = log.suffix_window(0, Some(folded), usize::MAX);
@@ -419,14 +428,14 @@ impl<A: UqAdt> StableGc<A> {
                 rotation.restart(adt.run_updates_from(self.base.clone(), updates));
             }
         }
-        self.folded = Some(newest);
+        rotation.folded = Some(newest);
         &rotation.front
     }
 
     /// The base as a state: `base` itself, or the whole buffer a shared
     /// fold's view names; a view inside `owed` is materialized first.
     fn base_state(&mut self, adt: &A) -> &A::State {
-        let Some(rotation) = self.rotation.as_deref_mut() else {
+        let Some(Kept::Shared(rotation)) = self.kept.as_deref_mut() else {
             return &self.base;
         };
         match rotation.view {
@@ -442,8 +451,12 @@ impl<A: UqAdt> StableGc<A> {
 
     fn try_compact<B: LogBackend<A>>(&mut self, adt: &A, log: &mut UpdateLog<A, B>) {
         self.bound = self.bound.max(self.floor);
-        if let (Some(_), Some(folded)) = (&self.rotation, self.folded) {
-            return self.compact_shared(adt, log, folded);
+        if let Some(Kept::Shared(Rotation {
+            folded: Some(folded),
+            ..
+        })) = self.kept.as_deref()
+        {
+            return self.compact_shared(adt, log, *folded);
         }
         let (base, compacted) = (&mut self.base, &mut self.compacted);
         let Some(last) = log.drain_stable_prefix(self.bound, |u| {
@@ -452,8 +465,8 @@ impl<A: UqAdt> StableGc<A> {
         }) else {
             return;
         };
-        if self.folded.is_some_and(|folded| last > folded) {
-            self.folded = None;
+        if matches!(self.kept.as_deref(), Some(Kept::Own { folded, .. }) if last > *folded) {
+            self.kept = None;
         }
     }
 
@@ -468,7 +481,9 @@ impl<A: UqAdt> StableGc<A> {
         log: &mut UpdateLog<A, B>,
         folded: Timestamp,
     ) {
-        let rotation = self.rotation.as_deref_mut().expect("a shared fold");
+        let Some(Kept::Shared(rotation)) = self.kept.as_deref_mut() else {
+            unreachable!("a shared fold");
+        };
         let (tail, _) = log.suffix_window(0, Some(folded), usize::MAX);
         let held = log.len() - tail.len();
         debug_assert!(
@@ -486,7 +501,7 @@ impl<A: UqAdt> StableGc<A> {
             // base is about to be `front`, so no view of it is kept
             // through the advance, and none is materialized.
             rotation.view = None;
-            self.folded = Some(*last);
+            rotation.folded = Some(*last);
             let replayed = rotation.advance(adt, stable, &mut self.base);
             self.fold_steps += (stable.len() + replayed) as u64;
         }
@@ -518,14 +533,16 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
             "stability violated: insert at or below bound {}",
             self.bound
         );
-        if let (Some(folded), Some((ts, _))) = (self.folded, log.get(pos)) {
-            if *ts <= folded {
-                self.folded = None;
-                if let Some(rotation) = &mut self.rotation {
+        if let Some(&(ts, _)) = log.get(pos) {
+            match self.kept.as_deref_mut() {
+                Some(Kept::Own { folded, .. }) if ts <= *folded => self.kept = None,
+                Some(Kept::Shared(rotation)) if rotation.folded.is_some_and(|f| ts <= f) => {
+                    rotation.folded = None;
                     // The rebuild replaces both buffers: a base they
                     // hold needs a state of its own first.
                     self.fold_steps += rotation.materialize(adt, &mut self.base) as u64;
                 }
+                _ => {}
             }
         }
         self.try_compact(adt, log);
@@ -551,28 +568,32 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     }
 
     fn current_state<B: LogBackend<A>>(&mut self, adt: &A, log: &UpdateLog<A, B>) -> &A::State {
-        if self.rotation.is_some() {
+        if let Some(Kept::Shared(_)) = self.kept.as_deref() {
             return self.shared_fold(adt, log);
         }
         let Some(newest) = log.last_timestamp() else {
             return &self.base;
         };
-        match self.folded {
-            Some(folded) if folded == newest => return &self.scratch,
-            Some(folded) => {
-                let (tail, _) = log.suffix_window(0, Some(folded), usize::MAX);
-                self.fold_steps += tail.len() as u64;
-                for (_, u) in tail {
-                    adt.apply(&mut self.scratch, u);
-                }
+        let kept = self.kept.get_or_insert_with(|| {
+            self.fold_steps += log.len() as u64;
+            let state = adt.run_updates_from(self.base.clone(), log.iter().map(|(_, u)| u));
+            Box::new(Kept::Own {
+                state,
+                folded: newest,
+            })
+        });
+        let Kept::Own { state, folded } = &mut **kept else {
+            unreachable!("a shared fold answered above");
+        };
+        if *folded != newest {
+            let (tail, _) = log.suffix_window(0, Some(*folded), usize::MAX);
+            self.fold_steps += tail.len() as u64;
+            for (_, u) in tail {
+                adt.apply(state, u);
             }
-            None => {
-                self.fold_steps += log.len() as u64;
-                self.scratch = adt.run_updates_from(self.base.clone(), log.iter().map(|(_, u)| u));
-            }
+            *folded = newest;
         }
-        self.folded = Some(newest);
-        &self.scratch
+        state
     }
 
     /// A read on one of the four paths of *Which fold a read takes* on
@@ -584,9 +605,7 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
         log: &UpdateLog<A, B>,
         q: &A::QueryIn,
     ) -> A::QueryOut {
-        let fresh = self.rotation.is_none()
-            && self.folded.is_none()
-            && (1..KEPT_FOLD_MIN).contains(&log.len());
+        let fresh = self.kept.is_none() && (1..KEPT_FOLD_MIN).contains(&log.len());
         if !fresh {
             return adt.observe(self.current_state(adt, log), q);
         }
@@ -596,7 +615,7 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     }
 
     fn holds_fold(&self) -> bool {
-        self.folded.is_some() || self.rotation.is_some()
+        self.kept.is_some()
     }
 
     /// The kept fold itself, by refcount bump — see *A shared fold* on
@@ -606,19 +625,25 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
         adt: &A,
         log: &UpdateLog<A, B>,
     ) -> (Arc<A::State>, bool) {
-        if self.rotation.is_none() {
-            // Whatever the fold is worth (`folded` says) moves along.
-            let front = std::mem::replace(&mut self.scratch, adt.initial());
-            self.rotation = Some(Box::new(Rotation {
+        if !matches!(self.kept.as_deref(), Some(Kept::Shared(_))) {
+            // A warm fold moves along; a cold one is rebuilt.
+            let (front, folded) = match self.kept.take().map(|kept| *kept) {
+                Some(Kept::Own { state, folded }) => (state, Some(folded)),
+                _ => (adt.initial(), None),
+            };
+            self.kept = Some(Box::new(Kept::Shared(Rotation {
                 front: Arc::new(front),
+                folded,
                 back: None,
                 owed: Vec::new(),
                 view: None,
                 copied: false,
-            }));
+            })));
         }
         self.shared_fold(adt, log);
-        let rotation = self.rotation.as_mut().expect("made above");
+        let Some(Kept::Shared(rotation)) = self.kept.as_deref_mut() else {
+            unreachable!("made above");
+        };
         let copied = std::mem::take(&mut rotation.copied);
         (Arc::clone(&rotation.front), copied)
     }
@@ -661,9 +686,12 @@ impl<A: UqAdt> RepairStrategy<A> for StableGc<A> {
     fn install_base(&mut self, _adt: &A, bound: u64, state: A::State) -> bool {
         self.base = state;
         self.bound = bound;
-        self.folded = None;
-        if let Some(rotation) = &mut self.rotation {
-            rotation.view = None;
+        match self.kept.as_deref_mut() {
+            Some(Kept::Shared(rotation)) => {
+                rotation.folded = None;
+                rotation.view = None;
+            }
+            _ => self.kept = None,
         }
         true
     }
@@ -677,6 +705,29 @@ mod tests {
     use crate::store::{GcFactory, StoreMsg, UcStore};
     use std::collections::BTreeSet;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
+
+    impl<A: UqAdt> StableGc<A> {
+        /// Highest timestamp the kept fold folds; `None` = cold.
+        fn folded(&self) -> Option<Timestamp> {
+            match self.kept.as_deref()? {
+                Kept::Own { folded, .. } => Some(*folded),
+                Kept::Shared(rotation) => rotation.folded,
+            }
+        }
+
+        /// The kept fold, if it was shared.
+        fn rotation(&self) -> Option<&Rotation<A>> {
+            match self.kept.as_deref()? {
+                Kept::Own { .. } => None,
+                Kept::Shared(rotation) => Some(rotation),
+            }
+        }
+    }
+
+    #[test]
+    fn a_key_that_keeps_no_fold_pays_one_pointer_for_it() {
+        assert!(std::mem::size_of::<StableGc<SetAdt<u32>>>() <= 64);
+    }
 
     /// A single object under GC: a store with one key, 0.
     type R = UcStore<SetAdt<u32>, GcFactory>;
@@ -844,8 +895,8 @@ mod tests {
         for reads in 1..=3 {
             assert_eq!(read(&mut a), (0..len).collect::<BTreeSet<u32>>());
             let s = strategy(&a);
-            assert_eq!(s.folded, None, "no fold kept");
-            assert!(s.scratch.is_empty(), "a fresh fold wrote to scratch");
+            assert_eq!(s.folded(), None, "no fold kept");
+            assert!(s.kept.is_none(), "a fresh fold kept a state");
             assert!(!s.holds_fold());
             assert_eq!(fold_steps(&a), reads * u64::from(len));
         }
@@ -860,8 +911,11 @@ mod tests {
             assert_eq!(fold_steps(&a), u64::from(len), "built once");
         }
         let s = strategy(&a);
-        assert!(s.folded.is_some() && s.holds_fold());
-        assert_eq!(s.scratch.len(), len as usize);
+        assert!(s.folded().is_some() && s.holds_fold());
+        let Some(Kept::Own { state, .. }) = s.kept.as_deref() else {
+            panic!("a private fold");
+        };
+        assert_eq!(state.len(), len as usize);
     }
 
     #[test]
@@ -911,9 +965,9 @@ mod tests {
         assert_eq!(compacted(&a), 12);
         let s = strategy(&a);
         assert_eq!(s.fold_steps, 0);
-        assert_eq!(s.folded, None);
-        assert!(s.scratch.is_empty(), "compaction wrote to scratch");
-        assert!(s.rotation.is_none(), "never shared, never rotated");
+        assert_eq!(s.folded(), None);
+        assert!(s.kept.is_none(), "compaction kept a fold");
+        assert!(s.rotation().is_none(), "never shared, never rotated");
     }
 
     #[test]
@@ -928,7 +982,7 @@ mod tests {
         }
         // Drains clocks 1..=12: three entries the cache never folded.
         deliver(&mut a, 1, StoreMsg::Heartbeat { pid: 1, clock: 12 });
-        assert_eq!(strategy(&a).folded, None);
+        assert_eq!(strategy(&a).folded(), None);
         assert_eq!(read(&mut a), (0..16).collect::<BTreeSet<u32>>());
     }
 
@@ -1155,8 +1209,8 @@ mod tests {
             assert_eq!(flagged, 2, "and says so");
             assert_eq!(steady, 2 * 4 * 48, "one apply per buffer, none into `base`");
             let strategy = e.strategy();
-            assert!(strategy.folded.is_some(), "compaction never sent it cold");
-            let rotation = strategy.rotation.as_ref().expect("shared");
+            assert!(strategy.folded().is_some(), "compaction never sent it cold");
+            let rotation = strategy.rotation().expect("shared");
             assert_eq!(rotation.view, Some(View::Front), "the base is `front`");
             assert_eq!(strategy.base, CountedSet.initial());
             // Each update folded once per buffer (the first four went
@@ -1291,7 +1345,7 @@ mod tests {
                 (&*first, &*next),
                 (&BTreeSet::from([1]), &BTreeSet::from([1, 2]))
             );
-            assert_eq!(e.strategy().folded, Some(Timestamp::new(2, u32::MAX)));
+            assert_eq!(e.strategy().folded(), Some(Timestamp::new(2, u32::MAX)));
         }
 
         #[test]
@@ -1404,7 +1458,7 @@ mod tests {
                 e.update(SetUpdate::Insert(i));
                 assert_eq!(e.do_query(&SetQuery::Read).len() as u32, i + 1);
             }
-            let rotation = e.strategy().rotation.as_ref().expect("shared once");
+            let rotation = e.strategy().rotation().expect("shared once");
             assert!(rotation.back.is_none() && rotation.owed.is_empty());
         }
 
@@ -1454,7 +1508,7 @@ mod tests {
             }
 
             fn view(&self) -> Option<View> {
-                self.e.strategy().rotation.as_ref().expect("shared").view
+                self.e.strategy().rotation().expect("shared").view
             }
 
             fn bound(&self) -> u64 {
@@ -1504,7 +1558,7 @@ mod tests {
                 let _ = k.e.do_query(&());
             }
             assert_eq!(copies() - before, 1, "the base, as `back` was dropped");
-            let rotation = k.e.strategy().rotation.as_ref().expect("shared");
+            let rotation = k.e.strategy().rotation().expect("shared");
             assert!(rotation.back.is_none());
             k.assert_materialized();
         }
@@ -1582,12 +1636,12 @@ mod tests {
             let _ = s.shared_state(&adt, &log);
             s.raise_floor(2);
             s.maintain(&adt, &mut log);
-            assert_eq!(s.rotation.as_ref().expect("shared").view, Some(View::Front));
+            assert_eq!(s.rotation().expect("shared").view, Some(View::Front));
             assert_eq!(s.base, adt.initial());
             let before = copies();
             assert!(s.install_base(&adt, 5, Counted(BTreeSet::from([7]))));
             assert_eq!(copies(), before, "the base is replaced, not materialized");
-            assert_eq!(s.rotation.as_ref().expect("shared").view, None);
+            assert_eq!(s.rotation().expect("shared").view, None);
             let (state, copied) = s.shared_state(&adt, &log);
             assert!(copied, "the rebuild");
             assert_eq!(copies() - before, 1);
@@ -1614,7 +1668,7 @@ mod tests {
             naive.on_deliver(late);
             assert_eq!(copies() - before, 1, "the base, out of the shared `back`");
             let strategy = twin.strategy();
-            assert_eq!(strategy.rotation.as_ref().expect("shared").view, None);
+            assert_eq!(strategy.rotation().expect("shared").view, None);
             let twin_bound = strategy.stability_bound();
             assert_eq!(
                 strategy.base.0,

@@ -52,6 +52,7 @@ pub mod observe;
 pub mod pool;
 pub mod replica;
 pub mod sim_adapter;
+mod slots;
 pub mod snapshot;
 pub mod store;
 pub mod timestamp;

@@ -98,17 +98,15 @@ where
     X: Clone + Debug + Eq + Ord + Hash,
     V: Clone + Debug + Eq + Hash,
 {
-    type Msg = MemWrite<X, V>;
-
     fn pid(&self) -> u32 {
         self.pid
     }
 
-    fn local_update(&mut self, u: MemoryUpdate<X, V>) -> Vec<Self::Msg> {
-        vec![self.write(u.register, u.value)]
+    fn local_update(&mut self, u: MemoryUpdate<X, V>) -> MemWrite<X, V> {
+        self.write(u.register, u.value)
     }
 
-    fn on_message(&mut self, msg: Self::Msg) {
+    fn on_message(&mut self, msg: MemWrite<X, V>) {
         self.on_deliver(msg);
     }
 

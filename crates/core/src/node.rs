@@ -291,6 +291,8 @@ impl<X: Executor> Node<X> {
             reg.gauge("uc_store_log_capacity")
                 .set(s.log_capacity as i64);
             reg.gauge("uc_store_kept_folds").set(s.kept_folds as i64);
+            reg.gauge("uc_store_slot_bytes").set(s.slot_bytes as i64);
+            reg.gauge("uc_store_index_bytes").set(s.index_bytes as i64);
             reg.gauge("uc_store_live_keys").set(s.live_keys as i64);
             reg.counter("uc_store_repair_events_total")
                 .set(s.repair_events);

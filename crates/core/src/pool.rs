@@ -1817,6 +1817,8 @@ mod tests {
                 "uc_store_live_keys",
                 "uc_store_log_capacity",
                 "uc_store_kept_folds",
+                "uc_store_slot_bytes",
+                "uc_store_index_bytes",
                 "uc_store_stability_floor",
             ];
             let counters = [

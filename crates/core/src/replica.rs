@@ -1,7 +1,7 @@
 //! The replica abstraction shared by Algorithm 1, its optimised
 //! variants, and Algorithm 2.
 
-use std::fmt::Debug;
+use crate::message::UpdateMsg;
 use uc_spec::UqAdt;
 
 /// A wait-free replica of a UQ-ADT object.
@@ -9,26 +9,23 @@ use uc_spec::UqAdt;
 /// The contract mirrors Algorithm 1's interface:
 /// * [`Replica::local_update`] performs an update locally (applying it
 ///   to the replica's own knowledge immediately — the sender receives
-///   its broadcast instantaneously) and returns the messages to
+///   its broadcast instantaneously) and returns the message to
 ///   reliably broadcast to every other process;
 /// * [`Replica::on_message`] ingests a peer's message;
 /// * [`Replica::query`] answers from local knowledge only (it may
 ///   mutate caches and the Lamport clock, hence `&mut`);
 /// * nothing ever waits: both operations complete synchronously.
 pub trait Replica<A: UqAdt> {
-    /// Wire message type.
-    type Msg: Clone + Debug;
-
     /// This replica's process id.
     fn pid(&self) -> u32;
 
-    /// Apply an update locally; returns messages to broadcast to every
-    /// other process.
-    fn local_update(&mut self, u: A::Update) -> Vec<Self::Msg>;
+    /// Apply an update locally; returns the stamped update to
+    /// broadcast to every other process.
+    fn local_update(&mut self, u: A::Update) -> UpdateMsg<A::Update>;
 
     /// Ingest a message from a peer; the runtimes hand it over by
     /// value.
-    fn on_message(&mut self, msg: Self::Msg);
+    fn on_message(&mut self, msg: UpdateMsg<A::Update>);
 
     /// Ingest a whole burst of peer messages at once. The default is a
     /// per-message loop; replicas built on the
@@ -36,7 +33,7 @@ pub trait Replica<A: UqAdt> {
     /// merge the batch into the log with a **single**
     /// rollback-and-refold, moving the updates in, which is the
     /// batching hot path both `uc-sim` runtimes flush through.
-    fn on_batch(&mut self, msgs: Vec<Self::Msg>) {
+    fn on_batch(&mut self, msgs: Vec<UpdateMsg<A::Update>>) {
         for m in msgs {
             self.on_message(m);
         }

@@ -48,7 +48,7 @@ pub enum OpOutput<A: UqAdt> {
     /// growth condition constrains), populated when tracing.
     Ack {
         /// Timestamp assigned to the update.
-        ts: Option<Timestamp>,
+        ts: Timestamp,
         /// Timestamps visible at this update (including itself).
         seen: Vec<Timestamp>,
     },
@@ -116,28 +116,22 @@ impl<A: UqAdt, R: Replica<A>> ReplicaNode<A, R> {
     }
 }
 
-impl<A, R> Protocol for ReplicaNode<A, R>
-where
-    A: UqAdt,
-    R: Replica<A, Msg = UpdateMsg<A::Update>>,
-{
-    type Msg = R::Msg;
+impl<A: UqAdt, R: Replica<A>> Protocol for ReplicaNode<A, R> {
+    type Msg = UpdateMsg<A::Update>;
     type Input = OpInput<A>;
     type Output = OpOutput<A>;
 
     fn on_invoke(&mut self, input: Self::Input, ctx: &mut Ctx<'_, Self::Msg>) -> Self::Output {
         match input {
             OpInput::Update(u) => {
-                let msgs = self.replica.local_update(u);
-                let ts = msgs.first().map(|m| m.ts);
+                let msg = self.replica.local_update(u);
+                let ts = msg.ts;
                 let seen = if self.record_visibility {
                     self.replica.known_timestamps()
                 } else {
                     Vec::new()
                 };
-                for m in msgs {
-                    ctx.broadcast_others(m);
-                }
+                ctx.broadcast_others(msg);
                 OpOutput::Ack { ts, seen }
             }
             OpInput::Query(q) => {
@@ -176,9 +170,6 @@ where
 pub enum TraceError {
     /// The underlying history failed to build.
     Build(BuildError),
-    /// An update record carried no timestamp, or a query record an
-    /// ack: a record [`ReplicaNode`] did not produce.
-    MissingTimestamp(usize),
     /// A query record referenced a timestamp with no matching update
     /// event.
     UnknownTimestamp(Timestamp),
@@ -188,9 +179,6 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Build(e) => write!(f, "history build failed: {e}"),
-            TraceError::MissingTimestamp(i) => {
-                write!(f, "update record #{i} has no timestamp")
-            }
             TraceError::UnknownTimestamp(ts) => {
                 write!(f, "query saw unknown update timestamp {ts:?}")
             }
@@ -235,6 +223,11 @@ pub enum OmegaMarking<'a> {
 /// Convert a simulation trace into a [`History`] plus the SUC witness
 /// Algorithm 1's replicas imply: `≤` is the timestamp order, and each
 /// query's visible set is the log it replayed.
+///
+/// # Panics
+///
+/// On a record [`ReplicaNode`] does not produce: an update answered
+/// with a value, a query with an ack, a pid outside `0..n`.
 pub fn trace_to_history<A, P>(
     adt: A,
     n: usize,
@@ -287,10 +280,7 @@ where
     for (i, r) in records.iter().enumerate() {
         let p = procs[r.pid as usize];
         match (&r.input, &r.output) {
-            (OpInput::Update(u), out) => {
-                let OpOutput::Ack { ts: Some(ts), seen } = out else {
-                    return Err(TraceError::MissingTimestamp(i));
-                };
+            (OpInput::Update(u), OpOutput::Ack { ts, seen }) => {
                 let e = b.update(p, u.clone());
                 ts_to_event.push((*ts, e));
                 if !seen.is_empty() {
@@ -310,11 +300,7 @@ where
                 };
                 pending_queries.push((e, seen.clone()));
             }
-            // An update answered with Value or a query with Ack cannot
-            // be produced by ReplicaNode.
-            (OpInput::Query(_), OpOutput::Ack { .. }) => {
-                return Err(TraceError::MissingTimestamp(i))
-            }
+            (_, output) => panic!("record #{i} answered with {output:?}: not a ReplicaNode's"),
         }
     }
     for (p, qi, out, seen) in deferred {

@@ -85,11 +85,12 @@ use crate::heal::{digest_slot, HealDigest, Healer, RANGES};
 use crate::log::Buffer;
 use crate::message::UpdateMsg;
 use crate::node::{Executor, Node};
+use crate::slots::SlotIndex;
 use crate::timestamp::{LamportClock, Timestamp};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use uc_criteria::online::{MonitorConfig, MonitorStats, OnlineMonitor};
 use uc_history::fxhash::FxHasher;
 use uc_obs::{TraceKind, TraceRing};
@@ -574,6 +575,21 @@ struct Slot<A: UqAdt, S, B> {
     offered: bool,
 }
 
+impl<A: UqAdt, S, B> Slot<A, S, B> {
+    /// A new key's slot, on no list.
+    fn new(key: Key, engine: ReplicaEngine<A, S, B>) -> Self {
+        Slot {
+            key,
+            engine,
+            live: false,
+            unflushed: false,
+            unpublished: false,
+            class: CLASSES as u8 - 1,
+            offered: false,
+        }
+    }
+}
+
 /// One shard: the keys (and their engines) that hash to it, plus its
 /// own global index (the coordinate backend factories open per-key
 /// storage under). Crate visibility: shards are the unit of ownership
@@ -581,12 +597,13 @@ struct Slot<A: UqAdt, S, B> {
 /// workers.
 ///
 /// The engines sit in one arena, `slots`, in creation order, behind a
-/// key → slot-number index. Keys are never removed, so a slot number
-/// stays valid for the shard's life; the work lists hold slot numbers,
-/// and only the key-addressed calls (insertions, reads, adoption) go
-/// through the index. An index bucket is 16 bytes where a slot is
-/// ~220, so the table's empty buckets cost little, and the arena's
-/// unused tail is never written.
+/// key → slot-number index ([`SlotIndex`]). Keys are never removed, so
+/// a slot number stays valid for the shard's life; the work lists hold
+/// slot numbers, and only the key-addressed calls (insertions, reads,
+/// adoption) go through the index. An index entry is 4 bytes, the slot
+/// number and a tag, where a slot is 136 (a `StableGc` key's, its kept
+/// fold boxed apart), so the table's empty entries cost little, and
+/// the arena's unused tail is never written.
 ///
 /// Sweeps and flushes visit the **live** keys only — those whose log
 /// still holds un-compacted entries. A sweep runs when a heartbeat or
@@ -623,7 +640,7 @@ struct Slot<A: UqAdt, S, B> {
 pub(crate) struct Shard<A: UqAdt, S, B = crate::backend::MemBackend> {
     pub(crate) idx: usize,
     /// Key → its slot's number in `slots`.
-    index: HashMap<Key, u32, BuildHasherDefault<FxHasher>>,
+    index: SlotIndex,
     /// Every key's slot, in creation order.
     slots: Vec<Slot<A, S, B>>,
     /// Slots whose log held entries when last looked at. A log that an
@@ -679,7 +696,7 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
     pub(crate) fn empty(idx: usize) -> Self {
         Shard {
             idx,
-            index: HashMap::default(),
+            index: SlotIndex::default(),
             slots: Vec::new(),
             live: Vec::new(),
             unflushed: Vec::new(),
@@ -700,20 +717,35 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
         self.slots.len()
     }
 
+    /// Bytes the arena's slots take, each key's engine inline.
+    pub(crate) fn slot_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot<A, S, B>>()
+    }
+
+    /// Bytes the key index's table takes.
+    pub(crate) fn index_bytes(&self) -> usize {
+        self.index.bytes()
+    }
+
     /// The keys with engines, in creation order.
     pub(crate) fn keys(&self) -> impl Iterator<Item = Key> + '_ {
         self.slots.iter().map(|slot| slot.key)
     }
 
+    /// `key`'s slot number, if it has a slot.
+    fn find(&self, key: Key) -> Option<u32> {
+        self.index.get(key, |at| self.slots[at as usize].key)
+    }
+
     /// `key`'s slot, if it has one.
     fn slot_mut(&mut self, key: Key) -> Option<&mut Slot<A, S, B>> {
-        let at = *self.index.get(&key)?;
+        let at = self.find(key)?;
         Some(&mut self.slots[at as usize])
     }
 
     /// `key`'s engine, if it has one.
     pub(crate) fn engine(&self, key: Key) -> Option<&ReplicaEngine<A, S, B>> {
-        let at = *self.index.get(&key)?;
+        let at = self.find(key)?;
         Some(&self.slots[at as usize].engine)
     }
 
@@ -800,8 +832,8 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
         B: LogBackend<A>,
     {
         assert_eq!(self.index.len(), self.slots.len(), "one slot per key");
-        for (key, &at) in &self.index {
-            assert_eq!(self.slots[at as usize].key, *key, "slot {at}");
+        for (at, slot) in self.slots.iter().enumerate() {
+            assert_eq!(self.find(slot.key), Some(at as u32), "slot {at}");
         }
         let listed = |list: &[u32], flag: fn(&Slot<A, S, B>) -> bool, name: &str| {
             let mut seen = vec![false; self.slots.len()];
@@ -911,24 +943,21 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
             lenders,
             ..
         } = self;
-        let at = *index.entry(key).or_insert_with(|| {
-            let engine = ReplicaEngine::with_backend(
-                adt.clone(),
-                pid,
-                factory.make(adt),
-                persist.open(*idx, key),
-            );
-            slots.push(Slot {
-                key,
-                engine,
-                live: false,
-                unflushed: false,
-                unpublished: false,
-                class: CLASSES as u8 - 1,
-                offered: false,
-            });
-            u32::try_from(slots.len() - 1).expect("a shard numbers its slots in a u32")
-        });
+        let at = match index.get(key, |at| slots[at as usize].key) {
+            Some(at) => at,
+            None => {
+                let engine = ReplicaEngine::with_backend(
+                    adt.clone(),
+                    pid,
+                    factory.make(adt),
+                    persist.open(*idx, key),
+                );
+                slots.push(Slot::new(key, engine));
+                let at = slots.len() as u32 - 1;
+                index.push(at, |at| slots[at as usize].key);
+                at
+            }
+        };
         let slot = &slots[at as usize];
         if !slot.live && slot.engine.log().capacity() == 0 {
             // Holding no buffer, the slot is on no lender list:
@@ -969,25 +998,18 @@ impl<A: UqAdt + Clone, S: RepairStrategy<A>, B: LogBackend<A>> Shard<A, S, B> {
     /// has none yet; one that recovered a non-empty tail is live, and
     /// one that did not offers its buffer.
     pub(crate) fn adopt(&mut self, key: Key, engine: ReplicaEngine<A, S, B>) {
-        let at = u32::try_from(self.slots.len()).expect("a shard numbers its slots in a u32");
-        let before = self.index.insert(key, at);
-        assert!(before.is_none(), "key {key} adopted twice");
-        let live = engine.log_len() > 0;
-        let mut slot = Slot {
-            key,
-            engine,
-            live,
-            unflushed: false,
-            unpublished: false,
-            class: CLASSES as u8 - 1,
-            offered: false,
-        };
-        if live {
+        assert!(self.find(key).is_none(), "key {key} adopted twice");
+        let at = self.slots.len() as u32;
+        self.slots.push(Slot::new(key, engine));
+        let slots = &self.slots;
+        self.index.push(at, |at| slots[at as usize].key);
+        let slot = &mut self.slots[at as usize];
+        if slot.engine.log_len() > 0 {
+            slot.live = true;
             self.live.push(at);
         } else {
-            offer(&mut self.lenders, &mut slot, at);
+            offer(&mut self.lenders, slot, at);
         }
-        self.slots.push(slot);
     }
 
     /// Ingest one shard's sub-batch: stable-sort by key (preserving
@@ -1688,6 +1710,8 @@ where
             log_len: self.log_len(),
             log_capacity: self.sum_engines(|e| e.log().capacity() as u64) as usize,
             kept_folds: self.sum_engines(|e| u64::from(e.strategy().holds_fold())) as usize,
+            slot_bytes: self.shards.iter().map(|s| s.slot_bytes()).sum(),
+            index_bytes: self.shards.iter().map(|s| s.index_bytes()).sum(),
             repair_events: self.sum_engines(|e| e.repair_events()),
             repair_steps: self.sum_engines(|e| e.repair_steps()),
             floor: self.stability.floor,
@@ -1744,6 +1768,13 @@ pub struct Summary {
     /// Keys whose strategy holds a query fold beside its log
     /// ([`RepairStrategy::holds_fold`]).
     pub(crate) kept_folds: usize,
+    /// Bytes of the shards' slot arenas: keys × the size of a slot,
+    /// whose engine and strategy sit inline (a kept fold is boxed
+    /// apart, and counted nowhere here).
+    pub(crate) slot_bytes: usize,
+    /// Bytes of the shards' key index tables ([`SlotIndex`]): four per
+    /// entry, empty ones included.
+    pub(crate) index_bytes: usize,
     pub(crate) repair_events: u64,
     pub(crate) repair_steps: u64,
     /// The stability floor ([`Stability`]); a pool's is the lowest of
@@ -1761,6 +1792,8 @@ impl Summary {
             log_len: self.log_len + other.log_len,
             log_capacity: self.log_capacity + other.log_capacity,
             kept_folds: self.kept_folds + other.kept_folds,
+            slot_bytes: self.slot_bytes + other.slot_bytes,
+            index_bytes: self.index_bytes + other.index_bytes,
             repair_events: self.repair_events + other.repair_events,
             repair_steps: self.repair_steps + other.repair_steps,
             floor: self.floor.min(other.floor),
@@ -2447,6 +2480,14 @@ mod tests {
     use uc_obs::Registry;
     use uc_spec::{SetAdt, SetQuery, SetUpdate};
 
+    #[test]
+    fn a_slot_holds_no_fold_it_does_not_keep() {
+        // Key, engine (pid, clock, log, strategy) and the five list
+        // flags; a kept fold is boxed in the strategy.
+        type GcSlot = Slot<SetAdt<u32>, StableGc<SetAdt<u32>>, MemBackend>;
+        assert!(std::mem::size_of::<GcSlot>() <= 136);
+    }
+
     type Store = UcStore<SetAdt<u32>, CheckpointFactory>;
 
     fn store(pid: u32, shards: usize) -> Store {
@@ -2716,6 +2757,38 @@ mod tests {
         );
         // 45 entries of 24 bytes: too large to lend, so key 7 keeps it.
         assert!(s.engine(7).unwrap().log().capacity() >= 45);
+    }
+
+    #[test]
+    fn the_byte_gauges_are_slots_times_slot_size_and_entries_times_four() {
+        type GcSlot = Slot<SetAdt<u32>, StableGc<SetAdt<u32>>, MemBackend>;
+        for shards in [1, 4] {
+            let mut s: GcStore = UcStore::new(SetAdt::new(), 0, shards, GcFactory { n: 2 });
+            let mut per_shard = vec![0; shards];
+            for key in 0..100 {
+                s.update(key, SetUpdate::Insert(1));
+                per_shard[shard_index(key, shards)] += 1;
+            }
+            // A table is empty, or the smallest power of two from 8 up
+            // that its keys fill to at most three quarters.
+            let entries: usize = per_shard
+                .iter()
+                .filter(|&&n| n > 0)
+                .map(|&n| (3..).map(|b| 1 << b).find(|len| 4 * n <= 3 * len).unwrap())
+                .sum();
+            let reg = Registry::new();
+            s.export_metrics(&reg);
+            let scrape = reg.snapshot();
+            let slot_bytes = 100 * std::mem::size_of::<GcSlot>();
+            assert_eq!(scrape.gauge("uc_store_slot_bytes"), Some(slot_bytes as i64));
+            assert_eq!(
+                scrape.gauge("uc_store_index_bytes"),
+                Some(4 * entries as i64)
+            );
+            if shards == 1 {
+                assert_eq!(entries, 256);
+            }
+        }
     }
 
     /// `s`'s `uc_store_log_capacity` gauge.

@@ -238,8 +238,8 @@ impl<M> RecvChannel<M> {
     }
 }
 
-/// Largest released-payload buffer a link keeps between receive
-/// activations, in entries.
+/// Largest scratch buffer (released payloads, the inner outbox) a link
+/// keeps between activations, in entries.
 const READY_KEEP: usize = 256;
 
 /// A reliable-delivery wrapper around an inner [`Protocol`]. See the
@@ -255,6 +255,9 @@ pub struct ReliableLink<P: Protocol> {
     /// order of their first `Data`.
     ready: Vec<(Pid, P::Msg)>,
     ack_to: Vec<Pid>,
+    /// The inner protocol's outbox of one activation, kept for its
+    /// capacity (up to [`READY_KEEP`]) like `ready`.
+    inner_out: Vec<(Pid, P::Msg)>,
     rng: SplitMix64,
     counters: Option<Arc<LinkCounters>>,
     stats: LinkStats,
@@ -272,6 +275,7 @@ impl<P: Protocol> ReliableLink<P> {
             rin: Vec::new(),
             ready: Vec::new(),
             ack_to: Vec::new(),
+            inner_out: Vec::new(),
             rng: SplitMix64::new(seed),
             counters: None,
             stats: LinkStats::default(),
@@ -363,21 +367,26 @@ impl<P: Protocol> ReliableLink<P> {
         ctx.send(to, LinkMsg::Data { seq, skip, payload });
     }
 
-    /// Run `f` against the inner protocol with a fresh inner outbox,
-    /// then wrap every message it sent.
-    fn with_inner(
+    /// Run `f` against the inner protocol with the link's emptied inner
+    /// outbox, then wrap every message it sent.
+    fn with_inner<R>(
         &mut self,
         ctx: &mut Ctx<'_, LinkMsg<P::Msg>>,
-        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>),
-    ) {
-        let mut inner_out = Vec::new();
-        {
+        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>) -> R,
+    ) -> R {
+        let mut inner_out = std::mem::take(&mut self.inner_out);
+        let output = {
             let mut ictx = Ctx::new(ctx.pid(), ctx.n(), ctx.now(), &mut inner_out);
-            f(&mut self.inner, &mut ictx);
-        }
-        for (to, m) in inner_out {
+            f(&mut self.inner, &mut ictx)
+        };
+        for (to, m) in inner_out.drain(..) {
             self.send_data(ctx, to, m);
         }
+        // A burst's outbox (a heal stream) is given back, as `ready`'s.
+        if inner_out.capacity() <= READY_KEEP {
+            self.inner_out = inner_out;
+        }
+        output
     }
 
     /// The link's one receive path, for a delivery round's batch or a
@@ -454,15 +463,7 @@ impl<P: Protocol> Protocol for ReliableLink<P> {
 
     fn on_invoke(&mut self, input: P::Input, ctx: &mut Ctx<'_, Self::Msg>) -> P::Output {
         self.ensure(ctx.n());
-        let mut inner_out = Vec::new();
-        let output = {
-            let mut ictx = Ctx::new(ctx.pid(), ctx.n(), ctx.now(), &mut inner_out);
-            self.inner.on_invoke(input, &mut ictx)
-        };
-        for (to, m) in inner_out {
-            self.send_data(ctx, to, m);
-        }
-        output
+        self.with_inner(ctx, |inner, ictx| inner.on_invoke(input, ictx))
     }
 
     fn on_message(&mut self, from: Pid, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
