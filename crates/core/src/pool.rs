@@ -498,8 +498,6 @@ struct Mirror<A: UqAdt> {
     /// The cells of `cells` by slot number: how the worker reaches a
     /// key's cell, with no hash lookup.
     by_slot: Vec<Option<Arc<SnapCell<A>>>>,
-    /// Has the shard's arming backfill run?
-    backfilled: bool,
     /// Did `cells` gain a key since the registry was last published?
     dirty: bool,
 }
@@ -534,7 +532,6 @@ impl<A: UqAdt> SnapPublisher<A> {
                     shard,
                     cells: SnapMap::<A>::default(),
                     by_slot: Vec::new(),
-                    backfilled: false,
                     dirty: false,
                 })
                 .collect(),
@@ -741,17 +738,19 @@ where
         };
         if drained {
             for m in 0..publisher.mirrors.len() {
-                let mirror = &publisher.mirrors[m];
-                if !mirror.backfilled && core.armed[mirror.shard].load(Ordering::SeqCst) {
+                // A shard starts publishing once its arming backfill has
+                // run, and stops only when the worker hands it back.
+                let shard = shards.shard_at_mut(m);
+                if !shard.publishing()
+                    && core.armed[publisher.mirrors[m].shard].load(Ordering::SeqCst)
+                {
                     // Incremental by construction: other owned shards
                     // pay nothing until a snapshot read arms them too.
-                    let shard = shards.shard_at_mut(m);
                     // In creation order, so slot numbers count up from 0.
                     for (at, (key, engine)) in shard.engines_mut().enumerate() {
                         publisher.publish_slot(m, at as u32, key, engine, &mut tally);
                     }
                     shard.start_publishing();
-                    publisher.mirrors[m].backfilled = true;
                 }
             }
             // A registry costs a clone of its shard's map: once per
@@ -1075,11 +1074,14 @@ where
         }
     }
 
-    /// Wait-free weak read: a load of the latest epoch-published
-    /// post-repair snapshot. Never blocks behind a repair, a queued
-    /// burst, or a poisoned pool; never ticks the clock. Keys without
-    /// a published snapshot yet (including everything before the
-    /// first flush after arming) answer from the ADT's initial state.
+    /// Weak read: a load of the latest epoch-published post-repair
+    /// snapshot. Takes two `RwLock` reads (the shard's registry, then
+    /// the key's cell), each held across one `Arc` clone, so it can
+    /// wait only for a publication's pointer swap; never blocks behind
+    /// a repair, a queued burst, or a poisoned pool; never ticks the
+    /// clock. Keys without a published snapshot yet (including
+    /// everything before the first flush after arming) answer from the
+    /// ADT's initial state.
     ///
     /// Snapshot publication is *armed* per shard by the first call
     /// touching it; follow with [`IngestPool::flush`] (or any flush

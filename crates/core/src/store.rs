@@ -776,6 +776,11 @@ impl<A: UqAdt, S, B> Shard<A, S, B> {
         self.publishing = true;
     }
 
+    /// Is the shard listing slots for publication?
+    pub(crate) fn publishing(&self) -> bool {
+        self.publishing
+    }
+
     /// Stop listing: the pool worker hands the shard back.
     ///
     /// # Panics

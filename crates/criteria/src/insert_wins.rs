@@ -13,10 +13,10 @@
 //! degree of freedom the paper exploits when it notes the OR-set run
 //! of Fig. 1b converges to `{1,2}`.
 
-use crate::config::{Budget, CheckConfig};
+use crate::config::{Budget, CheckConfig, Search};
 use crate::sec::strong_convergence;
 use crate::verdict::{Verdict, VisibilityWitness, Witness};
-use crate::vis::{is_acyclic, witness_pairs, EnumOutcome, VisAssignment, VisEnum};
+use crate::vis::{is_acyclic, witness_pairs, VisAssignment, VisEnum};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -65,15 +65,13 @@ where
         },
     );
     match outcome {
-        EnumOutcome::Found(a) => Verdict::Holds(Witness::Visibility(VisibilityWitness {
+        Search::Found(a) => Verdict::Holds(Witness::Visibility(VisibilityWitness {
             visible: witness_pairs(h, &a),
         })),
-        EnumOutcome::Exhausted => Verdict::Fails(
+        Search::Exhausted => Verdict::Fails(
             "no visibility assignment satisfies the insert-wins concurrent specification".into(),
         ),
-        EnumOutcome::OutOfBudget => {
-            Verdict::Unsupported("insert-wins search budget exceeded".into())
-        }
+        Search::OutOfBudget => Verdict::Unsupported("insert-wins search budget exceeded".into()),
     }
 }
 

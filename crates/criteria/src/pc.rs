@@ -6,20 +6,18 @@
 //! events, interleaved with **all** updates of the computation, must
 //! admit a sequential explanation.
 //!
-//! ω-queries inside a chain are handled per their infinite-repetition
-//! semantics: once the chain's ω-query is placed, the remaining
-//! updates may still be interleaved into the ω-tail, but every state
-//! reached from then on (the entry state and the state after each
-//! subsequent update) must keep answering the query — between any two
-//! of those updates there are infinitely many repetitions of the
-//! query.
+//! Each chain is one `config::linearize` over `U_H ∪ p`, accepting any
+//! final state. The chain's ω-query (at most one: an ω event is
+//! maximal) is handled per its infinite-repetition semantics: once it
+//! is placed, the remaining updates may still be interleaved into the
+//! ω-tail, but every state reached from then on must keep answering
+//! it — between any two of those updates there are infinitely many
+//! repetitions of the query.
 
-use crate::config::{Budget, CheckConfig};
+use crate::config::{linearize, Budget, CheckConfig, Search};
 use crate::verdict::{ChainWitness, Verdict, Witness};
-use uc_history::downset::{self, Mask};
-use uc_history::fxhash::FxHashSet;
-use uc_history::{chains, EventId, History};
-use uc_spec::{Op, UqAdt};
+use uc_history::{chains, History};
+use uc_spec::UqAdt;
 
 /// Decide pipelined consistency with the default budget.
 pub fn check_pc<A: UqAdt>(h: &History<A>) -> Verdict {
@@ -39,111 +37,22 @@ pub fn check_pc_with<A: UqAdt>(h: &History<A>, cfg: &CheckConfig) -> Verdict {
     let mut witnesses = Vec::with_capacity(maximal.len());
     for chain in maximal {
         let scope = h.updates_mask() | chains::chain_mask(&chain);
-        let mut budget = Budget::new(cfg);
-        let mut seen: FxHashSet<(Mask, A::State)> = FxHashSet::default();
-        let mut order = Vec::new();
-        let mut state = h.adt().initial();
-        match dfs(
-            h,
-            scope,
-            0,
-            &mut state,
-            None,
-            &mut order,
-            &mut seen,
-            &mut budget,
-        ) {
-            Outcome::Found => witnesses.push(ChainWitness {
+        match linearize(h, scope, &mut Budget::new(cfg), |_| true) {
+            Search::Found((linearization, _)) => witnesses.push(ChainWitness {
                 chain,
-                linearization: order,
+                linearization,
             }),
-            Outcome::Exhausted => {
+            Search::Exhausted => {
                 return Verdict::Fails(format!(
                     "chain {chain:?} admits no linearization with all updates in L(O)"
                 ))
             }
-            Outcome::OutOfBudget => {
+            Search::OutOfBudget => {
                 return Verdict::Unsupported("pipelined-consistency search budget exceeded".into())
             }
         }
     }
     Verdict::Holds(Witness::PerChain(witnesses))
-}
-
-enum Outcome {
-    Found,
-    Exhausted,
-    OutOfBudget,
-}
-
-/// `omega_obs`: once the chain's ω-query has been placed, the
-/// observation every subsequent state must keep satisfying.
-#[allow(clippy::too_many_arguments)]
-fn dfs<A: UqAdt>(
-    h: &History<A>,
-    scope: Mask,
-    done: Mask,
-    state: &mut A::State,
-    omega_obs: Option<(&A::QueryIn, &A::QueryOut)>,
-    order: &mut Vec<EventId>,
-    seen: &mut FxHashSet<(Mask, A::State)>,
-    budget: &mut Budget,
-) -> Outcome {
-    if !budget.spend() {
-        return Outcome::OutOfBudget;
-    }
-    if done == scope {
-        return Outcome::Found;
-    }
-    // `omega_obs` is a function of `done` (the ω event is in `done` or
-    // not), so (done, state) is a sound memo key.
-    if !seen.insert((done, state.clone())) {
-        return Outcome::Exhausted;
-    }
-    for i in downset::iter(h.ready(scope, done)) {
-        let e = EventId(i as u32);
-        let ev = h.event(e);
-        let saved = state.clone();
-        let mut next_omega = omega_obs;
-        let ok = match &ev.op {
-            Op::Update(u) => {
-                h.adt().apply(state, u);
-                // Inside an ω-tail every intermediate state must keep
-                // answering the repeated query.
-                match omega_obs {
-                    Some((qi, qo)) => h.adt().answers(state, qi, qo),
-                    None => true,
-                }
-            }
-            Op::Query(q) => {
-                let holds = h.adt().answers(state, &q.input, &q.output);
-                if holds && ev.omega {
-                    next_omega = Some((&q.input, &q.output));
-                }
-                holds
-            }
-        };
-        if ok {
-            order.push(e);
-            match dfs(
-                h,
-                scope,
-                done | downset::bit(i),
-                state,
-                next_omega,
-                order,
-                seen,
-                budget,
-            ) {
-                Outcome::Exhausted => {
-                    order.pop();
-                }
-                out => return out,
-            }
-        }
-        *state = saved;
-    }
-    Outcome::Exhausted
 }
 
 #[cfg(test)]

@@ -4,16 +4,15 @@
 //! calibration of the hierarchy experiments.
 //!
 //! `H` is sequentially consistent if some linearization of **all**
-//! events is in `L(O)`. ω-queries are handled like in the pipelined
-//! checker, except several processes' ω-tails interleave: once an
-//! ω-query has been placed, every later state must keep answering it.
+//! events is in `L(O)`: `config::linearize` over `h.all_mask()`,
+//! accepting any final state. Several processes' ω-tails may
+//! interleave; once an ω-query has been placed, every later state must
+//! keep answering it.
 
-use crate::config::{Budget, CheckConfig};
+use crate::config::{linearize, Budget, CheckConfig, Search};
 use crate::verdict::{Verdict, Witness};
-use uc_history::downset::{self, Mask};
-use uc_history::fxhash::FxHashSet;
-use uc_history::{EventId, History};
-use uc_spec::{Op, UqAdt};
+use uc_history::History;
+use uc_spec::UqAdt;
 
 /// Decide sequential consistency with the default budget.
 pub fn check_sc<A: UqAdt>(h: &History<A>) -> Verdict {
@@ -27,79 +26,13 @@ pub fn check_sc_with<A: UqAdt>(h: &History<A>, cfg: &CheckConfig) -> Verdict {
             "sequential consistency with ω-updates is outside the decision procedure".into(),
         );
     }
-    let mut budget = Budget::new(cfg);
-    let mut seen: FxHashSet<(Mask, A::State)> = FxHashSet::default();
-    let mut order = Vec::new();
-    let mut state = h.adt().initial();
-    match dfs(h, 0, &mut state, &mut order, &mut seen, &mut budget) {
-        Outcome::Found => Verdict::Holds(Witness::FullLinearization(order)),
-        Outcome::Exhausted => Verdict::Fails("no linearization of all events is in L(O)".into()),
-        Outcome::OutOfBudget => {
+    match linearize(h, h.all_mask(), &mut Budget::new(cfg), |_| true) {
+        Search::Found((order, _)) => Verdict::Holds(Witness::FullLinearization(order)),
+        Search::Exhausted => Verdict::Fails("no linearization of all events is in L(O)".into()),
+        Search::OutOfBudget => {
             Verdict::Unsupported("sequential-consistency search budget exceeded".into())
         }
     }
-}
-
-enum Outcome {
-    Found,
-    Exhausted,
-    OutOfBudget,
-}
-
-fn dfs<A: UqAdt>(
-    h: &History<A>,
-    done: Mask,
-    state: &mut A::State,
-    order: &mut Vec<EventId>,
-    seen: &mut FxHashSet<(Mask, A::State)>,
-    budget: &mut Budget,
-) -> Outcome {
-    if !budget.spend() {
-        return Outcome::OutOfBudget;
-    }
-    let scope = h.all_mask();
-    if done == scope {
-        return Outcome::Found;
-    }
-    // The set of active ω constraints is determined by `done`, so
-    // (done, state) is a sound memo key.
-    if !seen.insert((done, state.clone())) {
-        return Outcome::Exhausted;
-    }
-    for i in downset::iter(h.ready(scope, done)) {
-        let e = EventId(i as u32);
-        let ev = h.event(e);
-        let saved = state.clone();
-        let ok = match &ev.op {
-            Op::Update(u) => {
-                h.adt().apply(state, u);
-                active_omegas_hold(h, done, state)
-            }
-            Op::Query(q) => h.adt().answers(state, &q.input, &q.output),
-        };
-        if ok {
-            order.push(e);
-            match dfs(h, done | downset::bit(i), state, order, seen, budget) {
-                Outcome::Exhausted => {
-                    order.pop();
-                }
-                out => return out,
-            }
-        }
-        *state = saved;
-    }
-    Outcome::Exhausted
-}
-
-/// Every ω-query already placed must keep holding in `state`.
-fn active_omegas_hold<A: UqAdt>(h: &History<A>, done: Mask, state: &A::State) -> bool {
-    for i in downset::iter(done & h.omegas_mask() & h.queries_mask()) {
-        let q = h.query_of(EventId(i as u32));
-        if !h.adt().answers(state, &q.input, &q.output) {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //! converges to the sequentially unreachable `{1,2}`) is SEC but not
 //! UC.
 
-use crate::config::{Budget, CheckConfig};
+use crate::config::{Budget, CheckConfig, Search};
 use crate::verdict::{Verdict, VisibilityWitness, Witness};
-use crate::vis::{is_acyclic, witness_pairs, EnumOutcome, VisAssignment, VisEnum};
+use crate::vis::{is_acyclic, witness_pairs, VisAssignment, VisEnum};
 use uc_history::downset::Mask;
 use uc_history::fxhash::FxHashMap;
 use uc_history::History;
@@ -37,15 +37,13 @@ pub fn check_sec_with<A: StateAbduction>(h: &History<A>, cfg: &CheckConfig) -> V
         |assignment| strong_convergence(h, assignment) && is_acyclic(h, assignment, None),
     );
     match outcome {
-        EnumOutcome::Found(a) => Verdict::Holds(Witness::Visibility(VisibilityWitness {
+        Search::Found(a) => Verdict::Holds(Witness::Visibility(VisibilityWitness {
             visible: witness_pairs(h, &a),
         })),
-        EnumOutcome::Exhausted => Verdict::Fails(
+        Search::Exhausted => Verdict::Fails(
             "no visibility assignment groups the queries into state-consistent classes".into(),
         ),
-        EnumOutcome::OutOfBudget => {
-            Verdict::Unsupported("visibility search budget exceeded".into())
-        }
+        Search::OutOfBudget => Verdict::Unsupported("visibility search budget exceeded".into()),
     }
 }
 

@@ -18,9 +18,9 @@
 //! in polynomial time — this is how Proposition 4 is validated on
 //! traces too large for search.
 
-use crate::config::{Budget, CheckConfig};
+use crate::config::{Budget, CheckConfig, Search};
 use crate::verdict::{Verdict, VisibilityWitness, Witness};
-use crate::vis::{is_acyclic, witness_pairs, EnumOutcome, VisAssignment, VisEnum};
+use crate::vis::{is_acyclic, witness_pairs, VisAssignment, VisEnum};
 use std::ops::ControlFlow;
 use uc_history::downset::{self, Mask};
 use uc_history::{linearize, EventId, History};
@@ -39,81 +39,50 @@ pub fn check_suc_with<A: UqAdt>(h: &History<A>, cfg: &CheckConfig) -> Verdict {
         );
     }
     let mut budget = Budget::new(cfg);
-    let mut out_of_budget = false;
     let found = linearize::for_each(h, h.updates_mask(), |tau| {
         match try_tau(h, tau, &mut budget) {
-            TauOutcome::Found(a) => ControlFlow::Break((tau.to_vec(), a)),
-            TauOutcome::Exhausted => ControlFlow::Continue(()),
-            TauOutcome::OutOfBudget => {
-                out_of_budget = true;
-                ControlFlow::Break((Vec::new(), VisAssignment { visible: vec![] }))
-            }
+            Search::Found(a) => ControlFlow::Break(Search::Found((tau.to_vec(), a))),
+            Search::Exhausted => ControlFlow::Continue(()),
+            Search::OutOfBudget => ControlFlow::Break(Search::OutOfBudget),
         }
     });
-    match found {
-        Some((tau, assignment)) if !out_of_budget => Verdict::Holds(Witness::VisibilityAndOrder {
+    match found.unwrap_or(Search::Exhausted) {
+        Search::Found((tau, assignment)) => Verdict::Holds(Witness::VisibilityAndOrder {
             visibility: VisibilityWitness {
                 visible: witness_pairs(h, &assignment),
             },
             order: tau,
         }),
-        Some(_) => Verdict::Unsupported("SUC search budget exceeded".into()),
-        None => {
-            if out_of_budget {
-                Verdict::Unsupported("SUC search budget exceeded".into())
-            } else {
-                Verdict::Fails(
-                    "no update order and visibility assignment satisfy strong sequential \
-                     convergence"
-                        .into(),
-                )
-            }
-        }
+        Search::Exhausted => Verdict::Fails(
+            "no update order and visibility assignment satisfy strong sequential convergence"
+                .into(),
+        ),
+        Search::OutOfBudget => Verdict::Unsupported("SUC search budget exceeded".into()),
     }
 }
 
-enum TauOutcome {
-    Found(VisAssignment),
-    Exhausted,
-    OutOfBudget,
-}
-
-fn try_tau<A: UqAdt>(h: &History<A>, tau: &[EventId], budget: &mut Budget) -> TauOutcome {
+fn try_tau<A: UqAdt>(
+    h: &History<A>,
+    tau: &[EventId],
+    budget: &mut Budget,
+) -> Search<VisAssignment> {
     // Position of each update in τ, for sorting visible sets.
     let mut pos = vec![usize::MAX; h.len()];
     for (i, &u) in tau.iter().enumerate() {
         pos[u.idx()] = i;
     }
-    let vis_enum = VisEnum::new(h);
-    let outcome = vis_enum.search(
+    VisEnum::new(h).search(
         budget,
-        |e, v| {
-            if !h.event(e).is_query() {
-                return true;
-            }
-            replay_answers(h, tau, &pos, v, e)
-        },
+        |e, v| !h.event(e).is_query() || replay_answers(h, &pos, v, e),
         |assignment| is_acyclic(h, assignment, Some(tau)),
-    );
-    match outcome {
-        EnumOutcome::Found(a) => TauOutcome::Found(a),
-        EnumOutcome::Exhausted => TauOutcome::Exhausted,
-        EnumOutcome::OutOfBudget => TauOutcome::OutOfBudget,
-    }
+    )
 }
 
 /// Does replaying the visible updates `v` in τ order answer query `q`?
-fn replay_answers<A: UqAdt>(
-    h: &History<A>,
-    tau: &[EventId],
-    pos: &[usize],
-    v: Mask,
-    q: EventId,
-) -> bool {
+fn replay_answers<A: UqAdt>(h: &History<A>, pos: &[usize], v: Mask, q: EventId) -> bool {
     let mut vis_updates: Vec<EventId> = downset::iter(v).map(|i| EventId(i as u32)).collect();
     vis_updates.sort_by_key(|u| pos[u.idx()]);
     debug_assert!(vis_updates.iter().all(|u| pos[u.idx()] != usize::MAX));
-    let _ = tau;
     let mut state = h.adt().initial();
     for u in &vis_updates {
         h.adt().apply(&mut state, h.update_of(*u));
@@ -210,7 +179,7 @@ pub fn verify_witness<A: UqAdt>(h: &History<A>, w: &SucWitness) -> Result<(), St
     }
     // (4) replay.
     for q in h.query_ids() {
-        if !replay_answers(h, &w.update_order, &pos, assignment.visible[q.idx()], q) {
+        if !replay_answers(h, &pos, assignment.visible[q.idx()], q) {
             return Err(format!("strong sequential convergence violated at {q:?}"));
         }
     }

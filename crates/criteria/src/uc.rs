@@ -12,16 +12,13 @@
 //! the infinitely repeated instances of each ω-query are placed after
 //! the last update, where they must all observe the converged state.
 //!
-//! The search walks the down-set lattice of the update sub-order,
-//! memoizing `(down-set, state)` pairs so that permutations reaching
-//! the same intermediate state are explored once — for commutative
-//! objects (counters, grow-sets) this collapses the factorial search
-//! to a single path per down-set.
+//! That is one `config::linearize` over `U_H` whose final state must
+//! answer every ω-query (no query is in scope, so none is placed on
+//! the way).
 
-use crate::config::{Budget, CheckConfig};
+use crate::config::{linearize, Budget, CheckConfig, Search};
 use crate::verdict::{Verdict, Witness};
-use uc_history::downset::{self, Mask};
-use uc_history::fxhash::FxHashSet;
+use uc_history::downset;
 use uc_history::{EventId, History};
 use uc_spec::UqAdt;
 
@@ -38,99 +35,28 @@ pub fn check_uc_with<A: UqAdt>(h: &History<A>, cfg: &CheckConfig) -> Verdict {
         ));
     }
     // Observations every candidate final state must satisfy.
-    let omega_obs: Vec<(A::QueryIn, A::QueryOut)> = h
-        .query_ids()
-        .filter(|&q| h.event(q).omega)
-        .map(|q| {
-            let query = h.query_of(q);
-            (query.input.clone(), query.output.clone())
+    let omegas = h.omegas_mask() & h.queries_mask();
+    let converged = |state: &A::State| {
+        downset::iter(omegas).all(|w| {
+            let q = h.query_of(EventId(w as u32));
+            h.adt().answers(state, &q.input, &q.output)
         })
-        .collect();
-
+    };
     let scope = h.updates_mask();
-    let mut budget = Budget::new(cfg);
-    let mut seen: FxHashSet<(Mask, A::State)> = FxHashSet::default();
-    let mut order: Vec<EventId> = Vec::new();
-    let mut state = h.adt().initial();
-    match dfs(
-        h,
-        scope,
-        0,
-        &mut state,
-        &mut order,
-        &omega_obs,
-        &mut seen,
-        &mut budget,
-    ) {
-        SearchOutcome::Found(final_state) => {
-            Verdict::Holds(Witness::UpdateLinearization { order, final_state })
-        }
-        SearchOutcome::Exhausted => Verdict::Fails(format!(
+    match linearize(h, scope, &mut Budget::new(cfg), converged) {
+        Search::Found((order, state)) => Verdict::Holds(Witness::UpdateLinearization {
+            order,
+            final_state: format!("{state:?}"),
+        }),
+        Search::Exhausted => Verdict::Fails(format!(
             "no linearization of the {} update(s) satisfies the {} ω-query observation(s)",
             downset::iter(scope).len(),
-            omega_obs.len()
+            omegas.count_ones()
         )),
-        SearchOutcome::OutOfBudget => {
+        Search::OutOfBudget => {
             Verdict::Unsupported("update-linearization search budget exceeded".into())
         }
     }
-}
-
-enum SearchOutcome {
-    Found(String),
-    Exhausted,
-    OutOfBudget,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs<A: UqAdt>(
-    h: &History<A>,
-    scope: Mask,
-    done: Mask,
-    state: &mut A::State,
-    order: &mut Vec<EventId>,
-    omega_obs: &[(A::QueryIn, A::QueryOut)],
-    seen: &mut FxHashSet<(Mask, A::State)>,
-    budget: &mut Budget,
-) -> SearchOutcome {
-    if !budget.spend() {
-        return SearchOutcome::OutOfBudget;
-    }
-    if done == scope {
-        if omega_obs
-            .iter()
-            .all(|(qi, qo)| h.adt().answers(state, qi, qo))
-        {
-            return SearchOutcome::Found(format!("{state:?}"));
-        }
-        return SearchOutcome::Exhausted;
-    }
-    if !seen.insert((done, state.clone())) {
-        return SearchOutcome::Exhausted;
-    }
-    for i in downset::iter(h.ready(scope, done)) {
-        let e = EventId(i as u32);
-        let u = h.update_of(e).clone();
-        let saved = state.clone();
-        h.adt().apply(state, &u);
-        order.push(e);
-        match dfs(
-            h,
-            scope,
-            done | downset::bit(i),
-            state,
-            order,
-            omega_obs,
-            seen,
-            budget,
-        ) {
-            SearchOutcome::Exhausted => {}
-            out => return out,
-        }
-        order.pop();
-        *state = saved;
-    }
-    SearchOutcome::Exhausted
 }
 
 #[cfg(test)]

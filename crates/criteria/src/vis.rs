@@ -18,7 +18,7 @@
 //!   validated per assignment (long mixed cycles through several vis
 //!   edges cannot be excluded locally).
 
-use crate::config::Budget;
+use crate::config::{Budget, Search};
 use uc_history::downset::{self, Mask};
 use uc_history::{EventId, History};
 use uc_spec::UqAdt;
@@ -29,17 +29,6 @@ use uc_spec::UqAdt;
 pub struct VisAssignment {
     /// Per-event visible update masks.
     pub visible: Vec<Mask>,
-}
-
-/// Outcome of an enumeration.
-#[derive(Debug, PartialEq, Eq)]
-pub enum EnumOutcome {
-    /// A satisfying assignment was found.
-    Found(VisAssignment),
-    /// The space was exhausted without success.
-    Exhausted,
-    /// The node budget ran out.
-    OutOfBudget,
 }
 
 /// Parameters of a visibility enumeration.
@@ -75,15 +64,9 @@ impl<'h, A: UqAdt> VisEnum<'h, A> {
         budget: &mut Budget,
         mut admit: impl FnMut(EventId, Mask) -> bool,
         mut complete: impl FnMut(&VisAssignment) -> bool,
-    ) -> EnumOutcome {
-        let n = self.h.len();
-        let mut visible = vec![0 as Mask; n];
-        let out = self.go(0, &mut visible, budget, &mut admit, &mut complete);
-        match out {
-            Go::Found => EnumOutcome::Found(VisAssignment { visible }),
-            Go::Exhausted => EnumOutcome::Exhausted,
-            Go::OutOfBudget => EnumOutcome::OutOfBudget,
-        }
+    ) -> Search<VisAssignment> {
+        let mut visible = vec![0 as Mask; self.h.len()];
+        self.go(0, &mut visible, budget, &mut admit, &mut complete)
     }
 
     fn go(
@@ -93,19 +76,18 @@ impl<'h, A: UqAdt> VisEnum<'h, A> {
         budget: &mut Budget,
         admit: &mut impl FnMut(EventId, Mask) -> bool,
         complete: &mut impl FnMut(&VisAssignment) -> bool,
-    ) -> Go {
+    ) -> Search<VisAssignment> {
         if !budget.spend() {
-            return Go::OutOfBudget;
+            return Search::OutOfBudget;
         }
         if i == self.topo.len() {
-            // Clone-free completion check against the working vector.
             let assignment = VisAssignment {
                 visible: visible.clone(),
             };
             return if complete(&assignment) {
-                Go::Found
+                Search::Found(assignment)
             } else {
-                Go::Exhausted
+                Search::Exhausted
             };
         }
         let h = self.h;
@@ -124,13 +106,13 @@ impl<'h, A: UqAdt> VisEnum<'h, A> {
         // visible at e. Longer cycles are caught by `complete`.
         let forbidden: Mask = all_updates & h.after_mask(e);
         if forced & forbidden != 0 {
-            return Go::Exhausted;
+            return Search::Exhausted;
         }
         let choices: Vec<Mask> = if h.event(e).omega {
             // Eventual delivery: ω events see every update.
             let v = all_updates & !forbidden;
             if v != all_updates {
-                return Go::Exhausted; // some update can never be delivered
+                return Search::Exhausted; // some update can never be delivered
             }
             vec![all_updates]
         } else if h.event(e).is_update() && !self.enumerate_update_visibility {
@@ -144,19 +126,13 @@ impl<'h, A: UqAdt> VisEnum<'h, A> {
             }
             visible[e.idx()] = v;
             match self.go(i + 1, visible, budget, admit, complete) {
-                Go::Exhausted => {}
+                Search::Exhausted => {}
                 out => return out,
             }
         }
         visible[e.idx()] = 0;
-        Go::Exhausted
+        Search::Exhausted
     }
-}
-
-enum Go {
-    Found,
-    Exhausted,
-    OutOfBudget,
 }
 
 /// All masks `m` with `lo ⊆ m ⊆ hi`, smallest first.
@@ -284,7 +260,7 @@ mod tests {
         let v = VisEnum::new(&h);
         let mut budget = Budget::new(&CheckConfig::default());
         let out = v.search(&mut budget, |_, _| true, |_| true);
-        let EnumOutcome::Found(a) = out else {
+        let Search::Found(a) = out else {
             panic!("must find an assignment");
         };
         // e1 must see its own process's earlier update e0.
@@ -300,7 +276,7 @@ mod tests {
         let h = b.build().unwrap();
         let v = VisEnum::new(&h);
         let mut budget = Budget::new(&CheckConfig::default());
-        let EnumOutcome::Found(a) = v.search(&mut budget, |_, _| true, |_| true) else {
+        let Search::Found(a) = v.search(&mut budget, |_, _| true, |_| true) else {
             panic!()
         };
         assert_eq!(a.visible[1], h.updates_mask());
@@ -365,7 +341,7 @@ mod tests {
             max_chains: 1,
         });
         let out = v.search(&mut budget, |_, _| true, |_| false);
-        assert_eq!(out, EnumOutcome::OutOfBudget);
+        assert_eq!(out, Search::OutOfBudget);
     }
 
     #[test]
@@ -374,6 +350,6 @@ mod tests {
         let v = VisEnum::new(&h);
         let mut budget = Budget::new(&CheckConfig::default());
         let out = v.search(&mut budget, |_, _| true, |_| false);
-        assert_eq!(out, EnumOutcome::Exhausted);
+        assert_eq!(out, Search::Exhausted);
     }
 }

@@ -1,11 +1,18 @@
 //! Witness-soundness properties: every positive verdict's witness
 //! must itself satisfy the definition it certifies — the checkers are
 //! not trusted, their evidence is re-validated independently.
+//!
+//! A brute-force reference also decides SC, PC and UC from their
+//! definitions, by enumerating every linearization of the criterion's
+//! scope, so a negative verdict is checked too: wherever a checker
+//! answers at all (not `Unsupported`), it must agree.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use uc_criteria::{check_pc, check_sc, check_suc, check_uc, SucWitness, Verdict, Witness};
-use uc_history::{linearize, History, HistoryBuilder};
+use uc_history::downset::Mask;
+use uc_history::{chains, linearize, EventId, History, HistoryBuilder};
 use uc_spec::recognize::Runner;
 use uc_spec::{Op, SetAdt, SetQuery, SetUpdate, UqAdt};
 
@@ -66,8 +73,104 @@ fn proc_strategy() -> impl Strategy<Value = (Vec<OpSpec>, Option<u8>)> {
     )
 }
 
+/// Is some linearization of `scope` in `L(O)`, with every ω-query,
+/// once placed, answering the state after each later update (its
+/// infinitely many repetitions interleave with them), and with a final
+/// state `at_end` accepts?
+fn some_linearization(
+    h: &History<SetAdt<u32>>,
+    scope: Mask,
+    at_end: impl Fn(&BTreeSet<u32>) -> bool,
+) -> bool {
+    let adt = h.adt();
+    linearize::for_each(h, scope, |order| {
+        let mut state = adt.initial();
+        let mut placed: Vec<EventId> = Vec::new();
+        for &e in order {
+            let ok = match h.label(e) {
+                Op::Update(u) => {
+                    adt.apply(&mut state, u);
+                    placed.iter().all(|&w| {
+                        let q = h.query_of(w);
+                        adt.answers(&state, &q.input, &q.output)
+                    })
+                }
+                Op::Query(q) => adt.answers(&state, &q.input, &q.output),
+            };
+            if !ok {
+                return ControlFlow::Continue(());
+            }
+            if h.event(e).omega {
+                placed.push(e);
+            }
+        }
+        if at_end(&state) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+    .is_some()
+}
+
+/// SC (§VIII): some linearization of every event is in `L(O)`.
+fn reference_sc(h: &History<SetAdt<u32>>) -> bool {
+    some_linearization(h, h.all_mask(), |_| true)
+}
+
+/// PC (Definition 7): for every maximal chain `p`, some linearization
+/// of `U_H ∪ p` is in `L(O)`.
+fn reference_pc(h: &History<SetAdt<u32>>) -> bool {
+    chains::maximal_chains(h, usize::MAX)
+        .expect("no cap")
+        .iter()
+        .all(|p| some_linearization(h, h.updates_mask() | chains::chain_mask(p), |_| true))
+}
+
+/// UC (Definition 8, no ω-update): with every finite query removed,
+/// some linearization of `U_H` ends in a state that answers each
+/// ω-query's infinitely many repetitions.
+fn reference_uc(h: &History<SetAdt<u32>>) -> bool {
+    let omegas: Vec<EventId> = h.query_ids().filter(|&q| h.event(q).omega).collect();
+    some_linearization(h, h.updates_mask(), |state| {
+        omegas.iter().all(|&w| {
+            let q = h.query_of(w);
+            h.adt().answers(state, &q.input, &q.output)
+        })
+    })
+}
+
+/// Does `verdict` agree with the reference, wherever it answers?
+fn agrees(verdict: &Verdict, reference: bool) -> bool {
+    matches!(verdict, Verdict::Unsupported(_)) || verdict.holds() == reference
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `check_uc` decides what the brute-force reference decides.
+    #[test]
+    fn uc_agrees_with_brute_force(procs in proptest::collection::vec(proc_strategy(), 2..=3)) {
+        let h = build(&procs);
+        let v = check_uc(&h);
+        prop_assert!(agrees(&v, reference_uc(&h)), "{:?} on {:?}", v, procs);
+    }
+
+    /// `check_pc` decides what the brute-force reference decides.
+    #[test]
+    fn pc_agrees_with_brute_force(procs in proptest::collection::vec(proc_strategy(), 2..=2)) {
+        let h = build(&procs);
+        let v = check_pc(&h);
+        prop_assert!(agrees(&v, reference_pc(&h)), "{:?} on {:?}", v, procs);
+    }
+
+    /// `check_sc` decides what the brute-force reference decides.
+    #[test]
+    fn sc_agrees_with_brute_force(procs in proptest::collection::vec(proc_strategy(), 2..=2)) {
+        let h = build(&procs);
+        let v = check_sc(&h);
+        prop_assert!(agrees(&v, reference_sc(&h)), "{:?} on {:?}", v, procs);
+    }
 
     /// A UC witness is a genuine update linearization whose final
     /// state answers every ω query.

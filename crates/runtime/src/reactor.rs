@@ -142,24 +142,10 @@ enum Activation<P: Protocol> {
 /// busiest; these are single relaxed `fetch_add`s instead.
 /// [`EventCluster::metrics`] folds them back into the cloned
 /// [`Metrics`].
+#[derive(Default)]
 struct HotCounters {
     messages_dropped_crashed: Counter,
     invocations: Counter,
-}
-
-impl HotCounters {
-    fn new() -> Self {
-        let registry = Registry::new();
-        // Resolve the handles once: the name lookup locks, the
-        // handles' `inc`/`add` never do.
-        let messages_dropped_crashed =
-            registry.counter("uc_reactor_messages_dropped_crashed_total");
-        let invocations = registry.counter("uc_reactor_invocations_total");
-        HotCounters {
-            messages_dropped_crashed,
-            invocations,
-        }
-    }
 }
 
 struct Shared<P: Protocol> {
@@ -561,7 +547,7 @@ where
             ready_cv: Condvar::new(),
             in_flight: AtomicI64::new(0),
             metrics: Mutex::new(Metrics::new(n)),
-            hot: HotCounters::new(),
+            hot: HotCounters::default(),
             poison: PoisonTable::new(n),
             stop: AtomicBool::new(false),
             epoch: Instant::now(),

@@ -1,7 +1,8 @@
-//! `EventCluster` lifecycle: drain-on-drop, per-node panic poisoning,
-//! quiescence under relayed traffic, ingress backpressure,
-//! timer-driven GC maintenance, and the thousands-of-replicas smoke
-//! the runtime exists for.
+//! `EventCluster` lifecycle: drain-on-drop, per-node panic poisoning
+//! (in a message, an invocation or a maintenance tick), quiescence
+//! under relayed traffic, ingress backpressure, timer-driven GC
+//! maintenance, and the thousands-of-replicas smoke the runtime exists
+//! for.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,6 +142,55 @@ fn panic_during_invoke_unblocks_the_caller() {
     assert_eq!(cluster.poisoned(), Some(err));
     // The other node is untouched.
     assert_eq!(cluster.try_invoke(1, 8).unwrap(), 8);
+}
+
+#[test]
+fn a_panicking_tick_poisons_its_node_only() {
+    /// Node 1 panics in its first maintenance tick.
+    #[derive(Debug)]
+    struct TickBomb {
+        armed: bool,
+    }
+    impl Protocol for TickBomb {
+        type Msg = ();
+        type Input = u32;
+        type Output = u32;
+        fn on_invoke(&mut self, x: u32, _ctx: &mut Ctx<'_, ()>) -> u32 {
+            x
+        }
+        fn on_message(&mut self, _f: Pid, _m: (), _c: &mut Ctx<'_, ()>) {}
+        fn on_tick(&mut self, _ctx: &mut Ctx<'_, ()>) {
+            assert!(!self.armed, "tick bomb");
+        }
+    }
+    let cluster = EventCluster::with_config(
+        RuntimeConfig {
+            workers: 2,
+            maintenance_interval: Some(Duration::from_millis(1)),
+            ..Default::default()
+        },
+        3,
+        |pid| TickBomb { armed: pid == 1 },
+    );
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let err = loop {
+        if let Some(err) = cluster.poisoned() {
+            break err;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no tick poisoned node 1 within 10 s"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(err.node, 1);
+    assert!(err.message.contains("tick bomb"), "{}", err.message);
+    let err2 = cluster.try_invoke(1, 5).expect_err("node 1 is dead");
+    assert_eq!(err2.node, 1);
+    assert!(err2.message.contains("tick bomb"), "{}", err2.message);
+    // The other nodes keep ticking and answering.
+    assert_eq!(cluster.try_invoke(0, 6).unwrap(), 6);
+    assert_eq!(cluster.try_invoke(2, 7).unwrap(), 7);
 }
 
 /// A protocol that *relays*: every received message below a TTL is
