@@ -19,9 +19,9 @@
 //! | [`memory`] | [`UcMemory`] — Algorithm 2, LWW shared memory | Alg. 2 |
 //! | [`replica`] | the wait-free replica trait all variants share (incl. [`Replica::on_batch`]) | §VII-A |
 //! | [`store`] | [`UcStore`] — sharded multi-object store: one engine per key, one clock per replica; the [`Node`] run by the inline executor ([`store::Inline`]: a direct call into its crate-private `ShardSet`, the data plane — every shard-level operation and monitor hook, written once) | partitionable follow-up |
-//! | [`inbox`] | [`Inbox`] — lock-free bounded MPSC claim-pattern inbox (Treiber push, swap-claim drain) | perf engineering |
-//! | [`snapshot`] | [`Published`] — single-writer epoch-published snapshot cell for wait-free reads | perf engineering |
-//! | [`pool`] | [`IngestPool`]/[`PoolHandle`] — the same [`Node`] run by persistent workers ([`pool::Workers`]), each owning a stride of the shards as its own `ShardSet`, fed by claim inboxes; wait-free snapshot reads, flush barriers, drain-on-drop | perf engineering |
+//! | [`inbox`] | [`inbox::Inbox`] — a pool worker's inbox: std's bounded `sync_channel` behind a close gate (an `RwLock` around the sender: pushes read, `close` writes and drops it) | perf engineering |
+//! | [`snapshot`] | [`Published`] — single-writer epoch-published snapshot cell: reads are two short `RwLock` reads, never behind a repair | perf engineering |
+//! | [`pool`] | [`IngestPool`]/[`PoolHandle`] — the same [`Node`] run by persistent workers ([`pool::Workers`]), each owning a stride of the shards as its own `ShardSet`, fed by bounded FIFO inboxes; snapshot reads never behind a repair, flush barriers, drain-on-drop | perf engineering |
 //! | [`node`] | [`Node`] — the replica written once over an [`Executor`]: partition posture and heal dialogue, health, metrics, and the `Protocol` impl both node kinds share | partitionable follow-up |
 //! | [`observe`] | shared telemetry glue: streaming-monitor counters → `uc-obs` registry | observability |
 //! | [`sim_adapter`] | run replicas on `uc-sim`; turn traces into checkable histories + SUC witnesses | Prop. 4 |
@@ -64,7 +64,6 @@ pub use engine::{CutError, RepairStrategy, ReplicaEngine};
 pub use gc::StableGc;
 pub use generic::{GenericReplica, NaiveReplay};
 pub use heal::{HealDigest, HealSession};
-pub use inbox::{Inbox, PushError};
 pub use log::UpdateLog;
 pub use memory::{MemWrite, UcMemory};
 pub use message::UpdateMsg;

@@ -1,7 +1,7 @@
 //! The **persistent shard-worker ingest pool**: long-lived worker
 //! threads, each owning a fixed set of a store's shards, fed by
-//! lock-free claim-pattern inboxes, with epoch-published snapshots
-//! for wait-free reads.
+//! bounded FIFO inboxes, with epoch-published snapshots for reads
+//! that never wait behind a repair.
 //!
 //! [`UcStore::apply_batch_owned`] ingests a burst's shards one after the
 //! other on the calling thread. The pool ingests them side by side,
@@ -15,32 +15,32 @@
 //!   ┌ inbox 0 ─▶ Worker 0 {shards 0, W, 2W, …}   (long-lived thread)
 //!   ├ inbox 1 ─▶ Worker 1 {shards 1, W+1, …}          │ between
 //!   └ inbox W-1 ▶ …                                   ▼ claims
-//!     lock-free claim-pattern              epoch-published snapshots
-//!     Treiber push + swap-claim            (wait-free query_snapshot)
+//!     std sync_channel(queue_depth)        epoch-published snapshots
+//!     + a close gate                       (query_snapshot: two short
+//!                                           RwLock reads)
 //! ```
 //!
-//! * **lock-free ingest** — the owner stamps (one `fetch_add` on the
-//!   atomic clock), handles submit peer bursts, and each CAS-pushes
-//!   onto the owning worker's [`Inbox`]; no mutex, no `sync_channel`
-//!   slot-wait. The bounded inbox still provides backpressure: a
-//!   producer that meets a full inbox yields, then parks, until the
-//!   worker frees a slot. Nothing is dropped: a peer burst reaches
-//!   the pool after the link below it has delivered it, so a burst
-//!   dropped here would never be resent;
+//! * **bounded ingest** — the owner stamps (one `fetch_add` on the
+//!   atomic clock), handles submit peer bursts, and each sends onto
+//!   the owning worker's [`Inbox`]: std's bounded channel, whose
+//!   `send` parks a producer that meets a full inbox until the worker
+//!   takes a job. Nothing is dropped: a peer burst reaches the pool
+//!   after the link below it has delivered it, so a burst dropped here
+//!   would never be resent;
 //! * **determinism** — every key lives in exactly one shard, every
 //!   shard on exactly one worker, and a single producer's pushes are
-//!   FIFO through the claim-reverse drain, so per-key delivery order
-//!   equals submission order: pool results are identical to the
+//!   FIFO through the channel, so per-key delivery order equals
+//!   submission order: pool results are identical to the
 //!   sequential [`UcStore::apply_batch_owned`] path (states *and* repair
 //!   event/step counts — the differential tests assert both). Each
 //!   claimed job is processed separately, never coalesced, for the
 //!   same reason;
-//! * **wait-free reads** — the worker republishes the post-repair
-//!   state of every written key behind an RCU-style
-//!   [`Published`] cell, as *background* work: after a claimed
-//!   batch it publishes one key at a time and
-//!   looks at its inbox between keys; when a job is waiting it leaves
-//!   the rest listed, claims, and resumes afterwards (ingest
+//! * **reads that never wait behind a repair** — the worker
+//!   republishes the post-repair state of every written key behind an
+//!   RCU-style [`Published`] cell, as *background* work: after a
+//!   claimed batch it publishes one key at a time and looks at its
+//!   inbox between keys; when a job is waiting it moves the job into
+//!   its batch, leaves the rest listed, and resumes afterwards (ingest
 //!   first, publish in the gaps — a slow publication never holds the
 //!   bounded inbox shut, so an `update()` never waits for readers'
 //!   snapshots). The shards list what is owed: each insertion into a
@@ -69,12 +69,13 @@
 //!   (`uc_pool_snapshot_copies_total`) counts those publications
 //!   beside [`WorkerStats::snapshots_published`] — flat in a steady
 //!   run, and the price of readers that sit on snapshots when it is
-//!   not. [`PoolHandle::query_snapshot`] is then a wait-free load that
-//!   never blocks behind a repair or a queued burst (and never ticks
-//!   the clock — it is a *weak* read of the latest **published**
-//!   state: between flushes it may miss updates the worker has
-//!   applied and not yet republished — see *starvation* below; the
-//!   strong FIFO read-your-writes read is [`PoolHandle::query`]).
+//!   not. [`PoolHandle::query_snapshot`] is then two short `RwLock`
+//!   reads that never wait behind a repair or a queued burst (and
+//!   never ticks the clock — it is a *weak* read of the latest
+//!   **published** state: between flushes it may miss updates the
+//!   worker has applied and not yet republished — see *starvation*
+//!   below; the strong FIFO read-your-writes read is
+//!   [`PoolHandle::query`]).
 //!   Publishing is armed **per shard** by the first snapshot read
 //!   touching it; an [`IngestPool::flush`] after arming backfills the
 //!   armed shards' keys (untouched shards pay nothing);
@@ -93,8 +94,8 @@
 //!   to every worker whose call folds the worker's keys' log prefixes
 //!   stamped `≤ cut`, without stopping ingest, and the handle
 //!   reassembles a multi-key [`StoreSnapshot`] that is un-torn at the
-//!   cut. This is the multi-key view; the wait-free published reads
-//!   are per key;
+//!   cut. This is the multi-key view; the published reads are per
+//!   key;
 //! * **fences** — [`IngestPool::flush`] pushes a fence with an empty
 //!   call to every worker and waits for all answers; because a
 //!   producer's pushes are FIFO, a completed flush has observed every
@@ -112,9 +113,10 @@
 //!   panicking ADT fold, whether a job, a publication pass or an arming
 //!   backfill first folds it) is caught once, around everything the
 //!   worker thread does, and recorded in a lock-free `OnceLock`, so the
-//!   per-call poison check is a plain load; the worker closes its inbox
-//!   and every subsequent operation surfaces the [`PoolError`] instead
-//!   of deadlocking;
+//!   per-call poison check is a plain load; the worker drops its end of
+//!   the inbox, which fails any producer parked on it, then closes the
+//!   inbox, and every subsequent operation surfaces the [`PoolError`]
+//!   instead of deadlocking;
 //! * **one stamper** — as in the paper's model, a replica is one
 //!   sequential process: only the owner (`&mut IngestPool`) stamps
 //!   local updates, ticks maintenance and announces the clock in a
@@ -159,7 +161,7 @@
 use crate::backend::{BackendFactory, LogBackend, MemFactory};
 use crate::engine::{CutError, RepairStrategy, ReplicaEngine};
 use crate::heal::{HealDigest, RANGES};
-use crate::inbox::{Inbox, PushError};
+use crate::inbox::{self, Inbox};
 use crate::message::UpdateMsg;
 use crate::node::{Executor, Node};
 use crate::snapshot::Published;
@@ -174,10 +176,9 @@ use std::fmt;
 use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 use uc_criteria::online::MonitorConfig;
 use uc_history::fxhash::FxHasher;
 use uc_obs::Registry;
@@ -287,7 +288,7 @@ pub struct WorkerStats {
     /// processed and in-flight push attempts, so it can read slightly
     /// above [`PoolConfig::queue_depth`].
     pub queue_high_water: usize,
-    /// Key states epoch-published for wait-free snapshot reads. The
+    /// Key states epoch-published for snapshot reads. The
     /// per-shard arming fix bounds this: arming one shard backfills
     /// only that shard's keys, not the whole store (the 10k-key
     /// first-query latency test asserts the bound).
@@ -451,7 +452,7 @@ type SnapCell<A> = Published<<A as UqAdt>::State>;
 
 /// The key → snapshot-cell registry for one shard. The registry map
 /// itself is epoch-published (its writer is the shard's owning
-/// worker), so readers discover new keys with the same wait-free load
+/// worker), so readers discover new keys with the same short read
 /// they use for the states. Hashed like the shard's own key map
 /// (`FxHasher`): a published read is one lookup here plus two loads.
 type SnapMap<A> = HashMap<Key, Arc<SnapCell<A>>, BuildHasherDefault<FxHasher>>;
@@ -631,19 +632,21 @@ struct PublishTally {
 enum Turn {
     /// Jobs ran or snapshots were published: take another turn.
     Worked,
-    /// Nothing queued and nothing owed: park until a push.
+    /// Nothing queued and nothing owed: block until a push or a close.
     Idle,
     /// The inbox is closed and drained and nothing is owed: hand the
     /// shards back.
     Done,
 }
 
-/// One worker thread's world: its stride of the replica's shards, its
-/// inbox (by index into the shared core) and its snapshot publisher.
+/// One worker thread's world: its stride of the replica's shards, the
+/// receiving end of its inbox (whose senders and close gate the shared
+/// core keeps, by index) and its snapshot publisher.
 struct Worker<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     shards: ShardSet<A, F, P>,
     core: Arc<PoolCore<A, F, P>>,
     widx: usize,
+    inbox: Receiver<Job<A, F, P>>,
     publisher: SnapPublisher<A>,
     /// Claimed and not yet run.
     batch: Vec<Job<A, F, P>>,
@@ -655,12 +658,18 @@ where
     F: StrategyFactory<A>,
     P: BackendFactory<A>,
 {
-    fn new(shards: ShardSet<A, F, P>, core: Arc<PoolCore<A, F, P>>, widx: usize) -> Self {
+    fn new(
+        shards: ShardSet<A, F, P>,
+        core: Arc<PoolCore<A, F, P>>,
+        widx: usize,
+        inbox: Receiver<Job<A, F, P>>,
+    ) -> Self {
         let publisher = SnapPublisher::new(shards.indices());
         Worker {
             shards,
             core,
             widx,
+            inbox,
             publisher,
             batch: Vec::new(),
         }
@@ -706,8 +715,9 @@ where
     /// them later triggers their own backfill).
     ///
     /// Publication is the worker's *background* work. Unless `force`d
-    /// the pass looks at the inbox between keys and, when a job is
-    /// waiting, stops where it is — after at least one key, so a
+    /// the pass looks at the inbox between keys (`try_recv`) and, when
+    /// a job is waiting, moves it into the batch and stops where it is
+    /// — after at least one key, so a
     /// producer that never lets the inbox run empty slows publication
     /// down to a key per claim but cannot stop it. What is left stays
     /// listed for the next call. `force` is for the points that promise
@@ -719,11 +729,11 @@ where
             shards,
             core,
             widx,
+            inbox,
             publisher,
-            ..
+            batch,
         } = self;
         let core: &PoolCore<A, F, P> = core;
-        let inbox = &core.inboxes[*widx];
         let counters = &core.counters[*widx];
         let mut tally = PublishTally::default();
         let mut oldest = true;
@@ -732,8 +742,11 @@ where
                 break true;
             }
             oldest = false;
-            if !force && !inbox.is_empty() {
-                break shards.unpublished() == 0;
+            if !force {
+                if let Ok(job) = inbox.try_recv() {
+                    batch.push(job);
+                    break shards.unpublished() == 0;
+                }
             }
         };
         if drained {
@@ -793,26 +806,48 @@ where
     /// The one way a worker fails: record the panic as the pool's
     /// poison; flush the backends, guarded against a second panic (the
     /// journal is valid, only the in-memory fold is suspect, and
-    /// recovery refolds from the journal); close the inbox, so parked
-    /// producers fail fast; drop what is queued, which releases the
-    /// callers waiting on it. The poison is set before the inbox closes,
-    /// which is what those callers wait for ([`PoolHandle::wait_for`]).
-    fn poison(&mut self, payload: Box<dyn Any + Send>) {
+    /// recovery refolds from the journal); drop the receiver, which
+    /// drops what is queued (releasing the callers waiting on it) and
+    /// fails every producer parked on the full inbox; then close the
+    /// inbox, whose wait for in-flight pushes those failures end. The
+    /// poison is set before the inbox closes, which is what those
+    /// callers wait for ([`PoolHandle::wait_for`]).
+    fn poison(mut self, payload: Box<dyn Any + Send>) {
         let _ = self.core.poison.set(PoolError {
             worker: self.widx,
             message: panic_message(payload.as_ref()),
         });
         let _ = catch_unwind(AssertUnwindSafe(|| self.shards.flush_backends()));
-        let inbox = &self.core.inboxes[self.widx];
-        inbox.close();
-        inbox.claim(&mut self.batch);
-        self.batch.clear();
+        let Worker {
+            core, widx, inbox, ..
+        } = self;
+        drop(inbox);
+        core.inboxes[widx].close();
+    }
+
+    /// Block until a job arrives or the inbox closes; the next turn's
+    /// claim reads the close.
+    fn wait(&mut self) {
+        if let Ok(job) = self.inbox.recv() {
+            self.batch.push(job);
+        }
+    }
+
+    /// Move everything queued into the batch. True once the inbox is
+    /// closed and every push it accepted has been claimed.
+    fn claim(&mut self) -> bool {
+        loop {
+            match self.inbox.try_recv() {
+                Ok(job) => self.batch.push(job),
+                Err(e) => return e == TryRecvError::Disconnected,
+            }
+        }
     }
 
     /// One step of the worker loop: ingest first, publish in the gaps,
     /// park only with nothing queued *and* nothing owed.
     fn turn(&mut self) -> Turn {
-        self.core.inboxes[self.widx].claim(&mut self.batch);
+        let closed = self.claim();
         if self.batch.is_empty() {
             if self.shards.unpublished() > 0 {
                 // Owed keys and an empty inbox: this is a gap. (A pass
@@ -822,16 +857,7 @@ where
                 self.publish(false);
                 return Turn::Worked;
             }
-            let inbox = &self.core.inboxes[self.widx];
-            if !inbox.closed_and_drained() {
-                return Turn::Idle;
-            }
-            // One more claim is guaranteed to see every push that ever
-            // succeeded (the close gate drained).
-            inbox.claim(&mut self.batch);
-            if self.batch.is_empty() {
-                return Turn::Done;
-            }
+            return if closed { Turn::Done } else { Turn::Idle };
         }
         self.run_claimed();
         Turn::Worked
@@ -845,11 +871,11 @@ where
 /// **Ingest first, publish in the gaps.** After a claimed batch the
 /// worker republishes the written keys' snapshots one key at a time
 /// and looks at its inbox between keys; when a job is waiting it
-/// leaves the rest listed, claims, and resumes afterwards
-/// (at least one key per resumed pass). It parks only when the inbox
-/// is empty *and* nothing is owed, and it exits only then too, so the
-/// shards it hands back have every snapshot published. A slow
-/// publication therefore never holds the bounded inbox shut: an
+/// takes it, leaves the rest listed, and resumes after the next batch
+/// (at least one key per resumed pass). It blocks in `recv` only when
+/// the inbox is empty *and* nothing is owed, and it exits only then
+/// too, so the shards it hands back have every snapshot published. A
+/// slow publication therefore never holds the bounded inbox shut: an
 /// `update()` waits for ingest at most, never for readers' snapshots.
 ///
 /// **Starvation.** The other side of that choice: under an inbox that
@@ -873,14 +899,11 @@ where
     F: StrategyFactory<A>,
     P: BackendFactory<A>,
 {
-    let core = Arc::clone(&worker.core);
-    let inbox = &core.inboxes[worker.widx];
-    inbox.register_consumer(std::thread::current());
     let work = catch_unwind(AssertUnwindSafe(|| {
         loop {
             match worker.turn() {
                 Turn::Worked => {}
-                Turn::Idle => inbox.wait(),
+                Turn::Idle => worker.wait(),
                 Turn::Done => break,
             }
         }
@@ -901,9 +924,10 @@ where
 }
 
 /// A cloneable, `&self` handle to a pooled store: strong reads, cuts,
-/// flushes and peer-burst ingest, and wait-free snapshot reads, from
-/// any number of threads. It never stamps: the [`IngestPool`] itself
-/// is the replica's one stamper (see the [module docs](self)).
+/// flushes and peer-burst ingest, and snapshot reads that never wait
+/// behind a repair, from any number of threads. It never stamps: the
+/// [`IngestPool`] itself is the replica's one stamper (see the
+/// [module docs](self)).
 pub struct PoolHandle<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A> = MemFactory> {
     core: Arc<PoolCore<A, F, P>>,
     adt: A,
@@ -942,38 +966,19 @@ where
     }
 
     /// Push a job, parking while the inbox is full.
-    fn push_job(&self, worker: usize, mut job: Job<A, F, P>) -> Result<(), PoolError> {
+    fn push_job(&self, worker: usize, job: Job<A, F, P>) -> Result<(), PoolError> {
         let core = &*self.core;
-        let mut spins = 0u32;
-        loop {
-            if let Some(e) = core.poison.get() {
-                return Err(e.clone());
-            }
-            // Count the job *before* it becomes visible: the worker
-            // may claim and finish it (decrementing the depth) before
-            // a post-push increment would land, wrapping the counter.
-            core.counters[worker].on_enqueue();
-            match core.inboxes[worker].push(job) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Full(j)) => {
-                    core.counters[worker].on_done();
-                    job = j;
-                    // Bounded-depth backpressure: yield first, then
-                    // sleep-park — the worker is mid-drain and will
-                    // recycle slots shortly.
-                    spins += 1;
-                    if spins < 64 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                }
-                Err(PushError::Closed(_)) => {
-                    core.counters[worker].on_done();
-                    return Err(self.err_for(worker));
-                }
-            }
+        if let Some(e) = core.poison.get() {
+            return Err(e.clone());
         }
+        // Count the job *before* it becomes visible: the worker may
+        // claim and finish it (decrementing the depth) before a
+        // post-push increment would land, wrapping the counter.
+        core.counters[worker].on_enqueue();
+        core.inboxes[worker].push(job).map_err(|_| {
+            core.counters[worker].on_done();
+            self.err_for(worker)
+        })
     }
 
     /// `f` as a call that sends its answer back. A dead channel (the
@@ -1054,8 +1059,8 @@ where
     /// Strong read: round-trips through the owning worker, whose FIFO
     /// inbox guarantees the answer reflects every earlier submission
     /// from this handle touching the key (read-your-writes). Ticks
-    /// the clock (Algorithm 1 line 13). For the wait-free weak read,
-    /// see [`PoolHandle::query_snapshot`].
+    /// the clock (Algorithm 1 line 13). For the weak read that never
+    /// waits behind a repair, see [`PoolHandle::query_snapshot`].
     pub fn query(&self, key: Key, q: &A::QueryIn) -> Result<A::QueryOut, PoolError> {
         self.core.clock.tick();
         let shard = shard_index(key, self.core.num_shards);
@@ -1252,7 +1257,7 @@ where
 }
 
 /// A pooled store: a [`UcStore`]'s shards on persistent worker
-/// threads, fed through lock-free claim inboxes. The [`Workers`]
+/// threads, fed through bounded FIFO inboxes. The [`Workers`]
 /// instantiation of [`Node`], which holds what every replica shares;
 /// cheap cloneable `&self` access for other threads comes from
 /// [`IngestPool::handle`], and [`IngestPool::finish`] reassembles the
@@ -1302,12 +1307,14 @@ where
     let workers = if cfg.workers == 0 { hw } else { cfg.workers }
         .min(num_shards)
         .max(1);
-    let queue_depth = cfg.queue_depth.max(1);
+    let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..workers)
+        .map(|_| inbox::bounded(cfg.queue_depth))
+        .unzip();
     let core = Arc::new(PoolCore {
         pid,
         clock,
         num_shards,
-        inboxes: (0..workers).map(|_| Inbox::new(queue_depth)).collect(),
+        inboxes,
         counters: (0..workers).map(|_| SharedCounters::default()).collect(),
         snaps: (0..num_shards).map(|_| Published::new()).collect(),
         poison: OnceLock::new(),
@@ -1317,8 +1324,9 @@ where
     let workers = shards
         .split(workers)
         .into_iter()
+        .zip(receivers)
         .enumerate()
-        .map(|(widx, shards)| Worker::new(shards, Arc::clone(&core), widx))
+        .map(|(widx, (shards, rx))| Worker::new(shards, Arc::clone(&core), widx, rx))
         .collect();
     let owner = Workers {
         handle: PoolHandle { core, adt },
@@ -1386,8 +1394,8 @@ where
         self.exec.handle.query(key, q)
     }
 
-    /// Wait-free weak read of the latest published snapshot (see
-    /// [`PoolHandle::query_snapshot`]).
+    /// Weak read of the latest published snapshot, two short `RwLock`
+    /// reads never behind a repair (see [`PoolHandle::query_snapshot`]).
     pub fn query_snapshot(&self, key: Key, q: &A::QueryIn) -> A::QueryOut {
         self.exec.handle.query_snapshot(key, q)
     }
@@ -2013,8 +2021,7 @@ mod tests {
             .map(|i| producer.update(i % 6, SetUpdate::Insert(1 + i as u32)))
             .collect();
         owner.handle.submit_batch(burst).unwrap();
-        let inbox = &worker.core.inboxes[worker.widx];
-        inbox.claim(&mut worker.batch);
+        worker.claim();
         owner.update(9, SetUpdate::Insert(100)).unwrap();
         worker.run_claimed();
     }
@@ -2022,9 +2029,8 @@ mod tests {
     /// Claim what is queued and run it without the publication pass
     /// that would follow: the keys it writes stay listed.
     fn run_unpublished(worker: &mut HandWorker) {
-        let mut batch = Vec::new();
-        worker.core.inboxes[worker.widx].claim(&mut batch);
-        for job in batch {
+        worker.claim();
+        for job in std::mem::take(&mut worker.batch) {
             worker.run(job);
             worker.core.counters[worker.widx].on_done();
         }
@@ -2066,12 +2072,13 @@ mod tests {
             let _ = reply.send(());
         }));
         owner.handle.push_job(0, fence).unwrap();
-        let inbox = &worker.core.inboxes[worker.widx];
-        inbox.claim(&mut worker.batch);
+        worker.claim();
         owner.update(9, SetUpdate::Insert(101)).unwrap();
         worker.run_claimed();
         assert!(ack.try_recv().is_ok());
-        assert!(!worker.core.inboxes[worker.widx].is_empty());
+        // The update behind the fence is still queued, not run.
+        worker.claim();
+        assert_eq!(worker.batch.len(), 1);
         let w = stats_of(&worker);
         // The five the pass left, and key 9, each once.
         assert_eq!(w.snapshots_published, 7 + 1 + 5 + 1);
@@ -2115,8 +2122,7 @@ mod tests {
         // keys, listed first, are still published one a pass, in the
         // order they were listed, not passed over by the newer keys.
         for round in 1..6 {
-            let inbox = &worker.core.inboxes[worker.widx];
-            inbox.claim(&mut worker.batch);
+            worker.claim();
             owner.update(20 + round, SetUpdate::Insert(100)).unwrap();
             worker.run_claimed();
             let shown: Vec<Key> = (0..=round).collect();

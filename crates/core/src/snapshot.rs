@@ -1,5 +1,6 @@
 //! **Epoch-published snapshots**: the RCU-style cell behind the
-//! pool's wait-free reads.
+//! pool's snapshot reads, two short `RwLock` reads that never wait
+//! behind a repair.
 //!
 //! A [`Published<T>`] is a single-writer, multi-reader cell holding
 //! an `(epoch, Arc<T>)` pair. The writer (a pool worker, after a
@@ -93,10 +94,11 @@ impl<T> Published<T> {
         }
     }
 
-    /// Wait-free snapshot read: the latest published `(epoch, value)`,
-    /// or `None` before the first publish. Never blocks behind a
-    /// publish of the current value; may briefly share a straggler
-    /// slot with the writer (see module docs).
+    /// Snapshot read: the latest published `(epoch, value)`, or `None`
+    /// before the first publish. A short `RwLock` read, never behind a
+    /// repair and never behind a publish of the current value; it may
+    /// wait for a publication's pointer swap on a straggler slot, and
+    /// retries at most 8 times (see module docs).
     pub fn load(&self) -> Option<Pair<T>> {
         for _ in 0..8 {
             let i = self.current.load(Ordering::SeqCst);

@@ -614,7 +614,8 @@ impl<A: UqAdt, S, B> Slot<A, S, B> {
 /// floor of the moment, as every insertion does
 /// ([`Shard::insert_into`]).
 ///
-/// A pool worker publishes its keys' states for wait-free reads (see
+/// A pool worker publishes its keys' states for snapshot reads, two
+/// short `RwLock` reads never behind a repair (see
 /// [`IngestPool`](crate::pool::IngestPool)). Once it has backfilled a
 /// shard it switches the shard's `publishing` on, and from then on each
 /// insertion lists its slot on `unpublished`; the worker takes the

@@ -1,4 +1,4 @@
-//! Schedule-perturbation stress for the lock-free primitives, driven
+//! Schedule-perturbation stress for the concurrent primitives, driven
 //! by the `interleave` shim (a pragmatic loom stand-in — see
 //! `crates/shims/README.md`): the real inbox and clock code runs on
 //! real threads while seeded yield/spin/sleep injection at the racy
@@ -6,45 +6,55 @@
 //! run rarely exposes.
 //!
 //! Covered seams:
-//! * **inbox claim/drain** — producers CAS-pushing against a consumer
-//!   swap-claiming, through full-inbox backpressure and the
-//!   close/drain handoff: nothing lost, nothing duplicated,
-//!   per-producer FIFO preserved;
+//! * **inbox push/claim/close** — producers pushing into std's bounded
+//!   channel against a consumer claiming, through full-inbox parking
+//!   and the close gate's handoff: nothing lost, nothing duplicated,
+//!   per-producer FIFO preserved, every accepted push claimed after a
+//!   close;
 //! * **clock CAS** — concurrent `tick` (fetch_add) and `merge`
 //!   (fetch_max running max): stamps stay unique, the clock never
 //!   regresses, and merges are monotone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use uc_core::{Inbox, LamportClock, PushError};
+use uc_core::inbox;
+use uc_core::LamportClock;
 
 const SEEDS: u64 = 6;
 const PRODUCERS: u64 = 3;
 const ITEMS_PER_PRODUCER: u64 = 400;
 
+/// A pool worker's claim loop without the work: claim what is queued,
+/// block in `recv` when idle, and stop when `recv` reports the close,
+/// which it does only once every accepted push has been taken.
+/// Everything claimed, in order.
+fn consume<T>(rx: &Receiver<T>, sched: &mut interleave::Schedule) -> Vec<T> {
+    let mut got = Vec::new();
+    loop {
+        sched.point(); // race the claim against pushes and the close
+        got.extend(rx.try_iter());
+        match rx.recv() {
+            Ok(item) => got.push(item),
+            Err(_) => return got,
+        }
+    }
+}
+
 #[test]
 fn perturbed_inbox_loses_nothing_and_keeps_fifo() {
     interleave::explore(SEEDS, |run| {
-        let inbox: Arc<Inbox<(u64, u64)>> = Arc::new(Inbox::new(8));
+        let (inbox, rx) = inbox::bounded::<(u64, u64)>(8);
+        let inbox = Arc::new(inbox);
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let inbox = Arc::clone(&inbox);
                 let mut sched = run.schedule(p + 1);
                 std::thread::spawn(move || {
                     for i in 0..ITEMS_PER_PRODUCER {
-                        let mut item = (p, i);
-                        loop {
-                            sched.point(); // race the freelist pop / head CAS
-                            match inbox.push(item) {
-                                Ok(()) => break,
-                                Err(PushError::Full(it)) => {
-                                    item = it;
-                                    std::thread::yield_now();
-                                }
-                                Err(PushError::Closed(_)) => {
-                                    panic!("inbox closed under a live producer")
-                                }
-                            }
+                        sched.point(); // race the sends, full or not
+                        if inbox.push((p, i)).is_err() {
+                            panic!("inbox closed under a live producer");
                         }
                     }
                 })
@@ -52,39 +62,18 @@ fn perturbed_inbox_loses_nothing_and_keeps_fifo() {
             .collect();
 
         let consumer = {
-            let inbox = Arc::clone(&inbox);
             let mut sched = run.schedule(0);
-            std::thread::spawn(move || {
-                inbox.register_consumer(std::thread::current());
-                let mut batch = Vec::new();
-                let mut got: Vec<Vec<u64>> = (0..PRODUCERS).map(|_| Vec::new()).collect();
-                loop {
-                    sched.point(); // race the swap-claim against pushes
-                    inbox.claim(&mut batch);
-                    if batch.is_empty() {
-                        if inbox.closed_and_drained() {
-                            inbox.claim(&mut batch);
-                            if batch.is_empty() {
-                                break;
-                            }
-                        } else {
-                            inbox.wait();
-                            continue;
-                        }
-                    }
-                    for (p, i) in batch.drain(..) {
-                        got[p as usize].push(i);
-                    }
-                }
-                got
-            })
+            std::thread::spawn(move || consume(&rx, &mut sched))
         };
 
         for p in producers {
             p.join().unwrap();
         }
         inbox.close();
-        let got = consumer.join().unwrap();
+        let mut got: Vec<Vec<u64>> = (0..PRODUCERS).map(|_| Vec::new()).collect();
+        for (p, i) in consumer.join().unwrap() {
+            got[p as usize].push(i);
+        }
         for (p, seq) in got.iter().enumerate() {
             assert_eq!(
                 seq.len() as u64,
@@ -103,11 +92,12 @@ fn perturbed_inbox_loses_nothing_and_keeps_fifo() {
 
 #[test]
 fn perturbed_close_drains_every_accepted_push() {
-    // The close/drain gate: producers race `close()` itself; every
-    // push that reported Ok must be claimable afterwards, every push
-    // after close must be refused.
+    // The close gate: producers race `close()` itself, some of them
+    // parked on a full inbox; every push that reported Ok must be
+    // claimed afterwards, every push after close must be refused.
     interleave::explore(SEEDS, |run| {
-        let inbox: Arc<Inbox<u64>> = Arc::new(Inbox::new(4));
+        let (inbox, rx) = inbox::bounded::<u64>(4);
+        let inbox = Arc::new(inbox);
         let accepted = Arc::new(AtomicU64::new(0));
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
@@ -117,17 +107,18 @@ fn perturbed_close_drains_every_accepted_push() {
                 std::thread::spawn(move || {
                     for i in 0..200u64 {
                         sched.point();
-                        match inbox.push(p * 1000 + i) {
-                            Ok(()) => {
-                                accepted.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(PushError::Full(_)) => std::thread::yield_now(),
-                            Err(PushError::Closed(_)) => return,
+                        if inbox.push(p * 1000 + i).is_err() {
+                            return;
                         }
+                        accepted.fetch_add(1, Ordering::SeqCst);
                     }
                 })
             })
             .collect();
+        let consumer = {
+            let mut sched = run.schedule(0);
+            std::thread::spawn(move || consume(&rx, &mut sched))
+        };
         // Close midway through the contention window.
         let mut sched = run.schedule(99);
         for _ in 0..32 {
@@ -137,18 +128,7 @@ fn perturbed_close_drains_every_accepted_push() {
         for p in producers {
             p.join().unwrap();
         }
-        let mut drained = Vec::new();
-        let mut batch = Vec::new();
-        loop {
-            inbox.claim(&mut batch);
-            if batch.is_empty() && inbox.closed_and_drained() {
-                inbox.claim(&mut batch);
-                if batch.is_empty() {
-                    break;
-                }
-            }
-            drained.append(&mut batch);
-        }
+        let drained = consumer.join().unwrap();
         assert_eq!(
             drained.len() as u64,
             accepted.load(Ordering::SeqCst),

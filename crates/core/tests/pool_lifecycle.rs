@@ -1,7 +1,8 @@
 //! Lifecycle edges of the persistent shard-worker ingest pool:
-//! drain-on-drop, flush barriers, and panic poisoning (a panicking
+//! drain-on-drop, flush barriers, panic poisoning (a panicking
 //! burst, and a pill first folded in a call, a publication pass or an
-//! arming backfill).
+//! arming backfill), a producer parked on a full inbox while its
+//! worker dies or the pool finishes, and a handle racing the close.
 //!
 //! The observability trick: instrumented UQ-ADTs whose transition
 //! function reports into shared state (an `Arc`), so a test can see
@@ -14,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use uc_core::{CheckpointFactory, GcFactory, IngestPool, PoolConfig, StoreMsg, UcStore};
+use uc_core::{CheckpointFactory, GcFactory, IngestPool, PoolConfig, PoolError, StoreMsg, UcStore};
 use uc_obs::HealthStatus;
 use uc_spec::{SetAdt, SetQuery, SetUpdate, UqAdt};
 
@@ -317,6 +318,245 @@ fn a_panicking_call_releases_its_caller() {
             pool.finish().map(drop)
         });
         pill(&format!("{case}: finish"), finished.expect_err("poisoned"));
+    }
+}
+
+/// A set ADT whose fold of one element holds the folding thread until
+/// the test lets it go, and then panics if told to: a worker held in a
+/// call, with its inbox left to fill behind it.
+#[derive(Clone, Debug)]
+struct GatedSet {
+    inner: SetAdt<u32>,
+    gate: u32,
+    panics: bool,
+    held: Arc<AtomicBool>,
+    release: Arc<AtomicBool>,
+}
+
+impl GatedSet {
+    fn new(gate: u32, panics: bool) -> Self {
+        GatedSet {
+            inner: SetAdt::new(),
+            gate,
+            panics,
+            held: Arc::new(AtomicBool::new(false)),
+            release: Arc::new(AtomicBool::new(false)),
+        }
+    }
+}
+
+impl UqAdt for GatedSet {
+    type Update = SetUpdate<u32>;
+    type QueryIn = SetQuery;
+    type QueryOut = BTreeSet<u32>;
+    type State = BTreeSet<u32>;
+
+    fn initial(&self) -> Self::State {
+        self.inner.initial()
+    }
+
+    fn apply(&self, state: &mut Self::State, update: &Self::Update) {
+        if *update == SetUpdate::Insert(self.gate) {
+            self.held.store(true, Ordering::SeqCst);
+            while !self.release.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            assert!(!self.panics, "poison pill folded");
+        }
+        self.inner.apply(state, update);
+    }
+
+    fn observe(&self, state: &Self::State, query: &Self::QueryIn) -> Self::QueryOut {
+        self.inner.observe(state, query)
+    }
+}
+
+type GatedPool = IngestPool<GatedSet, CheckpointFactory>;
+
+/// A one-worker pool with a depth-1 inbox whose worker is held folding
+/// the gate element, its inbox full behind it, and a peer update for a
+/// producer to submit.
+fn a_held_worker_with_a_full_inbox(
+    panics: bool,
+) -> (GatedPool, GatedSet, StoreMsg<SetUpdate<u32>>) {
+    const GATE: u32 = 7;
+    let adt = GatedSet::new(GATE, panics);
+    let mut peer = UcStore::new(
+        GatedSet::new(u32::MAX, false),
+        1,
+        1,
+        CheckpointFactory { every: 4 },
+    );
+    let late = peer.update(4, SetUpdate::Insert(8));
+    let mut pool =
+        UcStore::new(adt.clone(), 0, 1, CheckpointFactory { every: 4 }).into_pool(PoolConfig {
+            workers: 1,
+            queue_depth: 1,
+        });
+    // One job each: the first holds the worker, the second fills the
+    // one slot behind it.
+    pool.update(3, SetUpdate::Insert(GATE)).unwrap();
+    while !adt.held.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    pool.update(5, SetUpdate::Insert(1)).unwrap();
+    (pool, adt, late)
+}
+
+/// Wait until a producer has counted its job beside the held one and
+/// the one queued behind it: it is parked on the full inbox, or about
+/// to be.
+fn await_a_parked_producer(pool: &GatedPool) {
+    while pool.stats().max_queue_high_water() < 3 {
+        std::thread::yield_now();
+    }
+}
+
+/// A producer parked on a full inbox whose worker dies in the call it
+/// is held in gets the panic, not a slot that never frees: the dying
+/// worker drops its receiver before it waits out in-flight pushes.
+#[test]
+fn a_producer_parked_on_a_full_inbox_gets_its_workers_panic() {
+    let (parked, finished) = watched("a producer parked on a full inbox", true, |panics| {
+        let (pool, adt, late) = a_held_worker_with_a_full_inbox(panics);
+        let handle = pool.handle();
+        let producer = std::thread::spawn(move || handle.submit_batch(vec![late]));
+        await_a_parked_producer(&pool);
+        adt.release.store(true, Ordering::SeqCst);
+        (producer.join().unwrap(), pool.finish().map(drop))
+    });
+    pill("the parked producer", parked.expect_err("poisoned"));
+    pill("finish", finished.expect_err("poisoned"));
+}
+
+/// A producer parked on a full inbox while the owner finishes the pool
+/// returns: its job was queued before the close and runs, or it meets
+/// the close and is refused. The producer is a strong read, one job
+/// whose answer says which.
+///
+/// The worker is released once the finisher thread is about to call
+/// `finish`, plus 20 ms for it to reach the close gate and wait out the
+/// parked push there. Nothing outside the gate shows that wait, so
+/// that ordering is covered on a best-effort basis: on a loaded host
+/// the close may come after the worker moves on, and the case then
+/// checks a plain finish behind a full inbox.
+#[test]
+fn a_producer_parked_on_a_full_inbox_returns_when_the_pool_finishes() {
+    let (answered, finished) = watched(
+        "a producer parked on a full inbox while the pool finishes",
+        false,
+        |panics| {
+            let (pool, adt, _) = a_held_worker_with_a_full_inbox(panics);
+            let handle = pool.handle();
+            let producer = std::thread::spawn(move || handle.query(3, &SetQuery::Read));
+            await_a_parked_producer(&pool);
+            let finishing = Arc::new(AtomicBool::new(false));
+            let finisher = {
+                let finishing = Arc::clone(&finishing);
+                std::thread::spawn(move || {
+                    finishing.store(true, Ordering::SeqCst);
+                    pool.finish()
+                })
+            };
+            while !finishing.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            adt.release.store(true, Ordering::SeqCst);
+            (producer.join().unwrap(), finisher.join().unwrap())
+        },
+    );
+    let mut store = finished.expect("no worker panicked");
+    assert_eq!(store.materialize_key(3), BTreeSet::from([7]));
+    match answered {
+        Ok(read) => assert_eq!(read, BTreeSet::from([7])),
+        Err(e) => assert!(e.to_string().contains("closed"), "refused: {e}"),
+    }
+}
+
+/// A handle thread that keeps submitting and reading while the owner
+/// finishes, or drops, the pool, and on until that returns, is answered
+/// or refused as closed on every call, never left waiting; the workers
+/// exit although refused pushes keep meeting their closed inboxes. The
+/// finished store holds every burst the handle was told was accepted,
+/// and perhaps some it was refused: a burst is an ingest job and then
+/// a call to every worker, so a close between the two refuses a burst
+/// whose job runs. Once the close is over, every call is refused.
+#[test]
+fn a_handle_racing_the_close_is_answered_or_refused() {
+    fn closed(err: PoolError) {
+        assert!(err.to_string().contains("closed"), "{err}");
+    }
+    for finish in [true, false] {
+        watched("a handle racing the close", finish, |finish| {
+            let adt = SetAdt::<u32>::new();
+            let mut pool =
+                UcStore::new(adt, 0, 4, CheckpointFactory { every: 4 }).into_pool(PoolConfig {
+                    workers: 2,
+                    queue_depth: 2,
+                });
+            let handle = pool.handle();
+            let racing = Arc::new(AtomicBool::new(false));
+            let over = Arc::new(AtomicBool::new(false));
+            let racer = {
+                let (racing, over) = (Arc::clone(&racing), Arc::clone(&over));
+                std::thread::spawn(move || {
+                    let mut producer = UcStore::new(adt, 1, 1, CheckpointFactory { every: 4 });
+                    let (mut accepted, mut refused) = (BTreeSet::new(), BTreeSet::new());
+                    for i in 0u32.. {
+                        let key = u64::from(i % 8);
+                        let msg = producer.update(key, SetUpdate::Insert(i));
+                        match handle.submit_batch(vec![msg]) {
+                            Ok(()) => accepted.insert(i),
+                            Err(e) => {
+                                closed(e);
+                                refused.insert(i)
+                            }
+                        };
+                        racing.store(true, Ordering::SeqCst);
+                        if let Err(e) = handle.query(key, &SetQuery::Read) {
+                            closed(e);
+                        }
+                        if over.load(Ordering::SeqCst) {
+                            break;
+                        }
+                    }
+                    closed(
+                        handle
+                            .query(0, &SetQuery::Read)
+                            .expect_err("after the close"),
+                    );
+                    closed(handle.flush().expect_err("after the close"));
+                    let late = producer.update(0, SetUpdate::Insert(u32::MAX - 1));
+                    closed(
+                        handle
+                            .submit_batch(vec![late])
+                            .expect_err("after the close"),
+                    );
+                    (accepted, refused)
+                })
+            };
+            while !racing.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            pool.update(100, SetUpdate::Insert(u32::MAX)).unwrap();
+            let store = if finish {
+                Some(pool.finish().unwrap())
+            } else {
+                drop(pool);
+                None
+            };
+            over.store(true, Ordering::SeqCst);
+            let (accepted, refused) = racer.join().unwrap();
+            if let Some(mut store) = store {
+                let held: BTreeSet<u32> = (0..8).flat_map(|k| store.materialize_key(k)).collect();
+                assert!(accepted.is_subset(&held), "{accepted:?} ⊄ {held:?}");
+                assert!(held
+                    .iter()
+                    .all(|e| accepted.contains(e) || refused.contains(e)));
+                assert_eq!(store.materialize_key(100), BTreeSet::from([u32::MAX]));
+            }
+        });
     }
 }
 

@@ -34,10 +34,13 @@ pub fn check_pc_with<A: UqAdt>(h: &History<A>, cfg: &CheckConfig) -> Verdict {
     let Some(maximal) = chains::maximal_chains(h, cfg.max_chains) else {
         return Verdict::Unsupported(format!("more than {} maximal chains", cfg.max_chains));
     };
+    // One budget for the whole check: `max_nodes` bounds the check,
+    // not each of its chains.
+    let mut budget = Budget::new(cfg);
     let mut witnesses = Vec::with_capacity(maximal.len());
     for chain in maximal {
         let scope = h.updates_mask() | chains::chain_mask(&chain);
-        match linearize(h, scope, &mut Budget::new(cfg), |_| true) {
+        match linearize(h, scope, &mut budget, |_| true) {
             Search::Found((linearization, _)) => witnesses.push(ChainWitness {
                 chain,
                 linearization,
@@ -153,6 +156,51 @@ mod tests {
         b.update(p1, SetUpdate::Insert(1));
         let h = b.build().unwrap();
         assert!(check_pc(&h).holds());
+    }
+
+    /// The least node budget that linearizes one chain of `h` with
+    /// all its updates.
+    fn nodes_for_chain<A: UqAdt>(h: &History<A>, chain: &[uc_history::EventId]) -> u64 {
+        let scope = h.updates_mask() | chains::chain_mask(chain);
+        (1..)
+            .find(|&max_nodes| {
+                let cfg = CheckConfig {
+                    max_nodes,
+                    max_chains: 64,
+                };
+                matches!(
+                    linearize(h, scope, &mut Budget::new(&cfg), |_| true),
+                    Search::Found(_)
+                )
+            })
+            .expect("a PC chain linearizes")
+    }
+
+    #[test]
+    fn the_budget_bounds_the_whole_check_not_each_chain() {
+        // Fig. 2's two chains each fit in the larger one's budget, but
+        // not both in it: the check spends one budget over its chains.
+        let fig = paper::fig2();
+        let h = &fig.history;
+        let costs: Vec<u64> = chains::maximal_chains(h, 64)
+            .expect("two chains")
+            .iter()
+            .map(|chain| nodes_for_chain(h, chain))
+            .collect();
+        let (max, sum) = (*costs.iter().max().unwrap(), costs.iter().sum::<u64>());
+        assert!(costs.len() == 2 && max < sum, "chain costs {costs:?}");
+        let with = |max_nodes| {
+            check_pc_with(
+                h,
+                &CheckConfig {
+                    max_nodes,
+                    max_chains: 64,
+                },
+            )
+        };
+        assert!(matches!(with(max), Verdict::Unsupported(_)), "{costs:?}");
+        assert!(matches!(with(sum - 1), Verdict::Unsupported(_)));
+        assert!(with(sum).holds(), "{costs:?}");
     }
 
     #[test]

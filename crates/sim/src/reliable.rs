@@ -439,6 +439,9 @@ impl<P: Protocol> ReliableLink<P> {
         self.stats.delivered += ready.len() as u64;
         if !ready.is_empty() {
             self.with_inner(ctx, |inner, ictx| {
+                // One at a time, not as one `on_batch`: a replica hears
+                // each frame's stamp as it inserts it, a burst's stamps
+                // only once the whole burst is in.
                 for (from, p) in ready.drain(..) {
                     inner.on_message(from, p, ictx);
                 }
