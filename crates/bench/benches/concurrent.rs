@@ -8,10 +8,12 @@
 //!   lock to materialize. Every reader stalls the stamper and vice
 //!   versa; a reader behind an in-flight fold waits it out.
 //! * **pool** — the [`IngestPool`]'s owner stamps on the atomic clock
-//!   and CAS-pushes to the worker's claim inbox; readers on other
-//!   threads do wait-free `query_snapshot` loads of the
-//!   epoch-published post-repair states through cloned handles and
-//!   never block anyone.
+//!   and sends to the worker's inbox (std's bounded channel); readers
+//!   on other threads do `query_snapshot` loads of the
+//!   epoch-published post-repair states through cloned handles: two
+//!   short read locks each (the shard's registry, then the key's
+//!   cell), never behind a fold, waiting at most for a publication's
+//!   pointer replace.
 //!
 //! A replica has one stamper (a pool handle cannot stamp), so the axis
 //! is the number of readers. Each reader makes as many reads as the
@@ -81,7 +83,7 @@ fn run_locked(readers: usize, ops: u64) -> (u64, u64, Store) {
     (ns, store.clock(), store)
 }
 
-/// The pool: its owner stamps and pushes to the claim inbox; readers
+/// The pool: its owner stamps and sends to the worker's inbox; readers
 /// load epoch-published snapshots through handles.
 fn run_pool(readers: usize, ops: u64) -> (u64, u64, Store) {
     let mut pool = store().into_pool(PoolConfig {
@@ -206,7 +208,7 @@ fn main() {
         "\nnote: Mops/s counts updates and reads, over the wall time until every \
          thread is done and the pool is flushed (median of {reps} reps). Locked \
          readers serialize whole folds behind the store mutex, snapshot readers \
-         cost one atomic load + Arc clone."
+         cost two short read locks and an Arc clone."
     );
 
     harness::emit(
@@ -224,7 +226,7 @@ fn main() {
                 "note",
                 "\"digest-verified: pool == locked == sequential per key every rep; one \
                  stamper beside R readers; mops counts updates + reads; speedup > 1 means \
-                 owner stamping + claim inboxes + snapshot reads beat the mutex-shared \
+                 owner stamping + bounded inboxes + snapshot reads beat the mutex-shared \
                  store under the same load\""
                     .into(),
             ),

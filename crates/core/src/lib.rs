@@ -20,7 +20,7 @@
 //! | [`replica`] | the wait-free replica trait all variants share (incl. [`Replica::on_batch`]) | §VII-A |
 //! | [`store`] | [`UcStore`] — sharded multi-object store: one engine per key, one clock per replica; the [`Node`] run by the inline executor ([`store::Inline`]: a direct call into its crate-private `ShardSet`, the data plane — every shard-level operation and monitor hook, written once) | partitionable follow-up |
 //! | [`inbox`] | [`inbox::Inbox`] — a pool worker's inbox: std's bounded `sync_channel` behind a close gate (an `RwLock` around the sender: pushes read, `close` writes and drops it) | perf engineering |
-//! | [`snapshot`] | [`Published`] — single-writer epoch-published snapshot cell: reads are two short `RwLock` reads, never behind a repair | perf engineering |
+//! | [`snapshot`] | [`Published`] — single-writer epoch-published snapshot cell behind one `RwLock`: a `load` is one short read lock, never behind a repair (the pool's snapshot read is two: its shard's registry, then the cell) | perf engineering |
 //! | [`pool`] | [`IngestPool`]/[`PoolHandle`] — the same [`Node`] run by persistent workers ([`pool::Workers`]), each owning a stride of the shards as its own `ShardSet`, fed by bounded FIFO inboxes; snapshot reads never behind a repair, flush barriers, drain-on-drop | perf engineering |
 //! | [`node`] | [`Node`] — the replica written once over an [`Executor`]: partition posture and heal dialogue, health, metrics, and the `Protocol` impl both node kinds share | partitionable follow-up |
 //! | [`observe`] | shared telemetry glue: streaming-monitor counters → `uc-obs` registry | observability |

@@ -17,7 +17,7 @@
 //!   └ inbox W-1 ▶ …                                   ▼ claims
 //!     std sync_channel(queue_depth)        epoch-published snapshots
 //!     + a close gate                       (query_snapshot: two short
-//!                                           RwLock reads)
+//!                                           RwLock reads: registry, cell)
 //! ```
 //!
 //! * **bounded ingest** — the owner stamps (one `fetch_add` on the
@@ -36,8 +36,8 @@
 //!   claimed job is processed separately, never coalesced, for the
 //!   same reason;
 //! * **reads that never wait behind a repair** — the worker
-//!   republishes the post-repair state of every written key behind an
-//!   RCU-style [`Published`] cell, as *background* work: after a
+//!   republishes the post-repair state of every written key into its
+//!   [`Published`] cell (one `RwLock`), as *background* work: after a
 //!   claimed batch it publishes one key at a time and looks at its
 //!   inbox between keys; when a job is waiting it moves the job into
 //!   its batch, leaves the rest listed, and resumes afterwards (ingest
@@ -69,12 +69,14 @@
 //!   (`uc_pool_snapshot_copies_total`) counts those publications
 //!   beside [`WorkerStats::snapshots_published`] — flat in a steady
 //!   run, and the price of readers that sit on snapshots when it is
-//!   not. [`PoolHandle::query_snapshot`] is then two short `RwLock`
-//!   reads that never wait behind a repair or a queued burst (and
-//!   never ticks the clock — it is a *weak* read of the latest
-//!   **published** state: between flushes it may miss updates the
-//!   worker has applied and not yet republished — see *starvation*
-//!   below; the strong FIFO read-your-writes read is
+//!   not. A key's first publication inserts its cell into its shard's
+//!   key → cell registry, where readers find it from then on.
+//!   [`PoolHandle::query_snapshot`] is then two short `RwLock` reads
+//!   (the registry, then the cell) that never wait behind a repair or
+//!   a queued burst (and never ticks the clock — it is a *weak* read
+//!   of the latest **published** state: between flushes it may miss
+//!   updates the worker has applied and not yet republished — see
+//!   *starvation* below; the strong FIFO read-your-writes read is
 //!   [`PoolHandle::query`]).
 //!   Publishing is armed **per shard** by the first snapshot read
 //!   touching it; an [`IngestPool::flush`] after arming backfills the
@@ -177,7 +179,7 @@ use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, TryRecvError};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use uc_criteria::online::MonitorConfig;
 use uc_history::fxhash::FxHasher;
@@ -450,11 +452,12 @@ enum Job<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
 /// [`RepairStrategy::shared_state`].
 type SnapCell<A> = Published<<A as UqAdt>::State>;
 
-/// The key → snapshot-cell registry for one shard. The registry map
-/// itself is epoch-published (its writer is the shard's owning
-/// worker), so readers discover new keys with the same short read
-/// they use for the states. Hashed like the shard's own key map
-/// (`FxHasher`): a published read is one lookup here plus two loads.
+/// The key → snapshot-cell registry for one shard, behind one
+/// `RwLock` in [`PoolCore::snaps`]. Its one writer is the shard's
+/// owning worker, which inserts a key's cell at the cell's first
+/// publication; readers look keys up under the read lock. Hashed like
+/// the shard's own key map (`FxHasher`): a published read is one
+/// lookup here plus the cell's load.
 type SnapMap<A> = HashMap<Key, Arc<SnapCell<A>>, BuildHasherDefault<FxHasher>>;
 
 /// State shared by every [`PoolHandle`], the [`IngestPool`], and the
@@ -467,8 +470,8 @@ struct PoolCore<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> {
     num_shards: usize,
     inboxes: Vec<Inbox<Job<A, F, P>>>,
     counters: Vec<SharedCounters>,
-    /// Per shard, its published key → cell registry.
-    snaps: Vec<Published<SnapMap<A>>>,
+    /// Per shard, its key → cell registry.
+    snaps: Vec<RwLock<SnapMap<A>>>,
     /// First worker panic wins; the per-call check is a plain load.
     poison: OnceLock<PoolError>,
     /// Per-shard snapshot arming, set by the first snapshot read of a
@@ -489,23 +492,18 @@ impl<A: UqAdt, F: StrategyFactory<A>, P: BackendFactory<A>> PoolCore<A, F, P> {
     }
 }
 
-/// The worker's copy of one owned shard's key → cell registry, and the
-/// same cells by the shard's slot numbers.
+/// One owned shard's snapshot cells by the shard's slot numbers: how
+/// the worker reaches a key's cell, with no hash lookup. The same cells
+/// by key are the shard's registry in [`PoolCore::snaps`].
 struct Mirror<A: UqAdt> {
     /// The shard's global index.
     shard: usize,
-    /// The registry readers look keys up in, as it is next published.
-    cells: SnapMap<A>,
-    /// The cells of `cells` by slot number: how the worker reaches a
-    /// key's cell, with no hash lookup.
     by_slot: Vec<Option<Arc<SnapCell<A>>>>,
-    /// Did `cells` gain a key since the registry was last published?
-    dirty: bool,
 }
 
-/// Worker-local snapshot publisher: a mirror of each owned shard's
-/// key→cell registry, and the per-worker epoch sequence. Each cell and
-/// each registry has exactly one writer (this worker), which is what
+/// Worker-local snapshot publisher: each owned shard's cells by slot
+/// number, and the per-worker epoch sequence. Each cell and each
+/// registry has exactly one writer (this worker), which is what
 /// [`Published::publish`]'s single-writer contract needs.
 ///
 /// What is owed a publication the shards list themselves: once a shard
@@ -531,9 +529,7 @@ impl<A: UqAdt> SnapPublisher<A> {
             mirrors: owned_shards
                 .map(|shard| Mirror {
                     shard,
-                    cells: SnapMap::<A>::default(),
                     by_slot: Vec::new(),
-                    dirty: false,
                 })
                 .collect(),
             seq: 0,
@@ -547,6 +543,7 @@ impl<A: UqAdt> SnapPublisher<A> {
     /// in the first shard that lists one.
     fn publish_next<F, P>(
         &mut self,
+        snaps: &[RwLock<SnapMap<A>>],
         shards: &mut ShardSet<A, F, P>,
         oldest: bool,
         tally: &mut PublishTally,
@@ -562,7 +559,7 @@ impl<A: UqAdt> SnapPublisher<A> {
                 if oldest {
                     self.turn = (m + 1) % n;
                 }
-                self.publish_slot(m, at, key, engine, tally);
+                self.publish_slot(snaps, m, at, key, engine, tally);
                 return true;
             }
         }
@@ -570,11 +567,11 @@ impl<A: UqAdt> SnapPublisher<A> {
     }
 
     /// Publish the current state of `key`, slot `at` of mirror `m`'s
-    /// shard, and tally it. Registry publication for brand-new keys is
-    /// deferred to `flush_registries` so a backfill costs one map clone
-    /// per shard, not per key.
+    /// shard, and tally it. A key's first publication also inserts its
+    /// cell into the shard's registry, so readers find it from then on.
     fn publish_slot<S, B>(
         &mut self,
+        snaps: &[RwLock<SnapMap<A>>],
         m: usize,
         at: u32,
         key: Key,
@@ -598,23 +595,11 @@ impl<A: UqAdt> SnapPublisher<A> {
             None => {
                 let cell = Arc::new(Published::new());
                 cell.publish(self.seq, snapshot);
-                mirror.cells.insert(key, Arc::clone(&cell));
+                snaps[mirror.shard]
+                    .write()
+                    .expect("snapshot registry never poisoned")
+                    .insert(key, Arc::clone(&cell));
                 mirror.by_slot[at] = Some(cell);
-                mirror.dirty = true;
-            }
-        }
-    }
-
-    /// Publish the registries that gained keys since the last call.
-    fn flush_registries<F, P>(&mut self, core: &PoolCore<A, F, P>)
-    where
-        F: StrategyFactory<A>,
-        P: BackendFactory<A>,
-    {
-        for mirror in &mut self.mirrors {
-            if std::mem::take(&mut mirror.dirty) {
-                self.seq += 1;
-                core.snaps[mirror.shard].publish(self.seq, Arc::new(mirror.cells.clone()));
             }
         }
     }
@@ -738,7 +723,7 @@ where
         let mut tally = PublishTally::default();
         let mut oldest = true;
         let drained = loop {
-            if !publisher.publish_next(shards, oldest, &mut tally) {
+            if !publisher.publish_next(&core.snaps, shards, oldest, &mut tally) {
                 break true;
             }
             oldest = false;
@@ -761,16 +746,11 @@ where
                     // pay nothing until a snapshot read arms them too.
                     // In creation order, so slot numbers count up from 0.
                     for (at, (key, engine)) in shard.engines_mut().enumerate() {
-                        publisher.publish_slot(m, at as u32, key, engine, &mut tally);
+                        publisher.publish_slot(&core.snaps, m, at as u32, key, engine, &mut tally);
                     }
                     shard.start_publishing();
                 }
             }
-            // A registry costs a clone of its shard's map: once per
-            // completed pass, not once per suspension. A key first
-            // written under a suspended pass answers from the initial
-            // state until then, like any key before its first flush.
-            publisher.flush_registries(core);
         } else {
             counters.publish_yields.fetch_add(1, Ordering::Relaxed);
         }
@@ -889,9 +869,8 @@ where
 /// publication to completion whatever is queued behind it.
 ///
 /// **Panics.** One `catch_unwind` holds all of the worker's work —
-/// every job, publication pass, arming backfill and registry
-/// publication, and the exit path — and hands a panic to
-/// [`Worker::poison`]. The shards may then hold a half-repaired engine,
+/// every job, publication pass and arming backfill, and the exit
+/// path — and hands a panic to [`Worker::poison`]. The shards may then hold a half-repaired engine,
 /// so they are abandoned rather than handed back to `finish`.
 fn worker_loop<A, F, P>(mut worker: Worker<A, F, P>) -> Option<ShardSet<A, F, P>>
 where
@@ -1082,11 +1061,12 @@ where
     /// Weak read: a load of the latest epoch-published post-repair
     /// snapshot. Takes two `RwLock` reads (the shard's registry, then
     /// the key's cell), each held across one `Arc` clone, so it can
-    /// wait only for a publication's pointer swap; never blocks behind
-    /// a repair, a queued burst, or a poisoned pool; never ticks the
-    /// clock. Keys without a published snapshot yet (including
-    /// everything before the first flush after arming) answer from the
-    /// ADT's initial state.
+    /// wait only for a publication's replace in the cell, or for a new
+    /// key's insertion into the shard's registry (once per key, and it
+    /// may grow the map); never blocks behind a repair, a queued burst,
+    /// or a poisoned pool; never ticks the clock. Keys without a
+    /// published snapshot yet (including everything before the first
+    /// flush after arming) answer from the ADT's initial state.
     ///
     /// Snapshot publication is *armed* per shard by the first call
     /// touching it; follow with [`IngestPool::flush`] (or any flush
@@ -1101,15 +1081,18 @@ where
     /// [`PoolHandle::query_snapshot`], plus the snapshot's epoch
     /// (0 = answered from the initial state). Epochs for one key only
     /// ever increase — the monotonic-read regression tests assert it.
+    /// The registry's read lock is held across the lookup and the
+    /// cell's `Arc` clone only; the cell is loaded after it is dropped.
     pub fn query_snapshot_versioned(&self, key: Key, q: &A::QueryIn) -> (u64, A::QueryOut) {
         let shard = shard_index(key, self.core.num_shards);
         self.arm(shard);
-        if let Some((_, map)) = self.core.snaps[shard].load() {
-            if let Some(cell) = map.get(&key) {
-                if let Some((epoch, state)) = cell.load() {
-                    return (epoch, self.adt.observe(&state, q));
-                }
-            }
+        let cell = self.core.snaps[shard]
+            .read()
+            .expect("snapshot registry never poisoned")
+            .get(&key)
+            .cloned();
+        if let Some((epoch, state)) = cell.and_then(|cell| cell.load()) {
+            return (epoch, self.adt.observe(&state, q));
         }
         (0, self.adt.observe_owned(self.adt.initial(), q))
     }
@@ -1316,7 +1299,7 @@ where
         num_shards,
         inboxes,
         counters: (0..workers).map(|_| SharedCounters::default()).collect(),
-        snaps: (0..num_shards).map(|_| Published::new()).collect(),
+        snaps: (0..num_shards).map(|_| RwLock::default()).collect(),
         poison: OnceLock::new(),
         armed: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
         owed: Mutex::new(Vec::new()),
@@ -2113,6 +2096,26 @@ mod tests {
     }
 
     #[test]
+    fn a_new_key_is_readable_once_its_own_publication_ran() {
+        let (mut owner, mut worker) = hand_worker();
+        for key in [7, 8] {
+            owner.update(key, SetUpdate::Insert(1)).unwrap();
+        }
+        worker.claim();
+        owner.update(9, SetUpdate::Insert(100)).unwrap();
+        worker.run_claimed();
+        let w = stats_of(&worker);
+        assert_eq!((w.publish_yields, w.publish_backlog), (1, 1));
+        // The pass published key 7 and suspended before key 8: key 7's
+        // cell is in the registry already, not at the next whole pass.
+        let shown: Vec<Key> = [7, 8]
+            .into_iter()
+            .filter(|&k| read(&owner.handle, k) == BTreeSet::from([1]))
+            .collect();
+        assert_eq!(shown, [7]);
+    }
+
+    #[test]
     fn a_pass_cut_short_publishes_the_key_listed_longest() {
         let (mut owner, mut worker) = hand_worker();
         suspend_a_pass(&mut owner, &mut worker);
@@ -2218,7 +2221,7 @@ mod tests {
             assert_eq!(turns.last().map(|t| t.0), Some(6 * (u64::from(n) + 1)));
         }
         // A reader sitting on a snapshot is what costs a copy again.
-        let cell = Arc::clone(&handle.core.snaps[0].load().expect("registry").1[&3]);
+        let cell = Arc::clone(&handle.core.snaps[0].read().unwrap()[&3]);
         let (_, held) = cell.load().expect("published");
         let loaded = BTreeSet::clone(&held);
         round(10, false);
